@@ -30,14 +30,8 @@ var (
 	batchMax     = flag.Int("batch-max", 16, "with -fig batch/fleet: maximum jobs per coalesced group")
 	shedMark     = flag.Int("shed-watermark", 48, "with -fig fleet: queue depth of the overload row's admission control (0 skips the row)")
 	downlinkMbps = flag.Float64("downlink-mbps", 0, "model reply bandwidth on the experiments' fixed channels (0 keeps the historical free-downlink assumption)")
-	kernelName   string
+	kernelName   = flag.String("kernel", "auto", "engine kernel path for the live-runtime experiments: auto, gemm, panel, micro, asm, or direct")
 )
-
-func init() {
-	const usage = "engine kernel path for the live-runtime experiments: auto, gemm, panel, micro, asm, or direct"
-	flag.StringVar(&kernelName, "kernel", "auto", usage)
-	flag.StringVar(&kernelName, "engine", "auto", usage+" (alias of -kernel)")
-}
 
 // nExplicit records whether -n was set on the command line; the batch
 // experiment sweeps its default job counts otherwise.
@@ -71,7 +65,7 @@ func main() {
 
 	env := experiments.DefaultEnv()
 	env.NJobs = *n
-	kern, err := engine.ParseKernelPath(kernelName)
+	kern, err := engine.ParseKernelPath(*kernelName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "jpsbench:", err)
 		os.Exit(2)

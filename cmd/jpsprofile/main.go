@@ -4,8 +4,7 @@
 // -calibrate it times real engine forward passes on this machine
 // instead, printing ns/layer and a fitted device model; -kernel picks
 // the path (auto, gemm, panel, micro, asm, or the direct reference
-// loops; -engine is an alias) so any two can be compared layer by
-// layer.
+// loops) so any two can be compared layer by layer.
 //
 // Usage:
 //
@@ -41,15 +40,12 @@ func main() {
 		cal     = flag.Bool("calibrate", false, "calibrate a device model by timing real engine runs on this machine")
 		workers = flag.Int("workers", 1, "engine worker goroutines for -calibrate; 0 = GOMAXPROCS")
 	)
-	var eng string
-	const kernelUsage = "engine kernel path for -calibrate: auto, gemm, panel, micro, asm, or direct"
-	flag.StringVar(&eng, "kernel", "auto", kernelUsage)
-	flag.StringVar(&eng, "engine", "auto", kernelUsage+" (alias of -kernel)")
+	eng := flag.String("kernel", "auto", "engine kernel path for -calibrate: auto, gemm, panel, micro, asm, or direct")
 	flag.Parse()
 	// Validate the kernel spelling even when -calibrate is off: the
 	// flag is inert for analytic profiling, but a typo must not pass
 	// silently only to bite when the user later adds -calibrate.
-	kernel, err := engine.ParseKernelPath(eng)
+	kernel, err := engine.ParseKernelPath(*eng)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "jpsprofile:", err)
 		os.Exit(1)

@@ -82,7 +82,7 @@ func main() {
 		addr    = flag.String("addr", "127.0.0.1:7443", "listen address")
 		seed    = flag.Int64("seed", 42, "weight seed (must match the client)")
 		workers = flag.Int("workers", 0, "engine worker goroutines per layer; 0 = GOMAXPROCS")
-		kernel  string
+		kernel  = flag.String("kernel", "auto", "engine kernel path: auto, gemm, panel, micro, asm, or direct")
 		conc    = flag.Int("conc", 0, "concurrent inferences per connection (worker pool); 0 = GOMAXPROCS. Multiplies with -workers, so size the product to the core count")
 
 		batchWindow = flag.Duration("batch-window", 0, "coalesce same-shape requests arriving within this window into one batched forward (0 = disabled)")
@@ -105,9 +105,6 @@ func main() {
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics (Prometheus), /trace, /trace.json and /debug/pprof/ on this address (empty = disabled)")
 		traceOut    = flag.String("trace-out", "", "write the span buffer as Chrome trace JSON to this file on graceful shutdown (requires -metrics-addr; empty = skip)")
 	)
-	const kernelUsage = "engine kernel path: auto, gemm, panel, micro, asm, or direct"
-	flag.StringVar(&kernel, "kernel", "auto", kernelUsage)
-	flag.StringVar(&kernel, "engine", "auto", kernelUsage+" (alias of -kernel)")
 	flag.Parse()
 	weights, err := parseTenants(*tenants)
 	if err != nil {
@@ -136,7 +133,7 @@ func main() {
 	}
 	cfg := serveConfig{
 		model: *model, addr: *addr, seed: *seed, workers: *workers, conc: *conc,
-		kernel: kernel,
+		kernel:      *kernel,
 		batchWindow: *batchWindow, batchMax: *batchMax, downMbps: *downMbps,
 		tenants: weights, shedWatermark: *shedMark,
 		nextHop: *nextHop, nextCut: *nextCut,

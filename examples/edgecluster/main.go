@@ -37,19 +37,16 @@ func main() {
 		fmt.Sprintf("Edge cluster planning for %s (%d frames, Wi-Fi to edge, WAN to cloud)", *model, *n),
 		"WAN Mb/s", "Two-tier (ms)", "Three-tier (ms)", "Edge gain %", "Mobile cut", "Edge cut")
 	for _, wan := range []float64{2, 5, 10, 20, 50, 100} {
-		env := core.ThreeTierEnv{
-			Mobile:   pi,
-			Edge:     gpu.Scaled(0.25),
-			Cloud:    gpu,
-			Uplink:   netsim.WiFi,
-			Backhaul: netsim.Channel{Name: "wan", UplinkMbps: wan, SetupMs: 15},
-			DType:    tensor.Float32,
+		chain := core.Chain{
+			Devices: []profile.Device{pi, gpu.Scaled(0.25), gpu},
+			Links:   []netsim.Channel{netsim.WiFi, {Name: "wan", UplinkMbps: wan, SetupMs: 15}},
+			DType:   tensor.Float32,
 		}
-		three, err := core.JPSThreeTier(g, env, *n)
+		three, err := core.JPSChain(g, chain, *n)
 		if err != nil {
 			log.Fatal(err)
 		}
-		two, err := core.TwoTierAsThreeTier(g, env, *n)
+		two, err := core.OneCutChain(g, chain, *n)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -58,7 +55,7 @@ func main() {
 			gain = 0
 		}
 		t.AddRow(wan, two.Makespan, three.Makespan,
-			fmt.Sprintf("%.1f", gain), three.CutsLow[0], three.CutsHigh[0])
+			fmt.Sprintf("%.1f", gain), three.Cuts[0][0], three.Cuts[0][1])
 	}
 	if err := t.Render(os.Stdout); err != nil {
 		log.Fatal(err)

@@ -1,23 +1,21 @@
 package core
 
 // k-way pipeline partitioning over an ordered device chain — the
-// generalization past the paper's single mobile→cloud cut (and past
-// threetier.go's hardcoded two-cut form) toward Parthasarathy-style
-// multi-segment placement. A Chain is d devices joined by d-1 links;
-// every job is split by k = d-1 non-decreasing cuts on the line view,
-// so device 0 computes through cuts[0], link l carries the tensor at
-// cuts[l], and device d-1 finishes. The scheduled pipeline is device-0
-// compute plus the k link transmissions: a (k+1)-machine permutation
-// flow shop priced by flowshop.ScheduleM. As in the three-tier model,
-// intermediate and terminal device compute is validated, not
-// scheduled — each hop has its own executor per job.
+// generalization past the paper's single mobile→cloud cut toward
+// Parthasarathy-style multi-segment placement. A Chain is d devices
+// joined by d-1 links; every job is split by k = d-1 non-decreasing
+// cuts on the line view, so device 0 computes through cuts[0], link l
+// carries the tensor at cuts[l], and device d-1 finishes. The
+// scheduled pipeline is device-0 compute plus the k link
+// transmissions: a (k+1)-machine permutation flow shop priced by
+// flowshop.ScheduleM. Intermediate and terminal device compute is
+// validated, not scheduled — each hop has its own executor per job.
 //
-// The existing planners are exact special cases, pinned by parity
-// tests: a 2-device chain IS the paper's two-tier problem (JPSChain
-// delegates to JPS, reply pricing included), and a 3-device chain
-// reproduces JPSThreeTier bit-identically — same candidate order, same
-// best/runner-up selection, same mixing splits, same flow-shop code
-// underneath (Schedule3 is a wrapper over ScheduleM).
+// Every multi-hop topology goes through this one planner. A 2-device
+// chain IS the paper's two-tier problem (JPSChain delegates to JPS,
+// reply pricing included). A 3-device chain is the fog-computing
+// mobile→edge→cloud extension the paper cites through Mohammed et al.
+// [15]; its plans are frozen bit-for-bit in chain_golden_test.go.
 
 import (
 	"fmt"
@@ -44,16 +42,6 @@ func TwoTierChain(mobile, cloud profile.Device, uplink netsim.Channel, dt tensor
 		Devices: []profile.Device{mobile, cloud},
 		Links:   []netsim.Channel{uplink},
 		DType:   dt,
-	}
-}
-
-// Chain reconstructs the three-tier env as a 2-link chain
-// (mobile→edge→cloud); JPSChain on it reproduces JPSThreeTier exactly.
-func (e ThreeTierEnv) Chain() Chain {
-	return Chain{
-		Devices: []profile.Device{e.Mobile, e.Edge, e.Cloud},
-		Links:   []netsim.Channel{e.Uplink, e.Backhaul},
-		DType:   e.DType,
 	}
 }
 
@@ -109,17 +97,17 @@ func (p *ChainPlan) AvgMs() float64 {
 	return p.Makespan / float64(len(p.Cuts))
 }
 
-// chainCurves profiles the model once per device and link. Like
-// threeTierCurves it derives every transmission from the device-0
-// curve's tensor volumes (Bytes is a pure model/dtype property), so
-// linkMs[l][i] is the time for the tensor at position i to cross link
-// l, exactly 0 at the last position (zero-byte payload).
+// chainCurves profiles the model once per device and link. Every
+// transmission derives from the device-0 curve's tensor volumes (Bytes
+// is a pure model/dtype property), so linkMs[l][i] is the time for the
+// tensor at position i to cross link l, exactly 0 at the last position
+// (zero-byte payload).
 type chainCurves struct {
 	// f[d][i]: cumulative compute ms through position i on device d.
 	f [][]float64
 	// linkMs[l][i]: transmission ms of the tensor at position i over
 	// link l (no reply leg — replies ride the last hop back and are
-	// priced only by the two-tier special case, matching threetier.go).
+	// priced only by the two-tier special case).
 	linkMs [][]float64
 	pareto []int
 	n      int
@@ -151,11 +139,11 @@ func buildChainCurves(g *dag.Graph, ch Chain) *chainCurves {
 
 // stagesFor prices one job's pipeline stages for a non-decreasing cut
 // tuple: device-0 compute through cuts[0], then link l's transmission
-// of the tensor at cuts[l]. Degenerate tuples inherit the (verified)
-// three-tier semantics: cuts[l-1] == cuts[l] means nothing runs on
-// device l but the tensor still pays both adjacent hops, and any cut
-// at the last position transmits zero bytes, hence exactly 0 ms — no
-// special-casing needed (TestChainDegenerateGrid pins this).
+// of the tensor at cuts[l]. Degenerate tuples need no special-casing:
+// cuts[l-1] == cuts[l] means nothing runs on device l but the tensor
+// still pays both adjacent hops, and any cut at the last position
+// transmits zero bytes, hence exactly 0 ms (TestChainDegenerateGrid
+// pins this).
 func (c *chainCurves) stagesFor(cuts []int) []float64 {
 	st := make([]float64, len(cuts)+1)
 	st[0] = c.f[0][cuts[0]]
@@ -178,8 +166,8 @@ func (c *chainCurves) segmentComputeMs(dev int, cuts []int) float64 {
 }
 
 // enumTuples yields every non-decreasing k-tuple over the Pareto
-// candidates in lexicographic order (first cut outermost — for k=2
-// this is exactly JPSThreeTier's lo-outer/hi-inner pair loop).
+// candidates in lexicographic order (first cut outermost). The order
+// decides peak-stage ties in JPSChain, so the golden plans depend on it.
 func enumTuples(pareto []int, k int, visit func(cuts []int)) {
 	cuts := make([]int, k)
 	var rec func(pos, start int)
@@ -199,12 +187,12 @@ func enumTuples(pareto []int, k int, visit func(cuts []int)) {
 // JPSChain jointly picks k cuts per job and an m-machine schedule for
 // a chain. Depth 1 is the paper's exact problem and delegates to JPS
 // (Alg. 2 + Thm 5.3 + Johnson, reply pricing included). Deeper chains
-// generalize the three-tier search: enumerate non-decreasing Pareto
-// tuples, rank by peak stage (the asymptotic average-makespan driver),
-// and mix the best two candidates across jobs at a few splits, each
-// priced by the full CDS-m/NEH-m/descent sequencer. O(C(p+k-1,k))
-// tuples over p Pareto cuts — model-sized p keeps this in
-// milliseconds even at depth 4.
+// have no closed-form balance point, so the search is direct:
+// enumerate non-decreasing Pareto tuples, rank by peak stage (the
+// asymptotic average-makespan driver), and mix the best two candidates
+// across jobs at a few splits, each priced by the full
+// CDS-m/NEH-m/descent sequencer. O(C(p+k-1,k)) tuples over p Pareto
+// cuts — model-sized p keeps this in milliseconds even at depth 4.
 func JPSChain(g *dag.Graph, ch Chain, n int) (*ChainPlan, error) {
 	if err := ch.Validate(); err != nil {
 		return nil, err
@@ -238,9 +226,8 @@ func JPSChain(g *dag.Graph, ch Chain, n int) (*ChainPlan, error) {
 		}
 		cands = append(cands, cand{cuts: append([]int(nil), cuts...), peak: peak})
 	})
-	// Best and runner-up by peak stage — same selection (and the same
-	// tie-breaking quirks) as JPSThreeTier, which this code must
-	// reproduce bit-for-bit at k=2.
+	// Best and runner-up by peak stage. The tie-breaking here is part
+	// of the frozen output (chain_golden_test.go pins it at k=2).
 	bestIdx, secondIdx := 0, 0
 	for i, p := range cands {
 		if p.peak < cands[bestIdx].peak {
@@ -295,9 +282,9 @@ func chainPlanFromTwoTier(method string, p *Plan) *ChainPlan {
 
 // OneCutChain is the single-cut baseline on a deep chain: one cut at
 // device 0, the tensor crossing every link back to back, all
-// intermediate devices pass-through — the straight generalization of
-// TwoTierAsThreeTier (bit-identical to it on 3-device chains). The
-// chain-depth experiment measures JPSChain against it.
+// intermediate devices pass-through — what a two-tier plan costs when
+// the cloud sits behind extra hops. The three-tier and chain-depth
+// experiments measure JPSChain against it.
 func OneCutChain(g *dag.Graph, ch Chain, n int) (*ChainPlan, error) {
 	if err := ch.Validate(); err != nil {
 		return nil, err

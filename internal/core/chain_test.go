@@ -52,45 +52,6 @@ func TestChainValidate(t *testing.T) {
 	}
 }
 
-// Parity (acceptance): on a 2-cut chain JPSChain must reproduce
-// JPSThreeTier EXACTLY — same cuts, bit-identical makespan, same
-// schedule order — because it is the same search expressed generically.
-func TestJPSChainMatchesThreeTier(t *testing.T) {
-	env := threeTierEnv()
-	for _, model := range []string{"alexnet", "resnet18", "mobilenetv2"} {
-		for _, n := range []int{1, 3, 8, 20} {
-			g := models.MustBuild(model)
-			want, err := JPSThreeTier(g, env, n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := JPSChain(g, env.Chain(), n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Makespan != want.Makespan {
-				t.Fatalf("%s n=%d: chain makespan %v != three-tier %v (must be bit-identical)",
-					model, n, got.Makespan, want.Makespan)
-			}
-			for i := range got.Cuts {
-				if got.Cuts[i][0] != want.CutsLow[i] || got.Cuts[i][1] != want.CutsHigh[i] {
-					t.Fatalf("%s n=%d job %d: cuts %v != (%d,%d)",
-						model, n, i, got.Cuts[i], want.CutsLow[i], want.CutsHigh[i])
-				}
-			}
-			for i, j := range got.Sequence {
-				w := want.Sequence[i]
-				if j.ID != w.ID || j.Stages[0] != w.A || j.Stages[1] != w.B || j.Stages[2] != w.C {
-					t.Fatalf("%s n=%d pos %d: sequence diverged: %+v vs %+v", model, n, i, j, w)
-				}
-			}
-			if got.AvgMs() != want.AvgMs() {
-				t.Fatalf("%s n=%d: AvgMs diverged", model, n)
-			}
-		}
-	}
-}
-
 // Parity (acceptance): on a 1-cut chain JPSChain must reproduce the
 // paper's two-tier JPS exactly, reply pricing and all.
 func TestJPSChainMatchesTwoTierJPS(t *testing.T) {
@@ -115,28 +76,6 @@ func TestJPSChainMatchesTwoTierJPS(t *testing.T) {
 					t.Fatalf("%s/%s job %d: cut %d != %d", model, link.Name, i, got.Cuts[i][0], want.Cuts[i])
 				}
 			}
-		}
-	}
-}
-
-// Parity: OneCutChain on a 3-device chain is TwoTierAsThreeTier.
-func TestOneCutChainMatchesTwoTierAsThreeTier(t *testing.T) {
-	env := threeTierEnv()
-	g := models.MustBuild("alexnet")
-	want, err := TwoTierAsThreeTier(g, env, 15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := OneCutChain(g, env.Chain(), 15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Makespan != want.Makespan {
-		t.Fatalf("1-cut chain %v != TwoTierAsThreeTier %v", got.Makespan, want.Makespan)
-	}
-	for i := range got.Cuts {
-		if got.Cuts[i][0] != want.CutsLow[i] || got.Cuts[i][1] != want.CutsHigh[i] {
-			t.Fatalf("job %d: cuts %v != (%d,%d)", i, got.Cuts[i], want.CutsLow[i], want.CutsHigh[i])
 		}
 	}
 }
@@ -184,33 +123,6 @@ func TestChainDegenerateGrid(t *testing.T) {
 	if got := empty.AvgMs(); got != 0 {
 		t.Errorf("empty ChainPlan AvgMs = %g, want 0", got)
 	}
-	empty3 := &ThreeTierPlan{}
-	if got := empty3.AvgMs(); got != 0 {
-		t.Errorf("empty ThreeTierPlan AvgMs = %g, want 0", got)
-	}
-}
-
-// The same degenerate sweep on the original three-tier stagesFor: the
-// k-way enumerator inherits these semantics, so they are pinned here
-// against the legacy implementation too.
-func TestThreeTierStagesForDegenerate(t *testing.T) {
-	g := models.MustBuild("alexnet")
-	c := buildThreeTierCurves(g, threeTierEnv())
-	end := len(c.f) - 1
-	for _, tc := range [][2]int{{0, 0}, {0, end}, {end, end}, {3, 3}, {3, end}, {0, 3}} {
-		a, b, cc := c.stagesFor(tc[0], tc[1])
-		for _, v := range []float64{a, b, cc} {
-			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-				t.Errorf("stagesFor(%d,%d): unusable stage %g", tc[0], tc[1], v)
-			}
-		}
-		if tc[0] == end && b != 0 {
-			t.Errorf("stagesFor(%d,%d): uplink must be free at the end, got %g", tc[0], tc[1], b)
-		}
-		if tc[1] == end && cc != 0 {
-			t.Errorf("stagesFor(%d,%d): backhaul must be free at the end, got %g", tc[0], tc[1], cc)
-		}
-	}
 }
 
 // n=0 and bad chains error instead of planning.
@@ -235,8 +147,7 @@ func TestChainRejectsBadN(t *testing.T) {
 // lose to the heuristic planner, and the k-way planner can never lose
 // to the single-cut baseline (it searches a superset).
 func TestChainOptimalityOrder(t *testing.T) {
-	env := threeTierEnv()
-	ch := env.Chain()
+	ch := threeTierChain()
 	g := models.MustBuild("alexnet")
 	const eps = 1e-9
 	for _, n := range []int{1, 2, 3, 4} {
@@ -296,53 +207,11 @@ func TestChainFourTier(t *testing.T) {
 	}
 }
 
-// Random-curve property sweep (the Thm 5.3 analogue for chains): build
-// synthetic three-tier envs over a grid of link speeds and check the
-// chain planner tracks JPSThreeTier exactly on every one — broader
-// evidence than the fixed-env parity test above.
-func TestPropertyChainThreeTierParity(t *testing.T) {
-	pi, gpu := devices()
-	g := models.MustBuild("mobilenetv2")
-	for _, up := range []netsim.Channel{netsim.ThreeG, netsim.FourG, netsim.WiFi} {
-		for _, backMbps := range []float64{2, 20, 200} {
-			env := ThreeTierEnv{
-				Mobile: pi, Edge: gpu.Scaled(0.2), Cloud: gpu,
-				Uplink:   up,
-				Backhaul: netsim.Channel{Name: "bh", UplinkMbps: backMbps, SetupMs: 4},
-				DType:    tensor.Float32,
-			}
-			for _, n := range []int{2, 9} {
-				want, err := JPSThreeTier(g, env, n)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := JPSChain(g, env.Chain(), n)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got.Makespan != want.Makespan {
-					t.Fatalf("up=%s back=%g n=%d: %v != %v",
-						up.Name, backMbps, n, got.Makespan, want.Makespan)
-				}
-			}
-		}
-	}
-}
-
-// Planning-cost benchmarks for benchgate's within-run ratio: the
-// generic k-way path at depth 2 vs the hardcoded three-tier planner on
-// the same instance.
+// Planning cost of the k-way path at depth 2; scripts/benchgate.sh
+// gates it (ns/op and exact allocs/op) against BENCH_runtime.json.
 func BenchmarkChainPlanning(b *testing.B) {
 	g := models.MustBuild("alexnet")
-	env := threeTierEnv()
-	ch := env.Chain()
-	b.Run("threetier", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := JPSThreeTier(g, env, 20); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	ch := threeTierChain()
 	b.Run("kway", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := JPSChain(g, ch, 20); err != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dnnjps/internal/core"
+	"dnnjps/internal/models"
 	"dnnjps/internal/netsim"
 	"dnnjps/internal/profile"
 	"dnnjps/internal/report"
@@ -22,29 +23,40 @@ type ChainRow struct {
 	GainPct  float64
 }
 
-// ChainEnvDefault builds the depth-d device chain the experiment uses.
-// Depth 1 and 2 reproduce the existing topologies exactly (two-tier
-// over the uplink; ThreeTierEnvDefault's quarter-speed edge behind a
-// half-bandwidth WAN backhaul), so the chain rows line up with the
-// 3tier experiment. Depth 3 splits the WAN segment in two: the same
-// quarter-speed metro edge over the thin backhaul, then a half-speed
-// regional box one short hop further, then the cloud over a
-// full-bandwidth backbone — each extra hop is another place a k-way
-// plan can park middle layers that a single cut must ship across the
-// whole path.
+// ChainEnvDefault builds the depth-d device chain the extension
+// experiments use. Depth 1 is the paper's two-tier pair over the
+// uplink. Depth 2 is the three-tier topology: a quarter-speed edge box
+// one wireless hop away, then a WAN backhaul to the cloud at HALF the
+// wireless bandwidth. The thin second hop is what makes a middle tier
+// pay off: under a single cut the tensor crosses both hops and the
+// backhaul becomes the pipeline bottleneck, while the two-cut plan lets
+// the edge absorb the middle layers so a much smaller tensor hits the
+// slow hop. With a backhaul faster than the uplink, one cut is already
+// near-optimal and the edge adds nothing — reproduced by
+// TestThreeTierFastBackhaulAddsNothing. Depth 3 splits the WAN segment
+// in two: the same quarter-speed metro edge over the thin backhaul,
+// then a half-speed regional box one short hop further, then the cloud
+// over a full-bandwidth backbone — each extra hop is another place a
+// k-way plan can park middle layers that a single cut must ship across
+// the whole path.
 func ChainEnvDefault(env Env, uplink netsim.Channel, depth int) (core.Chain, error) {
-	three := ThreeTierEnvDefault(env, uplink)
+	edge := env.Cloud.Scaled(0.25)
+	backhaul := netsim.Channel{Name: "wan-backhaul", UplinkMbps: uplink.UplinkMbps / 2, SetupMs: 15}
 	switch depth {
 	case 1:
 		return core.TwoTierChain(env.Mobile, env.Cloud, uplink, env.DType), nil
 	case 2:
-		return three.Chain(), nil
+		return core.Chain{
+			Devices: []profile.Device{env.Mobile, edge, env.Cloud},
+			Links:   []netsim.Channel{uplink, backhaul},
+			DType:   env.DType,
+		}, nil
 	case 3:
 		return core.Chain{
-			Devices: []profile.Device{three.Mobile, three.Edge, env.Cloud.Scaled(0.5), three.Cloud},
+			Devices: []profile.Device{env.Mobile, edge, env.Cloud.Scaled(0.5), env.Cloud},
 			Links: []netsim.Channel{
-				three.Uplink,
-				three.Backhaul,
+				uplink,
+				backhaul,
 				{Name: "wan-backbone", UplinkMbps: uplink.UplinkMbps, SetupMs: 5},
 			},
 			DType: env.DType,
@@ -54,17 +66,14 @@ func ChainEnvDefault(env Env, uplink netsim.Channel, depth int) (core.Chain, err
 	}
 }
 
-// ChainDepth sweeps chain depth 1–3 for two line models across the
-// preset uplinks, planning each chain with the k-way planner and with
-// the best-single-cut baseline. Gain is the k-way improvement over one
-// cut; at depth 1 both planners see the same search space, so the row
-// doubles as a sanity anchor (gain 0).
-func ChainDepth(env Env) ([]ChainRow, error) {
+// chainRows plans every model × preset uplink × depth in [lo, hi] cell
+// with the k-way planner and with the best-single-cut baseline.
+func chainRows(env Env, modelNames []string, lo, hi int) ([]ChainRow, error) {
 	var rows []ChainRow
-	for _, model := range []string{"alexnet", "mobilenetv2"} {
+	for _, model := range modelNames {
 		g := mustModel(model)
 		for _, up := range netsim.Presets() {
-			for depth := 1; depth <= 3; depth++ {
+			for depth := lo; depth <= hi; depth++ {
 				ch, err := ChainEnvDefault(env, up, depth)
 				if err != nil {
 					return nil, err
@@ -89,6 +98,31 @@ func ChainDepth(env Env) ([]ChainRow, error) {
 		}
 	}
 	return rows, nil
+}
+
+// ThreeTier is the mobile→edge→cloud comparison over the paper models
+// and preset uplinks: the depth-2 chain, two cuts per job against one.
+func ThreeTier(env Env) ([]ChainRow, error) {
+	return chainRows(env, models.PaperModels(), 2, 2)
+}
+
+// ThreeTierTable renders ThreeTier's rows.
+func ThreeTierTable(rows []ChainRow) *report.Table {
+	t := report.NewTable("Extension — three-tier mobile→edge→cloud vs two-tier (avg ms/job)",
+		"Model", "Uplink", "Two-tier", "Three-tier", "Gain %")
+	for _, r := range rows {
+		t.AddRow(displayName(r.Model), r.Uplink, r.OneCutMs, r.KWayMs, r.GainPct)
+	}
+	return t
+}
+
+// ChainDepth sweeps chain depth 1–3 for two line models across the
+// preset uplinks, planning each chain with the k-way planner and with
+// the best-single-cut baseline. Gain is the k-way improvement over one
+// cut; at depth 1 both planners see the same search space, so the row
+// doubles as a sanity anchor (gain 0).
+func ChainDepth(env Env) ([]ChainRow, error) {
+	return chainRows(env, []string{"alexnet", "mobilenetv2"}, 1, 3)
 }
 
 // ChainDepthTable renders the depth sweep.

@@ -22,9 +22,9 @@ func TestThreeTierExperiment(t *testing.T) {
 	for _, r := range rows {
 		// Three-tier can always fall back to the two-tier split, so it
 		// never loses.
-		if r.ThreeMs > r.TwoTierMs*1.001 {
+		if r.KWayMs > r.OneCutMs*1.001 {
 			t.Errorf("%s@%s: three-tier %.1f worse than two-tier %.1f",
-				r.Model, r.Uplink, r.ThreeMs, r.TwoTierMs)
+				r.Model, r.Uplink, r.KWayMs, r.OneCutMs)
 		}
 		if r.GainPct > 1 {
 			anyGain = true
@@ -55,13 +55,16 @@ func TestThreeTierFastBackhaulAddsNothing(t *testing.T) {
 	e := env()
 	e.NJobs = 20
 	g := mustModel("alexnet")
-	tenv := ThreeTierEnvDefault(e, netsim.FourG)
-	tenv.Backhaul = netsim.Channel{Name: "fat", UplinkMbps: 1000, SetupMs: 1}
-	three, err := core.JPSThreeTier(g, tenv, e.NJobs)
+	ch, err := ChainEnvDefault(e, netsim.FourG, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	two, err := core.TwoTierAsThreeTier(g, tenv, e.NJobs)
+	ch.Links[1] = netsim.Channel{Name: "fat", UplinkMbps: 1000, SetupMs: 1}
+	three, err := core.JPSChain(g, ch, e.NJobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	two, err := core.OneCutChain(g, ch, e.NJobs)
 	if err != nil {
 		t.Fatal(err)
 	}

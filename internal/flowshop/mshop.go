@@ -2,21 +2,21 @@ package flowshop
 
 import "sort"
 
-// m-machine permutation flow shop — the general form behind the k-way
-// device-chain extension. A job partitioned by k cuts over an ordered
-// device chain becomes a (k+1)-stage job: device-0 compute, then one
-// transmission stage per link. The two-machine theory (Johnson, exact)
-// and the hardcoded three-machine Job3 path are the m=2 / m=3 special
-// cases of the functions here; the Job3 API in cds.go is now a thin
-// wrapper over these so there is exactly one scheduling implementation.
+// m-machine permutation flow shop — the one sequencer behind every
+// multi-hop plan. A job partitioned by k cuts over an ordered device
+// chain becomes a (k+1)-stage job: device-0 compute, then one
+// transmission stage per link. At two machines Johnson's rule is exact;
+// from three machines on the makespan-minimal permutation problem is
+// NP-hard (Garey, Johnson & Sethi 1976), so the functions here are
+// heuristics measured against brute force (TestScheduleMGapVsBruteForce).
 //
-// The CDS generalization uses the prefix/suffix-split surrogate family:
-// surrogate t (t = 1..m-1) is the two-machine instance A = Σ first t
-// stages, B = Σ last m-t stages, solved by Johnson's rule; the best of
-// the m-1 sequences wins. At m=2 the single surrogate IS Johnson's rule
-// (exact); at m=3 the family is exactly the pair (A vs B+C, A+B vs C)
-// the three-machine code has always shipped, so rebasing Job3 on JobM
-// changes no schedule bit-for-bit (pinned by TestScheduleMMatchesSchedule3).
+// The Campbell–Dudek–Smith (CDS) generalization uses the
+// prefix/suffix-split surrogate family: surrogate t (t = 1..m-1) is the
+// two-machine instance A = Σ first t stages, B = Σ last m-t stages,
+// solved by Johnson's rule; the best of the m-1 sequences wins. At m=2
+// the single surrogate IS Johnson's rule (exact); at m=3 the family is
+// the classic pair (A vs B+C, A+B vs C), exact whenever one machine
+// dominates — the usual case here, where the last hop is tiny.
 
 // JobM is an m-stage job: Stages[i] runs on machine i. Every job in a
 // sequence must have the same number of stages. ID is an opaque caller
@@ -111,7 +111,7 @@ func SumStagesM(jobs []JobM) []float64 {
 // to m machines: m-1 two-machine surrogates (prefix sum of the first t
 // stages vs suffix sum of the last m-t stages, t = 1..m-1) are each
 // sequenced by Johnson's rule and the best makespan wins (ties keep the
-// smaller t, so m=3 reproduces the historical A vs B+C preference).
+// smaller t, so m=3 prefers A vs B+C).
 // The input is not modified and the result shares no memory with it.
 func CDSM(jobs []JobM) []JobM {
 	if len(jobs) == 0 {
@@ -217,12 +217,10 @@ func swapDescentM(seq []JobM) []JobM {
 	return cur
 }
 
-// MaxExhaustiveJobs caps the factorial permutation searches
-// (BestPermutationM, BestPermutation3): 10! ≈ 3.6M makespan evaluations
-// is the largest instance that stays sub-second. Above the cap the
-// searches return the ScheduleM heuristic with ok=false instead of
-// hanging the caller — an 11-job "validation" call used to spin CI for
-// minutes; now it degrades loudly and instantly.
+// MaxExhaustiveJobs caps the factorial permutation search
+// (BestPermutationM): 10! ≈ 3.6M makespan evaluations is the largest
+// instance that stays sub-second. Above the cap the search returns the
+// ScheduleM heuristic with ok=false instead of hanging the caller.
 const MaxExhaustiveJobs = 10
 
 // BestPermutationM exhaustively searches all permutations (Heap's

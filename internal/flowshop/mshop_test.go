@@ -4,109 +4,9 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 	"testing/quick"
 )
-
-// ---- legacy reference implementations ----
-//
-// Verbatim copies of the pre-m-machine Job3 sequencers (the hardcoded
-// three-machine CDS/NEH/swap-descent that shipped before mshop.go).
-// The production Job3 API is now a wrapper over the JobM code; these
-// references pin the refactor bit-identical — same sequence, same
-// floating-point makespan — across random instances.
-
-func legacyCDS(jobs []Job3) []Job3 {
-	if len(jobs) == 0 {
-		return nil
-	}
-	build := func(first bool) []Job3 {
-		two := make([]Job, len(jobs))
-		for i, j := range jobs {
-			if first {
-				two[i] = Job{ID: i, A: j.A, B: j.B + j.C}
-			} else {
-				two[i] = Job{ID: i, A: j.A + j.B, B: j.C}
-			}
-		}
-		order := Johnson(two)
-		seq := make([]Job3, len(order))
-		for i, o := range order {
-			seq[i] = jobs[o.ID]
-		}
-		return seq
-	}
-	s1, s2 := build(true), build(false)
-	if Makespan3(s1) <= Makespan3(s2) {
-		return s1
-	}
-	return s2
-}
-
-func legacyNEH(jobs []Job3) []Job3 {
-	if len(jobs) == 0 {
-		return nil
-	}
-	order := append([]Job3(nil), jobs...)
-	sort.SliceStable(order, func(i, j int) bool {
-		ti := order[i].A + order[i].B + order[i].C
-		tj := order[j].A + order[j].B + order[j].C
-		if ti != tj {
-			return ti > tj
-		}
-		return order[i].ID < order[j].ID
-	})
-	seq := make([]Job3, 0, len(order))
-	for _, j := range order {
-		bestPos, bestSpan := 0, -1.0
-		for pos := 0; pos <= len(seq); pos++ {
-			trial := make([]Job3, 0, len(seq)+1)
-			trial = append(trial, seq[:pos]...)
-			trial = append(trial, j)
-			trial = append(trial, seq[pos:]...)
-			if span := Makespan3(trial); bestSpan < 0 || span < bestSpan {
-				bestPos, bestSpan = pos, span
-			}
-		}
-		seq = append(seq[:bestPos], append([]Job3{j}, seq[bestPos:]...)...)
-	}
-	return seq
-}
-
-func legacySchedule3(jobs []Job3) []Job3 {
-	cds := legacyCDS(jobs)
-	neh := legacyNEH(jobs)
-	seq := cds
-	if Makespan3(neh) < Makespan3(cds) {
-		seq = neh
-	}
-	cur := append([]Job3(nil), seq...)
-	span := Makespan3(cur)
-	for improved := true; improved; {
-		improved = false
-		for i := 0; i < len(cur); i++ {
-			for j := i + 1; j < len(cur); j++ {
-				cur[i], cur[j] = cur[j], cur[i]
-				if s := Makespan3(cur); s < span-1e-12 {
-					span = s
-					improved = true
-				} else {
-					cur[i], cur[j] = cur[j], cur[i]
-				}
-			}
-		}
-	}
-	return cur
-}
-
-func randJobs3(rng *rand.Rand, n int) []Job3 {
-	jobs := make([]Job3, n)
-	for i := range jobs {
-		jobs[i] = Job3{ID: i, A: rng.Float64() * 10, B: rng.Float64() * 10, C: rng.Float64() * 10}
-	}
-	return jobs
-}
 
 func randJobsM(rng *rand.Rand, n, m int) []JobM {
 	jobs := make([]JobM, n)
@@ -118,53 +18,6 @@ func randJobsM(rng *rand.Rand, n, m int) []JobM {
 		jobs[i] = JobM{ID: i, Stages: st}
 	}
 	return jobs
-}
-
-// The Job3 wrappers must reproduce the historical three-machine
-// sequencers exactly: identical job order AND bit-identical makespan.
-func TestScheduleMMatchesSchedule3(t *testing.T) {
-	rng := rand.New(rand.NewSource(101))
-	for trial := 0; trial < 300; trial++ {
-		n := 1 + rng.Intn(9)
-		jobs := randJobs3(rng, n)
-		for name, pair := range map[string][2][]Job3{
-			"CDS":       {CDS(jobs), legacyCDS(jobs)},
-			"NEH":       {NEH(jobs), legacyNEH(jobs)},
-			"Schedule3": {Schedule3(jobs), legacySchedule3(jobs)},
-		} {
-			got, want := pair[0], pair[1]
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d: %s diverged from legacy\n got %v\nwant %v", trial, name, got, want)
-			}
-			if Makespan3(got) != Makespan3(want) {
-				t.Fatalf("trial %d: %s makespan not bit-identical", trial, name)
-			}
-		}
-	}
-}
-
-// Property (satellite): CompletionsM == Completions3 exactly for m=3,
-// and MakespanM == Makespan3 — same FP recurrence, same operation
-// order, so equality is ==, not approximate.
-func TestCompletionsMMatchesCompletions3(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		seq := randJobs3(rng, 1+rng.Intn(10))
-		mseq := job3ToM(seq)
-		if MakespanM(mseq) != Makespan3(seq) {
-			return false
-		}
-		got, want := CompletionsM(mseq), Completions3(seq)
-		for i := range want {
-			if got[i] != want[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
 }
 
 // At m=2 the single CDS surrogate IS Johnson's rule, which is optimal:
@@ -224,20 +77,6 @@ func TestScheduleMGapVsBruteForce(t *testing.T) {
 // its input slice untouched and return memory disjoint from it.
 func TestFlowshopInputsUnmutated(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
-	jobs3 := randJobs3(rng, 7)
-	snap3 := append([]Job3(nil), jobs3...)
-	seqs := [][]Job3{CDS(jobs3), NEH(jobs3), Schedule3(jobs3)}
-	bp, _, _ := BestPermutation3(jobs3)
-	seqs = append(seqs, bp)
-	for _, s := range seqs {
-		for i := range s {
-			s[i].A = -1 // scribble on outputs; inputs must not see it
-		}
-	}
-	if !reflect.DeepEqual(jobs3, snap3) {
-		t.Errorf("Job3 input mutated: %v != %v", jobs3, snap3)
-	}
-
 	jobsM := randJobsM(rng, 7, 4)
 	snapM := cloneJobsM(jobsM)
 	seqsM := [][]JobM{CDSM(jobsM), NEHM(jobsM), ScheduleM(jobsM)}
@@ -274,10 +113,6 @@ func TestBestPermutationCap(t *testing.T) {
 		t.Error("over-cap fallback must be the ScheduleM heuristic sequence")
 	}
 
-	over3 := randJobs3(rng, MaxExhaustiveJobs+1)
-	if _, _, ok := BestPermutation3(over3); ok {
-		t.Error("BestPermutation3 must inherit the cap")
-	}
 	if _, _, ok := BestPermutationM(nil); !ok {
 		t.Error("empty instance is trivially optimal, ok must be true")
 	}
@@ -301,5 +136,96 @@ func TestMakespanMBoundsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// ---- three-machine cases (the mobile→edge→cloud shape) ----
+
+func TestMakespanMRecurrence(t *testing.T) {
+	// Hand-checked: jobs (2,3,1), (4,1,2).
+	// c1: 2,6. c2: max(0,2)+3=5; max(5,6)+1=7. c3: max(0,5)+1=6; max(6,7)+2=9.
+	seq := []JobM{{Stages: []float64{2, 3, 1}}, {Stages: []float64{4, 1, 2}}}
+	if got := MakespanM(seq); got != 9 {
+		t.Errorf("makespan = %g, want 9", got)
+	}
+	comps := CompletionsM(seq)
+	if comps[0] != 6 || comps[1] != 9 {
+		t.Errorf("completions = %v, want [6 9]", comps)
+	}
+	if MakespanM(nil) != 0 {
+		t.Error("empty must be 0")
+	}
+}
+
+func preservesJobs(t *testing.T, name string, sequence func([]JobM) []JobM, jobs []JobM) {
+	t.Helper()
+	seq := sequence(jobs)
+	seen := map[int]bool{}
+	for _, j := range seq {
+		seen[j.ID] = true
+	}
+	if len(seq) != len(jobs) || len(seen) != len(jobs) {
+		t.Errorf("%s dropped or duplicated jobs: %v", name, seq)
+	}
+	if sequence(nil) != nil {
+		t.Errorf("%s: empty input must return nil", name)
+	}
+}
+
+func TestCDSPreservesJobs(t *testing.T) {
+	preservesJobs(t, "CDSM", CDSM, []JobM{
+		{ID: 0, Stages: []float64{1, 2, 3}}, {ID: 1, Stages: []float64{3, 2, 1}}, {ID: 2, Stages: []float64{2, 2, 2}}})
+}
+
+func TestNEHPreservesJobs(t *testing.T) {
+	preservesJobs(t, "NEHM", NEHM, []JobM{
+		{ID: 0, Stages: []float64{9, 1, 1}}, {ID: 1, Stages: []float64{1, 9, 1}}, {ID: 2, Stages: []float64{1, 1, 9}}})
+}
+
+func TestScheduleMNearOptimalThreeMachines(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	worstCDS, worstBest := 1.0, 1.0
+	for trial := 0; trial < 200; trial++ {
+		jobs := randJobsM(rng, 2+rng.Intn(6), 3)
+		_, best, ok := BestPermutationM(jobs)
+		if !ok {
+			t.Fatalf("trial %d: exhaustive search refused at n=%d", trial, len(jobs))
+		}
+		cds := MakespanM(CDSM(jobs))
+		combined := MakespanM(ScheduleM(jobs))
+		if combined < best-1e-9 {
+			t.Fatalf("trial %d: ScheduleM %g below exhaustive optimum %g", trial, combined, best)
+		}
+		if combined > cds+1e-9 {
+			t.Fatalf("trial %d: ScheduleM %g worse than plain CDSM %g", trial, combined, cds)
+		}
+		if r := cds / best; r > worstCDS {
+			worstCDS = r
+		}
+		if r := combined / best; r > worstBest {
+			worstBest = r
+		}
+	}
+	// Plain CDS strays up to ~30% on adversarial random instances;
+	// the CDS+NEH combination stays within a few percent.
+	if worstBest > 1.06 {
+		t.Errorf("ScheduleM worst ratio %.3f over 200 trials, expected <= 1.06 (CDSM alone: %.3f)",
+			worstBest, worstCDS)
+	}
+}
+
+func TestCDSExactWhenThirdStageNegligible(t *testing.T) {
+	// With stage 3 ≈ 0 the instance degenerates to two machines, where
+	// the first CDS surrogate IS Johnson's rule: exact.
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 100; trial++ {
+		jobs := randJobsM(rng, 2+rng.Intn(6), 3)
+		for i := range jobs {
+			jobs[i].Stages[2] *= 1e-10
+		}
+		_, best, _ := BestPermutationM(jobs)
+		if got := MakespanM(CDSM(jobs)); math.Abs(got-best) > 1e-6 {
+			t.Fatalf("trial %d: CDSM %g != optimum %g with negligible stage 3", trial, got, best)
+		}
 	}
 }

@@ -504,6 +504,14 @@ func (r *Runner) maybeReplan(cl *Client, rest []*ftJob, rs *replanState, nominal
 		return
 	}
 	now := time.Now()
+	// rerated is the current channel model at another uplink bandwidth:
+	// setup latency and the downlink model carry over.
+	rerated := func(suffix string, mbps float64) netsim.Channel {
+		ch := *nominal
+		ch.Name += suffix
+		ch.UplinkMbps = mbps
+		return ch
+	}
 	if rs.est != nil {
 		if now.Sub(rs.last) >= r.opts.ReplanMinInterval {
 			est, n := rs.est.Mbps()
@@ -513,7 +521,7 @@ func (r *Runner) maybeReplan(cl *Client, rest []*ftJob, rs *replanState, nominal
 			if n >= 2 && (shifted || diverged) {
 				r.obsv.event(TrackRunner, EventReplanTrigger, -1, now)
 				replanStart := time.Now()
-				if r.replanRemainingAt(rest, est, nominal, ft) {
+				if r.replan(rest, rerated("-est", est), core.ServerHint{}, nominal, ft) {
 					rs.cpSeen = len(cps)
 					rs.planMbps = est
 					rs.last = time.Now()
@@ -525,7 +533,7 @@ func (r *Runner) maybeReplan(cl *Client, rest []*ftJob, rs *replanState, nominal
 	} else if r.opts.ReplanFactor > 0 && now.Sub(rs.last) >= r.opts.ReplanMinInterval {
 		if health, samples := cl.LinkHealth(); samples >= 2 && health < r.opts.ReplanFactor {
 			replanStart := time.Now()
-			if r.replanRemaining(rest, health, nominal, ft) {
+			if r.replan(rest, rerated("-degraded", nominal.UplinkMbps*health), core.ServerHint{}, nominal, ft) {
 				rs.planMbps = nominal.UplinkMbps
 				rs.last = time.Now()
 				cl.ResetLinkHealth(*nominal)
@@ -536,7 +544,7 @@ func (r *Runner) maybeReplan(cl *Client, rest []*ftJob, rs *replanState, nominal
 	if r.opts.BackpressureThreshold > 0 && now.Sub(rs.hintLast) >= r.opts.ReplanMinInterval {
 		if rate, queueMs, samples := cl.ServerPressure(); samples >= 2 && rate >= r.opts.BackpressureThreshold {
 			replanStart := time.Now()
-			if r.replanRemainingHint(rest, queueMs, nominal, ft) {
+			if r.replan(rest, *nominal, core.ServerHint{QueueMs: queueMs}, nominal, ft) {
 				rs.hintLast = time.Now()
 			}
 			r.obsv.span(TrackRunner, SpanReplan, -1, replanStart, time.Now())
@@ -544,79 +552,29 @@ func (r *Runner) maybeReplan(cl *Client, rest []*ftJob, rs *replanState, nominal
 	}
 }
 
-// replanRemaining reprices the curve at the measured bandwidth, runs
-// the JPS planner for the still-unsubmitted jobs, and rewrites their
-// cuts and order in place. Planner errors leave the old plan standing
-// and report false.
-func (r *Runner) replanRemaining(rest []*ftJob, health float64, nominal *netsim.Channel, ft *FTReport) bool {
-	if len(rest) == 0 {
-		return false
-	}
-	measured := netsim.Channel{
-		Name:       nominal.Name + "-degraded",
-		UplinkMbps: nominal.UplinkMbps * health,
-		SetupMs:    nominal.SetupMs,
-	}
-	p2, err := core.Replan(r.curve, measured, len(rest))
+// replan is the one re-planning action behind all three triggers: it
+// reprices the curve at the measured channel, surcharges every
+// offloaded cut with the server's queue-wait hint (zero for the link
+// triggers), runs the JPS planner for the still-unsubmitted jobs, and
+// rewrites their cuts and order in place. A measured channel that
+// differs from *nominal is a link replan: it is adopted, so later
+// attempts plan and measure against it. The hint trigger passes
+// *nominal itself — the link is fine, only the cloud is saturated — and
+// counts separately. Planner errors (a non-positive bandwidth among
+// them) leave the old plan standing and report false.
+func (r *Runner) replan(rest []*ftJob, measured netsim.Channel, hint core.ServerHint, nominal *netsim.Channel, ft *FTReport) bool {
+	p2, err := core.ReplanWithHint(r.curve, measured, len(rest), hint)
 	if err != nil {
 		return false
 	}
 	applyPlan(rest, p2)
-	*nominal = measured // later attempts plan and measure against the degraded link
-	ft.Replans++
-	ft.ReplannedMbps = measured.UplinkMbps
-	if o := r.obsv; o != nil {
-		o.Replans.Inc()
+	if measured != *nominal {
+		*nominal = measured
+		ft.Replans++
+		ft.ReplannedMbps = measured.UplinkMbps
+	} else {
+		ft.HintReplans++
 	}
-	return true
-}
-
-// replanRemainingAt reprices the curve at the estimator's absolute
-// bandwidth estimate and replans the still-unsubmitted jobs. Unlike
-// replanRemaining there is no health ratio against a channel model:
-// the estimate is ground truth in Mb/s, so the adopted channel is
-// exact regardless of how many replans preceded it. Planner errors
-// leave the old plan standing and report false.
-func (r *Runner) replanRemainingAt(rest []*ftJob, mbps float64, nominal *netsim.Channel, ft *FTReport) bool {
-	if len(rest) == 0 || mbps <= 0 {
-		return false
-	}
-	measured := netsim.Channel{
-		Name:         nominal.Name + "-est",
-		UplinkMbps:   mbps,
-		SetupMs:      nominal.SetupMs,
-		DownlinkMbps: nominal.DownlinkMbps,
-	}
-	p2, err := core.Replan(r.curve, measured, len(rest))
-	if err != nil {
-		return false
-	}
-	applyPlan(rest, p2)
-	*nominal = measured
-	ft.Replans++
-	ft.ReplannedMbps = mbps
-	if o := r.obsv; o != nil {
-		o.Replans.Inc()
-	}
-	return true
-}
-
-// replanRemainingHint re-plans the still-unsubmitted jobs against the
-// server's backpressure hint: same bandwidth, but every offloaded cut
-// surcharged with the observed mean queue wait, so the planner shifts
-// work toward local compute. Planner errors leave the old plan
-// standing and report false; the channel model is untouched (the link
-// itself is fine).
-func (r *Runner) replanRemainingHint(rest []*ftJob, queueMs float64, nominal *netsim.Channel, ft *FTReport) bool {
-	if len(rest) == 0 {
-		return false
-	}
-	p2, err := core.ReplanWithHint(r.curve, *nominal, len(rest), core.ServerHint{QueueMs: queueMs})
-	if err != nil {
-		return false
-	}
-	applyPlan(rest, p2)
-	ft.HintReplans++
 	if o := r.obsv; o != nil {
 		o.Replans.Inc()
 	}

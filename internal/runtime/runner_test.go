@@ -296,3 +296,38 @@ func TestRunnerReplansOnDegradedLink(t *testing.T) {
 		t.Errorf("ReplannedMbps = %.2f, want in (0, %.0f)", rep.ReplannedMbps, ch.UplinkMbps)
 	}
 }
+
+// TestThresholdReplanKeepsDownlinkModel: a threshold-path replan adopts
+// the measured uplink bandwidth but must keep the channel's downlink
+// model — dropping it reprices the curve with free replies and leaves
+// every later attempt of the run planning without a reply leg.
+func TestThresholdReplanKeepsDownlinkModel(t *testing.T) {
+	m := pipeModel(t)
+	ch := netsim.Channel{Name: "pipe", UplinkMbps: 8, SetupMs: 2}.WithDownlink(3)
+	curve := profile.BuildCurve(m.Graph(), profile.RaspberryPi4(), profile.CloudGPU(), ch, tensor.Float32)
+	r := NewRunner(nil, m, ch, 1, RunOptions{ReplanFactor: 0.8}).WithCurve(curve)
+
+	a, b := net.Pipe()
+	defer a.Close()
+	defer b.Close()
+	cl := NewClient(a, m, ch, 1)
+	// Two uploads at half the modeled rate: link health 0.5 < 0.8.
+	for i := 0; i < 2; i++ {
+		cl.noteUpload(16384, time.Duration(2*ch.TxMs(16384)*float64(time.Millisecond)))
+	}
+
+	rest := []*ftJob{{id: 0, cut: 3}, {id: 1, cut: 3}, {id: 2, cut: 3}}
+	nominal, ft := ch, &FTReport{}
+	r.maybeReplan(cl, rest, &replanState{planMbps: ch.UplinkMbps}, &nominal, ft)
+
+	if ft.Replans != 1 {
+		t.Fatalf("Replans = %d, want 1 (health 0.5 is under the 0.8 threshold)", ft.Replans)
+	}
+	if nominal.UplinkMbps < 3.9 || nominal.UplinkMbps > 4.1 {
+		t.Errorf("adopted uplink = %.2f Mb/s, want ~4 (half of 8)", nominal.UplinkMbps)
+	}
+	if nominal.DownlinkMbps != ch.DownlinkMbps || nominal.SetupMs != ch.SetupMs {
+		t.Errorf("adopted channel: downlink %g Mb/s setup %g ms, want the nominal %g Mb/s / %g ms",
+			nominal.DownlinkMbps, nominal.SetupMs, ch.DownlinkMbps, ch.SetupMs)
+	}
+}

@@ -91,17 +91,15 @@ func TestFromChainPlanMatchesMakespanM(t *testing.T) {
 	}
 
 	g := models.MustBuild("alexnet")
-	env := core.ThreeTierEnv{
-		Mobile: profile.RaspberryPi4(),
-		Edge:   profile.CloudGPU().Scaled(0.25),
-		Cloud:  profile.CloudGPU(),
-		Uplink: netsim.FourG,
-		Backhaul: netsim.Channel{
-			Name: "wan-backhaul", UplinkMbps: netsim.FourG.UplinkMbps / 2, SetupMs: 15,
+	chain := core.Chain{
+		Devices: []profile.Device{profile.RaspberryPi4(), profile.CloudGPU().Scaled(0.25), profile.CloudGPU()},
+		Links: []netsim.Channel{
+			netsim.FourG,
+			{Name: "wan-backhaul", UplinkMbps: netsim.FourG.UplinkMbps / 2, SetupMs: 15},
 		},
 		DType: tensor.Float32,
 	}
-	plan, err := core.JPSChain(g, env.Chain(), 9)
+	plan, err := core.JPSChain(g, chain, 9)
 	if err != nil {
 		t.Fatal(err)
 	}

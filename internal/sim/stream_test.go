@@ -2,11 +2,9 @@ package sim
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"dnnjps/internal/core"
-	"dnnjps/internal/flowshop"
 	"dnnjps/internal/models"
 	"dnnjps/internal/netsim"
 	"dnnjps/internal/profile"
@@ -108,42 +106,6 @@ func TestStreamPlanSimulation(t *testing.T) {
 	}
 	if math.IsNaN(last) {
 		t.Fatal("missing completion")
-	}
-}
-
-// The three-machine flow-shop recurrence must agree with the event
-// simulator when jobs run as mobile->uplink->cloud chains in sequence
-// order.
-func TestMakespan3MatchesSimulation(t *testing.T) {
-	rng := rand.New(rand.NewSource(55))
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + rng.Intn(10)
-		seq := make([]flowshop.Job3, n)
-		jobs := make([]JobSpec, n)
-		for i := range seq {
-			seq[i] = flowshop.Job3{ID: i, A: rng.Float64() * 10, B: rng.Float64() * 10, C: rng.Float64() * 10}
-			jobs[i] = JobSpec{
-				ID: i, Priority: i,
-				Stages: []StageSpec{
-					{ResMobile, seq[i].A},
-					{ResUplink, seq[i].B},
-					{ResCloud, seq[i].C},
-				},
-			}
-		}
-		res, err := Run(jobs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := flowshop.Makespan3(seq); math.Abs(res.Makespan-want) > 1e-9 {
-			t.Fatalf("trial %d: sim %g != recurrence %g", trial, res.Makespan, want)
-		}
-		comps := flowshop.Completions3(seq)
-		for i := range seq {
-			if math.Abs(res.Completions[i]-comps[i]) > 1e-9 {
-				t.Fatalf("trial %d: completion %d mismatch", trial, i)
-			}
-		}
 	}
 }
 

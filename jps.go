@@ -155,17 +155,19 @@ func PeriodicReleases(n int, intervalMs float64) []float64 {
 	return core.PeriodicReleases(n, intervalMs)
 }
 
-// ThreeTierEnv fixes the devices and links of a mobile→edge→cloud
-// topology (three-tier extension).
-type ThreeTierEnv = core.ThreeTierEnv
+// Chain is an ordered offloading topology: Devices[0] holds the jobs,
+// Links[l] connects Devices[l] to Devices[l+1]. Three devices give the
+// mobile→edge→cloud (three-tier) extension.
+type Chain = core.Chain
 
-// ThreeTierPlan is a two-cut partition plus three-machine schedule.
-type ThreeTierPlan = core.ThreeTierPlan
+// ChainPlan is a k-cut partition plus m-machine schedule, one cut per
+// link.
+type ChainPlan = core.ChainPlan
 
-// JPSThreeTier jointly picks two cuts per job (mobile/edge and
-// edge/cloud) and a three-machine flow-shop schedule.
-func JPSThreeTier(g *Graph, env ThreeTierEnv, n int) (*ThreeTierPlan, error) {
-	return core.JPSThreeTier(g, env, n)
+// JPSChain jointly picks one cut per link for every job and an
+// m-machine flow-shop schedule; on a 2-device chain it is exactly JPS.
+func JPSChain(g *Graph, ch Chain, n int) (*ChainPlan, error) {
+	return core.JPSChain(g, ch, n)
 }
 
 // Simulate validates a plan on the three-stage discrete-event

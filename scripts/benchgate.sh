@@ -149,30 +149,6 @@ END {
 }
 ' "$RAW"
 
-# Chain-planning gate: the generic k-way planner on a 2-link chain must
-# stay within a small constant of the specialized three-tier planner on
-# the same instance — the generalization is only free if its tuple
-# enumeration doesn't blow up the planning cost. Within-run ratio,
-# host-independent. Measured ~0.5x on the reference box (the k-way
-# candidate ranking evaluates fewer schedules than the pairwise Alg-2
-# sweep); > 2.0x means the enumerator regressed.
-awk '
-/^BenchmarkChainPlanning\/threetier/ { three = $3 }
-/^BenchmarkChainPlanning\/kway/      { kway = $3 }
-END {
-    if (three == "" || kway == "") {
-        print "benchgate: FAIL ChainPlanning ns/op missing from bench output"
-        exit 1
-    }
-    r = kway / three
-    if (r > 2.0) {
-        printf "benchgate: FAIL ChainPlanning kway %.0f ns/op vs threetier %.0f (%.2fx > 2.0x)\n", kway, three, r
-        exit 1
-    }
-    printf "benchgate: ok ChainPlanning kway/threetier = %.2fx\n", r
-}
-' "$RAW"
-
 # Microkernel gate: within one run, the FMA assembly tile must beat the
 # streaming panel loop by a wide margin at every gated width — asm/panel
 # ns ratio <= 0.9x at n >= 128 (measured ~0.11-0.14x on the reference
