@@ -366,16 +366,21 @@ func TestClientLinkHealthEdgeCases(t *testing.T) {
 // individual connections — after a forced disconnect the reconnect's
 // samples land in the same estimator, so the report's sample-bearing
 // estimate reflects the whole run, not the last attempt.
+//
+// The disconnect fires halfway through the second cut-3 frame. The
+// runner's window of 2 uploads jobs 0 and 1 at their planned cut before
+// its first replan decision, so that byte count is always reached —
+// whatever the replan (2 Mb/s from t = 0) then does to the cuts of the
+// jobs behind them.
 func TestAdaptEstimatorThreadsAcrossAttempts(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation distorts the byte-count timing the forced disconnect relies on")
-	}
 	m := pipeModel(t)
 	ch := netsim.Channel{Name: "pipe", UplinkMbps: 8, SetupMs: 0}
+	const cut = 3
+	frame := RequestWireBytes(m.Graph().Node(profile.LineView(m.Graph())[cut].Exit).OutShape)
 	dial := faultyDialer(t, m, 41, adaptScale, func(i int) (up, down netsim.FaultSpec) {
 		up = netsim.FaultSpec{Degrade: netsim.StepDown(0, 2)}
 		if i == 0 {
-			up.DisconnectAfterBytes = 60_000
+			up.DisconnectAfterBytes = int64(frame + frame/2)
 		}
 		return up, netsim.FaultSpec{}
 	})
@@ -386,7 +391,7 @@ func TestAdaptEstimatorThreadsAcrossAttempts(t *testing.T) {
 	r := NewRunner(dial, m, ch, adaptScale, opts).WithCurve(curve)
 
 	const n = 12
-	plan := uniformPlan(n, 3)
+	plan := uniformPlan(n, cut)
 	inputs := make([]*tensor.Tensor, n)
 	for i := range inputs {
 		inputs[i] = pipeInput(i)

@@ -33,18 +33,23 @@ func batchPair(t *testing.T, m *engine.Model, window time.Duration, max int) (*C
 // at the given cut, plus the class a pure local forward predicts.
 func boundaryAt(t *testing.T, m *engine.Model, cut, i int) (*tensor.Tensor, int) {
 	t.Helper()
+	return boundaryFor(t, m, cut, input(i))
+}
+
+// boundaryFor is boundaryAt for an arbitrary input tensor.
+func boundaryFor(t *testing.T, m *engine.Model, cut int, in *tensor.Tensor) (*tensor.Tensor, int) {
+	t.Helper()
 	units := profile.LineView(m.Graph())
 	var prefix []int
 	for _, u := range units[:cut+1] {
 		prefix = append(prefix, u.Nodes...)
 	}
-	in := input(i)
 	acts := map[int]*tensor.Tensor{}
-	if err := m.Execute(acts, in, prefix); err != nil {
+	if err := m.Execute(acts, in.Clone(), prefix); err != nil {
 		t.Fatal(err)
 	}
 	boundary := acts[units[cut].Exit].Clone()
-	want, err := m.Forward(in.Clone())
+	want, err := m.Forward(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,11 +106,15 @@ func TestBatchWindowFlushesPartialGroup(t *testing.T) {
 	res := [2]*JobResult{}
 	calls := [2]*call{}
 	wants := [2]int{}
+	// Boundaries first: computing one between the two enqueues can
+	// outlast the window under the race detector.
+	boundaries := [2]*tensor.Tensor{}
 	for i := range res {
-		boundary, want := boundaryAt(t, m, cut, i*5)
-		wants[i] = want
+		boundaries[i], wants[i] = boundaryAt(t, m, cut, i*5)
+	}
+	for i := range res {
 		res[i] = &JobResult{JobID: i}
-		c, err := cl.enqueueInfer(res[i], cut, boundary)
+		c, err := cl.enqueueInfer(res[i], cut, boundaries[i])
 		if err != nil {
 			t.Fatal(err)
 		}

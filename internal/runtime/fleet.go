@@ -122,18 +122,48 @@ func newFleetScheduler(s *Server) *fleetScheduler {
 			func(task func()) { fs.work <- task },
 			fs.runBatch)
 	}
+	if s.next != nil {
+		s.next.start(fs)
+	}
 	for i := 0; i < s.workers; i++ {
 		fs.wg.Add(1)
-		go func() {
-			defer fs.wg.Done()
-			for task := range fs.work {
-				task()
-			}
-		}()
+		go fs.worker()
 	}
 	fs.wg.Add(1)
 	go fs.dispatchLoop()
 	return fs
+}
+
+// worker is one pool goroutine: it runs tasks until the pool closes. On
+// a forwarding stage it also takes the jobs whose forward failed (see
+// nexthop.go).
+func (fs *fleetScheduler) worker() {
+	defer fs.wg.Done()
+	nh := fs.s.next
+	if nh == nil {
+		for task := range fs.work {
+			task()
+		}
+		return
+	}
+	for {
+		select {
+		case task, ok := <-fs.work:
+			if !ok {
+				return
+			}
+			task()
+		case job := <-nh.fallbacks:
+			o := fs.s.obsv
+			if o != nil {
+				o.WorkersBusy.Add(1)
+			}
+			fs.fallback(job)
+			if o != nil {
+				o.WorkersBusy.Add(-1)
+			}
+		}
+	}
 }
 
 // shutdown drains the scheduler gracefully: no new admissions, every
@@ -259,8 +289,10 @@ func (fs *fleetScheduler) popLocked() pendingJob {
 // dispatchLoop is the single consumer of the tenant queues: it pops in
 // WFQ order and routes each job — infer jobs to the coalescer when
 // batching is on, everything else to the pool as a solo task. On
-// shutdown it drains the queues first, then the coalescer, then closes
-// the pool (it and the coalescer are the only pool senders).
+// shutdown it drains the queues first, then the coalescer, then waits
+// until every forwarded job is answered (one parked at the next hop may
+// yet need the pool for its fallback), then closes the pool (it and the
+// coalescer are the only senders of tasks).
 func (fs *fleetScheduler) dispatchLoop() {
 	defer fs.wg.Done()
 	for {
@@ -282,6 +314,9 @@ func (fs *fleetScheduler) dispatchLoop() {
 	}
 	if fs.co != nil {
 		fs.co.finish()
+	}
+	if nh := fs.s.next; nh != nil {
+		nh.owed.Wait()
 	}
 	close(fs.work)
 }
@@ -325,9 +360,13 @@ func (fs *fleetScheduler) finishReply(pj pendingJob, rep *inferReply) {
 
 // soloTask wraps one unbatched job into a pool task: run the
 // inference, stamp flags, reply to the owning connection. Errors fail
-// only that connection.
+// only that connection. On a forwarding stage, jobs cut before the
+// handoff boundary take the forwarding task instead.
 func (fs *fleetScheduler) soloTask(pj pendingJob) func() {
 	s := fs.s
+	if s.next != nil && pj.req != nil && pj.req.Cut < uint32(s.next.cut) {
+		return fs.forwardTask(pj)
+	}
 	return func() {
 		defer pj.conn.pending.Done()
 		var jobID int

@@ -1,23 +1,48 @@
 package runtime
 
 import (
+	"bufio"
+	"math/rand"
 	"net"
+	goruntime "runtime"
+	"sync"
 	"testing"
 	"time"
 
 	"dnnjps/internal/engine"
 	"dnnjps/internal/netsim"
+	"dnnjps/internal/obs"
+	"dnnjps/internal/tensor"
 )
 
+// goroutinesSettle waits for the goroutine count to come back down to
+// baseline (taken before the test started anything) and fails with a
+// dump of what is still running if it does not. Register it as the
+// test's first Cleanup so that it runs after every other one.
+func goroutinesSettle(t *testing.T, baseline int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for goruntime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			buf = buf[:goruntime.Stack(buf, true)]
+			t.Errorf("%d goroutines running, %d before the test:\n%s", goruntime.NumGoroutine(), baseline, buf)
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // startTerminal runs a plain server on a loopback TCP listener and
-// returns its address.
+// returns its address. Four workers let its replies overtake each
+// other.
 func startTerminal(t *testing.T, m *engine.Model) string {
 	t.Helper()
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(m)
+	srv := NewServer(m).WithWorkers(4)
 	go func() { _ = srv.Serve(lis) }()
 	t.Cleanup(func() {
 		lis.Close()
@@ -26,22 +51,174 @@ func startTerminal(t *testing.T, m *engine.Model) string {
 	return lis.Addr().String()
 }
 
+// startMiddle builds a middle-stage server (handoff at nextCut toward
+// addr) with its own metrics; configure may adjust the hop before the
+// first connection.
+func startMiddle(t *testing.T, m *engine.Model, addr string, nextCut int, configure func(*nextHop)) (*Server, *Obs) {
+	t.Helper()
+	o := NewObs(obs.NewTracer(0), obs.NewMetrics())
+	srv, err := NewServer(m).WithWorkers(2).WithObs(o).WithNextHop(addr, nextCut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if configure != nil {
+		configure(srv.next)
+	}
+	t.Cleanup(srv.Close)
+	return srv, o
+}
+
+// attach connects a new client to srv over a pipe. The returned channel
+// closes when the server side's HandleConn has returned.
+func attach(t *testing.T, srv *Server, m *engine.Model) (*Client, <-chan struct{}) {
+	t.Helper()
+	cConn, sConn := net.Pipe()
+	handled := make(chan struct{})
+	go func() {
+		defer close(handled)
+		defer sConn.Close()
+		_ = srv.HandleConn(sConn)
+	}()
+	t.Cleanup(func() {
+		cConn.Close()
+		<-handled
+	})
+	return NewClient(cConn, m, netsim.WiFi, 1e-6), handled
+}
+
 // startForwarder runs a middle-stage server (handoff at nextCut toward
 // addr) and returns a client connected to it.
 func startForwarder(t *testing.T, m *engine.Model, addr string, nextCut int) *Client {
 	t.Helper()
-	srv, err := NewServer(m).WithNextHop(addr, nextCut)
+	srv, _ := startMiddle(t, m, addr, nextCut, nil)
+	cl, _ := attach(t, srv, m)
+	return cl
+}
+
+// variedBoundaries returns n boundary tensors at the cut and the class
+// a local forward gives each. input(i) lands every i in one class, which
+// would hide a reply routed to the wrong job; a random offset per
+// channel spreads these over several.
+func variedBoundaries(t *testing.T, m *engine.Model, cut, n int, seed int64) ([]*tensor.Tensor, []int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	boundaries, want := make([]*tensor.Tensor, n), make([]int, n)
+	seen := map[int]bool{}
+	for i := range boundaries {
+		in := input(0)
+		for c := 0; c < 3; c++ {
+			off := 2 * float32(rng.NormFloat64())
+			for j := 0; j < 256; j++ {
+				in.Data[c*256+j] = off + float32(rng.NormFloat64())
+			}
+		}
+		boundaries[i], want[i] = boundaryFor(t, m, cut, in)
+		seen[want[i]] = true
+	}
+	if n > 8 && len(seen) < 2 {
+		t.Fatalf("all %d inputs classify alike; the test could not see a misrouted reply", n)
+	}
+	return boundaries, want
+}
+
+// checkClasses asserts one correct, computed (not shed) result per job.
+func checkClasses(t *testing.T, rep *Report, want []int) {
+	t.Helper()
+	if len(rep.Results) != len(want) {
+		t.Fatalf("%d results, want %d", len(rep.Results), len(want))
+	}
+	for i, res := range rep.Results {
+		if res.Shed || res.Class != want[i] {
+			t.Errorf("job %d: class %d (shed %v), want %d", i, res.Class, res.Shed, want[i])
+		}
+	}
+}
+
+// scriptedHop is a downstream stage under the test's control: every
+// connection it accepts runs the test's serve function.
+type scriptedHop struct {
+	lis net.Listener
+	// answers computes the replies a real terminal stage would give.
+	answers *Server
+
+	mu       sync.Mutex
+	accepted int
+	conns    []net.Conn
+	wg       sync.WaitGroup
+}
+
+// startScriptedHop listens on loopback and runs serve(i, conn) for the
+// i-th accepted connection. Cleanup closes the listener and every
+// connection, then waits for the serve calls to return.
+func startScriptedHop(t *testing.T, m *engine.Model, serve func(h *scriptedHop, i int, conn net.Conn)) *scriptedHop {
+	t.Helper()
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(srv.Close)
-	cConn, sConn := net.Pipe()
+	h := &scriptedHop{lis: lis, answers: NewServer(m)}
+	h.wg.Add(1)
 	go func() {
-		defer sConn.Close()
-		_ = srv.HandleConn(sConn)
+		defer h.wg.Done()
+		for {
+			conn, err := lis.Accept()
+			if err != nil {
+				return
+			}
+			h.mu.Lock()
+			i := h.accepted
+			h.accepted++
+			h.conns = append(h.conns, conn)
+			h.mu.Unlock()
+			h.wg.Add(1)
+			go func() {
+				defer h.wg.Done()
+				defer conn.Close()
+				serve(h, i, conn)
+			}()
+		}
 	}()
-	t.Cleanup(func() { cConn.Close() })
-	return NewClient(cConn, m, netsim.WiFi, 1e-6)
+	t.Cleanup(func() {
+		lis.Close()
+		h.mu.Lock()
+		for _, c := range h.conns {
+			c.Close()
+		}
+		h.mu.Unlock()
+		h.wg.Wait()
+	})
+	return h
+}
+
+func (h *scriptedHop) addr() string { return h.lis.Addr().String() }
+
+func (h *scriptedHop) connections() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.accepted
+}
+
+// answer writes the reply a terminal stage would give to req.
+func (h *scriptedHop) answer(w *bufio.Writer, req *inferRequest) error {
+	rep, err := h.answers.infer(req)
+	if err != nil {
+		return err
+	}
+	if err := writeInferReply(w, rep); err != nil {
+		return err
+	}
+	return w.Flush()
+}
+
+// serveHonestly answers every request on conn until it fails.
+func serveHonestly(h *scriptedHop, _ int, conn net.Conn) {
+	r, w := bufio.NewReader(conn), bufio.NewWriter(conn)
+	for {
+		req, err := readRequest(r)
+		if err != nil || h.answer(w, req) != nil {
+			return
+		}
+	}
 }
 
 // A two-hop chain (client -> forwarder -> terminal) must produce the
@@ -75,6 +252,8 @@ func TestNextHopChainMatchesLocal(t *testing.T) {
 // forwarder redials, and while the hop stays dead it finishes jobs
 // locally (fallback) instead of failing the client.
 func TestNextHopFallbackWhenHopDead(t *testing.T) {
+	base := goruntime.NumGoroutine()
+	t.Cleanup(func() { goroutinesSettle(t, base) })
 	m := testModel(t)
 	// A listener that is closed immediately: dials fail fast.
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
@@ -100,21 +279,44 @@ func TestNextHopFallbackWhenHopDead(t *testing.T) {
 	}
 }
 
-// A forwarder whose next hop sheds every job (watermark 0 is disabled,
-// so use 1 and saturate... simpler: shed flag path is covered by
-// treating a shed reply as a failure) — here we pin the cheaper
-// contract: the relayed reply never carries the shed flag, because the
-// fallback computes a real class.
+// A next hop that sheds every job: each one falls back on its own — the
+// connection stays up — and the relayed reply never carries the shed
+// flag, because the fallback computes a real class. Only the
+// downstream's backpressure hint passes through.
 func TestNextHopReplyNeverShed(t *testing.T) {
+	base := goruntime.NumGoroutine()
+	t.Cleanup(func() { goroutinesSettle(t, base) })
 	m := testModel(t)
-	addr := startTerminal(t, m)
-	cl := startForwarder(t, m, addr, 2)
-	res, err := cl.RunJob(7, 1, input(7))
+	hop := startScriptedHop(t, m, func(_ *scriptedHop, _ int, conn net.Conn) {
+		r, w := bufio.NewReader(conn), bufio.NewWriter(conn)
+		for {
+			req, err := readRequest(r)
+			if err != nil {
+				return
+			}
+			shed := &inferReply{JobID: req.JobID, Class: -1, Flags: replyFlagShed | replyFlagBackpressure}
+			if writeInferReply(w, shed) != nil || w.Flush() != nil {
+				return
+			}
+		}
+	})
+	srv, o := startMiddle(t, m, hop.addr(), 2, nil)
+	cl, _ := attach(t, srv, m)
+	const n = 12
+	boundaries, want := variedBoundaries(t, m, 0, n, 3)
+	rep, err := cl.RunBoundaryJobs(0, boundaries)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Class < 0 {
-		t.Errorf("forwarded job came back shed (class %d)", res.Class)
+	checkClasses(t, rep, want)
+	if got := o.NextHopFallbacks.Value(); got != n {
+		t.Errorf("fallbacks = %d, want %d", got, n)
+	}
+	if got := hop.connections(); got != 1 {
+		t.Errorf("%d connections to the hop; a shed reply must not tear the connection down", got)
+	}
+	if rate, _, _ := cl.ServerPressure(); rate != 0 {
+		t.Errorf("backpressure rate %g relayed from replies that were discarded", rate)
 	}
 }
 
@@ -160,6 +362,282 @@ func TestNextHopDisablesCoalescer(t *testing.T) {
 	if plain.scheduler().co == nil {
 		t.Error("non-forwarding server with batching must coalesce")
 	}
+}
+
+// Two upstream connections that both number their jobs from 0 share the
+// one downstream socket, and a four-worker terminal answers out of
+// order: every reply must still reach the connection and job it belongs
+// to. The slot index, not the client's JobID, is what crosses the hop.
+func TestNextHopTwoConnectionsSameJobIDs(t *testing.T) {
+	base := goruntime.NumGoroutine()
+	t.Cleanup(func() { goroutinesSettle(t, base) })
+	m := testModel(t)
+	srv, o := startMiddle(t, m, startTerminal(t, m), 3, nil)
+	const n = 40
+	var wg sync.WaitGroup
+	for c := 0; c < 2; c++ {
+		cl, _ := attach(t, srv, m)
+		boundaries, want := variedBoundaries(t, m, 0, n, int64(10+c))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rep, err := cl.RunBoundaryJobs(0, boundaries)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			checkClasses(t, rep, want)
+		}()
+	}
+	wg.Wait()
+	if f, fb := o.NextHopForwards.Value(), o.NextHopFallbacks.Value(); f != 2*n || fb != 0 {
+		t.Errorf("forwards %d fallbacks %d, want %d and 0", f, fb, 2*n)
+	}
+}
+
+// The downstream dies with more forwards outstanding than the stage has
+// workers: every one of them is answered, once, by the local fallback,
+// none is shed, and the next job redials.
+func TestNextHopKilledMidWindow(t *testing.T) {
+	base := goruntime.NumGoroutine()
+	t.Cleanup(func() { goroutinesSettle(t, base) })
+	m := testModel(t)
+	const k = 8 // > the middle stage's 2 workers
+	hop := startScriptedHop(t, m, func(h *scriptedHop, i int, conn net.Conn) {
+		if i > 0 {
+			serveHonestly(h, i, conn)
+			return
+		}
+		r := bufio.NewReader(conn)
+		for j := 0; j < k; j++ {
+			if _, err := readRequest(r); err != nil {
+				return
+			}
+		}
+		// Returning closes the connection with all k unanswered.
+	})
+	srv, o := startMiddle(t, m, hop.addr(), 3, nil)
+	cl, _ := attach(t, srv, m)
+	boundaries, want := variedBoundaries(t, m, 0, k, 5)
+	rep, err := cl.RunBoundaryJobs(0, boundaries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkClasses(t, rep, want)
+	if f, fb := o.NextHopForwards.Value(), o.NextHopFallbacks.Value(); f != k || fb != k {
+		t.Errorf("forwards %d fallbacks %d, want %d of each", f, fb, k)
+	}
+
+	_, wantNext := boundaryAt(t, m, 0, 1)
+	res, err := cl.RunJob(k, 0, input(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Class != wantNext {
+		t.Errorf("job after the redial: class %d, want %d", res.Class, wantNext)
+	}
+	if got := hop.connections(); got != 2 {
+		t.Errorf("%d connections to the hop, want 2 (the job after the failure redials)", got)
+	}
+	waitSettled(t, func() bool { return o.ServerJobs.Value() == k+1 })
+	if f, fb, shed := o.NextHopForwards.Value(), o.NextHopFallbacks.Value(), o.ShedJobs.Value(); f != k+1 || fb != k || shed != 0 {
+		t.Errorf("forwards %d fallbacks %d shed %d, want %d, %d and 0", f, fb, shed, k+1, k)
+	}
+	if err := cl.Err(); err != nil {
+		t.Errorf("client saw %v; a job answered twice shows up here", err)
+	}
+}
+
+// A next hop that accepts and reads but never answers must not hold a
+// window of jobs hostage: after the stall deadline the connection is
+// torn down and every job is answered by the fallback, once.
+func TestNextHopHungHopFallsBack(t *testing.T) {
+	base := goruntime.NumGoroutine()
+	t.Cleanup(func() { goroutinesSettle(t, base) })
+	m := testModel(t)
+	hop := startScriptedHop(t, m, func(_ *scriptedHop, _ int, conn net.Conn) {
+		r := bufio.NewReader(conn)
+		for {
+			if _, err := readRequest(r); err != nil {
+				return
+			}
+		}
+	})
+	srv, o := startMiddle(t, m, hop.addr(), 3, func(nh *nextHop) { nh.stall = 50 * time.Millisecond })
+	cl, _ := attach(t, srv, m)
+	const n = 6
+	boundaries, want := variedBoundaries(t, m, 0, n, 7)
+	rep, err := cl.RunBoundaryJobs(0, boundaries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkClasses(t, rep, want)
+	waitSettled(t, func() bool { return o.ServerJobs.Value() == n })
+	if fb := o.NextHopFallbacks.Value(); fb != n {
+		t.Errorf("fallbacks = %d, want %d", fb, n)
+	}
+	if got := o.NextHopInFlight.Value(); got != 0 {
+		t.Errorf("in-flight gauge = %g after the teardown, want 0", got)
+	}
+	if err := cl.Err(); err != nil {
+		t.Errorf("client saw %v; a job answered twice shows up here", err)
+	}
+}
+
+// The stall deadline is about forwards in flight: a forwarding
+// connection with nothing on it stays open past it.
+func TestNextHopIdleConnectionOutlivesStall(t *testing.T) {
+	m := testModel(t)
+	hop := startScriptedHop(t, m, serveHonestly)
+	const stall = 20 * time.Millisecond
+	srv, _ := startMiddle(t, m, hop.addr(), 3, func(nh *nextHop) { nh.stall = stall })
+	cl, _ := attach(t, srv, m)
+	for i := 0; i < 2; i++ {
+		if _, err := cl.RunJob(i, 0, input(i)); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(3 * stall)
+	}
+	if got := hop.connections(); got != 1 {
+		t.Errorf("%d connections to the hop, want 1: idling past the stall deadline must not redial", got)
+	}
+}
+
+// Close racing forwards in flight drains them: with every job parked at
+// a hop that is holding its replies, Close blocks; once the hop
+// answers, every job is replied to, Close returns, and the connection
+// handler returns when its client goes away.
+func TestNextHopCloseDrainsInFlight(t *testing.T) {
+	base := goruntime.NumGoroutine()
+	t.Cleanup(func() { goroutinesSettle(t, base) })
+	m := testModel(t)
+	const n = 16
+	parked := make(chan *inferRequest, n)
+	release := make(chan struct{})
+	hop := startScriptedHop(t, m, func(h *scriptedHop, _ int, conn net.Conn) {
+		r, w := bufio.NewReader(conn), bufio.NewWriter(conn)
+		var held []*inferRequest
+		for len(held) < n {
+			req, err := readRequest(r)
+			if err != nil {
+				return
+			}
+			held = append(held, req)
+			parked <- req
+		}
+		<-release
+		for i := len(held) - 1; i >= 0; i-- { // newest first: out of order
+			if h.answer(w, held[i]) != nil {
+				return
+			}
+		}
+	})
+	srv, o := startMiddle(t, m, hop.addr(), 3, nil)
+	cl, handled := attach(t, srv, m)
+	boundaries, want := variedBoundaries(t, m, 0, n, 9)
+	type outcome struct {
+		rep *Report
+		err error
+	}
+	ran := make(chan outcome, 1)
+	go func() {
+		rep, err := cl.RunBoundaryJobs(0, boundaries)
+		ran <- outcome{rep, err}
+	}()
+	for i := 0; i < n; i++ {
+		<-parked
+	}
+	// All n are out at the hop, on 2 workers: none of them waited there.
+	waitSettled(t, func() bool { return o.WorkersBusy.Value() == 0 })
+	if got := o.NextHopInFlight.Value(); got != n {
+		t.Errorf("in-flight gauge = %g with every reply held back, want %d", got, n)
+	}
+
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Fatal("Close returned with forwards still in flight")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	out := <-ran
+	if out.err != nil {
+		t.Fatal(out.err)
+	}
+	checkClasses(t, out.rep, want)
+	<-closed
+	if fb := o.NextHopFallbacks.Value(); fb != 0 {
+		t.Errorf("fallbacks = %d; a draining Close must wait for the replies, not abandon them", fb)
+	}
+	cl.Close()
+	<-handled
+}
+
+// A window smaller than the burst: the stage still completes, and the
+// hop never sees more unanswered handoffs than the window allows.
+func TestNextHopWindowBoundsInFlight(t *testing.T) {
+	m := testModel(t)
+	const (
+		window = 4
+		n      = 32
+	)
+	var mu sync.Mutex
+	outstanding, peak := 0, 0
+	hop := startScriptedHop(t, m, func(h *scriptedHop, _ int, conn net.Conn) {
+		// The reader takes frames as fast as they come, so a forwarder
+		// that overran its window would show; the replier dawdles to
+		// give it the chance.
+		reqs := make(chan *inferRequest, n)
+		go func() {
+			defer close(reqs)
+			r := bufio.NewReader(conn)
+			for {
+				req, err := readRequest(r)
+				if err != nil {
+					return
+				}
+				mu.Lock()
+				outstanding++
+				peak = max(peak, outstanding)
+				mu.Unlock()
+				reqs <- req
+			}
+		}()
+		w := bufio.NewWriter(conn)
+		for req := range reqs {
+			time.Sleep(200 * time.Microsecond)
+			mu.Lock()
+			outstanding--
+			mu.Unlock()
+			if h.answer(w, req) != nil {
+				break
+			}
+		}
+		conn.Close()
+		for range reqs {
+		}
+	})
+	srv, o := startMiddle(t, m, hop.addr(), 3, func(nh *nextHop) { nh.window = window })
+	cl, _ := attach(t, srv, m)
+	boundaries, want := variedBoundaries(t, m, 0, n, 11)
+	rep, err := cl.RunBoundaryJobs(0, boundaries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkClasses(t, rep, want)
+	mu.Lock()
+	defer mu.Unlock()
+	if peak > window {
+		t.Errorf("hop saw %d handoffs unanswered at once, window is %d", peak, window)
+	}
+	if f, fb := o.NextHopForwards.Value(), o.NextHopFallbacks.Value(); f != n || fb != 0 {
+		t.Errorf("forwards %d fallbacks %d, want %d and 0", f, fb, n)
+	}
+	t.Logf("peak in flight %d of window %d", peak, window)
 }
 
 // profileUnits exposes the unit count for validation tests.

@@ -28,7 +28,8 @@ const (
 	SpanReplyWait     = "reply-wait"     // cloud: upload end -> reply delivered
 	SpanDecode        = "decode"         // server: request body decode
 	SpanCoalesceWait  = "coalesce-wait"  // server: decode -> batch-group flush (batching only)
-	SpanCloudCompute  = "cloud-compute"  // server: model suffix execution
+	SpanCloudCompute  = "cloud-compute"  // server: model suffix execution (on a forwarding stage: worker pickup -> relay)
+	SpanForwardWait   = "forward-wait"   // server (forwarding stage): handoff flushed -> downstream reply
 	SpanReplyWrite    = "reply-write"    // server: reply encode + flush
 	SpanRedial        = "redial"         // runner: dial attempt
 	SpanBackoff       = "backoff"        // runner: jittered backoff sleep
@@ -84,6 +85,11 @@ type Obs struct {
 	BackpressureReplies *obs.Counter    // jps_server_backpressure_replies_total (replies carrying the hint flag)
 	TenantJobs          *obs.CounterVec // jps_server_tenant_jobs_total{tenant} (replies per tenant, shed included)
 	TenantRxBytes       *obs.CounterVec // jps_server_tenant_rx_bytes_total{tenant} (request bytes per tenant)
+
+	// Forwarding stage (see nexthop.go).
+	NextHopForwards  *obs.Counter // jps_nexthop_forwards_total (handoffs put in flight toward the next hop)
+	NextHopFallbacks *obs.Counter // jps_nexthop_fallbacks_total (forwarded jobs finished locally instead)
+	NextHopInFlight  *obs.Gauge   // jps_nexthop_in_flight (handoffs awaiting their reply)
 }
 
 // NewObs wires a tracer and a metric registry into the runtime's
@@ -121,6 +127,10 @@ func NewObs(tr *obs.Tracer, m *obs.Metrics) *Obs {
 		BackpressureReplies: m.Counter("jps_server_backpressure_replies_total", "replies carrying the backpressure hint flag"),
 		TenantJobs:          m.CounterVec("jps_server_tenant_jobs_total", "replies written per tenant (shed replies included)", "tenant"),
 		TenantRxBytes:       m.CounterVec("jps_server_tenant_rx_bytes_total", "decoded request bytes per tenant", "tenant"),
+
+		NextHopForwards:  m.Counter("jps_nexthop_forwards_total", "handoffs put in flight toward the next hop"),
+		NextHopFallbacks: m.Counter("jps_nexthop_fallbacks_total", "forwarded jobs finished locally after the next hop failed, hung or shed them"),
+		NextHopInFlight:  m.Gauge("jps_nexthop_in_flight", "handoffs awaiting their reply from the next hop"),
 	}
 }
 

@@ -230,9 +230,72 @@ func TestObsMetricsAndExports(t *testing.T) {
 		"jps_client_jobs_completed_total 6",
 		"jps_server_jobs_total 6",
 		"jps_client_reply_latency_ms_count 6",
+		"jps_nexthop_forwards_total 0", // a terminal server: registered, never counted
+		"jps_nexthop_fallbacks_total 0",
+		"jps_nexthop_in_flight 0",
 	} {
 		if !strings.Contains(prom.String(), want) {
 			t.Errorf("prometheus exposition missing %q", want)
+		}
+	}
+}
+
+// A forwarding stage is visible: counters for handoffs and fallbacks,
+// the in-flight gauge back at zero, and per job a forward-wait span
+// nested in the cloud-compute span that the reply's CloudNs reports —
+// worker pickup to relay — so the client's CommMs attribution is the
+// same as against a terminal server. (The pool gauge dropping at the
+// handoff, not at the reply, is asserted where the replies are held
+// back: TestNextHopCloseDrainsInFlight.)
+func TestObsForwardingStage(t *testing.T) {
+	m := testModel(t)
+	const (
+		n       = 10
+		handoff = 3
+	)
+	srv, o := startMiddle(t, m, startTerminal(t, m), handoff, nil)
+	cl, _ := attach(t, srv, m)
+	boundaries, want := variedBoundaries(t, m, 0, n, 13)
+	rep, err := cl.RunBoundaryJobs(0, boundaries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkClasses(t, rep, want)
+	waitSettled(t, func() bool { return o.ServerJobs.Value() == n && o.WorkersBusy.Value() == 0 })
+
+	if f, fb := o.NextHopForwards.Value(), o.NextHopFallbacks.Value(); f != n || fb != 0 {
+		t.Errorf("forwards %d fallbacks %d, want %d and 0", f, fb, n)
+	}
+	if got := o.NextHopInFlight.Value(); got != 0 {
+		t.Errorf("in-flight gauge = %g after the run, want 0", got)
+	}
+	waits, computes := map[int32]obs.Span{}, map[int32]obs.Span{}
+	for _, sp := range o.Tracer.Spans() {
+		if sp.Track != TrackServer {
+			continue
+		}
+		switch sp.Name {
+		case SpanForwardWait:
+			waits[sp.JobID] = sp
+		case SpanCloudCompute:
+			computes[sp.JobID] = sp
+		}
+	}
+	if len(waits) != n || len(computes) != n {
+		t.Fatalf("%d forward-wait and %d cloud-compute spans, want %d of each", len(waits), len(computes), n)
+	}
+	for _, res := range rep.Results {
+		id := int32(res.JobID)
+		w, c := waits[id], computes[id]
+		if w.StartNs < c.StartNs || w.EndNs() > c.EndNs() {
+			t.Errorf("job %d: forward-wait [%d,%d] not inside cloud-compute [%d,%d]",
+				id, w.StartNs, w.EndNs(), c.StartNs, c.EndNs())
+		}
+		if cloudNs := int64(res.CloudMs * 1e6); cloudNs < c.DurNs-1000 || cloudNs > c.DurNs+1000 {
+			t.Errorf("job %d: reply reports %d ns of cloud time, its cloud-compute span is %d ns", id, cloudNs, c.DurNs)
+		}
+		if res.CommMs < 0 {
+			t.Errorf("job %d: CommMs %g < 0: cloud and queue time exceed the round trip", id, res.CommMs)
 		}
 	}
 }

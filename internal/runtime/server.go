@@ -47,7 +47,7 @@ type Server struct {
 	obsv *Obs
 	// next, when set by WithNextHop, turns this server into a middle
 	// pipeline stage (see nexthop.go); mid[c] is the node segment
-	// (c, next.cut] it executes before forwarding.
+	// (c, next.cut] it executes before handing off.
 	next *nextHop
 	mid  [][]int
 
@@ -185,9 +185,10 @@ func (s *Server) scheduler() *fleetScheduler {
 }
 
 // Close drains and stops the fleet scheduler: no new jobs are
-// admitted, every already-admitted job (queued, coalescing, or
-// executing) still runs and gets its reply, then the worker pool
-// exits. It does not close client connections or any listener — stop
+// admitted, every already-admitted job (queued, coalescing, executing,
+// or parked at the next hop) still runs and gets its reply, then the
+// worker pool exits and, on a forwarding stage, the next-hop connection
+// closes. It does not close client connections or any listener — stop
 // accepting first, then Close. Safe to call multiple times, from
 // multiple goroutines, and on a server that never handled a
 // connection.
@@ -391,24 +392,30 @@ func (s *Server) runJob(jobID int, recv time.Time, infer func() (*inferReply, er
 	return rep, nil
 }
 
-// infer resumes the model from the request's cut and returns the
-// predicted class. On a forwarding stage (WithNextHop), requests cut
-// before the handoff boundary run the middle segment here and the rest
-// downstream; everything else completes locally.
-func (s *Server) infer(req *inferRequest) (*inferReply, error) {
+// boundaryOf validates a request's cut and boundary tensor against the
+// model and returns the node the tensor is the activation of.
+func (s *Server) boundaryOf(req *inferRequest) (int, error) {
 	cut := int(req.Cut)
 	if cut < 0 || cut >= len(s.units) {
-		return nil, fmt.Errorf("runtime: cut %d out of range [0,%d)", cut, len(s.units))
-	}
-	if s.next != nil && cut < s.next.cut {
-		return s.inferForward(req)
+		return 0, fmt.Errorf("runtime: cut %d out of range [0,%d)", cut, len(s.units))
 	}
 	boundary := s.units[cut].Exit
 	wantShape := s.model.Graph().Node(boundary).OutShape
 	if !req.Tensor.Shape.Equal(wantShape) {
-		return nil, fmt.Errorf("runtime: boundary tensor %v, cut %d wants %v",
+		return 0, fmt.Errorf("runtime: boundary tensor %v, cut %d wants %v",
 			req.Tensor.Shape, cut, wantShape)
 	}
+	return boundary, nil
+}
+
+// infer resumes the model from the request's cut and returns the
+// predicted class.
+func (s *Server) infer(req *inferRequest) (*inferReply, error) {
+	boundary, err := s.boundaryOf(req)
+	if err != nil {
+		return nil, err
+	}
+	cut := int(req.Cut)
 	start := time.Now()
 	// Concurrent workers and connections share the model: its arena is
 	// thread-safe, and Execute's liveness tracking is per call. The

@@ -60,6 +60,9 @@ echo "== adaptive replanning deflake (3x, timing-sensitive live runs)"
 # replay (internal/regression) is pure arithmetic and runs under the
 # plain `go test ./...` above.
 go test -run Adapt -count=3 ./internal/runtime/... ./internal/estimator/... ./internal/experiments/...
+# The forced-disconnect test must not depend on when the replan lands
+# (its trigger is a frame position): 50 runs.
+go test -run 'TestAdaptEstimatorThreadsAcrossAttempts$' -count=50 ./internal/runtime/
 
 echo "== heuristic gap vs offline-optimal brute force"
 # The documented-bound legs: the m-machine flow-shop scheduler against
@@ -127,10 +130,11 @@ grep -q "drained" "$SMOKE_LOG" || {
 
 echo "== chain e2e smoke (two chained jpsserve stages, next-hop forwarding)"
 # A live two-hop chain: a terminal stage plus a forwarding stage with
-# -next-hop pointing at it. The client offloads at cut 0 (before the
-# handoff at unit 3), so every job exercises the forwarder's
-# mid-segment + forward path, then again at the handoff cut itself
-# (pure relay downstream).
+# -next-hop pointing at it. Two connections, both numbering their jobs
+# from 0, offload at cut 0 (before the handoff at unit 3), so every job
+# takes the forwarder's mid-segment + windowed handoff path and the two
+# ID spaces meet on the one downstream socket; then one connection at
+# the handoff cut itself (runs on the forwarding stage, no handoff).
 TERM_LOG="$(mktemp)"
 FWD_LOG="$(mktemp)"
 TERM_PID=""
@@ -169,7 +173,7 @@ if [ -z "$FWD_ADDR" ]; then
     cat "$FWD_LOG" >&2
     exit 1
 fi
-go run scripts/e2e_client.go -addr "$FWD_ADDR" -model squeezenet -clients 2 -jobs 2 -cut 0
+go run scripts/e2e_client.go -addr "$FWD_ADDR" -model squeezenet -clients 2 -jobs 16 -cut 0
 go run scripts/e2e_client.go -addr "$FWD_ADDR" -model squeezenet -clients 1 -jobs 2 -cut 3
 kill -TERM "$FWD_PID"
 wait "$FWD_PID" || {
