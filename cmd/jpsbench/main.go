@@ -30,7 +30,7 @@ var (
 	batchMax     = flag.Int("batch-max", 16, "with -fig batch/fleet: maximum jobs per coalesced group")
 	shedMark     = flag.Int("shed-watermark", 48, "with -fig fleet: queue depth of the overload row's admission control (0 skips the row)")
 	downlinkMbps = flag.Float64("downlink-mbps", 0, "model reply bandwidth on the experiments' fixed channels (0 keeps the historical free-downlink assumption)")
-	kernelName   = flag.String("kernel", "auto", "engine kernel path for the live-runtime experiments: auto, gemm, panel, micro, asm, or direct")
+	kernelName   = flag.String("kernel", "auto", "engine kernel path for the live-runtime experiments: "+engine.KernelPaths)
 )
 
 // nExplicit records whether -n was set on the command line; the batch

@@ -3,8 +3,8 @@
 // table (the artifact the paper's scheduler loads at startup). With
 // -calibrate it times real engine forward passes on this machine
 // instead, printing ns/layer and a fitted device model; -kernel picks
-// the path (auto, gemm, panel, micro, asm, or the direct reference
-// loops) so any two can be compared layer by layer.
+// the path (auto, asm, panel, or the direct reference loops) so any
+// two can be compared layer by layer.
 //
 // Usage:
 //
@@ -40,7 +40,7 @@ func main() {
 		cal     = flag.Bool("calibrate", false, "calibrate a device model by timing real engine runs on this machine")
 		workers = flag.Int("workers", 1, "engine worker goroutines for -calibrate; 0 = GOMAXPROCS")
 	)
-	eng := flag.String("kernel", "auto", "engine kernel path for -calibrate: auto, gemm, panel, micro, asm, or direct")
+	eng := flag.String("kernel", "auto", "engine kernel path for -calibrate: "+engine.KernelPaths)
 	flag.Parse()
 	// Validate the kernel spelling even when -calibrate is off: the
 	// flag is inert for analytic profiling, but a typo must not pass

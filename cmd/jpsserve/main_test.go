@@ -25,7 +25,7 @@ func TestRunRejectsBadInputs(t *testing.T) {
 		kernel: "simd9000"})
 	if err == nil {
 		t.Error("unknown -kernel value must error")
-	} else if !strings.Contains(err.Error(), "auto, gemm, panel, micro, asm") {
+	} else if !strings.Contains(err.Error(), "auto, asm, panel, or direct") {
 		t.Errorf("kernel usage error should list the valid spellings, got: %v", err)
 	}
 	if err := run(serveConfig{model: "alexnet", addr: "256.256.256.256:99999", seed: 1, conc: 4, batchMax: 16, faultSeed: 1}); err == nil {

@@ -13,7 +13,7 @@ import (
 //     DNNJPS_NOASM) every driver is pure Go and bit-identical — the
 //     tests in this package compare exactly.
 //   - When the f32 asm path is on, KernelAsm and the KernelGEMM
-//     routing past the crossover use FMA: one rounding per
+//     routing past the tile guard use FMA: one rounding per
 //     multiply-add instead of two. Accumulation still walks k
 //     ascending with one accumulator per element, so for a length-k
 //     dot product the fused and unfused results each sit within the
@@ -66,8 +66,10 @@ func assertSliceParity(t *testing.T, ctx string, got, ref []float32, exact bool)
 	}
 }
 
-// TestPreferAsmTileGuard: shapes the asm tile cannot cover are never
-// routed to it, regardless of the crossover threshold or CPU.
+// TestPreferAsmTileGuard: shapes the asm tile cannot cover stay off it
+// under the auto policy on every CPU, and past the guard the routing
+// rule is the CPU's capability and the caller's selection — nothing
+// else.
 func TestPreferAsmTileGuard(t *testing.T) {
 	cases := []struct{ m, k, n int }{
 		{asmMR - 1, 64, 64}, // too few rows
@@ -76,39 +78,84 @@ func TestPreferAsmTileGuard(t *testing.T) {
 		{1, 1, 1},
 	}
 	for _, c := range cases {
-		if preferAsm(c.m, c.k, c.n) {
-			t.Errorf("preferAsm(%d,%d,%d) = true for an untileable shape", c.m, c.k, c.n)
+		if preferAsm(c.m, c.k, c.n) || useAsm(KernelGEMM, c.m, c.k, c.n) {
+			t.Errorf("auto policy routes untileable shape (%d,%d,%d) to asm", c.m, c.k, c.n)
+		}
+		// Forcing the tile bypasses the guard (edge tiles run through
+		// the scratch patch) but never the CPU check.
+		if got := useAsm(KernelAsm, c.m, c.k, c.n); got != asmEnabled() {
+			t.Errorf("useAsm(KernelAsm,%d,%d,%d) = %v, want %v", c.m, c.k, c.n, got, asmEnabled())
 		}
 	}
-	if !asmEnabled() {
-		if preferAsm(256, 1152, 256) {
-			t.Error("preferAsm = true with the asm path disabled")
-		}
-		return
+	if !preferAsm(asmMR, 8, asmNR) {
+		t.Error("preferAsm rejects exactly one full tile at k=8")
 	}
-	// A comfortably deep shape resolves purely from the threshold.
-	want := asmCrossoverBytes >= 0 && 1152*256*4 >= asmCrossoverBytes
-	if got := preferAsm(256, 1152, 256); got != want {
-		t.Errorf("preferAsm(256,1152,256) = %v, want %v from asmCrossoverBytes=%d",
-			got, want, asmCrossoverBytes)
+	if got := useAsm(KernelGEMM, 256, 1152, 256); got != asmEnabled() {
+		t.Errorf("useAsm(KernelGEMM, 256,1152,256) = %v, want asmEnabled() = %v", got, asmEnabled())
+	}
+	for _, kern := range []KernelPath{KernelPanel, KernelDirect} {
+		if useAsm(kern, 256, 1152, 256) {
+			t.Errorf("useAsm(%v) = true: a forced pure-Go path reached the asm tile", kern)
+		}
 	}
 }
 
-// sgemmShapeParity fills random m×k · k×n operands and checks the
-// forced-asm driver against the panel reference. Shared by the table
-// test and the fuzz target. With the asm path off KernelAsm degrades
-// to the auto policy, so the comparison tightens to bitwise.
-func sgemmShapeParity(t *testing.T, m, k, n int, seed int64) {
-	t.Helper()
+// TestSgemmAccDriverParity runs sgemmAcc under every kernel selection
+// at shapes straddling the tile guard, against the forced panel
+// driver. Whatever useAsm keeps off the FMA tile must match bitwise —
+// every selection, when the asm path is off — and the rest compares
+// within the envelope above. This pins the contract that lets the
+// routing rule be retuned freely.
+func TestSgemmAccDriverParity(t *testing.T) {
+	shapes := []struct{ m, k, n int }{
+		{asmMR - 1, 8, asmNR}, // below the row guard: auto must stay on panel
+		{asmMR, 8, asmNR - 1}, // below the column guard
+		{asmMR, 7, asmNR},     // below the depth guard
+		{asmMR, 8, asmNR},     // exactly one tile
+		{7, 5, 9},             // ragged edges in every dimension
+		{48, 96, 64},          // small B working set
+		{64, 1152, 256},       // deep-K conv-lowered shape
+	}
+	for _, sh := range shapes {
+		t.Run(fmt.Sprintf("m%d_k%d_n%d", sh.m, sh.k, sh.n), func(t *testing.T) {
+			a, b := randOperands(sh.m, sh.k, sh.n, int64(sh.m*1000+sh.n))
+			ref := make([]float32, sh.m*sh.n)
+			sgemmAcc(KernelPanel, sh.m, sh.k, sh.n, sh.n, a, b, ref, 1)
+			for _, kern := range []KernelPath{KernelGEMM, KernelAsm} {
+				exact := !useAsm(kern, sh.m, sh.k, sh.n)
+				for _, workers := range []int{1, 4} {
+					c := make([]float32, sh.m*sh.n)
+					sgemmAcc(kern, sh.m, sh.k, sh.n, sh.n, a, b, c, workers)
+					assertSliceParity(t, fmt.Sprintf("%v workers=%d vs panel", kern, workers),
+						c, ref, exact)
+				}
+			}
+		})
+	}
+}
+
+// randOperands returns normal-distributed row-major m×k and k×n
+// matrices.
+func randOperands(m, k, n int, seed int64) (a, b []float32) {
 	rng := rand.New(rand.NewSource(seed))
-	a := make([]float32, m*k)
-	b := make([]float32, k*n)
+	a = make([]float32, m*k)
+	b = make([]float32, k*n)
 	for i := range a {
 		a[i] = float32(rng.NormFloat64())
 	}
 	for i := range b {
 		b[i] = float32(rng.NormFloat64())
 	}
+	return a, b
+}
+
+// sgemmShapeParity fills random m×k · k×n operands and checks the
+// forced-asm driver against the panel reference. Shared by the table
+// test and the fuzz target. With the asm path off KernelAsm degrades
+// to the panel loop, so the comparison tightens to bitwise.
+func sgemmShapeParity(t *testing.T, m, k, n int, seed int64) {
+	t.Helper()
+	a, b := randOperands(m, k, n, seed)
 	ref := make([]float32, m*n)
 	sgemmAcc(KernelPanel, m, k, n, n, a, b, ref, 1)
 	for _, workers := range []int{1, 4} {

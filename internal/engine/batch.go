@@ -142,13 +142,20 @@ func im2colRowsBatch(lo, hi int, src, dst []float32, cLo, inH, inW, kh, kw, stri
 // materializing kSize × n·hw floats for the whole batch at once.
 const batchTileElems = 1 << 21 // 8 MiB of float32
 
+// batchTileMinCols is the column count batchTile aims for per image
+// group. Each group costs the panel path one im2col pass, one
+// parallelFor fork/join and one full read of the layer's weights
+// (sgemmPanel streams all of A against every gemmBlockN-column panel
+// of B), so the small-plane layers late in a model (14×14, 7×7) are
+// grouped until one GEMM covers at least this many patch columns.
+const batchTileMinCols = 512
+
 // batchTile picks the image-group width for the retiled batched conv:
-// wide enough that the group's column count amortizes the packed
-// A-panel reuse inside the microkernel (≥ 2·microNC columns when the
+// wide enough that the group reaches batchTileMinCols columns (when the
 // batch allows), narrow enough that the group scratch respects
 // batchTileElems.
 func batchTile(kSize, hw, n int) int {
-	bt := (2*microNC + hw - 1) / hw
+	bt := (batchTileMinCols + hw - 1) / hw
 	for bt > 1 && kSize*bt*hw > batchTileElems {
 		bt--
 	}
@@ -204,7 +211,7 @@ func conv2dGEMMBatch(arena *tensor.Arena, kern KernelPath, in *tensor.Tensor, in
 	// retiling. Elementwise results stay bit-identical to n separate
 	// asm Forwards (batching only relocates an element's column, and
 	// SIMD lanes are independent).
-	if !pure1x1 && asmSgemmOK && (kern == KernelAsm || (kern == KernelGEMM && preferAsm(ocpg, kSize, nhw))) {
+	if !pure1x1 && useAsm(kern, ocpg, kSize, nhw) {
 		for g := 0; g < groups; g++ {
 			a := p.w[g*ocpg*kSize : (g+1)*ocpg*kSize]
 			c := out.Data[g*ocpg*nhw : (g+1)*ocpg*nhw]

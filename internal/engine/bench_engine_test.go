@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"dnnjps/internal/dag"
@@ -40,7 +41,6 @@ func benchBothKernels(b *testing.B, g *dag.Graph) {
 	workers := runtime.GOMAXPROCS(0)
 	b.Run("gemm", func(b *testing.B) { benchModel(b, g, KernelGEMM, workers) })
 	b.Run("panel", func(b *testing.B) { benchModel(b, g, KernelPanel, workers) })
-	b.Run("micro", func(b *testing.B) { benchModel(b, g, KernelMicro, workers) })
 	if asmEnabled() {
 		b.Run("asm", func(b *testing.B) { benchModel(b, g, KernelAsm, workers) })
 	}
@@ -264,31 +264,39 @@ func TestForwardSteadyStateAllocsMobilenet(t *testing.T) {
 }
 
 // checkSteadyStateAllocs warms the model's arena on input, then
-// asserts per-Forward allocation bounds.
+// asserts per-Forward allocation bounds from the runtime's own
+// counters over a fixed number of passes. The collector is held off
+// for the whole window: a GC cycle moves the sync.Pool'd pack buffers
+// (1.1 MiB a pair) to the victim cache, where a goroutine that has
+// since migrated to another P cannot see them and allocates afresh —
+// a pool refill, not a per-layer allocation, and enough on its own to
+// blow a KiB-scale bound. (testing.Benchmark forces that GC before
+// every run, which is why this does not use it.)
 func checkSteadyStateAllocs(t *testing.T, m *Model, input *tensor.Tensor, maxBytes, maxAllocs int64) {
 	t.Helper()
 	if raceEnabled {
 		t.Skip("alloc counts are nondeterministic under -race (sync.Pool randomly drops Puts)")
 	}
-	for i := 0; i < 3; i++ { // warm the arena and the state pools
-		if _, err := m.Forward(input); err != nil {
-			t.Fatal(err)
-		}
-	}
-	res := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	forward := func(n int) {
+		for i := 0; i < n; i++ {
 			if _, err := m.Forward(input); err != nil {
-				b.Fatal(err)
+				t.Fatal(err)
 			}
 		}
-	})
-	if got := res.AllocedBytesPerOp(); got > maxBytes {
+	}
+	forward(3) // warm the arena and the state pools
+	const passes = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	forward(passes)
+	runtime.ReadMemStats(&after)
+	if got := int64(after.TotalAlloc-before.TotalAlloc) / passes; got > maxBytes {
 		t.Errorf("steady-state Forward allocates %d B/op, want <= %d (arena not recycling?)", got, maxBytes)
 	}
 	// Allocation count must not scale with layer count: the sink tensor
 	// handed to the caller plus at most a few arena misses.
-	if got := res.AllocsPerOp(); got > maxAllocs {
+	if got := int64(after.Mallocs-before.Mallocs) / passes; got > maxAllocs {
 		t.Errorf("steady-state Forward does %d allocs/op, want <= %d", got, maxAllocs)
 	}
 }

@@ -33,41 +33,40 @@ const (
 	// KernelGEMM lowers conv2d via im2col onto the blocked parallel
 	// SGEMM, runs depthwise conv with an interior/border split, and
 	// dense layers as a register-blocked matrix-vector product. The
-	// SGEMM driver is chosen per shape from the measured per-GOARCH
-	// crossover policy (see preferMicro in autokernel.go): the
-	// streaming panel loop on amd64, the packed register-tile
-	// microkernel elsewhere once the shape tiles. This is the default
-	// path.
+	// SGEMM driver is chosen per shape (see useAsm in gemm_asm.go):
+	// the SIMD assembly tile when the CPU has one and the shape fills
+	// it, the streaming panel loop otherwise. This is the default
+	// path, spelled "auto" on the command line.
 	KernelGEMM KernelPath = iota
 	// KernelDirect is the naive nested-loop reference implementation,
 	// kept for parity tests and kernel-path comparisons.
 	KernelDirect
 	// KernelPanel forces the GEMM lowering onto the cache-blocked
-	// streaming panel loop regardless of GOARCH.
+	// streaming panel loop — the pure-Go driver, and the only one in
+	// a noasm build.
 	KernelPanel
-	// KernelMicro forces the GEMM lowering onto the packed
-	// register-tile microkernel regardless of GOARCH.
-	KernelMicro
 	// KernelAsm forces the GEMM lowering onto the hand-written
 	// SIMD microkernel (AVX2+FMA on amd64, NEON on arm64) when the
 	// CPU supports it; on other builds (or under the noasm tag) it
-	// degrades to the KernelGEMM auto policy. Unlike the pure-Go
-	// drivers the FMA tile rounds once per multiply-add, so float32
-	// outputs agree with the other paths only within the documented
-	// tolerance (see gemm_asm.go); the int8 kernels remain exact.
+	// degrades to the panel loop. Unlike the pure-Go driver the FMA
+	// tile rounds once per multiply-add, so float32 outputs agree
+	// with the other paths only within the documented tolerance (see
+	// gemm_asm.go); the int8 kernels remain exact.
 	KernelAsm
 )
+
+// KernelPaths lists the spellings ParseKernelPath accepts, in the form
+// the -kernel flag descriptions and the usage error print them.
+const KernelPaths = "auto, asm, panel, or direct"
 
 func (k KernelPath) String() string {
 	switch k {
 	case KernelGEMM:
-		return "gemm"
+		return "auto"
 	case KernelDirect:
 		return "direct"
 	case KernelPanel:
 		return "panel"
-	case KernelMicro:
-		return "micro"
 	case KernelAsm:
 		return "asm"
 	default:
@@ -75,24 +74,15 @@ func (k KernelPath) String() string {
 	}
 }
 
-// ParseKernelPath maps the CLI spelling to a KernelPath. "auto" (and
-// its historical alias "gemm") selects the shape-aware policy; the
-// other spellings force one driver.
+// ParseKernelPath maps the CLI spelling to a KernelPath: "auto" leaves
+// the driver choice to the engine, the other spellings force one.
 func ParseKernelPath(s string) (KernelPath, error) {
-	switch s {
-	case "auto", "gemm":
-		return KernelGEMM, nil
-	case "direct":
-		return KernelDirect, nil
-	case "panel":
-		return KernelPanel, nil
-	case "micro":
-		return KernelMicro, nil
-	case "asm":
-		return KernelAsm, nil
-	default:
-		return 0, fmt.Errorf("engine: unknown kernel path %q (want auto, gemm, panel, micro, asm, or direct)", s)
+	for _, k := range []KernelPath{KernelGEMM, KernelAsm, KernelPanel, KernelDirect} {
+		if s == k.String() {
+			return k, nil
+		}
 	}
+	return 0, fmt.Errorf("engine: unknown kernel path %q (want %s)", s, KernelPaths)
 }
 
 // params holds one layer's learned tensors.

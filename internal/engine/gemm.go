@@ -23,14 +23,11 @@ const (
 
 // sgemmAcc computes C += A·B for row-major A (m×k), B (k×n), C (m×n
 // with row stride ldc ≥ n). C must be pre-initialized (zero or bias) by
-// the caller. kern selects the driver: KernelPanel forces the streaming
-// panel loop, KernelMicro the packed register-tile microkernel,
-// KernelAsm the SIMD assembly tile (when the CPU has one), and
-// KernelGEMM picks per shape from the measured per-arch crossover
-// policies (preferAsm in gemm_asm.go, then preferMicro in
-// autokernel.go). The pure-Go drivers accumulate every output element
-// in the same ascending-k order, so choosing among them never changes
-// the output; the asm driver keeps the same order but fuses each
+// the caller. There are two drivers: the streaming panel loop below,
+// which is also the bit-exact reference of the noasm build, and the
+// packed SIMD assembly tile (sgemmAsm); useAsm in gemm_asm.go routes
+// between them. The panel loop matches the direct kernels bit for bit;
+// the asm driver keeps the same ascending-k order but fuses each
 // multiply-add into one rounding, so its float32 results differ within
 // the tolerance documented in gemm_asm.go.
 func sgemmAcc(kern KernelPath, m, k, n, ldc int, a, b, c []float32, workers int) {
@@ -41,15 +38,8 @@ func sgemmAcc(kern KernelPath, m, k, n, ldc int, a, b, c []float32, workers int)
 		sgemvAcc(m, k, a, b, c, workers)
 		return
 	}
-	if asmSgemmOK && (kern == KernelAsm || (kern == KernelGEMM && preferAsm(m, k, n))) {
+	if useAsm(kern, m, k, n) {
 		sgemmAsm(m, k, n, ldc, a, bPacker{b: b, ldb: n}, c, workers)
-		return
-	}
-	// A forced KernelAsm without CPU support degrades to the auto
-	// policy, matching the pre-asm behavior of this build bit for bit.
-	micro := kern == KernelMicro || ((kern == KernelGEMM || kern == KernelAsm) && preferMicro(m, k, n))
-	if micro && m >= microMR && n >= microNR && k >= 4 {
-		sgemmMicro(m, k, n, ldc, a, b, c, workers)
 		return
 	}
 	if serialSpan(workers, m) {

@@ -2,25 +2,27 @@ package engine
 
 import "sync"
 
-// Packed driver for the hand-written SIMD microkernels (KernelAsm, and
-// the KernelGEMM choice past the measured crossover when the CPU
-// supports them — see gemm_asm_{amd64,arm64}.go for the tiles and
-// gemm_asm_off.go for the disabled build).
+// Packed driver for the hand-written SIMD microkernels: KernelAsm, and
+// the KernelGEMM choice for every shape the tile can fill when the CPU
+// supports them (useAsm below is the whole routing policy) — see
+// gemm_asm_{amd64,arm64}.go for the tiles and gemm_asm_off.go for the
+// disabled build.
 //
-// The block structure mirrors sgemmMicro: NC-wide column blocks, KC
-// panels, MC row blocks, with both operands repacked into k-major
-// strips the tile streams with unit stride:
+// The driver follows the classic three-level blocking scheme: columns
+// of B in asmNC-wide blocks, K in asmKC-deep panels, rows of A in
+// asmMC-high blocks, with both operands repacked into k-major strips
+// the tile streams with unit stride:
 //
 //	packAAsm: rows in strips of asmMR — a[i0+r][kk] at
 //	          strip[kk*asmMR + r], zero-padded to full height.
 //	bPacker:  columns in strips of asmNR — b[kk][j0+c] at
 //	          strip[kk*asmNR + c], zero-padded to full width.
 //
-// Two things are new versus the pure-Go microkernel. First, B packing
-// is *source-pluggable*: a bPacker either reads a plain row-major
-// matrix or synthesizes patch-matrix windows straight from a conv
-// input tensor (fused im2col — the kSize x hw column buffer that
-// conv2dGEMM materializes for the other drivers never exists on this
+// Two things set it apart from the panel loop beyond the packing.
+// First, B packing is *source-pluggable*: a bPacker either reads a
+// plain row-major matrix or synthesizes patch-matrix windows straight
+// from a conv input tensor (fused im2col — the kSize x hw column buffer
+// that conv2dGEMM materializes for the panel loop never exists on this
 // path, and the batched variant spans image boundaries the same way).
 // Second, the tile uses FMA: one rounding per multiply-add instead of
 // two. Accumulation still visits k in ascending order with a single
@@ -64,22 +66,26 @@ var (
 // off this: bit-exact when false, tolerance-bounded when true.
 func asmEnabled() bool { return asmSgemmOK }
 
-// preferAsm reports whether KernelGEMM should route an m×k by k×n
-// multiply to the assembly tile. The structural guard keeps shapes the
-// tile cannot fill — or too shallow to amortize packing — on the
-// pure-Go drivers; past it, the measured per-arch crossover on the
-// streamed B working set decides (see asmCrossoverBytes).
+// useAsm is the GEMM routing rule, shared by sgemmAcc and the fused
+// conv paths: the assembly driver runs when the CPU has it and the
+// caller either forced it (KernelAsm) or left the choice to the engine
+// (KernelGEMM) with a shape the tile can fill. Everything else — and
+// KernelAsm on a host or build without the kernels — takes the panel
+// loop.
+func useAsm(kern KernelPath, m, k, n int) bool {
+	return asmSgemmOK && (kern == KernelAsm || (kern == KernelGEMM && preferAsm(m, k, n)))
+}
+
+// preferAsm is the tile guard: at least one full asmMR×asmNR tile and
+// enough k steps to amortize the packing pass. It is the whole auto
+// policy — BenchmarkSgemmCrossover (m=256, k=1152) has the AVX2 tile
+// ahead of the panel loop at every swept width, 2.7x at n=16 to ~9x at
+// n=1024, and a shallow sweep holds the win down to a single 6x16 tile
+// at k=16 (6.2 vs 3.0 MAC/ns), so no working-set threshold sits on top
+// of the structural floor. The NEON tile takes the same rule; it has
+// not been timed on arm64 hardware.
 func preferAsm(m, k, n int) bool {
-	if !asmSgemmOK {
-		return false
-	}
-	if m < asmMR || n < asmNR || k < 8 {
-		return false
-	}
-	if asmCrossoverBytes < 0 {
-		return false
-	}
-	return k*n*4 >= asmCrossoverBytes
+	return m >= asmMR && n >= asmNR && k >= 8
 }
 
 // bPacker produces packed B strips for the asm driver. Plain mode
@@ -93,15 +99,15 @@ type bPacker struct {
 	ldb int
 
 	// Conv mode (fused im2col).
-	conv                  bool
-	src                   []float32 // input tensor, packed batch-n layout
-	inH, inW              int
-	kh, kw                int
-	stride, padH, padW    int
-	outW                  int
-	cLo                   int // first input channel of the group
-	n                     int // packed batch width (1 = single image)
-	hw                    int // patch columns per image = outH*outW
+	conv               bool
+	src                []float32 // input tensor, packed batch-n layout
+	inH, inW           int
+	kh, kw             int
+	stride, padH, padW int
+	outW               int
+	cLo                int // first input channel of the group
+	n                  int // packed batch width (1 = single image)
+	hw                 int // patch columns per image = outH*outW
 }
 
 // pack fills dst with the asmNR-column strips covering columns

@@ -9,8 +9,8 @@ import "os"
 // that saves YMM state; all three are probed once at init via CPUID /
 // XGETBV. Without them (or under the noasm build tag, or with
 // DNNJPS_NOASM set) the engine behaves exactly as before this kernel
-// existed: KernelGEMM resolves through preferMicro, which on amd64
-// means the streaming panel loop, bit-identical to the pre-asm build.
+// existed: every GEMM takes the streaming panel loop, bit-identical to
+// the pre-asm build.
 
 const (
 	// asmMR x asmNR is the assembly register tile: 6 rows x 16
@@ -26,17 +26,6 @@ const (
 	asmKC = 256
 	asmMC = 132  // multiple of asmMR
 	asmNC = 1024 // multiple of asmNR
-
-	// asmCrossoverBytes is the B working set (k*n*4 bytes) above which
-	// KernelGEMM routes to the FMA tile when available. Measured with
-	// BenchmarkSgemmCrossover (m=256, k=1152): asm beats the panel
-	// loop at every swept width, from 2.7x at n=16 (6.6 vs 2.5 MAC/ns)
-	// to ~9x at n=1024 (28.6 vs 3.1). A shallow-shape sweep confirms
-	// the win holds right down to the structural floor — a single
-	// 6x16 tile at k=16 runs 6.2 vs 3.0 MAC/ns — so the threshold is
-	// zero: the tile guard in preferAsm (m ≥ asmMR, n ≥ asmNR, k ≥ 8)
-	// is the whole policy on this architecture.
-	asmCrossoverBytes = 0
 
 	// Int8 tile: 4 rows x 16 columns of int32 accumulators.
 	asmQMR = 4

@@ -17,17 +17,11 @@ const (
 	asmMR = 8
 	asmNR = 8
 
-	// Blocking mirrors the pure-Go microkernel's mobile-class
-	// assumptions: packed B strip 8 KiB (L1), A block 128 KiB, B
-	// block 512 KiB (shared L2).
+	// Blocking assumes a mobile-class cache hierarchy: packed B
+	// strip 8 KiB (L1), A block 128 KiB, B block 512 KiB (shared L2).
 	asmKC = 256
 	asmMC = 128 // multiple of asmMR
 	asmNC = 512 // multiple of asmNR
-
-	// The FMLA tile wins whenever the shape tiles at all, matching
-	// the microCrossoverBytes = 0 policy the pure-Go 4x4 FMADD tile
-	// already earned on this architecture.
-	asmCrossoverBytes = 0
 
 	asmQMR = 4
 	asmQNR = 16

@@ -4,8 +4,8 @@ package engine
 
 // Assembly kernels disabled: either the noasm build tag is set or the
 // target architecture has no hand-written microkernel. asmSgemmOK and
-// asmQgemmOK are false constants here, so the dispatch in gemm.go and
-// qgemm.go compiles down to the pure-Go paths — bit-identical to the
+// asmQgemmOK are false constants here, so useAsm and the dispatch in
+// qgemm.go compile down to the pure-Go paths — bit-identical to the
 // pre-asm build — and the stub bodies below are unreachable.
 
 const (
@@ -14,8 +14,6 @@ const (
 	asmKC = 256
 	asmMC = 132
 	asmNC = 1024
-
-	asmCrossoverBytes = -1
 
 	asmQMR = 4
 	asmQNR = 16

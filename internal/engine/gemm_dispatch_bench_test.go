@@ -6,11 +6,10 @@ import (
 )
 
 // BenchmarkSgemmCrossover sweeps the column count at a fixed deep-K
-// GEMM to locate where the packed drivers overtake the panel loop;
-// the sgemmAcc dispatch thresholds (microCrossoverBytes and
-// asmCrossoverBytes) are set from its output. The asm legs run only
-// where the assembly path is live, so ratios within one run compare
-// like with like.
+// GEMM, panel loop against the packed asm driver; the auto policy
+// (preferAsm has no threshold past the tile guard) rests on its
+// output. The asm legs run only where the assembly path is live, so
+// ratios within one run compare like with like.
 func BenchmarkSgemmCrossover(b *testing.B) {
 	const m, k = 256, 1152
 	a := make([]float32, m*k)
@@ -24,12 +23,6 @@ func BenchmarkSgemmCrossover(b *testing.B) {
 			bb[i] = float32(i%11) * 0.0625
 		}
 		macs := float64(m) * float64(k) * float64(n)
-		b.Run(fmt.Sprintf("micro/n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sgemmMicro(m, k, n, n, a, bb, c, 1)
-			}
-			b.ReportMetric(macs*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "MAC/ns")
-		})
 		b.Run(fmt.Sprintf("panel/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				sgemmPanel(0, m, k, n, n, a, bb, c)

@@ -121,7 +121,7 @@ func conv2dGEMM(arena *tensor.Arena, kern KernelPath, in *tensor.Tensor, outShap
 
 	// The asm driver packs B panels straight from the input tensor
 	// (fused im2col) — the kSize×hw patch matrix is never materialized.
-	if asmSgemmOK && (kern == KernelAsm || (kern == KernelGEMM && preferAsm(ocpg, kSize, hw))) {
+	if useAsm(kern, ocpg, kSize, hw) {
 		for g := 0; g < groups; g++ {
 			a := p.w[g*ocpg*kSize : (g+1)*ocpg*kSize]
 			c := out.Data[g*ocpg*hw : (g+1)*ocpg*hw]

@@ -15,7 +15,7 @@ import (
 // every output element in the same fixed order, so their outputs must
 // compare equal element by element — at any worker count. Paths that
 // route to the FMA assembly tile (KernelAsm, and KernelGEMM past the
-// crossover when the CPU has it) keep the same accumulation order but
+// tile guard when the CPU has it) keep the same accumulation order but
 // fuse each multiply-add into one rounding; they compare within the
 // envelope documented in asm_parity_test.go instead.
 
@@ -29,9 +29,9 @@ func randInput(shape tensor.Shape, seed int64) *tensor.Tensor {
 }
 
 // runBothKernels executes the model's forward pass on the direct path
-// (1 worker) and on every GEMM driver (auto, panel, micro, asm) at
-// several worker counts. Pure-Go drivers must match the direct output
-// bitwise; drivers that can reach the FMA asm tile compare within the
+// (1 worker) and on every GEMM selection (auto, panel, asm) at several
+// worker counts. The panel loop must match the direct output bitwise;
+// selections that can reach the FMA asm tile compare within the
 // documented tolerance (and bitwise too when the asm path is off).
 func runBothKernels(t *testing.T, g *dag.Graph, seed int64) {
 	t.Helper()
@@ -41,8 +41,8 @@ func runBothKernels(t *testing.T, g *dag.Graph, seed int64) {
 	if err != nil {
 		t.Fatalf("direct forward: %v", err)
 	}
-	for _, kern := range []KernelPath{KernelGEMM, KernelPanel, KernelMicro, KernelAsm} {
-		exact := !asmEnabled() || kern == KernelPanel || kern == KernelMicro
+	for _, kern := range []KernelPath{KernelGEMM, KernelPanel, KernelAsm} {
+		exact := !asmEnabled() || kern == KernelPanel
 		for _, workers := range []int{1, 3, 8} {
 			got, err := m.WithKernel(kern).Parallel(workers).Forward(in.Clone())
 			if err != nil {
@@ -148,7 +148,7 @@ func TestConvGoldenBothKernels(t *testing.T) {
 	})
 	// Small integers: exact under FMA too, so KernelAsm compares equal.
 	want := []float32{12, 16, 24, 28}
-	for _, k := range []KernelPath{KernelGEMM, KernelPanel, KernelMicro, KernelAsm, KernelDirect} {
+	for _, k := range []KernelPath{KernelGEMM, KernelPanel, KernelAsm, KernelDirect} {
 		out, err := m.WithKernel(k).Forward(input.Clone())
 		if err != nil {
 			t.Fatal(err)

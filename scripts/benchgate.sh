@@ -149,10 +149,11 @@ END {
 }
 ' "$RAW"
 
-# Microkernel gate: within one run, the FMA assembly tile must beat the
+# Asm-tile gate: within one run, the FMA assembly tile must beat the
 # streaming panel loop by a wide margin at every gated width — asm/panel
 # ns ratio <= 0.9x at n >= 128 (measured ~0.11-0.14x on the reference
-# box; see asmCrossoverBytes in gemm_asm_amd64.go). On hosts without
+# box). The auto policy has no threshold past the tile guard (preferAsm
+# in gemm_asm.go); this ratio is what licenses that. On hosts without
 # AVX2+FMA (or under DNNJPS_NOASM) the asm legs don't run and the gate
 # skips cleanly — the bit-identical fallback has nothing to prove here.
 awk '
@@ -167,7 +168,7 @@ awk '
 }
 END {
     if (!seen) {
-        print "benchgate: SgemmCrossover asm legs absent (no AVX2+FMA); skipping microkernel gate"
+        print "benchgate: SgemmCrossover asm legs absent (no AVX2+FMA); skipping asm-tile gate"
         exit 0
     }
     for (n in asm) {

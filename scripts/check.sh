@@ -23,19 +23,35 @@ else
     echo "== govulncheck (not installed, skipped)"
 fi
 
+echo "== gofmt"
+# .bench_build/ holds the repo benchmark's checkouts of other commits.
+UNFORMATTED="$(gofmt -l . | grep -v '^\.bench_build/' || true)"
+if [ -n "$UNFORMATTED" ]; then
+    echo "gofmt: not formatted:" >&2
+    echo "$UNFORMATTED" >&2
+    exit 1
+fi
+
 echo "== go build"
 go build ./...
 
-echo "== go build (GOARCH=arm64 cross-compile)"
-# The register-tile microkernel is goarch-gated (gemm_tile_*.go) and
-# the NEON assembly kernel (gemm_neon_arm64.s) only assembles for
-# arm64; a cross-build catches breakage in both without arm64 hardware.
+echo "== go build/vet (cross-compile: arm64, arm64 noasm, riscv64)"
+# The engine's assembly gating has three arms — amd64, arm64 and
+# gemm_asm_off.go (noasm, or any other GOARCH) — and the host builds
+# only the first. arm64 assembles the NEON kernel (gemm_neon_arm64.s);
+# arm64+noasm and riscv64 build the two halves of gemm_asm_off.go's
+# constraint; vet type-checks the engine's tests against arm64's tile
+# constants. None of it needs the hardware.
 GOOS=linux GOARCH=arm64 go build ./...
+GOOS=linux GOARCH=arm64 go build -tags noasm ./...
+GOOS=linux GOARCH=riscv64 go build ./...
+GOOS=linux GOARCH=arm64 go vet ./internal/engine/
 
 echo "== go build/test -tags noasm (pure-Go fallback must not rot)"
-# The noasm build is the contract for non-AVX2 hosts: bit-identical to
-# the pre-assembly panel path (see noasm_test.go). Engine tests carry
-# the parity suite; the full build catches tag skew anywhere else.
+# The noasm build is the contract for non-AVX2 hosts: every GEMM on the
+# panel loop, auto == asm == panel == direct bit for bit (see
+# noasm_test.go). Engine tests carry the parity suite; the full build
+# catches tag skew anywhere else.
 go build -tags noasm ./...
 go test -tags noasm ./internal/engine/
 
