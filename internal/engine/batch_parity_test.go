@@ -10,7 +10,7 @@ import (
 	"dnnjps/internal/tensor"
 )
 
-// Batched-vs-batch-1 equivalence: ForwardBatch packs n inputs and runs
+// Batched-vs-solo equivalence: ForwardBatch packs n inputs and runs
 // widened GEMMs, but every per-image output element accumulates the
 // same products in the same order as a solo Forward — so outputs are
 // bit-identical at any batch size and worker count when one driver
@@ -22,41 +22,50 @@ import (
 
 // runBatchParity runs each input through a solo Forward and the whole
 // set through ForwardBatch, and requires per-image equality — bitwise
-// when the asm path is off, within the FMA envelope otherwise.
+// when the asm path is off, within the FMA envelope otherwise. The
+// KernelDirect selection pins the rule stated on that constant: its
+// batches run the panel loop and equal the solo reference loops
+// exactly, asm or not (small n only — the reference is slow).
 func runBatchParity(t *testing.T, g *dag.Graph, seed int64, ns ...int) {
 	t.Helper()
 	m := Load(g, seed)
 	inShape := g.Node(g.Source()).OutShape
-	for _, n := range ns {
-		for _, workers := range []int{1, 3} {
-			m.Parallel(workers)
-			inputs := make([]*tensor.Tensor, n)
-			refs := make([]*tensor.Tensor, n)
-			for b := range inputs {
-				inputs[b] = randInput(inShape, seed+200+int64(b))
-				out, err := m.Forward(inputs[b].Clone())
+	for _, kern := range []KernelPath{KernelGEMM, KernelDirect} {
+		m.WithKernel(kern)
+		for _, n := range ns {
+			if kern == KernelDirect && n > 3 {
+				continue
+			}
+			for _, workers := range []int{1, 3} {
+				m.Parallel(workers)
+				inputs := make([]*tensor.Tensor, n)
+				refs := make([]*tensor.Tensor, n)
+				for b := range inputs {
+					inputs[b] = randInput(inShape, seed+200+int64(b))
+					out, err := m.Forward(inputs[b].Clone())
+					if err != nil {
+						t.Fatalf("%v n=%d workers=%d: solo forward %d: %v", kern, n, workers, b, err)
+					}
+					refs[b] = out.Clone()
+				}
+				got, err := m.ForwardBatch(inputs)
 				if err != nil {
-					t.Fatalf("n=%d workers=%d: solo forward %d: %v", n, workers, b, err)
+					t.Fatalf("%v n=%d workers=%d: batched forward: %v", kern, n, workers, err)
 				}
-				refs[b] = out.Clone()
-			}
-			got, err := m.ForwardBatch(inputs)
-			if err != nil {
-				t.Fatalf("n=%d workers=%d: batched forward: %v", n, workers, err)
-			}
-			if len(got) != n {
-				t.Fatalf("n=%d: got %d outputs", n, len(got))
-			}
-			for b := range refs {
-				if !got[b].Shape.Equal(refs[b].Shape) {
-					t.Fatalf("n=%d workers=%d image %d: shape %v, want %v", n, workers, b, got[b].Shape, refs[b].Shape)
+				if len(got) != n {
+					t.Fatalf("%v n=%d: got %d outputs", kern, n, len(got))
 				}
-				assertSliceParity(t, fmt.Sprintf("n=%d workers=%d image %d vs solo", n, workers, b),
-					got[b].Data, refs[b].Data, !asmEnabled())
+				for b := range refs {
+					if !got[b].Shape.Equal(refs[b].Shape) {
+						t.Fatalf("%v n=%d workers=%d image %d: shape %v, want %v", kern, n, workers, b, got[b].Shape, refs[b].Shape)
+					}
+					assertSliceParity(t, fmt.Sprintf("%v n=%d workers=%d image %d vs solo", kern, n, workers, b),
+						got[b].Data, refs[b].Data, !asmEnabled() || kern == KernelDirect)
+				}
 			}
 		}
 	}
-	m.Parallel(1)
+	m.WithKernel(KernelGEMM).Parallel(1)
 }
 
 func TestBatchConvParity(t *testing.T) {

@@ -7,11 +7,13 @@
 //
 // The hot compute path lowers convolutions onto an im2col + blocked
 // parallel SGEMM kernel (see gemm.go, im2col.go) and recycles
-// activation buffers through a per-model tensor.Arena; the naive
-// direct-loop kernels are kept as a reference implementation behind
-// WithKernel(KernelDirect). Both paths accumulate every output element
-// in the same fixed order, so they produce identical outputs at any
-// worker count.
+// activation buffers through a per-model tensor.Arena. Batch size is an
+// argument of that one kernel set: n equally shaped jobs run as a
+// single pass over the packed layout of batch.go, and a lone job is
+// n == 1 of the same code. The naive direct-loop kernels are kept as a
+// reference implementation behind WithKernel(KernelDirect). Both paths
+// accumulate every output element in the same fixed order, so they
+// produce identical outputs at any worker count and any batch size.
 package engine
 
 import (
@@ -39,7 +41,10 @@ const (
 	// path, spelled "auto" on the command line.
 	KernelGEMM KernelPath = iota
 	// KernelDirect is the naive nested-loop reference implementation,
-	// kept for parity tests and kernel-path comparisons.
+	// kept for parity tests and kernel-path comparisons. The reference
+	// loops are single-image: a batch of n > 1 (ExecuteBatch, a
+	// coalesced server group) runs the panel loop instead, which the
+	// gemm.go contract makes bit-identical to them.
 	KernelDirect
 	// KernelPanel forces the GEMM lowering onto the cache-blocked
 	// streaming panel loop — the pure-Go driver, and the only one in
@@ -120,7 +125,7 @@ func Load(g *dag.Graph, seed int64) *Model {
 		ins := g.InputShapes(id)
 		switch l := node.Layer.(type) {
 		case *nn.Conv2D:
-			inC := ins[0].C() / maxInt(l.Groups, 1)
+			inC := ins[0].C() / max(l.Groups, 1)
 			fanIn := l.KH * l.KW * inC
 			p := params{w: initSlice(seed, l.LayerName+"/w", l.OutC*fanIn, fanIn)}
 			if l.Bias {
@@ -168,13 +173,6 @@ func (m *Model) WithKernel(k KernelPath) *Model {
 	return m
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 func rngFor(seed int64, name string) *rand.Rand {
 	h := fnv.New64a()
 	h.Write([]byte(name))
@@ -185,7 +183,7 @@ func rngFor(seed int64, name string) *rand.Rand {
 // activations bounded through deep stacks.
 func initSlice(seed int64, name string, n, fanIn int) []float32 {
 	rng := rngFor(seed, name)
-	std := 1 / math.Sqrt(float64(maxInt(fanIn, 1)))
+	std := 1 / math.Sqrt(float64(max(fanIn, 1)))
 	out := make([]float32, n)
 	for i := range out {
 		out[i] = float32(rng.NormFloat64() * std)
@@ -377,16 +375,17 @@ func (m *Model) Execute(acts map[int]*tensor.Tensor, input *tensor.Tensor, nodes
 // activations (see PackBatch for the layout). Every activation in acts
 // — seeded boundary tensors and produced ones alike — is a packed
 // batch-n tensor; per-node shapes are the batched form of the node's
-// OutShape (dim 0 scaled by n). With n == 1 it is exactly Execute,
-// bit for bit: the batched kernels degenerate to the batch-1 code
-// paths and accumulate every output element in the same order.
+// OutShape (dim 0 scaled by n). With n == 1 it is Execute. Under
+// KernelDirect a batch of n > 1 runs the panel loop — the reference
+// loops are single-image — with outputs bit-identical to n direct
+// Executes.
 func (m *Model) ExecuteBatch(acts map[int]*tensor.Tensor, n int, input *tensor.Tensor, nodes []int) error {
 	if n < 1 {
 		return fmt.Errorf("engine: batch size %d", n)
 	}
 	if n > 1 && m.quant != nil {
-		// The batched kernels are float32-only; mixing them with the
-		// int8 solo path would make results depend on coalescing.
+		// The int8 kernels are single-image; running a coalesced group
+		// in float32 would make results depend on coalescing.
 		return fmt.Errorf("engine: batched execution is not supported on a quantized model")
 	}
 	return m.executeN(acts, n, input, nodes)
@@ -427,7 +426,7 @@ func (m *Model) executeN(acts map[int]*tensor.Tensor, n int, input *tensor.Tenso
 			}
 			st.ins = append(st.ins, a)
 		}
-		out, err := m.evalN(id, node, st.ins, preds, st, n)
+		out, err := m.eval(id, node, st.ins, preds, st, n)
 		if err != nil {
 			return err
 		}
@@ -445,107 +444,69 @@ func (m *Model) executeN(acts map[int]*tensor.Tensor, n int, input *tensor.Tenso
 	return nil
 }
 
-// evalN dispatches one layer at batch size n. n == 1 takes the
-// original single-image kernels (including the KernelDirect reference
-// path); n > 1 takes the batched GEMM kernels in batch.go, which share
-// the per-element accumulation order with their batch-1 counterparts.
-func (m *Model) evalN(id int, node *dag.Node, ins []*tensor.Tensor, preds []int, st *execState, n int) (*tensor.Tensor, error) {
-	if n == 1 {
-		return m.eval(id, node, ins, preds, st)
-	}
-	inShapes := m.g.InputShapes(id)
-	switch l := node.Layer.(type) {
-	case *nn.Conv2D:
-		return conv2dGEMMBatch(m.arena, m.kernel, ins[0], inShapes[0], node.OutShape, m.params[id], l.KH, l.KW, l.Stride,
-			l.EffPadH(), l.EffPadW(), maxInt(l.Groups, 1), m.workers, n), nil
-	case *nn.DepthwiseConv2D:
-		return dwconv2dBatch(m.arena, ins[0], inShapes[0], node.OutShape, m.params[id], l.KH, l.KW, l.Stride, l.Pad, m.workers, n), nil
-	case *nn.MaxPool2D:
-		return maxpoolBatch(m.arena, ins[0], inShapes[0], node.OutShape, l.K, l.Stride, l.Pad, m.workers, n), nil
-	case *nn.AvgPool2D:
-		return avgpoolBatch(m.arena, ins[0], inShapes[0], node.OutShape, l.K, l.Stride, l.Pad, m.workers, n), nil
-	case *nn.GlobalAvgPool2D:
-		// The packed layout makes GAP batch-oblivious: each of the C·n
-		// planes averages independently and lands at index c·n+b — the
-		// packed vector layout.
-		return globalAvgPool(m.arena, ins[0]), nil
-	case *nn.Dense:
-		return denseGEMMBatch(m.arena, m.kernel, ins[0], m.params[id], l.Out, m.workers, n), nil
-	case *nn.Activation:
-		return activate(m.arena, ins[0], l.Func, st.canOverwrite(preds[0])), nil
-	case *nn.BatchNorm:
-		return batchNorm(m.arena, ins[0], m.params[id], n), nil
-	case *nn.LRN:
-		return lrnBatch(m.arena, ins[0], l.Size, n), nil
-	case *nn.Dropout:
-		return ins[0], nil // identity at inference
-	case *nn.Flatten:
-		return flattenBatch(m.arena, ins[0], n), nil
-	case *nn.Concat:
-		return concat(m.arena, ins, batchShape(node.OutShape, n)), nil
-	case *nn.Add:
-		return add(m.arena, ins, st.canOverwrite(preds[0])), nil
-	case *nn.Softmax:
-		return softmaxBatch(m.arena, ins[0], n), nil
-	default:
-		return nil, fmt.Errorf("engine: unsupported layer type %T (%s)", node.Layer, node.Layer.Name())
-	}
-}
-
-// eval dispatches one layer.
-func (m *Model) eval(id int, node *dag.Node, ins []*tensor.Tensor, preds []int, st *execState) (*tensor.Tensor, error) {
+// eval dispatches one layer at batch size n. Batch size is an argument
+// of every kernel, not a code path: the kernels address the packed
+// layout (see batch.go), which at n == 1 is the plain CHW tensor. Two
+// implementations exist at n == 1 only, each selected from what the
+// model already holds: the KernelDirect reference loops, and the int8
+// kernels of a quantized model (which ExecuteBatch rejects at n > 1).
+func (m *Model) eval(id int, node *dag.Node, ins []*tensor.Tensor, preds []int, st *execState, n int) (*tensor.Tensor, error) {
+	direct := m.kernel == KernelDirect && n == 1
 	switch l := node.Layer.(type) {
 	case *nn.Conv2D:
 		if m.quant != nil {
 			return m.qconv2d(id, l, ins[0], preds[0], node.OutShape), nil
 		}
-		if m.kernel == KernelDirect {
+		if direct {
 			return conv2dDirect(m.arena, ins[0], node.OutShape, m.params[id], l.KH, l.KW, l.Stride,
-				l.EffPadH(), l.EffPadW(), maxInt(l.Groups, 1), m.workers), nil
+				l.EffPadH(), l.EffPadW(), max(l.Groups, 1), m.workers), nil
 		}
 		return conv2dGEMM(m.arena, m.kernel, ins[0], node.OutShape, m.params[id], l.KH, l.KW, l.Stride,
-			l.EffPadH(), l.EffPadW(), maxInt(l.Groups, 1), m.workers), nil
+			l.EffPadH(), l.EffPadW(), max(l.Groups, 1), m.workers, n), nil
 	case *nn.DepthwiseConv2D:
 		if m.quant != nil {
 			return m.qdwconv2d(id, l, ins[0], preds[0], node.OutShape), nil
 		}
-		if m.kernel == KernelDirect {
+		if direct {
 			return dwconv2dDirect(m.arena, ins[0], node.OutShape, m.params[id], l.KH, l.KW, l.Stride, l.Pad, m.workers), nil
 		}
-		return dwconv2dSplit(m.arena, ins[0], node.OutShape, m.params[id], l.KH, l.KW, l.Stride, l.Pad, m.workers), nil
+		return dwconv2d(m.arena, ins[0], node.OutShape, m.params[id], l.KH, l.KW, l.Stride, l.Pad, m.workers, n), nil
 	case *nn.MaxPool2D:
-		return maxpool(m.arena, ins[0], node.OutShape, l.K, l.Stride, l.Pad, m.workers), nil
+		return maxpool(m.arena, ins[0], node.OutShape, l.K, l.Stride, l.Pad, m.workers, n), nil
 	case *nn.AvgPool2D:
-		return avgpool(m.arena, ins[0], node.OutShape, l.K, l.Stride, l.Pad, m.workers), nil
+		return avgpool(m.arena, ins[0], node.OutShape, l.K, l.Stride, l.Pad, m.workers, n), nil
 	case *nn.GlobalAvgPool2D:
+		// Batch-oblivious in the packed layout: each of the C·n planes
+		// averages independently and lands at index c·n+b, which is the
+		// packed vector layout.
 		return globalAvgPool(m.arena, ins[0]), nil
 	case *nn.Dense:
 		if m.quant != nil {
 			return m.qdense(id, l, ins[0], preds[0]), nil
 		}
-		if m.kernel == KernelDirect {
+		if direct {
 			return denseDirect(m.arena, ins[0], m.params[id], l.Out), nil
 		}
-		return denseGEMM(m.arena, ins[0], m.params[id], l.Out, m.workers), nil
+		return denseGEMM(m.arena, m.kernel, ins[0], m.params[id], l.Out, m.workers, n), nil
 	case *nn.Activation:
 		return activate(m.arena, ins[0], l.Func, st.canOverwrite(preds[0])), nil
 	case *nn.BatchNorm:
 		if m.quant != nil && m.quant.folded[id] {
 			return ins[0], nil // absorbed into the producing conv's epilogue
 		}
-		return batchNorm(m.arena, ins[0], m.params[id], 1), nil
+		return batchNorm(m.arena, ins[0], m.params[id], n), nil
 	case *nn.LRN:
-		return lrn(m.arena, ins[0], l.Size), nil
+		return lrn(m.arena, ins[0], l.Size, n), nil
 	case *nn.Dropout:
 		return ins[0], nil // identity at inference
 	case *nn.Flatten:
-		return ins[0].Flatten(), nil
+		return flatten(m.arena, ins[0], n), nil
 	case *nn.Concat:
-		return concat(m.arena, ins, node.OutShape), nil
+		return concat(m.arena, ins, batchShape(node.OutShape, n)), nil
 	case *nn.Add:
 		return add(m.arena, ins, st.canOverwrite(preds[0])), nil
 	case *nn.Softmax:
-		return softmax(m.arena, ins[0]), nil
+		return softmax(m.arena, ins[0], n), nil
 	default:
 		return nil, fmt.Errorf("engine: unsupported layer type %T (%s)", node.Layer, node.Layer.Name())
 	}

@@ -372,7 +372,7 @@ func TestArgmax(t *testing.T) {
 
 func TestLRNNormalizes(t *testing.T) {
 	in, _ := tensor.NewFrom(tensor.NewCHW(3, 1, 1), []float32{1, 2, 3})
-	out := lrn(nil, in, 5)
+	out := lrn(nil, in, 5, 1)
 	for i := range out.Data {
 		if math.Abs(float64(out.Data[i])) >= math.Abs(float64(in.Data[i])) {
 			t.Errorf("lrn must shrink magnitudes: %v -> %v", in.Data, out.Data)

@@ -21,9 +21,9 @@ import "sync"
 // Two things set it apart from the panel loop beyond the packing.
 // First, B packing is *source-pluggable*: a bPacker either reads a
 // plain row-major matrix or synthesizes patch-matrix windows straight
-// from a conv input tensor (fused im2col — the kSize x hw column buffer
-// that conv2dGEMM materializes for the panel loop never exists on this
-// path, and the batched variant spans image boundaries the same way).
+// from a conv input tensor (fused im2col — the kSize x bt·hw column
+// buffer that conv2dGEMM materializes for the panel loop never exists
+// on this path; windows span the image boundaries of a packed batch).
 // Second, the tile uses FMA: one rounding per multiply-add instead of
 // two. Accumulation still visits k in ascending order with a single
 // accumulator per C element, but float32 results differ from the

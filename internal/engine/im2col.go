@@ -2,47 +2,52 @@ package engine
 
 import "dnnjps/internal/tensor"
 
-// im2col lowering: a grouped convolution over a CHW tensor becomes,
-// per group, the matrix product
+// im2col lowering: a grouped convolution over a packed batch of n CHW
+// tensors (see batch.go; n == 1 is the plain tensor) becomes, per
+// group, the matrix product
 //
-//	C (ocpg × outH·outW) = A (ocpg × kSize) · B (kSize × outH·outW)
+//	C (ocpg × n·hw) = A (ocpg × kSize) · B (kSize × n·hw),  hw = outH·outW
 //
 // where A is the group's weight block exactly as Load lays it out
-// (row k = (ic·kh + r)·kw + c) and B is the patch matrix built here
-// with rows in the same k order. Padding positions hold zeros, so the
-// GEMM accumulates the identical product sequence as the direct
-// kernel's skip-out-of-bounds loop — that is what makes the two paths
-// produce equal outputs.
+// (row k = (ic·kh + r)·kw + c) and B is the images' patch matrices side
+// by side, built here with rows in the same k order. Padding positions
+// hold zeros, so the GEMM accumulates the identical product sequence as
+// the direct kernel's skip-out-of-bounds loop — that is what makes the
+// two paths produce equal outputs.
 
-// im2colGroup fills dst (kSize × outH·outW, row-major) with the patch
-// matrix of input channels [cLo, cLo+icpg). Rows are independent, so
-// they are split across workers.
-func im2colGroup(src, dst []float32, cLo, icpg, inH, inW, kh, kw, stride, padH, padW, outH, outW, workers int) {
+// im2colTile fills dst (kSize × bt·hw, row-major) with the side-by-side
+// patch matrices of input channels [cLo, cLo+icpg) of packed images
+// [b0, b0+bt): row k, image b0+bi occupies columns [bi·hw, (bi+1)·hw).
+// Rows are independent, so they are split across workers.
+func im2colTile(src, dst []float32, cLo, icpg, inH, inW, kh, kw, stride, padH, padW, outH, outW, workers, n, b0, bt int) {
 	rows := icpg * kh * kw
 	if serialSpan(workers, rows) {
-		im2colRows(0, rows, src, dst, cLo, inH, inW, kh, kw, stride, padH, padW, outH, outW)
+		im2colTileRows(0, rows, src, dst, cLo, inH, inW, kh, kw, stride, padH, padW, outH, outW, n, b0, bt)
 		return
 	}
 	parallelFor(workers, rows, func(lo, hi int) {
-		im2colRows(lo, hi, src, dst, cLo, inH, inW, kh, kw, stride, padH, padW, outH, outW)
+		im2colTileRows(lo, hi, src, dst, cLo, inH, inW, kh, kw, stride, padH, padW, outH, outW, n, b0, bt)
 	})
 }
 
-// im2colRows fills patch-matrix rows [lo, hi).
-func im2colRows(lo, hi int, src, dst []float32, cLo, inH, inW, kh, kw, stride, padH, padW, outH, outW int) {
+// im2colTileRows fills patch-matrix rows [lo, hi) of one image tile.
+func im2colTileRows(lo, hi int, src, dst []float32, cLo, inH, inW, kh, kw, stride, padH, padW, outH, outW, n, b0, bt int) {
 	hw := outH * outW
+	bhw := bt * hw
 	for k := lo; k < hi; k++ {
 		c := k / (kh * kw)
 		r := k % (kh * kw) / kw
 		s := k % kw
-		im2colRow(src, dst[k*hw:(k+1)*hw], (cLo+c)*inH*inW,
-			r, s, inH, inW, stride, padH, padW, outH, outW)
+		for bi := 0; bi < bt; bi++ {
+			im2colRow(src, dst[k*bhw+bi*hw:k*bhw+(bi+1)*hw], ((cLo+c)*n+b0+bi)*inH*inW,
+				r, s, inH, inW, stride, padH, padW, outH, outW)
+		}
 	}
 }
 
 // im2colRow fills one patch-matrix row: kernel offset (r, s) of the
-// input plane at flat offset chanBase, one element per output
-// position. The batched lowering reuses it with plane (c·n+b).
+// input plane at flat offset chanBase — plane (c·n+b) of the packed
+// tensor — one element per output position.
 func im2colRow(src, row []float32, chanBase, r, s, inH, inW, stride, padH, padW, outH, outW int) {
 	idx := 0
 	for oh := 0; oh < outH; oh++ {
@@ -92,84 +97,99 @@ func im2colRow(src, row []float32, chanBase, r, s, inH, inW, stride, padH, padW,
 	}
 }
 
-// conv2dGEMM is the grouped convolution via im2col + SGEMM. 1×1
-// stride-1 unpadded convolutions skip the lowering entirely: their
-// patch matrix is the input itself.
-func conv2dGEMM(arena *tensor.Arena, kern KernelPath, in *tensor.Tensor, outShape tensor.Shape, p params, kh, kw, stride, padH, padW, groups, workers int) *tensor.Tensor {
-	out := arena.Get(outShape)
-	inC, inH, inW := in.Shape.C(), in.Shape.H(), in.Shape.W()
+// seedBias fills row r of C (rows × width, contiguous) with bias[r] —
+// zero when the layer has none — so the GEMM that accumulates onto C
+// starts every sum at the bias, matching the direct kernels' order.
+func seedBias(c, bias []float32, rows, width int) {
+	for r := 0; r < rows; r++ {
+		var b float32
+		if bias != nil {
+			b = bias[r]
+		}
+		row := c[r*width : (r+1)*width]
+		for i := range row {
+			row[i] = b
+		}
+	}
+}
+
+// conv2dGEMM is the grouped convolution via im2col + SGEMM over a
+// packed batch of n images; outShape is the per-image output shape.
+// Per group of the convolution the batch is processed in image tiles of
+// batchTile width, each an SGEMM of (ocpg × kSize)·(kSize × bt·hw) whose
+// C slab is a column window of the packed output (row stride n·hw).
+// Tiling only partitions C's columns — per-element accumulation order is
+// untouched — so each image's output is bit-identical at any n and any
+// tile width.
+func conv2dGEMM(arena *tensor.Arena, kern KernelPath, in *tensor.Tensor, outShape tensor.Shape, p params, kh, kw, stride, padH, padW, groups, workers, n int) *tensor.Tensor {
+	out := arena.Get(batchShape(outShape, n))
+	inC, inH, inW := in.Shape.C()/n, in.Shape.H(), in.Shape.W()
 	outC, outH, outW := outShape.C(), outShape.H(), outShape.W()
 	icpg := inC / groups
 	ocpg := outC / groups
 	kSize := kh * kw * icpg
 	hw := outH * outW
+	nhw := n * hw
 
-	// Seed C with the bias so the GEMM accumulates onto it, matching
-	// the direct kernel's sum-starts-at-bias order.
-	for oc := 0; oc < outC; oc++ {
-		row := out.Data[oc*hw : (oc+1)*hw]
-		var bias float32
-		if p.b != nil {
-			bias = p.b[oc]
-		}
-		for i := range row {
-			row[i] = bias
-		}
-	}
+	seedBias(out.Data, p.b, outC, nhw)
 
-	pure1x1 := kh == 1 && kw == 1 && stride == 1 && padH == 0 && padW == 0
-
-	// The asm driver packs B panels straight from the input tensor
-	// (fused im2col) — the kSize×hw patch matrix is never materialized.
-	if useAsm(kern, ocpg, kSize, hw) {
+	// For a pure 1×1 the packed group slice is already the patch
+	// matrix: row ic starts at ic·n·plane and column (b, pos) sits at
+	// b·plane+pos — exactly the packed data order. No scratch is
+	// materialized, so no image tiling is needed either.
+	if kh == 1 && kw == 1 && stride == 1 && padH == 0 && padW == 0 {
 		for g := 0; g < groups; g++ {
+			b := in.Data[g*icpg*n*inH*inW : (g+1)*icpg*n*inH*inW]
 			a := p.w[g*ocpg*kSize : (g+1)*ocpg*kSize]
-			c := out.Data[g*ocpg*hw : (g+1)*ocpg*hw]
-			pk := bPacker{
-				conv: true, src: in.Data,
-				inH: inH, inW: inW, kh: kh, kw: kw,
-				stride: stride, padH: padH, padW: padW, outW: outW,
-				cLo: g * icpg, n: 1, hw: hw,
-			}
-			if pure1x1 {
-				// The group's input planes already are the patch matrix.
-				pk = bPacker{b: in.Data[g*icpg*inH*inW : (g+1)*icpg*inH*inW], ldb: hw}
-			}
-			sgemmAsm(ocpg, kSize, hw, hw, a, pk, c, workers)
+			c := out.Data[g*ocpg*nhw : (g+1)*ocpg*nhw]
+			sgemmAcc(kern, ocpg, kSize, nhw, nhw, a, b, c, workers)
 		}
 		return out
 	}
 
-	var scratch []float32
-	if !pure1x1 {
-		scratch = arena.GetSlice(kSize * hw)
-		defer arena.PutSlice(scratch)
-	}
-	for g := 0; g < groups; g++ {
-		b := scratch
-		if pure1x1 {
-			b = in.Data[g*icpg*inH*inW : (g+1)*icpg*inH*inW]
-		} else {
-			im2colGroup(in.Data, scratch, g*icpg, icpg, inH, inW, kh, kw, stride, padH, padW, outH, outW, workers)
+	// On the asm path the fused packer synthesizes patch windows
+	// straight from the packed input — across image boundaries — so
+	// the whole batch runs as one GEMM per group with no scratch; the
+	// driver's own NC/KC/MC blocking replaces batchTile's image tiling.
+	if useAsm(kern, ocpg, kSize, nhw) {
+		for g := 0; g < groups; g++ {
+			a := p.w[g*ocpg*kSize : (g+1)*ocpg*kSize]
+			c := out.Data[g*ocpg*nhw : (g+1)*ocpg*nhw]
+			pk := bPacker{
+				conv: true, src: in.Data,
+				inH: inH, inW: inW, kh: kh, kw: kw,
+				stride: stride, padH: padH, padW: padW, outW: outW,
+				cLo: g * icpg, n: n, hw: hw,
+			}
+			sgemmAsm(ocpg, kSize, nhw, nhw, a, pk, c, workers)
 		}
+		return out
+	}
+
+	bt := batchTile(kSize, hw, n)
+	scratch := arena.GetSlice(kSize * bt * hw)
+	defer arena.PutSlice(scratch)
+	for g := 0; g < groups; g++ {
 		a := p.w[g*ocpg*kSize : (g+1)*ocpg*kSize]
-		c := out.Data[g*ocpg*hw : (g+1)*ocpg*hw]
-		sgemmAcc(kern, ocpg, kSize, hw, hw, a, b, c, workers)
+		for b0 := 0; b0 < n; b0 += bt {
+			bw := min(bt, n-b0)
+			im2colTile(in.Data, scratch, g*icpg, icpg, inH, inW, kh, kw, stride, padH, padW, outH, outW, workers, n, b0, bw)
+			c := out.Data[g*ocpg*nhw+b0*hw:]
+			sgemmAcc(kern, ocpg, kSize, bw*hw, nhw, a, scratch, c, workers)
+		}
 	}
 	return out
 }
 
-// denseGEMM is the fully connected layer as a worker-parallel
-// matrix-vector product through the shared kernel.
-func denseGEMM(arena *tensor.Arena, in *tensor.Tensor, p params, outN, workers int) *tensor.Tensor {
-	out := arena.Get(tensor.NewVec(outN))
-	var bias float32
-	for o := 0; o < outN; o++ {
-		if p.b != nil {
-			bias = p.b[o]
-		}
-		out.Data[o] = bias
-	}
-	sgemvAcc(outN, len(in.Data), p.w, in.Data, out.Data, workers)
+// denseGEMM is the fully connected layer over a packed batch of n
+// vectors: C (outN × n) = W (outN × inF) · X (inF × n). The packed
+// input read as a row-major matrix is exactly X and the packed output
+// is exactly C, so the weight matrix streams through once per batch
+// instead of once per job; at n == 1 sgemmAcc runs it as the
+// worker-parallel matrix-vector product.
+func denseGEMM(arena *tensor.Arena, kern KernelPath, in *tensor.Tensor, p params, outN, workers, n int) *tensor.Tensor {
+	out := arena.Get(tensor.NewVec(outN * n))
+	seedBias(out.Data, p.b, outN, n)
+	sgemmAcc(kern, outN, len(in.Data)/n, n, n, p.w, in.Data, out.Data, workers)
 	return out
 }

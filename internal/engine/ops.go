@@ -7,12 +7,14 @@ import (
 	"dnnjps/internal/tensor"
 )
 
-// Direct reference kernels and the lightweight elementwise/pooling
-// ops. conv2dDirect, dwconv2dDirect and denseDirect are the naive
-// implementations kept behind WithKernel(KernelDirect) as the ground
-// truth the GEMM path is parity-tested against. All output buffers
-// come from the model's arena and every kernel writes every output
-// element exactly once, so recycled (dirty) buffers are safe.
+// Direct reference kernels, depthwise convolution and the lightweight
+// elementwise/pooling ops. conv2dDirect, dwconv2dDirect and denseDirect
+// are the naive single-image implementations kept behind
+// WithKernel(KernelDirect) as the ground truth the GEMM path is
+// parity-tested against; every other kernel takes the batch size n and
+// addresses the packed layout (see batch.go). All output buffers come
+// from the model's arena and every kernel writes every output element
+// exactly once, so recycled (dirty) buffers are safe.
 
 // conv2dDirect is a direct grouped convolution in CHW layout with
 // per-axis padding, parallelized over output channels.
@@ -107,9 +109,8 @@ func dwconv2dRange(in, out *tensor.Tensor, p params, kh, kw, stride, pad, inH, i
 }
 
 // dwCell computes one depthwise output element with bounds checks,
-// accumulating r-major then c — the shared order of both kernel paths.
-// inBase is the flat offset of the input plane being convolved, which
-// lets the batched path address plane (c·n+b) with the same code.
+// accumulating r-major then c — the order dwPlane's interior loop
+// keeps. inBase is the flat offset of the input plane being convolved.
 func dwCell(src, w []float32, bias float32, inBase, ihBase, iwBase, wBase, kh, kw, inH, inW int) float32 {
 	sum := bias
 	for r := 0; r < kh; r++ {
@@ -130,13 +131,14 @@ func dwCell(src, w []float32, bias float32, inBase, ihBase, iwBase, wBase, kh, k
 	return sum
 }
 
-// dwconv2dSplit is the fast depthwise convolution: output positions
-// whose kernel window lies fully inside the input run a tight loop
-// with no bounds checks; only the border ring pays for them. The
+// dwconv2d is the fast depthwise convolution over the C·n planes of a
+// packed batch, channel c's kernel serving its n image planes: output
+// positions whose kernel window lies fully inside the input run a tight
+// loop with no bounds checks; only the border ring pays for them. The
 // accumulation order per element is identical to dwconv2dDirect, so
 // outputs match bit for bit.
-func dwconv2dSplit(arena *tensor.Arena, in *tensor.Tensor, outShape tensor.Shape, p params, kh, kw, stride, pad, workers int) *tensor.Tensor {
-	out := arena.Get(outShape)
+func dwconv2d(arena *tensor.Arena, in *tensor.Tensor, outShape tensor.Shape, p params, kh, kw, stride, pad, workers, n int) *tensor.Tensor {
+	out := arena.Get(batchShape(outShape, n))
 	inH, inW := in.Shape.H(), in.Shape.W()
 	outC, outH, outW := outShape.C(), outShape.H(), outShape.W()
 
@@ -145,36 +147,41 @@ func dwconv2dSplit(arena *tensor.Arena, in *tensor.Tensor, outShape tensor.Shape
 	ohLo, ohHi := interiorRange(inH, kh, stride, pad, outH)
 	owLo, owHi := interiorRange(inW, kw, stride, pad, outW)
 
-	if serialSpan(workers, outC) {
-		dwSplitRange(in, out, p, kh, kw, stride, pad, inH, inW, outH, outW,
-			ohLo, ohHi, owLo, owHi, 0, outC)
+	if serialSpan(workers, outC*n) {
+		dwPlanes(0, outC*n, in.Data, out.Data, p, n, kh, kw, stride, pad,
+			inH, inW, outH, outW, ohLo, ohHi, owLo, owHi)
 		return out
 	}
-	parallelFor(workers, outC, func(cLo, cHi int) {
-		dwSplitRange(in, out, p, kh, kw, stride, pad, inH, inW, outH, outW,
-			ohLo, ohHi, owLo, owHi, cLo, cHi)
+	parallelFor(workers, outC*n, func(pLo, pHi int) {
+		dwPlanes(pLo, pHi, in.Data, out.Data, p, n, kh, kw, stride, pad,
+			inH, inW, outH, outW, ohLo, ohHi, owLo, owHi)
 	})
 	return out
 }
 
-// dwSplitRange runs dwPlane over channels [cLo, cHi).
-func dwSplitRange(in, out *tensor.Tensor, p params, kh, kw, stride, pad, inH, inW, outH, outW,
-	ohLo, ohHi, owLo, owHi, cLo, cHi int) {
-	for c := cLo; c < cHi; c++ {
+// dwPlanes convolves packed planes [pLo, pHi); plane pl holds image
+// b = pl%n of channel c = pl/n, stepped rather than divided per plane:
+// MobileNet's late 7×7 planes are small enough for a 64-bit division
+// each to show.
+func dwPlanes(pLo, pHi int, src, dst []float32, p params, n, kh, kw, stride, pad,
+	inH, inW, outH, outW, ohLo, ohHi, owLo, owHi int) {
+	c, b := pLo/n, pLo%n
+	for pl := pLo; pl < pHi; pl++ {
 		var bias float32
 		if p.b != nil {
 			bias = p.b[c]
 		}
-		dwPlane(in.Data, out.Data, p.w, bias, c*inH*inW, c*outH*outW, c*kh*kw,
+		dwPlane(src, dst, p.w, bias, pl*inH*inW, pl*outH*outW, c*kh*kw,
 			kh, kw, stride, pad, inH, inW, outH, outW, ohLo, ohHi, owLo, owHi)
+		if b++; b == n {
+			c, b = c+1, 0
+		}
 	}
 }
 
 // dwPlane runs the interior/border-split depthwise convolution of one
 // input plane (flat offset inBase) into one output plane (outBase)
-// with the kernel at wBase. Both the single-image path (plane c) and
-// the batched path (plane c·n+b) go through here, so their per-element
-// accumulation order is identical by construction.
+// with the kernel at wBase.
 func dwPlane(src, dst, w []float32, bias float32, inBase, outBase, wBase,
 	kh, kw, stride, pad, inH, inW, outH, outW, ohLo, ohHi, owLo, owHi int) {
 	borderRow := func(oh int) {
@@ -235,24 +242,25 @@ func interiorRange(inDim, k, stride, pad, outDim int) (lo, hi int) {
 	return lo, hi
 }
 
-func maxpool(arena *tensor.Arena, in *tensor.Tensor, outShape tensor.Shape, k, stride, pad, workers int) *tensor.Tensor {
-	out := arena.Get(outShape)
+// maxpool pools each of the C·n planes of a packed batch on its own.
+func maxpool(arena *tensor.Arena, in *tensor.Tensor, outShape tensor.Shape, k, stride, pad, workers, n int) *tensor.Tensor {
+	out := arena.Get(batchShape(outShape, n))
 	inH, inW := in.Shape.H(), in.Shape.W()
-	outC, outH, outW := outShape.C(), outShape.H(), outShape.W()
-	if serialSpan(workers, outC) {
-		maxpoolPlanes(in.Data, out.Data, 0, outC, inH, inW, outH, outW, k, stride, pad)
+	planes, outH, outW := outShape.C()*n, outShape.H(), outShape.W()
+	if serialSpan(workers, planes) {
+		maxpoolPlanes(in.Data, out.Data, 0, planes, inH, inW, outH, outW, k, stride, pad)
 		return out
 	}
-	parallelFor(workers, outC, func(cLo, cHi int) {
-		maxpoolPlanes(in.Data, out.Data, cLo, cHi, inH, inW, outH, outW, k, stride, pad)
+	parallelFor(workers, planes, func(pLo, pHi int) {
+		maxpoolPlanes(in.Data, out.Data, pLo, pHi, inH, inW, outH, outW, k, stride, pad)
 	})
 	return out
 }
 
-// maxpoolPlanes pools channels [cLo, cHi).
-func maxpoolPlanes(src, dst []float32, cLo, cHi, inH, inW, outH, outW, k, stride, pad int) {
-	for c := cLo; c < cHi; c++ {
-		maxpoolPlane(src[c*inH*inW:], dst[c*outH*outW:],
+// maxpoolPlanes pools planes [pLo, pHi).
+func maxpoolPlanes(src, dst []float32, pLo, pHi, inH, inW, outH, outW, k, stride, pad int) {
+	for pl := pLo; pl < pHi; pl++ {
+		maxpoolPlane(src[pl*inH*inW:], dst[pl*outH*outW:],
 			inH, inW, outH, outW, k, stride, pad)
 	}
 }
@@ -282,24 +290,25 @@ func maxpoolPlane(src, dst []float32, inH, inW, outH, outW, k, stride, pad int) 
 	}
 }
 
-func avgpool(arena *tensor.Arena, in *tensor.Tensor, outShape tensor.Shape, k, stride, pad, workers int) *tensor.Tensor {
-	out := arena.Get(outShape)
+// avgpool pools each of the C·n planes of a packed batch on its own.
+func avgpool(arena *tensor.Arena, in *tensor.Tensor, outShape tensor.Shape, k, stride, pad, workers, n int) *tensor.Tensor {
+	out := arena.Get(batchShape(outShape, n))
 	inH, inW := in.Shape.H(), in.Shape.W()
-	outC, outH, outW := outShape.C(), outShape.H(), outShape.W()
-	if serialSpan(workers, outC) {
-		avgpoolPlanes(in.Data, out.Data, 0, outC, inH, inW, outH, outW, k, stride, pad)
+	planes, outH, outW := outShape.C()*n, outShape.H(), outShape.W()
+	if serialSpan(workers, planes) {
+		avgpoolPlanes(in.Data, out.Data, 0, planes, inH, inW, outH, outW, k, stride, pad)
 		return out
 	}
-	parallelFor(workers, outC, func(cLo, cHi int) {
-		avgpoolPlanes(in.Data, out.Data, cLo, cHi, inH, inW, outH, outW, k, stride, pad)
+	parallelFor(workers, planes, func(pLo, pHi int) {
+		avgpoolPlanes(in.Data, out.Data, pLo, pHi, inH, inW, outH, outW, k, stride, pad)
 	})
 	return out
 }
 
-// avgpoolPlanes pools channels [cLo, cHi).
-func avgpoolPlanes(src, dst []float32, cLo, cHi, inH, inW, outH, outW, k, stride, pad int) {
-	for c := cLo; c < cHi; c++ {
-		avgpoolPlane(src[c*inH*inW:], dst[c*outH*outW:],
+// avgpoolPlanes pools planes [pLo, pHi).
+func avgpoolPlanes(src, dst []float32, pLo, pHi, inH, inW, outH, outW, k, stride, pad int) {
+	for pl := pLo; pl < pHi; pl++ {
+		avgpoolPlane(src[pl*inH*inW:], dst[pl*outH*outW:],
 			inH, inW, outH, outW, k, stride, pad)
 	}
 }
@@ -426,27 +435,51 @@ func batchNorm(arena *tensor.Arena, in *tensor.Tensor, p params, n int) *tensor.
 
 // lrn implements AlexNet-style local response normalization across
 // channels with the standard constants (k=2, alpha=1e-4, beta=0.75).
-func lrn(arena *tensor.Arena, in *tensor.Tensor, size int) *tensor.Tensor {
+// The neighbors of channel ch for image b are the packed planes
+// (cc·n+b).
+func lrn(arena *tensor.Arena, in *tensor.Tensor, size, n int) *tensor.Tensor {
 	out := arena.Get(in.Shape)
-	c, h, w := in.Shape.C(), in.Shape.H(), in.Shape.W()
+	c, h, w := in.Shape.C()/n, in.Shape.H(), in.Shape.W()
 	plane := h * w
 	half := size / 2
 	for ch := 0; ch < c; ch++ {
-		lo, hi := ch-half, ch+half
-		if lo < 0 {
-			lo = 0
-		}
-		if hi >= c {
-			hi = c - 1
-		}
-		for i := 0; i < plane; i++ {
-			var sq float64
-			for cc := lo; cc <= hi; cc++ {
-				v := float64(in.Data[cc*plane+i])
-				sq += v * v
+		lo, hi := max(ch-half, 0), min(ch+half, c-1)
+		for b := 0; b < n; b++ {
+			base := (ch*n + b) * plane
+			for i := 0; i < plane; i++ {
+				var sq float64
+				for cc := lo; cc <= hi; cc++ {
+					v := float64(in.Data[(cc*n+b)*plane+i])
+					sq += v * v
+				}
+				denom := math.Pow(2+1e-4*sq, 0.75)
+				out.Data[base+i] = float32(float64(in.Data[base+i]) / denom)
 			}
-			denom := math.Pow(2+1e-4*sq, 0.75)
-			out.Data[ch*plane+i] = float32(float64(in.Data[ch*plane+i]) / denom)
+		}
+	}
+	return out
+}
+
+// flatten reshapes a packed CHW batch into a packed vector batch. The
+// layouts — (c, b, hw) vs (c·hw, b) — coincide at n == 1 and at spatial
+// extent 1, where the result is a view of the input's buffer; otherwise
+// a transpose through the arena is needed.
+func flatten(arena *tensor.Arena, in *tensor.Tensor, n int) *tensor.Tensor {
+	if in.Shape.Rank() == 1 {
+		return in
+	}
+	hw := in.Shape.H() * in.Shape.W()
+	if n == 1 || hw == 1 {
+		return in.Flatten()
+	}
+	c := in.Shape.C() / n
+	out := arena.Get(tensor.NewVec(c * hw * n))
+	for ch := 0; ch < c; ch++ {
+		for b := 0; b < n; b++ {
+			src := in.Data[(ch*n+b)*hw:][:hw]
+			for i, v := range src {
+				out.Data[(ch*hw+i)*n+b] = v
+			}
 		}
 	}
 	return out
@@ -479,22 +512,27 @@ func add(arena *tensor.Arena, ins []*tensor.Tensor, inPlace bool) *tensor.Tensor
 	return out
 }
 
-func softmax(arena *tensor.Arena, in *tensor.Tensor) *tensor.Tensor {
+// softmax normalizes each image of a packed vector batch independently,
+// scanning ascending feature index.
+func softmax(arena *tensor.Arena, in *tensor.Tensor, n int) *tensor.Tensor {
 	out := arena.Get(in.Shape)
-	maxV := float32(math.Inf(-1))
-	for _, v := range in.Data {
-		if v > maxV {
-			maxV = v
+	f := len(in.Data) / n
+	for b := 0; b < n; b++ {
+		maxV := float32(math.Inf(-1))
+		for i := 0; i < f; i++ {
+			if v := in.Data[i*n+b]; v > maxV {
+				maxV = v
+			}
 		}
-	}
-	var sum float64
-	for i, v := range in.Data {
-		e := math.Exp(float64(v - maxV))
-		out.Data[i] = float32(e)
-		sum += e
-	}
-	for i := range out.Data {
-		out.Data[i] = float32(float64(out.Data[i]) / sum)
+		var sum float64
+		for i := 0; i < f; i++ {
+			e := math.Exp(float64(in.Data[i*n+b] - maxV))
+			out.Data[i*n+b] = float32(e)
+			sum += e
+		}
+		for i := 0; i < f; i++ {
+			out.Data[i*n+b] = float32(float64(out.Data[i*n+b]) / sum)
+		}
 	}
 	return out
 }

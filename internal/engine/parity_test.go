@@ -191,9 +191,11 @@ func TestForwardParityBranchy(t *testing.T) {
 
 func TestForwardParityAlexNet(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full AlexNet forward on the direct path is slow")
+		t.Skip("full forwards on the direct path are slow")
 	}
-	runBothKernels(t, models.MustBuild("alexnet"), 3)
+	for _, name := range []string{"alexnet", "mobilenetv2"} {
+		t.Run(name, func(t *testing.T) { runBothKernels(t, models.MustBuild(name), 3) })
+	}
 }
 
 // Repeated forwards through the same model must be bit-identical:

@@ -77,7 +77,7 @@ func (m *Model) Calibrate(inputs []*tensor.Tensor) (*Calibration, error) {
 					ins = append(ins, acts[p])
 				}
 				var err error
-				out, err = m.eval(id, node, ins, preds, st)
+				out, err = m.eval(id, node, ins, preds, st, 1)
 				if err != nil {
 					return nil, err
 				}
@@ -152,7 +152,7 @@ func (m *Model) Quantize(cal *Calibration) (*Model, error) {
 		switch l := node.Layer.(type) {
 		case *nn.Conv2D:
 			ins := m.g.InputShapes(id)
-			inC := ins[0].C() / maxInt(l.Groups, 1)
+			inC := ins[0].C() / max(l.Groups, 1)
 			q.layers[id] = m.quantizeLayer(id, l.OutC, l.KH*l.KW*inC, q)
 		case *nn.DepthwiseConv2D:
 			ins := m.g.InputShapes(id)
@@ -260,7 +260,7 @@ func (m *Model) qconv2d(id int, l *nn.Conv2D, in *tensor.Tensor, pred int, outSh
 	q := m.quant
 	ql := q.layers[id]
 	qp := q.act[pred]
-	groups := maxInt(l.Groups, 1)
+	groups := max(l.Groups, 1)
 
 	out := m.arena.Get(outShape)
 	inC, inH, inW := in.Shape.C(), in.Shape.H(), in.Shape.W()

@@ -58,6 +58,13 @@ go test -tags noasm ./internal/engine/
 echo "== go test"
 go test ./...
 
+echo "== benchmark module (vet + test; read-only)"
+# benchmark/ is its own module (replace dnnjps => ../, stdlib only), so
+# ./... above never compiles it — and it is the acceptance instrument:
+# renaming an exported engine or runtime function it calls must fail
+# here, not in the pipeline's benchmark build.
+(cd benchmark && go vet ./... && go test ./...)
+
 echo "== go test -race (engine, flowshop)"
 # On AVX2 hosts this leg drives the assembly kernels too: the parity
 # tests force KernelAsm at workers>1, racing the packed-panel fan-out.
