@@ -207,16 +207,23 @@ func TestChainFourTier(t *testing.T) {
 	}
 }
 
-// Planning cost of the k-way path at depth 2; scripts/benchgate.sh
-// gates it (ns/op and exact allocs/op) against BENCH_runtime.json.
+// Planning cost of the k-way path at depth 2, at the golden tables'
+// n = 20 and the paper's n = 100; scripts/benchgate.sh gates both
+// (ns/op and allocs/op) against BENCH_runtime.json.
 func BenchmarkChainPlanning(b *testing.B) {
 	g := models.MustBuild("alexnet")
 	ch := threeTierChain()
-	b.Run("kway", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := JPSChain(g, ch, 20); err != nil {
-				b.Fatal(err)
+	for _, leg := range []struct {
+		name string
+		n    int
+	}{{"kway", 20}, {"kway-n100", 100}} {
+		b.Run(leg.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := JPSChain(g, ch, leg.n); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
+		})
+	}
 }

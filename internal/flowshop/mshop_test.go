@@ -1,9 +1,11 @@
 package flowshop
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -227,5 +229,238 @@ func TestCDSExactWhenThirdStageNegligible(t *testing.T) {
 		if got := MakespanM(CDSM(jobs)); math.Abs(got-best) > 1e-6 {
 			t.Fatalf("trial %d: CDSM %g != optimum %g with negligible stage 3", trial, got, best)
 		}
+	}
+}
+
+// ---- reference sequencer (oracle) ----
+//
+// The direct-evaluation algorithms mshop.go ran before Taillard's
+// acceleration and the incremental descent: NEH tries every insertion
+// with a full MakespanM, the descent re-evaluates every swap in full.
+// O(n³·m); they live here only, as what the production code is pinned
+// against.
+
+func refNEHM(jobs []JobM) []JobM {
+	order := cloneJobsM(jobs)
+	sort.SliceStable(order, func(i, j int) bool {
+		ti, tj := order[i].Total(), order[j].Total()
+		if ti != tj {
+			return ti > tj
+		}
+		return order[i].ID < order[j].ID
+	})
+	seq := make([]JobM, 0, len(order))
+	for _, j := range order {
+		bestPos, bestSpan := 0, -1.0
+		for pos := 0; pos <= len(seq); pos++ {
+			trial := make([]JobM, 0, len(seq)+1)
+			trial = append(trial, seq[:pos]...)
+			trial = append(trial, j)
+			trial = append(trial, seq[pos:]...)
+			if span := MakespanM(trial); bestSpan < 0 || span < bestSpan {
+				bestPos, bestSpan = pos, span
+			}
+		}
+		seq = append(seq[:bestPos], append([]JobM{j}, seq[bestPos:]...)...)
+	}
+	return seq
+}
+
+func refSwapDescentM(seq []JobM) []JobM {
+	cur := append([]JobM(nil), seq...)
+	span := MakespanM(cur)
+	for improved := true; improved; {
+		improved = false
+		for i := 0; i < len(cur); i++ {
+			for j := i + 1; j < len(cur); j++ {
+				cur[i], cur[j] = cur[j], cur[i]
+				if s := MakespanM(cur); s < span-1e-12 {
+					span = s
+					improved = true
+				} else {
+					cur[i], cur[j] = cur[j], cur[i]
+				}
+			}
+		}
+	}
+	return cur
+}
+
+func refScheduleM(jobs []JobM) []JobM {
+	cds := CDSM(jobs)
+	neh := refNEHM(jobs)
+	seq := cds
+	if MakespanM(neh) < MakespanM(cds) {
+		seq = neh
+	}
+	return refSwapDescentM(seq)
+}
+
+func idsM(seq []JobM) []int {
+	out := make([]int, len(seq))
+	for i, j := range seq {
+		out[i] = j.ID
+	}
+	return out
+}
+
+// typedJobsM draws n jobs from `types` distinct random stage vectors
+// (types <= 0: all distinct) — JPSChain's traffic is the 2-type case.
+func typedJobsM(rng *rand.Rand, n, m, types int) []JobM {
+	if types <= 0 {
+		return randJobsM(rng, n, m)
+	}
+	protos := randJobsM(rng, types, m)
+	jobs := make([]JobM, n)
+	for i := range jobs {
+		jobs[i] = JobM{ID: i, Stages: protos[rng.Intn(types)].Stages}
+	}
+	return jobs
+}
+
+// (a) Taillard's NEH is the direct NEH in exact arithmetic: on
+// integer-valued stage times (every sum exact in float64) it returns
+// the direct form's sequence, ties and all.
+func TestNEHMMatchesDirectOnIntegers(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	for trial := 0; trial < 200; trial++ {
+		jobs := randJobsM(rng, 1+rng.Intn(60), 1+rng.Intn(5))
+		for i := range jobs {
+			for k := range jobs[i].Stages {
+				// Small range: plenty of exact ties.
+				jobs[i].Stages[k] = float64(rng.Intn(20))
+			}
+		}
+		if got, want := idsM(NEHM(jobs)), idsM(refNEHM(jobs)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d (n=%d m=%d): NEHM %v != direct %v", trial, len(jobs), len(jobs[0].Stages), got, want)
+		}
+	}
+}
+
+// (b) The descent's three shortcuts (cached prefix state, identical-job
+// skip, monotone early reject) are exact on floats: from the same start
+// it ends on the full-re-evaluation descent's sequence, whether the
+// jobs are all distinct, all identical, or of a few types.
+func TestSwapDescentMatchesFullReevaluation(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for trial := 0; trial < 600; trial++ {
+		n, m := 1+rng.Intn(60), 1+rng.Intn(5)
+		jobs := typedJobsM(rng, n, m, trial%5) // 0: all distinct; 1: all identical; 2..4 types
+		start := refNEHM(jobs)
+		if trial%2 == 1 {
+			start = cloneJobsM(jobs) // an unpolished start: many accepted swaps
+		}
+		want := idsM(refSwapDescentM(start))
+		swapDescentM(start)
+		if got := idsM(start); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d (n=%d m=%d types=%d): descent %v != full re-evaluation %v",
+				trial, n, m, trial%5, got, want)
+		}
+	}
+}
+
+// (d) What callers see of NEH's float tie-breaking (see nehOrder): on
+// random float instances ScheduleM may return a different sequence
+// than the direct form, as often better as worse — the mean makespan
+// ratio is 1 to three digits — and always a permutation of its input.
+func TestScheduleMRatioVsReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	var sum float64
+	worse, better, equal := 0, 0, 0
+	const trials = 600
+	for trial := 0; trial < trials; trial++ {
+		n, m := 2+rng.Intn(60), 2+rng.Intn(4)
+		jobs := typedJobsM(rng, n, m, (trial%2)*(1+rng.Intn(4))) // half all-distinct, half 1–4 types
+		got := ScheduleM(jobs)
+		seen := make([]bool, n)
+		for _, j := range got {
+			if j.ID < 0 || j.ID >= n || seen[j.ID] || !reflect.DeepEqual(j.Stages, jobs[j.ID].Stages) {
+				t.Fatalf("trial %d: ScheduleM result is not a permutation of its input: %v", trial, idsM(got))
+			}
+			seen[j.ID] = true
+		}
+		if len(got) != n {
+			t.Fatalf("trial %d: %d jobs in, %d out", trial, n, len(got))
+		}
+		r := MakespanM(got) / MakespanM(refScheduleM(jobs))
+		sum += r
+		switch {
+		case r > 1:
+			worse++
+		case r < 1:
+			better++
+		default:
+			equal++
+		}
+	}
+	mean := sum / trials
+	t.Logf("ScheduleM new/direct makespan over %d instances: mean %.6f, %d worse / %d better / %d equal",
+		trials, mean, worse, better, equal)
+	if mean < 0.999 || mean > 1.001 {
+		t.Errorf("mean makespan ratio %.6f outside [0.999, 1.001]", mean)
+	}
+}
+
+// (e) Scratch lives for one call and is a handful of flat matrices:
+// ScheduleM at the paper's n=100 on a 3-machine chain stays under 80
+// allocations (the two Johnson calls inside CDS are ~30 of them; the
+// direct form made ~16 000).
+func TestScheduleMAllocs(t *testing.T) {
+	jobs := typedJobsM(rand.New(rand.NewSource(23)), 100, 3, 2)
+	if got := testing.AllocsPerRun(10, func() { ScheduleM(jobs) }); got > 80 {
+		t.Errorf("ScheduleM(n=100, m=3) = %.0f allocs/run, want <= 80", got)
+	}
+	distinct := randJobsM(rand.New(rand.NewSource(23)), 100, 3)
+	if got := testing.AllocsPerRun(10, func() { ScheduleM(distinct) }); got > 80 {
+		t.Errorf("ScheduleM(n=100, m=3, all distinct) = %.0f allocs/run, want <= 80", got)
+	}
+}
+
+// Ragged jobs fail loudly at every sequencer's entry, in both
+// directions, instead of an index panic deep in the recurrence (short
+// job) or a silent truncation (long job).
+func TestRaggedJobsPanic(t *testing.T) {
+	short := []JobM{{ID: 0, Stages: []float64{1, 2, 3}}, {ID: 1, Stages: []float64{1, 2}}}
+	long := []JobM{{ID: 0, Stages: []float64{1, 2, 3}}, {ID: 1, Stages: []float64{1, 2, 3, 4}}}
+	entries := map[string]func([]JobM){
+		"CDSM":             func(j []JobM) { CDSM(j) },
+		"NEHM":             func(j []JobM) { NEHM(j) },
+		"ScheduleM":        func(j []JobM) { ScheduleM(j) },
+		"BestPermutationM": func(j []JobM) { BestPermutationM(j) },
+	}
+	for name, call := range entries {
+		for want, jobs := range map[string][]JobM{
+			"flowshop: job 1 has 2 stages, want 3": short,
+			"flowshop: job 1 has 4 stages, want 3": long,
+		} {
+			func() {
+				defer func() {
+					if got := recover(); got != want {
+						t.Errorf("%s: panic %v, want %q", name, got, want)
+					}
+				}()
+				call(jobs)
+			}()
+		}
+	}
+	// The evaluators keep their degenerate results.
+	if MakespanM(nil) != 0 || MakespanM([]JobM{{}}) != 0 || len(CompletionsM(nil)) != 0 {
+		t.Error("MakespanM/CompletionsM: empty or zero-stage sequences must evaluate to 0")
+	}
+}
+
+// n=400 beside n=100 makes the growth visible. The jobs are of two
+// types, the shape of JPSChain's traffic, where NEH and the descent are
+// both O(n²·m): ≈ 16× for 4× n (the direct form: 53×). On all-distinct
+// jobs the descent's walk from i to j is cubic and dominates (≈ 40×).
+func BenchmarkScheduleM(b *testing.B) {
+	for _, n := range []int{100, 400} {
+		jobs := typedJobsM(rand.New(rand.NewSource(24)), n, 3, 2)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ScheduleM(jobs)
+			}
+		})
 	}
 }

@@ -12,7 +12,7 @@ OUT="BENCH_runtime.json"
 RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
 
-echo "== go test -bench (engine x3, runtime, core; benchtime=$BENCHTIME)"
+echo "== go test -bench (engine x3, runtime, core, flowshop; benchtime=$BENCHTIME)"
 # The engine package runs -count=3 and the parser keeps the per-name
 # minimum: on a shared box, scheduler/neighbor noise is strictly
 # additive, so the min is the least-contended measurement and the only
@@ -22,7 +22,7 @@ echo "== go test -bench (engine x3, runtime, core; benchtime=$BENCHTIME)"
 go test -run NONE -bench . -benchmem -benchtime "$BENCHTIME" -count=3 \
     ./internal/engine/ > "$RAW"
 go test -run NONE -bench . -benchmem -benchtime "$BENCHTIME" \
-    ./internal/runtime/ ./internal/core/ >> "$RAW"
+    ./internal/runtime/ ./internal/core/ ./internal/flowshop/ >> "$RAW"
 cat "$RAW"
 
 # Parse `BenchmarkName  N  ns/op [B/op allocs/op ...]` lines into JSON,

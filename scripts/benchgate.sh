@@ -34,7 +34,7 @@ trap 'rm -f "$RAW"' EXIT
 # through tee: `cmd | tee` under plain sh masks the benchmark's exit.)
 go test -run NONE -bench 'Forward|SgemmCrossover' -benchmem -benchtime 3x -count=3 ./internal/engine/ > "$RAW"
 go test -run NONE -bench 'FleetServer|RunnerAdaptive' -benchmem -benchtime 3x ./internal/runtime/ >> "$RAW"
-go test -run NONE -bench 'ChainPlanning' -benchmem -benchtime 3x ./internal/core/ >> "$RAW"
+go test -run NONE -bench 'ChainPlanning|ScheduleM' -benchmem -benchtime 3x ./internal/core/ ./internal/flowshop/ >> "$RAW"
 cat "$RAW"
 
 awk '

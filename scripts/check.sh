@@ -91,7 +91,11 @@ echo "== heuristic gap vs offline-optimal brute force"
 # The documented-bound legs: the m-machine flow-shop scheduler against
 # exhaustive sequencing (bounds 1.06x/1.35x, see DESIGN.md §12) and the
 # k-way chain planner against the partition brute force (tripwire 50%).
-go test -run 'TestScheduleMGapVsBruteForce' -count=1 ./internal/flowshop/
+# With them, the sequencer against its direct-evaluation oracle: NEH
+# exact on integers, the descent exact on floats, ScheduleM's makespan
+# ratio on random floats, and identical sequences on JPSChain's traffic.
+go test -run 'TestScheduleMGapVsBruteForce|TestNEHMMatchesDirectOnIntegers|TestSwapDescentMatchesFullReevaluation|TestScheduleMRatioVsReference' -count=1 ./internal/flowshop/
+go test -run 'TestScheduleMMatchesReferenceOnChainTraffic' -count=1 ./internal/core/
 go test -run 'TestChainGapExperiment' -count=1 ./internal/experiments/
 
 echo "== fuzz smoke (10s per target)"
