@@ -185,11 +185,17 @@ func run(env experiments.Env, id, model, traceOut, traceJSON, adaptTrace string)
 		// Live execution: real engine compute on this host plus the
 		// simulated Wi-Fi channel in real time, so a run takes a few
 		// seconds. Deliberately not part of -all.
+		// The second row is GoogLeNet's Algorithm 3 plan: cut-node sets,
+		// several boundary tensors per job, on the same pipelined client.
 		res, err := experiments.RuntimePipeline(env, model, withDownlink(netsim.WiFi), 8, 1.0)
 		if err != nil {
 			return nil, err
 		}
-		return []*report.Table{experiments.RuntimeTable([]*experiments.RuntimeResult{res})}, nil
+		gen, err := experiments.RuntimePipelineGeneral(env, "googlenet", withDownlink(netsim.WiFi), 8, 1.0)
+		if err != nil {
+			return nil, err
+		}
+		return []*report.Table{experiments.RuntimeTable([]*experiments.RuntimeResult{res, gen})}, nil
 	case "trace":
 		// Instrumented live execution: the run is recorded span by span,
 		// bridged into Gantt form, and plotted against the Prop. 4.1
@@ -236,12 +242,18 @@ func run(env experiments.Env, id, model, traceOut, traceJSON, adaptTrace string)
 		// plan runs through the fault-tolerant runner at each drop rate
 		// and is compared against the no-fault Prop. 4.1 closed form.
 		// Like "runtime", this runs in real time and is not part of -all.
+		// The last row is GoogLeNet's Algorithm 3 plan at 5% drops.
 		rows, err := experiments.RuntimeFaults(env, model, withDownlink(netsim.WiFi), 12, 1.0,
 			[]float64{0, 1, 5, 20}, 1)
 		if err != nil {
 			return nil, err
 		}
-		return []*report.Table{experiments.RuntimeFaultsTable(rows)}, nil
+		gen, err := experiments.RuntimeFaultsGeneral(env, "googlenet", withDownlink(netsim.WiFi), 12, 1.0,
+			[]float64{5}, 1)
+		if err != nil {
+			return nil, err
+		}
+		return []*report.Table{experiments.RuntimeFaultsTable(append(rows, gen...))}, nil
 	case "hetero":
 		rows, err := experiments.HeteroWorkload(env)
 		if err != nil {

@@ -37,6 +37,34 @@ type GeneralPlan struct {
 	// CutNodes[j] lists the cut node of each path for job j (the
 	// partition set P_j of §3.1).
 	CutNodes [][]int
+	// Channel is the channel the plan was priced on.
+	Channel netsim.Channel
+}
+
+// JobSequence is the plan's job-level view, the unit the runtime ships:
+// one frame per job. Job j's A is Σ ActualF and its B Σ ActualG over its
+// path jobs, less the channel setups after the first (a frame pays
+// SetupMs once, the path-level model once per cut tensor). Each node and
+// each cut tensor is counted once per job, so neither sum depends on how
+// Sequence interleaves paths. Johnson-ordered; its flowshop.Makespan is
+// the job-level makespan, not Makespan (EXPERIMENTS.md "Path-level vs
+// job-level").
+func (p *GeneralPlan) JobSequence() []flowshop.Job {
+	jobs := make([]flowshop.Job, len(p.CutNodes))
+	for j := range jobs {
+		jobs[j].ID = j
+	}
+	for _, pj := range p.Sequence {
+		j := &jobs[pj.Job]
+		j.A += pj.ActualF
+		if pj.ActualG > 0 {
+			if j.B > 0 {
+				j.B -= p.Channel.SetupMs
+			}
+			j.B += pj.ActualG
+		}
+	}
+	return flowshop.Johnson(jobs)
 }
 
 // AvgMs is Makespan divided by the number of jobs.
@@ -190,6 +218,7 @@ func PlanGeneral(g *dag.Graph, mobile, cloud profile.Device, ch netsim.Channel, 
 			Sequence: seq,
 			Makespan: flowshop.Makespan(actual),
 			CutNodes: cutNodes,
+			Channel:  ch,
 		}
 	}
 
@@ -269,6 +298,7 @@ func generalFromLinePlan(g *dag.Graph, curve *profile.Curve, p *Plan, name strin
 		Sequence: seq,
 		Makespan: p.Makespan,
 		CutNodes: cutNodes,
+		Channel:  curve.Channel,
 	}
 }
 

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"dnnjps/internal/dag"
+	"dnnjps/internal/flowshop"
 	"dnnjps/internal/models"
 	"dnnjps/internal/netsim"
 	"dnnjps/internal/nn"
@@ -256,4 +259,73 @@ func TestPlanGeneralInceptionV4(t *testing.T) {
 		t.Errorf("converted to %d paths, want >= 4 (widest region is 6-way)", len(pure.Paths))
 	}
 	assertPathsCoverGraph(t, g, pure.Paths)
+}
+
+// TestJobSequenceIsTheJobLevelView: the job-level view of an Alg. 3
+// plan holds each job once, with the mobile time of its deduplicated
+// path jobs and their upload time less the repeated channel setups, in
+// Johnson order. Its makespan is not the path-level Makespan — the
+// table this logs is EXPERIMENTS.md's "Path-level vs job-level".
+func TestJobSequenceIsTheJobLevelView(t *testing.T) {
+	pi, gpu := devices()
+	const n = 8
+	for _, name := range []string{"googlenet", "resnet18", "squeezenet"} {
+		g := models.MustBuild(name)
+		for _, ch := range []netsim.Channel{netsim.WiFi, netsim.FourG} {
+			gp, err := PlanGeneral(g, pi, gpu, ch, tensor.Float32, n, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seq := gp.JobSequence()
+			if len(seq) != n {
+				t.Fatalf("%s %s: %d jobs in the job-level view, want %d", name, ch.Name, len(seq), n)
+			}
+			a, b, uploads := make([]float64, n), make([]float64, n), make([]int, n)
+			for _, pj := range gp.Sequence {
+				a[pj.Job] += pj.ActualF
+				b[pj.Job] += pj.ActualG
+				if pj.ActualG > 0 {
+					uploads[pj.Job]++
+				}
+			}
+			seen := map[int]bool{}
+			for _, fj := range seq {
+				if seen[fj.ID] {
+					t.Fatalf("%s %s: job %d twice", name, ch.Name, fj.ID)
+				}
+				seen[fj.ID] = true
+				wantB := b[fj.ID] - float64(max(uploads[fj.ID]-1, 0))*ch.SetupMs
+				if math.Abs(fj.A-a[fj.ID]) > 1e-9 || math.Abs(fj.B-wantB) > 1e-9 {
+					t.Errorf("%s %s job %d: (A, B) = (%g, %g), want (%g, %g)", name, ch.Name, fj.ID, fj.A, fj.B, a[fj.ID], wantB)
+				}
+			}
+			johnson := flowshop.Johnson(seq)
+			for i := range seq {
+				if seq[i] != johnson[i] {
+					t.Fatalf("%s %s: job-level view is not Johnson-ordered at %d", name, ch.Name, i)
+				}
+			}
+			jobLevel := flowshop.Makespan(seq)
+			t.Logf("%-10s %-5s path-level %.1f ms, job-level %.1f ms (%+.1f%%), up to %d tensors per job",
+				name, ch.Name, gp.Makespan, jobLevel, (jobLevel/gp.Makespan-1)*100, slices.Max(uploads))
+		}
+	}
+}
+
+// A lifted line plan has one path job per job, so its job-level view is
+// the line plan's own sequence.
+func TestJobSequenceOfLinePlanIsItsSequence(t *testing.T) {
+	g := models.MustBuild("resnet18")
+	pi, gpu := devices()
+	curve := profile.BuildCurve(g, pi, gpu, netsim.FourG, tensor.Float32)
+	p, err := JPS(curve, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := generalFromLinePlan(g, curve, p, "JPS-line").JobSequence()
+	for i, fj := range p.Sequence {
+		if seq[i] != fj {
+			t.Fatalf("position %d: %+v, line plan has %+v", i, seq[i], fj)
+		}
+	}
 }

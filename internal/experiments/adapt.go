@@ -104,16 +104,7 @@ func RuntimeAdapt(env Env, n int, timeScale float64, seed int64) ([]*AdaptRow, *
 		return nil, nil, err
 	}
 
-	units := profile.LineView(g)
-	inShape := g.Node(units[0].Exit).OutShape
-	inputs := make([]*tensor.Tensor, n)
-	for i := range inputs {
-		in := tensor.New(inShape)
-		for j := range in.Data {
-			in.Data[j] = float32((j+i*13)%29)/29 - 0.5
-		}
-		inputs[i] = in
-	}
+	inputs := syntheticInputs(g, n)
 
 	policies := []struct {
 		name string
@@ -178,20 +169,7 @@ func adaptRunOpts(o runtime.RunOptions) runtime.RunOptions {
 // wire, not a second pacing stage stacked under the shaper's.
 func adaptDialer(srv *runtime.Server, ch netsim.Channel, seed int64, timeScale float64) func() (net.Conn, error) {
 	return func() (net.Conn, error) {
-		lis, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		go func() {
-			defer lis.Close()
-			conn, err := lis.Accept()
-			if err != nil {
-				return
-			}
-			defer conn.Close()
-			_ = srv.HandleConn(conn)
-		}()
-		conn, err := net.Dial("tcp", lis.Addr().String())
+		conn, err := dialLoopback(srv)
 		if err != nil {
 			return nil, err
 		}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"net"
 	"time"
 
 	"dnnjps/internal/engine"
@@ -68,27 +67,14 @@ func RuntimeBatch(env Env, model string, ch netsim.Channel, jobCounts []int, win
 	// the paper's models a small upload and a weight-streaming-bound
 	// remainder.
 	cut := deepParamCut(g, units)
-	var prefix []int
-	for _, u := range units[:cut+1] {
-		prefix = append(prefix, u.Nodes...)
-	}
-	inShape := g.Node(units[0].Exit).OutShape
 	boundShape := g.Node(units[cut].Exit).OutShape
 
 	// A few distinct real boundary activations, recycled across jobs
 	// (computing one heavy prefix per job would only delay the probe).
 	const distinct = 4
-	protos := make([]*tensor.Tensor, 0, distinct)
-	for i := 0; i < distinct; i++ {
-		in := tensor.New(inShape)
-		for j := range in.Data {
-			in.Data[j] = float32((j+i*13)%29)/29 - 0.5
-		}
-		acts := map[int]*tensor.Tensor{}
-		if err := m.Execute(acts, in, prefix); err != nil {
-			return nil, err
-		}
-		protos = append(protos, acts[units[cut].Exit].Clone())
+	protos, err := syntheticBoundaries(m, units, cut, distinct)
+	if err != nil {
+		return nil, err
 	}
 
 	var results []*RuntimeBatchResult
@@ -98,58 +84,23 @@ func RuntimeBatch(env Env, model string, ch netsim.Channel, jobCounts []int, win
 			boundaries[i] = protos[i%distinct]
 		}
 		for _, window := range windows {
-			tracer := obs.NewTracer(0)
-			o := runtime.NewObs(tracer, obs.NewMetrics())
-			lis, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				return nil, err
-			}
+			o := runtime.NewObs(obs.NewTracer(0), obs.NewMetrics())
 			srv := runtime.NewServer(m).WithWorkers(4).WithObs(o)
 			if window > 0 {
 				srv = srv.WithBatching(window, batchMax)
 			}
-			go func() {
-				defer lis.Close()
-				conn, err := lis.Accept()
-				if err != nil {
-					return
-				}
-				defer conn.Close()
-				_ = srv.HandleConn(conn)
-				srv.Close()
-			}()
-			conn, err := net.Dial("tcp", lis.Addr().String())
+			conn, err := dialLoopback(srv)
 			if err != nil {
 				return nil, err
 			}
-			cl := runtime.NewClient(conn, m, ch, timeScale)
-			rep, err := cl.RunBoundaryJobs(cut, boundaries)
+			rep, err := runtime.NewClient(conn, m, ch, timeScale).RunBoundaryJobs(cut, boundaries)
 			conn.Close()
+			srv.Close()
 			if err != nil {
 				return nil, err
 			}
 
-			// Server busy time: sum cloud-compute spans, counting each
-			// distinct (start, duration) interval once — batch members
-			// carry copies of their group's shared execution span.
-			type interval struct{ start, dur int64 }
-			seen := map[interval]bool{}
-			var busyNs int64
-			for _, sp := range tracer.Spans() {
-				if sp.Track != runtime.TrackServer || sp.Name != runtime.SpanCloudCompute {
-					continue
-				}
-				iv := interval{sp.StartNs, sp.DurNs}
-				if !seen[iv] {
-					seen[iv] = true
-					busyNs += sp.DurNs
-				}
-			}
-
-			meanBatch := 1.0
-			if c := o.BatchSize.Count(); c > 0 {
-				meanBatch = o.BatchSize.Sum() / float64(c)
-			}
+			busyMs, meanBatch := serverLoad(o)
 
 			// Prop. 4.1 reference, as in RuntimePipeline: measured f
 			// (zero here — no mobile stage), channel-model g.
@@ -165,7 +116,7 @@ func RuntimeBatch(env Env, model string, ch netsim.Channel, jobCounts []int, win
 				WindowMs:     float64(window) / float64(time.Millisecond),
 				BatchMax:     batchMax,
 				MakespanMs:   rep.MakespanMs,
-				ServerBusyMs: float64(busyNs) / 1e6,
+				ServerBusyMs: busyMs,
 				MeanBatch:    meanBatch,
 				BatchedJobs:  o.BatchedJobs.Value(),
 				SoloJobs:     o.SoloJobs.Value(),

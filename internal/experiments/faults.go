@@ -6,13 +6,12 @@ import (
 	"time"
 
 	"dnnjps/internal/core"
+	"dnnjps/internal/dag"
 	"dnnjps/internal/engine"
 	"dnnjps/internal/flowshop"
 	"dnnjps/internal/netsim"
-	"dnnjps/internal/profile"
 	"dnnjps/internal/report"
 	"dnnjps/internal/runtime"
-	"dnnjps/internal/tensor"
 )
 
 // FaultRow is one fault-rate point of the runtime-faults figure: the
@@ -20,7 +19,7 @@ import (
 // injected uplink frame drops, compared against the no-fault Prop. 4.1
 // closed form (measured mobile times, channel-model upload times).
 type FaultRow struct {
-	Model      string
+	Model      string // display label of the model (and of the plan, for an Alg. 3 row)
 	Jobs       int
 	DropPct    float64 // injected per-frame drop probability, percent
 	MakespanMs float64
@@ -47,35 +46,36 @@ func (r *FaultRow) Ratio() float64 {
 // jobs survive.
 func RuntimeFaults(env Env, model string, ch netsim.Channel, n int, timeScale float64, dropPcts []float64, seed int64) ([]*FaultRow, error) {
 	g := mustModel(model)
-	m := engine.Load(g, 42).WithKernel(env.Kernel)
-	curve := env.curveFor(g, ch)
-	plan, err := core.JPS(curve, n)
+	plan, err := core.JPS(env.curveFor(g, ch), n)
 	if err != nil {
 		return nil, err
 	}
-	units := profile.LineView(g)
-	inputs := make([]*tensor.Tensor, n)
-	inShape := g.Node(units[0].Exit).OutShape
-	for i := range inputs {
-		in := tensor.New(inShape)
-		for j := range in.Data {
-			in.Data[j] = float32((j+i*13)%29)/29 - 0.5
-		}
-		inputs[i] = in
+	return runtimeFaults(env, g, liveLinePlan(g, plan, ch), displayName(model), ch, timeScale, dropPcts, seed)
+}
+
+// RuntimeFaultsGeneral is RuntimeFaults for the model's Algorithm 3
+// plan: the same runner, the same recovery, boundary sets on the wire.
+func RuntimeFaultsGeneral(env Env, model string, ch netsim.Channel, n int, timeScale float64, dropPcts []float64, seed int64) ([]*FaultRow, error) {
+	g := mustModel(model)
+	gp, err := core.PlanGeneral(g, env.Mobile, env.Cloud, ch, env.DType, n, 0)
+	if err != nil {
+		return nil, err
 	}
+	return runtimeFaults(env, g, liveGeneralPlan(gp), displayName(model)+" (Alg. 3)", ch, timeScale, dropPcts, seed)
+}
+
+func runtimeFaults(env Env, g *dag.Graph, lp livePlan, label string, ch netsim.Channel, timeScale float64, dropPcts []float64, seed int64) ([]*FaultRow, error) {
+	m := engine.Load(g, 42).WithKernel(env.Kernel)
+	n := len(lp.seq)
+	inputs := syntheticInputs(g, n)
 
 	// Per-job deadline: the reply wait covers the (scaled) upload plus
 	// the server's suffix inference, which runs at real compute speed
 	// whatever the time scale. Budget both from a measured full forward
 	// pass, with headroom so only genuinely lost jobs trip the deadline.
 	var gWallMax float64
-	for _, cut := range plan.Cuts {
-		if cut < len(units)-1 {
-			shape := g.Node(units[cut].Exit).OutShape
-			if ms := timeScale * ch.TxMs(runtime.RequestWireBytes(shape)); ms > gWallMax {
-				gWallMax = ms
-			}
-		}
+	for _, j := range lp.seq {
+		gWallMax = max(gWallMax, timeScale*j.B)
 	}
 	t0 := time.Now()
 	if _, err := m.Forward(inputs[0].Clone()); err != nil {
@@ -91,20 +91,7 @@ func RuntimeFaults(env Env, model string, ch netsim.Channel, n int, timeScale fl
 		prob := pct / 100
 		conns := 0
 		dial := func() (net.Conn, error) {
-			lis, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				return nil, err
-			}
-			go func() {
-				defer lis.Close()
-				conn, err := lis.Accept()
-				if err != nil {
-					return
-				}
-				defer conn.Close()
-				_ = srv.HandleConn(conn)
-			}()
-			conn, err := net.Dial("tcp", lis.Addr().String())
+			conn, err := dialLoopback(srv)
 			if err != nil {
 				return nil, err
 			}
@@ -120,7 +107,7 @@ func RuntimeFaults(env Env, model string, ch netsim.Channel, n int, timeScale fl
 			BackoffMax:    20 * time.Millisecond,
 			Seed:          seed + int64(ri),
 		})
-		rep, err := r.RunPlan(plan, inputs)
+		rep, err := lp.runFT(r, inputs)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: faults run at %.0f%%: %w", pct, err)
 		}
@@ -132,22 +119,12 @@ func RuntimeFaults(env Env, model string, ch netsim.Channel, n int, timeScale fl
 		// (prefix compute is unaffected by link faults) and the channel
 		// model's upload times — the reference the 1.5x acceptance bound
 		// is stated against.
-		seq := make([]flowshop.Job, n)
-		for pos, j := range plan.Sequence {
-			cut := plan.Cuts[j.ID]
-			var up float64
-			if cut < len(units)-1 {
-				shape := g.Node(units[cut].Exit).OutShape
-				up = timeScale * ch.TxMs(runtime.RequestWireBytes(shape))
-			}
-			seq[pos] = flowshop.Job{ID: j.ID, A: rep.Results[j.ID].MobileMs, B: up}
-		}
 		rows = append(rows, &FaultRow{
-			Model:      model,
+			Model:      label,
 			Jobs:       n,
 			DropPct:    pct,
 			MakespanMs: rep.MakespanMs,
-			FormulaMs:  flowshop.FormulaMakespan(seq),
+			FormulaMs:  flowshop.FormulaMakespan(lp.measured(rep.Results, timeScale)),
 			Reconnects: rep.Reconnects,
 			Retried:    rep.RetriedJobs,
 			LocalJobs:  rep.LocalFallbackJobs,
@@ -162,7 +139,7 @@ func RuntimeFaultsTable(rows []*FaultRow) *report.Table {
 		"Fault-tolerant runtime — makespan under injected uplink frame drops",
 		"Model", "Jobs", "Drop%", "Makespan(ms)", "NoFault Prop4.1(ms)", "Ratio", "Reconnects", "Retried", "LocalJobs")
 	for _, r := range rows {
-		t.AddRow(displayName(r.Model), r.Jobs, fmt.Sprintf("%.0f%%", r.DropPct),
+		t.AddRow(r.Model, r.Jobs, fmt.Sprintf("%.0f%%", r.DropPct),
 			fmtMs(r.MakespanMs), fmtMs(r.FormulaMs), fmt.Sprintf("%.2fx", r.Ratio()),
 			r.Reconnects, r.Retried, r.LocalJobs)
 	}

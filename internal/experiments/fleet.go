@@ -80,32 +80,18 @@ func RuntimeFleet(env Env, model string, ch netsim.Channel, clientCounts []int, 
 	m := engine.Load(g, seed).WithKernel(env.Kernel)
 	units := profile.LineView(g)
 	cut := deepParamCut(g, units)
-	var prefix []int
-	for _, u := range units[:cut+1] {
-		prefix = append(prefix, u.Nodes...)
-	}
-	inShape := g.Node(units[0].Exit).OutShape
 
 	// Distinct boundary activations recycled across jobs, as in
 	// RuntimeBatch: the probe measures the serving fabric, not the
 	// mobile prefix.
 	const distinct = 4
-	protos := make([]*tensor.Tensor, 0, distinct)
-	for i := 0; i < distinct; i++ {
-		in := tensor.New(inShape)
-		for j := range in.Data {
-			in.Data[j] = float32((j+i*13)%29)/29 - 0.5
-		}
-		acts := map[int]*tensor.Tensor{}
-		if err := m.Execute(acts, in, prefix); err != nil {
-			return nil, err
-		}
-		protos = append(protos, acts[units[cut].Exit].Clone())
+	protos, err := syntheticBoundaries(m, units, cut, distinct)
+	if err != nil {
+		return nil, err
 	}
 
 	run := func(clients int, w time.Duration, wm int) (*RuntimeFleetResult, error) {
-		tracer := obs.NewTracer(0)
-		o := runtime.NewObs(tracer, obs.NewMetrics())
+		o := runtime.NewObs(obs.NewTracer(0), obs.NewMetrics())
 		// One worker: concurrent workers timeslice on small hosts and
 		// inflate each other's compute spans, which would corrupt the
 		// busy-time column this figure exists to compare.
@@ -172,25 +158,7 @@ func RuntimeFleet(env Env, model string, ch netsim.Channel, clientCounts []int, 
 			return nil, firstErr
 		}
 
-		// Server busy time: each distinct (start, duration) interval
-		// once — batch members share their group's execution span.
-		type interval struct{ start, dur int64 }
-		seen := map[interval]bool{}
-		var busyNs int64
-		for _, sp := range tracer.Spans() {
-			if sp.Track != runtime.TrackServer || sp.Name != runtime.SpanCloudCompute {
-				continue
-			}
-			iv := interval{sp.StartNs, sp.DurNs}
-			if !seen[iv] {
-				seen[iv] = true
-				busyNs += sp.DurNs
-			}
-		}
-		meanBatch := 1.0
-		if c := o.BatchSize.Count(); c > 0 {
-			meanBatch = o.BatchSize.Sum() / float64(c)
-		}
+		busyMs, meanBatch := serverLoad(o)
 		sort.Float64s(latencies)
 		pct := func(p float64) float64 {
 			if len(latencies) == 0 {
@@ -207,7 +175,7 @@ func RuntimeFleet(env Env, model string, ch netsim.Channel, clientCounts []int, 
 			WindowMs:      float64(w) / float64(time.Millisecond),
 			Watermark:     wm,
 			MakespanMs:    makespan,
-			BusyPerJobMs:  float64(busyNs) / 1e6 / float64(jobs),
+			BusyPerJobMs:  busyMs / float64(jobs),
 			MeanBatch:     meanBatch,
 			P50Ms:         pct(0.50),
 			P99Ms:         pct(0.99),

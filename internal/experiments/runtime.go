@@ -2,18 +2,15 @@ package experiments
 
 import (
 	"fmt"
-	"net"
 	"time"
 
 	"dnnjps/internal/core"
+	"dnnjps/internal/dag"
 	"dnnjps/internal/engine"
 	"dnnjps/internal/flowshop"
 	"dnnjps/internal/netsim"
-	"dnnjps/internal/profile"
 	"dnnjps/internal/report"
 	"dnnjps/internal/runtime"
-	"dnnjps/internal/sim"
-	"dnnjps/internal/tensor"
 )
 
 // RuntimeResult compares one live run of the offloading runtime
@@ -23,7 +20,7 @@ import (
 // discrete-event simulator and the Prop. 4.1 closed form using the
 // measured per-job timings.
 type RuntimeResult struct {
-	Model     string
+	Model     string // display label of the model (and of the plan, for an Alg. 3 row)
 	Jobs      int
 	TimeScale float64
 	// PipelinedMs is the measured makespan of the full-duplex run.
@@ -54,106 +51,77 @@ func (r *RuntimeResult) Speedup() float64 {
 // absolute device timings.
 func RuntimePipeline(env Env, model string, ch netsim.Channel, n int, timeScale float64) (*RuntimeResult, error) {
 	g := mustModel(model)
-	const seed = 42
-	m := engine.Load(g, seed).WithKernel(env.Kernel)
 	plan, err := core.JPS(env.curveFor(g, ch), n)
 	if err != nil {
 		return nil, err
 	}
-	units := profile.LineView(g)
-	inputs := make([]*tensor.Tensor, n)
-	inShape := g.Node(units[0].Exit).OutShape
-	for i := range inputs {
-		in := tensor.New(inShape)
-		for j := range in.Data {
-			in.Data[j] = float32((j+i*13)%29)/29 - 0.5
-		}
-		inputs[i] = in
-	}
+	return runtimePipeline(env, g, liveLinePlan(g, plan, ch), displayName(model), ch, timeScale)
+}
 
-	dial := func() (net.Conn, error) {
-		lis, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		srv := runtime.NewServer(m)
-		go func() {
-			defer lis.Close()
-			conn, err := lis.Accept()
-			if err != nil {
-				return
-			}
-			defer conn.Close()
-			_ = srv.HandleConn(conn)
-			srv.Close()
-		}()
-		return net.Dial("tcp", lis.Addr().String())
-	}
-
-	// Pipelined run.
-	conn, err := dial()
+// RuntimePipelineGeneral is RuntimePipeline for the model's Algorithm 3
+// plan: the pipelined run is Client.RunGeneralPlan, the synchronous
+// baseline one RunCutSet at a time in the same order, and the analytic
+// references are computed over the plan's job-level view.
+func RuntimePipelineGeneral(env Env, model string, ch netsim.Channel, n int, timeScale float64) (*RuntimeResult, error) {
+	g := mustModel(model)
+	gp, err := core.PlanGeneral(g, env.Mobile, env.Cloud, ch, env.DType, n, 0)
 	if err != nil {
 		return nil, err
 	}
-	cl := runtime.NewClient(conn, m, ch, timeScale)
-	rep, err := cl.RunPlan(plan, inputs)
+	return runtimePipeline(env, g, liveGeneralPlan(gp), displayName(model)+" (Alg. 3)", ch, timeScale)
+}
+
+func runtimePipeline(env Env, g *dag.Graph, lp livePlan, label string, ch netsim.Channel, timeScale float64) (*RuntimeResult, error) {
+	m := engine.Load(g, 42).WithKernel(env.Kernel)
+	n := len(lp.seq)
+	inputs := syntheticInputs(g, n)
+
+	// Pipelined run.
+	srv := runtime.NewServer(m)
+	conn, err := dialLoopback(srv)
+	if err != nil {
+		return nil, err
+	}
+	rep, err := lp.run(runtime.NewClient(conn, m, ch, timeScale), inputs)
 	conn.Close()
+	srv.Close()
 	if err != nil {
 		return nil, err
 	}
 
 	// Synchronous baseline: same plan, same sequence, one round trip at
-	// a time.
-	conn, err = dial()
+	// a time, on a server as fresh as the first run's.
+	srv = runtime.NewServer(m)
+	defer srv.Close()
+	conn, err = dialLoopback(srv)
 	if err != nil {
 		return nil, err
 	}
+	defer conn.Close()
 	scl := runtime.NewClient(conn, m, ch, timeScale)
 	syncStart := time.Now()
-	for _, j := range plan.Sequence {
-		if _, err := scl.RunJob(j.ID, plan.Cuts[j.ID], inputs[j.ID]); err != nil {
-			conn.Close()
+	for _, j := range lp.seq {
+		if _, err := lp.one(scl, j.ID, inputs[j.ID]); err != nil {
 			return nil, err
 		}
 	}
 	syncMs := float64(time.Since(syncStart)) / float64(time.Millisecond)
-	conn.Close()
 
 	// Analytic references from the measured run: f is the measured
 	// mobile prefix time, g the channel model's upload time (what the
 	// shaper enforces), cloud the measured server compute.
-	mobile := make(map[int]float64, n)
-	cloud := make(map[int]float64, n)
-	for _, r := range rep.Results {
-		mobile[r.JobID] = r.MobileMs
-		cloud[r.JobID] = r.CloudMs
-	}
-	seq := make([]flowshop.Job, n)
-	f := make([]float64, n)
-	gms := make([]float64, n)
-	cms := make([]float64, n)
-	for pos, j := range plan.Sequence {
-		cut := plan.Cuts[j.ID]
-		var up float64
-		if cut < len(units)-1 { // cut at the last unit runs fully local
-			shape := g.Node(units[cut].Exit).OutShape
-			up = timeScale * ch.TxMs(runtime.RequestWireBytes(shape))
-		}
-		seq[pos] = flowshop.Job{ID: j.ID, A: mobile[j.ID], B: up}
-		f[pos], gms[pos], cms[pos] = mobile[j.ID], up, cloud[j.ID]
-	}
-	simRes, err := sim.Run(sim.FromDurations(f, gms, cms))
+	simRes, err := lp.replay(rep.Results, timeScale, 1)
 	if err != nil {
 		return nil, err
 	}
 
 	return &RuntimeResult{
-		Model:       model,
+		Model:       label,
 		Jobs:        n,
 		TimeScale:   timeScale,
 		PipelinedMs: rep.MakespanMs,
 		SyncMs:      syncMs,
-		FormulaMs:   flowshop.FormulaMakespan(seq),
+		FormulaMs:   flowshop.FormulaMakespan(lp.measured(rep.Results, timeScale)),
 		SimMs:       simRes.Makespan,
 	}, nil
 }
@@ -165,7 +133,7 @@ func RuntimeTable(results []*RuntimeResult) *report.Table {
 		"Live runtime — pipelined vs synchronous execution vs Prop. 4.1",
 		"Model", "Jobs", "Pipelined(ms)", "Sync(ms)", "Speedup", "Prop4.1(ms)", "Sim(ms)")
 	for _, r := range results {
-		t.AddRow(displayName(r.Model), r.Jobs, fmtMs(r.PipelinedMs), fmtMs(r.SyncMs),
+		t.AddRow(r.Model, r.Jobs, fmtMs(r.PipelinedMs), fmtMs(r.SyncMs),
 			fmt.Sprintf("%.2fx", r.Speedup()), fmtMs(r.FormulaMs), fmtMs(r.SimMs))
 	}
 	return t

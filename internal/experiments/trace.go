@@ -3,18 +3,15 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"net"
 	"time"
 
 	"dnnjps/internal/core"
 	"dnnjps/internal/engine"
 	"dnnjps/internal/netsim"
 	"dnnjps/internal/obs"
-	"dnnjps/internal/profile"
 	"dnnjps/internal/report"
 	"dnnjps/internal/runtime"
 	"dnnjps/internal/sim"
-	"dnnjps/internal/tensor"
 )
 
 // TraceResult holds one instrumented live run bridged into Gantt form
@@ -48,43 +45,19 @@ func RuntimeTrace(env Env, model string, ch netsim.Channel, n int, timeScale flo
 	if err != nil {
 		return nil, err
 	}
-	units := profile.LineView(g)
-	inputs := make([]*tensor.Tensor, n)
-	inShape := g.Node(units[0].Exit).OutShape
-	for i := range inputs {
-		in := tensor.New(inShape)
-		for j := range in.Data {
-			in.Data[j] = float32((j+i*13)%29)/29 - 0.5
-		}
-		inputs[i] = in
-	}
+	lp := liveLinePlan(g, plan, ch)
 
 	tr := obs.NewTracer(0)
 	o := runtime.NewObs(tr, obs.NewMetrics())
-
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
 	srv := runtime.NewServer(m).WithObs(o)
-	go func() {
-		defer lis.Close()
-		conn, err := lis.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		_ = srv.HandleConn(conn)
-		srv.Close()
-	}()
-	conn, err := net.Dial("tcp", lis.Addr().String())
+	defer srv.Close()
+	conn, err := dialLoopback(srv)
 	if err != nil {
 		return nil, err
 	}
-	cl := runtime.NewClient(conn, m, ch, timeScale).WithObs(o)
-	rep, err := cl.RunPlan(plan, inputs)
+	defer conn.Close()
+	rep, err := runtime.NewClient(conn, m, ch, timeScale).WithObs(o).RunPlan(plan, syntheticInputs(g, n))
 	if err != nil {
-		conn.Close()
 		return nil, err
 	}
 
@@ -92,8 +65,8 @@ func RuntimeTrace(env Env, model string, ch netsim.Channel, n int, timeScale flo
 	// just after the flush that precedes the reply, so give the
 	// bookkeeping a moment to settle before snapshotting.
 	remote := 0
-	for _, cut := range plan.Cuts {
-		if cut < len(units)-1 {
+	for _, j := range lp.seq {
+		if j.B > 0 {
 			remote++
 		}
 	}
@@ -105,39 +78,12 @@ func RuntimeTrace(env Env, model string, ch netsim.Channel, n int, timeScale flo
 		}
 		time.Sleep(time.Millisecond)
 	}
-	conn.Close()
 	measured := sim.FromTrace(tr.Spans(), stages, timeScale)
 
 	// Predicted timeline: measured f and cloud, channel-model g, in
-	// schedule order — exactly what RuntimePipeline feeds Prop. 4.1.
-	mobile := make(map[int]float64, n)
-	cloud := make(map[int]float64, n)
-	for _, r := range rep.Results {
-		mobile[r.JobID] = r.MobileMs
-		cloud[r.JobID] = r.CloudMs
-	}
-	f := make([]float64, n)
-	gms := make([]float64, n)
-	cms := make([]float64, n)
-	for pos, j := range plan.Sequence {
-		cut := plan.Cuts[j.ID]
-		var up float64
-		if cut < len(units)-1 {
-			shape := g.Node(units[cut].Exit).OutShape
-			up = timeScale * ch.TxMs(runtime.RequestWireBytes(shape))
-		}
-		f[pos], gms[pos], cms[pos] = mobile[j.ID], up, cloud[j.ID]
-	}
-	// The bridge reports channel-scale ms; the replay durations are
-	// real ms, so rescale them onto the same axis.
-	if timeScale > 0 && timeScale != 1 {
-		for i := range f {
-			f[i] /= timeScale
-			gms[i] /= timeScale
-			cms[i] /= timeScale
-		}
-	}
-	predicted, err := sim.Run(sim.FromDurations(f, gms, cms))
+	// schedule order — exactly what RuntimePipeline feeds Prop. 4.1 —
+	// on the bridge's channel-ms axis.
+	predicted, err := lp.replay(rep.Results, timeScale, timeScale)
 	if err != nil {
 		return nil, err
 	}

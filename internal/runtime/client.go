@@ -11,6 +11,7 @@ import (
 	"dnnjps/internal/core"
 	"dnnjps/internal/engine"
 	"dnnjps/internal/estimator"
+	"dnnjps/internal/flowshop"
 	"dnnjps/internal/netsim"
 	"dnnjps/internal/profile"
 	"dnnjps/internal/regression"
@@ -84,12 +85,20 @@ type call struct {
 	done    chan struct{}
 }
 
+// upload is the frame a job's mobile prefix leaves to ship: a line
+// cut's inferRequest or a cut set's inferSetRequest, never both. The
+// zero value means the job completed locally.
+type upload struct {
+	req *inferRequest
+	set *inferSetRequest
+}
+
 // wireMsg is one unit of work for the writer goroutine.
 type wireMsg struct {
-	c    *call
-	req  *inferRequest // nil for a ping
-	ping int
-	enq  time.Time // when the message entered the send queue
+	c      *call
+	upload           // zero for a ping
+	ping   int       // calibration payload size
+	enq    time.Time // when the message entered the send queue
 }
 
 // NewClient wraps a connection to a Server. timeScale compresses
@@ -235,16 +244,21 @@ func (c *Client) writeLoop() {
 			msg.c.sent = start
 			c.mu.Unlock()
 			jobID := -1
-			if msg.req != nil {
-				jobID = int(msg.req.JobID)
+			if msg.c.res != nil {
+				jobID = msg.c.res.JobID
 			}
 			c.obsv.span(TrackUplink, SpanQueueWait, jobID, msg.enq, start)
 			c.conn.Delay(time.Duration(c.ch.SetupMs * float64(time.Millisecond)))
 			serStart := time.Now()
+			// Nothing after this switch knows which frame went out.
+			var bytes int
 			var err error
-			if msg.req != nil {
-				err = writeInferRequest(c.w, msg.req)
-			} else {
+			switch {
+			case msg.req != nil:
+				bytes, err = reqWireBytes(msg.req), writeInferRequest(c.w, msg.req)
+			case msg.set != nil:
+				bytes, err = setWireBytes(msg.set), writeInferSetRequest(c.w, msg.set)
+			default:
 				err = writePing(c.w, msg.ping)
 			}
 			serEnd := time.Now()
@@ -260,9 +274,9 @@ func (c *Client) writeLoop() {
 			msg.c.sentEnd = end
 			c.mu.Unlock()
 			c.obsv.span(TrackUplink, SpanUpload, jobID, start, end)
-			if msg.req != nil {
+			if msg.c.res != nil {
 				c.obsv.span(TrackUplink, SpanSerialize, jobID, serStart, serEnd)
-				c.noteUpload(reqWireBytes(msg.req), end.Sub(start))
+				c.noteUpload(bytes, end.Sub(start))
 			}
 		case <-c.failed:
 			return
@@ -331,9 +345,10 @@ func (c *Client) deliver(rep inferReply) error {
 	// Feed the reply-latency EWMA in channel-scale ms, matching the
 	// upload feed in noteUpload.
 	c.est.AddReply(float64(total.Nanoseconds()) / 1e6 / c.scale)
-	if !sentEnd.IsZero() {
-		c.obsv.span(TrackCloud, SpanReplyWait, int(rep.JobID), sentEnd, now)
+	if sentEnd.IsZero() {
+		sentEnd = now // the reply overtook the writer's stamp
 	}
+	c.obsv.span(TrackCloud, SpanReplyWait, int(rep.JobID), sentEnd, now)
 	if o := c.obsv; o != nil {
 		o.JobsCompleted.Inc()
 		o.BytesDown.Add(replyWireBytes)
@@ -362,27 +377,33 @@ func (c *Client) deliverPong() error {
 	return nil
 }
 
-// enqueueInfer registers the job with the demultiplexer and hands the
-// request to the writer. Registration happens before the request can
-// reach the wire, so a reply can never race its own job.
-//
-// On a quantized model the boundary ships as int8 codes under the
-// exit node's calibrated mapping — a quarter of the float32 payload —
-// and the frame carries the mapping, so the server decodes it without
-// sharing the calibration.
+// enqueueInfer enqueues a line cut's boundary tensor: the one-tensor
+// form of enqueue.
 func (c *Client) enqueueInfer(res *JobResult, cut int, boundary *tensor.Tensor) (*call, error) {
+	return c.enqueue(res, upload{req: &inferRequest{JobID: uint32(res.JobID), Cut: uint32(cut), Tensor: boundary}})
+}
+
+// enqueue registers the job with the demultiplexer and hands its frame
+// to the writer. Registration happens before the frame can reach the
+// wire, so a reply can never race its own job.
+//
+// On a quantized model a line cut's boundary ships as int8 codes under
+// the exit node's calibrated mapping — a quarter of the float32
+// payload — and the frame carries the mapping, so the server decodes it
+// without sharing the calibration. The request is rewritten in place: a
+// resubmitted upload is not quantized twice. A set ships float32 (see
+// the frame-kind table on pendingJob).
+func (c *Client) enqueue(res *JobResult, up upload) (*call, error) {
 	c.startIO()
-	req := &inferRequest{JobID: uint32(res.JobID), Cut: uint32(cut), Tensor: boundary}
-	if c.model.IsQuantized() {
-		qp, err := c.model.ActivationQParams(c.units[cut].Exit)
+	if req := up.req; req != nil && req.Tensor != nil && c.model.IsQuantized() {
+		qp, err := c.model.ActivationQParams(c.units[req.Cut].Exit)
 		if err != nil {
 			return nil, err
 		}
-		req.Quant = tensor.QuantizeTensor(boundary, qp)
-		req.Tensor = nil
+		req.Quant, req.Tensor = tensor.QuantizeTensor(req.Tensor, qp), nil
 	}
 	cl := &call{res: res, done: make(chan struct{})}
-	id := req.JobID
+	id := uint32(res.JobID)
 	c.mu.Lock()
 	if c.err != nil {
 		err := c.err
@@ -396,7 +417,7 @@ func (c *Client) enqueueInfer(res *JobResult, cut int, boundary *tensor.Tensor) 
 	c.calls[id] = cl
 	c.mu.Unlock()
 	select {
-	case c.sendQ <- wireMsg{c: cl, req: req, enq: time.Now()}:
+	case c.sendQ <- wireMsg{c: cl, upload: up, enq: time.Now()}:
 		return cl, nil
 	case <-c.failed:
 		c.mu.Lock()
@@ -407,16 +428,7 @@ func (c *Client) enqueueInfer(res *JobResult, cut int, boundary *tensor.Tensor) 
 }
 
 // await blocks until the call completes or the transport fails.
-func (c *Client) await(cl *call) error {
-	<-cl.done
-	if !cl.ok {
-		if err := c.Err(); err != nil {
-			return err
-		}
-		return fmt.Errorf("runtime: connection closed")
-	}
-	return nil
-}
+func (c *Client) await(cl *call) error { return c.awaitTimeout(cl, 0) }
 
 // ErrJobTimeout is returned by deadline-bounded awaits when the reply
 // did not arrive in time. The caller owns recovery: the connection is
@@ -425,16 +437,16 @@ var ErrJobTimeout = fmt.Errorf("runtime: job deadline exceeded")
 
 // awaitTimeout is await with a per-job deadline. d <= 0 waits forever.
 func (c *Client) awaitTimeout(cl *call, d time.Duration) error {
-	if d <= 0 {
-		return c.await(cl)
+	if d > 0 {
+		timer := time.NewTimer(d)
+		defer timer.Stop()
+		select {
+		case <-cl.done:
+		case <-timer.C:
+			return ErrJobTimeout
+		}
 	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-cl.done:
-	case <-timer.C:
-		return ErrJobTimeout
-	}
+	<-cl.done
 	if !cl.ok {
 		if err := c.Err(); err != nil {
 			return err
@@ -558,18 +570,45 @@ type JobResult struct {
 	Done     time.Time
 }
 
+// jobCut is where one job is cut: after line-view unit `unit`, or —
+// when nodes is non-nil — at an Alg. 3 cut-node set, whose nodes and
+// their ancestors are the mobile side (the partition P_j of §3.1). A
+// line cut is the set {units[unit].Exit}; it keeps its own form because
+// its prefix is known without walking the graph.
+type jobCut struct {
+	unit  int
+	nodes []int
+}
+
+// setCut copies nodes so that a set is never nil (runPrefix rejects an
+// empty one instead of reading it as a line cut) and stays out of the
+// caller's reach while the job is in flight.
+func setCut(nodes []int) jobCut { return jobCut{unit: -1, nodes: append([]int{}, nodes...)} }
+
 // RunJob executes a single job synchronously: prefix locally, upload,
 // remote suffix. A cut at the last unit runs fully local; a cut at 0
 // ships the raw input (cloud-only).
 func (c *Client) RunJob(jobID, cut int, input *tensor.Tensor) (*JobResult, error) {
-	boundary, res, err := c.computePrefix(jobID, cut, input)
+	return c.runOne(jobID, jobCut{unit: cut}, input)
+}
+
+// RunCutSet is RunJob for a general-structure partition: cutNodes and
+// their ancestors run locally, every boundary tensor with a remote
+// consumer ships in one frame, the server resumes from all of them. An
+// empty set is rejected; the set {sink} runs fully local.
+func (c *Client) RunCutSet(jobID int, cutNodes []int, input *tensor.Tensor) (*JobResult, error) {
+	return c.runOne(jobID, setCut(cutNodes), input)
+}
+
+func (c *Client) runOne(jobID int, cut jobCut, input *tensor.Tensor) (*JobResult, error) {
+	up, res, err := c.computePrefix(jobID, cut, input)
 	if err != nil {
 		return nil, err
 	}
-	if boundary == nil {
+	if up == (upload{}) {
 		return res, nil // fully local
 	}
-	cl, err := c.enqueueInfer(res, cut, boundary)
+	cl, err := c.enqueue(res, up)
 	if err != nil {
 		return nil, err
 	}
@@ -579,46 +618,107 @@ func (c *Client) RunJob(jobID, cut int, input *tensor.Tensor) (*JobResult, error
 	return res, nil
 }
 
-// computePrefix runs the mobile part. Returns a nil boundary when the
+// computePrefix runs the mobile part. Returns a zero upload when the
 // job completed locally.
-func (c *Client) computePrefix(jobID, cut int, input *tensor.Tensor) (*tensor.Tensor, *JobResult, error) {
+func (c *Client) computePrefix(jobID int, cut jobCut, input *tensor.Tensor) (upload, *JobResult, error) {
 	start := time.Now()
-	boundary, res, err := runPrefix(c.model, c.units, jobID, cut, input)
+	up, res, err := runPrefix(c.model, c.units, jobID, cut, input)
 	if err == nil {
 		c.obsv.span(TrackMobile, SpanLocalCompute, jobID, start, time.Now())
 	}
-	return boundary, res, err
+	return up, res, err
 }
 
-// runPrefix executes the mobile prefix of one job on the engine; it is
-// shared by the connected client and the fault-tolerant runner's
-// local-fallback path (which has no live transport). Returns a nil
-// boundary when the cut is the last unit, i.e. the job completed
-// locally.
-func runPrefix(m *engine.Model, units []profile.Unit, jobID, cut int, input *tensor.Tensor) (*tensor.Tensor, *JobResult, error) {
-	if cut < 0 || cut >= len(units) {
-		return nil, nil, fmt.Errorf("runtime: cut %d out of range [0,%d)", cut, len(units))
-	}
-	res := &JobResult{JobID: jobID, Cut: cut}
+// runPrefix executes the mobile side of one job on the engine and
+// returns the frame left to ship, zero when the job completed locally;
+// the connected client and the fault-tolerant runner's local fallback
+// (which has no live transport) share it. The frame kind is a property
+// of the boundary, not of how the cut was written: a set whose boundary
+// is a unit exit goes out as the line cut it is (msgInfer,
+// JobResult.Cut = the unit), anything else as a true set (msgInferSet,
+// JobResult.Cut = -1).
+func runPrefix(m *engine.Model, units []profile.Unit, jobID int, cut jobCut, input *tensor.Tensor) (upload, *JobResult, error) {
+	g := m.Graph()
 	var prefix []int
-	for _, u := range units[:cut+1] {
-		prefix = append(prefix, u.Nodes...)
+	var mobile map[int]bool // set cuts only
+	switch {
+	case cut.nodes == nil:
+		if cut.unit < 0 || cut.unit >= len(units) {
+			return upload{}, nil, fmt.Errorf("runtime: cut %d out of range [0,%d)", cut.unit, len(units))
+		}
+		for _, u := range units[:cut.unit+1] {
+			prefix = append(prefix, u.Nodes...)
+		}
+	case len(cut.nodes) == 0:
+		return upload{}, nil, fmt.Errorf("runtime: empty cut set")
+	default:
+		for _, id := range cut.nodes {
+			if id < 0 || id >= g.Len() {
+				return upload{}, nil, fmt.Errorf("runtime: cut node %d out of range [0,%d)", id, g.Len())
+			}
+		}
+		mobile = g.Ancestors(cut.nodes...)
+		for _, id := range g.Topo() {
+			if mobile[id] {
+				prefix = append(prefix, id)
+			}
+		}
 	}
+	res := &JobResult{JobID: jobID, Cut: cut.unit}
 	start := time.Now()
 	// Execute recycles intermediate activations through the model's
-	// arena, but the boundary tensor (and the sink on a fully-local
-	// cut) has consumers outside the prefix, so it is kept live.
+	// arena, but every boundary tensor (and the sink of a fully-local
+	// job) has a consumer outside the prefix, so it is kept live.
 	acts := map[int]*tensor.Tensor{}
 	if err := m.Execute(acts, input, prefix); err != nil {
-		return nil, nil, err
+		return upload{}, nil, err
 	}
 	res.MobileMs = float64(time.Since(start).Nanoseconds()) / 1e6
-	if cut == len(units)-1 {
-		res.Class = engine.Argmax(acts[m.Graph().Sink()])
-		res.Done = time.Now()
-		return nil, res, nil
+
+	if mobile != nil {
+		// Boundary = mobile nodes with at least one remote consumer.
+		set := &inferSetRequest{JobID: uint32(jobID)}
+		for _, id := range prefix {
+			for _, s := range g.Succs(id) {
+				if !mobile[s] {
+					set.Nodes = append(set.Nodes, int32(id))
+					set.Tensors = append(set.Tensors, acts[id])
+					break
+				}
+			}
+		}
+		res.Cut = lineUnit(units, set.Nodes, len(prefix))
+		if res.Cut < 0 {
+			return upload{set: set}, res, nil
+		}
 	}
-	return acts[units[cut].Exit], res, nil
+	if res.Cut == len(units)-1 {
+		res.Class = engine.Argmax(acts[g.Sink()])
+		res.Done = time.Now()
+		return upload{}, res, nil
+	}
+	return upload{req: &inferRequest{
+		JobID: uint32(jobID), Cut: uint32(res.Cut), Tensor: acts[units[res.Cut].Exit],
+	}}, res, nil
+}
+
+// lineUnit names the line cut a boundary set is, or -1 for a true set.
+// No boundary is the last unit: the sink is on the mobile side. One
+// boundary node that is a unit's exit, behind as many mobile nodes as
+// that unit's prefix holds, is that unit: a one-boundary mobile side is
+// the boundary's ancestor closure, and a unit exit's ancestor closure
+// is its unit prefix (TestUnitExitClosureIsUnitPrefix).
+func lineUnit(units []profile.Unit, boundary []int32, mobileNodes int) int {
+	if len(boundary) == 0 {
+		return len(units) - 1
+	}
+	for k, u := range units {
+		mobileNodes -= len(u.Nodes)
+		if len(boundary) == 1 && u.Exit == int(boundary[0]) && mobileNodes == 0 {
+			return k
+		}
+	}
+	return -1
 }
 
 // Report aggregates a pipelined run.
@@ -627,6 +727,29 @@ type Report struct {
 	// completion order, so reports are deterministic.
 	Results    []*JobResult
 	MakespanMs float64
+}
+
+// newReport sorts results by JobID; the makespan is the last completion.
+func newReport(start time.Time, results []*JobResult) Report {
+	sort.Slice(results, func(i, j int) bool { return results[i].JobID < results[j].JobID })
+	rep := Report{Results: results}
+	for _, r := range results {
+		if ms := float64(r.Done.Sub(start).Nanoseconds()) / 1e6; ms > rep.MakespanMs {
+			rep.MakespanMs = ms
+		}
+	}
+	return rep
+}
+
+// collect awaits every in-flight call and reports the run.
+func (c *Client) collect(start time.Time, results []*JobResult, calls []*call) (*Report, error) {
+	for _, cl := range calls {
+		if err := c.await(cl); err != nil {
+			return nil, err
+		}
+	}
+	rep := newReport(start, results)
+	return &rep, nil
 }
 
 // RunPlan executes a whole plan with full pipelining: jobs are
@@ -638,47 +761,47 @@ type Report struct {
 // from any stage aborts the run promptly: compute stops at the next
 // job boundary instead of draining the whole plan.
 func (c *Client) RunPlan(p *core.Plan, inputs []*tensor.Tensor) (*Report, error) {
-	if len(inputs) != len(p.Cuts) {
-		return nil, fmt.Errorf("runtime: %d inputs for %d jobs", len(inputs), len(p.Cuts))
+	return c.runSequence(len(p.Cuts), p.Sequence, inputs, func(job int) jobCut { return jobCut{unit: p.Cuts[job]} })
+}
+
+// RunGeneralPlan is RunPlan for an Algorithm 3 plan: job j is cut at
+// the node set gp.CutNodes[j] and the jobs run in the order of the
+// plan's job-level view (core.GeneralPlan.JobSequence), one frame per
+// job, pipelined exactly like a line plan.
+func (c *Client) RunGeneralPlan(gp *core.GeneralPlan, inputs []*tensor.Tensor) (*Report, error) {
+	return c.runSequence(len(gp.CutNodes), gp.JobSequence(), inputs, func(job int) jobCut { return setCut(gp.CutNodes[job]) })
+}
+
+// runSequence is the pipelined run behind both plan kinds: n jobs in
+// seq order, each cut where cutOf says.
+func (c *Client) runSequence(n int, seq []flowshop.Job, inputs []*tensor.Tensor, cutOf func(job int) jobCut) (*Report, error) {
+	if len(inputs) != n {
+		return nil, fmt.Errorf("runtime: %d inputs for %d jobs", len(inputs), n)
 	}
 	start := time.Now()
-	results := make([]*JobResult, 0, len(p.Cuts))
-	calls := make([]*call, 0, len(p.Cuts))
+	results := make([]*JobResult, 0, n)
+	calls := make([]*call, 0, n)
 
 	// Compute worker: the mobile CPU, in Johnson order.
-	for _, fj := range p.Sequence {
+	for _, fj := range seq {
 		if err := c.Err(); err != nil {
 			return nil, err // uplink or downlink already failed
 		}
-		cut := p.Cuts[fj.ID]
-		boundary, res, err := c.computePrefix(fj.ID, cut, inputs[fj.ID])
+		up, res, err := c.computePrefix(fj.ID, cutOf(fj.ID), inputs[fj.ID])
 		if err != nil {
 			return nil, err
 		}
 		results = append(results, res)
-		if boundary == nil {
+		if up == (upload{}) {
 			continue // fully local job
 		}
-		cl, err := c.enqueueInfer(res, cut, boundary)
+		cl, err := c.enqueue(res, up)
 		if err != nil {
 			return nil, err
 		}
 		calls = append(calls, cl)
 	}
-	for _, cl := range calls {
-		if err := c.await(cl); err != nil {
-			return nil, err
-		}
-	}
-
-	sort.Slice(results, func(i, j int) bool { return results[i].JobID < results[j].JobID })
-	rep := &Report{Results: results}
-	for _, r := range results {
-		if ms := float64(r.Done.Sub(start).Nanoseconds()) / 1e6; ms > rep.MakespanMs {
-			rep.MakespanMs = ms
-		}
-	}
-	return rep, nil
+	return c.collect(start, results, calls)
 }
 
 // RunBoundaryJobs enqueues one job per boundary tensor at the given
@@ -706,18 +829,7 @@ func (c *Client) RunBoundaryJobs(cut int, boundaries []*tensor.Tensor) (*Report,
 		}
 		calls = append(calls, cl)
 	}
-	for _, cl := range calls {
-		if err := c.await(cl); err != nil {
-			return nil, err
-		}
-	}
-	rep := &Report{Results: results}
-	for _, r := range results {
-		if ms := float64(r.Done.Sub(start).Nanoseconds()) / 1e6; ms > rep.MakespanMs {
-			rep.MakespanMs = ms
-		}
-	}
-	return rep, nil
+	return c.collect(start, results, calls)
 }
 
 // CalibrateComm measures upload latency for a ladder of payload sizes
@@ -730,8 +842,13 @@ func (c *Client) CalibrateComm(sizes []int, rounds int) (regression.Linear, erro
 		rounds = 1
 	}
 	c.startIO()
-	var xs, ys []float64
-	for _, size := range sizes {
+	// One point per size, the fastest of its rounds: what a shared host
+	// adds to a transmission is only ever extra time, so the minimum is
+	// the sample closest to the link.
+	xs := make([]float64, len(sizes))
+	ys := make([]float64, len(sizes))
+	for i, size := range sizes {
+		xs[i] = float64(size)
 		for r := 0; r < rounds; r++ {
 			cl := &call{done: make(chan struct{})}
 			c.mu.Lock()
@@ -750,8 +867,9 @@ func (c *Client) CalibrateComm(sizes []int, rounds int) (regression.Linear, erro
 			if err := c.await(cl); err != nil {
 				return regression.Linear{}, err
 			}
-			xs = append(xs, float64(size))
-			ys = append(ys, cl.rtt)
+			if r == 0 || cl.rtt < ys[i] {
+				ys[i] = cl.rtt
+			}
 		}
 	}
 	return regression.FitLinear(xs, ys)

@@ -64,13 +64,32 @@ type connCtx struct {
 }
 
 // pendingJob is one decoded request in flight through the scheduler.
-// Exactly one of req/set is non-nil.
+// Exactly one of req/set is non-nil: a line frame (msgInfer, one tensor
+// at a unit exit) or a set frame (msgInferSet, an Alg. 3 boundary set).
+// Both kinds are shed — the runner finishes either locally. Only line
+// frames are:
+//   - coalesced: a group shares one suffix pass, and two sets' node
+//     lists need not match;
+//   - forwarded: the handoff (-next-cut) is a unit index and a set names
+//     no unit, so a set's whole suffix runs on the stage it reaches;
+//   - quantized on the wire: the client calibrates per unit exit.
+//
+// A boundary set that is a unit exit never arrives as a set: the client
+// sends the line frame it is (runPrefix).
 type pendingJob struct {
 	conn   *connCtx
 	tenant string // snapshot of conn.tenant at admission
 	req    *inferRequest
 	set    *inferSetRequest
 	recv   time.Time // decode completion; queue attribution starts here
+}
+
+// jobID is the client's ID for the job, whichever frame carried it.
+func (pj pendingJob) jobID() uint32 {
+	if pj.req != nil {
+		return pj.req.JobID
+	}
+	return pj.set.JobID
 }
 
 // tenantQueue is one tenant's FIFO plus its stride-scheduling state.
@@ -186,17 +205,16 @@ func (fs *fleetScheduler) shutdown() {
 // admit is called from a connection's read loop with one decoded job
 // whose conn.pending has been incremented. It returns false only when
 // the server is shut down (the job is then the caller's to release).
-// Past the shed watermark, infer jobs are answered immediately with a
-// shed reply instead of queueing — the client's runner finishes them
-// on the mobile engine. General-plan jobs (set != nil) are never shed:
-// they have no local-fallback path and are rare calibration traffic.
+// Past the shed watermark, jobs of either frame kind are answered
+// immediately with a shed reply instead of queueing — the client's
+// runner finishes them on the mobile engine.
 func (fs *fleetScheduler) admit(pj pendingJob) bool {
 	fs.mu.Lock()
 	if fs.closed {
 		fs.mu.Unlock()
 		return false
 	}
-	if wm := fs.s.shedWatermark; wm > 0 && fs.queued >= wm && pj.req != nil {
+	if wm := fs.s.shedWatermark; wm > 0 && fs.queued >= wm {
 		fs.mu.Unlock()
 		fs.shed(pj)
 		return true
@@ -234,7 +252,7 @@ func (fs *fleetScheduler) shed(pj pendingJob) {
 		o.TenantJobs.With(pj.tenant).Inc()
 	}
 	rep := &inferReply{
-		JobID: pj.req.JobID,
+		JobID: pj.jobID(),
 		Class: -1,
 		Flags: replyFlagShed | replyFlagBackpressure,
 	}
@@ -287,7 +305,7 @@ func (fs *fleetScheduler) popLocked() pendingJob {
 }
 
 // dispatchLoop is the single consumer of the tenant queues: it pops in
-// WFQ order and routes each job — infer jobs to the coalescer when
+// WFQ order and routes each job — line jobs to the coalescer when
 // batching is on, everything else to the pool as a solo task. On
 // shutdown it drains the queues first, then the coalescer, then waits
 // until every forwarded job is answered (one parked at the next hop may
@@ -360,7 +378,7 @@ func (fs *fleetScheduler) finishReply(pj pendingJob, rep *inferReply) {
 
 // soloTask wraps one unbatched job into a pool task: run the
 // inference, stamp flags, reply to the owning connection. Errors fail
-// only that connection. On a forwarding stage, jobs cut before the
+// only that connection. On a forwarding stage, line jobs cut before the
 // handoff boundary take the forwarding task instead.
 func (fs *fleetScheduler) soloTask(pj pendingJob) func() {
 	s := fs.s
@@ -369,16 +387,12 @@ func (fs *fleetScheduler) soloTask(pj pendingJob) func() {
 	}
 	return func() {
 		defer pj.conn.pending.Done()
-		var jobID int
-		var infer func() (*inferReply, error)
-		if pj.req != nil {
-			jobID = int(pj.req.JobID)
-			infer = func() (*inferReply, error) { return s.infer(pj.req) }
-		} else {
-			jobID = int(pj.set.JobID)
-			infer = func() (*inferReply, error) { return s.inferSet(pj.set) }
-		}
-		rep, err := s.runJob(jobID, pj.recv, infer)
+		rep, err := s.runJob(int(pj.jobID()), pj.recv, func() (*inferReply, error) {
+			if pj.req != nil {
+				return s.infer(pj.req)
+			}
+			return s.inferSet(pj.set)
+		})
 		if err != nil {
 			pj.conn.fail(err)
 			return

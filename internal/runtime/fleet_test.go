@@ -176,8 +176,8 @@ func TestFleetWFQOrder(t *testing.T) {
 }
 
 // TestFleetShedAdmission drives admission control directly: jobs past
-// the watermark get an immediate shed reply, general-plan jobs are
-// never shed, and the backpressure hint fires at half the watermark.
+// the watermark get an immediate shed reply, whichever frame kind
+// carried them, and the backpressure hint fires at half the watermark.
 func TestFleetShedAdmission(t *testing.T) {
 	srv := NewServer(testModel(t)).WithShedWatermark(2)
 	fs := &fleetScheduler{s: srv, tenants: map[string]*tenantQueue{}}
@@ -226,13 +226,14 @@ func TestFleetShedAdmission(t *testing.T) {
 		t.Errorf("shed reply flags %08b, want shed|backpressure", rep.Flags)
 	}
 
-	// General-plan jobs are never shed: no local fallback exists.
+	// A set frame past the watermark is shed like a line frame: the
+	// runner has a local fallback for both.
 	admit(pendingJob{conn: cc, tenant: DefaultTenant, set: &inferSetRequest{JobID: 4}})
-	if len(replies) != 1 {
-		t.Fatal("set job was shed")
+	if len(replies) != 2 || replies[1].JobID != 4 || replies[1].Flags&replyFlagShed == 0 {
+		t.Fatalf("set job past the watermark: replies %+v, want a shed reply for job 4", replies)
 	}
-	if fs.queued != 3 {
-		t.Errorf("queued = %d, want 3 (two infer + one set)", fs.queued)
+	if fs.queued != 2 {
+		t.Errorf("queued = %d, want 2 (shed jobs never queue)", fs.queued)
 	}
 }
 
@@ -293,33 +294,8 @@ func TestFleetShedAndHintReplan(t *testing.T) {
 	srv := NewServer(m).WithWorkers(1).WithShedWatermark(2)
 	t.Cleanup(srv.Close)
 
-	// Wedge: one valid job whose reply is never read, so the single
-	// worker blocks flushing it and everything behind piles up.
 	const cut = 3
-	units := profile.LineView(m.Graph())
-	var prefix []int
-	for _, u := range units[:cut+1] {
-		prefix = append(prefix, u.Nodes...)
-	}
-	acts := map[int]*tensor.Tensor{}
-	if err := m.Execute(acts, pipeInput(0), prefix); err != nil {
-		t.Fatal(err)
-	}
-	wedgeBoundary := acts[units[cut].Exit].Clone()
-	wedge := dialFleet(t, srv)
-	var frame bytes.Buffer
-	if err := writeInferRequest(&frame, &inferRequest{JobID: 999, Cut: cut, Tensor: wedgeBoundary}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := wedge.Write(frame.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	released := make(chan struct{})
-	go func() {
-		defer close(released)
-		time.Sleep(400 * time.Millisecond)
-		_, _ = io.Copy(io.Discard, wedge) // unblock the worker; drain until test cleanup closes the pipe
-	}()
+	time.AfterFunc(400*time.Millisecond, wedgeWorker(t, srv, m, pipeInput(0)))
 
 	dial := func() (net.Conn, error) {
 		cConn, sConn := net.Pipe()

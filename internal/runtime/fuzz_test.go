@@ -126,6 +126,64 @@ func FuzzReadInferRequest(f *testing.F) {
 	})
 }
 
+// FuzzReadInferSetRequest drives the boundary-set decoder: arbitrary
+// bodies — a zero or oversized count and a quantized tensor among them
+// — must be rejected cleanly, valid bodies must round-trip through the
+// writer with the size setWireBytes predicts.
+func FuzzReadInferSetRequest(f *testing.F) {
+	var valid bytes.Buffer
+	_ = writeInferSetRequest(&valid, &inferSetRequest{
+		JobID:   7,
+		Nodes:   []int32{4, 2},
+		Tensors: []*tensor.Tensor{mustVec(3, 1, 2, 3), mustVec(2, -1, 5)},
+	})
+	f.Add(valid.Bytes()[1:]) // body = frame minus the type byte
+	var qbody bytes.Buffer   // one pair whose tensor is a quantized frame
+	qbody.Write([]byte{7, 0, 0, 0, 1, 0, 4, 0, 0, 0})
+	_, _ = writeQTensorSum(&qbody, mustQVec(3, 1, -2, 3), 0)
+	for _, bad := range [][]byte{
+		{7, 0, 0, 0, 0, 0},  // count 0
+		{7, 0, 0, 0, 65, 0}, // count 65 > maxBoundaryTensors
+		qbody.Bytes(),
+		valid.Bytes()[1:12], // truncated
+		{},
+	} {
+		if _, err := readInferSetRequestBody(bytes.NewReader(bad)); err == nil {
+			f.Fatalf("body %x decoded, want a rejection", bad)
+		}
+		f.Add(bad)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		req, err := readInferSetRequestBody(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if n := len(req.Nodes); n == 0 || n > maxBoundaryTensors || n != len(req.Tensors) {
+			t.Fatalf("decoded %d nodes, %d tensors", n, len(req.Tensors))
+		}
+		var buf bytes.Buffer
+		if err := writeInferSetRequest(&buf, req); err != nil {
+			t.Fatalf("re-encode: %v", err)
+		}
+		if buf.Len() != setWireBytes(req) {
+			t.Fatalf("frame is %d bytes, setWireBytes says %d", buf.Len(), setWireBytes(req))
+		}
+		got, err := readInferSetRequestBody(bytes.NewReader(buf.Bytes()[1:]))
+		if err != nil {
+			t.Fatalf("decode re-encoded request: %v", err)
+		}
+		if got.JobID != req.JobID || len(got.Nodes) != len(req.Nodes) {
+			t.Fatalf("round trip mismatch: %+v vs %+v", got, req)
+		}
+		for i := range req.Nodes {
+			if got.Nodes[i] != req.Nodes[i] || !got.Tensors[i].Shape.Equal(req.Tensors[i].Shape) {
+				t.Fatalf("pair %d: round trip mismatch", i)
+			}
+		}
+	})
+}
+
 // FuzzReadInferReply drives the client demultiplexer's reply decoder.
 func FuzzReadInferReply(f *testing.F) {
 	var valid bytes.Buffer

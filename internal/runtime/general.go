@@ -8,17 +8,11 @@ package runtime
 // set's ancestor closure, in topological order.
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"net"
-	"sync"
-	"time"
 
-	"dnnjps/internal/engine"
-	"dnnjps/internal/netsim"
 	"dnnjps/internal/tensor"
 )
 
@@ -31,6 +25,17 @@ type inferSetRequest struct {
 	JobID   uint32
 	Nodes   []int32
 	Tensors []*tensor.Tensor
+}
+
+// setWireBytes is reqWireBytes for a boundary set: type byte, job ID,
+// count and CRC trailer once, then a node ID and a float32 tensor frame
+// per pair.
+func setWireBytes(req *inferSetRequest) int {
+	n := 7 + 4
+	for _, t := range req.Tensors {
+		n += 4 + 1 + 4*t.Shape.Rank() + 4*t.Shape.Elems()
+	}
+	return n
 }
 
 func writeInferSetRequest(w io.Writer, req *inferSetRequest) error {
@@ -127,115 +132,5 @@ func (s *Server) inferSet(req *inferSetRequest) (*inferReply, error) {
 			suffix = append(suffix, id)
 		}
 	}
-	start := time.Now()
-	// The wire tensors seed acts as caller-owned buffers that
-	// Execute's arena never recycles; the sink has no consumers, so
-	// it is retained for the Argmax read below.
-	if err := s.model.Execute(acts, nil, suffix); err != nil {
-		return nil, err
-	}
-	out := acts[g.Sink()]
-	return &inferReply{
-		JobID:   req.JobID,
-		Class:   int32(engine.Argmax(out)),
-		CloudNs: time.Since(start).Nanoseconds(),
-	}, nil
-}
-
-// GeneralClient executes set-partitioned jobs against a Server: the
-// mobile side computes the ancestor closure of a cut-node set with the
-// real engine, ships every boundary tensor whose consumer is remote,
-// and reads back the class.
-type GeneralClient struct {
-	model *engine.Model
-	conn  *netsim.ShapedConn
-	rw    *bufio.ReadWriter
-	ch    netsim.Channel
-	mu    sync.Mutex
-}
-
-// NewGeneralClient wraps a connection to a server holding the same
-// model and seed.
-func NewGeneralClient(conn net.Conn, m *engine.Model, ch netsim.Channel, timeScale float64) *GeneralClient {
-	shaped := netsim.Shape(conn, ch, timeScale)
-	return &GeneralClient{
-		model: m,
-		conn:  shaped,
-		rw: bufio.NewReadWriter(
-			bufio.NewReaderSize(shaped, 1<<16),
-			bufio.NewWriterSize(shaped, 1<<16)),
-		ch: ch,
-	}
-}
-
-// RunJob executes one job cut at the given node set (the partition
-// P_j of §3.1: those nodes and their ancestors run locally). An empty
-// set is rejected; use the node set {sink} for a fully local run.
-func (c *GeneralClient) RunJob(jobID int, cutNodes []int, input *tensor.Tensor) (*JobResult, error) {
-	if len(cutNodes) == 0 {
-		return nil, fmt.Errorf("runtime: empty cut set")
-	}
-	g := c.model.Graph()
-	mobile := g.Ancestors(cutNodes...)
-	res := &JobResult{JobID: jobID}
-
-	// Local prefix in topological order.
-	var prefix []int
-	for _, id := range g.Topo() {
-		if mobile[id] {
-			prefix = append(prefix, id)
-		}
-	}
-	start := time.Now()
-	// Every boundary node has a remote consumer outside the prefix,
-	// so Execute keeps its activation live while recycling interior
-	// ones — acts[id] below is safe to ship after the call.
-	acts := map[int]*tensor.Tensor{}
-	if err := c.model.Execute(acts, input, prefix); err != nil {
-		return nil, err
-	}
-	res.MobileMs = float64(time.Since(start).Nanoseconds()) / 1e6
-
-	// Boundary = mobile nodes with at least one remote consumer.
-	req := &inferSetRequest{JobID: uint32(jobID)}
-	for _, id := range prefix {
-		for _, s := range g.Succs(id) {
-			if !mobile[s] {
-				req.Nodes = append(req.Nodes, int32(id))
-				req.Tensors = append(req.Tensors, acts[id])
-				break
-			}
-		}
-	}
-	if len(req.Nodes) == 0 {
-		// Fully local: the sink is on the mobile side.
-		res.Class = engine.Argmax(acts[g.Sink()])
-		res.Done = time.Now()
-		return res, nil
-	}
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	sendStart := time.Now()
-	c.conn.Delay(time.Duration(c.ch.SetupMs * float64(time.Millisecond)))
-	if err := writeInferSetRequest(c.rw.Writer, req); err != nil {
-		return nil, err
-	}
-	if err := c.rw.Flush(); err != nil {
-		return nil, err
-	}
-	rep, err := readInferReply(c.rw.Reader)
-	if err != nil {
-		return nil, err
-	}
-	if rep.JobID != uint32(jobID) {
-		return nil, fmt.Errorf("runtime: reply for job %d, want %d", rep.JobID, jobID)
-	}
-	total := float64(time.Since(sendStart).Nanoseconds()) / 1e6
-	res.CloudMs = float64(rep.CloudNs) / 1e6
-	res.QueueMs = float64(rep.QueueNs) / 1e6
-	res.CommMs = total - res.CloudMs - res.QueueMs
-	res.Class = int(rep.Class)
-	res.Done = time.Now()
-	return res, nil
+	return s.resume(req.JobID, acts, suffix)
 }

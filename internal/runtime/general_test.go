@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"bytes"
-	"net"
 	"testing"
 
 	"dnnjps/internal/core"
@@ -34,19 +33,36 @@ func branchedModel(t *testing.T) *engine.Model {
 	return engine.Load(g, 77)
 }
 
-func startGeneralPair(t *testing.T, m *engine.Model) *GeneralClient {
+// twoTensorCut is the cut set on branchedModel whose boundary is one
+// tensor per branch — a true set, not a line cut.
+func twoTensorCut(t *testing.T, m *engine.Model) []int {
 	t.Helper()
-	cConn, sConn := net.Pipe()
-	srv := NewServer(m)
-	t.Cleanup(srv.Close)
-	go func() { defer sConn.Close(); _ = srv.HandleConn(sConn) }()
-	t.Cleanup(func() { cConn.Close() })
-	return NewGeneralClient(cConn, m, netsim.WiFi, 1e-6)
+	a2, _ := m.Graph().NodeByName("a2")
+	b1, _ := m.Graph().NodeByName("b1")
+	return []int{a2.ID, b1.ID}
 }
 
-func TestGeneralClientMultiBoundaryCut(t *testing.T) {
+// twoTensorSetBytes is the wire size of the msgInferSet frame that cut
+// ships: two float32 8x16x16 tensors, 16 KB.
+func twoTensorSetBytes(m *engine.Model) int {
+	a2, _ := m.Graph().NodeByName("a2")
+	return setWireBytes(&inferSetRequest{Tensors: []*tensor.Tensor{tensor.New(a2.OutShape), tensor.New(a2.OutShape)}})
+}
+
+// uniformGeneralPlan cuts every job at the same node set, in job-ID
+// order: the general-plan counterpart of uniformPlan.
+func uniformGeneralPlan(n int, nodes []int) *core.GeneralPlan {
+	gp := &core.GeneralPlan{CutNodes: make([][]int, n), Sequence: make([]core.PathJob, n)}
+	for j := range gp.CutNodes {
+		gp.CutNodes[j] = nodes
+		gp.Sequence[j] = core.PathJob{Job: j}
+	}
+	return gp
+}
+
+func TestRunCutSetMultiBoundaryCut(t *testing.T) {
 	m := branchedModel(t)
-	cl := startGeneralPair(t, m)
+	cl := startPair(t, m, netsim.WiFi)
 	g := m.Graph()
 	in := input(5)
 	want, err := m.Forward(in.Clone())
@@ -56,60 +72,71 @@ func TestGeneralClientMultiBoundaryCut(t *testing.T) {
 	wantClass := engine.Argmax(want)
 
 	a2, _ := g.NodeByName("a2")
-	b1, _ := g.NodeByName("b1")
 	stem, _ := g.NodeByName("stem")
 	inN, _ := g.NodeByName("input")
-	sink := g.Sink()
+	last := cl.Units() - 1
 
+	// wantCut is JobResult.Cut: the unit index when the boundary is a
+	// line cut (whatever method submitted it), -1 for a true set.
 	cases := []struct {
-		name string
-		cuts []int
+		name    string
+		cuts    []int
+		wantCut int
 	}{
-		{"two-branch boundary", []int{a2.ID, b1.ID}},
-		{"one branch deep, one shallow", []int{a2.ID, stem.ID}},
-		{"cloud-only", []int{inN.ID}},
-		{"stem only", []int{stem.ID}},
-		{"fully local", []int{sink}},
+		{"two-branch boundary", twoTensorCut(t, m), -1},
+		{"one branch deep, one shallow", []int{a2.ID, stem.ID}, -1},
+		{"cloud-only", []int{inN.ID}, 0},
+		{"stem only", []int{stem.ID}, 1},
+		{"fully local", []int{g.Sink()}, last},
 	}
 	for _, c := range cases {
-		res, err := cl.RunJob(3, c.cuts, in.Clone())
+		res, err := cl.RunCutSet(3, c.cuts, in.Clone())
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		if res.Class != wantClass {
 			t.Errorf("%s: class %d, want %d", c.name, res.Class, wantClass)
 		}
+		if res.Cut != c.wantCut {
+			t.Errorf("%s: JobResult.Cut = %d, want %d", c.name, res.Cut, c.wantCut)
+		}
 	}
 }
 
-func TestGeneralClientRejectsEmptyCutSet(t *testing.T) {
+func TestRunCutSetRejectsBadCutSet(t *testing.T) {
 	m := branchedModel(t)
-	cl := startGeneralPair(t, m)
-	if _, err := cl.RunJob(0, nil, input(0)); err == nil {
+	cl := startPair(t, m, netsim.WiFi)
+	if _, err := cl.RunCutSet(0, nil, input(0)); err == nil {
 		t.Error("empty cut set must error")
 	}
+	if _, err := cl.RunCutSet(0, []int{m.Graph().Len()}, input(0)); err == nil {
+		t.Error("out-of-range cut node must error")
+	}
 }
 
-func TestGeneralClientRunsPlanGeneralCuts(t *testing.T) {
-	// The cut sets an Algorithm 3 plan emits execute end to end.
+func TestRunGeneralPlanRunsPlanGeneralCuts(t *testing.T) {
+	// The cut sets an Algorithm 3 plan emits execute end to end, as one
+	// pipelined run in the order of the plan's job-level view.
 	m := branchedModel(t)
 	g := m.Graph()
-	cl := startGeneralPair(t, m)
+	cl := startPair(t, m, netsim.WiFi)
 	pi, gpu := profile.RaspberryPi4(), profile.CloudGPU()
-	gp, err := core.PlanGeneral(g, pi, gpu, netsim.WiFi, tensor.Float32, 3, 0)
+	const n = 3
+	gp, err := core.PlanGeneral(g, pi, gpu, netsim.WiFi, tensor.Float32, n, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := input(9)
-	want, _ := m.Forward(in.Clone())
-	for job, cuts := range gp.CutNodes {
-		res, err := cl.RunJob(job, cuts, in.Clone())
-		if err != nil {
-			t.Fatalf("job %d cuts %v: %v", job, cuts, err)
-		}
-		if res.Class != engine.Argmax(want) {
-			t.Errorf("job %d: class %d, want %d", job, res.Class, engine.Argmax(want))
-		}
+	inputs := make([]*tensor.Tensor, n)
+	for i := range inputs {
+		inputs[i] = input(9 + i)
+	}
+	rep, err := cl.RunGeneralPlan(gp, inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkClasses(t, rep, wantClasses(t, m, inputs))
+	if _, err := cl.RunGeneralPlan(gp, inputs[:1]); err == nil {
+		t.Error("input count mismatch must error")
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"dnnjps/internal/estimator"
 	"dnnjps/internal/netsim"
 	"dnnjps/internal/obs"
 	"dnnjps/internal/profile"
@@ -236,6 +237,56 @@ func TestObsMetricsAndExports(t *testing.T) {
 	} {
 		if !strings.Contains(prom.String(), want) {
 			t.Errorf("prometheus exposition missing %q", want)
+		}
+	}
+}
+
+// A set job is as visible as a line job: one line job and one cut-set
+// job on the same client leave the same five client span names each,
+// the server's rx counters (global and per tenant) read exactly the
+// bytes the client says it uploaded, and the estimator was fed.
+func TestObsSetJobsAreVisible(t *testing.T) {
+	m := branchedModel(t)
+	o := NewObs(obs.NewTracer(0), obs.NewMetrics())
+	srv := NewServer(m).WithWorkers(2).WithObs(o)
+	t.Cleanup(srv.Close)
+	cl := NewClient(dialFleet(t, srv), m, netsim.WiFi, 1e-6).WithObs(o).
+		WithEstimator(estimator.New(estimator.Config{})).WithTenant("phone")
+
+	const lineJob, setJob = 0, 1
+	if res, err := cl.RunJob(lineJob, 1, input(0)); err != nil || res.Cut != 1 {
+		t.Fatalf("line job: %+v, %v", res, err)
+	}
+	if res, err := cl.RunCutSet(setJob, twoTensorCut(t, m), input(1)); err != nil || res.Cut != -1 {
+		t.Fatalf("set job: %+v, %v", res, err)
+	}
+	stem, _ := m.Graph().NodeByName("stem")
+	wantUp := int64(RequestWireBytes(stem.OutShape) + twoTensorSetBytes(m))
+	waitSettled(t, func() bool { return o.ServerJobs.Value() == 2 && o.BytesUp.Value() == wantUp })
+
+	if got := o.ServerRxBytes.Value(); got != o.BytesUp.Value() {
+		t.Errorf("server rx bytes = %d, client uplink bytes = %d: set frames must be counted", got, o.BytesUp.Value())
+	}
+	if got := o.TenantRxBytes.Values()["phone"]; got != wantUp {
+		t.Errorf("tenant rx bytes = %d, want %d", got, wantUp)
+	}
+	if got := o.EstMbps.Value(); got <= 0 {
+		t.Errorf("estimated uplink = %g Mb/s after a 16 KB set upload, want > 0", got)
+	}
+	names := map[int32]map[string]bool{lineJob: {}, setJob: {}}
+	for _, sp := range o.Tracer.Spans() {
+		if sp.Track == TrackMobile || sp.Track == TrackUplink || sp.Track == TrackCloud {
+			names[sp.JobID][sp.Name] = true
+		}
+	}
+	for _, id := range []int32{lineJob, setJob} {
+		for _, want := range []string{SpanLocalCompute, SpanQueueWait, SpanSerialize, SpanUpload, SpanReplyWait} {
+			if !names[id][want] {
+				t.Errorf("job %d: no %q span; a set job records what a line job records", id, want)
+			}
+		}
+		if len(names[id]) != 5 {
+			t.Errorf("job %d: client spans %v, want exactly the five", id, names[id])
 		}
 	}
 }

@@ -38,8 +38,8 @@ var wireCRC = crc32.MakeTable(crc32.Castagnoli)
 // Message types on the wire.
 const (
 	msgInfer = byte(1) // client -> server: boundary tensor at a cut
-	msgPing  = byte(2) // client -> server: calibration payload, echoed as a reply header
-	// msgInferSet (3) is defined in general.go.
+	msgPing  = byte(2) // client -> server: calibration payload; server -> client: its one-byte acknowledgment
+	// msgInferSet (3), the cut-set form of msgInfer, is defined in general.go.
 	msgHello = byte(4) // client -> server: tenant handshake (no reply)
 )
 
@@ -451,21 +451,6 @@ func readInferReplyBody(r io.Reader) (inferReply, error) {
 	}, nil
 }
 
-func readInferReply(r io.Reader) (*inferReply, error) {
-	var typ [1]byte
-	if _, err := io.ReadFull(r, typ[:]); err != nil {
-		return nil, err
-	}
-	if typ[0] != msgInfer {
-		return nil, fmt.Errorf("runtime: unexpected reply type %d", typ[0])
-	}
-	rep, err := readInferReplyBody(r)
-	if err != nil {
-		return nil, err
-	}
-	return &rep, nil
-}
-
 // writePing sends a calibration payload of the given size. Payload
 // bytes are zeros streamed from a pooled chunk.
 func writePing(w io.Writer, payload int) error {
@@ -519,18 +504,6 @@ func writePong(w io.Writer) error {
 	_, err := w.Write(b[:1])
 	wireBufs.Put(bp)
 	return err
-}
-
-// readPong consumes a ping acknowledgment.
-func readPong(r io.Reader) error {
-	var typ [1]byte
-	if _, err := io.ReadFull(r, typ[:]); err != nil {
-		return err
-	}
-	if typ[0] != msgPing {
-		return fmt.Errorf("runtime: unexpected pong type %d", typ[0])
-	}
-	return nil
 }
 
 // writeHello sends the tenant handshake: type byte, one length byte,

@@ -15,9 +15,11 @@ import (
 )
 
 // quantTestModel is testModel calibrated and switched to int8 mode.
-func quantTestModel(t *testing.T) *engine.Model {
+func quantTestModel(t *testing.T) *engine.Model { return quantized(t, testModel(t)) }
+
+// quantized calibrates m on synthetic inputs and switches it to int8.
+func quantized(t *testing.T, m *engine.Model) *engine.Model {
 	t.Helper()
-	m := testModel(t)
 	cal, err := m.CalibrateSynthetic(2)
 	if err != nil {
 		t.Fatal(err)

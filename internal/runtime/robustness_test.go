@@ -5,6 +5,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	goruntime "runtime"
 	"sync"
 	"testing"
 	"time"
@@ -142,14 +143,16 @@ func TestRunPlanManyJobs(t *testing.T) {
 }
 
 // TestRunnerFaultMatrix sweeps {drop, stall, disconnect} x {during
-// upload, during reply}. Whatever the fault, a RunPlan through the
+// upload, during reply} x {line plan, general plan}. Whatever the fault
+// and whichever frame kind carries the jobs, a run through the
 // fault-tolerant runner must terminate within the guard timeout and
 // return complete, correct results — retried to success over the link
-// or finished by the local fallback, never a hang and never a panic.
-// The injector is faulty on the first two connections and clean
-// afterwards, so every case exercises real recovery.
+// or finished by the local fallback, never a hang and never a panic —
+// and leave no goroutine behind. The injector is faulty on the first
+// two connections and clean afterwards, so every case exercises real
+// recovery.
 func TestRunnerFaultMatrix(t *testing.T) {
-	m := testModel(t)
+	m := branchedModel(t)
 	cases := []struct {
 		name     string
 		up, down netsim.FaultSpec
@@ -161,49 +164,67 @@ func TestRunnerFaultMatrix(t *testing.T) {
 		{"disconnect-during-upload", netsim.FaultSpec{DisconnectAfterBytes: 40_000}, netsim.FaultSpec{}},
 		{"disconnect-during-reply", netsim.FaultSpec{}, netsim.FaultSpec{DisconnectProb: 0.3}},
 	}
+	const n = 6
+	// Both plans offload every job: the line plan ships the stem's one
+	// tensor (8 KB), the general plan the two-branch boundary set (16 KB).
+	plans := []struct {
+		name string
+		run  func(*Runner, []*tensor.Tensor) (*FTReport, error)
+	}{
+		{"line", func(r *Runner, in []*tensor.Tensor) (*FTReport, error) { return r.RunPlan(uniformPlan(n, 1), in) }},
+		{"general", func(r *Runner, in []*tensor.Tensor) (*FTReport, error) {
+			return r.RunGeneralPlan(uniformGeneralPlan(n, twoTensorCut(t, m)), in)
+		}},
+	}
 	for ci, tc := range cases {
 		tc := tc
 		seed := int64(100 + 10*ci)
+		inputs := make([]*tensor.Tensor, n)
+		for i := range inputs {
+			inputs[i] = input(i + ci*7)
+		}
+		// The fault cases run one after another so that each can count
+		// its own goroutines; within a case nothing is parallel either.
 		t.Run(tc.name, func(t *testing.T) {
-			t.Parallel()
-			dial := faultyDialer(t, m, seed, 1, func(i int) (up, down netsim.FaultSpec) {
-				if i < 2 {
-					return tc.up, tc.down
-				}
-				return netsim.FaultSpec{}, netsim.FaultSpec{}
-			})
-			r := NewRunner(dial, m, netsim.WiFi, 1e-3, RunOptions{
-				JobTimeout:    300 * time.Millisecond,
-				MaxReconnects: 6,
-				BackoffBase:   time.Millisecond,
-				BackoffMax:    4 * time.Millisecond,
-				Seed:          seed,
-				Window:        3,
-			})
-			const n = 6
-			plan := uniformPlan(n, 1)
-			inputs := make([]*tensor.Tensor, n)
-			for i := range inputs {
-				inputs[i] = input(i + ci*7)
-			}
+			for _, plan := range plans {
+				plan := plan
+				t.Run(plan.name, func(t *testing.T) {
+					base := goruntime.NumGoroutine()
+					t.Cleanup(func() { goroutinesSettle(t, base) })
+					dial := faultyDialer(t, m, seed, 1, func(i int) (up, down netsim.FaultSpec) {
+						if i < 2 {
+							return tc.up, tc.down
+						}
+						return netsim.FaultSpec{}, netsim.FaultSpec{}
+					})
+					r := NewRunner(dial, m, netsim.WiFi, 1e-3, RunOptions{
+						JobTimeout:    300 * time.Millisecond,
+						MaxReconnects: 6,
+						BackoffBase:   time.Millisecond,
+						BackoffMax:    4 * time.Millisecond,
+						Seed:          seed,
+						Window:        3,
+					})
 
-			type outcome struct {
-				rep *FTReport
-				err error
-			}
-			done := make(chan outcome, 1)
-			go func() {
-				rep, err := r.RunPlan(plan, inputs)
-				done <- outcome{rep, err}
-			}()
-			select {
-			case out := <-done:
-				if out.err != nil {
-					t.Fatalf("runner must recover from %s, got %v", tc.name, out.err)
-				}
-				checkComplete(t, out.rep, wantClasses(t, m, inputs))
-			case <-time.After(30 * time.Second):
-				t.Fatalf("runner hung under %s", tc.name)
+					type outcome struct {
+						rep *FTReport
+						err error
+					}
+					done := make(chan outcome, 1)
+					go func() {
+						rep, err := plan.run(r, inputs)
+						done <- outcome{rep, err}
+					}()
+					select {
+					case out := <-done:
+						if out.err != nil {
+							t.Fatalf("runner must recover from %s, got %v", tc.name, out.err)
+						}
+						checkComplete(t, out.rep, wantClasses(t, m, inputs))
+					case <-time.After(30 * time.Second):
+						t.Fatalf("runner hung under %s", tc.name)
+					}
+				})
 			}
 		})
 	}

@@ -5,12 +5,12 @@ import (
 	"math"
 	"math/rand"
 	"net"
-	"sort"
 	"time"
 
 	"dnnjps/internal/core"
 	"dnnjps/internal/engine"
 	"dnnjps/internal/estimator"
+	"dnnjps/internal/flowshop"
 	"dnnjps/internal/netsim"
 	"dnnjps/internal/profile"
 	"dnnjps/internal/tensor"
@@ -204,15 +204,16 @@ func (r *Runner) WithObs(o *Obs) *Runner {
 // ftJob is the runner's per-job state across attempts.
 type ftJob struct {
 	id    int
-	cut   int
+	cut   jobCut
 	input *tensor.Tensor
-	// boundary caches the mobile prefix output at cut, so retries
-	// resubmit without recomputing; res carries the prefix timing and
-	// receives the reply. Both reset when a re-plan moves the cut.
-	boundary *tensor.Tensor
-	res      *JobResult
-	tries    int
-	done     bool
+	// up caches the frame the mobile prefix left at cut — one tensor or
+	// a boundary set — so retries resubmit without recomputing; res
+	// carries the prefix timing and receives the reply. Both reset when
+	// a re-plan moves the cut.
+	up    upload
+	res   *JobResult
+	tries int
+	done  bool
 }
 
 // RunPlan executes the plan to completion through every configured
@@ -220,16 +221,35 @@ type ftJob struct {
 // problems: bad arguments, engine failures, or — with NoLocalFallback —
 // a dead uplink.
 func (r *Runner) RunPlan(p *core.Plan, inputs []*tensor.Tensor) (*FTReport, error) {
-	if len(inputs) != len(p.Cuts) {
-		return nil, fmt.Errorf("runtime: %d inputs for %d jobs", len(inputs), len(p.Cuts))
+	return r.run(len(p.Cuts), p.Sequence, inputs, func(job int) jobCut { return jobCut{unit: p.Cuts[job]} })
+}
+
+// RunGeneralPlan is RunPlan for an Algorithm 3 plan, in the order of
+// its job-level view: deadlines, redial-and-resubmit (the cached
+// boundary set is reused), shed and full-local fallback hold for set
+// jobs through the same loop. Re-planning is defined for *core.Plan
+// only, so a runner configured to re-plan refuses the plan outright.
+func (r *Runner) RunGeneralPlan(gp *core.GeneralPlan, inputs []*tensor.Tensor) (*FTReport, error) {
+	if r.opts.AdaptiveReplan || r.opts.ReplanFactor > 0 || r.opts.BackpressureThreshold > 0 {
+		return nil, fmt.Errorf("runtime: RunGeneralPlan cannot re-plan a general-structure plan: " +
+			"unset AdaptiveReplan, ReplanFactor and BackpressureThreshold")
+	}
+	return r.run(len(gp.CutNodes), gp.JobSequence(), inputs, func(job int) jobCut { return setCut(gp.CutNodes[job]) })
+}
+
+// run drives n jobs, in seq order and each cut where cutOf says,
+// through the recovery loop.
+func (r *Runner) run(n int, seq []flowshop.Job, inputs []*tensor.Tensor, cutOf func(job int) jobCut) (*FTReport, error) {
+	if len(inputs) != n {
+		return nil, fmt.Errorf("runtime: %d inputs for %d jobs", len(inputs), n)
 	}
 	start := time.Now()
-	jobs := make([]*ftJob, len(p.Cuts))
-	for id, cut := range p.Cuts {
-		jobs[id] = &ftJob{id: id, cut: cut, input: inputs[id]}
+	jobs := make([]*ftJob, n)
+	for id := range jobs {
+		jobs[id] = &ftJob{id: id, cut: cutOf(id), input: inputs[id]}
 	}
 	order := make([]*ftJob, 0, len(jobs))
-	for _, fj := range p.Sequence {
+	for _, fj := range seq {
 		order = append(order, jobs[fj.ID])
 	}
 
@@ -277,30 +297,17 @@ func (r *Runner) RunPlan(p *core.Plan, inputs []*tensor.Tensor) (*FTReport, erro
 		}
 	}
 
-	if countPending(order) > 0 {
-		if r.opts.NoLocalFallback {
-			return nil, fmt.Errorf("runtime: uplink failed after %d reconnects with %d/%d jobs unfinished",
-				ft.Reconnects, countPending(order), len(jobs))
-		}
-		// Graceful degradation: the remaining suffix runs fully local
-		// (cut at the last unit), classes identical to a remote finish.
-		localCut := len(r.units) - 1
-		for _, j := range order {
-			if j.done {
-				continue
-			}
-			fbStart := time.Now()
-			_, res, err := runPrefix(r.model, r.units, j.id, localCut, j.input)
-			if err != nil {
+	if countPending(order) > 0 && r.opts.NoLocalFallback {
+		return nil, fmt.Errorf("runtime: uplink failed after %d reconnects with %d/%d jobs unfinished",
+			ft.Reconnects, countPending(order), len(jobs))
+	}
+	// Graceful degradation: the remaining suffix runs fully local,
+	// classes identical to a remote finish.
+	for _, j := range order {
+		if !j.done {
+			if err := r.finishLocal(j, false, ft); err != nil {
 				return nil, err
 			}
-			r.obsv.span(TrackRunner, SpanLocalFallback, j.id, fbStart, time.Now())
-			if o := r.obsv; o != nil {
-				o.LocalFallbacks.Inc()
-			}
-			j.res = res
-			j.done = true
-			ft.LocalFallbackJobs++
 		}
 	}
 
@@ -308,17 +315,11 @@ func (r *Runner) RunPlan(p *core.Plan, inputs []*tensor.Tensor) (*FTReport, erro
 	for _, j := range jobs {
 		results = append(results, j.res)
 	}
-	sort.Slice(results, func(i, k int) bool { return results[i].JobID < results[k].JobID })
-	ft.Results = results
+	ft.Report = newReport(start, results)
 	if rs.est != nil {
 		ft.EstimatedMbps, _ = rs.est.Mbps()
 		ft.ChangePoints = len(rs.est.ChangePoints())
 		ft.ReplaySamples = rs.est.Samples()
-	}
-	for _, res := range results {
-		if ms := float64(res.Done.Sub(start).Nanoseconds()) / 1e6; ms > ft.MakespanMs {
-			ft.MakespanMs = ms
-		}
 	}
 	return ft, nil
 }
@@ -361,7 +362,7 @@ func (r *Runner) attempt(cl *Client, order []*ftJob, rs *replanState, nominal *n
 	}
 	// Attempt watchdog: if the whole attempt overruns its budget (a
 	// stalled link can block the writer, fill the send queue, and wedge
-	// enqueueInfer), closing the conn fails the client and unblocks
+	// enqueue), closing the conn fails the client and unblocks
 	// every waiter.
 	wd := time.AfterFunc(time.Duration(len(pending)+2)*r.opts.JobTimeout, func() { cl.Close() })
 	defer wd.Stop()
@@ -402,7 +403,7 @@ func (r *Runner) attempt(cl *Client, order []*ftJob, rs *replanState, nominal *n
 			}
 			q = q[1:]
 			if in.j.res.Shed {
-				if ferr := r.finishShedLocal(in.j, ft); ferr != nil {
+				if ferr := r.finishLocal(in.j, true, ft); ferr != nil {
 					fatalErr = ferr
 					return false
 				}
@@ -419,13 +420,13 @@ func (r *Runner) attempt(cl *Client, order []*ftJob, rs *replanState, nominal *n
 			continue
 		}
 		if j.res == nil {
-			boundary, res, perr := runPrefix(r.model, r.units, j.id, j.cut, j.input)
+			up, res, perr := runPrefix(r.model, r.units, j.id, j.cut, j.input)
 			if perr != nil {
 				return true, perr
 			}
-			j.boundary, j.res = boundary, res
+			j.up, j.res = up, res
 		}
-		if j.boundary == nil {
+		if j.up == (upload{}) {
 			j.done = true // fully-local cut, classified by runPrefix
 			continue
 		}
@@ -436,7 +437,7 @@ func (r *Runner) attempt(cl *Client, order []*ftJob, rs *replanState, nominal *n
 			}
 		}
 		j.tries++
-		call, cerr := cl.enqueueInfer(j.res, j.cut, j.boundary)
+		call, cerr := cl.enqueue(j.res, j.up)
 		if cerr != nil {
 			harvest()
 			return false, nil // transport failure: retry on a fresh conn
@@ -460,12 +461,13 @@ func (r *Runner) attempt(cl *Client, order []*ftJob, rs *replanState, nominal *n
 	return false, nil
 }
 
-// finishShedLocal completes one server-refused job on the mobile
-// engine (the full-local partition), keeping the shed mark so reports
-// can attribute it.
-func (r *Runner) finishShedLocal(j *ftJob, ft *FTReport) error {
+// finishLocal completes one job on the mobile engine (the full-local
+// partition x = L) from its input, whatever its cut was. shed marks a
+// job the server's admission control refused, so reports can attribute
+// it.
+func (r *Runner) finishLocal(j *ftJob, shed bool, ft *FTReport) error {
 	fbStart := time.Now()
-	_, res, err := runPrefix(r.model, r.units, j.id, len(r.units)-1, j.input)
+	_, res, err := runPrefix(r.model, r.units, j.id, jobCut{unit: len(r.units) - 1}, j.input)
 	if err != nil {
 		return err
 	}
@@ -473,11 +475,12 @@ func (r *Runner) finishShedLocal(j *ftJob, ft *FTReport) error {
 	if o := r.obsv; o != nil {
 		o.LocalFallbacks.Inc()
 	}
-	res.Shed = true
-	j.res = res
-	j.done = true
-	ft.ShedJobs++
+	res.Shed = shed
+	j.res, j.done = res, true
 	ft.LocalFallbackJobs++
+	if shed {
+		ft.ShedJobs++
+	}
 	return nil
 }
 
@@ -586,9 +589,9 @@ func (r *Runner) replan(rest []*ftJob, measured netsim.Channel, hint core.Server
 // whose cut moved.
 func applyPlan(rest []*ftJob, p2 *core.Plan) {
 	for k, j := range rest {
-		if newCut := p2.Cuts[k]; newCut != j.cut {
-			j.cut = newCut
-			j.boundary, j.res = nil, nil // prefix must be recomputed
+		if newCut := p2.Cuts[k]; newCut != j.cut.unit {
+			j.cut.unit = newCut
+			j.up, j.res = upload{}, nil // prefix must be recomputed
 		}
 	}
 	reordered := make([]*ftJob, 0, len(rest))

@@ -316,7 +316,7 @@ func TestThresholdReplanKeepsDownlinkModel(t *testing.T) {
 		cl.noteUpload(16384, time.Duration(2*ch.TxMs(16384)*float64(time.Millisecond)))
 	}
 
-	rest := []*ftJob{{id: 0, cut: 3}, {id: 1, cut: 3}, {id: 2, cut: 3}}
+	rest := []*ftJob{{id: 0, cut: jobCut{unit: 3}}, {id: 1, cut: jobCut{unit: 3}}, {id: 2, cut: jobCut{unit: 3}}}
 	nominal, ft := ch, &FTReport{}
 	r.maybeReplan(cl, rest, &replanState{planMbps: ch.UplinkMbps}, &nominal, ft)
 

@@ -216,7 +216,8 @@ func TestCalibrateComm(t *testing.T) {
 	scale := 1e-1
 	cl := NewClient(cConn, m, ch, scale)
 
-	fit, err := cl.CalibrateComm([]int{200_000, 600_000, 1_200_000, 2_000_000}, 2)
+	// Three rounds per size; the fit is over each size's fastest.
+	fit, err := cl.CalibrateComm([]int{200_000, 600_000, 1_200_000, 2_000_000}, 3)
 	if err != nil {
 		t.Fatalf("CalibrateComm: %v", err)
 	}

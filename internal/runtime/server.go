@@ -95,7 +95,7 @@ func (s *Server) WithTenants(weights map[string]float64) *Server {
 }
 
 // WithShedWatermark enables load shedding: when the scheduler's queue
-// depth reaches n, further infer jobs are answered immediately with a
+// depth reaches n, further jobs are answered immediately with a
 // shed reply (Class -1, shed flag) instead of queueing, and from n/2
 // onward every reply carries the backpressure hint flag. n <= 0
 // disables both. Must be called before serving; returns s for
@@ -113,8 +113,7 @@ func (s *Server) WithShedWatermark(n int) *Server {
 // for companions (at most max per group) and execute as one batched
 // suffix pass. Window 0 or max < 2 keeps the original job-at-a-time
 // dispatch. Must be called before serving; returns s for chaining.
-// Only line-view infer requests coalesce — general-plan (msgInferSet)
-// requests always run solo, as their node sets need not match.
+// Only line frames coalesce (see the frame-kind table on pendingJob).
 func (s *Server) WithBatching(window time.Duration, max int) *Server {
 	if max < 1 {
 		max = 1
@@ -302,40 +301,34 @@ readLoop:
 			// Jobs admitted before the hello keep the default tenant;
 			// clients that care send it first (Client does).
 			cc.tenant = tenant
-		case msgInfer:
+		case msgInfer, msgInferSet:
 			decodeStart := time.Now()
-			req, err := readInferRequestBody(r)
+			pj := pendingJob{conn: cc, tenant: cc.tenant}
+			var bytes int
+			if typ == msgInfer {
+				if pj.req, err = readInferRequestBody(r); err == nil {
+					bytes = reqWireBytes(pj.req)
+				}
+			} else if pj.set, err = readInferSetRequestBody(r); err == nil {
+				bytes = setWireBytes(pj.set)
+			}
 			if err != nil {
 				cc.fail(err)
 				break readLoop
 			}
-			recv := time.Now()
+			pj.recv = time.Now()
 			if o := s.obsv; o != nil {
-				o.span(TrackServer, SpanDecode, int(req.JobID), decodeStart, recv)
-				o.ServerRxBytes.Add(int64(reqWireBytes(req)))
-				o.TenantRxBytes.With(cc.tenant).Add(int64(reqWireBytes(req)))
+				o.span(TrackServer, SpanDecode, int(pj.jobID()), decodeStart, pj.recv)
+				o.ServerRxBytes.Add(int64(bytes))
+				o.TenantRxBytes.With(cc.tenant).Add(int64(bytes))
 			}
-			if req.Quant != nil {
+			if pj.req != nil && pj.req.Quant != nil {
 				// Expand the int8 codes once at decode time; everything
 				// downstream — the coalescer included — sees the same
 				// float32 boundary it always has.
-				req.Tensor, req.Quant = req.Quant.Dequantize(), nil
+				pj.req.Tensor, pj.req.Quant = pj.req.Quant.Dequantize(), nil
 			}
-			if !admit(pendingJob{conn: cc, tenant: cc.tenant, req: req, recv: recv}) {
-				break readLoop
-			}
-		case msgInferSet:
-			decodeStart := time.Now()
-			req, err := readInferSetRequestBody(r)
-			if err != nil {
-				cc.fail(err)
-				break readLoop
-			}
-			recv := time.Now()
-			if o := s.obsv; o != nil {
-				o.span(TrackServer, SpanDecode, int(req.JobID), decodeStart, recv)
-			}
-			if !admit(pendingJob{conn: cc, tenant: cc.tenant, set: req, recv: recv}) {
+			if !admit(pj) {
 				break readLoop
 			}
 		case msgPing:
@@ -419,20 +412,22 @@ func (s *Server) infer(req *inferRequest) (*inferReply, error) {
 	if err != nil {
 		return nil, err
 	}
-	cut := int(req.Cut)
+	return s.resume(req.JobID, map[int]*tensor.Tensor{boundary: req.Tensor}, s.suffix[req.Cut])
+}
+
+// resume executes the suffix from the wire tensors seeded in acts and
+// classifies the sink. Concurrent workers and connections share the
+// model: its arena is thread-safe, and Execute's liveness tracking is
+// per call. The wire tensors are caller-owned buffers the arena never
+// recycles; the sink survives because it has no consumers.
+func (s *Server) resume(jobID uint32, acts map[int]*tensor.Tensor, suffix []int) (*inferReply, error) {
 	start := time.Now()
-	// Concurrent workers and connections share the model: its arena is
-	// thread-safe, and Execute's liveness tracking is per call. The
-	// wire tensor seeds acts as a caller-owned buffer the arena never
-	// recycles; the sink survives because it has no consumers.
-	acts := map[int]*tensor.Tensor{boundary: req.Tensor}
-	if err := s.model.Execute(acts, nil, s.suffix[cut]); err != nil {
+	if err := s.model.Execute(acts, nil, suffix); err != nil {
 		return nil, err
 	}
-	out := acts[s.model.Graph().Sink()]
 	return &inferReply{
-		JobID:   req.JobID,
-		Class:   int32(engine.Argmax(out)),
+		JobID:   jobID,
+		Class:   int32(engine.Argmax(acts[s.model.Graph().Sink()])),
 		CloudNs: time.Since(start).Nanoseconds(),
 	}, nil
 }

@@ -195,10 +195,8 @@ func LoadModel(g *Graph, seed int64) *Model { return engine.Load(g, seed) }
 func NewServer(m *Model) *runtime.Server { return runtime.NewServer(m) }
 
 // NewClient creates the mobile-side runtime over a connection to a
-// server running the same model and seed.
+// server running the same model and seed. One client executes every
+// partition: RunPlan a line-view Plan, RunGeneralPlan an Algorithm 3
+// GeneralPlan (cut-node sets on general-structure DNNs, several
+// boundary tensors per job), both pipelined over the same connection.
 var NewClient = runtime.NewClient
-
-// NewGeneralClient creates a mobile-side runtime that executes
-// set-partitioned jobs (Algorithm 3 cut-node sets on general-structure
-// DNNs), shipping several boundary tensors per job.
-var NewGeneralClient = runtime.NewGeneralClient

@@ -110,7 +110,7 @@ fuzz_smoke() {
         exit 1
     fi
 }
-for target in FuzzReadTensor FuzzHandleConn FuzzReadInferRequest FuzzReadInferReply; do
+for target in FuzzReadTensor FuzzHandleConn FuzzReadInferRequest FuzzReadInferSetRequest FuzzReadInferReply; do
     fuzz_smoke "$target" ./internal/runtime/
 done
 fuzz_smoke FuzzInjector ./internal/netsim/
@@ -118,6 +118,11 @@ fuzz_smoke FuzzEstimator ./internal/estimator/
 fuzz_smoke FuzzSgemmAsmVsScalar ./internal/engine/
 
 echo "== multi-client e2e smoke (jpsserve, 4 tenants, SIGTERM drain)"
+# resnet18 is the smallest zoo model whose Algorithm 3 plan ships true
+# boundary sets (squeezenet's and mobilenetv2's cut sets all collapse to
+# single unit exits, which go out as line frames), so both smokes serve
+# it: the -general legs are where a cut-set frame meets the real binary.
+SMOKE_MODEL=resnet18
 SMOKE_LOG="$(mktemp)"
 SMOKE_BIN="$(mktemp)"
 SMOKE_PID=""
@@ -127,7 +132,7 @@ cleanup_smoke() {
 }
 trap cleanup_smoke EXIT
 go build -o "$SMOKE_BIN" ./cmd/jpsserve
-"$SMOKE_BIN" -model squeezenet -addr 127.0.0.1:0 -batch-window 2ms \
+"$SMOKE_BIN" -model "$SMOKE_MODEL" -addr 127.0.0.1:0 -batch-window 2ms \
     -tenants gold:2,bronze:1 -shed-watermark 64 > "$SMOKE_LOG" 2>&1 &
 SMOKE_PID=$!
 ADDR=""
@@ -141,7 +146,10 @@ if [ -z "$ADDR" ]; then
     cat "$SMOKE_LOG" >&2
     exit 1
 fi
-go run scripts/e2e_client.go -addr "$ADDR" -model squeezenet -clients 4 -jobs 4
+go run scripts/e2e_client.go -addr "$ADDR" -model "$SMOKE_MODEL" -clients 4 -jobs 4
+# Algorithm 3 plans through Client.RunGeneralPlan, batch window, tenants
+# and shed watermark on; every class checked against a local forward.
+go run scripts/e2e_client.go -addr "$ADDR" -model "$SMOKE_MODEL" -clients 2 -jobs 4 -general
 kill -TERM "$SMOKE_PID"
 if ! wait "$SMOKE_PID"; then
     echo "e2e smoke: server did not exit cleanly on SIGTERM:" >&2
@@ -162,6 +170,10 @@ echo "== chain e2e smoke (two chained jpsserve stages, next-hop forwarding)"
 # takes the forwarder's mid-segment + windowed handoff path and the two
 # ID spaces meet on the one downstream socket; then one connection at
 # the handoff cut itself (runs on the forwarding stage, no handoff).
+# Last, one general plan: a boundary set names no unit, so the stage it
+# reaches runs its whole suffix — the forwarder's final metrics must
+# show the 32 cut-0 handoffs and not one more (resnet18 at 4G, n = 4:
+# all four jobs ship a two-tensor set; e2e_client fails if none does).
 TERM_LOG="$(mktemp)"
 FWD_LOG="$(mktemp)"
 TERM_PID=""
@@ -173,7 +185,7 @@ cleanup_chain() {
     cleanup_smoke
 }
 trap cleanup_chain EXIT
-"$SMOKE_BIN" -model squeezenet -addr 127.0.0.1:0 > "$TERM_LOG" 2>&1 &
+"$SMOKE_BIN" -model "$SMOKE_MODEL" -addr 127.0.0.1:0 > "$TERM_LOG" 2>&1 &
 TERM_PID=$!
 TERM_ADDR=""
 for _ in $(seq 1 100); do
@@ -186,7 +198,7 @@ if [ -z "$TERM_ADDR" ]; then
     cat "$TERM_LOG" >&2
     exit 1
 fi
-"$SMOKE_BIN" -model squeezenet -addr 127.0.0.1:0 \
+"$SMOKE_BIN" -model "$SMOKE_MODEL" -addr 127.0.0.1:0 -metrics-addr 127.0.0.1:0 \
     -next-hop "$TERM_ADDR" -next-cut 3 > "$FWD_LOG" 2>&1 &
 FWD_PID=$!
 FWD_ADDR=""
@@ -200,8 +212,9 @@ if [ -z "$FWD_ADDR" ]; then
     cat "$FWD_LOG" >&2
     exit 1
 fi
-go run scripts/e2e_client.go -addr "$FWD_ADDR" -model squeezenet -clients 2 -jobs 16 -cut 0
-go run scripts/e2e_client.go -addr "$FWD_ADDR" -model squeezenet -clients 1 -jobs 2 -cut 3
+go run scripts/e2e_client.go -addr "$FWD_ADDR" -model "$SMOKE_MODEL" -clients 2 -jobs 16 -cut 0
+go run scripts/e2e_client.go -addr "$FWD_ADDR" -model "$SMOKE_MODEL" -clients 1 -jobs 2 -cut 3
+go run scripts/e2e_client.go -addr "$FWD_ADDR" -model "$SMOKE_MODEL" -clients 1 -jobs 4 -general
 kill -TERM "$FWD_PID"
 wait "$FWD_PID" || {
     echo "chain smoke: forwarder did not exit cleanly:" >&2
@@ -209,6 +222,13 @@ wait "$FWD_PID" || {
     exit 1
 }
 FWD_PID=""
+# 32 + 2 + 4 jobs answered, 32 of them by handoff.
+if ! grep -q '^jps_nexthop_forwards_total 32$' "$FWD_LOG" ||
+    ! grep -q '^jps_server_jobs_total 38$' "$FWD_LOG"; then
+    echo "chain smoke: forwarder metrics: want 38 jobs, 32 handoffs (a boundary set is never forwarded):" >&2
+    grep -E '^jps_(nexthop|server_jobs)' "$FWD_LOG" >&2
+    exit 1
+fi
 kill -TERM "$TERM_PID"
 wait "$TERM_PID" || {
     echo "chain smoke: terminal did not exit cleanly:" >&2

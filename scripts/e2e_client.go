@@ -4,7 +4,10 @@
 // independent TCP connections to a running jpsserve, each with its own
 // tenant ID, runs a burst of cloud-only jobs per connection, and
 // requires every reply to carry a plausible class and a positive
-// server compute time. Run with:
+// server compute time. With -general each connection instead plans the
+// model with Algorithm 3 (core.PlanGeneral) and runs the plan through
+// Client.RunGeneralPlan — cut-set frames against the real binary —
+// requiring every class to equal a local forward pass. Run with:
 //
 //	go run scripts/e2e_client.go -addr 127.0.0.1:7443 -model squeezenet
 package main
@@ -17,6 +20,7 @@ import (
 	"sync"
 	"time"
 
+	"dnnjps/internal/core"
 	"dnnjps/internal/engine"
 	"dnnjps/internal/models"
 	"dnnjps/internal/netsim"
@@ -33,16 +37,17 @@ func main() {
 		clients = flag.Int("clients", 4, "concurrent client connections")
 		jobs    = flag.Int("jobs", 4, "jobs per connection")
 		cut     = flag.Int("cut", 0, "partition point: units computed locally before offloading (0 = cloud-only)")
+		general = flag.Bool("general", false, "plan with Algorithm 3 and run the plan's cut-node sets (ignores -cut)")
 	)
 	flag.Parse()
-	if err := run(*addr, *model, *seed, *clients, *jobs, *cut); err != nil {
+	if err := run(*addr, *model, *seed, *clients, *jobs, *cut, *general); err != nil {
 		fmt.Fprintln(os.Stderr, "e2e_client:", err)
 		os.Exit(1)
 	}
 	fmt.Printf("e2e smoke ok: %d clients x %d jobs against %s\n", *clients, *jobs, *addr)
 }
 
-func run(addr, model string, seed int64, clients, jobs, cut int) error {
+func run(addr, model string, seed int64, clients, jobs, cut int, general bool) error {
 	g, err := models.Build(model)
 	if err != nil {
 		return err
@@ -52,6 +57,25 @@ func run(addr, model string, seed int64, clients, jobs, cut int) error {
 	in := tensor.New(g.Node(units[0].Exit).OutShape)
 	for i := range in.Data {
 		in.Data[i] = float32(i%31)/31 - 0.5
+	}
+	var gp *core.GeneralPlan
+	var inputs []*tensor.Tensor
+	wantClass := -1
+	if general {
+		// 4G makes the planner mix cuts: some jobs ship a true boundary
+		// set, some a single unit exit (which goes out as a line frame).
+		gp, err = core.PlanGeneral(g, profile.RaspberryPi4(), profile.CloudGPU(), netsim.FourG, tensor.Float32, jobs, 0)
+		if err != nil {
+			return err
+		}
+		out, err := m.Forward(in.Clone())
+		if err != nil {
+			return err
+		}
+		wantClass = engine.Argmax(out)
+		for j := 0; j < jobs; j++ {
+			inputs = append(inputs, in)
+		}
 	}
 	var wg sync.WaitGroup
 	errs := make(chan error, clients)
@@ -67,6 +91,28 @@ func run(addr, model string, seed int64, clients, jobs, cut int) error {
 			defer conn.Close()
 			cl := runtime.NewClient(conn, m, netsim.WiFi, 1e-6).
 				WithTenant(fmt.Sprintf("smoke-%d", c))
+			if general {
+				rep, err := cl.RunGeneralPlan(gp, inputs)
+				if err != nil {
+					errs <- fmt.Errorf("client %d: general plan: %w", c, err)
+					return
+				}
+				sets := 0
+				for _, res := range rep.Results {
+					if res.Class != wantClass {
+						errs <- fmt.Errorf("client %d job %d: class %d (shed %v), local forward says %d",
+							c, res.JobID, res.Class, res.Shed, wantClass)
+						return
+					}
+					if res.Cut < 0 {
+						sets++
+					}
+				}
+				if sets == 0 {
+					errs <- fmt.Errorf("client %d: no job of the plan shipped a boundary set; -general needs a model whose Algorithm 3 plan has one (resnet18, googlenet)", c)
+				}
+				return
+			}
 			// Cut 0 (the default) offloads at the input unit: the client
 			// does no heavy compute, and every connection exercises the
 			// server's full suffix path concurrently. A nonzero -cut runs
