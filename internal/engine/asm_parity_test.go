@@ -149,20 +149,74 @@ func randOperands(m, k, n int, seed int64) (a, b []float32) {
 	return a, b
 }
 
+// stridedA spreads a compact m×k matrix over rows lda ≥ k apart, ending
+// at the last row's last element. The gaps hold NaN: a tile that read
+// one as data would poison its whole row of C.
+func stridedA(a []float32, m, k, lda int, alloc func(int) []float32) []float32 {
+	sa := alloc((m-1)*lda + k)
+	for i := range sa {
+		sa[i] = float32(math.NaN())
+	}
+	for i := 0; i < m; i++ {
+		copy(sa[i*lda:i*lda+k], a[i*k:(i+1)*k])
+	}
+	return sa
+}
+
 // sgemmShapeParity fills random m×k · k×n operands and checks the
 // forced-asm driver against the panel reference. Shared by the table
-// test and the fuzz target. With the asm path off KernelAsm degrades
-// to the panel loop, so the comparison tightens to bitwise.
-func sgemmShapeParity(t *testing.T, m, k, n int, seed int64) {
+// test and the fuzz target. With lda == k it goes through sgemmAcc's
+// dispatch; a wider row stride (which only the asm driver takes) calls
+// the driver itself. With the asm path off KernelAsm degrades to the
+// panel loop, so the comparison tightens to bitwise.
+func sgemmShapeParity(t *testing.T, m, k, n, lda int, seed int64) {
 	t.Helper()
 	a, b := randOperands(m, k, n, seed)
 	ref := make([]float32, m*n)
 	sgemmAcc(KernelPanel, m, k, n, n, a, b, ref, 1)
+	strided := asmEnabled() && lda != k
+	if strided {
+		a = stridedA(a, m, k, lda, func(n int) []float32 { return make([]float32, n) })
+	}
 	for _, workers := range []int{1, 4} {
 		c := make([]float32, m*n)
-		sgemmAcc(KernelAsm, m, k, n, n, a, b, c, workers)
-		assertSliceParity(t, fmt.Sprintf("m%d k%d n%d workers=%d", m, k, n, workers),
+		if strided {
+			sgemmAsm(m, k, n, lda, n, a, bPacker{b: b, ldb: n}, c, workers)
+		} else {
+			sgemmAcc(KernelAsm, m, k, n, n, a, b, c, workers)
+		}
+		assertSliceParity(t, fmt.Sprintf("m%d k%d n%d lda%d workers=%d", m, k, n, lda, workers),
 			c, ref, !asmEnabled())
+	}
+}
+
+// TestSgemmAsmReadsAInBounds: the tile dereferences the weights where
+// they lie, so what it may touch is exactly m rows of k floats. A sits
+// flush against the end of its allocation — on linux the next byte is
+// an unmapped guard page, so one float too many faults instead of
+// passing silently — at row counts around the asmMR strip (full strips
+// read in place, the ragged last one through the zeroed scratch), k
+// around the asmKC panel edge, and with lda > k (gaps between rows
+// that are not part of the matrix).
+func TestSgemmAsmReadsAInBounds(t *testing.T) {
+	if !asmEnabled() {
+		t.Skip("asm path off: no code reads A through a raw pointer")
+	}
+	for _, m := range []int{1, 5, 6, 7, 13} {
+		for _, k := range []int{1, 7, 255, 256, 257, 363} {
+			for _, pad := range []int{0, 3} {
+				for _, n := range []int{5, 49} {
+					a, b := randOperands(m, k, n, int64(m*1000+k+pad))
+					ref := make([]float32, m*n)
+					sgemmAcc(KernelPanel, m, k, n, n, a, b, ref, 1)
+					lda := k + pad
+					sa := stridedA(a, m, k, lda, func(n int) []float32 { return guardedFloats(t, n) })
+					c := make([]float32, m*n)
+					sgemmAsm(m, k, n, lda, n, sa, bPacker{b: b, ldb: n}, c, 1)
+					assertSliceParity(t, fmt.Sprintf("m%d k%d n%d lda%d", m, k, n, lda), c, ref, false)
+				}
+			}
+		}
 	}
 }
 
@@ -178,20 +232,22 @@ func TestSgemmAsmVsScalar(t *testing.T) {
 		{7, 5, 17},                  // below the k guard on no axis, odd sizes
 		{48, 96, 64},                // mid-size
 		{64, asmKC + 13, 128},       // spans two K panels
-		{asmMC + asmMR + 1, 64, 96}, // spans two M blocks, ragged tail
+		{139, 64, 96},               // many row strips, ragged tail on both tiles (139 = 23·6+1 = 17·8+3)
 		{12, 64, asmNC + asmNR + 5}, // spans two N blocks, ragged tail
 		{64, 1152, 256},             // alexnet conv3-lowered shape
 	}
 	for _, sh := range shapes {
 		t.Run(fmt.Sprintf("m%d_k%d_n%d", sh.m, sh.k, sh.n), func(t *testing.T) {
-			sgemmShapeParity(t, sh.m, sh.k, sh.n, int64(sh.m*100003+sh.k*1009+sh.n))
+			sgemmShapeParity(t, sh.m, sh.k, sh.n, sh.k, int64(sh.m*100003+sh.k*1009+sh.n))
 		})
 	}
 }
 
 // FuzzSgemmAsmVsScalar fuzzes the asm-vs-panel comparison over
 // arbitrary small shapes. Seeds covering the tile edges are committed
-// under testdata/fuzz.
+// under testdata/fuzz. A's row stride comes from the seed (k, k+1 or
+// k+2), so the corpus keeps its four-argument form and still covers
+// both lda == k and lda ≠ k.
 func FuzzSgemmAsmVsScalar(f *testing.F) {
 	f.Add(asmMR, 8, asmNR, int64(1))
 	f.Add(asmMR+1, 9, asmNR+7, int64(2))
@@ -201,7 +257,7 @@ func FuzzSgemmAsmVsScalar(f *testing.F) {
 		if m < 1 || k < 1 || n < 1 || m > 160 || k > 600 || n > 1100 {
 			t.Skip()
 		}
-		sgemmShapeParity(t, m, k, n, seed)
+		sgemmShapeParity(t, m, k, n, k+int(uint64(seed)%3), seed)
 	})
 }
 

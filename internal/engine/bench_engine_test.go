@@ -163,6 +163,58 @@ func BenchmarkBatchedForward(b *testing.B) {
 	benchBatchedSuffix(b, "alexnet", "conv2/pool", []int{1, 32}, "/convsuffix")
 }
 
+// BenchmarkDenseHeadSweep is the coalesced-group cost curve of the
+// 1000×1280 MobileNet head at every power-of-two group size a batching
+// server forms: ns/inference by N is what sets preferAsm's column floor
+// (see the table in EXPERIMENTS.md). N=1 is the matrix-vector product.
+func BenchmarkDenseHeadSweep(b *testing.B) {
+	benchBatchedSuffix(b, "mobilenetv2", "head/gap", []int{1, 2, 4, 8, 16, 32}, "")
+}
+
+// BenchmarkSegment_mobilenetv2_tail times one Execute over the node
+// list a forwarding middle stage runs per job when the client cuts
+// after bneck15/add and the stage hands off after head/gap — three
+// pointwise GEMMs with n = 7·7 columns, one 3×3 depthwise and their
+// BN/ReLU6 nodes, at one worker. It is the unit the chain-2hop workload
+// repeats 64 times a round, so its ms/op × 64 ÷ cores is that
+// workload's CPU floor.
+func BenchmarkSegment_mobilenetv2_tail(b *testing.B) {
+	g := models.MustBuild("mobilenetv2")
+	m := Load(g, 1)
+	from, ok := g.NodeByName("bneck15/add")
+	to, ok2 := g.NodeByName("head/gap")
+	if !ok || !ok2 {
+		b.Fatal("mobilenetv2 lost bneck15/add or head/gap")
+	}
+	done, upTo := g.Ancestors(from.ID), g.Ancestors(to.ID)
+	var prefix, segment []int
+	for _, id := range g.Topo() {
+		switch {
+		case done[id]:
+			prefix = append(prefix, id)
+		case upTo[id]:
+			segment = append(segment, id)
+		}
+	}
+	acts := map[int]*tensor.Tensor{}
+	if err := m.Execute(acts, randInput(g.Node(g.Source()).OutShape, 7), prefix); err != nil {
+		b.Fatal(err)
+	}
+	boundary := acts[from.ID].Clone()
+	run := func() {
+		acts := map[int]*tensor.Tensor{from.ID: boundary}
+		if err := m.Execute(acts, nil, segment); err != nil {
+			b.Fatal(err)
+		}
+	}
+	run() // warm the arena
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+}
+
 // benchBatchedSuffix cuts the model at the named boundary and times
 // ExecuteBatch over the suffix at each batch size, as N=<n><tag> legs.
 func benchBatchedSuffix(b *testing.B, model, cut string, sizes []int, tag string) {

@@ -252,6 +252,8 @@ type execState struct {
 	tens       []*tensor.Tensor // owner's tensor, kept for recycling
 	inList     []bool           // scratch: node is in this call's list
 	ins        []*tensor.Tensor // scratch: predecessor activations
+	next       int              // the node executeN runs after the current one, -1 at the end
+	fused      int              // activation node whose clamp its BatchNorm already applied, or -1
 }
 
 // newExecState hands out liveness bookkeeping for one executeN call,
@@ -283,6 +285,7 @@ func (m *Model) newExecState(nodes []int) *execState {
 	for i := range st.owner {
 		st.owner[i] = -1
 	}
+	st.next, st.fused = -1, -1
 	inList := st.inList
 	for _, id := range nodes {
 		inList[id] = true
@@ -404,8 +407,12 @@ func (m *Model) releaseState(st *execState) {
 func (m *Model) executeN(acts map[int]*tensor.Tensor, n int, input *tensor.Tensor, nodes []int) error {
 	st := m.newExecState(nodes)
 	defer m.releaseState(st)
-	for _, id := range nodes {
+	for i, id := range nodes {
 		node := m.g.Node(id)
+		st.next = -1
+		if i+1 < len(nodes) {
+			st.next = nodes[i+1]
+		}
 		if _, ok := node.Layer.(*nn.Input); ok {
 			if input == nil {
 				return fmt.Errorf("engine: %q needs an input tensor", node.Layer.Name())
@@ -489,12 +496,15 @@ func (m *Model) eval(id int, node *dag.Node, ins []*tensor.Tensor, preds []int, 
 		}
 		return denseGEMM(m.arena, m.kernel, ins[0], m.params[id], l.Out, m.workers, n), nil
 	case *nn.Activation:
+		if st.fused == id {
+			return ins[0], nil // its BatchNorm applied the clamp in the same pass
+		}
 		return activate(m.arena, ins[0], l.Func, st.canOverwrite(preds[0])), nil
 	case *nn.BatchNorm:
 		if m.quant != nil && m.quant.folded[id] {
 			return ins[0], nil // absorbed into the producing conv's epilogue
 		}
-		return batchNorm(m.arena, ins[0], m.params[id], n), nil
+		return batchNorm(m.arena, ins[0], m.params[id], n, m.fusedAct(id, st), st.canOverwrite(preds[0])), nil
 	case *nn.LRN:
 		return lrn(m.arena, ins[0], l.Size, n), nil
 	case *nn.Dropout:
@@ -510,6 +520,33 @@ func (m *Model) eval(id int, node *dag.Node, ins []*tensor.Tensor, preds []int, 
 	default:
 		return nil, fmt.Errorf("engine: unsupported layer type %T (%s)", node.Layer, node.Layer.Name())
 	}
+}
+
+// fusedAct decides whether BatchNorm node id also applies the clamp of
+// the activation that follows it: the BN's only consumer must be the
+// very next node of this call's list and a ReLU/ReLU6. Nothing can then
+// observe the un-clamped values — a BN that is a cut boundary, or feeds
+// two nodes, or whose activation runs in a later call, keeps its own
+// output — and conv → BN → ReLU6 makes one pass over the conv's result
+// instead of two. The activation node (st.fused) becomes a view.
+func (m *Model) fusedAct(id int, st *execState) spanAct {
+	succs := m.g.Succs(id)
+	if len(succs) != 1 || succs[0] != st.next {
+		return spanNoAct
+	}
+	l, ok := m.g.Node(st.next).Layer.(*nn.Activation)
+	if !ok {
+		return spanNoAct
+	}
+	switch l.Func {
+	case nn.ReLU:
+		st.fused = st.next
+		return spanReLU
+	case nn.ReLU6:
+		st.fused = st.next
+		return spanReLU6
+	}
+	return spanNoAct
 }
 
 // Argmax returns the index of the largest element — the predicted

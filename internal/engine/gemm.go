@@ -39,7 +39,7 @@ func sgemmAcc(kern KernelPath, m, k, n, ldc int, a, b, c []float32, workers int)
 		return
 	}
 	if useAsm(kern, m, k, n) {
-		sgemmAsm(m, k, n, ldc, a, bPacker{b: b, ldb: n}, c, workers)
+		sgemmAsm(m, k, n, k, ldc, a, bPacker{b: b, ldb: n}, c, workers)
 		return
 	}
 	if serialSpan(workers, m) {

@@ -2,23 +2,32 @@ package engine
 
 import "sync"
 
-// Packed driver for the hand-written SIMD microkernels: KernelAsm, and
-// the KernelGEMM choice for every shape the tile can fill when the CPU
+// Driver for the hand-written SIMD microkernels: KernelAsm, and the
+// KernelGEMM choice for every shape the tile can fill when the CPU
 // supports them (useAsm below is the whole routing policy) — see
 // gemm_asm_{amd64,arm64}.go for the tiles and gemm_asm_off.go for the
 // disabled build.
 //
-// The driver follows the classic three-level blocking scheme: columns
-// of B in asmNC-wide blocks, K in asmKC-deep panels, rows of A in
-// asmMC-high blocks, with both operands repacked into k-major strips
-// the tile streams with unit stride:
+// The loop nest is jp → kp → i0 → j0: columns of B in asmNC-wide
+// blocks, K in asmKC-deep panels, then every asmMR-row strip of A
+// sweeps the block's asmNR-column strips. Only B is repacked:
 //
-//	packAAsm: rows in strips of asmMR — a[i0+r][kk] at
-//	          strip[kk*asmMR + r], zero-padded to full height.
 //	bPacker:  columns in strips of asmNR — b[kk][j0+c] at
 //	          strip[kk*asmNR + c], zero-padded to full width.
 //
-// Two things set it apart from the panel loop beyond the packing.
+// A is the layer's weight matrix — a constant — and is read where Load
+// put it: the tile takes the strip's first element and the row stride
+// lda and broadcasts a[r*lda+kk] itself, so no copy of any weight is
+// made per call (re-laying them out k-major cost ∝ m·k against
+// arithmetic ∝ m·k·n, 38–43 % of a MobileNet 7×7 pointwise GEMM). Only
+// the last partial strip (m mod asmMR rows) is copied, into a zeroed
+// stack scratch, so the tile never reads a row that does not exist.
+// Before each strip the driver takes the Go slice spanning everything
+// the tile will dereference — a bad shape panics instead of reading
+// wild memory. (The NEON tile still streams a packed strip; its arch
+// file packs the one strip about to be swept, see asmStripA.)
+//
+// Two things set the driver apart from the panel loop beyond that.
 // First, B packing is *source-pluggable*: a bPacker either reads a
 // plain row-major matrix or synthesizes patch-matrix windows straight
 // from a conv input tensor (fused im2col — the kSize x bt·hw column
@@ -43,22 +52,13 @@ import "sync"
 // keeps batched and single-image conv outputs bit-identical to each
 // other under asm, since batching only relocates an element's column.
 
-// asmPackBufs recycles the packed blocks: one A and one B block per
-// in-flight worker.
-var (
-	asmPackBufsA = sync.Pool{
-		New: func() any {
-			b := make([]float32, asmMC*asmKC)
-			return &b
-		},
-	}
-	asmPackBufsB = sync.Pool{
-		New: func() any {
-			b := make([]float32, asmKC*asmNC)
-			return &b
-		},
-	}
-)
+// asmPackBufsB recycles the packed B blocks, one per in-flight worker.
+var asmPackBufsB = sync.Pool{
+	New: func() any {
+		b := make([]float32, asmKC*asmNC)
+		return &b
+	},
+}
 
 // asmEnabled reports whether the float32 assembly path can engage in
 // this process (build tags, architecture, CPUID probe and the
@@ -240,51 +240,27 @@ func im2colWindow(src, dst []float32, chanBase, r, s, inH, inW, stride, padH, pa
 	}
 }
 
-// packAAsm packs an mc×kc block of A (row stride lda) into asmMR-row
-// k-major strips, zero-padding the final strip to full height.
-func packAAsm(kc, mc int, a []float32, lda int, dst []float32) {
-	for i0 := 0; i0 < mc; i0 += asmMR {
-		rows := min(asmMR, mc-i0)
-		d := dst[i0*kc : i0*kc+asmMR*kc]
-		for r := 0; r < rows; r++ {
-			src := a[(i0+r)*lda : (i0+r)*lda+kc]
-			di := r
-			for kk := 0; kk < kc; kk++ {
-				d[di] = src[kk]
-				di += asmMR
-			}
-		}
-		for r := rows; r < asmMR; r++ {
-			di := r
-			for kk := 0; kk < kc; kk++ {
-				d[di] = 0
-				di += asmMR
-			}
-		}
-	}
-}
-
 // sgemmAsm computes C += A·B with the assembly microkernel, splitting
 // the columns of C across workers (each output element is written by
 // exactly one worker, and its FMA accumulation order is independent of
-// the split). pk supplies B — a plain matrix or a fused conv source.
-// ldc is the row stride of C.
-func sgemmAsm(m, k, n, ldc int, a []float32, pk bPacker, c []float32, workers int) {
+// the split). a is row-major with row stride lda ≥ k; pk supplies B — a
+// plain matrix or a fused conv source. ldc is the row stride of C.
+func sgemmAsm(m, k, n, lda, ldc int, a []float32, pk bPacker, c []float32, workers int) {
 	if w := n / (2 * asmNR); workers > w {
 		workers = w
 	}
 	if workers > 1 {
-		sgemmAsmParallel(m, k, n, ldc, a, pk, c, workers)
+		sgemmAsmParallel(m, k, n, lda, ldc, a, pk, c, workers)
 		return
 	}
-	sgemmAsmCols(m, k, n, 0, n, ldc, a, pk, c)
+	sgemmAsmCols(m, k, 0, n, lda, ldc, a, pk, c)
 }
 
 // sgemmAsmParallel is the goroutine fan-out, kept out of sgemmAsm so
 // the closure's by-reference capture of pk (the struct is past the
 // compiler's by-value capture size) only heap-moves it on calls that
 // actually spawn — the serial path stays allocation-free.
-func sgemmAsmParallel(m, k, n, ldc int, a []float32, pk bPacker, c []float32, workers int) {
+func sgemmAsmParallel(m, k, n, lda, ldc int, a []float32, pk bPacker, c []float32, workers int) {
 	cols := (n + workers - 1) / workers
 	cols = (cols + asmNR - 1) / asmNR * asmNR
 	var wg sync.WaitGroup
@@ -293,50 +269,59 @@ func sgemmAsmParallel(m, k, n, ldc int, a []float32, pk bPacker, c []float32, wo
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			sgemmAsmCols(m, k, n, lo, hi, ldc, a, pk, c)
+			sgemmAsmCols(m, k, lo, hi, lda, ldc, a, pk, c)
 		}(lo, hi)
 	}
 	wg.Wait()
 }
 
 // sgemmAsmCols runs the blocked driver over columns [nLo, nHi).
-func sgemmAsmCols(m, k, n, nLo, nHi, ldc int, a []float32, pk bPacker, c []float32) {
-	bufA := asmPackBufsA.Get().(*[]float32)
+func sgemmAsmCols(m, k, nLo, nHi, lda, ldc int, a []float32, pk bPacker, c []float32) {
 	bufB := asmPackBufsB.Get().(*[]float32)
-	pA, pB := *bufA, *bufB
+	pB := *bufB
 	var tmp [asmMR * asmNR]float32
+	var edge [asmMR * asmKC]float32     // the last partial strip, zero-padded
+	var packed [asmStripScratch]float32 // asmStripA's, where the tile wants one
 	for jp := nLo; jp < nHi; jp += asmNC {
 		nc := min(asmNC, nHi-jp)
 		ncPad := (nc + asmNR - 1) / asmNR * asmNR
 		for kp := 0; kp < k; kp += asmKC {
 			kc := min(asmKC, k-kp)
 			pk.pack(kp, kc, jp, nc, pB)
-			for ip := 0; ip < m; ip += asmMC {
-				mc := min(asmMC, m-ip)
-				packAAsm(kc, mc, a[ip*k+kp:], k, pA)
-				for i0 := 0; i0 < mc; i0 += asmMR {
-					pas := pA[i0*kc:]
-					rr := min(asmMR, mc-i0)
-					cBase := (ip+i0)*ldc + jp
-					for j0 := 0; j0 < ncPad; j0 += asmNR {
-						cc := min(asmNR, nc-j0)
-						if rr == asmMR && cc == asmNR {
-							asmSgemmTile(kc, pas, pB[j0*kc:], c, cBase+j0, ldc)
-							continue
-						}
-						// Edge tile through the scratch patch.
-						for r := 0; r < rr; r++ {
-							copy(tmp[r*asmNR:r*asmNR+cc], c[cBase+j0+r*ldc:])
-						}
-						asmSgemmTile(kc, pas, pB[j0*kc:], tmp[:], 0, asmNR)
-						for r := 0; r < rr; r++ {
-							copy(c[cBase+j0+r*ldc:cBase+j0+r*ldc+cc], tmp[r*asmNR:r*asmNR+cc])
-						}
+			for i0 := 0; i0 < m; i0 += asmMR {
+				rr := min(asmMR, m-i0)
+				// Everything the tile dereferences of A, as one
+				// bounds-checked slice: asmMR rows of kc floats.
+				var sa []float32
+				sl := lda
+				if rr == asmMR {
+					sa = a[i0*lda+kp : (i0+asmMR-1)*lda+kp+kc]
+				} else {
+					sa, sl = edge[:asmMR*kc], kc
+					for r := 0; r < rr; r++ {
+						copy(sa[r*kc:(r+1)*kc], a[(i0+r)*lda+kp:(i0+r)*lda+kp+kc])
+					}
+					clear(sa[rr*kc:])
+				}
+				sa, sl = asmStripA(kc, sa, sl, packed[:])
+				cBase := i0*ldc + jp
+				for j0 := 0; j0 < ncPad; j0 += asmNR {
+					cc := min(asmNR, nc-j0)
+					if rr == asmMR && cc == asmNR {
+						asmSgemmTile(kc, sa, sl, pB[j0*kc:], c, cBase+j0, ldc)
+						continue
+					}
+					// Edge tile through the scratch patch.
+					for r := 0; r < rr; r++ {
+						copy(tmp[r*asmNR:r*asmNR+cc], c[cBase+j0+r*ldc:])
+					}
+					asmSgemmTile(kc, sa, sl, pB[j0*kc:], tmp[:], 0, asmNR)
+					for r := 0; r < rr; r++ {
+						copy(c[cBase+j0+r*ldc:cBase+j0+r*ldc+cc], tmp[r*asmNR:r*asmNR+cc])
 					}
 				}
 			}
 		}
 	}
-	asmPackBufsA.Put(bufA)
 	asmPackBufsB.Put(bufB)
 }

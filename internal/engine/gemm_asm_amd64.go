@@ -19,30 +19,34 @@ const (
 	asmMR = 6
 	asmNR = 16
 
-	// Cache blocking for the packed asm driver. One packed B strip
-	// (asmKC x asmNR x 4 B = 16 KiB) stays L1-resident against the A
-	// strips; the packed A block (asmMC x asmKC x 4 B = 132 KiB) and
-	// B block (asmKC x asmNC x 4 B = 1 MiB) share L2/L3.
+	// Cache blocking for the asm driver. One packed B strip (asmKC x
+	// asmNR x 4 B = 16 KiB) stays L1-resident against the six A rows
+	// the tile reads in place (6 KiB per K panel); the packed B block
+	// (asmKC x asmNC x 4 B = 1 MiB) lives in L2/L3.
 	asmKC = 256
-	asmMC = 132  // multiple of asmMR
 	asmNC = 1024 // multiple of asmNR
+
+	// The AVX2 tile reads A where Load put it: the driver needs no
+	// packed-strip scratch (see asmStripA).
+	asmStripScratch = 0
 
 	// Int8 tile: 4 rows x 16 columns of int32 accumulators.
 	asmQMR = 4
 	asmQNR = 16
 )
 
-// asmSgemmOK / asmQgemmOK / asmQuantOK report at runtime whether the
-// float32 GEMM, int8 GEMM and activation-quantization assembly kernels
-// may be used on this CPU.
-var asmSgemmOK, asmQgemmOK, asmQuantOK bool
+// asmSgemmOK / asmQgemmOK / asmQuantOK / asmVecOK report at runtime
+// whether the float32 GEMM, int8 GEMM, activation-quantization and
+// float32 vector (elementwise span, 3x3 depthwise) assembly kernels may
+// be used on this CPU.
+var asmSgemmOK, asmQgemmOK, asmQuantOK, asmVecOK bool
 
 func init() {
 	if os.Getenv("DNNJPS_NOASM") != "" {
 		return
 	}
 	ok := cpuHasAVX2FMA()
-	asmSgemmOK, asmQgemmOK, asmQuantOK = ok, ok, ok
+	asmSgemmOK, asmQgemmOK, asmQuantOK, asmVecOK = ok, ok, ok, ok
 }
 
 // cpuHasAVX2FMA probes CPUID leaf 1 (FMA, AVX, OSXSAVE), XGETBV
@@ -71,7 +75,7 @@ func cpuidAsm(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbvAsm() (eax, edx uint32)
 
 //go:noescape
-func sgemmTile6x16(kc int, pa, pb, c *float32, ldc int)
+func sgemmTile6x16(kc int, a *float32, lda int, pb, c *float32, ldc int)
 
 //go:noescape
 func qgemmTile4x16(kp2 int, pa, pb *int16, c *int32, ldc int)
@@ -82,10 +86,30 @@ func qdotAsm(k16 int, a, x *int8) int32
 //go:noescape
 func quantizeSpanAsm(dst *int8, src *float32, inv, zero float64, n int)
 
-// asmSgemmTile runs the arch tile on packed strips pa/pb against the
-// C tile at c[off] with row stride ldc.
-func asmSgemmTile(kc int, pa, pb, c []float32, off, ldc int) {
-	sgemmTile6x16(kc, &pa[0], &pb[0], &c[off], ldc)
+//go:noescape
+func spanAffineAsm(dst, src *float32, n int, scale, shift float32, act int)
+
+//go:noescape
+func spanActAsm(dst, src *float32, n int, act int)
+
+//go:noescape
+func spanAddAsm(dst, src *float32, n int)
+
+//go:noescape
+func dwconv3x3Asm(dst, src, w *float32, bias float32, outH, outW, pitch, stride int)
+
+// asmStripA is the driver's per-strip hook: it returns what the tile
+// reads for one asmMR-row strip of A. The AVX2 tile broadcasts straight
+// from the row-major rows, so the strip is the rows themselves.
+func asmStripA(kc int, a []float32, lda int, _ []float32) ([]float32, int) {
+	return a, lda
+}
+
+// asmSgemmTile runs the arch tile over kc steps of the strip sa (rows
+// lda apart, as asmStripA returned it) and the packed B strip pb,
+// against the C tile at c[off] with row stride ldc.
+func asmSgemmTile(kc int, sa []float32, lda int, pb, c []float32, off, ldc int) {
+	sgemmTile6x16(kc, &sa[0], lda, &pb[0], &c[off], ldc)
 }
 
 // asmQgemmTile runs the int8 tile over kp2 packed k-pairs.

@@ -18,10 +18,14 @@ const (
 	asmNR = 8
 
 	// Blocking assumes a mobile-class cache hierarchy: packed B
-	// strip 8 KiB (L1), A block 128 KiB, B block 512 KiB (shared L2).
+	// strip 8 KiB and packed A strip 8 KiB (L1), B block 512 KiB
+	// (shared L2).
 	asmKC = 256
-	asmMC = 128 // multiple of asmMR
 	asmNC = 512 // multiple of asmNR
+
+	// The NEON tile keeps its packed-strip contract: the driver lends
+	// asmStripA one strip of scratch.
+	asmStripScratch = asmMR * asmKC
 
 	asmQMR = 4
 	asmQNR = 16
@@ -29,8 +33,12 @@ const (
 
 var asmSgemmOK, asmQgemmOK bool
 
-// No NEON quantize kernel yet; quantizeSpan stays scalar on arm64.
-const asmQuantOK = false
+// No NEON quantize, elementwise-span or depthwise kernels yet:
+// quantizeSpan, the span.go loops and dwPlane stay scalar on arm64.
+const (
+	asmQuantOK = false
+	asmVecOK   = false
+)
 
 func init() {
 	if os.Getenv("DNNJPS_NOASM") != "" {
@@ -42,7 +50,25 @@ func init() {
 //go:noescape
 func sgemmTile8x8(kc int, pa, pb, c *float32, ldc int)
 
-func asmSgemmTile(kc int, pa, pb, c []float32, off, ldc int) {
+// asmStripA is the driver's per-strip hook: the NEON tile streams A
+// from a k-major strip, so the asmMR rows the driver is about to sweep
+// (kc floats each, lda apart) are packed into its scratch here —
+// a[r][kk] at scratch[kk*asmMR + r] — once per strip and K panel, the
+// same total work as packing whole blocks up front.
+func asmStripA(kc int, a []float32, lda int, scratch []float32) ([]float32, int) {
+	for r := 0; r < asmMR; r++ {
+		di := r
+		for _, v := range a[r*lda : r*lda+kc] {
+			scratch[di] = v
+			di += asmMR
+		}
+	}
+	return scratch, asmMR
+}
+
+// asmSgemmTile runs the tile on the packed strips pa (from asmStripA;
+// its stride is fixed by the layout) and pb.
+func asmSgemmTile(kc int, pa []float32, _ int, pb, c []float32, off, ldc int) {
 	sgemmTile8x8(kc, &pa[0], &pb[0], &c[off], ldc)
 }
 
@@ -56,4 +82,20 @@ func asmQdot(k32 int, a, x []int8) int32 {
 
 func quantizeSpanAsm(dst *int8, src *float32, inv, zero float64, n int) {
 	panic("engine: quantize kernel unavailable on arm64")
+}
+
+func spanAffineAsm(dst, src *float32, n int, scale, shift float32, act int) {
+	panic("engine: span kernels unavailable on arm64")
+}
+
+func spanActAsm(dst, src *float32, n int, act int) {
+	panic("engine: span kernels unavailable on arm64")
+}
+
+func spanAddAsm(dst, src *float32, n int) {
+	panic("engine: span kernels unavailable on arm64")
+}
+
+func dwconv3x3Asm(dst, src, w *float32, bias float32, outH, outW, pitch, stride int) {
+	panic("engine: depthwise kernel unavailable on arm64")
 }

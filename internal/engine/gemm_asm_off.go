@@ -12,8 +12,9 @@ const (
 	asmMR = 6
 	asmNR = 16
 	asmKC = 256
-	asmMC = 132
 	asmNC = 1024
+
+	asmStripScratch = 0
 
 	asmQMR = 4
 	asmQNR = 16
@@ -23,9 +24,14 @@ const (
 	asmSgemmOK = false
 	asmQgemmOK = false
 	asmQuantOK = false
+	asmVecOK   = false
 )
 
-func asmSgemmTile(kc int, pa, pb, c []float32, off, ldc int) {
+func asmStripA(kc int, a []float32, lda int, _ []float32) ([]float32, int) {
+	panic("engine: assembly kernels disabled in this build")
+}
+
+func asmSgemmTile(kc int, sa []float32, lda int, pb, c []float32, off, ldc int) {
 	panic("engine: assembly kernels disabled in this build")
 }
 
@@ -38,5 +44,21 @@ func asmQdot(k32 int, a, x []int8) int32 {
 }
 
 func quantizeSpanAsm(dst *int8, src *float32, inv, zero float64, n int) {
+	panic("engine: assembly kernels disabled in this build")
+}
+
+func spanAffineAsm(dst, src *float32, n int, scale, shift float32, act int) {
+	panic("engine: assembly kernels disabled in this build")
+}
+
+func spanActAsm(dst, src *float32, n int, act int) {
+	panic("engine: assembly kernels disabled in this build")
+}
+
+func spanAddAsm(dst, src *float32, n int) {
+	panic("engine: assembly kernels disabled in this build")
+}
+
+func dwconv3x3Asm(dst, src, w *float32, bias float32, outH, outW, pitch, stride int) {
 	panic("engine: assembly kernels disabled in this build")
 }

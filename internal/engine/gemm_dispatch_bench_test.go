@@ -32,7 +32,7 @@ func BenchmarkSgemmCrossover(b *testing.B) {
 		if asmEnabled() {
 			b.Run(fmt.Sprintf("asm/n=%d", n), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					sgemmAsm(m, k, n, n, a, bPacker{b: bb, ldb: n}, c, 1)
+					sgemmAsm(m, k, n, k, n, a, bPacker{b: bb, ldb: n}, c, 1)
 				}
 				b.ReportMetric(macs*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "MAC/ns")
 			})

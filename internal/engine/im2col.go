@@ -161,7 +161,7 @@ func conv2dGEMM(arena *tensor.Arena, kern KernelPath, in *tensor.Tensor, outShap
 				stride: stride, padH: padH, padW: padW, outW: outW,
 				cLo: g * icpg, n: n, hw: hw,
 			}
-			sgemmAsm(ocpg, kSize, nhw, nhw, a, pk, c, workers)
+			sgemmAsm(ocpg, kSize, nhw, kSize, nhw, a, pk, c, workers)
 		}
 		return out
 	}

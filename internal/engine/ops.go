@@ -132,29 +132,21 @@ func dwCell(src, w []float32, bias float32, inBase, ihBase, iwBase, wBase, kh, k
 }
 
 // dwconv2d is the fast depthwise convolution over the C·n planes of a
-// packed batch, channel c's kernel serving its n image planes: output
+// packed batch, channel c's kernel serving its n image planes. A 3×3
+// kernel at stride 1 or 2 runs the vector kernel where the CPU has one
+// (dwPlanes3x3); every other geometry splits each plane: output
 // positions whose kernel window lies fully inside the input run a tight
 // loop with no bounds checks; only the border ring pays for them. The
-// accumulation order per element is identical to dwconv2dDirect, so
-// outputs match bit for bit.
+// accumulation order per element is identical to dwconv2dDirect on
+// both, so outputs match bit for bit.
 func dwconv2d(arena *tensor.Arena, in *tensor.Tensor, outShape tensor.Shape, p params, kh, kw, stride, pad, workers, n int) *tensor.Tensor {
 	out := arena.Get(batchShape(outShape, n))
-	inH, inW := in.Shape.H(), in.Shape.W()
-	outC, outH, outW := outShape.C(), outShape.H(), outShape.W()
-
-	// Interior range: oh*stride-pad >= 0 and oh*stride-pad+kh-1 < inH
-	// (and likewise for width).
-	ohLo, ohHi := interiorRange(inH, kh, stride, pad, outH)
-	owLo, owHi := interiorRange(inW, kw, stride, pad, outW)
-
-	if serialSpan(workers, outC*n) {
-		dwPlanes(0, outC*n, in.Data, out.Data, p, n, kh, kw, stride, pad,
-			inH, inW, outH, outW, ohLo, ohHi, owLo, owHi)
+	if serialSpan(workers, outShape.C()*n) {
+		dwPlanes(arena, 0, outShape.C()*n, in, out, p, n, kh, kw, stride, pad)
 		return out
 	}
-	parallelFor(workers, outC*n, func(pLo, pHi int) {
-		dwPlanes(pLo, pHi, in.Data, out.Data, p, n, kh, kw, stride, pad,
-			inH, inW, outH, outW, ohLo, ohHi, owLo, owHi)
+	parallelFor(workers, outShape.C()*n, func(pLo, pHi int) {
+		dwPlanes(arena, pLo, pHi, in, out, p, n, kh, kw, stride, pad)
 	})
 	return out
 }
@@ -163,21 +155,60 @@ func dwconv2d(arena *tensor.Arena, in *tensor.Tensor, outShape tensor.Shape, p p
 // b = pl%n of channel c = pl/n, stepped rather than divided per plane:
 // MobileNet's late 7×7 planes are small enough for a 64-bit division
 // each to show.
-func dwPlanes(pLo, pHi int, src, dst []float32, p params, n, kh, kw, stride, pad,
-	inH, inW, outH, outW, ohLo, ohHi, owLo, owHi int) {
+func dwPlanes(arena *tensor.Arena, pLo, pHi int, in, out *tensor.Tensor, p params, n, kh, kw, stride, pad int) {
+	inH, inW := in.Shape.H(), in.Shape.W()
+	outH, outW := out.Shape.H(), out.Shape.W()
+	src, dst := in.Data, out.Data
+	vec := asmVecOK && kh == 3 && kw == 3 && (stride == 1 || stride == 2)
+
+	// Scalar split — interior range: oh*stride-pad >= 0 and
+	// oh*stride-pad+kh-1 < inH (and likewise for width). Vector kernel —
+	// a zero-padded copy of the plane: the border ring (24 of 49 cells
+	// at 7×7) costs what the interior costs, and a tap the scalar loop
+	// skips adds a ±0 product, which leaves a sum that started at +0 or
+	// at a non-zero bias unchanged. Only the interior is rewritten per
+	// plane, so the ring is zeroed once per call; the slack past the
+	// last row is what the kernel's final partial chunk over-reads.
+	var ohLo, ohHi, owLo, owHi, pitch int
+	var padded []float32
+	if vec {
+		pitch = inW + 2*pad
+		padded = arena.GetSlice((inH+2*pad)*pitch + dwOverRead)
+		defer arena.PutSlice(padded)
+		clear(padded)
+	} else {
+		ohLo, ohHi = interiorRange(inH, kh, stride, pad, outH)
+		owLo, owHi = interiorRange(inW, kw, stride, pad, outW)
+	}
+
 	c, b := pLo/n, pLo%n
 	for pl := pLo; pl < pHi; pl++ {
 		var bias float32
 		if p.b != nil {
 			bias = p.b[c]
 		}
-		dwPlane(src, dst, p.w, bias, pl*inH*inW, pl*outH*outW, c*kh*kw,
-			kh, kw, stride, pad, inH, inW, outH, outW, ohLo, ohHi, owLo, owHi)
+		if vec {
+			plane := src[pl*inH*inW : (pl+1)*inH*inW]
+			for r := 0; r < inH; r++ {
+				copy(padded[(r+pad)*pitch+pad:], plane[r*inW:(r+1)*inW])
+			}
+			// The slices are the bounds checks the assembly does not make.
+			o, w := dst[pl*outH*outW:(pl+1)*outH*outW], p.w[c*9:c*9+9]
+			dwconv3x3Asm(&o[0], &padded[0], &w[0], bias, outH, outW, pitch, stride)
+		} else {
+			dwPlane(src, dst, p.w, bias, pl*inH*inW, pl*outH*outW, c*kh*kw,
+				kh, kw, stride, pad, inH, inW, outH, outW, ohLo, ohHi, owLo, owHi)
+		}
 		if b++; b == n {
 			c, b = c+1, 0
 		}
 	}
 }
+
+// dwOverRead is the slack, in floats, past the padded plane: the
+// stride-2 kernel's last chunk reads 18 columns from its first output's
+// window, at most 15 of them beyond the final padded row.
+const dwOverRead = 16
 
 // dwPlane runs the interior/border-split depthwise convolution of one
 // input plane (flat offset inBase) into one output plane (outBase)
@@ -386,24 +417,9 @@ func activate(arena *tensor.Arena, in *tensor.Tensor, fn nn.ActFunc, inPlace boo
 	}
 	switch fn {
 	case nn.ReLU:
-		for i, v := range in.Data {
-			if v > 0 {
-				out.Data[i] = v
-			} else {
-				out.Data[i] = 0
-			}
-		}
+		actSpan(out.Data, in.Data, spanReLU)
 	case nn.ReLU6:
-		for i, v := range in.Data {
-			switch {
-			case v <= 0:
-				out.Data[i] = 0
-			case v >= 6:
-				out.Data[i] = 6
-			default:
-				out.Data[i] = v
-			}
-		}
+		actSpan(out.Data, in.Data, spanReLU6)
 	case nn.Sigmoid:
 		for i, v := range in.Data {
 			out.Data[i] = float32(1 / (1 + math.Exp(-float64(v))))
@@ -416,19 +432,23 @@ func activate(arena *tensor.Arena, in *tensor.Tensor, fn nn.ActFunc, inPlace boo
 	return out
 }
 
-// batchNorm folds the per-channel scale/shift. The packed batch layout
-// keeps the n planes of one image channel contiguous, so batch n just
-// widens each channel's span from h·w to n·h·w elements.
-func batchNorm(arena *tensor.Arena, in *tensor.Tensor, p params, n int) *tensor.Tensor {
-	out := arena.Get(in.Shape)
+// batchNorm folds the per-channel scale/shift, then applies act — the
+// clamp of the ReLU/ReLU6 node that is this node's only consumer, when
+// Execute fused the two (see fusedAct); spanNoAct otherwise. The packed
+// batch layout keeps the n planes of one image channel contiguous, so
+// batch n just widens each channel's span from h·w to n·h·w elements.
+// inPlace is the grant activate has: mutate the dying input buffer and
+// return a view of it.
+func batchNorm(arena *tensor.Arena, in *tensor.Tensor, p params, n int, act spanAct, inPlace bool) *tensor.Tensor {
+	out := in
+	if !inPlace {
+		out = arena.Get(in.Shape)
+	}
 	c, h, w := in.Shape.C()/n, in.Shape.H(), in.Shape.W()
 	plane := h * w * n
 	for ch := 0; ch < c; ch++ {
-		scale, shift := p.w[ch], p.b[ch]
 		base := ch * plane
-		for i := 0; i < plane; i++ {
-			out.Data[base+i] = in.Data[base+i]*scale + shift
-		}
+		affineSpan(out.Data[base:base+plane], in.Data[base:base+plane], p.w[ch], p.b[ch], act)
 	}
 	return out
 }
@@ -505,9 +525,7 @@ func add(arena *tensor.Arena, ins []*tensor.Tensor, inPlace bool) *tensor.Tensor
 		copy(out.Data, ins[0].Data)
 	}
 	for _, in := range ins[1:] {
-		for i, v := range in.Data {
-			out.Data[i] += v
-		}
+		addSpan(out.Data, in.Data)
 	}
 	return out
 }

@@ -26,9 +26,12 @@ go test -run NONE -bench . -benchmem -benchtime "$BENCHTIME" \
 cat "$RAW"
 
 # Parse `BenchmarkName  N  ns/op [B/op allocs/op ...]` lines into JSON,
-# collapsing repeated names (from -count) to the min-ns line.
+# collapsing repeated names (from -count) to the min-ns line. On a
+# multi-CPU host go test appends -GOMAXPROCS to every name; the rows are
+# keyed without it so the file reads the same from any host.
 awk '
 /^Benchmark/ {
+    sub(/-[0-9]+$/, "", $1)
     if (!($1 in best)) order[++cnt] = $1
     if (!($1 in best) || $3 + 0 < bestns[$1] + 0) {
         bestns[$1] = $3

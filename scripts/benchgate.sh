@@ -56,6 +56,7 @@ FNR == NR {
 # adaptive/static ratio stanza below is its gate.
 /^BenchmarkRunnerAdaptive/ { next }
 /^Benchmark/ {
+    sub(/-[0-9]+$/, "", $1) # go test's -GOMAXPROCS suffix; the baseline has none
     if (!($1 in seen)) order[++cnt] = $1
     if (!($1 in seen) || $3 + 0 < min_ns[$1] + 0) {
         min_ns[$1] = $3

@@ -55,6 +55,12 @@ echo "== go build/test -tags noasm (pure-Go fallback must not rot)"
 go build -tags noasm ./...
 go test -tags noasm ./internal/engine/
 
+echo "== DNNJPS_NOASM=1 go test (the runtime switch, same contract)"
+# The env gate is a different switch from the tag: the assembly is
+# compiled in and every asm*OK flag must keep it unreachable — the GEMM
+# tile, the int8 kernels, the elementwise spans and the 3x3 depthwise.
+DNNJPS_NOASM=1 go test ./internal/engine/
+
 echo "== go test"
 go test ./...
 
