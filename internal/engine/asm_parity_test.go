@@ -73,7 +73,7 @@ func assertSliceParity(t *testing.T, ctx string, got, ref []float32, exact bool)
 func TestPreferAsmTileGuard(t *testing.T) {
 	cases := []struct{ m, k, n int }{
 		{asmMR - 1, 64, 64}, // too few rows
-		{64, 64, asmNR - 1}, // too few columns
+		{64, 64, 1},         // a single column: the matrix-vector product's
 		{64, 7, 64},         // too shallow to amortize packing
 		{1, 1, 1},
 	}
@@ -89,6 +89,11 @@ func TestPreferAsmTileGuard(t *testing.T) {
 	}
 	if !preferAsm(asmMR, 8, asmNR) {
 		t.Error("preferAsm rejects exactly one full tile at k=8")
+	}
+	// A coalesced dense-head group narrower than the tile: one sweep of
+	// the weights read in place beats the panel loop from two columns.
+	if !preferAsm(1000, 1280, 2) {
+		t.Error("preferAsm keeps a 2-column dense head off the tile")
 	}
 	if got := useAsm(KernelGEMM, 256, 1152, 256); got != asmEnabled() {
 		t.Errorf("useAsm(KernelGEMM, 256,1152,256) = %v, want asmEnabled() = %v", got, asmEnabled())
@@ -109,7 +114,8 @@ func TestPreferAsmTileGuard(t *testing.T) {
 func TestSgemmAccDriverParity(t *testing.T) {
 	shapes := []struct{ m, k, n int }{
 		{asmMR - 1, 8, asmNR}, // below the row guard: auto must stay on panel
-		{asmMR, 8, asmNR - 1}, // below the column guard
+		{asmMR, 8, 1},         // below the column guard
+		{asmMR, 8, asmNR - 1}, // a partial strip of columns: on the tile since the floor is 2
 		{asmMR, 7, asmNR},     // below the depth guard
 		{asmMR, 8, asmNR},     // exactly one tile
 		{7, 5, 9},             // ragged edges in every dimension

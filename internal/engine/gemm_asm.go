@@ -76,16 +76,24 @@ func useAsm(kern KernelPath, m, k, n int) bool {
 	return asmSgemmOK && (kern == KernelAsm || (kern == KernelGEMM && preferAsm(m, k, n)))
 }
 
-// preferAsm is the tile guard: at least one full asmMR×asmNR tile and
-// enough k steps to amortize the packing pass. It is the whole auto
-// policy — BenchmarkSgemmCrossover (m=256, k=1152) has the AVX2 tile
-// ahead of the panel loop at every swept width, 2.7x at n=16 to ~9x at
-// n=1024, and a shallow sweep holds the win down to a single 6x16 tile
-// at k=16 (6.2 vs 3.0 MAC/ns), so no working-set threshold sits on top
-// of the structural floor. The NEON tile takes the same rule; it has
-// not been timed on arm64 hardware.
+// preferAsm is the tile guard: a full strip of rows, at least two
+// columns and enough k steps to amortize packing B. It is the whole
+// auto policy — BenchmarkSgemmCrossover (m=256, k=1152) has the AVX2
+// tile ahead of the panel loop at every swept width, 2.7x at n=16 to
+// ~9x at n=1024, and a shallow sweep holds the win down to a single
+// 6x16 tile at k=16 (6.2 vs 3.0 MAC/ns), so no working-set threshold
+// sits on top of the structural floor. The column floor is 2, not one
+// full asmNR strip: since the tile reads A in place a narrow GEMM costs
+// one sweep of the weights whatever n ≤ asmNR is, while the panel loop
+// re-reads them per column pair — the 1000×1280 dense head takes ≈ 0.53
+// ms at every n from 2 to 16 on the tile against 1.7 ms (n=2) to 6.6 ms
+// (n=16) on the panel loop, so coalesced groups of 2–15 jobs ride it
+// (table in EXPERIMENTS.md). n = 1 never gets here: sgemmAcc runs it
+// as the matrix-vector product, which streams the weights at memory
+// bandwidth already. The NEON tile takes the same rule; it has not
+// been timed on arm64 hardware.
 func preferAsm(m, k, n int) bool {
-	return m >= asmMR && n >= asmNR && k >= 8
+	return m >= asmMR && n >= 2 && k >= 8
 }
 
 // bPacker produces packed B strips for the asm driver. Plain mode
