@@ -7,7 +7,7 @@
 // dwCell's order — r-major then c, starting from the bias, a separate
 // VMULPS and VADDPS per tap (no FMA), so every output equals the scalar
 // kernels' to the bit. The border is folded in by the caller: src is a
-// zero-padded copy of the input plane (see dwPlanes3x3), so a tap the
+// zero-padded copy of the input plane (see dwPlanes), so a tap the
 // scalar loop skips multiplies a +0 instead, and adding ±0 to a sum
 // that started at +0 or at a non-zero bias leaves it unchanged.
 

@@ -33,8 +33,10 @@ type KernelPath int
 
 const (
 	// KernelGEMM lowers conv2d via im2col onto the blocked parallel
-	// SGEMM, runs depthwise conv with an interior/border split, and
-	// dense layers as a register-blocked matrix-vector product. The
+	// SGEMM, runs depthwise conv with the vector 3×3 kernel or an
+	// interior/border split (bit-identical to the reference either
+	// way), and dense layers as a register-blocked matrix-vector
+	// product. The
 	// SGEMM driver is chosen per shape (see useAsm in gemm_asm.go):
 	// the SIMD assembly tile when the CPU has one and the shape fills
 	// it, the streaming panel loop otherwise. This is the default
@@ -538,15 +540,17 @@ func (m *Model) fusedAct(id int, st *execState) spanAct {
 	if !ok {
 		return spanNoAct
 	}
+	var act spanAct
 	switch l.Func {
 	case nn.ReLU:
-		st.fused = st.next
-		return spanReLU
+		act = spanReLU
 	case nn.ReLU6:
-		st.fused = st.next
-		return spanReLU6
+		act = spanReLU6
+	default:
+		return spanNoAct
 	}
-	return spanNoAct
+	st.fused = st.next
+	return act
 }
 
 // Argmax returns the index of the largest element — the predicted

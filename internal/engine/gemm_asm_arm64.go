@@ -33,12 +33,9 @@ const (
 
 var asmSgemmOK, asmQgemmOK bool
 
-// No NEON quantize, elementwise-span or depthwise kernels yet:
-// quantizeSpan, the span.go loops and dwPlane stay scalar on arm64.
-const (
-	asmQuantOK = false
-	asmVecOK   = false
-)
+// No NEON quantize kernel yet; quantizeSpan stays scalar on arm64. (Nor
+// span or depthwise kernels: vec_asm_off.go.)
+const asmQuantOK = false
 
 func init() {
 	if os.Getenv("DNNJPS_NOASM") != "" {
@@ -82,20 +79,4 @@ func asmQdot(k32 int, a, x []int8) int32 {
 
 func quantizeSpanAsm(dst *int8, src *float32, inv, zero float64, n int) {
 	panic("engine: quantize kernel unavailable on arm64")
-}
-
-func spanAffineAsm(dst, src *float32, n int, scale, shift float32, act int) {
-	panic("engine: span kernels unavailable on arm64")
-}
-
-func spanActAsm(dst, src *float32, n int, act int) {
-	panic("engine: span kernels unavailable on arm64")
-}
-
-func spanAddAsm(dst, src *float32, n int) {
-	panic("engine: span kernels unavailable on arm64")
-}
-
-func dwconv3x3Asm(dst, src, w *float32, bias float32, outH, outW, pitch, stride int) {
-	panic("engine: depthwise kernel unavailable on arm64")
 }

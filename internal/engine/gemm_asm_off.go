@@ -24,7 +24,6 @@ const (
 	asmSgemmOK = false
 	asmQgemmOK = false
 	asmQuantOK = false
-	asmVecOK   = false
 )
 
 func asmStripA(kc int, a []float32, lda int, _ []float32) ([]float32, int) {
@@ -44,21 +43,5 @@ func asmQdot(k32 int, a, x []int8) int32 {
 }
 
 func quantizeSpanAsm(dst *int8, src *float32, inv, zero float64, n int) {
-	panic("engine: assembly kernels disabled in this build")
-}
-
-func spanAffineAsm(dst, src *float32, n int, scale, shift float32, act int) {
-	panic("engine: assembly kernels disabled in this build")
-}
-
-func spanActAsm(dst, src *float32, n int, act int) {
-	panic("engine: assembly kernels disabled in this build")
-}
-
-func spanAddAsm(dst, src *float32, n int) {
-	panic("engine: assembly kernels disabled in this build")
-}
-
-func dwconv3x3Asm(dst, src, w *float32, bias float32, outH, outW, pitch, stride int) {
 	panic("engine: assembly kernels disabled in this build")
 }

@@ -134,18 +134,19 @@ func dwCell(src, w []float32, bias float32, inBase, ihBase, iwBase, wBase, kh, k
 // dwconv2d is the fast depthwise convolution over the C·n planes of a
 // packed batch, channel c's kernel serving its n image planes. A 3×3
 // kernel at stride 1 or 2 runs the vector kernel where the CPU has one
-// (dwPlanes3x3); every other geometry splits each plane: output
+// (see dwPlanes); every other geometry splits each plane: output
 // positions whose kernel window lies fully inside the input run a tight
 // loop with no bounds checks; only the border ring pays for them. The
 // accumulation order per element is identical to dwconv2dDirect on
 // both, so outputs match bit for bit.
 func dwconv2d(arena *tensor.Arena, in *tensor.Tensor, outShape tensor.Shape, p params, kh, kw, stride, pad, workers, n int) *tensor.Tensor {
 	out := arena.Get(batchShape(outShape, n))
-	if serialSpan(workers, outShape.C()*n) {
-		dwPlanes(arena, 0, outShape.C()*n, in, out, p, n, kh, kw, stride, pad)
+	planes := outShape.C() * n
+	if serialSpan(workers, planes) {
+		dwPlanes(arena, 0, planes, in, out, p, n, kh, kw, stride, pad)
 		return out
 	}
-	parallelFor(workers, outShape.C()*n, func(pLo, pHi int) {
+	parallelFor(workers, planes, func(pLo, pHi int) {
 		dwPlanes(arena, pLo, pHi, in, out, p, n, kh, kw, stride, pad)
 	})
 	return out

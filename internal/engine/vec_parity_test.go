@@ -20,6 +20,21 @@ import (
 
 func sameBits(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }
 
+// assertSameBits is stricter than assertSliceParity's exact mode, which
+// compares with != and so cannot tell -0 from +0 or NaN from NaN.
+func assertSameBits(t *testing.T, ctx string, got, want []float32) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d elements, want %d", ctx, len(got), len(want))
+	}
+	for i := range want {
+		if !sameBits(got[i], want[i]) {
+			t.Fatalf("%s: [%d] = %g (%#08x), want %g (%#08x)", ctx, i,
+				got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+		}
+	}
+}
+
 // spanEdgeValues straddle every branch of the clamps: the signed zeros,
 // the neighbours of 0 and 6, denormals, infinities and NaN.
 func spanEdgeValues() []float32 {
@@ -65,12 +80,7 @@ func TestSpanKernelsMatchGoLoops(t *testing.T) {
 	}
 	check := func(ctx string, got, want []float32) {
 		t.Helper()
-		for i := range want {
-			if !sameBits(got[i], want[i]) {
-				t.Fatalf("%s: [%d] = %g (%#08x), want %g (%#08x)", ctx, i,
-					got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
-			}
-		}
+		assertSameBits(t, ctx, got, want)
 	}
 	for n := 0; n <= 33; n++ {
 		for off := 0; off < 8; off++ {
@@ -211,12 +221,8 @@ func TestDepthwiseVecMatchesDirect(t *testing.T) {
 					}
 					for b, in := range inputs {
 						want := dwconv2dDirect(nil, in, outShape, p, c.k, c.k, c.stride, c.pad, 1)
-						for i := range want.Data {
-							if !sameBits(got[b].Data[i], want.Data[i]) {
-								t.Fatalf("n=%d workers=%d image %d: out[%d] = %g, direct %g",
-									n, workers, b, i, got[b].Data[i], want.Data[i])
-							}
-						}
+						assertSameBits(t, fmt.Sprintf("n=%d workers=%d image %d vs direct", n, workers, b),
+							got[b].Data, want.Data)
 					}
 				}
 			}
@@ -257,18 +263,6 @@ func nodeByNode(t *testing.T, m *Model, in *tensor.Tensor) map[int]*tensor.Tenso
 	return acts
 }
 
-func assertSameBits(t *testing.T, ctx string, got, want *tensor.Tensor) {
-	t.Helper()
-	if len(got.Data) != len(want.Data) {
-		t.Fatalf("%s: %d elements, want %d", ctx, len(got.Data), len(want.Data))
-	}
-	for i := range want.Data {
-		if !sameBits(got.Data[i], want.Data[i]) {
-			t.Fatalf("%s: [%d] = %g, want %g", ctx, i, got.Data[i], want.Data[i])
-		}
-	}
-}
-
 // TestBatchNormFusionRespectsBoundaries: a BatchNorm overwrites its
 // input and takes on the following clamp only when nothing can see the
 // difference. A BN that ends the node list (a cut boundary: its
@@ -305,7 +299,7 @@ func TestBatchNormFusionRespectsBoundaries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSameBits(t, fmt.Sprintf("fork=%v forward vs node-by-node", fork), out, ref[g.Sink()])
+		assertSameBits(t, fmt.Sprintf("fork=%v forward vs node-by-node", fork), out.Data, ref[g.Sink()].Data)
 
 		// The list ends at the BN: its consumer is outside — a cut.
 		topo := g.Topo()
@@ -320,7 +314,7 @@ func TestBatchNormFusionRespectsBoundaries(t *testing.T) {
 		if err := m.Execute(acts, in, prefix); err != nil {
 			t.Fatal(err)
 		}
-		assertSameBits(t, fmt.Sprintf("fork=%v boundary bn", fork), acts[bn.ID], ref[bn.ID])
+		assertSameBits(t, fmt.Sprintf("fork=%v boundary bn", fork), acts[bn.ID].Data, ref[bn.ID].Data)
 
 		// Resume from a caller-provided conv output, BN and activation
 		// in one list: the BN may fuse, but not into the caller's buffer.
@@ -335,15 +329,15 @@ func TestBatchNormFusionRespectsBoundaries(t *testing.T) {
 		if err := m.Execute(acts, nil, suffix); err != nil {
 			t.Fatal(err)
 		}
-		assertSameBits(t, fmt.Sprintf("fork=%v caller-provided conv output", fork), convOut, ref[conv.ID])
-		assertSameBits(t, fmt.Sprintf("fork=%v resumed suffix", fork), acts[g.Sink()], ref[g.Sink()])
+		assertSameBits(t, fmt.Sprintf("fork=%v caller-provided conv output", fork), convOut.Data, ref[conv.ID].Data)
+		assertSameBits(t, fmt.Sprintf("fork=%v resumed suffix", fork), acts[g.Sink()].Data, ref[g.Sink()].Data)
 
 		// And the BN alone, from the caller's tensor.
 		acts = map[int]*tensor.Tensor{conv.ID: convOut}
 		if err := m.Execute(acts, nil, []int{bn.ID}); err != nil {
 			t.Fatal(err)
 		}
-		assertSameBits(t, fmt.Sprintf("fork=%v lone bn", fork), acts[bn.ID], ref[bn.ID])
-		assertSameBits(t, fmt.Sprintf("fork=%v conv output after lone bn", fork), convOut, ref[conv.ID])
+		assertSameBits(t, fmt.Sprintf("fork=%v lone bn", fork), acts[bn.ID].Data, ref[bn.ID].Data)
+		assertSameBits(t, fmt.Sprintf("fork=%v conv output after lone bn", fork), convOut.Data, ref[conv.ID].Data)
 	}
 }
