@@ -184,6 +184,7 @@ func TestBatchSuffixParityRagged(t *testing.T) {
 	m := Load(g, 9).Parallel(2)
 	b1, _ := g.NodeByName("b1")
 	b2, _ := g.NodeByName("b2")
+	gap, _ := g.NodeByName("gap")
 	mobile := g.Ancestors(b1.ID, b2.ID)
 	var prefix, suffix []int
 	for _, id := range g.Topo() {
@@ -193,10 +194,19 @@ func TestBatchSuffixParityRagged(t *testing.T) {
 			suffix = append(suffix, id)
 		}
 	}
+	// The suffix in two lists, so the pooled features come back beside
+	// the sink: body (concat, depthwise, ReLU6, pool) and the dense head.
+	var body, head []int
+	for i, id := range suffix {
+		if id == gap.ID {
+			body, head = suffix[:i+1], suffix[i+1:]
+		}
+	}
 	const jobs = 7
 	bounds1 := make([]*tensor.Tensor, 0, jobs)
 	bounds2 := make([]*tensor.Tensor, 0, jobs)
 	refs := make([]*tensor.Tensor, 0, jobs)
+	feats := make([]*tensor.Tensor, 0, jobs)
 	for j := 0; j < jobs; j++ {
 		in := randInput(g.Node(g.Source()).OutShape, 300+int64(j))
 		acts := map[int]*tensor.Tensor{}
@@ -206,7 +216,11 @@ func TestBatchSuffixParityRagged(t *testing.T) {
 		bounds1 = append(bounds1, acts[b1.ID].Clone())
 		bounds2 = append(bounds2, acts[b2.ID].Clone())
 		solo := map[int]*tensor.Tensor{b1.ID: acts[b1.ID], b2.ID: acts[b2.ID]}
-		if err := m.Execute(solo, nil, suffix); err != nil {
+		if err := m.Execute(solo, nil, body); err != nil {
+			t.Fatal(err)
+		}
+		feats = append(feats, solo[gap.ID].Clone())
+		if err := m.Execute(solo, nil, head); err != nil {
 			t.Fatal(err)
 		}
 		refs = append(refs, solo[g.Sink()].Clone())
@@ -227,7 +241,14 @@ func TestBatchSuffixParityRagged(t *testing.T) {
 			t.Fatal(err)
 		}
 		acts := map[int]*tensor.Tensor{b1.ID: p1, b2.ID: p2}
-		if err := m.ExecuteBatch(acts, n, nil, suffix); err != nil {
+		if err := m.ExecuteBatch(acts, n, nil, body); err != nil {
+			t.Fatal(err)
+		}
+		pooled, err := UnpackBatch(acts[gap.ID], n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.ExecuteBatch(acts, n, nil, head); err != nil {
 			t.Fatal(err)
 		}
 		outs, err := UnpackBatch(acts[g.Sink()], n)
@@ -236,13 +257,76 @@ func TestBatchSuffixParityRagged(t *testing.T) {
 		}
 		classes := ArgmaxBatch(acts[g.Sink()], n)
 		for b, out := range outs {
-			// runBatchParity's rule: a group of 3 puts the dense head on
+			// Everything before the dense layer is exact, asm or not: the
+			// packed depthwise and ReLU6 round like the solo ones.
+			for i, want := range feats[lo+b].Data {
+				if pooled[b].Data[i] != want {
+					t.Fatalf("group %d image %d: pooled[%d] = %g, solo = %g", lo/3, b, i, pooled[b].Data[i], want)
+				}
+			}
+			// The head is runBatchParity's rule: a group of 3 runs it on
 			// the FMA tile while the solo head is the matrix-vector product.
 			ref := refs[lo+b]
 			assertSliceParity(t, fmt.Sprintf("group %d image %d vs solo", lo/3, b),
 				out.Data, ref.Data, !asmEnabled())
 			if want := Argmax(ref); classes[b] != want {
 				t.Fatalf("group %d image %d: class %d, solo %d", lo/3, b, classes[b], want)
+			}
+		}
+	}
+}
+
+// TestBatchBlockParityExact: everything of a MobileNet block but the
+// dense head — pointwise convs, BatchNorm with and without a clamp
+// folded in, lone ReLU, residual add, 3×3 depthwise at both strides —
+// is bit-identical batched and solo on every GEMM selection with the
+// assembly on, not merely within the FMA tolerance. Batching changes
+// the length of each channel's span (n·7·7), so which elements the
+// vector head takes and which the scalar tail, and it steps the
+// depthwise through C·n planes; the convs stay on one driver (both
+// widths fill a tile), where batching only relocates a column.
+func TestBatchBlockParityExact(t *testing.T) {
+	g := dag.New("block")
+	in := g.Add(&nn.Input{LayerName: "in", Shape: tensor.NewCHW(8, 7, 7)})
+	ex := g.Add(&nn.Conv2D{LayerName: "expand", OutC: 24, KH: 1, KW: 1, Stride: 1}, in)
+	b0 := g.Add(nn.NewBatchNorm("expand/bn"), ex)
+	r0 := g.Add(nn.NewActivation("expand/relu6", nn.ReLU6), b0)
+	dw := g.Add(&nn.DepthwiseConv2D{LayerName: "dwise", KH: 3, KW: 3, Stride: 1, Pad: 1}, r0)
+	b1 := g.Add(nn.NewBatchNorm("dwise/bn"), dw)
+	r1 := g.Add(nn.NewActivation("dwise/relu6", nn.ReLU6), b1)
+	pr := g.Add(&nn.Conv2D{LayerName: "project", OutC: 8, KH: 1, KW: 1, Stride: 1}, r1)
+	b2 := g.Add(nn.NewBatchNorm("project/bn"), pr)
+	ad := g.Add(&nn.Add{LayerName: "add"}, b2, in)
+	d2 := g.Add(&nn.DepthwiseConv2D{LayerName: "down", KH: 3, KW: 3, Stride: 2, Pad: 1, Bias: true}, ad)
+	r2 := g.Add(nn.NewActivation("down/relu", nn.ReLU), d2)
+	g.Add(&nn.GlobalAvgPool2D{LayerName: "gap"}, r2)
+	if err := g.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	m := Load(g, 5)
+	inShape := g.Node(g.Source()).OutShape
+	for _, kern := range []KernelPath{KernelGEMM, KernelAsm, KernelPanel} {
+		for _, n := range []int{2, 3} {
+			for _, workers := range []int{1, 3} {
+				m.WithKernel(kern).Parallel(workers)
+				inputs := make([]*tensor.Tensor, n)
+				refs := make([]*tensor.Tensor, n)
+				for b := range inputs {
+					inputs[b] = randInput(inShape, 400+int64(b))
+					out, err := m.Forward(inputs[b].Clone())
+					if err != nil {
+						t.Fatal(err)
+					}
+					refs[b] = out.Clone()
+				}
+				got, err := m.ForwardBatch(inputs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for b := range refs {
+					assertSameBits(t, fmt.Sprintf("%v n=%d workers=%d image %d vs solo", kern, n, workers, b),
+						got[b].Data, refs[b].Data)
+				}
 			}
 		}
 	}

@@ -6,7 +6,9 @@
 // lane is one output element and runs dwCell's nine multiply-adds in
 // dwCell's order — r-major then c, starting from the bias, a separate
 // VMULPS and VADDPS per tap (no FMA), so every output equals the scalar
-// kernels' to the bit. The border is folded in by the caller: src is a
+// kernels' to the bit (on the same footing as the span kernels: the
+// amd64 compiler does not contract `sum += src*w`; see the header of
+// span_avx2_amd64.s). The border is folded in by the caller: src is a
 // zero-padded copy of the input plane (see dwPlanes), so a tap the
 // scalar loop skips multiplies a +0 instead, and adding ±0 to a sum
 // that started at +0 or at a non-zero bias leaves it unchanged.

@@ -21,7 +21,8 @@ import "sync"
 // made per call (re-laying them out k-major cost ∝ m·k against
 // arithmetic ∝ m·k·n, 38–43 % of a MobileNet 7×7 pointwise GEMM). Only
 // the last partial strip (m mod asmMR rows) is copied, into a zeroed
-// stack scratch, so the tile never reads a row that does not exist.
+// stack scratch (asmSweepRagged), so the tile never reads a row that
+// does not exist.
 // Before each strip the driver takes the Go slice spanning everything
 // the tile will dereference — a bad shape panics instead of reading
 // wild memory. (The NEON tile still streams a packed strip; its arch
@@ -287,49 +288,59 @@ func sgemmAsmParallel(m, k, n, lda, ldc int, a []float32, pk bPacker, c []float3
 func sgemmAsmCols(m, k, nLo, nHi, lda, ldc int, a []float32, pk bPacker, c []float32) {
 	bufB := asmPackBufsB.Get().(*[]float32)
 	pB := *bufB
-	var tmp [asmMR * asmNR]float32
-	var edge [asmMR * asmKC]float32     // the last partial strip, zero-padded
 	var packed [asmStripScratch]float32 // asmStripA's, where the tile wants one
+	mFull := m - m%asmMR
 	for jp := nLo; jp < nHi; jp += asmNC {
 		nc := min(asmNC, nHi-jp)
-		ncPad := (nc + asmNR - 1) / asmNR * asmNR
 		for kp := 0; kp < k; kp += asmKC {
 			kc := min(asmKC, k-kp)
 			pk.pack(kp, kc, jp, nc, pB)
-			for i0 := 0; i0 < m; i0 += asmMR {
-				rr := min(asmMR, m-i0)
+			for i0 := 0; i0 < mFull; i0 += asmMR {
 				// Everything the tile dereferences of A, as one
 				// bounds-checked slice: asmMR rows of kc floats.
-				var sa []float32
-				sl := lda
-				if rr == asmMR {
-					sa = a[i0*lda+kp : (i0+asmMR-1)*lda+kp+kc]
-				} else {
-					sa, sl = edge[:asmMR*kc], kc
-					for r := 0; r < rr; r++ {
-						copy(sa[r*kc:(r+1)*kc], a[(i0+r)*lda+kp:(i0+r)*lda+kp+kc])
-					}
-					clear(sa[rr*kc:])
-				}
-				sa, sl = asmStripA(kc, sa, sl, packed[:])
-				cBase := i0*ldc + jp
-				for j0 := 0; j0 < ncPad; j0 += asmNR {
-					cc := min(asmNR, nc-j0)
-					if rr == asmMR && cc == asmNR {
-						asmSgemmTile(kc, sa, sl, pB[j0*kc:], c, cBase+j0, ldc)
-						continue
-					}
-					// Edge tile through the scratch patch.
-					for r := 0; r < rr; r++ {
-						copy(tmp[r*asmNR:r*asmNR+cc], c[cBase+j0+r*ldc:])
-					}
-					asmSgemmTile(kc, sa, sl, pB[j0*kc:], tmp[:], 0, asmNR)
-					for r := 0; r < rr; r++ {
-						copy(c[cBase+j0+r*ldc:cBase+j0+r*ldc+cc], tmp[r*asmNR:r*asmNR+cc])
-					}
-				}
+				sa := a[i0*lda+kp : (i0+asmMR-1)*lda+kp+kc]
+				asmSweepStrip(kc, asmMR, nc, sa, lda, packed[:], pB, c, i0*ldc+jp, ldc)
+			}
+			if mFull < m {
+				asmSweepRagged(kc, m-mFull, nc, a[mFull*lda+kp:], lda, packed[:], pB, c, mFull*ldc+jp, ldc)
 			}
 		}
 	}
 	asmPackBufsB.Put(bufB)
+}
+
+// asmSweepRagged runs the last m mod asmMR rows of A (rr of them, lda
+// apart, kc floats each). They are copied into a zeroed asmMR x kc
+// scratch and swept with lda = kc, so the tile never reads a row that
+// does not exist. The scratch lives in this frame, not the driver's:
+// only a ragged m pays for zeroing it, once per K panel.
+func asmSweepRagged(kc, rr, nc int, a []float32, lda int, packed, pB, c []float32, cBase, ldc int) {
+	var edge [asmMR * asmKC]float32
+	for r := 0; r < rr; r++ {
+		copy(edge[r*kc:(r+1)*kc], a[r*lda:r*lda+kc])
+	}
+	asmSweepStrip(kc, rr, nc, edge[:asmMR*kc], kc, packed, pB, c, cBase, ldc)
+}
+
+// asmSweepStrip accumulates one strip of A (asmMR rows, lda apart, rr
+// of them live) against every asmNR-column strip of the packed block
+// pB (nc columns) into the rows of C starting at c[cBase].
+func asmSweepStrip(kc, rr, nc int, sa []float32, lda int, packed, pB, c []float32, cBase, ldc int) {
+	var tmp [asmMR * asmNR]float32
+	sa, lda = asmStripA(kc, sa, lda, packed)
+	for j0 := 0; j0 < nc; j0 += asmNR {
+		cc := min(asmNR, nc-j0)
+		if rr == asmMR && cc == asmNR {
+			asmSgemmTile(kc, sa, lda, pB[j0*kc:], c, cBase+j0, ldc)
+			continue
+		}
+		// Edge tile through the scratch patch.
+		for r := 0; r < rr; r++ {
+			copy(tmp[r*asmNR:r*asmNR+cc], c[cBase+j0+r*ldc:])
+		}
+		asmSgemmTile(kc, sa, lda, pB[j0*kc:], tmp[:], 0, asmNR)
+		for r := 0; r < rr; r++ {
+			copy(c[cBase+j0+r*ldc:cBase+j0+r*ldc+cc], tmp[r*asmNR:r*asmNR+cc])
+		}
+	}
 }

@@ -150,7 +150,7 @@ func conv2dGEMM(arena *tensor.Arena, kern KernelPath, in *tensor.Tensor, outShap
 	// On the asm path the fused packer synthesizes patch windows
 	// straight from the packed input — across image boundaries — so
 	// the whole batch runs as one GEMM per group with no scratch; the
-	// driver's own NC/KC/MC blocking replaces batchTile's image tiling.
+	// driver's own NC/KC blocking replaces batchTile's image tiling.
 	if useAsm(kern, ocpg, kSize, nhw) {
 		for g := 0; g < groups; g++ {
 			a := p.w[g*ocpg*kSize : (g+1)*ocpg*kSize]

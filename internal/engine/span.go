@@ -7,7 +7,10 @@ package engine
 // without a vector form. Where asmVecOK, the leading multiple of eight
 // elements goes through span_avx2_amd64.s, which computes the same
 // values to the bit (separate multiply and add, clamps that reproduce
-// these branches for -0 and NaN), so neither path is a tolerance case.
+// these branches for -0 and NaN), so neither path is a tolerance case —
+// as long as the compiler does not contract v*scale + shift on amd64,
+// which it does at no GOAMD64 level today (see the assembly's header
+// for what catches it if that changes).
 // dst and src have equal length and may be the same slice.
 
 // spanAct is the clamp a span kernel applies after its arithmetic; the

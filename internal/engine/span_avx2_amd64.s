@@ -4,10 +4,19 @@
 
 // AVX2 elementwise span kernels: the vector form of the loops in
 // span.go, eight lanes per step. They are unfused on purpose — a
-// separate VMULPS and VADDPS round exactly as the `x*scale + shift` the
-// Go compiler emits at the default GOAMD64=v1 (no FMA contraction), so
-// every result equals the scalar loop's to the bit and the noasm build
-// stays the reference. The clamps reproduce the Go branches, not just
+// separate VMULPS and VADDPS round exactly as the MULSS, ADDSS the Go
+// compiler emits for `x*scale + shift` on amd64, so every result equals
+// the scalar loop's to the bit and the noasm build stays the reference.
+// That leans on the compiler, not the spec, which lets an
+// implementation fuse x*y + z: as of go1.24 the amd64 back end does so
+// at no GOAMD64 level (v3 only lowers math.FMA), while arm64, riscv64,
+// ppc64 and s390x do — ports with no vector form here, so their Go
+// loops only ever meet themselves. Should amd64 start contracting, the
+// vector head and the scalar tail of one span would round differently;
+// TestSpanKernelsMatchGoLoops (its random-operand leg) and
+// TestDepthwiseVecMatchesDirect fail on such a build, and the fix is an
+// explicit float32(x*scale) in the loops. Both were run at GOAMD64=v3
+// when this was written. The clamps reproduce the Go branches, not just
 // their values on ordinary numbers:
 //
 //	RELU   v > 0 ? v : 0            VMAXPS returns its second source

@@ -138,6 +138,32 @@ func TestSpanKernelsMatchGoLoops(t *testing.T) {
 			check(fmt.Sprintf("addSpan n=%d off=%d", n, off), got, want)
 		}
 	}
+
+	// General operands. The edge values mostly multiply exactly, so a
+	// build whose compiler contracts v*scale+shift into one FMA in the Go
+	// loops (the spec allows it; as of go1.24 the amd64 compiler does it
+	// at no GOAMD64 level, and the ports that do have no vector form to
+	// disagree with) would pass everything above. A fused and an unfused
+	// multiply-add of random operands differ about one time in three:
+	// here the vector head, which rounds twice, would leave both the
+	// written-out definition and its own scalar tail.
+	src := randInput(tensor.NewVec(8*5+7), 33).Data
+	for _, af := range []struct{ scale, shift float32 }{{1.0371, -0.2113}, {-0.7219, 2.9043}} {
+		want := make([]float32, len(src))
+		tells := false
+		for i, v := range src {
+			want[i] = relu6(float32(v*af.scale) + af.shift)
+			// The product is exact in float64: one rounding, as an FMA.
+			fused := float32(float64(v)*float64(af.scale) + float64(af.shift))
+			tells = tells || relu6(fused) != want[i]
+		}
+		if !tells {
+			t.Fatal("operands cannot tell a fused multiply-add from an unfused one")
+		}
+		got := make([]float32, len(src))
+		affineSpan(got, src, af.scale, af.shift, spanReLU6)
+		check(fmt.Sprintf("affineSpan random operands scale=%g shift=%g", af.scale, af.shift), got, want)
+	}
 }
 
 // dwVecCase is one depthwise geometry for TestDepthwiseVecMatchesDirect.

@@ -18,11 +18,8 @@ echo "== go test -bench (engine x3, runtime, core, flowshop; benchtime=$BENCHTIM
 # additive, so the min is the least-contended measurement and the only
 # one stable enough for benchgate's absolute comparison. (Not piped
 # through tee: a `cmd | tee` pipeline under plain sh reports tee's
-# exit status and would mask a failed benchmark run.) The engine rows
-# are taken at -cpu 1: with more procs the whole-model benches fan out
-# over goroutines and their allocs/op wander (Forward_alexnet 74-82 at
-# two procs, 8 at one), which an exact allocation gate cannot use.
-go test -run NONE -bench . -benchmem -benchtime "$BENCHTIME" -count=3 -cpu 1 \
+# exit status and would mask a failed benchmark run.)
+go test -run NONE -bench . -benchmem -benchtime "$BENCHTIME" -count=3 \
     ./internal/engine/ > "$RAW"
 go test -run NONE -bench . -benchmem -benchtime "$BENCHTIME" \
     ./internal/runtime/ ./internal/core/ ./internal/flowshop/ >> "$RAW"

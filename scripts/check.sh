@@ -59,7 +59,10 @@ echo "== DNNJPS_NOASM=1 go test (the runtime switch, same contract)"
 # The env gate is a different switch from the tag: the assembly is
 # compiled in and every asm*OK flag must keep it unreachable — the GEMM
 # tile, the int8 kernels, the elementwise spans and the 3x3 depthwise.
-DNNJPS_NOASM=1 go test ./internal/engine/
+# -count=1: the variable is read in an init(), before the test log that
+# keys go test's cache on environment reads is open, so without it this
+# leg can be answered "(cached)" from a run that had the assembly on.
+DNNJPS_NOASM=1 go test -count=1 ./internal/engine/
 
 echo "== go test"
 go test ./...
