@@ -1,0 +1,262 @@
+// Command benchgate is the repo's bench gate. It runs the benchmark
+// families whose legs are compared to each other within one run — so
+// the verdict does not depend on how fast or how loaded the host is —
+// holds each numerator/denominator ratio to its bound, and appends the
+// run to BENCH_history.jsonl: one JSON line with the host, the commit,
+// the ratios and the raw rows (the rows are a record, nothing gates
+// them). Absolute times and allocation counts have other owners:
+// benchmark/ measures the first under alternating parent/change pairs,
+// the Test*Allocs tests pin the second.
+//
+// Run it from the module root, as scripts/check.sh does:
+//
+//	go run ./cmd/benchgate
+package main
+
+import (
+	"encoding/json"
+	"fmt"
+	"io"
+	"os"
+	"os/exec"
+	"runtime"
+	"strconv"
+	"strings"
+	"time"
+)
+
+// runs are the `go test -bench` invocations behind the rules. The
+// compute-bound engine legs repeat three times and parseBench keeps the
+// fastest; the runtime legs are paced by simulated-link sleeps and read
+// within ±2 % of each other once.
+var runs = []struct{ pkg, bench, count string }{
+	{"./internal/engine/", "^Benchmark(SgemmCrossover|BatchedForward)$", "3"},
+	{"./internal/runtime/", "^Benchmark(FleetServer|RunnerAdaptive)$", "1"},
+}
+
+// rule bounds one within-run ratio: num's unit column over den's. A "*"
+// in num matches any text and den's "*" takes the same, so one rule
+// covers every width or suffix the benchmark has legs for. A leg a rule
+// needs and the output lacks fails the gate.
+type rule struct {
+	num, den string
+	unit     string
+	bound    float64 // fail when num/den exceeds it
+	minStar  int     // gate only the legs whose "*" is a number >= minStar
+	skip     string  // non-empty: why the output may hold no num leg at all, which then skips the rule
+}
+
+var rules = []rule{
+	// The FMA tile against the streaming panel loop. preferAsm has no
+	// threshold past the tile guard; this ratio is what licenses that
+	// (≈ 0.11 on the reference host).
+	{num: "BenchmarkSgemmCrossover/asm/n=*", den: "BenchmarkSgemmCrossover/panel/n=*", unit: "ns/op", bound: 0.9, minStar: 128,
+		skip: "the asm legs run only with AVX2+FMA and without noasm"},
+	// Filling a batch must amortize packing across images, on the dense
+	// head (≈ 0.11–0.17) and on the conv suffix (≈ 0.35–0.45).
+	{num: "BenchmarkBatchedForward/N=32/*", den: "BenchmarkBatchedForward/N=1/*", unit: "ns/inference", bound: 0.6},
+	// Cross-connection batching must not lose to per-job dispatch on
+	// its home workload (≈ 0.3).
+	{num: "BenchmarkFleetServer/batched", den: "BenchmarkFleetServer/solo", unit: "ns/job", bound: 1.10},
+	// On a healthy link no change point fires, so the estimator costs
+	// its bookkeeping and nothing else (≈ 1.0).
+	{num: "BenchmarkRunnerAdaptive/adaptive", den: "BenchmarkRunnerAdaptive/static", unit: "ns/job", bound: 1.15},
+}
+
+// row is one benchmark result, named as go test prints it less the
+// -GOMAXPROCS suffix, so a history reads the same from any host.
+type row struct {
+	Name    string             `json:"name"`
+	Iters   int64              `json:"iters"`
+	Metrics map[string]float64 `json:"metrics"` // value by unit: ns/op, ns/job, MAC/ns, allocs/op, ...
+}
+
+// ratio is one evaluated rule leg.
+type ratio struct {
+	Num   string  `json:"num"`
+	Den   string  `json:"den"`
+	Unit  string  `json:"unit"`
+	Ratio float64 `json:"ratio"`
+	Bound float64 `json:"bound"`
+}
+
+// record is one line of BENCH_history.jsonl.
+type record struct {
+	DateUTC    string  `json:"date_utc"`
+	Commit     string  `json:"commit"`
+	GoVersion  string  `json:"go_version"`
+	CPUModel   string  `json:"cpu_model"`
+	GOMAXPROCS int     `json:"gomaxprocs"`
+	Pass       bool    `json:"pass"`
+	Ratios     []ratio `json:"ratios"`
+	Rows       []row   `json:"rows"`
+}
+
+func main() {
+	var out strings.Builder
+	for _, r := range runs {
+		cmd := exec.Command("go", "test", "-run", "^$", "-bench", r.bench, "-benchmem",
+			"-benchtime", "3x", "-count", r.count, r.pkg)
+		cmd.Stdout = io.MultiWriter(os.Stdout, &out)
+		cmd.Stderr = os.Stderr
+		if err := cmd.Run(); err != nil {
+			fmt.Fprintf(os.Stderr, "benchgate: %s: %v\n", strings.Join(cmd.Args, " "), err)
+			os.Exit(1)
+		}
+	}
+	cpu, rows := parseBench(out.String())
+	ratios, msgs, pass := evaluate(rules, rows)
+	for _, m := range msgs {
+		fmt.Println("benchgate:", m)
+	}
+	rec := stamp()
+	rec.CPUModel, rec.Pass, rec.Ratios, rec.Rows = cpu, pass, ratios, rows
+	if err := appendHistory("BENCH_history.jsonl", rec); err != nil {
+		fmt.Fprintln(os.Stderr, "benchgate:", err)
+		os.Exit(1)
+	}
+	if !pass {
+		os.Exit(1)
+	}
+}
+
+// parseBench reads `go test -bench` output: the CPU model of its "cpu:"
+// line ("unknown" without one) and the result rows. Repetitions of one
+// name (-count) collapse to the one with the least ns/op: what a shared
+// host adds to a run is only ever time, so the fastest is the least
+// disturbed.
+func parseBench(out string) (cpu string, rows []row) {
+	cpu = "unknown"
+	index := map[string]int{}
+	for _, line := range strings.Split(out, "\n") {
+		if model, ok := strings.CutPrefix(line, "cpu: "); ok {
+			cpu = model
+		}
+		f := strings.Fields(line)
+		if len(f) < 4 || !strings.HasPrefix(f[0], "Benchmark") {
+			continue
+		}
+		iters, err := strconv.ParseInt(f[1], 10, 64)
+		if err != nil {
+			continue
+		}
+		r := row{Name: f[0], Iters: iters, Metrics: map[string]float64{}}
+		if i := strings.LastIndexByte(r.Name, '-'); i > 0 {
+			if _, err := strconv.Atoi(r.Name[i+1:]); err == nil {
+				r.Name = r.Name[:i]
+			}
+		}
+		for i := 2; i+1 < len(f); i += 2 {
+			if v, err := strconv.ParseFloat(f[i], 64); err == nil {
+				r.Metrics[f[i+1]] = v
+			}
+		}
+		if i, seen := index[r.Name]; !seen {
+			index[r.Name] = len(rows)
+			rows = append(rows, r)
+		} else if r.Metrics["ns/op"] < rows[i].Metrics["ns/op"] {
+			rows[i] = r
+		}
+	}
+	return cpu, rows
+}
+
+// matchStar reports whether name fits pattern and what its "*" stood for.
+func matchStar(pattern, name string) (star string, ok bool) {
+	pre, post, wild := strings.Cut(pattern, "*")
+	if !wild {
+		return "", name == pattern
+	}
+	if len(name) < len(pre)+len(post) || !strings.HasPrefix(name, pre) || !strings.HasSuffix(name, post) {
+		return "", false
+	}
+	return name[len(pre) : len(name)-len(post)], true
+}
+
+// evaluate applies the rules to the rows: the ratios it could compute,
+// one message per verdict, and whether every rule held.
+func evaluate(rules []rule, rows []row) (ratios []ratio, msgs []string, pass bool) {
+	byName := map[string]row{}
+	for _, r := range rows {
+		byName[r.Name] = r
+	}
+	pass = true
+	fail := func(format string, a ...any) {
+		pass = false
+		msgs = append(msgs, "FAIL "+fmt.Sprintf(format, a...))
+	}
+	for _, ru := range rules {
+		matched, gated := 0, 0
+		for _, r := range rows {
+			star, ok := matchStar(ru.num, r.Name)
+			if !ok {
+				continue
+			}
+			matched++
+			if n, err := strconv.Atoi(star); ru.minStar > 0 && (err != nil || n < ru.minStar) {
+				continue
+			}
+			gated++
+			den := strings.Replace(ru.den, "*", star, 1)
+			nv, nok := r.Metrics[ru.unit]
+			dv, dok := byName[den].Metrics[ru.unit]
+			if !nok || !dok || dv <= 0 {
+				fail("%s over %s: the bench output lacks %s for one of them", r.Name, den, ru.unit)
+				continue
+			}
+			q := ratio{Num: r.Name, Den: den, Unit: ru.unit, Ratio: nv / dv, Bound: ru.bound}
+			ratios = append(ratios, q)
+			if q.Ratio > q.Bound {
+				fail("%s %.0f %s over %s %.0f = %.2fx > %.2fx", q.Num, nv, q.Unit, q.Den, dv, q.Ratio, q.Bound)
+			} else {
+				msgs = append(msgs, fmt.Sprintf("ok %s over %s = %.2fx (bound %.2fx)", q.Num, q.Den, q.Ratio, q.Bound))
+			}
+		}
+		switch {
+		case gated > 0:
+		case matched == 0 && ru.skip != "":
+			msgs = append(msgs, fmt.Sprintf("skip %s: no such leg (%s)", ru.num, ru.skip))
+		default:
+			fail("%s: %d legs in the bench output, none to gate", ru.num, matched)
+		}
+	}
+	return ratios, msgs, pass
+}
+
+// appendHistory adds rec to the file at path as one JSON line.
+func appendHistory(path string, rec record) error {
+	line, err := json.Marshal(rec)
+	if err != nil {
+		return err
+	}
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(append(line, '\n')); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// stamp starts a record with when and on what it was taken; the CPU
+// model comes from the bench output.
+func stamp() record {
+	return record{
+		DateUTC:    time.Now().UTC().Format(time.RFC3339),
+		Commit:     commit(),
+		GoVersion:  runtime.Version(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+	}
+}
+
+// commit names the checked-out revision, "-dirty" appended when the
+// work tree differs from it; "unknown" outside a git checkout.
+func commit() string {
+	out, err := exec.Command("git", "describe", "--always", "--dirty", "--abbrev=12").Output()
+	if err != nil {
+		return "unknown"
+	}
+	return strings.TrimSpace(string(out))
+}

@@ -1,0 +1,184 @@
+package main
+
+import (
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"reflect"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+)
+
+// today is `go test -bench` output as the gate's two runs print it on
+// the 2-proc reference host, cut down to the legs the rules read plus
+// one ungated neighbour of each family. asm/n=128 keeps its three
+// -count repetitions.
+const today = `goos: linux
+goarch: amd64
+pkg: dnnjps/internal/engine
+cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
+BenchmarkBatchedForward/N=1/densehead-2         	       3	    413995 ns/op	    413654 ns/inference	    4384 B/op	      10 allocs/op
+BenchmarkBatchedForward/N=16/densehead-2        	       3	   1099660 ns/op	     68707 ns/inference	   65600 B/op	       4 allocs/op
+BenchmarkBatchedForward/N=32/densehead-2        	       3	   2201329 ns/op	     68779 ns/inference	  131136 B/op	       4 allocs/op
+BenchmarkBatchedForward/N=1/convsuffix-2        	       3	  27026359 ns/op	  27025701 ns/inference	    9813 B/op	      57 allocs/op
+BenchmarkBatchedForward/N=32/convsuffix-2       	       3	 297445723 ns/op	   9295156 ns/inference	  132858 B/op	      35 allocs/op
+BenchmarkSgemmCrossover/panel/n=64-2            	       3	   5099328 ns/op	         3.702 MAC/ns	       0 B/op	       0 allocs/op
+BenchmarkSgemmCrossover/asm/n=64-2              	       3	    456401 ns/op	        41.40 MAC/ns	      88 B/op	       0 allocs/op
+BenchmarkSgemmCrossover/panel/n=128-2           	       3	   9743828 ns/op	         3.875 MAC/ns	       0 B/op	       0 allocs/op
+BenchmarkSgemmCrossover/asm/n=128-2             	       3	   1252539 ns/op	        30.15 MAC/ns	  349621 B/op	       1 allocs/op
+BenchmarkSgemmCrossover/asm/n=128-2             	       3	   1047146 ns/op	        36.07 MAC/ns	      88 B/op	       0 allocs/op
+BenchmarkSgemmCrossover/asm/n=128-2             	       3	   1142020 ns/op	        33.07 MAC/ns	  349621 B/op	       1 allocs/op
+BenchmarkSgemmCrossover/panel/n=1024-2          	       3	  87554034 ns/op	         3.449 MAC/ns	       0 B/op	       0 allocs/op
+BenchmarkSgemmCrossover/asm/n=1024-2            	       3	   9513822 ns/op	        31.75 MAC/ns	      88 B/op	       0 allocs/op
+PASS
+ok  	dnnjps/internal/engine	9.928s
+goos: linux
+goarch: amd64
+pkg: dnnjps/internal/runtime
+cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
+BenchmarkFleetServer/solo-2 	       3	  18366009 ns/op	    286958 ns/job	  654389 B/op	    1030 allocs/op
+BenchmarkFleetServer/batched-2         	       3	   5940741 ns/op	     92801 ns/job	 1341925 B/op	     749 allocs/op
+BenchmarkRunnerAdaptive/static-2       	       3	1845568787 ns/op	 230695967 ns/job	 3637346 B/op	     621 allocs/op
+BenchmarkRunnerAdaptive/adaptive-2     	       3	1848666296 ns/op	 231083170 ns/job	 3986922 B/op	     621 allocs/op
+PASS
+ok  	dnnjps/internal/runtime	16.636s
+`
+
+func TestParseBench(t *testing.T) {
+	const out = `cpu: some host
+BenchmarkPlain-2   	       3	       300 ns/op	      16 B/op	       1 allocs/op
+BenchmarkPlain-2   	       3	       100 ns/op	      24 B/op	       2 allocs/op
+BenchmarkPlain-2   	       3	       200 ns/op	      32 B/op	       3 allocs/op
+BenchmarkOneProc/n=128 	       5	       700 ns/op
+BenchmarkTail/solo-16 	       3	      9000 ns/op	       0 B/op	       0 allocs/op	      45.5 ns/job
+BenchmarkHead/int8-4 	       3	      12.5 ns/inference	      8000 ns/op
+--- BENCH: BenchmarkPlain-2
+BenchmarkBroken-2   	       x	       100 ns/op
+PASS
+ok  	dnnjps/internal/engine	1.0s
+`
+	want := []row{
+		// -count repetitions: the whole line of the fastest one.
+		{Name: "BenchmarkPlain", Iters: 3, Metrics: map[string]float64{"ns/op": 100, "B/op": 24, "allocs/op": 2}},
+		// GOMAXPROCS=1 prints no suffix, and "n=128" is not one.
+		{Name: "BenchmarkOneProc/n=128", Iters: 5, Metrics: map[string]float64{"ns/op": 700}},
+		// A custom unit is read wherever ReportMetric's column lands.
+		{Name: "BenchmarkTail/solo", Iters: 3, Metrics: map[string]float64{"ns/op": 9000, "B/op": 0, "allocs/op": 0, "ns/job": 45.5}},
+		{Name: "BenchmarkHead/int8", Iters: 3, Metrics: map[string]float64{"ns/inference": 12.5, "ns/op": 8000}},
+	}
+	cpu, got := parseBench(out)
+	if cpu != "some host" || !reflect.DeepEqual(got, want) {
+		t.Errorf("parseBench: cpu %q, want \"some host\"; rows\n got %+v\nwant %+v", cpu, got, want)
+	}
+	if cpu, rows := parseBench("PASS\n"); cpu != "unknown" || rows != nil {
+		t.Errorf("no cpu line, no rows: got %q and %+v", cpu, rows)
+	}
+}
+
+// dropLines removes every line of text that contains substr.
+func dropLines(text, substr string) string {
+	var keep []string
+	for _, line := range strings.Split(text, "\n") {
+		if !strings.Contains(line, substr) {
+			keep = append(keep, line)
+		}
+	}
+	return strings.Join(keep, "\n")
+}
+
+func TestEvaluate(t *testing.T) {
+	// swap replaces one measured value of today's output.
+	swap := func(old, new string) string {
+		if !strings.Contains(today, old) {
+			t.Fatalf("canned output has no %q", old)
+		}
+		return strings.Replace(today, old, new, 1)
+	}
+	cases := []struct {
+		name   string
+		out    string
+		pass   bool
+		ratios int
+		msg    string // a message that must be printed
+	}{
+		{"today's ratios", today, true, 6, "ok BenchmarkFleetServer/batched over BenchmarkFleetServer/solo = 0.32x"},
+		// 1047146 is the fastest of three asm/n=128 repetitions; the gate
+		// reads it, not the 1252539 printed first: 0.107, not 0.129.
+		{"repetitions collapse before the ratio", today, true, 6, "BenchmarkSgemmCrossover/asm/n=128 over BenchmarkSgemmCrossover/panel/n=128 = 0.11x"},
+
+		// Each bound from both sides, a numerator inflated to just under
+		// and just over it: 0.9, 0.6 twice, 1.10, 1.15.
+		{"asm tile at 0.89x of the panel loop", swap("9513822 ns/op", "78000000 ns/op"), true, 6, "n=1024 = 0.89x"},
+		{"asm tile at 0.91x", swap("9513822 ns/op", "80000000 ns/op"), false, 6, "FAIL BenchmarkSgemmCrossover/asm/n=1024"},
+		{"a width under 128 is not gated", swap("456401 ns/op", "6000000 ns/op"), true, 6, ""},
+		{"conv suffix at 0.59x of N=1", swap("9295156 ns/inference", "16000000 ns/inference"), true, 6, "convsuffix = 0.59x"},
+		{"conv suffix at 0.63x", swap("9295156 ns/inference", "17000000 ns/inference"), false, 6, "FAIL BenchmarkBatchedForward/N=32/convsuffix"},
+		{"dense head at 0.58x of N=1", swap("68779 ns/inference", "240000 ns/inference"), true, 6, "densehead = 0.58x"},
+		{"dense head at 0.63x", swap("68779 ns/inference", "260000 ns/inference"), false, 6, "FAIL BenchmarkBatchedForward/N=32/densehead"},
+		{"batching at 1.09x of solo dispatch", swap("92801 ns/job", "312000 ns/job"), true, 6, "solo = 1.09x"},
+		{"batching at 1.12x", swap("92801 ns/job", "320000 ns/job"), false, 6, "FAIL BenchmarkFleetServer/batched"},
+		{"estimator at 1.14x of the static runner", swap("231083170 ns/job", "263000000 ns/job"), true, 6, "static = 1.14x"},
+		{"estimator at 1.17x", swap("231083170 ns/job", "270000000 ns/job"), false, 6, "FAIL BenchmarkRunnerAdaptive/adaptive"},
+
+		{"no asm legs: the rule skips", dropLines(today, "SgemmCrossover/asm/"), true, 4, "skip BenchmarkSgemmCrossover/asm/n=*"},
+		{"asm legs, none at a gated width", dropLines(dropLines(today, "asm/n=128"), "asm/n=1024"), false, 4, "FAIL BenchmarkSgemmCrossover/asm/n=*"},
+		{"asm leg without its panel leg", dropLines(today, "panel/n=1024"), false, 5, "FAIL BenchmarkSgemmCrossover/asm/n=1024 over BenchmarkSgemmCrossover/panel/n=1024"},
+		{"FleetServer/solo missing", dropLines(today, "FleetServer/solo"), false, 5, "FAIL BenchmarkFleetServer/batched over BenchmarkFleetServer/solo"},
+		{"RunnerAdaptive did not run", dropLines(today, "RunnerAdaptive"), false, 5, "FAIL BenchmarkRunnerAdaptive/adaptive"},
+		{"N=32 legs missing", dropLines(today, "N=32/"), false, 4, "FAIL BenchmarkBatchedForward/N=32/*"},
+		{"custom unit column missing", strings.ReplaceAll(today, "ns/job", "ns/request"), false, 4, "lacks ns/job"},
+	}
+	for _, c := range cases {
+		_, rows := parseBench(c.out)
+		ratios, msgs, pass := evaluate(rules, rows)
+		all := strings.Join(msgs, "\n")
+		if pass != c.pass || len(ratios) != c.ratios || !strings.Contains(all, c.msg) {
+			t.Errorf("%s: pass %v with %d ratios, want %v with %d and a message holding %q; messages:\n%s",
+				c.name, pass, len(ratios), c.pass, c.ratios, c.msg, all)
+		}
+		if !pass && !strings.Contains(all, "FAIL") {
+			t.Errorf("%s: failed without saying why:\n%s", c.name, all)
+		}
+	}
+}
+
+func TestHistoryRoundTrip(t *testing.T) {
+	rec := stamp()
+	if _, err := time.Parse(time.RFC3339, rec.DateUTC); err != nil {
+		t.Errorf("date %q: %v", rec.DateUTC, err)
+	}
+	if rec.Commit == "" || rec.GoVersion != runtime.Version() || rec.GOMAXPROCS < 1 {
+		t.Errorf("stamp left a field empty: %+v", rec)
+	}
+	rec.CPUModel, rec.Rows = parseBench(today)
+	if rec.CPUModel != "Intel(R) Xeon(R) Processor @ 2.10GHz" {
+		t.Errorf("cpu model %q, want the one the bench output names", rec.CPUModel)
+	}
+	rec.Ratios, _, rec.Pass = evaluate(rules, rec.Rows)
+
+	path := filepath.Join(t.TempDir(), "history.jsonl")
+	for i := 0; i < 2; i++ { // the second run appends, it does not truncate
+		if err := appendHistory(path, rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("%d lines after two runs, want 2", len(lines))
+	}
+	for _, line := range lines {
+		var got record
+		if err := json.Unmarshal([]byte(line), &got); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, rec) {
+			t.Errorf("round trip:\n got %+v\nwant %+v", got, rec)
+		}
+	}
+}

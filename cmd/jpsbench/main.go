@@ -331,10 +331,9 @@ func run(env experiments.Env, id, model, traceOut, traceJSON, adaptTrace string)
 		return []*report.Table{experiments.RuntimeFleetTable(rows)}, nil
 	case "adapt":
 		// Continuous adaptive replanning under a scripted mid-batch
-		// step-down: four policies (static plan, legacy one-shot
-		// threshold, continuous estimator, perfect-foresight oracle)
-		// against the same degrading loopback link. Real engine compute
-		// in real time, not part of -all.
+		// step-down: three policies (static plan, continuous estimator,
+		// perfect-foresight oracle) against the same degrading loopback
+		// link. Real engine compute in real time, not part of -all.
 		rows, trace, err := experiments.RuntimeAdapt(env, env.NJobs, 1.0, 1)
 		if err != nil {
 			return nil, err

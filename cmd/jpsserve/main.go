@@ -116,14 +116,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "jpsserve:", err)
 		os.Exit(2)
 	}
-	if *nextHop != "" && *batchWindow > 0 {
-		fmt.Fprintln(os.Stderr, "jpsserve: -next-hop is incompatible with -batch-window: a coalesced batch would bypass the handoff")
-		os.Exit(2)
-	}
-	if *nextHop == "" && *nextCut != 0 {
-		fmt.Fprintln(os.Stderr, "jpsserve: -next-cut requires -next-hop")
-		os.Exit(2)
-	}
 	spec := netsim.FaultSpec{
 		DropProb:             *faultDrop,
 		StallProb:            *faultStall,
@@ -140,10 +132,28 @@ func main() {
 		spec: spec, faultSeed: *faultSeed,
 		metricsAddr: *metricsAddr, traceOut: *traceOut,
 	}
+	if err := flagConflict(cfg); err != nil {
+		fmt.Fprintln(os.Stderr, "jpsserve:", err)
+		os.Exit(2)
+	}
 	if err := run(cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "jpsserve:", err)
 		os.Exit(1)
 	}
+}
+
+// flagConflict names the flags that cannot be combined as given: a
+// usage error, so main exits 2 on it before anything is loaded.
+func flagConflict(cfg serveConfig) error {
+	switch {
+	case cfg.nextHop != "" && cfg.batchWindow > 0:
+		return fmt.Errorf("-next-hop is incompatible with -batch-window: a coalesced batch would bypass the handoff")
+	case cfg.nextHop == "" && cfg.nextCut != 0:
+		return fmt.Errorf("-next-cut requires -next-hop")
+	case cfg.traceOut != "" && cfg.metricsAddr == "":
+		return fmt.Errorf("-trace-out requires -metrics-addr: the span buffer it exports exists only with the metrics listener")
+	}
+	return nil
 }
 
 // parseDegrade parses "afterMs:mbps,afterMs:mbps" into a scripted
@@ -248,6 +258,11 @@ type serveConfig struct {
 }
 
 func run(cfg serveConfig) error {
+	// main has exited 2 on this already; a caller that builds its own
+	// serveConfig meets it here.
+	if err := flagConflict(cfg); err != nil {
+		return err
+	}
 	kern := engine.KernelGEMM
 	if cfg.kernel != "" {
 		var err error
@@ -267,6 +282,9 @@ func run(cfg serveConfig) error {
 	if err != nil {
 		return err
 	}
+	// Whichever way run returns, the port is free again; the shutdown
+	// path below closes it earlier, before the drain.
+	defer lis.Close()
 	srv := runtime.NewServer(m)
 	if cfg.conc > 0 {
 		srv.WithWorkers(cfg.conc)
@@ -285,14 +303,7 @@ func run(cfg serveConfig) error {
 		srv.WithShedWatermark(cfg.shedWatermark)
 	}
 	if cfg.nextHop != "" {
-		// main validates this at flag time; guard again for callers that
-		// build a serveConfig directly.
-		if cfg.batchWindow > 0 {
-			lis.Close()
-			return fmt.Errorf("next-hop forwarding is incompatible with batching")
-		}
 		if _, err := srv.WithNextHop(cfg.nextHop, cfg.nextCut); err != nil {
-			lis.Close()
 			return err
 		}
 		fmt.Printf("chain stage: computing up to unit %d, forwarding to %s\n", cfg.nextCut, cfg.nextHop)

@@ -49,6 +49,57 @@ func TestRunRejectsBadInputs(t *testing.T) {
 	}
 }
 
+// A flag that another flag silently switches off is a usage error that
+// names both; main exits 2 on it.
+func TestFlagConflict(t *testing.T) {
+	for _, c := range []struct {
+		cfg   serveConfig
+		names []string // empty: the combination is fine
+	}{
+		{serveConfig{}, nil},
+		{serveConfig{nextHop: ":1", nextCut: 3}, nil},
+		{serveConfig{metricsAddr: ":0", traceOut: "t.json"}, nil},
+		{serveConfig{nextHop: ":1", batchWindow: time.Millisecond}, []string{"-next-hop", "-batch-window"}},
+		{serveConfig{nextCut: 3}, []string{"-next-cut", "-next-hop"}},
+		// -trace-out alone used to be accepted and ignored: no tracer is
+		// built without -metrics-addr, so no file was ever written.
+		{serveConfig{traceOut: "t.json"}, []string{"-trace-out", "-metrics-addr"}},
+	} {
+		err := flagConflict(c.cfg)
+		if len(c.names) == 0 {
+			if err != nil {
+				t.Errorf("%+v: unexpected conflict: %v", c.cfg, err)
+			}
+			continue
+		}
+		for _, name := range c.names {
+			if err == nil || !strings.Contains(err.Error(), name) {
+				t.Errorf("%+v: err = %v, want one naming %s", c.cfg, err, name)
+			}
+		}
+	}
+}
+
+// A failed metrics listen must not leave the serving listener open:
+// the port has to be free again once run returns.
+func TestRunClosesListenerWhenMetricsListenFails(t *testing.T) {
+	probe, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Skipf("loopback unavailable: %v", err)
+	}
+	addr := probe.Addr().String()
+	probe.Close()
+	if err := run(serveConfig{model: "squeezenet", addr: addr, seed: 1, batchMax: 16, faultSeed: 1,
+		metricsAddr: "256.256.256.256:99999"}); err == nil {
+		t.Fatal("unlistenable metrics address must error")
+	}
+	again, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatalf("serving listener on %s still open after run failed: %v", addr, err)
+	}
+	again.Close()
+}
+
 func TestParseTenants(t *testing.T) {
 	w, err := parseTenants("gold:2, bronze:1")
 	if err != nil || w["gold"] != 2 || w["bronze"] != 1 {

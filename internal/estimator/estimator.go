@@ -1,13 +1,13 @@
 // Package estimator provides the client-side online link estimator
 // behind continuous adaptive replanning: a half-life-parameterized
-// EWMA over per-upload uplink throughput (and reply latency), plus a
-// CUSUM change-point detector that distinguishes a genuine bandwidth
-// regime shift from transient jitter. The runtime feeds it the
-// shaper's ground-truth byte/duration samples; the fault-tolerant
-// runner polls it between pipeline windows and re-plans the remaining
-// jobs (core.Replan) when the estimate has genuinely moved — replacing
-// the one-shot cumulative LinkHealth threshold, whose early fast
-// samples dilute a late degradation indefinitely.
+// EWMA over per-upload uplink throughput, plus a CUSUM change-point
+// detector that distinguishes a genuine bandwidth regime shift from
+// transient jitter. The runtime feeds it the shaper's ground-truth
+// byte/duration samples; the fault-tolerant runner polls it between
+// pipeline windows and re-plans the remaining jobs (core.Replan) when
+// the estimate has genuinely moved. A cumulative expected/measured
+// ratio cannot do this job: its early fast samples dilute a late
+// degradation indefinitely.
 //
 // The detector works on relative residuals against the current EWMA:
 // r = (x - est)/est. Bounded jitter of amplitude a < Drift can never
@@ -34,10 +34,6 @@ type Config struct {
 	// harder and leave the detector a wider window to catch a shift
 	// before the EWMA absorbs it.
 	HalfLifeMs float64
-	// ReplyAlpha is the fixed per-sample EWMA weight of the reply
-	// latency estimate (replies are events, not durations of link
-	// occupancy, so they decay per sample rather than per ms).
-	ReplyAlpha float64
 	// Drift is the CUSUM per-sample dead band k, in relative units:
 	// residuals within ±Drift of the current estimate accumulate no
 	// evidence. Set it above the link's natural jitter amplitude.
@@ -63,7 +59,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		HalfLifeMs: 250,
-		ReplyAlpha: 0.25,
 		Drift:      0.15,
 		Threshold:  0.5,
 		Warmup:     2,
@@ -75,9 +70,6 @@ func (c Config) withDefaults() Config {
 	def := DefaultConfig()
 	if c.HalfLifeMs <= 0 {
 		c.HalfLifeMs = def.HalfLifeMs
-	}
-	if c.ReplyAlpha <= 0 || c.ReplyAlpha > 1 {
-		c.ReplyAlpha = def.ReplyAlpha
 	}
 	if c.Drift <= 0 {
 		c.Drift = def.Drift
@@ -121,9 +113,9 @@ type ChangePoint struct {
 	FromMbps, ToMbps float64
 }
 
-// Estimator is the online link/load estimator. All methods are safe
-// for concurrent use: the client's writer goroutine feeds uploads, its
-// demultiplexer feeds replies, and the runner reads between windows.
+// Estimator is the online link estimator. All methods are safe for
+// concurrent use: the client's writer goroutine feeds uploads and the
+// runner reads between windows.
 type Estimator struct {
 	cfg Config
 
@@ -134,9 +126,6 @@ type Estimator struct {
 	sPos    float64 // evidence the rate shifted up
 	sNeg    float64 // evidence the rate shifted down
 	cps     []ChangePoint
-	// Reply latency EWMA.
-	replyEst     float64
-	replySamples int
 	// Recorded sample stream (cfg.Record only).
 	rec []ReplaySample
 }
@@ -220,22 +209,6 @@ func (e *Estimator) AddUpload(bytes int, durMs float64) (ChangePoint, bool) {
 	return cp, true
 }
 
-// AddReply folds one reply round-trip latency (ms) into the latency
-// estimate. Degenerate samples are rejected; nil-safe.
-func (e *Estimator) AddReply(latencyMs float64) {
-	if e == nil || latencyMs <= 0 || math.IsNaN(latencyMs) || math.IsInf(latencyMs, 0) {
-		return
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.replySamples == 0 {
-		e.replyEst = latencyMs
-	} else {
-		e.replyEst += e.cfg.ReplyAlpha * (latencyMs - e.replyEst)
-	}
-	e.replySamples++
-}
-
 // Mbps returns the current throughput estimate and how many samples
 // are behind it (0 samples → estimate 0). Nil-safe.
 func (e *Estimator) Mbps() (mbps float64, samples int) {
@@ -245,17 +218,6 @@ func (e *Estimator) Mbps() (mbps float64, samples int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.est, e.samples
-}
-
-// ReplyLatencyMs returns the reply-latency estimate and its sample
-// count. Nil-safe.
-func (e *Estimator) ReplyLatencyMs() (ms float64, samples int) {
-	if e == nil {
-		return 0, 0
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.replyEst, e.replySamples
 }
 
 // Samples snapshots the recorded upload stream (empty unless the

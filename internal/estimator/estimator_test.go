@@ -155,30 +155,6 @@ func TestSlowRampTracks(t *testing.T) {
 	}
 }
 
-// TestReplyLatencyEWMA pins the reply-side estimate: seeded from the
-// first sample, then exponentially weighted, always within the sample
-// window, and immune to degenerate inputs.
-func TestReplyLatencyEWMA(t *testing.T) {
-	e := New(Config{ReplyAlpha: 0.5})
-	if ms, n := e.ReplyLatencyMs(); ms != 0 || n != 0 {
-		t.Fatalf("fresh estimator reply state = (%f, %d)", ms, n)
-	}
-	e.AddReply(10)
-	if ms, n := e.ReplyLatencyMs(); ms != 10 || n != 1 {
-		t.Fatalf("after first reply: (%f, %d), want (10, 1)", ms, n)
-	}
-	e.AddReply(20)
-	if ms, _ := e.ReplyLatencyMs(); ms != 15 {
-		t.Fatalf("after 10,20 at alpha 0.5: %f, want 15", ms)
-	}
-	for _, bad := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
-		e.AddReply(bad)
-	}
-	if ms, n := e.ReplyLatencyMs(); ms != 15 || n != 2 {
-		t.Fatalf("degenerate replies changed state: (%f, %d)", ms, n)
-	}
-}
-
 // TestDegenerateUploadsRejected: zero/negative sizes and durations,
 // NaN and Inf must neither panic, nor count, nor move the estimate.
 func TestDegenerateUploadsRejected(t *testing.T) {
@@ -211,12 +187,8 @@ func TestNilEstimatorSafe(t *testing.T) {
 	if _, ok := e.AddUpload(1024, 10); ok {
 		t.Error("nil AddUpload fired")
 	}
-	e.AddReply(5)
 	if mbps, n := e.Mbps(); mbps != 0 || n != 0 {
 		t.Error("nil Mbps not zero")
-	}
-	if ms, n := e.ReplyLatencyMs(); ms != 0 || n != 0 {
-		t.Error("nil ReplyLatencyMs not zero")
 	}
 	if cps := e.ChangePoints(); cps != nil {
 		t.Error("nil ChangePoints not nil")
@@ -229,12 +201,8 @@ func TestConfigDefaults(t *testing.T) {
 	if got := New(Config{}).Config(); got != def {
 		t.Errorf("zero config = %+v, want defaults %+v", got, def)
 	}
-	custom := Config{HalfLifeMs: 100, ReplyAlpha: 0.5, Drift: 0.2, Threshold: 1, Warmup: 5}
+	custom := Config{HalfLifeMs: 100, Drift: 0.2, Threshold: 1, Warmup: 5}
 	if got := New(custom).Config(); got != custom {
 		t.Errorf("custom config = %+v, want %+v", got, custom)
-	}
-	bad := New(Config{ReplyAlpha: 1.5})
-	if got := bad.Config().ReplyAlpha; got != def.ReplyAlpha {
-		t.Errorf("ReplyAlpha > 1 kept: %f", got)
 	}
 }

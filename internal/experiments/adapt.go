@@ -18,14 +18,10 @@ import (
 )
 
 // The adapt figure runs one scripted degradation — the uplink steps
-// from 12 to 2 Mb/s at 200 ms channel time — under four re-planning
+// from 12 to 2 Mb/s at 200 ms channel time — under three re-planning
 // policies and compares their measured makespans:
 //
 //   - static:     the original 12 Mb/s plan runs to completion.
-//   - threshold:  the legacy one-shot Client.LinkHealth check. Its
-//     cumulative window dilutes the late step (early fast samples keep
-//     the ratio up), so it fires late and prices the replan at the
-//     blended ~5 Mb/s average — which keeps the fat pre-step cut.
 //   - continuous: the estimator path. The CUSUM detector snaps the
 //     estimate to the degraded rate within a sample or two and the
 //     replan prices at 2 Mb/s, switching to the cut that regime wants.
@@ -86,7 +82,7 @@ type AdaptRow struct {
 	Cuts         string  // cut histogram, e.g. "9@1 87@2"
 }
 
-// RuntimeAdapt executes the four policies and returns their rows plus
+// RuntimeAdapt executes the three policies and returns their rows plus
 // the continuous run's recorded estimator trace (the regression corpus
 // raw material). timeScale compresses channel time as elsewhere.
 func RuntimeAdapt(env Env, n int, timeScale float64, seed int64) ([]*AdaptRow, *estimator.ReplayTrace, error) {
@@ -112,10 +108,6 @@ func RuntimeAdapt(env Env, n int, timeScale float64, seed int64) ([]*AdaptRow, *
 		opts runtime.RunOptions
 	}{
 		{"static", basePlan, adaptRunOpts(runtime.RunOptions{})},
-		{"threshold", basePlan, adaptRunOpts(runtime.RunOptions{
-			ReplanFactor:      0.5,
-			ReplanMinInterval: time.Hour, // the legacy one-shot behavior
-		})},
 		{"continuous", basePlan, adaptRunOpts(runtime.RunOptions{
 			AdaptiveReplan:    true,
 			EstimatorConfig:   estimator.Config{Record: true},
@@ -316,7 +308,7 @@ func buildAdaptTrace(curve *profile.Curve, ch netsim.Channel, samples []estimato
 	return t
 }
 
-// RuntimeAdaptTable renders the four-policy comparison.
+// RuntimeAdaptTable renders the three-policy comparison.
 func RuntimeAdaptTable(rows []*AdaptRow) *report.Table {
 	t := report.NewTable(
 		"Adaptive replanning — makespan under a scripted 12->2 Mb/s step at 200 ms",

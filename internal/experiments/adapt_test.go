@@ -8,7 +8,7 @@ import (
 // TestRuntimeAdaptLive runs the adapt figure end-to-end over loopback
 // at a reduced job count. The assertions are structural plus the loose
 // ordering the figure exists to show — continuous clearly beats the
-// one-shot threshold and lands near the oracle — with wide margins so
+// static plan and lands near the oracle — with wide margins so
 // host-speed variance cannot flake them (the tight margins are the
 // full-size figure's, checked on the committed jpsbench output).
 func TestRuntimeAdaptLive(t *testing.T) {
@@ -19,8 +19,8 @@ func TestRuntimeAdaptLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 4 {
-		t.Fatalf("got %d rows, want 4", len(rows))
+	if len(rows) != 3 {
+		t.Fatalf("got %d rows, want 3", len(rows))
 	}
 	byName := map[string]*AdaptRow{}
 	for _, r := range rows {
@@ -29,13 +29,14 @@ func TestRuntimeAdaptLive(t *testing.T) {
 		}
 		byName[r.Policy] = r
 	}
-	for _, name := range []string{"static", "threshold", "continuous", "oracle"} {
+	for _, name := range []string{"static", "continuous", "oracle"} {
 		if byName[name] == nil {
 			t.Fatalf("missing %q row", name)
 		}
 	}
-	if r := byName["static"]; r.Replans != 0 || r.ChangePoints != 0 {
-		t.Fatalf("static row replanned: %+v", r)
+	static := byName["static"]
+	if static.Replans != 0 || static.ChangePoints != 0 || static.EstMbps != 0 {
+		t.Fatalf("static row replanned or grew an estimator: %+v", static)
 	}
 	cont := byName["continuous"]
 	if cont.Replans == 0 || cont.ChangePoints == 0 {
@@ -45,9 +46,9 @@ func TestRuntimeAdaptLive(t *testing.T) {
 		t.Fatalf("final estimate %.2f Mb/s not inside the degraded regime", cont.EstMbps)
 	}
 	// The ordering the figure exists to show, with generous slack.
-	if thr := byName["threshold"]; cont.MakespanMs > 0.95*thr.MakespanMs {
-		t.Fatalf("continuous (%.0f ms) not clearly better than threshold (%.0f ms)",
-			cont.MakespanMs, thr.MakespanMs)
+	if cont.MakespanMs > 0.95*static.MakespanMs {
+		t.Fatalf("continuous (%.0f ms) not clearly better than static (%.0f ms)",
+			cont.MakespanMs, static.MakespanMs)
 	}
 	if orc := byName["oracle"]; cont.MakespanMs > 1.35*orc.MakespanMs {
 		t.Fatalf("continuous (%.0f ms) too far from oracle (%.0f ms)",

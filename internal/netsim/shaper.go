@@ -35,10 +35,9 @@ type ShapedConn struct {
 	downDebt   time.Duration
 
 	// Ground-truth byte accounting for the observability layer: every
-	// byte and write that actually reached the underlying conn,
-	// regardless of what the channel model predicted it should cost.
-	nBytes  atomic.Int64
-	nWrites atomic.Int64
+	// byte that actually reached the underlying conn, regardless of
+	// what the channel model predicted it should cost.
+	nBytes atomic.Int64
 }
 
 // Shape wraps conn at the channel's uplink bandwidth. timeScale <= 0
@@ -74,7 +73,6 @@ func (s *ShapedConn) Write(p []byte) (int, error) {
 	n, err := s.Conn.Write(p)
 	if n > 0 {
 		s.nBytes.Add(int64(n))
-		s.nWrites.Add(1)
 	}
 	return n, err
 }
@@ -102,10 +100,6 @@ func (s *ShapedConn) Read(p []byte) (int, error) {
 // BytesWritten returns how many bytes have reached the underlying
 // connection. Safe for concurrent use.
 func (s *ShapedConn) BytesWritten() int64 { return s.nBytes.Load() }
-
-// Writes returns how many Write calls reached the underlying
-// connection.
-func (s *ShapedConn) Writes() int64 { return s.nWrites.Load() }
 
 // Delay sleeps for the channel-scale duration d (e.g. per-message
 // setup latency), compressed by the shaper's time scale. Like Write,

@@ -38,10 +38,8 @@ type Span struct {
 // EndNs returns the span's end offset.
 func (s Span) EndNs() int64 { return s.StartNs + s.DurNs }
 
-// StartMs and EndMs are the span edges in the simulator's millisecond
-// axis.
-func (s Span) StartMs() float64 { return float64(s.StartNs) / 1e6 }
-func (s Span) EndMs() float64   { return float64(s.StartNs+s.DurNs) / 1e6 }
+// EndMs is the span's end on the simulator's millisecond axis.
+func (s Span) EndMs() float64 { return float64(s.StartNs+s.DurNs) / 1e6 }
 
 // DefaultTraceCap bounds a tracer built with NewTracer(0). At 32 bytes
 // + two interned string headers per span this keeps the buffer around

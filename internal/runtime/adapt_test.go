@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	"net"
 	"testing"
 	"time"
 
@@ -312,56 +311,6 @@ func TestAdaptSlowRampReplansByHysteresis(t *testing.T) {
 	t.Logf("replans=%d changepoints=%d est=%.2f Mb/s", rep.Replans, rep.ChangePoints, rep.EstimatedMbps)
 }
 
-// TestClientLinkHealthEdgeCases pins the no-signal contract: zero
-// samples, one sample, all-zero byte counts, and the post-reset state
-// all read as definite values instead of dividing by zero or
-// reporting phantom degradation.
-func TestClientLinkHealthEdgeCases(t *testing.T) {
-	m := testModel(t)
-	ch := netsim.Channel{Name: "edge", UplinkMbps: 8, SetupMs: 0}
-	a, b := net.Pipe()
-	defer a.Close()
-	defer b.Close()
-	c := NewClient(a, m, ch, 1)
-
-	if h, n := c.LinkHealth(); h != 1 || n != 0 {
-		t.Errorf("fresh client LinkHealth = (%f, %d), want (1, 0)", h, n)
-	}
-
-	// All-zero byte counts: TxMs(0) = 0, so no expectation accumulates;
-	// health must stay 1 (no evidence), not drop to 0.
-	c.noteUpload(0, 5*time.Millisecond)
-	c.noteUpload(0, 5*time.Millisecond)
-	if h, n := c.LinkHealth(); h != 1 || n != 2 {
-		t.Errorf("zero-byte uploads: LinkHealth = (%f, %d), want (1, 2)", h, n)
-	}
-	c.ResetLinkHealth(ch)
-
-	// One sample at exactly half the modeled rate: TxMs(16384) at
-	// 8 Mb/s is 16.384 ms, measured 32.768 ms -> health 0.5.
-	c.noteUpload(16384, time.Duration(2*ch.TxMs(16384)*float64(time.Millisecond)))
-	h, n := c.LinkHealth()
-	if n != 1 {
-		t.Fatalf("samples = %d, want 1", n)
-	}
-	if h < 0.499 || h > 0.501 {
-		t.Errorf("single half-rate sample: health = %f, want 0.5", h)
-	}
-
-	// Reset rebases on a new channel model and clears the window.
-	slow := netsim.Channel{Name: "slow", UplinkMbps: 2, SetupMs: 0}
-	c.ResetLinkHealth(slow)
-	if h, n := c.LinkHealth(); h != 1 || n != 0 {
-		t.Errorf("after reset: LinkHealth = (%f, %d), want (1, 0)", h, n)
-	}
-	// The same wall time now compares against the 2 Mb/s model:
-	// expectation quadruples, so health reads ~2 (faster than modeled).
-	c.noteUpload(16384, time.Duration(2*ch.TxMs(16384)*float64(time.Millisecond)))
-	if h, _ := c.LinkHealth(); h < 1.99 || h > 2.01 {
-		t.Errorf("post-reset expectations not rebased: health = %f, want 2", h)
-	}
-}
-
 // TestAdaptEstimatorThreadsAcrossAttempts: the estimator outlives
 // individual connections — after a forced disconnect the reconnect's
 // samples land in the same estimator, so the report's sample-bearing
@@ -409,43 +358,5 @@ func TestAdaptEstimatorThreadsAcrossAttempts(t *testing.T) {
 	}
 	if rep.EstimatedMbps > 4 {
 		t.Errorf("estimate %.2f Mb/s ignores the capped 2 Mb/s link", rep.EstimatedMbps)
-	}
-}
-
-// TestAdaptDisabledMatchesThresholdPath: with AdaptiveReplan off the
-// estimator must not exist — FTReport's estimator fields stay zero and
-// the legacy threshold path still replans (compatibility contract).
-func TestAdaptDisabledMatchesThresholdPath(t *testing.T) {
-	m := pipeModel(t)
-	ch := netsim.Channel{Name: "pipe", UplinkMbps: 8, SetupMs: 0}
-	dial := faultyDialer(t, m, 43, adaptScale, func(int) (up, down netsim.FaultSpec) {
-		return netsim.FaultSpec{Degrade: netsim.StepDown(0, 2)}, netsim.FaultSpec{}
-	})
-	curve := profile.BuildCurve(m.Graph(), profile.RaspberryPi4(), profile.CloudGPU(), ch, tensor.Float32)
-	r := NewRunner(dial, m, ch, adaptScale, RunOptions{
-		JobTimeout:   2 * time.Second,
-		BackoffBase:  time.Millisecond,
-		BackoffMax:   2 * time.Millisecond,
-		Window:       4,
-		ReplanFactor: 0.5,
-	}).WithCurve(curve)
-
-	const n = 10
-	plan := uniformPlan(n, 3)
-	inputs := make([]*tensor.Tensor, n)
-	for i := range inputs {
-		inputs[i] = pipeInput(i)
-	}
-	rep, err := r.RunPlan(plan, inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkComplete(t, rep, wantClasses(t, m, inputs))
-	if rep.Replans == 0 {
-		t.Error("threshold path must still replan with the estimator disabled")
-	}
-	if rep.ChangePoints != 0 || rep.EstimatedMbps != 0 {
-		t.Errorf("estimator fields set without AdaptiveReplan: cps=%d est=%.2f",
-			rep.ChangePoints, rep.EstimatedMbps)
 	}
 }

@@ -324,7 +324,7 @@ func BenchmarkFleetServer(b *testing.B) {
 // tracks the nominal rate, so no change point fires and no replan
 // runs — the adaptive row pays only the per-upload sample fold and the
 // between-windows divergence check, which must be noise against the
-// pipeline itself (gated as a within-run ratio in scripts/benchgate.sh).
+// pipeline itself (gated as a within-run ratio by cmd/benchgate).
 func BenchmarkRunnerAdaptive(b *testing.B) {
 	m, plan, inputs, scale := benchSetup(b)
 	g, err := models.Build("alexnet")

@@ -55,18 +55,6 @@ type Client struct {
 	ioStarted  bool             // the once fired (readerDone will close)
 	readerDone chan struct{}    // closed when the demux goroutine exits
 
-	// Uplink health accounting: per completed upload, the channel-model
-	// expectation vs the wall measurement (both channel-scale ms). The
-	// fault-tolerant runner reads the ratio to detect degradation.
-	// Expectations are priced against expCh, which starts as the wire
-	// channel but is rebased by ResetLinkHealth after a replan adopts a
-	// new channel model (c.ch itself stays fixed — the writer goroutine
-	// reads its SetupMs without the lock).
-	expCh       netsim.Channel
-	upExpectMs  float64
-	upMeasureMs float64
-	upSamples   int
-
 	// Server-pressure accounting off the admission-control flags every
 	// reply carries (see fleet.go). The runner reads ServerPressure to
 	// decide on a hint-driven replan toward local compute.
@@ -117,7 +105,6 @@ func NewClient(conn net.Conn, m *engine.Model, ch netsim.Channel, timeScale floa
 		r:          bufio.NewReaderSize(shaped, 1<<16),
 		w:          bufio.NewWriterSize(shaped, 1<<16),
 		ch:         ch,
-		expCh:      ch,
 		scale:      timeScale,
 		sendQ:      make(chan wireMsg, sendQueueCap),
 		calls:      make(map[uint32]*call),
@@ -136,13 +123,12 @@ func (c *Client) WithObs(o *Obs) *Client {
 }
 
 // WithEstimator attaches an online link estimator: every completed
-// upload's ground-truth (bytes, channel-scale duration) and every
-// reply's total latency are fed into it, so the estimator sees exactly
-// what the shaper did, not what the channel model predicted. The same
-// estimator may outlive the client — the fault-tolerant runner threads
-// one across reconnect attempts so the bandwidth estimate carries
-// over. Must be called before the client's first remote use; returns c
-// for chaining.
+// upload's ground-truth (bytes, channel-scale duration) is fed into
+// it, so the estimator sees exactly what the shaper did, not what the
+// channel model predicted. The same estimator may outlive the client —
+// the fault-tolerant runner threads one across reconnect attempts so
+// the bandwidth estimate carries over. Must be called before the
+// client's first remote use; returns c for chaining.
 func (c *Client) WithEstimator(e *estimator.Estimator) *Client {
 	c.est = e
 	return c
@@ -342,9 +328,6 @@ func (c *Client) deliver(rep inferReply) error {
 	res.Shed = rep.Flags&replyFlagShed != 0
 	res.Done = now
 	c.notePressure(rep.Flags, res.QueueMs)
-	// Feed the reply-latency EWMA in channel-scale ms, matching the
-	// upload feed in noteUpload.
-	c.est.AddReply(float64(total.Nanoseconds()) / 1e6 / c.scale)
 	if sentEnd.IsZero() {
 		sentEnd = now // the reply overtook the writer's stamp
 	}
@@ -466,15 +449,10 @@ func (c *Client) awaitTimeout(cl *call, d time.Duration) error {
 // what the plan uploads (noted in DESIGN.md "Adaptive replanning").
 const estMinSampleBytes = 1024
 
-// noteUpload records one completed upload against the channel model,
-// feeds the online estimator, and publishes the uplink metrics.
+// noteUpload feeds one completed upload to the online estimator and
+// publishes the uplink metrics.
 func (c *Client) noteUpload(bytes int, wall time.Duration) {
 	measuredMs := float64(wall) / float64(time.Millisecond) / c.scale
-	c.mu.Lock()
-	c.upExpectMs += c.expCh.TxMs(bytes)
-	c.upMeasureMs += measuredMs
-	c.upSamples++
-	c.mu.Unlock()
 	fired := false
 	if bytes >= estMinSampleBytes {
 		_, fired = c.est.AddUpload(bytes, measuredMs)
@@ -494,22 +472,6 @@ func (c *Client) noteUpload(bytes int, wall time.Duration) {
 		}
 		o.ConnBytes.Set(float64(c.conn.BytesWritten()))
 	}
-}
-
-// ResetLinkHealth rebases the uplink health accounting on a new
-// channel model and clears the accumulated samples. The fault-tolerant
-// runner calls this right after a replan adopts a measured channel, so
-// a later LinkHealth reading compares uploads against the plan that is
-// actually in force — without the rebase, a second degradation in the
-// same run would be measured against the original nominal model and
-// the repriced bandwidth would compound quadratically. The online
-// estimator is deliberately NOT reset: it tracks absolute throughput
-// and carries its history across replans.
-func (c *Client) ResetLinkHealth(ch netsim.Channel) {
-	c.mu.Lock()
-	c.expCh = ch
-	c.upExpectMs, c.upMeasureMs, c.upSamples = 0, 0, 0
-	c.mu.Unlock()
 }
 
 // notePressure folds one reply's admission-control flags into the
@@ -538,23 +500,6 @@ func (c *Client) ServerPressure() (rate float64, meanQueueMs float64, samples in
 	}
 	return float64(c.bpReplies) / float64(c.replySamples),
 		c.queueMsSum / float64(c.replySamples), c.replySamples
-}
-
-// LinkHealth reports the uplink's measured speed relative to the
-// channel model: 1.0 means uploads complete exactly as fast as
-// g(x) predicts, 0.5 means the link runs at half the planned rate.
-// samples is the number of completed uploads behind the estimate.
-// Health is 1 whenever there is no signal: no upload has finished
-// yet, nothing measurable accumulated, or every upload was zero-byte
-// (the channel model expects 0 ms for those, so a ratio would read as
-// total degradation on no evidence).
-func (c *Client) LinkHealth() (health float64, samples int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.upSamples == 0 || c.upMeasureMs <= 0 || c.upExpectMs <= 0 {
-		return 1, c.upSamples
-	}
-	return c.upExpectMs / c.upMeasureMs, c.upSamples
 }
 
 // JobResult is the outcome of one inference job.

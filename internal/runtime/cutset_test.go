@@ -289,7 +289,7 @@ func TestRunnerFinishesShedSetJobsLocally(t *testing.T) {
 func TestRunGeneralPlanRefusesReplanOptions(t *testing.T) {
 	m := branchedModel(t)
 	gp := uniformGeneralPlan(1, twoTensorCut(t, m))
-	for _, opts := range []RunOptions{{AdaptiveReplan: true}, {ReplanFactor: 0.5}, {BackpressureThreshold: 0.5}} {
+	for _, opts := range []RunOptions{{AdaptiveReplan: true}, {BackpressureThreshold: 0.5}} {
 		_, err := NewRunner(nil, m, netsim.WiFi, 1, opts).RunGeneralPlan(gp, []*tensor.Tensor{input(0)})
 		if err == nil || !strings.Contains(err.Error(), "RunGeneralPlan") || !strings.Contains(err.Error(), "re-plan") {
 			t.Errorf("%+v: err = %v, want a refusal naming RunGeneralPlan and re-planning", opts, err)

@@ -17,7 +17,12 @@ import (
 )
 
 // RunOptions are the fault-tolerance knobs of a Runner. The zero value
-// is usable: every field falls back to the DefaultRunOptions value.
+// is usable, but only JobTimeout, BackoffBase, Window, ReplanMinInterval
+// and ReplanHysteresis take their DefaultRunOptions value when left at
+// zero. MaxReconnects 0 means no redial at all (DefaultRunOptions has
+// 4), a BackoffMax under BackoffBase is raised to it (the backoff does
+// not grow), Seed is used as given, and the remaining fields are off at
+// zero.
 type RunOptions struct {
 	// JobTimeout is the wall-clock deadline for each awaited reply
 	// (measured from when the runner starts waiting on that job, so it
@@ -35,31 +40,24 @@ type RunOptions struct {
 	Seed int64
 	// Window is how many jobs may be in flight before the runner
 	// pauses to collect replies — the pipelining depth, and also the
-	// cadence of the link-health check that triggers re-planning.
+	// cadence of the checks that trigger re-planning.
 	Window int
-	// ReplanFactor re-plans the remaining jobs when the measured link
-	// health (see Client.LinkHealth) drops below it — e.g. 0.5 means
-	// "re-plan once uploads run at less than half the planned rate".
-	// Zero disables re-planning. Requires Runner.WithCurve. Ignored
-	// when AdaptiveReplan is set (the estimator path replaces it).
-	ReplanFactor float64
-	// AdaptiveReplan switches link-degradation replanning from the
-	// one-shot cumulative-health threshold to the continuous online
-	// estimator (internal/estimator): every completed upload feeds a
-	// half-life EWMA with CUSUM change-point detection, and between
-	// windows the runner re-plans the unsubmitted suffix whenever a
-	// change point fired or the estimate diverged from the plan's
-	// bandwidth by more than ReplanHysteresis — as many times as the
-	// link shifts, rate-limited by ReplanMinInterval. Requires
+	// AdaptiveReplan turns on link-degradation replanning from the
+	// online estimator (internal/estimator): every completed upload
+	// feeds a half-life EWMA with CUSUM change-point detection, and
+	// between windows the runner re-plans the unsubmitted suffix
+	// whenever a change point fired or the estimate diverged from the
+	// plan's bandwidth by more than ReplanHysteresis — as many times as
+	// the link shifts, rate-limited by ReplanMinInterval. Requires
 	// Runner.WithCurve.
 	AdaptiveReplan bool
 	// EstimatorConfig tunes the online estimator; zero fields take
 	// estimator.DefaultConfig. Only read when AdaptiveReplan is set.
 	EstimatorConfig estimator.Config
 	// ReplanMinInterval is the minimum wall-clock time between
-	// consecutive replans of the same kind — the anti-thrash guard that
-	// replaces the old once-per-batch latch. Zero takes the default;
-	// tests that need back-to-back replans set it to 1ns.
+	// consecutive replans of the same kind — the anti-thrash guard.
+	// Zero takes the default; tests that need back-to-back replans set
+	// it to 1ns.
 	ReplanMinInterval time.Duration
 	// ReplanHysteresis is the relative divergence between the
 	// estimator's bandwidth estimate and the bandwidth the current plan
@@ -80,7 +78,8 @@ type RunOptions struct {
 	NoLocalFallback bool
 }
 
-// DefaultRunOptions returns the defaults the zero RunOptions maps to.
+// DefaultRunOptions returns the recommended options; RunOptions says
+// which of them a zero field takes.
 func DefaultRunOptions() RunOptions {
 	return RunOptions{
 		JobTimeout:        5 * time.Second,
@@ -131,9 +130,9 @@ type FTReport struct {
 // client. Where a bare Client fails the whole RunPlan on the first
 // transport error, the Runner owns the connection lifecycle: it
 // redials with capped exponential backoff, resubmits only the jobs
-// that never got a reply, re-plans the remaining jobs when the
-// measured bandwidth degrades past a threshold, and — once the uplink
-// is hopeless — finishes the outstanding suffix on the local engine
+// that never got a reply, re-plans the remaining jobs when the online
+// estimator says the link shifted, and — once the uplink is
+// hopeless — finishes the outstanding suffix on the local engine
 // (the full-local partition x = L), so a RunPlan returns complete,
 // correct results for every fault short of the device itself dying.
 // See DESIGN.md "Failure model & recovery" for the state machine.
@@ -230,9 +229,9 @@ func (r *Runner) RunPlan(p *core.Plan, inputs []*tensor.Tensor) (*FTReport, erro
 // jobs through the same loop. Re-planning is defined for *core.Plan
 // only, so a runner configured to re-plan refuses the plan outright.
 func (r *Runner) RunGeneralPlan(gp *core.GeneralPlan, inputs []*tensor.Tensor) (*FTReport, error) {
-	if r.opts.AdaptiveReplan || r.opts.ReplanFactor > 0 || r.opts.BackpressureThreshold > 0 {
+	if r.opts.AdaptiveReplan || r.opts.BackpressureThreshold > 0 {
 		return nil, fmt.Errorf("runtime: RunGeneralPlan cannot re-plan a general-structure plan: " +
-			"unset AdaptiveReplan, ReplanFactor and BackpressureThreshold")
+			"unset AdaptiveReplan and BackpressureThreshold")
 	}
 	return r.run(len(gp.CutNodes), gp.JobSequence(), inputs, func(job int) jobCut { return setCut(gp.CutNodes[job]) })
 }
@@ -337,9 +336,9 @@ func countPending(order []*ftJob) int {
 // replanState carries the adaptive-replanning bookkeeping across the
 // connection attempts of one RunPlan: the shared estimator (nil unless
 // AdaptiveReplan), when each replan kind last fired (the min-interval
-// guard that replaced the once-per-batch latches), the bandwidth the
-// current plan was priced at (the hysteresis base), and how many
-// estimator change points have already been acted on.
+// guard), the bandwidth the current plan was priced at (the hysteresis
+// base), and how many estimator change points have already been acted
+// on.
 type replanState struct {
 	est      *estimator.Estimator
 	last     time.Time // last link-degradation replan (zero = never)
@@ -484,7 +483,7 @@ func (r *Runner) finishLocal(j *ftJob, shed bool, ft *FTReport) error {
 	return nil
 }
 
-// maybeReplan is the between-windows re-planning decision point. Three
+// maybeReplan is the between-windows re-planning decision point. Two
 // triggers, each under its own ReplanMinInterval rate limit:
 //
 //   - Estimator path (AdaptiveReplan): replan at the EWMA's absolute
@@ -493,53 +492,30 @@ func (r *Runner) finishLocal(j *ftJob, shed bool, ft *FTReport) error {
 //     plan was priced at by more than ReplanHysteresis. Because the
 //     estimate is absolute, repeated replans cannot compound the way
 //     ratio-based repricing would.
-//   - Threshold path (ReplanFactor, estimator off): the legacy
-//     cumulative-health trigger — no longer one-shot, because the
-//     health accounting is rebased on the adopted channel model after
-//     every replan (Client.ResetLinkHealth), so a second degradation
-//     in the same batch is measured against the plan actually in
-//     force and triggers again.
 //   - Hint path (BackpressureThreshold): the server's piggybacked
-//     admission-control hints, unchanged in trigger but rate-limited
-//     instead of latched.
+//     admission-control hints.
 func (r *Runner) maybeReplan(cl *Client, rest []*ftJob, rs *replanState, nominal *netsim.Channel, ft *FTReport) {
 	if r.curve == nil || len(rest) == 0 {
 		return
 	}
 	now := time.Now()
-	// rerated is the current channel model at another uplink bandwidth:
-	// setup latency and the downlink model carry over.
-	rerated := func(suffix string, mbps float64) netsim.Channel {
-		ch := *nominal
-		ch.Name += suffix
-		ch.UplinkMbps = mbps
-		return ch
-	}
-	if rs.est != nil {
-		if now.Sub(rs.last) >= r.opts.ReplanMinInterval {
-			est, n := rs.est.Mbps()
-			cps := rs.est.ChangePoints()
-			shifted := len(cps) > rs.cpSeen
-			diverged := rs.planMbps > 0 && math.Abs(est-rs.planMbps)/rs.planMbps > r.opts.ReplanHysteresis
-			if n >= 2 && (shifted || diverged) {
-				r.obsv.event(TrackRunner, EventReplanTrigger, -1, now)
-				replanStart := time.Now()
-				if r.replan(rest, rerated("-est", est), core.ServerHint{}, nominal, ft) {
-					rs.cpSeen = len(cps)
-					rs.planMbps = est
-					rs.last = time.Now()
-					cl.ResetLinkHealth(*nominal)
-				}
-				r.obsv.span(TrackRunner, SpanReplan, -1, replanStart, time.Now())
-			}
-		}
-	} else if r.opts.ReplanFactor > 0 && now.Sub(rs.last) >= r.opts.ReplanMinInterval {
-		if health, samples := cl.LinkHealth(); samples >= 2 && health < r.opts.ReplanFactor {
+	if rs.est != nil && now.Sub(rs.last) >= r.opts.ReplanMinInterval {
+		est, n := rs.est.Mbps()
+		cps := rs.est.ChangePoints()
+		shifted := len(cps) > rs.cpSeen
+		diverged := rs.planMbps > 0 && math.Abs(est-rs.planMbps)/rs.planMbps > r.opts.ReplanHysteresis
+		if n >= 2 && (shifted || diverged) {
+			r.obsv.event(TrackRunner, EventReplanTrigger, -1, now)
 			replanStart := time.Now()
-			if r.replan(rest, rerated("-degraded", nominal.UplinkMbps*health), core.ServerHint{}, nominal, ft) {
-				rs.planMbps = nominal.UplinkMbps
+			// The channel model in force at the estimated uplink
+			// bandwidth: setup latency and the downlink model carry over.
+			measured := *nominal
+			measured.Name += "-est"
+			measured.UplinkMbps = est
+			if r.replan(rest, measured, core.ServerHint{}, nominal, ft) {
+				rs.cpSeen = len(cps)
+				rs.planMbps = est
 				rs.last = time.Now()
-				cl.ResetLinkHealth(*nominal)
 			}
 			r.obsv.span(TrackRunner, SpanReplan, -1, replanStart, time.Now())
 		}
@@ -555,10 +531,10 @@ func (r *Runner) maybeReplan(cl *Client, rest []*ftJob, rs *replanState, nominal
 	}
 }
 
-// replan is the one re-planning action behind all three triggers: it
+// replan is the one re-planning action behind both triggers: it
 // reprices the curve at the measured channel, surcharges every
 // offloaded cut with the server's queue-wait hint (zero for the link
-// triggers), runs the JPS planner for the still-unsubmitted jobs, and
+// trigger), runs the JPS planner for the still-unsubmitted jobs, and
 // rewrites their cuts and order in place. A measured channel that
 // differs from *nominal is a link replan: it is adopted, so later
 // attempts plan and measure against it. The hint trigger passes

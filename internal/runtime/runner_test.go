@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"dnnjps/internal/engine"
+	"dnnjps/internal/estimator"
 	"dnnjps/internal/netsim"
 	"dnnjps/internal/profile"
 	"dnnjps/internal/tensor"
@@ -258,10 +259,10 @@ func TestRunnerNoLocalFallbackErrs(t *testing.T) {
 }
 
 // TestRunnerReplansOnDegradedLink: the injector throttles the uplink to
-// a quarter of the channel model's bandwidth; once the measured link
-// health crosses ReplanFactor the runner must re-plan the remaining
-// jobs against the repriced curve and still finish everything
-// correctly.
+// a quarter of the channel model's bandwidth from the first byte, so no
+// change point can fire; once the estimate is two uploads old and sits
+// past the hysteresis band the runner must re-plan the remaining jobs
+// against the repriced curve and still finish everything correctly.
 func TestRunnerReplansOnDegradedLink(t *testing.T) {
 	m := pipeModel(t)
 	ch := netsim.Channel{Name: "pipe", UplinkMbps: 8, SetupMs: 0}
@@ -271,11 +272,11 @@ func TestRunnerReplansOnDegradedLink(t *testing.T) {
 	})
 	curve := profile.BuildCurve(m.Graph(), profile.RaspberryPi4(), profile.CloudGPU(), ch, tensor.Float32)
 	r := NewRunner(dial, m, ch, scale, RunOptions{
-		JobTimeout:   2 * time.Second,
-		BackoffBase:  time.Millisecond,
-		BackoffMax:   2 * time.Millisecond,
-		Window:       4,
-		ReplanFactor: 0.5,
+		JobTimeout:     2 * time.Second,
+		BackoffBase:    time.Millisecond,
+		BackoffMax:     2 * time.Millisecond,
+		Window:         4,
+		AdaptiveReplan: true,
 	}).WithCurve(curve)
 
 	const n = 10
@@ -297,31 +298,34 @@ func TestRunnerReplansOnDegradedLink(t *testing.T) {
 	}
 }
 
-// TestThresholdReplanKeepsDownlinkModel: a threshold-path replan adopts
-// the measured uplink bandwidth but must keep the channel's downlink
-// model — dropping it reprices the curve with free replies and leaves
-// every later attempt of the run planning without a reply leg.
-func TestThresholdReplanKeepsDownlinkModel(t *testing.T) {
+// TestAdaptiveReplanKeepsDownlinkModel: a link replan adopts the
+// estimated uplink bandwidth but must keep the channel's setup latency
+// and downlink model — dropping them reprices the curve with free
+// replies and leaves every later attempt of the run planning without a
+// reply leg.
+func TestAdaptiveReplanKeepsDownlinkModel(t *testing.T) {
 	m := pipeModel(t)
 	ch := netsim.Channel{Name: "pipe", UplinkMbps: 8, SetupMs: 2}.WithDownlink(3)
 	curve := profile.BuildCurve(m.Graph(), profile.RaspberryPi4(), profile.CloudGPU(), ch, tensor.Float32)
-	r := NewRunner(nil, m, ch, 1, RunOptions{ReplanFactor: 0.8}).WithCurve(curve)
+	r := NewRunner(nil, m, ch, 1, RunOptions{AdaptiveReplan: true}).WithCurve(curve)
 
 	a, b := net.Pipe()
 	defer a.Close()
 	defer b.Close()
-	cl := NewClient(a, m, ch, 1)
-	// Two uploads at half the modeled rate: link health 0.5 < 0.8.
+	est := estimator.New(estimator.Config{})
+	cl := NewClient(a, m, ch, 1).WithEstimator(est)
+	// Two 16 KiB uploads of 32.768 ms each: 4 Mb/s, half the plan's 8 and
+	// well past the 30 % hysteresis band.
 	for i := 0; i < 2; i++ {
-		cl.noteUpload(16384, time.Duration(2*ch.TxMs(16384)*float64(time.Millisecond)))
+		cl.noteUpload(16384, 32768*time.Microsecond)
 	}
 
 	rest := []*ftJob{{id: 0, cut: jobCut{unit: 3}}, {id: 1, cut: jobCut{unit: 3}}, {id: 2, cut: jobCut{unit: 3}}}
 	nominal, ft := ch, &FTReport{}
-	r.maybeReplan(cl, rest, &replanState{planMbps: ch.UplinkMbps}, &nominal, ft)
+	r.maybeReplan(cl, rest, &replanState{est: est, planMbps: ch.UplinkMbps}, &nominal, ft)
 
 	if ft.Replans != 1 {
-		t.Fatalf("Replans = %d, want 1 (health 0.5 is under the 0.8 threshold)", ft.Replans)
+		t.Fatalf("Replans = %d, want 1 (the estimate is 50 %% under the plan's bandwidth)", ft.Replans)
 	}
 	if nominal.UplinkMbps < 3.9 || nominal.UplinkMbps > 4.1 {
 		t.Errorf("adopted uplink = %.2f Mb/s, want ~4 (half of 8)", nominal.UplinkMbps)

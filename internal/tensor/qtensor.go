@@ -83,15 +83,6 @@ func NewQ(shape Shape, p QParams) *QTensor {
 	return &QTensor{Shape: shape.Clone(), Data: make([]int8, shape.Elems()), QParams: p}
 }
 
-// NewQFrom wraps existing int8 data after validating the length.
-func NewQFrom(shape Shape, data []int8, p QParams) (*QTensor, error) {
-	if len(data) != shape.Elems() {
-		return nil, fmt.Errorf("tensor: data length %d does not match shape %v (%d elems)",
-			len(data), shape, shape.Elems())
-	}
-	return &QTensor{Shape: shape.Clone(), Data: data, QParams: p}, nil
-}
-
 // QuantizeInto fills dst with the int8 codes of src under p. The two
 // slices must have equal length.
 func QuantizeInto(dst []int8, src []float32, p QParams) {

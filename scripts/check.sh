@@ -247,9 +247,17 @@ wait "$TERM_PID" || {
 TERM_PID=""
 
 echo "== benchmarks compile and run once"
-go test -run NONE -bench . -benchtime 1x ./... > /dev/null
+# Quiet when green; a benchmark that b.Fatals must not end the script
+# under set -e with its reason thrown away.
+BENCH_LOG="$(mktemp)"
+go test -run NONE -bench . -benchtime 1x ./... > "$BENCH_LOG" 2>&1 || {
+    cat "$BENCH_LOG" >&2
+    rm -f "$BENCH_LOG"
+    exit 1
+}
+rm -f "$BENCH_LOG"
 
-echo "== bench regression gate (BENCHGATE=off to skip)"
-sh scripts/benchgate.sh
+echo "== bench gate (within-run ratios; appends to BENCH_history.jsonl)"
+go run ./cmd/benchgate
 
 echo "OK"
