@@ -80,7 +80,11 @@ type ratio struct {
 	Bound float64 `json:"bound"`
 }
 
-// record is one line of BENCH_history.jsonl.
+// historyFile is where every run is appended, relative to the module
+// root the gate is run from.
+const historyFile = "BENCH_history.jsonl"
+
+// record is one line of historyFile.
 type record struct {
 	DateUTC    string  `json:"date_utc"`
 	Commit     string  `json:"commit"`
@@ -111,7 +115,7 @@ func main() {
 	}
 	rec := stamp()
 	rec.CPUModel, rec.Pass, rec.Ratios, rec.Rows = cpu, pass, ratios, rows
-	if err := appendHistory("BENCH_history.jsonl", rec); err != nil {
+	if err := appendHistory(historyFile, rec); err != nil {
 		fmt.Fprintln(os.Stderr, "benchgate:", err)
 		os.Exit(1)
 	}
@@ -251,12 +255,20 @@ func stamp() record {
 	}
 }
 
-// commit names the checked-out revision, "-dirty" appended when the
-// work tree differs from it; "unknown" outside a git checkout.
+// commit names the checked-out revision, "-dirty" appended when a
+// tracked file other than the history itself differs from it — every
+// run appends there, which says nothing about the code that was
+// measured; "unknown" outside a git checkout.
 func commit() string {
-	out, err := exec.Command("git", "describe", "--always", "--dirty", "--abbrev=12").Output()
+	out, err := exec.Command("git", "rev-parse", "--short=12", "HEAD").Output()
 	if err != nil {
 		return "unknown"
 	}
-	return strings.TrimSpace(string(out))
+	rev := strings.TrimSpace(string(out))
+	diff, err := exec.Command("git", "status", "--porcelain", "--untracked-files=no",
+		"--", ".", ":(exclude)"+historyFile).Output()
+	if err != nil || len(diff) > 0 {
+		rev += "-dirty"
+	}
+	return rev
 }

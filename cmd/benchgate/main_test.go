@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -180,5 +181,47 @@ func TestHistoryRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(got, rec) {
 			t.Errorf("round trip:\n got %+v\nwant %+v", got, rec)
 		}
+	}
+}
+
+// TestCommitIgnoresOwnHistory: a run appends to the tracked history, and
+// that alone must not turn the next run's stamp "-dirty"; an edit to any
+// other tracked file must.
+func TestCommitIgnoresOwnHistory(t *testing.T) {
+	if _, err := exec.LookPath("git"); err != nil {
+		t.Skip("no git on PATH")
+	}
+	dir := t.TempDir()
+	t.Chdir(dir)
+	write := func(name, text string) {
+		t.Helper()
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	git := func(args ...string) {
+		t.Helper()
+		args = append([]string{"-c", "user.name=t", "-c", "user.email=t@localhost"}, args...)
+		if out, err := exec.Command("git", args...).CombinedOutput(); err != nil {
+			t.Fatalf("git %v: %v\n%s", args, err, out)
+		}
+	}
+	write("main.go", "package main\n")
+	write(historyFile, "{}\n")
+	git("init", "-q")
+	git("add", ".")
+	git("commit", "-q", "-m", "seed")
+
+	clean := commit()
+	if clean == "unknown" || strings.HasSuffix(clean, "-dirty") {
+		t.Fatalf("fresh commit stamped %q", clean)
+	}
+	write(historyFile, "{}\n{}\n")
+	if got := commit(); got != clean {
+		t.Errorf("after appending to %s: %q, want %q", historyFile, got, clean)
+	}
+	write("main.go", "package main // edited\n")
+	if got := commit(); got != clean+"-dirty" {
+		t.Errorf("after editing main.go: %q, want %q", got, clean+"-dirty")
 	}
 }

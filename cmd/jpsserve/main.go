@@ -56,6 +56,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"math"
@@ -132,18 +133,21 @@ func main() {
 		spec: spec, faultSeed: *faultSeed,
 		metricsAddr: *metricsAddr, traceOut: *traceOut,
 	}
-	if err := flagConflict(cfg); err != nil {
-		fmt.Fprintln(os.Stderr, "jpsserve:", err)
-		os.Exit(2)
-	}
 	if err := run(cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "jpsserve:", err)
+		if errors.As(err, new(usageError)) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 }
 
-// flagConflict names the flags that cannot be combined as given: a
-// usage error, so main exits 2 on it before anything is loaded.
+// usageError is a flag combination run refuses before it loads or
+// listens; main exits 2 on it, as on a flag that does not parse.
+type usageError struct{ error }
+
+// flagConflict names the flags that cannot be combined as given; run
+// turns it into a usageError before anything is loaded.
 func flagConflict(cfg serveConfig) error {
 	switch {
 	case cfg.nextHop != "" && cfg.batchWindow > 0:
@@ -258,10 +262,8 @@ type serveConfig struct {
 }
 
 func run(cfg serveConfig) error {
-	// main has exited 2 on this already; a caller that builds its own
-	// serveConfig meets it here.
 	if err := flagConflict(cfg); err != nil {
-		return err
+		return usageError{err}
 	}
 	kern := engine.KernelGEMM
 	if cfg.kernel != "" {

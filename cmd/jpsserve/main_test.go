@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"io"
 	"net"
 	"net/http"
@@ -36,8 +37,8 @@ func TestRunRejectsBadInputs(t *testing.T) {
 		t.Error("unlistenable metrics address must error")
 	}
 	if err := run(serveConfig{model: "squeezenet", addr: "127.0.0.1:0", seed: 1, batchMax: 16, faultSeed: 1,
-		nextHop: "127.0.0.1:1", nextCut: 0, batchWindow: time.Millisecond}); err == nil {
-		t.Error("next-hop combined with batching must error")
+		nextHop: "127.0.0.1:1", nextCut: 0, batchWindow: time.Millisecond}); !errors.As(err, new(usageError)) {
+		t.Errorf("next-hop combined with batching must be a usage error (exit 2), got: %v", err)
 	}
 	if err := run(serveConfig{model: "squeezenet", addr: "127.0.0.1:0", seed: 1, batchMax: 16, faultSeed: 1,
 		nextHop: "127.0.0.1:1", nextCut: 9999}); err == nil {
