@@ -84,7 +84,7 @@ func main() {
 		seed    = flag.Int64("seed", 42, "weight seed (must match the client)")
 		workers = flag.Int("workers", 0, "engine worker goroutines per layer; 0 = GOMAXPROCS")
 		kernel  = flag.String("kernel", "auto", "engine kernel path: "+engine.KernelPaths)
-		conc    = flag.Int("conc", 0, "concurrent inferences per connection (worker pool); 0 = GOMAXPROCS. Multiplies with -workers, so size the product to the core count")
+		conc    = flag.Int("conc", 0, "concurrent inferences server-wide (the one worker pool every connection shares); 0 = GOMAXPROCS. Multiplies with -workers, so size the product to the core count")
 
 		batchWindow = flag.Duration("batch-window", 0, "coalesce same-shape requests arriving within this window into one batched forward (0 = disabled)")
 		batchMax    = flag.Int("batch-max", 16, "maximum jobs per coalesced group (with -batch-window)")

@@ -14,13 +14,7 @@ import (
 // this when the measured uplink bandwidth falls past its re-plan
 // threshold, then continues the surviving jobs under the new cuts.
 func Replan(c *profile.Curve, measured netsim.Channel, n int) (*Plan, error) {
-	if c == nil {
-		return nil, fmt.Errorf("core: Replan needs a profiled curve, got nil")
-	}
-	if measured.UplinkMbps <= 0 {
-		return nil, fmt.Errorf("core: Replan needs a positive bandwidth, got %g", measured.UplinkMbps)
-	}
-	p, err := JPS(c.Reprice(measured), n)
+	p, err := ReplanWithHint(c, measured, n, ServerHint{})
 	if err != nil {
 		return nil, err
 	}
@@ -38,22 +32,23 @@ type ServerHint struct {
 }
 
 // ReplanWithHint is Replan with the server's backpressure hint folded
-// in: after repricing at the measured channel, every offloaded cut's G
-// is surcharged by the observed queue wait. The planner's objective is
-// the two-stage (f, g) flow-shop makespan, so loading the queue delay
-// onto the non-mobile stage is what actually moves the Theorem 5.3
-// balance point — uniformly penalizing offloaded positions against the
-// free local-only cut shifts cuts toward local compute, which is
-// exactly the load response a saturating cloud asks its clients for.
+// in (Replan is the zero hint): after repricing at the measured channel,
+// every offloaded cut's G is surcharged by the observed queue wait. The
+// planner's objective is the two-stage (f, g) flow-shop makespan, so
+// loading the queue delay onto the non-mobile stage is what actually
+// moves the Theorem 5.3 balance point — uniformly penalizing offloaded
+// positions against the free local-only cut shifts cuts toward local
+// compute, which is exactly the load response a saturating cloud asks
+// its clients for.
 func ReplanWithHint(c *profile.Curve, measured netsim.Channel, n int, hint ServerHint) (*Plan, error) {
 	if c == nil {
-		return nil, fmt.Errorf("core: ReplanWithHint needs a profiled curve, got nil")
+		return nil, fmt.Errorf("core: Replan needs a profiled curve, got nil")
 	}
 	if measured.UplinkMbps <= 0 {
-		return nil, fmt.Errorf("core: ReplanWithHint needs a positive bandwidth, got %g", measured.UplinkMbps)
+		return nil, fmt.Errorf("core: Replan needs a positive bandwidth, got %g", measured.UplinkMbps)
 	}
 	if hint.QueueMs < 0 {
-		return nil, fmt.Errorf("core: ReplanWithHint needs a non-negative queue hint, got %g", hint.QueueMs)
+		return nil, fmt.Errorf("core: Replan needs a non-negative queue hint, got %g", hint.QueueMs)
 	}
 	cc := c.Reprice(measured)
 	for i := 0; i < cc.Len()-1; i++ {

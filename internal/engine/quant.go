@@ -345,8 +345,8 @@ func (m *Model) qdwconv2d(id int, l *nn.DepthwiseConv2D, in *tensor.Tensor, pred
 func qdwChannels(lo, hi int, qin []int8, dst []float32, ql *qlayer, qp tensor.QParams, zx int32,
 	kh, kw, stride, pad, inH, inW, outH, outW int) {
 	// Interior output range: oh*stride-pad+r in [0, inH) for every r.
-	ohLo, ohHi := interiorSpan(outH, stride, pad, kh, inH)
-	owLo, owHi := interiorSpan(outW, stride, pad, kw, inW)
+	ohLo, ohHi := interiorRange(inH, kh, stride, pad, outH)
+	owLo, owHi := interiorRange(inW, kw, stride, pad, outW)
 	for c := lo; c < hi; c++ {
 		src := qin[c*inH*inW:]
 		out := dst[c*outH*outW:]
@@ -406,25 +406,6 @@ func qdwChannels(lo, hi int, qin []int8, dst []float32, ql *qlayer, qp tensor.QP
 			qdwBorderRow(out, src, krn, mul, bias, zx, oh, owS, owE, kh, kw, stride, pad, inH, inW, outW)
 		}
 	}
-}
-
-// interiorSpan returns the [lo, hi) output range along one axis whose
-// receptive fields lie fully inside the input: o*stride-pad >= 0 and
-// o*stride-pad+k-1 < in.
-func interiorSpan(out, stride, pad, k, in int) (lo, hi int) {
-	lo = (pad + stride - 1) / stride
-	hi = (in - k + pad) / stride
-	hi++
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > out {
-		hi = out
-	}
-	if hi < lo {
-		hi = lo
-	}
-	return lo, hi
 }
 
 // qdwBorderRow computes output columns [owS, owE) of row oh with the

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"net"
+	"slices"
 
 	"dnnjps/internal/core"
 	"dnnjps/internal/dag"
@@ -35,10 +36,10 @@ func syntheticInputs(g *dag.Graph, n int) []*tensor.Tensor {
 // cut and returns the boundary activations: real traffic for the probes
 // that load the server without a mobile stage.
 func syntheticBoundaries(m *engine.Model, units []profile.Unit, cut, n int) ([]*tensor.Tensor, error) {
-	var prefix []int
-	for _, u := range units[:cut+1] {
-		prefix = append(prefix, u.Nodes...)
-	}
+	// The line view chunks the topological order at the unit exits, so
+	// the prefix of a cut is that order up to the cut's exit.
+	topo := m.Graph().Topo()
+	prefix := topo[:slices.Index(topo, units[cut].Exit)+1]
 	out := make([]*tensor.Tensor, n)
 	for i, in := range syntheticInputs(m.Graph(), n) {
 		acts := map[int]*tensor.Tensor{}

@@ -61,6 +61,7 @@ func boundaryFor(t *testing.T, m *engine.Model, cut int, in *tensor.Tensor) (*te
 // every class must still match a pure local forward. The counters must
 // account for every job exactly once.
 func TestRunPlanWithBatchingCorrectness(t *testing.T) {
+	goroutinesSettle(t)
 	m := testModel(t)
 	cl, o := batchPair(t, m, 20*time.Millisecond, 3)
 
@@ -99,6 +100,7 @@ func TestRunPlanWithBatchingCorrectness(t *testing.T) {
 // The window-expiry flush: fewer jobs than batchMax must still complete
 // once the window elapses, grouped into one batched execution.
 func TestBatchWindowFlushesPartialGroup(t *testing.T) {
+	goroutinesSettle(t)
 	m := testModel(t)
 	cl, o := batchPair(t, m, 5*time.Millisecond, 64)
 
@@ -137,6 +139,7 @@ func TestBatchWindowFlushesPartialGroup(t *testing.T) {
 // demux to the right callers with the right classes, and only then does
 // the connection fail with the invalid job's error.
 func TestBatchPartialFailureDemux(t *testing.T) {
+	goroutinesSettle(t)
 	m := testModel(t)
 	cl, _ := batchPair(t, m, 50*time.Millisecond, 3)
 
@@ -185,6 +188,7 @@ func TestBatchPartialFailureDemux(t *testing.T) {
 // A batch whose every member is invalid must fail the connection
 // without wedging the coalescer or the pool.
 func TestBatchAllInvalidFails(t *testing.T) {
+	goroutinesSettle(t)
 	m := testModel(t)
 	cl, _ := batchPair(t, m, 5*time.Millisecond, 2)
 
@@ -207,6 +211,7 @@ func TestBatchAllInvalidFails(t *testing.T) {
 // WithBatching(0, …) and WithBatching(…, 1) must leave the original
 // solo dispatch in place — no coalescer goroutine, no added latency.
 func TestBatchingDisabledConfigs(t *testing.T) {
+	goroutinesSettle(t)
 	m := testModel(t)
 	for _, cfg := range []struct {
 		window time.Duration

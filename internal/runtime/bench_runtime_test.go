@@ -109,7 +109,7 @@ func benchDial(b *testing.B, m *engine.Model) net.Conn {
 }
 
 // benchDialServer is benchDial for a caller-configured server.
-func benchDialServer(b *testing.B, srv *Server) net.Conn {
+func benchDialServer(b testing.TB, srv *Server) net.Conn {
 	b.Helper()
 	b.Cleanup(srv.Close)
 	lis, err := net.Listen("tcp", "127.0.0.1:0")

@@ -33,8 +33,7 @@ const sendQueueCap = 512
 // therefore overlaps the upload of job i+1 — the two-resource pipeline
 // the scheduler models (§3.1, Prop. 4.1).
 type Client struct {
-	model  *engine.Model
-	units  []profile.Unit
+	lineProgram
 	conn   *netsim.ShapedConn
 	r      *bufio.Reader
 	w      *bufio.Writer
@@ -97,8 +96,7 @@ type wireMsg struct {
 func NewClient(conn net.Conn, m *engine.Model, ch netsim.Channel, timeScale float64) *Client {
 	shaped := netsim.Shape(conn, ch, timeScale)
 	return &Client{
-		model: m,
-		units: profile.LineView(m.Graph()),
+		lineProgram: newLineProgram(m),
 		// Reads go through the shaper too: with a modeled downlink the
 		// reply frames are paced; otherwise Read is a passthrough.
 		conn:       shaped,
@@ -567,7 +565,7 @@ func (c *Client) runOne(jobID int, cut jobCut, input *tensor.Tensor) (*JobResult
 // job completed locally.
 func (c *Client) computePrefix(jobID int, cut jobCut, input *tensor.Tensor) (upload, *JobResult, error) {
 	start := time.Now()
-	up, res, err := runPrefix(c.model, c.units, jobID, cut, input)
+	up, res, err := c.runPrefix(jobID, cut, input)
 	if err == nil {
 		c.obsv.span(TrackMobile, SpanLocalCompute, jobID, start, time.Now())
 	}
@@ -582,17 +580,20 @@ func (c *Client) computePrefix(jobID int, cut jobCut, input *tensor.Tensor) (upl
 // is a unit exit goes out as the line cut it is (msgInfer,
 // JobResult.Cut = the unit), anything else as a true set (msgInferSet,
 // JobResult.Cut = -1).
-func runPrefix(m *engine.Model, units []profile.Unit, jobID int, cut jobCut, input *tensor.Tensor) (upload, *JobResult, error) {
-	g := m.Graph()
-	var prefix []int
-	var mobile map[int]bool // set cuts only
+func (lp *lineProgram) runPrefix(jobID int, cut jobCut, input *tensor.Tensor) (upload, *JobResult, error) {
+	g := lp.model.Graph()
+	res := &JobResult{JobID: jobID, Cut: cut.unit}
+	var out *tensor.Tensor   // the activation at unit res.Cut's exit
+	var set *inferSetRequest // the boundary of a set cut
+	start := time.Now()
 	switch {
 	case cut.nodes == nil:
-		if cut.unit < 0 || cut.unit >= len(units) {
-			return upload{}, nil, fmt.Errorf("runtime: cut %d out of range [0,%d)", cut.unit, len(units))
+		if cut.unit < 0 || cut.unit >= len(lp.units) {
+			return upload{}, nil, fmt.Errorf("runtime: cut %d out of range [0,%d)", cut.unit, len(lp.units))
 		}
-		for _, u := range units[:cut.unit+1] {
-			prefix = append(prefix, u.Nodes...)
+		var err error
+		if out, err = lp.runSpan(-1, cut.unit, 1, input); err != nil {
+			return upload{}, nil, err
 		}
 	case len(cut.nodes) == 0:
 		return upload{}, nil, fmt.Errorf("runtime: empty cut set")
@@ -602,27 +603,13 @@ func runPrefix(m *engine.Model, units []profile.Unit, jobID int, cut jobCut, inp
 				return upload{}, nil, fmt.Errorf("runtime: cut node %d out of range [0,%d)", id, g.Len())
 			}
 		}
-		mobile = g.Ancestors(cut.nodes...)
-		for _, id := range g.Topo() {
-			if mobile[id] {
-				prefix = append(prefix, id)
-			}
+		acts := map[int]*tensor.Tensor{}
+		mobile, prefix, err := lp.runSide(acts, input, cut.nodes)
+		if err != nil {
+			return upload{}, nil, err
 		}
-	}
-	res := &JobResult{JobID: jobID, Cut: cut.unit}
-	start := time.Now()
-	// Execute recycles intermediate activations through the model's
-	// arena, but every boundary tensor (and the sink of a fully-local
-	// job) has a consumer outside the prefix, so it is kept live.
-	acts := map[int]*tensor.Tensor{}
-	if err := m.Execute(acts, input, prefix); err != nil {
-		return upload{}, nil, err
-	}
-	res.MobileMs = float64(time.Since(start).Nanoseconds()) / 1e6
-
-	if mobile != nil {
 		// Boundary = mobile nodes with at least one remote consumer.
-		set := &inferSetRequest{JobID: uint32(jobID)}
+		set = &inferSetRequest{JobID: uint32(jobID)}
 		for _, id := range prefix {
 			for _, s := range g.Succs(id) {
 				if !mobile[s] {
@@ -632,19 +619,20 @@ func runPrefix(m *engine.Model, units []profile.Unit, jobID int, cut jobCut, inp
 				}
 			}
 		}
-		res.Cut = lineUnit(units, set.Nodes, len(prefix))
-		if res.Cut < 0 {
-			return upload{set: set}, res, nil
+		if res.Cut = lineUnit(lp.units, set.Nodes, len(prefix)); res.Cut >= 0 {
+			out = acts[lp.units[res.Cut].Exit]
 		}
 	}
-	if res.Cut == len(units)-1 {
-		res.Class = engine.Argmax(acts[g.Sink()])
+	res.MobileMs = float64(time.Since(start).Nanoseconds()) / 1e6
+	switch res.Cut {
+	case -1:
+		return upload{set: set}, res, nil
+	case len(lp.units) - 1:
+		res.Class = engine.Argmax(out)
 		res.Done = time.Now()
 		return upload{}, res, nil
 	}
-	return upload{req: &inferRequest{
-		JobID: uint32(jobID), Cut: uint32(res.Cut), Tensor: acts[units[res.Cut].Exit],
-	}}, res, nil
+	return upload{req: &inferRequest{JobID: uint32(jobID), Cut: uint32(res.Cut), Tensor: out}}, res, nil
 }
 
 // lineUnit names the line cut a boundary set is, or -1 for a true set.

@@ -19,10 +19,10 @@ import (
 // concentrates a plan's cuts on at most two adjacent layers, so fleet
 // traffic against one model clusters into at most two batchable shapes
 // per plan — the best case for this coalescer: the more clients
-// offload concurrently, the fuller the groups get. Per-job shape
-// validation still happens inside inferBatch so one malformed request
-// cannot poison its group's valid members, and a bad member fails only
-// its own connection (see fleetScheduler.runBatch).
+// offload concurrently, the fuller the groups get. Each member is still
+// checked on its own before the group is packed, so one malformed
+// request cannot poison its group's valid members, and a bad member
+// fails only its own connection (see fleetScheduler.run).
 
 // batchGroup accumulates same-cut jobs until flush. Members may come
 // from different connections and tenants.
@@ -37,22 +37,22 @@ type batchGroup struct {
 // worker pool — no shared mutable state and no timer races with the
 // per-connection read loops.
 type coalescer struct {
-	window   time.Duration
-	max      int
-	dispatch func(func())    // hands a flushed group to the pool; may block
-	reqs     chan pendingJob // scheduler dispatcher -> coalescer; closed on shutdown
-	done     chan struct{}   // closed when run exits (all groups flushed)
+	window time.Duration
+	max    int
+	reqs   chan pendingJob // scheduler dispatcher -> coalescer; closed on shutdown
+	done   chan struct{}   // closed when run exits (all groups flushed)
 }
 
-func newCoalescer(window time.Duration, max int, dispatch func(func()), exec func(*batchGroup, time.Time)) *coalescer {
+// newCoalescer starts the coalescer; dispatch hands a group that has
+// just been flushed to the pool, and may block.
+func newCoalescer(window time.Duration, max int, dispatch func(jobs []pendingJob, flushed time.Time)) *coalescer {
 	c := &coalescer{
-		window:   window,
-		max:      max,
-		dispatch: dispatch,
-		reqs:     make(chan pendingJob, max),
-		done:     make(chan struct{}),
+		window: window,
+		max:    max,
+		reqs:   make(chan pendingJob, max),
+		done:   make(chan struct{}),
 	}
-	go c.run(exec)
+	go c.run(dispatch)
 	return c
 }
 
@@ -74,7 +74,7 @@ func (c *coalescer) finish() {
 
 // run is the coalescer goroutine: it accumulates groups, flushes each
 // on max size or window expiry, and drains everything on shutdown.
-func (c *coalescer) run(exec func(*batchGroup, time.Time)) {
+func (c *coalescer) run(dispatch func(jobs []pendingJob, flushed time.Time)) {
 	defer close(c.done)
 	groups := make(map[uint32]*batchGroup)
 	timer := time.NewTimer(time.Hour)
@@ -84,8 +84,7 @@ func (c *coalescer) run(exec func(*batchGroup, time.Time)) {
 	armed := false
 	flush := func(g *batchGroup) {
 		delete(groups, g.cut)
-		flushed := time.Now()
-		c.dispatch(func() { exec(g, flushed) })
+		dispatch(g.jobs, time.Now())
 	}
 	for {
 		if armed && !timer.Stop() {

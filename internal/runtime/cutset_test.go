@@ -227,7 +227,7 @@ func TestGeneralPlanOfLineCutsMatchesRunPlanOnTheWire(t *testing.T) {
 // the reply through (and keeps draining until the test ends).
 func wedgeWorker(t *testing.T, srv *Server, m *engine.Model, in *tensor.Tensor) (release func()) {
 	t.Helper()
-	up, _, err := runPrefix(m, srv.units, 999, jobCut{unit: 1}, in)
+	up, _, err := srv.runPrefix(999, jobCut{unit: 1}, in)
 	if err != nil {
 		t.Fatal(err)
 	}

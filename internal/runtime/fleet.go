@@ -5,6 +5,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"dnnjps/internal/engine"
+	"dnnjps/internal/tensor"
 )
 
 // Fleet scheduler: the server-wide admission controller, weighted fair
@@ -19,7 +22,7 @@ import (
 // The fleetScheduler lifts all of that to server scope:
 //
 //	read loops --admit--> tenant WFQ --dispatch--> coalescer --> pool
-//	                 \--shed reply                     (or solo) -/
+//	                 \--shed reply               (or on its own) -/
 //
 //   - Admission: every decoded job passes through admit(). Past the
 //     shed watermark, infer jobs are refused with an immediate shed
@@ -57,7 +60,7 @@ type connCtx struct {
 	// HandleConn waits on it before returning.
 	pending sync.WaitGroup
 	// reply writes one frame under the connection's write mutex.
-	reply func(*inferReply) error
+	reply func(inferReply) error
 	// fail sticks the connection's first error and closes its
 	// transport. Idempotent.
 	fail func(error)
@@ -82,6 +85,7 @@ type pendingJob struct {
 	req    *inferRequest
 	set    *inferSetRequest
 	recv   time.Time // decode completion; queue attribution starts here
+	start  time.Time // first worker pickup: queue time ends, stage time starts; zero until then
 }
 
 // jobID is the client's ID for the job, whichever frame carried it.
@@ -116,9 +120,13 @@ type fleetScheduler struct {
 	// (backpressure flag stamping).
 	depth atomic.Int64
 
-	work chan func()
+	work chan task
 	co   *coalescer
 	wg   sync.WaitGroup
+	// owed counts jobs dispatched and not yet answered or failed. The
+	// dispatcher waits on it before closing the pool: a job parked at the
+	// next hop may yet need a worker for its fallback.
+	owed sync.WaitGroup
 
 	closeOnce sync.Once
 	done      chan struct{}
@@ -128,18 +136,25 @@ func newFleetScheduler(s *Server) *fleetScheduler {
 	fs := &fleetScheduler{
 		s:       s,
 		tenants: map[string]*tenantQueue{},
-		work:    make(chan func(), s.workers),
+		work:    make(chan task, s.workers),
 		done:    make(chan struct{}),
 	}
 	fs.cond = sync.NewCond(&fs.mu)
-	// A forwarding stage never coalesces: inferBatch runs the full
-	// suffix locally, which would silently bypass the next hop. jpsserve
-	// rejects the flag combination up front; this guard covers direct
-	// library users.
+	// A forwarding stage never coalesces: the handoff is one job's frame,
+	// and no traffic yet batches a middle segment. jpsserve rejects the
+	// flag combination up front; this guard covers direct library users.
 	if s.batchWindow > 0 && s.batchMax > 1 && s.next == nil {
-		fs.co = newCoalescer(s.batchWindow, s.batchMax,
-			func(task func()) { fs.work <- task },
-			fs.runBatch)
+		fs.co = newCoalescer(s.batchWindow, s.batchMax, func(jobs []pendingJob, flushed time.Time) {
+			if o := s.obsv; o != nil {
+				o.BatchSize.Observe(float64(len(jobs)))
+				if len(jobs) > 1 {
+					o.BatchedJobs.Add(int64(len(jobs)))
+				} else {
+					o.SoloJobs.Inc()
+				}
+			}
+			fs.work <- task{jobs: jobs, flushed: flushed}
+		})
 	}
 	if s.next != nil {
 		s.next.start(fs)
@@ -154,33 +169,32 @@ func newFleetScheduler(s *Server) *fleetScheduler {
 }
 
 // worker is one pool goroutine: it runs tasks until the pool closes. On
-// a forwarding stage it also takes the jobs whose forward failed (see
-// nexthop.go).
+// a forwarding stage it also takes back the jobs whose forward failed
+// (see nexthop.go); anywhere else that channel is nil and never ready.
 func (fs *fleetScheduler) worker() {
 	defer fs.wg.Done()
-	nh := fs.s.next
-	if nh == nil {
-		for task := range fs.work {
-			task()
-		}
-		return
+	var fallbacks chan pendingJob
+	if nh := fs.s.next; nh != nil {
+		fallbacks = nh.fallbacks
 	}
+	o := fs.s.obsv
 	for {
+		var t task
 		select {
-		case task, ok := <-fs.work:
+		case next, ok := <-fs.work:
 			if !ok {
 				return
 			}
-			task()
-		case job := <-nh.fallbacks:
-			o := fs.s.obsv
-			if o != nil {
-				o.WorkersBusy.Add(1)
-			}
-			fs.fallback(job)
-			if o != nil {
-				o.WorkersBusy.Add(-1)
-			}
+			t = next
+		case pj := <-fallbacks:
+			t = task{jobs: []pendingJob{pj}}
+		}
+		if o != nil {
+			o.WorkersBusy.Add(1)
+		}
+		fs.run(t)
+		if o != nil {
+			o.WorkersBusy.Add(-1)
 		}
 	}
 }
@@ -251,7 +265,7 @@ func (fs *fleetScheduler) shed(pj pendingJob) {
 		o.ShedJobs.Inc()
 		o.TenantJobs.With(pj.tenant).Inc()
 	}
-	rep := &inferReply{
+	rep := inferReply{
 		JobID: pj.jobID(),
 		Class: -1,
 		Flags: replyFlagShed | replyFlagBackpressure,
@@ -306,11 +320,10 @@ func (fs *fleetScheduler) popLocked() pendingJob {
 
 // dispatchLoop is the single consumer of the tenant queues: it pops in
 // WFQ order and routes each job — line jobs to the coalescer when
-// batching is on, everything else to the pool as a solo task. On
+// batching is on, everything else to the pool as a group of one. On
 // shutdown it drains the queues first, then the coalescer, then waits
-// until every forwarded job is answered (one parked at the next hop may
-// yet need the pool for its fallback), then closes the pool (it and the
-// coalescer are the only senders of tasks).
+// until every dispatched job is answered (owed), then closes the pool
+// (it and the coalescer are the only senders of tasks).
 func (fs *fleetScheduler) dispatchLoop() {
 	defer fs.wg.Done()
 	for {
@@ -324,18 +337,17 @@ func (fs *fleetScheduler) dispatchLoop() {
 		}
 		pj := fs.popLocked()
 		fs.mu.Unlock()
+		fs.owed.Add(1)
 		if pj.req != nil && fs.co != nil {
 			fs.co.submit(pj)
 		} else {
-			fs.work <- fs.soloTask(pj)
+			fs.work <- task{jobs: []pendingJob{pj}}
 		}
 	}
 	if fs.co != nil {
 		fs.co.finish()
 	}
-	if nh := fs.s.next; nh != nil {
-		nh.owed.Wait()
-	}
+	fs.owed.Wait()
 	close(fs.work)
 }
 
@@ -358,99 +370,74 @@ func (fs *fleetScheduler) hintFlags() uint8 {
 	return 0
 }
 
-// finishReply stamps the admission-control flags on a computed reply
-// and writes it to the owning connection. A write failure fails only
-// that connection. Does not release pending — the caller owns that.
-func (fs *fleetScheduler) finishReply(pj pendingJob, rep *inferReply) {
-	rep.Flags |= fs.hintFlags()
-	o := fs.s.obsv
-	if o != nil && rep.Flags&replyFlagBackpressure != 0 {
-		o.BackpressureReplies.Inc()
-	}
-	if err := pj.conn.reply(rep); err != nil {
-		pj.conn.fail(err)
-		return
-	}
-	if o != nil {
-		o.TenantJobs.With(pj.tenant).Inc()
-	}
+// task is what the pool runs: jobs that enter the model at the same
+// place and go through it as one pass. A job on its own is a group of
+// one; only the coalescer forms larger ones, and flushed is when it let
+// this one go (zero: the jobs never waited there).
+type task struct {
+	jobs    []pendingJob
+	flushed time.Time
 }
 
-// soloTask wraps one unbatched job into a pool task: run the
-// inference, stamp flags, reply to the owning connection. Errors fail
-// only that connection. On a forwarding stage, line jobs cut before the
-// handoff boundary take the forwarding task instead.
-func (fs *fleetScheduler) soloTask(pj pendingJob) func() {
-	s := fs.s
-	if s.next != nil && pj.req != nil && pj.req.Cut < uint32(s.next.cut) {
-		return fs.forwardTask(pj)
-	}
-	return func() {
-		defer pj.conn.pending.Done()
-		rep, err := s.runJob(int(pj.jobID()), pj.recv, func() (*inferReply, error) {
-			if pj.req != nil {
-				return s.infer(pj.req)
-			}
-			return s.inferSet(pj.set)
-		})
-		if err != nil {
-			pj.conn.fail(err)
-			return
-		}
-		fs.finishReply(pj, rep)
-	}
-}
-
-// runBatch executes one flushed group on a pool worker: coalesce-wait
-// and queue-wait spans per member, one batched suffix execution, then
-// per-member replies routed to each owning connection. QueueNs covers
-// recv -> worker start, so the coalescing window shows up as queue
-// time on the server — not as phantom communication delay in the
-// client's CommMs attribution. CloudNs reports the group's shared
-// compute wall time to every member.
+// run is the one stage task. It checks every member and runs the valid
+// ones from their cut as one batch (advance): to the last unit, where
+// each is classified and answered — or, on a forwarding stage and from
+// a cut before the handoff unit, to that unit, where the job leaves for
+// the next hop as what it has become, a job cut there. That makes the
+// fallback this same task: a job the hop gave back, or never took,
+// comes in again at the handoff unit with the tensor it left with, and
+// keeps the pickup stamp of its first pass.
 //
-// Failure attribution: a member with a bad boundary shape fails only
-// its own connection, and only after the group's valid replies have
-// been written — the batch demux guarantee other tenants rely on. An
-// engine-level failure (the shared suffix pass itself) fails every
-// member's connection.
-func (fs *fleetScheduler) runBatch(g *batchGroup, flushed time.Time) {
-	s := fs.s
+// Failure attribution: a member that fails its check fails only its own
+// connection, and only after the group's valid replies have been
+// written — the demux guarantee other tenants rely on. A failure of the
+// shared pass fails the connection of every member that was in it.
+func (fs *fleetScheduler) run(t task) {
+	s, o := fs.s, fs.s.obsv
 	start := time.Now()
-	o := s.obsv
-	if o != nil {
-		for _, pj := range g.jobs {
-			o.span(TrackServer, SpanCoalesceWait, int(pj.req.JobID), pj.recv, flushed)
-			o.span(TrackServer, SpanQueueWait, int(pj.req.JobID), flushed, start)
+	valid := t.jobs[:0] // filtered in place: the group is this task's alone
+	var invalid []invalidJob
+	for _, pj := range t.jobs {
+		if pj.start.IsZero() {
+			pj.start = start
+			queued := pj.recv
+			if !t.flushed.IsZero() {
+				o.span(TrackServer, SpanCoalesceWait, int(pj.jobID()), pj.recv, t.flushed)
+				queued = t.flushed
+			}
+			o.span(TrackServer, SpanQueueWait, int(pj.jobID()), queued, start)
+		} else if o != nil {
+			o.NextHopFallbacks.Inc()
 		}
-		o.WorkersBusy.Add(1)
-		o.BatchSize.Observe(float64(len(g.jobs)))
-		if len(g.jobs) > 1 {
-			o.BatchedJobs.Add(int64(len(g.jobs)))
-		} else {
-			o.SoloJobs.Inc()
+		if err := s.check(pj); err != nil {
+			invalid = append(invalid, invalidJob{pj: pj, err: fmt.Errorf("job %d: %w", pj.jobID(), err)})
+			continue
 		}
+		valid = append(valid, pj)
 	}
-	valid, invalid, reps, execErr := s.inferBatch(g.jobs, start)
-	end := time.Now()
-	if o != nil {
-		o.WorkersBusy.Add(-1)
-	}
-	if execErr != nil {
-		for _, pj := range g.jobs {
-			pj.conn.fail(execErr)
-			pj.conn.pending.Done()
+	if len(valid) > 0 {
+		out, to, err := s.advance(valid)
+		switch {
+		case err != nil:
+			for _, pj := range valid {
+				fs.fail(pj, err)
+			}
+		case to < len(s.units)-1:
+			pj := valid[0] // a forwarding stage never coalesces
+			pj.req.Cut, pj.req.Tensor = uint32(to), out
+			if !s.next.handOff(pj) {
+				fs.run(task{jobs: valid})
+			}
+		default:
+			classes := engine.ArgmaxBatch(out, len(valid))
+			end := time.Now()
+			for i, pj := range valid {
+				fs.answer(pj, int32(classes[i]), 0, end)
+			}
 		}
-		return
-	}
-	for i, pj := range valid {
-		o.span(TrackServer, SpanCloudCompute, int(pj.req.JobID), start, end)
-		fs.finishReply(pj, reps[i])
-		pj.conn.pending.Done()
 	}
 	for _, iv := range invalid {
-		iv.pj.conn.fail(iv.err)
-		iv.pj.conn.pending.Done()
+		fs.fail(iv.pj, iv.err)
 	}
 }
 
@@ -458,6 +445,77 @@ func (fs *fleetScheduler) runBatch(g *batchGroup, flushed time.Time) {
 type invalidJob struct {
 	pj  pendingJob
 	err error
+}
+
+// advance runs a checked group from its cut as one batch, as far as
+// this stage takes it — unit to, whose exit activation it returns: the
+// sink's, unless the group is cut before a forwarding stage's handoff
+// unit. Outputs are bit-identical to running each member alone (an
+// image's accumulation order in the engine does not depend on the batch
+// size). A boundary set differs only in how its nodes are found.
+func (s *Server) advance(jobs []pendingJob) (out *tensor.Tensor, to int, err error) {
+	to = len(s.units) - 1
+	if set := jobs[0].set; set != nil {
+		out, err = s.resumeSet(set)
+		return out, to, err
+	}
+	from := int(jobs[0].req.Cut) // one per group: members share the cut
+	if nh := s.next; nh != nil && from < nh.cut {
+		to = nh.cut
+	}
+	seed := jobs[0].req.Tensor // a batch of one is the tensor itself
+	if len(jobs) > 1 {
+		tensors := make([]*tensor.Tensor, len(jobs))
+		for i, pj := range jobs {
+			tensors[i] = pj.req.Tensor
+		}
+		if seed, err = engine.PackBatch(tensors); err != nil {
+			return nil, to, err
+		}
+	}
+	out, err = s.runSpan(from, to, len(jobs), seed)
+	return out, to, err
+}
+
+// answer is the one reply epilogue: whichever way a job was computed —
+// in a group or on its own, after a fallback, or by the next hop — its
+// reply is built, stamped and written here, and the job released. The
+// stamps mean the same on every path: QueueNs is decode done to worker
+// pickup (the coalescing window included, so it shows up as queue time
+// on the server, not as phantom communication delay in the client's
+// CommMs), and CloudNs is worker pickup to answer ready, end — checking
+// and packing, a middle segment and the wait for the next hop are this
+// stage's work on the job, not link time. A group's members share the
+// pickup and end, hence CloudNs and the cloud-compute interval. A write
+// failure fails only the owning connection.
+func (fs *fleetScheduler) answer(pj pendingJob, class int32, flags uint8, end time.Time) {
+	o := fs.s.obsv
+	rep := inferReply{
+		JobID:   pj.jobID(),
+		Class:   class,
+		CloudNs: end.Sub(pj.start).Nanoseconds(),
+		QueueNs: pj.start.Sub(pj.recv).Nanoseconds(),
+		Flags:   flags | fs.hintFlags(),
+	}
+	o.span(TrackServer, SpanCloudCompute, int(rep.JobID), pj.start, end)
+	if o != nil && rep.Flags&replyFlagBackpressure != 0 {
+		o.BackpressureReplies.Inc()
+	}
+	if err := pj.conn.reply(rep); err != nil {
+		pj.conn.fail(err)
+	} else if o != nil {
+		o.TenantJobs.With(pj.tenant).Inc()
+	}
+	pj.conn.pending.Done()
+	fs.owed.Done()
+}
+
+// fail gives a dispatched job up: its connection fails with err (the
+// first error sticks) and the job is released.
+func (fs *fleetScheduler) fail(pj pendingJob, err error) {
+	pj.conn.fail(err)
+	pj.conn.pending.Done()
+	fs.owed.Done()
 }
 
 // tenantWeight resolves a tenant's WFQ weight from the server config;

@@ -37,6 +37,7 @@ func dialFleet(t *testing.T, srv *Server) net.Conn {
 // exercises the admit/dispatch/coalesce paths from eight concurrent
 // read loops.
 func TestFleetCrossConnectionBatching(t *testing.T) {
+	goroutinesSettle(t)
 	m := testModel(t)
 	o := NewObs(obs.NewTracer(0), obs.NewMetrics())
 	srv := NewServer(m).WithWorkers(4).WithBatching(200*time.Millisecond, 8).WithObs(o)
@@ -91,6 +92,7 @@ func TestFleetCrossConnectionBatching(t *testing.T) {
 // the member with a garbage boundary must fail ONLY its own
 // connection, after the valid member's reply has been written.
 func TestFleetPartialFailureIsolation(t *testing.T) {
+	goroutinesSettle(t)
 	m := testModel(t)
 	srv := NewServer(m).WithWorkers(2).WithBatching(150*time.Millisecond, 2)
 	t.Cleanup(srv.Close)
@@ -184,9 +186,9 @@ func TestFleetShedAdmission(t *testing.T) {
 	fs.cond = sync.NewCond(&fs.mu)
 
 	var mu sync.Mutex
-	var replies []*inferReply
+	var replies []inferReply
 	cc := &connCtx{
-		reply: func(r *inferReply) error {
+		reply: func(r inferReply) error {
 			mu.Lock()
 			replies = append(replies, r)
 			mu.Unlock()
@@ -242,6 +244,7 @@ func TestFleetShedAdmission(t *testing.T) {
 // closed — the graceful-drain contract jpsserve's SIGTERM path relies
 // on — and the drain must beat the window by a wide margin.
 func TestServerCloseDrainsCoalescer(t *testing.T) {
+	goroutinesSettle(t)
 	m := testModel(t)
 	srv := NewServer(m).WithWorkers(2).WithBatching(10*time.Second, 8)
 
@@ -289,6 +292,7 @@ func TestServerCloseDrainsCoalescer(t *testing.T) {
 // the mobile engine, trigger the hint-driven re-plan, and still
 // classify everything correctly once the wedge lifts.
 func TestFleetShedAndHintReplan(t *testing.T) {
+	goroutinesSettle(t)
 	m := pipeModel(t)
 	ch := netsim.Channel{Name: "pipe", UplinkMbps: 8, SetupMs: 0}
 	srv := NewServer(m).WithWorkers(1).WithShedWatermark(2)
@@ -379,6 +383,7 @@ func TestHelloCodec(t *testing.T) {
 // its tenant's counters, and legacy (tenant-less) clients land in the
 // default tenant.
 func TestClientSendsTenant(t *testing.T) {
+	goroutinesSettle(t)
 	m := testModel(t)
 	o := NewObs(obs.NewTracer(0), obs.NewMetrics())
 	srv := NewServer(m).WithWorkers(2).WithObs(o)

@@ -105,32 +105,18 @@ func readInferSetRequestBody(r io.Reader) (*inferSetRequest, error) {
 	return &req, nil
 }
 
-// inferSet resumes the model from an arbitrary boundary set.
-func (s *Server) inferSet(req *inferSetRequest) (*inferReply, error) {
-	g := s.model.Graph()
-	acts := map[int]*tensor.Tensor{}
-	boundary := make([]int, 0, len(req.Nodes))
-	for i, node := range req.Nodes {
-		id := int(node)
-		if id < 0 || id >= g.Len() {
-			return nil, fmt.Errorf("runtime: boundary node %d out of range", id)
-		}
-		want := g.Node(id).OutShape
-		if !req.Tensors[i].Shape.Equal(want) {
-			return nil, fmt.Errorf("runtime: boundary %d tensor %v, want %v",
-				id, req.Tensors[i].Shape, want)
-		}
-		acts[id] = req.Tensors[i]
-		boundary = append(boundary, id)
+// resumeSet runs the remote side of a checked boundary set — every
+// node outside the set's ancestor closure — and returns the sink's
+// activation.
+func (s *Server) resumeSet(set *inferSetRequest) (*tensor.Tensor, error) {
+	acts := make(map[int]*tensor.Tensor, len(set.Nodes))
+	boundary := make([]int, len(set.Nodes))
+	for i, node := range set.Nodes {
+		boundary[i] = int(node)
+		acts[boundary[i]] = set.Tensors[i]
 	}
-	// The server executes everything outside the mobile side (the
-	// ancestor closure of the boundary set).
-	mobile := g.Ancestors(boundary...)
-	var suffix []int
-	for _, id := range g.Topo() {
-		if !mobile[id] {
-			suffix = append(suffix, id)
-		}
+	if _, _, err := s.runSide(acts, nil, boundary); err != nil {
+		return nil, err
 	}
-	return s.resume(req.JobID, acts, suffix)
+	return acts[s.units[len(s.units)-1].Exit], nil
 }

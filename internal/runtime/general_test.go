@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"dnnjps/internal/core"
@@ -152,17 +153,23 @@ func TestInferSetRejectsGarbage(t *testing.T) {
 	if err := srv.HandleConn(&rwBuffer{in: bytes.NewReader(buf.Bytes())}); err == nil {
 		t.Error("zero boundary count must error")
 	}
-	// Node out of range.
-	if _, err := srv.inferSet(&inferSetRequest{
-		JobID: 1, Nodes: []int32{999}, Tensors: []*tensor.Tensor{tensor.New(tensor.NewVec(1))},
-	}); err == nil {
-		t.Error("out-of-range node must error")
-	}
-	// Wrong tensor shape.
 	stem, _ := m.Graph().NodeByName("stem")
-	if _, err := srv.inferSet(&inferSetRequest{
-		JobID: 1, Nodes: []int32{int32(stem.ID)}, Tensors: []*tensor.Tensor{tensor.New(tensor.NewVec(1))},
-	}); err == nil {
-		t.Error("wrong boundary shape must error")
+	for _, c := range []struct {
+		name string
+		node int32
+		want string
+	}{
+		{"out-of-range node", 999, "boundary node 999 out of range"},
+		{"wrong boundary shape", int32(stem.ID), "tensor [1], want"},
+	} {
+		var frame bytes.Buffer
+		if err := writeInferSetRequest(&frame, &inferSetRequest{
+			JobID: 1, Nodes: []int32{c.node}, Tensors: []*tensor.Tensor{tensor.New(tensor.NewVec(1))},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.HandleConn(&rwBuffer{in: &frame}); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s must error with %q, got %v", c.name, c.want, err)
+		}
 	}
 }

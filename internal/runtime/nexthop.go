@@ -8,20 +8,17 @@ import (
 	"os"
 	"sync"
 	"time"
-
-	"dnnjps/internal/engine"
-	"dnnjps/internal/tensor"
 )
 
 // Next-hop forwarding: a server configured with WithNextHop becomes a
 // middle pipeline stage of a device chain instead of the terminal
 // cloud. For a request cut at c before the handoff boundary h, the
-// stage executes only the middle segment (c, h] locally, ships the
-// tensor at h to the next server over the same infer wire protocol,
-// and relays the downstream class back to its own client — so
-// jpsserve processes compose into the k-way chains core.JPSChain
-// plans. Requests already cut at or past h (including a terminal
-// stage's full-suffix traffic) run locally as always.
+// stage's task (fleetScheduler.run) stops at h: it runs only the middle
+// segment (c, h], and the job — now a job cut at h — ships to the next
+// server over the same infer wire protocol; the downstream class is
+// relayed back to the stage's own client. So jpsserve processes compose
+// into the k-way chains core.JPSChain plans. Requests already cut at or
+// past h, and boundary sets, run to the sink locally as always.
 //
 // The hop is a windowed pipeline, the way the chain model prices it: a
 // link is busy only for its own transmission, never for the round trip
@@ -47,20 +44,19 @@ import (
 //     that cannot be dialed finishes the job on this worker; a write or
 //     read error, a reply for an unknown slot, or a hop that goes
 //     silent (forwardStall) tears the connection down and every job
-//     parked on it finishes its suffix on this stage's pool from the
-//     handoff tensor its slot still holds; a shed reply falls back for
-//     that job alone — shed means "not computed", which is never true
-//     once the fallback ran. The next handoff redials. Each admitted
-//     job is answered exactly once: it is owned by a worker, a slot or
-//     the fallback channel, never two of them.
-//   - Drain order on Close: queues, then every forwarded job answered
-//     (nextHop.owed — a parked job may still need the pool for its
-//     fallback), then the pool, then the forwarding connection and its
-//     reader.
+//     parked on it goes back to this stage's pool, where the same task
+//     runs it from h to the sink; a shed reply falls back for that job
+//     alone — shed means "not computed", which is never true once the
+//     fallback ran. The next handoff redials. Each admitted job is
+//     answered exactly once: it is owned by a worker, a slot or the
+//     fallback channel, never two of them.
+//   - Drain order on Close: queues, then every dispatched job answered
+//     (fleetScheduler.owed — a parked job may still need the pool for
+//     its fallback), then the pool, then the forwarding connection and
+//     its reader.
 //
-// A forwarding stage never coalesces: the batched path runs the full
-// suffix locally and would bypass the hop, and no traffic yet batches a
-// middle segment.
+// A forwarding stage never coalesces: the handoff is one job's frame,
+// and no traffic yet batches a middle segment.
 
 const (
 	// forwardWindow is how many handoffs may await their reply at once.
@@ -73,17 +69,12 @@ const (
 	forwardStall = 10 * time.Second
 )
 
-// forwardJob is a job past its middle segment: everything needed to
-// relay the downstream's answer, or to finish the suffix here.
-type forwardJob struct {
-	pj      pendingJob
-	handoff *tensor.Tensor // activation at the handoff boundary
-	start   time.Time      // worker pickup; CloudNs and cloud-compute run from here
-}
-
 // forwardSlot is one entry of the in-flight table; fc == nil means free.
+// The job it holds is past its middle segment — its request is cut at
+// the handoff unit and carries the activation there — which is all it
+// takes to relay the downstream's answer, or to finish the job here.
 type forwardSlot struct {
-	forwardJob
+	pendingJob
 	fc   *forwardConn // connection the handoff went out on
 	sent time.Time    // handoff flushed (recorded with obs only)
 }
@@ -108,16 +99,13 @@ type nextHop struct {
 	stall  time.Duration
 	fs     *fleetScheduler
 
-	// owed counts forwarding jobs dispatched and not yet answered. The
-	// dispatcher waits on it before closing the pool.
-	owed sync.WaitGroup
 	// free holds the indexes of the free slots; its capacity is the
 	// window, so returning an index never blocks.
 	free chan uint32
 	// fallbacks hands jobs whose forward failed from a reader to the
 	// pool. Unbuffered: every worker that is idle or waiting for a slot
 	// receives from it, so a reader's send cannot wedge.
-	fallbacks chan forwardJob
+	fallbacks chan pendingJob
 
 	// wmu is the socket-write lock: dialing and handoff frames. It is
 	// taken before mu, never after, and the reader never takes it — a
@@ -149,18 +137,6 @@ func (s *Server) WithNextHop(addr string, cut int) (*Server, error) {
 		window: forwardWindow,
 		stall:  forwardStall,
 	}
-	// mid[c] holds the nodes of units (c, cut] — the segment this stage
-	// computes before handing off. The boundary node units[cut].Exit has
-	// consumers outside the list, so the engine keeps its activation
-	// live for serialization (and for the local fallback).
-	s.mid = make([][]int, cut)
-	for c := 0; c < cut; c++ {
-		var nodes []int
-		for _, u := range s.units[c+1 : cut+1] {
-			nodes = append(nodes, u.Nodes...)
-		}
-		s.mid[c] = nodes
-	}
 	return s, nil
 }
 
@@ -173,40 +149,7 @@ func (nh *nextHop) start(fs *fleetScheduler) {
 	for i := range nh.slots {
 		nh.free <- uint32(i)
 	}
-	nh.fallbacks = make(chan forwardJob)
-}
-
-// forwardTask wraps one job cut before the handoff into a pool task:
-// middle segment here, then the handoff. The worker leaves as soon as
-// the frame is flushed; the hop's reader (or a fallback) answers.
-func (fs *fleetScheduler) forwardTask(pj pendingJob) func() {
-	s, nh := fs.s, fs.s.next
-	nh.owed.Add(1)
-	return func() {
-		start := time.Now()
-		o := s.obsv
-		o.span(TrackServer, SpanQueueWait, int(pj.req.JobID), pj.recv, start)
-		if o != nil {
-			o.WorkersBusy.Add(1)
-			defer o.WorkersBusy.Add(-1)
-		}
-		boundary, err := s.boundaryOf(pj.req)
-		var acts map[int]*tensor.Tensor
-		if err == nil {
-			acts = map[int]*tensor.Tensor{boundary: pj.req.Tensor}
-			err = s.model.Execute(acts, nil, s.mid[pj.req.Cut])
-		}
-		if err != nil {
-			pj.conn.fail(err)
-			pj.conn.pending.Done()
-			nh.owed.Done()
-			return
-		}
-		job := forwardJob{pj: pj, handoff: acts[s.units[nh.cut].Exit], start: start}
-		if !nh.handOff(job) {
-			fs.fallback(job)
-		}
-	}
+	nh.fallbacks = make(chan pendingJob)
 }
 
 // handOff parks the job in a slot and writes its handoff frame. It
@@ -214,17 +157,17 @@ func (fs *fleetScheduler) forwardTask(pj pendingJob) func() {
 // dialed, or its connection died under us — and is still the caller's
 // to finish. Once parked the job belongs to the connection's reader,
 // write error or not.
-func (nh *nextHop) handOff(job forwardJob) bool {
+func (nh *nextHop) handOff(pj pendingJob) bool {
 	idx := nh.acquire()
 	nh.wmu.Lock()
 	defer nh.wmu.Unlock()
 	fc, err := nh.connect()
-	if err != nil || !nh.park(idx, fc, job) {
+	if err != nil || !nh.park(idx, fc, pj) {
 		nh.free <- idx
 		return false
 	}
 	_ = fc.conn.SetWriteDeadline(time.Now().Add(nh.stall)) // a failed deadline only loses the timeout
-	err = writeInferRequest(fc.w, &inferRequest{JobID: idx, Cut: uint32(nh.cut), Tensor: job.handoff})
+	err = writeInferRequest(fc.w, &inferRequest{JobID: idx, Cut: pj.req.Cut, Tensor: pj.req.Tensor})
 	if err == nil {
 		err = fc.w.Flush()
 	}
@@ -235,7 +178,7 @@ func (nh *nextHop) handOff(job forwardJob) bool {
 	if nh.fs.s.obsv != nil {
 		nh.mu.Lock()
 		// The reply may already have retired the slot, or even refilled it.
-		if sl := &nh.slots[idx]; sl.fc == fc && sl.pj.req == job.pj.req {
+		if sl := &nh.slots[idx]; sl.fc == fc && sl.req == pj.req {
 			sl.sent = time.Now()
 		}
 		nh.mu.Unlock()
@@ -251,8 +194,8 @@ func (nh *nextHop) acquire() uint32 {
 		select {
 		case idx := <-nh.free:
 			return idx
-		case job := <-nh.fallbacks:
-			nh.fs.fallback(job)
+		case pj := <-nh.fallbacks:
+			nh.fs.run(task{jobs: []pendingJob{pj}})
 		}
 	}
 }
@@ -281,13 +224,13 @@ func (nh *nextHop) connect() (*forwardConn, error) {
 
 // park records the job in slot idx as in flight on fc; false if fc was
 // torn down first.
-func (nh *nextHop) park(idx uint32, fc *forwardConn, job forwardJob) bool {
+func (nh *nextHop) park(idx uint32, fc *forwardConn, pj pendingJob) bool {
 	nh.mu.Lock()
 	defer nh.mu.Unlock()
 	if fc.dead {
 		return false
 	}
-	nh.slots[idx] = forwardSlot{forwardJob: job, fc: fc}
+	nh.slots[idx] = forwardSlot{pendingJob: pj, fc: fc}
 	if fc.inFlight == 0 {
 		fc.progress = time.Now()
 	}
@@ -320,13 +263,13 @@ func (nh *nextHop) retire(fc *forwardConn, id uint32, now time.Time) (forwardSlo
 }
 
 // orphans empties every slot still parked on a dead connection.
-func (nh *nextHop) orphans(fc *forwardConn) []forwardJob {
+func (nh *nextHop) orphans(fc *forwardConn) []pendingJob {
 	nh.mu.Lock()
 	defer nh.mu.Unlock()
-	var jobs []forwardJob
+	var jobs []pendingJob
 	for i := range nh.slots {
 		if nh.slots[i].fc == fc {
-			jobs = append(jobs, nh.slots[i].forwardJob)
+			jobs = append(jobs, nh.slots[i].pendingJob)
 			nh.slots[i] = forwardSlot{}
 			nh.free <- uint32(i)
 		}
@@ -364,10 +307,6 @@ func (nh *nextHop) kill(fc *forwardConn) {
 // fails, then sends every job still parked on it to the pool.
 func (nh *nextHop) readLoop(fc *forwardConn) {
 	defer nh.readers.Done()
-	fs := nh.fs
-	// One reply value serves every relay: finishReply's pointer does not
-	// outlive the upstream write.
-	var rep inferReply
 	for {
 		_ = fc.conn.SetReadDeadline(time.Now().Add(nh.stall)) // as in handOff
 		typ, err := fc.r.ReadByte()
@@ -390,57 +329,20 @@ func (nh *nextHop) readLoop(fc *forwardConn) {
 			break
 		}
 		if down.Flags&replyFlagShed != 0 {
-			nh.fallbacks <- sl.forwardJob
+			nh.fallbacks <- sl.pendingJob
 			continue
 		}
-		pj := sl.pj
-		rep = inferReply{
-			JobID:   pj.req.JobID,
-			Class:   down.Class,
-			CloudNs: end.Sub(sl.start).Nanoseconds(),
-			QueueNs: sl.start.Sub(pj.recv).Nanoseconds(),
-			Flags:   down.Flags & replyFlagBackpressure,
+		if sl.sent.IsZero() {
+			sl.sent = end // the reply overtook the stamp
 		}
-		if o := fs.s.obsv; o != nil {
-			if sl.sent.IsZero() {
-				sl.sent = end // the reply overtook the stamp
-			}
-			o.span(TrackServer, SpanForwardWait, int(pj.req.JobID), sl.sent, end)
-			o.span(TrackServer, SpanCloudCompute, int(pj.req.JobID), sl.start, end)
-		}
-		fs.finishReply(pj, &rep)
-		pj.conn.pending.Done()
-		nh.owed.Done()
+		nh.fs.s.obsv.span(TrackServer, SpanForwardWait, int(sl.req.JobID), sl.sent, end)
+		// Only the downstream's backpressure hint survives the relay.
+		nh.fs.answer(sl.pendingJob, down.Class, down.Flags&replyFlagBackpressure, end)
 	}
 	nh.kill(fc)
 	for _, job := range nh.orphans(fc) {
 		nh.fallbacks <- job
 	}
-}
-
-// fallback finishes a job whose forward failed: the whole remaining
-// suffix, on this stage, from the handoff tensor. Runs on a pool
-// worker.
-func (fs *fleetScheduler) fallback(job forwardJob) {
-	s, pj := fs.s, job.pj
-	defer s.next.owed.Done()
-	defer pj.conn.pending.Done()
-	acts := map[int]*tensor.Tensor{s.units[s.next.cut].Exit: job.handoff}
-	if err := s.model.Execute(acts, nil, s.suffix[s.next.cut]); err != nil {
-		pj.conn.fail(err)
-		return
-	}
-	end := time.Now()
-	if o := s.obsv; o != nil {
-		o.NextHopFallbacks.Inc()
-		o.span(TrackServer, SpanCloudCompute, int(pj.req.JobID), job.start, end)
-	}
-	fs.finishReply(pj, &inferReply{
-		JobID:   pj.req.JobID,
-		Class:   int32(engine.Argmax(acts[s.model.Graph().Sink()])),
-		CloudNs: end.Sub(job.start).Nanoseconds(),
-		QueueNs: job.start.Sub(pj.recv).Nanoseconds(),
-	})
 }
 
 // close tears down the forwarding connection if one is up and waits

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"math/rand"
 	"net"
-	goruntime "runtime"
 	"sync"
 	"testing"
 	"time"
@@ -14,24 +13,6 @@ import (
 	"dnnjps/internal/obs"
 	"dnnjps/internal/tensor"
 )
-
-// goroutinesSettle waits for the goroutine count to come back down to
-// baseline (taken before the test started anything) and fails with a
-// dump of what is still running if it does not. Register it as the
-// test's first Cleanup so that it runs after every other one.
-func goroutinesSettle(t *testing.T, baseline int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for goruntime.NumGoroutine() > baseline {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
-			buf = buf[:goruntime.Stack(buf, true)]
-			t.Errorf("%d goroutines running, %d before the test:\n%s", goruntime.NumGoroutine(), baseline, buf)
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
 
 // startTerminal runs a plain server on a loopback TCP listener and
 // returns its address. Four workers let its replies overtake each
@@ -200,11 +181,15 @@ func (h *scriptedHop) connections() int {
 
 // answer writes the reply a terminal stage would give to req.
 func (h *scriptedHop) answer(w *bufio.Writer, req *inferRequest) error {
-	rep, err := h.answers.infer(req)
+	s := h.answers
+	if err := s.check(pendingJob{req: req}); err != nil {
+		return err
+	}
+	out, err := s.runSpan(int(req.Cut), len(s.units)-1, 1, req.Tensor)
 	if err != nil {
 		return err
 	}
-	if err := writeInferReply(w, rep); err != nil {
+	if err := writeInferReply(w, &inferReply{JobID: req.JobID, Class: int32(engine.Argmax(out))}); err != nil {
 		return err
 	}
 	return w.Flush()
@@ -252,8 +237,7 @@ func TestNextHopChainMatchesLocal(t *testing.T) {
 // forwarder redials, and while the hop stays dead it finishes jobs
 // locally (fallback) instead of failing the client.
 func TestNextHopFallbackWhenHopDead(t *testing.T) {
-	base := goruntime.NumGoroutine()
-	t.Cleanup(func() { goroutinesSettle(t, base) })
+	goroutinesSettle(t)
 	m := testModel(t)
 	// A listener that is closed immediately: dials fail fast.
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
@@ -284,8 +268,7 @@ func TestNextHopFallbackWhenHopDead(t *testing.T) {
 // flag, because the fallback computes a real class. Only the
 // downstream's backpressure hint passes through.
 func TestNextHopReplyNeverShed(t *testing.T) {
-	base := goruntime.NumGoroutine()
-	t.Cleanup(func() { goroutinesSettle(t, base) })
+	goroutinesSettle(t)
 	m := testModel(t)
 	hop := startScriptedHop(t, m, func(_ *scriptedHop, _ int, conn net.Conn) {
 		r, w := bufio.NewReader(conn), bufio.NewWriter(conn)
@@ -369,8 +352,7 @@ func TestNextHopDisablesCoalescer(t *testing.T) {
 // order: every reply must still reach the connection and job it belongs
 // to. The slot index, not the client's JobID, is what crosses the hop.
 func TestNextHopTwoConnectionsSameJobIDs(t *testing.T) {
-	base := goruntime.NumGoroutine()
-	t.Cleanup(func() { goroutinesSettle(t, base) })
+	goroutinesSettle(t)
 	m := testModel(t)
 	srv, o := startMiddle(t, m, startTerminal(t, m), 3, nil)
 	const n = 40
@@ -399,8 +381,7 @@ func TestNextHopTwoConnectionsSameJobIDs(t *testing.T) {
 // workers: every one of them is answered, once, by the local fallback,
 // none is shed, and the next job redials.
 func TestNextHopKilledMidWindow(t *testing.T) {
-	base := goruntime.NumGoroutine()
-	t.Cleanup(func() { goroutinesSettle(t, base) })
+	goroutinesSettle(t)
 	m := testModel(t)
 	const k = 8 // > the middle stage's 2 workers
 	hop := startScriptedHop(t, m, func(h *scriptedHop, i int, conn net.Conn) {
@@ -452,8 +433,7 @@ func TestNextHopKilledMidWindow(t *testing.T) {
 // window of jobs hostage: after the stall deadline the connection is
 // torn down and every job is answered by the fallback, once.
 func TestNextHopHungHopFallsBack(t *testing.T) {
-	base := goruntime.NumGoroutine()
-	t.Cleanup(func() { goroutinesSettle(t, base) })
+	goroutinesSettle(t)
 	m := testModel(t)
 	hop := startScriptedHop(t, m, func(_ *scriptedHop, _ int, conn net.Conn) {
 		r := bufio.NewReader(conn)
@@ -508,8 +488,7 @@ func TestNextHopIdleConnectionOutlivesStall(t *testing.T) {
 // answers, every job is replied to, Close returns, and the connection
 // handler returns when its client goes away.
 func TestNextHopCloseDrainsInFlight(t *testing.T) {
-	base := goruntime.NumGoroutine()
-	t.Cleanup(func() { goroutinesSettle(t, base) })
+	goroutinesSettle(t)
 	m := testModel(t)
 	const n = 16
 	parked := make(chan *inferRequest, n)

@@ -22,13 +22,13 @@ const (
 // waits and recovery events.
 const (
 	SpanLocalCompute  = "local-compute"  // mobile: one job's prefix
-	SpanQueueWait     = "queue-wait"     // uplink: enqueue -> writer pickup; server: decode -> worker pickup
+	SpanQueueWait     = "queue-wait"     // uplink: enqueue -> writer pickup; server: decode (a coalesced member: flush) -> worker pickup
 	SpanSerialize     = "serialize"      // uplink: frame encode inside the upload
 	SpanUpload        = "upload"         // uplink: setup delay + encode + paced transmit
 	SpanReplyWait     = "reply-wait"     // cloud: upload end -> reply delivered
 	SpanDecode        = "decode"         // server: request body decode
 	SpanCoalesceWait  = "coalesce-wait"  // server: decode -> batch-group flush (batching only)
-	SpanCloudCompute  = "cloud-compute"  // server: model suffix execution (on a forwarding stage: worker pickup -> relay)
+	SpanCloudCompute  = "cloud-compute"  // server: worker pickup -> answer ready, the reply's CloudNs (on a forwarding stage: -> relay)
 	SpanForwardWait   = "forward-wait"   // server (forwarding stage): handoff flushed -> downstream reply
 	SpanReplyWrite    = "reply-write"    // server: reply encode + flush
 	SpanRedial        = "redial"         // runner: dial attempt

@@ -5,7 +5,6 @@ import (
 	"io"
 	"math/rand"
 	"net"
-	goruntime "runtime"
 	"sync"
 	"testing"
 	"time"
@@ -189,8 +188,7 @@ func TestRunnerFaultMatrix(t *testing.T) {
 			for _, plan := range plans {
 				plan := plan
 				t.Run(plan.name, func(t *testing.T) {
-					base := goruntime.NumGoroutine()
-					t.Cleanup(func() { goroutinesSettle(t, base) })
+					goroutinesSettle(t)
 					dial := faultyDialer(t, m, seed, 1, func(i int) (up, down netsim.FaultSpec) {
 						if i < 2 {
 							return tc.up, tc.down

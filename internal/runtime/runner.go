@@ -137,9 +137,8 @@ type FTReport struct {
 // correct results for every fault short of the device itself dying.
 // See DESIGN.md "Failure model & recovery" for the state machine.
 type Runner struct {
+	lineProgram
 	dial  func() (net.Conn, error)
-	model *engine.Model
-	units []profile.Unit
 	ch    netsim.Channel
 	scale float64
 	opts  RunOptions
@@ -176,12 +175,11 @@ func NewRunner(dial func() (net.Conn, error), m *engine.Model, ch netsim.Channel
 		opts.ReplanHysteresis = def.ReplanHysteresis
 	}
 	return &Runner{
-		dial:  dial,
-		model: m,
-		units: profile.LineView(m.Graph()),
-		ch:    ch,
-		scale: timeScale,
-		opts:  opts,
+		lineProgram: newLineProgram(m),
+		dial:        dial,
+		ch:          ch,
+		scale:       timeScale,
+		opts:        opts,
 	}
 }
 
@@ -419,7 +417,7 @@ func (r *Runner) attempt(cl *Client, order []*ftJob, rs *replanState, nominal *n
 			continue
 		}
 		if j.res == nil {
-			up, res, perr := runPrefix(r.model, r.units, j.id, j.cut, j.input)
+			up, res, perr := r.runPrefix(j.id, j.cut, j.input)
 			if perr != nil {
 				return true, perr
 			}
@@ -466,7 +464,7 @@ func (r *Runner) attempt(cl *Client, order []*ftJob, rs *replanState, nominal *n
 // it.
 func (r *Runner) finishLocal(j *ftJob, shed bool, ft *FTReport) error {
 	fbStart := time.Now()
-	_, res, err := runPrefix(r.model, r.units, j.id, jobCut{unit: len(r.units) - 1}, j.input)
+	_, res, err := r.runPrefix(j.id, jobCut{unit: len(r.units) - 1}, j.input)
 	if err != nil {
 		return err
 	}

@@ -3,7 +3,10 @@ package runtime
 import (
 	"bytes"
 	"net"
+	goruntime "runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"dnnjps/internal/core"
 	"dnnjps/internal/dag"
@@ -46,6 +49,28 @@ func startPair(t *testing.T, m *engine.Model, ch netsim.Channel) *Client {
 	}()
 	t.Cleanup(func() { cConn.Close() })
 	return NewClient(cConn, m, ch, 1e-6)
+}
+
+// goroutinesSettle is a test's leak check; call it before the test
+// starts anything. It takes the goroutine count as the baseline and, as
+// the test's last cleanup (the first registered runs last), waits for
+// the count to come back down to it, failing with a dump of what is
+// still running if it does not.
+func goroutinesSettle(t *testing.T) {
+	t.Helper()
+	baseline := goruntime.NumGoroutine()
+	t.Cleanup(func() {
+		deadline := time.Now().Add(5 * time.Second)
+		for goruntime.NumGoroutine() > baseline {
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<16)
+				buf = buf[:goruntime.Stack(buf, true)]
+				t.Errorf("%d goroutines running, %d before the test:\n%s", goruntime.NumGoroutine(), baseline, buf)
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	})
 }
 
 func input(i int) *tensor.Tensor {
@@ -270,11 +295,22 @@ func TestServerRejectsBadBoundary(t *testing.T) {
 	m := testModel(t)
 	srv := NewServer(m)
 	t.Cleanup(srv.Close)
-	// Wrong shape for cut 1.
-	if _, err := srv.infer(&inferRequest{JobID: 1, Cut: 1, Tensor: tensor.New(tensor.NewCHW(1, 2, 2))}); err == nil {
-		t.Error("wrong boundary shape must error")
-	}
-	if _, err := srv.infer(&inferRequest{JobID: 1, Cut: 999, Tensor: tensor.New(tensor.NewCHW(1, 2, 2))}); err == nil {
-		t.Error("out-of-range cut must error")
+	// The whole way in — decode, admission, the worker's task — and the
+	// connection must fail with the check's own error.
+	for _, c := range []struct {
+		name string
+		cut  uint32
+		want string
+	}{
+		{"wrong boundary shape", 1, "cut 1 wants"},
+		{"out-of-range cut", 999, "cut 999 out of range"},
+	} {
+		var frame bytes.Buffer
+		if err := writeInferRequest(&frame, &inferRequest{JobID: 1, Cut: c.cut, Tensor: tensor.New(tensor.NewCHW(1, 2, 2))}); err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.HandleConn(&rwBuffer{in: &frame}); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s must error with %q, got %v", c.name, c.want, err)
+		}
 	}
 }

@@ -11,8 +11,6 @@ import (
 	"time"
 
 	"dnnjps/internal/engine"
-	"dnnjps/internal/profile"
-	"dnnjps/internal/tensor"
 )
 
 // Server is the cloud side: it holds the same deterministic model as
@@ -24,11 +22,7 @@ import (
 // go out (possibly out of order) under each connection's write mutex
 // as jobs finish, so one slow inference never stalls any socket.
 type Server struct {
-	model *engine.Model
-	units []profile.Unit
-	// suffix[cut] lists the nodes the server executes for a job cut
-	// after unit 'cut', in topological order.
-	suffix [][]int
+	lineProgram
 	// workers bounds concurrent inferences server-wide.
 	workers int
 	// batchWindow/batchMax configure the cross-connection coalescer
@@ -46,10 +40,8 @@ type Server struct {
 	// recording.
 	obsv *Obs
 	// next, when set by WithNextHop, turns this server into a middle
-	// pipeline stage (see nexthop.go); mid[c] is the node segment
-	// (c, next.cut] it executes before handing off.
+	// pipeline stage (see nexthop.go).
 	next *nextHop
-	mid  [][]int
 
 	// schedMu guards lazy scheduler creation and Close.
 	schedMu     sync.Mutex
@@ -57,20 +49,10 @@ type Server struct {
 	schedClosed bool
 }
 
-// NewServer builds a server for the model. Per-connection concurrency
+// NewServer builds a server for the model. The server-wide worker pool
 // defaults to the core count; tune it with WithWorkers.
 func NewServer(m *engine.Model) *Server {
-	g := m.Graph()
-	units := profile.LineView(g)
-	suffix := make([][]int, len(units))
-	for cut := range units {
-		var nodes []int
-		for _, u := range units[cut+1:] {
-			nodes = append(nodes, u.Nodes...)
-		}
-		suffix[cut] = nodes
-	}
-	return &Server{model: m, units: units, suffix: suffix, workers: goruntime.GOMAXPROCS(0)}
+	return &Server{lineProgram: newLineProgram(m), workers: goruntime.GOMAXPROCS(0)}
 }
 
 // WithWorkers bounds the server-wide worker pool to n concurrent
@@ -246,10 +228,10 @@ func (s *Server) HandleConn(conn io.ReadWriter) error {
 			}
 		})
 	}
-	cc.reply = func(rep *inferReply) error {
+	cc.reply = func(rep inferReply) error {
 		writeMu.Lock()
 		start := time.Now()
-		err := writeInferReply(w, rep)
+		err := writeInferReply(w, &rep)
 		if err == nil {
 			err = w.Flush()
 		}
@@ -361,125 +343,30 @@ readLoop:
 	return firstErr
 }
 
-// runJob executes one dispatched inference on a worker, recording the
-// pool queue wait (decode completion to worker pickup), occupancy, and
-// the compute span, and stamping the reply's QueueNs metadata so the
-// client can tell a saturated pool apart from a degraded link.
-func (s *Server) runJob(jobID int, recv time.Time, infer func() (*inferReply, error)) (*inferReply, error) {
-	start := time.Now()
-	o := s.obsv
-	o.span(TrackServer, SpanQueueWait, jobID, recv, start)
-	if o != nil {
-		o.WorkersBusy.Add(1)
-	}
-	rep, err := infer()
-	end := time.Now()
-	if o != nil {
-		o.WorkersBusy.Add(-1)
-	}
-	if err != nil {
-		return nil, err
-	}
-	rep.QueueNs = start.Sub(recv).Nanoseconds()
-	o.span(TrackServer, SpanCloudCompute, jobID, start, end)
-	return rep, nil
-}
-
-// boundaryOf validates a request's cut and boundary tensor against the
-// model and returns the node the tensor is the activation of.
-func (s *Server) boundaryOf(req *inferRequest) (int, error) {
-	cut := int(req.Cut)
-	if cut < 0 || cut >= len(s.units) {
-		return 0, fmt.Errorf("runtime: cut %d out of range [0,%d)", cut, len(s.units))
-	}
-	boundary := s.units[cut].Exit
-	wantShape := s.model.Graph().Node(boundary).OutShape
-	if !req.Tensor.Shape.Equal(wantShape) {
-		return 0, fmt.Errorf("runtime: boundary tensor %v, cut %d wants %v",
-			req.Tensor.Shape, cut, wantShape)
-	}
-	return boundary, nil
-}
-
-// infer resumes the model from the request's cut and returns the
-// predicted class. It and inferBatch run the same engine kernels (a
-// solo job is batch size 1 of them); the solo entry point stays because
-// a group of one through inferBatch pays for that function's four
-// per-group slices — about +15 % allocations per job on an unbatched
-// server.
-func (s *Server) infer(req *inferRequest) (*inferReply, error) {
-	boundary, err := s.boundaryOf(req)
-	if err != nil {
-		return nil, err
-	}
-	return s.resume(req.JobID, map[int]*tensor.Tensor{boundary: req.Tensor}, s.suffix[req.Cut])
-}
-
-// resume executes the suffix from the wire tensors seeded in acts and
-// classifies the sink. Concurrent workers and connections share the
-// model: its arena is thread-safe, and Execute's liveness tracking is
-// per call. The wire tensors are caller-owned buffers the arena never
-// recycles; the sink survives because it has no consumers.
-func (s *Server) resume(jobID uint32, acts map[int]*tensor.Tensor, suffix []int) (*inferReply, error) {
-	start := time.Now()
-	if err := s.model.Execute(acts, nil, suffix); err != nil {
-		return nil, err
-	}
-	return &inferReply{
-		JobID:   jobID,
-		Class:   int32(engine.Argmax(acts[s.model.Graph().Sink()])),
-		CloudNs: time.Since(start).Nanoseconds(),
-	}, nil
-}
-
-// inferBatch packs the group's valid boundary tensors and resumes the
-// model once at batch size len(valid). Replies carry the per-image
-// argmax; outputs are bit-identical to running each job solo (an
-// image's accumulation order in the engine does not depend on the batch
-// size). Members that fail validation come back in invalid, each with
-// its own error, so the caller can fail exactly the owning connections;
-// a non-nil execErr means the shared suffix pass itself failed and no
-// replies exist.
-func (s *Server) inferBatch(jobs []pendingJob, start time.Time) (valid []pendingJob, invalid []invalidJob, reps []*inferReply, execErr error) {
-	valid = make([]pendingJob, 0, len(jobs))
-	var boundary int // one per group: members share the cut
-	for _, pj := range jobs {
-		b, err := s.boundaryOf(pj.req)
-		if err != nil {
-			invalid = append(invalid, invalidJob{pj: pj, err: fmt.Errorf("job %d: %w", pj.req.JobID, err)})
-			continue
+// check validates a job's boundary against the model before anything
+// runs from it — a line frame's cut and tensor, a set frame's nodes and
+// tensors: each tensor must have the shape of the activation it claims
+// to be.
+func (s *Server) check(pj pendingJob) error {
+	g := s.model.Graph()
+	if req := pj.req; req != nil {
+		cut := int(req.Cut)
+		if cut < 0 || cut >= len(s.units) {
+			return fmt.Errorf("runtime: cut %d out of range [0,%d)", cut, len(s.units))
 		}
-		boundary = b
-		valid = append(valid, pj)
+		if want := g.Node(s.units[cut].Exit).OutShape; !req.Tensor.Shape.Equal(want) {
+			return fmt.Errorf("runtime: boundary tensor %v, cut %d wants %v", req.Tensor.Shape, cut, want)
+		}
+		return nil
 	}
-	if len(valid) == 0 {
-		return nil, invalid, nil, nil
-	}
-	cut := int(valid[0].req.Cut)
-	n := len(valid)
-	tensors := make([]*tensor.Tensor, n)
-	for i, pj := range valid {
-		tensors[i] = pj.req.Tensor
-	}
-	packed, err := engine.PackBatch(tensors)
-	if err != nil {
-		return valid, invalid, nil, err
-	}
-	computeStart := time.Now()
-	acts := map[int]*tensor.Tensor{boundary: packed}
-	if err := s.model.ExecuteBatch(acts, n, nil, s.suffix[cut]); err != nil {
-		return valid, invalid, nil, err
-	}
-	classes := engine.ArgmaxBatch(acts[s.model.Graph().Sink()], n)
-	cloudNs := time.Since(computeStart).Nanoseconds()
-	reps = make([]*inferReply, n)
-	for i, pj := range valid {
-		reps[i] = &inferReply{
-			JobID:   pj.req.JobID,
-			Class:   int32(classes[i]),
-			CloudNs: cloudNs,
-			QueueNs: start.Sub(pj.recv).Nanoseconds(),
+	for i, node := range pj.set.Nodes {
+		id := int(node)
+		if id < 0 || id >= g.Len() {
+			return fmt.Errorf("runtime: boundary node %d out of range", id)
+		}
+		if want := g.Node(id).OutShape; !pj.set.Tensors[i].Shape.Equal(want) {
+			return fmt.Errorf("runtime: boundary %d tensor %v, want %v", id, pj.set.Tensors[i].Shape, want)
 		}
 	}
-	return valid, invalid, reps, nil
+	return nil
 }

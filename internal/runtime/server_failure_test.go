@@ -15,6 +15,7 @@ import (
 // in ReadByte and an idle client — all requests sent, waiting on
 // replies — never observed the failure and hung forever.
 func TestHandleConnClosesOnWorkerFailure(t *testing.T) {
+	goroutinesSettle(t)
 	m := testModel(t)
 	srv := NewServer(m)
 	t.Cleanup(srv.Close)
@@ -90,6 +91,7 @@ func (l *flakyListener) Addr() net.Addr { return &net.TCPAddr{} }
 // still serve the connections that follow, and return only on a
 // permanent error such as net.ErrClosed.
 func TestServeRetriesTemporaryAcceptErrors(t *testing.T) {
+	goroutinesSettle(t)
 	m := testModel(t)
 	srv := NewServer(m)
 	t.Cleanup(srv.Close)
@@ -125,6 +127,7 @@ func (l *brokenListener) Close() error              { return nil }
 func (l *brokenListener) Addr() net.Addr            { return &net.TCPAddr{} }
 
 func TestServeReturnsPermanentAcceptError(t *testing.T) {
+	goroutinesSettle(t)
 	m := testModel(t)
 	srv := NewServer(m)
 	t.Cleanup(srv.Close)

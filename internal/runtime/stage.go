@@ -1,0 +1,80 @@
+package runtime
+
+import (
+	"dnnjps/internal/engine"
+	"dnnjps/internal/profile"
+	"dnnjps/internal/tensor"
+)
+
+// A job is three contiguous pieces of one layer sequence — the prefix
+// on the device, the cut tensor on the link, the suffix on the cloud
+// (§3.1) — and on a chain every device gets a contiguous span of it.
+// lineProgram is that sequence as every stage holds it, and runSpan the
+// one way any of them runs its piece.
+
+// lineProgram is the model with its line view held once. LineView
+// chunks the graph's topological order at the articulation nodes, so
+// the units' node lists laid end to end are that order: nodes is it,
+// and off[k] counts the nodes before unit k (off[len(units)] is all of
+// them). Units (a, b] are nodes[off[a+1]:off[b+1]] — a slice of the one
+// list, not a copy per cut.
+type lineProgram struct {
+	model *engine.Model
+	units []profile.Unit
+	nodes []int
+	off   []int
+}
+
+func newLineProgram(m *engine.Model) lineProgram {
+	g := m.Graph()
+	lp := lineProgram{model: m, units: profile.LineView(g), nodes: g.Topo()}
+	lp.off = make([]int, len(lp.units)+1)
+	for k, u := range lp.units {
+		lp.off[k+1] = lp.off[k] + len(u.Nodes)
+	}
+	return lp
+}
+
+// runSpan is the one stage executor: the device's prefix, a middle
+// stage's segment, the cloud's suffix and a local fallback are all this
+// call. It seeds seed — a packed batch of n, which at n = 1 is the plain
+// tensor (engine.PackBatch) — as the activation at unit from's exit,
+// runs units (from, to] and returns the activation at unit to's exit.
+// from = -1 enters at the source, with seed as the model input.
+//
+// Concurrent callers share the model: its arena is thread-safe and the
+// engine tracks liveness per call. seed stays the caller's, the arena
+// never recycles it; the exit activation survives the call because its
+// consumers, if it has any, are outside the span.
+func (lp *lineProgram) runSpan(from, to, n int, seed *tensor.Tensor) (*tensor.Tensor, error) {
+	acts := map[int]*tensor.Tensor{}
+	input := seed
+	if from >= 0 {
+		acts[lp.units[from].Exit], input = seed, nil
+	}
+	if err := lp.model.ExecuteBatch(acts, n, input, lp.nodes[lp.off[from+1]:lp.off[to+1]]); err != nil {
+		return nil, err
+	}
+	return acts[lp.units[to].Exit], nil
+}
+
+// runSide is runSpan for a cut-node set, and this package's only other
+// call into the engine. It runs one side of the cut in topological
+// order: with an input the mobile side — the set's ancestor closure,
+// entered at the source — and without one everything else, entered at
+// the boundary tensors the caller seeded in acts. It returns the mobile
+// side and the list it ran; what the side leaves for whoever comes next
+// (its boundary activations, or the sink's) stays in acts.
+//
+// It cannot share runSpan: a side is not a run of consecutive units, so
+// the line program has no slice for it, and it is entered or left
+// through several tensors at once, never batched.
+func (lp *lineProgram) runSide(acts map[int]*tensor.Tensor, input *tensor.Tensor, cutNodes []int) (mobile map[int]bool, side []int, err error) {
+	mobile = lp.model.Graph().Ancestors(cutNodes...)
+	for _, id := range lp.nodes {
+		if mobile[id] == (input != nil) {
+			side = append(side, id)
+		}
+	}
+	return mobile, side, lp.model.Execute(acts, input, side)
+}

@@ -1,0 +1,98 @@
+package runtime
+
+import (
+	goruntime "runtime"
+	"runtime/debug"
+	"testing"
+	"time"
+
+	"dnnjps/internal/netsim"
+	"dnnjps/internal/tensor"
+)
+
+// TestStageAllocsPerJob holds the one stage task to what the forks it
+// replaced cost in allocations per job, both ends of a loopback TCP
+// connection counted: a line job on its own, end to end; a member of a
+// coalesced group of 32; and a job a middle stage forwards, fed as a
+// boundary tensor so that no device prefix hides the two servers. A job
+// on its own is a group of one of the coalesced path; the separate entry
+// point it used to have was kept for its allocation count, so that
+// count is now a ceiling. Each ceiling is the reading of the last tree
+// that had the forks (23.00–23.03, 11.01–11.09 and 31.00–31.04 over
+// five runs) rounded up to the next quarter; this tree reads 20.0, 9.9
+// and 31.0. MemStats deltas with the collector held off, as in the
+// engine's steady-state tests.
+func TestStageAllocsPerJob(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are nondeterministic under -race (sync.Pool randomly drops Puts)")
+	}
+	m := testModel(t)
+	const (
+		jobs    = 256
+		group   = 32
+		headCut = 6 // after gap: the suffix is the dense head
+		handoff = 3
+	)
+	client := func(srv *Server) *Client {
+		conn := benchDialServer(t, srv)
+		t.Cleanup(func() { conn.Close() })
+		return NewClient(conn, m, netsim.WiFi, 1e-6)
+	}
+	in := input(1)
+	oneByOne := func(cl *Client, cut int) func() {
+		return func() {
+			for i := 0; i < jobs; i++ {
+				if _, err := cl.RunJob(i, cut, in); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	boundaries, early := make([]*tensor.Tensor, jobs), make([]*tensor.Tensor, jobs)
+	for i := range boundaries {
+		boundaries[i], _ = boundaryAt(t, m, headCut, i)
+		early[i], _ = boundaryAt(t, m, handoff-2, i)
+	}
+	batched := client(NewServer(m).WithWorkers(2).WithBatching(time.Minute, group))
+	middle, err := NewServer(m).WithWorkers(2).WithNextHop(startTerminal(t, m), handoff)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forwarder := client(middle)
+	for _, c := range []struct {
+		name    string
+		ceiling float64
+		run     func()
+	}{
+		{"line", 23.25, oneByOne(client(NewServer(m).WithWorkers(2)), 2)},
+		{"group-member", 11.25, func() {
+			for i := 0; i < jobs; i += group {
+				if _, err := batched.RunBoundaryJobs(headCut, boundaries[i:i+group]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}},
+		// No device prefix here: what it costs would hide the two servers.
+		{"forwarded", 31.25, func() {
+			for i := range early {
+				if _, err := forwarder.RunBoundaryJobs(handoff-2, early[i:i+1]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			c.run() // warm the arena, the pools and the connections
+			var before, after goruntime.MemStats
+			goruntime.ReadMemStats(&before)
+			c.run()
+			goruntime.ReadMemStats(&after)
+			got := float64(after.Mallocs-before.Mallocs) / jobs
+			t.Logf("%.2f allocations per job", got)
+			if got > c.ceiling {
+				t.Errorf("%.2f allocations per job, want <= %.2f", got, c.ceiling)
+			}
+		})
+	}
+}

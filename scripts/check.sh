@@ -135,6 +135,22 @@ SMOKE_MODEL=resnet18
 SMOKE_LOG="$(mktemp)"
 SMOKE_BIN="$(mktemp)"
 SMOKE_PID=""
+# serving_addr LOG WHO polls a jpsserve log for its "serving MODEL on
+# ADDR" line for 20 s and prints ADDR; if it never shows, it dumps the
+# log and fails (set -e ends the script on the failed assignment).
+serving_addr() {
+    for _ in $(seq 1 100); do
+        addr="$(awk '/^serving .* on /{print $NF}' "$1")"
+        if [ -n "$addr" ]; then
+            echo "$addr"
+            return 0
+        fi
+        sleep 0.2
+    done
+    echo "$2 never came up:" >&2
+    cat "$1" >&2
+    return 1
+}
 cleanup_smoke() {
     [ -n "$SMOKE_PID" ] && kill "$SMOKE_PID" 2> /dev/null || true
     rm -f "$SMOKE_LOG" "$SMOKE_BIN"
@@ -144,17 +160,7 @@ go build -o "$SMOKE_BIN" ./cmd/jpsserve
 "$SMOKE_BIN" -model "$SMOKE_MODEL" -addr 127.0.0.1:0 -batch-window 2ms \
     -tenants gold:2,bronze:1 -shed-watermark 64 > "$SMOKE_LOG" 2>&1 &
 SMOKE_PID=$!
-ADDR=""
-for _ in $(seq 1 100); do
-    ADDR="$(awk '/^serving .* on /{print $NF}' "$SMOKE_LOG")"
-    [ -n "$ADDR" ] && break
-    sleep 0.2
-done
-if [ -z "$ADDR" ]; then
-    echo "e2e smoke: server never came up:" >&2
-    cat "$SMOKE_LOG" >&2
-    exit 1
-fi
+ADDR="$(serving_addr "$SMOKE_LOG" "e2e smoke: server")"
 go run scripts/e2e_client.go -addr "$ADDR" -model "$SMOKE_MODEL" -clients 4 -jobs 4
 # Algorithm 3 plans through Client.RunGeneralPlan, batch window, tenants
 # and shed watermark on; every class checked against a local forward.
@@ -196,31 +202,11 @@ cleanup_chain() {
 trap cleanup_chain EXIT
 "$SMOKE_BIN" -model "$SMOKE_MODEL" -addr 127.0.0.1:0 > "$TERM_LOG" 2>&1 &
 TERM_PID=$!
-TERM_ADDR=""
-for _ in $(seq 1 100); do
-    TERM_ADDR="$(awk '/^serving .* on /{print $NF}' "$TERM_LOG")"
-    [ -n "$TERM_ADDR" ] && break
-    sleep 0.2
-done
-if [ -z "$TERM_ADDR" ]; then
-    echo "chain smoke: terminal stage never came up:" >&2
-    cat "$TERM_LOG" >&2
-    exit 1
-fi
+TERM_ADDR="$(serving_addr "$TERM_LOG" "chain smoke: terminal stage")"
 "$SMOKE_BIN" -model "$SMOKE_MODEL" -addr 127.0.0.1:0 -metrics-addr 127.0.0.1:0 \
     -next-hop "$TERM_ADDR" -next-cut 3 > "$FWD_LOG" 2>&1 &
 FWD_PID=$!
-FWD_ADDR=""
-for _ in $(seq 1 100); do
-    FWD_ADDR="$(awk '/^serving .* on /{print $NF}' "$FWD_LOG")"
-    [ -n "$FWD_ADDR" ] && break
-    sleep 0.2
-done
-if [ -z "$FWD_ADDR" ]; then
-    echo "chain smoke: forwarding stage never came up:" >&2
-    cat "$FWD_LOG" >&2
-    exit 1
-fi
+FWD_ADDR="$(serving_addr "$FWD_LOG" "chain smoke: forwarding stage")"
 go run scripts/e2e_client.go -addr "$FWD_ADDR" -model "$SMOKE_MODEL" -clients 2 -jobs 16 -cut 0
 go run scripts/e2e_client.go -addr "$FWD_ADDR" -model "$SMOKE_MODEL" -clients 1 -jobs 2 -cut 3
 go run scripts/e2e_client.go -addr "$FWD_ADDR" -model "$SMOKE_MODEL" -clients 1 -jobs 4 -general
