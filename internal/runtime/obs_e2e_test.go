@@ -180,8 +180,10 @@ func TestObsMetricsAndExports(t *testing.T) {
 	}
 	units := profile.LineView(m.Graph())
 	reqBytes := int64(RequestWireBytes(m.Graph().Node(units[cut].Exit).OutShape))
+	// The busy gauge brackets the whole task, so it drops after the last
+	// reply's accounting.
 	waitSettled(t, func() bool {
-		return o.ServerJobs.Value() == n && o.BytesUp.Value() == n*reqBytes
+		return o.ServerJobs.Value() == n && o.BytesUp.Value() == n*reqBytes && o.WorkersBusy.Value() == 0
 	})
 
 	if got := o.JobsCompleted.Value(); got != n {
