@@ -300,9 +300,10 @@ func run(env experiments.Env, id, model, traceOut, traceJSON, adaptTrace string)
 		return []*report.Table{experiments.ChainDepthTable(rows), experiments.ChainGapTable(gaps)}, nil
 	case "batch":
 		// Live execution of the server-side coalescer: a cloud-only
-		// plan floods the server at each job count, once with batching
-		// off (window 0, the batch-1 baseline) and once at the flag's
-		// window. Real engine compute in real time, not part of -all.
+		// plan floods the server at each job count, once with no window
+		// (the default server, which groups a dense tail at pickup) and
+		// once at the flag's window. Real engine compute in real time,
+		// not part of -all.
 		counts := []int{8, 32, 128}
 		if nExplicit {
 			counts = []int{env.NJobs}
@@ -316,7 +317,7 @@ func run(env experiments.Env, id, model, traceOut, traceJSON, adaptTrace string)
 	case "fleet":
 		// Fleet-scale serving: N concurrent clients on independent TCP
 		// connections against one shared server, sweeping the client
-		// count with the cross-connection coalescer off and on, plus an
+		// count on the default server and under the window coalescer, plus an
 		// overload row with admission control armed. Real engine
 		// compute in real time, not part of -all.
 		counts := []int{1, 4, 8, 16, 32}

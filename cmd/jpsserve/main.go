@@ -7,11 +7,16 @@
 //
 //	jpsserve -model mobilenetv2 -addr :7443 -seed 42
 //
-// With -batch-window the server coalesces same-shape requests that
-// arrive within the window into one batched forward (see DESIGN.md
-// "Cross-job batching"); -downlink-mbps paces the server's replies at
-// a modeled downlink bandwidth, for end-to-end runs over symmetric
-// low-band channels:
+// By default the server batches without making any job wait: a request
+// runs its convolutional layers on its own, and the fully connected
+// tail of every request already waiting when a worker falls free runs
+// as one pass, so the queue streams those weights once (float32 models
+// with a dense head; see DESIGN.md "Cross-job batching"). With
+// -batch-window the server instead holds same-shape requests for up to
+// the window and coalesces them into one batched forward of the whole
+// suffix; -downlink-mbps paces the server's replies at a modeled
+// downlink bandwidth, for end-to-end runs over symmetric low-band
+// channels:
 //
 //	jpsserve -model mobilenetv2 -batch-window 2ms -batch-max 16 -downlink-mbps 8
 //
@@ -86,7 +91,7 @@ func main() {
 		kernel  = flag.String("kernel", "auto", "engine kernel path: "+engine.KernelPaths)
 		conc    = flag.Int("conc", 0, "concurrent inferences server-wide (the one worker pool every connection shares); 0 = GOMAXPROCS. Multiplies with -workers, so size the product to the core count")
 
-		batchWindow = flag.Duration("batch-window", 0, "coalesce same-shape requests arriving within this window into one batched forward (0 = disabled)")
+		batchWindow = flag.Duration("batch-window", 0, "hold same-shape requests up to this long and coalesce them into one batched forward (0 = no waiting: requests already queued still share their fully connected tail)")
 		batchMax    = flag.Int("batch-max", 16, "maximum jobs per coalesced group (with -batch-window)")
 		downMbps    = flag.Float64("downlink-mbps", 0, "pace replies at this modeled downlink bandwidth (0 = unshaped)")
 

@@ -175,6 +175,70 @@ func TestBatchForwardParityMobileNetV2(t *testing.T) {
 	runBatchParity(t, models.MustBuild("mobilenetv2"), 3, 2)
 }
 
+// The dense tail a default server runs as one pass for the jobs parked
+// at AlexNet's conv5/pool, at its real sizes — [256x6x6] flattened to
+// 9216, then 4096, 4096, 1000 — and at the group sizes a tile's worth
+// of companions allows. The small dense rows above never leave one K
+// panel; this one's first layer reduces over 9216 and its packed
+// flatten is a real transpose. An image's output must not depend on the
+// size of its group (bitwise, n >= 2: one driver handles them all), and
+// equals its solo pass bitwise without the asm path, within the FMA
+// envelope with it (n = 1 is the matrix-vector product, not the tile).
+func TestBatchDenseTailParityAlexNet(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("234 MB of fully connected weights")
+	}
+	g := dag.New("alextail")
+	prev := g.Add(&nn.Input{LayerName: "conv5/pool", Shape: tensor.NewCHW(256, 6, 6)})
+	prev = g.Add(&nn.Flatten{LayerName: "fc6/flatten"}, prev)
+	for _, l := range []struct {
+		name string
+		out  int
+	}{{"fc6", 4096}, {"fc7", 4096}} {
+		prev = g.Add(nn.NewDropout(l.name+"/dropout", 0.5), prev)
+		prev = g.Add(&nn.Dense{LayerName: l.name + "/fc", Out: l.out, Bias: true}, prev)
+		prev = g.Add(nn.NewActivation(l.name+"/relu", nn.ReLU), prev)
+	}
+	prev = g.Add(&nn.Dense{LayerName: "fc8/fc", Out: 1000, Bias: true}, prev)
+	g.Add(nn.NewSoftmax("fc8/softmax"), prev)
+	if err := g.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	m := Load(g, 91)
+	const most, alone = 16, 2 // solo passes stream the weights once each: two are enough
+	inputs, solo := make([]*tensor.Tensor, most), make([]*tensor.Tensor, alone)
+	for b := range inputs {
+		inputs[b] = randInput(tensor.NewCHW(256, 6, 6), 300+int64(b))
+	}
+	for b := range solo {
+		out, err := m.Forward(inputs[b])
+		if err != nil {
+			t.Fatal(err)
+		}
+		solo[b] = out.Clone()
+	}
+	var widest []*tensor.Tensor
+	for _, workers := range []int{1, 3} {
+		m.Parallel(workers)
+		for _, n := range []int{most, 8, 2} {
+			got, err := m.ForwardBatch(inputs[:n])
+			if err != nil {
+				t.Fatalf("n=%d workers=%d: %v", n, workers, err)
+			}
+			if widest == nil {
+				widest = got
+			}
+			for b := range got {
+				ctx := fmt.Sprintf("n=%d workers=%d image %d", n, workers, b)
+				if b < alone {
+					assertSliceParity(t, ctx+" vs solo", got[b].Data, solo[b].Data, !asmEnabled())
+				}
+				assertSliceParity(t, ctx+" vs its group of 16", got[b].Data, widest[b].Data, true)
+			}
+		}
+	}
+}
+
 // Partitioned batched execution — the server path: boundary tensors
 // from n jobs are packed per boundary node and the suffix executes once
 // at batch n. Ragged groups (batch sizes that aren't a divisor of the

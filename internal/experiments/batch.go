@@ -31,11 +31,11 @@ type RuntimeBatchResult struct {
 	// identical intervals are counted once: this is the wall time the
 	// suffix stage actually occupied, the quantity batching shrinks.
 	ServerBusyMs float64
-	// MeanBatch is the average executed group size (1 when the
-	// coalescer is disarmed: window 0 is the batch-1 baseline).
+	// MeanBatch is the average executed group size (1 when no group
+	// was recorded: window 0 on a model without a dense head).
 	MeanBatch float64
 	// BatchedJobs / SoloJobs split the jobs by whether they shared a
-	// group (solo = flushed alone despite batching being armed).
+	// group (solo = picked up or flushed as a group of one).
 	BatchedJobs int64
 	SoloJobs    int64
 	// FormulaMs is Prop. 4.1's two-stage closed form for this run:
@@ -47,8 +47,11 @@ type RuntimeBatchResult struct {
 
 // RuntimeBatch executes the concurrent-job probe for each job count at
 // each coalescing window over loopback TCP and reports makespan,
-// server busy time and achieved batch sizes. A window of 0 disables
-// the coalescer and serves as the batch-1 baseline; nonzero windows
+// server busy time and achieved batch sizes. A window of 0 is the
+// default server: no coalescer and no wait, but on a model with a dense
+// head the jobs already waiting when a worker falls free share one pass
+// through it (no longer a batch-1 baseline; a model whose classifier is
+// a convolution still is one). Nonzero windows
 // trade up to that much queueing delay per job for grouped suffix
 // executions (one batched forward per group — Theorem 5.3 guarantees a
 // JPS plan feeds the server at most two boundary shapes, so grouping
@@ -128,7 +131,7 @@ func RuntimeBatch(env Env, model string, ch netsim.Channel, jobCounts []int, win
 }
 
 // RuntimeBatchTable renders coalescer runs; rows with window 0 are the
-// batch-1 baselines the other windows are read against.
+// default server the windows are read against.
 func RuntimeBatchTable(results []*RuntimeBatchResult) *report.Table {
 	t := report.NewTable(
 		"Cross-job batching — makespan and server CPU vs coalescing window",

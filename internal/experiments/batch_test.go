@@ -9,8 +9,12 @@ import (
 
 // A live coalescer run on a small model: the windowed row must record
 // batched executions (arrivals are upload-paced on a cloud-only plan,
-// so a 25ms window groups them), the baseline row must stay batch-1,
-// and server busy time must not grow when groups form.
+// so a 25ms window groups them), and server busy time must not grow
+// when groups form. The window-0 row is the default server, which
+// groups a model's fully connected tail when a worker picks it up:
+// SqueezeNet's classifier is a convolution, so its row stays batch-1
+// with no group recorded, while MobileNet-v2's jobs — cut at head/gap,
+// the tail unit — each go through exactly one tail group.
 func TestRuntimeBatchLive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live runtime test")
@@ -28,8 +32,8 @@ func TestRuntimeBatchLive(t *testing.T) {
 	if base.WindowMs != 0 || batched.WindowMs <= 0 {
 		t.Fatalf("rows out of order: %+v", res)
 	}
-	if base.MeanBatch != 1 || base.BatchedJobs != 0 {
-		t.Errorf("baseline must be batch-1: %+v", base)
+	if base.MeanBatch != 1 || base.BatchedJobs+base.SoloJobs != 0 {
+		t.Errorf("no dense head, no window: nothing may group: %+v", base)
 	}
 	if base.MakespanMs <= 0 || base.ServerBusyMs <= 0 || base.FormulaMs <= 0 {
 		t.Errorf("baseline has non-positive measurements: %+v", base)
@@ -46,5 +50,13 @@ func TestRuntimeBatchLive(t *testing.T) {
 	tbl := RuntimeBatchTable(res)
 	if tbl == nil || len(tbl.Rows) != 2 {
 		t.Fatal("table must carry both rows")
+	}
+
+	res, err = RuntimeBatch(env, "mobilenetv2", netsim.WiFi, []int{6}, []time.Duration{0}, 8, 1e-3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dense := res[0]; dense.BatchedJobs+dense.SoloJobs != int64(dense.Jobs) || dense.MeanBatch < 1 {
+		t.Errorf("dense head, no window: every job goes through one tail group: %+v", dense)
 	}
 }

@@ -66,8 +66,8 @@ func deepParamCut(g *dag.Graph, units []profile.Unit) int {
 }
 
 // RuntimeFleet runs the fleet probe at each client count, once with
-// the coalescer off (window 0, the per-job baseline) and once at the
-// given window; if shedWatermark > 0 a final overload row repeats the
+// no window (the default server: a dense tail's jobs group when a
+// worker picks them up) and once at the given window; if shedWatermark > 0 a final overload row repeats the
 // largest count with admission control armed, showing shedding bound
 // p99 instead of letting the queue collapse it. Every client runs over
 // its own loopback TCP connection with its own tenant ID, so the rows

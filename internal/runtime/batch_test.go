@@ -137,51 +137,82 @@ func TestBatchWindowFlushesPartialGroup(t *testing.T) {
 
 // One invalid member must not poison its group: the valid jobs' replies
 // demux to the right callers with the right classes, and only then does
-// the connection fail with the invalid job's error.
+// the connection fail with the invalid job's error. Whichever way the
+// group formed: under the window, or parked at the tail unit of the
+// default server, where the bad member arrives cut at the tail itself.
 func TestBatchPartialFailureDemux(t *testing.T) {
-	goroutinesSettle(t)
-	m := testModel(t)
-	cl, _ := batchPair(t, m, 50*time.Millisecond, 3)
+	for _, c := range []struct {
+		name string
+		cut  int
+		// pair returns the client and what lets the group go once all
+		// three jobs are in.
+		pair func(t *testing.T, m *engine.Model) (*Client, func())
+	}{
+		{"window", 1, func(t *testing.T, m *engine.Model) (*Client, func()) {
+			cl, _ := batchPair(t, m, 50*time.Millisecond, 3)
+			return cl, func() {}
+		}},
+		// The one worker is held in a reply write until the three are
+		// queued; it then parks all of them before it picks the group.
+		{"parked at the tail", 6, func(t *testing.T, m *engine.Model) (*Client, func()) {
+			o := NewObs(nil, obs.NewMetrics())
+			srv := NewServer(m).WithWorkers(1).WithObs(o)
+			t.Cleanup(srv.Close)
+			release := wedgeWorker(t, srv, m, input(0))
+			eventually(t, "the wedge job's tail pass", func() bool { return o.SoloJobs.Value() == 1 })
+			return NewClient(dialFleet(t, srv), m, netsim.WiFi, 1e-6), func() {
+				eventually(t, "all three admitted", func() bool { return o.QueueDepth.Value() == 3 })
+				release()
+			}
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			goroutinesSettle(t)
+			m := testModel(t)
+			cl, letGo := c.pair(t, m)
 
-	const cut = 1
-	b0, want0 := boundaryAt(t, m, cut, 2)
-	b1, want1 := boundaryAt(t, m, cut, 9)
+			b0, want0 := boundaryAt(t, m, c.cut, 2)
+			b1, want1 := boundaryAt(t, m, c.cut, 9)
 
-	res0 := &JobResult{JobID: 0}
-	c0, err := cl.enqueueInfer(res0, cut, b0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res1 := &JobResult{JobID: 1}
-	c1, err := cl.enqueueInfer(res1, cut, b1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Wrong boundary shape for every cut of this model: the server
-	// detects it during batch assembly, not at decode time, so it joins
-	// the same group as the two valid jobs and the group still flushes
-	// on max size.
-	resBad := &JobResult{JobID: 2}
-	cBad, err := cl.enqueueInfer(resBad, cut, tensor.New(tensor.NewCHW(1, 2, 2)))
-	if err != nil {
-		t.Fatal(err)
-	}
+			res0 := &JobResult{JobID: 0}
+			c0, err := cl.enqueueInfer(res0, c.cut, b0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res1 := &JobResult{JobID: 1}
+			c1, err := cl.enqueueInfer(res1, c.cut, b1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Wrong boundary shape for every cut of this model: the server
+			// detects it when the group is picked up, not at decode time, so
+			// under the window it joins the same group as the two valid
+			// jobs, which still flushes on max size; at the tail it parks
+			// with whichever of them have not run yet.
+			resBad := &JobResult{JobID: 2}
+			cBad, err := cl.enqueueInfer(resBad, c.cut, tensor.New(tensor.NewCHW(1, 2, 2)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			letGo()
 
-	if err := cl.await(c0); err != nil {
-		t.Fatalf("valid job 0 must survive its group-mate's failure: %v", err)
-	}
-	if err := cl.await(c1); err != nil {
-		t.Fatalf("valid job 1 must survive its group-mate's failure: %v", err)
-	}
-	if res0.Class != want0 || res1.Class != want1 {
-		t.Errorf("classes %d/%d, want %d/%d: batch demux crossed replies",
-			res0.Class, res1.Class, want0, want1)
-	}
-	if err := cl.await(cBad); err == nil {
-		t.Fatal("invalid job must fail")
-	}
-	if cl.Err() == nil {
-		t.Fatal("connection must record the invalid job's error")
+			if err := cl.await(c0); err != nil {
+				t.Fatalf("valid job 0 must survive its group-mate's failure: %v", err)
+			}
+			if err := cl.await(c1); err != nil {
+				t.Fatalf("valid job 1 must survive its group-mate's failure: %v", err)
+			}
+			if res0.Class != want0 || res1.Class != want1 {
+				t.Errorf("classes %d/%d, want %d/%d: batch demux crossed replies",
+					res0.Class, res1.Class, want0, want1)
+			}
+			if err := cl.await(cBad); err == nil {
+				t.Fatal("invalid job must fail")
+			}
+			if cl.Err() == nil {
+				t.Fatal("connection must record the invalid job's error")
+			}
+		})
 	}
 }
 
@@ -208,8 +239,10 @@ func TestBatchAllInvalidFails(t *testing.T) {
 	}
 }
 
-// WithBatching(0, …) and WithBatching(…, 1) must leave the original
-// solo dispatch in place — no coalescer goroutine, no added latency.
+// WithBatching(0, …) and WithBatching(…, 1) start no coalescer: the
+// server is the default one, whose groups form when a worker picks them
+// up. One job on an idle server is then a group of one that nothing
+// held back: its conv span, one scheduling hop, its tail.
 func TestBatchingDisabledConfigs(t *testing.T) {
 	goroutinesSettle(t)
 	m := testModel(t)
@@ -227,8 +260,32 @@ func TestBatchingDisabledConfigs(t *testing.T) {
 		if res.Class != engine.Argmax(want) {
 			t.Errorf("window=%v max=%d: class %d, want %d", cfg.window, cfg.max, res.Class, engine.Argmax(want))
 		}
-		if o.BatchSize.Count() != 0 {
-			t.Errorf("window=%v max=%d: coalescer ran despite disabled config", cfg.window, cfg.max)
+		if o.BatchSize.Count() != 1 || o.SoloJobs.Value() != 1 || o.BatchedJobs.Value() != 0 {
+			t.Errorf("window=%v max=%d: %d groups, %d jobs alone, %d in company; want one group of one",
+				cfg.window, cfg.max, o.BatchSize.Count(), o.SoloJobs.Value(), o.BatchedJobs.Value())
+		}
+		// Nothing held the job back: it was parked inside its own stage
+		// time — after the pickup that ended its queue wait, before its
+		// answer was ready — and the stamps still bracket the whole.
+		spans := map[string]obs.Span{}
+		for _, sp := range o.Tracer.Spans() {
+			if sp.Track == TrackServer {
+				if _, dup := spans[sp.Name]; dup {
+					t.Errorf("window=%v max=%d: two %s spans for one job", cfg.window, cfg.max, sp.Name)
+				}
+				spans[sp.Name] = sp
+			}
+		}
+		queue, park, stage := spans[SpanQueueWait], spans[SpanCoalesceWait], spans[SpanCloudCompute]
+		if queue.EndNs() != stage.StartNs {
+			t.Errorf("window=%v max=%d: queue wait ends at %d, stage time starts at %d", cfg.window, cfg.max, queue.EndNs(), stage.StartNs)
+		}
+		if park.StartNs < stage.StartNs || park.EndNs() > stage.EndNs() {
+			t.Errorf("window=%v max=%d: parked %d..%d outside the job's stage time %d..%d",
+				cfg.window, cfg.max, park.StartNs, park.EndNs(), stage.StartNs, stage.EndNs())
+		}
+		if got, want := res.QueueMs+res.CloudMs, float64(stage.EndNs()-queue.StartNs)/1e6; got < want-1e-3 || got > want+1e-3 {
+			t.Errorf("window=%v max=%d: QueueMs + CloudMs = %.4f, decode done to answer ready is %.4f", cfg.window, cfg.max, got, want)
 		}
 	}
 }

@@ -210,10 +210,13 @@ func benchHeadCut(b *testing.B) (*engine.Model, int, *tensor.Tensor) {
 // BenchmarkServerCoalescer measures the server stage with and without
 // cross-job batching on its best-case workload: 32 concurrent jobs all
 // cut at mobilenetv2's deepest unit, leaving the weight-streaming-bound
-// dense head as the cloud suffix. "solo" dispatches each job to a pool
-// worker as the seed runtime did; "batched" coalesces the whole wave
-// into one widened GEMM. ns/job is wall time per inference seen by the
-// client — the server-stage throughput number quoted in EXPERIMENTS.md.
+// dense head as the cloud suffix. "solo" is the default server, where
+// such jobs arrive cut at the tail unit and run in the groups that have
+// gathered when a worker falls free (before pickup-time grouping: one
+// pass each, as in the seed runtime); "batched" holds the whole wave in
+// the coalescer for one widened GEMM. ns/job is wall time per inference
+// seen by the client — the server-stage throughput number quoted in
+// EXPERIMENTS.md.
 func BenchmarkServerCoalescer(b *testing.B) {
 	m, cut, boundary := benchHeadCut(b)
 	const jobs = 32
@@ -250,10 +253,14 @@ func BenchmarkServerCoalescer(b *testing.B) {
 // BenchmarkFleetServer measures the serving fabric under fleet load: 8
 // clients on independent loopback TCP connections, each with its own
 // tenant ID, concurrently flood the same mobilenetv2 head cut with 8
-// jobs apiece. "solo" is the per-job dispatch baseline; "batched" lets
-// the server-wide coalescer merge jobs across sockets into widened
-// GEMMs — the cross-connection amortization the fleet figure measures.
-// ns/job is wall time per inference seen by the clients.
+// jobs apiece. Both servers merge jobs across sockets into widened
+// GEMMs: "pickup" is the default server, whose jobs arrive cut at the
+// tail unit and run in whatever groups have gathered when a worker
+// falls free; "window" holds them in the coalescer for up to 10 ms or a
+// full group of 64. The same head traffic both ways is what says
+// whether the window still buys anything (cmd/benchgate holds pickup to
+// no worse than window; ROADMAP carries the reading). ns/job is wall
+// time per inference seen by the clients.
 func BenchmarkFleetServer(b *testing.B) {
 	m, cut, boundary := benchHeadCut(b)
 	const clients = 8
@@ -311,8 +318,8 @@ func BenchmarkFleetServer(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*clients*jobsPerClient), "ns/job")
 	}
-	b.Run("solo", func(b *testing.B) { run(b, NewServer(m).WithWorkers(4)) })
-	b.Run("batched", func(b *testing.B) {
+	b.Run("pickup", func(b *testing.B) { run(b, NewServer(m).WithWorkers(4)) })
+	b.Run("window", func(b *testing.B) {
 		run(b, NewServer(m).WithWorkers(4).WithBatching(10*time.Millisecond, clients*jobsPerClient))
 	})
 }

@@ -4,7 +4,13 @@ import (
 	"time"
 )
 
-// Cross-connection micro-batching. The coalescer sits between the
+// Cross-connection micro-batching under a window (WithBatching). The
+// default server needs none of this: it groups the fully connected tail
+// of the jobs already waiting at the moment a worker picks them up
+// (fleetScheduler.takeLocked), with no window to wait out. What the
+// window adds is batching of the whole suffix, convolutions included,
+// and of jobs that are not there yet — at the price of holding every
+// job for it. The coalescer sits between the
 // fleet scheduler's dispatcher and the global worker pool: admitted
 // infer requests from EVERY connection are grouped by cut layer, a
 // group is held open for at most the batching window (or until it

@@ -21,8 +21,8 @@ import (
 // an overloaded server had no lever beyond letting queue times grow.
 // The fleetScheduler lifts all of that to server scope:
 //
-//	read loops --admit--> tenant WFQ --dispatch--> coalescer --> pool
-//	                 \--shed reply               (or on its own) -/
+//	read loops --admit--> tenant WFQ --pickup--> pool <--> tail groups
+//	                 \--shed reply    \--dispatch--> coalescer --> pool
 //
 //   - Admission: every decoded job passes through admit(). Past the
 //     shed watermark, infer jobs are refused with an immediate shed
@@ -31,9 +31,14 @@ import (
 //   - Fairness: admitted jobs queue per tenant and leave in stride-WFQ
 //     order, so one chatty tenant cannot starve the rest; weights come
 //     from Server.WithTenants.
-//   - Batching: the dispatcher feeds infer jobs from ALL connections
-//     into one coalescer (see coalesce.go), so fleet traffic fills
-//     batch groups that per-connection coalescers never could.
+//   - Batching: jobs from ALL connections share groups. By default
+//     they form at pickup: a free worker takes the WFQ head and runs
+//     its conv span alone, parks it at the model's tail unit, and the
+//     fully connected tail of every job parked by then runs as one pass
+//     (pick, takeLocked) — one stream of the tail's weights for the
+//     queue, not one per job. Under WithBatching a dispatcher feeds
+//     one coalescer instead (see coalesce.go), which holds whole
+//     suffixes for a window.
 //   - Backpressure: once depth crosses half the shed watermark, every
 //     reply carries replyFlagBackpressure; the client aggregates the
 //     hints (Client.ServerPressure) and the runner re-plans cuts
@@ -71,8 +76,10 @@ type connCtx struct {
 // at a unit exit) or a set frame (msgInferSet, an Alg. 3 boundary set).
 // Both kinds are shed — the runner finishes either locally. Only line
 // frames are:
-//   - coalesced: a group shares one suffix pass, and two sets' node
-//     lists need not match;
+//   - grouped — parked at the tail unit for the group of their cut, or
+//     coalesced under a batching window: a group shares one pass from
+//     one unit exit, and two sets' node lists need not match (nor does
+//     a set name a unit to park at);
 //   - forwarded: the handoff (-next-cut) is a unit index and a set names
 //     no unit, so a set's whole suffix runs on the stage it reaches;
 //   - quantized on the wire: the client calibrates per unit exit.
@@ -86,6 +93,7 @@ type pendingJob struct {
 	set    *inferSetRequest
 	recv   time.Time // decode completion; queue attribution starts here
 	start  time.Time // first worker pickup: queue time ends, stage time starts; zero until then
+	parked time.Time // joined a tail group (see takeLocked); zero: never parked
 }
 
 // jobID is the client's ID for the job, whichever frame carried it.
@@ -115,11 +123,18 @@ type fleetScheduler struct {
 	tenants map[string]*tenantQueue
 	queued  int
 	closed  bool
+	// parked holds the tail groups that wait for a free worker, oldest
+	// first, and busy counts the workers inside a task — one of them may
+	// yet park its job. Both stay zero on a stage that is fed (work).
+	parked []task
+	busy   int
 
 	// depth mirrors queued for lock-free reads on the reply hot path
 	// (backpressure flag stamping).
 	depth atomic.Int64
 
+	// work carries the dispatcher's and the coalescer's tasks to the
+	// workers of a fed stage; nil where the workers pull.
 	work chan task
 	co   *coalescer
 	wg   sync.WaitGroup
@@ -136,48 +151,44 @@ func newFleetScheduler(s *Server) *fleetScheduler {
 	fs := &fleetScheduler{
 		s:       s,
 		tenants: map[string]*tenantQueue{},
-		work:    make(chan task, s.workers),
 		done:    make(chan struct{}),
 	}
 	fs.cond = sync.NewCond(&fs.mu)
-	// A forwarding stage never coalesces: the handoff is one job's frame,
-	// and no traffic yet batches a middle segment. jpsserve rejects the
-	// flag combination up front; this guard covers direct library users.
-	if s.batchWindow > 0 && s.batchMax > 1 && s.next == nil {
-		fs.co = newCoalescer(s.batchWindow, s.batchMax, func(jobs []pendingJob, flushed time.Time) {
-			if o := s.obsv; o != nil {
-				o.BatchSize.Observe(float64(len(jobs)))
-				if len(jobs) > 1 {
-					o.BatchedJobs.Add(int64(len(jobs)))
-				} else {
-					o.SoloJobs.Inc()
-				}
-			}
-			fs.work <- task{jobs: jobs, flushed: flushed}
-		})
-	}
-	if s.next != nil {
-		s.next.start(fs)
+	loop := fs.pull
+	if s.coalesces() || s.next != nil {
+		// A stage with a window to keep or a hop to wait on is fed: the
+		// dispatcher hands jobs to the coalescer or the pool ahead of the
+		// workers, and a worker also listens for the hop's fallbacks.
+		loop = fs.worker
+		fs.work = make(chan task, s.workers)
+		if s.coalesces() {
+			fs.co = newCoalescer(s.batchWindow, s.batchMax, func(jobs []pendingJob, flushed time.Time) {
+				fs.work <- task{jobs: jobs, flushed: flushed}
+			})
+		} else {
+			s.next.start(fs)
+		}
+		fs.wg.Add(1)
+		go fs.dispatchLoop()
 	}
 	for i := 0; i < s.workers; i++ {
 		fs.wg.Add(1)
-		go fs.worker()
+		go loop()
 	}
-	fs.wg.Add(1)
-	go fs.dispatchLoop()
 	return fs
 }
 
-// worker is one pool goroutine: it runs tasks until the pool closes. On
-// a forwarding stage it also takes back the jobs whose forward failed
-// (see nexthop.go); anywhere else that channel is nil and never ready.
+// worker is one pool goroutine of a fed stage: it runs the tasks the
+// dispatcher and the coalescer send until the pool closes. On a
+// forwarding stage it also takes back the jobs whose forward failed
+// (see nexthop.go); with a coalescer that channel is nil and never
+// ready.
 func (fs *fleetScheduler) worker() {
 	defer fs.wg.Done()
 	var fallbacks chan pendingJob
 	if nh := fs.s.next; nh != nil {
 		fallbacks = nh.fallbacks
 	}
-	o := fs.s.obsv
 	for {
 		var t task
 		select {
@@ -189,19 +200,53 @@ func (fs *fleetScheduler) worker() {
 		case pj := <-fallbacks:
 			t = task{jobs: []pendingJob{pj}}
 		}
-		if o != nil {
-			o.WorkersBusy.Add(1)
+		fs.occupy(t)
+	}
+}
+
+// pull is one pool goroutine of every other stage — the default server.
+// Nothing is dispatched ahead of it: a worker that falls free decides
+// then, by the pick rule (takeLocked), what it runs next, so a tail
+// group holds whatever has gathered by the moment a worker can run it
+// and not what had when a dispatcher got to it. It exits once the
+// scheduler is closed, nothing is queued or parked, and no worker is
+// still inside a task that could park its job.
+func (fs *fleetScheduler) pull() {
+	defer fs.wg.Done()
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	for {
+		if t, ok := fs.takeLocked(); ok {
+			fs.busy++
+			fs.mu.Unlock()
+			fs.occupy(t)
+			fs.mu.Lock()
+			fs.busy--
+		} else if fs.closed && fs.busy == 0 {
+			fs.cond.Broadcast() // the other workers are waiting for this too
+			return
+		} else {
+			fs.cond.Wait()
 		}
-		fs.run(t)
-		if o != nil {
-			o.WorkersBusy.Add(-1)
-		}
+	}
+}
+
+// occupy runs one task inside the pool's busy bracket.
+func (fs *fleetScheduler) occupy(t task) {
+	o := fs.s.obsv
+	if o != nil {
+		o.WorkersBusy.Add(1)
+	}
+	fs.run(t)
+	if o != nil {
+		o.WorkersBusy.Add(-1)
 	}
 }
 
 // shutdown drains the scheduler gracefully: no new admissions, every
 // already-admitted job still executes and gets its reply (including
-// partially filled coalescer groups), then the pool exits. Safe to
+// parked tail groups and partially filled coalescer groups), then the
+// pool exits. Safe to
 // call from multiple goroutines; all callers block until the drain
 // completes.
 func (fs *fleetScheduler) shutdown() {
@@ -318,12 +363,88 @@ func (fs *fleetScheduler) popLocked() pendingJob {
 	return pj
 }
 
-// dispatchLoop is the single consumer of the tenant queues: it pops in
-// WFQ order and routes each job — line jobs to the coalescer when
-// batching is on, everything else to the pool as a group of one. On
-// shutdown it drains the queues first, then the coalescer, then waits
-// until every dispatched job is answered (owed), then closes the pool
-// (it and the coalescer are the only senders of tasks).
+// tailGroupMax closes a tail group: the GEMM tile is 16 columns wide, a
+// group is one column per member, and the per-job cost of the dense
+// tail is flat from there on (AlexNet fc6-fc8: 41-50 ms a pass at any n
+// from 2 to 16). Not a knob: it is the tile.
+const tailGroupMax = 16
+
+// pick is the rule a free worker goes by, as a function of what waits:
+// how many jobs are queued and the parked tail groups, oldest first. It
+// returns the index of the group to run, or -1 for the head of the WFQ
+// (and for nothing at all, when none is queued either). Queued jobs
+// first — each still has a conv span to run, and the tail group only
+// gets fuller while it does — so a group runs when the queue is empty,
+// oldest first and whole; a group that is full has nothing to wait for
+// and goes ahead of the queue, which is what bounds how long a tail is
+// put off: one tile's worth of companions. An idle server thus adds a
+// scheduling hop to a job and no wait.
+func pick(queued int, parked []task) int {
+	for i, g := range parked {
+		if len(g.jobs) >= tailGroupMax {
+			return i
+		}
+	}
+	if queued == 0 && len(parked) > 0 {
+		return 0
+	}
+	return -1
+}
+
+// takeLocked applies the pick rule for a worker of a pulling stage and
+// removes what it picked: a parked tail group, or the WFQ head as a
+// group of one. A head that arrived already cut at or past the tail
+// unit has no conv span to run; it joins the group of its cut on the
+// spot and the worker picks again. False: nothing to run.
+func (fs *fleetScheduler) takeLocked() (task, bool) {
+	for {
+		if i := pick(fs.queued, fs.parked); i >= 0 {
+			t := fs.parked[i]
+			fs.parked = append(fs.parked[:i], fs.parked[i+1:]...)
+			return t, true
+		}
+		if fs.queued == 0 {
+			return task{}, false
+		}
+		pj := fs.popLocked()
+		fs.owed.Add(1)
+		if at := fs.s.parkUnit(); pj.req == nil || at < 0 || int(pj.req.Cut) < at {
+			return task{jobs: []pendingJob{pj}}, true
+		}
+		fs.parkLocked(pj)
+	}
+}
+
+// parkLocked puts a line job that is cut at or past the tail unit into
+// the open group of its cut, or starts one behind the others. Parked
+// jobs are owed work the queue depth no longer counts; what bounds them
+// is that a group is taken, whole, as soon as it is full or the queue
+// is empty.
+func (fs *fleetScheduler) parkLocked(pj pendingJob) {
+	pj.parked = time.Now()
+	for i := range fs.parked {
+		if g := &fs.parked[i]; g.jobs[0].req.Cut == pj.req.Cut && len(g.jobs) < tailGroupMax {
+			g.jobs = append(g.jobs, pj)
+			return
+		}
+	}
+	fs.parked = append(fs.parked, task{jobs: []pendingJob{pj}})
+}
+
+// park is parkLocked for the worker that has just run a job's conv
+// span. Nobody is woken: that worker picks next, and finds the group.
+func (fs *fleetScheduler) park(pj pendingJob) {
+	fs.mu.Lock()
+	fs.parkLocked(pj)
+	fs.mu.Unlock()
+}
+
+// dispatchLoop is the single consumer of the tenant queues on a fed
+// stage: it pops in WFQ order and routes each job — line jobs to the
+// coalescer when there is one, everything else to the pool as a group
+// of one. On shutdown it drains the queues first, then the coalescer,
+// then waits until every dispatched job is answered (owed), then closes
+// the pool (it and the coalescer are the only senders of tasks).
 func (fs *fleetScheduler) dispatchLoop() {
 	defer fs.wg.Done()
 	for {
@@ -372,8 +493,9 @@ func (fs *fleetScheduler) hintFlags() uint8 {
 
 // task is what the pool runs: jobs that enter the model at the same
 // place and go through it as one pass. A job on its own is a group of
-// one; only the coalescer forms larger ones, and flushed is when it let
-// this one go (zero: the jobs never waited there).
+// one; larger ones are a tail group (takeLocked) or, under a batching
+// window, the coalescer's, and flushed is when it let this one go
+// (zero: the jobs never waited there).
 type task struct {
 	jobs    []pendingJob
 	flushed time.Time
@@ -381,12 +503,14 @@ type task struct {
 
 // run is the one stage task. It checks every member and runs the valid
 // ones from their cut as one batch (advance): to the last unit, where
-// each is classified and answered — or, on a forwarding stage and from
-// a cut before the handoff unit, to that unit, where the job leaves for
-// the next hop as what it has become, a job cut there. That makes the
-// fallback this same task: a job the hop gave back, or never took,
-// comes in again at the handoff unit with the tensor it left with, and
-// keeps the pickup stamp of its first pass.
+// each is classified and answered — or, from a cut before the unit
+// where this stage lets a job go, to that unit, where the job leaves
+// as what it has become, a job cut there: for the next hop on a
+// forwarding stage, for the tail group of that cut on a stage that
+// parks. That makes the fallback this same task: a job the hop gave
+// back, or never took, comes in again at the handoff unit with the
+// tensor it left with, and keeps the pickup stamp of its first pass —
+// as does a parked job, whose group is this task once more.
 //
 // Failure attribution: a member that fails its check fails only its own
 // connection, and only after the group's valid replies have been
@@ -395,10 +519,19 @@ type task struct {
 func (fs *fleetScheduler) run(t task) {
 	s, o := fs.s, fs.s.obsv
 	start := time.Now()
+	grouped := !t.flushed.IsZero()
 	valid := t.jobs[:0] // filtered in place: the group is this task's alone
 	var invalid []invalidJob
 	for _, pj := range t.jobs {
-		if pj.start.IsZero() {
+		switch {
+		case !pj.parked.IsZero():
+			grouped = true
+			o.span(TrackServer, SpanCoalesceWait, int(pj.jobID()), pj.parked, start)
+			if pj.start.IsZero() { // arrived cut at the tail: no pass before this one
+				pj.start = start
+				o.span(TrackServer, SpanQueueWait, int(pj.jobID()), pj.recv, pj.parked)
+			}
+		case pj.start.IsZero():
 			pj.start = start
 			queued := pj.recv
 			if !t.flushed.IsZero() {
@@ -406,7 +539,7 @@ func (fs *fleetScheduler) run(t task) {
 				queued = t.flushed
 			}
 			o.span(TrackServer, SpanQueueWait, int(pj.jobID()), queued, start)
-		} else if o != nil {
+		case o != nil:
 			o.NextHopFallbacks.Inc()
 		}
 		if err := s.check(pj); err != nil {
@@ -415,29 +548,73 @@ func (fs *fleetScheduler) run(t task) {
 		}
 		valid = append(valid, pj)
 	}
-	if len(valid) > 0 {
-		out, to, err := s.advance(valid)
-		switch {
-		case err != nil:
-			for _, pj := range valid {
-				fs.fail(pj, err)
-			}
-		case to < len(s.units)-1:
-			pj := valid[0] // a forwarding stage never coalesces
-			pj.req.Cut, pj.req.Tensor = uint32(to), out
-			if !s.next.handOff(pj) {
-				fs.run(task{jobs: valid})
-			}
-		default:
-			classes := engine.ArgmaxBatch(out, len(valid))
-			end := time.Now()
-			for i, pj := range valid {
-				fs.answer(pj, int32(classes[i]), 0, end)
-			}
+	if s.model.IsQuantized() {
+		// The int8 kernels are single-image: whatever a window gathered
+		// runs as passes of one, the results what they would be alone.
+		for i := range valid {
+			fs.pass(valid[i:i+1], grouped)
 		}
+	} else if len(valid) > 0 {
+		fs.pass(valid, grouped)
 	}
 	for _, iv := range invalid {
 		fs.fail(iv.pj, iv.err)
+	}
+}
+
+// pass takes the checked members of a task through the model together
+// and sees each off: answered, handed over, parked or failed. grouped
+// says the jobs were gathered — by the window or in a tail group — and
+// the pass is then counted by its size, gathered or not.
+func (fs *fleetScheduler) pass(jobs []pendingJob, grouped bool) {
+	s, o, n := fs.s, fs.s.obsv, len(jobs)
+	if grouped && o != nil {
+		o.BatchSize.Observe(float64(n))
+		if n > 1 {
+			o.BatchedJobs.Add(int64(n))
+		} else {
+			o.SoloJobs.Inc()
+		}
+	}
+	var seed *tensor.Tensor
+	if jobs[0].req != nil {
+		seed = s.pack(jobs)
+	}
+	out, to, err := s.advance(jobs, seed)
+	switch {
+	case err != nil:
+		for _, pj := range jobs {
+			fs.fail(pj, err)
+		}
+	case to < len(s.units)-1:
+		// Only a job on its own stops short of the sink.
+		jobs[0].req.Cut, jobs[0].req.Tensor = uint32(to), out
+		if s.next == nil {
+			fs.park(jobs[0])
+		} else if !s.next.handOff(jobs[0]) {
+			fs.run(task{jobs: jobs})
+		}
+	default:
+		classes := engine.ArgmaxBatch(out, n)
+		end := time.Now()
+		for i, pj := range jobs {
+			fs.answer(pj, int32(classes[i]), 0, end)
+		}
+		// The jobs are done with and out has been read: what the pass was
+		// fed and what it made go back to the arenas they came from — the
+		// model's, for a job whose conv span ran here; a boundary off the
+		// wire came from none.
+		if out != seed {
+			out.Recycle()
+		}
+		if n > 1 {
+			seed.Recycle()
+		}
+		for _, pj := range jobs {
+			if pj.req != nil {
+				pj.req.Tensor.Recycle()
+			}
+		}
 	}
 }
 
@@ -447,31 +624,64 @@ type invalidJob struct {
 	err error
 }
 
-// advance runs a checked group from its cut as one batch, as far as
-// this stage takes it — unit to, whose exit activation it returns: the
-// sink's, unless the group is cut before a forwarding stage's handoff
-// unit. Outputs are bit-identical to running each member alone (an
-// image's accumulation order in the engine does not depend on the batch
-// size). A boundary set differs only in how its nodes are found.
-func (s *Server) advance(jobs []pendingJob) (out *tensor.Tensor, to int, err error) {
+// pack lays a checked group's boundary tensors side by side as the
+// packed batch the engine runs (engine.PackBatch's layout: channel
+// major, batch minor), in a buffer s.packs lends and pass gives back —
+// a group forms per pickup, and a fresh n-wide buffer each time would
+// be most of what a member allocates. A batch of one is the tensor
+// itself.
+func (s *Server) pack(jobs []pendingJob) *tensor.Tensor {
+	first, n := jobs[0].req.Tensor, len(jobs)
+	if n == 1 {
+		return first
+	}
+	shape := first.Shape.Clone()
+	plane := len(first.Data) / shape[0]
+	shape[0] *= n
+	out := s.packs.Get(shape)
+	for b, pj := range jobs {
+		src := pj.req.Tensor.Data
+		for ch := 0; ch*plane < len(src); ch++ {
+			copy(out.Data[(ch*n+b)*plane:], src[ch*plane:(ch+1)*plane])
+		}
+	}
+	return out
+}
+
+// parkUnit is the unit at which this stage parks a line job for the
+// tail group of its cut, -1 if it never does: the model's tail unit on
+// a terminal stage whose groups no window forms. A forwarding stage
+// lets a job go at the handoff instead; a quantized model has no tail
+// unit.
+func (s *Server) parkUnit() int {
+	if s.next != nil || s.coalesces() {
+		return -1
+	}
+	return s.tail
+}
+
+// advance runs a checked group from its cut as one batch — seed, the
+// packed boundary — as far as this stage takes it: unit to, whose exit
+// activation it returns: the sink's, unless the group is cut before the
+// unit where the stage hands it over or parks it. An image's output
+// does not depend on who shares its group: its accumulation order in
+// the engine is the same at every batch size (bit for bit from n = 2
+// up, and against n = 1 — the matrix-vector product — wherever the FMA
+// tile is off; within the tile's envelope where it is on). A boundary
+// set differs only in how its nodes are found.
+func (s *Server) advance(jobs []pendingJob, seed *tensor.Tensor) (out *tensor.Tensor, to int, err error) {
 	to = len(s.units) - 1
 	if set := jobs[0].set; set != nil {
 		out, err = s.resumeSet(set)
 		return out, to, err
 	}
 	from := int(jobs[0].req.Cut) // one per group: members share the cut
-	if nh := s.next; nh != nil && from < nh.cut {
-		to = nh.cut
+	stop := s.parkUnit()
+	if s.next != nil {
+		stop = s.next.cut
 	}
-	seed := jobs[0].req.Tensor // a batch of one is the tensor itself
-	if len(jobs) > 1 {
-		tensors := make([]*tensor.Tensor, len(jobs))
-		for i, pj := range jobs {
-			tensors[i] = pj.req.Tensor
-		}
-		if seed, err = engine.PackBatch(tensors); err != nil {
-			return nil, to, err
-		}
+	if from < stop {
+		to = stop
 	}
 	out, err = s.runSpan(from, to, len(jobs), seed)
 	return out, to, err
@@ -483,11 +693,13 @@ func (s *Server) advance(jobs []pendingJob) (out *tensor.Tensor, to int, err err
 // stamps mean the same on every path: QueueNs is decode done to worker
 // pickup (the coalescing window included, so it shows up as queue time
 // on the server, not as phantom communication delay in the client's
-// CommMs), and CloudNs is worker pickup to answer ready, end — checking
-// and packing, a middle segment and the wait for the next hop are this
-// stage's work on the job, not link time. A group's members share the
-// pickup and end, hence CloudNs and the cloud-compute interval. A write
-// failure fails only the owning connection.
+// CommMs), and CloudNs is first worker pickup to answer ready, end —
+// checking and packing, a middle segment and the wait for the next hop,
+// or a conv span, the park at the tail unit and the group's pass, are
+// this stage's work on the job, not link time. Members of a group that
+// were picked up together share CloudNs and the cloud-compute interval;
+// a tail group's members each keep the pickup of their own conv span.
+// A write failure fails only the owning connection.
 func (fs *fleetScheduler) answer(pj pendingJob, class int32, flags uint8, end time.Time) {
 	o := fs.s.obsv
 	rep := inferReply{

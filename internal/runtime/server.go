@@ -11,22 +11,27 @@ import (
 	"time"
 
 	"dnnjps/internal/engine"
+	"dnnjps/internal/tensor"
 )
 
 // Server is the cloud side: it holds the same deterministic model as
 // the client and finishes inferences from any cut point of the line
 // view. Each connection runs a read loop that decodes requests and
 // admits them into the server-wide fleet scheduler (see fleet.go):
-// one global worker pool, one cross-connection coalescer, per-tenant
-// weighted fair queueing, and watermark-based load shedding. Replies
-// go out (possibly out of order) under each connection's write mutex
-// as jobs finish, so one slow inference never stalls any socket.
+// one global worker pool, per-tenant weighted fair queueing,
+// watermark-based load shedding, and cross-connection batching — by
+// default of the model's fully connected tail, over the jobs that are
+// waiting when a worker falls free, with no window and no wait; under
+// WithBatching of whole suffixes, held for a window. Replies go out
+// (possibly out of order) under each connection's write mutex as jobs
+// finish, so one slow inference never stalls any socket.
 type Server struct {
 	lineProgram
 	// workers bounds concurrent inferences server-wide.
 	workers int
 	// batchWindow/batchMax configure the cross-connection coalescer
-	// (see coalesce.go); window 0 or max 1 disables it.
+	// (see coalesce.go); window 0 or max 1 leaves grouping to pickup
+	// time (see fleetScheduler.takeLocked).
 	batchWindow time.Duration
 	batchMax    int
 	// tenantWeights maps tenant IDs to WFQ weights (see WithTenants);
@@ -42,6 +47,8 @@ type Server struct {
 	// next, when set by WithNextHop, turns this server into a middle
 	// pipeline stage (see nexthop.go).
 	next *nextHop
+	// packs lends the buffers groups are packed into (see pack).
+	packs *tensor.Arena
 
 	// schedMu guards lazy scheduler creation and Close.
 	schedMu     sync.Mutex
@@ -52,7 +59,7 @@ type Server struct {
 // NewServer builds a server for the model. The server-wide worker pool
 // defaults to the core count; tune it with WithWorkers.
 func NewServer(m *engine.Model) *Server {
-	return &Server{lineProgram: newLineProgram(m), workers: goruntime.GOMAXPROCS(0)}
+	return &Server{lineProgram: newLineProgram(m), workers: goruntime.GOMAXPROCS(0), packs: tensor.NewArena()}
 }
 
 // WithWorkers bounds the server-wide worker pool to n concurrent
@@ -93,9 +100,14 @@ func (s *Server) WithShedWatermark(n int) *Server {
 // WithBatching enables the cross-connection coalescer: decoded infer
 // requests of the same cut — from any connection — wait up to window
 // for companions (at most max per group) and execute as one batched
-// suffix pass. Window 0 or max < 2 keeps the original job-at-a-time
-// dispatch. Must be called before serving; returns s for chaining.
-// Only line frames coalesce (see the frame-kind table on pendingJob).
+// suffix pass. Window 0 or max < 2 keeps the default: no job waits for
+// another, a job's convolutional span runs on its own, and the fully
+// connected tail of every job already waiting when a worker falls free
+// runs as one pass (a model with no dense head runs job-at-a-time). A
+// quantized model never runs two jobs together either way: under a
+// window its groups form and then run as passes of one. Must be called
+// before serving; returns s for chaining. Only line frames group (see
+// the frame-kind table on pendingJob).
 func (s *Server) WithBatching(window time.Duration, max int) *Server {
 	if max < 1 {
 		max = 1
@@ -103,6 +115,15 @@ func (s *Server) WithBatching(window time.Duration, max int) *Server {
 	s.batchWindow = window
 	s.batchMax = max
 	return s
+}
+
+// coalesces reports whether the window coalescer forms this stage's
+// groups: a window and room for two, on a terminal stage — a forwarding
+// stage never coalesces: the handoff is one job's frame, and no traffic
+// yet batches a middle segment. jpsserve rejects the flag combination
+// up front; this covers direct library users.
+func (s *Server) coalesces() bool {
+	return s.batchWindow > 0 && s.batchMax > 1 && s.next == nil
 }
 
 // WithObs attaches a tracing + metrics bundle; must be called before

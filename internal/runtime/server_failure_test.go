@@ -25,6 +25,12 @@ func TestHandleConnClosesOnWorkerFailure(t *testing.T) {
 	served := make(chan error, 1)
 	go func() { served <- srv.HandleConn(sConn) }()
 
+	// The deadline goes on before the request: once that is written the
+	// server may drop the connection at any moment, and a pipe whose far
+	// end has closed refuses a deadline.
+	if err := cConn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
 	// A request that decodes fine but fails on the worker.
 	req := &inferRequest{JobID: 1, Cut: 999, Tensor: mustVec(3, 1, 2, 3)}
 	if err := writeInferRequest(cConn, req); err != nil {
@@ -33,9 +39,6 @@ func TestHandleConnClosesOnWorkerFailure(t *testing.T) {
 
 	// The client now goes idle, just waiting for a reply. It must see
 	// the connection drop, not a read that blocks until the deadline.
-	if err := cConn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
-		t.Fatal(err)
-	}
 	var buf [1]byte
 	_, err := cConn.Read(buf[:])
 	if err == nil {

@@ -1,7 +1,11 @@
 package runtime
 
 import (
+	"sync"
+
+	"dnnjps/internal/dag"
 	"dnnjps/internal/engine"
+	"dnnjps/internal/nn"
 	"dnnjps/internal/profile"
 	"dnnjps/internal/tensor"
 )
@@ -17,22 +21,69 @@ import (
 // the units' node lists laid end to end are that order: nodes is it,
 // and off[k] counts the nodes before unit k (off[len(units)] is all of
 // them). Units (a, b] are nodes[off[a+1]:off[b+1]] — a slice of the one
-// list, not a copy per cut.
+// list, not a copy per cut. tail is the unit whose exit feeds the
+// model's fully connected tail (tailUnit), -1 where there is none.
 type lineProgram struct {
 	model *engine.Model
 	units []profile.Unit
 	nodes []int
 	off   []int
+	tail  int
+	// acts recycles the activation maps runSpan hands the engine: a job
+	// on a stage that parks is two spans, and a map each would be a
+	// third of what the second one allocates.
+	acts *sync.Pool
 }
 
 func newLineProgram(m *engine.Model) lineProgram {
 	g := m.Graph()
-	lp := lineProgram{model: m, units: profile.LineView(g), nodes: g.Topo()}
+	lp := lineProgram{model: m, units: profile.LineView(g), nodes: g.Topo(), acts: new(sync.Pool)}
 	lp.off = make([]int, len(lp.units)+1)
 	for k, u := range lp.units {
 		lp.off[k+1] = lp.off[k] + len(u.Nodes)
 	}
+	lp.tail = tailUnit(g, lp.units, m.IsQuantized())
 	return lp
+}
+
+// tailUnit finds where a model's fully connected tail begins: the unit
+// whose exit feeds the first Dense layer after which no convolution,
+// depthwise convolution or BatchNorm follows — reached back through
+// Flatten and Dropout, which move nothing at inference, so the exit is
+// the last tensor something computed (AlexNet conv5/pool, MobileNet-v2
+// head/gap). The split matters because the two sides of it batch
+// differently: a dense layer reads each weight once per pass whatever
+// the batch size, so n jobs through the tail together stream the
+// weights once instead of n times (AlexNet fc6 alone is 151 MB),
+// while a convolution reuses its weights across the positions of one
+// image already and gains almost nothing from companions.
+//
+// It is -1 on a model with no dense head (a terminal server then runs
+// every job in one pass) and on a quantized model: the int8 kernels are
+// single-image, so there is no group for a tail to join.
+func tailUnit(g *dag.Graph, units []profile.Unit, quantized bool) int {
+	if quantized {
+		return -1
+	}
+	first := 0 // the tail's first unit so far, scanning back from the sink
+	for k := len(units) - 1; k > 0; k-- {
+		dense, moves := false, false
+		for _, id := range units[k].Nodes {
+			switch g.Node(id).Layer.(type) {
+			case *nn.Conv2D, *nn.DepthwiseConv2D, *nn.BatchNorm:
+				return first - 1
+			case *nn.Dense:
+				dense = true
+			case *nn.Flatten, *nn.Dropout:
+			default:
+				moves = true
+			}
+		}
+		if dense || (first == k+1 && !moves) {
+			first = k
+		}
+	}
+	return first - 1
 }
 
 // runSpan is the one stage executor: the device's prefix, a middle
@@ -47,7 +98,14 @@ func newLineProgram(m *engine.Model) lineProgram {
 // never recycles it; the exit activation survives the call because its
 // consumers, if it has any, are outside the span.
 func (lp *lineProgram) runSpan(from, to, n int, seed *tensor.Tensor) (*tensor.Tensor, error) {
-	acts := map[int]*tensor.Tensor{}
+	acts, _ := lp.acts.Get().(map[int]*tensor.Tensor)
+	if acts == nil {
+		acts = map[int]*tensor.Tensor{}
+	}
+	defer func() {
+		clear(acts)
+		lp.acts.Put(acts)
+	}()
 	input := seed
 	if from >= 0 {
 		acts[lp.units[from].Exit], input = seed, nil

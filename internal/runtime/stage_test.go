@@ -13,15 +13,24 @@ import (
 // TestStageAllocsPerJob holds the one stage task to what the forks it
 // replaced cost in allocations per job, both ends of a loopback TCP
 // connection counted: a line job on its own, end to end; a member of a
-// coalesced group of 32; and a job a middle stage forwards, fed as a
-// boundary tensor so that no device prefix hides the two servers. A job
-// on its own is a group of one of the coalesced path; the separate entry
-// point it used to have was kept for its allocation count, so that
-// count is now a ceiling. Each ceiling is the reading of the last tree
+// coalesced group of 32; a job a middle stage forwards, fed as a
+// boundary tensor so that no device prefix hides the two servers; and a
+// job that reaches the default server cut at the tail unit, one in
+// flight, so that it is parked and picked up as a group of one — what
+// the park costs with nothing to share it (companions only divide the
+// pass's part; 32 in flight read 11.0–12.0 as the groups fall). A job
+// on its own is a group of one of the coalesced path; the separate
+// entry point it used to have was kept for its allocation count, so
+// that count is now a ceiling. The first three ceilings are the readings of the last tree
 // that had the forks (23.00–23.03, 11.01–11.09 and 31.00–31.04 over
-// five runs) rounded up to the next quarter; this tree reads 20.0, 9.9
-// and 31.0. MemStats deltas with the collector held off, as in the
-// engine's steady-state tests.
+// five runs) rounded up to the next quarter; the one-pass tree read
+// 20.0, 9.9 and 31.0, and this one — where a line job on a default
+// server is two spans, a park and a group of one, but the activation
+// maps are pooled and a finished pass gives its tensors back to their
+// arenas — 18.0, 9.7 and 29.0. The parked ceiling is this tree's
+// reading, 17.01–17.02 over five runs, with the same margin. MemStats
+// deltas with the collector held off, as in the engine's steady-state
+// tests.
 func TestStageAllocsPerJob(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are nondeterministic under -race (sync.Pool randomly drops Puts)")
@@ -59,6 +68,7 @@ func TestStageAllocsPerJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	forwarder := client(middle)
+	parked := client(NewServer(m).WithWorkers(2))
 	for _, c := range []struct {
 		name    string
 		ceiling float64
@@ -68,6 +78,13 @@ func TestStageAllocsPerJob(t *testing.T) {
 		{"group-member", 11.25, func() {
 			for i := 0; i < jobs; i += group {
 				if _, err := batched.RunBoundaryJobs(headCut, boundaries[i:i+group]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}},
+		{"parked", 17.25, func() {
+			for i := range boundaries {
+				if _, err := parked.RunBoundaryJobs(headCut, boundaries[i:i+1]); err != nil {
 					t.Fatal(err)
 				}
 			}

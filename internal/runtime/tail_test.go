@@ -1,0 +1,337 @@
+package runtime
+
+import (
+	"fmt"
+	"net"
+	"sync"
+	"testing"
+	"time"
+
+	"dnnjps/internal/engine"
+	"dnnjps/internal/models"
+	"dnnjps/internal/netsim"
+	"dnnjps/internal/obs"
+	"dnnjps/internal/profile"
+	"dnnjps/internal/tensor"
+)
+
+// Pickup-time grouping on the default server: where the tail begins,
+// what a free worker takes, and that parked jobs drain. The scheduler
+// tests drive takeLocked on a scheduler nothing runs — no goroutine, no
+// socket, no clock.
+
+// TestTailUnit: the tail unit comes from the graph's layer types, on
+// the whole zoo: the exit that feeds the first layer of the dense head,
+// -1 where a convolution is the classifier, -1 on any quantized model.
+func TestTailUnit(t *testing.T) {
+	for name, want := range map[string]string{
+		"alexnet":     "conv5/pool",
+		"vgg16":       "block5/pool",
+		"mobilenetv2": "head/gap",
+		"resnet18":    "head/gap",
+		"googlenet":   "head/gap",
+		"squeezenet":  "",
+		"nin":         "",
+	} {
+		g, err := models.Build(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		units := profile.LineView(g)
+		got := ""
+		if k := tailUnit(g, units, false); k >= 0 {
+			got = g.Node(units[k].Exit).Layer.Name()
+		}
+		if got != want {
+			t.Errorf("%s: tail unit exit %q, want %q", name, got, want)
+		}
+		if k := tailUnit(g, units, true); k != -1 {
+			t.Errorf("%s quantized: tail unit %d, want none", name, k)
+		}
+	}
+	if lp := newLineProgram(testModel(t)); lp.tail != 6 {
+		t.Errorf("test model: tail unit %d, want 6 (gap)", lp.tail)
+	}
+	if lp := newLineProgram(quantTestModel(t)); lp.tail != -1 {
+		t.Errorf("quantized test model: tail unit %d, want none", lp.tail)
+	}
+}
+
+// TestPickRule is the rule as a table: (queued, sizes of the parked
+// groups oldest first) -> the group to run, -1 for the WFQ head.
+func TestPickRule(t *testing.T) {
+	for _, c := range []struct {
+		queued int
+		parked []int
+		want   int
+	}{
+		{0, nil, -1},
+		{3, nil, -1},
+		{2, []int{5}, -1},                  // queued + parked: the WFQ head
+		{1, []int{15, 3}, -1},              // one short of the tile still waits
+		{0, []int{1}, 0},                   // nothing queued: the group, even of one
+		{0, []int{2, 9}, 0},                // the oldest, not the fullest
+		{4, []int{3, tailGroupMax}, 1},     // a full group goes ahead of the queue
+		{0, []int{3, tailGroupMax, 16}, 1}, // and ahead of an older one that is not
+		{4, []int{tailGroupMax, 16, 2}, 0}, // full groups: oldest first
+	} {
+		parked := make([]task, len(c.parked))
+		for i, n := range c.parked {
+			parked[i].jobs = make([]pendingJob, n)
+		}
+		if got := pick(c.queued, parked); got != c.want {
+			t.Errorf("pick(%d queued, parked %v) = %d, want %d", c.queued, c.parked, got, c.want)
+		}
+	}
+}
+
+// idleScheduler is a scheduler with its queues and nothing running.
+func idleScheduler(srv *Server) *fleetScheduler {
+	fs := &fleetScheduler{s: srv, tenants: map[string]*tenantQueue{}}
+	fs.cond = sync.NewCond(&fs.mu)
+	return fs
+}
+
+// TestTakeByStageAndFrame drives takeLocked over the stage kinds and
+// frame kinds: what parks, what a worker gets, in which order.
+func TestTakeByStageAndFrame(t *testing.T) {
+	m := testModel(t)
+	const tail = 6
+	forwarding, err := NewServer(m).WithNextHop("127.0.0.1:1", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := func(id, cut int) pendingJob {
+		return pendingJob{conn: &connCtx{}, tenant: DefaultTenant, req: &inferRequest{JobID: uint32(id), Cut: uint32(cut)}}
+	}
+	set := func(id int) pendingJob {
+		return pendingJob{conn: &connCtx{}, tenant: DefaultTenant, set: &inferSetRequest{JobID: uint32(id)}}
+	}
+	many := func(from, n, cut int) []pendingJob {
+		jobs := make([]pendingJob, n)
+		for i := range jobs {
+			jobs[i] = line(from+i, cut)
+		}
+		return jobs
+	}
+	for _, c := range []struct {
+		name   string
+		srv    *Server
+		parks  bool
+		queued []pendingJob
+		want   [][]int // job IDs of each task takeLocked returns, in order
+	}{
+		{"conv job before tail jobs: the head first, then the group whole", NewServer(m), true,
+			[]pendingJob{line(0, 1), line(1, tail), line(2, tail), line(3, tail)},
+			[][]int{{0}, {1, 2, 3}}},
+		{"tail jobs ahead of a conv job park while it is queued", NewServer(m), true,
+			[]pendingJob{line(1, tail), line(2, tail), line(0, 1), line(3, tail)},
+			[][]int{{0}, {1, 2, 3}}},
+		{"groups are by cut, oldest first", NewServer(m), true,
+			[]pendingJob{line(0, tail+1), line(1, tail), line(2, tail+1)},
+			[][]int{{0, 2}, {1}}},
+		{"the sixteenth member sends the group ahead of the queue", NewServer(m), true,
+			append(many(0, tailGroupMax+2, tail), line(99, 1)),
+			[][]int{{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}, {99}, {16, 17}}},
+		{"a set frame never parks", NewServer(m), true,
+			[]pendingJob{set(0), line(1, tail), set(2)},
+			[][]int{{0}, {2}, {1}}},
+		{"a cut out of range parks with its like and fails there", NewServer(m), true,
+			[]pendingJob{line(0, 200), line(1, 200)},
+			[][]int{{0, 1}}},
+		{"a quantized model never parks", NewServer(quantTestModel(t)), false,
+			[]pendingJob{line(0, 1), line(1, tail), line(2, tail)},
+			[][]int{{0}, {1}, {2}}},
+		{"a window coalescer's stage never parks", NewServer(m).WithBatching(1, 4), false,
+			[]pendingJob{line(0, tail), line(1, tail)},
+			[][]int{{0}, {1}}},
+		{"a forwarding stage never parks", forwarding, false,
+			[]pendingJob{line(0, tail), line(1, tail)},
+			[][]int{{0}, {1}}},
+		{"no window, or no room for two, is the default stage", NewServer(m).WithBatching(0, 16).WithBatching(1, 1), true,
+			[]pendingJob{line(0, tail), line(1, tail)},
+			[][]int{{0, 1}}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if got := c.srv.parkUnit() >= 0; got != c.parks {
+				t.Fatalf("parkUnit() = %d, parks = %v", c.srv.parkUnit(), c.parks)
+			}
+			fs := idleScheduler(c.srv)
+			for _, pj := range c.queued {
+				if !fs.admit(pj) {
+					t.Fatal("admit refused on an open scheduler")
+				}
+			}
+			fs.mu.Lock()
+			defer fs.mu.Unlock()
+			var got [][]int
+			for {
+				task, ok := fs.takeLocked()
+				if !ok {
+					break
+				}
+				var ids []int
+				for _, pj := range task.jobs {
+					ids = append(ids, int(pj.jobID()))
+					if parked := !pj.parked.IsZero(); parked != (c.parks && pj.req != nil && int(pj.req.Cut) >= tail) {
+						t.Errorf("job %d: parked stamp set = %v", pj.jobID(), parked)
+					}
+				}
+				got = append(got, ids)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(c.want) {
+				t.Errorf("tasks %v, want %v", got, c.want)
+			}
+			if fs.queued != 0 || len(fs.parked) != 0 {
+				t.Errorf("%d queued, %d groups parked after the drain", fs.queued, len(fs.parked))
+			}
+		})
+	}
+}
+
+// TestPackMatchesEngineLayout: the stage packs a group into a lent
+// buffer itself; the layout must be engine.PackBatch's, on a spatial
+// boundary and on a vector, also when the buffer comes back used.
+func TestPackMatchesEngineLayout(t *testing.T) {
+	srv := NewServer(testModel(t))
+	for _, shape := range []tensor.Shape{tensor.NewCHW(4, 3, 2), tensor.NewVec(7)} {
+		for round := 0; round < 2; round++ {
+			for _, n := range []int{1, 2, 5} {
+				tensors, jobs := make([]*tensor.Tensor, n), make([]pendingJob, n)
+				for b := range tensors {
+					tensors[b] = tensor.New(shape)
+					for i := range tensors[b].Data {
+						tensors[b].Data[i] = float32(100*b + i + round)
+					}
+					jobs[b].req = &inferRequest{Tensor: tensors[b]}
+				}
+				want, err := engine.PackBatch(tensors)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := srv.pack(jobs)
+				if !got.Shape.Equal(want.Shape) {
+					t.Fatalf("%v x %d: packed shape %v, want %v", shape, n, got.Shape, want.Shape)
+				}
+				for i := range want.Data {
+					if got.Data[i] != want.Data[i] {
+						t.Fatalf("%v x %d: element %d is %v, want %v", shape, n, i, got.Data[i], want.Data[i])
+					}
+				}
+				if n > 1 {
+					got.Recycle()
+				}
+			}
+		}
+	}
+}
+
+// eventually polls cond until it holds; the wait bounds a hang, nothing
+// is asserted about how long it took.
+func eventually(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// TestServerCloseDrainsParked: Close with tail jobs waiting answers each
+// exactly once, as one group, and leaves no goroutine behind. The one
+// worker is held inside a reply write while the five arrive, so none
+// has run when Close begins; the drain must park them, take the group
+// and only then let the worker go.
+func TestServerCloseDrainsParked(t *testing.T) {
+	goroutinesSettle(t)
+	m := testModel(t)
+	o := NewObs(obs.NewTracer(0), obs.NewMetrics())
+	srv := NewServer(m).WithWorkers(1).WithObs(o)
+	release := wedgeWorker(t, srv, m, input(0))
+	// The wedge job's own tail group, of one, has been picked up: from
+	// here the worker only computes it and blocks on the reply.
+	eventually(t, "the wedge job's tail pass", func() bool { return o.SoloJobs.Value() == 1 })
+
+	const tail, n = 6, 5
+	cl := NewClient(dialFleet(t, srv), m, netsim.WiFi, 1e-6)
+	calls, results, wants := make([]*call, n), make([]*JobResult, n), make([]int, n)
+	for i := range calls {
+		var b *tensor.Tensor
+		b, wants[i] = boundaryAt(t, m, tail, 3*i+1)
+		results[i] = &JobResult{JobID: i}
+		c, err := cl.enqueueInfer(results[i], tail, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		calls[i] = c
+	}
+	eventually(t, "all five admitted", func() bool { return o.QueueDepth.Value() == n })
+	closed := make(chan struct{})
+	go func() { srv.Close(); close(closed) }()
+	release()
+	for i, c := range calls {
+		if err := cl.await(c); err != nil {
+			t.Fatalf("job %d lost in the drain: %v", i, err)
+		}
+		if results[i].Class != wants[i] {
+			t.Errorf("job %d: class %d, want %d", i, results[i].Class, wants[i])
+		}
+	}
+	<-closed
+	if o.BatchedJobs.Value() != n || o.SoloJobs.Value() != 1 {
+		t.Errorf("%d jobs in groups and %d alone, want %d and 1: the five as one group, each answered once",
+			o.BatchedJobs.Value(), o.SoloJobs.Value(), n)
+	}
+	if got := o.ServerJobs.Value(); got != n+1 {
+		t.Errorf("%d replies written, want %d", got, n+1)
+	}
+}
+
+// TestQuantBurstRunsOneByOne: eight same-cut int8 jobs at once, on the
+// default server and on one asked to batch. The int8 kernels are
+// single-image, so neither may put two jobs through the engine together
+// — the second used to, and failed all eight connections' jobs — and
+// every class must be the local int8 forward's.
+func TestQuantBurstRunsOneByOne(t *testing.T) {
+	goroutinesSettle(t)
+	m := quantTestModel(t)
+	const n, cut = 8, 3
+	inputs, wants := make([]*tensor.Tensor, n), make([]int, n)
+	for i := range inputs {
+		inputs[i] = input(5*i + 2)
+		out, err := m.Forward(inputs[i].Clone())
+		if err != nil {
+			t.Fatal(err)
+		}
+		wants[i] = engine.Argmax(out)
+	}
+	for name, srv := range map[string]*Server{
+		"default":  NewServer(m).WithWorkers(2),
+		"batching": NewServer(m).WithWorkers(2).WithBatching(20*time.Millisecond, n),
+	} {
+		t.Run(name, func(t *testing.T) {
+			o := NewObs(obs.NewTracer(0), obs.NewMetrics())
+			srv.WithObs(o)
+			defer srv.Close()
+			cConn, sConn := net.Pipe()
+			go func() { defer sConn.Close(); _ = srv.HandleConn(sConn) }()
+			defer cConn.Close()
+			cl := NewClient(cConn, m, netsim.WiFi, 1e-6)
+			rep, err := cl.RunPlan(uniformPlan(n, cut), inputs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range rep.Results {
+				if r.Class != wants[r.JobID] {
+					t.Errorf("job %d: class %d, local int8 forward says %d", r.JobID, r.Class, wants[r.JobID])
+				}
+			}
+			if got := o.BatchedJobs.Value(); got != 0 {
+				t.Errorf("%d int8 jobs ran in a group", got)
+			}
+			if want := map[string]int64{"default": 0, "batching": n}[name]; o.SoloJobs.Value() != want {
+				t.Errorf("%d jobs counted as run alone, want %d", o.SoloJobs.Value(), want)
+			}
+		})
+	}
+}

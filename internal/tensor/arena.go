@@ -56,7 +56,9 @@ func (a *Arena) Get(shape Shape) *Tensor {
 		return t
 	}
 	a.mu.Unlock()
-	return New(shape)
+	t := New(shape)
+	t.home = a
+	return t
 }
 
 // shapeInto copies src's dims into dst's storage when it fits, so the
@@ -81,6 +83,17 @@ func (a *Arena) Put(t *Tensor) {
 		a.tensors[len(t.Data)] = append(list, t)
 	}
 	a.mu.Unlock()
+}
+
+// Recycle is Put on the arena whose Get handed t out, for the holder of
+// a tensor that has outlived the call that drew it — an activation the
+// engine left with its caller — and has no other way back to that
+// arena. A tensor made any other way, or nil, is left to the collector.
+// Put's rule holds: nothing may touch t, or a view of it, afterwards.
+func (t *Tensor) Recycle() {
+	if t != nil {
+		t.home.Put(t)
+	}
 }
 
 // GetSlice returns a raw buffer of length n with undefined contents.

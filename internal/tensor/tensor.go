@@ -127,6 +127,9 @@ func (s Shape) String() string {
 type Tensor struct {
 	Shape Shape
 	Data  []float32
+	// home is the arena whose Get handed the tensor out, nil for a tensor
+	// made any other way; see Recycle.
+	home *Arena
 }
 
 // New allocates a zero-filled tensor of the given shape.

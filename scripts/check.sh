@@ -232,6 +232,31 @@ wait "$TERM_PID" || {
 }
 TERM_PID=""
 
+echo "== tail-group e2e smoke (default jpsserve -model alexnet, no -batch-window)"
+# The default server groups at pickup: 16 jobs cut at unit 3 (the exit
+# of conv1/pool) each run their conv span alone and leave through a tail
+# group at conv5/pool, every class checked against a local forward. The
+# final metrics must show each job answered once and counted in exactly
+# one group. The chain smoke's terminal-stage log, pid and trap serve.
+"$SMOKE_BIN" -model alexnet -addr 127.0.0.1:0 -metrics-addr 127.0.0.1:0 > "$TERM_LOG" 2>&1 &
+TERM_PID=$!
+TERM_ADDR="$(serving_addr "$TERM_LOG" "tail-group smoke: server")"
+go run scripts/e2e_client.go -addr "$TERM_ADDR" -model alexnet -clients 4 -jobs 4 -cut 3
+kill -TERM "$TERM_PID"
+wait "$TERM_PID" || {
+    echo "tail-group smoke: server did not exit cleanly:" >&2
+    cat "$TERM_LOG" >&2
+    exit 1
+}
+TERM_PID=""
+grouped="$(awk '/^jps_server_(batched|solo)_jobs_total /{n += $2} END{print n + 0}' "$TERM_LOG")"
+if ! grep -q "drained" "$TERM_LOG" || ! grep -q '^jps_server_jobs_total 16$' "$TERM_LOG" ||
+    [ "$grouped" != 16 ]; then
+    echo "tail-group smoke: want a drain, 16 jobs answered and 16 counted in tail groups (got $grouped):" >&2
+    grep -E '^(jps_server_(jobs|batched_jobs|solo_jobs)_total|drained)' "$TERM_LOG" >&2
+    exit 1
+fi
+
 echo "== benchmarks compile and run once"
 # Quiet when green; a benchmark that b.Fatals must not end the script
 # under set -e with its reason thrown away.
