@@ -53,7 +53,7 @@ var rules = []rule{
 	{num: "BenchmarkSgemmCrossover/asm/n=*", den: "BenchmarkSgemmCrossover/panel/n=*", unit: "ns/op", bound: 0.9, minStar: 128,
 		skip: "the asm legs run only with AVX2+FMA and without noasm"},
 	// Filling a batch must amortize packing across images, on the dense
-	// head (≈ 0.11–0.17), on AlexNet's dense tail (≈ 0.10–0.12) and on
+	// head (≈ 0.11–0.17), on AlexNet's dense tail (≈ 0.08–0.10) and on
 	// the conv suffix (≈ 0.35–0.45, which is its fc6–fc8 again: the conv
 	// span alone, the convspan legs, is reported and not gated).
 	{num: "BenchmarkBatchedForward/N=32/*", den: "BenchmarkBatchedForward/N=1/*", unit: "ns/inference", bound: 0.6},
