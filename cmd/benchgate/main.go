@@ -26,12 +26,15 @@ import (
 )
 
 // runs are the `go test -bench` invocations behind the rules. The
-// compute-bound engine legs repeat three times and parseBench keeps the
-// fastest; the runtime legs are paced by simulated-link sleeps and read
-// within ±2 % of each other once.
+// compute-bound legs repeat three times and parseBench keeps the
+// fastest — the engine's, and the fleet server's two, which since they
+// both batch read within 25 % of each other and of their own last run;
+// the runner legs are paced by simulated-link sleeps and read within
+// ±2 % of each other once.
 var runs = []struct{ pkg, bench, count string }{
 	{"./internal/engine/", "^Benchmark(SgemmCrossover|BatchedForward)$", "3"},
-	{"./internal/runtime/", "^Benchmark(FleetServer|RunnerAdaptive)$", "1"},
+	{"./internal/runtime/", "^BenchmarkFleetServer$", "3"},
+	{"./internal/runtime/", "^BenchmarkRunnerAdaptive$", "1"},
 }
 
 // rule bounds one within-run ratio: num's unit column over den's. A "*"
