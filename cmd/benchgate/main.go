@@ -63,8 +63,8 @@ var rules = []rule{
 	// What a default server's tail groups rest on: eight jobs through
 	// fc6–fc8 together stream the weights once, not eight times.
 	{num: "BenchmarkBatchedForward/N=8/densetail", den: "BenchmarkBatchedForward/N=1/densetail", unit: "ns/inference", bound: 0.5},
-	// Grouping at pickup must not lose to the window coalescer on the
-	// coalescer's home workload, the same head traffic through both.
+	// Grouping at pickup with no hold must not lose to the window on the
+	// window's home workload, the same head traffic through both.
 	{num: "BenchmarkFleetServer/pickup", den: "BenchmarkFleetServer/window", unit: "ns/job", bound: 1.10},
 	// On a healthy link no change point fires, so the estimator costs
 	// its bookkeeping and nothing else (≈ 1.0).

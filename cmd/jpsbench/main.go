@@ -317,7 +317,7 @@ func run(env experiments.Env, id, model, traceOut, traceJSON, adaptTrace string)
 	case "fleet":
 		// Fleet-scale serving: N concurrent clients on independent TCP
 		// connections against one shared server, sweeping the client
-		// count on the default server and under the window coalescer, plus an
+		// count on the default server and under a batching window, plus an
 		// overload row with admission control armed. Real engine
 		// compute in real time, not part of -all.
 		counts := []int{1, 4, 8, 16, 32}

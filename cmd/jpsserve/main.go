@@ -12,11 +12,12 @@
 // tail of every request already waiting when a worker falls free runs
 // as one pass, so the queue streams those weights once (float32 models
 // with a dense head; see DESIGN.md "Cross-job batching"). With
-// -batch-window the server instead holds same-shape requests for up to
-// the window and coalesces them into one batched forward of the whole
-// suffix; -downlink-mbps paces the server's replies at a modeled
-// downlink bandwidth, for end-to-end runs over symmetric low-band
-// channels:
+// -batch-window the same workers instead gather same-shape requests as
+// they pop them, hold each group until the window after it opened (or
+// until it has -batch-max members), and run it as one batched forward
+// of the whole suffix; -downlink-mbps paces the server's replies at a
+// modeled downlink bandwidth, for end-to-end runs over symmetric
+// low-band channels:
 //
 //	jpsserve -model mobilenetv2 -batch-window 2ms -batch-max 16 -downlink-mbps 8
 //
@@ -30,7 +31,7 @@
 // instead of the terminal cloud: requests cut before -next-cut are
 // computed up to that boundary and forwarded to the named downstream
 // jpsserve over the same wire protocol (see DESIGN.md "k-way chains").
-// Forwarding stages never coalesce batches, so -next-hop rejects
+// Forwarding stages hold no groups, so -next-hop rejects
 // -batch-window:
 //
 //	jpsserve -model alexnet -addr :7444                      # terminal
@@ -91,8 +92,8 @@ func main() {
 		kernel  = flag.String("kernel", "auto", "engine kernel path: "+engine.KernelPaths)
 		conc    = flag.Int("conc", 0, "concurrent inferences server-wide (the one worker pool every connection shares); 0 = GOMAXPROCS. Multiplies with -workers, so size the product to the core count")
 
-		batchWindow = flag.Duration("batch-window", 0, "hold same-shape requests up to this long and coalesce them into one batched forward (0 = no waiting: requests already queued still share their fully connected tail)")
-		batchMax    = flag.Int("batch-max", 16, "maximum jobs per coalesced group (with -batch-window)")
+		batchWindow = flag.Duration("batch-window", 0, "gather same-shape requests into groups, each held up to this long after it opens, and run a group as one batched forward (0 = no waiting: requests already queued still share their fully connected tail)")
+		batchMax    = flag.Int("batch-max", 16, "jobs that close a group before its window is over (with -batch-window; at least 2)")
 		downMbps    = flag.Float64("downlink-mbps", 0, "pace replies at this modeled downlink bandwidth (0 = unshaped)")
 
 		tenants  = flag.String("tenants", "", "comma-separated tenant:weight WFQ weights, e.g. gold:2,bronze:1 (unlisted tenants get weight 1)")
@@ -156,7 +157,9 @@ type usageError struct{ error }
 func flagConflict(cfg serveConfig) error {
 	switch {
 	case cfg.nextHop != "" && cfg.batchWindow > 0:
-		return fmt.Errorf("-next-hop is incompatible with -batch-window: a coalesced batch would bypass the handoff")
+		return fmt.Errorf("-next-hop is incompatible with -batch-window: a forwarding stage hands jobs over one by one and holds no groups")
+	case cfg.batchWindow > 0 && cfg.batchMax < 2:
+		return fmt.Errorf("-batch-window %v with -batch-max %d holds nothing: a group needs room for two", cfg.batchWindow, cfg.batchMax)
 	case cfg.nextHop == "" && cfg.nextCut != 0:
 		return fmt.Errorf("-next-cut requires -next-hop")
 	case cfg.traceOut != "" && cfg.metricsAddr == "":

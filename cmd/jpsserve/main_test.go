@@ -62,6 +62,10 @@ func TestFlagConflict(t *testing.T) {
 		{serveConfig{metricsAddr: ":0", traceOut: "t.json"}, nil},
 		{serveConfig{nextHop: ":1", batchWindow: time.Millisecond}, []string{"-next-hop", "-batch-window"}},
 		{serveConfig{nextCut: 3}, []string{"-next-cut", "-next-hop"}},
+		{serveConfig{batchWindow: 2 * time.Millisecond, batchMax: 16}, nil},
+		// A group of one has nobody to be held for: this used to print
+		// "batching: window 2ms, max 1 jobs/group" and run the default stage.
+		{serveConfig{batchWindow: 2 * time.Millisecond, batchMax: 1}, []string{"-batch-window", "-batch-max"}},
 		// -trace-out alone used to be accepted and ignored: no tracer is
 		// built without -metrics-addr, so no file was ever written.
 		{serveConfig{traceOut: "t.json"}, []string{"-trace-out", "-metrics-addr"}},

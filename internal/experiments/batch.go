@@ -48,7 +48,7 @@ type RuntimeBatchResult struct {
 // RuntimeBatch executes the concurrent-job probe for each job count at
 // each coalescing window over loopback TCP and reports makespan,
 // server busy time and achieved batch sizes. A window of 0 is the
-// default server: no coalescer and no wait, but on a model with a dense
+// default server: no hold and no wait, but on a model with a dense
 // head the jobs already waiting when a worker falls free share one pass
 // through it (no longer a batch-1 baseline; a model whose classifier is
 // a convolution still is one). Nonzero windows

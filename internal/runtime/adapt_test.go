@@ -67,7 +67,7 @@ func TestAdaptStepDownReplansToLocalCut(t *testing.T) {
 	})
 	curve := profile.BuildCurve(m.Graph(), profile.RaspberryPi4(), profile.CloudGPU(), ch, tensor.Float32)
 	met := obs.NewMetrics()
-	o := NewObs(nil, met)
+	o := NewObs(obs.NewTracer(0), met)
 	r := NewRunner(dial, m, ch, adaptScale, adaptOpts()).WithCurve(curve).WithObs(o)
 
 	const n = 12
@@ -81,6 +81,19 @@ func TestAdaptStepDownReplansToLocalCut(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkComplete(t, rep, wantClasses(t, m, inputs))
+	// The paper's f is on the trace of a Runner's run as it is on a
+	// Client's: one local-compute span a job, on the mobile lane.
+	prefixes := map[int32]int{}
+	for _, sp := range o.Tracer.Spans() {
+		if sp.Track == TrackMobile && sp.Name == SpanLocalCompute {
+			prefixes[sp.JobID]++
+		}
+	}
+	for id := int32(0); id < n; id++ {
+		if prefixes[id] != 1 {
+			t.Errorf("job %d: %d local-compute spans, want 1", id, prefixes[id])
+		}
+	}
 	if rep.Replans == 0 {
 		t.Fatal("step-down must trigger at least one adaptive replan")
 	}

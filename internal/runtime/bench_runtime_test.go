@@ -214,7 +214,7 @@ func benchHeadCut(b *testing.B) (*engine.Model, int, *tensor.Tensor) {
 // such jobs arrive cut at the tail unit and run in the groups that have
 // gathered when a worker falls free (before pickup-time grouping: one
 // pass each, as in the seed runtime); "batched" holds the whole wave in
-// the coalescer for one widened GEMM. ns/job is wall time per inference
+// one held group for one widened GEMM. ns/job is wall time per inference
 // seen by the client — the server-stage throughput number quoted in
 // EXPERIMENTS.md.
 func BenchmarkServerCoalescer(b *testing.B) {
@@ -256,7 +256,7 @@ func BenchmarkServerCoalescer(b *testing.B) {
 // jobs apiece. Both servers merge jobs across sockets into widened
 // GEMMs: "pickup" is the default server, whose jobs arrive cut at the
 // tail unit and run in whatever groups have gathered when a worker
-// falls free; "window" holds them in the coalescer for up to 10 ms or a
+// falls free; "window" holds each group for up to 10 ms or until it is a
 // full group of 64. The same head traffic both ways is what says
 // whether the window still buys anything (cmd/benchgate holds pickup to
 // no worse than window; ROADMAP carries the reading). ns/job is wall

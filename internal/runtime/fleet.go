@@ -21,8 +21,8 @@ import (
 // an overloaded server had no lever beyond letting queue times grow.
 // The fleetScheduler lifts all of that to server scope:
 //
-//	read loops --admit--> tenant WFQ --pickup--> pool <--> tail groups
-//	                 \--shed reply    \--dispatch--> coalescer --> pool
+//	read loops --admit--> tenant WFQ --pop--> pool <--park/pickup--> groups
+//	                 \--shed reply           next hop --gives back--^
 //
 //   - Admission: every decoded job passes through admit(). Past the
 //     shed watermark, infer jobs are refused with an immediate shed
@@ -31,14 +31,17 @@ import (
 //   - Fairness: admitted jobs queue per tenant and leave in stride-WFQ
 //     order, so one chatty tenant cannot starve the rest; weights come
 //     from Server.WithTenants.
-//   - Batching: jobs from ALL connections share groups. By default
-//     they form at pickup: a free worker takes the WFQ head and runs
-//     its conv span alone, parks it at the model's tail unit, and the
-//     fully connected tail of every job parked by then runs as one pass
-//     (pick, takeLocked) — one stream of the tail's weights for the
-//     queue, not one per job. Under WithBatching a dispatcher feeds
-//     one coalescer instead (see coalesce.go), which holds whole
-//     suffixes for a window.
+//   - Batching: jobs from ALL connections share groups, and every
+//     stage's workers form them the same way — nothing is dispatched
+//     ahead of a worker; one that falls free decides then what it runs
+//     (pick, takeLocked). Where and how long jobs gather is the stage's
+//     gather rule. By default a worker takes the WFQ head and runs its
+//     conv span alone, parks it at the model's tail unit, and the fully
+//     connected tail of every job parked by then runs as one pass — one
+//     stream of the tail's weights for the queue, not one per job.
+//     Under WithBatching a job parks as it is popped, whole suffix and
+//     all, and its group is held for the window. Whichever: queue-wait
+//     is decode -> pop, coalesce-wait is park -> the group's pickup.
 //   - Backpressure: once depth crosses half the shed watermark, every
 //     reply carries replyFlagBackpressure; the client aggregates the
 //     hints (Client.ServerPressure) and the runner re-plans cuts
@@ -76,10 +79,10 @@ type connCtx struct {
 // at a unit exit) or a set frame (msgInferSet, an Alg. 3 boundary set).
 // Both kinds are shed — the runner finishes either locally. Only line
 // frames are:
-//   - grouped — parked at the tail unit for the group of their cut, or
-//     coalesced under a batching window: a group shares one pass from
-//     one unit exit, and two sets' node lists need not match (nor does
-//     a set name a unit to park at);
+//   - grouped — parked for the group of their cut, at the tail unit or,
+//     under a batching window, as they are popped: a group shares one
+//     pass from one unit exit, and two sets' node lists need not match
+//     (nor does a set name a unit to park at);
 //   - forwarded: the handoff (-next-cut) is a unit index and a set names
 //     no unit, so a set's whole suffix runs on the stage it reaches;
 //   - quantized on the wire: the client calibrates per unit exit.
@@ -93,7 +96,7 @@ type pendingJob struct {
 	set    *inferSetRequest
 	recv   time.Time // decode completion; queue attribution starts here
 	start  time.Time // first worker pickup: queue time ends, stage time starts; zero until then
-	parked time.Time // joined a tail group (see takeLocked); zero: never parked
+	parked time.Time // joined the group of its cut (see takeLocked); zero: never parked
 }
 
 // jobID is the client's ID for the job, whichever frame carried it.
@@ -123,25 +126,24 @@ type fleetScheduler struct {
 	tenants map[string]*tenantQueue
 	queued  int
 	closed  bool
-	// parked holds the tail groups that wait for a free worker, oldest
-	// first, and busy counts the workers inside a task — one of them may
-	// yet park its job. Both stay zero on a stage that is fed (work).
-	parked []task
-	busy   int
+	// parked holds the groups that wait for a free worker, oldest first
+	// (so in the order they fall due), and returned the jobs the next hop
+	// gave back, each to be finished here as a group of one.
+	parked   []task
+	returned []pendingJob
+	// timer wakes the pool when the oldest unripe group falls due. One per
+	// scheduler, made by the first worker that has a hold to wait out.
+	timer *time.Timer
 
 	// depth mirrors queued for lock-free reads on the reply hot path
 	// (backpressure flag stamping).
 	depth atomic.Int64
 
-	// work carries the dispatcher's and the coalescer's tasks to the
-	// workers of a fed stage; nil where the workers pull.
-	work chan task
-	co   *coalescer
-	wg   sync.WaitGroup
-	// owed counts jobs dispatched and not yet answered or failed. The
-	// dispatcher waits on it before closing the pool: a job parked at the
-	// next hop may yet need a worker for its fallback.
-	owed sync.WaitGroup
+	wg sync.WaitGroup
+	// owed counts jobs popped and not yet answered or failed: running,
+	// parked, or in flight at the next hop, where one may yet need a
+	// worker for its fallback. The pool outlives them all.
+	owed atomic.Int64
 
 	closeOnce sync.Once
 	done      chan struct{}
@@ -154,81 +156,51 @@ func newFleetScheduler(s *Server) *fleetScheduler {
 		done:    make(chan struct{}),
 	}
 	fs.cond = sync.NewCond(&fs.mu)
-	loop := fs.pull
-	if s.coalesces() || s.next != nil {
-		// A stage with a window to keep or a hop to wait on is fed: the
-		// dispatcher hands jobs to the coalescer or the pool ahead of the
-		// workers, and a worker also listens for the hop's fallbacks.
-		loop = fs.worker
-		fs.work = make(chan task, s.workers)
-		if s.coalesces() {
-			fs.co = newCoalescer(s.batchWindow, s.batchMax, func(jobs []pendingJob, flushed time.Time) {
-				fs.work <- task{jobs: jobs, flushed: flushed}
-			})
-		} else {
-			s.next.start(fs)
-		}
-		fs.wg.Add(1)
-		go fs.dispatchLoop()
+	if s.next != nil {
+		s.next.start(fs)
 	}
 	for i := 0; i < s.workers; i++ {
 		fs.wg.Add(1)
-		go loop()
+		go fs.pull()
 	}
 	return fs
 }
 
-// worker is one pool goroutine of a fed stage: it runs the tasks the
-// dispatcher and the coalescer send until the pool closes. On a
-// forwarding stage it also takes back the jobs whose forward failed
-// (see nexthop.go); with a coalescer that channel is nil and never
-// ready.
-func (fs *fleetScheduler) worker() {
-	defer fs.wg.Done()
-	var fallbacks chan pendingJob
-	if nh := fs.s.next; nh != nil {
-		fallbacks = nh.fallbacks
-	}
-	for {
-		var t task
-		select {
-		case next, ok := <-fs.work:
-			if !ok {
-				return
-			}
-			t = next
-		case pj := <-fallbacks:
-			t = task{jobs: []pendingJob{pj}}
-		}
-		fs.occupy(t)
-	}
-}
-
-// pull is one pool goroutine of every other stage — the default server.
-// Nothing is dispatched ahead of it: a worker that falls free decides
-// then, by the pick rule (takeLocked), what it runs next, so a tail
-// group holds whatever has gathered by the moment a worker can run it
-// and not what had when a dispatcher got to it. It exits once the
-// scheduler is closed, nothing is queued or parked, and no worker is
-// still inside a task that could park its job.
+// pull is the one pool goroutine, on every stage. Nothing is dispatched
+// ahead of it: a worker that falls free decides then, by the pick rule
+// (takeLocked), what it runs next, so a group holds whatever has
+// gathered by the moment a worker can run it and not what had when a
+// dispatcher got to it. With nothing ripe it sleeps until a job is
+// admitted or given back, or the oldest group falls due. It exits once
+// the scheduler is closed, nothing is queued and nothing is owed.
 func (fs *fleetScheduler) pull() {
 	defer fs.wg.Done()
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	for {
-		if t, ok := fs.takeLocked(); ok {
-			fs.busy++
+		t, wait, ok := fs.takeLocked(time.Now())
+		switch {
+		case ok:
 			fs.mu.Unlock()
 			fs.occupy(t)
 			fs.mu.Lock()
-			fs.busy--
-		} else if fs.closed && fs.busy == 0 {
-			fs.cond.Broadcast() // the other workers are waiting for this too
+			continue
+		case fs.closed && fs.owed.Load() == 0:
 			return
-		} else {
-			fs.cond.Wait()
+		case wait > 0 && fs.timer == nil:
+			fs.timer = time.AfterFunc(wait, fs.wake)
+		case wait > 0:
+			fs.timer.Reset(wait)
 		}
+		fs.cond.Wait()
 	}
+}
+
+// wake has every waiting worker pick again.
+func (fs *fleetScheduler) wake() {
+	fs.mu.Lock()
+	fs.cond.Broadcast()
+	fs.mu.Unlock()
 }
 
 // occupy runs one task inside the pool's busy bracket.
@@ -244,11 +216,9 @@ func (fs *fleetScheduler) occupy(t task) {
 }
 
 // shutdown drains the scheduler gracefully: no new admissions, every
-// already-admitted job still executes and gets its reply (including
-// parked tail groups and partially filled coalescer groups), then the
-// pool exits. Safe to
-// call from multiple goroutines; all callers block until the drain
-// completes.
+// already-admitted job still executes and gets its reply (parked groups
+// included, whose hold ends here), then the pool exits. Safe to call
+// from multiple goroutines; all callers block until the drain completes.
 func (fs *fleetScheduler) shutdown() {
 	fs.closeOnce.Do(func() {
 		fs.mu.Lock()
@@ -256,6 +226,9 @@ func (fs *fleetScheduler) shutdown() {
 		fs.cond.Broadcast()
 		fs.mu.Unlock()
 		fs.wg.Wait()
+		if fs.timer != nil { // the pool is gone: nobody arms it again
+			fs.timer.Stop()
+		}
 		close(fs.done)
 	})
 	<-fs.done
@@ -369,107 +342,134 @@ func (fs *fleetScheduler) popLocked() pendingJob {
 // from 2 to 16). Not a knob: it is the tile.
 const tailGroupMax = 16
 
-// pick is the rule a free worker goes by, as a function of what waits:
-// how many jobs are queued and the parked tail groups, oldest first. It
-// returns the index of the group to run, or -1 for the head of the WFQ
-// (and for nothing at all, when none is queued either). Queued jobs
-// first — each still has a conv span to run, and the tail group only
-// gets fuller while it does — so a group runs when the queue is empty,
-// oldest first and whole; a group that is full has nothing to wait for
-// and goes ahead of the queue, which is what bounds how long a tail is
-// put off: one tile's worth of companions. An idle server thus adds a
-// scheduling hop to a job and no wait.
-func pick(queued int, parked []task) int {
-	for i, g := range parked {
-		if len(g.jobs) >= tailGroupMax {
-			return i
-		}
-	}
-	if queued == 0 && len(parked) > 0 {
-		return 0
-	}
-	return -1
+// gather is where and for how long a stage gathers line jobs: a job cut
+// at or past unit at joins the group of its cut (at < 0: none does), a
+// group closes at max members, and one that is not full is held until
+// hold after it opened — when its first member parked, not when that
+// member was received.
+type gather struct {
+	at, max int
+	hold    time.Duration
 }
 
-// takeLocked applies the pick rule for a worker of a pulling stage and
-// removes what it picked: a parked tail group, or the WFQ head as a
-// group of one. A head that arrived already cut at or past the tail
-// unit has no conv span to run; it joins the group of its cut on the
-// spot and the worker picks again. False: nothing to run.
-func (fs *fleetScheduler) takeLocked() (task, bool) {
+// gather is the stage's rule. A forwarding stage gathers nothing: the
+// handoff is one job's frame, and no traffic yet batches a middle
+// segment (jpsserve rejects the flag combination up front; this covers
+// direct library users). Under a batching window every line job gathers
+// as it is popped — each is cut at or past unit 0 — so a group shares
+// its whole suffix and waits the window out. Otherwise a job gathers at
+// the model's tail unit (none on a quantized model), after its conv span
+// has run alone, in a group of at most one tile that waits for nobody.
+func (s *Server) gather() gather {
+	switch {
+	case s.next != nil:
+		return gather{at: -1}
+	case s.batchWindow > 0 && s.batchMax > 1:
+		return gather{at: 0, max: s.batchMax, hold: s.batchWindow}
+	}
+	return gather{at: s.tail, max: tailGroupMax}
+}
+
+// pick is the rule a free worker goes by, as a function of what waits:
+// how many jobs are queued, the parked groups, oldest first, the size
+// that closes a group, and the time. It returns the index of the group
+// to run, or -1 for the head of the WFQ — and, when none is queued
+// either, for nothing yet: wait is then how long until the oldest group
+// falls due (0: nothing is parked). Queued jobs first — each still has
+// to join its group, after a conv span of its own where the stage has
+// one, and a group only gets fuller meanwhile — so a group runs when the
+// queue is empty and its hold is over, oldest first and whole; a group
+// that is full has nothing to wait for and goes ahead of the queue,
+// which is what bounds how long a job is put off: one group's worth of
+// companions. An idle server that holds nothing thus adds a scheduling
+// hop to a job and no wait.
+func pick(queued int, parked []task, max int, now time.Time) (group int, wait time.Duration) {
+	for i, g := range parked {
+		if len(g.jobs) >= max {
+			return i, 0
+		}
+	}
+	if queued > 0 || len(parked) == 0 {
+		return -1, 0
+	}
+	if wait = parked[0].due.Sub(now); wait > 0 {
+		return -1, wait
+	}
+	return 0, 0
+}
+
+// takeLocked applies the pick rule for a worker and removes what it
+// picked: a job the next hop gave back, ahead of everything — it has
+// been through the queue once — else a parked group, or the WFQ head as
+// a group of one. A head that is already cut at or past the unit where
+// the stage gathers has nothing to run alone; it joins the group of its
+// cut on the spot and the worker picks again. False: nothing to run
+// now, and wait is pick's. A closed scheduler holds no group back: every
+// one has fallen due by now + hold.
+func (fs *fleetScheduler) takeLocked(now time.Time) (task, time.Duration, bool) {
+	if n := len(fs.returned); n > 0 {
+		// Newest first: the list is short, and its array is used again.
+		pj := fs.returned[n-1]
+		fs.returned[n-1] = pendingJob{} // drop references for GC
+		fs.returned = fs.returned[:n-1]
+		return task{jobs: []pendingJob{pj}}, 0, true
+	}
+	g := fs.s.gather()
+	ripeBy := now
+	if fs.closed {
+		ripeBy = now.Add(g.hold)
+	}
 	for {
-		if i := pick(fs.queued, fs.parked); i >= 0 {
+		i, wait := pick(fs.queued, fs.parked, g.max, ripeBy)
+		if i >= 0 {
 			t := fs.parked[i]
 			fs.parked = append(fs.parked[:i], fs.parked[i+1:]...)
-			return t, true
+			return t, 0, true
 		}
 		if fs.queued == 0 {
-			return task{}, false
+			return task{}, wait, false
 		}
 		pj := fs.popLocked()
 		fs.owed.Add(1)
-		if at := fs.s.parkUnit(); pj.req == nil || at < 0 || int(pj.req.Cut) < at {
-			return task{jobs: []pendingJob{pj}}, true
+		if pj.req == nil || g.at < 0 || int(pj.req.Cut) < g.at {
+			return task{jobs: []pendingJob{pj}}, 0, true
 		}
-		fs.parkLocked(pj)
+		fs.parkLocked(pj, now)
 	}
 }
 
-// parkLocked puts a line job that is cut at or past the tail unit into
-// the open group of its cut, or starts one behind the others. Parked
-// jobs are owed work the queue depth no longer counts; what bounds them
-// is that a group is taken, whole, as soon as it is full or the queue
-// is empty.
-func (fs *fleetScheduler) parkLocked(pj pendingJob) {
-	pj.parked = time.Now()
+// parkLocked puts a line job that is cut where the stage gathers into
+// the open group of its cut, or opens one behind the others. Parked jobs
+// are owed work the queue depth no longer counts; what bounds them is
+// that a group is taken, whole, as soon as it is full, or the queue is
+// empty and its hold over.
+func (fs *fleetScheduler) parkLocked(pj pendingJob, now time.Time) {
+	g := fs.s.gather()
+	pj.parked = now
 	for i := range fs.parked {
-		if g := &fs.parked[i]; g.jobs[0].req.Cut == pj.req.Cut && len(g.jobs) < tailGroupMax {
-			g.jobs = append(g.jobs, pj)
+		if t := &fs.parked[i]; t.jobs[0].req.Cut == pj.req.Cut && len(t.jobs) < g.max {
+			t.jobs = append(t.jobs, pj)
 			return
 		}
 	}
-	fs.parked = append(fs.parked, task{jobs: []pendingJob{pj}})
+	fs.parked = append(fs.parked, task{jobs: []pendingJob{pj}, due: now.Add(g.hold)})
 }
 
 // park is parkLocked for the worker that has just run a job's conv
 // span. Nobody is woken: that worker picks next, and finds the group.
 func (fs *fleetScheduler) park(pj pendingJob) {
 	fs.mu.Lock()
-	fs.parkLocked(pj)
+	fs.parkLocked(pj, time.Now())
 	fs.mu.Unlock()
 }
 
-// dispatchLoop is the single consumer of the tenant queues on a fed
-// stage: it pops in WFQ order and routes each job — line jobs to the
-// coalescer when there is one, everything else to the pool as a group
-// of one. On shutdown it drains the queues first, then the coalescer,
-// then waits until every dispatched job is answered (owed), then closes
-// the pool (it and the coalescer are the only senders of tasks).
-func (fs *fleetScheduler) dispatchLoop() {
-	defer fs.wg.Done()
-	for {
-		fs.mu.Lock()
-		for fs.queued == 0 && !fs.closed {
-			fs.cond.Wait()
-		}
-		if fs.queued == 0 {
-			fs.mu.Unlock()
-			break
-		}
-		pj := fs.popLocked()
-		fs.mu.Unlock()
-		fs.owed.Add(1)
-		if pj.req != nil && fs.co != nil {
-			fs.co.submit(pj)
-		} else {
-			fs.work <- task{jobs: []pendingJob{pj}}
-		}
-	}
-	if fs.co != nil {
-		fs.co.finish()
-	}
-	fs.owed.Wait()
-	close(fs.work)
+// giveBack takes a job whose forward failed — the hop shed it, hung or
+// died — back from the hop's reader, for a worker to finish here.
+func (fs *fleetScheduler) giveBack(pj pendingJob) {
+	fs.mu.Lock()
+	fs.returned = append(fs.returned, pj)
+	fs.cond.Signal()
+	fs.mu.Unlock()
 }
 
 // hintFlags returns the backpressure bit when queue depth has crossed
@@ -493,12 +493,12 @@ func (fs *fleetScheduler) hintFlags() uint8 {
 
 // task is what the pool runs: jobs that enter the model at the same
 // place and go through it as one pass. A job on its own is a group of
-// one; larger ones are a tail group (takeLocked) or, under a batching
-// window, the coalescer's, and flushed is when it let this one go
-// (zero: the jobs never waited there).
+// one; larger ones gathered while parked (takeLocked), and due is when
+// the group opened plus the stage's hold: until then it waits, unless
+// it fills.
 type task struct {
-	jobs    []pendingJob
-	flushed time.Time
+	jobs []pendingJob
+	due  time.Time
 }
 
 // run is the one stage task. It checks every member and runs the valid
@@ -519,7 +519,7 @@ type task struct {
 func (fs *fleetScheduler) run(t task) {
 	s, o := fs.s, fs.s.obsv
 	start := time.Now()
-	grouped := !t.flushed.IsZero()
+	grouped := false
 	valid := t.jobs[:0] // filtered in place: the group is this task's alone
 	var invalid []invalidJob
 	for _, pj := range t.jobs {
@@ -527,18 +527,13 @@ func (fs *fleetScheduler) run(t task) {
 		case !pj.parked.IsZero():
 			grouped = true
 			o.span(TrackServer, SpanCoalesceWait, int(pj.jobID()), pj.parked, start)
-			if pj.start.IsZero() { // arrived cut at the tail: no pass before this one
+			if pj.start.IsZero() { // parked as it was popped: no pass before this one
 				pj.start = start
 				o.span(TrackServer, SpanQueueWait, int(pj.jobID()), pj.recv, pj.parked)
 			}
 		case pj.start.IsZero():
 			pj.start = start
-			queued := pj.recv
-			if !t.flushed.IsZero() {
-				o.span(TrackServer, SpanCoalesceWait, int(pj.jobID()), pj.recv, t.flushed)
-				queued = t.flushed
-			}
-			o.span(TrackServer, SpanQueueWait, int(pj.jobID()), queued, start)
+			o.span(TrackServer, SpanQueueWait, int(pj.jobID()), pj.recv, start)
 		case o != nil:
 			o.NextHopFallbacks.Inc()
 		}
@@ -564,8 +559,8 @@ func (fs *fleetScheduler) run(t task) {
 
 // pass takes the checked members of a task through the model together
 // and sees each off: answered, handed over, parked or failed. grouped
-// says the jobs were gathered — by the window or in a tail group — and
-// the pass is then counted by its size, gathered or not.
+// says the jobs were gathered — parked, for however long — and the pass
+// is then counted by its size, gathered or not.
 func (fs *fleetScheduler) pass(jobs []pendingJob, grouped bool) {
 	s, o, n := fs.s, fs.s.obsv, len(jobs)
 	if grouped && o != nil {
@@ -648,18 +643,6 @@ func (s *Server) pack(jobs []pendingJob) *tensor.Tensor {
 	return out
 }
 
-// parkUnit is the unit at which this stage parks a line job for the
-// tail group of its cut, -1 if it never does: the model's tail unit on
-// a terminal stage whose groups no window forms. A forwarding stage
-// lets a job go at the handoff instead; a quantized model has no tail
-// unit.
-func (s *Server) parkUnit() int {
-	if s.next != nil || s.coalesces() {
-		return -1
-	}
-	return s.tail
-}
-
 // advance runs a checked group from its cut as one batch — seed, the
 // packed boundary — as far as this stage takes it: unit to, whose exit
 // activation it returns: the sink's, unless the group is cut before the
@@ -676,7 +659,7 @@ func (s *Server) advance(jobs []pendingJob, seed *tensor.Tensor) (out *tensor.Te
 		return out, to, err
 	}
 	from := int(jobs[0].req.Cut) // one per group: members share the cut
-	stop := s.parkUnit()
+	stop := s.gather().at
 	if s.next != nil {
 		stop = s.next.cut
 	}
@@ -691,7 +674,7 @@ func (s *Server) advance(jobs []pendingJob, seed *tensor.Tensor) (out *tensor.Te
 // in a group or on its own, after a fallback, or by the next hop — its
 // reply is built, stamped and written here, and the job released. The
 // stamps mean the same on every path: QueueNs is decode done to worker
-// pickup (the coalescing window included, so it shows up as queue time
+// pickup (a batching window's hold included, so it shows up as queue time
 // on the server, not as phantom communication delay in the client's
 // CommMs), and CloudNs is first worker pickup to answer ready, end —
 // checking and packing, a middle segment and the wait for the next hop,
@@ -719,7 +702,7 @@ func (fs *fleetScheduler) answer(pj pendingJob, class int32, flags uint8, end ti
 		o.TenantJobs.With(pj.tenant).Inc()
 	}
 	pj.conn.pending.Done()
-	fs.owed.Done()
+	fs.settle()
 }
 
 // fail gives a dispatched job up: its connection fails with err (the
@@ -727,7 +710,19 @@ func (fs *fleetScheduler) answer(pj pendingJob, class int32, flags uint8, end ti
 func (fs *fleetScheduler) fail(pj pendingJob, err error) {
 	pj.conn.fail(err)
 	pj.conn.pending.Done()
-	fs.owed.Done()
+	fs.settle()
+}
+
+// settle takes an answered or failed job off what the pool owes. The
+// last one lets a closed pool go.
+func (fs *fleetScheduler) settle() {
+	if fs.owed.Add(-1) == 0 {
+		fs.mu.Lock()
+		if fs.closed {
+			fs.cond.Broadcast()
+		}
+		fs.mu.Unlock()
+	}
 }
 
 // tenantWeight resolves a tenant's WFQ weight from the server config;

@@ -49,14 +49,16 @@ import (
 //     alone — shed means "not computed", which is never true once the
 //     fallback ran. The next handoff redials. Each admitted job is
 //     answered exactly once: it is owned by a worker, a slot or the
-//     fallback channel, never two of them.
-//   - Drain order on Close: queues, then every dispatched job answered
-//     (fleetScheduler.owed — a parked job may still need the pool for
-//     its fallback), then the pool, then the forwarding connection and
-//     its reader.
+//     scheduler's returned list, never two of them. A reader never
+//     waits for a worker: it frees the slot, leaves the job on that
+//     list (fleetScheduler.giveBack) and reads on, so workers that all
+//     wait for a slot cannot wedge it.
+//   - Drain order on Close: queues, then every popped job answered
+//     (fleetScheduler.owed — a job in a slot may still need the pool
+//     for its fallback), then the pool, then the forwarding connection
+//     and its reader.
 //
-// A forwarding stage never coalesces: the handoff is one job's frame,
-// and no traffic yet batches a middle segment.
+// A forwarding stage gathers no groups (Server.gather).
 
 const (
 	// forwardWindow is how many handoffs may await their reply at once.
@@ -102,10 +104,6 @@ type nextHop struct {
 	// free holds the indexes of the free slots; its capacity is the
 	// window, so returning an index never blocks.
 	free chan uint32
-	// fallbacks hands jobs whose forward failed from a reader to the
-	// pool. Unbuffered: every worker that is idle or waiting for a slot
-	// receives from it, so a reader's send cannot wedge.
-	fallbacks chan pendingJob
 
 	// wmu is the socket-write lock: dialing and handoff frames. It is
 	// taken before mu, never after, and the reader never takes it — a
@@ -141,7 +139,8 @@ func (s *Server) WithNextHop(addr string, cut int) (*Server, error) {
 }
 
 // start sizes the slot table and binds the hop to the scheduler whose
-// pool runs its fallbacks; called once, before the workers start.
+// pool finishes the jobs it gives back; called once, before the workers
+// start.
 func (nh *nextHop) start(fs *fleetScheduler) {
 	nh.fs = fs
 	nh.slots = make([]forwardSlot, nh.window)
@@ -149,7 +148,6 @@ func (nh *nextHop) start(fs *fleetScheduler) {
 	for i := range nh.slots {
 		nh.free <- uint32(i)
 	}
-	nh.fallbacks = make(chan pendingJob)
 }
 
 // handOff parks the job in a slot and writes its handoff frame. It
@@ -158,7 +156,7 @@ func (nh *nextHop) start(fs *fleetScheduler) {
 // to finish. Once parked the job belongs to the connection's reader,
 // write error or not.
 func (nh *nextHop) handOff(pj pendingJob) bool {
-	idx := nh.acquire()
+	idx := <-nh.free // a full window blocks the worker
 	nh.wmu.Lock()
 	defer nh.wmu.Unlock()
 	fc, err := nh.connect()
@@ -184,20 +182,6 @@ func (nh *nextHop) handOff(pj pendingJob) bool {
 		nh.mu.Unlock()
 	}
 	return true
-}
-
-// acquire takes a free slot index, blocking while the window is full. A
-// worker waiting here still serves fallbacks: the reader that would
-// free a slot may itself be waiting to hand one over.
-func (nh *nextHop) acquire() uint32 {
-	for {
-		select {
-		case idx := <-nh.free:
-			return idx
-		case pj := <-nh.fallbacks:
-			nh.fs.run(task{jobs: []pendingJob{pj}})
-		}
-	}
 }
 
 // connect returns the live forwarding connection, dialing it and
@@ -304,7 +288,7 @@ func (nh *nextHop) kill(fc *forwardConn) {
 
 // readLoop is the connection's reply reader: it relays each reply to
 // the upstream connection that owns the slot until the connection
-// fails, then sends every job still parked on it to the pool.
+// fails, then gives every job still parked on it back to the pool.
 func (nh *nextHop) readLoop(fc *forwardConn) {
 	defer nh.readers.Done()
 	for {
@@ -329,7 +313,7 @@ func (nh *nextHop) readLoop(fc *forwardConn) {
 			break
 		}
 		if down.Flags&replyFlagShed != 0 {
-			nh.fallbacks <- sl.pendingJob
+			nh.fs.giveBack(sl.pendingJob)
 			continue
 		}
 		if sl.sent.IsZero() {
@@ -341,7 +325,7 @@ func (nh *nextHop) readLoop(fc *forwardConn) {
 	}
 	nh.kill(fc)
 	for _, job := range nh.orphans(fc) {
-		nh.fallbacks <- job
+		nh.fs.giveBack(job)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"math/rand"
 	"net"
+	goruntime "runtime"
 	"sync"
 	"testing"
 	"time"
@@ -263,6 +264,21 @@ func TestNextHopFallbackWhenHopDead(t *testing.T) {
 	}
 }
 
+// serveShedding answers every request on conn with a shed reply.
+func serveShedding(_ *scriptedHop, _ int, conn net.Conn) {
+	r, w := bufio.NewReader(conn), bufio.NewWriter(conn)
+	for {
+		req, err := readRequest(r)
+		if err != nil {
+			return
+		}
+		shed := &inferReply{JobID: req.JobID, Class: -1, Flags: replyFlagShed | replyFlagBackpressure}
+		if writeInferReply(w, shed) != nil || w.Flush() != nil {
+			return
+		}
+	}
+}
+
 // A next hop that sheds every job: each one falls back on its own — the
 // connection stays up — and the relayed reply never carries the shed
 // flag, because the fallback computes a real class. Only the
@@ -270,19 +286,7 @@ func TestNextHopFallbackWhenHopDead(t *testing.T) {
 func TestNextHopReplyNeverShed(t *testing.T) {
 	goroutinesSettle(t)
 	m := testModel(t)
-	hop := startScriptedHop(t, m, func(_ *scriptedHop, _ int, conn net.Conn) {
-		r, w := bufio.NewReader(conn), bufio.NewWriter(conn)
-		for {
-			req, err := readRequest(r)
-			if err != nil {
-				return
-			}
-			shed := &inferReply{JobID: req.JobID, Class: -1, Flags: replyFlagShed | replyFlagBackpressure}
-			if writeInferReply(w, shed) != nil || w.Flush() != nil {
-				return
-			}
-		}
-	})
+	hop := startScriptedHop(t, m, serveShedding)
 	srv, o := startMiddle(t, m, hop.addr(), 2, nil)
 	cl, _ := attach(t, srv, m)
 	const n = 12
@@ -323,27 +327,20 @@ func TestWithNextHopValidation(t *testing.T) {
 	}
 }
 
-// The cross-connection coalescer silently bypassing the next hop would
-// be a correctness bug; a forwarding stage must never create one even
-// when batching flags are set.
+// Batching silently bypassing the next hop would be a correctness bug;
+// a forwarding stage must gather no groups even when batching flags are
+// set.
 func TestNextHopDisablesCoalescer(t *testing.T) {
 	m := testModel(t)
 	srv, err := NewServer(m).WithBatching(time.Millisecond, 8).WithNextHop("127.0.0.1:1", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(srv.Close)
-	fs := srv.scheduler()
-	if fs == nil {
-		t.Fatal("scheduler nil")
+	if g := srv.gather(); g.at >= 0 || g.hold != 0 {
+		t.Errorf("forwarding stage gathers %+v; it must park nothing and hold nothing", g)
 	}
-	if fs.co != nil {
-		t.Error("forwarding stage must not create a coalescer")
-	}
-	plain := NewServer(m).WithBatching(time.Millisecond, 8)
-	t.Cleanup(plain.Close)
-	if plain.scheduler().co == nil {
-		t.Error("non-forwarding server with batching must coalesce")
+	if g := NewServer(m).WithBatching(time.Millisecond, 8).gather(); g.at != 0 || g.max != 8 || g.hold != time.Millisecond {
+		t.Errorf("non-forwarding server with batching gathers %+v, want every line job, 8 a group, held 1ms", g)
 	}
 }
 
@@ -617,6 +614,59 @@ func TestNextHopWindowBoundsInFlight(t *testing.T) {
 		t.Errorf("forwards %d fallbacks %d, want %d and 0", f, fb, n)
 	}
 	t.Logf("peak in flight %d of window %d", peak, window)
+}
+
+// A window of one, two workers, and a hop that sheds everything: both
+// workers are soon waiting for the one slot while the reader holds a job
+// to give back. The reader must not need a worker to take it — it frees
+// the slot, leaves the job with the scheduler and reads on — or the
+// three wedge. Every job is answered once, by a local fallback.
+func TestNextHopWindowOfOneShedsAll(t *testing.T) {
+	goroutinesSettle(t)
+	m := testModel(t)
+	hop := startScriptedHop(t, m, serveShedding)
+	srv, o := startMiddle(t, m, hop.addr(), 3, func(nh *nextHop) { nh.window = 1 })
+	cl, _ := attach(t, srv, m)
+	const n = 48
+	boundaries, want := variedBoundaries(t, m, 0, n, 17)
+	rep, err := cl.RunBoundaryJobs(0, boundaries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkClasses(t, rep, want)
+	if f, fb := o.NextHopForwards.Value(), o.NextHopFallbacks.Value(); f != n || fb != n {
+		t.Errorf("forwards %d fallbacks %d, want %d of each", f, fb, n)
+	}
+	srv.Close() // a reply is counted after it is written: let the pool finish
+	if got := o.ServerJobs.Value(); got != n {
+		t.Errorf("%d replies written for %d jobs", got, n)
+	}
+}
+
+// TestSchedulerStartsOnlyWorkers: on each of the three stage kinds the
+// scheduler is its workers and nothing else — no dispatcher, no
+// goroutine that keeps a window.
+func TestSchedulerStartsOnlyWorkers(t *testing.T) {
+	goroutinesSettle(t)
+	m := testModel(t)
+	const workers = 3
+	forwarding, err := NewServer(m).WithNextHop("127.0.0.1:1", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, srv := range map[string]*Server{
+		"default":    NewServer(m),
+		"windowed":   NewServer(m).WithBatching(time.Hour, 8),
+		"forwarding": forwarding,
+	} {
+		srv.WithWorkers(workers)
+		before := goruntime.NumGoroutine()
+		srv.scheduler()
+		if got := goruntime.NumGoroutine() - before; got != workers {
+			t.Errorf("%s stage: the scheduler started %d goroutines, want its %d workers", name, got, workers)
+		}
+		srv.Close()
+	}
 }
 
 // profileUnits exposes the unit count for validation tests.

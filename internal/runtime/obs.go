@@ -22,12 +22,12 @@ const (
 // waits and recovery events.
 const (
 	SpanLocalCompute  = "local-compute"  // mobile: one job's prefix
-	SpanQueueWait     = "queue-wait"     // uplink: enqueue -> writer pickup; server: decode (a coalesced member: flush) -> worker pickup (a job that arrives cut at the tail unit: -> park)
+	SpanQueueWait     = "queue-wait"     // uplink: enqueue -> writer pickup; server: decode -> pop from the WFQ (a worker's pickup, or the park of a job popped straight into a group)
 	SpanSerialize     = "serialize"      // uplink: frame encode inside the upload
 	SpanUpload        = "upload"         // uplink: setup delay + encode + paced transmit
 	SpanReplyWait     = "reply-wait"     // cloud: upload end -> reply delivered
 	SpanDecode        = "decode"         // server: request body decode
-	SpanCoalesceWait  = "coalesce-wait"  // server: time held for companions — under a batching window decode -> group flush; by default park at the tail unit -> the tail group's pickup, inside the job's cloud-compute
+	SpanCoalesceWait  = "coalesce-wait"  // server: time held for companions, on every stage: park -> the group's pickup (inside cloud-compute for a job whose conv span ran first)
 	SpanCloudCompute  = "cloud-compute"  // server: worker pickup -> answer ready, the reply's CloudNs (on a forwarding stage: -> relay)
 	SpanForwardWait   = "forward-wait"   // server (forwarding stage): handoff flushed -> downstream reply
 	SpanReplyWrite    = "reply-write"    // server: reply encode + flush
@@ -74,14 +74,14 @@ type Obs struct {
 	ServerTxBytes *obs.Counter // jps_server_tx_bytes_total (reply frames)
 	WorkersBusy   *obs.Gauge   // jps_server_workers_busy (pool occupancy)
 
-	// Cross-job batching: tail groups and the window coalescer's,
-	// observed when a worker picks the group up (see fleet.go).
+	// Cross-job batching: every parked group, held for a window or not,
+	// observed when a worker picks it up (see fleet.go).
 	BatchSize   *obs.Histogram // jps_server_batch_size (jobs per executed group)
 	BatchedJobs *obs.Counter   // jps_server_batched_jobs_total (jobs executed in groups of >= 2)
 	SoloJobs    *obs.Counter   // jps_server_solo_jobs_total (jobs whose group was of one, and every int8 job a window gathered)
 
 	// Fleet scheduler: admission control, WFQ, shedding (see fleet.go).
-	QueueDepth          *obs.Gauge      // jps_server_queue_depth (jobs admitted but not yet dispatched; a job parked for its tail group is no longer counted)
+	QueueDepth          *obs.Gauge      // jps_server_queue_depth (jobs admitted and not yet picked up: a job counts until a worker pops it, and no longer once parked for its group)
 	ShedJobs            *obs.Counter    // jps_server_shed_jobs_total (jobs refused at the overload watermark)
 	BackpressureReplies *obs.Counter    // jps_server_backpressure_replies_total (replies carrying the hint flag)
 	TenantJobs          *obs.CounterVec // jps_server_tenant_jobs_total{tenant} (replies per tenant, shed included)
@@ -123,7 +123,7 @@ func NewObs(tr *obs.Tracer, m *obs.Metrics) *Obs {
 		BatchedJobs: m.Counter("jps_server_batched_jobs_total", "jobs executed in groups of two or more"),
 		SoloJobs:    m.Counter("jps_server_solo_jobs_total", "jobs that ran as a group of one"),
 
-		QueueDepth:          m.Gauge("jps_server_queue_depth", "jobs admitted to the fleet scheduler but not yet dispatched"),
+		QueueDepth:          m.Gauge("jps_server_queue_depth", "jobs admitted to the fleet scheduler and not yet picked up by a worker"),
 		ShedJobs:            m.Counter("jps_server_shed_jobs_total", "jobs refused by admission control at the overload watermark"),
 		BackpressureReplies: m.Counter("jps_server_backpressure_replies_total", "replies carrying the backpressure hint flag"),
 		TenantJobs:          m.CounterVec("jps_server_tenant_jobs_total", "replies written per tenant (shed replies included)", "tenant"),

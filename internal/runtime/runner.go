@@ -417,7 +417,7 @@ func (r *Runner) attempt(cl *Client, order []*ftJob, rs *replanState, nominal *n
 			continue
 		}
 		if j.res == nil {
-			up, res, perr := r.runPrefix(j.id, j.cut, j.input)
+			up, res, perr := cl.computePrefix(j.id, j.cut, j.input)
 			if perr != nil {
 				return true, perr
 			}

@@ -19,19 +19,20 @@ import (
 // view. Each connection runs a read loop that decodes requests and
 // admits them into the server-wide fleet scheduler (see fleet.go):
 // one global worker pool, per-tenant weighted fair queueing,
-// watermark-based load shedding, and cross-connection batching — by
-// default of the model's fully connected tail, over the jobs that are
-// waiting when a worker falls free, with no window and no wait; under
-// WithBatching of whole suffixes, held for a window. Replies go out
+// watermark-based load shedding, and cross-connection batching, by one
+// rule on every server (fleetScheduler.pick) — by default of the
+// model's fully connected tail, over the jobs that are waiting when a
+// worker falls free, with no hold and no wait; under WithBatching of
+// whole suffixes, each group held for the window. Replies go out
 // (possibly out of order) under each connection's write mutex as jobs
 // finish, so one slow inference never stalls any socket.
 type Server struct {
 	lineProgram
 	// workers bounds concurrent inferences server-wide.
 	workers int
-	// batchWindow/batchMax configure the cross-connection coalescer
-	// (see coalesce.go); window 0 or max 1 leaves grouping to pickup
-	// time (see fleetScheduler.takeLocked).
+	// batchWindow/batchMax are WithBatching's: how long a group of whole
+	// suffixes is held and what closes it; window 0 or max 1 leaves the
+	// default (see gather).
 	batchWindow time.Duration
 	batchMax    int
 	// tenantWeights maps tenant IDs to WFQ weights (see WithTenants);
@@ -97,17 +98,18 @@ func (s *Server) WithShedWatermark(n int) *Server {
 	return s
 }
 
-// WithBatching enables the cross-connection coalescer: decoded infer
-// requests of the same cut — from any connection — wait up to window
-// for companions (at most max per group) and execute as one batched
-// suffix pass. Window 0 or max < 2 keeps the default: no job waits for
-// another, a job's convolutional span runs on its own, and the fully
-// connected tail of every job already waiting when a worker falls free
-// runs as one pass (a model with no dense head runs job-at-a-time). A
-// quantized model never runs two jobs together either way: under a
-// window its groups form and then run as passes of one. Must be called
-// before serving; returns s for chaining. Only line frames group (see
-// the frame-kind table on pendingJob).
+// WithBatching has decoded infer requests of the same cut — from any
+// connection — gather as workers pop them: a group is held until window
+// after it opened, or until it has max members, and executes as one
+// batched suffix pass. Window 0 or max < 2 keeps the default: no job
+// waits for another, a job's convolutional span runs on its own, and
+// the fully connected tail of every job already waiting when a worker
+// falls free runs as one pass (a model with no dense head runs
+// job-at-a-time). A quantized model never runs two jobs together either
+// way: under a window its groups form and then run as passes of one. A
+// forwarding stage ignores both. Must be called before serving; returns
+// s for chaining. Only line frames group (see the frame-kind table on
+// pendingJob).
 func (s *Server) WithBatching(window time.Duration, max int) *Server {
 	if max < 1 {
 		max = 1
@@ -115,15 +117,6 @@ func (s *Server) WithBatching(window time.Duration, max int) *Server {
 	s.batchWindow = window
 	s.batchMax = max
 	return s
-}
-
-// coalesces reports whether the window coalescer forms this stage's
-// groups: a window and room for two, on a terminal stage — a forwarding
-// stage never coalesces: the handoff is one job's frame, and no traffic
-// yet batches a middle segment. jpsserve rejects the flag combination
-// up front; this covers direct library users.
-func (s *Server) coalesces() bool {
-	return s.batchWindow > 0 && s.batchMax > 1 && s.next == nil
 }
 
 // WithObs attaches a tracing + metrics bundle; must be called before
@@ -187,8 +180,9 @@ func (s *Server) scheduler() *fleetScheduler {
 }
 
 // Close drains and stops the fleet scheduler: no new jobs are
-// admitted, every already-admitted job (queued, coalescing, executing,
-// or parked at the next hop) still runs and gets its reply, then the
+// admitted, every already-admitted job (queued, held in a group,
+// executing, or in flight at the next hop) still runs and gets its
+// reply, then the
 // worker pool exits and, on a forwarding stage, the next-hop connection
 // closes. It does not close client connections or any listener — stop
 // accepting first, then Close. Safe to call multiple times, from
@@ -327,7 +321,7 @@ readLoop:
 			}
 			if pj.req != nil && pj.req.Quant != nil {
 				// Expand the int8 codes once at decode time; everything
-				// downstream — the coalescer included — sees the same
+				// downstream — a group's pack included — sees the same
 				// float32 boundary it always has.
 				pj.req.Tensor, pj.req.Quant = pj.req.Quant.Dequantize(), nil
 			}

@@ -16,9 +16,9 @@ import (
 )
 
 // Pickup-time grouping on the default server: where the tail begins,
-// what a free worker takes, and that parked jobs drain. The scheduler
-// tests drive takeLocked on a scheduler nothing runs — no goroutine, no
-// socket, no clock.
+// what a free worker takes and how long a group is held, and that
+// parked jobs drain. The scheduler tests drive takeLocked on a scheduler
+// nothing runs — no goroutine, no socket, no clock but the test's.
 
 // TestTailUnit: the tail unit comes from the graph's layer types, on
 // the whole zoo: the exit that feeds the first layer of the dense head,
@@ -58,29 +58,51 @@ func TestTailUnit(t *testing.T) {
 }
 
 // TestPickRule is the rule as a table: (queued, sizes of the parked
-// groups oldest first) -> the group to run, -1 for the WFQ head.
+// groups oldest first, when each falls due, the size that closes a
+// group, the time) -> the group to run, -1 for the WFQ head or nothing
+// yet, and how long until something is due. Times are milliseconds on
+// no clock; a row without them holds nothing, as the default stage does.
 func TestPickRule(t *testing.T) {
+	at := func(ms int) time.Time { return time.Time{}.Add(time.Duration(ms) * time.Millisecond) }
 	for _, c := range []struct {
 		queued int
 		parked []int
+		due    []int
+		max    int
+		now    int
 		want   int
+		wait   int
 	}{
-		{0, nil, -1},
-		{3, nil, -1},
-		{2, []int{5}, -1},                  // queued + parked: the WFQ head
-		{1, []int{15, 3}, -1},              // one short of the tile still waits
-		{0, []int{1}, 0},                   // nothing queued: the group, even of one
-		{0, []int{2, 9}, 0},                // the oldest, not the fullest
-		{4, []int{3, tailGroupMax}, 1},     // a full group goes ahead of the queue
-		{0, []int{3, tailGroupMax, 16}, 1}, // and ahead of an older one that is not
-		{4, []int{tailGroupMax, 16, 2}, 0}, // full groups: oldest first
+		{0, nil, nil, 16, 0, -1, 0},
+		{3, nil, nil, 16, 0, -1, 0},
+		{2, []int{5}, nil, 16, 0, -1, 0},                  // queued + parked: the WFQ head
+		{1, []int{15, 3}, nil, 16, 0, -1, 0},              // one short of the tile still waits
+		{0, []int{1}, nil, 16, 0, 0, 0},                   // nothing queued: the group, even of one
+		{0, []int{2, 9}, nil, 16, 0, 0, 0},                // the oldest, not the fullest
+		{4, []int{3, tailGroupMax}, nil, 16, 0, 1, 0},     // a full group goes ahead of the queue
+		{0, []int{3, tailGroupMax, 16}, nil, 16, 0, 1, 0}, // and ahead of an older one that is not
+		{4, []int{tailGroupMax, 16, 2}, nil, 16, 0, 0, 0}, // full groups: oldest first
+		{0, []int{3}, []int{12}, 16, 10, -1, 2},           // unripe and not full: wait it out
+		{0, []int{3}, []int{12}, 16, 12, 0, 0},            // due: that group
+		{0, []int{3}, []int{12}, 16, 40, 0, 0},            // overdue
+		{0, []int{3, 1}, []int{12, 13}, 16, 5, -1, 7},     // the earliest of two unripe groups sets the wait
+		{0, []int{3, 1}, []int{12, 13}, 16, 12, 0, 0},     // and runs first, alone
+		{2, []int{3}, []int{12}, 16, 40, -1, 0},           // a due group still yields to the queue
+		{2, []int{31, 5}, []int{12, 13}, 32, 0, -1, 0},    // the size that closes a group is the stage's:
+		{2, []int{31, 32}, []int{12, 13}, 32, 0, 1, 0},    // full at 32 goes ahead of the queue as at 16,
+		{0, []int{16, 32}, []int{12, 13}, 32, 0, 1, 0},    // and ahead of an older, unripe one
 	} {
 		parked := make([]task, len(c.parked))
 		for i, n := range c.parked {
 			parked[i].jobs = make([]pendingJob, n)
+			if c.due != nil {
+				parked[i].due = at(c.due[i])
+			}
 		}
-		if got := pick(c.queued, parked); got != c.want {
-			t.Errorf("pick(%d queued, parked %v) = %d, want %d", c.queued, c.parked, got, c.want)
+		got, wait := pick(c.queued, parked, c.max, at(c.now))
+		if got != c.want || wait != time.Duration(c.wait)*time.Millisecond {
+			t.Errorf("pick(%d queued, parked %v due %v, max %d, now %d) = %d, %v; want %d, %d ms",
+				c.queued, c.parked, c.due, c.max, c.now, got, wait, c.want, c.wait)
 		}
 	}
 }
@@ -93,11 +115,13 @@ func idleScheduler(srv *Server) *fleetScheduler {
 }
 
 // TestTakeByStageAndFrame drives takeLocked over the stage kinds and
-// frame kinds: what parks, what a worker gets, in which order.
+// frame kinds: what parks, what a worker gets, in which order, and how
+// long it is told to wait first. The clock is the test's: it moves only
+// by the waits takeLocked returns.
 func TestTakeByStageAndFrame(t *testing.T) {
 	m := testModel(t)
-	const tail = 6
-	forwarding, err := NewServer(m).WithNextHop("127.0.0.1:1", 3)
+	const tail, window = 6, time.Second
+	forwarding, err := NewServer(m).WithBatching(window, 4).WithNextHop("127.0.0.1:1", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,46 +139,64 @@ func TestTakeByStageAndFrame(t *testing.T) {
 		return jobs
 	}
 	for _, c := range []struct {
-		name   string
-		srv    *Server
-		parks  bool
-		queued []pendingJob
-		want   [][]int // job IDs of each task takeLocked returns, in order
+		name     string
+		srv      *Server
+		at       int // the unit from which a line job parks, -1: none does
+		queued   []pendingJob
+		returned []pendingJob
+		closed   bool
+		want     [][]int       // job IDs of each task takeLocked returns, in order
+		held     time.Duration // what the worker was told to wait, in all
 	}{
-		{"conv job before tail jobs: the head first, then the group whole", NewServer(m), true,
-			[]pendingJob{line(0, 1), line(1, tail), line(2, tail), line(3, tail)},
-			[][]int{{0}, {1, 2, 3}}},
-		{"tail jobs ahead of a conv job park while it is queued", NewServer(m), true,
-			[]pendingJob{line(1, tail), line(2, tail), line(0, 1), line(3, tail)},
-			[][]int{{0}, {1, 2, 3}}},
-		{"groups are by cut, oldest first", NewServer(m), true,
-			[]pendingJob{line(0, tail+1), line(1, tail), line(2, tail+1)},
-			[][]int{{0, 2}, {1}}},
-		{"the sixteenth member sends the group ahead of the queue", NewServer(m), true,
-			append(many(0, tailGroupMax+2, tail), line(99, 1)),
-			[][]int{{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}, {99}, {16, 17}}},
-		{"a set frame never parks", NewServer(m), true,
-			[]pendingJob{set(0), line(1, tail), set(2)},
-			[][]int{{0}, {2}, {1}}},
-		{"a cut out of range parks with its like and fails there", NewServer(m), true,
-			[]pendingJob{line(0, 200), line(1, 200)},
-			[][]int{{0, 1}}},
-		{"a quantized model never parks", NewServer(quantTestModel(t)), false,
-			[]pendingJob{line(0, 1), line(1, tail), line(2, tail)},
-			[][]int{{0}, {1}, {2}}},
-		{"a window coalescer's stage never parks", NewServer(m).WithBatching(1, 4), false,
-			[]pendingJob{line(0, tail), line(1, tail)},
-			[][]int{{0}, {1}}},
-		{"a forwarding stage never parks", forwarding, false,
-			[]pendingJob{line(0, tail), line(1, tail)},
-			[][]int{{0}, {1}}},
-		{"no window, or no room for two, is the default stage", NewServer(m).WithBatching(0, 16).WithBatching(1, 1), true,
-			[]pendingJob{line(0, tail), line(1, tail)},
-			[][]int{{0, 1}}},
+		{"conv job before tail jobs: the head first, then the group whole", NewServer(m), tail,
+			[]pendingJob{line(0, 1), line(1, tail), line(2, tail), line(3, tail)}, nil, false,
+			[][]int{{0}, {1, 2, 3}}, 0},
+		{"tail jobs ahead of a conv job park while it is queued", NewServer(m), tail,
+			[]pendingJob{line(1, tail), line(2, tail), line(0, 1), line(3, tail)}, nil, false,
+			[][]int{{0}, {1, 2, 3}}, 0},
+		{"groups are by cut, oldest first", NewServer(m), tail,
+			[]pendingJob{line(0, tail+1), line(1, tail), line(2, tail+1)}, nil, false,
+			[][]int{{0, 2}, {1}}, 0},
+		{"the sixteenth member sends the group ahead of the queue", NewServer(m), tail,
+			append(many(0, tailGroupMax+2, tail), line(99, 1)), nil, false,
+			[][]int{{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}, {99}, {16, 17}}, 0},
+		{"a set frame never parks", NewServer(m), tail,
+			[]pendingJob{set(0), line(1, tail), set(2)}, nil, false,
+			[][]int{{0}, {2}, {1}}, 0},
+		{"a cut out of range parks with its like and fails there", NewServer(m), tail,
+			[]pendingJob{line(0, 200), line(1, 200)}, nil, false,
+			[][]int{{0, 1}}, 0},
+		{"a quantized model never parks", NewServer(quantTestModel(t)), -1,
+			[]pendingJob{line(0, 1), line(1, tail), line(2, tail)}, nil, false,
+			[][]int{{0}, {1}, {2}}, 0},
+		// Each as it is popped: a group per cut, held; a set alone, at once.
+		{"under a window every line job parks, by cut", NewServer(m).WithBatching(window, 4), 0,
+			[]pendingJob{line(0, 1), line(1, tail), set(2), line(3, 1), line(4, tail)}, nil, false,
+			[][]int{{2}, {0, 3}, {1, 4}}, window},
+		{"a group the window's max fills is not held", NewServer(m).WithBatching(window, 2), 0,
+			many(0, 3, 1), nil, false,
+			[][]int{{0, 1}, {2}}, window},
+		// And run as passes of one: TestQuantBurstRunsOneByOne.
+		{"an int8 model's jobs gather under a window too", NewServer(quantTestModel(t)).WithBatching(window, 4), 0,
+			many(0, 2, 1), nil, false,
+			[][]int{{0, 1}}, window},
+		{"a closed scheduler holds nothing back", NewServer(m).WithBatching(window, 4), 0,
+			[]pendingJob{line(0, 1), line(1, tail), line(2, 1)}, nil, true,
+			[][]int{{0, 2}, {1}}, 0},
+		{"a forwarding stage never parks", forwarding, -1,
+			[]pendingJob{line(0, tail), line(1, tail)}, nil, false,
+			[][]int{{0}, {1}}, 0},
+		{"a job given back goes ahead of queue and groups", NewServer(m), tail,
+			[]pendingJob{line(1, tail), line(0, 1)}, []pendingJob{line(7, 3)}, false,
+			[][]int{{7}, {0}, {1}}, 0},
+		{"no window, or no room for two, is the default stage", NewServer(m).WithBatching(0, 16).WithBatching(1, 1), tail,
+			[]pendingJob{line(0, tail), line(1, tail)}, nil, false,
+			[][]int{{0, 1}}, 0},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			if got := c.srv.parkUnit() >= 0; got != c.parks {
-				t.Fatalf("parkUnit() = %d, parks = %v", c.srv.parkUnit(), c.parks)
+			g := c.srv.gather()
+			if g.at != c.at || (g.hold > 0) != (c.held > 0 || c.closed) {
+				t.Fatalf("gather() = %+v, want at %d", g, c.at)
 			}
 			fs := idleScheduler(c.srv)
 			for _, pj := range c.queued {
@@ -164,16 +206,23 @@ func TestTakeByStageAndFrame(t *testing.T) {
 			}
 			fs.mu.Lock()
 			defer fs.mu.Unlock()
+			fs.returned, fs.closed = c.returned, c.closed
 			var got [][]int
+			start := time.Unix(0, 0)
+			now := start
 			for {
-				task, ok := fs.takeLocked()
-				if !ok {
+				task, wait, ok := fs.takeLocked(now)
+				if !ok && wait == 0 {
 					break
+				}
+				now = now.Add(wait)
+				if !ok {
+					continue
 				}
 				var ids []int
 				for _, pj := range task.jobs {
 					ids = append(ids, int(pj.jobID()))
-					if parked := !pj.parked.IsZero(); parked != (c.parks && pj.req != nil && int(pj.req.Cut) >= tail) {
+					if parked := !pj.parked.IsZero(); parked != (c.at >= 0 && pj.req != nil && int(pj.req.Cut) >= c.at) {
 						t.Errorf("job %d: parked stamp set = %v", pj.jobID(), parked)
 					}
 				}
@@ -182,8 +231,11 @@ func TestTakeByStageAndFrame(t *testing.T) {
 			if fmt.Sprint(got) != fmt.Sprint(c.want) {
 				t.Errorf("tasks %v, want %v", got, c.want)
 			}
-			if fs.queued != 0 || len(fs.parked) != 0 {
-				t.Errorf("%d queued, %d groups parked after the drain", fs.queued, len(fs.parked))
+			if held := now.Sub(start); held != c.held {
+				t.Errorf("told to wait %v in all, want %v", held, c.held)
+			}
+			if fs.queued != 0 || len(fs.parked) != 0 || len(fs.returned) != 0 {
+				t.Errorf("%d queued, %d groups parked, %d given back after the drain", fs.queued, len(fs.parked), len(fs.returned))
 			}
 		})
 	}

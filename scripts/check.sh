@@ -157,8 +157,8 @@ cleanup_smoke() {
 }
 trap cleanup_smoke EXIT
 go build -o "$SMOKE_BIN" ./cmd/jpsserve
-"$SMOKE_BIN" -model "$SMOKE_MODEL" -addr 127.0.0.1:0 -batch-window 2ms \
-    -tenants gold:2,bronze:1 -shed-watermark 64 > "$SMOKE_LOG" 2>&1 &
+"$SMOKE_BIN" -model "$SMOKE_MODEL" -addr 127.0.0.1:0 -metrics-addr 127.0.0.1:0 \
+    -batch-window 2ms -tenants gold:2,bronze:1 -shed-watermark 64 > "$SMOKE_LOG" 2>&1 &
 SMOKE_PID=$!
 ADDR="$(serving_addr "$SMOKE_LOG" "e2e smoke: server")"
 go run scripts/e2e_client.go -addr "$ADDR" -model "$SMOKE_MODEL" -clients 4 -jobs 4
@@ -172,11 +172,14 @@ if ! wait "$SMOKE_PID"; then
     exit 1
 fi
 SMOKE_PID=""
-grep -q "drained" "$SMOKE_LOG" || {
-    echo "e2e smoke: no drain message in server log:" >&2
-    cat "$SMOKE_LOG" >&2
+# The final snapshot: 16 + 8 jobs answered, and none left queued — under
+# a window a job counts in the depth until a worker pops it into a group.
+if ! grep -q "drained" "$SMOKE_LOG" || ! grep -q '^jps_server_jobs_total 24$' "$SMOKE_LOG" ||
+    ! grep -q '^jps_server_queue_depth 0$' "$SMOKE_LOG"; then
+    echo "e2e smoke: want a drain, 24 jobs answered and queue depth 0 in the final metrics:" >&2
+    grep -E '^(jps_server_(jobs_total|queue_depth)|drained)' "$SMOKE_LOG" >&2
     exit 1
-}
+fi
 
 echo "== chain e2e smoke (two chained jpsserve stages, next-hop forwarding)"
 # A live two-hop chain: a terminal stage plus a forwarding stage with
