@@ -1,8 +1,10 @@
 package main
 
 import (
+	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -75,5 +77,61 @@ func TestWriteCSV(t *testing.T) {
 	}
 	if !strings.Contains(string(data), "Layer,Block") {
 		t.Errorf("csv missing headers: %s", data)
+	}
+}
+
+var updateFigs = flag.Bool("update", false, "rewrite testdata/figs from the current planners")
+
+// wallClockColumns are the table columns that print a time.Since
+// reading; every other cell of a modeled figure is a pure function of
+// the planners.
+var wallClockColumns = []string{"JPSPlanTime", "BFPlanTime", "Plan(ms)", "Overhead ratio", "Plan(all)", "Plan(pareto)"}
+
+// TestModeledFiguresFrozen holds every modeled figure byte-identical:
+// each id's rendered tables, wall-clock columns blanked by header name,
+// must equal testdata/figs/<id>.txt. A planner refactor leaves those
+// files alone; a change that means to move a figure regenerates them
+// with `go test ./cmd/jpsbench -run TestModeledFiguresFrozen -update`
+// and says so in its commit.
+func TestModeledFiguresFrozen(t *testing.T) {
+	small := testEnv() // 11 and ablations take seconds at the default n
+	for _, id := range []string{"4", "11", "12", "12d", "table1", "13", "14", "ablations", "hetero", "stream", "dtypes", "quant", "3tier", "chain", "robust"} {
+		env := experiments.DefaultEnv()
+		if id == "11" || id == "ablations" {
+			env = small
+		}
+		tables, err := run(env, id, "alexnet", "", "", "")
+		if err != nil {
+			t.Fatalf("run(%s): %v", id, err)
+		}
+		var got strings.Builder
+		for _, tb := range tables {
+			for col, h := range tb.Headers {
+				if slices.Contains(wallClockColumns, h) {
+					for _, row := range tb.Rows {
+						row[col] = "-"
+					}
+				}
+			}
+			got.WriteString(tb.String())
+			got.WriteByte('\n')
+		}
+		golden := filepath.Join("testdata", "figs", id+".txt")
+		if *updateFigs {
+			if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(golden, []byte(got.String()), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != string(want) {
+			t.Errorf("-fig %s moved:\n--- got\n%s--- want\n%s", id, got.String(), want)
+		}
 	}
 }
