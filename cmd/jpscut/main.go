@@ -58,13 +58,12 @@ func run(model string, mbps float64, n, width int) error {
 		return err
 	}
 
-	r, idx := curve.Restrict(curve.ParetoCuts())
-	search, err := core.BinarySearchCut(r)
+	search, idx, err := core.SearchCurve(curve)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("\nAlgorithm 2: l* = position %d (curve index %d, block %s), ratio = %d, exact = %v, %d search steps\n",
-		search.LStar, idx[search.LStar], r.Labels[search.LStar], search.Ratio, search.Exact, search.Steps)
+		search.LStar, idx[search.LStar], curve.Labels[idx[search.LStar]], search.Ratio, search.Exact, search.Steps)
 
 	if sol, err := core.SolveContinuous(curve); err == nil {
 		fmt.Printf("Theorem 5.2 relaxation: x* = %.3f, f(x*) = g(x*) = %.1f ms (avg makespan lower bound)\n",

@@ -26,54 +26,25 @@ func BruteForce(c *profile.Curve, n, maxCombos int) (*Plan, error) {
 	}
 	r, idx := c.Restrict(c.ParetoCuts())
 	k := r.Len()
-	if combosExceed(n, k, maxCombos) {
+	if multisetCount(n, k) > float64(maxCombos) {
 		return nil, fmt.Errorf("%w: C(%d+%d-1,%d) > %d", ErrSearchSpaceTooLarge, n, k, n, maxCombos)
 	}
-
-	counts := make([]int, k) // counts[i] = jobs cut at restricted position i
 	var best *Plan
 	visited := 0
-	var rec func(pos, remaining int) error
-	rec = func(pos, remaining int) error {
-		if pos == k-1 {
-			counts[pos] = remaining
-			visited++
-			if visited > maxCombos {
-				return ErrSearchSpaceTooLarge
-			}
-			cuts := cutsFromCounts(counts, idx, n)
-			p := planFromCuts("BF", c, cuts)
-			if best == nil || p.Makespan < best.Makespan {
-				best = p
-			}
-			return nil
+	// counts[i] = jobs cut at restricted position i
+	err := eachMultiset(n, k, func(counts []int) error {
+		if visited++; visited > maxCombos {
+			return ErrSearchSpaceTooLarge
 		}
-		for take := 0; take <= remaining; take++ {
-			counts[pos] = take
-			if err := rec(pos+1, remaining-take); err != nil {
-				return err
-			}
+		if p := planFromCuts("BF", c, cutsFromCounts(counts, idx, n)); best == nil || p.Makespan < best.Makespan {
+			best = p
 		}
-		counts[pos] = 0
 		return nil
-	}
-	if err := rec(0, n); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
 	return best, nil
-}
-
-// combosExceed reports whether C(n+k-1, n) > limit without overflow.
-func combosExceed(n, k, limit int) bool {
-	// Multiplicative evaluation of C(n+k-1, k-1) with early exit.
-	val := 1.0
-	for i := 1; i <= k-1; i++ {
-		val *= float64(n+i) / float64(i)
-		if val > float64(limit) {
-			return true
-		}
-	}
-	return false
 }
 
 func cutsFromCounts(counts, idx []int, n int) []int {
@@ -105,32 +76,22 @@ func TwoPointSearch(c *profile.Curve, n int, candidates []int) (*Plan, error) {
 	if len(candidates) == 0 {
 		return nil, fmt.Errorf("core: TwoPointSearch needs candidates")
 	}
+	for _, cut := range candidates {
+		if cut < 0 || cut >= c.Len() {
+			return nil, fmt.Errorf("core: TwoPointSearch candidate %d outside [0,%d)", cut, c.Len())
+		}
+	}
 	var best *Plan
 	consider := func(cuts []int) {
-		p := planFromCuts("BF-2pt", c, cuts)
-		if best == nil || p.Makespan < best.Makespan {
+		if p := planFromCuts("BF-2pt", c, cuts); best == nil || p.Makespan < best.Makespan {
 			best = p
 		}
 	}
-	k := len(candidates)
-	for i := 0; i < k; i++ {
-		// Homogeneous plan at candidate i.
-		cuts := make([]int, n)
-		for t := range cuts {
-			cuts[t] = candidates[i]
-		}
-		consider(cuts)
-		for j := i + 1; j < k; j++ {
+	for i, a := range candidates {
+		consider(mixCuts(n, n, a, a)) // homogeneous plan at candidate i
+		for _, b := range candidates[i+1:] {
 			for m := 1; m < n; m++ {
-				cuts := make([]int, n)
-				for t := range cuts {
-					if t < m {
-						cuts[t] = candidates[i]
-					} else {
-						cuts[t] = candidates[j]
-					}
-				}
-				consider(cuts)
+				consider(mixCuts(n, m, a, b))
 			}
 		}
 	}

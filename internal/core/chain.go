@@ -376,7 +376,7 @@ func ChainBruteForce(g *dag.Graph, ch Chain, n, maxCombos int) (*ChainPlan, erro
 	c := buildChainCurves(g, ch)
 	tuples := c.candidates(ch.Depth()) // each priced once, shared by every multiset
 	t := len(tuples)
-	if combosExceed(n, t, maxCombos) {
+	if multisetCount(n, t) > float64(maxCombos) {
 		return nil, fmt.Errorf("%w: C(%d+%d-1,%d) > %d", ErrSearchSpaceTooLarge, n, t, n, maxCombos)
 	}
 
@@ -388,42 +388,28 @@ func ChainBruteForce(g *dag.Graph, ch Chain, n, maxCombos int) (*ChainPlan, erro
 		return flowshop.ScheduleM(jobs)
 	}
 
-	counts := make([]int, t)
 	var best *ChainPlan
 	visited := 0
-	var rec func(pos, remaining int) error
-	rec = func(pos, remaining int) error {
-		if pos == t-1 {
-			counts[pos] = remaining
-			visited++
-			if visited > maxCombos {
-				return ErrSearchSpaceTooLarge
-			}
-			plan := &ChainPlan{Method: "BF-chain", Cuts: make([][]int, 0, n)}
-			jobs := make([]flowshop.JobM, 0, n)
-			for ti, cnt := range counts {
-				for j := 0; j < cnt; j++ {
-					plan.Cuts = append(plan.Cuts, tuples[ti].cuts)
-					jobs = append(jobs, flowshop.JobM{ID: len(jobs), Stages: tuples[ti].stages})
-				}
-			}
-			plan.Sequence = sequence(jobs)
-			plan.Makespan = flowshop.MakespanM(plan.Sequence)
-			if best == nil || plan.Makespan < best.Makespan {
-				best = plan
-			}
-			return nil
+	err := eachMultiset(n, t, func(counts []int) error {
+		if visited++; visited > maxCombos {
+			return ErrSearchSpaceTooLarge
 		}
-		for take := 0; take <= remaining; take++ {
-			counts[pos] = take
-			if err := rec(pos+1, remaining-take); err != nil {
-				return err
+		plan := &ChainPlan{Method: "BF-chain", Cuts: make([][]int, 0, n)}
+		jobs := make([]flowshop.JobM, 0, n)
+		for ti, cnt := range counts {
+			for j := 0; j < cnt; j++ {
+				plan.Cuts = append(plan.Cuts, tuples[ti].cuts)
+				jobs = append(jobs, flowshop.JobM{ID: len(jobs), Stages: tuples[ti].stages})
 			}
 		}
-		counts[pos] = 0
+		plan.Sequence = sequence(jobs)
+		plan.Makespan = flowshop.MakespanM(plan.Sequence)
+		if best == nil || plan.Makespan < best.Makespan {
+			best = plan
+		}
 		return nil
-	}
-	if err := rec(0, n); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
 	return best, nil

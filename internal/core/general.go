@@ -128,20 +128,12 @@ func PlanGeneral(g *dag.Graph, mobile, cloud profile.Device, ch netsim.Channel, 
 	}
 
 	// Per-path Algorithm 2 on the path's own Pareto-restricted curve.
-	type pathPlan struct {
-		curve  *profile.Curve // restricted
-		idx    []int          // restricted -> path position
-		search CutSearch
-	}
-	plans := make([]pathPlan, len(paths))
+	plans := make([]crossing, len(paths))
 	for pi, path := range paths {
-		full := profile.PathCurve(g, path, mobile, cloud, ch, dt)
-		r, idx := full.Restrict(full.ParetoCuts())
-		search, err := BinarySearchCut(r)
+		plans[pi], err = findCrossing(profile.PathCurve(g, path, mobile, cloud, ch, dt))
 		if err != nil {
 			return nil, fmt.Errorf("core: path %d: %w", pi, err)
 		}
-		plans[pi] = pathPlan{curve: r, idx: idx, search: search}
 	}
 
 	// evaluate builds and replays the joint schedule for a given
@@ -155,18 +147,15 @@ func PlanGeneral(g *dag.Graph, mobile, cloud profile.Device, ch netsim.Channel, 
 		for pi := range paths {
 			pp := plans[pi]
 			for j := 0; j < n; j++ {
-				pos := pp.search.LStar
-				if !pp.search.Exact && pp.search.LStar > 0 && j < splits[pi] {
-					pos = pp.search.LStar - 1
-				}
+				pos := pp.pos(j, splits[pi])
 				cutPathPos := pp.idx[pos]
 				cutNodes[j][pi] = paths[pi][cutPathPos]
 				jobs = append(jobs, PathJob{
 					Job:  j,
 					Path: pi,
 					Cut:  cutPathPos,
-					F:    pp.curve.F[pos],
-					G:    pp.curve.G[pos],
+					F:    pp.r.F[pos],
+					G:    pp.r.G[pos],
 				})
 			}
 		}
@@ -228,9 +217,7 @@ func PlanGeneral(g *dag.Graph, mobile, cloud profile.Device, ch netsim.Channel, 
 	splits := make([]int, len(paths))
 	alts := make([]int, len(paths))
 	for pi, pp := range plans {
-		if !pp.search.Exact && pp.search.LStar > 0 {
-			splits[pi], alts[pi] = BalancedSplit(pp.curve, pp.search.LStar, n)
-		}
+		splits[pi], alts[pi] = pp.flank(n)
 	}
 	best := evaluate(splits)
 	for pi := range paths {

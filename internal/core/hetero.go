@@ -10,10 +10,12 @@ package core
 // rule, which remains makespan-optimal for any fixed partition of a
 // two-stage flow shop. Cut choices across classes interact only
 // through the schedule, so a one-pass coordinate descent over each
-// class's candidate splits (as in PlanGeneral) captures the coupling.
+// class's candidate splits (crossing.splits, the list JPS itself tries)
+// captures the coupling.
 
 import (
 	"fmt"
+	"slices"
 
 	"dnnjps/internal/flowshop"
 	"dnnjps/internal/profile"
@@ -70,135 +72,93 @@ func (p *HeteroPlan) AvgMs() float64 {
 	return 0
 }
 
-// classChoice is one class's planned cuts: which two positions it
-// mixes and how many jobs take the earlier one.
-type classChoice struct {
-	r      *profile.Curve
-	idx    []int
-	search CutSearch
-	splits []int // candidate atPrev values
-}
-
-// JPSHetero jointly plans a heterogeneous workload: Algorithm 2 per
-// class, balanced two-type splits per class refined by one pass of
-// coordinate descent over the joint Johnson schedule.
-func JPSHetero(classes []JobClass) (*HeteroPlan, error) {
+// validClasses is the one check behind the three entry points: a
+// workload needs a class, and every class a curve and a positive count.
+func validClasses(fn string, classes []JobClass) error {
 	if len(classes) == 0 {
-		return nil, fmt.Errorf("core: JPSHetero needs at least one class")
+		return fmt.Errorf("core: %s needs at least one class", fn)
 	}
-	choices := make([]classChoice, len(classes))
 	for i, c := range classes {
-		if c.Count <= 0 {
-			return nil, fmt.Errorf("core: class %d (%s) has count %d", i, c.label(), c.Count)
-		}
 		if c.Curve == nil {
-			return nil, fmt.Errorf("core: class %d has no curve", i)
+			return fmt.Errorf("core: class %d has no curve", i)
 		}
-		r, idx := c.Curve.Restrict(c.Curve.ParetoCuts())
-		search, err := BinarySearchCut(r)
-		if err != nil {
-			return nil, fmt.Errorf("core: class %s: %w", c.label(), err)
-		}
-		ch := classChoice{r: r, idx: idx, search: search}
-		if search.Exact || search.LStar == 0 {
-			ch.splits = []int{0}
-		} else {
-			lo, hi := BalancedSplit(r, search.LStar, c.Count)
-			mPaper, _ := MixCounts(c.Count, search.Ratio)
-			ch.splits = uniqueInts(lo, hi, mPaper, 0, c.Count)
-		}
-		choices[i] = ch
-	}
-
-	current := make([]int, len(classes))
-	for i := range current {
-		current[i] = choices[i].splits[0]
-	}
-	best := evalHetero(classes, choices, current)
-	// Coordinate descent: try each class's alternative splits while
-	// holding the others fixed.
-	for i, ch := range choices {
-		for _, s := range ch.splits[1:] {
-			trial := append([]int(nil), current...)
-			trial[i] = s
-			if cand := evalHetero(classes, choices, trial); cand.Makespan < best.Makespan {
-				best = cand
-				current = trial
-			}
+		if c.Count <= 0 {
+			return fmt.Errorf("core: class %d (%s) has count %d", i, c.label(), c.Count)
 		}
 	}
-	best.Method = "JPS-hetero"
-	return best, nil
+	return nil
 }
 
-func uniqueInts(vals ...int) []int {
-	seen := map[int]bool{}
-	var out []int
-	for _, v := range vals {
-		if !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// evalHetero materializes the workload for given per-class splits and
-// schedules the union with Johnson's rule.
-func evalHetero(classes []JobClass, choices []classChoice, splits []int) *HeteroPlan {
-	type key struct{ class, job int }
+// scheduleHetero is the one union schedule: class ci's jobs cut at
+// cuts[ci] on the class's own curve, all of them sequenced together by
+// Johnson's rule.
+func scheduleHetero(method string, classes []JobClass, cuts [][]int) *HeteroPlan {
+	var refs []HeteroRef
 	var jobs []flowshop.Job
-	refs := map[int]HeteroRef{}
-	id := 0
 	for ci, c := range classes {
-		ch := choices[ci]
-		for j := 0; j < c.Count; j++ {
-			pos := ch.search.LStar
-			if !ch.search.Exact && ch.search.LStar > 0 && j < splits[ci] {
-				pos = ch.search.LStar - 1
-			}
-			cut := ch.idx[pos]
-			refs[id] = HeteroRef{
-				Class: ci, Job: j, Cut: cut,
-				F: ch.r.F[pos], G: ch.r.G[pos],
-			}
-			jobs = append(jobs, flowshop.Job{ID: id, A: ch.r.F[pos], B: ch.r.G[pos]})
-			id++
+		for j, cut := range cuts[ci] {
+			f, g := c.Curve.F[cut], c.Curve.G[cut]
+			refs = append(refs, HeteroRef{Class: ci, Job: j, Cut: cut, F: f, G: g})
+			jobs = append(jobs, flowshop.Job{ID: len(jobs), A: f, B: g})
 		}
 	}
 	seq := flowshop.Johnson(jobs)
-	plan := &HeteroPlan{Classes: classes, Makespan: flowshop.Makespan(seq)}
+	plan := &HeteroPlan{Method: method, Classes: classes, Makespan: flowshop.Makespan(seq)}
 	for _, j := range seq {
 		plan.Sequence = append(plan.Sequence, refs[j.ID])
 	}
 	return plan
 }
 
+// JPSHetero jointly plans a heterogeneous workload: Algorithm 2 per
+// class, balanced two-type splits per class refined by one pass of
+// coordinate descent over the joint Johnson schedule.
+func JPSHetero(classes []JobClass) (*HeteroPlan, error) {
+	if err := validClasses("JPSHetero", classes); err != nil {
+		return nil, err
+	}
+	xs := make([]crossing, len(classes))
+	cuts := make([][]int, len(classes))
+	for i, c := range classes {
+		x, err := findCrossing(c.Curve)
+		if err != nil {
+			return nil, fmt.Errorf("core: class %s: %w", c.label(), err)
+		}
+		lo, _ := x.flank(c.Count) // the head of x.splits
+		xs[i], cuts[i] = x, x.cuts(c.Count, lo)
+	}
+	best := scheduleHetero("JPS-hetero", classes, cuts)
+	// Coordinate descent: try each class's alternative splits while
+	// holding the others fixed.
+	for i, x := range xs {
+		s, k := x.splits(classes[i].Count)
+		for _, m := range s[1:k] {
+			trial := slices.Clone(cuts)
+			trial[i] = x.cuts(classes[i].Count, m)
+			if cand := scheduleHetero("JPS-hetero", classes, trial); cand.Makespan < best.Makespan {
+				best, cuts = cand, trial
+			}
+		}
+	}
+	return best, nil
+}
+
 // HeteroBaseline plans every class with the given per-class planner
 // (e.g. PO, LO, CO) and schedules the union with Johnson's rule —
 // the "plan each class in isolation" reference point.
 func HeteroBaseline(method string, plan func(*profile.Curve, int) (*Plan, error), classes []JobClass) (*HeteroPlan, error) {
-	var jobs []flowshop.Job
-	refs := map[int]HeteroRef{}
-	id := 0
+	if err := validClasses("HeteroBaseline", classes); err != nil {
+		return nil, err
+	}
+	cuts := make([][]int, len(classes))
 	for ci, c := range classes {
 		p, err := plan(c.Curve, c.Count)
 		if err != nil {
 			return nil, fmt.Errorf("core: class %s: %w", c.label(), err)
 		}
-		for j, cut := range p.Cuts {
-			refs[id] = HeteroRef{Class: ci, Job: j, Cut: cut,
-				F: c.Curve.F[cut], G: c.Curve.G[cut]}
-			jobs = append(jobs, flowshop.Job{ID: id, A: c.Curve.F[cut], B: c.Curve.G[cut]})
-			id++
-		}
+		cuts[ci] = p.Cuts
 	}
-	seq := flowshop.Johnson(jobs)
-	out := &HeteroPlan{Method: method, Classes: classes, Makespan: flowshop.Makespan(seq)}
-	for _, j := range seq {
-		out.Sequence = append(out.Sequence, refs[j.ID])
-	}
-	return out, nil
+	return scheduleHetero(method, classes, cuts), nil
 }
 
 // BruteForceHetero enumerates the cross product of per-class cut
@@ -206,96 +166,42 @@ func HeteroBaseline(method string, plan func(*profile.Curve, int) (*Plan, error)
 // small workloads. maxCombos bounds the total combinations (0 means
 // 2_000_000).
 func BruteForceHetero(classes []JobClass, maxCombos int) (*HeteroPlan, error) {
-	if len(classes) == 0 {
-		return nil, fmt.Errorf("core: BruteForceHetero needs at least one class")
+	if err := validClasses("BruteForceHetero", classes); err != nil {
+		return nil, err
 	}
 	if maxCombos <= 0 {
 		maxCombos = 2_000_000
 	}
-	type classSpace struct {
-		r   *profile.Curve
-		idx []int
-	}
-	spaces := make([]classSpace, len(classes))
+	idx := make([][]int, len(classes)) // per class: Pareto position -> curve position
 	total := 1.0
 	for i, c := range classes {
-		if c.Count <= 0 {
-			return nil, fmt.Errorf("core: class %d has count %d", i, c.Count)
-		}
-		r, idx := c.Curve.Restrict(c.Curve.ParetoCuts())
-		spaces[i] = classSpace{r: r, idx: idx}
-		total *= multisets(c.Count, r.Len())
+		_, idx[i] = c.Curve.Restrict(c.Curve.ParetoCuts())
+		total *= multisetCount(c.Count, len(idx[i]))
 		if total > float64(maxCombos) {
 			return nil, fmt.Errorf("%w: ~%.0f combinations", ErrSearchSpaceTooLarge, total)
 		}
 	}
 
-	// counts[i] is the per-position multiset of class i.
-	counts := make([][]int, len(classes))
-	for i, s := range spaces {
-		counts[i] = make([]int, s.r.Len())
-	}
+	// One multiset walk per class, nested: class ci's walk fixes
+	// cuts[ci] and hands over to class ci+1's.
+	cuts := make([][]int, len(classes))
 	var best *HeteroPlan
-	evaluate := func() {
-		var jobs []flowshop.Job
-		refs := map[int]HeteroRef{}
-		id := 0
-		for ci := range classes {
-			s := spaces[ci]
-			job := 0
-			for pos, cnt := range counts[ci] {
-				for t := 0; t < cnt; t++ {
-					cut := s.idx[pos]
-					refs[id] = HeteroRef{Class: ci, Job: job, Cut: cut,
-						F: s.r.F[pos], G: s.r.G[pos]}
-					jobs = append(jobs, flowshop.Job{ID: id, A: s.r.F[pos], B: s.r.G[pos]})
-					id++
-					job++
-				}
-			}
-		}
-		seq := flowshop.Johnson(jobs)
-		span := flowshop.Makespan(seq)
-		if best == nil || span < best.Makespan {
-			p := &HeteroPlan{Method: "BF-hetero", Classes: classes, Makespan: span}
-			for _, j := range seq {
-				p.Sequence = append(p.Sequence, refs[j.ID])
-			}
-			best = p
-		}
-	}
-
-	var recClass func(ci int)
-	recClass = func(ci int) {
+	var walk func(ci int) error
+	walk = func(ci int) error {
 		if ci == len(classes) {
-			evaluate()
-			return
-		}
-		k := len(counts[ci])
-		var recPos func(pos, remaining int)
-		recPos = func(pos, remaining int) {
-			if pos == k-1 {
-				counts[ci][pos] = remaining
-				recClass(ci + 1)
-				return
+			if p := scheduleHetero("BF-hetero", classes, cuts); best == nil || p.Makespan < best.Makespan {
+				best = p
 			}
-			for take := 0; take <= remaining; take++ {
-				counts[ci][pos] = take
-				recPos(pos+1, remaining-take)
-			}
-			counts[ci][pos] = 0
+			return nil
 		}
-		recPos(0, classes[ci].Count)
+		n := classes[ci].Count
+		return eachMultiset(n, len(idx[ci]), func(counts []int) error {
+			cuts[ci] = cutsFromCounts(counts, idx[ci], n)
+			return walk(ci + 1)
+		})
 	}
-	recClass(0)
+	if err := walk(0); err != nil {
+		return nil, err
+	}
 	return best, nil
-}
-
-// multisets approximates C(n+k-1, k-1) in float64 for space sizing.
-func multisets(n, k int) float64 {
-	v := 1.0
-	for i := 1; i <= k-1; i++ {
-		v *= float64(n+i) / float64(i)
-	}
-	return v
 }

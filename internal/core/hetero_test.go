@@ -118,16 +118,33 @@ func TestJPSHeteroSequenceCoversWorkload(t *testing.T) {
 	}
 }
 
+// One validation behind all three entry points: an empty workload, a
+// non-positive count and a missing curve draw the same complaint,
+// whoever is asked.
 func TestJPSHeteroErrors(t *testing.T) {
-	if _, err := JPSHetero(nil); err == nil {
-		t.Error("empty workload must error")
-	}
 	curve := fig2Curve()
-	if _, err := JPSHetero([]JobClass{{Curve: curve, Count: 0}}); err == nil {
-		t.Error("zero count must error")
-	}
-	if _, err := JPSHetero([]JobClass{{Count: 1}}); err == nil {
-		t.Error("missing curve must error")
+	for _, entry := range []struct {
+		name string
+		plan func([]JobClass) (*HeteroPlan, error)
+	}{
+		{"JPSHetero", JPSHetero},
+		{"HeteroBaseline", func(cs []JobClass) (*HeteroPlan, error) { return HeteroBaseline("LO", LO, cs) }},
+		{"BruteForceHetero", func(cs []JobClass) (*HeteroPlan, error) { return BruteForceHetero(cs, 0) }},
+	} {
+		for _, bad := range []struct {
+			classes []JobClass
+			want    string
+		}{
+			{nil, "core: " + entry.name + " needs at least one class"},
+			{[]JobClass{{Curve: curve, Count: 2}, {Curve: curve, Count: 0}}, "core: class 1 (fig2) has count 0"},
+			{[]JobClass{{Curve: curve, Count: -1}}, "core: class 0 (fig2) has count -1"},
+			{[]JobClass{{Count: 2}}, "core: class 0 has no curve"},
+			{[]JobClass{{}}, "core: class 0 has no curve"},
+		} {
+			if p, err := entry.plan(bad.classes); err == nil || err.Error() != bad.want {
+				t.Errorf("%s(%v) = %v, %v; want error %q", entry.name, bad.classes, p, err, bad.want)
+			}
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"dnnjps/internal/flowshop"
 	"dnnjps/internal/profile"
@@ -115,6 +116,126 @@ func BalancedSplit(c *profile.Curve, lstar, n int) (lo, hi int) {
 		lo = hi
 	}
 	return lo, hi
+}
+
+// crossing is Algorithm 2's result on a raw curve: the search runs on
+// the Pareto restriction r, and idx maps r's positions back to the raw
+// curve's. Every planner that mixes cuts — JPS and its two ablations,
+// PlanGeneral per path, JPSHetero per class, PlanStream per frame —
+// starts here and asks the value, not the CutSearch, what to cut where.
+type crossing struct {
+	r      *profile.Curve
+	idx    []int
+	search CutSearch
+}
+
+// findCrossing is the one place Algorithm 2 runs on a raw curve.
+func findCrossing(c *profile.Curve) (crossing, error) {
+	r, idx := c.Restrict(c.ParetoCuts())
+	search, err := BinarySearchCut(r)
+	return crossing{r: r, idx: idx, search: search}, err
+}
+
+// SearchCurve is Algorithm 2 on a raw curve for callers that report the
+// crossing rather than plan with it: the search on c's Pareto
+// restriction and the map from restricted positions back to c's.
+func SearchCurve(c *profile.Curve) (CutSearch, []int, error) {
+	x, err := findCrossing(c)
+	return x.search, x.idx, err
+}
+
+// mixes reports whether two cuts, l*-1 and l*, share the jobs; when
+// f(l*) = g(l*) or l* = 0 every job is cut at l*.
+func (x crossing) mixes() bool { return !x.search.Exact && x.search.LStar > 0 }
+
+// pos is job j's position on r when the first m jobs sit at l*-1.
+func (x crossing) pos(j, m int) int {
+	if j < m && x.mixes() {
+		return x.search.LStar - 1
+	}
+	return x.search.LStar
+}
+
+// cuts returns the n cuts on the raw curve for split m: the first m at
+// l*-1 where two cuts mix, all n at l* where not.
+func (x crossing) cuts(n, m int) []int {
+	return mixCuts(n, m, x.idx[x.pos(0, 1)], x.idx[x.search.LStar])
+}
+
+// flank returns the two integer splits on either side of the exact
+// Theorem 5.3 balance point (0, 0 when nothing mixes).
+func (x crossing) flank(n int) (lo, hi int) {
+	if !x.mixes() {
+		return 0, 0
+	}
+	return BalancedSplit(x.r, x.search.LStar, n)
+}
+
+// splits lists the candidate splits s[:k] in the one order every
+// planner tries them: the two flanking the balance point, the paper's
+// floored-ratio split (so no planner can lose to the literal rule), and
+// the two homogeneous extremes — duplicates dropped, first kept. The
+// strict < of the callers keeps the first of equal makespans, so this
+// order is the tie-break chain_golden_test.go, Fig. 11 and Table 1
+// depend on. Just {0} when nothing mixes.
+func (x crossing) splits(n int) (s [5]int, k int) {
+	if !x.mixes() {
+		return s, 1
+	}
+	lo, hi := x.flank(n)
+	paper, _ := MixCounts(n, x.search.Ratio)
+	for _, m := range [5]int{lo, hi, paper, 0, n} {
+		if !slices.Contains(s[:k], m) {
+			s[k] = m
+			k++
+		}
+	}
+	return s, k
+}
+
+// mixCuts cuts the first m of n jobs at a and the rest at b.
+func mixCuts(n, m, a, b int) []int {
+	cuts := make([]int, n)
+	for i := range cuts {
+		cuts[i] = b
+		if i < m {
+			cuts[i] = a
+		}
+	}
+	return cuts
+}
+
+// eachMultiset visits every way to place n identical jobs on k >= 1
+// positions — counts[i] jobs at position i — in lexicographic order of
+// counts, and stops at the first error a visit returns. counts is the
+// walk's own; a visit that keeps it copies it.
+func eachMultiset(n, k int, visit func(counts []int) error) error {
+	counts := make([]int, k)
+	var rec func(pos, remaining int) error
+	rec = func(pos, remaining int) error {
+		if pos == k-1 {
+			counts[pos] = remaining
+			return visit(counts)
+		}
+		for take := 0; take <= remaining; take++ {
+			counts[pos] = take
+			if err := rec(pos+1, remaining-take); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	return rec(0, n)
+}
+
+// multisetCount is the number of visits eachMultiset(n, k) makes,
+// C(n+k-1, k-1), in float64 so that sizing a search cannot overflow.
+func multisetCount(n, k int) float64 {
+	v := 1.0
+	for i := 1; i <= k-1; i++ {
+		v *= float64(n+i) / float64(i)
+	}
+	return v
 }
 
 // JobsForCuts builds the flow-shop jobs for per-job cut indices on a

@@ -66,36 +66,24 @@ func JPS(c *profile.Curve, n int) (*Plan, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("core: JPS needs n >= 1, got %d", n)
 	}
-	r, idx := c.Restrict(c.ParetoCuts())
-	search, err := BinarySearchCut(r)
+	x, err := findCrossing(c)
 	if err != nil {
 		return nil, err
 	}
-	if search.Exact || search.LStar == 0 {
-		cuts := make([]int, n)
-		for i := range cuts {
-			cuts[i] = idx[search.LStar]
-		}
-		return planFromCuts("JPS", c, cuts), nil
-	}
-	// Candidate splits over (l*-1, l*): the two integers flanking the
-	// exact balance point, the paper's floored-ratio split (so JPS can
-	// never lose to the literal rule), and the two homogeneous
-	// extremes.
-	mLo, mHi := BalancedSplit(r, search.LStar, n)
-	mPaper, _ := MixCounts(n, search.Ratio)
+	s, k := x.splits(n)
+	return x.bestPlan("JPS", c, n, s[:k]), nil
+}
+
+// bestPlan plans c's n jobs at each split in ms and keeps the first of
+// the smallest makespans.
+func (x crossing) bestPlan(method string, c *profile.Curve, n int, ms []int) *Plan {
 	var best *Plan
-	tried := map[int]bool{}
-	for _, m := range []int{mLo, mHi, mPaper, 0, n} {
-		if m < 0 || m > n || tried[m] {
-			continue
-		}
-		tried[m] = true
-		if p := planForSplit("JPS", c, idx, search.LStar, n, m); best == nil || p.Makespan < best.Makespan {
+	for _, m := range ms {
+		if p := planFromCuts(method, c, x.cuts(n, m)); best == nil || p.Makespan < best.Makespan {
 			best = p
 		}
 	}
-	return best, nil
+	return best
 }
 
 // JPSPlus globalizes Theorem 5.3: instead of mixing only the two
@@ -122,34 +110,12 @@ func JPSPaperRatio(c *profile.Curve, n int) (*Plan, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("core: JPSPaperRatio needs n >= 1, got %d", n)
 	}
-	r, idx := c.Restrict(c.ParetoCuts())
-	search, err := BinarySearchCut(r)
+	x, err := findCrossing(c)
 	if err != nil {
 		return nil, err
 	}
-	if search.Exact || search.LStar == 0 {
-		cuts := make([]int, n)
-		for i := range cuts {
-			cuts[i] = idx[search.LStar]
-		}
-		return planFromCuts("JPS-paper-ratio", c, cuts), nil
-	}
-	atPrev, _ := MixCounts(n, search.Ratio)
-	return planForSplit("JPS-paper-ratio", c, idx, search.LStar, n, atPrev), nil
-}
-
-// planForSplit builds the plan cutting the first m jobs at l*-1 and
-// the rest at l* (indices mapped back to the original curve).
-func planForSplit(method string, c *profile.Curve, idx []int, lstar, n, m int) *Plan {
-	cuts := make([]int, n)
-	for i := range cuts {
-		if i < m {
-			cuts[i] = idx[lstar-1]
-		} else {
-			cuts[i] = idx[lstar]
-		}
-	}
-	return planFromCuts(method, c, cuts)
+	atPrev, _ := MixCounts(n, x.search.Ratio)
+	return planFromCuts("JPS-paper-ratio", c, x.cuts(n, atPrev)), nil
 }
 
 // JPSBestMix is the exhaustive-mix ablation: same two candidate layers
@@ -160,31 +126,15 @@ func JPSBestMix(c *profile.Curve, n int) (*Plan, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("core: JPSBestMix needs n >= 1, got %d", n)
 	}
-	r, idx := c.Restrict(c.ParetoCuts())
-	search, err := BinarySearchCut(r)
+	x, err := findCrossing(c)
 	if err != nil {
 		return nil, err
 	}
-	if search.Exact || search.LStar == 0 {
-		return JPS(c, n)
+	ms := []int{0}
+	for m := 1; m <= n && x.mixes(); m++ {
+		ms = append(ms, m)
 	}
-	prev, cur := idx[search.LStar-1], idx[search.LStar]
-	var best *Plan
-	for m := 0; m <= n; m++ {
-		cuts := make([]int, n)
-		for i := range cuts {
-			if i < m {
-				cuts[i] = prev
-			} else {
-				cuts[i] = cur
-			}
-		}
-		p := planFromCuts("JPS-bestmix", c, cuts)
-		if best == nil || p.Makespan < best.Makespan {
-			best = p
-		}
-	}
-	return best, nil
+	return x.bestPlan("JPS-bestmix", c, n, ms), nil
 }
 
 // PO is the partition-only baseline (the state-of-the-art single-DNN
@@ -205,11 +155,7 @@ func PO(c *profile.Curve, n int) (*Plan, error) {
 			best = i
 		}
 	}
-	cuts := make([]int, n)
-	for i := range cuts {
-		cuts[i] = idx[best]
-	}
-	return planFromCuts("PO", c, cuts), nil
+	return planFromCuts("PO", c, mixCuts(n, n, idx[best], 0)), nil
 }
 
 // CO is the cloud-only baseline: upload the raw input of every job.
@@ -227,9 +173,5 @@ func LO(c *profile.Curve, n int) (*Plan, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("core: LO needs n >= 1, got %d", n)
 	}
-	cuts := make([]int, n)
-	for i := range cuts {
-		cuts[i] = c.Len() - 1
-	}
-	return planFromCuts("LO", c, cuts), nil
+	return planFromCuts("LO", c, mixCuts(n, n, c.Len()-1, 0)), nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"dnnjps/internal/profile"
@@ -52,6 +53,13 @@ func TestJPSPaperRatioFig2(t *testing.T) {
 	if p.Method != "JPS-paper-ratio" {
 		t.Errorf("method = %q", p.Method)
 	}
+	// JPSBestMix labels its own plan too, where two cuts mix and where
+	// one is exact.
+	for _, c := range []*profile.Curve{fig2Curve(), exactCurve()} {
+		if bm, err := JPSBestMix(c, 2); err != nil || bm.Method != "JPS-bestmix" {
+			t.Errorf("JPSBestMix(%s): %+v, %v; want method JPS-bestmix", c.Model, bm, err)
+		}
+	}
 }
 
 func TestJPSPaperRatioDegradesWhenRatioBelowOne(t *testing.T) {
@@ -93,5 +101,10 @@ func TestVariantsRejectBadN(t *testing.T) {
 	}
 	if _, err := JPSPaperRatio(c, 0); err == nil {
 		t.Error("JPSPaperRatio(0) must error")
+	}
+	// A candidate off the curve is an error naming it, not a panic in
+	// JobsForCuts.
+	if p, err := TwoPointSearch(c, 2, []int{0, c.Len()}); err == nil || !strings.Contains(err.Error(), "candidate 4 outside [0,4)") {
+		t.Errorf("TwoPointSearch with candidate %d = %v, %v; want an error naming it", c.Len(), p, err)
 	}
 }

@@ -47,20 +47,18 @@ func PlanStream(c *profile.Curve, releases []float64) (*StreamPlan, error) {
 	if len(releases) == 0 {
 		return nil, fmt.Errorf("core: PlanStream needs at least one release")
 	}
-	r, idx := c.Restrict(c.ParetoCuts())
-	search, err := BinarySearchCut(r)
+	x, err := findCrossing(c)
 	if err != nil {
 		return nil, err
 	}
+	r, lstar := x.r, x.search.LStar
 	frac := 0.0
-	posPrev, posCur := search.LStar, search.LStar
-	if !search.Exact && search.LStar > 0 {
-		surplusPrev := r.G[search.LStar-1] - r.F[search.LStar-1]
-		surplusCur := r.F[search.LStar] - r.G[search.LStar]
+	if x.mixes() {
+		surplusPrev := r.G[lstar-1] - r.F[lstar-1]
+		surplusCur := r.F[lstar] - r.G[lstar]
 		if den := surplusPrev + surplusCur; den > 0 {
 			frac = surplusCur / den
 		}
-		posPrev = search.LStar - 1
 	}
 
 	plan := &StreamPlan{Curve: c, MixFraction: frac}
@@ -70,17 +68,16 @@ func PlanStream(c *profile.Curve, releases []float64) (*StreamPlan, error) {
 		if rel < 0 {
 			return nil, fmt.Errorf("core: release %d is negative (%g)", i, rel)
 		}
-		pos := posCur
+		pos := lstar
 		acc += frac
 		if acc >= 1-1e-12 {
 			acc -= 1
-			pos = posPrev
+			pos = lstar - 1 // frac > 0 only where two cuts mix
 		}
-		cut := idx[pos]
 		plan.Jobs = append(plan.Jobs, StreamJob{
 			ID:        i,
 			ReleaseMs: rel,
-			Cut:       cut,
+			Cut:       x.idx[pos],
 			F:         r.F[pos],
 			G:         r.G[pos],
 			CloudMs:   r.CloudMs[pos],

@@ -162,8 +162,7 @@ func AblationDTypes(env Env) ([]DTypeRow, error) {
 		base := -1
 		for _, dt := range []tensor.DType{tensor.Float32, tensor.Float16, tensor.Int8} {
 			curve := profile.BuildCurve(g, env.Mobile, env.Cloud, netsim.FourG, dt)
-			r, _ := curve.Restrict(curve.ParetoCuts())
-			search, err := core.BinarySearchCut(r)
+			search, _, err := core.SearchCurve(curve)
 			if err != nil {
 				return nil, err
 			}

@@ -32,8 +32,7 @@ func Fig14(env Env, model string, ratios, bandwidths []float64) ([]Fig14Row, err
 		for _, b := range bandwidths {
 			ch := netsim.At(b)
 			curve := env.curveFor(g, ch)
-			r, idx := curve.Restrict(curve.ParetoCuts())
-			search, err := core.BinarySearchCut(r)
+			search, idx, err := core.SearchCurve(curve)
 			if err != nil {
 				return nil, err
 			}

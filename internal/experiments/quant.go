@@ -49,8 +49,7 @@ func Quant(env Env) ([]QuantRow, error) {
 				{qMobile, tensor.Int8, &row.QuantMs, &row.QuantCut},
 			} {
 				curve := profile.BuildCurve(g, leg.mobile, env.Cloud, ch, leg.dt)
-				r, _ := curve.Restrict(curve.ParetoCuts())
-				search, err := core.BinarySearchCut(r)
+				search, _, err := core.SearchCurve(curve)
 				if err != nil {
 					return nil, err
 				}
