@@ -13,6 +13,16 @@ const (
 	ResCloud  = "cloud"
 )
 
+// threeStage is the one mobile→uplink→cloud job behind the line,
+// replay and stream bridges.
+func threeStage(id, priority int, releaseMs, f, g, cloud float64) JobSpec {
+	return JobSpec{ID: id, Priority: priority, ReleaseMs: releaseMs, Stages: []StageSpec{
+		{Resource: ResMobile, Ms: f},
+		{Resource: ResUplink, Ms: g},
+		{Resource: ResCloud, Ms: cloud},
+	}}
+}
+
 // FromPlan expands a line-structure plan into simulator jobs: each
 // inference job becomes mobile→uplink→cloud stages with the plan's
 // f/g/cloud durations, prioritized by its position in the Johnson
@@ -20,16 +30,7 @@ const (
 func FromPlan(p *core.Plan) []JobSpec {
 	jobs := make([]JobSpec, 0, len(p.Sequence))
 	for pos, fj := range p.Sequence {
-		cut := p.Cuts[fj.ID]
-		jobs = append(jobs, JobSpec{
-			ID:       fj.ID,
-			Priority: pos,
-			Stages: []StageSpec{
-				{Resource: ResMobile, Ms: fj.A},
-				{Resource: ResUplink, Ms: fj.B},
-				{Resource: ResCloud, Ms: p.Curve.CloudMs[cut]},
-			},
-		})
+		jobs = append(jobs, threeStage(fj.ID, pos, 0, fj.A, fj.B, p.Curve.CloudMs[p.Cuts[fj.ID]]))
 	}
 	return jobs
 }
@@ -49,15 +50,7 @@ func FromDurations(f, g, cloud []float64) []JobSpec {
 		return 0
 	}
 	for i := range f {
-		jobs = append(jobs, JobSpec{
-			ID:       i,
-			Priority: i,
-			Stages: []StageSpec{
-				{Resource: ResMobile, Ms: f[i]},
-				{Resource: ResUplink, Ms: at(g, i)},
-				{Resource: ResCloud, Ms: at(cloud, i)},
-			},
-		})
+		jobs = append(jobs, threeStage(i, i, 0, f[i], at(g, i), at(cloud, i)))
 	}
 	return jobs
 }
@@ -68,16 +61,7 @@ func FromDurations(f, g, cloud []float64) []JobSpec {
 func FromStreamPlan(p *core.StreamPlan) []JobSpec {
 	jobs := make([]JobSpec, 0, len(p.Jobs))
 	for i, sj := range p.Jobs {
-		jobs = append(jobs, JobSpec{
-			ID:        sj.ID,
-			Priority:  i,
-			ReleaseMs: sj.ReleaseMs,
-			Stages: []StageSpec{
-				{Resource: ResMobile, Ms: sj.F},
-				{Resource: ResUplink, Ms: sj.G},
-				{Resource: ResCloud, Ms: sj.CloudMs},
-			},
-		})
+		jobs = append(jobs, threeStage(sj.ID, i, sj.ReleaseMs, sj.F, sj.G, sj.CloudMs))
 	}
 	return jobs
 }
