@@ -14,11 +14,14 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
@@ -99,6 +102,7 @@ type record struct {
 	GoVersion  string  `json:"go_version"`
 	CPUModel   string  `json:"cpu_model"`
 	GOMAXPROCS int     `json:"gomaxprocs"`
+	GoLines    int     `json:"go_lines"`
 	Pass       bool    `json:"pass"`
 	Ratios     []ratio `json:"ratios"`
 	Rows       []row   `json:"rows"`
@@ -260,7 +264,29 @@ func stamp() record {
 		Commit:     commit(),
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		GoLines:    goLines(),
 	}
+}
+
+// goLines is the size ROADMAP's aim 2 follows from PR to PR: lines
+// (newlines, as `wc -l` counts them) of non-test Go and assembly under
+// internal, cmd and examples, relative to the module root the gate is
+// run from. A record, like the rows: no rule reads it, so what cannot
+// be walked or read counts nothing and fails nothing.
+func goLines() int {
+	n := 0
+	for _, dir := range []string{"internal", "cmd", "examples"} {
+		_ = filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+			ext := filepath.Ext(path)
+			if err != nil || d.IsDir() || ext != ".go" && ext != ".s" || strings.HasSuffix(path, "_test.go") {
+				return nil
+			}
+			src, _ := os.ReadFile(path)
+			n += bytes.Count(src, []byte("\n"))
+			return nil
+		})
+	}
+	return n
 }
 
 // commit names the checked-out revision, "-dirty" appended when a

@@ -234,3 +234,35 @@ func TestCommitIgnoresOwnHistory(t *testing.T) {
 		t.Errorf("after editing main.go: %q, want %q", got, clean+"-dirty")
 	}
 }
+
+// TestGoLinesCountsNonTestSource: newlines of *.go and *.s under the
+// three source directories, relative to where the gate runs; tests,
+// other files and other directories do not count.
+func TestGoLinesCountsNonTestSource(t *testing.T) {
+	dir := t.TempDir()
+	t.Chdir(dir)
+	for name, text := range map[string]string{
+		"internal/a/a.go":       "package a\n\nvar X = 1\n", // 3
+		"internal/a/a_amd64.s":  "TEXT ·f(SB)\nRET\n",       // 2
+		"internal/a/a_test.go":  "package a\n",
+		"internal/a/README.md":  "text\n",
+		"cmd/tool/main.go":      "package main\n",                 // 1
+		"examples/demo/main.go": "package main\nfunc main() {}\n", // 2
+		"scripts/e2e.go":        "package main\n",
+		"main.go":               "package root\n",
+	} {
+		path := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := goLines(); got != 8 {
+		t.Errorf("goLines() = %d, want 8", got)
+	}
+	if got := stamp().GoLines; got != 8 {
+		t.Errorf("stamp().GoLines = %d, want 8", got)
+	}
+}
