@@ -12,8 +12,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -33,6 +35,14 @@ var (
 	kernelName   = flag.String("kernel", "auto", "engine kernel path for the live-runtime experiments: "+engine.KernelPaths)
 )
 
+// The experiment ids, spelt here and in run's case labels only.
+// modeledIDs are pure functions of the planners — what -all runs and
+// the tests freeze; liveIDs run the real engine in real time.
+var (
+	modeledIDs = []string{"4", "11", "12", "12d", "table1", "13", "14", "ablations", "hetero", "stream", "dtypes", "quant", "3tier", "chain", "robust"}
+	liveIDs    = []string{"runtime", "faults", "trace", "batch", "fleet", "adapt"}
+)
+
 // nExplicit records whether -n was set on the command line; the batch
 // experiment sweeps its default job counts otherwise.
 var nExplicit bool
@@ -48,7 +58,7 @@ func withDownlink(ch netsim.Channel) netsim.Channel {
 func main() {
 	var (
 		all        = flag.Bool("all", false, "run every experiment")
-		fig        = flag.String("fig", "", "experiment id: 4, 11, 12, 12d, table1, 13, 14, ablations, hetero, stream, dtypes, quant, 3tier, chain, robust, runtime, faults, trace, batch, fleet, adapt")
+		fig        = flag.String("fig", "", "experiment id: "+strings.Join(slices.Concat(modeledIDs, liveIDs), ", "))
 		model      = flag.String("model", "alexnet", "model for figure 4/13 (alexnet, mobilenetv2, ...)")
 		n          = flag.Int("n", 100, "number of inference jobs")
 		csvDir     = flag.String("csv", "", "directory to also write tables as CSV")
@@ -74,7 +84,7 @@ func main() {
 
 	ids := []string{*fig}
 	if *all {
-		ids = []string{"4", "11", "12", "12d", "table1", "13", "14", "ablations", "hetero", "stream", "dtypes", "quant", "3tier", "chain", "robust"}
+		ids = modeledIDs
 	}
 	if !*all && *fig == "" {
 		flag.Usage()
@@ -208,33 +218,11 @@ func run(env experiments.Env, id, model, traceOut, traceJSON, adaptTrace string)
 			return nil, err
 		}
 		fmt.Println()
-		if traceOut != "" {
-			f, err := os.Create(traceOut)
-			if err != nil {
-				return nil, err
-			}
-			werr := res.Tracer.WriteChromeTrace(f)
-			if cerr := f.Close(); werr == nil {
-				werr = cerr
-			}
-			if werr != nil {
-				return nil, werr
-			}
-			fmt.Printf("wrote Chrome trace to %s (open in chrome://tracing or Perfetto)\n\n", traceOut)
+		if err := writeFile(traceOut, "Chrome trace (open in chrome://tracing or Perfetto)", res.Tracer.WriteChromeTrace); err != nil {
+			return nil, err
 		}
-		if traceJSON != "" {
-			f, err := os.Create(traceJSON)
-			if err != nil {
-				return nil, err
-			}
-			werr := res.Tracer.WriteJSON(f)
-			if cerr := f.Close(); werr == nil {
-				werr = cerr
-			}
-			if werr != nil {
-				return nil, werr
-			}
-			fmt.Printf("wrote span JSON to %s\n\n", traceJSON)
+		if err := writeFile(traceJSON, "span JSON", res.Tracer.WriteJSON); err != nil {
+			return nil, err
 		}
 		return []*report.Table{experiments.TraceTable(res)}, nil
 	case "faults":
@@ -339,19 +327,10 @@ func run(env experiments.Env, id, model, traceOut, traceJSON, adaptTrace string)
 		if err != nil {
 			return nil, err
 		}
-		if adaptTrace != "" && trace != nil {
-			f, err := os.Create(adaptTrace)
-			if err != nil {
+		if trace != nil {
+			if err := writeFile(adaptTrace, "estimator replay trace", trace.WriteJSON); err != nil {
 				return nil, err
 			}
-			werr := trace.WriteJSON(f)
-			if cerr := f.Close(); werr == nil {
-				werr = cerr
-			}
-			if werr != nil {
-				return nil, werr
-			}
-			fmt.Printf("wrote estimator replay trace to %s\n\n", adaptTrace)
 		}
 		return []*report.Table{experiments.RuntimeAdaptTable(rows)}, nil
 	case "robust":
@@ -362,8 +341,29 @@ func run(env experiments.Env, id, model, traceOut, traceJSON, adaptTrace string)
 		}
 		return []*report.Table{experiments.RobustnessTable(model, netsim.FourG, rows)}, nil
 	default:
-		return nil, fmt.Errorf("unknown experiment %q (have 4, 11, 12, 12d, table1, 13, 14, ablations, hetero, stream, dtypes, quant, 3tier, chain, robust, runtime, faults, trace, batch, fleet, adapt)", id)
+		return nil, fmt.Errorf("unknown experiment %q (have %s)", id, strings.Join(slices.Concat(modeledIDs, liveIDs), ", "))
 	}
+}
+
+// writeFile creates path ("", an unset flag, writes nothing), has write
+// fill it and closes it — the first error wins — and says what went where.
+func writeFile(path, what string, write func(io.Writer) error) error {
+	if path == "" {
+		return nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	werr := write(f)
+	if cerr := f.Close(); werr == nil {
+		werr = cerr
+	}
+	if werr != nil {
+		return werr
+	}
+	fmt.Printf("wrote %s to %s\n\n", what, path)
+	return nil
 }
 
 func writeCSV(dir string, t *report.Table) error {

@@ -19,7 +19,12 @@ func testEnv() experiments.Env {
 
 func TestRunEveryExperimentID(t *testing.T) {
 	env := testEnv()
-	for _, id := range []string{"4", "12", "12d", "table1", "14", "ablations", "hetero", "stream", "dtypes", "3tier", "robust"} {
+	for _, id := range modeledIDs {
+		if id == "11" {
+			// Fig. 11's exhaustive baseline takes a second even at this
+			// n, and TestModeledFiguresFrozen runs it at this same env.
+			continue
+		}
 		tables, err := run(env, id, "alexnet", "", "", "")
 		if err != nil {
 			t.Fatalf("run(%s): %v", id, err)
@@ -95,7 +100,7 @@ var wallClockColumns = []string{"JPSPlanTime", "BFPlanTime", "Plan(ms)", "Overhe
 // and says so in its commit.
 func TestModeledFiguresFrozen(t *testing.T) {
 	small := testEnv() // 11 and ablations take seconds at the default n
-	for _, id := range []string{"4", "11", "12", "12d", "table1", "13", "14", "ablations", "hetero", "stream", "dtypes", "quant", "3tier", "chain", "robust"} {
+	for _, id := range modeledIDs {
 		env := experiments.DefaultEnv()
 		if id == "11" || id == "ablations" {
 			env = small

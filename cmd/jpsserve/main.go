@@ -370,49 +370,41 @@ func run(cfg serveConfig) error {
 	}
 }
 
-// acceptLoop runs the accept strategy the flags selected: the plain
-// built-in Serve loop, per-connection downlink shaping, or fault
-// injection. It returns when the listener closes.
-func acceptLoop(srv *runtime.Server, lis net.Listener, shapeDown func(net.Conn) net.Conn, cfg serveConfig) error {
-	faulty := cfg.spec.DropProb > 0 || cfg.spec.StallProb > 0 ||
-		cfg.spec.DisconnectAfterBytes > 0 || len(cfg.spec.Degrade) > 0
-	if !faulty {
-		if cfg.downMbps <= 0 {
-			return srv.Serve(lis)
-		}
-		// Shaped replies need a per-connection wrapper, so accept by hand.
-		for {
-			conn, err := lis.Accept()
-			if err != nil {
-				return err
-			}
-			go func() {
-				defer conn.Close()
-				_ = srv.HandleConn(shapeDown(conn))
-			}()
-		}
-	}
+// perConn is a listener whose Accept hands every connection through
+// wrap, so Server.Serve — and its retry on transient accept errors —
+// is the accept loop of every flag combination.
+type perConn struct {
+	net.Listener
+	wrap func(net.Conn) net.Conn
+}
 
-	// Fault mode: wrap each accepted connection in the injector so
-	// reads and writes on the server side suffer the configured drops,
-	// stalls, and disconnects. Stats are logged when the client goes
-	// away — expected noise under injected faults, not a server bug.
-	fmt.Printf("fault injection on: %+v (seed %d)\n", cfg.spec, cfg.faultSeed)
-	for i := int64(0); ; i++ {
-		conn, err := lis.Accept()
-		if err != nil {
-			return err
-		}
-		fc := netsim.Inject(shapeDown(conn), cfg.spec, cfg.spec, cfg.faultSeed+i, 1)
-		go func(id int64) {
-			defer conn.Close()
-			if err := srv.HandleConn(fc); err != nil {
-				st := fc.Stats()
-				fmt.Printf("conn %d closed: %v (dropped %d up / %d down frames)\n",
-					id, err, st.DroppedUp, st.DroppedDown)
-			}
-		}(i)
+func (l perConn) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
 	}
+	return l.wrap(conn), nil
+}
+
+// acceptLoop serves lis until it closes, each accepted connection
+// wrapped as the flags selected: as it is, behind the downlink shaper,
+// and/or inside the fault injector.
+func acceptLoop(srv *runtime.Server, lis net.Listener, shapeDown func(net.Conn) net.Conn, cfg serveConfig) error {
+	wrap := shapeDown
+	if cfg.spec.DropProb > 0 || cfg.spec.StallProb > 0 ||
+		cfg.spec.DisconnectAfterBytes > 0 || len(cfg.spec.Degrade) > 0 {
+		// Fault mode: the server side of the i-th accepted connection
+		// suffers the configured drops, stalls and disconnects, drawn
+		// from seed faultSeed+i. Serve accepts from one goroutine, so
+		// the count needs no lock.
+		fmt.Printf("fault injection on: %+v (seed %d)\n", cfg.spec, cfg.faultSeed)
+		seed := cfg.faultSeed - 1
+		wrap = func(conn net.Conn) net.Conn {
+			seed++
+			return netsim.Inject(shapeDown(conn), cfg.spec, cfg.spec, seed, 1)
+		}
+	}
+	return srv.Serve(perConn{lis, wrap})
 }
 
 // flushObs prints the final metrics snapshot and exports the span

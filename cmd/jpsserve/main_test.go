@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -221,5 +222,107 @@ func TestServeRoundTrip(t *testing.T) {
 	}
 	if res.CloudMs <= 0 {
 		t.Errorf("server compute time = %v, want > 0", res.CloudMs)
+	}
+}
+
+type tempErr struct{}
+
+func (tempErr) Error() string   { return "accept: too many open files" }
+func (tempErr) Timeout() bool   { return false }
+func (tempErr) Temporary() bool { return true }
+
+// flakyListener fails Accept with temporary errors before yielding
+// real connections, then reports net.ErrClosed once closed (the stub of
+// runtime's TestServeRetriesTemporaryAcceptErrors).
+type flakyListener struct {
+	tmpLeft int
+	conns   chan net.Conn
+	closed  chan struct{}
+}
+
+func (l *flakyListener) Accept() (net.Conn, error) {
+	if l.tmpLeft > 0 {
+		l.tmpLeft--
+		return nil, tempErr{}
+	}
+	select {
+	case c := <-l.conns:
+		return c, nil
+	case <-l.closed:
+		return nil, net.ErrClosed
+	}
+}
+func (l *flakyListener) Close() error   { close(l.closed); return nil }
+func (l *flakyListener) Addr() net.Addr { return &net.TCPAddr{} }
+
+// Regression: with -downlink-mbps or a -fault-* flag jpsserve accepted
+// by hand, without Server.Serve's retry, and exited on the first
+// transient Accept error (EMFILE under fd pressure). Every flag
+// combination must ride it out, serve the connection that follows
+// through its wrapper, and return only when the listener closes.
+func TestAcceptLoopRetriesTemporaryAcceptErrors(t *testing.T) {
+	g := models.MustBuild("squeezenet")
+	const seed = 9
+	in := tensor.New(tensor.NewCHW(3, 224, 224))
+	for i := range in.Data {
+		in.Data[i] = float32(i%31)/31 - 0.5
+	}
+	dlCh := netsim.Channel{Name: "downlink", UplinkMbps: 1000}
+	for _, tc := range []struct {
+		name string
+		cfg  serveConfig
+	}{
+		{"shaped", serveConfig{downMbps: dlCh.UplinkMbps}},
+		// Fault mode on, at a probability that never fires in one job.
+		{"fault", serveConfig{spec: netsim.FaultSpec{DropProb: 1e-12}, faultSeed: 3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := runtime.NewServer(engine.Load(g, seed).Parallel(0))
+			t.Cleanup(srv.Close)
+			var wrapped atomic.Int32
+			shapeDown := func(conn net.Conn) net.Conn {
+				wrapped.Add(1)
+				if tc.cfg.downMbps > 0 {
+					return netsim.Shape(conn, dlCh, 1)
+				}
+				return conn
+			}
+			lis := &flakyListener{tmpLeft: 2, conns: make(chan net.Conn, 1), closed: make(chan struct{})}
+			served := make(chan error, 1)
+			go func() { served <- acceptLoop(srv, lis, shapeDown, tc.cfg) }()
+
+			cConn, sConn := net.Pipe()
+			lis.conns <- sConn
+			cl := runtime.NewClient(cConn, engine.Load(g, seed).Parallel(0), netsim.WiFi, 1e-6)
+			defer cl.Close()
+			answered := make(chan error, 1)
+			go func() {
+				_, err := cl.RunJob(1, 0, in)
+				answered <- err
+			}()
+			select {
+			case err := <-answered:
+				if err != nil {
+					t.Fatalf("job after transient accept errors: %v", err)
+				}
+			case err := <-served:
+				t.Fatalf("acceptLoop gave up on a transient accept error: %v", err)
+			case <-time.After(30 * time.Second):
+				t.Fatal("job was never answered")
+			}
+			if n := wrapped.Load(); n != 1 {
+				t.Errorf("connection went through the wrapper %d times, want 1", n)
+			}
+
+			lis.Close()
+			select {
+			case err := <-served:
+				if !errors.Is(err, net.ErrClosed) {
+					t.Errorf("acceptLoop returned %v, want net.ErrClosed", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("acceptLoop did not return after listener close")
+			}
+		})
 	}
 }

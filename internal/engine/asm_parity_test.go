@@ -304,7 +304,7 @@ func TestConvFusedIm2colParity(t *testing.T) {
 					ch := kr / (c.kh * c.kw)
 					r := kr % (c.kh * c.kw) / c.kw
 					s := kr % c.kw
-					im2colRow(src, ref[kr*hw*c.n+b*hw:kr*hw*c.n+(b+1)*hw],
+					im2colRow(src, ref[kr*hw*c.n+b*hw:kr*hw*c.n+(b+1)*hw], 0,
 						(ch*c.n+b)*c.inH*c.inW, r, s, c.inH, c.inW, c.stride, c.padH, c.padW, outH, outW)
 				}
 			}

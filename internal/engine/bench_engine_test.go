@@ -335,6 +335,29 @@ func TestForwardSteadyStateAllocsMobilenet(t *testing.T) {
 	checkSteadyStateAllocs(t, m, input, 16<<10, 8)
 }
 
+// TestForwardSteadyStateAllocsPools pins the two pooling layers, which
+// neither model above has: pool2d must test serialSpan before it builds
+// the parallelFor closure, or every pool layer of a workers = 1 forward
+// allocates one (three per AlexNet job). The separate maxpool/avgpool
+// drivers read 5.0 allocs/op on this graph (one run in three 6.1: a
+// stray runtime allocation inside the ten passes) and a closure built
+// before the guard reads 7, so the ceiling is 6.
+func TestForwardSteadyStateAllocsPools(t *testing.T) {
+	g := dag.New("alloc-pools")
+	in := g.Add(&nn.Input{LayerName: "in", Shape: tensor.NewCHW(8, 32, 32)})
+	c1 := g.Add(&nn.Conv2D{LayerName: "c1", OutC: 8, KH: 3, KW: 3, Stride: 1, Pad: 1, Bias: true}, in)
+	mp := g.Add(nn.NewMaxPool2D("mp", 3, 2, 1), c1)
+	c2 := g.Add(&nn.Conv2D{LayerName: "c2", OutC: 8, KH: 3, KW: 3, Stride: 1, Pad: 1, Bias: true}, mp)
+	ap := g.Add(nn.NewAvgPool2D("ap", 2, 2, 0), c2)
+	gp := g.Add(&nn.GlobalAvgPool2D{LayerName: "gap"}, ap)
+	g.Add(&nn.Dense{LayerName: "fc", Out: 10, Bias: true}, gp)
+	if err := g.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	m := Load(g, 1)
+	checkSteadyStateAllocs(t, m, randInput(tensor.NewCHW(8, 32, 32), 3), 4<<10, 6)
+}
+
 // checkSteadyStateAllocs warms the model's arena on input, then
 // asserts per-Forward allocation bounds from the runtime's own
 // counters over a fixed number of passes. The collector is held off

@@ -481,9 +481,9 @@ func (m *Model) eval(id int, node *dag.Node, ins []*tensor.Tensor, preds []int, 
 		}
 		return dwconv2d(m.arena, ins[0], node.OutShape, m.params[id], l.KH, l.KW, l.Stride, l.Pad, m.workers, n), nil
 	case *nn.MaxPool2D:
-		return maxpool(m.arena, ins[0], node.OutShape, l.K, l.Stride, l.Pad, m.workers, n), nil
+		return pool2d(m.arena, ins[0], node.OutShape, l.K, l.Stride, l.Pad, m.workers, n, maxpoolPlane), nil
 	case *nn.AvgPool2D:
-		return avgpool(m.arena, ins[0], node.OutShape, l.K, l.Stride, l.Pad, m.workers, n), nil
+		return pool2d(m.arena, ins[0], node.OutShape, l.K, l.Stride, l.Pad, m.workers, n, avgpoolPlane), nil
 	case *nn.GlobalAvgPool2D:
 		// Batch-oblivious in the packed layout: each of the C·n planes
 		// averages independently and lands at index c·n+b, which is the

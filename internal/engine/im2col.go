@@ -18,20 +18,24 @@ import "dnnjps/internal/tensor"
 // im2colTile fills dst (kSize × bt·hw, row-major) with the side-by-side
 // patch matrices of input channels [cLo, cLo+icpg) of packed images
 // [b0, b0+bt): row k, image b0+bi occupies columns [bi·hw, (bi+1)·hw).
-// Rows are independent, so they are split across workers.
-func im2colTile(src, dst []float32, cLo, icpg, inH, inW, kh, kw, stride, padH, padW, outH, outW, workers, n, b0, bt int) {
+// It is the one lowering for both element types: the float kernels pad
+// with 0, the int8 path with the quantized code of 0.0 (its zero point),
+// so the zero-point correction in the epilogue accounts for padding
+// exactly like real activations. Rows are independent, so they are
+// split across workers.
+func im2colTile[T float32 | int8](src, dst []T, pad T, cLo, icpg, inH, inW, kh, kw, stride, padH, padW, outH, outW, workers, n, b0, bt int) {
 	rows := icpg * kh * kw
 	if serialSpan(workers, rows) {
-		im2colTileRows(0, rows, src, dst, cLo, inH, inW, kh, kw, stride, padH, padW, outH, outW, n, b0, bt)
+		im2colTileRows(0, rows, src, dst, pad, cLo, inH, inW, kh, kw, stride, padH, padW, outH, outW, n, b0, bt)
 		return
 	}
 	parallelFor(workers, rows, func(lo, hi int) {
-		im2colTileRows(lo, hi, src, dst, cLo, inH, inW, kh, kw, stride, padH, padW, outH, outW, n, b0, bt)
+		im2colTileRows(lo, hi, src, dst, pad, cLo, inH, inW, kh, kw, stride, padH, padW, outH, outW, n, b0, bt)
 	})
 }
 
 // im2colTileRows fills patch-matrix rows [lo, hi) of one image tile.
-func im2colTileRows(lo, hi int, src, dst []float32, cLo, inH, inW, kh, kw, stride, padH, padW, outH, outW, n, b0, bt int) {
+func im2colTileRows[T float32 | int8](lo, hi int, src, dst []T, pad T, cLo, inH, inW, kh, kw, stride, padH, padW, outH, outW, n, b0, bt int) {
 	hw := outH * outW
 	bhw := bt * hw
 	for k := lo; k < hi; k++ {
@@ -39,7 +43,7 @@ func im2colTileRows(lo, hi int, src, dst []float32, cLo, inH, inW, kh, kw, strid
 		r := k % (kh * kw) / kw
 		s := k % kw
 		for bi := 0; bi < bt; bi++ {
-			im2colRow(src, dst[k*bhw+bi*hw:k*bhw+(bi+1)*hw], ((cLo+c)*n+b0+bi)*inH*inW,
+			im2colRow(src, dst[k*bhw+bi*hw:k*bhw+(bi+1)*hw], pad, ((cLo+c)*n+b0+bi)*inH*inW,
 				r, s, inH, inW, stride, padH, padW, outH, outW)
 		}
 	}
@@ -47,22 +51,23 @@ func im2colTileRows(lo, hi int, src, dst []float32, cLo, inH, inW, kh, kw, strid
 
 // im2colRow fills one patch-matrix row: kernel offset (r, s) of the
 // input plane at flat offset chanBase — plane (c·n+b) of the packed
-// tensor — one element per output position.
-func im2colRow(src, row []float32, chanBase, r, s, inH, inW, stride, padH, padW, outH, outW int) {
+// tensor — one element per output position, pad where the window
+// leaves the plane.
+func im2colRow[T float32 | int8](src, row []T, pad T, chanBase, r, s, inH, inW, stride, padH, padW, outH, outW int) {
 	idx := 0
 	for oh := 0; oh < outH; oh++ {
 		ih := oh*stride - padH + r
 		if ih < 0 || ih >= inH {
 			for i := 0; i < outW; i++ {
-				row[idx] = 0
+				row[idx] = pad
 				idx++
 			}
 			continue
 		}
 		base := chanBase + ih*inW
 		if stride == 1 {
-			// Valid ow range is a contiguous span: zero the
-			// left/right padding edges, copy the middle.
+			// Valid ow range is a contiguous span: pad the
+			// left/right edges, copy the middle.
 			wLo, wHi := padW-s, inW+padW-s
 			if wLo < 0 {
 				wLo = 0
@@ -71,7 +76,7 @@ func im2colRow(src, row []float32, chanBase, r, s, inH, inW, stride, padH, padW,
 				wHi = outW
 			}
 			for i := 0; i < wLo; i++ {
-				row[idx] = 0
+				row[idx] = pad
 				idx++
 			}
 			if wHi > wLo {
@@ -79,7 +84,7 @@ func im2colRow(src, row []float32, chanBase, r, s, inH, inW, stride, padH, padW,
 				idx += wHi - wLo
 			}
 			for i := wHi; i < outW; i++ {
-				row[idx] = 0
+				row[idx] = pad
 				idx++
 			}
 			continue
@@ -89,7 +94,7 @@ func im2colRow(src, row []float32, chanBase, r, s, inH, inW, stride, padH, padW,
 			if iw >= 0 && iw < inW {
 				row[idx] = src[base+iw]
 			} else {
-				row[idx] = 0
+				row[idx] = pad
 			}
 			idx++
 			iw += stride
@@ -173,7 +178,7 @@ func conv2dGEMM(arena *tensor.Arena, kern KernelPath, in *tensor.Tensor, outShap
 		a := p.w[g*ocpg*kSize : (g+1)*ocpg*kSize]
 		for b0 := 0; b0 < n; b0 += bt {
 			bw := min(bt, n-b0)
-			im2colTile(in.Data, scratch, g*icpg, icpg, inH, inW, kh, kw, stride, padH, padW, outH, outW, workers, n, b0, bw)
+			im2colTile(in.Data, scratch, 0, g*icpg, icpg, inH, inW, kh, kw, stride, padH, padW, outH, outW, workers, n, b0, bw)
 			c := out.Data[g*ocpg*nhw+b0*hw:]
 			sgemmAcc(kern, ocpg, kSize, bw*hw, nhw, a, scratch, c, workers)
 		}

@@ -274,25 +274,29 @@ func interiorRange(inDim, k, stride, pad, outDim int) (lo, hi int) {
 	return lo, hi
 }
 
-// maxpool pools each of the C·n planes of a packed batch on its own.
-func maxpool(arena *tensor.Arena, in *tensor.Tensor, outShape tensor.Shape, k, stride, pad, workers, n int) *tensor.Tensor {
+// planePool is the arithmetic of one pooling kind over one plane:
+// maxpoolPlane or avgpoolPlane.
+type planePool func(src, dst []float32, inH, inW, outH, outW, k, stride, pad int)
+
+// pool2d pools each of the C·n planes of a packed batch on its own.
+func pool2d(arena *tensor.Arena, in *tensor.Tensor, outShape tensor.Shape, k, stride, pad, workers, n int, plane planePool) *tensor.Tensor {
 	out := arena.Get(batchShape(outShape, n))
 	inH, inW := in.Shape.H(), in.Shape.W()
 	planes, outH, outW := outShape.C()*n, outShape.H(), outShape.W()
 	if serialSpan(workers, planes) {
-		maxpoolPlanes(in.Data, out.Data, 0, planes, inH, inW, outH, outW, k, stride, pad)
+		poolPlanes(plane, in.Data, out.Data, 0, planes, inH, inW, outH, outW, k, stride, pad)
 		return out
 	}
 	parallelFor(workers, planes, func(pLo, pHi int) {
-		maxpoolPlanes(in.Data, out.Data, pLo, pHi, inH, inW, outH, outW, k, stride, pad)
+		poolPlanes(plane, in.Data, out.Data, pLo, pHi, inH, inW, outH, outW, k, stride, pad)
 	})
 	return out
 }
 
-// maxpoolPlanes pools planes [pLo, pHi).
-func maxpoolPlanes(src, dst []float32, pLo, pHi, inH, inW, outH, outW, k, stride, pad int) {
+// poolPlanes pools planes [pLo, pHi).
+func poolPlanes(plane planePool, src, dst []float32, pLo, pHi, inH, inW, outH, outW, k, stride, pad int) {
 	for pl := pLo; pl < pHi; pl++ {
-		maxpoolPlane(src[pl*inH*inW:], dst[pl*outH*outW:],
+		plane(src[pl*inH*inW:], dst[pl*outH*outW:],
 			inH, inW, outH, outW, k, stride, pad)
 	}
 }
@@ -319,29 +323,6 @@ func maxpoolPlane(src, dst []float32, inH, inW, outH, outW, k, stride, pad int) 
 			}
 			dst[oh*outW+ow] = best
 		}
-	}
-}
-
-// avgpool pools each of the C·n planes of a packed batch on its own.
-func avgpool(arena *tensor.Arena, in *tensor.Tensor, outShape tensor.Shape, k, stride, pad, workers, n int) *tensor.Tensor {
-	out := arena.Get(batchShape(outShape, n))
-	inH, inW := in.Shape.H(), in.Shape.W()
-	planes, outH, outW := outShape.C()*n, outShape.H(), outShape.W()
-	if serialSpan(workers, planes) {
-		avgpoolPlanes(in.Data, out.Data, 0, planes, inH, inW, outH, outW, k, stride, pad)
-		return out
-	}
-	parallelFor(workers, planes, func(pLo, pHi int) {
-		avgpoolPlanes(in.Data, out.Data, pLo, pHi, inH, inW, outH, outW, k, stride, pad)
-	})
-	return out
-}
-
-// avgpoolPlanes pools planes [pLo, pHi).
-func avgpoolPlanes(src, dst []float32, pLo, pHi, inH, inW, outH, outW, k, stride, pad int) {
-	for pl := pLo; pl < pHi; pl++ {
-		avgpoolPlane(src[pl*inH*inW:], dst[pl*outH*outW:],
-			inH, inW, outH, outW, k, stride, pad)
 	}
 }
 

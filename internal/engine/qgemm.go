@@ -147,79 +147,3 @@ func qgemvRows(lo, hi, k int, a, x []int8, y []int32) {
 		y[i] = v
 	}
 }
-
-// qim2colGroup fills dst (kSize × outH·outW, row-major, int8) with the
-// patch matrix of quantized input channels [cLo, cLo+icpg). Padding
-// positions hold zero — the quantized code of 0.0 — so the zero-point
-// correction in the epilogue accounts for them exactly like real
-// activations.
-func qim2colGroup(src, dst []int8, zero int8, cLo, icpg, inH, inW, kh, kw, stride, padH, padW, outH, outW, workers int) {
-	rows := icpg * kh * kw
-	if serialSpan(workers, rows) {
-		qim2colRows(0, rows, src, dst, zero, cLo, inH, inW, kh, kw, stride, padH, padW, outH, outW)
-		return
-	}
-	parallelFor(workers, rows, func(lo, hi int) {
-		qim2colRows(lo, hi, src, dst, zero, cLo, inH, inW, kh, kw, stride, padH, padW, outH, outW)
-	})
-}
-
-// qim2colRows fills quantized patch-matrix rows [lo, hi).
-func qim2colRows(lo, hi int, src, dst []int8, zero int8, cLo, inH, inW, kh, kw, stride, padH, padW, outH, outW int) {
-	hw := outH * outW
-	for k := lo; k < hi; k++ {
-		c := k / (kh * kw)
-		r := k % (kh * kw) / kw
-		s := k % kw
-		qim2colRow(src, dst[k*hw:(k+1)*hw], zero, (cLo+c)*inH*inW,
-			r, s, inH, inW, stride, padH, padW, outH, outW)
-	}
-}
-
-// qim2colRow is im2colRow over int8 data with an explicit padding code.
-func qim2colRow(src, row []int8, zero int8, chanBase, r, s, inH, inW, stride, padH, padW, outH, outW int) {
-	idx := 0
-	for oh := 0; oh < outH; oh++ {
-		ih := oh*stride - padH + r
-		if ih < 0 || ih >= inH {
-			for i := 0; i < outW; i++ {
-				row[idx] = zero
-				idx++
-			}
-			continue
-		}
-		base := chanBase + ih*inW
-		if stride == 1 {
-			wLo, wHi := padW-s, inW+padW-s
-			if wLo < 0 {
-				wLo = 0
-			}
-			if wHi > outW {
-				wHi = outW
-			}
-			for i := 0; i < wLo; i++ {
-				row[idx] = zero
-				idx++
-			}
-			if wHi > wLo {
-				copy(row[idx:idx+wHi-wLo], src[base+wLo-padW+s:])
-				idx += wHi - wLo
-			}
-			for i := wHi; i < outW; i++ {
-				row[idx] = zero
-				idx++
-			}
-			continue
-		}
-		iw := s - padW
-		for ow := 0; ow < outW; ow++ {
-			if iw >= 0 && iw < inW {
-				row[idx] = src[base+iw]
-			} else {
-				row[idx] = zero
-			}
-			idx++
-			iw += stride
-		}
-	}
-}

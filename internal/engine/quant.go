@@ -289,7 +289,7 @@ func (m *Model) qconv2d(id int, l *nn.Conv2D, in *tensor.Tensor, pred int, outSh
 		if pure1x1 {
 			b = qin[g*icpg*inH*inW : (g+1)*icpg*inH*inW]
 		} else {
-			qim2colGroup(qin, scratch, int8(qp.Zero), g*icpg, icpg, inH, inW, l.KH, l.KW, l.Stride, padH, padW, outH, outW, m.workers)
+			im2colTile(qin, scratch, int8(qp.Zero), g*icpg, icpg, inH, inW, l.KH, l.KW, l.Stride, padH, padW, outH, outW, m.workers, 1, 0, 1)
 		}
 		a := ql.qw[g*ocpg*kSize : (g+1)*ocpg*kSize]
 		qgemmAcc(ocpg, kSize, hw, a, b, acc, m.workers)

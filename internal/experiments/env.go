@@ -71,6 +71,23 @@ func (e Env) jpsAvgMs(g *dag.Graph, ch netsim.Channel, n int) (float64, error) {
 	return p.AvgMs(), nil
 }
 
+// schemes runs the paper's four schemes on one model and channel —
+// cloud-only, local-only, partition-only and JPS (as jpsAvgMs plans it)
+// — and returns each one's average completion time for n jobs.
+func (e Env) schemes(g *dag.Graph, ch netsim.Channel, n int) (co, lo, po, jps float64, err error) {
+	curve := e.curveFor(g, ch)
+	var avg [3]float64
+	for i, baseline := range []func(*profile.Curve, int) (*core.Plan, error){core.CO, core.LO, core.PO} {
+		p, err := baseline(curve, n)
+		if err != nil {
+			return 0, 0, 0, 0, err
+		}
+		avg[i] = p.AvgMs()
+	}
+	jps, err = e.jpsAvgMs(g, ch, n)
+	return avg[0], avg[1], avg[2], jps, err
+}
+
 // mustModel builds a zoo model or panics (experiment drivers use
 // hard-coded names).
 func mustModel(name string) *dag.Graph { return models.MustBuild(name) }

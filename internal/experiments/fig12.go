@@ -30,31 +30,18 @@ func Fig12(env Env) ([]Fig12Cell, error) {
 	for _, model := range models.PaperModels() {
 		g := mustModel(model)
 		for _, ch := range netsim.Presets() {
-			curve := env.curveFor(g, ch)
-			co, err := core.CO(curve, env.NJobs)
-			if err != nil {
-				return nil, err
-			}
-			lo, err := core.LO(curve, env.NJobs)
-			if err != nil {
-				return nil, err
-			}
-			po, err := core.PO(curve, env.NJobs)
-			if err != nil {
-				return nil, err
-			}
-			jpsAvg, err := env.jpsAvgMs(g, ch, env.NJobs)
+			co, lo, po, jps, err := env.schemes(g, ch, env.NJobs)
 			if err != nil {
 				return nil, err
 			}
 			cells = append(cells, Fig12Cell{
 				Model:      model,
 				Channel:    ch.Name,
-				COMs:       co.AvgMs(),
-				LOMs:       lo.AvgMs(),
-				POMs:       po.AvgMs(),
-				JPSMs:      jpsAvg,
-				COFeasible: co.AvgMs() <= 4000,
+				COMs:       co,
+				LOMs:       lo,
+				POMs:       po,
+				JPSMs:      jps,
+				COFeasible: co <= 4000,
 			})
 		}
 	}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"dnnjps/internal/core"
 	"dnnjps/internal/netsim"
 	"dnnjps/internal/report"
 )
@@ -31,31 +30,11 @@ func Fig13(env Env, model string, bandwidths []float64) ([]Fig13Row, error) {
 	g := mustModel(model)
 	rows := make([]Fig13Row, 0, len(bandwidths))
 	for _, b := range bandwidths {
-		ch := netsim.At(b)
-		curve := env.curveFor(g, ch)
-		lo, err := core.LO(curve, env.NJobs)
+		co, lo, po, jps, err := env.schemes(g, netsim.At(b), env.NJobs)
 		if err != nil {
 			return nil, err
 		}
-		co, err := core.CO(curve, env.NJobs)
-		if err != nil {
-			return nil, err
-		}
-		po, err := core.PO(curve, env.NJobs)
-		if err != nil {
-			return nil, err
-		}
-		jpsAvg, err := env.jpsAvgMs(g, ch, env.NJobs)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, Fig13Row{
-			Mbps:  b,
-			LOMs:  lo.AvgMs(),
-			COMs:  co.AvgMs(),
-			POMs:  po.AvgMs(),
-			JPSMs: jpsAvg,
-		})
+		rows = append(rows, Fig13Row{Mbps: b, LOMs: lo, COMs: co, POMs: po, JPSMs: jps})
 	}
 	return rows, nil
 }

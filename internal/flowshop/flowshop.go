@@ -131,18 +131,20 @@ func Gantt(seq []Job) (comp, comm []Interval) {
 	return comp, comm
 }
 
-// BestPermutation exhaustively searches all permutations (Heap's
-// algorithm) and returns a makespan-minimal sequence. Exponential:
-// intended for validating Johnson on small instances (n ≤ ~9).
-func BestPermutation(jobs []Job) ([]Job, float64) {
-	best := append([]Job(nil), jobs...)
-	bestSpan := Makespan(best)
-	perm := append([]Job(nil), jobs...)
+// extremePermutation walks every ordering of perm (Heap's algorithm,
+// reordering perm in place) and returns a copy of the one whose span is
+// extreme under better, with that span. It is the one walk behind the
+// three exhaustive searchers. better is strict, so of equal spans the
+// first visited — the input order before any other — is the one
+// returned.
+func extremePermutation[J any](perm []J, span func([]J) float64, better func(s, than float64) bool) ([]J, float64) {
+	best := append([]J(nil), perm...)
+	bestSpan := span(best)
 	var heaps func(k int)
 	heaps = func(k int) {
 		if k == 1 {
-			if span := Makespan(perm); span < bestSpan {
-				bestSpan = span
+			if s := span(perm); better(s, bestSpan) {
+				bestSpan = s
 				copy(best, perm)
 			}
 			return
@@ -162,34 +164,20 @@ func BestPermutation(jobs []Job) ([]Job, float64) {
 	return best, bestSpan
 }
 
+func shorter(s, than float64) bool { return s < than }
+
+// BestPermutation exhaustively searches all permutations and returns a
+// makespan-minimal sequence. Exponential: intended for validating
+// Johnson on small instances (n ≤ ~9).
+func BestPermutation(jobs []Job) ([]Job, float64) {
+	return extremePermutation(append([]Job(nil), jobs...), Makespan, shorter)
+}
+
 // WorstPermutation is BestPermutation's mirror, used by the scheduling
 // ablation to bound how much ordering matters.
 func WorstPermutation(jobs []Job) ([]Job, float64) {
-	worst := append([]Job(nil), jobs...)
-	worstSpan := Makespan(worst)
-	perm := append([]Job(nil), jobs...)
-	var heaps func(k int)
-	heaps = func(k int) {
-		if k == 1 {
-			if span := Makespan(perm); span > worstSpan {
-				worstSpan = span
-				copy(worst, perm)
-			}
-			return
-		}
-		for i := 0; i < k; i++ {
-			heaps(k - 1)
-			if k%2 == 0 {
-				perm[i], perm[k-1] = perm[k-1], perm[i]
-			} else {
-				perm[0], perm[k-1] = perm[k-1], perm[0]
-			}
-		}
-	}
-	if len(perm) > 0 {
-		heaps(len(perm))
-	}
-	return worst, worstSpan
+	return extremePermutation(append([]Job(nil), jobs...), Makespan,
+		func(s, than float64) bool { return s > than })
 }
 
 // SumStages returns (ΣA, ΣB) — the two lower bounds whose maximum

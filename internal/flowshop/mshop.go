@@ -430,31 +430,11 @@ func BestPermutationM(jobs []JobM) (seq []JobM, span float64, ok bool) {
 		seq = ScheduleM(jobs)
 		return seq, MakespanM(seq), false
 	}
-	best, m := ownJobsM(jobs)
+	perm, m := ownJobsM(jobs)
 	if m == 0 {
-		return best, 0, true
+		return perm, 0, true
 	}
-	perm := append([]JobM(nil), best...)
 	c := make([]float64, m)
-	bestSpan := makespanInto(c, best)
-	var heaps func(k int)
-	heaps = func(k int) {
-		if k == 1 {
-			if span := makespanInto(c, perm); span < bestSpan {
-				bestSpan = span
-				copy(best, perm)
-			}
-			return
-		}
-		for i := 0; i < k; i++ {
-			heaps(k - 1)
-			if k%2 == 0 {
-				perm[i], perm[k-1] = perm[k-1], perm[i]
-			} else {
-				perm[0], perm[k-1] = perm[k-1], perm[0]
-			}
-		}
-	}
-	heaps(len(perm))
-	return best, bestSpan, true
+	seq, span = extremePermutation(perm, func(p []JobM) float64 { return makespanInto(c, p) }, shorter)
+	return seq, span, true
 }

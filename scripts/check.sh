@@ -47,12 +47,16 @@ GOOS=linux GOARCH=arm64 go build -tags noasm ./...
 GOOS=linux GOARCH=riscv64 go build ./...
 GOOS=linux GOARCH=arm64 go vet ./internal/engine/
 
-echo "== go build/test -tags noasm (pure-Go fallback must not rot)"
+echo "== go build/vet/test -tags noasm (pure-Go fallback must not rot)"
 # The noasm build is the contract for non-AVX2 hosts: every GEMM on the
 # panel loop, auto == asm == panel == direct bit for bit (see
 # noasm_test.go). Engine tests carry the parity suite; the full build
-# catches tag skew anywhere else.
+# catches tag skew anywhere else. Under this arm the materialized
+# lowering is the only conv path, so vet also guards the one generic
+# im2col (im2colTile[T]) at both its instantiations, float32 and int8,
+# and the tests that call them.
 go build -tags noasm ./...
+go vet -tags noasm ./internal/engine/
 go test -tags noasm ./internal/engine/
 
 echo "== DNNJPS_NOASM=1 go test (the runtime switch, same contract)"
