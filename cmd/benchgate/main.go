@@ -29,14 +29,11 @@ import (
 )
 
 // runs are the `go test -bench` invocations behind the rules. The
-// compute-bound legs repeat three times and parseBench keeps the
-// fastest — the engine's, and the fleet server's two, which since they
-// both batch read within 25 % of each other and of their own last run;
-// the runner legs are paced by simulated-link sleeps and read within
-// ±2 % of each other once.
+// compute-bound engine legs repeat three times and parseBench keeps the
+// fastest; the runner legs are paced by simulated-link sleeps and read
+// within ±2 % of each other once.
 var runs = []struct{ pkg, bench, count string }{
 	{"./internal/engine/", "^Benchmark(SgemmCrossover|BatchedForward)$", "3"},
-	{"./internal/runtime/", "^BenchmarkFleetServer$", "3"},
 	{"./internal/runtime/", "^BenchmarkRunnerAdaptive$", "1"},
 }
 
@@ -66,9 +63,6 @@ var rules = []rule{
 	// What a default server's tail groups rest on: eight jobs through
 	// fc6–fc8 together stream the weights once, not eight times.
 	{num: "BenchmarkBatchedForward/N=8/densetail", den: "BenchmarkBatchedForward/N=1/densetail", unit: "ns/inference", bound: 0.5},
-	// Grouping at pickup with no hold must not lose to the window on the
-	// window's home workload, the same head traffic through both.
-	{num: "BenchmarkFleetServer/pickup", den: "BenchmarkFleetServer/window", unit: "ns/job", bound: 1.10},
 	// On a healthy link no change point fires, so the estimator costs
 	// its bookkeeping and nothing else (≈ 1.0).
 	{num: "BenchmarkRunnerAdaptive/adaptive", den: "BenchmarkRunnerAdaptive/static", unit: "ns/job", bound: 1.15},

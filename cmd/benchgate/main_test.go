@@ -44,8 +44,6 @@ goos: linux
 goarch: amd64
 pkg: dnnjps/internal/runtime
 cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
-BenchmarkFleetServer/pickup-2 	       3	   6754066 ns/op	    105522 ns/job	  515728 B/op	     764 allocs/op
-BenchmarkFleetServer/window-2         	       3	   7276514 ns/op	    113684 ns/job	 1326872 B/op	     678 allocs/op
 BenchmarkRunnerAdaptive/static-2       	       3	1845568787 ns/op	 230695967 ns/job	 3637346 B/op	     621 allocs/op
 BenchmarkRunnerAdaptive/adaptive-2     	       3	1848666296 ns/op	 231083170 ns/job	 3986922 B/op	     621 allocs/op
 PASS
@@ -109,35 +107,32 @@ func TestEvaluate(t *testing.T) {
 		ratios int
 		msg    string // a message that must be printed
 	}{
-		{"today's ratios", today, true, 8, "ok BenchmarkFleetServer/pickup over BenchmarkFleetServer/window = 0.93x"},
+		{"today's ratios", today, true, 7, "ok BenchmarkRunnerAdaptive/adaptive over BenchmarkRunnerAdaptive/static = 1.00x"},
 		// 1047146 is the fastest of three asm/n=128 repetitions; the gate
 		// reads it, not the 1252539 printed first: 0.107, not 0.129.
-		{"repetitions collapse before the ratio", today, true, 8, "BenchmarkSgemmCrossover/asm/n=128 over BenchmarkSgemmCrossover/panel/n=128 = 0.11x"},
+		{"repetitions collapse before the ratio", today, true, 7, "BenchmarkSgemmCrossover/asm/n=128 over BenchmarkSgemmCrossover/panel/n=128 = 0.11x"},
 
 		// Each bound from both sides, a numerator inflated to just under
-		// and just over it: 0.9, 0.6 twice, 0.5, 1.10, 1.15.
-		{"asm tile at 0.89x of the panel loop", swap("9513822 ns/op", "78000000 ns/op"), true, 8, "n=1024 = 0.89x"},
-		{"asm tile at 0.91x", swap("9513822 ns/op", "80000000 ns/op"), false, 8, "FAIL BenchmarkSgemmCrossover/asm/n=1024"},
-		{"a width under 128 is not gated", swap("456401 ns/op", "6000000 ns/op"), true, 8, ""},
-		{"conv suffix at 0.59x of N=1", swap("9295156 ns/inference", "16000000 ns/inference"), true, 8, "convsuffix = 0.59x"},
-		{"conv suffix at 0.63x", swap("9295156 ns/inference", "17000000 ns/inference"), false, 8, "FAIL BenchmarkBatchedForward/N=32/convsuffix"},
-		{"dense head at 0.58x of N=1", swap("68779 ns/inference", "240000 ns/inference"), true, 8, "densehead = 0.58x"},
-		{"dense head at 0.63x", swap("68779 ns/inference", "260000 ns/inference"), false, 8, "FAIL BenchmarkBatchedForward/N=32/densehead"},
-		{"dense tail of eight at 0.49x of N=1", swap("6446808 ns/inference", "10700000 ns/inference"), true, 8, "N=1/densetail = 0.49x"},
-		{"dense tail of eight at 0.52x", swap("6446808 ns/inference", "11400000 ns/inference"), false, 8, "FAIL BenchmarkBatchedForward/N=8/densetail"},
-		{"the conv span is reported, not gated", swap("15265040 ns/inference", "99000000 ns/inference"), true, 8, ""},
-		{"pickup grouping at 1.09x of the window", swap("105522 ns/job", "124000 ns/job"), true, 8, "window = 1.09x"},
-		{"pickup grouping at 1.12x", swap("105522 ns/job", "127500 ns/job"), false, 8, "FAIL BenchmarkFleetServer/pickup"},
-		{"estimator at 1.14x of the static runner", swap("231083170 ns/job", "263000000 ns/job"), true, 8, "static = 1.14x"},
-		{"estimator at 1.17x", swap("231083170 ns/job", "270000000 ns/job"), false, 8, "FAIL BenchmarkRunnerAdaptive/adaptive"},
+		// and just over it: 0.9, 0.6 twice, 0.5, 1.15.
+		{"asm tile at 0.89x of the panel loop", swap("9513822 ns/op", "78000000 ns/op"), true, 7, "n=1024 = 0.89x"},
+		{"asm tile at 0.91x", swap("9513822 ns/op", "80000000 ns/op"), false, 7, "FAIL BenchmarkSgemmCrossover/asm/n=1024"},
+		{"a width under 128 is not gated", swap("456401 ns/op", "6000000 ns/op"), true, 7, ""},
+		{"conv suffix at 0.59x of N=1", swap("9295156 ns/inference", "16000000 ns/inference"), true, 7, "convsuffix = 0.59x"},
+		{"conv suffix at 0.63x", swap("9295156 ns/inference", "17000000 ns/inference"), false, 7, "FAIL BenchmarkBatchedForward/N=32/convsuffix"},
+		{"dense head at 0.58x of N=1", swap("68779 ns/inference", "240000 ns/inference"), true, 7, "densehead = 0.58x"},
+		{"dense head at 0.63x", swap("68779 ns/inference", "260000 ns/inference"), false, 7, "FAIL BenchmarkBatchedForward/N=32/densehead"},
+		{"dense tail of eight at 0.49x of N=1", swap("6446808 ns/inference", "10700000 ns/inference"), true, 7, "N=1/densetail = 0.49x"},
+		{"dense tail of eight at 0.52x", swap("6446808 ns/inference", "11400000 ns/inference"), false, 7, "FAIL BenchmarkBatchedForward/N=8/densetail"},
+		{"the conv span is reported, not gated", swap("15265040 ns/inference", "99000000 ns/inference"), true, 7, ""},
+		{"estimator at 1.14x of the static runner", swap("231083170 ns/job", "263000000 ns/job"), true, 7, "static = 1.14x"},
+		{"estimator at 1.17x", swap("231083170 ns/job", "270000000 ns/job"), false, 7, "FAIL BenchmarkRunnerAdaptive/adaptive"},
 
-		{"no asm legs: the rule skips", dropLines(today, "SgemmCrossover/asm/"), true, 6, "skip BenchmarkSgemmCrossover/asm/n=*"},
-		{"asm legs, none at a gated width", dropLines(dropLines(today, "asm/n=128"), "asm/n=1024"), false, 6, "FAIL BenchmarkSgemmCrossover/asm/n=*"},
-		{"asm leg without its panel leg", dropLines(today, "panel/n=1024"), false, 7, "FAIL BenchmarkSgemmCrossover/asm/n=1024 over BenchmarkSgemmCrossover/panel/n=1024"},
-		{"FleetServer/window missing", dropLines(today, "FleetServer/window"), false, 7, "FAIL BenchmarkFleetServer/pickup over BenchmarkFleetServer/window"},
-		{"N=8/densetail missing", dropLines(today, "N=8/densetail"), false, 7, "FAIL BenchmarkBatchedForward/N=8/densetail"},
-		{"RunnerAdaptive did not run", dropLines(today, "RunnerAdaptive"), false, 7, "FAIL BenchmarkRunnerAdaptive/adaptive"},
-		{"N=32 legs missing", dropLines(today, "N=32/"), false, 5, "FAIL BenchmarkBatchedForward/N=32/*"},
+		{"no asm legs: the rule skips", dropLines(today, "SgemmCrossover/asm/"), true, 5, "skip BenchmarkSgemmCrossover/asm/n=*"},
+		{"asm legs, none at a gated width", dropLines(dropLines(today, "asm/n=128"), "asm/n=1024"), false, 5, "FAIL BenchmarkSgemmCrossover/asm/n=*"},
+		{"asm leg without its panel leg", dropLines(today, "panel/n=1024"), false, 6, "FAIL BenchmarkSgemmCrossover/asm/n=1024 over BenchmarkSgemmCrossover/panel/n=1024"},
+		{"N=8/densetail missing", dropLines(today, "N=8/densetail"), false, 6, "FAIL BenchmarkBatchedForward/N=8/densetail"},
+		{"RunnerAdaptive did not run", dropLines(today, "RunnerAdaptive"), false, 6, "FAIL BenchmarkRunnerAdaptive/adaptive"},
+		{"N=32 legs missing", dropLines(today, "N=32/"), false, 4, "FAIL BenchmarkBatchedForward/N=32/*"},
 		{"custom unit column missing", strings.ReplaceAll(today, "ns/job", "ns/request"), false, 6, "lacks ns/job"},
 	}
 	for _, c := range cases {

@@ -6,7 +6,7 @@
 //	jpsbench -all
 //	jpsbench -fig 12 -n 100
 //	jpsbench -fig 13 -model mobilenetv2 -csv out/
-//	jpsbench -fig batch -model mobilenetv2 -batch-window 2ms
+//	jpsbench -fig batch -model mobilenetv2
 package main
 
 import (
@@ -17,7 +17,6 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
-	"time"
 
 	"dnnjps/internal/engine"
 	"dnnjps/internal/experiments"
@@ -25,11 +24,9 @@ import (
 	"dnnjps/internal/report"
 )
 
-// Channel-shaping and coalescer knobs, shared by the live-runtime
+// Channel-shaping and admission knobs, shared by the live-runtime
 // experiment cases below.
 var (
-	batchWindow  = flag.Duration("batch-window", 2*time.Millisecond, "with -fig batch/fleet: coalescing window of the windowed rows (0-window baseline rows always run)")
-	batchMax     = flag.Int("batch-max", 16, "with -fig batch/fleet: maximum jobs per coalesced group")
 	shedMark     = flag.Int("shed-watermark", 48, "with -fig fleet: queue depth of the overload row's admission control (0 skips the row)")
 	downlinkMbps = flag.Float64("downlink-mbps", 0, "model reply bandwidth on the experiments' fixed channels (0 keeps the historical free-downlink assumption)")
 	kernelName   = flag.String("kernel", "auto", "engine kernel path for the live-runtime experiments: "+engine.KernelPaths)
@@ -287,17 +284,14 @@ func run(env experiments.Env, id, model, traceOut, traceJSON, adaptTrace string)
 		}
 		return []*report.Table{experiments.ChainDepthTable(rows), experiments.ChainGapTable(gaps)}, nil
 	case "batch":
-		// Live execution of the server-side coalescer: a cloud-only
-		// plan floods the server at each job count, once with no window
-		// (the default server, which groups a dense tail at pickup) and
-		// once at the flag's window. Real engine compute in real time,
-		// not part of -all.
+		// Live execution of the server's tail groups: a cloud-only plan
+		// floods the server at each job count. Real engine compute in
+		// real time, not part of -all.
 		counts := []int{8, 32, 128}
 		if nExplicit {
 			counts = []int{env.NJobs}
 		}
-		rows, err := experiments.RuntimeBatch(env, model, withDownlink(netsim.WiFi),
-			counts, []time.Duration{0, *batchWindow}, *batchMax, 1e-3)
+		rows, err := experiments.RuntimeBatch(env, model, withDownlink(netsim.WiFi), counts, 1e-3)
 		if err != nil {
 			return nil, err
 		}
@@ -305,15 +299,13 @@ func run(env experiments.Env, id, model, traceOut, traceJSON, adaptTrace string)
 	case "fleet":
 		// Fleet-scale serving: N concurrent clients on independent TCP
 		// connections against one shared server, sweeping the client
-		// count on the default server and under a batching window, plus an
-		// overload row with admission control armed. Real engine
-		// compute in real time, not part of -all.
+		// count, plus an overload row with admission control armed. Real
+		// engine compute in real time, not part of -all.
 		counts := []int{1, 4, 8, 16, 32}
 		if nExplicit {
 			counts = []int{env.NJobs}
 		}
-		rows, err := experiments.RuntimeFleet(env, model, withDownlink(netsim.WiFi),
-			counts, 8, *batchWindow, *batchMax, *shedMark, 1e-3)
+		rows, err := experiments.RuntimeFleet(env, model, withDownlink(netsim.WiFi), counts, 8, *shedMark, 1e-3)
 		if err != nil {
 			return nil, err
 		}

@@ -7,19 +7,16 @@
 //
 //	jpsserve -model mobilenetv2 -addr :7443 -seed 42
 //
-// By default the server batches without making any job wait: a request
-// runs its convolutional layers on its own, and the fully connected
-// tail of every request already waiting when a worker falls free runs
-// as one pass, so the queue streams those weights once (float32 models
-// with a dense head; see DESIGN.md "Cross-job batching"). With
-// -batch-window the same workers instead gather same-shape requests as
-// they pop them, hold each group until the window after it opened (or
-// until it has -batch-max members), and run it as one batched forward
-// of the whole suffix; -downlink-mbps paces the server's replies at a
+// The server batches by one rule, with no knob: a request runs its
+// convolutional layers on its own and parks at the model's tail unit,
+// and the fully connected tail of every request parked there within a
+// 2 ms hold runs as one pass of up to 16, so a burst streams those
+// weights once (float32 models with a dense head; see DESIGN.md
+// "Cross-job batching"). -downlink-mbps paces the server's replies at a
 // modeled downlink bandwidth, for end-to-end runs over symmetric
 // low-band channels:
 //
-//	jpsserve -model mobilenetv2 -batch-window 2ms -batch-max 16 -downlink-mbps 8
+//	jpsserve -model mobilenetv2 -downlink-mbps 8
 //
 // Multi-tenant fleets arbitrate the shared worker pool with weighted
 // fair queueing and bound overload with admission control (see
@@ -31,8 +28,7 @@
 // instead of the terminal cloud: requests cut before -next-cut are
 // computed up to that boundary and forwarded to the named downstream
 // jpsserve over the same wire protocol (see DESIGN.md "k-way chains").
-// Forwarding stages hold no groups, so -next-hop rejects
-// -batch-window:
+// Forwarding stages hold no groups:
 //
 //	jpsserve -model alexnet -addr :7444                      # terminal
 //	jpsserve -model alexnet -next-hop :7444 -next-cut 5      # middle stage
@@ -74,7 +70,6 @@ import (
 	"strconv"
 	"strings"
 	"syscall"
-	"time"
 
 	"dnnjps/internal/engine"
 	"dnnjps/internal/models"
@@ -92,9 +87,7 @@ func main() {
 		kernel  = flag.String("kernel", "auto", "engine kernel path: "+engine.KernelPaths)
 		conc    = flag.Int("conc", 0, "concurrent inferences server-wide (the one worker pool every connection shares); 0 = GOMAXPROCS. Multiplies with -workers, so size the product to the core count")
 
-		batchWindow = flag.Duration("batch-window", 0, "gather same-shape requests into groups, each held up to this long after it opens, and run a group as one batched forward (0 = no waiting: requests already queued still share their fully connected tail)")
-		batchMax    = flag.Int("batch-max", 16, "jobs that close a group before its window is over (with -batch-window; at least 2)")
-		downMbps    = flag.Float64("downlink-mbps", 0, "pace replies at this modeled downlink bandwidth (0 = unshaped)")
+		downMbps = flag.Float64("downlink-mbps", 0, "pace replies at this modeled downlink bandwidth (0 = unshaped)")
 
 		tenants  = flag.String("tenants", "", "comma-separated tenant:weight WFQ weights, e.g. gold:2,bronze:1 (unlisted tenants get weight 1)")
 		shedMark = flag.Int("shed-watermark", 0, "queue depth at which new infer jobs are shed with a Class -1 reply; backpressure hints start at half this (0 = disabled)")
@@ -132,8 +125,7 @@ func main() {
 	}
 	cfg := serveConfig{
 		model: *model, addr: *addr, seed: *seed, workers: *workers, conc: *conc,
-		kernel:      *kernel,
-		batchWindow: *batchWindow, batchMax: *batchMax, downMbps: *downMbps,
+		kernel: *kernel, downMbps: *downMbps,
 		tenants: weights, shedWatermark: *shedMark,
 		nextHop: *nextHop, nextCut: *nextCut,
 		spec: spec, faultSeed: *faultSeed,
@@ -156,10 +148,6 @@ type usageError struct{ error }
 // turns it into a usageError before anything is loaded.
 func flagConflict(cfg serveConfig) error {
 	switch {
-	case cfg.nextHop != "" && cfg.batchWindow > 0:
-		return fmt.Errorf("-next-hop is incompatible with -batch-window: a forwarding stage hands jobs over one by one and holds no groups")
-	case cfg.batchWindow > 0 && cfg.batchMax < 2:
-		return fmt.Errorf("-batch-window %v with -batch-max %d holds nothing: a group needs room for two", cfg.batchWindow, cfg.batchMax)
 	case cfg.nextHop == "" && cfg.nextCut != 0:
 		return fmt.Errorf("-next-cut requires -next-hop")
 	case cfg.traceOut != "" && cfg.metricsAddr == "":
@@ -256,8 +244,6 @@ type serveConfig struct {
 	seed          int64
 	kernel        string // engine kernel path; "" means auto
 	workers, conc int
-	batchWindow   time.Duration
-	batchMax      int
 	downMbps      float64
 	tenants       map[string]float64
 	shedWatermark int
@@ -298,10 +284,6 @@ func run(cfg serveConfig) error {
 	srv := runtime.NewServer(m)
 	if cfg.conc > 0 {
 		srv.WithWorkers(cfg.conc)
-	}
-	if cfg.batchWindow > 0 {
-		fmt.Printf("batching: window %v, max %d jobs/group\n", cfg.batchWindow, cfg.batchMax)
-		srv.WithBatching(cfg.batchWindow, cfg.batchMax)
 	}
 	if len(cfg.tenants) > 0 {
 		fmt.Printf("tenant weights: %v\n", cfg.tenants)

@@ -20,32 +20,28 @@ import (
 )
 
 func TestRunRejectsBadInputs(t *testing.T) {
-	if err := run(serveConfig{model: "lenet", addr: "127.0.0.1:0", seed: 1, batchMax: 16, faultSeed: 1}); err == nil {
+	if err := run(serveConfig{model: "lenet", addr: "127.0.0.1:0", seed: 1, faultSeed: 1}); err == nil {
 		t.Error("unknown model must error")
 	}
-	err := run(serveConfig{model: "alexnet", addr: "127.0.0.1:0", seed: 1, batchMax: 16, faultSeed: 1,
+	err := run(serveConfig{model: "alexnet", addr: "127.0.0.1:0", seed: 1, faultSeed: 1,
 		kernel: "simd9000"})
 	if err == nil {
 		t.Error("unknown -kernel value must error")
 	} else if !strings.Contains(err.Error(), "auto, asm, panel, or direct") {
 		t.Errorf("kernel usage error should list the valid spellings, got: %v", err)
 	}
-	if err := run(serveConfig{model: "alexnet", addr: "256.256.256.256:99999", seed: 1, conc: 4, batchMax: 16, faultSeed: 1}); err == nil {
+	if err := run(serveConfig{model: "alexnet", addr: "256.256.256.256:99999", seed: 1, conc: 4, faultSeed: 1}); err == nil {
 		t.Error("unlistenable address must error")
 	}
-	if err := run(serveConfig{model: "squeezenet", addr: "127.0.0.1:0", seed: 1, batchMax: 16, faultSeed: 1,
+	if err := run(serveConfig{model: "squeezenet", addr: "127.0.0.1:0", seed: 1, faultSeed: 1,
 		metricsAddr: "256.256.256.256:99999"}); err == nil {
 		t.Error("unlistenable metrics address must error")
 	}
-	if err := run(serveConfig{model: "squeezenet", addr: "127.0.0.1:0", seed: 1, batchMax: 16, faultSeed: 1,
-		nextHop: "127.0.0.1:1", nextCut: 0, batchWindow: time.Millisecond}); !errors.As(err, new(usageError)) {
-		t.Errorf("next-hop combined with batching must be a usage error (exit 2), got: %v", err)
-	}
-	if err := run(serveConfig{model: "squeezenet", addr: "127.0.0.1:0", seed: 1, batchMax: 16, faultSeed: 1,
+	if err := run(serveConfig{model: "squeezenet", addr: "127.0.0.1:0", seed: 1, faultSeed: 1,
 		nextHop: "127.0.0.1:1", nextCut: 9999}); err == nil {
 		t.Error("out-of-range next-cut must error")
 	}
-	if err := run(serveConfig{model: "squeezenet", addr: "127.0.0.1:0", seed: 1, batchMax: 16, faultSeed: 1,
+	if err := run(serveConfig{model: "squeezenet", addr: "127.0.0.1:0", seed: 1, faultSeed: 1,
 		nextHop: "127.0.0.1:1", nextCut: -1}); err == nil {
 		t.Error("negative next-cut must error")
 	}
@@ -61,12 +57,7 @@ func TestFlagConflict(t *testing.T) {
 		{serveConfig{}, nil},
 		{serveConfig{nextHop: ":1", nextCut: 3}, nil},
 		{serveConfig{metricsAddr: ":0", traceOut: "t.json"}, nil},
-		{serveConfig{nextHop: ":1", batchWindow: time.Millisecond}, []string{"-next-hop", "-batch-window"}},
 		{serveConfig{nextCut: 3}, []string{"-next-cut", "-next-hop"}},
-		{serveConfig{batchWindow: 2 * time.Millisecond, batchMax: 16}, nil},
-		// A group of one has nobody to be held for: this used to print
-		// "batching: window 2ms, max 1 jobs/group" and run the default stage.
-		{serveConfig{batchWindow: 2 * time.Millisecond, batchMax: 1}, []string{"-batch-window", "-batch-max"}},
 		// -trace-out alone used to be accepted and ignored: no tracer is
 		// built without -metrics-addr, so no file was ever written.
 		{serveConfig{traceOut: "t.json"}, []string{"-trace-out", "-metrics-addr"}},
@@ -95,7 +86,7 @@ func TestRunClosesListenerWhenMetricsListenFails(t *testing.T) {
 	}
 	addr := probe.Addr().String()
 	probe.Close()
-	if err := run(serveConfig{model: "squeezenet", addr: addr, seed: 1, batchMax: 16, faultSeed: 1,
+	if err := run(serveConfig{model: "squeezenet", addr: addr, seed: 1, faultSeed: 1,
 		metricsAddr: "256.256.256.256:99999"}); err == nil {
 		t.Fatal("unlistenable metrics address must error")
 	}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"dnnjps/internal/engine"
 	"dnnjps/internal/flowshop"
@@ -14,16 +13,14 @@ import (
 	"dnnjps/internal/tensor"
 )
 
-// RuntimeBatchResult is one live run of the server-side coalescer: n
+// RuntimeBatchResult is one live run of the server's tail groups: n
 // concurrent jobs cut at the model's deepest parameterized position
 // (suffix = the weight-heavy head) are fired at the server all at
-// once via Client.RunBoundaryJobs, so the coalescer sees genuine
-// request concurrency, at one batch-window setting.
+// once via Client.RunBoundaryJobs, so the groups see genuine request
+// concurrency.
 type RuntimeBatchResult struct {
-	Model    string
-	Jobs     int
-	WindowMs float64
-	BatchMax int
+	Model string
+	Jobs  int
 	// MakespanMs is the measured first-enqueue → last-reply span.
 	MakespanMs float64
 	// ServerBusyMs sums the server's distinct cloud-compute intervals.
@@ -32,10 +29,10 @@ type RuntimeBatchResult struct {
 	// suffix stage actually occupied, the quantity batching shrinks.
 	ServerBusyMs float64
 	// MeanBatch is the average executed group size (1 when no group
-	// was recorded: window 0 on a model without a dense head).
+	// was recorded: a model without a dense head).
 	MeanBatch float64
 	// BatchedJobs / SoloJobs split the jobs by whether they shared a
-	// group (solo = picked up or flushed as a group of one).
+	// group (solo = a tail group of one).
 	BatchedJobs int64
 	SoloJobs    int64
 	// FormulaMs is Prop. 4.1's two-stage closed form for this run:
@@ -45,21 +42,18 @@ type RuntimeBatchResult struct {
 	FormulaMs float64
 }
 
-// RuntimeBatch executes the concurrent-job probe for each job count at
-// each coalescing window over loopback TCP and reports makespan,
-// server busy time and achieved batch sizes. A window of 0 is the
-// default server: no hold and no wait, but on a model with a dense
-// head the jobs already waiting when a worker falls free share one pass
-// through it (no longer a batch-1 baseline; a model whose classifier is
-// a convolution still is one). Nonzero windows
-// trade up to that much queueing delay per job for grouped suffix
-// executions (one batched forward per group — Theorem 5.3 guarantees a
-// JPS plan feeds the server at most two boundary shapes, so grouping
-// by cut cannot fragment). The cut is the deepest offloaded position
-// whose suffix still holds parameters: the suffix is the classifier
-// head, weight-streaming-bound, the regime where one shared weight
-// pass per group pays off even on a single core.
-func RuntimeBatch(env Env, model string, ch netsim.Channel, jobCounts []int, windows []time.Duration, batchMax int, timeScale float64) ([]*RuntimeBatchResult, error) {
+// RuntimeBatch executes the concurrent-job probe for each job count
+// over loopback TCP against the server's one grouping rule and reports
+// makespan, server busy time and achieved batch sizes. On a model with a
+// dense head the jobs park at its tail unit and share one pass through
+// it per group, each group held at most the server's 2 ms hold (Theorem
+// 5.3 guarantees a JPS plan feeds the server at most two boundary
+// shapes, so grouping by cut cannot fragment); a model whose classifier
+// is a convolution has no tail and runs job at a time. The cut is the
+// deepest offloaded position whose suffix still holds parameters: the
+// suffix is the classifier head, weight-streaming-bound, the regime
+// where one shared weight pass per group pays off even on a single core.
+func RuntimeBatch(env Env, model string, ch netsim.Channel, jobCounts []int, timeScale float64) ([]*RuntimeBatchResult, error) {
 	g := mustModel(model)
 	const seed = 42
 	m := engine.Load(g, seed).WithKernel(env.Kernel)
@@ -86,58 +80,50 @@ func RuntimeBatch(env Env, model string, ch netsim.Channel, jobCounts []int, win
 		for i := range boundaries {
 			boundaries[i] = protos[i%distinct]
 		}
-		for _, window := range windows {
-			o := runtime.NewObs(obs.NewTracer(0), obs.NewMetrics())
-			srv := runtime.NewServer(m).WithWorkers(4).WithObs(o)
-			if window > 0 {
-				srv = srv.WithBatching(window, batchMax)
-			}
-			conn, err := dialLoopback(srv)
-			if err != nil {
-				return nil, err
-			}
-			rep, err := runtime.NewClient(conn, m, ch, timeScale).RunBoundaryJobs(cut, boundaries)
-			conn.Close()
-			srv.Close()
-			if err != nil {
-				return nil, err
-			}
-
-			busyMs, meanBatch := serverLoad(o)
-
-			// Prop. 4.1 reference, as in RuntimePipeline: measured f
-			// (zero here — no mobile stage), channel-model g.
-			up := timeScale * ch.TxMs(runtime.RequestWireBytes(boundShape))
-			seq := make([]flowshop.Job, 0, n)
-			for _, r := range rep.Results {
-				seq = append(seq, flowshop.Job{ID: r.JobID, A: r.MobileMs, B: up})
-			}
-
-			results = append(results, &RuntimeBatchResult{
-				Model:        model,
-				Jobs:         n,
-				WindowMs:     float64(window) / float64(time.Millisecond),
-				BatchMax:     batchMax,
-				MakespanMs:   rep.MakespanMs,
-				ServerBusyMs: busyMs,
-				MeanBatch:    meanBatch,
-				BatchedJobs:  o.BatchedJobs.Value(),
-				SoloJobs:     o.SoloJobs.Value(),
-				FormulaMs:    flowshop.FormulaMakespan(seq),
-			})
+		o := runtime.NewObs(obs.NewTracer(0), obs.NewMetrics())
+		srv := runtime.NewServer(m).WithWorkers(4).WithObs(o)
+		conn, err := dialLoopback(srv)
+		if err != nil {
+			return nil, err
 		}
+		rep, err := runtime.NewClient(conn, m, ch, timeScale).RunBoundaryJobs(cut, boundaries)
+		conn.Close()
+		srv.Close()
+		if err != nil {
+			return nil, err
+		}
+
+		busyMs, meanBatch := serverLoad(o)
+
+		// Prop. 4.1 reference, as in RuntimePipeline: measured f
+		// (zero here — no mobile stage), channel-model g.
+		up := timeScale * ch.TxMs(runtime.RequestWireBytes(boundShape))
+		seq := make([]flowshop.Job, 0, n)
+		for _, r := range rep.Results {
+			seq = append(seq, flowshop.Job{ID: r.JobID, A: r.MobileMs, B: up})
+		}
+
+		results = append(results, &RuntimeBatchResult{
+			Model:        model,
+			Jobs:         n,
+			MakespanMs:   rep.MakespanMs,
+			ServerBusyMs: busyMs,
+			MeanBatch:    meanBatch,
+			BatchedJobs:  o.BatchedJobs.Value(),
+			SoloJobs:     o.SoloJobs.Value(),
+			FormulaMs:    flowshop.FormulaMakespan(seq),
+		})
 	}
 	return results, nil
 }
 
-// RuntimeBatchTable renders coalescer runs; rows with window 0 are the
-// default server the windows are read against.
+// RuntimeBatchTable renders the batching runs, one row per job count.
 func RuntimeBatchTable(results []*RuntimeBatchResult) *report.Table {
 	t := report.NewTable(
-		"Cross-job batching — makespan and server CPU vs coalescing window",
-		"Model", "Jobs", "Window(ms)", "Makespan(ms)", "ServerBusy(ms)", "MeanBatch", "Batched", "Solo", "Prop4.1(ms)")
+		"Cross-job batching — makespan and server CPU vs concurrent jobs",
+		"Model", "Jobs", "Makespan(ms)", "ServerBusy(ms)", "MeanBatch", "Batched", "Solo", "Prop4.1(ms)")
 	for _, r := range results {
-		t.AddRow(displayName(r.Model), r.Jobs, fmtMs(r.WindowMs), fmtMs(r.MakespanMs),
+		t.AddRow(displayName(r.Model), r.Jobs, fmtMs(r.MakespanMs),
 			fmtMs(r.ServerBusyMs), fmt.Sprintf("%.2f", r.MeanBatch),
 			r.BatchedJobs, r.SoloJobs, fmtMs(r.FormulaMs))
 	}

@@ -25,7 +25,6 @@ type RuntimeFleetResult struct {
 	Model         string
 	Clients       int
 	JobsPerClient int
-	WindowMs      float64
 	Watermark     int
 	// MakespanMs is the wall time from first dial to last reply
 	// across every client.
@@ -65,16 +64,16 @@ func deepParamCut(g *dag.Graph, units []profile.Unit) int {
 	return cut
 }
 
-// RuntimeFleet runs the fleet probe at each client count, once with
-// no window (the default server: a dense tail's jobs group when a
-// worker picks them up) and once at the given window; if shedWatermark > 0 a final overload row repeats the
-// largest count with admission control armed, showing shedding bound
-// p99 instead of letting the queue collapse it. Every client runs over
-// its own loopback TCP connection with its own tenant ID, so the rows
-// exercise the hello handshake, per-tenant accounting, and the
-// cross-connection coalescer with genuinely independent sockets.
-func RuntimeFleet(env Env, model string, ch netsim.Channel, clientCounts []int, jobsPerClient int,
-	window time.Duration, batchMax, shedWatermark int, timeScale float64) ([]*RuntimeFleetResult, error) {
+// RuntimeFleet runs the fleet probe at each client count against the
+// server's one grouping rule (a dense tail's jobs park at the tail unit
+// and share groups across connections); if shedWatermark > 0 a final
+// overload row repeats the largest count with admission control armed,
+// showing shedding bound p99 instead of letting the queue collapse it.
+// Every client runs over its own loopback TCP connection with its own
+// tenant ID, so the rows exercise the hello handshake, per-tenant
+// accounting, and cross-connection grouping with genuinely independent
+// sockets.
+func RuntimeFleet(env Env, model string, ch netsim.Channel, clientCounts []int, jobsPerClient, shedWatermark int, timeScale float64) ([]*RuntimeFleetResult, error) {
 	g := mustModel(model)
 	const seed = 42
 	m := engine.Load(g, seed).WithKernel(env.Kernel)
@@ -90,15 +89,12 @@ func RuntimeFleet(env Env, model string, ch netsim.Channel, clientCounts []int, 
 		return nil, err
 	}
 
-	run := func(clients int, w time.Duration, wm int) (*RuntimeFleetResult, error) {
+	run := func(clients, wm int) (*RuntimeFleetResult, error) {
 		o := runtime.NewObs(obs.NewTracer(0), obs.NewMetrics())
 		// One worker: concurrent workers timeslice on small hosts and
 		// inflate each other's compute spans, which would corrupt the
 		// busy-time column this figure exists to compare.
 		srv := runtime.NewServer(m).WithWorkers(1).WithObs(o)
-		if w > 0 && batchMax > 1 {
-			srv = srv.WithBatching(w, batchMax)
-		}
 		if wm > 0 {
 			srv = srv.WithShedWatermark(wm)
 		}
@@ -172,7 +168,6 @@ func RuntimeFleet(env Env, model string, ch netsim.Channel, clientCounts []int, 
 			Model:         model,
 			Clients:       clients,
 			JobsPerClient: jobsPerClient,
-			WindowMs:      float64(w) / float64(time.Millisecond),
 			Watermark:     wm,
 			MakespanMs:    makespan,
 			BusyPerJobMs:  busyMs / float64(jobs),
@@ -187,16 +182,14 @@ func RuntimeFleet(env Env, model string, ch netsim.Channel, clientCounts []int, 
 
 	var results []*RuntimeFleetResult
 	for _, n := range clientCounts {
-		for _, w := range []time.Duration{0, window} {
-			r, err := run(n, w, 0)
-			if err != nil {
-				return nil, err
-			}
-			results = append(results, r)
+		r, err := run(n, 0)
+		if err != nil {
+			return nil, err
 		}
+		results = append(results, r)
 	}
 	if shedWatermark > 0 && len(clientCounts) > 0 {
-		r, err := run(clientCounts[len(clientCounts)-1], window, shedWatermark)
+		r, err := run(clientCounts[len(clientCounts)-1], shedWatermark)
 		if err != nil {
 			return nil, err
 		}
@@ -205,20 +198,19 @@ func RuntimeFleet(env Env, model string, ch netsim.Channel, clientCounts []int, 
 	return results, nil
 }
 
-// RuntimeFleetTable renders the fleet rows; window-0 rows are the
-// unbatched baselines, and a nonzero watermark marks the overload row
-// where admission control bounds the tail.
+// RuntimeFleetTable renders the fleet rows; a nonzero watermark marks
+// the overload row where admission control bounds the tail.
 func RuntimeFleetTable(results []*RuntimeFleetResult) *report.Table {
 	t := report.NewTable(
 		"Fleet serving — cross-connection batching and admission control vs client count",
-		"Model", "Clients", "Jobs", "Window(ms)", "Watermark", "Makespan(ms)", "Busy/job(ms)",
+		"Model", "Clients", "Jobs", "Watermark", "Makespan(ms)", "Busy/job(ms)",
 		"MeanBatch", "p50(ms)", "p99(ms)", "Batched", "Solo", "Shed")
 	for _, r := range results {
 		wm := "-"
 		if r.Watermark > 0 {
 			wm = fmt.Sprintf("%d", r.Watermark)
 		}
-		t.AddRow(displayName(r.Model), r.Clients, r.Clients*r.JobsPerClient, fmtMs(r.WindowMs), wm,
+		t.AddRow(displayName(r.Model), r.Clients, r.Clients*r.JobsPerClient, wm,
 			fmtMs(r.MakespanMs), fmt.Sprintf("%.3f", r.BusyPerJobMs),
 			fmt.Sprintf("%.2f", r.MeanBatch), fmtMs(r.P50Ms), fmtMs(r.P99Ms),
 			r.BatchedJobs, r.SoloJobs, r.Shed)

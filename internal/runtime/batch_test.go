@@ -12,17 +12,23 @@ import (
 	"dnnjps/internal/tensor"
 )
 
-// Server-side cross-job batching: correctness of the coalescer under
+// Server-side cross-job batching: correctness of the tail groups under
 // ragged flushes, reply demultiplexing when a group member is invalid,
-// and the timer-expiry flush path.
+// and the hold-expiry flush path.
 
-// batchPair wires a client against a batching server and returns the
-// client plus the server's observability bundle for counter assertions.
+// batchPair wires a client against a server with WithBatching(window,
+// max) and returns the client plus the server's observability bundle for
+// counter assertions. The server does not read window; a positive one
+// stands in for groupHold here, so that a test's group forms whatever
+// the timing.
 func batchPair(t *testing.T, m *engine.Model, window time.Duration, max int) (*Client, *Obs) {
 	t.Helper()
 	cConn, sConn := net.Pipe()
 	o := NewObs(obs.NewTracer(1<<12), obs.NewMetrics())
 	srv := NewServer(m).WithWorkers(4).WithBatching(window, max).WithObs(o)
+	if window > 0 {
+		srv.hold = window
+	}
 	t.Cleanup(srv.Close)
 	go func() { defer sConn.Close(); _ = srv.HandleConn(sConn) }()
 	t.Cleanup(func() { cConn.Close() })
@@ -56,7 +62,7 @@ func boundaryFor(t *testing.T, m *engine.Model, cut int, in *tensor.Tensor) (*te
 	return boundary, engine.Argmax(want)
 }
 
-// A full plan through the coalescer: 16 same-cut jobs with batchMax 3
+// A full plan through the tail groups: 16 same-cut jobs with a cap of 3
 // force ragged groups (the final flush carries a partial batch), and
 // every class must still match a pure local forward. The counters must
 // account for every job exactly once.
@@ -97,8 +103,8 @@ func TestRunPlanWithBatchingCorrectness(t *testing.T) {
 	}
 }
 
-// The window-expiry flush: fewer jobs than batchMax must still complete
-// once the window elapses, grouped into one batched execution.
+// The hold-expiry flush: fewer jobs than the cap must still complete
+// once the hold elapses, grouped into one batched execution at the tail.
 func TestBatchWindowFlushesPartialGroup(t *testing.T) {
 	goroutinesSettle(t)
 	m := testModel(t)
@@ -109,7 +115,7 @@ func TestBatchWindowFlushesPartialGroup(t *testing.T) {
 	calls := [2]*call{}
 	wants := [2]int{}
 	// Boundaries first: computing one between the two enqueues can
-	// outlast the window under the race detector.
+	// outlast the hold under the race detector.
 	boundaries := [2]*tensor.Tensor{}
 	for i := range res {
 		boundaries[i], wants[i] = boundaryAt(t, m, cut, i*5)
@@ -131,15 +137,16 @@ func TestBatchWindowFlushesPartialGroup(t *testing.T) {
 		}
 	}
 	if o.BatchedJobs.Value() != 2 {
-		t.Errorf("batched jobs %d, want 2 (one group of two via window expiry)", o.BatchedJobs.Value())
+		t.Errorf("batched jobs %d, want 2 (one group of two via hold expiry)", o.BatchedJobs.Value())
 	}
 }
 
 // One invalid member must not poison its group: the valid jobs' replies
 // demux to the right callers with the right classes, and only then does
 // the connection fail with the invalid job's error. Whichever way the
-// group formed: under the window, or parked at the tail unit of the
-// default server, where the bad member arrives cut at the tail itself.
+// group formed at the tail unit, where the bad member arrives cut at the
+// tail itself: held until WithBatching's cap of three closes it, or
+// parked behind the default server's one wedged worker.
 func TestBatchPartialFailureDemux(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -148,7 +155,7 @@ func TestBatchPartialFailureDemux(t *testing.T) {
 		// three jobs are in.
 		pair func(t *testing.T, m *engine.Model) (*Client, func())
 	}{
-		{"window", 1, func(t *testing.T, m *engine.Model) (*Client, func()) {
+		{"window", 6, func(t *testing.T, m *engine.Model) (*Client, func()) {
 			cl, _ := batchPair(t, m, 50*time.Millisecond, 3)
 			return cl, func() {}
 		}},
@@ -186,9 +193,8 @@ func TestBatchPartialFailureDemux(t *testing.T) {
 			}
 			// Wrong boundary shape for every cut of this model: the server
 			// detects it when the group is picked up, not at decode time, so
-			// under the window it joins the same group as the two valid
-			// jobs, which still flushes on max size; at the tail it parks
-			// with whichever of them have not run yet.
+			// it parks with the two valid jobs in the group of their cut,
+			// which still flushes on max size under WithBatching.
 			resBad := &JobResult{JobID: 2}
 			cBad, err := cl.enqueueInfer(resBad, c.cut, tensor.New(tensor.NewCHW(1, 2, 2)))
 			if err != nil {
@@ -239,10 +245,11 @@ func TestBatchAllInvalidFails(t *testing.T) {
 	}
 }
 
-// WithBatching(0, …) and WithBatching(…, 1) start no coalescer: the
-// server is the default one, whose groups form when a worker picks them
-// up. One job on an idle server is then a group of one that nothing
-// held back: its conv span, one scheduling hop, its tail.
+// WithBatching(0, …) and WithBatching(…, 1) leave the default stage:
+// tail groups capped at the tile. One job on an idle server is then a
+// group of one: its conv span, a park at the tail unit for at most the
+// hold, its tail — each stage span once, the park inside the job's stage
+// time, and QueueMs + CloudMs the whole of decode done to answer ready.
 func TestBatchingDisabledConfigs(t *testing.T) {
 	goroutinesSettle(t)
 	m := testModel(t)
@@ -264,9 +271,9 @@ func TestBatchingDisabledConfigs(t *testing.T) {
 			t.Errorf("window=%v max=%d: %d groups, %d jobs alone, %d in company; want one group of one",
 				cfg.window, cfg.max, o.BatchSize.Count(), o.SoloJobs.Value(), o.BatchedJobs.Value())
 		}
-		// Nothing held the job back: it was parked inside its own stage
-		// time — after the pickup that ended its queue wait, before its
-		// answer was ready — and the stamps still bracket the whole.
+		// The job was parked inside its own stage time — after the pickup
+		// that ended its queue wait, before its answer was ready — and the
+		// stamps still bracket the whole.
 		spans := map[string]obs.Span{}
 		for _, sp := range o.Tracer.Spans() {
 			if sp.Track == TrackServer {

@@ -207,16 +207,14 @@ func benchHeadCut(b *testing.B) (*engine.Model, int, *tensor.Tensor) {
 	return m, cut, boundary
 }
 
-// BenchmarkServerCoalescer measures the server stage with and without
-// cross-job batching on its best-case workload: 32 concurrent jobs all
-// cut at mobilenetv2's deepest unit, leaving the weight-streaming-bound
-// dense head as the cloud suffix. "solo" is the default server, where
-// such jobs arrive cut at the tail unit and run in the groups that have
-// gathered when a worker falls free (before pickup-time grouping: one
-// pass each, as in the seed runtime); "batched" holds the whole wave in
-// one held group for one widened GEMM. ns/job is wall time per inference
-// seen by the client — the server-stage throughput number quoted in
-// EXPERIMENTS.md.
+// BenchmarkServerCoalescer measures the server stage's tail groups on
+// their best-case workload: 32 concurrent jobs all cut at mobilenetv2's
+// deepest unit — its tail unit — leaving the weight-streaming-bound dense
+// head as the cloud suffix. "cap=16" is the default server, whose groups
+// close at the GEMM tile, two per wave; "cap=32" is WithBatching's cap
+// at the wave, one group and one widened GEMM for all of it. ns/job is
+// wall time per inference seen by the client — the server-stage
+// throughput number quoted in EXPERIMENTS.md.
 func BenchmarkServerCoalescer(b *testing.B) {
 	m, cut, boundary := benchHeadCut(b)
 	const jobs = 32
@@ -244,84 +242,75 @@ func BenchmarkServerCoalescer(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*jobs), "ns/job")
 	}
-	b.Run("solo", func(b *testing.B) { run(b, NewServer(m).WithWorkers(4)) })
-	b.Run("batched", func(b *testing.B) {
-		run(b, NewServer(m).WithWorkers(4).WithBatching(10*time.Millisecond, jobs))
+	b.Run(fmt.Sprintf("cap=%d", tailGroupMax), func(b *testing.B) { run(b, NewServer(m).WithWorkers(4)) })
+	b.Run(fmt.Sprintf("cap=%d", jobs), func(b *testing.B) {
+		run(b, NewServer(m).WithWorkers(4).WithBatching(0, jobs))
 	})
 }
 
 // BenchmarkFleetServer measures the serving fabric under fleet load: 8
 // clients on independent loopback TCP connections, each with its own
 // tenant ID, concurrently flood the same mobilenetv2 head cut with 8
-// jobs apiece. Both servers merge jobs across sockets into widened
-// GEMMs: "pickup" is the default server, whose jobs arrive cut at the
-// tail unit and run in whatever groups have gathered when a worker
-// falls free; "window" holds each group for up to 10 ms or until it is a
-// full group of 64. The same head traffic both ways is what says
-// whether the window still buys anything (cmd/benchgate holds pickup to
-// no worse than window; ROADMAP carries the reading). ns/job is wall
-// time per inference seen by the clients.
+// jobs apiece. The default server merges jobs across sockets into
+// widened GEMMs: they arrive cut at the tail unit, park as they are
+// popped, and run in groups of up to 16. ns/job is wall time per
+// inference seen by the clients.
 func BenchmarkFleetServer(b *testing.B) {
 	m, cut, boundary := benchHeadCut(b)
 	const clients = 8
 	const jobsPerClient = 8
 
-	run := func(b *testing.B, srv *Server) {
-		b.Cleanup(srv.Close)
-		lis, err := net.Listen("tcp", "127.0.0.1:0")
+	srv := NewServer(m).WithWorkers(4)
+	b.Cleanup(srv.Close)
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { lis.Close() })
+	go func() { _ = srv.Serve(lis) }()
+	cls := make([]*Client, clients)
+	for c := range cls {
+		conn, err := net.Dial("tcp", lis.Addr().String())
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Cleanup(func() { lis.Close() })
-		go func() { _ = srv.Serve(lis) }()
-		cls := make([]*Client, clients)
-		for c := range cls {
-			conn, err := net.Dial("tcp", lis.Addr().String())
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(func() { conn.Close() })
-			cls[c] = NewClient(conn, m, netsim.WiFi, 1e-6).
-				WithTenant(fmt.Sprintf("bench-%d", c))
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			errs := make(chan error, clients)
-			var wg sync.WaitGroup
-			for _, cl := range cls {
-				wg.Add(1)
-				go func(cl *Client) {
-					defer wg.Done()
-					calls := make([]*call, jobsPerClient)
-					for j := range calls {
-						c, err := cl.enqueueInfer(&JobResult{JobID: j}, cut, boundary)
-						if err != nil {
-							errs <- err
-							return
-						}
-						calls[j] = c
-					}
-					for _, c := range calls {
-						if err := cl.await(c); err != nil {
-							errs <- err
-							return
-						}
-					}
-				}(cl)
-			}
-			wg.Wait()
-			close(errs)
-			if err := <-errs; err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*clients*jobsPerClient), "ns/job")
+		b.Cleanup(func() { conn.Close() })
+		cls[c] = NewClient(conn, m, netsim.WiFi, 1e-6).
+			WithTenant(fmt.Sprintf("bench-%d", c))
 	}
-	b.Run("pickup", func(b *testing.B) { run(b, NewServer(m).WithWorkers(4)) })
-	b.Run("window", func(b *testing.B) {
-		run(b, NewServer(m).WithWorkers(4).WithBatching(10*time.Millisecond, clients*jobsPerClient))
-	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		errs := make(chan error, clients)
+		var wg sync.WaitGroup
+		for _, cl := range cls {
+			wg.Add(1)
+			go func(cl *Client) {
+				defer wg.Done()
+				calls := make([]*call, jobsPerClient)
+				for j := range calls {
+					c, err := cl.enqueueInfer(&JobResult{JobID: j}, cut, boundary)
+					if err != nil {
+						errs <- err
+						return
+					}
+					calls[j] = c
+				}
+				for _, c := range calls {
+					if err := cl.await(c); err != nil {
+						errs <- err
+						return
+					}
+				}
+			}(cl)
+		}
+		wg.Wait()
+		close(errs)
+		if err := <-errs; err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*clients*jobsPerClient), "ns/job")
 }
 
 // BenchmarkRunnerAdaptive measures what continuous adaptive replanning

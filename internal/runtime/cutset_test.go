@@ -223,11 +223,16 @@ func TestGeneralPlanOfLineCutsMatchesRunPlanOnTheWire(t *testing.T) {
 
 // wedgeWorker parks a single-worker server's only worker: one valid job
 // whose reply nobody reads, so the worker blocks flushing it and every
-// later job piles up behind the watermark. The returned release lets
-// the reply through (and keeps draining until the test ends).
+// later job piles up behind the watermark. It returns once the wedge
+// holds the worker — nothing queued, nothing parked, the one job owed —
+// so no later job is served first while the wedge job waits out its
+// group's hold. The job is cut at the tail unit where there is one: a
+// conv span of its own would pass that test before the job parked. The
+// returned release lets the reply through (and keeps draining until the
+// test ends).
 func wedgeWorker(t *testing.T, srv *Server, m *engine.Model, in *tensor.Tensor) (release func()) {
 	t.Helper()
-	up, _, err := srv.runPrefix(999, jobCut{unit: 1}, in)
+	up, _, err := srv.runPrefix(999, jobCut{unit: max(srv.tail, 1)}, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,6 +244,12 @@ func wedgeWorker(t *testing.T, srv *Server, m *engine.Model, in *tensor.Tensor) 
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	fs := srv.scheduler()
+	eventually(t, "the wedge job to hold the worker", func() bool {
+		fs.mu.Lock()
+		defer fs.mu.Unlock()
+		return fs.queued == 0 && len(fs.parked) == 0 && fs.owed.Load() == 1
+	})
 	return func() { go func() { _, _ = io.Copy(io.Discard, wedge) }() }
 }
 

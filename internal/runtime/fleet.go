@@ -35,13 +35,11 @@ import (
 //     stage's workers form them the same way — nothing is dispatched
 //     ahead of a worker; one that falls free decides then what it runs
 //     (pick, takeLocked). Where and how long jobs gather is the stage's
-//     gather rule. By default a worker takes the WFQ head and runs its
-//     conv span alone, parks it at the model's tail unit, and the fully
-//     connected tail of every job parked by then runs as one pass — one
-//     stream of the tail's weights for the queue, not one per job.
-//     Under WithBatching a job parks as it is popped, whole suffix and
-//     all, and its group is held for the window. Whichever: queue-wait
-//     is decode -> pop, coalesce-wait is park -> the group's pickup.
+//     gather rule: a worker takes the WFQ head and runs its conv span
+//     alone, parks it at the model's tail unit, and the fully connected
+//     tail of every job parked by then runs as one pass — one stream of
+//     the tail's weights for the group, not one per job. queue-wait is
+//     decode -> pop, coalesce-wait is park -> the group's pickup.
 //   - Backpressure: once depth crosses half the shed watermark, every
 //     reply carries replyFlagBackpressure; the client aggregates the
 //     hints (Client.ServerPressure) and the runner re-plans cuts
@@ -79,10 +77,9 @@ type connCtx struct {
 // at a unit exit) or a set frame (msgInferSet, an Alg. 3 boundary set).
 // Both kinds are shed — the runner finishes either locally. Only line
 // frames are:
-//   - grouped — parked for the group of their cut, at the tail unit or,
-//     under a batching window, as they are popped: a group shares one
-//     pass from one unit exit, and two sets' node lists need not match
-//     (nor does a set name a unit to park at);
+//   - grouped — parked for the group of their cut at the tail unit: a
+//     group shares one pass from one unit exit, and two sets' node
+//     lists need not match (nor does a set name a unit to park at);
 //   - forwarded: the handoff (-next-cut) is a unit index and a set names
 //     no unit, so a set's whole suffix runs on the stage it reaches;
 //   - quantized on the wire: the client calibrates per unit exit.
@@ -342,6 +339,13 @@ func (fs *fleetScheduler) popLocked() pendingJob {
 // from 2 to 16). Not a knob: it is the tile.
 const tailGroupMax = 16
 
+// groupHold is how long a tail group that is not full waits for
+// companions once nothing is queued: enough for a burst's jobs to share
+// one stream of the tail's weights, little beside a job's link time —
+// the most a lone job on an idle server waits at its tail unit. 2 ms,
+// what every windowed caller passed; not a knob.
+const groupHold = 2 * time.Millisecond
+
 // gather is where and for how long a stage gathers line jobs: a job cut
 // at or past unit at joins the group of its cut (at < 0: none does), a
 // group closes at max members, and one that is not full is held until
@@ -354,20 +358,19 @@ type gather struct {
 
 // gather is the stage's rule. A forwarding stage gathers nothing: the
 // handoff is one job's frame, and no traffic yet batches a middle
-// segment (jpsserve rejects the flag combination up front; this covers
-// direct library users). Under a batching window every line job gathers
-// as it is popped — each is cut at or past unit 0 — so a group shares
-// its whole suffix and waits the window out. Otherwise a job gathers at
-// the model's tail unit (none on a quantized model), after its conv span
-// has run alone, in a group of at most one tile that waits for nobody.
+// segment. A terminal stage gathers a job at the model's tail unit
+// (none on a quantized model or one with no dense head), after its conv
+// span has run alone, in a group of at most one tile (or WithBatching's
+// max) held for groupHold.
 func (s *Server) gather() gather {
-	switch {
-	case s.next != nil:
+	if s.next != nil {
 		return gather{at: -1}
-	case s.batchWindow > 0 && s.batchMax > 1:
-		return gather{at: 0, max: s.batchMax, hold: s.batchWindow}
 	}
-	return gather{at: s.tail, max: tailGroupMax}
+	max := tailGroupMax
+	if s.batchMax > 1 {
+		max = s.batchMax
+	}
+	return gather{at: s.tail, max: max, hold: s.hold}
 }
 
 // pick is the rule a free worker goes by, as a function of what waits:
@@ -381,8 +384,8 @@ func (s *Server) gather() gather {
 // queue is empty and its hold is over, oldest first and whole; a group
 // that is full has nothing to wait for and goes ahead of the queue,
 // which is what bounds how long a job is put off: one group's worth of
-// companions. An idle server that holds nothing thus adds a scheduling
-// hop to a job and no wait.
+// companions. An idle server thus adds a scheduling hop to a job and at
+// most one hold.
 func pick(queued int, parked []task, max int, now time.Time) (group int, wait time.Duration) {
 	for i, g := range parked {
 		if len(g.jobs) >= max {
@@ -527,7 +530,7 @@ func (fs *fleetScheduler) run(t task) {
 		case !pj.parked.IsZero():
 			grouped = true
 			o.span(TrackServer, SpanCoalesceWait, int(pj.jobID()), pj.parked, start)
-			if pj.start.IsZero() { // parked as it was popped: no pass before this one
+			if pj.start.IsZero() { // parked as it was popped, cut at the tail: no pass before this one
 				pj.start = start
 				o.span(TrackServer, SpanQueueWait, int(pj.jobID()), pj.recv, pj.parked)
 			}
@@ -543,13 +546,7 @@ func (fs *fleetScheduler) run(t task) {
 		}
 		valid = append(valid, pj)
 	}
-	if s.model.IsQuantized() {
-		// The int8 kernels are single-image: whatever a window gathered
-		// runs as passes of one, the results what they would be alone.
-		for i := range valid {
-			fs.pass(valid[i:i+1], grouped)
-		}
-	} else if len(valid) > 0 {
+	if len(valid) > 0 {
 		fs.pass(valid, grouped)
 	}
 	for _, iv := range invalid {
@@ -674,8 +671,8 @@ func (s *Server) advance(jobs []pendingJob, seed *tensor.Tensor) (out *tensor.Te
 // in a group or on its own, after a fallback, or by the next hop — its
 // reply is built, stamped and written here, and the job released. The
 // stamps mean the same on every path: QueueNs is decode done to worker
-// pickup (a batching window's hold included, so it shows up as queue time
-// on the server, not as phantom communication delay in the client's
+// pickup (the hold of a job that arrived cut at the tail included, so it
+// shows up as queue time on the server, not as phantom communication delay in the client's
 // CommMs), and CloudNs is first worker pickup to answer ready, end —
 // checking and packing, a middle segment and the wait for the next hop,
 // or a conv span, the park at the tail unit and the group's pass, are

@@ -35,12 +35,14 @@ func dialFleet(t *testing.T, srv *Server) net.Conn {
 // cross-connection, and a reply routed by JobID instead of by owning
 // connection would misclassify some client. Run under -race this also
 // exercises the admit/dispatch/coalesce paths from eight concurrent
-// read loops.
+// read loops. The hold is lengthened so that the groups form whatever
+// the timing.
 func TestFleetCrossConnectionBatching(t *testing.T) {
 	goroutinesSettle(t)
 	m := testModel(t)
 	o := NewObs(obs.NewTracer(0), obs.NewMetrics())
 	srv := NewServer(m).WithWorkers(4).WithBatching(200*time.Millisecond, 8).WithObs(o)
+	srv.hold = 200 * time.Millisecond
 	t.Cleanup(srv.Close)
 
 	const clients = 8
@@ -90,14 +92,17 @@ func TestFleetCrossConnectionBatching(t *testing.T) {
 
 // TestFleetPartialFailureIsolation: two clients share one batch group;
 // the member with a garbage boundary must fail ONLY its own
-// connection, after the valid member's reply has been written.
+// connection, after the valid member's reply has been written. Both
+// arrive cut at the tail unit and park as they are popped, and the hold
+// is long enough that the cap of two closes the group.
 func TestFleetPartialFailureIsolation(t *testing.T) {
 	goroutinesSettle(t)
 	m := testModel(t)
 	srv := NewServer(m).WithWorkers(2).WithBatching(150*time.Millisecond, 2)
+	srv.hold = 150 * time.Millisecond
 	t.Cleanup(srv.Close)
 
-	const cut = 1
+	const cut = 6
 	good, wantGood := boundaryAt(t, m, cut, 7)
 	clA := NewClient(dialFleet(t, srv), m, netsim.WiFi, 1e-6)
 	clB := NewClient(dialFleet(t, srv), m, netsim.WiFi, 1e-6)
@@ -239,14 +244,15 @@ func TestFleetShedAdmission(t *testing.T) {
 	}
 }
 
-// TestServerCloseDrainsCoalescer: jobs sitting in a half-filled group
-// behind a long window must still execute and reply when the server is
-// closed — the graceful-drain contract jpsserve's SIGTERM path relies
-// on — and the drain must beat the window by a wide margin.
+// TestServerCloseDrainsCoalescer: jobs sitting in a half-filled tail
+// group behind a long hold must still execute and reply when the server
+// is closed — the graceful-drain contract jpsserve's SIGTERM path relies
+// on — and the drain must beat the hold by a wide margin.
 func TestServerCloseDrainsCoalescer(t *testing.T) {
 	goroutinesSettle(t)
 	m := testModel(t)
 	srv := NewServer(m).WithWorkers(2).WithBatching(10*time.Second, 8)
+	srv.hold = 10 * time.Second
 
 	const cut = 1
 	b0, want0 := boundaryAt(t, m, cut, 2)
@@ -262,12 +268,12 @@ func TestServerCloseDrainsCoalescer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Let both jobs reach the coalescer, then drain.
+	// Let both jobs reach their tail group, then drain.
 	time.Sleep(100 * time.Millisecond)
 	start := time.Now()
 	srv.Close()
 	if d := time.Since(start); d > 5*time.Second {
-		t.Fatalf("Close took %v: drained by window expiry, not by the drain path", d)
+		t.Fatalf("Close took %v: drained by the hold's expiry, not by the drain path", d)
 	}
 	if err := cl.await(c0); err != nil {
 		t.Fatalf("job 0 lost in drain: %v", err)

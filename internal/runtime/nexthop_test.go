@@ -339,8 +339,8 @@ func TestNextHopDisablesCoalescer(t *testing.T) {
 	if g := srv.gather(); g.at >= 0 || g.hold != 0 {
 		t.Errorf("forwarding stage gathers %+v; it must park nothing and hold nothing", g)
 	}
-	if g := NewServer(m).WithBatching(time.Millisecond, 8).gather(); g.at != 0 || g.max != 8 || g.hold != time.Millisecond {
-		t.Errorf("non-forwarding server with batching gathers %+v, want every line job, 8 a group, held 1ms", g)
+	if g := NewServer(m).WithBatching(time.Millisecond, 8).gather(); g.at != 6 || g.max != 8 || g.hold != groupHold {
+		t.Errorf("non-forwarding server with batching gathers %+v, want line jobs at the tail unit 6, 8 a group, held %v", g, groupHold)
 	}
 }
 
@@ -643,9 +643,9 @@ func TestNextHopWindowOfOneShedsAll(t *testing.T) {
 	}
 }
 
-// TestSchedulerStartsOnlyWorkers: on each of the three stage kinds the
-// scheduler is its workers and nothing else — no dispatcher, no
-// goroutine that keeps a window.
+// TestSchedulerStartsOnlyWorkers: on every stage the scheduler is its
+// workers and nothing else — no dispatcher, no goroutine that keeps a
+// hold.
 func TestSchedulerStartsOnlyWorkers(t *testing.T) {
 	goroutinesSettle(t)
 	m := testModel(t)
@@ -656,7 +656,7 @@ func TestSchedulerStartsOnlyWorkers(t *testing.T) {
 	}
 	for name, srv := range map[string]*Server{
 		"default":    NewServer(m),
-		"windowed":   NewServer(m).WithBatching(time.Hour, 8),
+		"batching":   NewServer(m).WithBatching(time.Hour, 8),
 		"forwarding": forwarding,
 	} {
 		srv.WithWorkers(workers)

@@ -74,11 +74,11 @@ type Obs struct {
 	ServerTxBytes *obs.Counter // jps_server_tx_bytes_total (reply frames)
 	WorkersBusy   *obs.Gauge   // jps_server_workers_busy (pool occupancy)
 
-	// Cross-job batching: every parked group, held for a window or not,
-	// observed when a worker picks it up (see fleet.go).
+	// Cross-job batching: every parked tail group, observed when a worker
+	// picks it up (see fleet.go).
 	BatchSize   *obs.Histogram // jps_server_batch_size (jobs per executed group)
 	BatchedJobs *obs.Counter   // jps_server_batched_jobs_total (jobs executed in groups of >= 2)
-	SoloJobs    *obs.Counter   // jps_server_solo_jobs_total (jobs whose group was of one, and every int8 job a window gathered)
+	SoloJobs    *obs.Counter   // jps_server_solo_jobs_total (jobs whose tail group was of one; a job that never parked counts in neither)
 
 	// Fleet scheduler: admission control, WFQ, shedding (see fleet.go).
 	QueueDepth          *obs.Gauge      // jps_server_queue_depth (jobs admitted and not yet picked up: a job counts until a worker pops it, and no longer once parked for its group)

@@ -116,11 +116,11 @@ func TestRunPlanMatchesProp41(t *testing.T) {
 	t.Run("cut-set", func(t *testing.T) { prop41Closure(t, setClosure(t), func(s *Server) {}) })
 }
 
-// TestRunPlanMatchesProp41Batched re-runs the closure with the cross-job
-// coalescer armed. On this plan jobs reach the server one uplink
-// transmission (~16 ms) apart, so every window expires solo — the
-// coalescer must degrade to job-at-a-time dispatch and cost at most one
-// extra window on the tail, far inside the 15% tolerance.
+// TestRunPlanMatchesProp41Batched re-runs the closure on a server with
+// WithBatching's cap. On this plan jobs reach the server one uplink
+// transmission (~16 ms) apart, so every tail group's hold expires solo —
+// the server must degrade to job-at-a-time dispatch and cost at most one
+// extra hold on the tail, far inside the 15% tolerance.
 func TestRunPlanMatchesProp41Batched(t *testing.T) {
 	prop41Closure(t, lineClosure(t), func(s *Server) { s.WithBatching(2*time.Millisecond, 16) })
 }

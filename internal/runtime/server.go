@@ -19,22 +19,20 @@ import (
 // view. Each connection runs a read loop that decodes requests and
 // admits them into the server-wide fleet scheduler (see fleet.go):
 // one global worker pool, per-tenant weighted fair queueing,
-// watermark-based load shedding, and cross-connection batching, by one
-// rule on every server (fleetScheduler.pick) — by default of the
-// model's fully connected tail, over the jobs that are waiting when a
-// worker falls free, with no hold and no wait; under WithBatching of
-// whole suffixes, each group held for the window. Replies go out
-// (possibly out of order) under each connection's write mutex as jobs
-// finish, so one slow inference never stalls any socket.
+// watermark-based load shedding, and cross-connection batching of the
+// model's fully connected tail, by one rule on every terminal server
+// (Server.gather, fleetScheduler.pick). Replies go out (possibly out of
+// order) under each connection's write mutex as jobs finish, so one
+// slow inference never stalls any socket.
 type Server struct {
 	lineProgram
 	// workers bounds concurrent inferences server-wide.
 	workers int
-	// batchWindow/batchMax are WithBatching's: how long a group of whole
-	// suffixes is held and what closes it; window 0 or max 1 leaves the
-	// default (see gather).
-	batchWindow time.Duration
-	batchMax    int
+	// batchMax is WithBatching's cap on a tail group; below 2 the tile
+	// (tailGroupMax) closes one. hold is groupHold; tests that need a
+	// group to form whatever the timing lengthen it.
+	batchMax int
+	hold     time.Duration
 	// tenantWeights maps tenant IDs to WFQ weights (see WithTenants);
 	// unlisted tenants get weight 1.
 	tenantWeights map[string]float64
@@ -60,7 +58,7 @@ type Server struct {
 // NewServer builds a server for the model. The server-wide worker pool
 // defaults to the core count; tune it with WithWorkers.
 func NewServer(m *engine.Model) *Server {
-	return &Server{lineProgram: newLineProgram(m), workers: goruntime.GOMAXPROCS(0), packs: tensor.NewArena()}
+	return &Server{lineProgram: newLineProgram(m), workers: goruntime.GOMAXPROCS(0), hold: groupHold, packs: tensor.NewArena()}
 }
 
 // WithWorkers bounds the server-wide worker pool to n concurrent
@@ -98,23 +96,14 @@ func (s *Server) WithShedWatermark(n int) *Server {
 	return s
 }
 
-// WithBatching has decoded infer requests of the same cut — from any
-// connection — gather as workers pop them: a group is held until window
-// after it opened, or until it has max members, and executes as one
-// batched suffix pass. Window 0 or max < 2 keeps the default: no job
-// waits for another, a job's convolutional span runs on its own, and
-// the fully connected tail of every job already waiting when a worker
-// falls free runs as one pass (a model with no dense head runs
-// job-at-a-time). A quantized model never runs two jobs together either
-// way: under a window its groups form and then run as passes of one. A
-// forwarding stage ignores both. Must be called before serving; returns
-// s for chaining. Only line frames group (see the frame-kind table on
-// pendingJob).
+// WithBatching caps the server's tail groups at max jobs instead of the
+// GEMM tile's 16 (max < 2 keeps the tile). window is not read: every
+// terminal server already holds a tail group that is not full for
+// groupHold (see gather); the parameter stays for existing callers. A
+// forwarding stage groups nothing, and a quantized model or one with no
+// dense head has no tail to group at. Must be called before serving;
+// returns s for chaining.
 func (s *Server) WithBatching(window time.Duration, max int) *Server {
-	if max < 1 {
-		max = 1
-	}
-	s.batchWindow = window
 	s.batchMax = max
 	return s
 }

@@ -60,7 +60,7 @@ func newLineProgram(m *engine.Model) lineProgram {
 //
 // It is -1 on a model with no dense head (a terminal server then runs
 // every job in one pass) and on a quantized model: the int8 kernels are
-// single-image, so there is no group for a tail to join.
+// single-image, so no job of it may park for a group.
 func tailUnit(g *dag.Graph, units []profile.Unit, quantized bool) int {
 	if quantized {
 		return -1

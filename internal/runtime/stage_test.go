@@ -62,7 +62,9 @@ func TestStageAllocsPerJob(t *testing.T) {
 		boundaries[i], _ = boundaryAt(t, m, headCut, i)
 		early[i], _ = boundaryAt(t, m, handoff-2, i)
 	}
-	batched := client(NewServer(m).WithWorkers(2).WithBatching(time.Minute, group))
+	batchSrv := NewServer(m).WithWorkers(2).WithBatching(time.Minute, group)
+	batchSrv.hold = time.Minute // only a full group runs, whatever the timing
+	batched := client(batchSrv)
 	middle, err := NewServer(m).WithWorkers(2).WithNextHop(startTerminal(t, m), handoff)
 	if err != nil {
 		t.Fatal(err)

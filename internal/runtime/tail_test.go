@@ -61,7 +61,7 @@ func TestTailUnit(t *testing.T) {
 // groups oldest first, when each falls due, the size that closes a
 // group, the time) -> the group to run, -1 for the WFQ head or nothing
 // yet, and how long until something is due. Times are milliseconds on
-// no clock; a row without them holds nothing, as the default stage does.
+// no clock; a row without them holds nothing (every group is due).
 func TestPickRule(t *testing.T) {
 	at := func(ms int) time.Time { return time.Time{}.Add(time.Duration(ms) * time.Millisecond) }
 	for _, c := range []struct {
@@ -117,13 +117,18 @@ func idleScheduler(srv *Server) *fleetScheduler {
 // TestTakeByStageAndFrame drives takeLocked over the stage kinds and
 // frame kinds: what parks, what a worker gets, in which order, and how
 // long it is told to wait first. The clock is the test's: it moves only
-// by the waits takeLocked returns.
+// by the waits takeLocked returns. A terminal stage holds a partial tail
+// group for groupHold once nothing is queued, so a row that ends on one
+// waits exactly that.
 func TestTakeByStageAndFrame(t *testing.T) {
 	m := testModel(t)
-	const tail, window = 6, time.Second
-	forwarding, err := NewServer(m).WithBatching(window, 4).WithNextHop("127.0.0.1:1", 3)
-	if err != nil {
-		t.Fatal(err)
+	const tail, hold = 6, groupHold
+	forward := func(srv *Server) *Server {
+		srv, err := srv.WithNextHop("127.0.0.1:1", 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return srv
 	}
 	line := func(id, cut int) pendingJob {
 		return pendingJob{conn: &connCtx{}, tenant: DefaultTenant, req: &inferRequest{JobID: uint32(id), Cut: uint32(cut)}}
@@ -150,53 +155,61 @@ func TestTakeByStageAndFrame(t *testing.T) {
 	}{
 		{"conv job before tail jobs: the head first, then the group whole", NewServer(m), tail,
 			[]pendingJob{line(0, 1), line(1, tail), line(2, tail), line(3, tail)}, nil, false,
-			[][]int{{0}, {1, 2, 3}}, 0},
+			[][]int{{0}, {1, 2, 3}}, hold},
 		{"tail jobs ahead of a conv job park while it is queued", NewServer(m), tail,
 			[]pendingJob{line(1, tail), line(2, tail), line(0, 1), line(3, tail)}, nil, false,
-			[][]int{{0}, {1, 2, 3}}, 0},
+			[][]int{{0}, {1, 2, 3}}, hold},
 		{"groups are by cut, oldest first", NewServer(m), tail,
 			[]pendingJob{line(0, tail+1), line(1, tail), line(2, tail+1)}, nil, false,
-			[][]int{{0, 2}, {1}}, 0},
+			[][]int{{0, 2}, {1}}, hold},
 		{"the sixteenth member sends the group ahead of the queue", NewServer(m), tail,
 			append(many(0, tailGroupMax+2, tail), line(99, 1)), nil, false,
-			[][]int{{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}, {99}, {16, 17}}, 0},
+			[][]int{{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}, {99}, {16, 17}}, hold},
 		{"a set frame never parks", NewServer(m), tail,
 			[]pendingJob{set(0), line(1, tail), set(2)}, nil, false,
-			[][]int{{0}, {2}, {1}}, 0},
+			[][]int{{0}, {2}, {1}}, hold},
 		{"a cut out of range parks with its like and fails there", NewServer(m), tail,
 			[]pendingJob{line(0, 200), line(1, 200)}, nil, false,
-			[][]int{{0, 1}}, 0},
+			[][]int{{0, 1}}, hold},
 		{"a quantized model never parks", NewServer(quantTestModel(t)), -1,
 			[]pendingJob{line(0, 1), line(1, tail), line(2, tail)}, nil, false,
 			[][]int{{0}, {1}, {2}}, 0},
-		// Each as it is popped: a group per cut, held; a set alone, at once.
-		{"under a window every line job parks, by cut", NewServer(m).WithBatching(window, 4), 0,
-			[]pendingJob{line(0, 1), line(1, tail), set(2), line(3, 1), line(4, tail)}, nil, false,
-			[][]int{{2}, {0, 3}, {1, 4}}, window},
-		{"a group the window's max fills is not held", NewServer(m).WithBatching(window, 2), 0,
-			many(0, 3, 1), nil, false,
-			[][]int{{0, 1}, {2}}, window},
-		// And run as passes of one: TestQuantBurstRunsOneByOne.
-		{"an int8 model's jobs gather under a window too", NewServer(quantTestModel(t)).WithBatching(window, 4), 0,
-			many(0, 2, 1), nil, false,
-			[][]int{{0, 1}}, window},
-		{"a closed scheduler holds nothing back", NewServer(m).WithBatching(window, 4), 0,
-			[]pendingJob{line(0, 1), line(1, tail), line(2, 1)}, nil, true,
+		{"an int8 model never parks under WithBatching either", NewServer(quantTestModel(t)).WithBatching(time.Second, 4), -1,
+			many(0, 2, tail), nil, false,
+			[][]int{{0}, {1}}, 0},
+		{"a partial tail group is held once nothing is queued", NewServer(m), tail,
+			[]pendingJob{line(0, tail), line(1, tail)}, nil, false,
+			[][]int{{0, 1}}, hold},
+		{"a full group is not held", NewServer(m), tail,
+			many(0, tailGroupMax, tail), nil, false,
+			[][]int{{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}}, 0},
+		{"WithBatching's max closes tail groups at 32", NewServer(m).WithBatching(time.Second, 32), tail,
+			many(0, 34, tail), nil, false,
+			[][]int{{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31}, {32, 33}}, hold},
+		{"a closed scheduler holds nothing back", NewServer(m), tail,
+			[]pendingJob{line(0, tail), line(1, tail+1), line(2, tail)}, nil, true,
 			[][]int{{0, 2}, {1}}, 0},
-		{"a forwarding stage never parks", forwarding, -1,
+		{"a forwarding stage never parks", forward(NewServer(m)), -1,
+			[]pendingJob{line(0, tail), line(1, tail)}, nil, false,
+			[][]int{{0}, {1}}, 0},
+		{"a forwarding stage never parks under WithBatching", forward(NewServer(m).WithBatching(time.Second, 4)), -1,
 			[]pendingJob{line(0, tail), line(1, tail)}, nil, false,
 			[][]int{{0}, {1}}, 0},
 		{"a job given back goes ahead of queue and groups", NewServer(m), tail,
 			[]pendingJob{line(1, tail), line(0, 1)}, []pendingJob{line(7, 3)}, false,
-			[][]int{{7}, {0}, {1}}, 0},
+			[][]int{{7}, {0}, {1}}, hold},
 		{"no window, or no room for two, is the default stage", NewServer(m).WithBatching(0, 16).WithBatching(1, 1), tail,
-			[]pendingJob{line(0, tail), line(1, tail)}, nil, false,
-			[][]int{{0, 1}}, 0},
+			many(0, tailGroupMax+1, tail), nil, false,
+			[][]int{{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}, {16}}, hold},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			g := c.srv.gather()
-			if g.at != c.at || (g.hold > 0) != (c.held > 0 || c.closed) {
-				t.Fatalf("gather() = %+v, want at %d", g, c.at)
+			wantHold := groupHold // every terminal stage's, tail unit or none
+			if c.srv.next != nil {
+				wantHold = 0
+			}
+			if g.at != c.at || g.hold != wantHold {
+				t.Fatalf("gather() = %+v, want at %d held %v", g, c.at, wantHold)
 			}
 			fs := idleScheduler(c.srv)
 			for _, pj := range c.queued {
@@ -342,8 +355,9 @@ func TestServerCloseDrainsParked(t *testing.T) {
 // TestQuantBurstRunsOneByOne: eight same-cut int8 jobs at once, on the
 // default server and on one asked to batch. The int8 kernels are
 // single-image, so neither may put two jobs through the engine together
-// — the second used to, and failed all eight connections' jobs — and
-// every class must be the local int8 forward's.
+// — a batching server once did, and failed all eight connections' jobs —
+// and every class must be the local int8 forward's. A quantized model
+// has no tail unit, so nothing of it parks or counts in a group.
 func TestQuantBurstRunsOneByOne(t *testing.T) {
 	goroutinesSettle(t)
 	m := quantTestModel(t)
@@ -381,8 +395,8 @@ func TestQuantBurstRunsOneByOne(t *testing.T) {
 			if got := o.BatchedJobs.Value(); got != 0 {
 				t.Errorf("%d int8 jobs ran in a group", got)
 			}
-			if want := map[string]int64{"default": 0, "batching": n}[name]; o.SoloJobs.Value() != want {
-				t.Errorf("%d jobs counted as run alone, want %d", o.SoloJobs.Value(), want)
+			if got := o.SoloJobs.Value(); got != 0 {
+				t.Errorf("%d int8 jobs counted in a group of one, want 0: none parks", got)
 			}
 		})
 	}

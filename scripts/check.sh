@@ -162,12 +162,12 @@ cleanup_smoke() {
 trap cleanup_smoke EXIT
 go build -o "$SMOKE_BIN" ./cmd/jpsserve
 "$SMOKE_BIN" -model "$SMOKE_MODEL" -addr 127.0.0.1:0 -metrics-addr 127.0.0.1:0 \
-    -batch-window 2ms -tenants gold:2,bronze:1 -shed-watermark 64 > "$SMOKE_LOG" 2>&1 &
+    -tenants gold:2,bronze:1 -shed-watermark 64 > "$SMOKE_LOG" 2>&1 &
 SMOKE_PID=$!
 ADDR="$(serving_addr "$SMOKE_LOG" "e2e smoke: server")"
 go run scripts/e2e_client.go -addr "$ADDR" -model "$SMOKE_MODEL" -clients 4 -jobs 4
-# Algorithm 3 plans through Client.RunGeneralPlan, batch window, tenants
-# and shed watermark on; every class checked against a local forward.
+# Algorithm 3 plans through Client.RunGeneralPlan, tenants and shed
+# watermark on; every class checked against a local forward.
 go run scripts/e2e_client.go -addr "$ADDR" -model "$SMOKE_MODEL" -clients 2 -jobs 4 -general
 kill -TERM "$SMOKE_PID"
 if ! wait "$SMOKE_PID"; then
@@ -176,8 +176,8 @@ if ! wait "$SMOKE_PID"; then
     exit 1
 fi
 SMOKE_PID=""
-# The final snapshot: 16 + 8 jobs answered, and none left queued — under
-# a window a job counts in the depth until a worker pops it into a group.
+# The final snapshot: 16 + 8 jobs answered, and none left queued — a job
+# counts in the depth until a worker pops it.
 if ! grep -q "drained" "$SMOKE_LOG" || ! grep -q '^jps_server_jobs_total 24$' "$SMOKE_LOG" ||
     ! grep -q '^jps_server_queue_depth 0$' "$SMOKE_LOG"; then
     echo "e2e smoke: want a drain, 24 jobs answered and queue depth 0 in the final metrics:" >&2
@@ -239,8 +239,8 @@ wait "$TERM_PID" || {
 }
 TERM_PID=""
 
-echo "== tail-group e2e smoke (default jpsserve -model alexnet, no -batch-window)"
-# The default server groups at pickup: 16 jobs cut at unit 3 (the exit
+echo "== tail-group e2e smoke (jpsserve -model alexnet)"
+# The server groups at the tail unit: 16 jobs cut at unit 3 (the exit
 # of conv1/pool) each run their conv span alone and leave through a tail
 # group at conv5/pool, every class checked against a local forward. The
 # final metrics must show each job answered once and counted in exactly
