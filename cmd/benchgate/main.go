@@ -61,8 +61,10 @@ var rules = []rule{
 	// span alone, the convspan legs, is reported and not gated).
 	{num: "BenchmarkBatchedForward/N=32/*", den: "BenchmarkBatchedForward/N=1/*", unit: "ns/inference", bound: 0.6},
 	// What a default server's tail groups rest on: eight jobs through
-	// fc6–fc8 together stream the weights once, not eight times.
-	{num: "BenchmarkBatchedForward/N=8/densetail", den: "BenchmarkBatchedForward/N=1/densetail", unit: "ns/inference", bound: 0.5},
+	// fc6–fc8 together stream the weights once, in row order. Ten
+	// alternating gate runs: 0.10–0.15 with one deep K panel, 0.15–0.24
+	// (nine of ten above 0.16) with asmKC panels.
+	{num: "BenchmarkBatchedForward/N=8/densetail", den: "BenchmarkBatchedForward/N=1/densetail", unit: "ns/inference", bound: 0.16},
 	// On a healthy link no change point fires, so the estimator costs
 	// its bookkeeping and nothing else (≈ 1.0).
 	{num: "BenchmarkRunnerAdaptive/adaptive", den: "BenchmarkRunnerAdaptive/static", unit: "ns/job", bound: 1.15},

@@ -203,24 +203,37 @@ func sgemmShapeParity(t *testing.T, m, k, n, lda int, seed int64) {
 // passing silently — at row counts around the asmMR strip (full strips
 // read in place, the ragged last one through the zeroed scratch), k
 // around the asmKC panel edge, and with lda > k (gaps between rows
-// that are not part of the matrix).
+// that are not part of the matrix). A one-strip n also takes k past
+// asmKC in one deep panel, which the ragged strip walks in asmKC
+// sub-panels (4 097 leaves a last sub-panel one step deep; 9 216 is
+// fc6's reduction).
 func TestSgemmAsmReadsAInBounds(t *testing.T) {
 	if !asmEnabled() {
 		t.Skip("asm path off: no code reads A through a raw pointer")
+	}
+	check := func(m, k, n, pad int) {
+		a, b := randOperands(m, k, n, int64(m*1000+k+pad))
+		ref := make([]float32, m*n)
+		sgemmAcc(KernelPanel, m, k, n, n, a, b, ref, 1)
+		lda := k + pad
+		sa := stridedA(a, m, k, lda, func(n int) []float32 { return guardedFloats(t, n) })
+		c := make([]float32, m*n)
+		sgemmAsm(m, k, n, lda, n, sa, bPacker{b: b, ldb: n}, c, 1)
+		assertSliceParity(t, fmt.Sprintf("m%d k%d n%d lda%d", m, k, n, lda), c, ref, false)
 	}
 	for _, m := range []int{1, 5, 6, 7, 13} {
 		for _, k := range []int{1, 7, 255, 256, 257, 363} {
 			for _, pad := range []int{0, 3} {
 				for _, n := range []int{5, 49} {
-					a, b := randOperands(m, k, n, int64(m*1000+k+pad))
-					ref := make([]float32, m*n)
-					sgemmAcc(KernelPanel, m, k, n, n, a, b, ref, 1)
-					lda := k + pad
-					sa := stridedA(a, m, k, lda, func(n int) []float32 { return guardedFloats(t, n) })
-					c := make([]float32, m*n)
-					sgemmAsm(m, k, n, lda, n, sa, bPacker{b: b, ldb: n}, c, 1)
-					assertSliceParity(t, fmt.Sprintf("m%d k%d n%d lda%d", m, k, n, lda), c, ref, false)
+					check(m, k, n, pad)
 				}
+			}
+		}
+	}
+	for _, m := range []int{5, 7, 13} {
+		for _, k := range []int{4097, 9216} {
+			for _, pad := range []int{0, 3} {
+				check(m, k, 5, pad)
 			}
 		}
 	}
@@ -241,6 +254,7 @@ func TestSgemmAsmVsScalar(t *testing.T) {
 		{139, 64, 96},               // many row strips, ragged tail on both tiles (139 = 23·6+1 = 17·8+3)
 		{12, 64, asmNC + asmNR + 5}, // spans two N blocks, ragged tail
 		{64, 1152, 256},             // alexnet conv3-lowered shape
+		{13, 9216 + 5, 7},           // one strip: one deep panel, ragged rows in asmKC sub-panels
 	}
 	for _, sh := range shapes {
 		t.Run(fmt.Sprintf("m%d_k%d_n%d", sh.m, sh.k, sh.n), func(t *testing.T) {

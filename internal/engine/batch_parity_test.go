@@ -177,11 +177,12 @@ func TestBatchForwardParityMobileNetV2(t *testing.T) {
 
 // The dense tail a default server runs as one pass for the jobs parked
 // at AlexNet's conv5/pool, at its real sizes — [256x6x6] flattened to
-// 9216, then 4096, 4096, 1000 — and at the group sizes a tile's worth
-// of companions allows. The small dense rows above never leave one K
+// 9216, then 4096, 4096, 1000 — and at group sizes on both sides of the
+// tile's 16 columns. The small dense rows above never leave one K
 // panel; this one's first layer reduces over 9216 and its packed
 // flatten is a real transpose. An image's output must not depend on the
-// size of its group (bitwise, n >= 2: one driver handles them all), and
+// size of its group (bitwise, n >= 2: one driver handles them all, in
+// one deep K panel up to 16 columns and in asmKC panels at 32), and
 // equals its solo pass bitwise without the asm path, within the FMA
 // envelope with it (n = 1 is the matrix-vector product, not the tile).
 func TestBatchDenseTailParityAlexNet(t *testing.T) {
@@ -205,7 +206,7 @@ func TestBatchDenseTailParityAlexNet(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := Load(g, 91)
-	const most, alone = 16, 2 // solo passes stream the weights once each: two are enough
+	const most, alone = 32, 2 // solo passes stream the weights once each: two are enough
 	inputs, solo := make([]*tensor.Tensor, most), make([]*tensor.Tensor, alone)
 	for b := range inputs {
 		inputs[b] = randInput(tensor.NewCHW(256, 6, 6), 300+int64(b))
@@ -220,7 +221,7 @@ func TestBatchDenseTailParityAlexNet(t *testing.T) {
 	var widest []*tensor.Tensor
 	for _, workers := range []int{1, 3} {
 		m.Parallel(workers)
-		for _, n := range []int{most, 8, 2} {
+		for _, n := range []int{most, 16, 8, 2} {
 			got, err := m.ForwardBatch(inputs[:n])
 			if err != nil {
 				t.Fatalf("n=%d workers=%d: %v", n, workers, err)
@@ -233,7 +234,7 @@ func TestBatchDenseTailParityAlexNet(t *testing.T) {
 				if b < alone {
 					assertSliceParity(t, ctx+" vs solo", got[b].Data, solo[b].Data, !asmEnabled())
 				}
-				assertSliceParity(t, ctx+" vs its group of 16", got[b].Data, widest[b].Data, true)
+				assertSliceParity(t, ctx+" vs its group of 32", got[b].Data, widest[b].Data, true)
 			}
 		}
 	}

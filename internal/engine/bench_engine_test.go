@@ -163,16 +163,17 @@ func benchQuantModel(b *testing.B, g *dag.Graph) {
 // convolutions': it ends in fc6–fc8, and that is where the reuse is.
 // The last two families take the suffix apart at conv5/pool, the unit
 // a default server parks jobs at. densetail is fc6–fc8 alone, 234 MB of
-// weights streamed once per pass whatever N is: a pass costs about the
-// same from N=2 to the tile's 16 columns (N=8 ≈ 0.19–0.24 of N=1 per
-// inference, ≈ 4–5x; gated at 0.5), and N=1, the matrix-vector product,
-// is the cheapest pass there is. convspan is conv1/pool to conv5/pool,
-// what such a server runs for one job at a time because companions buy
-// it ≈ 1.1–1.3x (N=8 against N=1; reported, not gated). Both run at
-// one engine worker, which is what a server's pool worker has: with
-// two, the N=1 matrix-vector product splits across the cores while a
-// group of 8 is too narrow for the tile's column split, and the ratio
-// would measure that instead (0.30–0.46 against 0.19–0.24).
+// weights streamed once per pass whatever N is: from N=2 to the tile's
+// 16 columns the GEMM takes K in one deep panel and reads the weights
+// in row order, so a pass costs about what N=1's matrix-vector product
+// does (N=8 ≈ 0.12–0.15 of N=1 per inference; gated at 0.16, which
+// the asmKC-panelled sweep, 0.19–0.24, fails). convspan is conv1/pool
+// to conv5/pool, what such a server runs for one job at a time because
+// companions buy it ≈ 1.1–1.3x (N=8 against N=1; reported, not gated).
+// Both run at one engine worker, which is what a server's pool worker
+// has: with two, the N=1 matrix-vector product splits across the cores
+// while a group of 8 is too narrow for the tile's column split, and the
+// ratio would measure that split instead.
 func BenchmarkBatchedForward(b *testing.B) {
 	procs := runtime.GOMAXPROCS(0)
 	benchBatchedSuffix(b, "mobilenetv2", "head/gap", "", procs, []int{1, 2, 4, 8, 16, 32}, "/densehead")

@@ -9,8 +9,9 @@ import "sync"
 // disabled build.
 //
 // The loop nest is jp → kp → i0 → j0: columns of B in asmNC-wide
-// blocks, K in asmKC-deep panels, then every asmMR-row strip of A
-// sweeps the block's asmNR-column strips. Only B is repacked:
+// blocks, K in asmKC-deep panels (as deep as the pack buffer holds when
+// the columns are one strip, see sgemmAsmCols), then every asmMR-row
+// strip of A sweeps the block's asmNR-column strips. Only B is repacked:
 //
 //	bPacker:  columns in strips of asmNR — b[kk][j0+c] at
 //	          strip[kk*asmNR + c], zero-padded to full width.
@@ -86,10 +87,11 @@ func useAsm(kern KernelPath, m, k, n int) bool {
 // sits on top of the structural floor. The column floor is 2, not one
 // full asmNR strip: since the tile reads A in place a narrow GEMM costs
 // one sweep of the weights whatever n ≤ asmNR is, while the panel loop
-// re-reads them per column pair — the 1000×1280 dense head takes ≈ 0.53
-// ms at every n from 2 to 16 on the tile against 1.7 ms (n=2) to 6.6 ms
-// (n=16) on the panel loop, so coalesced groups of 2–15 jobs ride it
-// (table in EXPERIMENTS.md). n = 1 never gets here: sgemmAcc runs it
+// re-reads them per column pair — the 1000×1280 dense head takes ≈ 0.48–
+// 0.50 ms at every n from 2 to 16 on the tile, in one deep K panel
+// (0.73–0.87 ms in asmKC panels), against 1.7 ms (n=2) to 6.6 ms (n=16)
+// on the panel loop, so coalesced groups of 2–15 jobs ride it (tables
+// in EXPERIMENTS.md). n = 1 never gets here: sgemmAcc runs it
 // as the matrix-vector product, which streams the weights at memory
 // bandwidth already. The NEON tile takes the same rule; it has not
 // been timed on arm64 hardware.
@@ -284,22 +286,29 @@ func sgemmAsmParallel(m, k, n, lda, ldc int, a []float32, pk bPacker, c []float3
 	wg.Wait()
 }
 
-// sgemmAsmCols runs the blocked driver over columns [nLo, nHi).
+// sgemmAsmCols runs the blocked driver over columns [nLo, nHi). If they
+// fit one asmNR strip and the tile reads A in place, K goes in panels as
+// deep as the pack buffer holds, so each strip of A is read front to
+// back once (asmKC panels touch 1 KiB of every fc6 row per sweep).
 func sgemmAsmCols(m, k, nLo, nHi, lda, ldc int, a []float32, pk bPacker, c []float32) {
 	bufB := asmPackBufsB.Get().(*[]float32)
 	pB := *bufB
 	var packed [asmStripScratch]float32 // asmStripA's, where the tile wants one
 	mFull := m - m%asmMR
+	kcMax := asmKC
+	if nHi-nLo <= asmNR && asmStripScratch == 0 {
+		kcMax = len(pB) / asmNR
+	}
 	for jp := nLo; jp < nHi; jp += asmNC {
 		nc := min(asmNC, nHi-jp)
-		for kp := 0; kp < k; kp += asmKC {
-			kc := min(asmKC, k-kp)
+		for kp := 0; kp < k; kp += kcMax {
+			kc := min(kcMax, k-kp)
 			pk.pack(kp, kc, jp, nc, pB)
 			for i0 := 0; i0 < mFull; i0 += asmMR {
 				// Everything the tile dereferences of A, as one
 				// bounds-checked slice: asmMR rows of kc floats.
 				sa := a[i0*lda+kp : (i0+asmMR-1)*lda+kp+kc]
-				asmSweepStrip(kc, asmMR, nc, sa, lda, packed[:], pB, c, i0*ldc+jp, ldc)
+				asmSweepStrip(kc, kc, asmMR, nc, sa, lda, packed[:], pB, c, i0*ldc+jp, ldc)
 			}
 			if mFull < m {
 				asmSweepRagged(kc, m-mFull, nc, a[mFull*lda+kp:], lda, packed[:], pB, c, mFull*ldc+jp, ldc)
@@ -310,35 +319,40 @@ func sgemmAsmCols(m, k, nLo, nHi, lda, ldc int, a []float32, pk bPacker, c []flo
 }
 
 // asmSweepRagged runs the last m mod asmMR rows of A (rr of them, lda
-// apart, kc floats each). They are copied into a zeroed asmMR x kc
-// scratch and swept with lda = kc, so the tile never reads a row that
-// does not exist. The scratch lives in this frame, not the driver's:
-// only a ragged m pays for zeroing it, once per K panel.
-func asmSweepRagged(kc, rr, nc int, a []float32, lda int, packed, pB, c []float32, cBase, ldc int) {
+// apart, kb floats each) against a packed block kb deep, asmKC steps at
+// a time through a zeroed asmMR x asmKC scratch swept with lda = asmKC,
+// so the tile never reads a row that does not exist. The scratch lives
+// in this frame, not the driver's: only a ragged m pays for zeroing it,
+// once per K panel.
+func asmSweepRagged(kb, rr, nc int, a []float32, lda int, packed, pB, c []float32, cBase, ldc int) {
 	var edge [asmMR * asmKC]float32
-	for r := 0; r < rr; r++ {
-		copy(edge[r*kc:(r+1)*kc], a[r*lda:r*lda+kc])
+	for kp := 0; kp < kb; kp += asmKC {
+		kc := min(asmKC, kb-kp)
+		for r := 0; r < rr; r++ {
+			copy(edge[r*asmKC:r*asmKC+kc], a[r*lda+kp:r*lda+kp+kc])
+		}
+		asmSweepStrip(kb, kc, rr, nc, edge[:], asmKC, packed, pB[kp*asmNR:], c, cBase, ldc)
 	}
-	asmSweepStrip(kc, rr, nc, edge[:asmMR*kc], kc, packed, pB, c, cBase, ldc)
 }
 
-// asmSweepStrip accumulates one strip of A (asmMR rows, lda apart, rr
-// of them live) against every asmNR-column strip of the packed block
-// pB (nc columns) into the rows of C starting at c[cBase].
-func asmSweepStrip(kc, rr, nc int, sa []float32, lda int, packed, pB, c []float32, cBase, ldc int) {
+// asmSweepStrip accumulates kc steps of one strip of A (asmMR rows, lda
+// apart, rr of them live) against every asmNR-column strip of the
+// packed block pB (nc columns, kb deep) into the rows of C starting at
+// c[cBase].
+func asmSweepStrip(kb, kc, rr, nc int, sa []float32, lda int, packed, pB, c []float32, cBase, ldc int) {
 	var tmp [asmMR * asmNR]float32
 	sa, lda = asmStripA(kc, sa, lda, packed)
 	for j0 := 0; j0 < nc; j0 += asmNR {
 		cc := min(asmNR, nc-j0)
 		if rr == asmMR && cc == asmNR {
-			asmSgemmTile(kc, sa, lda, pB[j0*kc:], c, cBase+j0, ldc)
+			asmSgemmTile(kc, sa, lda, pB[j0*kb:], c, cBase+j0, ldc)
 			continue
 		}
 		// Edge tile through the scratch patch.
 		for r := 0; r < rr; r++ {
 			copy(tmp[r*asmNR:r*asmNR+cc], c[cBase+j0+r*ldc:])
 		}
-		asmSgemmTile(kc, sa, lda, pB[j0*kc:], tmp[:], 0, asmNR)
+		asmSgemmTile(kc, sa, lda, pB[j0*kb:], tmp[:], 0, asmNR)
 		for r := 0; r < rr; r++ {
 			copy(c[cBase+j0+r*ldc:cBase+j0+r*ldc+cc], tmp[r*asmNR:r*asmNR+cc])
 		}

@@ -19,10 +19,11 @@ const (
 	asmMR = 6
 	asmNR = 16
 
-	// Cache blocking for the asm driver. One packed B strip (asmKC x
-	// asmNR x 4 B = 16 KiB) stays L1-resident against the six A rows
-	// the tile reads in place (6 KiB per K panel); the packed B block
-	// (asmKC x asmNC x 4 B = 1 MiB) lives in L2/L3.
+	// Cache blocking for the asm driver. Wider than one strip, a packed
+	// B strip (asmKC x asmNR x 4 B = 16 KiB) stays L1-resident against
+	// the six A rows the tile reads in place; the packed B block (asmKC
+	// x asmNC x 4 B = 1 MiB) lives in L2/L3. One strip alone fills that
+	// buffer up to 16 384 deep (576 KiB at fc6's 9 216, in L2).
 	asmKC = 256
 	asmNC = 1024 // multiple of asmNR
 

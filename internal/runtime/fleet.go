@@ -335,8 +335,8 @@ func (fs *fleetScheduler) popLocked() pendingJob {
 
 // tailGroupMax closes a tail group: the GEMM tile is 16 columns wide, a
 // group is one column per member, and the per-job cost of the dense
-// tail is flat from there on (AlexNet fc6-fc8: 41-50 ms a pass at any n
-// from 2 to 16). Not a knob: it is the tile.
+// tail is flat from there on (AlexNet fc6-fc8: 23-26 ms a pass at any n
+// from 2 to 16, as for one job). Not a knob: it is the tile.
 const tailGroupMax = 16
 
 // groupHold is how long a tail group that is not full waits for
