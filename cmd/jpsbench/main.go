@@ -18,7 +18,6 @@ import (
 	"slices"
 	"strings"
 
-	"dnnjps/internal/engine"
 	"dnnjps/internal/experiments"
 	"dnnjps/internal/netsim"
 	"dnnjps/internal/report"
@@ -29,7 +28,6 @@ import (
 var (
 	shedMark     = flag.Int("shed-watermark", 48, "with -fig fleet: queue depth of the overload row's admission control (0 skips the row)")
 	downlinkMbps = flag.Float64("downlink-mbps", 0, "model reply bandwidth on the experiments' fixed channels (0 keeps the historical free-downlink assumption)")
-	kernelName   = flag.String("kernel", "auto", "engine kernel path for the live-runtime experiments: "+engine.KernelPaths)
 )
 
 // The experiment ids, spelt here and in run's case labels only.
@@ -72,12 +70,6 @@ func main() {
 
 	env := experiments.DefaultEnv()
 	env.NJobs = *n
-	kern, err := engine.ParseKernelPath(*kernelName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "jpsbench:", err)
-		os.Exit(2)
-	}
-	env.Kernel = kern
 
 	ids := []string{*fig}
 	if *all {

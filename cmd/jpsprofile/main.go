@@ -2,26 +2,24 @@
 // and can persist the curves for all preset channels as a JSON lookup
 // table (the artifact the paper's scheduler loads at startup). With
 // -calibrate it times real engine forward passes on this machine
-// instead, printing ns/layer and a fitted device model; -kernel picks
-// the path (auto, asm, panel, or the direct reference loops) so any
-// two can be compared layer by layer.
+// instead — on the kernels the engine picks for itself, the ones a
+// server runs — printing ns/layer and a fitted device model.
 //
 // Usage:
 //
 //	jpsprofile -model alexnet
 //	jpsprofile -model alexnet -quant
 //	jpsprofile -model mobilenetv2 -o lookup.json
-//	jpsprofile -model alexnet -calibrate -kernel auto -workers 0
-//	jpsprofile -model alexnet -calibrate -kernel direct
+//	jpsprofile -model alexnet -calibrate -workers 0
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"dnnjps/internal/core"
-	"dnnjps/internal/engine"
 	"dnnjps/internal/measure"
 	"dnnjps/internal/models"
 	"dnnjps/internal/netsim"
@@ -40,18 +38,9 @@ func main() {
 		cal     = flag.Bool("calibrate", false, "calibrate a device model by timing real engine runs on this machine")
 		workers = flag.Int("workers", 1, "engine worker goroutines for -calibrate; 0 = GOMAXPROCS")
 	)
-	eng := flag.String("kernel", "auto", "engine kernel path for -calibrate: "+engine.KernelPaths)
 	flag.Parse()
-	// Validate the kernel spelling even when -calibrate is off: the
-	// flag is inert for analytic profiling, but a typo must not pass
-	// silently only to bite when the user later adds -calibrate.
-	kernel, err := engine.ParseKernelPath(*eng)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "jpsprofile:", err)
-		os.Exit(1)
-	}
 	if *cal {
-		if err := calibrate(*model, *mbps, kernel, *workers); err != nil {
+		if err := calibrate(os.Stdout, *model, *mbps, *workers); err != nil {
 			fmt.Fprintln(os.Stderr, "jpsprofile:", err)
 			os.Exit(1)
 		}
@@ -65,28 +54,24 @@ func main() {
 
 // calibrate times real engine runs of the model on this machine, fits
 // a device model, and shows the resulting plan for a small batch.
-func calibrate(model string, mbps float64, kernel engine.KernelPath, workers int) error {
+func calibrate(w io.Writer, model string, mbps float64, workers int) error {
 	g, err := models.Build(model)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("calibrating local device on %s with the %s engine (this runs real forward passes)...\n",
-		model, kernel)
-	dev, samples, err := measure.CalibrateDeviceCfg("local", g, 42, measure.Config{
-		Reps: 3, Workers: workers, Kernel: kernel,
-	})
+	fmt.Fprintf(w, "calibrating local device on %s (this runs real forward passes)...\n", model)
+	dev, samples, err := measure.CalibrateDevice("local", g, 42, 3, workers)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("fitted device %q: default %.2f MFLOPs/ms, per-layer overhead %.3f ms\n",
+	fmt.Fprintf(w, "fitted device %q: default %.2f MFLOPs/ms, per-layer overhead %.3f ms\n",
 		dev.Name, dev.DefaultFperMs/1e6, dev.LayerOverheadMs)
 
-	lt := report.NewTable(fmt.Sprintf("Per-layer timings (%s kernels, best of 3)", kernel),
-		"Layer", "Kind", "MFLOPs", "ns/layer")
+	lt := report.NewTable("Per-layer timings (best of 3)", "Layer", "Kind", "MFLOPs", "ns/layer")
 	for _, s := range samples {
 		lt.AddRow(s.Layer, s.Kind.String(), s.FLOPs/1e6, s.Ms*1e6)
 	}
-	if err := lt.Render(os.Stdout); err != nil {
+	if err := lt.Render(w); err != nil {
 		return err
 	}
 
@@ -94,7 +79,7 @@ func calibrate(model string, mbps float64, kernel engine.KernelPath, workers int
 	for kind, tput := range dev.ThroughputFperMs {
 		t.AddRow(kind.String(), tput/1e6)
 	}
-	if err := t.Render(os.Stdout); err != nil {
+	if err := t.Render(w); err != nil {
 		return err
 	}
 
@@ -104,7 +89,7 @@ func calibrate(model string, mbps float64, kernel engine.KernelPath, workers int
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\nJPS plan for 8 jobs at %s with the calibrated device: makespan %.1f ms (local-only %.1f ms)\n",
+	fmt.Fprintf(w, "\nJPS plan for 8 jobs at %s with the calibrated device: makespan %.1f ms (local-only %.1f ms)\n",
 		ch, plan.Makespan, 8*curve.TotalMobileMs())
 	return nil
 }

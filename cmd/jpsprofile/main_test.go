@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -48,6 +49,25 @@ func TestRunProfileNoArtifacts(t *testing.T) {
 func TestRunProfileQuant(t *testing.T) {
 	if err := run("mobilenetv2", 5.85, "", "", true); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// -calibrate times real forward passes of squeezenet (≈ 0.5 s) on the
+// engine's own kernels and prints the fitted device, a row per layer
+// and the plan it prices.
+func TestCalibrate(t *testing.T) {
+	var out strings.Builder
+	if err := calibrate(&out, "squeezenet", 18.88, 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, re := range []string{
+		`(?m)^fitted device "local": default [0-9.]+ MFLOPs/ms, per-layer overhead [0-9.]+ ms$`,
+		`(?m)^fire2/expand3 +conv +55\.76 +[0-9.]+$`,
+		`(?m)^JPS plan for 8 jobs at .* with the calibrated device: makespan [0-9.]+ ms \(local-only [0-9.]+ ms\)$`,
+	} {
+		if !regexp.MustCompile(re).MatchString(out.String()) {
+			t.Errorf("output has no line matching %s:\n%s", re, out.String())
+		}
 	}
 }
 

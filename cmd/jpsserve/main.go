@@ -1,7 +1,8 @@
 // Command jpsserve runs the cloud-side inference server: it loads the
 // named model with a deterministic seed (clients must use the same
 // seed so both sides hold identical weights) and serves partitioned
-// inference requests over TCP.
+// inference requests over TCP. The engine picks its kernels itself, per
+// GEMM shape; no flag selects one.
 //
 // Usage:
 //
@@ -84,7 +85,6 @@ func main() {
 		addr    = flag.String("addr", "127.0.0.1:7443", "listen address")
 		seed    = flag.Int64("seed", 42, "weight seed (must match the client)")
 		workers = flag.Int("workers", 0, "engine worker goroutines per layer; 0 = GOMAXPROCS")
-		kernel  = flag.String("kernel", "auto", "engine kernel path: "+engine.KernelPaths)
 		conc    = flag.Int("conc", 0, "concurrent inferences server-wide (the one worker pool every connection shares); 0 = GOMAXPROCS. Multiplies with -workers, so size the product to the core count")
 
 		downMbps = flag.Float64("downlink-mbps", 0, "pace replies at this modeled downlink bandwidth (0 = unshaped)")
@@ -125,8 +125,7 @@ func main() {
 	}
 	cfg := serveConfig{
 		model: *model, addr: *addr, seed: *seed, workers: *workers, conc: *conc,
-		kernel: *kernel, downMbps: *downMbps,
-		tenants: weights, shedWatermark: *shedMark,
+		downMbps: *downMbps, tenants: weights, shedWatermark: *shedMark,
 		nextHop: *nextHop, nextCut: *nextCut,
 		spec: spec, faultSeed: *faultSeed,
 		metricsAddr: *metricsAddr, traceOut: *traceOut,
@@ -242,7 +241,6 @@ type serveConfig struct {
 	model         string
 	addr          string
 	seed          int64
-	kernel        string // engine kernel path; "" means auto
 	workers, conc int
 	downMbps      float64
 	tenants       map[string]float64
@@ -259,13 +257,6 @@ func run(cfg serveConfig) error {
 	if err := flagConflict(cfg); err != nil {
 		return usageError{err}
 	}
-	kern := engine.KernelGEMM
-	if cfg.kernel != "" {
-		var err error
-		if kern, err = engine.ParseKernelPath(cfg.kernel); err != nil {
-			return err
-		}
-	}
 	g, err := models.Build(cfg.model)
 	if err != nil {
 		return err
@@ -273,7 +264,7 @@ func run(cfg serveConfig) error {
 	fmt.Printf("loading %s (seed %d)...\n", cfg.model, cfg.seed)
 	// The cloud side uses all cores: the paper's server is the fast
 	// machine, and the GEMM kernels scale over row panels.
-	m := engine.Load(g, cfg.seed).WithKernel(kern).Parallel(cfg.workers)
+	m := engine.Load(g, cfg.seed).Parallel(cfg.workers)
 	lis, err := net.Listen("tcp", cfg.addr)
 	if err != nil {
 		return err

@@ -23,13 +23,6 @@ func TestRunRejectsBadInputs(t *testing.T) {
 	if err := run(serveConfig{model: "lenet", addr: "127.0.0.1:0", seed: 1, faultSeed: 1}); err == nil {
 		t.Error("unknown model must error")
 	}
-	err := run(serveConfig{model: "alexnet", addr: "127.0.0.1:0", seed: 1, faultSeed: 1,
-		kernel: "simd9000"})
-	if err == nil {
-		t.Error("unknown -kernel value must error")
-	} else if !strings.Contains(err.Error(), "auto, asm, panel, or direct") {
-		t.Errorf("kernel usage error should list the valid spellings, got: %v", err)
-	}
 	if err := run(serveConfig{model: "alexnet", addr: "256.256.256.256:99999", seed: 1, conc: 4, faultSeed: 1}); err == nil {
 		t.Error("unlistenable address must error")
 	}

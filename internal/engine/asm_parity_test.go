@@ -12,7 +12,7 @@ import (
 //   - When the asm path is off (noasm tag, unsupported CPU, or
 //     DNNJPS_NOASM) every driver is pure Go and bit-identical — the
 //     tests in this package compare exactly.
-//   - When the f32 asm path is on, KernelAsm and the KernelGEMM
+//   - When the f32 asm path is on, kernelAsm and the kernelGEMM
 //     routing past the tile guard use FMA: one rounding per
 //     multiply-add instead of two. Accumulation still walks k
 //     ascending with one accumulator per element, so for a length-k
@@ -78,13 +78,13 @@ func TestPreferAsmTileGuard(t *testing.T) {
 		{1, 1, 1},
 	}
 	for _, c := range cases {
-		if preferAsm(c.m, c.k, c.n) || useAsm(KernelGEMM, c.m, c.k, c.n) {
+		if preferAsm(c.m, c.k, c.n) || useAsm(kernelGEMM, c.m, c.k, c.n) {
 			t.Errorf("auto policy routes untileable shape (%d,%d,%d) to asm", c.m, c.k, c.n)
 		}
 		// Forcing the tile bypasses the guard (edge tiles run through
 		// the scratch patch) but never the CPU check.
-		if got := useAsm(KernelAsm, c.m, c.k, c.n); got != asmEnabled() {
-			t.Errorf("useAsm(KernelAsm,%d,%d,%d) = %v, want %v", c.m, c.k, c.n, got, asmEnabled())
+		if got := useAsm(kernelAsm, c.m, c.k, c.n); got != asmEnabled() {
+			t.Errorf("useAsm(kernelAsm,%d,%d,%d) = %v, want %v", c.m, c.k, c.n, got, asmEnabled())
 		}
 	}
 	if !preferAsm(asmMR, 8, asmNR) {
@@ -95,10 +95,10 @@ func TestPreferAsmTileGuard(t *testing.T) {
 	if !preferAsm(1000, 1280, 2) {
 		t.Error("preferAsm keeps a 2-column dense head off the tile")
 	}
-	if got := useAsm(KernelGEMM, 256, 1152, 256); got != asmEnabled() {
-		t.Errorf("useAsm(KernelGEMM, 256,1152,256) = %v, want asmEnabled() = %v", got, asmEnabled())
+	if got := useAsm(kernelGEMM, 256, 1152, 256); got != asmEnabled() {
+		t.Errorf("useAsm(kernelGEMM, 256,1152,256) = %v, want asmEnabled() = %v", got, asmEnabled())
 	}
-	for _, kern := range []KernelPath{KernelPanel, KernelDirect} {
+	for _, kern := range []kernelPath{kernelPanel, kernelDirect} {
 		if useAsm(kern, 256, 1152, 256) {
 			t.Errorf("useAsm(%v) = true: a forced pure-Go path reached the asm tile", kern)
 		}
@@ -126,8 +126,8 @@ func TestSgemmAccDriverParity(t *testing.T) {
 		t.Run(fmt.Sprintf("m%d_k%d_n%d", sh.m, sh.k, sh.n), func(t *testing.T) {
 			a, b := randOperands(sh.m, sh.k, sh.n, int64(sh.m*1000+sh.n))
 			ref := make([]float32, sh.m*sh.n)
-			sgemmAcc(KernelPanel, sh.m, sh.k, sh.n, sh.n, a, b, ref, 1)
-			for _, kern := range []KernelPath{KernelGEMM, KernelAsm} {
+			sgemmAcc(kernelPanel, sh.m, sh.k, sh.n, sh.n, a, b, ref, 1)
+			for _, kern := range []kernelPath{kernelGEMM, kernelAsm} {
 				exact := !useAsm(kern, sh.m, sh.k, sh.n)
 				for _, workers := range []int{1, 4} {
 					c := make([]float32, sh.m*sh.n)
@@ -173,13 +173,13 @@ func stridedA(a []float32, m, k, lda int, alloc func(int) []float32) []float32 {
 // forced-asm driver against the panel reference. Shared by the table
 // test and the fuzz target. With lda == k it goes through sgemmAcc's
 // dispatch; a wider row stride (which only the asm driver takes) calls
-// the driver itself. With the asm path off KernelAsm degrades to the
+// the driver itself. With the asm path off kernelAsm degrades to the
 // panel loop, so the comparison tightens to bitwise.
 func sgemmShapeParity(t *testing.T, m, k, n, lda int, seed int64) {
 	t.Helper()
 	a, b := randOperands(m, k, n, seed)
 	ref := make([]float32, m*n)
-	sgemmAcc(KernelPanel, m, k, n, n, a, b, ref, 1)
+	sgemmAcc(kernelPanel, m, k, n, n, a, b, ref, 1)
 	strided := asmEnabled() && lda != k
 	if strided {
 		a = stridedA(a, m, k, lda, func(n int) []float32 { return make([]float32, n) })
@@ -189,7 +189,7 @@ func sgemmShapeParity(t *testing.T, m, k, n, lda int, seed int64) {
 		if strided {
 			sgemmAsm(m, k, n, lda, n, a, bPacker{b: b, ldb: n}, c, workers)
 		} else {
-			sgemmAcc(KernelAsm, m, k, n, n, a, b, c, workers)
+			sgemmAcc(kernelAsm, m, k, n, n, a, b, c, workers)
 		}
 		assertSliceParity(t, fmt.Sprintf("m%d k%d n%d lda%d workers=%d", m, k, n, lda, workers),
 			c, ref, !asmEnabled())
@@ -214,7 +214,7 @@ func TestSgemmAsmReadsAInBounds(t *testing.T) {
 	check := func(m, k, n, pad int) {
 		a, b := randOperands(m, k, n, int64(m*1000+k+pad))
 		ref := make([]float32, m*n)
-		sgemmAcc(KernelPanel, m, k, n, n, a, b, ref, 1)
+		sgemmAcc(kernelPanel, m, k, n, n, a, b, ref, 1)
 		lda := k + pad
 		sa := stridedA(a, m, k, lda, func(n int) []float32 { return guardedFloats(t, n) })
 		c := make([]float32, m*n)

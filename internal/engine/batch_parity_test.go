@@ -23,17 +23,17 @@ import (
 // runBatchParity runs each input through a solo Forward and the whole
 // set through ForwardBatch, and requires per-image equality — bitwise
 // when the asm path is off, within the FMA envelope otherwise. The
-// KernelDirect selection pins the rule stated on that constant: its
+// kernelDirect selection pins the rule stated on that constant: its
 // batches run the panel loop and equal the solo reference loops
 // exactly, asm or not (small n only — the reference is slow).
 func runBatchParity(t *testing.T, g *dag.Graph, seed int64, ns ...int) {
 	t.Helper()
 	m := Load(g, seed)
 	inShape := g.Node(g.Source()).OutShape
-	for _, kern := range []KernelPath{KernelGEMM, KernelDirect} {
-		m.WithKernel(kern)
+	for _, kern := range []kernelPath{kernelGEMM, kernelDirect} {
+		m.withKernel(kern)
 		for _, n := range ns {
-			if kern == KernelDirect && n > 3 {
+			if kern == kernelDirect && n > 3 {
 				continue
 			}
 			for _, workers := range []int{1, 3} {
@@ -60,12 +60,12 @@ func runBatchParity(t *testing.T, g *dag.Graph, seed int64, ns ...int) {
 						t.Fatalf("%v n=%d workers=%d image %d: shape %v, want %v", kern, n, workers, b, got[b].Shape, refs[b].Shape)
 					}
 					assertSliceParity(t, fmt.Sprintf("%v n=%d workers=%d image %d vs solo", kern, n, workers, b),
-						got[b].Data, refs[b].Data, !asmEnabled() || kern == KernelDirect)
+						got[b].Data, refs[b].Data, !asmEnabled() || kern == kernelDirect)
 				}
 			}
 		}
 	}
-	m.WithKernel(KernelGEMM).Parallel(1)
+	m.withKernel(kernelGEMM).Parallel(1)
 }
 
 func TestBatchConvParity(t *testing.T) {
@@ -370,10 +370,10 @@ func TestBatchBlockParityExact(t *testing.T) {
 	}
 	m := Load(g, 5)
 	inShape := g.Node(g.Source()).OutShape
-	for _, kern := range []KernelPath{KernelGEMM, KernelAsm, KernelPanel} {
+	for _, kern := range []kernelPath{kernelGEMM, kernelAsm, kernelPanel} {
 		for _, n := range []int{2, 3} {
 			for _, workers := range []int{1, 3} {
-				m.WithKernel(kern).Parallel(workers)
+				m.withKernel(kern).Parallel(workers)
 				inputs := make([]*tensor.Tensor, n)
 				refs := make([]*tensor.Tensor, n)
 				for b := range inputs {

@@ -20,9 +20,9 @@ import (
 // reference at GOMAXPROCS workers. Results are recorded in the
 // "Engine performance" section of EXPERIMENTS.md.
 
-func benchModel(b *testing.B, g *dag.Graph, k KernelPath, workers int) {
+func benchModel(b *testing.B, g *dag.Graph, k kernelPath, workers int) {
 	b.Helper()
-	m := Load(g, 1).WithKernel(k).Parallel(workers)
+	m := Load(g, 1).withKernel(k).Parallel(workers)
 	in := randInput(g.Node(g.Source()).OutShape, 7)
 	if _, err := m.Forward(in); err != nil {
 		b.Fatal(err)
@@ -39,12 +39,12 @@ func benchModel(b *testing.B, g *dag.Graph, k KernelPath, workers int) {
 func benchBothKernels(b *testing.B, g *dag.Graph) {
 	b.Helper()
 	workers := runtime.GOMAXPROCS(0)
-	b.Run("gemm", func(b *testing.B) { benchModel(b, g, KernelGEMM, workers) })
-	b.Run("panel", func(b *testing.B) { benchModel(b, g, KernelPanel, workers) })
+	b.Run("gemm", func(b *testing.B) { benchModel(b, g, kernelGEMM, workers) })
+	b.Run("panel", func(b *testing.B) { benchModel(b, g, kernelPanel, workers) })
 	if asmEnabled() {
-		b.Run("asm", func(b *testing.B) { benchModel(b, g, KernelAsm, workers) })
+		b.Run("asm", func(b *testing.B) { benchModel(b, g, kernelAsm, workers) })
 	}
-	b.Run("direct", func(b *testing.B) { benchModel(b, g, KernelDirect, workers) })
+	b.Run("direct", func(b *testing.B) { benchModel(b, g, kernelDirect, workers) })
 }
 
 func convGraph(b *testing.B, inC, hw int, l nn.Conv2D) *dag.Graph {
@@ -362,12 +362,12 @@ func TestForwardSteadyStateAllocsPools(t *testing.T) {
 // checkSteadyStateAllocs warms the model's arena on input, then
 // asserts per-Forward allocation bounds from the runtime's own
 // counters over a fixed number of passes. The collector is held off
-// for the whole window: a GC cycle moves the sync.Pool'd pack buffers
-// (1.1 MiB a pair) to the victim cache, where a goroutine that has
-// since migrated to another P cannot see them and allocates afresh —
-// a pool refill, not a per-layer allocation, and enough on its own to
-// blow a KiB-scale bound. (testing.Benchmark forces that GC before
-// every run, which is why this does not use it.)
+// for the whole window: a GC cycle empties the sync.Pools (the state
+// and activation-map pools, the int8 pack buffers), and refilling them
+// is not a per-layer allocation. The float32 pack blocks sit on a free
+// list no GC or P migration empties, so they need no such care.
+// (testing.Benchmark forces a GC before every run, which is why this
+// does not use it.)
 func checkSteadyStateAllocs(t *testing.T, m *Model, input *tensor.Tensor, maxBytes, maxAllocs int64) {
 	t.Helper()
 	if raceEnabled {

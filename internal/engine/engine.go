@@ -10,10 +10,13 @@
 // activation buffers through a per-model tensor.Arena. Batch size is an
 // argument of that one kernel set: n equally shaped jobs run as a
 // single pass over the packed layout of batch.go, and a lone job is
-// n == 1 of the same code. The naive direct-loop kernels are kept as a
-// reference implementation behind WithKernel(KernelDirect). Both paths
-// accumulate every output element in the same fixed order, so they
-// produce identical outputs at any worker count and any batch size.
+// n == 1 of the same code. The engine picks each GEMM's driver itself
+// (useAsm): the SIMD tile where it fits, else the pure-Go panel loop.
+// Every kernel accumulates each output element in one fixed order, so
+// outputs do not depend on the worker count, and the pure-Go loops
+// match the direct-loop reference bit for bit at any batch size; the
+// FMA tile, rounding once per multiply-add, matches it within a
+// documented tolerance (see gemm_asm.go).
 package engine
 
 import (
@@ -28,69 +31,18 @@ import (
 	"dnnjps/internal/tensor"
 )
 
-// KernelPath selects the implementation of the heavy layers.
-type KernelPath int
+// kernelPath selects the implementation of the heavy layers. The zero
+// value, kernelGEMM, is the engine's own choice (useAsm in gemm_asm.go)
+// and the only one outside the tests; the other three are pins the
+// parity tests compare against the reference.
+type kernelPath int
 
 const (
-	// KernelGEMM lowers conv2d via im2col onto the blocked parallel
-	// SGEMM, runs depthwise conv with the vector 3×3 kernel or an
-	// interior/border split (bit-identical to the reference either
-	// way), and dense layers as a register-blocked matrix-vector
-	// product. The
-	// SGEMM driver is chosen per shape (see useAsm in gemm_asm.go):
-	// the SIMD assembly tile when the CPU has one and the shape fills
-	// it, the streaming panel loop otherwise. This is the default
-	// path, spelled "auto" on the command line.
-	KernelGEMM KernelPath = iota
-	// KernelDirect is the naive nested-loop reference implementation,
-	// kept for parity tests and kernel-path comparisons. The reference
-	// loops are single-image: a batch of n > 1 (ExecuteBatch, a
-	// coalesced server group) runs the panel loop instead, which the
-	// gemm.go contract makes bit-identical to them.
-	KernelDirect
-	// KernelPanel forces the GEMM lowering onto the cache-blocked
-	// streaming panel loop — the pure-Go driver, and the only one in
-	// a noasm build.
-	KernelPanel
-	// KernelAsm forces the GEMM lowering onto the hand-written
-	// SIMD microkernel (AVX2+FMA on amd64, NEON on arm64) when the
-	// CPU supports it; on other builds (or under the noasm tag) it
-	// degrades to the panel loop. Unlike the pure-Go driver the FMA
-	// tile rounds once per multiply-add, so float32 outputs agree
-	// with the other paths only within the documented tolerance (see
-	// gemm_asm.go); the int8 kernels remain exact.
-	KernelAsm
+	kernelGEMM   kernelPath = iota
+	kernelDirect            // the naive single-image reference loops; n > 1 runs the panel loop, bit-identical to them
+	kernelPanel             // every GEMM on the pure-Go panel loop, the one driver of a noasm build
+	kernelAsm               // every GEMM on the SIMD tile where the CPU has one (FMA: within tolerance)
 )
-
-// KernelPaths lists the spellings ParseKernelPath accepts, in the form
-// the -kernel flag descriptions and the usage error print them.
-const KernelPaths = "auto, asm, panel, or direct"
-
-func (k KernelPath) String() string {
-	switch k {
-	case KernelGEMM:
-		return "auto"
-	case KernelDirect:
-		return "direct"
-	case KernelPanel:
-		return "panel"
-	case KernelAsm:
-		return "asm"
-	default:
-		return fmt.Sprintf("kernel(%d)", int(k))
-	}
-}
-
-// ParseKernelPath maps the CLI spelling to a KernelPath: "auto" leaves
-// the driver choice to the engine, the other spellings force one.
-func ParseKernelPath(s string) (KernelPath, error) {
-	for _, k := range []KernelPath{KernelGEMM, KernelAsm, KernelPanel, KernelDirect} {
-		if s == k.String() {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("engine: unknown kernel path %q (want %s)", s, KernelPaths)
-}
 
 // params holds one layer's learned tensors.
 type params struct {
@@ -102,8 +54,8 @@ type Model struct {
 	g       *dag.Graph
 	seed    int64
 	params  map[int]params
-	workers int        // convolution parallelism; see Parallel
-	kernel  KernelPath // heavy-layer implementation; see WithKernel
+	workers int        // per-layer parallelism; see Parallel
+	kernel  kernelPath // heavy-layer implementation; zero is the engine's choice
 	arena   *tensor.Arena
 	quant   *quantState // int8 inference mode; nil = float32 (see quant.go)
 	states  sync.Pool   // recycled *execState bookkeeping (see executeN)
@@ -119,7 +71,6 @@ func Load(g *dag.Graph, seed int64) *Model {
 		seed:    seed,
 		params:  make(map[int]params),
 		workers: 1,
-		kernel:  KernelGEMM,
 		arena:   tensor.NewArena(),
 	}
 	for _, id := range g.Topo() {
@@ -166,14 +117,6 @@ func Load(g *dag.Graph, seed int64) *Model {
 
 // Graph returns the model's graph.
 func (m *Model) Graph() *dag.Graph { return m.g }
-
-// WithKernel selects the heavy-layer implementation. Returns the model
-// for chaining. Both paths produce identical outputs; KernelDirect
-// exists so profiling runs can compare against the reference.
-func (m *Model) WithKernel(k KernelPath) *Model {
-	m.kernel = k
-	return m
-}
 
 func rngFor(seed int64, name string) *rand.Rand {
 	h := fnv.New64a()
@@ -380,10 +323,7 @@ func (m *Model) Execute(acts map[int]*tensor.Tensor, input *tensor.Tensor, nodes
 // activations (see PackBatch for the layout). Every activation in acts
 // — seeded boundary tensors and produced ones alike — is a packed
 // batch-n tensor; per-node shapes are the batched form of the node's
-// OutShape (dim 0 scaled by n). With n == 1 it is Execute. Under
-// KernelDirect a batch of n > 1 runs the panel loop — the reference
-// loops are single-image — with outputs bit-identical to n direct
-// Executes.
+// OutShape (dim 0 scaled by n). With n == 1 it is Execute.
 func (m *Model) ExecuteBatch(acts map[int]*tensor.Tensor, n int, input *tensor.Tensor, nodes []int) error {
 	if n < 1 {
 		return fmt.Errorf("engine: batch size %d", n)
@@ -457,10 +397,10 @@ func (m *Model) executeN(acts map[int]*tensor.Tensor, n int, input *tensor.Tenso
 // of every kernel, not a code path: the kernels address the packed
 // layout (see batch.go), which at n == 1 is the plain CHW tensor. Two
 // implementations exist at n == 1 only, each selected from what the
-// model already holds: the KernelDirect reference loops, and the int8
+// model already holds: the kernelDirect reference loops, and the int8
 // kernels of a quantized model (which ExecuteBatch rejects at n > 1).
 func (m *Model) eval(id int, node *dag.Node, ins []*tensor.Tensor, preds []int, st *execState, n int) (*tensor.Tensor, error) {
-	direct := m.kernel == KernelDirect && n == 1
+	direct := m.kernel == kernelDirect && n == 1
 	switch l := node.Layer.(type) {
 	case *nn.Conv2D:
 		if m.quant != nil {

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"dnnjps/internal/dag"
@@ -333,33 +332,6 @@ func TestExecuteErrors(t *testing.T) {
 	// Missing predecessor activation.
 	if err := m.Execute(map[int]*tensor.Tensor{}, nil, []int{g.Sink()}); err == nil {
 		t.Error("missing predecessor must error")
-	}
-}
-
-// TestKernelPathSpellings: the four -kernel spellings round-trip
-// through String/ParseKernelPath, and anything else — the retired
-// "micro" and "gemm" included — is a usage error that names them.
-func TestKernelPathSpellings(t *testing.T) {
-	for k, name := range map[KernelPath]string{
-		KernelGEMM: "auto", KernelAsm: "asm", KernelPanel: "panel", KernelDirect: "direct",
-	} {
-		if k.String() != name {
-			t.Errorf("KernelPath(%d).String() = %q, want %q", int(k), k, name)
-		}
-		if got, err := ParseKernelPath(name); err != nil || got != k {
-			t.Errorf("ParseKernelPath(%q) = %v, %v; want %v", name, got, err, k)
-		}
-		if !strings.Contains(KernelPaths, name) {
-			t.Errorf("KernelPaths %q omits %q", KernelPaths, name)
-		}
-	}
-	for _, bad := range []string{"micro", "gemm", "simd9000"} {
-		_, err := ParseKernelPath(bad)
-		if err == nil {
-			t.Errorf("ParseKernelPath(%q) succeeded, want a usage error", bad)
-		} else if !strings.Contains(err.Error(), "auto, asm, panel, or direct") {
-			t.Errorf("ParseKernelPath(%q) error does not list the spellings: %v", bad, err)
-		}
 	}
 }
 

@@ -30,7 +30,7 @@ const (
 // the asm driver keeps the same ascending-k order but fuses each
 // multiply-add into one rounding, so its float32 results differ within
 // the tolerance documented in gemm_asm.go.
-func sgemmAcc(kern KernelPath, m, k, n, ldc int, a, b, c []float32, workers int) {
+func sgemmAcc(kern kernelPath, m, k, n, ldc int, a, b, c []float32, workers int) {
 	if m == 0 || k == 0 || n == 0 {
 		return
 	}

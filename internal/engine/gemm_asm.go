@@ -2,8 +2,8 @@ package engine
 
 import "sync"
 
-// Driver for the hand-written SIMD microkernels: KernelAsm, and the
-// KernelGEMM choice for every shape the tile can fill when the CPU
+// Driver for the hand-written SIMD microkernels: kernelAsm, and the
+// kernelGEMM choice for every shape the tile can fill when the CPU
 // supports them (useAsm below is the whole routing policy) — see
 // gemm_asm_{amd64,arm64}.go for the tiles and gemm_asm_off.go for the
 // disabled build.
@@ -54,12 +54,34 @@ import "sync"
 // keeps batched and single-image conv outputs bit-identical to each
 // other under asm, since batching only relocates an element's column.
 
-// asmPackBufsB recycles the packed B blocks, one per in-flight worker.
-var asmPackBufsB = sync.Pool{
-	New: func() any {
-		b := make([]float32, asmKC*asmNC)
-		return &b
-	},
+// asmPackBufsB is the free list of packed B blocks, one per in-flight
+// worker. No P owns it: a sync.Pool Put lands in the putting P's private
+// slot, where a forward that migrated to another P could not find it
+// and allocated a fresh 1 MiB block. It holds no more blocks than were
+// once in use at the same time. That can exceed GOMAXPROCS — a GEMM
+// preempted mid-call keeps its block — so it has no cap: capped there,
+// a loopback client and server re-allocated about 1 MiB per 8 jobs.
+var asmPackBufsB struct {
+	sync.Mutex
+	free [][]float32
+}
+
+func getPackB() (b []float32) {
+	asmPackBufsB.Lock()
+	if n := len(asmPackBufsB.free); n > 0 {
+		b, asmPackBufsB.free = asmPackBufsB.free[n-1], asmPackBufsB.free[:n-1]
+	}
+	asmPackBufsB.Unlock()
+	if b == nil {
+		b = make([]float32, asmKC*asmNC)
+	}
+	return b
+}
+
+func putPackB(b []float32) {
+	asmPackBufsB.Lock()
+	asmPackBufsB.free = append(asmPackBufsB.free, b)
+	asmPackBufsB.Unlock()
 }
 
 // asmEnabled reports whether the float32 assembly path can engage in
@@ -70,12 +92,11 @@ func asmEnabled() bool { return asmSgemmOK }
 
 // useAsm is the GEMM routing rule, shared by sgemmAcc and the fused
 // conv paths: the assembly driver runs when the CPU has it and the
-// caller either forced it (KernelAsm) or left the choice to the engine
-// (KernelGEMM) with a shape the tile can fill. Everything else — and
-// KernelAsm on a host or build without the kernels — takes the panel
-// loop.
-func useAsm(kern KernelPath, m, k, n int) bool {
-	return asmSgemmOK && (kern == KernelAsm || (kern == KernelGEMM && preferAsm(m, k, n)))
+// shape is one the tile can fill (kernelGEMM, the engine's own choice)
+// or a parity test pinned kernelAsm. Everything else — and kernelAsm
+// on a host or build without the kernels — takes the panel loop.
+func useAsm(kern kernelPath, m, k, n int) bool {
+	return asmSgemmOK && (kern == kernelAsm || (kern == kernelGEMM && preferAsm(m, k, n)))
 }
 
 // preferAsm is the tile guard: a full strip of rows, at least two
@@ -291,8 +312,7 @@ func sgemmAsmParallel(m, k, n, lda, ldc int, a []float32, pk bPacker, c []float3
 // deep as the pack buffer holds, so each strip of A is read front to
 // back once (asmKC panels touch 1 KiB of every fc6 row per sweep).
 func sgemmAsmCols(m, k, nLo, nHi, lda, ldc int, a []float32, pk bPacker, c []float32) {
-	bufB := asmPackBufsB.Get().(*[]float32)
-	pB := *bufB
+	pB := getPackB()
 	var packed [asmStripScratch]float32 // asmStripA's, where the tile wants one
 	mFull := m - m%asmMR
 	kcMax := asmKC
@@ -315,7 +335,7 @@ func sgemmAsmCols(m, k, nLo, nHi, lda, ldc int, a []float32, pk bPacker, c []flo
 			}
 		}
 	}
-	asmPackBufsB.Put(bufB)
+	putPackB(pB)
 }
 
 // asmSweepRagged runs the last m mod asmMR rows of A (rr of them, lda

@@ -126,7 +126,7 @@ func seedBias(c, bias []float32, rows, width int) {
 // Tiling only partitions C's columns — per-element accumulation order is
 // untouched — so each image's output is bit-identical at any n and any
 // tile width.
-func conv2dGEMM(arena *tensor.Arena, kern KernelPath, in *tensor.Tensor, outShape tensor.Shape, p params, kh, kw, stride, padH, padW, groups, workers, n int) *tensor.Tensor {
+func conv2dGEMM(arena *tensor.Arena, kern kernelPath, in *tensor.Tensor, outShape tensor.Shape, p params, kh, kw, stride, padH, padW, groups, workers, n int) *tensor.Tensor {
 	out := arena.Get(batchShape(outShape, n))
 	inC, inH, inW := in.Shape.C()/n, in.Shape.H(), in.Shape.W()
 	outC, outH, outW := outShape.C(), outShape.H(), outShape.W()
@@ -192,7 +192,7 @@ func conv2dGEMM(arena *tensor.Arena, kern KernelPath, in *tensor.Tensor, outShap
 // is exactly C, so the weight matrix streams through once per batch
 // instead of once per job; at n == 1 sgemmAcc runs it as the
 // worker-parallel matrix-vector product.
-func denseGEMM(arena *tensor.Arena, kern KernelPath, in *tensor.Tensor, p params, outN, workers, n int) *tensor.Tensor {
+func denseGEMM(arena *tensor.Arena, kern kernelPath, in *tensor.Tensor, p params, outN, workers, n int) *tensor.Tensor {
 	out := arena.Get(tensor.NewVec(outN * n))
 	seedBias(out.Data, p.b, outN, n)
 	sgemmAcc(kern, outN, len(in.Data)/n, n, n, p.w, in.Data, out.Data, workers)

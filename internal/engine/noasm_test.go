@@ -5,10 +5,10 @@ package engine
 import "testing"
 
 // Under the noasm tag the assembly paths must be compiled out
-// entirely: asmEnabled() is a constant false, KernelAsm and KernelGEMM
+// entirely: asmEnabled() is a constant false, kernelAsm and kernelGEMM
 // both degrade to the panel loop, and every parity test in this
 // package runs in its bitwise mode — runBothKernels then asserts
-// KernelGEMM == KernelAsm == KernelPanel == KernelDirect bit for bit
+// kernelGEMM == kernelAsm == kernelPanel == kernelDirect bit for bit
 // on whole models (the pre-asm behavior of this engine).
 func TestNoasmBuildDisablesAsm(t *testing.T) {
 	if asmEnabled() {
@@ -20,11 +20,7 @@ func TestNoasmBuildDisablesAsm(t *testing.T) {
 	if asmQuantOK {
 		t.Fatal("asmQuantOK = true under the noasm build tag")
 	}
-	if useAsm(KernelGEMM, 256, 1152, 256) || useAsm(KernelAsm, 256, 1152, 256) {
+	if useAsm(kernelGEMM, 256, 1152, 256) || useAsm(kernelAsm, 256, 1152, 256) {
 		t.Fatal("useAsm routed a shape to asm under the noasm build tag")
-	}
-	// KernelAsm stays selectable — it just routes to the panel loop.
-	if k, err := ParseKernelPath("asm"); err != nil || k != KernelAsm {
-		t.Fatalf("ParseKernelPath(asm) = %v, %v", k, err)
 	}
 }

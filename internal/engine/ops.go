@@ -9,8 +9,8 @@ import (
 
 // Direct reference kernels, depthwise convolution and the lightweight
 // elementwise/pooling ops. conv2dDirect, dwconv2dDirect and denseDirect
-// are the naive single-image implementations kept behind
-// WithKernel(KernelDirect) as the ground truth the GEMM path is
+// are the naive single-image implementations kept behind the
+// kernelDirect pin as the ground truth the GEMM path is
 // parity-tested against; every other kernel takes the batch size n and
 // addresses the packed layout (see batch.go). All output buffers come
 // from the model's arena and every kernel writes every output element

@@ -14,10 +14,17 @@ import (
 // Direct-vs-GEMM equivalence: the pure-Go kernel paths accumulate
 // every output element in the same fixed order, so their outputs must
 // compare equal element by element — at any worker count. Paths that
-// route to the FMA assembly tile (KernelAsm, and KernelGEMM past the
+// route to the FMA assembly tile (kernelAsm, and kernelGEMM past the
 // tile guard when the CPU has it) keep the same accumulation order but
 // fuse each multiply-add into one rounding; they compare within the
 // envelope documented in asm_parity_test.go instead.
+
+// withKernel pins the model's kernel path for the tests that compare
+// the paths; a caller outside the tests only ever gets the zero value.
+func (m *Model) withKernel(k kernelPath) *Model {
+	m.kernel = k
+	return m
+}
 
 func randInput(shape tensor.Shape, seed int64) *tensor.Tensor {
 	rng := rand.New(rand.NewSource(seed))
@@ -37,14 +44,14 @@ func runBothKernels(t *testing.T, g *dag.Graph, seed int64) {
 	t.Helper()
 	in := randInput(g.Node(g.Source()).OutShape, seed+100)
 	m := Load(g, seed)
-	ref, err := m.WithKernel(KernelDirect).Forward(in.Clone())
+	ref, err := m.withKernel(kernelDirect).Forward(in.Clone())
 	if err != nil {
 		t.Fatalf("direct forward: %v", err)
 	}
-	for _, kern := range []KernelPath{KernelGEMM, KernelPanel, KernelAsm} {
-		exact := !asmEnabled() || kern == KernelPanel
+	for _, kern := range []kernelPath{kernelGEMM, kernelPanel, kernelAsm} {
+		exact := !asmEnabled() || kern == kernelPanel
 		for _, workers := range []int{1, 3, 8} {
-			got, err := m.WithKernel(kern).Parallel(workers).Forward(in.Clone())
+			got, err := m.withKernel(kern).Parallel(workers).Forward(in.Clone())
 			if err != nil {
 				t.Fatalf("%v forward (workers=%d): %v", kern, workers, err)
 			}
@@ -55,7 +62,7 @@ func runBothKernels(t *testing.T, g *dag.Graph, seed int64) {
 				got.Data, ref.Data, exact)
 		}
 	}
-	m.WithKernel(KernelGEMM).Parallel(1)
+	m.withKernel(kernelGEMM).Parallel(1)
 }
 
 func TestConvDirectGEMMParity(t *testing.T) {
@@ -146,10 +153,10 @@ func TestConvGoldenBothKernels(t *testing.T) {
 		4, 5, 6,
 		7, 8, 9,
 	})
-	// Small integers: exact under FMA too, so KernelAsm compares equal.
+	// Small integers: exact under FMA too, so kernelAsm compares equal.
 	want := []float32{12, 16, 24, 28}
-	for _, k := range []KernelPath{KernelGEMM, KernelPanel, KernelAsm, KernelDirect} {
-		out, err := m.WithKernel(k).Forward(input.Clone())
+	for _, k := range []kernelPath{kernelGEMM, kernelPanel, kernelAsm, kernelDirect} {
+		out, err := m.withKernel(k).Forward(input.Clone())
 		if err != nil {
 			t.Fatal(err)
 		}

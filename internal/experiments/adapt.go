@@ -87,7 +87,7 @@ type AdaptRow struct {
 // raw material). timeScale compresses channel time as elsewhere.
 func RuntimeAdapt(env Env, n int, timeScale float64, seed int64) ([]*AdaptRow, *estimator.ReplayTrace, error) {
 	g := AdaptModel()
-	m := engine.Load(g, 7).WithKernel(env.Kernel)
+	m := engine.Load(g, 7)
 	ch := AdaptChannel()
 	curve := env.curveFor(g, ch)
 

@@ -56,7 +56,7 @@ type RuntimeBatchResult struct {
 func RuntimeBatch(env Env, model string, ch netsim.Channel, jobCounts []int, timeScale float64) ([]*RuntimeBatchResult, error) {
 	g := mustModel(model)
 	const seed = 42
-	m := engine.Load(g, seed).WithKernel(env.Kernel)
+	m := engine.Load(g, seed)
 	units := profile.LineView(g)
 
 	// Deepest offloaded cut whose suffix still holds parameterized

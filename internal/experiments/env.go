@@ -14,7 +14,6 @@ import (
 
 	"dnnjps/internal/core"
 	"dnnjps/internal/dag"
-	"dnnjps/internal/engine"
 	"dnnjps/internal/models"
 	"dnnjps/internal/netsim"
 	"dnnjps/internal/profile"
@@ -30,11 +29,6 @@ type Env struct {
 	// NJobs is the job count of the Fig. 12 / Table 1 / Fig. 13 /
 	// Fig. 14 experiments (the paper uses 100).
 	NJobs int
-	// Kernel selects the engine kernel path for the live-runtime
-	// experiments (runtime, batch, fleet, adapt, faults, trace). The
-	// zero value is KernelGEMM — the shape-aware auto policy — so a
-	// zero Env keeps the historical behavior.
-	Kernel engine.KernelPath
 }
 
 // DefaultEnv mirrors the paper's testbed: Raspberry Pi 4 client,

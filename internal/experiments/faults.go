@@ -65,7 +65,7 @@ func RuntimeFaultsGeneral(env Env, model string, ch netsim.Channel, n int, timeS
 }
 
 func runtimeFaults(env Env, g *dag.Graph, lp livePlan, label string, ch netsim.Channel, timeScale float64, dropPcts []float64, seed int64) ([]*FaultRow, error) {
-	m := engine.Load(g, 42).WithKernel(env.Kernel)
+	m := engine.Load(g, 42)
 	n := len(lp.seq)
 	inputs := syntheticInputs(g, n)
 

@@ -76,7 +76,7 @@ func deepParamCut(g *dag.Graph, units []profile.Unit) int {
 func RuntimeFleet(env Env, model string, ch netsim.Channel, clientCounts []int, jobsPerClient, shedWatermark int, timeScale float64) ([]*RuntimeFleetResult, error) {
 	g := mustModel(model)
 	const seed = 42
-	m := engine.Load(g, seed).WithKernel(env.Kernel)
+	m := engine.Load(g, seed)
 	units := profile.LineView(g)
 	cut := deepParamCut(g, units)
 

@@ -72,7 +72,7 @@ func RuntimePipelineGeneral(env Env, model string, ch netsim.Channel, n int, tim
 }
 
 func runtimePipeline(env Env, g *dag.Graph, lp livePlan, label string, ch netsim.Channel, timeScale float64) (*RuntimeResult, error) {
-	m := engine.Load(g, 42).WithKernel(env.Kernel)
+	m := engine.Load(g, 42)
 	n := len(lp.seq)
 	inputs := syntheticInputs(g, n)
 

@@ -40,7 +40,7 @@ type TraceResult struct {
 func RuntimeTrace(env Env, model string, ch netsim.Channel, n int, timeScale float64) (*TraceResult, error) {
 	g := mustModel(model)
 	const seed = 42
-	m := engine.Load(g, seed).WithKernel(env.Kernel)
+	m := engine.Load(g, seed)
 	plan, err := core.JPS(env.curveFor(g, ch), n)
 	if err != nil {
 		return nil, err

@@ -117,31 +117,18 @@ func FitDevice(name string, samples []Sample) (profile.Device, error) {
 	return dev, nil
 }
 
-// Config selects how calibration runs execute the probe model.
-type Config struct {
-	Reps    int               // timed repetitions per layer (default 3)
-	Workers int               // engine parallelism; <= 0 means GOMAXPROCS
-	Kernel  engine.KernelPath // engine kernel path (default KernelGEMM)
-}
-
-// CalibrateDevice profiles the probe graph on this machine and fits a
-// device model in one call, using the default engine configuration
-// (GEMM kernels, single worker).
-func CalibrateDevice(name string, g *dag.Graph, seed int64, reps int) (profile.Device, error) {
-	dev, _, err := CalibrateDeviceCfg(name, g, seed, Config{Reps: reps, Workers: 1})
-	return dev, err
-}
-
-// CalibrateDeviceCfg is CalibrateDevice with an explicit engine
-// configuration. It also returns the raw per-layer samples so callers
+// CalibrateDevice profiles the probe graph on this machine — reps timed
+// repetitions per layer (default 3) on the engine as it serves, with
+// workers goroutines per layer (<= 0 means GOMAXPROCS) — and fits a
+// device model. It also returns the raw per-layer samples so callers
 // can report per-layer timings (jpsprofile's ns/layer table).
-func CalibrateDeviceCfg(name string, g *dag.Graph, seed int64, cfg Config) (profile.Device, []Sample, error) {
-	m := engine.Load(g, seed).WithKernel(cfg.Kernel).Parallel(cfg.Workers)
+func CalibrateDevice(name string, g *dag.Graph, seed int64, reps, workers int) (profile.Device, []Sample, error) {
+	m := engine.Load(g, seed).Parallel(workers)
 	input := tensor.New(g.Node(g.Source()).OutShape)
 	for i := range input.Data {
 		input.Data[i] = float32(i%97)/97 - 0.5
 	}
-	samples, err := ProfileLayers(m, input, cfg.Reps)
+	samples, err := ProfileLayers(m, input, reps)
 	if err != nil {
 		return profile.Device{}, nil, err
 	}

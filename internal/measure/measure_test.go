@@ -36,7 +36,7 @@ func probe(t *testing.T) *dag.Graph {
 
 func TestCalibrateDevice(t *testing.T) {
 	g := probe(t)
-	dev, err := CalibrateDevice("thismachine", g, 1, 3)
+	dev, _, err := CalibrateDevice("thismachine", g, 1, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestCalibrationPredictsWithinNoise(t *testing.T) {
 	// it must land within a loose noise band (timing jitter on shared
 	// CI machines is large; we assert order of magnitude).
 	g := probe(t)
-	dev, err := CalibrateDevice("self", g, 1, 3)
+	dev, _, err := CalibrateDevice("self", g, 1, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -184,7 +184,8 @@ func Simulate(p *Plan) (float64, error) {
 // on this machine and fits a Device usable with BuildCurve — the
 // paper's lookup-table construction, self-hosted.
 func CalibrateLocalDevice(name string, probe *Graph, seed int64, reps int) (Device, error) {
-	return measure.CalibrateDevice(name, probe, seed, reps)
+	dev, _, err := measure.CalibrateDevice(name, probe, seed, reps, 1)
+	return dev, err
 }
 
 // LoadModel instantiates deterministic weights for a graph so a client

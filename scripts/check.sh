@@ -71,6 +71,15 @@ DNNJPS_NOASM=1 go test -count=1 ./internal/engine/
 echo "== go test"
 go test ./...
 
+echo "== steady-state allocs, MobileNet alone (3x, no other test first)"
+# Inside the full package run earlier tests have warmed every buffer.
+# Run alone, the test is what warms them, and a forward that migrates
+# to another P mid-window must still find the GEMM pack blocks it put
+# back. With those blocks in a sync.Pool (whose per-P slot no other P
+# can take) this run failed 5 times in 6 on a 2-vCPU host; the free
+# list in gemm_asm.go keeps it green.
+go test -count=3 -run 'TestForwardSteadyStateAllocsMobilenet$' ./internal/engine/
+
 echo "== benchmark module (vet + test; read-only)"
 # benchmark/ is its own module (replace dnnjps => ../, stdlib only), so
 # ./... above never compiles it — and it is the acceptance instrument:
@@ -80,7 +89,7 @@ echo "== benchmark module (vet + test; read-only)"
 
 echo "== go test -race (engine, flowshop)"
 # On AVX2 hosts this leg drives the assembly kernels too: the parity
-# tests force KernelAsm at workers>1, racing the packed-panel fan-out.
+# tests pin kernelAsm at workers>1, racing the packed-panel fan-out.
 go test -race ./internal/engine/... ./internal/flowshop/...
 
 echo "== go test -race -count=2 (runtime pipeline)"
