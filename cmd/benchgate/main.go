@@ -46,7 +46,7 @@ type rule struct {
 	unit     string
 	bound    float64 // fail when num/den exceeds it
 	minStar  int     // gate only the legs whose "*" is a number >= minStar
-	skip     string  // non-empty: why the output may hold no num leg at all, which then skips the rule
+	skip     string  // non-empty: why the output may hold no num or no den leg at all, which then skips the rule
 }
 
 var rules = []rule{
@@ -55,6 +55,16 @@ var rules = []rule{
 	// (≈ 0.11 on the reference host).
 	{num: "BenchmarkSgemmCrossover/asm/n=*", den: "BenchmarkSgemmCrossover/panel/n=*", unit: "ns/op", bound: 0.9, minStar: 128,
 		skip: "the asm legs run only with AVX2+FMA and without noasm"},
+	// The AVX-512 12x16 tile against the AVX2 6x16 one, in one process:
+	// a probe or dispatch that silently leaves the engine on the narrow
+	// tile reads ≈ 1.0 at every width and fails. Ten gate runs read
+	// 0.54–0.81 per leg, but for one leg of one run at 1.03: on the
+	// shared reference host the ZMM legs now and then run a whole
+	// repetition at YMM speed (≈ 32 MAC/ns instead of 50), and that
+	// time all three of asm/n=128's did — rerun before suspecting the
+	// tile.
+	{num: "BenchmarkSgemmCrossover/asm/n=*", den: "BenchmarkSgemmCrossover/avx2/n=*", unit: "ns/op", bound: 0.9, minStar: 128,
+		skip: "the avx2 legs run only where the AVX-512 tile is live"},
 	// Filling a batch must amortize packing across images, on the dense
 	// head (≈ 0.11–0.17), on AlexNet's dense tail (≈ 0.08–0.10) and on
 	// the conv suffix (≈ 0.35–0.45, which is its fc6–fc8 again: the conv
@@ -198,6 +208,10 @@ func evaluate(rules []rule, rows []row) (ratios []ratio, msgs []string, pass boo
 		msgs = append(msgs, "FAIL "+fmt.Sprintf(format, a...))
 	}
 	for _, ru := range rules {
+		if ru.skip != "" && !(hasLeg(rows, ru.num) && hasLeg(rows, ru.den)) {
+			msgs = append(msgs, fmt.Sprintf("skip %s over %s: no such legs (%s)", ru.num, ru.den, ru.skip))
+			continue
+		}
 		matched, gated := 0, 0
 		for _, r := range rows {
 			star, ok := matchStar(ru.num, r.Name)
@@ -224,15 +238,21 @@ func evaluate(rules []rule, rows []row) (ratios []ratio, msgs []string, pass boo
 				msgs = append(msgs, fmt.Sprintf("ok %s over %s = %.2fx (bound %.2fx)", q.Num, q.Den, q.Ratio, q.Bound))
 			}
 		}
-		switch {
-		case gated > 0:
-		case matched == 0 && ru.skip != "":
-			msgs = append(msgs, fmt.Sprintf("skip %s: no such leg (%s)", ru.num, ru.skip))
-		default:
+		if gated == 0 {
 			fail("%s: %d legs in the bench output, none to gate", ru.num, matched)
 		}
 	}
 	return ratios, msgs, pass
+}
+
+// hasLeg reports whether any row fits pattern.
+func hasLeg(rows []row, pattern string) bool {
+	for _, r := range rows {
+		if _, ok := matchStar(pattern, r.Name); ok {
+			return true
+		}
+	}
+	return false
 }
 
 // appendHistory adds rec to the file at path as one JSON line.

@@ -13,9 +13,9 @@ import (
 )
 
 // today is `go test -bench` output as the gate's two runs print it on
-// the 2-proc reference host, cut down to the legs the rules read plus
-// one ungated neighbour of each family. asm/n=128 keeps its three
-// -count repetitions.
+// the 2-proc reference host, which has AVX-512 (so the avx2 legs run),
+// cut down to the legs the rules read plus one ungated neighbour of
+// each family. asm/n=128 keeps its three -count repetitions.
 const today = `goos: linux
 goarch: amd64
 pkg: dnnjps/internal/engine
@@ -30,14 +30,17 @@ BenchmarkBatchedForward/N=8/densetail-2         	       3	  25850809 ns/op	   32
 BenchmarkBatchedForward/N=32/densetail-2        	       3	  74697307 ns/op	   2334271 ns/inference	  131178 B/op	       7 allocs/op
 BenchmarkBatchedForward/N=1/convspan-2          	       3	  16591615 ns/op	  16590872 ns/inference	   43320 B/op	      39 allocs/op
 BenchmarkBatchedForward/N=8/convspan-2          	       3	 122121071 ns/op	  15265040 ns/inference	  297416 B/op	      45 allocs/op
-BenchmarkSgemmCrossover/panel/n=64-2            	       3	   5099328 ns/op	         3.702 MAC/ns	       0 B/op	       0 allocs/op
-BenchmarkSgemmCrossover/asm/n=64-2              	       3	    456401 ns/op	        41.40 MAC/ns	      88 B/op	       0 allocs/op
-BenchmarkSgemmCrossover/panel/n=128-2           	       3	   9743828 ns/op	         3.875 MAC/ns	       0 B/op	       0 allocs/op
-BenchmarkSgemmCrossover/asm/n=128-2             	       3	   1252539 ns/op	        30.15 MAC/ns	  349621 B/op	       1 allocs/op
-BenchmarkSgemmCrossover/asm/n=128-2             	       3	   1047146 ns/op	        36.07 MAC/ns	      88 B/op	       0 allocs/op
-BenchmarkSgemmCrossover/asm/n=128-2             	       3	   1142020 ns/op	        33.07 MAC/ns	  349621 B/op	       1 allocs/op
-BenchmarkSgemmCrossover/panel/n=1024-2          	       3	  87554034 ns/op	         3.449 MAC/ns	       0 B/op	       0 allocs/op
-BenchmarkSgemmCrossover/asm/n=1024-2            	       3	   9513822 ns/op	        31.75 MAC/ns	      88 B/op	       0 allocs/op
+BenchmarkSgemmCrossover/panel/n=64-2            	       3	   5870401 ns/op	         3.216 MAC/ns	       0 B/op	       0 allocs/op
+BenchmarkSgemmCrossover/asm/n=64-2              	       3	    369808 ns/op	        51.06 MAC/ns	       0 B/op	       0 allocs/op
+BenchmarkSgemmCrossover/avx2/n=64-2             	       3	    554825 ns/op	        34.05 MAC/ns	       0 B/op	       0 allocs/op
+BenchmarkSgemmCrossover/panel/n=128-2           	       3	  10670189 ns/op	         3.538 MAC/ns	       0 B/op	       0 allocs/op
+BenchmarkSgemmCrossover/asm/n=128-2             	       3	    736066 ns/op	        51.31 MAC/ns	       0 B/op	       0 allocs/op
+BenchmarkSgemmCrossover/asm/n=128-2             	       3	    691620 ns/op	        54.60 MAC/ns	       0 B/op	       0 allocs/op
+BenchmarkSgemmCrossover/asm/n=128-2             	       3	    762435 ns/op	        49.54 MAC/ns	       0 B/op	       0 allocs/op
+BenchmarkSgemmCrossover/avx2/n=128-2            	       3	   1100481 ns/op	        34.31 MAC/ns	       0 B/op	       0 allocs/op
+BenchmarkSgemmCrossover/panel/n=1024-2          	       3	  98485173 ns/op	         3.066 MAC/ns	       0 B/op	       0 allocs/op
+BenchmarkSgemmCrossover/asm/n=1024-2            	       3	   7246325 ns/op	        41.68 MAC/ns	       0 B/op	       0 allocs/op
+BenchmarkSgemmCrossover/avx2/n=1024-2           	       3	  13332165 ns/op	        22.65 MAC/ns	       0 B/op	       0 allocs/op
 PASS
 ok  	dnnjps/internal/engine	9.928s
 goos: linux
@@ -107,33 +110,37 @@ func TestEvaluate(t *testing.T) {
 		ratios int
 		msg    string // a message that must be printed
 	}{
-		{"today's ratios", today, true, 7, "ok BenchmarkRunnerAdaptive/adaptive over BenchmarkRunnerAdaptive/static = 1.00x"},
-		// 1047146 is the fastest of three asm/n=128 repetitions; the gate
-		// reads it, not the 1252539 printed first: 0.107, not 0.129.
-		{"repetitions collapse before the ratio", today, true, 7, "BenchmarkSgemmCrossover/asm/n=128 over BenchmarkSgemmCrossover/panel/n=128 = 0.11x"},
+		{"today's ratios", today, true, 9, "ok BenchmarkRunnerAdaptive/adaptive over BenchmarkRunnerAdaptive/static = 1.00x"},
+		// 691620 is the fastest of three asm/n=128 repetitions; the gate
+		// reads it, not the 736066 printed first: 0.628, not 0.669.
+		{"repetitions collapse before the ratio", today, true, 9, "BenchmarkSgemmCrossover/asm/n=128 over BenchmarkSgemmCrossover/avx2/n=128 = 0.63x"},
 
-		// Each bound from both sides, a numerator inflated to just under
-		// and just over it: 0.9, 0.6 twice, 0.16, 1.15.
-		{"asm tile at 0.89x of the panel loop", swap("9513822 ns/op", "78000000 ns/op"), true, 7, "n=1024 = 0.89x"},
-		{"asm tile at 0.91x", swap("9513822 ns/op", "80000000 ns/op"), false, 7, "FAIL BenchmarkSgemmCrossover/asm/n=1024"},
-		{"a width under 128 is not gated", swap("456401 ns/op", "6000000 ns/op"), true, 7, ""},
-		{"conv suffix at 0.59x of N=1", swap("9295156 ns/inference", "16000000 ns/inference"), true, 7, "convsuffix = 0.59x"},
-		{"conv suffix at 0.63x", swap("9295156 ns/inference", "17000000 ns/inference"), false, 7, "FAIL BenchmarkBatchedForward/N=32/convsuffix"},
-		{"dense head at 0.58x of N=1", swap("68779 ns/inference", "240000 ns/inference"), true, 7, "densehead = 0.58x"},
-		{"dense head at 0.63x", swap("68779 ns/inference", "260000 ns/inference"), false, 7, "FAIL BenchmarkBatchedForward/N=32/densehead"},
-		{"dense tail of eight at 0.15x of N=1", swap("3231277 ns/inference", "3820000 ns/inference"), true, 7, "N=1/densetail = 0.15x"},
-		{"dense tail of eight at 0.17x", swap("3231277 ns/inference", "4100000 ns/inference"), false, 7, "FAIL BenchmarkBatchedForward/N=8/densetail"},
-		{"the conv span is reported, not gated", swap("15265040 ns/inference", "99000000 ns/inference"), true, 7, ""},
-		{"estimator at 1.14x of the static runner", swap("231083170 ns/job", "263000000 ns/job"), true, 7, "static = 1.14x"},
-		{"estimator at 1.17x", swap("231083170 ns/job", "270000000 ns/job"), false, 7, "FAIL BenchmarkRunnerAdaptive/adaptive"},
+		// Each bound from both sides, one leg moved to just under and just
+		// over it: 0.9 twice, 0.6 twice, 0.16, 1.15.
+		{"asm tile at 0.89x of the panel loop", swap("98485173 ns/op", "8142000 ns/op"), true, 9, "panel/n=1024 = 0.89x"},
+		{"asm tile at 0.91x", swap("98485173 ns/op", "7963000 ns/op"), false, 9, "FAIL BenchmarkSgemmCrossover/asm/n=1024 7246325 ns/op over BenchmarkSgemmCrossover/panel/n=1024"},
+		{"AVX-512 tile at 0.89x of the AVX2 tile", swap("13332165 ns/op", "8142000 ns/op"), true, 9, "avx2/n=1024 = 0.89x"},
+		{"AVX-512 tile at 0.91x: running narrow", swap("13332165 ns/op", "7963000 ns/op"), false, 9, "FAIL BenchmarkSgemmCrossover/asm/n=1024 7246325 ns/op over BenchmarkSgemmCrossover/avx2/n=1024"},
+		{"a width under 128 is not gated", swap("369808 ns/op", "6000000 ns/op"), true, 9, ""},
+		{"conv suffix at 0.59x of N=1", swap("9295156 ns/inference", "16000000 ns/inference"), true, 9, "convsuffix = 0.59x"},
+		{"conv suffix at 0.63x", swap("9295156 ns/inference", "17000000 ns/inference"), false, 9, "FAIL BenchmarkBatchedForward/N=32/convsuffix"},
+		{"dense head at 0.58x of N=1", swap("68779 ns/inference", "240000 ns/inference"), true, 9, "densehead = 0.58x"},
+		{"dense head at 0.63x", swap("68779 ns/inference", "260000 ns/inference"), false, 9, "FAIL BenchmarkBatchedForward/N=32/densehead"},
+		{"dense tail of eight at 0.15x of N=1", swap("3231277 ns/inference", "3820000 ns/inference"), true, 9, "N=1/densetail = 0.15x"},
+		{"dense tail of eight at 0.17x", swap("3231277 ns/inference", "4100000 ns/inference"), false, 9, "FAIL BenchmarkBatchedForward/N=8/densetail"},
+		{"the conv span is reported, not gated", swap("15265040 ns/inference", "99000000 ns/inference"), true, 9, ""},
+		{"estimator at 1.14x of the static runner", swap("231083170 ns/job", "263000000 ns/job"), true, 9, "static = 1.14x"},
+		{"estimator at 1.17x", swap("231083170 ns/job", "270000000 ns/job"), false, 9, "FAIL BenchmarkRunnerAdaptive/adaptive"},
 
-		{"no asm legs: the rule skips", dropLines(today, "SgemmCrossover/asm/"), true, 5, "skip BenchmarkSgemmCrossover/asm/n=*"},
+		{"no asm legs: both asm rules skip", dropLines(today, "SgemmCrossover/asm/"), true, 5, "skip BenchmarkSgemmCrossover/asm/n=* over BenchmarkSgemmCrossover/panel/n=*"},
+		{"no avx2 legs (no AVX-512): that rule skips", dropLines(today, "SgemmCrossover/avx2/"), true, 7, "skip BenchmarkSgemmCrossover/asm/n=* over BenchmarkSgemmCrossover/avx2/n=*"},
 		{"asm legs, none at a gated width", dropLines(dropLines(today, "asm/n=128"), "asm/n=1024"), false, 5, "FAIL BenchmarkSgemmCrossover/asm/n=*"},
-		{"asm leg without its panel leg", dropLines(today, "panel/n=1024"), false, 6, "FAIL BenchmarkSgemmCrossover/asm/n=1024 over BenchmarkSgemmCrossover/panel/n=1024"},
-		{"N=8/densetail missing", dropLines(today, "N=8/densetail"), false, 6, "FAIL BenchmarkBatchedForward/N=8/densetail"},
-		{"RunnerAdaptive did not run", dropLines(today, "RunnerAdaptive"), false, 6, "FAIL BenchmarkRunnerAdaptive/adaptive"},
-		{"N=32 legs missing", dropLines(today, "N=32/"), false, 4, "FAIL BenchmarkBatchedForward/N=32/*"},
-		{"custom unit column missing", strings.ReplaceAll(today, "ns/job", "ns/request"), false, 6, "lacks ns/job"},
+		{"asm leg without its panel leg", dropLines(today, "panel/n=1024"), false, 8, "FAIL BenchmarkSgemmCrossover/asm/n=1024 over BenchmarkSgemmCrossover/panel/n=1024"},
+		{"asm leg without its avx2 leg", dropLines(today, "avx2/n=1024"), false, 8, "FAIL BenchmarkSgemmCrossover/asm/n=1024 over BenchmarkSgemmCrossover/avx2/n=1024"},
+		{"N=8/densetail missing", dropLines(today, "N=8/densetail"), false, 8, "FAIL BenchmarkBatchedForward/N=8/densetail"},
+		{"RunnerAdaptive did not run", dropLines(today, "RunnerAdaptive"), false, 8, "FAIL BenchmarkRunnerAdaptive/adaptive"},
+		{"N=32 legs missing", dropLines(today, "N=32/"), false, 6, "FAIL BenchmarkBatchedForward/N=32/*"},
+		{"custom unit column missing", strings.ReplaceAll(today, "ns/job", "ns/request"), false, 8, "lacks ns/job"},
 	}
 	for _, c := range cases {
 		_, rows := parseBench(c.out)

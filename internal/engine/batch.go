@@ -92,21 +92,18 @@ func UnpackBatch(t *tensor.Tensor, n int) ([]*tensor.Tensor, error) {
 	return out, nil
 }
 
-// ArgmaxBatch returns the per-image argmax of a packed batch-n vector
-// — the same ascending scan with strict > as Argmax, per image.
-func ArgmaxBatch(t *tensor.Tensor, n int) []int {
-	f := len(t.Data) / n
-	classes := make([]int, n)
-	for b := range classes {
-		best, bestV := 0, float32(math.Inf(-1))
-		for i := 0; i < f; i++ {
-			if v := t.Data[i*n+b]; v > bestV {
-				best, bestV = i, v
-			}
+// ArgmaxBatch returns the argmax of image b of a packed batch-n vector
+// — the same ascending scan with strict > as Argmax. It returns one
+// class, not a slice of n, so reading a group's classes allocates
+// nothing.
+func ArgmaxBatch(t *tensor.Tensor, n, b int) int {
+	best, bestV := 0, float32(math.Inf(-1))
+	for i := b; i < len(t.Data); i += n {
+		if v := t.Data[i]; v > bestV {
+			best, bestV = i/n, v
 		}
-		classes[b] = best
 	}
-	return classes
+	return best
 }
 
 // batchTileElems caps the im2col scratch of one image group so the

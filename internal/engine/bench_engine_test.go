@@ -170,6 +170,8 @@ func benchQuantModel(b *testing.B, g *dag.Graph) {
 // the asmKC-panelled sweep, 0.19–0.24, fails). convspan is conv1/pool
 // to conv5/pool, what such a server runs for one job at a time because
 // companions buy it ≈ 1.1–1.3x (N=8 against N=1; reported, not gated).
+// Its N=1 leg is conv GEMMs alone: ≈ 18–24 ms on the AVX-512 tile,
+// ≈ 23–32 on the AVX2 one, on the 2-vCPU reference host.
 // Both run at one engine worker, which is what a server's pool worker
 // has: with two, the N=1 matrix-vector product splits across the cores
 // while a group of 8 is too narrow for the tile's column split, and the
@@ -357,6 +359,54 @@ func TestForwardSteadyStateAllocsPools(t *testing.T) {
 	}
 	m := Load(g, 1)
 	checkSteadyStateAllocs(t, m, randInput(tensor.NewCHW(8, 32, 32), 3), 4<<10, 6)
+}
+
+// TestTailPassAllocs pins what a default server's tail group costs the
+// heap: AlexNet's conv5/pool boundary of eight jobs through fc6–fc8 in
+// one ExecuteBatch, the classes read, the sink recycled — the pass a
+// server makes for every group, so anything it allocates is paid
+// again each time groups get smaller and more frequent. It read 5 at
+// n = 8 while ArgmaxBatch made a result slice and the Shape{·} that
+// flatten and each of the three dense layers hand to Arena.Get went to
+// the heap (Shape.Elems boxed it for a panic message); it reads 0.
+func TestTailPassAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads AlexNet")
+	}
+	if raceEnabled {
+		t.Skip("alloc counts are nondeterministic under -race (sync.Pool randomly drops Puts)")
+	}
+	g := models.MustBuild("alexnet")
+	m := Load(g, 1)
+	cut, _ := g.NodeByName("conv5/pool")
+	done := g.Ancestors(cut.ID)
+	var tail []int
+	for _, id := range g.Topo() {
+		if !done[id] {
+			tail = append(tail, id)
+		}
+	}
+	const n = 8
+	seed := tensor.New(batchShape(cut.OutShape, n))
+	copy(seed.Data, randInput(seed.Shape, 4).Data)
+	acts := map[int]*tensor.Tensor{}
+	pass := func() {
+		acts[cut.ID] = seed
+		if err := m.ExecuteBatch(acts, n, nil, tail); err != nil {
+			t.Fatal(err)
+		}
+		out := acts[g.Sink()]
+		for b := 0; b < n; b++ {
+			_ = ArgmaxBatch(out, n, b)
+		}
+		out.Recycle()
+		clear(acts)
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	pass() // warm the arena at this batch size
+	if got := testing.AllocsPerRun(5, pass); got > 1 {
+		t.Errorf("a warm tail pass at n = %d does %.1f allocs, want <= 1", n, got)
+	}
 }
 
 // checkSteadyStateAllocs warms the model's arena on input, then

@@ -10,8 +10,10 @@ import "sync"
 //
 // The loop nest is jp → kp → i0 → j0: columns of B in asmNC-wide
 // blocks, K in asmKC-deep panels (as deep as the pack buffer holds when
-// the columns are one strip, see sgemmAsmCols), then every asmMR-row
-// strip of A sweeps the block's asmNR-column strips. Only B is repacked:
+// the columns are one strip, see sgemmAsmCols), then every strip of A —
+// as many rows as the live tile has (asmTileRows: 12 for the AVX-512
+// tile, 6 for the AVX2 one, asmMR at most) — sweeps the block's
+// asmNR-column strips. Only B is repacked:
 //
 //	bPacker:  columns in strips of asmNR — b[kk][j0+c] at
 //	          strip[kk*asmNR + c], zero-padded to full width.
@@ -21,9 +23,9 @@ import "sync"
 // lda and broadcasts a[r*lda+kk] itself, so no copy of any weight is
 // made per call (re-laying them out k-major cost ∝ m·k against
 // arithmetic ∝ m·k·n, 38–43 % of a MobileNet 7×7 pointwise GEMM). Only
-// the last partial strip (m mod asmMR rows) is copied, into a zeroed
-// stack scratch (asmSweepRagged), so the tile never reads a row that
-// does not exist.
+// the last partial strip (m mod the strip height rows) is copied, into
+// a zeroed stack scratch (asmSweepRagged), so the tile never reads a
+// row that does not exist.
 // Before each strip the driver takes the Go slice spanning everything
 // the tile will dereference — a bad shape panics instead of reading
 // wild memory. (The NEON tile still streams a packed strip; its arch
@@ -90,6 +92,12 @@ func putPackB(b []float32) {
 // off this: bit-exact when false, tolerance-bounded when true.
 func asmEnabled() bool { return asmSgemmOK }
 
+// asmAVX512OK reports whether sgemmAsm runs the AVX-512 12x16 tile
+// rather than the AVX2 6x16 one (probed at init on amd64, beside
+// asmSgemmOK; false on every other build). The two are bit-identical;
+// it is a variable so the tests can pin the AVX2 tile and compare.
+var asmAVX512OK bool
+
 // useAsm is the GEMM routing rule, shared by sgemmAcc and the fused
 // conv paths: the assembly driver runs when the CPU has it and the
 // shape is one the tile can fill (kernelGEMM, the engine's own choice)
@@ -105,7 +113,12 @@ func useAsm(kern kernelPath, m, k, n int) bool {
 // tile ahead of the panel loop at every swept width, 2.7x at n=16 to
 // ~9x at n=1024, and a shallow sweep holds the win down to a single
 // 6x16 tile at k=16 (6.2 vs 3.0 MAC/ns), so no working-set threshold
-// sits on top of the structural floor. The column floor is 2, not one
+// sits on top of the structural floor. The row floor is the tallest
+// strip, asmMR (12 on amd64 whichever tile the CPU has, so the route
+// does not depend on the host): below it every row would go through
+// the ragged strip's scratch copy, and no zoo layer is that narrow
+// (the fewest output channels of any conv or dense layer is 16). The
+// column floor is 2, not one
 // full asmNR strip: since the tile reads A in place a narrow GEMM costs
 // one sweep of the weights whatever n ≤ asmNR is, while the panel loop
 // re-reads them per column pair — the 1000×1280 dense head takes ≈ 0.48–
@@ -314,7 +327,8 @@ func sgemmAsmParallel(m, k, n, lda, ldc int, a []float32, pk bPacker, c []float3
 func sgemmAsmCols(m, k, nLo, nHi, lda, ldc int, a []float32, pk bPacker, c []float32) {
 	pB := getPackB()
 	var packed [asmStripScratch]float32 // asmStripA's, where the tile wants one
-	mFull := m - m%asmMR
+	mr := asmTileRows()
+	mFull := m - m%mr
 	kcMax := asmKC
 	if nHi-nLo <= asmNR && asmStripScratch == 0 {
 		kcMax = len(pB) / asmNR
@@ -324,55 +338,55 @@ func sgemmAsmCols(m, k, nLo, nHi, lda, ldc int, a []float32, pk bPacker, c []flo
 		for kp := 0; kp < k; kp += kcMax {
 			kc := min(kcMax, k-kp)
 			pk.pack(kp, kc, jp, nc, pB)
-			for i0 := 0; i0 < mFull; i0 += asmMR {
+			for i0 := 0; i0 < mFull; i0 += mr {
 				// Everything the tile dereferences of A, as one
-				// bounds-checked slice: asmMR rows of kc floats.
-				sa := a[i0*lda+kp : (i0+asmMR-1)*lda+kp+kc]
-				asmSweepStrip(kc, kc, asmMR, nc, sa, lda, packed[:], pB, c, i0*ldc+jp, ldc)
+				// bounds-checked slice: mr rows of kc floats.
+				sa := a[i0*lda+kp : (i0+mr-1)*lda+kp+kc]
+				asmSweepStrip(kc, kc, mr, mr, nc, sa, lda, packed[:], pB, c, i0*ldc+jp, ldc)
 			}
 			if mFull < m {
-				asmSweepRagged(kc, m-mFull, nc, a[mFull*lda+kp:], lda, packed[:], pB, c, mFull*ldc+jp, ldc)
+				asmSweepRagged(kc, mr, m-mFull, nc, a[mFull*lda+kp:], lda, packed[:], pB, c, mFull*ldc+jp, ldc)
 			}
 		}
 	}
 	putPackB(pB)
 }
 
-// asmSweepRagged runs the last m mod asmMR rows of A (rr of them, lda
+// asmSweepRagged runs the last m mod mr rows of A (rr of them, lda
 // apart, kb floats each) against a packed block kb deep, asmKC steps at
 // a time through a zeroed asmMR x asmKC scratch swept with lda = asmKC,
 // so the tile never reads a row that does not exist. The scratch lives
 // in this frame, not the driver's: only a ragged m pays for zeroing it,
 // once per K panel.
-func asmSweepRagged(kb, rr, nc int, a []float32, lda int, packed, pB, c []float32, cBase, ldc int) {
+func asmSweepRagged(kb, mr, rr, nc int, a []float32, lda int, packed, pB, c []float32, cBase, ldc int) {
 	var edge [asmMR * asmKC]float32
 	for kp := 0; kp < kb; kp += asmKC {
 		kc := min(asmKC, kb-kp)
 		for r := 0; r < rr; r++ {
 			copy(edge[r*asmKC:r*asmKC+kc], a[r*lda+kp:r*lda+kp+kc])
 		}
-		asmSweepStrip(kb, kc, rr, nc, edge[:], asmKC, packed, pB[kp*asmNR:], c, cBase, ldc)
+		asmSweepStrip(kb, kc, mr, rr, nc, edge[:], asmKC, packed, pB[kp*asmNR:], c, cBase, ldc)
 	}
 }
 
-// asmSweepStrip accumulates kc steps of one strip of A (asmMR rows, lda
+// asmSweepStrip accumulates kc steps of one strip of A (mr rows, lda
 // apart, rr of them live) against every asmNR-column strip of the
 // packed block pB (nc columns, kb deep) into the rows of C starting at
 // c[cBase].
-func asmSweepStrip(kb, kc, rr, nc int, sa []float32, lda int, packed, pB, c []float32, cBase, ldc int) {
+func asmSweepStrip(kb, kc, mr, rr, nc int, sa []float32, lda int, packed, pB, c []float32, cBase, ldc int) {
 	var tmp [asmMR * asmNR]float32
 	sa, lda = asmStripA(kc, sa, lda, packed)
 	for j0 := 0; j0 < nc; j0 += asmNR {
 		cc := min(asmNR, nc-j0)
-		if rr == asmMR && cc == asmNR {
-			asmSgemmTile(kc, sa, lda, pB[j0*kb:], c, cBase+j0, ldc)
+		if rr == mr && cc == asmNR {
+			asmSgemmTile(kc, mr, sa, lda, pB[j0*kb:], c, cBase+j0, ldc)
 			continue
 		}
 		// Edge tile through the scratch patch.
 		for r := 0; r < rr; r++ {
 			copy(tmp[r*asmNR:r*asmNR+cc], c[cBase+j0+r*ldc:])
 		}
-		asmSgemmTile(kc, sa, lda, pB[j0*kb:], tmp[:], 0, asmNR)
+		asmSgemmTile(kc, mr, sa, lda, pB[j0*kb:], tmp[:], 0, asmNR)
 		for r := 0; r < rr; r++ {
 			copy(c[cBase+j0+r*ldc:cBase+j0+r*ldc+cc], tmp[r*asmNR:r*asmNR+cc])
 		}

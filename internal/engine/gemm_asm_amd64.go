@@ -10,24 +10,30 @@ import "os"
 // XGETBV. Without them (or under the noasm build tag, or with
 // DNNJPS_NOASM set) the engine behaves exactly as before this kernel
 // existed: every GEMM takes the streaming panel loop, bit-identical to
-// the pre-asm build.
+// the pre-asm build. Where the CPU and OS also have AVX-512, the
+// float32 GEMM runs the 12x16 tile of gemm_avx512_amd64.s instead of
+// the 6x16 one: the same FMA sequence per C element, twice the vector
+// width, so outputs do not depend on which of the two ran.
 
 const (
-	// asmMR x asmNR is the assembly register tile: 6 rows x 16
-	// columns keeps 12 YMM accumulators live with Y0..Y3 left for the
-	// B row halves and A broadcasts.
-	asmMR = 6
+	// asmMR x asmNR is the largest register tile: 12 rows x 16 columns,
+	// the AVX-512 tile's twelve ZMM accumulators, one per row. The AVX2
+	// tile is 6 x 16 (twelve YMM accumulators, rows x two 8-lane
+	// halves); asmTileRows says which one sgemmAsm sweeps with.
+	// preferAsm's row guard is asmMR on every amd64 host, so a shape
+	// takes the same path, asm or panel, whichever tile the CPU has.
+	asmMR = 12
 	asmNR = 16
 
 	// Cache blocking for the asm driver. Wider than one strip, a packed
 	// B strip (asmKC x asmNR x 4 B = 16 KiB) stays L1-resident against
-	// the six A rows the tile reads in place; the packed B block (asmKC
+	// the twelve A rows the tile reads in place; the packed B block (asmKC
 	// x asmNC x 4 B = 1 MiB) lives in L2/L3. One strip alone fills that
 	// buffer up to 16 384 deep (576 KiB at fc6's 9 216, in L2).
 	asmKC = 256
 	asmNC = 1024 // multiple of asmNR
 
-	// The AVX2 tile reads A where Load put it: the driver needs no
+	// Both amd64 tiles read A where Load put it: sgemmAsm needs no
 	// packed-strip scratch (see asmStripA).
 	asmStripScratch = 0
 
@@ -48,6 +54,17 @@ func init() {
 	}
 	ok := cpuHasAVX2FMA()
 	asmSgemmOK, asmQgemmOK, asmQuantOK, asmVecOK = ok, ok, ok, ok
+	asmAVX512OK = ok && cpuHasAVX512()
+}
+
+// cpuHasAVX512 probes, on a host cpuHasAVX2FMA accepted (so leaf 7 and
+// XGETBV exist), CPUID leaf 7 for AVX512F (EBX bit 16) and XCR0 for
+// OS-saved XMM, YMM, opmask and both halves of the ZMM state (bits 1,
+// 2, 5, 6 and 7).
+func cpuHasAVX512() bool {
+	lo, _ := xgetbvAsm()
+	_, b7, _, _ := cpuidAsm(7, 0)
+	return lo&0xE6 == 0xE6 && b7&(1<<16) != 0
 }
 
 // cpuHasAVX2FMA probes CPUID leaf 1 (FMA, AVX, OSXSAVE), XGETBV
@@ -79,6 +96,9 @@ func xgetbvAsm() (eax, edx uint32)
 func sgemmTile6x16(kc int, a *float32, lda int, pb, c *float32, ldc int)
 
 //go:noescape
+func sgemmTile12x16(kc int, a *float32, lda int, pb, c *float32, ldc int)
+
+//go:noescape
 func qgemmTile4x16(kp2 int, pa, pb *int16, c *int32, ldc int)
 
 //go:noescape
@@ -100,16 +120,32 @@ func spanAddAsm(dst, src *float32, n int)
 func dwconv3x3Asm(dst, src, w *float32, bias float32, outH, outW, pitch, stride int)
 
 // asmStripA is the driver's per-strip hook: it returns what the tile
-// reads for one asmMR-row strip of A. The AVX2 tile broadcasts straight
+// reads for one strip of A. Both amd64 tiles broadcast straight
 // from the row-major rows, so the strip is the rows themselves.
 func asmStripA(kc int, a []float32, lda int, _ []float32) ([]float32, int) {
 	return a, lda
 }
 
-// asmSgemmTile runs the arch tile over kc steps of the strip sa (rows
+// asmTileRows is the strip height of the live tile, which sgemmAsm
+// sweeps A in: 12 rows with AVX-512, else 6. (Two 6x16 calls per
+// 12-row strip read 2–5 % behind 6-row strips on the AVX2 tile in
+// ten alternating runs — a ragged strip of ≤ 6 rows paid a second call
+// on zero rows; in 6-row strips it reads level.)
+func asmTileRows() int {
+	if asmAVX512OK {
+		return 12
+	}
+	return 6
+}
+
+// asmSgemmTile runs the mr-row tile over kc steps of the strip sa (rows
 // lda apart, as asmStripA returned it) and the packed B strip pb,
 // against the C tile at c[off] with row stride ldc.
-func asmSgemmTile(kc int, sa []float32, lda int, pb, c []float32, off, ldc int) {
+func asmSgemmTile(kc, mr int, sa []float32, lda int, pb, c []float32, off, ldc int) {
+	if mr == 12 {
+		sgemmTile12x16(kc, &sa[0], lda, &pb[0], &c[off], ldc)
+		return
+	}
 	sgemmTile6x16(kc, &sa[0], lda, &pb[0], &c[off], ldc)
 }
 

@@ -63,9 +63,12 @@ func asmStripA(kc int, a []float32, lda int, scratch []float32) ([]float32, int)
 	return scratch, asmMR
 }
 
+// asmTileRows is the strip height sgemmAsm sweeps A in: the one tile's.
+func asmTileRows() int { return asmMR }
+
 // asmSgemmTile runs the tile on the packed strips pa (from asmStripA;
 // its stride is fixed by the layout) and pb.
-func asmSgemmTile(kc int, pa []float32, _ int, pb, c []float32, off, ldc int) {
+func asmSgemmTile(kc, _ int, pa []float32, _ int, pb, c []float32, off, ldc int) {
 	sgemmTile8x8(kc, &pa[0], &pb[0], &c[off], ldc)
 }
 

@@ -30,7 +30,9 @@ func asmStripA(kc int, a []float32, lda int, _ []float32) ([]float32, int) {
 	panic("engine: assembly kernels disabled in this build")
 }
 
-func asmSgemmTile(kc int, sa []float32, lda int, pb, c []float32, off, ldc int) {
+func asmTileRows() int { return asmMR }
+
+func asmSgemmTile(kc, mr int, sa []float32, lda int, pb, c []float32, off, ldc int) {
 	panic("engine: assembly kernels disabled in this build")
 }
 

@@ -9,7 +9,10 @@ import (
 // GEMM, panel loop against the packed asm driver; the auto policy
 // (preferAsm has no threshold past the tile guard) rests on its
 // output. The asm legs run only where the assembly path is live, so
-// ratios within one run compare like with like.
+// ratios within one run compare like with like. Where sgemmAsm runs
+// the AVX-512 tile, the avx2 legs run it again pinned to the 6x16 tile
+// of an AVX2-only host: asm over avx2 is what the wider tile buys, and
+// a ratio near 1 means it is not running.
 func BenchmarkSgemmCrossover(b *testing.B) {
 	const m, k = 256, 1152
 	a := make([]float32, m*k)
@@ -29,13 +32,17 @@ func BenchmarkSgemmCrossover(b *testing.B) {
 			}
 			b.ReportMetric(macs*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "MAC/ns")
 		})
+		asm := func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sgemmAsm(m, k, n, k, n, a, bPacker{b: bb, ldb: n}, c, 1)
+			}
+			b.ReportMetric(macs*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "MAC/ns")
+		}
 		if asmEnabled() {
-			b.Run(fmt.Sprintf("asm/n=%d", n), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					sgemmAsm(m, k, n, k, n, a, bPacker{b: bb, ldb: n}, c, 1)
-				}
-				b.ReportMetric(macs*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "MAC/ns")
-			})
+			b.Run(fmt.Sprintf("asm/n=%d", n), asm)
+		}
+		if asmAVX512OK {
+			b.Run(fmt.Sprintf("avx2/n=%d", n), func(b *testing.B) { onAVX2Tile(func() { asm(b) }) })
 		}
 	}
 }

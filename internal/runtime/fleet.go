@@ -587,10 +587,9 @@ func (fs *fleetScheduler) pass(jobs []pendingJob, grouped bool) {
 			fs.run(task{jobs: jobs})
 		}
 	default:
-		classes := engine.ArgmaxBatch(out, n)
 		end := time.Now()
 		for i, pj := range jobs {
-			fs.answer(pj, int32(classes[i]), 0, end)
+			fs.answer(pj, int32(engine.ArgmaxBatch(out, n, i)), 0, end)
 		}
 		// The jobs are done with and out has been read: what the pass was
 		// fed and what it made go back to the arenas they came from — the

@@ -70,12 +70,17 @@ func (s Shape) Elems() int {
 	n := 1
 	for _, d := range s {
 		if d < 0 {
-			panic(fmt.Sprintf("tensor: negative dimension in shape %v", []int(s)))
+			panic(fmt.Sprintf("tensor: negative dimension in shape %v", s.dims()))
 		}
 		n *= d
 	}
 	return n
 }
+
+// dims is a copy of s for a panic message. Boxing s itself would let
+// every shape the caller passes escape: a Shape{n} literal handed to
+// Arena.Get would cost a heap allocation on every call.
+func (s Shape) dims() []int { return append([]int(nil), s...) }
 
 // Bytes returns the serialized payload size of the tensor in bytes.
 func (s Shape) Bytes(d DType) int { return s.Elems() * d.Size() }
@@ -89,7 +94,7 @@ func (s Shape) W() int { s.mustCHW(); return s[2] }
 
 func (s Shape) mustCHW() {
 	if len(s) != 3 {
-		panic(fmt.Sprintf("tensor: shape %v is not CHW", []int(s)))
+		panic(fmt.Sprintf("tensor: shape %v is not CHW", s.dims()))
 	}
 }
 

@@ -89,7 +89,9 @@ echo "== benchmark module (vet + test; read-only)"
 
 echo "== go test -race (engine, flowshop)"
 # On AVX2 hosts this leg drives the assembly kernels too: the parity
-# tests pin kernelAsm at workers>1, racing the packed-panel fan-out.
+# tests pin kernelAsm at workers>1, racing the packed-panel fan-out. On
+# AVX-512 hosts TestSgemmTilesBitIdentical flips the tile between
+# whole GEMMs and forwards here as well (at workers 1 to 3).
 go test -race ./internal/engine/... ./internal/flowshop/...
 
 echo "== go test -race -count=2 (runtime pipeline)"
