@@ -2,7 +2,8 @@
 // named model with a deterministic seed (clients must use the same
 // seed so both sides hold identical weights) and serves partitioned
 // inference requests over TCP. The engine picks its kernels itself, per
-// GEMM shape; no flag selects one.
+// GEMM shape; no flag selects one. -conc is the one core budget: -conc
+// concurrent passes (default GOMAXPROCS), each GOMAXPROCS/-conc wide.
 //
 // Usage:
 //
@@ -68,6 +69,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	goruntime "runtime"
 	"strconv"
 	"strings"
 	"syscall"
@@ -81,11 +83,10 @@ import (
 
 func main() {
 	var (
-		model   = flag.String("model", "alexnet", "model name: "+fmt.Sprint(models.Names()))
-		addr    = flag.String("addr", "127.0.0.1:7443", "listen address")
-		seed    = flag.Int64("seed", 42, "weight seed (must match the client)")
-		workers = flag.Int("workers", 0, "engine worker goroutines per layer; 0 = GOMAXPROCS")
-		conc    = flag.Int("conc", 0, "concurrent inferences server-wide (the one worker pool every connection shares); 0 = GOMAXPROCS. Multiplies with -workers, so size the product to the core count")
+		model = flag.String("model", "alexnet", "model name: "+fmt.Sprint(models.Names()))
+		addr  = flag.String("addr", "127.0.0.1:7443", "listen address")
+		seed  = flag.Int64("seed", 42, "weight seed (must match the client)")
+		conc  = flag.Int("conc", 0, "the server's one core budget: concurrent inferences server-wide (the one worker pool every connection shares), each pass GOMAXPROCS/conc goroutines wide (at least 1); 0 = GOMAXPROCS")
 
 		downMbps = flag.Float64("downlink-mbps", 0, "pace replies at this modeled downlink bandwidth (0 = unshaped)")
 
@@ -106,13 +107,9 @@ func main() {
 		traceOut    = flag.String("trace-out", "", "write the span buffer as Chrome trace JSON to this file on graceful shutdown (requires -metrics-addr; empty = skip)")
 	)
 	flag.Parse()
-	weights, err := parseTenants(*tenants)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "jpsserve:", err)
-		os.Exit(2)
-	}
-	degrade, err := parseDegrade(*faultDegrade)
-	if err != nil {
+	weights, terr := parseTenants(*tenants)
+	degrade, derr := parseDegrade(*faultDegrade)
+	if err := errors.Join(terr, derr); err != nil {
 		fmt.Fprintln(os.Stderr, "jpsserve:", err)
 		os.Exit(2)
 	}
@@ -124,7 +121,7 @@ func main() {
 		Degrade:              degrade,
 	}
 	cfg := serveConfig{
-		model: *model, addr: *addr, seed: *seed, workers: *workers, conc: *conc,
+		model: *model, addr: *addr, seed: *seed, conc: *conc,
 		downMbps: *downMbps, tenants: weights, shedWatermark: *shedMark,
 		nextHop: *nextHop, nextCut: *nextCut,
 		spec: spec, faultSeed: *faultSeed,
@@ -139,18 +136,35 @@ func main() {
 	}
 }
 
-// usageError is a flag combination run refuses before it loads or
-// listens; main exits 2 on it, as on a flag that does not parse.
+// usageError is a flag combination or value run refuses before it
+// loads or listens; main exits 2 on it, as on a flag that does not parse.
 type usageError struct{ error }
 
-// flagConflict names the flags that cannot be combined as given; run
-// turns it into a usageError before anything is loaded.
+// flagConflict names the flags that cannot be combined as given, or a
+// number out of its range (NaN included); run turns it into a
+// usageError before anything is loaded.
 func flagConflict(cfg serveConfig) error {
-	switch {
+	nonNeg := func(v float64) bool { return v >= 0 && v <= math.MaxFloat64 } // false on NaN and +Inf
+	prob := func(p float64) bool { return p >= 0 && p <= 1 }
+	switch sp := cfg.spec; {
 	case cfg.nextHop == "" && cfg.nextCut != 0:
 		return fmt.Errorf("-next-cut requires -next-hop")
 	case cfg.traceOut != "" && cfg.metricsAddr == "":
 		return fmt.Errorf("-trace-out requires -metrics-addr: the span buffer it exports exists only with the metrics listener")
+	case cfg.conc < 0:
+		return fmt.Errorf("-conc %d: want 0 (GOMAXPROCS) or more", cfg.conc)
+	case cfg.shedWatermark < 0:
+		return fmt.Errorf("-shed-watermark %d: want 0 (disabled) or more", cfg.shedWatermark)
+	case !nonNeg(cfg.downMbps):
+		return fmt.Errorf("-downlink-mbps %g: want a finite rate, 0 or more", cfg.downMbps)
+	case !prob(sp.DropProb):
+		return fmt.Errorf("-fault-drop %g: want a probability in [0, 1]", sp.DropProb)
+	case !prob(sp.StallProb):
+		return fmt.Errorf("-fault-stall-p %g: want a probability in [0, 1]", sp.StallProb)
+	case !nonNeg(sp.StallMs):
+		return fmt.Errorf("-fault-stall-ms %g: want a finite duration, 0 or more", sp.StallMs)
+	case sp.DisconnectAfterBytes < 0:
+		return fmt.Errorf("-fault-disc-bytes %d: want 0 (never) or more", sp.DisconnectAfterBytes)
 	}
 	return nil
 }
@@ -237,11 +251,20 @@ func obsMux(tr *obs.Tracer, m *obs.Metrics) *http.ServeMux {
 	return mux
 }
 
+// coreBudget splits procs cores by -conc: pool concurrent passes (conc,
+// or procs for 0), each width goroutines wide.
+func coreBudget(conc, procs int) (pool, width int) {
+	if conc == 0 {
+		conc = procs
+	}
+	return conc, max(1, procs/conc)
+}
+
 type serveConfig struct {
 	model         string
 	addr          string
 	seed          int64
-	workers, conc int
+	conc          int
 	downMbps      float64
 	tenants       map[string]float64
 	shedWatermark int
@@ -262,9 +285,10 @@ func run(cfg serveConfig) error {
 		return err
 	}
 	fmt.Printf("loading %s (seed %d)...\n", cfg.model, cfg.seed)
-	// The cloud side uses all cores: the paper's server is the fast
-	// machine, and the GEMM kernels scale over row panels.
-	m := engine.Load(g, cfg.seed).Parallel(cfg.workers)
+	// The paper's server is the fast machine: all cores, -conc passes at a
+	// time. A wider pass splits asm GEMM columns, n / (2·asmNR) ways at most.
+	pool, width := coreBudget(cfg.conc, goruntime.GOMAXPROCS(0))
+	m := engine.Load(g, cfg.seed).Parallel(width)
 	lis, err := net.Listen("tcp", cfg.addr)
 	if err != nil {
 		return err
@@ -272,10 +296,7 @@ func run(cfg serveConfig) error {
 	// Whichever way run returns, the port is free again; the shutdown
 	// path below closes it earlier, before the drain.
 	defer lis.Close()
-	srv := runtime.NewServer(m)
-	if cfg.conc > 0 {
-		srv.WithWorkers(cfg.conc)
-	}
+	srv := runtime.NewServer(m).WithWorkers(pool)
 	if len(cfg.tenants) > 0 {
 		fmt.Printf("tenant weights: %v\n", cfg.tenants)
 		srv.WithTenants(cfg.tenants)

@@ -3,6 +3,7 @@ package main
 import (
 	"errors"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -54,6 +55,26 @@ func TestFlagConflict(t *testing.T) {
 		// -trace-out alone used to be accepted and ignored: no tracer is
 		// built without -metrics-addr, so no file was ever written.
 		{serveConfig{traceOut: "t.json"}, []string{"-trace-out", "-metrics-addr"}},
+		// Out-of-range numbers used to mean something else silently: a
+		// negative -conc was GOMAXPROCS, a negative watermark or rate
+		// switched shedding or shaping off, and a NaN probability never
+		// fired.
+		{serveConfig{conc: 16, shedWatermark: 64, downMbps: 8,
+			spec: netsim.FaultSpec{DropProb: 1, StallProb: 0.5, StallMs: 50, DisconnectAfterBytes: 1}}, nil},
+		{serveConfig{conc: -2}, []string{"-conc"}},
+		{serveConfig{shedWatermark: -5}, []string{"-shed-watermark"}},
+		{serveConfig{downMbps: -1}, []string{"-downlink-mbps"}},
+		{serveConfig{downMbps: math.NaN()}, []string{"-downlink-mbps"}},
+		{serveConfig{downMbps: math.Inf(1)}, []string{"-downlink-mbps"}},
+		{serveConfig{spec: netsim.FaultSpec{DropProb: math.NaN()}}, []string{"-fault-drop"}},
+		{serveConfig{spec: netsim.FaultSpec{DropProb: 1.5}}, []string{"-fault-drop"}},
+		{serveConfig{spec: netsim.FaultSpec{DropProb: -0.1}}, []string{"-fault-drop"}},
+		{serveConfig{spec: netsim.FaultSpec{StallProb: math.NaN()}}, []string{"-fault-stall-p"}},
+		{serveConfig{spec: netsim.FaultSpec{StallProb: 2}}, []string{"-fault-stall-p"}},
+		{serveConfig{spec: netsim.FaultSpec{StallMs: -1}}, []string{"-fault-stall-ms"}},
+		{serveConfig{spec: netsim.FaultSpec{StallMs: math.NaN()}}, []string{"-fault-stall-ms"}},
+		{serveConfig{spec: netsim.FaultSpec{StallMs: math.Inf(1)}}, []string{"-fault-stall-ms"}},
+		{serveConfig{spec: netsim.FaultSpec{DisconnectAfterBytes: -1}}, []string{"-fault-disc-bytes"}},
 	} {
 		err := flagConflict(c.cfg)
 		if len(c.names) == 0 {
@@ -66,6 +87,22 @@ func TestFlagConflict(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), name) {
 				t.Errorf("%+v: err = %v, want one naming %s", c.cfg, err, name)
 			}
+		}
+	}
+}
+
+// -conc is the one core budget: the pool, and the width of each pass
+// out of GOMAXPROCS.
+func TestCoreBudget(t *testing.T) {
+	for _, c := range []struct{ conc, procs, pool, width int }{
+		{0, 2, 2, 1},
+		{1, 2, 1, 2},
+		{2, 8, 2, 4},
+		{3, 8, 3, 2},
+		{16, 8, 16, 1},
+	} {
+		if pool, width := coreBudget(c.conc, c.procs); pool != c.pool || width != c.width {
+			t.Errorf("coreBudget(%d, %d) = (%d, %d), want (%d, %d)", c.conc, c.procs, pool, width, c.pool, c.width)
 		}
 	}
 }

@@ -39,7 +39,7 @@ type Client struct {
 	w      *bufio.Writer
 	ch     netsim.Channel
 	scale  float64
-	obsv   *Obs                 // optional tracing + metrics; nil disables recording
+	obsv   *Obs                 // tracing + metrics, never nil (see orZero)
 	est    *estimator.Estimator // optional online link estimator; nil disables feeding
 	tenant string               // non-empty: sent as a hello frame before any request
 
@@ -104,6 +104,7 @@ func NewClient(conn net.Conn, m *engine.Model, ch netsim.Channel, timeScale floa
 		w:          bufio.NewWriterSize(shaped, 1<<16),
 		ch:         ch,
 		scale:      timeScale,
+		obsv:       new(Obs),
 		sendQ:      make(chan wireMsg, sendQueueCap),
 		calls:      make(map[uint32]*call),
 		failed:     make(chan struct{}),
@@ -114,9 +115,10 @@ func NewClient(conn net.Conn, m *engine.Model, ch netsim.Channel, timeScale floa
 // WithObs attaches a tracing + metrics bundle. Must be called before
 // the client's first remote use; returns c for chaining. The client
 // records per-job spans (local-compute, queue-wait, serialize, upload,
-// reply-wait) and the uplink/job metrics documented on Obs.
+// reply-wait) and the uplink/job metrics documented on Obs; nil
+// detaches them.
 func (c *Client) WithObs(o *Obs) *Client {
-	c.obsv = o
+	c.obsv = orZero(o)
 	return c
 }
 
@@ -330,11 +332,9 @@ func (c *Client) deliver(rep inferReply) error {
 		sentEnd = now // the reply overtook the writer's stamp
 	}
 	c.obsv.span(TrackCloud, SpanReplyWait, int(rep.JobID), sentEnd, now)
-	if o := c.obsv; o != nil {
-		o.JobsCompleted.Inc()
-		o.BytesDown.Add(replyWireBytes)
-		o.ReplyLatency.Observe(float64(total.Nanoseconds()) / 1e6)
-	}
+	c.obsv.JobsCompleted.Inc()
+	c.obsv.BytesDown.Add(replyWireBytes)
+	c.obsv.ReplyLatency.Observe(float64(total.Nanoseconds()) / 1e6)
 	cl.ok = true
 	close(cl.done)
 	return nil
@@ -455,21 +455,20 @@ func (c *Client) noteUpload(bytes int, wall time.Duration) {
 	if bytes >= estMinSampleBytes {
 		_, fired = c.est.AddUpload(bytes, measuredMs)
 	}
-	if o := c.obsv; o != nil {
-		o.BytesUp.Add(int64(bytes))
-		if measuredMs > 0 {
-			// Channel-scale throughput of this upload in Mb/s.
-			o.LinkMbps.Set(float64(bytes) * 8 / (measuredMs * 1000))
-		}
-		if est, n := c.est.Mbps(); n > 0 {
-			o.EstMbps.Set(est)
-		}
-		if fired {
-			o.ChangePoints.Inc()
-			o.event(TrackUplink, EventChangePoint, -1, time.Now())
-		}
-		o.ConnBytes.Set(float64(c.conn.BytesWritten()))
+	o := c.obsv
+	o.BytesUp.Add(int64(bytes))
+	if measuredMs > 0 {
+		// Channel-scale throughput of this upload in Mb/s.
+		o.LinkMbps.Set(float64(bytes) * 8 / (measuredMs * 1000))
 	}
+	if est, n := c.est.Mbps(); n > 0 {
+		o.EstMbps.Set(est)
+	}
+	if fired {
+		o.ChangePoints.Inc()
+		o.event(TrackUplink, EventChangePoint, -1, time.Now())
+	}
+	o.ConnBytes.Set(float64(c.conn.BytesWritten()))
 }
 
 // notePressure folds one reply's admission-control flags into the

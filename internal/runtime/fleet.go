@@ -202,14 +202,9 @@ func (fs *fleetScheduler) wake() {
 
 // occupy runs one task inside the pool's busy bracket.
 func (fs *fleetScheduler) occupy(t task) {
-	o := fs.s.obsv
-	if o != nil {
-		o.WorkersBusy.Add(1)
-	}
+	fs.s.obsv.WorkersBusy.Add(1)
 	fs.run(t)
-	if o != nil {
-		o.WorkersBusy.Add(-1)
-	}
+	fs.s.obsv.WorkersBusy.Add(-1)
 }
 
 // shutdown drains the scheduler gracefully: no new admissions, every
@@ -264,9 +259,7 @@ func (fs *fleetScheduler) admit(pj pendingJob) bool {
 	tq.q = append(tq.q, pj)
 	fs.queued++
 	fs.depth.Store(int64(fs.queued))
-	if o := fs.s.obsv; o != nil {
-		o.QueueDepth.Set(float64(fs.queued))
-	}
+	fs.s.obsv.QueueDepth.Set(float64(fs.queued))
 	fs.cond.Signal()
 	fs.mu.Unlock()
 	return true
@@ -276,10 +269,8 @@ func (fs *fleetScheduler) admit(pj pendingJob) bool {
 // Class -1, shed + backpressure flags, no compute.
 func (fs *fleetScheduler) shed(pj pendingJob) {
 	defer pj.conn.pending.Done()
-	if o := fs.s.obsv; o != nil {
-		o.ShedJobs.Inc()
-		o.TenantJobs.With(pj.tenant).Inc()
-	}
+	fs.s.obsv.ShedJobs.Inc()
+	fs.s.obsv.TenantJobs.With(pj.tenant).Inc()
 	rep := inferReply{
 		JobID: pj.jobID(),
 		Class: -1,
@@ -327,9 +318,7 @@ func (fs *fleetScheduler) popLocked() pendingJob {
 	best.pass += wfqStride / best.weight
 	fs.queued--
 	fs.depth.Store(int64(fs.queued))
-	if o := fs.s.obsv; o != nil {
-		o.QueueDepth.Set(float64(fs.queued))
-	}
+	fs.s.obsv.QueueDepth.Set(float64(fs.queued))
 	return pj
 }
 
@@ -537,7 +526,7 @@ func (fs *fleetScheduler) run(t task) {
 		case pj.start.IsZero():
 			pj.start = start
 			o.span(TrackServer, SpanQueueWait, int(pj.jobID()), pj.recv, start)
-		case o != nil:
+		default:
 			o.NextHopFallbacks.Inc()
 		}
 		if err := s.check(pj); err != nil {
@@ -560,7 +549,7 @@ func (fs *fleetScheduler) run(t task) {
 // is then counted by its size, gathered or not.
 func (fs *fleetScheduler) pass(jobs []pendingJob, grouped bool) {
 	s, o, n := fs.s, fs.s.obsv, len(jobs)
-	if grouped && o != nil {
+	if grouped {
 		o.BatchSize.Observe(float64(n))
 		if n > 1 {
 			o.BatchedJobs.Add(int64(n))
@@ -689,12 +678,12 @@ func (fs *fleetScheduler) answer(pj pendingJob, class int32, flags uint8, end ti
 		Flags:   flags | fs.hintFlags(),
 	}
 	o.span(TrackServer, SpanCloudCompute, int(rep.JobID), pj.start, end)
-	if o != nil && rep.Flags&replyFlagBackpressure != 0 {
+	if rep.Flags&replyFlagBackpressure != 0 {
 		o.BackpressureReplies.Inc()
 	}
 	if err := pj.conn.reply(rep); err != nil {
 		pj.conn.fail(err)
-	} else if o != nil {
+	} else {
 		o.TenantJobs.With(pj.tenant).Inc()
 	}
 	pj.conn.pending.Done()

@@ -78,7 +78,7 @@ const (
 type forwardSlot struct {
 	pendingJob
 	fc   *forwardConn // connection the handoff went out on
-	sent time.Time    // handoff flushed (recorded with obs only)
+	sent time.Time    // handoff flushed (recorded with a tracer only)
 }
 
 // forwardConn is one dialed connection to the next hop and its reader.
@@ -173,7 +173,7 @@ func (nh *nextHop) handOff(pj pendingJob) bool {
 		nh.kill(fc)
 		return true
 	}
-	if nh.fs.s.obsv != nil {
+	if nh.fs.s.obsv.Tracer != nil {
 		nh.mu.Lock()
 		// The reply may already have retired the slot, or even refilled it.
 		if sl := &nh.slots[idx]; sl.fc == fc && sl.req == pj.req {
@@ -219,10 +219,8 @@ func (nh *nextHop) park(idx uint32, fc *forwardConn, pj pendingJob) bool {
 		fc.progress = time.Now()
 	}
 	fc.inFlight++
-	if o := nh.fs.s.obsv; o != nil {
-		o.NextHopForwards.Inc()
-		o.NextHopInFlight.Add(1)
-	}
+	nh.fs.s.obsv.NextHopForwards.Inc()
+	nh.fs.s.obsv.NextHopInFlight.Add(1)
 	return true
 }
 
@@ -240,9 +238,7 @@ func (nh *nextHop) retire(fc *forwardConn, id uint32, now time.Time) (forwardSlo
 	nh.free <- id
 	fc.inFlight--
 	fc.progress = now
-	if o := nh.fs.s.obsv; o != nil {
-		o.NextHopInFlight.Add(-1)
-	}
+	nh.fs.s.obsv.NextHopInFlight.Add(-1)
 	return sl, true
 }
 
@@ -259,9 +255,7 @@ func (nh *nextHop) orphans(fc *forwardConn) []pendingJob {
 		}
 	}
 	fc.inFlight = 0
-	if o := nh.fs.s.obsv; o != nil {
-		o.NextHopInFlight.Add(-float64(len(jobs)))
-	}
+	nh.fs.s.obsv.NextHopInFlight.Add(-float64(len(jobs)))
 	return jobs
 }
 

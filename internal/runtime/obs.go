@@ -46,9 +46,11 @@ const (
 // Obs bundles the tracer and every metric the runtime records. Pass
 // one instance to the client, server, and runner that should share a
 // registry (the in-process experiments do; a real deployment gives
-// each process its own). A nil *Obs — and nil fields inside a non-nil
-// one — disable recording at the cost of one branch per site, keeping
-// the wire hot path allocation-free either way.
+// each process its own). A client, server or runner that was given no
+// bundle, or WithObs(nil), holds the zero Obs: every instrument is nil,
+// and a nil instrument records nothing (see internal/obs), so no
+// recording site branches on whether observability is attached and the
+// wire hot path stays allocation-free either way.
 type Obs struct {
 	Tracer *obs.Tracer
 
@@ -135,18 +137,20 @@ func NewObs(tr *obs.Tracer, m *obs.Metrics) *Obs {
 	}
 }
 
-// span records one completed span; safe on a nil *Obs.
-func (o *Obs) span(track, name string, jobID int, start, end time.Time) {
+// orZero is what WithObs stores: o itself, or the zero Obs for nil.
+func orZero(o *Obs) *Obs {
 	if o == nil {
-		return
+		return new(Obs)
 	}
+	return o
+}
+
+// span records one completed span.
+func (o *Obs) span(track, name string, jobID int, start, end time.Time) {
 	o.Tracer.Record(track, name, jobID, start, end)
 }
 
-// event records an instantaneous marker; safe on a nil *Obs.
+// event records an instantaneous marker.
 func (o *Obs) event(track, name string, jobID int, at time.Time) {
-	if o == nil {
-		return
-	}
 	o.Tracer.Event(track, name, jobID, at)
 }

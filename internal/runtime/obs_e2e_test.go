@@ -352,3 +352,98 @@ func TestObsForwardingStage(t *testing.T) {
 		}
 	}
 }
+
+// Without WithObs a component holds the zero Obs, and WithObs(nil) maps
+// to it, even after a real bundle: a terminal server, a forwarding stage
+// in front of it, a client and a runner serve jobs end to end — handoffs
+// at the stage, and a retry after the runner's first connection is cut —
+// with no instrument attached, and the detached bundle records nothing.
+func TestNoObsIsTheZeroObs(t *testing.T) {
+	m := testModel(t)
+	const (
+		n       = 6
+		cut     = 1
+		handoff = 3
+	)
+	tr, reg := obs.NewTracer(0), obs.NewMetrics()
+	for _, tc := range []struct {
+		name  string
+		calls []*Obs // the WithObs calls every component gets, in order
+	}{
+		{"none", nil},
+		{"nil", []*Obs{nil}},
+		{"detached", []*Obs{NewObs(tr, reg), nil}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			withObs := func(with func(*Obs)) {
+				for _, o := range tc.calls {
+					with(o)
+				}
+			}
+			lis, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			term := NewServer(m).WithWorkers(2)
+			withObs(func(o *Obs) { term.WithObs(o) })
+			go func() { _ = term.Serve(lis) }()
+			t.Cleanup(func() {
+				lis.Close()
+				term.Close()
+			})
+			mid := NewServer(m).WithWorkers(2)
+			withObs(func(o *Obs) { mid.WithObs(o) })
+			if _, err := mid.WithNextHop(lis.Addr().String(), handoff); err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(mid.Close)
+
+			cl, _ := attach(t, mid, m)
+			withObs(func(o *Obs) { cl.WithObs(o) })
+			boundaries, want := variedBoundaries(t, m, 0, n, 5)
+			rep, err := cl.RunBoundaryJobs(0, boundaries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkClasses(t, rep, want)
+
+			dials := 0
+			r := NewRunner(func() (net.Conn, error) {
+				cConn, sConn := net.Pipe()
+				go func() { defer sConn.Close(); _ = mid.HandleConn(sConn) }()
+				var up netsim.FaultSpec
+				if dials++; dials == 1 {
+					up.DisconnectAfterBytes = 1 // the first frame cuts the first connection
+				}
+				return netsim.Inject(cConn, up, netsim.FaultSpec{}, int64(dials), 1e-6), nil
+			}, m, netsim.WiFi, 1e-6, RunOptions{MaxReconnects: 3, BackoffBase: time.Millisecond})
+			withObs(func(o *Obs) { r.WithObs(o) })
+			inputs := make([]*tensor.Tensor, n)
+			for i := range inputs {
+				inputs[i] = input(i)
+			}
+			ft, err := r.RunPlan(uniformPlan(n, cut), inputs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkComplete(t, ft, wantClasses(t, m, inputs))
+			if ft.Reconnects == 0 || ft.RetriedJobs == 0 || ft.LocalFallbackJobs != 0 {
+				t.Errorf("reconnects %d, retried jobs %d, local fallbacks %d: want a retry on a second connection and no fallback",
+					ft.Reconnects, ft.RetriedJobs, ft.LocalFallbackJobs)
+			}
+
+			if got := tr.Len(); got != 0 {
+				t.Errorf("detached tracer recorded %d spans", got)
+			}
+			var prom strings.Builder
+			if err := reg.WritePrometheus(&prom); err != nil {
+				t.Fatal(err)
+			}
+			for _, line := range strings.Split(strings.TrimSpace(prom.String()), "\n") {
+				if f := strings.Fields(line); f[0] != "#" && f[len(f)-1] != "0" {
+					t.Errorf("detached registry recorded %q", line)
+				}
+			}
+		})
+	}
+}

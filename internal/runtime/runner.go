@@ -143,7 +143,7 @@ type Runner struct {
 	scale float64
 	opts  RunOptions
 	curve *profile.Curve
-	obsv  *Obs
+	obsv  *Obs // never nil (see orZero)
 }
 
 // NewRunner builds a fault-tolerant runner. dial is invoked for the
@@ -180,6 +180,7 @@ func NewRunner(dial func() (net.Conn, error), m *engine.Model, ch netsim.Channel
 		ch:          ch,
 		scale:       timeScale,
 		opts:        opts,
+		obsv:        new(Obs),
 	}
 }
 
@@ -192,9 +193,10 @@ func (r *Runner) WithCurve(c *profile.Curve) *Runner {
 
 // WithObs attaches a tracing + metrics bundle; the runner records its
 // recovery events (redial, backoff, replan, local-fallback) and passes
-// the bundle on to every client it builds. Returns r for chaining.
+// the bundle on to every client it builds; nil detaches it. Returns r
+// for chaining.
 func (r *Runner) WithObs(o *Obs) *Runner {
-	r.obsv = o
+	r.obsv = orZero(o)
 	return r
 }
 
@@ -265,9 +267,7 @@ func (r *Runner) run(n int, seq []flowshop.Job, inputs []*tensor.Tensor, cutOf f
 	for attempt := 0; countPending(order) > 0 && attempt <= r.opts.MaxReconnects; attempt++ {
 		if attempt > 0 {
 			ft.Reconnects++
-			if o := r.obsv; o != nil {
-				o.Reconnects.Inc()
-			}
+			r.obsv.Reconnects.Inc()
 			jitter := time.Duration(rng.Int63n(int64(backoff/2) + 1))
 			sleepStart := time.Now()
 			time.Sleep(backoff/2 + jitter)
@@ -429,9 +429,7 @@ func (r *Runner) attempt(cl *Client, order []*ftJob, rs *replanState, nominal *n
 		}
 		if j.tries > 0 {
 			ft.RetriedJobs++
-			if o := r.obsv; o != nil {
-				o.JobsRetried.Inc()
-			}
+			r.obsv.JobsRetried.Inc()
 		}
 		j.tries++
 		call, cerr := cl.enqueue(j.res, j.up)
@@ -469,9 +467,7 @@ func (r *Runner) finishLocal(j *ftJob, shed bool, ft *FTReport) error {
 		return err
 	}
 	r.obsv.span(TrackRunner, SpanLocalFallback, j.id, fbStart, time.Now())
-	if o := r.obsv; o != nil {
-		o.LocalFallbacks.Inc()
-	}
+	r.obsv.LocalFallbacks.Inc()
 	res.Shed = shed
 	j.res, j.done = res, true
 	ft.LocalFallbackJobs++
@@ -552,9 +548,7 @@ func (r *Runner) replan(rest []*ftJob, measured netsim.Channel, hint core.Server
 	} else {
 		ft.HintReplans++
 	}
-	if o := r.obsv; o != nil {
-		o.Replans.Inc()
-	}
+	r.obsv.Replans.Inc()
 	return true
 }
 

@@ -40,8 +40,7 @@ type Server struct {
 	// starts refusing infer jobs; 0 disables shedding (and the
 	// backpressure hint, which fires at half the watermark).
 	shedWatermark int
-	// obsv is the optional tracing + metrics bundle; nil disables
-	// recording.
+	// obsv is the tracing + metrics bundle, never nil (see orZero).
 	obsv *Obs
 	// next, when set by WithNextHop, turns this server into a middle
 	// pipeline stage (see nexthop.go).
@@ -58,7 +57,7 @@ type Server struct {
 // NewServer builds a server for the model. The server-wide worker pool
 // defaults to the core count; tune it with WithWorkers.
 func NewServer(m *engine.Model) *Server {
-	return &Server{lineProgram: newLineProgram(m), workers: goruntime.GOMAXPROCS(0), hold: groupHold, packs: tensor.NewArena()}
+	return &Server{lineProgram: newLineProgram(m), workers: goruntime.GOMAXPROCS(0), hold: groupHold, obsv: new(Obs), packs: tensor.NewArena()}
 }
 
 // WithWorkers bounds the server-wide worker pool to n concurrent
@@ -111,9 +110,9 @@ func (s *Server) WithBatching(window time.Duration, max int) *Server {
 // WithObs attaches a tracing + metrics bundle; must be called before
 // serving. Returns s for chaining. The server records per-job spans
 // (decode, queue-wait, cloud-compute, reply-write) and the pool
-// metrics documented on Obs.
+// metrics documented on Obs; nil detaches them.
 func (s *Server) WithObs(o *Obs) *Server {
-	s.obsv = o
+	s.obsv = orZero(o)
 	return s
 }
 
@@ -243,11 +242,9 @@ func (s *Server) HandleConn(conn io.ReadWriter) error {
 		if err != nil {
 			return err
 		}
-		if o := s.obsv; o != nil {
-			o.span(TrackServer, SpanReplyWrite, int(rep.JobID), start, time.Now())
-			o.ServerJobs.Inc()
-			o.ServerTxBytes.Add(replyWireBytes)
-		}
+		s.obsv.span(TrackServer, SpanReplyWrite, int(rep.JobID), start, time.Now())
+		s.obsv.ServerJobs.Inc()
+		s.obsv.ServerTxBytes.Add(replyWireBytes)
 		return nil
 	}
 
@@ -303,11 +300,9 @@ readLoop:
 				break readLoop
 			}
 			pj.recv = time.Now()
-			if o := s.obsv; o != nil {
-				o.span(TrackServer, SpanDecode, int(pj.jobID()), decodeStart, pj.recv)
-				o.ServerRxBytes.Add(int64(bytes))
-				o.TenantRxBytes.With(cc.tenant).Add(int64(bytes))
-			}
+			s.obsv.span(TrackServer, SpanDecode, int(pj.jobID()), decodeStart, pj.recv)
+			s.obsv.ServerRxBytes.Add(int64(bytes))
+			s.obsv.TenantRxBytes.With(cc.tenant).Add(int64(bytes))
 			if pj.req != nil && pj.req.Quant != nil {
 				// Expand the int8 codes once at decode time; everything
 				// downstream — a group's pack included — sees the same

@@ -100,6 +100,10 @@ go test -race -count=2 ./internal/runtime/...
 echo "== go test -race (estimator)"
 go test -race ./internal/estimator/...
 
+echo "== go test -race (jpsserve)"
+# acceptLoop, perConn, the downlink shaper and the fault injector, on Server.Serve's goroutines.
+go test -race ./cmd/jpsserve/
+
 echo "== adaptive replanning deflake (3x, timing-sensitive live runs)"
 # The adaptive tests drive real loopback connections through the
 # scripted-degradation injector; three back-to-back runs catch
