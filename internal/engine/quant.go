@@ -55,35 +55,17 @@ func (m *Model) Calibrate(inputs []*tensor.Tensor) (*Calibration, error) {
 		hi[i] = float32(math.Inf(-1))
 	}
 	topo := m.g.Topo()
+	node := []int{0}
 	for _, in := range inputs {
-		// A fresh execState with no adopted buffers disables every
-		// in-place fast path, so each activation survives until it has
-		// been observed.
-		st := m.newExecState(topo)
+		// One node per Execute: a node's consumers are never in its own
+		// list, so every activation survives until it has been observed.
 		acts := make(map[int]*tensor.Tensor, n)
-		var ins []*tensor.Tensor
 		for _, id := range topo {
-			node := m.g.Node(id)
-			var out *tensor.Tensor
-			if _, ok := node.Layer.(*nn.Input); ok {
-				if want := node.OutShape; !in.Shape.Equal(want) {
-					return nil, fmt.Errorf("engine: calibration input shape %v, model wants %v", in.Shape, want)
-				}
-				out = in
-			} else {
-				preds := m.g.Preds(id)
-				ins = ins[:0]
-				for _, p := range preds {
-					ins = append(ins, acts[p])
-				}
-				var err error
-				out, err = m.eval(id, node, ins, preds, st, 1)
-				if err != nil {
-					return nil, err
-				}
+			node[0] = id
+			if err := m.Execute(acts, in, node); err != nil {
+				return nil, err
 			}
-			acts[id] = out
-			for _, v := range out.Data {
+			for _, v := range acts[id].Data {
 				if v < lo[id] {
 					lo[id] = v
 				}

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"net"
-	"sort"
 	"sync"
 	"time"
 
@@ -358,12 +357,6 @@ func (c *Client) deliverPong() error {
 	return nil
 }
 
-// enqueueInfer enqueues a line cut's boundary tensor: the one-tensor
-// form of enqueue.
-func (c *Client) enqueueInfer(res *JobResult, cut int, boundary *tensor.Tensor) (*call, error) {
-	return c.enqueue(res, upload{req: &inferRequest{JobID: uint32(res.JobID), Cut: uint32(cut), Tensor: boundary}})
-}
-
 // enqueue registers the job with the demultiplexer and hands its frame
 // to the writer. Registration happens before the frame can reach the
 // wire, so a reply can never race its own job.
@@ -655,15 +648,15 @@ func lineUnit(units []profile.Unit, boundary []int32, mobileNodes int) int {
 
 // Report aggregates a pipelined run.
 type Report struct {
-	// Results holds one entry per job, sorted by JobID regardless of
+	// Results holds one entry per job, in JobID order regardless of
 	// completion order, so reports are deterministic.
 	Results    []*JobResult
 	MakespanMs float64
 }
 
-// newReport sorts results by JobID; the makespan is the last completion.
+// newReport reports results filed by JobID; the makespan is the last
+// completion.
 func newReport(start time.Time, results []*JobResult) Report {
-	sort.Slice(results, func(i, j int) bool { return results[i].JobID < results[j].JobID })
 	rep := Report{Results: results}
 	for _, r := range results {
 		if ms := float64(r.Done.Sub(start).Nanoseconds()) / 1e6; ms > rep.MakespanMs {
@@ -673,15 +666,155 @@ func newReport(start time.Time, results []*JobResult) Report {
 	return rep
 }
 
-// collect awaits every in-flight call and reports the run.
-func (c *Client) collect(start time.Time, results []*JobResult, calls []*call) (*Report, error) {
-	for _, cl := range calls {
-		if err := c.await(cl); err != nil {
-			return nil, err
+// ftJob is one job's state in the run loop, held by value in schedule
+// order. up caches the frame the mobile prefix left at cut, so a retry
+// resubmits without recomputing; res carries the prefix timing and
+// receives the reply (both reset when a re-plan moves the cut); c is the
+// job's request while it is in flight.
+type ftJob struct {
+	id    int
+	cut   jobCut
+	input *tensor.Tensor
+	up    upload
+	res   *JobResult
+	c     *call
+	tries int
+	done  bool
+}
+
+// layout lays out n jobs in seq order, each cut where cutOf says. Plans
+// are built by hand too, so seq is checked to name every job ID in
+// [0, n) exactly once.
+func layout(n int, seq []flowshop.Job, inputs []*tensor.Tensor, cutOf func(job int) jobCut) ([]ftJob, error) {
+	if len(inputs) != n {
+		return nil, fmt.Errorf("runtime: %d inputs for %d jobs", len(inputs), n)
+	}
+	jobs := make([]ftJob, n)
+	// Until the layout overwrites them, jobs[id].done marks the IDs seen.
+	for _, fj := range seq {
+		if fj.ID < 0 || fj.ID >= n || jobs[fj.ID].done {
+			return nil, fmt.Errorf("runtime: sequence names job %d twice or outside [0,%d)", fj.ID, n)
+		}
+		jobs[fj.ID].done = true
+	}
+	for id := range jobs {
+		if !jobs[id].done {
+			return nil, fmt.Errorf("runtime: sequence is missing job %d", id)
 		}
 	}
-	rep := newReport(start, results)
-	return &rep, nil
+	for k, fj := range seq {
+		jobs[k] = ftJob{id: fj.ID, cut: cutOf(fj.ID), input: inputs[fj.ID]}
+	}
+	return jobs, nil
+}
+
+// settle files the result of every finished job under its ID and
+// returns the jobs still pending, in order, in jobs' own array.
+func settle(jobs []ftJob, results []*JobResult) []ftJob {
+	rest := jobs[:0]
+	for _, j := range jobs {
+		if j.done {
+			results[j.id] = j.res
+		} else {
+			rest = append(rest, j)
+		}
+	}
+	return rest
+}
+
+// runJobs is the one run loop: the mobile CPU computes each prefix in
+// the order of jobs while the writer streams the frames up and the
+// demultiplexer collects the replies, awaited oldest first (§3.1). The
+// jobs in flight lie in jobs[head:i], at most window of them; a timeout
+// > 0 bounds each awaited reply and, through a watchdog, the whole run.
+// A Client's own runs (rec == nil) stop at the next job boundary after
+// a transport error and return a shed reply as a result. A Runner's
+// attempt adds two steps: a shed job is finished locally when its reply
+// is collected, and the unsubmitted jobs may be re-planned between
+// windows. lost reports a transport failure or a missed deadline, after
+// marking done the replies already delivered; any other err is fatal.
+func (c *Client) runJobs(jobs []ftJob, window int, timeout time.Duration, rec *recovery) (lost bool, err error) {
+	if timeout > 0 {
+		// If the whole run overruns its budget (a stalled link can block
+		// the writer, fill the send queue and wedge enqueue), closing the
+		// conn fails the client and unblocks every waiter.
+		wd := time.AfterFunc(time.Duration(len(jobs)+2)*timeout, func() { c.Close() })
+		defer wd.Stop()
+	}
+	head, flying := 0, 0
+	for i := 0; ; i++ {
+		if i == len(jobs) {
+			window = 1 // after the last job, collect every reply
+		}
+		full := flying >= window
+		for ; flying >= window; head++ {
+			j := &jobs[head]
+			if j.done {
+				continue // finished on the mobile engine, never sent
+			}
+			if err := c.awaitTimeout(j.c, timeout); err != nil {
+				harvest(jobs[head:i])
+				return true, err
+			}
+			flying--
+			if j.res.Shed && rec != nil {
+				// Resubmitting a shed job would defeat admission control.
+				if err := rec.r.finishLocal(j, true, &rec.ft); err != nil {
+					return false, err
+				}
+				continue
+			}
+			j.done = true
+		}
+		if i == len(jobs) {
+			return false, nil
+		}
+		if full && rec != nil {
+			// Between windows the link has fresh samples; any trigger may
+			// fire again later, rate-limited by ReplanMinInterval.
+			rec.r.maybeReplan(c, jobs[i:], &rec.rs, &rec.nominal, &rec.ft)
+		}
+		j := &jobs[i]
+		if j.res == nil {
+			if rec == nil {
+				if err := c.Err(); err != nil {
+					return true, err // uplink or downlink already failed
+				}
+			}
+			if j.up, j.res, err = c.computePrefix(j.id, j.cut, j.input); err != nil {
+				return false, err
+			}
+		}
+		if j.up == (upload{}) {
+			j.done = true // fully local cut, classified by runPrefix
+			continue
+		}
+		if j.tries > 0 { // only a Runner's later attempts resubmit
+			rec.ft.RetriedJobs++
+			c.obsv.JobsRetried.Inc()
+		}
+		j.tries++
+		if j.c, err = c.enqueue(j.res, j.up); err != nil {
+			harvest(jobs[head:i])
+			return true, err
+		}
+		flying++
+	}
+}
+
+// harvest marks done the jobs of a failed connection's window whose
+// replies were already delivered, out of order. A shed reply is not
+// done: the job never ran.
+func harvest(window []ftJob) {
+	for k := range window {
+		if j := &window[k]; !j.done {
+			select {
+			case <-j.c.done:
+				j.done = j.c.ok && !j.res.Shed
+			default:
+			}
+		}
+	}
 }
 
 // RunPlan executes a whole plan with full pipelining: jobs are
@@ -689,11 +822,12 @@ func (c *Client) collect(start time.Time, results []*JobResult, calls []*call) (
 // goroutine streams completed boundary tensors up the link and the
 // demultiplexer collects (possibly out-of-order) replies — the
 // two-resource pipeline of §3.1 plus an overlapped cloud stage.
-// inputs[i] feeds job i (Plan job IDs index inputs). The first error
-// from any stage aborts the run promptly: compute stops at the next
-// job boundary instead of draining the whole plan.
+// inputs[i] feeds job i (Plan job IDs index inputs), and the plan's
+// Sequence must name every job exactly once. The first error from any
+// stage aborts the run promptly: compute stops at the next job boundary
+// instead of draining the whole plan.
 func (c *Client) RunPlan(p *core.Plan, inputs []*tensor.Tensor) (*Report, error) {
-	return c.runSequence(len(p.Cuts), p.Sequence, inputs, func(job int) jobCut { return jobCut{unit: p.Cuts[job]} })
+	return c.runAll(layout(len(p.Cuts), p.Sequence, inputs, func(job int) jobCut { return jobCut{unit: p.Cuts[job]} }))
 }
 
 // RunGeneralPlan is RunPlan for an Algorithm 3 plan: job j is cut at
@@ -701,39 +835,23 @@ func (c *Client) RunPlan(p *core.Plan, inputs []*tensor.Tensor) (*Report, error)
 // plan's job-level view (core.GeneralPlan.JobSequence), one frame per
 // job, pipelined exactly like a line plan.
 func (c *Client) RunGeneralPlan(gp *core.GeneralPlan, inputs []*tensor.Tensor) (*Report, error) {
-	return c.runSequence(len(gp.CutNodes), gp.JobSequence(), inputs, func(job int) jobCut { return setCut(gp.CutNodes[job]) })
+	return c.runAll(layout(len(gp.CutNodes), gp.JobSequence(), inputs, func(job int) jobCut { return setCut(gp.CutNodes[job]) }))
 }
 
-// runSequence is the pipelined run behind both plan kinds: n jobs in
-// seq order, each cut where cutOf says.
-func (c *Client) runSequence(n int, seq []flowshop.Job, inputs []*tensor.Tensor, cutOf func(job int) jobCut) (*Report, error) {
-	if len(inputs) != n {
-		return nil, fmt.Errorf("runtime: %d inputs for %d jobs", len(inputs), n)
+// runAll runs the jobs a layout returned, with no window limit and no
+// deadline, and reports them.
+func (c *Client) runAll(jobs []ftJob, err error) (*Report, error) {
+	if err != nil {
+		return nil, err
 	}
 	start := time.Now()
-	results := make([]*JobResult, 0, n)
-	calls := make([]*call, 0, n)
-
-	// Compute worker: the mobile CPU, in Johnson order.
-	for _, fj := range seq {
-		if err := c.Err(); err != nil {
-			return nil, err // uplink or downlink already failed
-		}
-		up, res, err := c.computePrefix(fj.ID, cutOf(fj.ID), inputs[fj.ID])
-		if err != nil {
-			return nil, err
-		}
-		results = append(results, res)
-		if up == (upload{}) {
-			continue // fully local job
-		}
-		cl, err := c.enqueue(res, up)
-		if err != nil {
-			return nil, err
-		}
-		calls = append(calls, cl)
+	if _, err := c.runJobs(jobs, len(jobs), 0, nil); err != nil {
+		return nil, err
 	}
-	return c.collect(start, results, calls)
+	results := make([]*JobResult, len(jobs))
+	settle(jobs, results)
+	rep := newReport(start, results)
+	return &rep, nil
 }
 
 // RunBoundaryJobs enqueues one job per boundary tensor at the given
@@ -749,19 +867,12 @@ func (c *Client) RunBoundaryJobs(cut int, boundaries []*tensor.Tensor) (*Report,
 	if cut < 0 || cut >= len(c.units)-1 {
 		return nil, fmt.Errorf("runtime: boundary-job cut %d out of range [0,%d)", cut, len(c.units)-1)
 	}
-	start := time.Now()
-	results := make([]*JobResult, len(boundaries))
-	calls := make([]*call, 0, len(boundaries))
-	for i, b := range boundaries {
-		res := &JobResult{JobID: i, Cut: cut}
-		results[i] = res
-		cl, err := c.enqueueInfer(res, cut, b)
-		if err != nil {
-			return nil, err
-		}
-		calls = append(calls, cl)
+	jobs := make([]ftJob, len(boundaries))
+	for i, b := range boundaries { // frames preset: no prefix to compute
+		jobs[i] = ftJob{id: i, res: &JobResult{JobID: i, Cut: cut},
+			up: upload{req: &inferRequest{JobID: uint32(i), Cut: uint32(cut), Tensor: b}}}
 	}
-	return c.collect(start, results, calls)
+	return c.runAll(jobs, nil)
 }
 
 // CalibrateComm measures upload latency for a ladder of payload sizes

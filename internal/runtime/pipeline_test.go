@@ -217,6 +217,12 @@ func TestRunPlanResultsSortedByJobID(t *testing.T) {
 	}
 }
 
+// enqueueInfer enqueues a line cut's boundary tensor: the one-tensor
+// form of enqueue.
+func (c *Client) enqueueInfer(res *JobResult, cut int, boundary *tensor.Tensor) (*call, error) {
+	return c.enqueue(res, upload{req: &inferRequest{JobID: uint32(res.JobID), Cut: uint32(cut), Tensor: boundary}})
+}
+
 // fakePeer runs f against the server side of a pipe with buffered IO.
 func fakePeer(conn net.Conn, f func(r *bufio.Reader, w *bufio.Writer) error) chan error {
 	errCh := make(chan error, 1)

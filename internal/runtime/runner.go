@@ -10,7 +10,6 @@ import (
 	"dnnjps/internal/core"
 	"dnnjps/internal/engine"
 	"dnnjps/internal/estimator"
-	"dnnjps/internal/flowshop"
 	"dnnjps/internal/netsim"
 	"dnnjps/internal/profile"
 	"dnnjps/internal/tensor"
@@ -200,27 +199,12 @@ func (r *Runner) WithObs(o *Obs) *Runner {
 	return r
 }
 
-// ftJob is the runner's per-job state across attempts.
-type ftJob struct {
-	id    int
-	cut   jobCut
-	input *tensor.Tensor
-	// up caches the frame the mobile prefix left at cut — one tensor or
-	// a boundary set — so retries resubmit without recomputing; res
-	// carries the prefix timing and receives the reply. Both reset when
-	// a re-plan moves the cut.
-	up    upload
-	res   *JobResult
-	tries int
-	done  bool
-}
-
 // RunPlan executes the plan to completion through every configured
 // recovery layer. It returns an error only for non-recoverable
 // problems: bad arguments, engine failures, or — with NoLocalFallback —
 // a dead uplink.
 func (r *Runner) RunPlan(p *core.Plan, inputs []*tensor.Tensor) (*FTReport, error) {
-	return r.run(len(p.Cuts), p.Sequence, inputs, func(job int) jobCut { return jobCut{unit: p.Cuts[job]} })
+	return r.run(layout(len(p.Cuts), p.Sequence, inputs, func(job int) jobCut { return jobCut{unit: p.Cuts[job]} }))
 }
 
 // RunGeneralPlan is RunPlan for an Algorithm 3 plan, in the order of
@@ -233,38 +217,39 @@ func (r *Runner) RunGeneralPlan(gp *core.GeneralPlan, inputs []*tensor.Tensor) (
 		return nil, fmt.Errorf("runtime: RunGeneralPlan cannot re-plan a general-structure plan: " +
 			"unset AdaptiveReplan and BackpressureThreshold")
 	}
-	return r.run(len(gp.CutNodes), gp.JobSequence(), inputs, func(job int) jobCut { return setCut(gp.CutNodes[job]) })
+	return r.run(layout(len(gp.CutNodes), gp.JobSequence(), inputs, func(job int) jobCut { return setCut(gp.CutNodes[job]) }))
 }
 
-// run drives n jobs, in seq order and each cut where cutOf says,
-// through the recovery loop.
-func (r *Runner) run(n int, seq []flowshop.Job, inputs []*tensor.Tensor, cutOf func(job int) jobCut) (*FTReport, error) {
-	if len(inputs) != n {
-		return nil, fmt.Errorf("runtime: %d inputs for %d jobs", len(inputs), n)
+// recovery is one run's state across a Runner's connection attempts;
+// handed to the run loop (Client.runJobs), it adds the Runner's steps.
+type recovery struct {
+	r       *Runner
+	ft      FTReport
+	rs      replanState
+	nominal netsim.Channel
+}
+
+// run drives the jobs a layout returned through the recovery loop: each
+// attempt runs the pending ones on a fresh connection with the Runner's
+// window and deadline, and only engine/model errors are fatal.
+func (r *Runner) run(jobs []ftJob, err error) (*FTReport, error) {
+	if err != nil {
+		return nil, err
 	}
 	start := time.Now()
-	jobs := make([]*ftJob, n)
-	for id := range jobs {
-		jobs[id] = &ftJob{id: id, cut: cutOf(id), input: inputs[id]}
-	}
-	order := make([]*ftJob, 0, len(jobs))
-	for _, fj := range seq {
-		order = append(order, jobs[fj.ID])
-	}
-
-	ft := &FTReport{}
-	rng := rand.New(rand.NewSource(r.opts.Seed))
-	backoff := r.opts.BackoffBase
-	nominal := r.ch
+	results := make([]*JobResult, len(jobs))
 	// The replan bookkeeping — and with AdaptiveReplan the estimator
 	// itself — outlives individual connection attempts: samples and
 	// rate-limit state carry across redials.
-	rs := &replanState{planMbps: nominal.UplinkMbps}
+	rec := &recovery{r: r, rs: replanState{planMbps: r.ch.UplinkMbps}, nominal: r.ch}
 	if r.opts.AdaptiveReplan {
-		rs.est = estimator.New(r.opts.EstimatorConfig)
+		rec.rs.est = estimator.New(r.opts.EstimatorConfig)
 	}
+	ft := &rec.ft
+	rng := rand.New(rand.NewSource(r.opts.Seed))
+	backoff := r.opts.BackoffBase
 
-	for attempt := 0; countPending(order) > 0 && attempt <= r.opts.MaxReconnects; attempt++ {
+	for attempt := 0; len(jobs) > 0 && attempt <= r.opts.MaxReconnects; attempt++ {
 		if attempt > 0 {
 			ft.Reconnects++
 			r.obsv.Reconnects.Inc()
@@ -282,53 +267,38 @@ func (r *Runner) run(n int, seq []flowshop.Job, inputs []*tensor.Tensor, cutOf f
 		if err != nil {
 			continue // dial failures consume an attempt and back off
 		}
-		cl := NewClient(conn, r.model, nominal, r.scale).WithObs(r.obsv).WithEstimator(rs.est)
-		fatal, aerr := r.attempt(cl, order, rs, &nominal, ft)
+		cl := NewClient(conn, r.model, rec.nominal, r.scale).WithObs(r.obsv).WithEstimator(rec.rs.est)
+		lost, err := cl.runJobs(jobs, r.opts.Window, r.opts.JobTimeout, rec)
 		cl.Close()
 		// Wait for the demux goroutine to exit: once it has, no straggler
 		// reply from this attempt can write into a JobResult that the next
 		// attempt (or the local fallback) is about to reuse.
 		cl.drainReader()
-		if fatal {
-			return nil, aerr
+		if err != nil && !lost {
+			return nil, err
 		}
+		jobs = settle(jobs, results)
 	}
 
-	if countPending(order) > 0 && r.opts.NoLocalFallback {
+	if len(jobs) > 0 && r.opts.NoLocalFallback {
 		return nil, fmt.Errorf("runtime: uplink failed after %d reconnects with %d/%d jobs unfinished",
-			ft.Reconnects, countPending(order), len(jobs))
+			ft.Reconnects, len(jobs), len(results))
 	}
 	// Graceful degradation: the remaining suffix runs fully local,
 	// classes identical to a remote finish.
-	for _, j := range order {
-		if !j.done {
-			if err := r.finishLocal(j, false, ft); err != nil {
-				return nil, err
-			}
+	for k := range jobs {
+		if err := r.finishLocal(&jobs[k], false, ft); err != nil {
+			return nil, err
 		}
 	}
-
-	results := make([]*JobResult, 0, len(jobs))
-	for _, j := range jobs {
-		results = append(results, j.res)
-	}
+	settle(jobs, results)
 	ft.Report = newReport(start, results)
-	if rs.est != nil {
-		ft.EstimatedMbps, _ = rs.est.Mbps()
-		ft.ChangePoints = len(rs.est.ChangePoints())
-		ft.ReplaySamples = rs.est.Samples()
+	if est := rec.rs.est; est != nil {
+		ft.EstimatedMbps, _ = est.Mbps()
+		ft.ChangePoints = len(est.ChangePoints())
+		ft.ReplaySamples = est.Samples()
 	}
 	return ft, nil
-}
-
-func countPending(order []*ftJob) int {
-	n := 0
-	for _, j := range order {
-		if !j.done {
-			n++
-		}
-	}
-	return n
 }
 
 // replanState carries the adaptive-replanning bookkeeping across the
@@ -343,117 +313,6 @@ type replanState struct {
 	hintLast time.Time // last backpressure-hint replan
 	planMbps float64   // uplink bandwidth the current plan assumes
 	cpSeen   int       // change points consumed by earlier replans
-}
-
-// attempt drives one connection: windowed pipelined execution of the
-// remaining jobs in schedule order. A transport failure or a job
-// deadline tears the connection down and returns (false, nil) — the
-// outer loop redials and resubmits whatever is still pending. Only
-// engine/model errors are fatal.
-func (r *Runner) attempt(cl *Client, order []*ftJob, rs *replanState, nominal *netsim.Channel, ft *FTReport) (fatal bool, err error) {
-	pending := make([]*ftJob, 0, len(order))
-	for _, j := range order {
-		if !j.done {
-			pending = append(pending, j)
-		}
-	}
-	// Attempt watchdog: if the whole attempt overruns its budget (a
-	// stalled link can block the writer, fill the send queue, and wedge
-	// enqueue), closing the conn fails the client and unblocks
-	// every waiter.
-	wd := time.AfterFunc(time.Duration(len(pending)+2)*r.opts.JobTimeout, func() { cl.Close() })
-	defer wd.Stop()
-
-	type inflight struct {
-		j *ftJob
-		c *call
-	}
-	var q []inflight
-	var fatalErr error // engine failure inside a drain; fatal to the run
-	// harvest sweeps the in-flight window after a failure: replies that
-	// were already delivered out of order count as done, so the next
-	// attempt resubmits only the jobs that genuinely got lost. A shed
-	// reply is NOT done — the job never ran and gets finished locally by
-	// the next drain or resubmitted by the next attempt.
-	harvest := func() {
-		for _, in := range q {
-			select {
-			case <-in.c.done:
-				if in.c.ok && !in.j.res.Shed {
-					in.j.done = true
-				}
-			default:
-			}
-		}
-	}
-	// drainTo awaits the oldest in-flight jobs until at most k remain.
-	// Jobs the server shed finish on the mobile engine right here: the
-	// shed reply is the server telling this client to back off, so
-	// resubmitting the same job would defeat the admission control.
-	drainTo := func(k int) bool {
-		for len(q) > k {
-			in := q[0]
-			if aerr := cl.awaitTimeout(in.c, r.opts.JobTimeout); aerr != nil {
-				cl.Close() // a timed-out or failed call poisons the conn
-				harvest()
-				return false
-			}
-			q = q[1:]
-			if in.j.res.Shed {
-				if ferr := r.finishLocal(in.j, true, ft); ferr != nil {
-					fatalErr = ferr
-					return false
-				}
-				continue
-			}
-			in.j.done = true
-		}
-		return true
-	}
-
-	for i := 0; i < len(pending); i++ {
-		j := pending[i]
-		if j.done {
-			continue
-		}
-		if j.res == nil {
-			up, res, perr := cl.computePrefix(j.id, j.cut, j.input)
-			if perr != nil {
-				return true, perr
-			}
-			j.up, j.res = up, res
-		}
-		if j.up == (upload{}) {
-			j.done = true // fully-local cut, classified by runPrefix
-			continue
-		}
-		if j.tries > 0 {
-			ft.RetriedJobs++
-			r.obsv.JobsRetried.Inc()
-		}
-		j.tries++
-		call, cerr := cl.enqueue(j.res, j.up)
-		if cerr != nil {
-			harvest()
-			return false, nil // transport failure: retry on a fresh conn
-		}
-		q = append(q, inflight{j, call})
-		if len(q) >= r.opts.Window {
-			if !drainTo(r.opts.Window - 1) {
-				return fatalErr != nil, fatalErr
-			}
-			// Between windows the link has fresh samples. Re-planning is
-			// continuous: any trigger may fire again later in the same
-			// batch (a second regime shift replans a second time),
-			// rate-limited by ReplanMinInterval so the cut never thrashes
-			// on jitter.
-			r.maybeReplan(cl, pending[i+1:], rs, nominal, ft)
-		}
-	}
-	if !drainTo(0) {
-		return fatalErr != nil, fatalErr
-	}
-	return false, nil
 }
 
 // finishLocal completes one job on the mobile engine (the full-local
@@ -488,7 +347,7 @@ func (r *Runner) finishLocal(j *ftJob, shed bool, ft *FTReport) error {
 //     ratio-based repricing would.
 //   - Hint path (BackpressureThreshold): the server's piggybacked
 //     admission-control hints.
-func (r *Runner) maybeReplan(cl *Client, rest []*ftJob, rs *replanState, nominal *netsim.Channel, ft *FTReport) {
+func (r *Runner) maybeReplan(cl *Client, rest []ftJob, rs *replanState, nominal *netsim.Channel, ft *FTReport) {
 	if r.curve == nil || len(rest) == 0 {
 		return
 	}
@@ -535,7 +394,7 @@ func (r *Runner) maybeReplan(cl *Client, rest []*ftJob, rs *replanState, nominal
 // *nominal itself — the link is fine, only the cloud is saturated — and
 // counts separately. Planner errors (a non-positive bandwidth among
 // them) leave the old plan standing and report false.
-func (r *Runner) replan(rest []*ftJob, measured netsim.Channel, hint core.ServerHint, nominal *netsim.Channel, ft *FTReport) bool {
+func (r *Runner) replan(rest []ftJob, measured netsim.Channel, hint core.ServerHint, nominal *netsim.Channel, ft *FTReport) bool {
 	p2, err := core.ReplanWithHint(r.curve, measured, len(rest), hint)
 	if err != nil {
 		return false
@@ -555,14 +414,14 @@ func (r *Runner) replan(rest []*ftJob, measured netsim.Channel, hint core.Server
 // applyPlan rewrites the cuts and order of the still-unsubmitted jobs
 // in place from a fresh plan, resetting the cached prefix of any job
 // whose cut moved.
-func applyPlan(rest []*ftJob, p2 *core.Plan) {
-	for k, j := range rest {
-		if newCut := p2.Cuts[k]; newCut != j.cut.unit {
-			j.cut.unit = newCut
+func applyPlan(rest []ftJob, p2 *core.Plan) {
+	for k := range rest {
+		if j := &rest[k]; p2.Cuts[k] != j.cut.unit {
+			j.cut.unit = p2.Cuts[k]
 			j.up, j.res = upload{}, nil // prefix must be recomputed
 		}
 	}
-	reordered := make([]*ftJob, 0, len(rest))
+	reordered := make([]ftJob, 0, len(rest))
 	for _, fj := range p2.Sequence {
 		reordered = append(reordered, rest[fj.ID])
 	}

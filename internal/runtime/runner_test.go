@@ -3,12 +3,14 @@ package runtime
 import (
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"dnnjps/internal/engine"
 	"dnnjps/internal/estimator"
+	"dnnjps/internal/flowshop"
 	"dnnjps/internal/netsim"
 	"dnnjps/internal/profile"
 	"dnnjps/internal/tensor"
@@ -177,6 +179,54 @@ func TestRunnerRecoversFromDropsAndDisconnect(t *testing.T) {
 	}
 }
 
+// TestRunPlanRejectsBadSequence: a plan's fields are exported, so a
+// hand-built Sequence that is not a permutation of its jobs must come
+// back as an error naming the bad ID — not a panic, not a short report —
+// from the Client and the Runner alike.
+func TestRunPlanRejectsBadSequence(t *testing.T) {
+	m := testModel(t)
+	dial := faultyDialer(t, m, 1, 1e-3, func(int) (up, down netsim.FaultSpec) { return })
+	inputs := []*tensor.Tensor{input(0), input(1), input(2)}
+	for _, seq := range []struct {
+		name string
+		ids  []int
+		bad  string
+	}{
+		{"missing", []int{0, 1}, "job 2"},
+		{"duplicate", []int{0, 1, 1}, "job 1"},
+		{"out of range", []int{0, 1, 3}, "job 3"},
+	} {
+		plan := uniformPlan(3, 1)
+		plan.Sequence = plan.Sequence[:0]
+		for _, id := range seq.ids {
+			plan.Sequence = append(plan.Sequence, flowshop.Job{ID: id})
+		}
+		for _, run := range []struct {
+			name string
+			run  func() (any, error)
+		}{
+			{"Client", func() (any, error) {
+				conn, err := dial()
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer conn.Close()
+				return NewClient(conn, m, netsim.WiFi, 1e-3).RunPlan(plan, inputs)
+			}},
+			{"Runner", func() (any, error) {
+				return NewRunner(dial, m, netsim.WiFi, 1e-3, RunOptions{}).RunPlan(plan, inputs)
+			}},
+		} {
+			t.Run(seq.name+"/"+run.name, func(t *testing.T) {
+				rep, err := run.run()
+				if err == nil || !strings.Contains(err.Error(), seq.bad) {
+					t.Fatalf("sequence %v: got report %+v, error %v; want an error naming %s", seq.ids, rep, err, seq.bad)
+				}
+			})
+		}
+	}
+}
+
 // TestRunnerLocalFallbackOnBlackholeLink: a link that silently eats
 // every upload (connects fine, delivers nothing) must exhaust the
 // per-job deadlines and reconnect budget, then finish every job on the
@@ -320,7 +370,7 @@ func TestAdaptiveReplanKeepsDownlinkModel(t *testing.T) {
 		cl.noteUpload(16384, 32768*time.Microsecond)
 	}
 
-	rest := []*ftJob{{id: 0, cut: jobCut{unit: 3}}, {id: 1, cut: jobCut{unit: 3}}, {id: 2, cut: jobCut{unit: 3}}}
+	rest := []ftJob{{id: 0, cut: jobCut{unit: 3}}, {id: 1, cut: jobCut{unit: 3}}, {id: 2, cut: jobCut{unit: 3}}}
 	nominal, ft := ch, &FTReport{}
 	r.maybeReplan(cl, rest, &replanState{est: est, planMbps: ch.UplinkMbps}, &nominal, ft)
 

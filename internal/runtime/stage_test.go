@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"net"
 	goruntime "runtime"
 	"runtime/debug"
 	"testing"
@@ -28,9 +29,12 @@ import (
 // server is two spans, a park and a group of one, but the activation
 // maps are pooled and a finished pass gives its tensors back to their
 // arenas — 18.0, 9.7 and 29.0. The parked ceiling is this tree's
-// reading, 17.01–17.02 over five runs, with the same margin. MemStats
-// deltas with the collector held off, as in the engine's steady-state
-// tests.
+// reading, 17.01–17.02 over five runs, with the same margin. The plan
+// and runner rows are 8-job RunPlan calls of a Client and of a Runner
+// (which dials afresh each call); their ceilings are the readings of the
+// last tree with a run loop per caller (14.91–14.99 and 30.54–30.69 over
+// eight runs) rounded up to the next quarter. MemStats deltas with the
+// collector held off, as in the engine's steady-state tests.
 func TestStageAllocsPerJob(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are nondeterministic under -race (sync.Pool randomly drops Puts)")
@@ -71,6 +75,23 @@ func TestStageAllocsPerJob(t *testing.T) {
 	}
 	forwarder := client(middle)
 	parked := client(NewServer(m).WithWorkers(2))
+	planIn := make([]*tensor.Tensor, 8)
+	for i := range planIn {
+		planIn[i] = in
+	}
+	plan := uniformPlan(len(planIn), 2)
+	planned := client(NewServer(m).WithWorkers(2))
+	addr := startTerminal(t, m)
+	runner := NewRunner(func() (net.Conn, error) { return net.Dial("tcp", addr) }, m, netsim.WiFi, 1e-6, RunOptions{})
+	byPlan := func(run func() error) func() {
+		return func() {
+			for i := 0; i < jobs; i += len(planIn) {
+				if err := run(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
 	for _, c := range []struct {
 		name    string
 		ceiling float64
@@ -99,6 +120,15 @@ func TestStageAllocsPerJob(t *testing.T) {
 				}
 			}
 		}},
+		{"plan", 15.00, byPlan(func() error {
+			_, err := planned.RunPlan(plan, planIn)
+			return err
+		})},
+		// Every call dials: the connection's setup is part of what a run costs.
+		{"runner", 30.75, byPlan(func() error {
+			_, err := runner.RunPlan(plan, planIn)
+			return err
+		})},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			defer debug.SetGCPercent(debug.SetGCPercent(-1))

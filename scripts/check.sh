@@ -279,6 +279,24 @@ if ! grep -q "drained" "$TERM_LOG" || ! grep -q '^jps_server_jobs_total 16$' "$T
     exit 1
 fi
 
+echo "== runner e2e smoke (jpsserve cuts every connection after 2 MB)"
+# runtime.Runner against the real binary's fault injector: 8 cloud-only
+# resnet18 jobs (~600 KB each), one in flight, through a server that
+# disconnects each accepted connection after 2 MB. e2e_client -runner
+# fails unless every class equals a local forward and the run redialed;
+# local fallback is off, so every job crossed the network.
+"$SMOKE_BIN" -model "$SMOKE_MODEL" -addr 127.0.0.1:0 -fault-disc-bytes 2000000 > "$TERM_LOG" 2>&1 &
+TERM_PID=$!
+TERM_ADDR="$(serving_addr "$TERM_LOG" "runner smoke: server")"
+go run scripts/e2e_client.go -addr "$TERM_ADDR" -model "$SMOKE_MODEL" -jobs 8 -runner
+kill -TERM "$TERM_PID"
+wait "$TERM_PID" || {
+    echo "runner smoke: server did not exit cleanly:" >&2
+    cat "$TERM_LOG" >&2
+    exit 1
+}
+TERM_PID=""
+
 echo "== benchmarks compile and run once"
 # Quiet when green; a benchmark that b.Fatals must not end the script
 # under set -e with its reason thrown away.

@@ -7,7 +7,11 @@
 // server compute time. With -general each connection instead plans the
 // model with Algorithm 3 (core.PlanGeneral) and runs the plan through
 // Client.RunGeneralPlan — cut-set frames against the real binary —
-// requiring every class to equal a local forward pass. Run with:
+// requiring every class to equal a local forward pass. With -runner one
+// connection at a time runs one plan of -jobs jobs at -cut through the
+// fault-tolerant runtime.Runner, one job in flight, against a server
+// that cuts its connections (jpsserve -fault-disc-bytes): every class
+// must equal a local forward and the run must have redialed. Run with:
 //
 //	go run scripts/e2e_client.go -addr 127.0.0.1:7443 -model squeezenet
 package main
@@ -22,6 +26,7 @@ import (
 
 	"dnnjps/internal/core"
 	"dnnjps/internal/engine"
+	"dnnjps/internal/flowshop"
 	"dnnjps/internal/models"
 	"dnnjps/internal/netsim"
 	"dnnjps/internal/profile"
@@ -38,9 +43,17 @@ func main() {
 		jobs    = flag.Int("jobs", 4, "jobs per connection")
 		cut     = flag.Int("cut", 0, "partition point: units computed locally before offloading (0 = cloud-only)")
 		general = flag.Bool("general", false, "plan with Algorithm 3 and run the plan's cut-node sets (ignores -cut)")
+		runner  = flag.Bool("runner", false, "run one plan at -cut through runtime.Runner and require a reconnect (ignores -clients)")
 	)
 	flag.Parse()
-	if err := run(*addr, *model, *seed, *clients, *jobs, *cut, *general); err != nil {
+	var err error
+	if *runner {
+		*clients = 1
+		err = runRunner(*addr, *model, *seed, *jobs, *cut)
+	} else {
+		err = run(*addr, *model, *seed, *clients, *jobs, *cut, *general)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "e2e_client:", err)
 		os.Exit(1)
 	}
@@ -48,16 +61,11 @@ func main() {
 }
 
 func run(addr, model string, seed int64, clients, jobs, cut int, general bool) error {
-	g, err := models.Build(model)
+	m, in, err := load(model, seed)
 	if err != nil {
 		return err
 	}
-	m := engine.Load(g, seed)
-	units := profile.LineView(g)
-	in := tensor.New(g.Node(units[0].Exit).OutShape)
-	for i := range in.Data {
-		in.Data[i] = float32(i%31)/31 - 0.5
-	}
+	g := m.Graph()
 	var gp *core.GeneralPlan
 	var inputs []*tensor.Tensor
 	wantClass := -1
@@ -138,4 +146,59 @@ func run(addr, model string, seed int64, clients, jobs, cut int, general bool) e
 	wg.Wait()
 	close(errs)
 	return <-errs
+}
+
+// load builds the model the server serves and the input every job
+// feeds.
+func load(model string, seed int64) (*engine.Model, *tensor.Tensor, error) {
+	g, err := models.Build(model)
+	if err != nil {
+		return nil, nil, err
+	}
+	units := profile.LineView(g)
+	in := tensor.New(g.Node(units[0].Exit).OutShape)
+	for i := range in.Data {
+		in.Data[i] = float32(i%31)/31 - 0.5
+	}
+	return engine.Load(g, seed), in, nil
+}
+
+// runRunner runs one plan of jobs jobs, all cut at cut, through a
+// Runner that redials on every failure. The window is one job: with
+// more in flight a burst of large uploads can cross a server's
+// disconnect budget before any reply comes back, and no attempt would
+// make progress. Falling back to local compute is off, so only the
+// network path can finish the plan.
+func runRunner(addr, model string, seed int64, jobs, cut int) error {
+	m, in, err := load(model, seed)
+	if err != nil {
+		return err
+	}
+	out, err := m.Forward(in.Clone())
+	if err != nil {
+		return err
+	}
+	want := engine.Argmax(out)
+	plan := &core.Plan{Cuts: make([]int, jobs), Sequence: make([]flowshop.Job, jobs)}
+	inputs := make([]*tensor.Tensor, jobs)
+	for j := range inputs {
+		plan.Cuts[j], plan.Sequence[j], inputs[j] = cut, flowshop.Job{ID: j}, in
+	}
+	dial := func() (net.Conn, error) { return net.DialTimeout("tcp", addr, 5*time.Second) }
+	opts := runtime.DefaultRunOptions()
+	opts.Window, opts.NoLocalFallback, opts.MaxReconnects = 1, true, 4*jobs
+	rep, err := runtime.NewRunner(dial, m, netsim.WiFi, 1e-6, opts).RunPlan(plan, inputs)
+	if err != nil {
+		return err
+	}
+	for _, res := range rep.Results {
+		if res.Class != want {
+			return fmt.Errorf("runner job %d: class %d (shed %v), local forward says %d", res.JobID, res.Class, res.Shed, want)
+		}
+	}
+	if rep.Reconnects == 0 {
+		return fmt.Errorf("runner: no reconnect in %d jobs; start the server with -fault-disc-bytes", jobs)
+	}
+	fmt.Printf("runner: %d jobs, %d reconnects, %d retried\n", jobs, rep.Reconnects, rep.RetriedJobs)
+	return nil
 }
