@@ -30,7 +30,8 @@
 // instead of the terminal cloud: requests cut before -next-cut are
 // computed up to that boundary and forwarded to the named downstream
 // jpsserve over the same wire protocol (see DESIGN.md "k-way chains").
-// Forwarding stages hold no groups:
+// A forwarding stage holds no job back: it parks no tail groups, and
+// runs queued jobs of one cut through its middle segment four at a time:
 //
 //	jpsserve -model alexnet -addr :7444                      # terminal
 //	jpsserve -model alexnet -next-hop :7444 -next-cut 5      # middle stage

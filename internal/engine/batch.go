@@ -26,12 +26,17 @@ import (
 // batched outputs are bit-identical to n separate Forwards.
 
 // batchShape scales dim 0 of a per-image shape by the batch size —
-// the packed-batch shape.
+// the packed-batch shape. The dims go in a fixed array, which stays in
+// the frame of the caller batchShape is inlined into while the shape
+// only goes to Arena.Get; a Clone's variable-length make would be a heap
+// allocation per batched layer (TestMiddlePassAllocs). More than four
+// dims still work: append moves them to the heap.
 func batchShape(s tensor.Shape, n int) tensor.Shape {
 	if n == 1 {
 		return s
 	}
-	out := s.Clone()
+	var dims [4]int
+	out := append(tensor.Shape(dims[:0]), s...)
 	out[0] *= n
 	return out
 }

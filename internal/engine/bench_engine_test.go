@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -406,6 +407,75 @@ func TestTailPassAllocs(t *testing.T) {
 	pass() // warm the arena at this batch size
 	if got := testing.AllocsPerRun(5, pass); got > 1 {
 		t.Errorf("a warm tail pass at n = %d does %.1f allocs, want <= 1", n, got)
+	}
+}
+
+// TestMiddlePassAllocs pins the pass a forwarding stage makes for a
+// group of four: MobileNet-v2's (bneck15/add, head/gap] — the three 1×1
+// convolutions on the 7×7 plane, the depthwise one, BN and ReLU6 — in one
+// ExecuteBatch at n = 4, the output recycled. It read 4 while batchShape
+// cloned the packed shape of each convolution onto the heap; it reads 0.
+// Each member's slice of the output must also be bit for bit what the
+// same segment gives that image alone: a stage's handoff tensor may not
+// depend on whether it was grouped.
+func TestMiddlePassAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads MobileNet-v2")
+	}
+	g := models.MustBuild("mobilenetv2")
+	m := Load(g, 1)
+	from, _ := g.NodeByName("bneck15/add")
+	to, _ := g.NodeByName("head/gap")
+	before, upTo := g.Ancestors(from.ID), g.Ancestors(to.ID)
+	var segment []int
+	for _, id := range g.Topo() {
+		if upTo[id] && !before[id] {
+			segment = append(segment, id)
+		}
+	}
+	const n = 4
+	seeds, solo := make([]*tensor.Tensor, n), make([]*tensor.Tensor, n)
+	for b := range seeds {
+		seeds[b] = randInput(from.OutShape, int64(11+b))
+		acts := map[int]*tensor.Tensor{from.ID: seeds[b]}
+		if err := m.Execute(acts, nil, segment); err != nil {
+			t.Fatal(err)
+		}
+		solo[b] = acts[to.ID]
+	}
+	seed, err := PackBatch(seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acts := map[int]*tensor.Tensor{}
+	pass := func() *tensor.Tensor {
+		acts[from.ID] = seed
+		if err := m.ExecuteBatch(acts, n, nil, segment); err != nil {
+			t.Fatal(err)
+		}
+		out := acts[to.ID]
+		clear(acts)
+		return out
+	}
+	out := pass()
+	members, err := UnpackBatch(out, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out.Recycle()
+	for b, got := range members {
+		for i, v := range got.Data {
+			if math.Float32bits(v) != math.Float32bits(solo[b].Data[i]) {
+				t.Fatalf("member %d, element %d: %v in the group of %d, %v alone", b, i, v, n, solo[b].Data[i])
+			}
+		}
+	}
+	if raceEnabled {
+		return // alloc counts are nondeterministic under -race (sync.Pool randomly drops Puts)
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	if got := testing.AllocsPerRun(5, func() { pass().Recycle() }); got != 0 {
+		t.Errorf("a warm middle pass at n = %d does %.1f allocs, want 0", n, got)
 	}
 }
 

@@ -360,7 +360,7 @@ func (m *Model) executeN(acts map[int]*tensor.Tensor, n int, input *tensor.Tenso
 				return fmt.Errorf("engine: %q needs an input tensor", node.Layer.Name())
 			}
 			if want := batchShape(node.OutShape, n); !input.Shape.Equal(want) {
-				return fmt.Errorf("engine: input shape %v, model wants %v", input.Shape, want)
+				return fmt.Errorf("engine: input shape %v, model wants %v", input.Shape, want.Clone()) // a copy: boxing want would put its dims on the heap on every pass
 			}
 			acts[id] = input
 			continue

@@ -39,7 +39,9 @@ import (
 //     alone, parks it at the model's tail unit, and the fully connected
 //     tail of every job parked by then runs as one pass — one stream of
 //     the tail's weights for the group, not one per job. queue-wait is
-//     decode -> pop, coalesce-wait is park -> the group's pickup.
+//     decode -> pop, coalesce-wait is park -> the group's pickup. A
+//     forwarding stage parks nothing: a worker takes queued jobs of one
+//     cut off the WFQ together and runs their middle segment as one pass.
 //   - Backpressure: once depth crosses half the shed watermark, every
 //     reply carries replyFlagBackpressure; the client aggregates the
 //     hints (Client.ServerPressure) and the runner re-plans cuts
@@ -77,9 +79,11 @@ type connCtx struct {
 // at a unit exit) or a set frame (msgInferSet, an Alg. 3 boundary set).
 // Both kinds are shed — the runner finishes either locally. Only line
 // frames are:
-//   - grouped — parked for the group of their cut at the tail unit: a
-//     group shares one pass from one unit exit, and two sets' node
-//     lists need not match (nor does a set name a unit to park at);
+//   - grouped — parked for the group of their cut at the tail unit, or
+//     taken off the queue with jobs of their cut for a forwarding
+//     stage's middle segment: a group shares one pass from one unit
+//     exit, and two sets' node lists need not match (nor does a set name
+//     a unit to park at);
 //   - forwarded: the handoff (-next-cut) is a unit index and a set names
 //     no unit, so a set's whole suffix runs on the stage it reaches;
 //   - quantized on the wire: the client calibrates per unit exit.
@@ -295,11 +299,10 @@ func (fs *fleetScheduler) minActivePassLocked() (float64, bool) {
 	return min, found
 }
 
-// popLocked removes and returns the next job in WFQ order: the head of
-// the non-empty tenant queue with the smallest pass (name-ordered tie
-// break for determinism), advancing that tenant's pass by
-// wfqStride/weight.
-func (fs *fleetScheduler) popLocked() pendingJob {
+// headLocked returns the tenant queue whose head leaves next in WFQ
+// order: the non-empty one with the smallest pass (name-ordered tie
+// break for determinism), nil when nothing is queued.
+func (fs *fleetScheduler) headLocked() *tenantQueue {
 	var best *tenantQueue
 	for _, tq := range fs.tenants {
 		if len(tq.q) == 0 {
@@ -309,6 +312,13 @@ func (fs *fleetScheduler) popLocked() pendingJob {
 			best = tq
 		}
 	}
+	return best
+}
+
+// popLocked removes and returns the next job in WFQ order, the head of
+// headLocked's queue, advancing that tenant's pass by wfqStride/weight.
+func (fs *fleetScheduler) popLocked() pendingJob {
+	best := fs.headLocked()
 	pj := best.q[0]
 	best.q[0] = pendingJob{} // drop references for GC
 	best.q = best.q[1:]
@@ -335,25 +345,41 @@ const tailGroupMax = 16
 // what every windowed caller passed; not a knob.
 const groupHold = 2 * time.Millisecond
 
+// midGroupWidth is how many queued jobs a forwarding stage runs through
+// its middle segment as one pass. The segment it is sized for,
+// MobileNet-v2's (bneck15/add, head/gap], is 1×1 convolutions on a 7×7
+// plane: 49 GEMM columns, which leave the last 16-wide strip of the tile
+// one column full (77 % over the four strips); four planes, 196 columns,
+// fill thirteen strips to 94 %. Every width that runs keeps arena
+// buffers of its own, so it is one constant, not a knob: where the
+// queued jobs share a cut, groups are of 1 or of 4.
+const midGroupWidth = 4
+
 // gather is where and for how long a stage gathers line jobs: a job cut
 // at or past unit at joins the group of its cut (at < 0: none does), a
 // group closes at max members, and one that is not full is held until
 // hold after it opened — when its first member parked, not when that
-// member was received.
+// member was received. On a forwarding stage nothing parks and nothing
+// is held; max is the width of its middle groups, taken off the queue
+// as they are (takeLocked).
 type gather struct {
 	at, max int
 	hold    time.Duration
 }
 
-// gather is the stage's rule. A forwarding stage gathers nothing: the
-// handoff is one job's frame, and no traffic yet batches a middle
-// segment. A terminal stage gathers a job at the model's tail unit
+// gather is the stage's rule. A forwarding stage parks nothing — a job
+// leaves it at the handoff, before any tail — and groups its middle
+// segment by midGroupWidth jobs (on a float32 model: the int8 kernels are
+// single-image). A terminal stage gathers a job at the model's tail unit
 // (none on a quantized model or one with no dense head), after its conv
 // span has run alone, in a group of at most one tile (or WithBatching's
 // max) held for groupHold.
 func (s *Server) gather() gather {
 	if s.next != nil {
-		return gather{at: -1}
+		if s.model.IsQuantized() {
+			return gather{at: -1, max: 1}
+		}
+		return gather{at: -1, max: midGroupWidth}
 	}
 	max := tailGroupMax
 	if s.batchMax > 1 {
@@ -395,9 +421,12 @@ func pick(queued int, parked []task, max int, now time.Time) (group int, wait ti
 // been through the queue once — else a parked group, or the WFQ head as
 // a group of one. A head that is already cut at or past the unit where
 // the stage gathers has nothing to run alone; it joins the group of its
-// cut on the spot and the worker picks again. False: nothing to run
-// now, and wait is pick's. A closed scheduler holds no group back: every
-// one has fallen due by now + hold.
+// cut on the spot and the worker picks again. A head that a forwarding
+// stage will hand off, popped with at least a middle group's width of
+// jobs queued, takes the heads behind it along (takeRunLocked) — never
+// held, so a lone job on an idle stage waits for nothing. False: nothing
+// to run now, and wait is pick's. A closed scheduler holds no group
+// back: every one has fallen due by now + hold.
 func (fs *fleetScheduler) takeLocked(now time.Time) (task, time.Duration, bool) {
 	if n := len(fs.returned); n > 0 {
 		// Newest first: the list is short, and its array is used again.
@@ -421,13 +450,35 @@ func (fs *fleetScheduler) takeLocked(now time.Time) (task, time.Duration, bool) 
 		if fs.queued == 0 {
 			return task{}, wait, false
 		}
+		queued := fs.queued
 		pj := fs.popLocked()
 		fs.owed.Add(1)
-		if pj.req == nil || g.at < 0 || int(pj.req.Cut) < g.at {
+		switch {
+		case fs.s.handsOff(pj) && queued >= g.max:
+			return task{jobs: fs.takeRunLocked(pj, g.max)}, 0, true
+		case pj.req == nil || g.at < 0 || int(pj.req.Cut) < g.at:
 			return task{jobs: []pendingJob{pj}}, 0, true
 		}
 		fs.parkLocked(pj, now)
 	}
+}
+
+// takeRunLocked returns the middle group that head opens: head and the
+// WFQ heads after it, popped while they are line jobs of its cut, max in
+// all. A job of another cut or a set ends the run where it stands, and
+// the group runs as far as it got. The heads leave in WFQ order, so the
+// group is what fairness would have served next anyway.
+func (fs *fleetScheduler) takeRunLocked(head pendingJob, max int) []pendingJob {
+	jobs := append(make([]pendingJob, 0, max), head)
+	for len(jobs) < max {
+		tq := fs.headLocked()
+		if tq == nil || tq.q[0].req == nil || tq.q[0].req.Cut != head.req.Cut {
+			break
+		}
+		jobs = append(jobs, fs.popLocked())
+		fs.owed.Add(1)
+	}
+	return jobs
 }
 
 // parkLocked puts a line job that is cut where the stage gathers into
@@ -485,9 +536,9 @@ func (fs *fleetScheduler) hintFlags() uint8 {
 
 // task is what the pool runs: jobs that enter the model at the same
 // place and go through it as one pass. A job on its own is a group of
-// one; larger ones gathered while parked (takeLocked), and due is when
-// the group opened plus the stage's hold: until then it waits, unless
-// it fills.
+// one; larger ones gathered while parked, or were taken off the queue
+// together for a middle segment (takeLocked). due is when a parked group
+// opened plus the stage's hold: until then it waits, unless it fills.
 type task struct {
 	jobs []pendingJob
 	due  time.Time
@@ -496,13 +547,13 @@ type task struct {
 // run is the one stage task. It checks every member and runs the valid
 // ones from their cut as one batch (advance): to the last unit, where
 // each is classified and answered — or, from a cut before the unit
-// where this stage lets a job go, to that unit, where the job leaves
-// as what it has become, a job cut there: for the next hop on a
-// forwarding stage, for the tail group of that cut on a stage that
+// where this stage lets a job go, to that unit, where each member leaves
+// on its own as what it has become, a job cut there: for the next hop
+// on a forwarding stage, for the tail group of that cut on a stage that
 // parks. That makes the fallback this same task: a job the hop gave
 // back, or never took, comes in again at the handoff unit with the
-// tensor it left with, and keeps the pickup stamp of its first pass —
-// as does a parked job, whose group is this task once more.
+// tensor it left with, alone, and keeps the pickup stamp of its first
+// pass — as does a parked job, whose group is this task once more.
 //
 // Failure attribution: a member that fails its check fails only its own
 // connection, and only after the group's valid replies have been
@@ -544,12 +595,13 @@ func (fs *fleetScheduler) run(t task) {
 }
 
 // pass takes the checked members of a task through the model together
-// and sees each off: answered, handed over, parked or failed. grouped
-// says the jobs were gathered — parked, for however long — and the pass
-// is then counted by its size, gathered or not.
+// and sees each off: answered, handed over, parked or failed. A pass is
+// counted by its size where its jobs are gathered, of one or more: a
+// tail group (grouped: the jobs were parked, for however long) and a
+// forwarding stage's middle segment, whose group was taken at the pop.
 func (fs *fleetScheduler) pass(jobs []pendingJob, grouped bool) {
 	s, o, n := fs.s, fs.s.obsv, len(jobs)
-	if grouped {
+	if grouped || s.handsOff(jobs[0]) {
 		o.BatchSize.Observe(float64(n))
 		if n > 1 {
 			o.BatchedJobs.Add(int64(n))
@@ -568,12 +620,25 @@ func (fs *fleetScheduler) pass(jobs []pendingJob, grouped bool) {
 			fs.fail(pj, err)
 		}
 	case to < len(s.units)-1:
-		// Only a job on its own stops short of the sink.
-		jobs[0].req.Cut, jobs[0].req.Tensor = uint32(to), out
-		if s.next == nil {
-			fs.park(jobs[0])
-		} else if !s.next.handOff(jobs[0]) {
-			fs.run(task{jobs: jobs})
+		// Each member leaves with its own slice of the pass, as a job cut
+		// at unit to: parked for the tail group of that cut, or handed to
+		// the next hop — and one the hop does not take is finished here,
+		// alone, by this same task.
+		shape := s.model.Graph().Node(s.units[to].Exit).OutShape
+		for i := range jobs {
+			jobs[i].req.Cut, jobs[i].req.Tensor = uint32(to), s.unpack(out, shape, n, i)
+		}
+		if n > 1 {
+			out.Recycle()
+			seed.Recycle()
+		}
+		for _, pj := range jobs {
+			switch {
+			case s.next == nil:
+				fs.park(pj)
+			case !s.next.handOff(pj):
+				fs.run(task{jobs: []pendingJob{pj}})
+			}
 		}
 	default:
 		end := time.Now()
@@ -615,7 +680,8 @@ func (s *Server) pack(jobs []pendingJob) *tensor.Tensor {
 	if n == 1 {
 		return first
 	}
-	shape := first.Shape.Clone()
+	var dims [4]int // the packed shape stays on the stack: Get copies it
+	shape := append(tensor.Shape(dims[:0]), first.Shape...)
 	plane := len(first.Data) / shape[0]
 	shape[0] *= n
 	out := s.packs.Get(shape)
@@ -626,6 +692,30 @@ func (s *Server) pack(jobs []pendingJob) *tensor.Tensor {
 		}
 	}
 	return out
+}
+
+// unpack is pack undone for member b of a packed batch of n: the
+// member's own tensor of the given shape, in a buffer s.packs lends and
+// whoever finishes the member gives back — the relayed reply of the
+// next hop (readLoop), or the pass that runs it to the sink here. A
+// batch of one is the tensor itself.
+func (s *Server) unpack(packed *tensor.Tensor, shape tensor.Shape, n, b int) *tensor.Tensor {
+	if n == 1 {
+		return packed
+	}
+	out := s.packs.Get(shape)
+	plane := len(out.Data) / shape[0]
+	for ch := 0; ch*plane < len(out.Data); ch++ {
+		copy(out.Data[ch*plane:(ch+1)*plane], packed.Data[(ch*n+b)*plane:])
+	}
+	return out
+}
+
+// handsOff reports whether this stage's pass on a job ends at the
+// handoff: a line job cut before the next hop's unit on a forwarding
+// stage.
+func (s *Server) handsOff(pj pendingJob) bool {
+	return s.next != nil && pj.req != nil && int(pj.req.Cut) < s.next.cut
 }
 
 // advance runs a checked group from its cut as one batch — seed, the

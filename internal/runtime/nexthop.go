@@ -29,7 +29,8 @@ import (
 //
 //   - A pool worker computes the middle segment, parks the job in a
 //     free slot of a fixed-size table, writes the handoff frame and
-//     returns to the pool; it never waits for the reply. A full window
+//     returns to the pool; it never waits for the reply. (For a middle
+//     group it does so for each member in turn.) A full window
 //     blocks the worker, which backs the queue up into the shed
 //     watermark like any other saturated pool.
 //   - The frame's JobID is the slot index. Every upstream connection
@@ -58,7 +59,11 @@ import (
 //     for its fallback), then the pool, then the forwarding connection
 //     and its reader.
 //
-// A forwarding stage gathers no groups (Server.gather).
+// A forwarding stage parks no tail groups. It groups its middle segment
+// instead: a worker takes up to midGroupWidth queued jobs of one cut,
+// runs (c, h] for them as one pass, and each member then goes out on a
+// frame and a slot of its own, or falls back alone (Server.gather,
+// fleetScheduler.takeLocked).
 
 const (
 	// forwardWindow is how many handoffs may await their reply at once.
@@ -316,6 +321,11 @@ func (nh *nextHop) readLoop(fc *forwardConn) {
 		nh.fs.s.obsv.span(TrackServer, SpanForwardWait, int(sl.req.JobID), sl.sent, end)
 		// Only the downstream's backpressure hint survives the relay.
 		nh.fs.answer(sl.pendingJob, down.Class, down.Flags&replyFlagBackpressure, end)
+		// The job is done with: its handoff tensor goes back to the arena
+		// it came from, the model's or the stage's packs, as a pass that
+		// ends at the sink gives back its own. A shed or orphaned job keeps
+		// its tensor above: its fallback runs from it.
+		sl.req.Tensor.Recycle()
 	}
 	nh.kill(fc)
 	for _, job := range nh.orphans(fc) {

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"bufio"
+	"math"
 	"math/rand"
 	"net"
 	goruntime "runtime"
@@ -328,20 +329,149 @@ func TestWithNextHopValidation(t *testing.T) {
 }
 
 // Batching silently bypassing the next hop would be a correctness bug;
-// a forwarding stage must gather no groups even when batching flags are
-// set.
+// a forwarding stage must park no tail group even when batching flags
+// are set, and its middle groups keep their width.
 func TestNextHopDisablesCoalescer(t *testing.T) {
 	m := testModel(t)
 	srv, err := NewServer(m).WithBatching(time.Millisecond, 8).WithNextHop("127.0.0.1:1", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g := srv.gather(); g.at >= 0 || g.hold != 0 {
-		t.Errorf("forwarding stage gathers %+v; it must park nothing and hold nothing", g)
+	if g := srv.gather(); g.at >= 0 || g.hold != 0 || g.max != midGroupWidth {
+		t.Errorf("forwarding stage gathers %+v; it must park nothing, hold nothing, and group its middle segment by %d", g, midGroupWidth)
 	}
 	if g := NewServer(m).WithBatching(time.Millisecond, 8).gather(); g.at != 6 || g.max != 8 || g.hold != groupHold {
 		t.Errorf("non-forwarding server with batching gathers %+v, want line jobs at the tail unit 6, 8 a group, held %v", g, groupHold)
 	}
+}
+
+// burstBehindWedge sends boundaries, cut 0, to a one-worker stage as one
+// burst while its worker is wedged, so that the whole burst is queued
+// when the worker comes free and its middle segments run in groups
+// whatever the timing. It returns the client's report.
+func burstBehindWedge(t *testing.T, srv *Server, o *Obs, m *engine.Model, boundaries []*tensor.Tensor) *Report {
+	t.Helper()
+	release := wedgeWorker(t, srv, m, input(0))
+	cl, _ := attach(t, srv, m)
+	type outcome struct {
+		rep *Report
+		err error
+	}
+	ran := make(chan outcome, 1)
+	go func() {
+		rep, err := cl.RunBoundaryJobs(0, boundaries)
+		ran <- outcome{rep, err}
+	}()
+	eventually(t, "the burst to queue", func() bool { return o.QueueDepth.Value() == float64(len(boundaries)) })
+	release()
+	out := <-ran
+	if out.err != nil {
+		t.Fatal(out.err)
+	}
+	if err := cl.Err(); err != nil {
+		t.Errorf("client saw %v; a job answered twice shows up here", err)
+	}
+	return out.rep
+}
+
+// A burst at a stage whose hop refuses connections: the queued jobs run
+// their middle segments in groups of four, and then every member falls
+// back on its own — answered once, with the class a local forward
+// gives, after its own failed handoff.
+func TestNextHopGroupFallsBackMemberByMember(t *testing.T) {
+	goroutinesSettle(t)
+	m := testModel(t)
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadAddr := lis.Addr().String()
+	lis.Close() // dials are refused
+	srv, o := startMiddle(t, m, deadAddr, 3, nil)
+	srv.WithWorkers(1) // for wedgeWorker
+	const n = 2 * midGroupWidth
+	boundaries, want := variedBoundaries(t, m, 0, n, 19)
+	checkClasses(t, burstBehindWedge(t, srv, o, m, boundaries), want)
+	if groups, batched := o.BatchSize.Count(), o.BatchedJobs.Value(); groups != 2 || batched != n {
+		t.Errorf("%d middle passes of %d jobs in all, want 2 groups of %d", groups, batched, midGroupWidth)
+	}
+	if f, fb := o.NextHopForwards.Value(), o.NextHopFallbacks.Value(); f != 0 || fb != n {
+		t.Errorf("forwards %d fallbacks %d, want 0 and %d", f, fb, n)
+	}
+	waitSettled(t, func() bool { return o.ServerJobs.Value() == n+1 }) // the wedge job's reply too
+}
+
+// The handoff tensors a middle group ships are the ones its members
+// would ship alone, bit for bit: the hop records every frame it is sent,
+// and each must equal one member's own (c, h] run at batch size 1.
+func TestNextHopGroupedHandoffsMatchSolo(t *testing.T) {
+	goroutinesSettle(t)
+	m := testModel(t)
+	var (
+		mu   sync.Mutex
+		sent []*tensor.Tensor
+	)
+	hop := startScriptedHop(t, m, func(h *scriptedHop, _ int, conn net.Conn) {
+		r, w := bufio.NewReader(conn), bufio.NewWriter(conn)
+		for {
+			req, err := readRequest(r)
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			sent = append(sent, req.Tensor.Clone())
+			mu.Unlock()
+			if h.answer(w, req) != nil {
+				return
+			}
+		}
+	})
+	srv, o := startMiddle(t, m, hop.addr(), 3, nil)
+	srv.WithWorkers(1) // for wedgeWorker
+	const n = 2 * midGroupWidth
+	boundaries, want := variedBoundaries(t, m, 0, n, 23)
+	checkClasses(t, burstBehindWedge(t, srv, o, m, boundaries), want)
+	if got := o.BatchedJobs.Value(); got != n {
+		t.Errorf("%d jobs ran in middle groups, want all %d", got, n)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(sent) != n {
+		t.Fatalf("the hop was sent %d handoffs, want %d", len(sent), n)
+	}
+	used := make([]bool, n)
+	for i, b := range boundaries {
+		solo, err := srv.runSpan(0, 3, 1, b.Clone())
+		if err != nil {
+			t.Fatal(err)
+		}
+		match := -1
+		for j, got := range sent {
+			if !used[j] && bitsEqual(got, solo) {
+				match = j
+				break
+			}
+		}
+		if match < 0 {
+			t.Errorf("job %d: no handoff the hop saw is its solo handoff bit for bit", i)
+			continue
+		}
+		used[match] = true
+	}
+}
+
+// bitsEqual reports whether two tensors have the same shape and the same
+// bits in every element.
+func bitsEqual(a, b *tensor.Tensor) bool {
+	if !a.Shape.Equal(b.Shape) {
+		return false
+	}
+	for i, v := range a.Data {
+		if math.Float32bits(v) != math.Float32bits(b.Data[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Two upstream connections that both number their jobs from 0 share the

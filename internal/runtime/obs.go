@@ -77,10 +77,11 @@ type Obs struct {
 	WorkersBusy   *obs.Gauge   // jps_server_workers_busy (pool occupancy)
 
 	// Cross-job batching: every parked tail group, observed when a worker
-	// picks it up (see fleet.go).
+	// picks it up, and every middle-segment pass of a forwarding stage
+	// (see fleet.go).
 	BatchSize   *obs.Histogram // jps_server_batch_size (jobs per executed group)
 	BatchedJobs *obs.Counter   // jps_server_batched_jobs_total (jobs executed in groups of >= 2)
-	SoloJobs    *obs.Counter   // jps_server_solo_jobs_total (jobs whose tail group was of one; a job that never parked counts in neither)
+	SoloJobs    *obs.Counter   // jps_server_solo_jobs_total (jobs that ran as a group of one: a tail group or a middle segment; a job that ran neither counts in neither)
 
 	// Fleet scheduler: admission control, WFQ, shedding (see fleet.go).
 	QueueDepth          *obs.Gauge      // jps_server_queue_depth (jobs admitted and not yet picked up: a job counts until a worker pops it, and no longer once parked for its group)

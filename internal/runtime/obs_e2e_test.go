@@ -322,6 +322,11 @@ func TestObsForwardingStage(t *testing.T) {
 	if got := o.NextHopInFlight.Value(); got != 0 {
 		t.Errorf("in-flight gauge = %g after the run, want 0", got)
 	}
+	// Each job ran its middle segment in exactly one pass, of one or of a
+	// group, whatever the timing made the groups.
+	if sum, counted := o.BatchSize.Sum(), o.BatchedJobs.Value()+o.SoloJobs.Value(); sum != n || counted != n {
+		t.Errorf("batch sizes sum to %g over %d counted jobs, want %d of each", sum, counted, n)
+	}
 	waits, computes := map[int32]obs.Span{}, map[int32]obs.Span{}
 	for _, sp := range o.Tracer.Spans() {
 		if sp.Track != TrackServer {

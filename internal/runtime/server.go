@@ -21,7 +21,8 @@ import (
 // one global worker pool, per-tenant weighted fair queueing,
 // watermark-based load shedding, and cross-connection batching of the
 // model's fully connected tail, by one rule on every terminal server
-// (Server.gather, fleetScheduler.pick). Replies go out (possibly out of
+// (Server.gather, fleetScheduler.pick) — or, on a forwarding stage, of
+// the middle segment of queued jobs. Replies go out (possibly out of
 // order) under each connection's write mutex as jobs finish, so one
 // slow inference never stalls any socket.
 type Server struct {
@@ -98,10 +99,11 @@ func (s *Server) WithShedWatermark(n int) *Server {
 // WithBatching caps the server's tail groups at max jobs instead of the
 // GEMM tile's 16 (max < 2 keeps the tile). window is not read: every
 // terminal server already holds a tail group that is not full for
-// groupHold (see gather); the parameter stays for existing callers. A
-// forwarding stage groups nothing, and a quantized model or one with no
-// dense head has no tail to group at. Must be called before serving;
-// returns s for chaining.
+// groupHold (see gather); the parameter stays for existing callers. max
+// caps tail groups only: a forwarding stage parks none, and its middle
+// groups are midGroupWidth wide whatever max says; a quantized model or
+// one with no dense head has no tail to group at. Must be called before
+// serving; returns s for chaining.
 func (s *Server) WithBatching(window time.Duration, max int) *Server {
 	s.batchMax = max
 	return s

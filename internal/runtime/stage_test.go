@@ -33,8 +33,13 @@ import (
 // and runner rows are 8-job RunPlan calls of a Client and of a Runner
 // (which dials afresh each call); their ceilings are the readings of the
 // last tree with a run loop per caller (14.91–14.99 and 30.54–30.69 over
-// eight runs) rounded up to the next quarter. MemStats deltas with the
-// collector held off, as in the engine's steady-state tests.
+// eight runs) rounded up to the next quarter. The forwarded-group row
+// sends the forwarded jobs in bursts of 16, so that the stage runs their
+// middle segments in groups and the relayed replies give the handoff
+// tensors back; its ceiling is the forwarded row's reading on the last
+// tree with no middle groups (25.00) rounded up to the next quarter.
+// MemStats deltas with the collector held off, as in the engine's
+// steady-state tests.
 func TestStageAllocsPerJob(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are nondeterministic under -race (sync.Pool randomly drops Puts)")
@@ -43,7 +48,8 @@ func TestStageAllocsPerJob(t *testing.T) {
 	const (
 		jobs    = 256
 		group   = 32
-		headCut = 6 // after gap: the suffix is the dense head
+		burst   = 16 // forwarded in bursts: the middle segments run in groups
+		headCut = 6  // after gap: the suffix is the dense head
 		handoff = 3
 	)
 	client := func(srv *Server) *Client {
@@ -116,6 +122,13 @@ func TestStageAllocsPerJob(t *testing.T) {
 		{"forwarded", 31.25, func() {
 			for i := range early {
 				if _, err := forwarder.RunBoundaryJobs(handoff-2, early[i:i+1]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}},
+		{"forwarded-group", 25.25, func() {
+			for i := 0; i < jobs; i += burst {
+				if _, err := forwarder.RunBoundaryJobs(handoff-2, early[i:i+burst]); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -195,6 +195,29 @@ func TestTakeByStageAndFrame(t *testing.T) {
 		{"a forwarding stage never parks under WithBatching", forward(NewServer(m).WithBatching(time.Second, 4)), -1,
 			[]pendingJob{line(0, tail), line(1, tail)}, nil, false,
 			[][]int{{0}, {1}}, 0},
+		// The handoff is unit 3: a line job cut before it runs its middle
+		// segment on this stage, in a group taken off the queue as it stands.
+		{"a forwarding stage runs four queued jobs of one cut as one middle group", forward(NewServer(m)), -1,
+			many(0, 5, 1), nil, false,
+			[][]int{{0, 1, 2, 3}, {4}}, 0},
+		{"fewer than four queued run their middle segments alone", forward(NewServer(m)), -1,
+			many(0, 3, 1), nil, false,
+			[][]int{{0}, {1}, {2}}, 0},
+		{"a job of another cut ends a middle group", forward(NewServer(m)), -1,
+			[]pendingJob{line(0, 1), line(1, 1), line(2, 2), line(3, 1), line(4, 1), line(5, 2)}, nil, false,
+			[][]int{{0, 1}, {2}, {3}, {4}, {5}}, 0},
+		{"a set frame is never in a middle group", forward(NewServer(m)), -1,
+			[]pendingJob{set(0), line(1, 1), line(2, 1), line(3, 1), set(4), line(5, 1)}, nil, false,
+			[][]int{{0}, {1, 2, 3}, {4}, {5}}, 0},
+		{"a job cut at or past the handoff is never in a middle group", forward(NewServer(m)), -1,
+			append(many(0, 4, 3), line(4, 1), line(5, 3), line(6, 1), line(7, 1)), nil, false,
+			[][]int{{0}, {1}, {2}, {3}, {4}, {5}, {6}, {7}}, 0},
+		{"WithBatching's max does not widen a middle group", forward(NewServer(m).WithBatching(time.Second, 8)), -1,
+			many(0, 8, 0), nil, false,
+			[][]int{{0, 1, 2, 3}, {4, 5, 6, 7}}, 0},
+		{"a quantized forwarding stage runs every middle segment alone", forward(NewServer(quantTestModel(t))), -1,
+			many(0, 4, 1), nil, false,
+			[][]int{{0}, {1}, {2}, {3}}, 0},
 		{"a job given back goes ahead of queue and groups", NewServer(m), tail,
 			[]pendingJob{line(1, tail), line(0, 1)}, []pendingJob{line(7, 3)}, false,
 			[][]int{{7}, {0}, {1}}, hold},

@@ -239,11 +239,14 @@ wait "$FWD_PID" || {
     exit 1
 }
 FWD_PID=""
-# 32 + 2 + 4 jobs answered, 32 of them by handoff.
+# 32 + 2 + 4 jobs answered, 32 of them by handoff, each of those counted
+# in exactly one middle pass (of one, or of a group of four: the sizes
+# sum to 32 whatever the timing made the groups).
 if ! grep -q '^jps_nexthop_forwards_total 32$' "$FWD_LOG" ||
-    ! grep -q '^jps_server_jobs_total 38$' "$FWD_LOG"; then
-    echo "chain smoke: forwarder metrics: want 38 jobs, 32 handoffs (a boundary set is never forwarded):" >&2
-    grep -E '^jps_(nexthop|server_jobs)' "$FWD_LOG" >&2
+    ! grep -q '^jps_server_jobs_total 38$' "$FWD_LOG" ||
+    ! grep -q '^jps_server_batch_size_sum 32$' "$FWD_LOG"; then
+    echo "chain smoke: forwarder metrics: want 38 jobs, 32 handoffs (a boundary set is never forwarded), middle passes of 32 jobs in all:" >&2
+    grep -E '^jps_(nexthop|server_jobs|server_batch_size_(sum|count))' "$FWD_LOG" >&2
     exit 1
 fi
 kill -TERM "$TERM_PID"
