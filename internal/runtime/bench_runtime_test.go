@@ -354,27 +354,28 @@ func BenchmarkRunnerAdaptive(b *testing.B) {
 	b.Run("adaptive", func(b *testing.B) { run(b, true) })
 }
 
-// BenchmarkWriteInferRequest measures the encode side of the wire
-// path: with pooled chunk buffers, a 16 K-element tensor frame must
-// encode with zero allocations.
-func BenchmarkWriteInferRequest(b *testing.B) {
+// BenchmarkWriteJob measures the encode side of the wire path: with
+// pooled chunk buffers, a line job's 16 K-element tensor frame encodes
+// with zero allocations (TestWirePathAllocs holds it to that).
+func BenchmarkWriteJob(b *testing.B) {
 	tt := tensor.New(tensor.NewCHW(16, 32, 32))
 	for i := range tt.Data {
 		tt.Data[i] = float32(i)
 	}
-	req := &inferRequest{JobID: 1, Cut: 3, Tensor: tt}
+	pairs := []boundary{{Node: 3, T: tt}}
 	b.SetBytes(int64(RequestWireBytes(tt.Shape)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := writeInferRequest(io.Discard, req); err != nil {
+		if err := writeJob(io.Discard, 1, pairs); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkReadTensor measures the decode side: one tensor allocation
-// per frame, independent of payload size.
+// BenchmarkReadTensor measures the decode side: one tensor per frame —
+// its header, shape and data, three allocations — whatever the payload
+// size.
 func BenchmarkReadTensor(b *testing.B) {
 	tt := tensor.New(tensor.NewCHW(16, 32, 32))
 	var buf bytes.Buffer

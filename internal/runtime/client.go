@@ -12,7 +12,6 @@ import (
 	"dnnjps/internal/estimator"
 	"dnnjps/internal/flowshop"
 	"dnnjps/internal/netsim"
-	"dnnjps/internal/profile"
 	"dnnjps/internal/regression"
 	"dnnjps/internal/tensor"
 )
@@ -71,20 +70,12 @@ type call struct {
 	done    chan struct{}
 }
 
-// upload is the frame a job's mobile prefix leaves to ship: a line
-// cut's inferRequest or a cut set's inferSetRequest, never both. The
-// zero value means the job completed locally.
-type upload struct {
-	req *inferRequest
-	set *inferSetRequest
-}
-
 // wireMsg is one unit of work for the writer goroutine.
 type wireMsg struct {
-	c      *call
-	upload           // zero for a ping
-	ping   int       // calibration payload size
-	enq    time.Time // when the message entered the send queue
+	c    *call
+	req  *jobRequest // nil for a ping
+	ping int         // calibration payload size
+	enq  time.Time   // when the message entered the send queue
 }
 
 // NewClient wraps a connection to a Server. timeScale compresses
@@ -235,15 +226,11 @@ func (c *Client) writeLoop() {
 			c.obsv.span(TrackUplink, SpanQueueWait, jobID, msg.enq, start)
 			c.conn.Delay(time.Duration(c.ch.SetupMs * float64(time.Millisecond)))
 			serStart := time.Now()
-			// Nothing after this switch knows which frame went out.
 			var bytes int
 			var err error
-			switch {
-			case msg.req != nil:
-				bytes, err = reqWireBytes(msg.req), writeInferRequest(c.w, msg.req)
-			case msg.set != nil:
-				bytes, err = setWireBytes(msg.set), writeInferSetRequest(c.w, msg.set)
-			default:
+			if msg.req != nil {
+				bytes, err = jobWireBytes(msg.req.Pairs), writeJob(c.w, msg.req.JobID, msg.req.Pairs)
+			} else {
 				err = writePing(c.w, msg.ping)
 			}
 			serEnd := time.Now()
@@ -282,7 +269,7 @@ func (c *Client) readLoop() {
 			return
 		}
 		switch typ {
-		case msgInfer:
+		case msgReply:
 			rep, err := readInferReplyBody(c.r)
 			if err != nil {
 				c.fail(err)
@@ -361,20 +348,21 @@ func (c *Client) deliverPong() error {
 // to the writer. Registration happens before the frame can reach the
 // wire, so a reply can never race its own job.
 //
-// On a quantized model a line cut's boundary ships as int8 codes under
-// the exit node's calibrated mapping — a quarter of the float32
-// payload — and the frame carries the mapping, so the server decodes it
+// On a quantized model every pair ships as int8 codes under its node's
+// calibrated mapping — a quarter of the float32 payload, what the plan
+// priced — and the frame carries the mapping, so the server decodes it
 // without sharing the calibration. The request is rewritten in place: a
-// resubmitted upload is not quantized twice. A set ships float32 (see
-// the frame-kind table on pendingJob).
-func (c *Client) enqueue(res *JobResult, up upload) (*call, error) {
+// resubmitted job is not quantized twice.
+func (c *Client) enqueue(res *JobResult, req *jobRequest) (*call, error) {
 	c.startIO()
-	if req := up.req; req != nil && req.Tensor != nil && c.model.IsQuantized() {
-		qp, err := c.model.ActivationQParams(c.units[req.Cut].Exit)
-		if err != nil {
-			return nil, err
+	for i := range req.Pairs {
+		if p := &req.Pairs[i]; p.T != nil && c.model.IsQuantized() {
+			qp, err := c.model.ActivationQParams(p.Node)
+			if err != nil {
+				return nil, err
+			}
+			p.Q, p.T = tensor.QuantizeTensor(p.T, qp), nil
 		}
-		req.Quant, req.Tensor = tensor.QuantizeTensor(req.Tensor, qp), nil
 	}
 	cl := &call{res: res, done: make(chan struct{})}
 	id := uint32(res.JobID)
@@ -391,7 +379,7 @@ func (c *Client) enqueue(res *JobResult, up upload) (*call, error) {
 	c.calls[id] = cl
 	c.mu.Unlock()
 	select {
-	case c.sendQ <- wireMsg{c: cl, upload: up, enq: time.Now()}:
+	case c.sendQ <- wireMsg{c: cl, req: req, enq: time.Now()}:
 		return cl, nil
 	case <-c.failed:
 		c.mu.Lock()
@@ -536,14 +524,14 @@ func (c *Client) RunCutSet(jobID int, cutNodes []int, input *tensor.Tensor) (*Jo
 }
 
 func (c *Client) runOne(jobID int, cut jobCut, input *tensor.Tensor) (*JobResult, error) {
-	up, res, err := c.computePrefix(jobID, cut, input)
+	req, res, err := c.computePrefix(jobID, cut, input)
 	if err != nil {
 		return nil, err
 	}
-	if up == (upload{}) {
+	if req == nil {
 		return res, nil // fully local
 	}
-	cl, err := c.enqueue(res, up)
+	cl, err := c.enqueue(res, req)
 	if err != nil {
 		return nil, err
 	}
@@ -553,97 +541,86 @@ func (c *Client) runOne(jobID int, cut jobCut, input *tensor.Tensor) (*JobResult
 	return res, nil
 }
 
-// computePrefix runs the mobile part. Returns a zero upload when the
+// computePrefix runs the mobile part. Returns a nil request when the
 // job completed locally.
-func (c *Client) computePrefix(jobID int, cut jobCut, input *tensor.Tensor) (upload, *JobResult, error) {
+func (c *Client) computePrefix(jobID int, cut jobCut, input *tensor.Tensor) (*jobRequest, *JobResult, error) {
 	start := time.Now()
-	up, res, err := c.runPrefix(jobID, cut, input)
+	req, res, err := c.runPrefix(jobID, cut, input)
 	if err == nil {
 		c.obsv.span(TrackMobile, SpanLocalCompute, jobID, start, time.Now())
 	}
-	return up, res, err
+	return req, res, err
 }
 
 // runPrefix executes the mobile side of one job on the engine and
-// returns the frame left to ship, zero when the job completed locally;
-// the connected client and the fault-tolerant runner's local fallback
-// (which has no live transport) share it. The frame kind is a property
-// of the boundary, not of how the cut was written: a set whose boundary
-// is a unit exit goes out as the line cut it is (msgInfer,
-// JobResult.Cut = the unit), anything else as a true set (msgInferSet,
-// JobResult.Cut = -1).
-func (lp *lineProgram) runPrefix(jobID int, cut jobCut, input *tensor.Tensor) (upload, *JobResult, error) {
+// returns the job frame left to ship, nil when the job completed
+// locally; the connected client and the fault-tolerant runner's local
+// fallback (which has no live transport) share it. Whether the job is a
+// line cut is a property of the boundary, not of how the cut was
+// written: a set whose boundary is a unit exit is the line job it is
+// (JobResult.Cut = the unit), anything else a true set (JobResult.Cut =
+// -1).
+func (lp *lineProgram) runPrefix(jobID int, cut jobCut, input *tensor.Tensor) (*jobRequest, *JobResult, error) {
 	g := lp.model.Graph()
 	res := &JobResult{JobID: jobID, Cut: cut.unit}
-	var out *tensor.Tensor   // the activation at unit res.Cut's exit
-	var set *inferSetRequest // the boundary of a set cut
+	var out *tensor.Tensor // the activation at unit res.Cut's exit
+	var set *jobRequest    // the boundary of a set cut
 	start := time.Now()
 	switch {
 	case cut.nodes == nil:
 		if cut.unit < 0 || cut.unit >= len(lp.units) {
-			return upload{}, nil, fmt.Errorf("runtime: cut %d out of range [0,%d)", cut.unit, len(lp.units))
+			return nil, nil, fmt.Errorf("runtime: cut %d out of range [0,%d)", cut.unit, len(lp.units))
 		}
 		var err error
 		if out, err = lp.runSpan(-1, cut.unit, 1, input); err != nil {
-			return upload{}, nil, err
+			return nil, nil, err
 		}
 	case len(cut.nodes) == 0:
-		return upload{}, nil, fmt.Errorf("runtime: empty cut set")
+		return nil, nil, fmt.Errorf("runtime: empty cut set")
 	default:
 		for _, id := range cut.nodes {
 			if id < 0 || id >= g.Len() {
-				return upload{}, nil, fmt.Errorf("runtime: cut node %d out of range [0,%d)", id, g.Len())
+				return nil, nil, fmt.Errorf("runtime: cut node %d out of range [0,%d)", id, g.Len())
 			}
 		}
 		acts := map[int]*tensor.Tensor{}
 		mobile, prefix, err := lp.runSide(acts, input, cut.nodes)
 		if err != nil {
-			return upload{}, nil, err
+			return nil, nil, err
 		}
 		// Boundary = mobile nodes with at least one remote consumer.
-		set = &inferSetRequest{JobID: uint32(jobID)}
+		set = &jobRequest{JobID: uint32(jobID), Cut: -1}
 		for _, id := range prefix {
 			for _, s := range g.Succs(id) {
 				if !mobile[s] {
-					set.Nodes = append(set.Nodes, int32(id))
-					set.Tensors = append(set.Tensors, acts[id])
+					set.Pairs = append(set.Pairs, boundary{Node: id, T: acts[id]})
 					break
 				}
 			}
 		}
-		if res.Cut = lineUnit(lp.units, set.Nodes, len(prefix)); res.Cut >= 0 {
+		if res.Cut = lp.cutOf(set.Pairs); res.Cut >= 0 {
 			out = acts[lp.units[res.Cut].Exit]
 		}
 	}
 	res.MobileMs = float64(time.Since(start).Nanoseconds()) / 1e6
 	switch res.Cut {
 	case -1:
-		return upload{set: set}, res, nil
+		return set, res, nil
 	case len(lp.units) - 1:
 		res.Class = engine.Argmax(out)
 		res.Done = time.Now()
-		return upload{}, res, nil
+		return nil, res, nil
 	}
-	return upload{req: &inferRequest{JobID: uint32(jobID), Cut: uint32(res.Cut), Tensor: out}}, res, nil
+	return lp.lineJob(jobID, res.Cut, out), res, nil
 }
 
-// lineUnit names the line cut a boundary set is, or -1 for a true set.
-// No boundary is the last unit: the sink is on the mobile side. One
-// boundary node that is a unit's exit, behind as many mobile nodes as
-// that unit's prefix holds, is that unit: a one-boundary mobile side is
-// the boundary's ancestor closure, and a unit exit's ancestor closure
-// is its unit prefix (TestUnitExitClosureIsUnitPrefix).
-func lineUnit(units []profile.Unit, boundary []int32, mobileNodes int) int {
-	if len(boundary) == 0 {
-		return len(units) - 1
-	}
-	for k, u := range units {
-		mobileNodes -= len(u.Nodes)
-		if len(boundary) == 1 && u.Exit == int(boundary[0]) && mobileNodes == 0 {
-			return k
-		}
-	}
-	return -1
+// lineJob is the frame of a job cut after unit cut: one pair, the
+// activation t at the unit's exit.
+func (lp *lineProgram) lineJob(jobID, cut int, t *tensor.Tensor) *jobRequest {
+	req := &jobRequest{JobID: uint32(jobID), Cut: cut}
+	req.one[0] = boundary{Node: lp.units[cut].Exit, T: t}
+	req.Pairs = req.one[:]
+	return req
 }
 
 // Report aggregates a pipelined run.
@@ -675,7 +652,7 @@ type ftJob struct {
 	id    int
 	cut   jobCut
 	input *tensor.Tensor
-	up    upload
+	up    *jobRequest
 	res   *JobResult
 	c     *call
 	tries int
@@ -785,7 +762,7 @@ func (c *Client) runJobs(jobs []ftJob, window int, timeout time.Duration, rec *r
 				return false, err
 			}
 		}
-		if j.up == (upload{}) {
+		if j.up == nil {
 			j.done = true // fully local cut, classified by runPrefix
 			continue
 		}
@@ -869,8 +846,7 @@ func (c *Client) RunBoundaryJobs(cut int, boundaries []*tensor.Tensor) (*Report,
 	}
 	jobs := make([]ftJob, len(boundaries))
 	for i, b := range boundaries { // frames preset: no prefix to compute
-		jobs[i] = ftJob{id: i, res: &JobResult{JobID: i, Cut: cut},
-			up: upload{req: &inferRequest{JobID: uint32(i), Cut: uint32(cut), Tensor: b}}}
+		jobs[i] = ftJob{id: i, res: &JobResult{JobID: i, Cut: cut}, up: c.lineJob(i, cut, b)}
 	}
 	return c.runAll(jobs, nil)
 }

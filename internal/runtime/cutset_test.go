@@ -19,29 +19,6 @@ import (
 	"dnnjps/internal/tensor"
 )
 
-// readFrame consumes one request frame of either kind and returns its
-// type, job ID, line cut (-1 for a set) and wire size.
-func readFrame(r *bufio.Reader) (typ byte, jobID uint32, cut, bytes int, err error) {
-	if typ, err = r.ReadByte(); err != nil {
-		return
-	}
-	switch typ {
-	case msgInfer:
-		var req *inferRequest
-		if req, err = readInferRequestBody(r); err == nil {
-			jobID, cut, bytes = req.JobID, int(req.Cut), reqWireBytes(req)
-		}
-	case msgInferSet:
-		var set *inferSetRequest
-		if set, err = readInferSetRequestBody(r); err == nil {
-			jobID, cut, bytes = set.JobID, -1, setWireBytes(set)
-		}
-	default:
-		err = errUnexpected(typ)
-	}
-	return
-}
-
 // TestRunGeneralPlanPipelines is "it pipelines" without a clock: the
 // peer reads all n set frames before it writes a single reply, so the
 // run can only finish if every job is on the wire before any answer
@@ -58,14 +35,14 @@ func TestRunGeneralPlanPipelines(t *testing.T) {
 	peer := fakePeer(sConn, func(r *bufio.Reader, w *bufio.Writer) error {
 		ids := make([]uint32, n)
 		for i := range ids {
-			typ, id, _, _, err := readFrame(r)
+			req, err := readRequest(r)
 			if err != nil {
 				return err
 			}
-			if typ != msgInferSet {
-				return fmt.Errorf("frame %d is type %d, want a set frame", i, typ)
+			if len(req.Pairs) != 2 {
+				return fmt.Errorf("frame %d carries %d pairs, want the two-tensor set", i, len(req.Pairs))
 			}
-			ids[i] = id
+			ids[i] = req.JobID
 		}
 		for _, id := range ids {
 			if err := writeInferReply(w, &inferReply{JobID: id, Class: int32(50 + id)}); err != nil {
@@ -142,12 +119,13 @@ func (c *countingConn) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
-// TestGeneralPlanOfLineCutsMatchesRunPlanOnTheWire: the frame kind is a
-// property of the boundary, not of the method called. A general plan
+// TestGeneralPlanOfLineCutsMatchesRunPlanOnTheWire: a job's frame is a
+// property of its boundary, not of the method called. A general plan
 // whose cut sets are single unit exits (what PlanGeneralBest returns
-// when a line plan wins) must put the same frames — kind, job, cut, in
-// the same order — and the same byte count on the wire as RunPlan of
-// the line plan it came from.
+// when a line plan wins) must put the same frames — job, boundary
+// nodes, size, in the same order — and the same byte count on the wire
+// as RunPlan of the line plan it came from: one pair each, at the cut
+// unit's exit.
 func TestGeneralPlanOfLineCutsMatchesRunPlanOnTheWire(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("loads and runs zoo models")
@@ -184,12 +162,16 @@ func TestGeneralPlanOfLineCutsMatchesRunPlanOnTheWire(t *testing.T) {
 			var log strings.Builder
 			fakePeer(b, func(r *bufio.Reader, w *bufio.Writer) error {
 				for {
-					typ, id, cut, bytes, err := readFrame(r)
+					req, err := readRequest(r)
 					if err != nil {
 						return nil // the client closed
 					}
-					fmt.Fprintf(&log, "type %d job %d cut %d bytes %d\n", typ, id, cut, bytes)
-					if err := writeInferReply(w, &inferReply{JobID: id}); err != nil {
+					fmt.Fprintf(&log, "job %d bytes %d nodes", req.JobID, jobWireBytes(req.Pairs))
+					for _, p := range req.Pairs {
+						fmt.Fprintf(&log, " %d", p.Node)
+					}
+					log.WriteByte('\n')
+					if err := writeInferReply(w, &inferReply{JobID: req.JobID}); err != nil {
 						return err
 					}
 					if err := w.Flush(); err != nil {
@@ -206,6 +188,13 @@ func TestGeneralPlanOfLineCutsMatchesRunPlanOnTheWire(t *testing.T) {
 				if res.Cut != p.Cuts[j] {
 					t.Errorf("%s job %d: JobResult.Cut = %d, want the unit index %d", name, j, res.Cut, p.Cuts[j])
 				}
+				if res.Cut == len(units)-1 {
+					continue // fully local: no frame
+				}
+				exit := units[res.Cut].Exit
+				if want := fmt.Sprintf("job %d bytes %d nodes %d\n", j, RequestWireBytes(g.Node(exit).OutShape), exit); !strings.Contains(log.String(), want) {
+					t.Errorf("%s job %d: no frame %q on the wire:\n%s", name, j, want, log.String())
+				}
 			}
 			return log.String(), conn.written.Load()
 		}
@@ -214,9 +203,6 @@ func TestGeneralPlanOfLineCutsMatchesRunPlanOnTheWire(t *testing.T) {
 		genLog, genBytes := wire(func(cl *Client) (*Report, error) { return cl.RunGeneralPlan(gp, inputs) })
 		if lineLog != genLog || lineBytes != genBytes {
 			t.Errorf("%s: RunGeneralPlan wrote %d bytes:\n%sRunPlan wrote %d bytes:\n%s", name, genBytes, genLog, lineBytes, lineLog)
-		}
-		if strings.Contains(lineLog, fmt.Sprintf("type %d", msgInferSet)) {
-			t.Errorf("%s: a line plan put a set frame on the wire:\n%s", name, lineLog)
 		}
 	}
 }
@@ -232,13 +218,13 @@ func TestGeneralPlanOfLineCutsMatchesRunPlanOnTheWire(t *testing.T) {
 // test ends).
 func wedgeWorker(t *testing.T, srv *Server, m *engine.Model, in *tensor.Tensor) (release func()) {
 	t.Helper()
-	up, _, err := srv.runPrefix(999, jobCut{unit: max(srv.tail, 1)}, in)
+	req, _, err := srv.runPrefix(999, jobCut{unit: max(srv.tail, 1)}, in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wedge := dialFleet(t, srv)
 	w := bufio.NewWriter(wedge)
-	if err := writeInferRequest(w, up.req); err != nil {
+	if err := writeJob(w, req.JobID, req.Pairs); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Flush(); err != nil {
@@ -308,13 +294,12 @@ func TestRunGeneralPlanRefusesReplanOptions(t *testing.T) {
 	}
 }
 
-// TestSetFramesRunSoloUnforwardedFloat32 pins the three documented
-// "no"s of the frame-kind table (pendingJob): on a batching server a
-// set job is not coalesced, on a forwarding stage it is not handed off
-// (its whole suffix runs there), and on a quantized model it ships
-// float32 — while the same client's line cuts batch, forward and
-// quantize as ever.
-func TestSetFramesRunSoloUnforwardedFloat32(t *testing.T) {
+// TestSetJobsRunSoloUnforwarded pins the job-kind table (pendingJob):
+// on a batching server a set job is not coalesced and on a forwarding
+// stage it is not handed off (its whole suffix runs there) — while the
+// same client's line cuts batch and forward as ever — and on a
+// quantized model it ships int8 like a line cut.
+func TestSetJobsRunSoloUnforwarded(t *testing.T) {
 	m := branchedModel(t)
 	const n = 4
 	inputs := make([]*tensor.Tensor, n)
@@ -369,14 +354,54 @@ func TestSetFramesRunSoloUnforwardedFloat32(t *testing.T) {
 		if _, err := cl.RunCutSet(0, twoTensorCut(t, qm), inputs[0]); err != nil {
 			t.Fatal(err)
 		}
-		setBytes := int64(twoTensorSetBytes(qm))
+		setBytes := int64(twoTensorSetBytes(qm)) // two int8 pairs
 		waitSettled(t, func() bool { return o.BytesUp.Value() == setBytes })
-		// A cut set that is a unit exit takes the line frame, int8 payload
-		// included.
+		// A cut set that is a unit exit is the line job: one int8 pair.
 		if _, err := cl.RunCutSet(1, []int{stem.ID}, inputs[0]); err != nil {
 			t.Fatal(err)
 		}
 		lineBytes := int64(QuantRequestWireBytes(stem.OutShape))
 		waitSettled(t, func() bool { return o.BytesUp.Value() == setBytes+lineBytes })
 	})
+}
+
+// TestQuantSetJobsMatchLocalForward: set × int8 is a working cell. On a
+// quantized ResNet-18 — the smallest zoo model whose Alg. 3 plans ship
+// true sets — every pair of a set goes up as int8 under its own node's
+// mapping, and the server's class is the local quantized forward's for
+// every input, each cut at a different node inside a residual block.
+func TestQuantSetJobsMatchLocalForward(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("loads, quantizes and runs ResNet-18")
+	}
+	g := models.MustBuild("resnet18")
+	m := quantized(t, engine.Load(g, 42))
+	cl := startPair(t, m, netsim.WiFi)
+	units := profile.LineView(g)
+	exit := map[int]bool{}
+	for _, u := range units {
+		exit[u.Exit] = true
+	}
+	var inner []int // nodes that are no unit's exit: a cut there is a true set
+	for _, id := range g.Topo() {
+		if !exit[id] {
+			inner = append(inner, id)
+		}
+	}
+	const n = 4
+	for i := 0; i < n; i++ {
+		in := tensor.New(g.Node(units[0].Exit).OutShape)
+		for j := range in.Data {
+			in.Data[j] = float32((j+i*7)%29)/29 - 0.5
+		}
+		want := wantClasses(t, m, []*tensor.Tensor{in})[0]
+		node := inner[(i+1)*len(inner)/(n+1)]
+		res, err := cl.RunCutSet(i, []int{node}, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Cut != -1 || res.Class != want {
+			t.Errorf("input %d cut at %s: class %d cut %d, want %d/-1", i, g.Node(node).Layer.Name(), res.Class, res.Cut, want)
+		}
+	}
 }

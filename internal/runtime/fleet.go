@@ -74,38 +74,26 @@ type connCtx struct {
 	fail func(error)
 }
 
-// pendingJob is one decoded request in flight through the scheduler.
-// Exactly one of req/set is non-nil: a line frame (msgInfer, one tensor
-// at a unit exit) or a set frame (msgInferSet, an Alg. 3 boundary set).
-// Both kinds are shed — the runner finishes either locally. Only line
-// frames are:
-//   - grouped — parked for the group of their cut at the tail unit, or
-//     taken off the queue with jobs of their cut for a forwarding
-//     stage's middle segment: a group shares one pass from one unit
-//     exit, and two sets' node lists need not match (nor does a set name
-//     a unit to park at);
+// pendingJob is one decoded job in flight through the scheduler. Every
+// job is one frame kind, a boundary of (node, tensor) pairs; what sets
+// a line job (req.Cut ≥ 0: one pair at a unit exit) apart from a true
+// set (req.Cut = -1) is what may happen to it. Both are shed — the
+// runner finishes either locally — and both may ship int8. Only a line
+// job is:
+//   - grouped — parked for the group of its cut at the tail unit, or
+//     taken off the queue with jobs of its cut for a forwarding stage's
+//     middle segment: a group shares one pass from one unit exit, and
+//     two sets' node lists need not match (nor does a set name a unit to
+//     park at);
 //   - forwarded: the handoff (-next-cut) is a unit index and a set names
-//     no unit, so a set's whole suffix runs on the stage it reaches;
-//   - quantized on the wire: the client calibrates per unit exit.
-//
-// A boundary set that is a unit exit never arrives as a set: the client
-// sends the line frame it is (runPrefix).
+//     no unit, so a set's whole suffix runs on the stage it reaches.
 type pendingJob struct {
 	conn   *connCtx
 	tenant string // snapshot of conn.tenant at admission
-	req    *inferRequest
-	set    *inferSetRequest
+	req    *jobRequest
 	recv   time.Time // decode completion; queue attribution starts here
 	start  time.Time // first worker pickup: queue time ends, stage time starts; zero until then
 	parked time.Time // joined the group of its cut (see takeLocked); zero: never parked
-}
-
-// jobID is the client's ID for the job, whichever frame carried it.
-func (pj pendingJob) jobID() uint32 {
-	if pj.req != nil {
-		return pj.req.JobID
-	}
-	return pj.set.JobID
 }
 
 // tenantQueue is one tenant's FIFO plus its stride-scheduling state.
@@ -233,7 +221,7 @@ func (fs *fleetScheduler) shutdown() {
 // admit is called from a connection's read loop with one decoded job
 // whose conn.pending has been incremented. It returns false only when
 // the server is shut down (the job is then the caller's to release).
-// Past the shed watermark, jobs of either frame kind are answered
+// Past the shed watermark, line jobs and sets alike are answered
 // immediately with a shed reply instead of queueing — the client's
 // runner finishes them on the mobile engine.
 func (fs *fleetScheduler) admit(pj pendingJob) bool {
@@ -276,7 +264,7 @@ func (fs *fleetScheduler) shed(pj pendingJob) {
 	fs.s.obsv.ShedJobs.Inc()
 	fs.s.obsv.TenantJobs.With(pj.tenant).Inc()
 	rep := inferReply{
-		JobID: pj.jobID(),
+		JobID: pj.req.JobID,
 		Class: -1,
 		Flags: replyFlagShed | replyFlagBackpressure,
 	}
@@ -456,7 +444,7 @@ func (fs *fleetScheduler) takeLocked(now time.Time) (task, time.Duration, bool) 
 		switch {
 		case fs.s.handsOff(pj) && queued >= g.max:
 			return task{jobs: fs.takeRunLocked(pj, g.max)}, 0, true
-		case pj.req == nil || g.at < 0 || int(pj.req.Cut) < g.at:
+		case g.at < 0 || pj.req.Cut < g.at:
 			return task{jobs: []pendingJob{pj}}, 0, true
 		}
 		fs.parkLocked(pj, now)
@@ -464,15 +452,15 @@ func (fs *fleetScheduler) takeLocked(now time.Time) (task, time.Duration, bool) 
 }
 
 // takeRunLocked returns the middle group that head opens: head and the
-// WFQ heads after it, popped while they are line jobs of its cut, max in
-// all. A job of another cut or a set ends the run where it stands, and
+// WFQ heads after it, popped while they are jobs of its cut, max in all.
+// A job of another cut or a set ends the run where it stands, and
 // the group runs as far as it got. The heads leave in WFQ order, so the
 // group is what fairness would have served next anyway.
 func (fs *fleetScheduler) takeRunLocked(head pendingJob, max int) []pendingJob {
 	jobs := append(make([]pendingJob, 0, max), head)
 	for len(jobs) < max {
 		tq := fs.headLocked()
-		if tq == nil || tq.q[0].req == nil || tq.q[0].req.Cut != head.req.Cut {
+		if tq == nil || tq.q[0].req.Cut != head.req.Cut {
 			break
 		}
 		jobs = append(jobs, fs.popLocked())
@@ -569,19 +557,19 @@ func (fs *fleetScheduler) run(t task) {
 		switch {
 		case !pj.parked.IsZero():
 			grouped = true
-			o.span(TrackServer, SpanCoalesceWait, int(pj.jobID()), pj.parked, start)
+			o.span(TrackServer, SpanCoalesceWait, int(pj.req.JobID), pj.parked, start)
 			if pj.start.IsZero() { // parked as it was popped, cut at the tail: no pass before this one
 				pj.start = start
-				o.span(TrackServer, SpanQueueWait, int(pj.jobID()), pj.recv, pj.parked)
+				o.span(TrackServer, SpanQueueWait, int(pj.req.JobID), pj.recv, pj.parked)
 			}
 		case pj.start.IsZero():
 			pj.start = start
-			o.span(TrackServer, SpanQueueWait, int(pj.jobID()), pj.recv, start)
+			o.span(TrackServer, SpanQueueWait, int(pj.req.JobID), pj.recv, start)
 		default:
 			o.NextHopFallbacks.Inc()
 		}
 		if err := s.check(pj); err != nil {
-			invalid = append(invalid, invalidJob{pj: pj, err: fmt.Errorf("job %d: %w", pj.jobID(), err)})
+			invalid = append(invalid, invalidJob{pj: pj, err: fmt.Errorf("job %d: %w", pj.req.JobID, err)})
 			continue
 		}
 		valid = append(valid, pj)
@@ -610,7 +598,7 @@ func (fs *fleetScheduler) pass(jobs []pendingJob, grouped bool) {
 		}
 	}
 	var seed *tensor.Tensor
-	if jobs[0].req != nil {
+	if jobs[0].req.Cut >= 0 {
 		seed = s.pack(jobs)
 	}
 	out, to, err := s.advance(jobs, seed)
@@ -624,9 +612,10 @@ func (fs *fleetScheduler) pass(jobs []pendingJob, grouped bool) {
 		// at unit to: parked for the tail group of that cut, or handed to
 		// the next hop — and one the hop does not take is finished here,
 		// alone, by this same task.
-		shape := s.model.Graph().Node(s.units[to].Exit).OutShape
-		for i := range jobs {
-			jobs[i].req.Cut, jobs[i].req.Tensor = uint32(to), s.unpack(out, shape, n, i)
+		exit := s.units[to].Exit
+		shape := s.model.Graph().Node(exit).OutShape
+		for i, pj := range jobs {
+			pj.req.Cut, pj.req.Pairs[0] = to, boundary{Node: exit, T: s.unpack(out, shape, n, i)}
 		}
 		if n > 1 {
 			out.Recycle()
@@ -656,8 +645,8 @@ func (fs *fleetScheduler) pass(jobs []pendingJob, grouped bool) {
 			seed.Recycle()
 		}
 		for _, pj := range jobs {
-			if pj.req != nil {
-				pj.req.Tensor.Recycle()
+			for _, p := range pj.req.Pairs {
+				p.T.Recycle()
 			}
 		}
 	}
@@ -676,7 +665,7 @@ type invalidJob struct {
 // be most of what a member allocates. A batch of one is the tensor
 // itself.
 func (s *Server) pack(jobs []pendingJob) *tensor.Tensor {
-	first, n := jobs[0].req.Tensor, len(jobs)
+	first, n := jobs[0].req.Pairs[0].T, len(jobs)
 	if n == 1 {
 		return first
 	}
@@ -686,7 +675,7 @@ func (s *Server) pack(jobs []pendingJob) *tensor.Tensor {
 	shape[0] *= n
 	out := s.packs.Get(shape)
 	for b, pj := range jobs {
-		src := pj.req.Tensor.Data
+		src := pj.req.Pairs[0].T.Data
 		for ch := 0; ch*plane < len(src); ch++ {
 			copy(out.Data[(ch*n+b)*plane:], src[ch*plane:(ch+1)*plane])
 		}
@@ -715,7 +704,7 @@ func (s *Server) unpack(packed *tensor.Tensor, shape tensor.Shape, n, b int) *te
 // handoff: a line job cut before the next hop's unit on a forwarding
 // stage.
 func (s *Server) handsOff(pj pendingJob) bool {
-	return s.next != nil && pj.req != nil && int(pj.req.Cut) < s.next.cut
+	return s.next != nil && 0 <= pj.req.Cut && pj.req.Cut < s.next.cut
 }
 
 // advance runs a checked group from its cut as one batch — seed, the
@@ -729,11 +718,11 @@ func (s *Server) handsOff(pj pendingJob) bool {
 // set differs only in how its nodes are found.
 func (s *Server) advance(jobs []pendingJob, seed *tensor.Tensor) (out *tensor.Tensor, to int, err error) {
 	to = len(s.units) - 1
-	if set := jobs[0].set; set != nil {
-		out, err = s.resumeSet(set)
+	from := jobs[0].req.Cut // one per group: members share the cut
+	if from < 0 {
+		out, err = s.resumeSet(jobs[0].req.Pairs)
 		return out, to, err
 	}
-	from := int(jobs[0].req.Cut) // one per group: members share the cut
 	stop := s.gather().at
 	if s.next != nil {
 		stop = s.next.cut
@@ -743,6 +732,22 @@ func (s *Server) advance(jobs []pendingJob, seed *tensor.Tensor) (out *tensor.Te
 	}
 	out, err = s.runSpan(from, to, len(jobs), seed)
 	return out, to, err
+}
+
+// resumeSet runs the remote side of a checked boundary set — every
+// node outside the set's ancestor closure — and returns the sink's
+// activation.
+func (s *Server) resumeSet(pairs []boundary) (*tensor.Tensor, error) {
+	acts := make(map[int]*tensor.Tensor, len(pairs))
+	nodes := make([]int, len(pairs))
+	for i, p := range pairs {
+		nodes[i] = p.Node
+		acts[p.Node] = p.T
+	}
+	if _, _, err := s.runSide(acts, nil, nodes); err != nil {
+		return nil, err
+	}
+	return acts[s.units[len(s.units)-1].Exit], nil
 }
 
 // answer is the one reply epilogue: whichever way a job was computed —
@@ -761,7 +766,7 @@ func (s *Server) advance(jobs []pendingJob, seed *tensor.Tensor) (out *tensor.Te
 func (fs *fleetScheduler) answer(pj pendingJob, class int32, flags uint8, end time.Time) {
 	o := fs.s.obsv
 	rep := inferReply{
-		JobID:   pj.jobID(),
+		JobID:   pj.req.JobID,
 		Class:   class,
 		CloudNs: end.Sub(pj.start).Nanoseconds(),
 		QueueNs: pj.start.Sub(pj.recv).Nanoseconds(),

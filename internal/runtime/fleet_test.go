@@ -158,10 +158,10 @@ func TestFleetWFQOrder(t *testing.T) {
 	fs.cond = sync.NewCond(&fs.mu)
 	cc := &connCtx{}
 	for i := 0; i < 8; i++ {
-		fs.admit(pendingJob{conn: cc, tenant: "gold", req: &inferRequest{JobID: uint32(i)}})
+		fs.admit(pendingJob{conn: cc, tenant: "gold", req: &jobRequest{JobID: uint32(i)}})
 	}
 	for i := 0; i < 4; i++ {
-		fs.admit(pendingJob{conn: cc, tenant: "bronze", req: &inferRequest{JobID: uint32(100 + i)}})
+		fs.admit(pendingJob{conn: cc, tenant: "bronze", req: &jobRequest{JobID: uint32(100 + i)}})
 	}
 	wantTenants := []string{
 		"bronze", "gold", "gold",
@@ -183,8 +183,7 @@ func TestFleetWFQOrder(t *testing.T) {
 }
 
 // TestFleetShedAdmission drives admission control directly: jobs past
-// the watermark get an immediate shed reply, whichever frame kind
-// carried them, and the backpressure hint fires at half the watermark.
+// the watermark get an immediate shed reply, line job or set, and the backpressure hint fires at half the watermark.
 func TestFleetShedAdmission(t *testing.T) {
 	srv := NewServer(testModel(t)).WithShedWatermark(2)
 	fs := &fleetScheduler{s: srv, tenants: map[string]*tenantQueue{}}
@@ -211,17 +210,17 @@ func TestFleetShedAdmission(t *testing.T) {
 	if fs.hintFlags() != 0 {
 		t.Error("backpressure hint set on an empty queue")
 	}
-	admit(pendingJob{conn: cc, tenant: DefaultTenant, req: &inferRequest{JobID: 1}})
+	admit(pendingJob{conn: cc, tenant: DefaultTenant, req: &jobRequest{JobID: 1}})
 	if fs.hintFlags() != replyFlagBackpressure {
 		t.Error("hint must fire at half the watermark (depth 1, watermark 2)")
 	}
-	admit(pendingJob{conn: cc, tenant: DefaultTenant, req: &inferRequest{JobID: 2}})
+	admit(pendingJob{conn: cc, tenant: DefaultTenant, req: &jobRequest{JobID: 2}})
 	if len(replies) != 0 {
 		t.Fatalf("%d replies before the watermark, want 0", len(replies))
 	}
 
 	// Third infer job: at the watermark, must shed.
-	admit(pendingJob{conn: cc, tenant: DefaultTenant, req: &inferRequest{JobID: 3}})
+	admit(pendingJob{conn: cc, tenant: DefaultTenant, req: &jobRequest{JobID: 3}})
 	if len(replies) != 1 {
 		t.Fatalf("%d shed replies, want 1", len(replies))
 	}
@@ -233,9 +232,9 @@ func TestFleetShedAdmission(t *testing.T) {
 		t.Errorf("shed reply flags %08b, want shed|backpressure", rep.Flags)
 	}
 
-	// A set frame past the watermark is shed like a line frame: the
-	// runner has a local fallback for both.
-	admit(pendingJob{conn: cc, tenant: DefaultTenant, set: &inferSetRequest{JobID: 4}})
+	// A set past the watermark is shed like a line job: the runner has a
+	// local fallback for both.
+	admit(pendingJob{conn: cc, tenant: DefaultTenant, req: &jobRequest{JobID: 4, Cut: -1}})
 	if len(replies) != 2 || replies[1].JobID != 4 || replies[1].Flags&replyFlagShed == 0 {
 		t.Fatalf("set job past the watermark: replies %+v, want a shed reply for job 4", replies)
 	}

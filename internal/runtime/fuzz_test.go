@@ -56,22 +56,22 @@ func FuzzReadTensor(f *testing.F) {
 }
 
 // FuzzHandleConn drives the whole server loop with arbitrary frames.
+// The committed seed_infer is a retired type-1 request: a rejected
+// connection, never a panic.
 func FuzzHandleConn(f *testing.F) {
-	var infer bytes.Buffer
-	_ = writeInferRequest(&infer, &inferRequest{JobID: 1, Cut: 0, Tensor: mustVec(2, 1, 2)})
-	f.Add(infer.Bytes())
-	var qinfer bytes.Buffer
-	_ = writeInferRequest(&qinfer, &inferRequest{JobID: 3, Cut: 0, Quant: mustQVec(2, 5, -5)})
-	f.Add(qinfer.Bytes())
+	for _, pairs := range [][]boundary{
+		{{Node: 0, T: mustVec(2, 1, 2)}},
+		{{Node: 0, Q: mustQVec(2, 5, -5)}},
+	} {
+		var job bytes.Buffer
+		_ = writeJob(&job, 1, pairs)
+		f.Add(job.Bytes())
+	}
 	var ping bytes.Buffer
 	_ = writePing(&ping, 8)
 	f.Add(ping.Bytes())
 	var set bytes.Buffer
-	_ = writeInferSetRequest(&set, &inferSetRequest{
-		JobID:   2,
-		Nodes:   []int32{0},
-		Tensors: []*tensor.Tensor{mustVec(2, 1, 2)},
-	})
+	_ = writeJob(&set, 2, []boundary{{Node: 0, T: mustVec(2, 1, 2)}, {Node: 1, Q: mustQVec(2, 5, -5)}})
 	f.Add(set.Bytes())
 	f.Add([]byte{0xAB, 0xCD})
 
@@ -83,102 +83,87 @@ func FuzzHandleConn(f *testing.F) {
 	})
 }
 
-// FuzzReadInferRequest drives the hand-rolled request decoder the
-// server read loop uses: arbitrary bodies must be rejected cleanly,
-// valid bodies must round-trip through the writer.
+// FuzzReadInferRequest and FuzzReadInferSetRequest drive readJobBody,
+// the server's one request decoder, with one property (fuzzReadJob)
+// from two committed corpora: line jobs, one pair each, and sets. The
+// first corpus also holds two bodies of the retired type-1 request,
+// which must be rejected cleanly.
 func FuzzReadInferRequest(f *testing.F) {
-	var valid bytes.Buffer
-	_ = writeInferRequest(&valid, &inferRequest{JobID: 7, Cut: 2, Tensor: mustVec(3, 1, 2, 3)})
-	f.Add(valid.Bytes()[1:]) // body = frame minus the type byte
-	var qvalid bytes.Buffer
-	_ = writeInferRequest(&qvalid, &inferRequest{JobID: 8, Cut: 1, Quant: mustQVec(3, 1, -2, 3)})
-	f.Add(qvalid.Bytes()[1:])
+	for _, p := range []boundary{
+		{Node: 2, T: mustVec(3, 1, 2, 3)},
+		{Node: 1, Q: mustQVec(3, 1, -2, 3)},
+	} {
+		var valid bytes.Buffer
+		_ = writeJob(&valid, 7, []boundary{p})
+		f.Add(valid.Bytes()[1:]) // body = frame minus the type byte
+	}
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3})
 	f.Add(bytes.Repeat([]byte{0xFF}, 32))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		req, err := readInferRequestBody(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		var buf bytes.Buffer
-		if err := writeInferRequest(&buf, req); err != nil {
-			t.Fatalf("re-encode: %v", err)
-		}
-		got, err := readInferRequestBody(bytes.NewReader(buf.Bytes()[1:]))
-		if err != nil {
-			t.Fatalf("decode re-encoded request: %v", err)
-		}
-		if got.JobID != req.JobID || got.Cut != req.Cut {
-			t.Fatalf("round trip mismatch: %+v vs %+v", got, req)
-		}
-		switch {
-		case req.Quant != nil:
-			if got.Quant == nil || !got.Quant.Shape.Equal(req.Quant.Shape) || got.Quant.QParams != req.Quant.QParams {
-				t.Fatalf("quant round trip mismatch: %+v vs %+v", got, req)
-			}
-		default:
-			if got.Tensor == nil || !got.Tensor.Shape.Equal(req.Tensor.Shape) {
-				t.Fatalf("round trip mismatch: %+v vs %+v", got, req)
-			}
-		}
-	})
+	fuzzReadJob(f)
 }
 
-// FuzzReadInferSetRequest drives the boundary-set decoder: arbitrary
-// bodies — a zero or oversized count and a quantized tensor among them
-// — must be rejected cleanly, valid bodies must round-trip through the
-// writer with the size setWireBytes predicts.
+// FuzzReadInferSetRequest is FuzzReadInferRequest's twin, from sets.
 func FuzzReadInferSetRequest(f *testing.F) {
 	var valid bytes.Buffer
-	_ = writeInferSetRequest(&valid, &inferSetRequest{
-		JobID:   7,
-		Nodes:   []int32{4, 2},
-		Tensors: []*tensor.Tensor{mustVec(3, 1, 2, 3), mustVec(2, -1, 5)},
-	})
+	_ = writeJob(&valid, 7, []boundary{{Node: 4, T: mustVec(3, 1, 2, 3)}, {Node: 2, T: mustVec(2, -1, 5)}})
 	f.Add(valid.Bytes()[1:]) // body = frame minus the type byte
-	var qbody bytes.Buffer   // one pair whose tensor is a quantized frame
-	qbody.Write([]byte{7, 0, 0, 0, 1, 0, 4, 0, 0, 0})
-	_, _ = writeQTensorSum(&qbody, mustQVec(3, 1, -2, 3), 0)
+	var quant bytes.Buffer   // one pair whose tensor is int8
+	_ = writeJob(&quant, 7, []boundary{{Node: 4, Q: mustQVec(3, 1, -2, 3)}})
+	f.Add(quant.Bytes()[1:])
 	for _, bad := range [][]byte{
 		{7, 0, 0, 0, 0, 0},  // count 0
 		{7, 0, 0, 0, 65, 0}, // count 65 > maxBoundaryTensors
-		qbody.Bytes(),
 		valid.Bytes()[1:12], // truncated
 		{},
 	} {
-		if _, err := readInferSetRequestBody(bytes.NewReader(bad)); err == nil {
+		if _, err := readJobBody(bytes.NewReader(bad)); err == nil {
 			f.Fatalf("body %x decoded, want a rejection", bad)
 		}
 		f.Add(bad)
 	}
+	fuzzReadJob(f)
+}
 
+// fuzzReadJob is the decoder's property: arbitrary bodies are rejected
+// cleanly, and a body that decodes round-trips through writeJob — at
+// the size jobWireBytes predicts, with every pair's node, dtype, shape
+// and affine mapping intact.
+func fuzzReadJob(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		req, err := readInferSetRequestBody(bytes.NewReader(data))
+		req, err := readJobBody(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
-		if n := len(req.Nodes); n == 0 || n > maxBoundaryTensors || n != len(req.Tensors) {
-			t.Fatalf("decoded %d nodes, %d tensors", n, len(req.Tensors))
+		if n := len(req.Pairs); n == 0 || n > maxBoundaryTensors {
+			t.Fatalf("decoded %d pairs", n)
 		}
 		var buf bytes.Buffer
-		if err := writeInferSetRequest(&buf, req); err != nil {
+		if err := writeJob(&buf, req.JobID, req.Pairs); err != nil {
 			t.Fatalf("re-encode: %v", err)
 		}
-		if buf.Len() != setWireBytes(req) {
-			t.Fatalf("frame is %d bytes, setWireBytes says %d", buf.Len(), setWireBytes(req))
+		if buf.Len() != jobWireBytes(req.Pairs) {
+			t.Fatalf("frame is %d bytes, jobWireBytes says %d", buf.Len(), jobWireBytes(req.Pairs))
 		}
-		got, err := readInferSetRequestBody(bytes.NewReader(buf.Bytes()[1:]))
+		got, err := readJobBody(bytes.NewReader(buf.Bytes()[1:]))
 		if err != nil {
 			t.Fatalf("decode re-encoded request: %v", err)
 		}
-		if got.JobID != req.JobID || len(got.Nodes) != len(req.Nodes) {
-			t.Fatalf("round trip mismatch: %+v vs %+v", got, req)
+		if got.JobID != req.JobID || len(got.Pairs) != len(req.Pairs) {
+			t.Fatalf("round trip mismatch: job %d with %d pairs vs %d with %d", got.JobID, len(got.Pairs), req.JobID, len(req.Pairs))
 		}
-		for i := range req.Nodes {
-			if got.Nodes[i] != req.Nodes[i] || !got.Tensors[i].Shape.Equal(req.Tensors[i].Shape) {
-				t.Fatalf("pair %d: round trip mismatch", i)
+		for i, want := range req.Pairs {
+			p := got.Pairs[i]
+			if (p.T == nil) == (p.Q == nil) || p.Node != want.Node || (p.Q == nil) != (want.Q == nil) {
+				t.Fatalf("pair %d: node %d, float32 %v vs node %d, float32 %v", i, p.Node, p.T != nil, want.Node, want.T != nil)
+			}
+			switch {
+			case want.Q != nil:
+				if !p.Q.Shape.Equal(want.Q.Shape) || p.Q.QParams != want.Q.QParams {
+					t.Fatalf("pair %d: int8 %v/%+v vs %v/%+v", i, p.Q.Shape, p.Q.QParams, want.Q.Shape, want.Q.QParams)
+				}
+			case !p.T.Shape.Equal(want.T.Shape):
+				t.Fatalf("pair %d: float32 %v vs %v", i, p.T.Shape, want.T.Shape)
 			}
 		}
 	})

@@ -15,10 +15,11 @@ import (
 // cloud. For a request cut at c before the handoff boundary h, the
 // stage's task (fleetScheduler.run) stops at h: it runs only the middle
 // segment (c, h], and the job — now a job cut at h — ships to the next
-// server over the same infer wire protocol; the downstream class is
-// relayed back to the stage's own client. So jpsserve processes compose
-// into the k-way chains core.JPSChain plans. Requests already cut at or
-// past h, and boundary sets, run to the sink locally as always.
+// server on the same job frame, one pair at unit h's exit; the
+// downstream class is relayed back to the stage's own client. So
+// jpsserve processes compose into the k-way chains core.JPSChain plans.
+// Jobs already cut at or past h, and boundary sets, run to the sink
+// locally as always.
 //
 // The hop is a windowed pipeline, the way the chain model prices it: a
 // link is busy only for its own transmission, never for the round trip
@@ -170,7 +171,7 @@ func (nh *nextHop) handOff(pj pendingJob) bool {
 		return false
 	}
 	_ = fc.conn.SetWriteDeadline(time.Now().Add(nh.stall)) // a failed deadline only loses the timeout
-	err = writeInferRequest(fc.w, &inferRequest{JobID: idx, Cut: pj.req.Cut, Tensor: pj.req.Tensor})
+	err = writeJob(fc.w, idx, pj.req.Pairs)
 	if err == nil {
 		err = fc.w.Flush()
 	}
@@ -299,7 +300,7 @@ func (nh *nextHop) readLoop(fc *forwardConn) {
 			}
 			break
 		}
-		if typ != msgInfer {
+		if typ != msgReply {
 			break
 		}
 		down, err := readInferReplyBody(fc.r)
@@ -325,7 +326,7 @@ func (nh *nextHop) readLoop(fc *forwardConn) {
 		// it came from, the model's or the stage's packs, as a pass that
 		// ends at the sink gives back its own. A shed or orphaned job keeps
 		// its tensor above: its fallback runs from it.
-		sl.req.Tensor.Recycle()
+		sl.req.Pairs[0].T.Recycle()
 	}
 	nh.kill(fc)
 	for _, job := range nh.orphans(fc) {

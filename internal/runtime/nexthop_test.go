@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"bufio"
+	"fmt"
 	"math"
 	"math/rand"
 	"net"
@@ -181,13 +182,18 @@ func (h *scriptedHop) connections() int {
 	return h.accepted
 }
 
-// answer writes the reply a terminal stage would give to req.
-func (h *scriptedHop) answer(w *bufio.Writer, req *inferRequest) error {
+// answer writes the reply a terminal stage would give to req, a line
+// job.
+func (h *scriptedHop) answer(w *bufio.Writer, req *jobRequest) error {
 	s := h.answers
 	if err := s.check(pendingJob{req: req}); err != nil {
 		return err
 	}
-	out, err := s.runSpan(int(req.Cut), len(s.units)-1, 1, req.Tensor)
+	cut := s.cutOf(req.Pairs)
+	if cut < 0 {
+		return fmt.Errorf("job %d is not a line job", req.JobID)
+	}
+	out, err := s.runSpan(cut, len(s.units)-1, 1, req.Pairs[0].T)
 	if err != nil {
 		return err
 	}
@@ -419,7 +425,7 @@ func TestNextHopGroupedHandoffsMatchSolo(t *testing.T) {
 				return
 			}
 			mu.Lock()
-			sent = append(sent, req.Tensor.Clone())
+			sent = append(sent, req.Pairs[0].T.Clone())
 			mu.Unlock()
 			if h.answer(w, req) != nil {
 				return
@@ -618,11 +624,11 @@ func TestNextHopCloseDrainsInFlight(t *testing.T) {
 	goroutinesSettle(t)
 	m := testModel(t)
 	const n = 16
-	parked := make(chan *inferRequest, n)
+	parked := make(chan *jobRequest, n)
 	release := make(chan struct{})
 	hop := startScriptedHop(t, m, func(h *scriptedHop, _ int, conn net.Conn) {
 		r, w := bufio.NewReader(conn), bufio.NewWriter(conn)
-		var held []*inferRequest
+		var held []*jobRequest
 		for len(held) < n {
 			req, err := readRequest(r)
 			if err != nil {
@@ -697,7 +703,7 @@ func TestNextHopWindowBoundsInFlight(t *testing.T) {
 		// The reader takes frames as fast as they come, so a forwarder
 		// that overran its window would show; the replier dawdles to
 		// give it the chance.
-		reqs := make(chan *inferRequest, n)
+		reqs := make(chan *jobRequest, n)
 		go func() {
 			defer close(reqs)
 			r := bufio.NewReader(conn)

@@ -267,7 +267,7 @@ func TestObsSetJobsAreVisible(t *testing.T) {
 	waitSettled(t, func() bool { return o.ServerJobs.Value() == 2 && o.BytesUp.Value() == wantUp })
 
 	if got := o.ServerRxBytes.Value(); got != o.BytesUp.Value() {
-		t.Errorf("server rx bytes = %d, client uplink bytes = %d: set frames must be counted", got, o.BytesUp.Value())
+		t.Errorf("server rx bytes = %d, client uplink bytes = %d: set jobs must be counted", got, o.BytesUp.Value())
 	}
 	if got := o.TenantRxBytes.Values()["phone"]; got != wantUp {
 		t.Errorf("tenant rx bytes = %d, want %d", got, wantUp)

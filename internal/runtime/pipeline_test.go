@@ -87,7 +87,7 @@ func lineClosure(t *testing.T) closureCase {
 }
 
 // setClosure cuts branchedModel at {a2, b1}: a two-tensor boundary set,
-// 2 x 8x16x16, the same 16 KB per job in one msgInferSet frame.
+// 2 x 8x16x16, the same 16 KB per job in one two-pair job frame.
 func setClosure(t *testing.T) closureCase {
 	m := branchedModel(t)
 	return closureCase{
@@ -217,10 +217,10 @@ func TestRunPlanResultsSortedByJobID(t *testing.T) {
 	}
 }
 
-// enqueueInfer enqueues a line cut's boundary tensor: the one-tensor
+// enqueueInfer enqueues a line cut's boundary tensor: the one-pair
 // form of enqueue.
-func (c *Client) enqueueInfer(res *JobResult, cut int, boundary *tensor.Tensor) (*call, error) {
-	return c.enqueue(res, upload{req: &inferRequest{JobID: uint32(res.JobID), Cut: uint32(cut), Tensor: boundary}})
+func (c *Client) enqueueInfer(res *JobResult, cut int, t *tensor.Tensor) (*call, error) {
+	return c.enqueue(res, c.lineJob(res.JobID, cut, t))
 }
 
 // fakePeer runs f against the server side of a pipe with buffered IO.
@@ -238,16 +238,17 @@ func fakePeer(conn net.Conn, f func(r *bufio.Reader, w *bufio.Writer) error) cha
 	return errCh
 }
 
-// readRequest consumes one infer request (type byte + body).
-func readRequest(r *bufio.Reader) (*inferRequest, error) {
+// readRequest consumes one job frame (type byte + body). Its Cut is
+// not derived: that takes the model's units (lineProgram.cutOf).
+func readRequest(r *bufio.Reader) (*jobRequest, error) {
 	typ, err := r.ReadByte()
 	if err != nil {
 		return nil, err
 	}
-	if typ != msgInfer {
+	if typ != msgJob {
 		return nil, errUnexpected(typ)
 	}
-	return readInferRequestBody(r)
+	return readJobBody(r)
 }
 
 type errUnexpected byte
@@ -273,7 +274,7 @@ func TestDemuxOutOfOrderReplies(t *testing.T) {
 	cl := NewClient(cConn, m, netsim.WiFi, 1e-6)
 
 	peer := fakePeer(sConn, func(r *bufio.Reader, w *bufio.Writer) error {
-		var reqs []*inferRequest
+		var reqs []*jobRequest
 		for i := 0; i < 2; i++ {
 			req, err := readRequest(r)
 			if err != nil {

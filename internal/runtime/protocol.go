@@ -25,7 +25,7 @@ import (
 )
 
 // wireCRC is the table for the CRC-32C (Castagnoli) trailer appended
-// to every infer request, infer-set request, and reply. Frame drops on
+// to every job frame and reply. Frame drops on
 // a lossy link can desynchronize the byte stream mid-payload, and a
 // shifted stream often still parses as a structurally valid message —
 // without a checksum the server would run inference on garbage and
@@ -35,13 +35,18 @@ import (
 // byte; pings (zero-filled calibration payloads) are exempt.
 var wireCRC = crc32.MakeTable(crc32.Castagnoli)
 
-// Message types on the wire.
+// Message types on the wire. Every request is a job frame; type 1 is
+// reply-only, and a server fails a connection that sends it ("unknown
+// message type 1").
 const (
-	msgInfer = byte(1) // client -> server: boundary tensor at a cut
+	msgReply = byte(1) // server -> client: a job's class and the server's stage times
 	msgPing  = byte(2) // client -> server: calibration payload; server -> client: its one-byte acknowledgment
-	// msgInferSet (3), the cut-set form of msgInfer, is defined in general.go.
+	msgJob   = byte(3) // client -> server: a job's boundary, (node, tensor) pairs
 	msgHello = byte(4) // client -> server: tenant handshake (no reply)
 )
+
+// maxBoundaryTensors bounds a job frame's pair count.
+const maxBoundaryTensors = 64
 
 // Reply flag bits (inferReply.Flags). The server piggybacks its
 // admission-control state on every reply so clients learn about cloud
@@ -87,14 +92,28 @@ var wireBufs = sync.Pool{
 	},
 }
 
-// inferRequest is the client's upload: which unit the model was cut
-// after, plus the boundary activation tensor — float32 (Tensor) or
-// int8 (Quant), exactly one of which is set.
-type inferRequest struct {
-	JobID  uint32
-	Cut    uint32
-	Tensor *tensor.Tensor
-	Quant  *tensor.QTensor
+// boundary is one (node, activation) pair of a job frame: the output
+// of graph node Node, float32 (T) or int8 (Q), exactly one of which is
+// set. The server expands Q into T at decode, so past the read loop a
+// pair is float32.
+type boundary struct {
+	Node int
+	T    *tensor.Tensor
+	Q    *tensor.QTensor
+}
+
+// jobRequest is one job on the wire: the boundary the mobile side left,
+// as (node, tensor) pairs — every tensor the cloud side consumes (the
+// Alg. 3 cut set), and for a line cut the one at its unit's exit. Cut
+// is not on the wire: it is the unit a one-pair boundary at a unit exit
+// is cut after, -1 for a true set (lineProgram.cutOf, on the server at
+// decode). one backs Pairs for a line job, so its single pair costs no
+// allocation of its own.
+type jobRequest struct {
+	JobID uint32
+	Cut   int
+	Pairs []boundary
+	one   [1]boundary
 }
 
 // inferReply is the server's answer: predicted class plus the
@@ -121,50 +140,118 @@ const ReplyWireBytes = 1 + 25 + 4
 
 const replyWireBytes = ReplyWireBytes
 
-// RequestWireBytes returns the exact on-the-wire size of an infer
-// request carrying a boundary tensor of the given shape — the byte
-// count the bandwidth shaper paces, used to predict the paper's g(x)
-// for a live run.
+// jobOnceBytes is what a job frame carries once whatever its boundary:
+// type byte, job ID, pair count and the CRC-32C trailer.
+const jobOnceBytes = 1 + 4 + 2 + 4
+
+// pairWireBytes sizes one pair of a job frame: node ID, rank byte,
+// dims and the payload — four bytes an element, or one plus the 5-byte
+// affine mapping when int8.
+func pairWireBytes(s tensor.Shape, quant bool) int {
+	if quant {
+		return 4 + 1 + 5 + 4*s.Rank() + s.Elems()
+	}
+	return 4 + 1 + 4*s.Rank() + 4*s.Elems()
+}
+
+// RequestWireBytes returns the exact on-the-wire size of a job frame
+// carrying one float32 boundary tensor of the given shape — a line
+// cut's upload, the byte count the bandwidth shaper paces, used to
+// predict the paper's g(x) for a live run.
 func RequestWireBytes(s tensor.Shape) int {
-	return 9 + 1 + 4*s.Rank() + 4*s.Elems() + 4 // +4: CRC-32C trailer
+	return jobOnceBytes + pairWireBytes(s, false)
 }
 
 // QuantRequestWireBytes is RequestWireBytes for a quantized boundary
 // tensor: the header grows by the 5-byte affine mapping, the payload
 // shrinks to one byte per element.
 func QuantRequestWireBytes(s tensor.Shape) int {
-	return 9 + 1 + 5 + 4*s.Rank() + s.Elems() + 4
+	return jobOnceBytes + pairWireBytes(s, true)
 }
 
-// reqWireBytes sizes a concrete request for byte accounting.
-func reqWireBytes(req *inferRequest) int {
-	if req.Quant != nil {
-		return QuantRequestWireBytes(req.Quant.Shape)
+// jobWireBytes sizes a concrete job frame for byte accounting.
+func jobWireBytes(pairs []boundary) int {
+	n := jobOnceBytes
+	for _, p := range pairs {
+		if p.Q != nil {
+			n += pairWireBytes(p.Q.Shape, true)
+		} else {
+			n += pairWireBytes(p.T.Shape, false)
+		}
 	}
-	return RequestWireBytes(req.Tensor.Shape)
+	return n
 }
 
-func writeInferRequest(w io.Writer, req *inferRequest) error {
+// writeJob encodes a job frame: type, job ID, pair count, then each
+// pair's node ID and tensor, then the CRC-32C over all of it. jobID is
+// a parameter, not the request's: a forwarding stage sends a job on
+// under its slot index (nextHop.handOff).
+func writeJob(w io.Writer, jobID uint32, pairs []boundary) error {
 	bp := wireBufs.Get().(*[]byte)
+	defer wireBufs.Put(bp)
 	b := *bp
-	b[0] = msgInfer
-	binary.LittleEndian.PutUint32(b[1:], req.JobID)
-	binary.LittleEndian.PutUint32(b[5:], req.Cut)
-	sum := crc32.Update(0, wireCRC, b[1:9])
-	_, err := w.Write(b[:9])
-	wireBufs.Put(bp)
-	if err != nil {
+	b[0] = msgJob
+	binary.LittleEndian.PutUint32(b[1:], jobID)
+	binary.LittleEndian.PutUint16(b[5:], uint16(len(pairs)))
+	sum := crc32.Update(0, wireCRC, b[1:7])
+	if _, err := w.Write(b[:7]); err != nil {
 		return err
 	}
-	if req.Quant != nil {
-		sum, err = writeQTensorSum(w, req.Quant, sum)
-	} else {
-		sum, err = writeTensorSum(w, req.Tensor, sum)
-	}
-	if err != nil {
-		return err
+	for _, p := range pairs {
+		binary.LittleEndian.PutUint32(b, uint32(int32(p.Node)))
+		sum = crc32.Update(sum, wireCRC, b[:4])
+		if _, err := w.Write(b[:4]); err != nil {
+			return err
+		}
+		var err error
+		if p.Q != nil {
+			sum, err = writeQTensorSum(w, p.Q, sum)
+		} else {
+			sum, err = writeTensorSum(w, p.T, sum)
+		}
+		if err != nil {
+			return err
+		}
 	}
 	return writeSumTrailer(w, sum)
+}
+
+// readJobBody decodes a job frame after its type byte. A count of zero
+// or past maxBoundaryTensors is rejected before anything is read for
+// it; whether the pairs fit the model is the server's check.
+func readJobBody(r io.Reader) (*jobRequest, error) {
+	bp := wireBufs.Get().(*[]byte)
+	defer wireBufs.Put(bp)
+	b := *bp
+	if _, err := io.ReadFull(r, b[:6]); err != nil {
+		return nil, err
+	}
+	count := int(binary.LittleEndian.Uint16(b[4:]))
+	if count == 0 || count > maxBoundaryTensors {
+		return nil, fmt.Errorf("runtime: bad boundary count %d", count)
+	}
+	req := &jobRequest{JobID: binary.LittleEndian.Uint32(b)}
+	req.Pairs = req.one[:0]
+	if count > 1 {
+		req.Pairs = make([]boundary, 0, count)
+	}
+	sum := crc32.Update(0, wireCRC, b[:6])
+	for i := 0; i < count; i++ {
+		if _, err := io.ReadFull(r, b[:4]); err != nil {
+			return nil, err
+		}
+		sum = crc32.Update(sum, wireCRC, b[:4])
+		p := boundary{Node: int(int32(binary.LittleEndian.Uint32(b)))}
+		var err error
+		if p.T, p.Q, sum, err = readTensorSum(r, sum); err != nil {
+			return nil, err
+		}
+		req.Pairs = append(req.Pairs, p)
+	}
+	if err := readSumTrailer(r, sum); err != nil {
+		return nil, err
+	}
+	return req, nil
 }
 
 // writeSumTrailer appends the running CRC-32C to the frame. The four
@@ -279,11 +366,11 @@ func writeQTensorSum(w io.Writer, q *tensor.QTensor, sum uint32) (uint32, error)
 	return sum, nil
 }
 
-// readTensor decodes a tensor frame with a single allocation — the
-// result tensor itself. Payload bytes stream through a pooled chunk
-// and convert straight into Tensor.Data. Exactly one of the results is
-// non-nil: the float32 tensor for a legacy frame, the quantized tensor
-// for a flagged frame.
+// readTensor decodes a tensor frame into a fresh tensor — three
+// allocations, its header, shape and data, whatever the payload size.
+// Payload bytes stream through a pooled chunk and convert straight into
+// Tensor.Data. Exactly one of the results is non-nil: the float32
+// tensor for a legacy frame, the quantized tensor for a flagged frame.
 func readTensor(r io.Reader) (*tensor.Tensor, *tensor.QTensor, error) {
 	t, q, _, err := readTensorSum(r, 0)
 	return t, q, err
@@ -322,7 +409,8 @@ func readTensorSum(r io.Reader, sum uint32) (*tensor.Tensor, *tensor.QTensor, ui
 		return nil, nil, sum, err
 	}
 	sum = crc32.Update(sum, wireCRC, chunk[:4*rank])
-	shape := make(tensor.Shape, rank)
+	var dims [maxTensorRank]int // the shape stays on the stack: New and NewQ clone it
+	shape := tensor.Shape(dims[:rank])
 	elems := int64(1)
 	elemBytes := int64(4)
 	if quant {
@@ -338,7 +426,7 @@ func readTensorSum(r io.Reader, sum uint32) (*tensor.Tensor, *tensor.QTensor, ui
 		// neither overflow int nor drive a huge allocation.
 		elems *= int64(d)
 		if elems*elemBytes > maxTensorBytes {
-			return nil, nil, sum, fmt.Errorf("runtime: tensor too large: %v", shape[:i+1])
+			return nil, nil, sum, fmt.Errorf("runtime: tensor too large: %v", shape[:i+1].Clone())
 		}
 	}
 	if quant {
@@ -388,36 +476,10 @@ func readFloat32Into(r io.Reader, chunk []byte, dst []float32, sum uint32) (uint
 	return sum, nil
 }
 
-func readInferRequestBody(r io.Reader) (*inferRequest, error) {
-	var req inferRequest
-	bp := wireBufs.Get().(*[]byte)
-	chunk := *bp
-	_, err := io.ReadFull(r, chunk[:8])
-	var sum uint32
-	if err == nil {
-		req.JobID = binary.LittleEndian.Uint32(chunk)
-		req.Cut = binary.LittleEndian.Uint32(chunk[4:])
-		sum = crc32.Update(0, wireCRC, chunk[:8])
-	}
-	wireBufs.Put(bp)
-	if err != nil {
-		return nil, err
-	}
-	t, q, sum, err := readTensorSum(r, sum)
-	if err != nil {
-		return nil, err
-	}
-	if err := readSumTrailer(r, sum); err != nil {
-		return nil, err
-	}
-	req.Tensor, req.Quant = t, q
-	return &req, nil
-}
-
 func writeInferReply(w io.Writer, rep *inferReply) error {
 	bp := wireBufs.Get().(*[]byte)
 	b := *bp
-	b[0] = msgInfer
+	b[0] = msgReply
 	binary.LittleEndian.PutUint32(b[1:], rep.JobID)
 	binary.LittleEndian.PutUint32(b[5:], uint32(rep.Class))
 	binary.LittleEndian.PutUint64(b[9:], uint64(rep.CloudNs))

@@ -106,10 +106,10 @@ func TestQuantRequestWireBytes(t *testing.T) {
 	q := tensor.NewQ(shape, tensor.QParams{Scale: 0.02, Zero: 3})
 
 	var fpBuf, qBuf bytes.Buffer
-	if err := writeInferRequest(&fpBuf, &inferRequest{JobID: 1, Cut: 2, Tensor: fp}); err != nil {
+	if err := writeJob(&fpBuf, 1, []boundary{{Node: 2, T: fp}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeInferRequest(&qBuf, &inferRequest{JobID: 1, Cut: 2, Quant: q}); err != nil {
+	if err := writeJob(&qBuf, 1, []boundary{{Node: 2, Q: q}}); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := fpBuf.Len(), RequestWireBytes(shape); got != want {
@@ -133,16 +133,16 @@ func TestQuantFrameCorruptionDetected(t *testing.T) {
 		q.Data[i] = int8(i - 32)
 	}
 	var buf bytes.Buffer
-	if err := writeInferRequest(&buf, &inferRequest{JobID: 5, Cut: 1, Quant: q}); err != nil {
+	if err := writeJob(&buf, 5, []boundary{{Node: 1, Q: q}}); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
-	if _, err := readInferRequestBody(bytes.NewReader(raw[1:])); err != nil {
+	if _, err := readJobBody(bytes.NewReader(raw[1:])); err != nil {
 		t.Fatalf("uncorrupted frame rejected: %v", err)
 	}
 	corrupt := append([]byte(nil), raw...)
 	corrupt[len(corrupt)-10] ^= 0x40 // a payload byte before the trailer
-	if _, err := readInferRequestBody(bytes.NewReader(corrupt[1:])); err == nil {
+	if _, err := readJobBody(bytes.NewReader(corrupt[1:])); err == nil {
 		t.Fatal("corrupted quant frame decoded without error")
 	}
 }

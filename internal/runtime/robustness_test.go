@@ -143,7 +143,7 @@ func TestRunPlanManyJobs(t *testing.T) {
 
 // TestRunnerFaultMatrix sweeps {drop, stall, disconnect} x {during
 // upload, during reply} x {line plan, general plan}. Whatever the fault
-// and whichever frame kind carries the jobs, a run through the
+// and whichever kind of boundary the jobs ship, a run through the
 // fault-tolerant runner must terminate within the guard timeout and
 // return complete, correct results — retried to success over the link
 // or finished by the local fallback, never a hang and never a panic —

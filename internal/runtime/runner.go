@@ -418,7 +418,7 @@ func applyPlan(rest []ftJob, p2 *core.Plan) {
 	for k := range rest {
 		if j := &rest[k]; p2.Cuts[k] != j.cut.unit {
 			j.cut.unit = p2.Cuts[k]
-			j.up, j.res = upload{}, nil // prefix must be recomputed
+			j.up, j.res = nil, nil // prefix must be recomputed
 		}
 	}
 	reordered := make([]ftJob, 0, len(rest))

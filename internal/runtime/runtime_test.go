@@ -2,6 +2,8 @@ package runtime
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"net"
 	goruntime "runtime"
 	"strings"
@@ -79,6 +81,47 @@ func input(i int) *tensor.Tensor {
 		in.Data[j] = float32((j+i*7)%13)/13 - 0.4
 	}
 	return in
+}
+
+// TestWirePathAllocs holds the wire path to its allocation counts:
+// encoding a job frame — a float32 line job, an int8 line job, a mixed
+// two-pair set — or a reply allocates nothing, every byte staging
+// through the pooled chunks; decoding a line job allocates the request
+// and its one tensor's header, shape and data, whatever the payload
+// size: the pair lives in the request.
+func TestWirePathAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are nondeterministic under -race (sync.Pool randomly drops Puts)")
+	}
+	fp := tensor.New(tensor.NewCHW(16, 32, 32))
+	q := tensor.NewQ(tensor.NewCHW(16, 32, 32), tensor.QParams{Scale: 0.1})
+	for name, pairs := range map[string][]boundary{
+		"float32 line": {{Node: 3, T: fp}},
+		"int8 line":    {{Node: 3, Q: q}},
+		"mixed set":    {{Node: 3, T: fp}, {Node: 5, Q: q}},
+	} {
+		if got := testing.AllocsPerRun(50, func() { _ = writeJob(io.Discard, 1, pairs) }); got != 0 {
+			t.Errorf("writeJob, %s: %.1f allocs, want 0", name, got)
+		}
+	}
+	rep := &inferReply{JobID: 1, Class: 7}
+	if got := testing.AllocsPerRun(50, func() { _ = writeInferReply(io.Discard, rep) }); got != 0 {
+		t.Errorf("writeInferReply: %.1f allocs, want 0", got)
+	}
+	var frame bytes.Buffer
+	if err := writeJob(&frame, 1, []boundary{{Node: 3, T: fp}}); err != nil {
+		t.Fatal(err)
+	}
+	body := bytes.NewReader(frame.Bytes()[1:])
+	got := testing.AllocsPerRun(50, func() {
+		body.Reset(frame.Bytes()[1:])
+		if _, err := readJobBody(body); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got != 4 {
+		t.Errorf("readJobBody, float32 line: %.1f allocs, want 4 (request, tensor, shape, data)", got)
+	}
 }
 
 func TestTensorWireRoundTrip(t *testing.T) {
@@ -291,26 +334,46 @@ func TestServeOverTCP(t *testing.T) {
 	}
 }
 
+// TestServerRejectsBadBoundary: every malformed job frame fails its
+// connection with the error that names the fault — a pair count out of
+// range at decode, and the check's own error for a pair that does not
+// fit the model, at a unit exit (a line job) or anywhere else (a set) —
+// all the way in: decode, admission, the worker's task. A type-1
+// request, the line-cut frame before every request was a job frame, is
+// an unknown message type.
 func TestServerRejectsBadBoundary(t *testing.T) {
-	m := testModel(t)
+	m := branchedModel(t)
 	srv := NewServer(m)
 	t.Cleanup(srv.Close)
-	// The whole way in — decode, admission, the worker's task — and the
-	// connection must fail with the check's own error.
-	for _, c := range []struct {
-		name string
-		cut  uint32
-		want string
-	}{
-		{"wrong boundary shape", 1, "cut 1 wants"},
-		{"out-of-range cut", 999, "cut 999 out of range"},
-	} {
+	g := m.Graph()
+	stem, _ := g.NodeByName("stem")
+	a1, _ := g.NodeByName("a1")
+	job := func(node int) []byte {
 		var frame bytes.Buffer
-		if err := writeInferRequest(&frame, &inferRequest{JobID: 1, Cut: c.cut, Tensor: tensor.New(tensor.NewCHW(1, 2, 2))}); err != nil {
+		if err := writeJob(&frame, 1, []boundary{{Node: node, T: tensor.New(tensor.NewVec(1))}}); err != nil {
 			t.Fatal(err)
 		}
-		if err := srv.HandleConn(&rwBuffer{in: &frame}); err == nil || !strings.Contains(err.Error(), c.want) {
+		return frame.Bytes()
+	}
+	legacy := job(stem.ID)
+	legacy[0] = 1
+	for _, c := range []struct {
+		name  string
+		frame []byte
+		want  string
+	}{
+		{"zero pair count", []byte{msgJob, 1, 0, 0, 0, 0, 0}, "bad boundary count 0"},
+		{"65 pairs", []byte{msgJob, 1, 0, 0, 0, 65, 0}, "bad boundary count 65"},
+		{"out-of-range node", job(999), "boundary node 999 out of range"},
+		{"wrong shape at a unit exit", job(stem.ID), fmt.Sprintf("boundary %d tensor [1], want %v", stem.ID, stem.OutShape)},
+		{"wrong shape at a non-exit node", job(a1.ID), fmt.Sprintf("boundary %d tensor [1], want %v", a1.ID, a1.OutShape)},
+		{"retired type-1 request", legacy, "unknown message type 1"},
+	} {
+		if err := srv.HandleConn(&rwBuffer{in: bytes.NewReader(c.frame)}); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s must error with %q, got %v", c.name, c.want, err)
 		}
+	}
+	if srv.cutOf([]boundary{{Node: stem.ID}}) != 1 || srv.cutOf([]boundary{{Node: a1.ID}}) != -1 {
+		t.Error("stem is unit 1's exit, a1 no unit's: the two shape rows must be a line job and a set")
 	}
 }

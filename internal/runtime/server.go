@@ -286,31 +286,27 @@ readLoop:
 			// Jobs admitted before the hello keep the default tenant;
 			// clients that care send it first (Client does).
 			cc.tenant = tenant
-		case msgInfer, msgInferSet:
+		case msgJob:
 			decodeStart := time.Now()
-			pj := pendingJob{conn: cc, tenant: cc.tenant}
-			var bytes int
-			if typ == msgInfer {
-				if pj.req, err = readInferRequestBody(r); err == nil {
-					bytes = reqWireBytes(pj.req)
-				}
-			} else if pj.set, err = readInferSetRequestBody(r); err == nil {
-				bytes = setWireBytes(pj.set)
-			}
+			req, err := readJobBody(r)
 			if err != nil {
 				cc.fail(err)
 				break readLoop
 			}
-			pj.recv = time.Now()
-			s.obsv.span(TrackServer, SpanDecode, int(pj.jobID()), decodeStart, pj.recv)
-			s.obsv.ServerRxBytes.Add(int64(bytes))
-			s.obsv.TenantRxBytes.With(cc.tenant).Add(int64(bytes))
-			if pj.req != nil && pj.req.Quant != nil {
-				// Expand the int8 codes once at decode time; everything
-				// downstream — a group's pack included — sees the same
-				// float32 boundary it always has.
-				pj.req.Tensor, pj.req.Quant = pj.req.Quant.Dequantize(), nil
+			pj := pendingJob{conn: cc, tenant: cc.tenant, req: req, recv: time.Now()}
+			s.obsv.span(TrackServer, SpanDecode, int(req.JobID), decodeStart, pj.recv)
+			bytes := int64(jobWireBytes(req.Pairs))
+			s.obsv.ServerRxBytes.Add(bytes)
+			s.obsv.TenantRxBytes.With(cc.tenant).Add(bytes)
+			for i := range req.Pairs {
+				if p := &req.Pairs[i]; p.Q != nil {
+					// Expand the int8 codes once at decode time; everything
+					// downstream — a group's pack included — sees the same
+					// float32 boundary it always has.
+					p.T, p.Q = p.Q.Dequantize(), nil
+				}
 			}
+			req.Cut = s.cutOf(req.Pairs)
 			if !admit(pj) {
 				break readLoop
 			}
@@ -345,28 +341,17 @@ readLoop:
 }
 
 // check validates a job's boundary against the model before anything
-// runs from it — a line frame's cut and tensor, a set frame's nodes and
-// tensors: each tensor must have the shape of the activation it claims
-// to be.
+// runs from it: each pair must name a node of the graph and carry a
+// tensor of the shape that node outputs. For a line job that is its
+// cut's check too, its one pair being the cut unit's exit.
 func (s *Server) check(pj pendingJob) error {
 	g := s.model.Graph()
-	if req := pj.req; req != nil {
-		cut := int(req.Cut)
-		if cut < 0 || cut >= len(s.units) {
-			return fmt.Errorf("runtime: cut %d out of range [0,%d)", cut, len(s.units))
+	for _, p := range pj.req.Pairs {
+		if p.Node < 0 || p.Node >= g.Len() {
+			return fmt.Errorf("runtime: boundary node %d out of range [0,%d)", p.Node, g.Len())
 		}
-		if want := g.Node(s.units[cut].Exit).OutShape; !req.Tensor.Shape.Equal(want) {
-			return fmt.Errorf("runtime: boundary tensor %v, cut %d wants %v", req.Tensor.Shape, cut, want)
-		}
-		return nil
-	}
-	for i, node := range pj.set.Nodes {
-		id := int(node)
-		if id < 0 || id >= g.Len() {
-			return fmt.Errorf("runtime: boundary node %d out of range", id)
-		}
-		if want := g.Node(id).OutShape; !pj.set.Tensors[i].Shape.Equal(want) {
-			return fmt.Errorf("runtime: boundary %d tensor %v, want %v", id, pj.set.Tensors[i].Shape, want)
+		if want := g.Node(p.Node).OutShape; !p.T.Shape.Equal(want) {
+			return fmt.Errorf("runtime: boundary %d tensor %v, want %v", p.Node, p.T.Shape, want)
 		}
 	}
 	return nil

@@ -9,7 +9,7 @@ import (
 	"dnnjps/internal/netsim"
 )
 
-// Regression: when a worker fails (e.g. an out-of-range cut), the
+// Regression: when a worker fails (e.g. an out-of-range boundary node), the
 // connection must actually drop. Previously fail() closed the stop
 // channel but left the transport open, so the read loop stayed blocked
 // in ReadByte and an idle client — all requests sent, waiting on
@@ -32,8 +32,7 @@ func TestHandleConnClosesOnWorkerFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A request that decodes fine but fails on the worker.
-	req := &inferRequest{JobID: 1, Cut: 999, Tensor: mustVec(3, 1, 2, 3)}
-	if err := writeInferRequest(cConn, req); err != nil {
+	if err := writeJob(cConn, 1, []boundary{{Node: 999, T: mustVec(3, 1, 2, 3)}}); err != nil {
 		t.Fatalf("write request: %v", err)
 	}
 

@@ -116,6 +116,29 @@ func (lp *lineProgram) runSpan(from, to, n int, seed *tensor.Tensor) (*tensor.Te
 	return acts[lp.units[to].Exit], nil
 }
 
+// cutOf names the line cut a job's boundary is, or -1 for a true set.
+// No pair is the last unit: the sink is on the mobile side. One pair at
+// a unit's exit is that unit: a one-boundary mobile side is the
+// boundary's ancestor closure — every other mobile node reaches the
+// sink through a boundary node — and a unit exit's ancestor closure is
+// its unit prefix (TestUnitExitClosureIsUnitPrefix). The server derives
+// a decoded job's Cut so, and everything downstream keys on it: only a
+// line job groups, parks or is handed off, since a set's -1 matches no
+// unit.
+func (lp *lineProgram) cutOf(pairs []boundary) int {
+	switch len(pairs) {
+	case 0:
+		return len(lp.units) - 1
+	case 1:
+		for k, u := range lp.units {
+			if u.Exit == pairs[0].Node {
+				return k
+			}
+		}
+	}
+	return -1
+}
+
 // runSide is runSpan for a cut-node set, and this package's only other
 // call into the engine. It runs one side of the cut in topological
 // order: with an input the mobile side — the set's ancestor closure,

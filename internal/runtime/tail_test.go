@@ -115,9 +115,9 @@ func idleScheduler(srv *Server) *fleetScheduler {
 }
 
 // TestTakeByStageAndFrame drives takeLocked over the stage kinds and
-// frame kinds: what parks, what a worker gets, in which order, and how
-// long it is told to wait first. The clock is the test's: it moves only
-// by the waits takeLocked returns. A terminal stage holds a partial tail
+// job kinds, line and set: what parks, what a worker gets, in which
+// order, and how long it is told to wait first. The clock is the
+// test's: it moves only by the waits takeLocked returns. A terminal stage holds a partial tail
 // group for groupHold once nothing is queued, so a row that ends on one
 // waits exactly that.
 func TestTakeByStageAndFrame(t *testing.T) {
@@ -131,10 +131,10 @@ func TestTakeByStageAndFrame(t *testing.T) {
 		return srv
 	}
 	line := func(id, cut int) pendingJob {
-		return pendingJob{conn: &connCtx{}, tenant: DefaultTenant, req: &inferRequest{JobID: uint32(id), Cut: uint32(cut)}}
+		return pendingJob{conn: &connCtx{}, tenant: DefaultTenant, req: &jobRequest{JobID: uint32(id), Cut: cut}}
 	}
 	set := func(id int) pendingJob {
-		return pendingJob{conn: &connCtx{}, tenant: DefaultTenant, set: &inferSetRequest{JobID: uint32(id)}}
+		return pendingJob{conn: &connCtx{}, tenant: DefaultTenant, req: &jobRequest{JobID: uint32(id), Cut: -1}}
 	}
 	many := func(from, n, cut int) []pendingJob {
 		jobs := make([]pendingJob, n)
@@ -257,9 +257,9 @@ func TestTakeByStageAndFrame(t *testing.T) {
 				}
 				var ids []int
 				for _, pj := range task.jobs {
-					ids = append(ids, int(pj.jobID()))
-					if parked := !pj.parked.IsZero(); parked != (c.at >= 0 && pj.req != nil && int(pj.req.Cut) >= c.at) {
-						t.Errorf("job %d: parked stamp set = %v", pj.jobID(), parked)
+					ids = append(ids, int(pj.req.JobID))
+					if parked := !pj.parked.IsZero(); parked != (c.at >= 0 && pj.req.Cut >= c.at) {
+						t.Errorf("job %d: parked stamp set = %v", pj.req.JobID, parked)
 					}
 				}
 				got = append(got, ids)
@@ -291,7 +291,7 @@ func TestPackMatchesEngineLayout(t *testing.T) {
 					for i := range tensors[b].Data {
 						tensors[b].Data[i] = float32(100*b + i + round)
 					}
-					jobs[b].req = &inferRequest{Tensor: tensors[b]}
+					jobs[b].req = &jobRequest{Pairs: []boundary{{T: tensors[b]}}}
 				}
 				want, err := engine.PackBatch(tensors)
 				if err != nil {

@@ -128,8 +128,9 @@ go test -run 'TestChainGapExperiment' -count=1 ./internal/experiments/
 
 echo "== fuzz smoke (10s per target)"
 # Each wire decoder and the fault injector get a short coverage-guided
-# run on top of the committed seed corpora in testdata/fuzz/. A crash
-# here reproduces with: go test -run 'Fuzz<T>/<file>' <pkg>
+# run on top of the committed seed corpora in testdata/fuzz/ (the job
+# decoder twice, once from each of its two corpora). A crash here
+# reproduces with: go test -run 'Fuzz<T>/<file>' <pkg>
 fuzz_smoke() {
     target=$1
     pkg=$2
@@ -148,8 +149,9 @@ fuzz_smoke FuzzSgemmAsmVsScalar ./internal/engine/
 echo "== multi-client e2e smoke (jpsserve, 4 tenants, SIGTERM drain)"
 # resnet18 is the smallest zoo model whose Algorithm 3 plan ships true
 # boundary sets (squeezenet's and mobilenetv2's cut sets all collapse to
-# single unit exits, which go out as line frames), so both smokes serve
-# it: the -general legs are where a cut-set frame meets the real binary.
+# single unit exits, which go out as line jobs: one pair at the exit),
+# so both smokes serve it: the -general legs are where a job frame of
+# several pairs meets the real binary.
 SMOKE_MODEL=resnet18
 SMOKE_LOG="$(mktemp)"
 SMOKE_BIN="$(mktemp)"
@@ -210,7 +212,7 @@ echo "== chain e2e smoke (two chained jpsserve stages, next-hop forwarding)"
 # Last, one general plan: a boundary set names no unit, so the stage it
 # reaches runs its whole suffix — the forwarder's final metrics must
 # show the 32 cut-0 handoffs and not one more (resnet18 at 4G, n = 4:
-# all four jobs ship a two-tensor set; e2e_client fails if none does).
+# all four jobs ship a two-pair set; e2e_client fails if none does).
 TERM_LOG="$(mktemp)"
 FWD_LOG="$(mktemp)"
 TERM_PID=""

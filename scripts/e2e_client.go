@@ -6,7 +6,7 @@
 // requires every reply to carry a plausible class and a positive
 // server compute time. With -general each connection instead plans the
 // model with Algorithm 3 (core.PlanGeneral) and runs the plan through
-// Client.RunGeneralPlan — cut-set frames against the real binary —
+// Client.RunGeneralPlan — boundary sets against the real binary —
 // requiring every class to equal a local forward pass. With -runner one
 // connection at a time runs one plan of -jobs jobs at -cut through the
 // fault-tolerant runtime.Runner, one job in flight, against a server
@@ -71,7 +71,7 @@ func run(addr, model string, seed int64, clients, jobs, cut int, general bool) e
 	wantClass := -1
 	if general {
 		// 4G makes the planner mix cuts: some jobs ship a true boundary
-		// set, some a single unit exit (which goes out as a line frame).
+		// set, some a single unit exit (which goes out as a line job).
 		gp, err = core.PlanGeneral(g, profile.RaspberryPi4(), profile.CloudGPU(), netsim.FourG, tensor.Float32, jobs, 0)
 		if err != nil {
 			return err
