@@ -124,8 +124,11 @@ func useAsm(kern kernelPath, m, k, n int) bool {
 // re-reads them per column pair — the 1000×1280 dense head takes ≈ 0.48–
 // 0.50 ms at every n from 2 to 16 on the tile, in one deep K panel
 // (0.73–0.87 ms in asmKC panels), against 1.7 ms (n=2) to 6.6 ms (n=16)
-// on the panel loop, so coalesced groups of 2–15 jobs ride it (tables
-// in EXPERIMENTS.md). n = 1 never gets here: sgemmAcc runs it
+// on the panel loop. At n = 32, the widest group a batching server
+// forms (WithBatching's cap on fleet-head), it is two column strips in
+// asmKC panels: ≈ 1.05–1.12 ms on the tile against 18–24 ms on the
+// panel loop (2-vCPU Xeon), so every group of 2 to 32 jobs rides it
+// (tables in EXPERIMENTS.md). n = 1 never gets here: sgemmAcc runs it
 // as the matrix-vector product, which streams the weights at memory
 // bandwidth already. The NEON tile takes the same rule; it has not
 // been timed on arm64 hardware.

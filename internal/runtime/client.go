@@ -559,11 +559,13 @@ func (c *Client) computePrefix(jobID int, cut jobCut, input *tensor.Tensor) (*jo
 // line cut is a property of the boundary, not of how the cut was
 // written: a set whose boundary is a unit exit is the line job it is
 // (JobResult.Cut = the unit), anything else a true set (JobResult.Cut =
-// -1).
+// -1). A job with nothing left to ship — the fallback's whole model —
+// stops at the logits (runSpan, runSide) and takes its class off them,
+// as the server does.
 func (lp *lineProgram) runPrefix(jobID int, cut jobCut, input *tensor.Tensor) (*jobRequest, *JobResult, error) {
 	g := lp.model.Graph()
 	res := &JobResult{JobID: jobID, Cut: cut.unit}
-	var out *tensor.Tensor // the activation at unit res.Cut's exit
+	var out *tensor.Tensor // the activation at exit(res.Cut)
 	var set *jobRequest    // the boundary of a set cut
 	start := time.Now()
 	switch {
@@ -599,7 +601,7 @@ func (lp *lineProgram) runPrefix(jobID int, cut jobCut, input *tensor.Tensor) (*
 			}
 		}
 		if res.Cut = lp.cutOf(set.Pairs); res.Cut >= 0 {
-			out = acts[lp.units[res.Cut].Exit]
+			out = acts[lp.exit(res.Cut)]
 		}
 	}
 	res.MobileMs = float64(time.Since(start).Nanoseconds()) / 1e6
@@ -607,7 +609,7 @@ func (lp *lineProgram) runPrefix(jobID int, cut jobCut, input *tensor.Tensor) (*
 	case -1:
 		return set, res, nil
 	case len(lp.units) - 1:
-		res.Class = engine.Argmax(out)
+		res.Class = engine.SoftmaxArgmaxBatch(out, 1, 0)
 		res.Done = time.Now()
 		return nil, res, nil
 	}

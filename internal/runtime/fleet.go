@@ -583,10 +583,12 @@ func (fs *fleetScheduler) run(t task) {
 }
 
 // pass takes the checked members of a task through the model together
-// and sees each off: answered, handed over, parked or failed. A pass is
-// counted by its size where its jobs are gathered, of one or more: a
-// tail group (grouped: the jobs were parked, for however long) and a
-// forwarding stage's middle segment, whose group was taken at the pop.
+// and sees each off: answered — its class read off the logits the pass
+// ends at, by engine.SoftmaxArgmaxBatch — handed over, parked or failed.
+// A pass is counted by its size where its jobs are gathered, of one or
+// more: a tail group (grouped: the jobs were parked, for however long)
+// and a forwarding stage's middle segment, whose group was taken at the
+// pop.
 func (fs *fleetScheduler) pass(jobs []pendingJob, grouped bool) {
 	s, o, n := fs.s, fs.s.obsv, len(jobs)
 	if grouped || s.handsOff(jobs[0]) {
@@ -630,14 +632,18 @@ func (fs *fleetScheduler) pass(jobs []pendingJob, grouped bool) {
 			}
 		}
 	default:
+		// out holds the members' logits; each class is read off them,
+		// exactly the class the model's softmax sink would give.
 		end := time.Now()
 		for i, pj := range jobs {
-			fs.answer(pj, int32(engine.ArgmaxBatch(out, n, i)), 0, end)
+			fs.answer(pj, int32(engine.SoftmaxArgmaxBatch(out, n, i)), 0, end)
 		}
 		// The jobs are done with and out has been read: what the pass was
 		// fed and what it made go back to the arenas they came from — the
 		// model's, for a job whose conv span ran here; a boundary off the
-		// wire came from none.
+		// wire came from none. A span that ran no node (a job cut just
+		// before a sink that is a unit of its own) returned what it was
+		// fed, and that goes back once.
 		if out != seed {
 			out.Recycle()
 		}
@@ -708,9 +714,10 @@ func (s *Server) handsOff(pj pendingJob) bool {
 }
 
 // advance runs a checked group from its cut as one batch — seed, the
-// packed boundary — as far as this stage takes it: unit to, whose exit
-// activation it returns: the sink's, unless the group is cut before the
-// unit where the stage hands it over or parks it. An image's output
+// packed boundary — as far as this stage takes it: unit to, and returns
+// runSpan's activation there: the logits the members' classes are read
+// off, unless the group is cut before the unit where the stage hands it
+// over or parks it, where it is that unit's exit. An image's output
 // does not depend on who shares its group: its accumulation order in
 // the engine is the same at every batch size (bit for bit from n = 2
 // up, and against n = 1 — the matrix-vector product — wherever the FMA
@@ -735,8 +742,8 @@ func (s *Server) advance(jobs []pendingJob, seed *tensor.Tensor) (out *tensor.Te
 }
 
 // resumeSet runs the remote side of a checked boundary set — every
-// node outside the set's ancestor closure — and returns the sink's
-// activation.
+// node outside the set's ancestor closure, the softmax sink aside — and
+// returns what runSide leaves at the last unit: the logits.
 func (s *Server) resumeSet(pairs []boundary) (*tensor.Tensor, error) {
 	acts := make(map[int]*tensor.Tensor, len(pairs))
 	nodes := make([]int, len(pairs))
@@ -747,7 +754,7 @@ func (s *Server) resumeSet(pairs []boundary) (*tensor.Tensor, error) {
 	if _, _, err := s.runSide(acts, nil, nodes); err != nil {
 		return nil, err
 	}
-	return acts[s.units[len(s.units)-1].Exit], nil
+	return acts[s.exit(len(s.units)-1)], nil
 }
 
 // answer is the one reply epilogue: whichever way a job was computed —

@@ -197,7 +197,7 @@ func (h *scriptedHop) answer(w *bufio.Writer, req *jobRequest) error {
 	if err != nil {
 		return err
 	}
-	if err := writeInferReply(w, &inferReply{JobID: req.JobID, Class: int32(engine.Argmax(out))}); err != nil {
+	if err := writeInferReply(w, &inferReply{JobID: req.JobID, Class: int32(engine.SoftmaxArgmaxBatch(out, 1, 0))}); err != nil {
 		return err
 	}
 	return w.Flush()

@@ -23,12 +23,16 @@ import (
 // them). Units (a, b] are nodes[off[a+1]:off[b+1]] — a slice of the one
 // list, not a copy per cut. tail is the unit whose exit feeds the
 // model's fully connected tail (tailUnit), -1 where there is none.
+// logits is the node a softmax sink normalizes — the sink's one
+// predecessor, and what a span ending at the last unit stops at (see
+// runSpan) — or -1 where the sink is something else.
 type lineProgram struct {
-	model *engine.Model
-	units []profile.Unit
-	nodes []int
-	off   []int
-	tail  int
+	model  *engine.Model
+	units  []profile.Unit
+	nodes  []int
+	off    []int
+	tail   int
+	logits int
 	// acts recycles the activation maps runSpan hands the engine: a job
 	// on a stage that parks is two spans, and a map each would be a
 	// third of what the second one allocates.
@@ -43,6 +47,12 @@ func newLineProgram(m *engine.Model) lineProgram {
 		lp.off[k+1] = lp.off[k] + len(u.Nodes)
 	}
 	lp.tail = tailUnit(g, lp.units, m.IsQuantized())
+	lp.logits = -1
+	if sink := g.Sink(); len(g.Preds(sink)) == 1 && lp.nodes[len(lp.nodes)-1] == sink {
+		if _, ok := g.Node(sink).Layer.(*nn.Softmax); ok {
+			lp.logits = g.Preds(sink)[0]
+		}
+	}
 	return lp
 }
 
@@ -90,8 +100,15 @@ func tailUnit(g *dag.Graph, units []profile.Unit, quantized bool) int {
 // stage's segment, the cloud's suffix and a local fallback are all this
 // call. It seeds seed — a packed batch of n, which at n = 1 is the plain
 // tensor (engine.PackBatch) — as the activation at unit from's exit,
-// runs units (from, to] and returns the activation at unit to's exit.
-// from = -1 enters at the source, with seed as the model input.
+// runs units (from, to] and returns the activation at exit(to): unit
+// to's exit, except on a span that ends at the last unit of a model
+// with a softmax sink, which stops short of the sink and returns the
+// logits. Nobody reads the probabilities — a job's class is
+// engine.SoftmaxArgmaxBatch of the logits, the same class exactly — so
+// no stage computes them. When the sink is a unit of its own (AlexNet,
+// MobileNet-v2) a span from the unit before it runs no node and returns
+// seed itself. from = -1 enters at the source, with seed as the model
+// input.
 //
 // Concurrent callers share the model: its arena is thread-safe and the
 // engine tracks liveness per call. seed stays the caller's, the arena
@@ -110,10 +127,34 @@ func (lp *lineProgram) runSpan(from, to, n int, seed *tensor.Tensor) (*tensor.Te
 	if from >= 0 {
 		acts[lp.units[from].Exit], input = seed, nil
 	}
-	if err := lp.model.ExecuteBatch(acts, n, input, lp.nodes[lp.off[from+1]:lp.off[to+1]]); err != nil {
+	if err := lp.model.ExecuteBatch(acts, n, input, lp.nodes[lp.off[from+1]:lp.end(to)]); err != nil {
 		return nil, err
 	}
-	return acts[lp.units[to].Exit], nil
+	return acts[lp.exit(to)], nil
+}
+
+// terminal reports whether a span ending at unit to stops at the
+// logits instead of the sink.
+func (lp *lineProgram) terminal(to int) bool {
+	return to == len(lp.units)-1 && lp.logits >= 0
+}
+
+// end is where in nodes a span ending at unit to stops: off[to+1], one
+// short of it — the sink — on a terminal span.
+func (lp *lineProgram) end(to int) int {
+	if lp.terminal(to) {
+		return lp.off[to+1] - 1
+	}
+	return lp.off[to+1]
+}
+
+// exit is the node whose activation a span ending at unit to returns:
+// the unit's exit, the logits on a terminal span.
+func (lp *lineProgram) exit(to int) int {
+	if lp.terminal(to) {
+		return lp.logits
+	}
+	return lp.units[to].Exit
 }
 
 // cutOf names the line cut a job's boundary is, or -1 for a true set.
@@ -143,16 +184,18 @@ func (lp *lineProgram) cutOf(pairs []boundary) int {
 // call into the engine. It runs one side of the cut in topological
 // order: with an input the mobile side — the set's ancestor closure,
 // entered at the source — and without one everything else, entered at
-// the boundary tensors the caller seeded in acts. It returns the mobile
-// side and the list it ran; what the side leaves for whoever comes next
-// (its boundary activations, or the sink's) stays in acts.
+// the boundary tensors the caller seeded in acts. Like a terminal span
+// it never runs a softmax sink: the side that holds the sink stops at
+// the logits. It returns the mobile side and the list it ran; what the
+// side leaves for whoever comes next (its boundary activations, or the
+// activation at exit(len(units)-1)) stays in acts.
 //
 // It cannot share runSpan: a side is not a run of consecutive units, so
 // the line program has no slice for it, and it is entered or left
 // through several tensors at once, never batched.
 func (lp *lineProgram) runSide(acts map[int]*tensor.Tensor, input *tensor.Tensor, cutNodes []int) (mobile map[int]bool, side []int, err error) {
 	mobile = lp.model.Graph().Ancestors(cutNodes...)
-	for _, id := range lp.nodes {
+	for _, id := range lp.nodes[:lp.end(len(lp.units)-1)] {
 		if mobile[id] == (input != nil) {
 			side = append(side, id)
 		}

@@ -145,6 +145,7 @@ done
 fuzz_smoke FuzzInjector ./internal/netsim/
 fuzz_smoke FuzzEstimator ./internal/estimator/
 fuzz_smoke FuzzSgemmAsmVsScalar ./internal/engine/
+fuzz_smoke FuzzSoftmaxArgmax ./internal/engine/
 
 echo "== multi-client e2e smoke (jpsserve, 4 tenants, SIGTERM drain)"
 # resnet18 is the smallest zoo model whose Algorithm 3 plan ships true
