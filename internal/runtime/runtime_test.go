@@ -337,10 +337,12 @@ func TestServeOverTCP(t *testing.T) {
 // TestServerRejectsBadBoundary: every malformed job frame fails its
 // connection with the error that names the fault — a pair count out of
 // range at decode, and the check's own error for a pair that does not
-// fit the model, at a unit exit (a line job) or anywhere else (a set) —
-// all the way in: decode, admission, the worker's task. A type-1
-// request, the line-cut frame before every request was a job frame, is
-// an unknown message type.
+// fit the model, at a unit exit (a line job) or anywhere else (a set),
+// or that sits at the softmax sink, alone or beside another pair — all
+// the way in: decode, admission, the worker's task. A type-1 request,
+// the line-cut frame before every request was a job frame, is an
+// unknown message type. The server that refused them all still answers
+// a good job.
 func TestServerRejectsBadBoundary(t *testing.T) {
 	m := branchedModel(t)
 	srv := NewServer(m)
@@ -348,13 +350,16 @@ func TestServerRejectsBadBoundary(t *testing.T) {
 	g := m.Graph()
 	stem, _ := g.NodeByName("stem")
 	a1, _ := g.NodeByName("a1")
-	job := func(node int) []byte {
+	frame := func(pairs ...boundary) []byte {
 		var frame bytes.Buffer
-		if err := writeJob(&frame, 1, []boundary{{Node: node, T: tensor.New(tensor.NewVec(1))}}); err != nil {
+		if err := writeJob(&frame, 1, pairs); err != nil {
 			t.Fatal(err)
 		}
 		return frame.Bytes()
 	}
+	job := func(node int) []byte { return frame(boundary{Node: node, T: tensor.New(tensor.NewVec(1))}) }
+	fit := func(id int) boundary { return boundary{Node: id, T: tensor.New(g.Node(id).OutShape)} }
+	sink := g.Sink()
 	legacy := job(stem.ID)
 	legacy[0] = 1
 	for _, c := range []struct {
@@ -368,10 +373,23 @@ func TestServerRejectsBadBoundary(t *testing.T) {
 		{"wrong shape at a unit exit", job(stem.ID), fmt.Sprintf("boundary %d tensor [1], want %v", stem.ID, stem.OutShape)},
 		{"wrong shape at a non-exit node", job(a1.ID), fmt.Sprintf("boundary %d tensor [1], want %v", a1.ID, a1.OutShape)},
 		{"retired type-1 request", legacy, "unknown message type 1"},
+		{"one pair at the softmax sink", frame(fit(sink)), fmt.Sprintf("boundary %d is the softmax sink", sink)},
+		{"two pairs, one at the softmax sink", frame(fit(stem.ID), fit(sink)), fmt.Sprintf("boundary %d is the softmax sink", sink)},
 	} {
 		if err := srv.HandleConn(&rwBuffer{in: bytes.NewReader(c.frame)}); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s must error with %q, got %v", c.name, c.want, err)
 		}
+	}
+	// The server outlives every bad frame: a job on a new connection is
+	// still answered, with the class local inference gives.
+	cl := NewClient(dialFleet(t, srv), m, netsim.WiFi, 1e-6)
+	in := input(5)
+	want, err := m.Forward(in.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := cl.RunCutSet(1, twoTensorCut(t, m), in); err != nil || res.Class != engine.Argmax(want) {
+		t.Errorf("after the bad frames: class %v, err %v; want class %d", res, err, engine.Argmax(want))
 	}
 	if srv.cutOf([]boundary{{Node: stem.ID}}) != 1 || srv.cutOf([]boundary{{Node: a1.ID}}) != -1 {
 		t.Error("stem is unit 1's exit, a1 no unit's: the two shape rows must be a line job and a set")

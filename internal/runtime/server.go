@@ -343,12 +343,18 @@ readLoop:
 // check validates a job's boundary against the model before anything
 // runs from it: each pair must name a node of the graph and carry a
 // tensor of the shape that node outputs. For a line job that is its
-// cut's check too, its one pair being the cut unit's exit.
+// cut's check too, its one pair being the cut unit's exit. No pair may
+// be a softmax sink: no span or side runs it, so a boundary there would
+// leave the server no logits to read a class off. A client never ships
+// one — the sink has no consumer, and a job that holds it is all local.
 func (s *Server) check(pj pendingJob) error {
 	g := s.model.Graph()
 	for _, p := range pj.req.Pairs {
 		if p.Node < 0 || p.Node >= g.Len() {
 			return fmt.Errorf("runtime: boundary node %d out of range [0,%d)", p.Node, g.Len())
+		}
+		if s.logits >= 0 && p.Node == g.Sink() {
+			return fmt.Errorf("runtime: boundary %d is the softmax sink: nothing left to run", p.Node)
 		}
 		if want := g.Node(p.Node).OutShape; !p.T.Shape.Equal(want) {
 			return fmt.Errorf("runtime: boundary %d tensor %v, want %v", p.Node, p.T.Shape, want)
