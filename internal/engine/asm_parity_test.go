@@ -211,10 +211,11 @@ func sgemmShapeParity(t *testing.T, m, k, n, lda int, seed int64) {
 // passing silently — at row counts around the asmMR strip (full strips
 // read in place, the ragged last one through the zeroed scratch), k
 // around the asmKC panel edge, and with lda > k (gaps between rows
-// that are not part of the matrix). A one-strip n also takes k past
-// asmKC in one deep panel, which the ragged strip walks in asmKC
-// sub-panels (4 097 leaves a last sub-panel one step deep; 9 216 is
-// fc6's reduction).
+// that are not part of the matrix). A narrow n also takes k past asmKC
+// in deep panels — one strip (5) or several (17, 32, 48: a panel then
+// spans every strip of the block) — which the ragged strip walks in
+// asmKC sub-panels (4 097 leaves a last sub-panel one step deep; 9 216
+// is fc6's reduction).
 //
 // A 12-row strip (m = 12, 13, 23) reads its last row flush against the
 // guard page. Where the AVX-512 tile is live, every shape also runs in
@@ -251,8 +252,46 @@ func TestSgemmAsmReadsAInBounds(t *testing.T) {
 	for _, m := range []int{5, 7, 11, 13, 23} {
 		for _, k := range []int{4097, 9216} {
 			for _, pad := range []int{0, 3} {
-				check(m, k, 5, pad)
+				for _, n := range []int{5, 17, 32, 48} {
+					check(m, k, n, pad)
+				}
 			}
+		}
+	}
+}
+
+// TestSgemmPanelDepthBitIdentical: how deep the driver takes K at a
+// block's width changes no bits. Each C element is one FMA chain in
+// ascending k, stored and reloaded exactly between panels, so sgemmAsm
+// must equal the same GEMM run as successive asmKC-deep slices of K
+// accumulated into one C — the schedule of a driver that never went
+// deeper than asmKC. The widths cover one strip (2: 16 384 deep), the
+// 17–32 column groups of a batching server (8 192), three strips (48:
+// 5 376), the 169- and 196-column convs' blocks (176, 208: 1 280 and
+// 1 024) and two N blocks (1 100: 256 deep, then 3 072 for the 76 left
+// over; three workers split it into 368-column blocks, 512 deep); k
+// spans several panels at each, with a ragged last one, and m a ragged
+// strip of rows.
+func TestSgemmPanelDepthBitIdentical(t *testing.T) {
+	if !asmEnabled() {
+		t.Skip("asm path off: the panel loop has no K panels of this driver")
+	}
+	const m = 30
+	for _, n := range []int{2, 17, 32, 48, 176, 208, 1100} {
+		k := 16384 + 300
+		if n > 48 {
+			k = 3072 + 257
+		}
+		a, b := randOperands(m, k, n, int64(n))
+		sliced := make([]float32, m*n)
+		for kp := 0; kp < k; kp += asmKC {
+			kc := min(asmKC, k-kp)
+			sgemmAsm(m, kc, n, k, n, a[kp:], bPacker{b: b[kp*n:], ldb: n}, sliced, 1)
+		}
+		for _, workers := range []int{1, 3} {
+			c := make([]float32, m*n)
+			sgemmAsm(m, k, n, k, n, a, bPacker{b: b, ldb: n}, c, workers)
+			assertSliceParity(t, fmt.Sprintf("m%d k%d n%d workers=%d vs asmKC slices", m, k, n, workers), c, sliced, true)
 		}
 	}
 }
@@ -270,7 +309,8 @@ func onAVX2Tile(f func()) {
 // GEMM — and a whole forward — must give the same bits on either.
 // Shapes cover every m mod 12 from 1 to 11 (the ragged strip through
 // the zeroed scratch, at either strip height), ragged columns, rows
-// lda > k apart, and a one-strip K of 9 216 + 5 in one deep panel.
+// lda > k apart, and a K of 9 216 + 5 in deep panels at one strip and
+// at three.
 func TestSgemmTilesBitIdentical(t *testing.T) {
 	if !asmAVX512OK {
 		t.Skip("no AVX-512 tile on this host or build")
@@ -288,10 +328,11 @@ func TestSgemmTilesBitIdentical(t *testing.T) {
 		shapes = append(shapes, shape{r, 37, 40, 37}, shape{12 + r, 37, 40, 40})
 	}
 	shapes = append(shapes,
-		shape{24, 300, 17, 300},      // ragged columns, two K panels
-		shape{36, 64, asmNR, 64},     // full tiles only
-		shape{25, 9216 + 5, 7, 9221}, // one strip: one deep K panel
-		shape{64, 1152, 1100, 1152},  // two N blocks
+		shape{24, 300, 17, 300},       // ragged columns, two K panels
+		shape{36, 64, asmNR, 64},      // full tiles only
+		shape{25, 9216 + 5, 7, 9221},  // one strip: one deep K panel
+		shape{24, 9216 + 5, 40, 9221}, // three strips: two deep K panels
+		shape{64, 1152, 1100, 1152},   // two N blocks
 	)
 	for _, sh := range shapes {
 		a, b := randOperands(sh.m, sh.k, sh.n, int64(sh.m*7919+sh.k))

@@ -182,7 +182,8 @@ func TestBatchForwardParityMobileNetV2(t *testing.T) {
 // panel; this one's first layer reduces over 9216 and its packed
 // flatten is a real transpose. An image's output must not depend on the
 // size of its group (bitwise, n >= 2: one driver handles them all, in
-// one deep K panel up to 16 columns and in asmKC panels at 32), and
+// K panels as deep as the pack buffer holds at each width — one at up
+// to 16 columns, 8 192 deep at 32), and
 // equals its solo pass bitwise without the asm path, within the FMA
 // envelope with it (n = 1 is the matrix-vector product, not the tile).
 func TestBatchDenseTailParityAlexNet(t *testing.T) {

@@ -164,13 +164,17 @@ func benchQuantModel(b *testing.B, g *dag.Graph) {
 // convolutions': it ends in fc6–fc8, and that is where the reuse is.
 // The last two families take the suffix apart at conv5/pool, the unit
 // a default server parks jobs at. densetail is fc6–fc8 alone, 234 MB of
-// weights streamed once per pass whatever N is: from N=2 to the tile's
-// 16 columns the GEMM takes K in one deep panel and reads the weights
-// in row order, so a pass costs about what N=1's matrix-vector product
-// does (N=8 ≈ 0.12–0.15 of N=1 per inference; gated at 0.16, which
-// the asmKC-panelled sweep, 0.19–0.24, fails). convspan is conv1/pool
-// to conv5/pool, what such a server runs for one job at a time because
-// companions buy it ≈ 1.1–1.3x (N=8 against N=1; reported, not gated).
+// weights streamed once per pass whatever N is: the GEMM takes K as
+// deep as the pack buffer holds at the group's width — 16 384 from N=2
+// to the tile's 16 columns, 8 192 at N=32's two strips — and reads the
+// weights in row order. From N=2 to 16 a pass costs about what N=1's
+// matrix-vector product does (N=8 ≈ 0.12–0.15 of N=1 per inference;
+// gated at 0.16, which the asmKC-panelled sweep, 0.19–0.24, fails).
+// N=32 runs two strips against the one stream of the weights, ≈ 1.7
+// times N=16's pass (≈ 0.85 per inference; ≈ 2.1 and 1.07 in asmKC
+// panels). convspan is conv1/pool to conv5/pool, what such a server
+// runs for one job at a time because companions buy it ≈ 1.1–1.3x
+// (N=8 against N=1; reported, not gated).
 // Its N=1 leg is conv GEMMs alone: ≈ 18–24 ms on the AVX-512 tile,
 // ≈ 23–32 on the AVX2 one, on the 2-vCPU reference host.
 // Both run at one engine worker, which is what a server's pool worker

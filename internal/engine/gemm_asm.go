@@ -9,8 +9,8 @@ import "sync"
 // disabled build.
 //
 // The loop nest is jp → kp → i0 → j0: columns of B in asmNC-wide
-// blocks, K in asmKC-deep panels (as deep as the pack buffer holds when
-// the columns are one strip, see sgemmAsmCols), then every strip of A —
+// blocks, K in panels as deep as the pack buffer holds at the block's
+// width (asmKC at least, see sgemmAsmCols), then every strip of A —
 // as many rows as the live tile has (asmTileRows: 12 for the AVX-512
 // tile, 6 for the AVX2 one, asmMR at most) — sweeps the block's
 // asmNR-column strips. Only B is repacked:
@@ -125,10 +125,11 @@ func useAsm(kern kernelPath, m, k, n int) bool {
 // 0.50 ms at every n from 2 to 16 on the tile, in one deep K panel
 // (0.73–0.87 ms in asmKC panels), against 1.7 ms (n=2) to 6.6 ms (n=16)
 // on the panel loop. At n = 32, the widest group a batching server
-// forms (WithBatching's cap on fleet-head), it is two column strips in
-// asmKC panels: ≈ 1.05–1.12 ms on the tile against 18–24 ms on the
-// panel loop (2-vCPU Xeon), so every group of 2 to 32 jobs rides it
-// (tables in EXPERIMENTS.md). n = 1 never gets here: sgemmAcc runs it
+// forms (WithBatching's cap on fleet-head), it is two column strips and
+// K still in one panel (8 192 deep at that width): 0.415 ms warm, 0.87×
+// what it took in asmKC panels, against 18–24 ms on the panel loop
+// (2-vCPU Xeon), so every group of 2 to 32 jobs rides it (tables in
+// EXPERIMENTS.md). n = 1 never gets here: sgemmAcc runs it
 // as the matrix-vector product, which streams the weights at memory
 // bandwidth already. The NEON tile takes the same rule; it has not
 // been timed on arm64 hardware.
@@ -323,21 +324,28 @@ func sgemmAsmParallel(m, k, n, lda, ldc int, a []float32, pk bPacker, c []float3
 	wg.Wait()
 }
 
-// sgemmAsmCols runs the blocked driver over columns [nLo, nHi). If they
-// fit one asmNR strip and the tile reads A in place, K goes in panels as
-// deep as the pack buffer holds, so each strip of A is read front to
-// back once (asmKC panels touch 1 KiB of every fc6 row per sweep).
+// sgemmAsmCols runs the blocked driver over columns [nLo, nHi). Where
+// the tile reads A in place, each column block takes K in panels as deep
+// as the pack buffer holds at the block's width (rounded up to whole
+// strips), in multiples of asmKC and never shallower than asmKC — so a
+// narrow block reads each strip of A in few long runs (asmKC panels
+// touch 1 KiB of every fc6 row per sweep): 16 384 deep at one strip,
+// 8 192 at two (the 32-job dense head), 1 280 at 169 columns, and
+// asmKC for every block wider than 512. The panel depth changes no
+// bits: each C element is one FMA chain in ascending k, stored and
+// reloaded exactly between panels.
 func sgemmAsmCols(m, k, nLo, nHi, lda, ldc int, a []float32, pk bPacker, c []float32) {
 	pB := getPackB()
 	var packed [asmStripScratch]float32 // asmStripA's, where the tile wants one
 	mr := asmTileRows()
 	mFull := m - m%mr
-	kcMax := asmKC
-	if nHi-nLo <= asmNR && asmStripScratch == 0 {
-		kcMax = len(pB) / asmNR
-	}
 	for jp := nLo; jp < nHi; jp += asmNC {
 		nc := min(asmNC, nHi-jp)
+		kcMax := asmKC
+		if asmStripScratch == 0 {
+			w := (nc + asmNR - 1) / asmNR * asmNR
+			kcMax = max(asmKC, len(pB)/w/asmKC*asmKC)
+		}
 		for kp := 0; kp < k; kp += kcMax {
 			kc := min(kcMax, k-kp)
 			pk.pack(kp, kc, jp, nc, pB)

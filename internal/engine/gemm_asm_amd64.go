@@ -25,11 +25,16 @@ const (
 	asmMR = 12
 	asmNR = 16
 
-	// Cache blocking for the asm driver. Wider than one strip, a packed
-	// B strip (asmKC x asmNR x 4 B = 16 KiB) stays L1-resident against
-	// the twelve A rows the tile reads in place; the packed B block (asmKC
-	// x asmNC x 4 B = 1 MiB) lives in L2/L3. One strip alone fills that
-	// buffer up to 16 384 deep (576 KiB at fc6's 9 216, in L2).
+	// Cache blocking for the asm driver. The packed B buffer holds
+	// asmKC x asmNC floats (1 MiB, L2/L3), and a column block takes K as
+	// deep as it holds at the block's width, in multiples of asmKC
+	// (sgemmAsmCols). A block wider than 512 columns — conv1, conv2,
+	// every full asmNC block — gets asmKC: each packed B strip (asmKC x
+	// asmNR x 4 B = 16 KiB) stays L1-resident against the twelve A rows
+	// the tile reads in place. Narrower blocks go deeper and read the
+	// weights in longer row runs: 16 384 at one strip (576 KiB at fc6's
+	// 9 216, in L2), 8 192 at two (the 32-job dense head), 1 280 and
+	// 1 024 at the 169- and 196-column convs.
 	asmKC = 256
 	asmNC = 1024 // multiple of asmNR
 

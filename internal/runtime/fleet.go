@@ -669,7 +669,11 @@ type invalidJob struct {
 // major, batch minor), in a buffer s.packs lends and pass gives back —
 // a group forms per pickup, and a fresh n-wide buffer each time would
 // be most of what a member allocates. A batch of one is the tensor
-// itself.
+// itself. A spatial boundary goes one copy per channel plane; a vector
+// one (plane == 1, such as mobilenetv2's head/gap, [1280 1 1]) is a
+// transpose, which packVectors writes element by element, channel
+// outer: a copy per plane there is one call per float, 40 960 of them
+// for a group of 32.
 func (s *Server) pack(jobs []pendingJob) *tensor.Tensor {
 	first, n := jobs[0].req.Pairs[0].T, len(jobs)
 	if n == 1 {
@@ -680,6 +684,10 @@ func (s *Server) pack(jobs []pendingJob) *tensor.Tensor {
 	plane := len(first.Data) / shape[0]
 	shape[0] *= n
 	out := s.packs.Get(shape)
+	if plane == 1 {
+		packVectors(out.Data, jobs)
+		return out
+	}
 	for b, pj := range jobs {
 		src := pj.req.Pairs[0].T.Data
 		for ch := 0; ch*plane < len(src); ch++ {
@@ -689,17 +697,47 @@ func (s *Server) pack(jobs []pendingJob) *tensor.Tensor {
 	return out
 }
 
+// packVectors is pack's transpose for one-float planes: element ch of
+// member b lands at dst[ch*n+b]. The members' slices are taken a chunk
+// of len(srcs) at a time into a stack array, and each chunk is written
+// channel-outer — for a group no wider than the chunk, dst front to
+// back — so any group size packs with no allocation and no call per
+// float.
+func packVectors(dst []float32, jobs []pendingJob) {
+	var srcs [32][]float32
+	n := len(jobs)
+	for lo := 0; lo < n; lo += len(srcs) {
+		chunk := srcs[:min(len(srcs), n-lo)]
+		for i := range chunk {
+			chunk[i] = jobs[lo+i].req.Pairs[0].T.Data
+		}
+		for ch := range chunk[0] {
+			row := dst[ch*n+lo:][:len(chunk)]
+			for i, src := range chunk {
+				row[i] = src[ch]
+			}
+		}
+	}
+}
+
 // unpack is pack undone for member b of a packed batch of n: the
 // member's own tensor of the given shape, in a buffer s.packs lends and
 // whoever finishes the member gives back — the relayed reply of the
 // next hop (readLoop), or the pass that runs it to the sink here. A
-// batch of one is the tensor itself.
+// batch of one is the tensor itself; a vector member is a strided
+// gather, one float per channel.
 func (s *Server) unpack(packed *tensor.Tensor, shape tensor.Shape, n, b int) *tensor.Tensor {
 	if n == 1 {
 		return packed
 	}
 	out := s.packs.Get(shape)
 	plane := len(out.Data) / shape[0]
+	if plane == 1 {
+		for ch := range out.Data {
+			out.Data[ch] = packed.Data[ch*n+b]
+		}
+		return out
+	}
 	for ch := 0; ch*plane < len(out.Data); ch++ {
 		copy(out.Data[ch*plane:(ch+1)*plane], packed.Data[(ch*n+b)*plane:])
 	}

@@ -20,7 +20,7 @@ import (
 )
 
 // testModel is a small line CNN shared by the runtime tests.
-func testModel(t *testing.T) *engine.Model {
+func testModel(t testing.TB) *engine.Model {
 	t.Helper()
 	g := dag.New("rttest")
 	in := g.Add(&nn.Input{LayerName: "input", Shape: tensor.NewCHW(3, 16, 16)})

@@ -279,20 +279,24 @@ func TestTakeByStageAndFrame(t *testing.T) {
 
 // TestPackMatchesEngineLayout: the stage packs a group into a lent
 // buffer itself; the layout must be engine.PackBatch's, on a spatial
-// boundary and on a vector, also when the buffer comes back used.
+// boundary and on vectors (one-float planes, which pack transposes
+// element by element, in chunks of 32 members: 100 is three full
+// chunks and a ragged one), also when the buffer comes back used. Each
+// member's unpack of the packed batch is the member again.
 func TestPackMatchesEngineLayout(t *testing.T) {
 	srv := NewServer(testModel(t))
-	for _, shape := range []tensor.Shape{tensor.NewCHW(4, 3, 2), tensor.NewVec(7)} {
+	for _, tc := range []struct {
+		shape tensor.Shape
+		ns    []int
+	}{
+		{tensor.NewCHW(4, 3, 2), []int{1, 2, 5}},
+		{tensor.NewVec(7), []int{1, 2, 5, 32, 100}},
+		{tensor.NewCHW(9, 1, 1), []int{2, 32, 33}},
+	} {
+		shape := tc.shape
 		for round := 0; round < 2; round++ {
-			for _, n := range []int{1, 2, 5} {
-				tensors, jobs := make([]*tensor.Tensor, n), make([]pendingJob, n)
-				for b := range tensors {
-					tensors[b] = tensor.New(shape)
-					for i := range tensors[b].Data {
-						tensors[b].Data[i] = float32(100*b + i + round)
-					}
-					jobs[b].req = &jobRequest{Pairs: []boundary{{T: tensors[b]}}}
-				}
+			for _, n := range tc.ns {
+				tensors, jobs := packGroup(shape, n, round)
 				want, err := engine.PackBatch(tensors)
 				if err != nil {
 					t.Fatal(err)
@@ -306,11 +310,64 @@ func TestPackMatchesEngineLayout(t *testing.T) {
 						t.Fatalf("%v x %d: element %d is %v, want %v", shape, n, i, got.Data[i], want.Data[i])
 					}
 				}
+				for b := range tensors {
+					member := srv.unpack(got, shape, n, b)
+					if !member.Shape.Equal(shape) {
+						t.Fatalf("%v x %d: member %d unpacks to shape %v", shape, n, b, member.Shape)
+					}
+					for i, v := range tensors[b].Data {
+						if member.Data[i] != v {
+							t.Fatalf("%v x %d: member %d element %d unpacks to %v, want %v", shape, n, b, i, member.Data[i], v)
+						}
+					}
+					if n > 1 {
+						member.Recycle()
+					}
+				}
 				if n > 1 {
 					got.Recycle()
 				}
 			}
 		}
+	}
+}
+
+// packGroup makes n checked-group members of the given shape, each
+// element a distinct value.
+func packGroup(shape tensor.Shape, n, round int) ([]*tensor.Tensor, []pendingJob) {
+	tensors, jobs := make([]*tensor.Tensor, n), make([]pendingJob, n)
+	for b := range tensors {
+		tensors[b] = tensor.New(shape)
+		for i := range tensors[b].Data {
+			tensors[b].Data[i] = float32(100*b + i + round)
+		}
+		jobs[b].req = &jobRequest{Pairs: []boundary{{T: tensors[b]}}}
+	}
+	return tensors, jobs
+}
+
+// TestPackVectorAllocs: a warm 32-job vector pack — the fleet-head
+// group at head/gap — borrows its buffer from the stage's arena and
+// transposes into it with no allocation of its own.
+func TestPackVectorAllocs(t *testing.T) {
+	srv := NewServer(testModel(t))
+	_, jobs := packGroup(tensor.NewCHW(1280, 1, 1), 32, 0)
+	if allocs := testing.AllocsPerRun(20, func() { srv.pack(jobs).Recycle() }); allocs != 0 {
+		t.Fatalf("pack of 32 x [1280 1 1]: %v allocations, want 0", allocs)
+	}
+}
+
+// BenchmarkPackVector times pack on the fleet-head group: 32 jobs cut
+// at mobilenetv2's head/gap, 1 280 floats each, transposed into one
+// [40960 1 1] batch.
+func BenchmarkPackVector(b *testing.B) {
+	srv := NewServer(testModel(b))
+	_, jobs := packGroup(tensor.NewCHW(1280, 1, 1), 32, 0)
+	srv.pack(jobs).Recycle()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		srv.pack(jobs).Recycle()
 	}
 }
 
