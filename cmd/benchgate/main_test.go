@@ -25,9 +25,10 @@ BenchmarkBatchedForward/N=16/densehead-2        	       3	   1099660 ns/op	     
 BenchmarkBatchedForward/N=32/densehead-2        	       3	   2201329 ns/op	     68779 ns/inference	  131136 B/op	       4 allocs/op
 BenchmarkBatchedForward/N=1/convsuffix-2        	       3	  27026359 ns/op	  27025701 ns/inference	    9813 B/op	      57 allocs/op
 BenchmarkBatchedForward/N=32/convsuffix-2       	       3	 297445723 ns/op	   9295156 ns/inference	  132858 B/op	      35 allocs/op
-BenchmarkBatchedForward/N=1/densetail-2         	       3	  24678858 ns/op	  24678382 ns/inference	    4266 B/op	       8 allocs/op
+BenchmarkBatchedForward/N=1/densetail-2         	       3	  20708210 ns/op	  20707377 ns/inference	    4245 B/op	       5 allocs/op
 BenchmarkBatchedForward/N=8/densetail-2         	       3	  25850809 ns/op	   3231277 ns/inference	   32874 B/op	       7 allocs/op
 BenchmarkBatchedForward/N=32/densetail-2        	       3	  74697307 ns/op	   2334271 ns/inference	  131178 B/op	       7 allocs/op
+BenchmarkBatchedForward/N=1/densetail/panel-2   	       3	  24678858 ns/op	  24678382 ns/inference	    4266 B/op	       8 allocs/op
 BenchmarkBatchedForward/N=1/convspan-2          	       3	  16591615 ns/op	  16590872 ns/inference	   43320 B/op	      39 allocs/op
 BenchmarkBatchedForward/N=8/convspan-2          	       3	 122121071 ns/op	  15265040 ns/inference	  297416 B/op	      45 allocs/op
 BenchmarkSgemmCrossover/panel/n=64-2            	       3	   5870401 ns/op	         3.216 MAC/ns	       0 B/op	       0 allocs/op
@@ -126,7 +127,7 @@ func TestEvaluate(t *testing.T) {
 		{"conv suffix at 0.63x", swap("9295156 ns/inference", "17000000 ns/inference"), false, 9, "FAIL BenchmarkBatchedForward/N=32/convsuffix"},
 		{"dense head at 0.58x of N=1", swap("68779 ns/inference", "240000 ns/inference"), true, 9, "densehead = 0.58x"},
 		{"dense head at 0.63x", swap("68779 ns/inference", "260000 ns/inference"), false, 9, "FAIL BenchmarkBatchedForward/N=32/densehead"},
-		{"dense tail of eight at 0.15x of N=1", swap("3231277 ns/inference", "3820000 ns/inference"), true, 9, "N=1/densetail = 0.15x"},
+		{"dense tail of eight at 0.15x of one job on the pure-Go route", swap("3231277 ns/inference", "3820000 ns/inference"), true, 9, "N=1/densetail/panel = 0.15x"},
 		{"dense tail of eight at 0.17x", swap("3231277 ns/inference", "4100000 ns/inference"), false, 9, "FAIL BenchmarkBatchedForward/N=8/densetail"},
 		{"the conv span is reported, not gated", swap("15265040 ns/inference", "99000000 ns/inference"), true, 9, ""},
 		{"estimator at 1.14x of the static runner", swap("231083170 ns/job", "263000000 ns/job"), true, 9, "static = 1.14x"},
@@ -138,6 +139,7 @@ func TestEvaluate(t *testing.T) {
 		{"asm leg without its panel leg", dropLines(today, "panel/n=1024"), false, 8, "FAIL BenchmarkSgemmCrossover/asm/n=1024 over BenchmarkSgemmCrossover/panel/n=1024"},
 		{"asm leg without its avx2 leg", dropLines(today, "avx2/n=1024"), false, 8, "FAIL BenchmarkSgemmCrossover/asm/n=1024 over BenchmarkSgemmCrossover/avx2/n=1024"},
 		{"N=8/densetail missing", dropLines(today, "N=8/densetail"), false, 8, "FAIL BenchmarkBatchedForward/N=8/densetail"},
+		{"pure-Go dense tail missing", dropLines(today, "densetail/panel"), false, 8, "FAIL BenchmarkBatchedForward/N=8/densetail over BenchmarkBatchedForward/N=1/densetail/panel: the bench output lacks"},
 		{"RunnerAdaptive did not run", dropLines(today, "RunnerAdaptive"), false, 8, "FAIL BenchmarkRunnerAdaptive/adaptive"},
 		{"N=32 legs missing", dropLines(today, "N=32/"), false, 6, "FAIL BenchmarkBatchedForward/N=32/*"},
 		{"custom unit column missing", strings.ReplaceAll(today, "ns/job", "ns/request"), false, 8, "lacks ns/job"},

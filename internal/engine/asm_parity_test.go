@@ -75,35 +75,34 @@ func assertSliceParity(t *testing.T, ctx string, got, ref []float32, exact bool)
 // rule is the CPU's capability and the caller's selection — nothing
 // else.
 func TestPreferAsmTileGuard(t *testing.T) {
-	cases := []struct{ m, k, n int }{
-		{asmMR - 1, 64, 64}, // too few rows
-		{64, 64, 1},         // a single column: the matrix-vector product's
-		{64, 7, 64},         // too shallow to amortize packing
-		{1, 1, 1},
+	cases := []struct{ m, k int }{
+		{asmMR - 1, 64}, // too few rows
+		{64, 7},         // too shallow to amortize packing
+		{1, 1},
 	}
 	for _, c := range cases {
-		if preferAsm(c.m, c.k, c.n) || useAsm(kernelGEMM, c.m, c.k, c.n) {
-			t.Errorf("auto policy routes untileable shape (%d,%d,%d) to asm", c.m, c.k, c.n)
+		if preferAsm(c.m, c.k) || useAsm(kernelGEMM, c.m, c.k) {
+			t.Errorf("auto policy routes untileable shape (%d,%d) to asm", c.m, c.k)
 		}
 		// Forcing the tile bypasses the guard (edge tiles run through
 		// the scratch patch) but never the CPU check.
-		if got := useAsm(kernelAsm, c.m, c.k, c.n); got != asmEnabled() {
-			t.Errorf("useAsm(kernelAsm,%d,%d,%d) = %v, want %v", c.m, c.k, c.n, got, asmEnabled())
+		if got := useAsm(kernelAsm, c.m, c.k); got != asmEnabled() {
+			t.Errorf("useAsm(kernelAsm,%d,%d) = %v, want %v", c.m, c.k, got, asmEnabled())
 		}
 	}
-	if !preferAsm(asmMR, 8, asmNR) {
-		t.Error("preferAsm rejects exactly one full tile at k=8")
+	if !preferAsm(asmMR, 8) {
+		t.Error("preferAsm rejects exactly one full strip at k=8")
 	}
-	// A coalesced dense-head group narrower than the tile: one sweep of
-	// the weights read in place beats the panel loop from two columns.
-	if !preferAsm(1000, 1280, 2) {
-		t.Error("preferAsm keeps a 2-column dense head off the tile")
+	// The dense head takes the tile whatever the group: a single column
+	// (one job alone) rides it as a group of 32 does.
+	if !preferAsm(1000, 1280) {
+		t.Error("preferAsm keeps a single-column dense head off the tile")
 	}
-	if got := useAsm(kernelGEMM, 256, 1152, 256); got != asmEnabled() {
-		t.Errorf("useAsm(kernelGEMM, 256,1152,256) = %v, want asmEnabled() = %v", got, asmEnabled())
+	if got := useAsm(kernelGEMM, 256, 1152); got != asmEnabled() {
+		t.Errorf("useAsm(kernelGEMM, 256,1152) = %v, want asmEnabled() = %v", got, asmEnabled())
 	}
 	for _, kern := range []kernelPath{kernelPanel, kernelDirect} {
-		if useAsm(kern, 256, 1152, 256) {
+		if useAsm(kern, 256, 1152) {
 			t.Errorf("useAsm(%v) = true: a forced pure-Go path reached the asm tile", kern)
 		}
 	}
@@ -118,8 +117,8 @@ func TestPreferAsmTileGuard(t *testing.T) {
 func TestSgemmAccDriverParity(t *testing.T) {
 	shapes := []struct{ m, k, n int }{
 		{asmMR - 1, 8, asmNR}, // below the row guard: auto must stay on panel
-		{asmMR, 8, 1},         // below the column guard
-		{asmMR, 8, asmNR - 1}, // a partial strip of columns: on the tile since the floor is 2
+		{asmMR, 8, 1},         // a single column: on the tile, as every n is
+		{asmMR, 8, asmNR - 1}, // a partial strip of columns
 		{asmMR, 7, asmNR},     // below the depth guard
 		{asmMR, 8, asmNR},     // exactly one tile
 		// The same edges around the AVX2 tile's 6-row strip, below
@@ -136,7 +135,7 @@ func TestSgemmAccDriverParity(t *testing.T) {
 			ref := make([]float32, sh.m*sh.n)
 			sgemmAcc(kernelPanel, sh.m, sh.k, sh.n, sh.n, a, b, ref, 1)
 			for _, kern := range []kernelPath{kernelGEMM, kernelAsm} {
-				exact := !useAsm(kern, sh.m, sh.k, sh.n)
+				exact := !useAsm(kern, sh.m, sh.k)
 				for _, workers := range []int{1, 4} {
 					c := make([]float32, sh.m*sh.n)
 					sgemmAcc(kern, sh.m, sh.k, sh.n, sh.n, a, b, c, workers)
@@ -261,37 +260,48 @@ func TestSgemmAsmReadsAInBounds(t *testing.T) {
 }
 
 // TestSgemmPanelDepthBitIdentical: how deep the driver takes K at a
-// block's width changes no bits. Each C element is one FMA chain in
-// ascending k, stored and reloaded exactly between panels, so sgemmAsm
-// must equal the same GEMM run as successive asmKC-deep slices of K
-// accumulated into one C — the schedule of a driver that never went
-// deeper than asmKC. The widths cover one strip (2: 16 384 deep), the
-// 17–32 column groups of a batching server (8 192), three strips (48:
-// 5 376), the 169- and 196-column convs' blocks (176, 208: 1 280 and
-// 1 024) and two N blocks (1 100: 256 deep, then 3 072 for the 76 left
-// over; three workers split it into 368-column blocks, 512 deep); k
-// spans several panels at each, with a ragged last one, and m a ragged
-// strip of rows.
+// block's width, and how workers split the GEMM, change no bits. Each C
+// element is one FMA chain in ascending k, stored and reloaded exactly
+// between panels, so sgemmAsm must equal the same GEMM run as
+// successive asmKC-deep slices of K accumulated into one C — the
+// schedule of a driver that never went deeper than asmKC — at every
+// worker count. The widths cover one strip (2: 16 384 deep), the 17–32
+// column groups of a batching server (8 192), three strips (48: 5 376),
+// the 169- and 196-column convs' blocks (176, 208: 1 280 and 1 024) and
+// two N blocks (1 100: 256 deep, then 3 072 for the 76 left over; three
+// workers split it into 368-column blocks, 512 deep); k spans several
+// panels at each, with a ragged last one, and m a ragged strip of rows.
+// The last row is the dense head at widths too narrow to give two
+// workers two column strips each — one job, and groups of 17 and 31 —
+// where the workers split the rows instead, in whole tile strips, at
+// 1 000 rows and at a ragged 1 001.
 func TestSgemmPanelDepthBitIdentical(t *testing.T) {
 	if !asmEnabled() {
 		t.Skip("asm path off: the panel loop has no K panels of this driver")
 	}
-	const m = 30
-	for _, n := range []int{2, 17, 32, 48, 176, 208, 1100} {
-		k := 16384 + 300
-		if n > 48 {
-			k = 3072 + 257
-		}
-		a, b := randOperands(m, k, n, int64(n))
-		sliced := make([]float32, m*n)
-		for kp := 0; kp < k; kp += asmKC {
-			kc := min(asmKC, k-kp)
-			sgemmAsm(m, kc, n, k, n, a[kp:], bPacker{b: b[kp*n:], ldb: n}, sliced, 1)
-		}
-		for _, workers := range []int{1, 3} {
-			c := make([]float32, m*n)
-			sgemmAsm(m, k, n, k, n, a, bPacker{b: b, ldb: n}, c, workers)
-			assertSliceParity(t, fmt.Sprintf("m%d k%d n%d workers=%d vs asmKC slices", m, k, n, workers), c, sliced, true)
+	for _, sh := range []struct {
+		ms, ns []int
+		k      int
+	}{
+		{[]int{30}, []int{2, 17, 32, 48}, 16384 + 300},
+		{[]int{30}, []int{176, 208, 1100}, 3072 + 257},
+		{[]int{1000, 1001}, []int{1, 17, 31}, 1280},
+	} {
+		for _, m := range sh.ms {
+			k := sh.k
+			for _, n := range sh.ns {
+				a, b := randOperands(m, k, n, int64(n))
+				sliced := make([]float32, m*n)
+				for kp := 0; kp < k; kp += asmKC {
+					kc := min(asmKC, k-kp)
+					sgemmAsm(m, kc, n, k, n, a[kp:], bPacker{b: b[kp*n:], ldb: n}, sliced, 1)
+				}
+				for _, workers := range []int{1, 2, 3} {
+					c := make([]float32, m*n)
+					sgemmAsm(m, k, n, k, n, a, bPacker{b: b, ldb: n}, c, workers)
+					assertSliceParity(t, fmt.Sprintf("m%d k%d n%d workers=%d vs asmKC slices", m, k, n, workers), c, sliced, true)
+				}
+			}
 		}
 	}
 }

@@ -12,20 +12,16 @@ import (
 
 // Batched-vs-solo equivalence: ForwardBatch packs n inputs and runs
 // widened GEMMs, but every per-image output element accumulates the
-// same products in the same order as a solo Forward — so outputs are
-// bit-identical at any batch size and worker count when one driver
-// family handles both. With the asm path on, the widened shapes can
-// cross the asm crossover (or leave the n==1 sgemv shortcut) while the
-// solo shapes do not, putting FMA on one side only; the comparison
-// then falls back to the documented tolerance. The noasm build keeps
-// the bitwise contract pinned.
+// same products in the same order as a solo Forward, on the same
+// driver — useAsm routes on the weights' shape, never on n — so outputs
+// are bit-identical at any batch size and worker count, on either tile,
+// with the asm path or without it.
 
 // runBatchParity runs each input through a solo Forward and the whole
-// set through ForwardBatch, and requires per-image equality — bitwise
-// when the asm path is off, within the FMA envelope otherwise. The
-// kernelDirect selection pins the rule stated on that constant: its
+// set through ForwardBatch, and requires per-image bitwise equality.
+// The kernelDirect selection pins the rule stated on that constant: its
 // batches run the panel loop and equal the solo reference loops
-// exactly, asm or not (small n only — the reference is slow).
+// exactly (small n only — the reference is slow).
 func runBatchParity(t *testing.T, g *dag.Graph, seed int64, ns ...int) {
 	t.Helper()
 	m := Load(g, seed)
@@ -59,8 +55,8 @@ func runBatchParity(t *testing.T, g *dag.Graph, seed int64, ns ...int) {
 					if !got[b].Shape.Equal(refs[b].Shape) {
 						t.Fatalf("%v n=%d workers=%d image %d: shape %v, want %v", kern, n, workers, b, got[b].Shape, refs[b].Shape)
 					}
-					assertSliceParity(t, fmt.Sprintf("%v n=%d workers=%d image %d vs solo", kern, n, workers, b),
-						got[b].Data, refs[b].Data, !asmEnabled() || kern == kernelDirect)
+					assertSameBits(t, fmt.Sprintf("%v n=%d workers=%d image %d vs solo", kern, n, workers, b),
+						got[b].Data, refs[b].Data)
 				}
 			}
 		}
@@ -118,15 +114,23 @@ func TestBatchDWConvParity(t *testing.T) {
 	}
 }
 
+// Where the AVX-512 tile is live the dense rows run again on the AVX2
+// one, so an AVX2-only host is held to solo == batched too.
 func TestBatchDenseParity(t *testing.T) {
-	for i, outN := range []int{1, 10, 257} {
-		g := dag.New(fmt.Sprintf("batchdense%d", i))
-		in := g.Add(&nn.Input{LayerName: "in", Shape: tensor.NewVec(123)})
-		g.Add(&nn.Dense{LayerName: "fc", Out: outN, Bias: i%2 == 0}, in)
-		if err := g.Finalize(); err != nil {
-			t.Fatal(err)
+	run := func() {
+		for i, outN := range []int{1, 10, 257} {
+			g := dag.New(fmt.Sprintf("batchdense%d", i))
+			in := g.Add(&nn.Input{LayerName: "in", Shape: tensor.NewVec(123)})
+			g.Add(&nn.Dense{LayerName: "fc", Out: outN, Bias: i%2 == 0}, in)
+			if err := g.Finalize(); err != nil {
+				t.Fatal(err)
+			}
+			runBatchParity(t, g, int64(i)+51, 2, 3, 16)
 		}
-		runBatchParity(t, g, int64(i)+51, 2, 3, 16)
+	}
+	run()
+	if asmAVX512OK {
+		onAVX2Tile(run)
 	}
 }
 
@@ -181,11 +185,9 @@ func TestBatchForwardParityMobileNetV2(t *testing.T) {
 // tile's 16 columns. The small dense rows above never leave one K
 // panel; this one's first layer reduces over 9216 and its packed
 // flatten is a real transpose. An image's output must not depend on the
-// size of its group (bitwise, n >= 2: one driver handles them all, in
-// K panels as deep as the pack buffer holds at each width — one at up
-// to 16 columns, 8 192 deep at 32), and
-// equals its solo pass bitwise without the asm path, within the FMA
-// envelope with it (n = 1 is the matrix-vector product, not the tile).
+// size of its group, 1 to 32: one driver handles them all, in K panels
+// as deep as the pack buffer holds at each width — one at up to 16
+// columns, 8 192 deep at 32 — so it equals its solo pass bitwise.
 func TestBatchDenseTailParityAlexNet(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("234 MB of fully connected weights")
@@ -233,7 +235,7 @@ func TestBatchDenseTailParityAlexNet(t *testing.T) {
 			for b := range got {
 				ctx := fmt.Sprintf("n=%d workers=%d image %d", n, workers, b)
 				if b < alone {
-					assertSliceParity(t, ctx+" vs solo", got[b].Data, solo[b].Data, !asmEnabled())
+					assertSameBits(t, ctx+" vs solo", got[b].Data, solo[b].Data)
 				}
 				assertSliceParity(t, ctx+" vs its group of 32", got[b].Data, widest[b].Data, true)
 			}
@@ -322,18 +324,16 @@ func TestBatchSuffixParityRagged(t *testing.T) {
 			t.Fatal(err)
 		}
 		for b, out := range outs {
-			// Everything before the dense layer is exact, asm or not: the
-			// packed depthwise and ReLU6 round like the solo ones.
+			// Every layer is exact, asm or not: the packed depthwise and
+			// ReLU6 round like the solo ones, and the dense head takes the
+			// same driver alone as in a group.
 			for i, want := range feats[lo+b].Data {
 				if pooled[b].Data[i] != want {
 					t.Fatalf("group %d image %d: pooled[%d] = %g, solo = %g", lo/3, b, i, pooled[b].Data[i], want)
 				}
 			}
-			// The head is runBatchParity's rule: a group of 3 runs it on
-			// the FMA tile while the solo head is the matrix-vector product.
 			ref := refs[lo+b]
-			assertSliceParity(t, fmt.Sprintf("group %d image %d vs solo", lo/3, b),
-				out.Data, ref.Data, !asmEnabled())
+			assertSameBits(t, fmt.Sprintf("group %d image %d vs solo", lo/3, b), out.Data, ref.Data)
 			if got, want := ArgmaxBatch(acts[g.Sink()], n, b), Argmax(ref); got != want {
 				t.Fatalf("group %d image %d: class %d, solo %d", lo/3, b, got, want)
 			}

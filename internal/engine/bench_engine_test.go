@@ -142,14 +142,13 @@ func benchQuantModel(b *testing.B, g *dag.Graph) {
 // head's global average pool, the cut JPS picks on low-bandwidth
 // channels where the 5 KB boundary minimizes upload). The remaining
 // suffix — the 1280x1000 dense head — is weight-streaming bound at
-// batch 1: sgemv reads 5 MB of weights for 1.3 MFLOP of work. Packing
-// N jobs amortizes that stream into one GEMM, the win batching exists
-// for. ns/inference is ns/op divided by N, directly comparable across
-// subbenchmarks *of the same suffix*. The acceptance bar is N=32 at
-// >= 2x over N=1 on the dense head. Its legs cover every power-of-two
-// group a batching server forms: ns/inference by N is the curve that
-// sets preferAsm's column floor (table in EXPERIMENTS.md); N=1 is the
-// matrix-vector product.
+// batch 1: the tile reads 5 MB of weights for 1.3 MFLOP of work.
+// Packing N jobs amortizes that stream into one GEMM, the win batching
+// exists for. ns/inference is ns/op divided by N, directly comparable
+// across subbenchmarks *of the same suffix*. The acceptance bar is N=32
+// at >= 2x over N=1 on the dense head. Its legs cover every
+// power-of-two group a batching server forms, N=1 included: every N
+// runs the same tile (table in EXPERIMENTS.md).
 //
 // The convsuffix legs run a conv-dominated suffix instead: alexnet
 // cut after conv2's pool, so the batched conv3–5 layers exercise the
@@ -165,28 +164,30 @@ func benchQuantModel(b *testing.B, g *dag.Graph) {
 // The last two families take the suffix apart at conv5/pool, the unit
 // a default server parks jobs at. densetail is fc6–fc8 alone, 234 MB of
 // weights streamed once per pass whatever N is: the GEMM takes K as
-// deep as the pack buffer holds at the group's width — 16 384 from N=2
+// deep as the pack buffer holds at the group's width — 16 384 from N=1
 // to the tile's 16 columns, 8 192 at N=32's two strips — and reads the
-// weights in row order. From N=2 to 16 a pass costs about what N=1's
-// matrix-vector product does (N=8 ≈ 0.12–0.15 of N=1 per inference;
-// gated at 0.16, which the asmKC-panelled sweep, 0.19–0.24, fails).
+// weights in row order. From N=1 to 16 a pass costs about the same.
 // N=32 runs two strips against the one stream of the weights, ≈ 1.7
 // times N=16's pass (≈ 0.85 per inference; ≈ 2.1 and 1.07 in asmKC
-// panels). convspan is conv1/pool to conv5/pool, what such a server
-// runs for one job at a time because companions buy it ≈ 1.1–1.3x
-// (N=8 against N=1; reported, not gated).
+// panels). densetail/panel is N=1 pinned to the pure-Go route, the
+// matrix-vector loop: the yardstick the gate holds N=8 to (≈ 0.10–0.15
+// per inference; gated at 0.16, which the asmKC-panelled sweep,
+// 0.19–0.24, fails) — against the tile's own N=1, which such a
+// regression slows too, the ratio would not see it. convspan is
+// conv1/pool to conv5/pool, what such a server runs for one job at a
+// time because companions buy it ≈ 1.1–1.3x (N=8 against N=1;
+// reported, not gated).
 // Its N=1 leg is conv GEMMs alone: ≈ 18–24 ms on the AVX-512 tile,
 // ≈ 23–32 on the AVX2 one, on the 2-vCPU reference host.
 // Both run at one engine worker, which is what a server's pool worker
-// has: with two, the N=1 matrix-vector product splits across the cores
-// while a group of 8 is too narrow for the tile's column split, and the
-// ratio would measure that split instead.
+// has.
 func BenchmarkBatchedForward(b *testing.B) {
 	procs := runtime.GOMAXPROCS(0)
-	benchBatchedSuffix(b, "mobilenetv2", "head/gap", "", procs, []int{1, 2, 4, 8, 16, 32}, "/densehead")
-	benchBatchedSuffix(b, "alexnet", "conv2/pool", "", procs, []int{1, 32}, "/convsuffix")
-	benchBatchedSuffix(b, "alexnet", "conv5/pool", "", 1, []int{1, 2, 8, 16, 32}, "/densetail")
-	benchBatchedSuffix(b, "alexnet", "conv1/pool", "conv5/pool", 1, []int{1, 8}, "/convspan")
+	benchBatchedSuffix(b, "mobilenetv2", "head/gap", "", procs, kernelGEMM, []int{1, 2, 4, 8, 16, 32}, "/densehead")
+	benchBatchedSuffix(b, "alexnet", "conv2/pool", "", procs, kernelGEMM, []int{1, 32}, "/convsuffix")
+	benchBatchedSuffix(b, "alexnet", "conv5/pool", "", 1, kernelGEMM, []int{1, 2, 8, 16, 32}, "/densetail")
+	benchBatchedSuffix(b, "alexnet", "conv5/pool", "", 1, kernelPanel, []int{1}, "/densetail/panel")
+	benchBatchedSuffix(b, "alexnet", "conv1/pool", "conv5/pool", 1, kernelGEMM, []int{1, 8}, "/convspan")
 }
 
 // BenchmarkSegment_mobilenetv2_tail times one Execute over the node
@@ -235,12 +236,12 @@ func BenchmarkSegment_mobilenetv2_tail(b *testing.B) {
 
 // benchBatchedSuffix cuts the model at the named boundary and times
 // ExecuteBatch over the suffix — as far as the layer named upTo, the
-// sink when that is empty — with the given engine workers, at each batch
-// size, as N=<n><tag> legs.
-func benchBatchedSuffix(b *testing.B, model, cut, upTo string, workers int, sizes []int, tag string) {
+// sink when that is empty — with the given engine workers and kernel
+// path, at each batch size, as N=<n><tag> legs.
+func benchBatchedSuffix(b *testing.B, model, cut, upTo string, workers int, kern kernelPath, sizes []int, tag string) {
 	b.Helper()
 	g := models.MustBuild(model)
-	m := Load(g, 1).Parallel(workers)
+	m := Load(g, 1).Parallel(workers).withKernel(kern)
 	boundary, ok := g.NodeByName(cut)
 	if !ok {
 		b.Fatalf("%s has no %s node", model, cut)

@@ -13,10 +13,11 @@
 // n == 1 of the same code. The engine picks each GEMM's driver itself
 // (useAsm): the SIMD tile where it fits, else the pure-Go panel loop.
 // Every kernel accumulates each output element in one fixed order, so
-// outputs do not depend on the worker count, and the pure-Go loops
-// match the direct-loop reference bit for bit at any batch size; the
-// FMA tile, rounding once per multiply-add, matches it within a
-// documented tolerance (see gemm_asm.go).
+// outputs depend neither on the worker count nor on the batch size
+// (useAsm reads no n), and the pure-Go loops match the direct-loop
+// reference bit for bit at any batch size; the FMA tile, rounding once
+// per multiply-add, matches it within a documented tolerance (see
+// gemm_asm.go).
 package engine
 
 import (

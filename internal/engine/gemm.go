@@ -26,19 +26,16 @@ const (
 // the caller. There are two drivers: the streaming panel loop below,
 // which is also the bit-exact reference of the noasm build, and the
 // packed SIMD assembly tile (sgemmAsm); useAsm in gemm_asm.go routes
-// between them. The panel loop matches the direct kernels bit for bit;
-// the asm driver keeps the same ascending-k order but fuses each
-// multiply-add into one rounding, so its float32 results differ within
-// the tolerance documented in gemm_asm.go.
+// between them on A's shape alone, so a GEMM takes one driver at every
+// n. The panel loop matches the direct kernels bit for bit; the asm
+// driver keeps the same ascending-k order but fuses each multiply-add
+// into one rounding, so its float32 results differ within the tolerance
+// documented in gemm_asm.go.
 func sgemmAcc(kern kernelPath, m, k, n, ldc int, a, b, c []float32, workers int) {
 	if m == 0 || k == 0 || n == 0 {
 		return
 	}
-	if n == 1 && ldc == 1 {
-		sgemvAcc(m, k, a, b, c, workers)
-		return
-	}
-	if useAsm(kern, m, k, n) {
+	if useAsm(kern, m, k) {
 		sgemmAsm(m, k, n, k, ldc, a, bPacker{b: b, ldb: n}, c, workers)
 		return
 	}
@@ -57,8 +54,13 @@ func sgemmAcc(kern kernelPath, m, k, n, ldc int, a, b, c []float32, workers int)
 // cache m times each. Rows are processed in pairs so each loaded B
 // quad feeds two output rows — per-element accumulation order is
 // unchanged (each row's adds stay sequential in ascending k), only the
-// B-panel traffic halves.
+// B-panel traffic halves. A single contiguous column (n = 1, ldc = 1)
+// is the matrix-vector loop sgemvRows, in the same order per element.
 func sgemmPanel(lo, hi, k, n, ldc int, a, b, c []float32) {
+	if n == 1 && ldc == 1 {
+		sgemvRows(lo, hi, k, a, b, c)
+		return
+	}
 	for jb := 0; jb < n; jb += gemmBlockN {
 		je := jb + gemmBlockN
 		if je > n {
@@ -144,25 +146,13 @@ func sgemmPanel(lo, hi, k, n, ldc int, a, b, c []float32) {
 	}
 }
 
-// sgemvAcc computes y += A·x for row-major A (m×k), accumulating each
-// row's dot product in ascending index order — the same order as the
-// direct dense kernel. Rows are split across workers, and within a
-// worker they are walked eight at a time: each row still owns a single
+// sgemvRows accumulates rows [lo, hi) of y += A·x, each row's dot
+// product in ascending index order — the same order as the direct dense
+// kernel. Rows are walked eight at a time: each row still owns a single
 // accumulator fed in ascending k (bit-identical to the one-row loop),
 // but the eight independent add chains hide the FP-add latency that
 // serializes a lone dot product, and each x element is loaded once per
 // eight rows instead of once per row.
-func sgemvAcc(m, k int, a, x, y []float32, workers int) {
-	if serialSpan(workers, m) {
-		sgemvRows(0, m, k, a, x, y)
-		return
-	}
-	parallelFor(workers, m, func(lo, hi int) {
-		sgemvRows(lo, hi, k, a, x, y)
-	})
-}
-
-// sgemvRows accumulates rows [lo, hi) of the matrix-vector product.
 func sgemvRows(lo, hi, k int, a, x, y []float32) {
 	xx := x[:k:k]
 	i := lo

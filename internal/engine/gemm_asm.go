@@ -100,41 +100,35 @@ var asmAVX512OK bool
 
 // useAsm is the GEMM routing rule, shared by sgemmAcc and the fused
 // conv paths: the assembly driver runs when the CPU has it and the
-// shape is one the tile can fill (kernelGEMM, the engine's own choice)
-// or a parity test pinned kernelAsm. Everything else — and kernelAsm
-// on a host or build without the kernels — takes the panel loop.
-func useAsm(kern kernelPath, m, k, n int) bool {
-	return asmSgemmOK && (kern == kernelAsm || (kern == kernelGEMM && preferAsm(m, k, n)))
+// weights are a shape the tile can fill (kernelGEMM, the engine's own
+// choice) or a parity test pinned kernelAsm. Everything else — and
+// kernelAsm on a host or build without the kernels — takes the panel
+// loop. The rule reads A's shape only: how many jobs share a pass never
+// changes a GEMM's driver.
+func useAsm(kern kernelPath, m, k int) bool {
+	return asmSgemmOK && (kern == kernelAsm || (kern == kernelGEMM && preferAsm(m, k)))
 }
 
-// preferAsm is the tile guard: a full strip of rows, at least two
-// columns and enough k steps to amortize packing B. It is the whole
-// auto policy — BenchmarkSgemmCrossover (m=256, k=1152) has the AVX2
-// tile ahead of the panel loop at every swept width, 2.7x at n=16 to
-// ~9x at n=1024, and a shallow sweep holds the win down to a single
-// 6x16 tile at k=16 (6.2 vs 3.0 MAC/ns), so no working-set threshold
-// sits on top of the structural floor. The row floor is the tallest
-// strip, asmMR (12 on amd64 whichever tile the CPU has, so the route
-// does not depend on the host): below it every row would go through
-// the ragged strip's scratch copy, and no zoo layer is that narrow
-// (the fewest output channels of any conv or dense layer is 16). The
-// column floor is 2, not one
-// full asmNR strip: since the tile reads A in place a narrow GEMM costs
-// one sweep of the weights whatever n ≤ asmNR is, while the panel loop
-// re-reads them per column pair — the 1000×1280 dense head takes ≈ 0.48–
-// 0.50 ms at every n from 2 to 16 on the tile, in one deep K panel
-// (0.73–0.87 ms in asmKC panels), against 1.7 ms (n=2) to 6.6 ms (n=16)
-// on the panel loop. At n = 32, the widest group a batching server
-// forms (WithBatching's cap on fleet-head), it is two column strips and
-// K still in one panel (8 192 deep at that width): 0.415 ms warm, 0.87×
-// what it took in asmKC panels, against 18–24 ms on the panel loop
-// (2-vCPU Xeon), so every group of 2 to 32 jobs rides it (tables in
-// EXPERIMENTS.md). n = 1 never gets here: sgemmAcc runs it
-// as the matrix-vector product, which streams the weights at memory
-// bandwidth already. The NEON tile takes the same rule; it has not
-// been timed on arm64 hardware.
-func preferAsm(m, k, n int) bool {
-	return m >= asmMR && n >= 2 && k >= 8
+// preferAsm is the tile guard: a full strip of rows and enough k steps
+// to amortize packing B. It is the whole auto policy —
+// BenchmarkSgemmCrossover (m=256, k=1152) has the AVX2 tile ahead of
+// the panel loop at every swept width, 2.7x at n=16 to ~9x at n=1024,
+// and a shallow sweep holds the win down to a single 6x16 tile at k=16
+// (6.2 vs 3.0 MAC/ns), so no working-set threshold sits on top of the
+// structural floor. The row floor is the tallest strip, asmMR (12 on
+// amd64 whichever tile the CPU has, so the route does not depend on the
+// host): below it every row would go through the ragged strip's scratch
+// copy, and no zoo layer is that narrow (the fewest output channels of
+// any conv or dense layer is 16). There is no column floor: the tile
+// reads A in place, so a GEMM narrower than a strip costs one sweep of
+// the weights whatever n is — one job's fc6 ≈ 17.0 ms against 22.6 on
+// the pure-Go matrix-vector loop (medians), 2 to 16 jobs on the
+// 1000×1280 head ≈ 0.5 ms against 1.7–6.6 on the panel loop, and 32
+// (two strips) 0.415 ms against 18–24 (2-vCPU Xeon; tables in
+// EXPERIMENTS.md). The NEON tile takes the same rule; it has not been
+// timed on arm64 hardware.
+func preferAsm(m, k int) bool {
+	return m >= asmMR && k >= 8
 }
 
 // bPacker produces packed B strips for the asm driver. Plain mode
@@ -289,16 +283,15 @@ func im2colWindow(src, dst []float32, chanBase, r, s, inH, inW, stride, padH, pa
 	}
 }
 
-// sgemmAsm computes C += A·B with the assembly microkernel, splitting
-// the columns of C across workers (each output element is written by
-// exactly one worker, and its FMA accumulation order is independent of
-// the split). a is row-major with row stride lda ≥ k; pk supplies B — a
-// plain matrix or a fused conv source. ldc is the row stride of C.
+// sgemmAsm computes C += A·B with the assembly microkernel. a is
+// row-major with row stride lda ≥ k; pk supplies B — a plain matrix or
+// a fused conv source. ldc is the row stride of C. Workers split the
+// columns of C where each can take two strips of them, else the rows
+// of A and C in whole strips of the live tile. Each output element is
+// written by exactly one worker, and its FMA accumulation order is
+// independent of the split.
 func sgemmAsm(m, k, n, lda, ldc int, a []float32, pk bPacker, c []float32, workers int) {
-	if w := n / (2 * asmNR); workers > w {
-		workers = w
-	}
-	if workers > 1 {
+	if workers > 1 && (n >= 4*asmNR || m > asmTileRows()) {
 		sgemmAsmParallel(m, k, n, lda, ldc, a, pk, c, workers)
 		return
 	}
@@ -310,16 +303,25 @@ func sgemmAsm(m, k, n, lda, ldc int, a []float32, pk bPacker, c []float32, worke
 // compiler's by-value capture size) only heap-moves it on calls that
 // actually spawn — the serial path stays allocation-free.
 func sgemmAsmParallel(m, k, n, lda, ldc int, a []float32, pk bPacker, c []float32, workers int) {
-	cols := (n + workers - 1) / workers
-	cols = (cols + asmNR - 1) / asmNR * asmNR
+	rows, cols := m, n
+	if w := n / (2 * asmNR); w >= 2 {
+		w = min(workers, w)
+		cols = ((n+w-1)/w + asmNR - 1) / asmNR * asmNR
+	} else {
+		mr := asmTileRows()
+		strips := (m + mr - 1) / mr
+		w := min(workers, strips)
+		rows = (strips + w - 1) / w * mr
+	}
 	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += cols {
-		hi := min(lo+cols, n)
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			sgemmAsmCols(m, k, lo, hi, lda, ldc, a, pk, c)
-		}(lo, hi)
+	for i0 := 0; i0 < m; i0 += rows {
+		for lo := 0; lo < n; lo += cols {
+			wg.Add(1)
+			go func(i0, lo int) {
+				defer wg.Done()
+				sgemmAsmCols(min(rows, m-i0), k, lo, min(lo+cols, n), lda, ldc, a[i0*lda:], pk, c[i0*ldc:])
+			}(i0, lo)
+		}
 	}
 	wg.Wait()
 }

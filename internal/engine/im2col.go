@@ -156,7 +156,7 @@ func conv2dGEMM(arena *tensor.Arena, kern kernelPath, in *tensor.Tensor, outShap
 	// straight from the packed input — across image boundaries — so
 	// the whole batch runs as one GEMM per group with no scratch; the
 	// driver's own NC/KC blocking replaces batchTile's image tiling.
-	if useAsm(kern, ocpg, kSize, nhw) {
+	if useAsm(kern, ocpg, kSize) {
 		for g := 0; g < groups; g++ {
 			a := p.w[g*ocpg*kSize : (g+1)*ocpg*kSize]
 			c := out.Data[g*ocpg*nhw : (g+1)*ocpg*nhw]
@@ -190,8 +190,7 @@ func conv2dGEMM(arena *tensor.Arena, kern kernelPath, in *tensor.Tensor, outShap
 // vectors: C (outN × n) = W (outN × inF) · X (inF × n). The packed
 // input read as a row-major matrix is exactly X and the packed output
 // is exactly C, so the weight matrix streams through once per batch
-// instead of once per job; at n == 1 sgemmAcc runs it as the
-// worker-parallel matrix-vector product.
+// instead of once per job, on the driver a lone job (n = 1) takes too.
 func denseGEMM(arena *tensor.Arena, kern kernelPath, in *tensor.Tensor, p params, outN, workers, n int) *tensor.Tensor {
 	out := arena.Get(tensor.NewVec(outN * n))
 	seedBias(out.Data, p.b, outN, n)

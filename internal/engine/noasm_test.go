@@ -20,7 +20,7 @@ func TestNoasmBuildDisablesAsm(t *testing.T) {
 	if asmQuantOK {
 		t.Fatal("asmQuantOK = true under the noasm build tag")
 	}
-	if useAsm(kernelGEMM, 256, 1152, 256) || useAsm(kernelAsm, 256, 1152, 256) {
+	if useAsm(kernelGEMM, 256, 1152) || useAsm(kernelAsm, 256, 1152) {
 		t.Fatal("useAsm routed a shape to asm under the noasm build tag")
 	}
 }

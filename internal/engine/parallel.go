@@ -7,10 +7,10 @@ import (
 
 // Parallel sets the worker count used by the layers that split their
 // work across goroutines: convolutions and dense layers (GEMM rows or
-// columns, the matrix-vector product's rows), depthwise convolutions
-// and pooling (planes), and the im2col lowering; the elementwise
-// layers stay serial. workers <= 0 selects GOMAXPROCS. Returns the
-// model for chaining.
+// columns; a lone job's dense layer splits its rows), depthwise
+// convolutions and pooling (planes), and the im2col lowering; the
+// elementwise layers stay serial. workers <= 0 selects GOMAXPROCS.
+// Returns the model for chaining.
 // Results are bit-identical regardless of worker count: each output
 // element is written by exactly one goroutine.
 func (m *Model) Parallel(workers int) *Model {

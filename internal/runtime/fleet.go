@@ -756,11 +756,11 @@ func (s *Server) handsOff(pj pendingJob) bool {
 // runSpan's activation there: the logits the members' classes are read
 // off, unless the group is cut before the unit where the stage hands it
 // over or parks it, where it is that unit's exit. An image's output
-// does not depend on who shares its group: its accumulation order in
-// the engine is the same at every batch size (bit for bit from n = 2
-// up, and against n = 1 — the matrix-vector product — wherever the FMA
-// tile is off; within the tile's envelope where it is on). A boundary
-// set differs only in how its nodes are found.
+// does not depend on who shares its group: the engine routes each GEMM
+// on its weights alone and keeps its accumulation order at every batch
+// size, so a job's logits are bit for bit the same alone and in a
+// group of any size, on every host. A boundary set differs only in how
+// its nodes are found.
 func (s *Server) advance(jobs []pendingJob, seed *tensor.Tensor) (out *tensor.Tensor, to int, err error) {
 	to = len(s.units) - 1
 	from := jobs[0].req.Cut // one per group: members share the cut
