@@ -31,10 +31,12 @@ import (
 // runs are the `go test -bench` invocations behind the rules. The
 // compute-bound engine legs repeat three times and parseBench keeps the
 // fastest; the runner legs are paced by simulated-link sleeps and read
-// within ±2 % of each other once.
-var runs = []struct{ pkg, bench, count string }{
-	{"./internal/engine/", "^Benchmark(SgemmCrossover|BatchedForward)$", "3"},
-	{"./internal/runtime/", "^BenchmarkRunnerAdaptive$", "1"},
+// within ±2 % of each other once. A wire decode takes microseconds, so
+// its legs run 2000 iterations, three times.
+var runs = []struct{ pkg, bench, benchtime, count string }{
+	{"./internal/engine/", "^Benchmark(SgemmCrossover|BatchedForward)$", "3x", "3"},
+	{"./internal/runtime/", "^BenchmarkRunnerAdaptive$", "3x", "1"},
+	{"./internal/runtime/", "^BenchmarkReadTensor$", "2000x", "3"},
 }
 
 // rule bounds one within-run ratio: num's unit column over den's. A "*"
@@ -80,6 +82,12 @@ var rules = []rule{
 	// On a healthy link no change point fires, so the estimator costs
 	// its bookkeeping and nothing else (≈ 1.0).
 	{num: "BenchmarkRunnerAdaptive/adaptive", den: "BenchmarkRunnerAdaptive/static", unit: "ns/job", bound: 1.15},
+	// A 64 KiB float32 frame decoded into a fresh tensor against the
+	// same bytes copied into a slice allocated once. A payload read
+	// straight into its tensor adds the CRC and the allocation to the
+	// copy: 9.2–13.1 in eleven gate runs. Converting it a float at a
+	// time, as the codec once did, read 22.3–29.9 in ten runs between them.
+	{num: "BenchmarkReadTensor/decode", den: "BenchmarkReadTensor/copy", unit: "ns/op", bound: 17},
 }
 
 // row is one benchmark result, named as go test prints it less the
@@ -120,7 +128,7 @@ func main() {
 	var out strings.Builder
 	for _, r := range runs {
 		cmd := exec.Command("go", "test", "-run", "^$", "-bench", r.bench, "-benchmem",
-			"-benchtime", "3x", "-count", r.count, r.pkg)
+			"-benchtime", r.benchtime, "-count", r.count, r.pkg)
 		cmd.Stdout = io.MultiWriter(os.Stdout, &out)
 		cmd.Stderr = os.Stderr
 		if err := cmd.Run(); err != nil {

@@ -12,10 +12,11 @@ import (
 	"time"
 )
 
-// today is `go test -bench` output as the gate's two runs print it on
+// today is `go test -bench` output as the gate's three runs print it on
 // the 2-proc reference host, which has AVX-512 (so the avx2 legs run),
 // cut down to the legs the rules read plus one ungated neighbour of
-// each family. asm/n=128 keeps its three -count repetitions.
+// each family. asm/n=128 and the ReadTensor legs keep their three
+// -count repetitions.
 const today = `goos: linux
 goarch: amd64
 pkg: dnnjps/internal/engine
@@ -52,6 +53,18 @@ BenchmarkRunnerAdaptive/static-2       	       3	1845568787 ns/op	 230695967 ns/
 BenchmarkRunnerAdaptive/adaptive-2     	       3	1848666296 ns/op	 231083170 ns/job	 3986922 B/op	     621 allocs/op
 PASS
 ok  	dnnjps/internal/runtime	16.636s
+goos: linux
+goarch: amd64
+pkg: dnnjps/internal/runtime
+cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
+BenchmarkReadTensor/decode-2         	    2000	     13576 ns/op	4828.42 MB/s	   65631 B/op	       3 allocs/op
+BenchmarkReadTensor/decode-2         	    2000	     13707 ns/op	4782.12 MB/s	   65631 B/op	       3 allocs/op
+BenchmarkReadTensor/decode-2         	    2000	     13259 ns/op	4943.61 MB/s	   65631 B/op	       3 allocs/op
+BenchmarkReadTensor/copy-2           	    2000	      1613 ns/op	40641.85 MB/s	       0 B/op	       0 allocs/op
+BenchmarkReadTensor/copy-2           	    2000	      1848 ns/op	35465.77 MB/s	       0 B/op	       0 allocs/op
+BenchmarkReadTensor/copy-2           	    2000	      1631 ns/op	40194.80 MB/s	       0 B/op	       0 allocs/op
+PASS
+ok  	dnnjps/internal/runtime	0.101s
 `
 
 func TestParseBench(t *testing.T) {
@@ -111,38 +124,43 @@ func TestEvaluate(t *testing.T) {
 		ratios int
 		msg    string // a message that must be printed
 	}{
-		{"today's ratios", today, true, 9, "ok BenchmarkRunnerAdaptive/adaptive over BenchmarkRunnerAdaptive/static = 1.00x"},
+		{"today's ratios", today, true, 10, "ok BenchmarkRunnerAdaptive/adaptive over BenchmarkRunnerAdaptive/static = 1.00x"},
 		// 691620 is the fastest of three asm/n=128 repetitions; the gate
 		// reads it, not the 736066 printed first: 0.628, not 0.669.
-		{"repetitions collapse before the ratio", today, true, 9, "BenchmarkSgemmCrossover/asm/n=128 over BenchmarkSgemmCrossover/avx2/n=128 = 0.63x"},
+		{"repetitions collapse before the ratio", today, true, 10, "BenchmarkSgemmCrossover/asm/n=128 over BenchmarkSgemmCrossover/avx2/n=128 = 0.63x"},
 
 		// Each bound from both sides, one leg moved to just under and just
-		// over it: 0.9 twice, 0.6 twice, 0.16, 1.15.
-		{"asm tile at 0.89x of the panel loop", swap("98485173 ns/op", "8142000 ns/op"), true, 9, "panel/n=1024 = 0.89x"},
-		{"asm tile at 0.91x", swap("98485173 ns/op", "7963000 ns/op"), false, 9, "FAIL BenchmarkSgemmCrossover/asm/n=1024 7246325 ns/op over BenchmarkSgemmCrossover/panel/n=1024"},
-		{"AVX-512 tile at 0.89x of the AVX2 tile", swap("13332165 ns/op", "8142000 ns/op"), true, 9, "avx2/n=1024 = 0.89x"},
-		{"AVX-512 tile at 0.91x: running narrow", swap("13332165 ns/op", "7963000 ns/op"), false, 9, "FAIL BenchmarkSgemmCrossover/asm/n=1024 7246325 ns/op over BenchmarkSgemmCrossover/avx2/n=1024"},
-		{"a width under 128 is not gated", swap("369808 ns/op", "6000000 ns/op"), true, 9, ""},
-		{"conv suffix at 0.59x of N=1", swap("9295156 ns/inference", "16000000 ns/inference"), true, 9, "convsuffix = 0.59x"},
-		{"conv suffix at 0.63x", swap("9295156 ns/inference", "17000000 ns/inference"), false, 9, "FAIL BenchmarkBatchedForward/N=32/convsuffix"},
-		{"dense head at 0.58x of N=1", swap("68779 ns/inference", "240000 ns/inference"), true, 9, "densehead = 0.58x"},
-		{"dense head at 0.63x", swap("68779 ns/inference", "260000 ns/inference"), false, 9, "FAIL BenchmarkBatchedForward/N=32/densehead"},
-		{"dense tail of eight at 0.15x of one job on the pure-Go route", swap("3231277 ns/inference", "3820000 ns/inference"), true, 9, "N=1/densetail/panel = 0.15x"},
-		{"dense tail of eight at 0.17x", swap("3231277 ns/inference", "4100000 ns/inference"), false, 9, "FAIL BenchmarkBatchedForward/N=8/densetail"},
-		{"the conv span is reported, not gated", swap("15265040 ns/inference", "99000000 ns/inference"), true, 9, ""},
-		{"estimator at 1.14x of the static runner", swap("231083170 ns/job", "263000000 ns/job"), true, 9, "static = 1.14x"},
-		{"estimator at 1.17x", swap("231083170 ns/job", "270000000 ns/job"), false, 9, "FAIL BenchmarkRunnerAdaptive/adaptive"},
+		// over it: 0.9 twice, 0.6 twice, 0.16, 1.15, 17.
+		{"asm tile at 0.89x of the panel loop", swap("98485173 ns/op", "8142000 ns/op"), true, 10, "panel/n=1024 = 0.89x"},
+		{"asm tile at 0.91x", swap("98485173 ns/op", "7963000 ns/op"), false, 10, "FAIL BenchmarkSgemmCrossover/asm/n=1024 7246325 ns/op over BenchmarkSgemmCrossover/panel/n=1024"},
+		{"AVX-512 tile at 0.89x of the AVX2 tile", swap("13332165 ns/op", "8142000 ns/op"), true, 10, "avx2/n=1024 = 0.89x"},
+		{"AVX-512 tile at 0.91x: running narrow", swap("13332165 ns/op", "7963000 ns/op"), false, 10, "FAIL BenchmarkSgemmCrossover/asm/n=1024 7246325 ns/op over BenchmarkSgemmCrossover/avx2/n=1024"},
+		{"a width under 128 is not gated", swap("369808 ns/op", "6000000 ns/op"), true, 10, ""},
+		{"conv suffix at 0.59x of N=1", swap("9295156 ns/inference", "16000000 ns/inference"), true, 10, "convsuffix = 0.59x"},
+		{"conv suffix at 0.63x", swap("9295156 ns/inference", "17000000 ns/inference"), false, 10, "FAIL BenchmarkBatchedForward/N=32/convsuffix"},
+		{"dense head at 0.58x of N=1", swap("68779 ns/inference", "240000 ns/inference"), true, 10, "densehead = 0.58x"},
+		{"dense head at 0.63x", swap("68779 ns/inference", "260000 ns/inference"), false, 10, "FAIL BenchmarkBatchedForward/N=32/densehead"},
+		{"dense tail of eight at 0.15x of one job on the pure-Go route", swap("3231277 ns/inference", "3820000 ns/inference"), true, 10, "N=1/densetail/panel = 0.15x"},
+		{"dense tail of eight at 0.17x", swap("3231277 ns/inference", "4100000 ns/inference"), false, 10, "FAIL BenchmarkBatchedForward/N=8/densetail"},
+		{"the conv span is reported, not gated", swap("15265040 ns/inference", "99000000 ns/inference"), true, 10, ""},
+		{"estimator at 1.14x of the static runner", swap("231083170 ns/job", "263000000 ns/job"), true, 10, "static = 1.14x"},
+		{"estimator at 1.17x", swap("231083170 ns/job", "270000000 ns/job"), false, 10, "FAIL BenchmarkRunnerAdaptive/adaptive"},
+		// The fastest decode (13259) over the fastest copy, which moves.
+		{"wire decode at 16.89x of the copy", swap("      1613 ns/op", "       785 ns/op"), true, 10, "BenchmarkReadTensor/copy = 16.89x"},
+		{"wire decode at 17.11x: the payload is converted again", swap("      1613 ns/op", "       775 ns/op"), false, 10, "FAIL BenchmarkReadTensor/decode 13259 ns/op over BenchmarkReadTensor/copy 775"},
 
-		{"no asm legs: both asm rules skip", dropLines(today, "SgemmCrossover/asm/"), true, 5, "skip BenchmarkSgemmCrossover/asm/n=* over BenchmarkSgemmCrossover/panel/n=*"},
-		{"no avx2 legs (no AVX-512): that rule skips", dropLines(today, "SgemmCrossover/avx2/"), true, 7, "skip BenchmarkSgemmCrossover/asm/n=* over BenchmarkSgemmCrossover/avx2/n=*"},
-		{"asm legs, none at a gated width", dropLines(dropLines(today, "asm/n=128"), "asm/n=1024"), false, 5, "FAIL BenchmarkSgemmCrossover/asm/n=*"},
-		{"asm leg without its panel leg", dropLines(today, "panel/n=1024"), false, 8, "FAIL BenchmarkSgemmCrossover/asm/n=1024 over BenchmarkSgemmCrossover/panel/n=1024"},
-		{"asm leg without its avx2 leg", dropLines(today, "avx2/n=1024"), false, 8, "FAIL BenchmarkSgemmCrossover/asm/n=1024 over BenchmarkSgemmCrossover/avx2/n=1024"},
-		{"N=8/densetail missing", dropLines(today, "N=8/densetail"), false, 8, "FAIL BenchmarkBatchedForward/N=8/densetail"},
-		{"pure-Go dense tail missing", dropLines(today, "densetail/panel"), false, 8, "FAIL BenchmarkBatchedForward/N=8/densetail over BenchmarkBatchedForward/N=1/densetail/panel: the bench output lacks"},
-		{"RunnerAdaptive did not run", dropLines(today, "RunnerAdaptive"), false, 8, "FAIL BenchmarkRunnerAdaptive/adaptive"},
-		{"N=32 legs missing", dropLines(today, "N=32/"), false, 6, "FAIL BenchmarkBatchedForward/N=32/*"},
-		{"custom unit column missing", strings.ReplaceAll(today, "ns/job", "ns/request"), false, 8, "lacks ns/job"},
+		{"no asm legs: both asm rules skip", dropLines(today, "SgemmCrossover/asm/"), true, 6, "skip BenchmarkSgemmCrossover/asm/n=* over BenchmarkSgemmCrossover/panel/n=*"},
+		{"no avx2 legs (no AVX-512): that rule skips", dropLines(today, "SgemmCrossover/avx2/"), true, 8, "skip BenchmarkSgemmCrossover/asm/n=* over BenchmarkSgemmCrossover/avx2/n=*"},
+		{"asm legs, none at a gated width", dropLines(dropLines(today, "asm/n=128"), "asm/n=1024"), false, 6, "FAIL BenchmarkSgemmCrossover/asm/n=*"},
+		{"asm leg without its panel leg", dropLines(today, "panel/n=1024"), false, 9, "FAIL BenchmarkSgemmCrossover/asm/n=1024 over BenchmarkSgemmCrossover/panel/n=1024"},
+		{"asm leg without its avx2 leg", dropLines(today, "avx2/n=1024"), false, 9, "FAIL BenchmarkSgemmCrossover/asm/n=1024 over BenchmarkSgemmCrossover/avx2/n=1024"},
+		{"N=8/densetail missing", dropLines(today, "N=8/densetail"), false, 9, "FAIL BenchmarkBatchedForward/N=8/densetail"},
+		{"pure-Go dense tail missing", dropLines(today, "densetail/panel"), false, 9, "FAIL BenchmarkBatchedForward/N=8/densetail over BenchmarkBatchedForward/N=1/densetail/panel: the bench output lacks"},
+		{"RunnerAdaptive did not run", dropLines(today, "RunnerAdaptive"), false, 9, "FAIL BenchmarkRunnerAdaptive/adaptive"},
+		{"copy leg missing", dropLines(today, "ReadTensor/copy"), false, 9, "FAIL BenchmarkReadTensor/decode over BenchmarkReadTensor/copy: the bench output lacks"},
+		{"ReadTensor did not run", dropLines(today, "ReadTensor"), false, 9, "FAIL BenchmarkReadTensor/decode: 0 legs"},
+		{"N=32 legs missing", dropLines(today, "N=32/"), false, 7, "FAIL BenchmarkBatchedForward/N=32/*"},
+		{"custom unit column missing", strings.ReplaceAll(today, "ns/job", "ns/request"), false, 9, "lacks ns/job"},
 	}
 	for _, c := range cases {
 		_, rows := parseBench(c.out)

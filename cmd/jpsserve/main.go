@@ -287,7 +287,8 @@ func run(cfg serveConfig) error {
 	}
 	fmt.Printf("loading %s (seed %d)...\n", cfg.model, cfg.seed)
 	// The paper's server is the fast machine: all cores, -conc passes at a
-	// time. A wider pass splits asm GEMM columns, n / (2·asmNR) ways at most.
+	// time. A wider pass splits each GEMM by its columns, two tile strips
+	// a goroutine at least, or else by its rows (a lone job's dense layer).
 	pool, width := coreBudget(cfg.conc, goruntime.GOMAXPROCS(0))
 	m := engine.Load(g, cfg.seed).Parallel(width)
 	lis, err := net.Listen("tcp", cfg.addr)
@@ -382,24 +383,31 @@ func (l perConn) Accept() (net.Conn, error) {
 }
 
 // acceptLoop serves lis until it closes, each accepted connection
-// wrapped as the flags selected: as it is, behind the downlink shaper,
-// and/or inside the fault injector.
+// wrapped as connWrap says.
 func acceptLoop(srv *runtime.Server, lis net.Listener, shapeDown func(net.Conn) net.Conn, cfg serveConfig) error {
-	wrap := shapeDown
-	if cfg.spec.DropProb > 0 || cfg.spec.StallProb > 0 ||
-		cfg.spec.DisconnectAfterBytes > 0 || len(cfg.spec.Degrade) > 0 {
-		// Fault mode: the server side of the i-th accepted connection
-		// suffers the configured drops, stalls and disconnects, drawn
-		// from seed faultSeed+i. Serve accepts from one goroutine, so
-		// the count needs no lock.
-		fmt.Printf("fault injection on: %+v (seed %d)\n", cfg.spec, cfg.faultSeed)
-		seed := cfg.faultSeed - 1
-		wrap = func(conn net.Conn) net.Conn {
-			seed++
-			return netsim.Inject(shapeDown(conn), cfg.spec, cfg.spec, seed, 1)
-		}
+	return srv.Serve(perConn{lis, connWrap(shapeDown, cfg)})
+}
+
+// connWrap is what the flags make of an accepted connection: itself,
+// behind the downlink shaper, and/or inside the fault injector.
+func connWrap(shapeDown func(net.Conn) net.Conn, cfg serveConfig) func(net.Conn) net.Conn {
+	if !(cfg.spec.DropProb > 0 || cfg.spec.StallProb > 0 ||
+		cfg.spec.DisconnectAfterBytes > 0 || len(cfg.spec.Degrade) > 0) {
+		return shapeDown
 	}
-	return srv.Serve(perConn{lis, wrap})
+	// Fault mode: the server side of the i-th accepted connection
+	// suffers the configured drops, stalls and disconnects, drawn from
+	// seed faultSeed+i. Serve accepts from one goroutine, so the count
+	// needs no lock. The injector is told the rate the shaper already
+	// paces writes at, so a -fault-degrade cap is the rate replies get,
+	// not the series rate of the two.
+	fmt.Printf("fault injection on: %+v (seed %d)\n", cfg.spec, cfg.faultSeed)
+	seed := cfg.faultSeed - 1
+	return func(conn net.Conn) net.Conn {
+		seed++
+		return netsim.Inject(shapeDown(conn), cfg.spec, cfg.spec, seed, 1).
+			WithNominal(netsim.Channel{UplinkMbps: cfg.downMbps})
+	}
 }
 
 // flushObs prints the final metrics snapshot and exports the span

@@ -347,3 +347,39 @@ func TestAcceptLoopRetriesTemporaryAcceptErrors(t *testing.T) {
 		})
 	}
 }
+
+// discardConn is a net.Conn whose writes land nowhere, at once.
+type discardConn struct{ net.Conn }
+
+func (discardConn) Write(p []byte) (int, error) { return len(p), nil }
+
+// TestFaultWrapperKeepsDownlinkCap: with -downlink-mbps 80 and
+// -fault-degrade 0:80 a reply crosses at 80 Mb/s, the rate both flags
+// name. The injector is told the shaper's rate (WithNominal) and
+// charges only what a cap below it adds; stacked blind, the two
+// sleeps halve the rate and the wrapped write takes twice the shaped
+// one. Both writes pace in real time, so the bound is their ratio, each
+// side the fastest of three writes: a loaded host only ever adds time.
+func TestFaultWrapperKeepsDownlinkCap(t *testing.T) {
+	cfg := serveConfig{downMbps: 80, spec: netsim.FaultSpec{Degrade: []netsim.DegradeStep{{AfterMs: 0, Mbps: 80}}}}
+	dlCh := netsim.Channel{Name: "downlink", UplinkMbps: cfg.downMbps}
+	shapeDown := func(conn net.Conn) net.Conn { return netsim.Shape(conn, dlCh, 1) }
+	payload := make([]byte, 512<<10) // ≈ 52 ms at 80 Mb/s
+	timed := func(wrap func(net.Conn) net.Conn) time.Duration {
+		best := time.Duration(math.MaxInt64)
+		for range 3 {
+			conn := wrap(discardConn{})
+			start := time.Now()
+			if _, err := conn.Write(payload); err != nil {
+				t.Fatal(err)
+			}
+			best = min(best, time.Since(start))
+		}
+		return best
+	}
+	shaped := timed(shapeDown)
+	wrapped := timed(connWrap(shapeDown, cfg))
+	if r := float64(wrapped) / float64(shaped); r >= 1.5 {
+		t.Errorf("fault-mode write took %v, %.2fx the shaper's %v alone: the injector paces on top of the shaper", wrapped, r, shaped)
+	}
+}

@@ -373,25 +373,37 @@ func BenchmarkWriteJob(b *testing.B) {
 	}
 }
 
-// BenchmarkReadTensor measures the decode side: one tensor per frame —
-// its header, shape and data, three allocations — whatever the payload
-// size.
+// BenchmarkReadTensor measures the decode side on the 64 KiB float32
+// frame BenchmarkWriteJob encodes. decode is readTensorSum: the
+// tensor's header, shape and data, three allocations, whatever the
+// payload size. copy is io.ReadFull of the same frame into a slice
+// allocated once, the floor for a decoder whose payload is read
+// straight into its tensor; the bench gate holds decode over copy.
 func BenchmarkReadTensor(b *testing.B) {
-	tt := tensor.New(tensor.NewCHW(16, 32, 32))
 	var buf bytes.Buffer
-	if err := writeTensor(&buf, tt); err != nil {
+	if _, err := writeTensorSum(&buf, boundary{T: tensor.New(tensor.NewCHW(16, 32, 32))}, 0); err != nil {
 		b.Fatal(err)
 	}
-	r := bytes.NewReader(buf.Bytes())
-	b.SetBytes(int64(buf.Len()))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := r.Seek(0, io.SeekStart); err != nil {
-			b.Fatal(err)
-		}
-		if _, _, err := readTensor(r); err != nil {
-			b.Fatal(err)
-		}
+	frame := buf.Bytes()
+	dst := make([]byte, len(frame))
+	for _, leg := range []struct {
+		name string
+		read func(io.Reader) error
+	}{
+		{"decode", func(r io.Reader) error { _, _, err := readTensorSum(r, 0); return err }},
+		{"copy", func(r io.Reader) error { _, err := io.ReadFull(r, dst); return err }},
+	} {
+		b.Run(leg.name, func(b *testing.B) {
+			r := bytes.NewReader(frame)
+			b.SetBytes(int64(len(frame)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r.Reset(frame)
+				if err := leg.read(r); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -9,16 +9,17 @@ import (
 
 // FuzzReadTensor drives the wire decoder with arbitrary bytes: it must
 // never panic and never allocate absurd buffers; on valid frames it
-// must round-trip. Seed corpus covers the interesting shapes; run
+// must round-trip, re-encoding to exactly the bytes it consumed. Seed
+// corpus covers the interesting shapes; run
 // `go test -fuzz=FuzzReadTensor ./internal/runtime` for a deep fuzz.
 func FuzzReadTensor(f *testing.F) {
 	// A valid 1-D tensor frame.
 	var valid bytes.Buffer
-	_ = writeTensor(&valid, mustVec(3, 1, 2, 3))
+	_, _ = writeTensorSum(&valid, boundary{T: mustVec(3, 1, 2, 3)}, 0)
 	f.Add(valid.Bytes())
 	// A valid quantized frame (flagged rank byte + affine mapping).
 	var qvalid bytes.Buffer
-	_, _ = writeQTensorSum(&qvalid, mustQVec(3, 1, -2, 3), 0)
+	_, _ = writeTensorSum(&qvalid, boundary{Q: mustQVec(3, 1, -2, 3)}, 0)
 	f.Add(qvalid.Bytes())
 	// Truncations and garbage.
 	f.Add(valid.Bytes()[:3])
@@ -31,26 +32,35 @@ func FuzzReadTensor(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tt, qt, err := readTensor(bytes.NewReader(data))
+		r := bytes.NewReader(data)
+		p, _, err := readTensorSum(r, 0)
 		if err != nil {
 			return // rejected input is fine; panics are not
 		}
+		tt, qt := p.T, p.Q
+		consumed := data[:len(data)-r.Len()]
 		// Successful parses must be internally consistent and re-encode.
 		var buf bytes.Buffer
 		if qt != nil {
 			if qt.Shape.Elems() != len(qt.Data) {
 				t.Fatalf("decoded qtensor inconsistent: %v vs %d", qt.Shape, len(qt.Data))
 			}
-			if _, err := writeQTensorSum(&buf, qt, 0); err != nil {
+			if _, err := writeTensorSum(&buf, p, 0); err != nil {
 				t.Fatalf("re-encode quant: %v", err)
+			}
+			if !bytes.Equal(buf.Bytes(), consumed) {
+				t.Fatalf("re-encoded quant frame differs:\n got %x\nwant %x", buf.Bytes(), consumed)
 			}
 			return
 		}
 		if tt.Shape.Elems() != len(tt.Data) {
 			t.Fatalf("decoded tensor inconsistent: %v vs %d", tt.Shape, len(tt.Data))
 		}
-		if err := writeTensor(&buf, tt); err != nil {
+		if _, err := writeTensorSum(&buf, p, 0); err != nil {
 			t.Fatalf("re-encode: %v", err)
+		}
+		if !bytes.Equal(buf.Bytes(), consumed) {
+			t.Fatalf("re-encoded frame differs:\n got %x\nwant %x", buf.Bytes(), consumed)
 		}
 	})
 }
@@ -126,12 +136,14 @@ func FuzzReadInferSetRequest(f *testing.F) {
 }
 
 // fuzzReadJob is the decoder's property: arbitrary bodies are rejected
-// cleanly, and a body that decodes round-trips through writeJob — at
-// the size jobWireBytes predicts, with every pair's node, dtype, shape
-// and affine mapping intact.
+// cleanly, and a body that decodes round-trips through writeJob — to
+// exactly the bytes the decoder consumed, at the size jobWireBytes
+// predicts, with every pair's node, dtype, shape and affine mapping
+// intact.
 func fuzzReadJob(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		req, err := readJobBody(bytes.NewReader(data))
+		r := bytes.NewReader(data)
+		req, err := readJobBody(r)
 		if err != nil {
 			return
 		}
@@ -144,6 +156,9 @@ func fuzzReadJob(f *testing.F) {
 		}
 		if buf.Len() != jobWireBytes(req.Pairs) {
 			t.Fatalf("frame is %d bytes, jobWireBytes says %d", buf.Len(), jobWireBytes(req.Pairs))
+		}
+		if consumed := data[:len(data)-r.Len()]; !bytes.Equal(buf.Bytes()[1:], consumed) {
+			t.Fatalf("re-encoded body differs:\n got %x\nwant %x", buf.Bytes()[1:], consumed)
 		}
 		got, err := readJobBody(bytes.NewReader(buf.Bytes()[1:]))
 		if err != nil {

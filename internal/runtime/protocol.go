@@ -7,10 +7,11 @@
 // plus its measured compute time (the paper's tc field, used to
 // separate communication delay from cloud delay).
 //
-// The wire path is allocation-free in steady state: every frame is
+// The wire path is allocation-free in steady state: frame headers are
 // encoded and decoded with explicit little-endian byte manipulation
 // through pooled scratch buffers (no reflection-based encoding/binary
-// round trips), and tensors decode straight into their Data slice.
+// round trips), and a tensor's payload is its own memory, written from
+// it and read straight back into it.
 package runtime
 
 import (
@@ -69,20 +70,16 @@ const maxTensorBytes = 256 << 20 // defensive cap against corrupt frames
 
 const maxTensorRank = 4
 
-// quantTensorFlag marks a quantized tensor frame: the leading byte is
-// quantTensorFlag|rank instead of the bare rank. Legacy float32 frames
-// (rank 1..4) are untouched — a pre-quantization decoder rejects the
-// flagged byte as a bad rank instead of misparsing the payload, and a
-// pre-quantization encoder's frames decode here bit-identically. After
-// the flagged byte come the affine mapping (float32 scale + int8 zero
-// point), the dims, and one byte per element instead of four — the 4x
-// payload shrink that makes quantized cuts cheap to ship.
+// quantTensorFlag marks an int8 tensor frame: the leading byte is
+// quantTensorFlag|rank where a float32 frame has the bare rank. After
+// it come the affine mapping (float32 scale + int8 zero point), the
+// dims, and one byte per element instead of four — the 4x payload
+// shrink that makes quantized cuts cheap to ship.
 const quantTensorFlag = byte(0x80)
 
 // wireChunkSize is the size of the pooled scratch buffers the codecs
-// stage bytes through. Tensors larger than one chunk stream through it
-// in slices, so a frame of any size needs exactly one pooled buffer
-// and zero fresh allocations.
+// stage headers through, and of the pieces a tensor's payload is
+// written and read in.
 const wireChunkSize = 64 << 10
 
 var wireBufs = sync.Pool{
@@ -100,6 +97,14 @@ type boundary struct {
 	Node int
 	T    *tensor.Tensor
 	Q    *tensor.QTensor
+}
+
+// shape is the shape of the pair's tensor, whichever its type.
+func (p boundary) shape() tensor.Shape {
+	if p.Q != nil {
+		return p.Q.Shape
+	}
+	return p.T.Shape
 }
 
 // jobRequest is one job on the wire: the boundary the mobile side left,
@@ -173,11 +178,7 @@ func QuantRequestWireBytes(s tensor.Shape) int {
 func jobWireBytes(pairs []boundary) int {
 	n := jobOnceBytes
 	for _, p := range pairs {
-		if p.Q != nil {
-			n += pairWireBytes(p.Q.Shape, true)
-		} else {
-			n += pairWireBytes(p.T.Shape, false)
-		}
+		n += pairWireBytes(p.shape(), p.Q != nil)
 	}
 	return n
 }
@@ -204,12 +205,7 @@ func writeJob(w io.Writer, jobID uint32, pairs []boundary) error {
 			return err
 		}
 		var err error
-		if p.Q != nil {
-			sum, err = writeQTensorSum(w, p.Q, sum)
-		} else {
-			sum, err = writeTensorSum(w, p.T, sum)
-		}
-		if err != nil {
+		if sum, err = writeTensorSum(w, p, sum); err != nil {
 			return err
 		}
 	}
@@ -241,11 +237,12 @@ func readJobBody(r io.Reader) (*jobRequest, error) {
 			return nil, err
 		}
 		sum = crc32.Update(sum, wireCRC, b[:4])
-		p := boundary{Node: int(int32(binary.LittleEndian.Uint32(b)))}
-		var err error
-		if p.T, p.Q, sum, err = readTensorSum(r, sum); err != nil {
+		node := int(int32(binary.LittleEndian.Uint32(b)))
+		p, s, err := readTensorSum(r, sum)
+		if err != nil {
 			return nil, err
 		}
+		p.Node, sum = node, s
 		req.Pairs = append(req.Pairs, p)
 	}
 	if err := readSumTrailer(r, sum); err != nil {
@@ -281,120 +278,70 @@ func readSumTrailer(r io.Reader, sum uint32) error {
 	return nil
 }
 
-// writeTensor encodes rank, dims, and payload through a pooled chunk:
-// one scratch buffer regardless of tensor size, no per-call
-// allocation.
-func writeTensor(w io.Writer, t *tensor.Tensor) error {
-	_, err := writeTensorSum(w, t, 0)
-	return err
-}
-
-// writeTensorSum is writeTensor threading a running CRC-32C over every
-// byte it emits, so message codecs can checksum whole frames without
-// wrapping the writer (which would allocate on the hot path).
-func writeTensorSum(w io.Writer, t *tensor.Tensor, sum uint32) (uint32, error) {
-	rank := t.Shape.Rank()
+// writeTensorSum encodes a pair's tensor, threading a running CRC-32C
+// over every byte it emits so writeJob checksums the whole frame
+// without wrapping the writer (which would allocate on the hot path).
+// Only the header depends on the element type: the rank byte — flagged
+// and followed by the affine mapping for int8 — then the dims. The
+// payload is the tensor's memory, written from it in wireChunkSize
+// pieces.
+func writeTensorSum(w io.Writer, p boundary, sum uint32) (uint32, error) {
+	shape := p.shape()
+	rank := shape.Rank()
 	if rank == 0 || rank > maxTensorRank {
 		return sum, fmt.Errorf("runtime: cannot encode tensor of rank %d", rank)
 	}
 	bp := wireBufs.Get().(*[]byte)
 	defer wireBufs.Put(bp)
-	chunk := *bp
-	chunk[0] = uint8(rank)
-	for i, d := range t.Shape {
-		binary.LittleEndian.PutUint32(chunk[1+4*i:], uint32(d))
+	hdr := append((*bp)[:0], uint8(rank))
+	if p.Q != nil {
+		hdr[0] |= quantTensorFlag
+		hdr = binary.LittleEndian.AppendUint32(hdr, math.Float32bits(p.Q.Scale))
+		hdr = append(hdr, byte(int8(p.Q.Zero)))
 	}
-	sum = crc32.Update(sum, wireCRC, chunk[:1+4*rank])
-	if _, err := w.Write(chunk[:1+4*rank]); err != nil {
+	for _, d := range shape {
+		hdr = binary.LittleEndian.AppendUint32(hdr, uint32(d))
+	}
+	sum = crc32.Update(sum, wireCRC, hdr)
+	if _, err := w.Write(hdr); err != nil {
 		return sum, err
 	}
-	data := t.Data
-	for off := 0; off < len(data); {
-		n := len(data) - off
-		if n > len(chunk)/4 {
-			n = len(chunk) / 4
-		}
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint32(chunk[4*i:], math.Float32bits(data[off+i]))
-		}
-		sum = crc32.Update(sum, wireCRC, chunk[:4*n])
-		if _, err := w.Write(chunk[:4*n]); err != nil {
+	data := tensorBytes(p)
+	for off := 0; off < len(data); off += wireChunkSize {
+		piece := data[off:min(off+wireChunkSize, len(data))]
+		sum = crc32.Update(sum, wireCRC, piece)
+		if _, err := w.Write(piece); err != nil {
 			return sum, err
 		}
-		off += n
 	}
 	return sum, nil
 }
 
-// writeQTensorSum encodes a quantized tensor frame: flagged rank byte,
-// affine mapping, dims, then the int8 codes — one byte each, streamed
-// through the pooled chunk like the float32 payload.
-func writeQTensorSum(w io.Writer, q *tensor.QTensor, sum uint32) (uint32, error) {
-	rank := q.Shape.Rank()
-	if rank == 0 || rank > maxTensorRank {
-		return sum, fmt.Errorf("runtime: cannot encode tensor of rank %d", rank)
-	}
-	bp := wireBufs.Get().(*[]byte)
-	defer wireBufs.Put(bp)
-	chunk := *bp
-	chunk[0] = quantTensorFlag | uint8(rank)
-	binary.LittleEndian.PutUint32(chunk[1:], math.Float32bits(q.Scale))
-	chunk[5] = byte(int8(q.Zero))
-	for i, d := range q.Shape {
-		binary.LittleEndian.PutUint32(chunk[6+4*i:], uint32(d))
-	}
-	hdr := 6 + 4*rank
-	sum = crc32.Update(sum, wireCRC, chunk[:hdr])
-	if _, err := w.Write(chunk[:hdr]); err != nil {
-		return sum, err
-	}
-	data := q.Data
-	for off := 0; off < len(data); {
-		n := len(data) - off
-		if n > len(chunk) {
-			n = len(chunk)
-		}
-		for i := 0; i < n; i++ {
-			chunk[i] = byte(data[off+i])
-		}
-		sum = crc32.Update(sum, wireCRC, chunk[:n])
-		if _, err := w.Write(chunk[:n]); err != nil {
-			return sum, err
-		}
-		off += n
-	}
-	return sum, nil
-}
-
-// readTensor decodes a tensor frame into a fresh tensor — three
-// allocations, its header, shape and data, whatever the payload size.
-// Payload bytes stream through a pooled chunk and convert straight into
-// Tensor.Data. Exactly one of the results is non-nil: the float32
-// tensor for a legacy frame, the quantized tensor for a flagged frame.
-func readTensor(r io.Reader) (*tensor.Tensor, *tensor.QTensor, error) {
-	t, q, _, err := readTensorSum(r, 0)
-	return t, q, err
-}
-
-// readTensorSum is readTensor accumulating a CRC-32C over every byte
-// it consumes, mirroring writeTensorSum/writeQTensorSum.
-func readTensorSum(r io.Reader, sum uint32) (*tensor.Tensor, *tensor.QTensor, uint32, error) {
+// readTensorSum decodes a tensor frame into a fresh pair — float32 for
+// a bare rank byte, int8 for a flagged one — extending the running
+// CRC-32C over every byte it consumes. Every header field is checked
+// before anything is allocated; then the tensor's header, shape and
+// data are three allocations whatever the payload size, and the
+// payload is read straight into the tensor's memory in wireChunkSize
+// pieces.
+func readTensorSum(r io.Reader, sum uint32) (boundary, uint32, error) {
 	bp := wireBufs.Get().(*[]byte)
 	defer wireBufs.Put(bp)
 	chunk := *bp
 	if _, err := io.ReadFull(r, chunk[:1]); err != nil {
-		return nil, nil, sum, err
+		return boundary{}, sum, err
 	}
 	quant := chunk[0]&quantTensorFlag != 0
 	rank := int(chunk[0] &^ quantTensorFlag)
 	if rank == 0 || rank > maxTensorRank {
-		return nil, nil, sum, fmt.Errorf("runtime: bad tensor rank %d", chunk[0])
+		return boundary{}, sum, fmt.Errorf("runtime: bad tensor rank %d", chunk[0])
 	}
 	sum = crc32.Update(sum, wireCRC, chunk[:1])
 	var qp tensor.QParams
+	elemBytes := int64(4)
 	if quant {
 		if _, err := io.ReadFull(r, chunk[:5]); err != nil {
-			return nil, nil, sum, err
+			return boundary{}, sum, err
 		}
 		sum = crc32.Update(sum, wireCRC, chunk[:5])
 		qp.Scale = math.Float32frombits(binary.LittleEndian.Uint32(chunk))
@@ -402,78 +349,45 @@ func readTensorSum(r io.Reader, sum uint32) (*tensor.Tensor, *tensor.QTensor, ui
 		// A hostile scale would decode into NaN/Inf activations; the
 		// real encoder only ever emits finite positive scales.
 		if !(qp.Scale > 0) || math.IsInf(float64(qp.Scale), 1) {
-			return nil, nil, sum, fmt.Errorf("runtime: bad quant scale %v", qp.Scale)
+			return boundary{}, sum, fmt.Errorf("runtime: bad quant scale %v", qp.Scale)
 		}
+		elemBytes = 1
 	}
 	if _, err := io.ReadFull(r, chunk[:4*rank]); err != nil {
-		return nil, nil, sum, err
+		return boundary{}, sum, err
 	}
 	sum = crc32.Update(sum, wireCRC, chunk[:4*rank])
 	var dims [maxTensorRank]int // the shape stays on the stack: New and NewQ clone it
 	shape := tensor.Shape(dims[:rank])
 	elems := int64(1)
-	elemBytes := int64(4)
-	if quant {
-		elemBytes = 1
-	}
 	for i := range shape {
 		d := int32(binary.LittleEndian.Uint32(chunk[4*i:]))
 		if d <= 0 {
-			return nil, nil, sum, fmt.Errorf("runtime: bad tensor dim %d", d)
+			return boundary{}, sum, fmt.Errorf("runtime: bad tensor dim %d", d)
 		}
 		shape[i] = int(d)
 		// Guard the running product in int64 so adversarial dims can
 		// neither overflow int nor drive a huge allocation.
 		elems *= int64(d)
 		if elems*elemBytes > maxTensorBytes {
-			return nil, nil, sum, fmt.Errorf("runtime: tensor too large: %v", shape[:i+1].Clone())
+			return boundary{}, sum, fmt.Errorf("runtime: tensor too large: %v", shape[:i+1].Clone())
 		}
 	}
+	var p boundary
 	if quant {
-		q := tensor.NewQ(shape, qp)
-		data := q.Data
-		for off := 0; off < len(data); {
-			n := len(data) - off
-			if n > len(chunk) {
-				n = len(chunk)
-			}
-			if _, err := io.ReadFull(r, chunk[:n]); err != nil {
-				return nil, nil, sum, err
-			}
-			sum = crc32.Update(sum, wireCRC, chunk[:n])
-			for i := 0; i < n; i++ {
-				data[off+i] = int8(chunk[i])
-			}
-			off += n
-		}
-		return nil, q, sum, nil
+		p.Q = tensor.NewQ(shape, qp)
+	} else {
+		p.T = tensor.New(shape)
 	}
-	t := tensor.New(shape)
-	sum, err := readFloat32Into(r, chunk, t.Data, sum)
-	if err != nil {
-		return nil, nil, sum, err
+	data := tensorBytes(p)
+	for off := 0; off < len(data); off += wireChunkSize {
+		piece := data[off:min(off+wireChunkSize, len(data))]
+		if _, err := io.ReadFull(r, piece); err != nil {
+			return boundary{}, sum, err
+		}
+		sum = crc32.Update(sum, wireCRC, piece)
 	}
-	return t, nil, sum, nil
-}
-
-// readFloat32Into fills dst with little-endian float32s from r,
-// staging through the caller's chunk and extending the running CRC.
-func readFloat32Into(r io.Reader, chunk []byte, dst []float32, sum uint32) (uint32, error) {
-	for off := 0; off < len(dst); {
-		n := len(dst) - off
-		if n > len(chunk)/4 {
-			n = len(chunk) / 4
-		}
-		if _, err := io.ReadFull(r, chunk[:4*n]); err != nil {
-			return sum, err
-		}
-		sum = crc32.Update(sum, wireCRC, chunk[:4*n])
-		for i := 0; i < n; i++ {
-			dst[off+i] = math.Float32frombits(binary.LittleEndian.Uint32(chunk[4*i:]))
-		}
-		off += n
-	}
-	return sum, nil
+	return p, sum, nil
 }
 
 func writeInferReply(w io.Writer, rep *inferReply) error {
@@ -524,18 +438,11 @@ func writePing(w io.Writer, payload int) error {
 	if _, err := w.Write(chunk[:5]); err != nil {
 		return err
 	}
-	for i := range chunk {
-		chunk[i] = 0
-	}
-	for off := 0; off < payload; {
-		n := payload - off
-		if n > len(chunk) {
-			n = len(chunk)
-		}
-		if _, err := w.Write(chunk[:n]); err != nil {
+	clear(chunk)
+	for off := 0; off < payload; off += wireChunkSize {
+		if _, err := w.Write(chunk[:min(wireChunkSize, payload-off)]); err != nil {
 			return err
 		}
-		off += n
 	}
 	return nil
 }

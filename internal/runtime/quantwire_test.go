@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
@@ -36,14 +37,15 @@ func TestQuantTensorWireRoundTrip(t *testing.T) {
 		q.Data[i] = int8(i*11 - 64)
 	}
 	var buf bytes.Buffer
-	sumW, err := writeQTensorSum(&buf, q, 0)
+	sumW, err := writeTensorSum(&buf, boundary{Q: q}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, got, sumR, err := readTensorSum(&buf, 0)
+	p, sumR, err := readTensorSum(&buf, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := p.Q
 	if got == nil {
 		t.Fatal("decoded as float32, want quantized")
 	}
@@ -60,38 +62,80 @@ func TestQuantTensorWireRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLegacyTensorFrameBitIdentical pins the float32 frame layout:
-// bare rank byte, little-endian dims, little-endian IEEE-754 payload —
-// no dtype byte, no mapping. A pre-quantization peer's frames are
-// byte-for-byte what the current encoder emits.
+// writeSizes is a bytes.Buffer that records the length of every Write
+// call: what a shaper or fault injector under the codec sees.
+type writeSizes struct {
+	bytes.Buffer
+	sizes []int
+}
+
+func (w *writeSizes) Write(p []byte) (int, error) {
+	w.sizes = append(w.sizes, len(p))
+	return w.Buffer.Write(p)
+}
+
+// TestLegacyTensorFrameBitIdentical pins the tensor frame layout
+// against hand-built bytes. float32: bare rank byte, little-endian
+// dims, little-endian IEEE-754 payload — no dtype byte, no mapping.
+// int8: rank byte flagged with quantTensorFlag, little-endian scale
+// bits, zero-point byte, dims, one byte per code. The encoder's Write
+// calls are pinned too — the header, then the payload in wireChunkSize
+// pieces, the last one ragged — and the decoder must consume exactly
+// the frame and return the tensor that was encoded.
 func TestLegacyTensorFrameBitIdentical(t *testing.T) {
-	tt := mustVec(3, 1.5, -2.25, 0)
-	var want bytes.Buffer
-	want.WriteByte(1) // rank
-	var b4 [4]byte
-	binary.LittleEndian.PutUint32(b4[:], 3) // dim
-	want.Write(b4[:])
-	for _, v := range tt.Data {
-		binary.LittleEndian.PutUint32(b4[:], math.Float32bits(v))
-		want.Write(b4[:])
+	le32 := binary.LittleEndian.AppendUint32
+	floatFrame := func(tt *tensor.Tensor) []byte {
+		b := le32([]byte{1}, uint32(len(tt.Data)))
+		for _, v := range tt.Data {
+			b = le32(b, math.Float32bits(v))
+		}
+		return b
 	}
-	var got bytes.Buffer
-	if err := writeTensor(&got, tt); err != nil {
-		t.Fatal(err)
+	small := mustVec(3, 1.5, -2.25, 0)
+	big := tensor.New(tensor.NewVec(20000)) // 80 000 payload bytes: one full chunk and a ragged one
+	for i := range big.Data {
+		big.Data[i] = float32(i)*0.37 - 1000
 	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatalf("frame bytes changed:\n got %x\nwant %x", got.Bytes(), want.Bytes())
-	}
-	dec, q, err := readTensor(bytes.NewReader(want.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q != nil {
-		t.Fatal("legacy frame decoded as quantized")
-	}
-	for i := range tt.Data {
-		if dec.Data[i] != tt.Data[i] {
-			t.Fatalf("payload %d: %v vs %v", i, dec.Data[i], tt.Data[i])
+	q := mustQVec(4, 1, -2, 127, -128) // scale 0.5, zero -3
+	qFrame := le32([]byte{quantTensorFlag | 1}, math.Float32bits(0.5))
+	qFrame = append(le32(append(qFrame, 0xFD), 4), 0x01, 0xFE, 0x7F, 0x80)
+
+	for _, c := range []struct {
+		name   string
+		tt     *tensor.Tensor
+		q      *tensor.QTensor
+		want   []byte
+		writes []int
+	}{
+		{"float32", small, nil, floatFrame(small), []int{5, 12}},
+		{"float32 past one chunk", big, nil, floatFrame(big), []int{5, 65536, 14464}},
+		{"int8", nil, q, qFrame, []int{10, 4}},
+	} {
+		var got writeSizes
+		if _, err := writeTensorSum(&got, boundary{T: c.tt, Q: c.q}, 0); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !bytes.Equal(got.Bytes(), c.want) {
+			t.Errorf("%s: frame bytes changed:\n got %x\nwant %x", c.name, got.Bytes(), c.want)
+		}
+		if !slices.Equal(got.sizes, c.writes) {
+			t.Errorf("%s: Write calls of %v bytes, want %v", c.name, got.sizes, c.writes)
+		}
+		r := bytes.NewReader(c.want)
+		p, _, err := readTensorSum(r, 0)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", c.name, err)
+		}
+		dt, dq := p.T, p.Q
+		if r.Len() != 0 {
+			t.Errorf("%s: decode left %d of the frame's bytes unread", c.name, r.Len())
+		}
+		if c.q != nil {
+			if dq == nil || !dq.Shape.Equal(c.q.Shape) || dq.QParams != c.q.QParams || !slices.Equal(dq.Data, c.q.Data) {
+				t.Errorf("%s: decoded %+v, want %+v", c.name, dq, c.q)
+			}
+		} else if dt == nil || !dt.Shape.Equal(c.tt.Shape) || !slices.Equal(dt.Data, c.tt.Data) {
+			t.Errorf("%s: decoded tensor differs from the encoded one", c.name)
 		}
 	}
 }

@@ -85,10 +85,11 @@ func input(i int) *tensor.Tensor {
 
 // TestWirePathAllocs holds the wire path to its allocation counts:
 // encoding a job frame — a float32 line job, an int8 line job, a mixed
-// two-pair set — or a reply allocates nothing, every byte staging
-// through the pooled chunks; decoding a line job allocates the request
-// and its one tensor's header, shape and data, whatever the payload
-// size: the pair lives in the request.
+// two-pair set — or a reply allocates nothing, headers staging through
+// the pooled chunks and payloads written from the tensors' own memory;
+// decoding a line job allocates the request and its one tensor's
+// header, shape and data, whatever the payload size: the pair lives in
+// the request, and the payload is read into the tensor's data.
 func TestWirePathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are nondeterministic under -race (sync.Pool randomly drops Puts)")
@@ -127,13 +128,14 @@ func TestWirePathAllocs(t *testing.T) {
 func TestTensorWireRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	orig := input(3)
-	if err := writeTensor(&buf, orig); err != nil {
+	if _, err := writeTensorSum(&buf, boundary{T: orig}, 0); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := readTensor(&buf)
+	p, _, err := readTensorSum(&buf, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := p.T
 	if !got.Shape.Equal(orig.Shape) {
 		t.Fatalf("shape %v != %v", got.Shape, orig.Shape)
 	}
@@ -146,25 +148,25 @@ func TestTensorWireRoundTrip(t *testing.T) {
 
 func TestReadTensorRejectsGarbage(t *testing.T) {
 	// Rank 0.
-	if _, _, err := readTensor(bytes.NewReader([]byte{0})); err == nil {
+	if _, _, err := readTensorSum(bytes.NewReader([]byte{0}), 0); err == nil {
 		t.Error("rank 0 must error")
 	}
 	// Rank 9.
-	if _, _, err := readTensor(bytes.NewReader([]byte{9})); err == nil {
+	if _, _, err := readTensorSum(bytes.NewReader([]byte{9}), 0); err == nil {
 		t.Error("rank 9 must error")
 	}
 	// Negative dim.
 	var buf bytes.Buffer
 	buf.WriteByte(1)
 	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF}) // -1 little endian
-	if _, _, err := readTensor(&buf); err == nil {
+	if _, _, err := readTensorSum(&buf, 0); err == nil {
 		t.Error("negative dim must error")
 	}
 	// Truncated payload.
 	var buf2 bytes.Buffer
-	_ = writeTensor(&buf2, input(0))
+	_, _ = writeTensorSum(&buf2, boundary{T: input(0)}, 0)
 	trunc := buf2.Bytes()[:buf2.Len()-10]
-	if _, _, err := readTensor(bytes.NewReader(trunc)); err == nil {
+	if _, _, err := readTensorSum(bytes.NewReader(trunc), 0); err == nil {
 		t.Error("truncated payload must error")
 	}
 }

@@ -35,17 +35,26 @@ fi
 echo "== go build"
 go build ./...
 
-echo "== go build/vet (cross-compile: arm64, arm64 noasm, riscv64)"
+echo "== go build/vet (cross-compile: arm64, arm64 noasm, riscv64; s390x must fail)"
 # The engine's assembly gating has three arms — amd64, arm64 and
 # gemm_asm_off.go (noasm, or any other GOARCH) — and the host builds
 # only the first. arm64 assembles the NEON kernel (gemm_neon_arm64.s);
 # arm64+noasm and riscv64 build the two halves of gemm_asm_off.go's
 # constraint; vet type-checks the engine's tests against arm64's tile
-# constants. None of it needs the hardware.
+# constants, and the runtime's wire codec, whose payload is the
+# tensor's memory, on a second little-endian GOARCH. None of it needs
+# the hardware.
 GOOS=linux GOARCH=arm64 go build ./...
 GOOS=linux GOARCH=arm64 go build -tags noasm ./...
 GOOS=linux GOARCH=riscv64 go build ./...
-GOOS=linux GOARCH=arm64 go vet ./internal/engine/
+GOOS=linux GOARCH=arm64 go vet ./internal/engine/ ./internal/runtime/
+# The runtime builds only where a float32's memory is its little-endian
+# wire word (tensorbytes_le.go lists those GOARCHes). A big-endian one
+# must keep failing to build, not ship host-order payloads.
+if GOOS=linux GOARCH=s390x go build ./internal/runtime/ > /dev/null 2>&1; then
+    echo "internal/runtime builds on big-endian s390x: its payload would go out in host order" >&2
+    exit 1
+fi
 
 echo "== go build/vet/test -tags noasm (pure-Go fallback must not rot)"
 # The noasm build is the contract for non-AVX2 hosts: every GEMM on the
