@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"dnnjps/internal/core"
@@ -37,6 +38,9 @@ func main() {
 }
 
 func run(model string, mbps float64, n, width int) error {
+	if !(mbps > 0) || math.IsInf(mbps, 1) {
+		return fmt.Errorf("-mbps %g: want a finite bandwidth above 0", mbps)
+	}
 	g, err := models.Build(model)
 	if err != nil {
 		return err

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -74,5 +75,22 @@ func TestCalibrate(t *testing.T) {
 func TestRunProfileUnknownModel(t *testing.T) {
 	if err := run("lenet", 5.85, "", "", false); err == nil {
 		t.Error("unknown model must error")
+	}
+}
+
+// A -mbps that is not a finite bandwidth above 0 is one error from
+// either mode, before any forward pass — not a panic in netsim.At.
+func TestBadMbps(t *testing.T) {
+	for _, mbps := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		if err := run("alexnet", mbps, "", "", false); err == nil {
+			t.Errorf("run -mbps %g: want an error", mbps)
+		}
+		var out strings.Builder
+		if err := calibrate(&out, "alexnet", mbps, 1); err == nil {
+			t.Errorf("calibrate -mbps %g: want an error", mbps)
+		}
+		if out.Len() != 0 {
+			t.Errorf("calibrate -mbps %g wrote %q before failing", mbps, out.String())
+		}
 	}
 }

@@ -38,10 +38,6 @@ const (
 	asmKC = 256
 	asmNC = 1024 // multiple of asmNR
 
-	// Both amd64 tiles read A where Load put it: sgemmAsm needs no
-	// packed-strip scratch (see asmStripA).
-	asmStripScratch = 0
-
 	// Int8 tile: 4 rows x 16 columns of int32 accumulators.
 	asmQMR = 4
 	asmQNR = 16
@@ -124,13 +120,6 @@ func spanAddAsm(dst, src *float32, n int)
 //go:noescape
 func dwconv3x3Asm(dst, src, w *float32, bias float32, outH, outW, pitch, stride int)
 
-// asmStripA is the driver's per-strip hook: it returns what the tile
-// reads for one strip of A. Both amd64 tiles broadcast straight
-// from the row-major rows, so the strip is the rows themselves.
-func asmStripA(kc int, a []float32, lda int, _ []float32) ([]float32, int) {
-	return a, lda
-}
-
 // asmTileRows is the strip height of the live tile, which sgemmAsm
 // sweeps A in: 12 rows with AVX-512, else 6. (Two 6x16 calls per
 // 12-row strip read 2–5 % behind 6-row strips on the AVX2 tile in
@@ -144,8 +133,9 @@ func asmTileRows() int {
 }
 
 // asmSgemmTile runs the mr-row tile over kc steps of the strip sa (rows
-// lda apart, as asmStripA returned it) and the packed B strip pb,
-// against the C tile at c[off] with row stride ldc.
+// of A where Load put them, lda apart; the tile broadcasts each element
+// itself) and the packed B strip pb, against the C tile at c[off] with
+// row stride ldc.
 func asmSgemmTile(kc, mr int, sa []float32, lda int, pb, c []float32, off, ldc int) {
 	if mr == 12 {
 		sgemmTile12x16(kc, &sa[0], lda, &pb[0], &c[off], ldc)

@@ -1,20 +1,19 @@
-//go:build noasm || (!amd64 && !arm64)
+//go:build noasm || !amd64
 
 package engine
 
 // Assembly kernels disabled: either the noasm build tag is set or the
-// target architecture has no hand-written microkernel. asmSgemmOK and
-// asmQgemmOK are false constants here, so useAsm and the dispatch in
-// qgemm.go compile down to the pure-Go paths — bit-identical to the
-// pre-asm build — and the stub bodies below are unreachable.
+// target is any GOARCH but amd64 (arm64 included), which has no
+// hand-written microkernel. asmSgemmOK and asmQgemmOK are false
+// constants here, so useAsm and the dispatch in qgemm.go compile down
+// to the pure-Go paths — bit-identical to the pre-asm build — and the
+// stub bodies below are unreachable.
 
 const (
 	asmMR = 6
 	asmNR = 16
 	asmKC = 256
 	asmNC = 1024
-
-	asmStripScratch = 0
 
 	asmQMR = 4
 	asmQNR = 16
@@ -25,10 +24,6 @@ const (
 	asmQgemmOK = false
 	asmQuantOK = false
 )
-
-func asmStripA(kc int, a []float32, lda int, _ []float32) ([]float32, int) {
-	panic("engine: assembly kernels disabled in this build")
-}
 
 func asmTileRows() int { return asmMR }
 

@@ -15,8 +15,8 @@ import (
 // (span_avx2_amd64.s) and the 3×3 depthwise (dwconv_avx2_amd64.s) — are
 // not tolerance cases: they round exactly like the scalar loops, so
 // everything here compares bit patterns. With the kernels off (noasm,
-// DNNJPS_NOASM, another GOARCH) the same tests pin the Go loops against
-// their written-out definitions.
+// DNNJPS_NOASM, or any GOARCH but amd64 — none has vector kernels) the
+// same tests pin the Go loops against their written-out definitions.
 
 func sameBits(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }
 

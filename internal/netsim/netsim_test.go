@@ -55,12 +55,16 @@ func TestAtChannel(t *testing.T) {
 }
 
 func TestAtPanicsOnNonPositive(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	At(0)
+	for _, mbps := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("At(%g): expected panic", mbps)
+				}
+			}()
+			At(mbps)
+		}()
+	}
 }
 
 func TestBytesPerSec(t *testing.T) {
