@@ -19,16 +19,13 @@ import (
 	"strings"
 
 	"dnnjps/internal/experiments"
+	"dnnjps/internal/models"
 	"dnnjps/internal/netsim"
 	"dnnjps/internal/report"
 )
 
-// Channel-shaping and admission knobs, shared by the live-runtime
-// experiment cases below.
-var (
-	shedMark     = flag.Int("shed-watermark", 48, "with -fig fleet: queue depth of the overload row's admission control (0 skips the row)")
-	downlinkMbps = flag.Float64("downlink-mbps", 0, "model reply bandwidth on the experiments' fixed channels (0 keeps the historical free-downlink assumption)")
-)
+// shedMark is the fleet figure's admission knob.
+var shedMark = flag.Int("shed-watermark", 48, "with -fig fleet: queue depth of the overload row's admission control (0 skips the row)")
 
 // The experiment ids, spelt here and in run's case labels only.
 // modeledIDs are pure functions of the planners — what -all runs and
@@ -41,14 +38,6 @@ var (
 // nExplicit records whether -n was set on the command line; the batch
 // experiment sweeps its default job counts otherwise.
 var nExplicit bool
-
-// withDownlink applies the -downlink-mbps flag to a fixed channel.
-func withDownlink(ch netsim.Channel) netsim.Channel {
-	if *downlinkMbps > 0 {
-		return ch.WithDownlink(*downlinkMbps)
-	}
-	return ch
-}
 
 func main() {
 	var (
@@ -102,6 +91,11 @@ func main() {
 }
 
 func run(env experiments.Env, id, model, traceOut, traceJSON, adaptTrace string) ([]*report.Table, error) {
+	// The experiments panic on a model they do not know; a -model typo
+	// is the user's to fix, so it is reported, not raised.
+	if _, err := models.Build(model); err != nil {
+		return nil, err
+	}
 	switch id {
 	case "4":
 		rows := experiments.Fig4(env, model, netsim.WiFi)
@@ -186,11 +180,11 @@ func run(env experiments.Env, id, model, traceOut, traceJSON, adaptTrace string)
 		// seconds. Deliberately not part of -all.
 		// The second row is GoogLeNet's Algorithm 3 plan: cut-node sets,
 		// several boundary tensors per job, on the same pipelined client.
-		res, err := experiments.RuntimePipeline(env, model, withDownlink(netsim.WiFi), 8, 1.0)
+		res, err := experiments.RuntimePipeline(env, model, netsim.WiFi, 8, 1.0)
 		if err != nil {
 			return nil, err
 		}
-		gen, err := experiments.RuntimePipelineGeneral(env, "googlenet", withDownlink(netsim.WiFi), 8, 1.0)
+		gen, err := experiments.RuntimePipelineGeneral(env, "googlenet", netsim.WiFi, 8, 1.0)
 		if err != nil {
 			return nil, err
 		}
@@ -199,7 +193,7 @@ func run(env experiments.Env, id, model, traceOut, traceJSON, adaptTrace string)
 		// Instrumented live execution: the run is recorded span by span,
 		// bridged into Gantt form, and plotted against the Prop. 4.1
 		// pipeline the plan was priced on. Real time, not part of -all.
-		res, err := experiments.RuntimeTrace(env, model, withDownlink(netsim.WiFi), 8, 1.0)
+		res, err := experiments.RuntimeTrace(env, model, netsim.WiFi, 8, 1.0)
 		if err != nil {
 			return nil, err
 		}
@@ -220,12 +214,12 @@ func run(env experiments.Env, id, model, traceOut, traceJSON, adaptTrace string)
 		// and is compared against the no-fault Prop. 4.1 closed form.
 		// Like "runtime", this runs in real time and is not part of -all.
 		// The last row is GoogLeNet's Algorithm 3 plan at 5% drops.
-		rows, err := experiments.RuntimeFaults(env, model, withDownlink(netsim.WiFi), 12, 1.0,
+		rows, err := experiments.RuntimeFaults(env, model, netsim.WiFi, 12, 1.0,
 			[]float64{0, 1, 5, 20}, 1)
 		if err != nil {
 			return nil, err
 		}
-		gen, err := experiments.RuntimeFaultsGeneral(env, "googlenet", withDownlink(netsim.WiFi), 12, 1.0,
+		gen, err := experiments.RuntimeFaultsGeneral(env, "googlenet", netsim.WiFi, 12, 1.0,
 			[]float64{5}, 1)
 		if err != nil {
 			return nil, err
@@ -283,7 +277,7 @@ func run(env experiments.Env, id, model, traceOut, traceJSON, adaptTrace string)
 		if nExplicit {
 			counts = []int{env.NJobs}
 		}
-		rows, err := experiments.RuntimeBatch(env, model, withDownlink(netsim.WiFi), counts, 1e-3)
+		rows, err := experiments.RuntimeBatch(env, model, netsim.WiFi, counts, 1e-3)
 		if err != nil {
 			return nil, err
 		}
@@ -297,7 +291,7 @@ func run(env experiments.Env, id, model, traceOut, traceJSON, adaptTrace string)
 		if nExplicit {
 			counts = []int{env.NJobs}
 		}
-		rows, err := experiments.RuntimeFleet(env, model, withDownlink(netsim.WiFi), counts, 8, *shedMark, 1e-3)
+		rows, err := experiments.RuntimeFleet(env, model, netsim.WiFi, counts, 8, *shedMark, 1e-3)
 		if err != nil {
 			return nil, err
 		}

@@ -62,6 +62,16 @@ func TestRunUnknownID(t *testing.T) {
 	}
 }
 
+// An unknown -model is an error from every experiment id, modeled or
+// live, never a panic.
+func TestRunUnknownModel(t *testing.T) {
+	for _, id := range slices.Concat(modeledIDs, liveIDs) {
+		if _, err := run(testEnv(), id, "nosuch", "", "", ""); err == nil {
+			t.Errorf("run(%s) with an unknown model must error", id)
+		}
+	}
+}
+
 func TestWriteCSV(t *testing.T) {
 	env := testEnv()
 	tables, err := run(env, "4", "alexnet", "", "", "")

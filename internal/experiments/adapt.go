@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"net"
 	"time"
 
 	"dnnjps/internal/core"
@@ -116,12 +115,16 @@ func RuntimeAdapt(env Env, n int, timeScale float64, seed int64) ([]*AdaptRow, *
 		{"oracle", oracle, adaptRunOpts(runtime.RunOptions{})},
 	}
 
-	srv := runtime.NewServer(m)
-	defer srv.Close()
+	loopback, stop, err := serve(runtime.NewServer(m))
+	if err != nil {
+		return nil, nil, err
+	}
+	defer stop()
+	step := netsim.FaultSpec{Degrade: netsim.StepDown(AdaptStepAfterMs, AdaptStepToMbps)}
 	var rows []*AdaptRow
 	var trace *estimator.ReplayTrace
 	for pi, pol := range policies {
-		dial := adaptDialer(srv, ch, seed+int64(pi), timeScale)
+		dial := injected(loopback, step, seed+int64(pi), timeScale, ch)
 		r := runtime.NewRunner(dial, m, ch, timeScale, pol.opts).WithCurve(curve)
 		rep, err := r.RunPlan(pol.plan, inputs)
 		if err != nil {
@@ -155,22 +158,6 @@ func adaptRunOpts(o runtime.RunOptions) runtime.RunOptions {
 	return o
 }
 
-// adaptDialer dials the shared loopback server through the scripted
-// step-down injector. The injector is told the client shaper's nominal
-// rate so the scripted 2 Mb/s is the effective post-step rate on the
-// wire, not a second pacing stage stacked under the shaper's.
-func adaptDialer(srv *runtime.Server, ch netsim.Channel, seed int64, timeScale float64) func() (net.Conn, error) {
-	return func() (net.Conn, error) {
-		conn, err := dialLoopback(srv)
-		if err != nil {
-			return nil, err
-		}
-		return netsim.Inject(conn,
-			netsim.FaultSpec{Degrade: netsim.StepDown(AdaptStepAfterMs, AdaptStepToMbps)},
-			netsim.FaultSpec{}, seed, timeScale).WithNominal(ch), nil
-	}
-}
-
 // oraclePlan builds the perfect-foresight schedule: the largest prefix
 // of jobs the nominal-rate plan can push through the uplink before the
 // step keeps that plan's cuts, and the remaining jobs are planned at
@@ -182,26 +169,13 @@ func oraclePlan(curve *profile.Curve, ch netsim.Channel, n int) (*core.Plan, err
 	degraded := ch
 	degraded.UplinkMbps = AdaptStepToMbps
 
-	// lastUploadEnd is when plan p's final upload leaves the link under
-	// the standard two-stage recursion.
-	lastUploadEnd := func(p *core.Plan) float64 {
-		var aDone, bDone float64
-		for _, j := range p.Sequence {
-			aDone += j.A
-			if aDone > bDone {
-				bDone = aDone
-			}
-			bDone += j.B
-		}
-		return bDone
-	}
 	k := 0
 	for k < n {
 		p, err := core.JPS(curve, k+1)
 		if err != nil {
 			return nil, err
 		}
-		if lastUploadEnd(p) > AdaptStepAfterMs {
+		if p.Makespan > AdaptStepAfterMs { // p's final upload leaves the link after the step
 			break
 		}
 		k++

@@ -7,10 +7,8 @@ import (
 	"dnnjps/internal/flowshop"
 	"dnnjps/internal/netsim"
 	"dnnjps/internal/obs"
-	"dnnjps/internal/profile"
 	"dnnjps/internal/report"
 	"dnnjps/internal/runtime"
-	"dnnjps/internal/tensor"
 )
 
 // RuntimeBatchResult is one live run of the server's tail groups: n
@@ -23,10 +21,11 @@ type RuntimeBatchResult struct {
 	Jobs  int
 	// MakespanMs is the measured first-enqueue → last-reply span.
 	MakespanMs float64
-	// ServerBusyMs sums the server's distinct cloud-compute intervals.
-	// Members of one batch group share a single execution span, so
-	// identical intervals are counted once: this is the wall time the
-	// suffix stage actually occupied, the quantity batching shrinks.
+	// ServerBusyMs is the wall time the server's cloud-compute spans
+	// cover. Members of one batch group share a single execution span
+	// and concurrent workers' spans overlap, so overlaps are counted
+	// once: this is the wall time the suffix stage actually occupied,
+	// the quantity batching shrinks.
 	ServerBusyMs float64
 	// MeanBatch is the average executed group size (1 when no group
 	// was recorded: a model without a dense head).
@@ -54,50 +53,25 @@ type RuntimeBatchResult struct {
 // suffix is the classifier head, weight-streaming-bound, the regime
 // where one shared weight pass per group pays off even on a single core.
 func RuntimeBatch(env Env, model string, ch netsim.Channel, jobCounts []int, timeScale float64) ([]*RuntimeBatchResult, error) {
-	g := mustModel(model)
-	const seed = 42
-	m := engine.Load(g, seed)
-	units := profile.LineView(g)
-
-	// Deepest offloaded cut whose suffix still holds parameterized
-	// compute (see deepParamCut): the suffix is the model's head — for
-	// the paper's models a small upload and a weight-streaming-bound
-	// remainder.
-	cut := deepParamCut(g, units)
-	boundShape := g.Node(units[cut].Exit).OutShape
-
-	// A few distinct real boundary activations, recycled across jobs
-	// (computing one heavy prefix per job would only delay the probe).
-	const distinct = 4
-	protos, err := syntheticBoundaries(m, units, cut, distinct)
+	m := engine.Load(mustModel(model), 42)
+	cut, protos, err := headJobs(m)
 	if err != nil {
 		return nil, err
 	}
+	up := timeScale * ch.TxMs(runtime.RequestWireBytes(protos[0].Shape))
 
 	var results []*RuntimeBatchResult
 	for _, n := range jobCounts {
-		boundaries := make([]*tensor.Tensor, n)
-		for i := range boundaries {
-			boundaries[i] = protos[i%distinct]
-		}
 		o := runtime.NewObs(obs.NewTracer(0), obs.NewMetrics())
-		srv := runtime.NewServer(m).WithWorkers(4).WithObs(o)
-		conn, err := dialLoopback(srv)
+		reps, _, err := flood(runtime.NewServer(m).WithWorkers(4).WithObs(o), m, ch, timeScale, cut, protos, 1, n)
 		if err != nil {
 			return nil, err
 		}
-		rep, err := runtime.NewClient(conn, m, ch, timeScale).RunBoundaryJobs(cut, boundaries)
-		conn.Close()
-		srv.Close()
-		if err != nil {
-			return nil, err
-		}
-
+		rep := reps[0]
 		busyMs, meanBatch := serverLoad(o)
 
 		// Prop. 4.1 reference, as in RuntimePipeline: measured f
 		// (zero here — no mobile stage), channel-model g.
-		up := timeScale * ch.TxMs(runtime.RequestWireBytes(boundShape))
 		seq := make([]flowshop.Job, 0, n)
 		for _, r := range rep.Results {
 			seq = append(seq, flowshop.Job{ID: r.JobID, A: r.MobileMs, B: up})

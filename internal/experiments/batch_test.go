@@ -1,10 +1,46 @@
 package experiments
 
 import (
+	"math"
 	"testing"
+	"time"
 
 	"dnnjps/internal/netsim"
+	"dnnjps/internal/obs"
+	"dnnjps/internal/runtime"
 )
+
+// serverLoad's busy time is the union of the server's cloud-compute
+// spans: a group's copied span and concurrent workers' overlapping
+// spans each cover their wall time once, and spans of other tracks or
+// names count nothing.
+func TestServerLoadUnionsSpans(t *testing.T) {
+	type span struct{ from, to int } // ms after the tracer's epoch
+	for _, tc := range []struct {
+		name  string
+		spans []span
+		want  float64
+	}{
+		{"none", nil, 0},
+		{"identical", []span{{0, 10}, {0, 10}}, 10},
+		{"overlapping", []span{{0, 10}, {5, 15}}, 15},
+		{"nested", []span{{0, 20}, {5, 10}}, 20},
+		{"disjoint", []span{{0, 5}, {10, 15}}, 10},
+		{"mixed", []span{{0, 10}, {0, 10}, {5, 15}, {20, 25}}, 20},
+	} {
+		tr := obs.NewTracer(0)
+		at := func(ms int) time.Time { return tr.Epoch().Add(time.Duration(ms) * time.Millisecond) }
+		for i, sp := range tc.spans {
+			tr.Record(runtime.TrackServer, runtime.SpanCloudCompute, i, at(sp.from), at(sp.to))
+		}
+		tr.Record(runtime.TrackServer, runtime.SpanQueueWait, 0, at(0), at(40))
+		tr.Record(runtime.TrackCloud, runtime.SpanCloudCompute, 0, at(0), at(40))
+		busy, meanBatch := serverLoad(runtime.NewObs(tr, obs.NewMetrics()))
+		if math.Abs(busy-tc.want) > 1e-9 || meanBatch != 1 {
+			t.Errorf("%s: serverLoad = %g ms busy, mean batch %g; want %g ms, 1", tc.name, busy, meanBatch, tc.want)
+		}
+	}
+}
 
 // A live batching run on the server's one rule: a job parks at the
 // model's tail unit and shares its fully connected tail with whoever

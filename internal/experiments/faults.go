@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"net"
 	"time"
 
 	"dnnjps/internal/core"
@@ -84,22 +83,14 @@ func runtimeFaults(env Env, g *dag.Graph, lp livePlan, label string, ch netsim.C
 	fullMs := float64(time.Since(t0)) / float64(time.Millisecond)
 	jobTimeout := time.Duration((4*(fullMs+gWallMax) + 250) * float64(time.Millisecond))
 
-	srv := runtime.NewServer(m)
-	defer srv.Close()
+	loopback, stop, err := serve(runtime.NewServer(m))
+	if err != nil {
+		return nil, err
+	}
+	defer stop()
 	var rows []*FaultRow
 	for ri, pct := range dropPcts {
-		prob := pct / 100
-		conns := 0
-		dial := func() (net.Conn, error) {
-			conn, err := dialLoopback(srv)
-			if err != nil {
-				return nil, err
-			}
-			conns++
-			return netsim.Inject(conn,
-				netsim.FaultSpec{DropProb: prob}, netsim.FaultSpec{},
-				seed+int64(100*ri+conns), timeScale), nil
-		}
+		dial := injected(loopback, netsim.FaultSpec{DropProb: pct / 100}, seed+int64(100*ri), timeScale, ch)
 		r := runtime.NewRunner(dial, m, ch, timeScale, runtime.RunOptions{
 			JobTimeout:    jobTimeout,
 			MaxReconnects: 20,

@@ -2,19 +2,13 @@ package experiments
 
 import (
 	"fmt"
-	"net"
 	"sort"
-	"sync"
-	"time"
 
-	"dnnjps/internal/dag"
 	"dnnjps/internal/engine"
 	"dnnjps/internal/netsim"
 	"dnnjps/internal/obs"
-	"dnnjps/internal/profile"
 	"dnnjps/internal/report"
 	"dnnjps/internal/runtime"
-	"dnnjps/internal/tensor"
 )
 
 // RuntimeFleetResult is one fleet-load probe: N concurrent clients on
@@ -29,8 +23,8 @@ type RuntimeFleetResult struct {
 	// MakespanMs is the wall time from first dial to last reply
 	// across every client.
 	MakespanMs float64
-	// BusyPerJobMs is the server's deduplicated cloud-compute wall
-	// time divided by the job count — the per-job cost
+	// BusyPerJobMs is the wall time the server's cloud-compute spans
+	// cover divided by the job count — the per-job cost
 	// cross-connection batching shrinks.
 	BusyPerJobMs float64
 	// MeanBatch is the average executed group size. Per-connection
@@ -46,24 +40,6 @@ type RuntimeFleetResult struct {
 	Shed int64
 }
 
-// deepParamCut returns the deepest offloaded cut whose suffix still
-// holds parameterized compute: past it the server would only run an
-// unparameterized epilogue, which batching cannot help.
-func deepParamCut(g *dag.Graph, units []profile.Unit) int {
-	cut := len(units) - 2
-	tailParams := int64(0)
-	for i := len(units) - 2; i >= 0; i-- {
-		for _, id := range units[i+1].Nodes {
-			tailParams += g.NodeParams(id)
-		}
-		if tailParams > 0 {
-			cut = i
-			break
-		}
-	}
-	return cut
-}
-
 // RuntimeFleet runs the fleet probe at each client count against the
 // server's one grouping rule (a dense tail's jobs park at the tail unit
 // and share groups across connections); if shedWatermark > 0 a final
@@ -74,17 +50,8 @@ func deepParamCut(g *dag.Graph, units []profile.Unit) int {
 // accounting, and cross-connection grouping with genuinely independent
 // sockets.
 func RuntimeFleet(env Env, model string, ch netsim.Channel, clientCounts []int, jobsPerClient, shedWatermark int, timeScale float64) ([]*RuntimeFleetResult, error) {
-	g := mustModel(model)
-	const seed = 42
-	m := engine.Load(g, seed)
-	units := profile.LineView(g)
-	cut := deepParamCut(g, units)
-
-	// Distinct boundary activations recycled across jobs, as in
-	// RuntimeBatch: the probe measures the serving fabric, not the
-	// mobile prefix.
-	const distinct = 4
-	protos, err := syntheticBoundaries(m, units, cut, distinct)
+	m := engine.Load(mustModel(model), 42)
+	cut, protos, err := headJobs(m)
 	if err != nil {
 		return nil, err
 	}
@@ -98,60 +65,15 @@ func RuntimeFleet(env Env, model string, ch netsim.Channel, clientCounts []int, 
 		if wm > 0 {
 			srv = srv.WithShedWatermark(wm)
 		}
-		lis, err := net.Listen("tcp", "127.0.0.1:0")
+		reps, makespan, err := flood(srv, m, ch, timeScale, cut, protos, clients, jobsPerClient)
 		if err != nil {
 			return nil, err
 		}
-		go func() { _ = srv.Serve(lis) }()
-		defer srv.Close()
-		defer lis.Close()
-
-		boundaries := make([]*tensor.Tensor, jobsPerClient)
-		for i := range boundaries {
-			boundaries[i] = protos[i%distinct]
-		}
-
-		var (
-			wg        sync.WaitGroup
-			mu        sync.Mutex
-			latencies []float64
-			firstErr  error
-		)
-		t0 := time.Now()
-		for c := 0; c < clients; c++ {
-			wg.Add(1)
-			go func(c int) {
-				defer wg.Done()
-				conn, err := net.Dial("tcp", lis.Addr().String())
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					return
-				}
-				defer conn.Close()
-				cl := runtime.NewClient(conn, m, ch, timeScale).
-					WithTenant(fmt.Sprintf("client-%02d", c))
-				rep, err := cl.RunBoundaryJobs(cut, boundaries)
-				mu.Lock()
-				defer mu.Unlock()
-				if err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-					return
-				}
-				for _, r := range rep.Results {
-					latencies = append(latencies, r.CommMs+r.CloudMs+r.QueueMs)
-				}
-			}(c)
-		}
-		wg.Wait()
-		makespan := float64(time.Since(t0)) / float64(time.Millisecond)
-		if firstErr != nil {
-			return nil, firstErr
+		var latencies []float64
+		for _, rep := range reps {
+			for _, r := range rep.Results {
+				latencies = append(latencies, r.CommMs+r.CloudMs+r.QueueMs)
+			}
 		}
 
 		busyMs, meanBatch := serverLoad(o)

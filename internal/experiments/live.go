@@ -1,8 +1,12 @@
 package experiments
 
 import (
+	"errors"
+	"fmt"
 	"net"
 	"slices"
+	"sync"
+	"time"
 
 	"dnnjps/internal/core"
 	"dnnjps/internal/dag"
@@ -15,9 +19,16 @@ import (
 	"dnnjps/internal/tensor"
 )
 
-// What the live-runtime figures (runtime, trace, faults, batch, fleet,
-// adapt) share: their inputs, their loopback connection, and a plan of
-// either kind reduced to what a figure does with it.
+// The one harness of the live-runtime figures (runtime, trace, faults,
+// batch, fleet, adapt). Each figure is its configuration plus one call:
+//   - runOnce runs a plan on a fresh server (runtime, both legs; trace);
+//   - flood fires headJobs' traffic from concurrent clients (batch at
+//     one client, fleet at N);
+//   - serve and injected give the runner figures (faults, adapt) a
+//     loopback dial through a fault injector.
+//
+// Around them: the figures' inputs, and a plan of either kind reduced
+// to what a figure does with it.
 
 // syntheticInputs builds n deterministic, distinct inputs for g.
 func syntheticInputs(g *dag.Graph, n int) []*tensor.Tensor {
@@ -51,24 +62,111 @@ func syntheticBoundaries(m *engine.Model, units []profile.Unit, cut, n int) ([]*
 	return out, nil
 }
 
-// dialLoopback serves one connection of srv on a fresh loopback
-// listener and returns the client end. Closing srv stays with the
-// caller, as does wrapping the connection in a fault injector.
-func dialLoopback(srv *runtime.Server) (net.Conn, error) {
+// serve puts srv behind one loopback listener. dial opens a client
+// connection to it; stop closes the listener, then the server.
+func serve(srv *runtime.Server) (dial func() (net.Conn, error), stop func(), err error) {
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, nil, err
+	}
+	go func() { _ = srv.Serve(lis) }()
+	dial = func() (net.Conn, error) { return net.Dial("tcp", lis.Addr().String()) }
+	return dial, func() { lis.Close(); srv.Close() }, nil
+}
+
+// injected wraps the client end of each connection dial opens in a
+// fault injector: spec on the uplink, the k-th dial seeded seed+k (k
+// from 1). The injector is told the client shaper's nominal rate, so a
+// scripted Degrade cap is the effective rate on the wire, not a second
+// pacing stage stacked under the shaper's.
+func injected(dial func() (net.Conn, error), spec netsim.FaultSpec, seed int64, timeScale float64, nominal netsim.Channel) func() (net.Conn, error) {
+	var k int64
+	return func() (net.Conn, error) {
+		conn, err := dial()
+		if err != nil {
+			return nil, err
+		}
+		k++
+		return netsim.Inject(conn, spec, netsim.FaultSpec{}, seed+k, timeScale).WithNominal(nominal), nil
+	}
+}
+
+// runOnce runs lp once over loopback on a fresh server of m, the
+// client and the server both reporting to o (nil: nowhere).
+func runOnce(m *engine.Model, lp livePlan, inputs []*tensor.Tensor, ch netsim.Channel, timeScale float64, o *runtime.Obs) (*runtime.Report, error) {
+	dial, stop, err := serve(runtime.NewServer(m).WithObs(o))
 	if err != nil {
 		return nil, err
 	}
-	go func() {
-		defer lis.Close()
-		conn, err := lis.Accept()
-		if err != nil {
-			return
+	defer stop()
+	conn, err := dial()
+	if err != nil {
+		return nil, err
+	}
+	defer conn.Close()
+	return lp.run(runtime.NewClient(conn, m, ch, timeScale).WithObs(o), inputs)
+}
+
+// headJobs is the traffic of the probes that load the server without a
+// mobile stage: the deepest offloaded cut whose suffix still holds
+// parameterized compute, and four distinct real boundary activations
+// there, recycled across jobs (computing one heavy prefix per job would
+// only delay the probe). The suffix is the model's head — for the
+// paper's models a small upload and a weight-streaming-bound remainder;
+// past it the server would only run an unparameterized epilogue, which
+// batching cannot help.
+func headJobs(m *engine.Model) (cut int, protos []*tensor.Tensor, err error) {
+	g := m.Graph()
+	units := profile.LineView(g)
+	cut = len(units) - 2
+	tailParams := int64(0)
+	for i := len(units) - 2; i >= 0; i-- {
+		for _, id := range units[i+1].Nodes {
+			tailParams += g.NodeParams(id)
 		}
-		defer conn.Close()
-		_ = srv.HandleConn(conn)
-	}()
-	return net.Dial("tcp", lis.Addr().String())
+		if tailParams > 0 {
+			cut = i
+			break
+		}
+	}
+	protos, err = syntheticBoundaries(m, units, cut, 4)
+	return cut, protos, err
+}
+
+// flood serves srv and fires jobs head jobs at cut (boundaries recycled
+// from protos) from each of clients concurrent loopback connections,
+// each with its own tenant ID, all at once via Client.RunBoundaryJobs;
+// it stops srv once every reply is in. It returns each client's report
+// and the wall time from the first dial to the last reply.
+func flood(srv *runtime.Server, m *engine.Model, ch netsim.Channel, timeScale float64, cut int, protos []*tensor.Tensor, clients, jobs int) ([]*runtime.Report, float64, error) {
+	dial, stop, err := serve(srv)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer stop()
+	boundaries := make([]*tensor.Tensor, jobs)
+	for i := range boundaries {
+		boundaries[i] = protos[i%len(protos)]
+	}
+	reps, errs := make([]*runtime.Report, clients), make([]error, clients)
+	var wg sync.WaitGroup
+	t0 := time.Now()
+	for c := range reps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			conn, err := dial()
+			if err != nil {
+				errs[c] = err
+				return
+			}
+			defer conn.Close()
+			reps[c], errs[c] = runtime.NewClient(conn, m, ch, timeScale).
+				WithTenant(fmt.Sprintf("client-%02d", c)).RunBoundaryJobs(cut, boundaries)
+		}()
+	}
+	wg.Wait()
+	return reps, float64(time.Since(t0)) / float64(time.Millisecond), errors.Join(errs...)
 }
 
 // livePlan is one plan as the live figures execute it, line-view or
@@ -147,21 +245,19 @@ func (lp livePlan) replay(results []*runtime.JobResult, timeScale, div float64) 
 }
 
 // serverLoad reads a traced server's suffix-stage cost: the wall time
-// of its cloud-compute spans, each distinct (start, duration) interval
-// counted once — batch members carry copies of their group's shared
-// execution span — and the mean executed group size (1 when nothing
-// was coalesced).
+// its cloud-compute spans cover, overlapping spans counted once — batch
+// members carry copies of their group's shared execution span, and
+// concurrent workers' spans overlap — and the mean executed group size
+// (1 when nothing was coalesced).
 func serverLoad(o *runtime.Obs) (busyMs, meanBatch float64) {
-	type interval struct{ start, dur int64 }
-	seen := map[interval]bool{}
-	var busyNs int64
-	for _, sp := range o.Tracer.Spans() {
+	var busyNs, end int64
+	for _, sp := range o.Tracer.Spans() { // sorted by start
 		if sp.Track != runtime.TrackServer || sp.Name != runtime.SpanCloudCompute {
 			continue
 		}
-		if iv := (interval{sp.StartNs, sp.DurNs}); !seen[iv] {
-			seen[iv] = true
-			busyNs += sp.DurNs
+		if from := max(sp.StartNs, end); sp.EndNs() > from {
+			busyNs += sp.EndNs() - from
+			end = sp.EndNs()
 		}
 	}
 	meanBatch = 1

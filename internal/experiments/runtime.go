@@ -11,6 +11,7 @@ import (
 	"dnnjps/internal/netsim"
 	"dnnjps/internal/report"
 	"dnnjps/internal/runtime"
+	"dnnjps/internal/tensor"
 )
 
 // RuntimeResult compares one live run of the offloading runtime
@@ -77,35 +78,28 @@ func runtimePipeline(env Env, g *dag.Graph, lp livePlan, label string, ch netsim
 	inputs := syntheticInputs(g, n)
 
 	// Pipelined run.
-	srv := runtime.NewServer(m)
-	conn, err := dialLoopback(srv)
-	if err != nil {
-		return nil, err
-	}
-	rep, err := lp.run(runtime.NewClient(conn, m, ch, timeScale), inputs)
-	conn.Close()
-	srv.Close()
+	rep, err := runOnce(m, lp, inputs, ch, timeScale, nil)
 	if err != nil {
 		return nil, err
 	}
 
 	// Synchronous baseline: same plan, same sequence, one round trip at
-	// a time, on a server as fresh as the first run's.
-	srv = runtime.NewServer(m)
-	defer srv.Close()
-	conn, err = dialLoopback(srv)
+	// a time, on a server as fresh as the first run's, timed from its
+	// first job.
+	syncLeg := lp
+	syncLeg.run = func(cl *runtime.Client, in []*tensor.Tensor) (*runtime.Report, error) {
+		start := time.Now()
+		for _, j := range lp.seq {
+			if _, err := lp.one(cl, j.ID, in[j.ID]); err != nil {
+				return nil, err
+			}
+		}
+		return &runtime.Report{MakespanMs: float64(time.Since(start)) / float64(time.Millisecond)}, nil
+	}
+	syncRep, err := runOnce(m, syncLeg, inputs, ch, timeScale, nil)
 	if err != nil {
 		return nil, err
 	}
-	defer conn.Close()
-	scl := runtime.NewClient(conn, m, ch, timeScale)
-	syncStart := time.Now()
-	for _, j := range lp.seq {
-		if _, err := lp.one(scl, j.ID, inputs[j.ID]); err != nil {
-			return nil, err
-		}
-	}
-	syncMs := float64(time.Since(syncStart)) / float64(time.Millisecond)
 
 	// Analytic references from the measured run: f is the measured
 	// mobile prefix time, g the channel model's upload time (what the
@@ -120,7 +114,7 @@ func runtimePipeline(env Env, g *dag.Graph, lp livePlan, label string, ch netsim
 		Jobs:        n,
 		TimeScale:   timeScale,
 		PipelinedMs: rep.MakespanMs,
-		SyncMs:      syncMs,
+		SyncMs:      syncRep.MakespanMs,
 		FormulaMs:   flowshop.FormulaMakespan(lp.measured(rep.Results, timeScale)),
 		SimMs:       simRes.Makespan,
 	}, nil

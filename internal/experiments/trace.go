@@ -48,15 +48,7 @@ func RuntimeTrace(env Env, model string, ch netsim.Channel, n int, timeScale flo
 	lp := liveLinePlan(g, plan, ch)
 
 	tr := obs.NewTracer(0)
-	o := runtime.NewObs(tr, obs.NewMetrics())
-	srv := runtime.NewServer(m).WithObs(o)
-	defer srv.Close()
-	conn, err := dialLoopback(srv)
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	rep, err := runtime.NewClient(conn, m, ch, timeScale).WithObs(o).RunPlan(plan, syntheticInputs(g, n))
+	rep, err := runOnce(m, lp, syntheticInputs(g, n), ch, timeScale, runtime.NewObs(tr, obs.NewMetrics()))
 	if err != nil {
 		return nil, err
 	}

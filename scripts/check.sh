@@ -123,6 +123,12 @@ echo "== go test -race (jpsserve)"
 # acceptLoop, perConn, the downlink shaper and the fault injector, on Server.Serve's goroutines.
 go test -race ./cmd/jpsserve/
 
+echo "== go test -race (live figures' flood fan-out)"
+# flood dials every client on its own goroutine and each writes its own
+# report and error slot; the batch, fleet and trace figures also share
+# one server and tracer across the client and server goroutines.
+go test -race -count=1 -run 'TestRuntime(Batch|Fleet|Trace)Live$' ./internal/experiments/
+
 echo "== adaptive replanning deflake (3x, timing-sensitive live runs)"
 # The adaptive tests drive real loopback connections through the
 # scripted-degradation injector; three back-to-back runs catch
