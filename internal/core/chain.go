@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"dnnjps/internal/dag"
 	"dnnjps/internal/flowshop"
@@ -202,8 +203,11 @@ func enumTuples(pareto []int, k int, visit func(cuts []int)) {
 // enumerate non-decreasing Pareto tuples, rank by peak stage (the
 // asymptotic average-makespan driver), and mix the best two candidates
 // across jobs at a few splits, each priced by the full
-// CDS-m/NEH-m/descent sequencer. O(C(p+k-1,k)) tuples over p Pareto
-// cuts — model-sized p keeps this in milliseconds even at depth 4.
+// CDS-m/NEH-m/descent sequencer — concurrently, one goroutine per
+// distinct split, with the same plan as one after another. The two
+// end splits are one-type instances, which ScheduleM returns without
+// sequencing. O(C(p+k-1,k)) tuples over p Pareto cuts — model-sized p
+// keeps this in milliseconds even at depth 4.
 func JPSChain(g *dag.Graph, ch Chain, n int) (*ChainPlan, error) {
 	if err := ch.Validate(); err != nil {
 		return nil, err
@@ -222,35 +226,56 @@ func JPSChain(g *dag.Graph, ch Chain, n int) (*ChainPlan, error) {
 	c := buildChainCurves(g, ch)
 	best, second := bestTwo(c.candidates(ch.Depth()))
 
-	// One job slice serves every mix: entries share their candidate's
-	// stage vector (the sequencer copies its input). The splits repeat
-	// when n < 4, and with a single candidate — or two that price the
-	// same — every mix is the same instance; the strict < below keeps
-	// the first of equal makespans, so skipping repeats changes nothing.
+	// The splits repeat when n < 4, and with a single candidate — or two
+	// that price the same — every mix is the same instance; the strict <
+	// below keeps the first of equal makespans, so skipping repeats
+	// changes nothing. Distinct mixes are sequenced concurrently, each on
+	// its own job slice (entries share their candidate's stage vector;
+	// the sequencer copies) into its own slot, and reduced in mix order,
+	// so the plan does not depend on which finishes first.
 	mixes := []int{0, n / 4, n / 2, 3 * n / 4, n}
 	if slices.Equal(best.stages, second.stages) {
 		mixes = mixes[:1]
 	}
-	jobs := make([]flowshop.JobM, n)
-	plan := &ChainPlan{Method: "JPS-chain"}
-	bestMix := -1
-	for i, mixAt := range mixes {
-		if i > 0 && mixAt == mixes[i-1] {
-			continue
-		}
+	mixes = slices.Compact(mixes)
+	seqs := make([][]flowshop.JobM, len(mixes))
+	spans := make([]float64, len(mixes))
+	sequence := func(i int) {
+		jobs := make([]flowshop.JobM, n)
 		for j := range jobs {
 			jobs[j] = flowshop.JobM{ID: j, Stages: best.stages}
-			if j < mixAt {
+			if j < mixes[i] {
 				jobs[j].Stages = second.stages
 			}
 		}
-		seq := flowshop.ScheduleM(jobs)
-		if span := flowshop.MakespanM(seq); bestMix < 0 || span < plan.Makespan {
-			bestMix, plan.Sequence, plan.Makespan = mixAt, seq, span
+		seqs[i] = flowshop.ScheduleM(jobs)
+		spans[i] = flowshop.MakespanM(seqs[i])
+	}
+	if len(mixes) == 1 {
+		sequence(0)
+	} else {
+		var wg sync.WaitGroup
+		wg.Add(len(mixes))
+		for i := range mixes {
+			go func() {
+				defer wg.Done()
+				sequence(i)
+			}()
+		}
+		wg.Wait()
+	}
+	w := 0
+	for i := 1; i < len(mixes); i++ {
+		if spans[i] < spans[w] {
+			w = i
 		}
 	}
-	plan.Cuts = tileCuts(n, bestMix, second.cuts, best.cuts)
-	return plan, nil
+	return &ChainPlan{
+		Method:   "JPS-chain",
+		Cuts:     tileCuts(n, mixes[w], second.cuts, best.cuts),
+		Sequence: seqs[w],
+		Makespan: spans[w],
+	}, nil
 }
 
 // chainCand is one cut tuple priced as a pipeline job.

@@ -1,9 +1,16 @@
 package core
 
 import (
+	"fmt"
+	"math"
+	"reflect"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
+	"time"
 
+	"dnnjps/internal/dag"
 	"dnnjps/internal/flowshop"
 	"dnnjps/internal/models"
 	"dnnjps/internal/netsim"
@@ -130,4 +137,67 @@ func TestJPSChainAllocs(t *testing.T) {
 	if got > 4000 {
 		t.Errorf("JPSChain(mobilenetv2, 3 devices, n=100) = %.0f allocs/run, want <= 4000", got)
 	}
+}
+
+// JPSChain sequences its distinct mixes concurrently and reduces them in
+// mix order, so the plan cannot depend on how many run at once: the
+// same makespan bits, cuts and sequence at GOMAXPROCS 1, 2 and 8, and
+// no goroutine left behind.
+func TestJPSChainSameAtAnyGOMAXPROCS(t *testing.T) {
+	prev := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	baseline := runtime.NumGoroutine()
+	type cell struct {
+		g     *dag.Graph
+		ch    Chain
+		n     int
+		name  string
+		first *ChainPlan
+	}
+	var cells []*cell
+	for _, model := range []string{"alexnet", "mobilenetv2", "resnet18", "googlenet"} {
+		g := models.MustBuild(model)
+		for _, access := range []netsim.Channel{netsim.FourG, netsim.WiFi} {
+			for _, depth := range []int{2, 3} {
+				for _, n := range []int{1, 3, 100} {
+					cells = append(cells, &cell{g: g, ch: trafficChain(access, depth), n: n,
+						name: fmt.Sprintf("%s/%s depth %d n=%d", model, access.Name, depth, n)})
+				}
+			}
+		}
+	}
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		for _, c := range cells {
+			p, err := JPSChain(c.g, c.ch, c.n)
+			if err != nil {
+				t.Fatalf("%s at GOMAXPROCS %d: %v", c.name, procs, err)
+			}
+			if c.first == nil {
+				c.first = p
+				continue
+			}
+			if math.Float64bits(p.Makespan) != math.Float64bits(c.first.Makespan) ||
+				!reflect.DeepEqual(p.Cuts, c.first.Cuts) || !slices.Equal(jobIDs(p.Sequence), jobIDs(c.first.Sequence)) {
+				t.Errorf("%s: GOMAXPROCS %d plans makespan %v cuts %v sequence %v; GOMAXPROCS 1: %v %v %v",
+					c.name, procs, p.Makespan, p.Cuts, jobIDs(p.Sequence),
+					c.first.Makespan, c.first.Cuts, jobIDs(c.first.Sequence))
+			}
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines running, %d before the plans", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+func jobIDs(seq []flowshop.JobM) []int {
+	ids := make([]int, len(seq))
+	for i, j := range seq {
+		ids[i] = j.ID
+	}
+	return ids
 }

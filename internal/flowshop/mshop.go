@@ -28,7 +28,9 @@ import (
 // start from cached state and stop once they provably cannot win
 // (swapDescentM). Scratch is a few flat (n+1)·m matrices that live for
 // one call: ≈ 55 allocations at n=100, m=3, over half of them inside
-// CDS's two Johnson calls.
+// CDS's two Johnson calls. A one-type instance (every job's stages ==)
+// costs its deep copy and one O(n·m) comparison: all three stages
+// would return it in input order (see ScheduleM), so none runs.
 
 // JobM is an m-stage job: Stages[i] runs on machine i. Every job in a
 // sequence must have the same number of stages (the sequencers panic
@@ -313,9 +315,18 @@ func nehOrder(jobs []JobM, m int) []JobM {
 // deep copy of the input serves all three stages. NEH's float
 // tie-breaking is described at nehOrder. The input is not modified and
 // the result shares no memory with it.
+//
+// A one-type instance — every job's Stages element-wise == the first
+// job's — comes back as that copy, in input order, in O(n·m): what the
+// full path returns, for three reasons. Johnson's rule breaks ties by
+// index, so every CDS surrogate keeps the input order and t = 1 wins;
+// NEH's sequence holds the same stage vectors, so it prices to the
+// same float and the strict < keeps CDS; and the descent skips every
+// pair by its rule (2). NaN stages are never ==, so they take the full
+// path (TestScheduleMOneTypeMatchesFullPath).
 func ScheduleM(jobs []JobM) []JobM {
 	own, m := ownJobsM(jobs)
-	if m == 0 {
+	if m == 0 || oneType(own) {
 		return own
 	}
 	seq, neh := cdsOrder(own, m), nehOrder(own, m)
@@ -325,6 +336,17 @@ func ScheduleM(jobs []JobM) []JobM {
 	}
 	swapDescentM(seq)
 	return seq
+}
+
+// oneType reports whether every job's Stages are element-wise == the
+// first job's.
+func oneType(jobs []JobM) bool {
+	for _, j := range jobs[1:] {
+		if !slices.Equal(j.Stages, jobs[0].Stages) {
+			return false
+		}
+	}
+	return true
 }
 
 // swapDescentM reorders seq in place by first-improvement pairwise

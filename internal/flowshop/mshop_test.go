@@ -401,6 +401,59 @@ func TestScheduleMRatioVsReference(t *testing.T) {
 	}
 }
 
+// A one-type instance — every job's stages element-wise == — comes back
+// from ScheduleM exactly as the full CDS → NEH → strict compare →
+// descent path returns it: the same IDs in the same order, the same
+// stage bits. Covers shuffled IDs, m = 1 (no CDS surrogate) and one
+// type whose two copies differ only in the sign of their zero stages.
+func TestScheduleMOneTypeMatchesFullPath(t *testing.T) {
+	fullPath := func(jobs []JobM) []JobM {
+		own, m := ownJobsM(jobs)
+		seq, neh := cdsOrder(own, m), nehOrder(own, m)
+		c := make([]float64, m)
+		if makespanInto(c, neh) < makespanInto(c, seq) {
+			seq = neh
+		}
+		swapDescentM(seq)
+		return seq
+	}
+	rng := rand.New(rand.NewSource(25))
+	oneType := func(n int, stages ...[]float64) []JobM {
+		jobs := make([]JobM, n)
+		for i, id := range rng.Perm(n) {
+			jobs[i] = JobM{ID: 10 * id, Stages: stages[i%len(stages)]}
+		}
+		return jobs
+	}
+	type instance struct {
+		name string
+		jobs []JobM
+	}
+	var cases []instance
+	for _, m := range []int{1, 2, 3, 5} {
+		for _, n := range []int{1, 2, 7, 100} {
+			st := randJobsM(rng, 1, m)[0].Stages
+			cases = append(cases, instance{fmt.Sprintf("m=%d n=%d", m, n), oneType(n, st)})
+		}
+	}
+	negZero := math.Copysign(0, -1)
+	cases = append(cases, instance{"±0 stages", oneType(9, []float64{0, 2.5, negZero}, []float64{negZero, 2.5, 0})})
+	for _, c := range cases {
+		got, want := ScheduleM(c.jobs), fullPath(c.jobs)
+		if !reflect.DeepEqual(idsM(got), idsM(want)) {
+			t.Errorf("%s: IDs %v, full path %v", c.name, idsM(got), idsM(want))
+			continue
+		}
+		for i := range want {
+			for k, v := range want[i].Stages {
+				if math.Float64bits(got[i].Stages[k]) != math.Float64bits(v) {
+					t.Errorf("%s: position %d stage %d = %v, full path %v", c.name, i, k, got[i].Stages[k], v)
+				}
+			}
+		}
+	}
+}
+
 // (e) Scratch lives for one call and is a handful of flat matrices:
 // ScheduleM at the paper's n=100 on a 3-machine chain stays under 80
 // allocations (the two Johnson calls inside CDS are ~30 of them; the

@@ -121,12 +121,16 @@ func TestDeviceScaled(t *testing.T) {
 	if math.Abs(slow-2*quick) > 1e-9 {
 		t.Errorf("2x device should halve compute: %g vs %g", slow, quick)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Scaled(0) must panic")
-		}
-	}()
-	pi.Scaled(0)
+	for _, factor := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Scaled(%g) must panic", factor)
+				}
+			}()
+			pi.Scaled(factor)
+		}()
+	}
 }
 
 func TestCurveShapeProperties(t *testing.T) {
