@@ -418,7 +418,7 @@ func TestScheduleMOneTypeMatchesFullPath(t *testing.T) {
 		return seq
 	}
 	rng := rand.New(rand.NewSource(25))
-	oneType := func(n int, stages ...[]float64) []JobM {
+	sameType := func(n int, stages ...[]float64) []JobM {
 		jobs := make([]JobM, n)
 		for i, id := range rng.Perm(n) {
 			jobs[i] = JobM{ID: 10 * id, Stages: stages[i%len(stages)]}
@@ -433,11 +433,11 @@ func TestScheduleMOneTypeMatchesFullPath(t *testing.T) {
 	for _, m := range []int{1, 2, 3, 5} {
 		for _, n := range []int{1, 2, 7, 100} {
 			st := randJobsM(rng, 1, m)[0].Stages
-			cases = append(cases, instance{fmt.Sprintf("m=%d n=%d", m, n), oneType(n, st)})
+			cases = append(cases, instance{fmt.Sprintf("m=%d n=%d", m, n), sameType(n, st)})
 		}
 	}
 	negZero := math.Copysign(0, -1)
-	cases = append(cases, instance{"±0 stages", oneType(9, []float64{0, 2.5, negZero}, []float64{negZero, 2.5, 0})})
+	cases = append(cases, instance{"±0 stages", sameType(9, []float64{0, 2.5, negZero}, []float64{negZero, 2.5, 0})})
 	for _, c := range cases {
 		got, want := ScheduleM(c.jobs), fullPath(c.jobs)
 		if !reflect.DeepEqual(idsM(got), idsM(want)) {

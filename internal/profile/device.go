@@ -168,7 +168,7 @@ func (d Device) Quantized() Device {
 // Scaled returns a copy of the device with all throughputs multiplied
 // by factor — used by ablations that sweep the mobile/cloud speed gap.
 // factor must be finite and above 0: a NaN or infinite device would
-// price every layer NaN or 0 and still get a plan.
+// price every layer's compute NaN or 0 and still get a plan.
 func (d Device) Scaled(factor float64) Device {
 	if !(factor > 0) || math.IsInf(factor, 1) {
 		panic(fmt.Sprintf("profile: scale factor %g is not a finite factor above 0", factor))
