@@ -20,11 +20,13 @@ import (
 	"dnnjps/internal/tensor"
 )
 
+// The flags live at package scope so Example can run main more than once.
+var (
+	model = flag.String("model", "resnet18", "model name: "+fmt.Sprint(models.Names()))
+	n     = flag.Int("n", 24, "frames per planning batch")
+)
+
 func main() {
-	var (
-		model = flag.String("model", "resnet18", "model name: "+fmt.Sprint(models.Names()))
-		n     = flag.Int("n", 24, "frames per planning batch")
-	)
 	flag.Parse()
 
 	g, err := models.Build(*model)

@@ -51,10 +51,7 @@ func TwoTierChain(mobile, cloud profile.Device, uplink netsim.Channel, dt tensor
 func (c Chain) Depth() int { return len(c.Links) }
 
 // Validate rejects chains the planner cannot price: too few devices,
-// mismatched link count, and — the silent-degeneracy bugfix — links
-// whose bandwidth is zero, negative, NaN or infinite, which would turn
-// TxMs into +Inf/NaN and poison every downstream makespan instead of
-// failing here with a message.
+// mismatched link count, and links checkLink rejects.
 func (c Chain) Validate() error {
 	if len(c.Devices) < 2 {
 		return fmt.Errorf("core: chain needs >= 2 devices, got %d", len(c.Devices))
@@ -64,18 +61,26 @@ func (c Chain) Validate() error {
 			len(c.Devices), len(c.Devices)-1, len(c.Links))
 	}
 	for l, ch := range c.Links {
-		if math.IsNaN(ch.UplinkMbps) || math.IsInf(ch.UplinkMbps, 0) || ch.UplinkMbps <= 0 {
-			return fmt.Errorf("core: chain link %d (%s) has unusable uplink bandwidth %g Mb/s",
-				l, ch.Name, ch.UplinkMbps)
+		if err := checkLink(ch); err != nil {
+			return fmt.Errorf("core: chain link %d %w", l, err)
 		}
-		if math.IsNaN(ch.SetupMs) || math.IsInf(ch.SetupMs, 0) || ch.SetupMs < 0 {
-			return fmt.Errorf("core: chain link %d (%s) has unusable setup latency %g ms",
-				l, ch.Name, ch.SetupMs)
-		}
-		if math.IsNaN(ch.DownlinkMbps) || math.IsInf(ch.DownlinkMbps, 0) {
-			return fmt.Errorf("core: chain link %d (%s) has unusable downlink bandwidth %g Mb/s",
-				l, ch.Name, ch.DownlinkMbps)
-		}
+	}
+	return nil
+}
+
+// checkLink rejects a channel the planner cannot price: an uplink that
+// is not a finite positive bandwidth, a setup latency that is not finite
+// and non-negative, or a NaN or infinite downlink would price uploads
+// +Inf, NaN or setup-only and still get a plan.
+func checkLink(ch netsim.Channel) error {
+	if !(ch.UplinkMbps > 0) || math.IsInf(ch.UplinkMbps, 1) {
+		return fmt.Errorf("(%s) has unusable uplink bandwidth %g Mb/s", ch.Name, ch.UplinkMbps)
+	}
+	if !(ch.SetupMs >= 0) || math.IsInf(ch.SetupMs, 1) {
+		return fmt.Errorf("(%s) has unusable setup latency %g ms", ch.Name, ch.SetupMs)
+	}
+	if math.IsNaN(ch.DownlinkMbps) || math.IsInf(ch.DownlinkMbps, 0) {
+		return fmt.Errorf("(%s) has unusable downlink bandwidth %g Mb/s", ch.Name, ch.DownlinkMbps)
 	}
 	return nil
 }
@@ -99,14 +104,14 @@ func (p *ChainPlan) AvgMs() float64 {
 	return p.Makespan / float64(len(p.Cuts))
 }
 
-// chainCurves profiles the model on every device and link in one walk
-// of the line view. Every transmission derives from the cut tensor
-// volumes (a pure model/dtype property), so linkMs[l][i] is the time
-// for the tensor at position i to cross link l, exactly 0 at the last
-// position (zero-byte payload).
+// chainCurves prices the model on every device and link from the one
+// walk every curve is built from, profile.PriceUnits over the line view.
+// Every transmission derives from its cut tensor volumes, so
+// linkMs[l][i] is the time for the tensor at position i to cross link
+// l, exactly 0 at the last position (zero-byte payload).
 type chainCurves struct {
 	// f[d][i]: cumulative compute ms through position i on device d —
-	// the same left-to-right sum over the same units as
+	// the walk's per-unit times summed left to right, as in
 	// profile.BuildCurve's F.
 	f [][]float64
 	// linkMs[l][i]: transmission ms of the tensor at position i over
@@ -119,25 +124,13 @@ type chainCurves struct {
 
 func buildChainCurves(g *dag.Graph, ch Chain) *chainCurves {
 	units := profile.LineView(g)
-	c := &chainCurves{
-		f:      make([][]float64, len(ch.Devices)),
-		linkMs: make([][]float64, len(ch.Links)),
-		n:      len(units),
-	}
-	for d := range c.f {
-		c.f[d] = make([]float64, c.n)
-	}
-	bytes := make([]int, c.n) // 0 at the last position: the result stays put
-	cum := make([]float64, len(ch.Devices))
-	for i, u := range units {
-		for d, dev := range ch.Devices {
-			cum[d] += dev.NodesTimeMs(g, u.Nodes)
-			c.f[d][i] = cum[d]
-		}
-		if i < c.n-1 {
-			bytes[i] = g.OutBytes(u.Exit, ch.DType)
+	f, _, bytes := profile.PriceUnits(g, units, ch.Devices, ch.DType)
+	for _, fd := range f {
+		for i := 1; i < len(fd); i++ {
+			fd[i] += fd[i-1]
 		}
 	}
+	c := &chainCurves{f: f, linkMs: make([][]float64, len(ch.Links)), n: len(units)}
 	c.pareto = (&profile.Curve{F: c.f[0], Bytes: bytes}).ParetoCuts()
 	for l, link := range ch.Links {
 		ms := make([]float64, c.n)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"dnnjps/internal/netsim"
 	"dnnjps/internal/profile"
@@ -44,11 +45,11 @@ func ReplanWithHint(c *profile.Curve, measured netsim.Channel, n int, hint Serve
 	if c == nil {
 		return nil, fmt.Errorf("core: Replan needs a profiled curve, got nil")
 	}
-	if measured.UplinkMbps <= 0 {
-		return nil, fmt.Errorf("core: Replan needs a positive bandwidth, got %g", measured.UplinkMbps)
+	if err := checkLink(measured); err != nil {
+		return nil, fmt.Errorf("core: Replan's measured channel %w", err)
 	}
-	if hint.QueueMs < 0 {
-		return nil, fmt.Errorf("core: Replan needs a non-negative queue hint, got %g", hint.QueueMs)
+	if !(hint.QueueMs >= 0) || math.IsInf(hint.QueueMs, 1) {
+		return nil, fmt.Errorf("core: Replan needs a finite non-negative queue hint, got %g", hint.QueueMs)
 	}
 	cc := c.Reprice(measured)
 	for i := 0; i < cc.Len()-1; i++ {

@@ -1,9 +1,13 @@
 package core
 
 import (
+	"math"
 	"testing"
 
+	"dnnjps/internal/models"
 	"dnnjps/internal/netsim"
+	"dnnjps/internal/profile"
+	"dnnjps/internal/tensor"
 )
 
 // ReplanWithHint must act on the planner's real objective: the hint
@@ -53,13 +57,44 @@ func TestReplanWithHintShiftsLocal(t *testing.T) {
 	}
 }
 
+// TestReplanWithHintValidation: a channel or hint the planner cannot
+// price is an error, not a plan. A NaN uplink, setup or downlink, or a
+// NaN hint, would otherwise plan to a NaN makespan, and a +Inf uplink
+// would price every upload as setup alone.
 func TestReplanWithHintValidation(t *testing.T) {
-	c := fig2Curve()
-	if _, err := ReplanWithHint(c, netsim.Channel{UplinkMbps: 0}, 2, ServerHint{}); err == nil {
-		t.Error("zero bandwidth must error")
+	c := profile.BuildCurve(models.MustBuild("alexnet"), profile.RaspberryPi4(), profile.CloudGPU(),
+		netsim.FourG, tensor.Float32)
+	with := func(edit func(*netsim.Channel)) netsim.Channel {
+		ch := netsim.FourG
+		edit(&ch)
+		return ch
 	}
-	if _, err := ReplanWithHint(c, c.Channel, 2, ServerHint{QueueMs: -1}); err == nil {
-		t.Error("negative queue hint must error")
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		ch   netsim.Channel
+		hint float64
+	}{
+		{"uplink 0", with(func(ch *netsim.Channel) { ch.UplinkMbps = 0 }), 0},
+		{"uplink NaN", with(func(ch *netsim.Channel) { ch.UplinkMbps = nan }), 0},
+		{"uplink +Inf", with(func(ch *netsim.Channel) { ch.UplinkMbps = inf }), 0},
+		{"uplink -Inf", with(func(ch *netsim.Channel) { ch.UplinkMbps = -inf }), 0},
+		{"setup NaN", with(func(ch *netsim.Channel) { ch.SetupMs = nan }), 0},
+		{"downlink NaN", with(func(ch *netsim.Channel) { ch.DownlinkMbps = nan }), 0},
+		{"hint -1", netsim.FourG, -1},
+		{"hint NaN", netsim.FourG, nan},
+		{"hint +Inf", netsim.FourG, inf},
+	}
+	for _, tc := range cases {
+		if p, err := ReplanWithHint(c, tc.ch, 2, ServerHint{QueueMs: tc.hint}); err == nil {
+			t.Errorf("%s: ReplanWithHint returned makespan %g and no error", tc.name, p.Makespan)
+		}
+		if tc.hint != 0 {
+			continue
+		}
+		if p, err := Replan(c, tc.ch, 2); err == nil {
+			t.Errorf("%s: Replan returned makespan %g and no error", tc.name, p.Makespan)
+		}
 	}
 }
 

@@ -17,36 +17,25 @@ type BlockStat struct {
 	Bytes    int
 }
 
-// BlockProfile aggregates the line view of a graph by block label,
-// reproducing the per-layer breakdown of Fig. 4 (where each x-axis
-// "layer" is a block of conv/pool/activation operations).
+// BlockProfile groups the per-unit costs of a PriceUnits walk of the
+// line view by block label, reproducing the per-layer breakdown of
+// Fig. 4 (where each x-axis "layer" is a block of conv/pool/activation
+// operations).
 func BlockProfile(g *dag.Graph, mobile, cloud Device, ch netsim.Channel, dt tensor.DType) []BlockStat {
 	units := LineView(g)
+	ms, _, bytes := PriceUnits(g, units, []Device{mobile, cloud}, dt)
+	comm := priceCuts(ch, bytes)
 	var stats []BlockStat
-	for _, u := range units {
-		m := mobile.NodesTimeMs(g, u.Nodes)
-		c := cloud.NodesTimeMs(g, u.Nodes)
-		b := g.OutBytes(u.Exit, dt)
-		if len(stats) > 0 && stats[len(stats)-1].Label == u.Label {
-			last := &stats[len(stats)-1]
-			last.MobileMs += m
-			last.CloudMs += c
-			last.Bytes = b
-			last.CommMs = ch.TxMs(b) + ch.RxMs(ReplyBytes)
-			continue
+	for i, u := range units {
+		if len(stats) == 0 || stats[len(stats)-1].Label != u.Label {
+			stats = append(stats, BlockStat{Label: u.Label})
 		}
-		stats = append(stats, BlockStat{
-			Label:    u.Label,
-			MobileMs: m,
-			CloudMs:  c,
-			CommMs:   ch.TxMs(b) + ch.RxMs(ReplyBytes),
-			Bytes:    b,
-		})
-	}
-	// The sink block keeps its result locally; no upload.
-	if len(stats) > 0 {
-		stats[len(stats)-1].CommMs = 0
-		stats[len(stats)-1].Bytes = 0
+		// A block ships what its last unit ships: nothing for the sink's.
+		last := &stats[len(stats)-1]
+		last.MobileMs += ms[0][i]
+		last.CloudMs += ms[1][i]
+		last.CommMs = comm[i]
+		last.Bytes = bytes[i]
 	}
 	return stats
 }
@@ -57,34 +46,9 @@ func BlockProfile(g *dag.Graph, mobile, cloud Device, ch netsim.Channel, dt tens
 // deduplicates shared prefixes later, per the paper's modified
 // Alg. 1); G is the upload time of the i-th node's tensor.
 func PathCurve(g *dag.Graph, path []int, mobile, cloud Device, ch netsim.Channel, dt tensor.DType) *Curve {
-	n := len(path)
-	c := &Curve{
-		Model:   g.Name() + "/path",
-		Channel: ch,
-		F:       make([]float64, n),
-		G:       make([]float64, n),
-		CloudMs: make([]float64, n),
-		Bytes:   make([]int, n),
-		Labels:  make([]string, n),
-	}
-	var totalCloud float64
-	for _, id := range path {
-		totalCloud += cloud.LayerTimeMs(g, id)
-	}
-	var fCum, cloudCum float64
+	units := make([]Unit, len(path))
 	for i, id := range path {
-		fCum += mobile.LayerTimeMs(g, id)
-		cloudCum += cloud.LayerTimeMs(g, id)
-		c.F[i] = fCum
-		c.CloudMs[i] = max(totalCloud-cloudCum, 0)
-		c.Labels[i] = g.Node(id).Layer.Name()
-		if i == n-1 {
-			c.Bytes[i] = 0
-			c.G[i] = 0
-		} else {
-			c.Bytes[i] = g.OutBytes(id, dt)
-			c.G[i] = ch.TxMs(c.Bytes[i]) + ch.RxMs(ReplyBytes)
-		}
+		units[i] = Unit{Nodes: path[i : i+1], Exit: id, Label: g.Node(id).Layer.Name()}
 	}
-	return c
+	return curveOf(g.Name()+"/path", g, units, mobile, cloud, ch, dt)
 }

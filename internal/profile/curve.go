@@ -90,40 +90,79 @@ type Curve struct {
 // Len returns the number of cut positions.
 func (c *Curve) Len() int { return len(c.F) }
 
+// PriceUnits is the one walk that prices units on devices, and the only
+// place a curve, block profile or chain looks a layer's time up: ms[d][i]
+// is unit i's compute on devs[d], total[d] the same nodes summed one by
+// one in run order (Device.TotalTimeMs over a LineView), and bytes[i]
+// the tensor leaving unit i, 0 for the last, whose result stays put.
+func PriceUnits(g *dag.Graph, units []Unit, devs []Device, dt tensor.DType) (ms [][]float64, total []float64, bytes []int) {
+	ms = make([][]float64, len(devs))
+	for d := range ms {
+		ms[d] = make([]float64, len(units))
+	}
+	total = make([]float64, len(devs))
+	bytes = make([]int, len(units))
+	for i, u := range units {
+		for d, dev := range devs {
+			for _, id := range u.Nodes {
+				t := dev.LayerTimeMs(g, id)
+				ms[d][i] += t
+				total[d] += t
+			}
+		}
+		if i < len(units)-1 {
+			bytes[i] = g.OutBytes(u.Exit, dt)
+		}
+	}
+	return ms, total, bytes
+}
+
 // BuildCurve profiles a graph into its cut curve. The graph is viewed
 // as a line of units (see LineView); general-structure models are
 // thereby planned at virtual-block granularity, while Alg. 3 callers
-// use per-branch curves built with BuildBranchCurve.
+// use per-path curves built with PathCurve.
 func BuildCurve(g *dag.Graph, mobile, cloud Device, ch netsim.Channel, dt tensor.DType) *Curve {
-	units := LineView(g)
-	n := len(units)
+	return curveOf(g.Name(), g, LineView(g), mobile, cloud, ch, dt)
+}
+
+// curveOf assembles the cut curve of units from one PriceUnits walk on
+// mobile and cloud: F cumulates the mobile time unit by unit, CloudMs is
+// what the cloud has left to run after each unit, G prices each cut.
+func curveOf(model string, g *dag.Graph, units []Unit, mobile, cloud Device, ch netsim.Channel, dt tensor.DType) *Curve {
+	ms, total, bytes := PriceUnits(g, units, []Device{mobile, cloud}, dt)
 	c := &Curve{
-		Model:   g.Name(),
+		Model:   model,
 		Channel: ch,
-		F:       make([]float64, n),
-		G:       make([]float64, n),
-		CloudMs: make([]float64, n),
-		Bytes:   make([]int, n),
-		Labels:  make([]string, n),
+		F:       ms[0],
+		G:       priceCuts(ch, bytes),
+		CloudMs: ms[1],
+		Bytes:   bytes,
+		Labels:  make([]string, len(units)),
 	}
-	totalCloud := cloud.TotalTimeMs(g)
-	var fCum, cloudCum float64
+	var cloudCum float64
 	for i, u := range units {
-		fCum += mobile.NodesTimeMs(g, u.Nodes)
-		cloudCum += cloud.NodesTimeMs(g, u.Nodes)
-		c.F[i] = fCum
-		// max with 0 absorbs float residue in the final positions.
-		c.CloudMs[i] = max(totalCloud-cloudCum, 0)
-		c.Labels[i] = u.Label
-		if i == n-1 {
-			c.Bytes[i] = 0 // local-only: the result stays on device
-			c.G[i] = 0
-		} else {
-			c.Bytes[i] = g.OutBytes(u.Exit, dt)
-			c.G[i] = ch.TxMs(c.Bytes[i]) + ch.RxMs(ReplyBytes)
+		if i > 0 {
+			c.F[i] += c.F[i-1]
 		}
+		cloudCum += c.CloudMs[i]
+		// max with 0 absorbs float residue in the final positions.
+		c.CloudMs[i] = max(total[1]-cloudCum, 0)
+		c.Labels[i] = u.Label
 	}
 	return c
+}
+
+// priceCuts is the one g rule: a cut costs the upload of the tensor
+// crossing it (w0 + bytes/bandwidth) plus, on channels that model the
+// downlink, the reply frame's transit; a cut that ships nothing costs 0.
+func priceCuts(ch netsim.Channel, bytes []int) []float64 {
+	g := make([]float64, len(bytes))
+	for i, b := range bytes {
+		if b > 0 {
+			g[i] = ch.TxMs(b) + ch.RxMs(ReplyBytes)
+		}
+	}
+	return g
 }
 
 // ParetoCuts returns the candidate cut indices after virtual-block
@@ -171,21 +210,21 @@ func (c *Curve) Restrict(cuts []int) (*Curve, []int) {
 // profiled one. F, CloudMs and Bytes are device properties and carry
 // over unchanged.
 func (c *Curve) Reprice(ch netsim.Channel) *Curve {
-	out := &Curve{
-		Model:   c.Model,
+	return c.withG(c.Model, ch, priceCuts(ch, c.Bytes))
+}
+
+// withG copies the curve under a new model name and channel with G
+// replaced; F, CloudMs, Bytes and Labels carry over.
+func (c *Curve) withG(model string, ch netsim.Channel, g []float64) *Curve {
+	return &Curve{
+		Model:   model,
 		Channel: ch,
 		F:       append([]float64(nil), c.F...),
-		G:       make([]float64, c.Len()),
+		G:       g,
 		CloudMs: append([]float64(nil), c.CloudMs...),
 		Bytes:   append([]int(nil), c.Bytes...),
 		Labels:  append([]string(nil), c.Labels...),
 	}
-	for i, b := range c.Bytes {
-		if b > 0 {
-			out.G[i] = ch.TxMs(b) + ch.RxMs(ReplyBytes)
-		}
-	}
-	return out
 }
 
 // FInterp returns a piecewise-linear continuous extension of F over
@@ -234,23 +273,11 @@ func (c *Curve) Synthetic() (*Curve, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &Curve{
-		Model:   c.Model + "'",
-		Channel: c.Channel,
-		F:       append([]float64(nil), c.F...),
-		G:       make([]float64, c.Len()),
-		CloudMs: append([]float64(nil), c.CloudMs...),
-		Bytes:   append([]int(nil), c.Bytes...),
-		Labels:  append([]string(nil), c.Labels...),
+	g := make([]float64, c.Len())
+	for i := 0; i < c.Len()-1; i++ {
+		g[i] = fit.Eval(float64(i))
 	}
-	for i := range out.G {
-		if i == c.Len()-1 {
-			out.G[i] = 0
-			continue
-		}
-		out.G[i] = fit.Eval(float64(i))
-	}
-	return out, nil
+	return c.withG(c.Model+"'", c.Channel, g), nil
 }
 
 // TotalMobileMs is the local-only latency of one job (f at the last
