@@ -32,11 +32,13 @@ import (
 // compute-bound engine legs repeat three times and parseBench keeps the
 // fastest; the runner legs are paced by simulated-link sleeps and read
 // within ±2 % of each other once. A wire decode takes microseconds, so
-// its legs run 2000 iterations, three times.
+// its legs run 2000 iterations, three times; a sequencer call at n=100
+// a fraction of a millisecond, so its legs run 100, three times.
 var runs = []struct{ pkg, bench, benchtime, count string }{
 	{"./internal/engine/", "^Benchmark(SgemmCrossover|BatchedForward)$", "3x", "3"},
 	{"./internal/runtime/", "^BenchmarkRunnerAdaptive$", "3x", "1"},
 	{"./internal/runtime/", "^BenchmarkReadTensor$", "2000x", "3"},
+	{"./internal/flowshop/", "^BenchmarkScheduleM$", "100x", "3"},
 }
 
 // rule bounds one within-run ratio: num's unit column over den's. A "*"
@@ -88,6 +90,12 @@ var rules = []rule{
 	// copy: 9.2–13.1 in eleven gate runs. Converting it a float at a
 	// time, as the codec once did, read 22.3–29.9 in ten runs between them.
 	{num: "BenchmarkReadTensor/decode", den: "BenchmarkReadTensor/copy", unit: "ns/op", bound: 17},
+	// The m-machine sequencer on JPSChain's two-kind traffic, 4× the
+	// jobs: NEH and the swap descent are both O(n²·m) there, so ≈ 16×
+	// in theory, 13–15× measured. A step that goes cubic on that
+	// traffic — a walk redone per trial, tails rebuilt per insertion
+	// with a rescan — reads 40–53×.
+	{num: "BenchmarkScheduleM/n=400", den: "BenchmarkScheduleM/n=100", unit: "ns/op", bound: 24},
 }
 
 // row is one benchmark result, named as go test prints it less the

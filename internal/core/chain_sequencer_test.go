@@ -14,6 +14,8 @@ import (
 	"dnnjps/internal/flowshop"
 	"dnnjps/internal/models"
 	"dnnjps/internal/netsim"
+	"dnnjps/internal/profile"
+	"dnnjps/internal/tensor"
 )
 
 // The direct-evaluation m-machine sequencer flowshop shipped before
@@ -136,6 +138,31 @@ func TestJPSChainAllocs(t *testing.T) {
 	t.Logf("JPSChain(mobilenetv2, 3 devices, n=100): %.0f allocs", got)
 	if got > 4000 {
 		t.Errorf("JPSChain(mobilenetv2, 3 devices, n=100) = %.0f allocs/run, want <= 4000", got)
+	}
+}
+
+// The exact count of plan-grid's chain cell on AlexNet over 4G: the
+// mobile, a quarter-speed edge and the cloud, the edge→cloud hop at
+// half the access rate with 15 ms setup, n = 100. What the line view,
+// curves, candidates, five sequenced mixes and the plan need, with no
+// per-node search in the line view and nothing per NEH row or descent
+// trial (412 with a search per node, reflection-based sorts and
+// Johnson lists grown by append).
+func TestJPSChainPlanGridAllocs(t *testing.T) {
+	pi, gpu := devices()
+	ch := Chain{
+		Devices: []profile.Device{pi, gpu.Scaled(0.25), gpu},
+		Links:   []netsim.Channel{netsim.FourG, {Name: "wan-backhaul", UplinkMbps: netsim.FourG.UplinkMbps / 2, SetupMs: 15}},
+		DType:   tensor.Float32,
+	}
+	g := models.MustBuild("alexnet")
+	got := testing.AllocsPerRun(10, func() {
+		if _, err := JPSChain(g, ch, 100); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > 329 {
+		t.Errorf("JPSChain(alexnet, plan-grid chain at 4G, n=100) = %.0f allocs/run, want <= 329", got)
 	}
 }
 

@@ -2,12 +2,16 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"maps"
 	"math"
+	"strings"
 	"testing"
 
 	"dnnjps/internal/flowshop"
 	"dnnjps/internal/models"
 	"dnnjps/internal/netsim"
+	"dnnjps/internal/nn"
 	"dnnjps/internal/profile"
 	"dnnjps/internal/tensor"
 )
@@ -140,6 +144,72 @@ func TestChainRejectsBadN(t *testing.T) {
 	}
 	if _, err := ChainBruteForce(g, ch, 40, 10); !errors.Is(err, ErrSearchSpaceTooLarge) {
 		t.Errorf("tiny budget must overflow, got %v", err)
+	}
+}
+
+// A device no hardware has — a NaN or zero throughput, a NaN, negative
+// or infinite dispatch overhead — is refused by name wherever it is
+// priced: by BuildCurve, and by JPSChain at depth 1 (JPS on a curve)
+// and depth 2 (the chain's own cost walk), on the mobile and on the
+// cloud end. Unrefused, AlexNet over 4G at n = 100 planned to
+// 28 021 ms with a NaN conv throughput and to 20 060 ms with a -50 ms
+// overhead, with no error.
+func TestImpossibleDeviceCostsRefused(t *testing.T) {
+	g := models.MustBuild("alexnet")
+	pi, gpu := devices()
+	withConv := func(d profile.Device, tp float64) profile.Device {
+		d.ThroughputFperMs = maps.Clone(d.ThroughputFperMs)
+		d.ThroughputFperMs[nn.KindConv] = tp
+		return d
+	}
+	withOverhead := func(d profile.Device, ms float64) profile.Device {
+		d.LayerOverheadMs = ms
+		return d
+	}
+	cases := []struct {
+		name string
+		bad  func(profile.Device) profile.Device
+		want string
+	}{
+		{"NaN conv throughput", func(d profile.Device) profile.Device { return withConv(d, math.NaN()) }, "unusable throughput NaN FLOPs/ms for conv"},
+		{"zero conv throughput", func(d profile.Device) profile.Device { return withConv(d, 0) }, "unusable throughput 0 FLOPs/ms for conv"},
+		{"negative overhead", func(d profile.Device) profile.Device { return withOverhead(d, -50) }, "unusable layer overhead -50 ms"},
+		{"NaN overhead", func(d profile.Device) profile.Device { return withOverhead(d, math.NaN()) }, "unusable layer overhead NaN ms"},
+		{"infinite overhead", func(d profile.Device) profile.Device { return withOverhead(d, math.Inf(1)) }, "unusable layer overhead +Inf ms"},
+	}
+	for _, c := range cases {
+		for _, end := range []string{"mobile", "cloud"} {
+			mobile, cloud := pi, gpu
+			if end == "mobile" {
+				mobile = c.bad(pi)
+			} else {
+				cloud = c.bad(gpu)
+			}
+			bad := mobile
+			if end == "cloud" {
+				bad = cloud
+			}
+			want := "profile: device " + bad.Name + " has " + c.want
+			chain3 := Chain{
+				Devices: []profile.Device{mobile, gpu.Scaled(0.25), cloud},
+				Links:   []netsim.Channel{netsim.FourG, {Name: "backhaul", UplinkMbps: 100, SetupMs: 3}},
+				DType:   tensor.Float32,
+			}
+			for call, plan := range map[string]func(){
+				"BuildCurve":       func() { profile.BuildCurve(g, mobile, cloud, netsim.FourG, tensor.Float32) },
+				"JPSChain depth 1": func() { _, _ = JPSChain(g, TwoTierChain(mobile, cloud, netsim.FourG, tensor.Float32), 100) },
+				"JPSChain depth 2": func() { _, _ = JPSChain(g, chain3, 100) },
+			} {
+				func() {
+					defer func() {
+						if got := fmt.Sprint(recover()); !strings.HasPrefix(got, want) {
+							t.Errorf("%s on the %s, %s: panic %q, want %q", c.name, end, call, got, want)
+						}
+					}()
+					plan()
+				}()
+			}
+		}
 	}
 }
 

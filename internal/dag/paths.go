@@ -70,48 +70,30 @@ func (g *Graph) CountPaths() int {
 // regions between consecutive articulations are the parallel segments
 // Decompose splits into branches.
 //
-// A node v (other than source/sink) lies on every path iff removing v
-// disconnects source from sink. Graphs here are model-sized (≤ a few
-// hundred nodes), so the O(V·(V+E)) removal check is plenty fast.
+// Finalize guarantees one source, one sink and every node reachable
+// from the source, so every node lies on some source→sink path. Along
+// a path topological positions rise, so a path avoids v exactly when
+// one of its edges jumps over v's position: v is an articulation iff
+// no edge u→w has pos(u) < pos(v) < pos(w). One sweep in topological
+// order, carrying the farthest position any earlier node's edge
+// reaches, decides every node: O(V+E).
 func (g *Graph) Articulations() []int {
 	g.mustFinalized()
-	src, sink := g.Source(), g.Sink()
+	pos := make([]int, len(g.nodes))
+	for i, v := range g.topo {
+		pos[v] = i
+	}
 	var arts []int
-	for _, v := range g.topo {
-		if v == src || v == sink {
+	reach := 0 // farthest position an edge from positions < i lands on
+	for i, v := range g.topo {
+		if reach <= i {
 			arts = append(arts, v)
-			continue
 		}
-		if !g.reachableAvoiding(src, sink, v) {
-			arts = append(arts, v)
+		for _, s := range g.succs[v] {
+			reach = max(reach, pos[s])
 		}
 	}
 	return arts
-}
-
-// reachableAvoiding reports whether 'to' is reachable from 'from'
-// without visiting 'avoid'.
-func (g *Graph) reachableAvoiding(from, to, avoid int) bool {
-	if from == avoid || to == avoid {
-		return false
-	}
-	seen := make([]bool, len(g.nodes))
-	stack := []int{from}
-	seen[from] = true
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if v == to {
-			return true
-		}
-		for _, s := range g.succs[v] {
-			if s != avoid && !seen[s] {
-				seen[s] = true
-				stack = append(stack, s)
-			}
-		}
-	}
-	return false
 }
 
 // Segment is one element of a series decomposition: either a single

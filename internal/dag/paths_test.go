@@ -3,6 +3,8 @@ package dag
 import (
 	"errors"
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"dnnjps/internal/nn"
@@ -131,6 +133,65 @@ func TestArticulationsLine(t *testing.T) {
 	arts := g.Articulations()
 	if len(arts) != g.Len() {
 		t.Errorf("every node of a line is an articulation; got %d of %d", len(arts), g.Len())
+	}
+}
+
+// articulationsByRemoval is Articulations by its definition, the
+// O(V·(V+E)) form the sweep replaced: v lies on every source→sink path
+// iff removing v disconnects source from sink.
+func (g *Graph) articulationsByRemoval() []int {
+	src, sink := g.Source(), g.Sink()
+	var arts []int
+	for _, v := range g.topo {
+		if v == src || v == sink || !g.reachableAvoiding(src, sink, v) {
+			arts = append(arts, v)
+		}
+	}
+	return arts
+}
+
+// ArticulationsByRemoval exposes the oracle to the zoo test, which
+// lives in package dag_test because the models import dag.
+var ArticulationsByRemoval = (*Graph).articulationsByRemoval
+
+// reachableAvoiding reports whether 'to' is reachable from 'from'
+// without visiting 'avoid'.
+func (g *Graph) reachableAvoiding(from, to, avoid int) bool {
+	if from == avoid || to == avoid {
+		return false
+	}
+	seen := make([]bool, len(g.nodes))
+	stack := []int{from}
+	seen[from] = true
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if v == to {
+			return true
+		}
+		for _, s := range g.succs[v] {
+			if s != avoid && !seen[s] {
+				seen[s] = true
+				stack = append(stack, s)
+			}
+		}
+	}
+	return false
+}
+
+// The one-sweep Articulations returns its definition's list, in the
+// same order, on random series-parallel graphs and on random DAGs whose
+// skip edges cross one another.
+func TestArticulationsMatchRemoval(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	for trial := 0; trial < 200; trial++ {
+		g := randomSP(t, rng)
+		if trial%2 == 1 {
+			g = randomDAG(t, rng)
+		}
+		if got, want := g.Articulations(), g.articulationsByRemoval(); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: Articulations %v, by removal %v", trial, names(g, got), names(g, want))
+		}
 	}
 }
 

@@ -42,6 +42,40 @@ func randomSP(t *testing.T, rng *rand.Rand) *Graph {
 	return g
 }
 
+// randomDAG builds a random DAG that need not be series-parallel:
+// every node reads one or two random earlier nodes, so skip edges
+// cross, and a final Add joins every node nothing reads.
+func randomDAG(t *testing.T, rng *rand.Rand) *Graph {
+	t.Helper()
+	g := New("randdag")
+	g.Add(&nn.Input{LayerName: "input", Shape: tensor.NewCHW(4, 8, 8)})
+	read := []bool{false}
+	for i := 1; i < 3+rng.Intn(20); i++ {
+		a, b := rng.Intn(i), rng.Intn(i)
+		read[a] = true
+		if a == b || rng.Intn(2) == 0 {
+			g.Add(nn.NewActivation(fmt.Sprintf("n%d", i), nn.ReLU), a)
+		} else {
+			read[b] = true
+			g.Add(&nn.Add{LayerName: fmt.Sprintf("n%d", i)}, a, b)
+		}
+		read = append(read, false)
+	}
+	var ends []int
+	for id, r := range read {
+		if !r {
+			ends = append(ends, id)
+		}
+	}
+	if len(ends) > 1 {
+		g.Add(&nn.Add{LayerName: "join"}, ends...)
+	}
+	if err := g.Finalize(); err != nil {
+		t.Fatalf("Finalize: %v", err)
+	}
+	return g
+}
+
 // Properties that must hold on any series-parallel DNN graph:
 // decomposition partitions the node set, branch counts multiply to the
 // path count, and articulations are exactly the line-step nodes plus

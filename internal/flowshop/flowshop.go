@@ -8,7 +8,10 @@
 // validation.
 package flowshop
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Job is one partitioned inference job: A is the computation-stage
 // length f(P_j), B the communication-stage length g(P_j). ID is an
@@ -27,9 +30,16 @@ func (j Job) CommHeavy() bool { return j.A < j.B }
 // (Alg. 1): the communication-heavy set S1 sorted by ascending A,
 // followed by the computation-heavy set S2 sorted by descending B.
 // Ties break by ID so schedules are deterministic. The input is not
-// modified.
+// modified; the result is one allocation, S1 and S2 sorted in place.
 func Johnson(jobs []Job) []Job {
-	var s1, s2 []Job
+	heavy := 0
+	for _, j := range jobs {
+		if j.CommHeavy() {
+			heavy++
+		}
+	}
+	out := make([]Job, len(jobs))
+	s1, s2 := out[:0:heavy], out[heavy:heavy]
 	for _, j := range jobs {
 		if j.CommHeavy() {
 			s1 = append(s1, j)
@@ -37,19 +47,31 @@ func Johnson(jobs []Job) []Job {
 			s2 = append(s2, j)
 		}
 	}
-	sort.SliceStable(s1, func(i, k int) bool {
-		if s1[i].A != s1[k].A {
-			return s1[i].A < s1[k].A
+	// Stable sorts whose comparators are < 0 exactly where the rule's
+	// "before" holds: a NaN stage compares before nothing and nothing
+	// before it, which stability then resolves by input order.
+	slices.SortStableFunc(s1, func(a, b Job) int {
+		if a.A != b.A {
+			return before(a.A < b.A)
 		}
-		return s1[i].ID < s1[k].ID
+		return cmp.Compare(a.ID, b.ID)
 	})
-	sort.SliceStable(s2, func(i, k int) bool {
-		if s2[i].B != s2[k].B {
-			return s2[i].B > s2[k].B
+	slices.SortStableFunc(s2, func(a, b Job) int {
+		if a.B != b.B {
+			return before(a.B > b.B)
 		}
-		return s2[i].ID < s2[k].ID
+		return cmp.Compare(a.ID, b.ID)
 	})
-	return append(s1, s2...)
+	return out
+}
+
+// before is a stable sort's comparison result for "a goes first":
+// -1 if it does, else 1.
+func before(first bool) int {
+	if first {
+		return -1
+	}
+	return 1
 }
 
 // Makespan evaluates the exact two-machine flow-shop makespan of a

@@ -1,9 +1,9 @@
 package flowshop
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // m-machine permutation flow shop — the one sequencer behind every
@@ -24,13 +24,17 @@ import (
 //
 // Cost. ScheduleM is on a request's critical path, so it costs what
 // the algorithms cost: CDS O(m·n log n), NEH O(n²·m) by Taillard's
-// head/tail acceleration (nehOrder), and a swap descent whose trials
-// start from cached state and stop once they provably cannot win
-// (swapDescentM). Scratch is a few flat (n+1)·m matrices that live for
-// one call: ≈ 55 allocations at n=100, m=3, over half of them inside
-// CDS's two Johnson calls. A one-type instance (every job's stages ==)
-// costs its deep copy and one O(n·m) comparison: all three stages
-// would return it in input order (see ScheduleM), so none runs.
+// head/tail acceleration with heads and tails kept across insertions
+// (nehOrder), and a swap descent whose trials start from cached state,
+// compare job kinds instead of stage vectors and stop once they
+// provably cannot win (swapDescentM). A state row is advanced into its
+// successor in one pass (stepFrom), never copied first. Scratch is a
+// few flat (n+1)·m matrices that live for one call: 19 allocations on
+// BenchmarkScheduleM's n=100, m=3 instance, one per Johnson call inside
+// CDS (TestScheduleMBenchInstanceAllocs). A one-type instance (every
+// job's stages ==) costs its deep copy and one O(n·m) comparison: all
+// three stages would return it in input order (see ScheduleM), so
+// none runs.
 
 // JobM is an m-stage job: Stages[i] runs on machine i. Every job in a
 // sequence must have the same number of stages (the sequencers panic
@@ -86,20 +90,29 @@ func ownJobsM(jobs []JobM) (own []JobM, m int) {
 	return cloneJobsM(jobs), m
 }
 
-// step advances the machine state c (c[k]: when machine k falls idle)
-// by one job: C_k = max(C_{k-1}, C_k) + p_k, left to right. Every
-// evaluator in this file is this one function, so a state computed
-// here and one computed by MakespanM are the same floats.
-func step(c, stages []float64) {
-	stages = stages[:len(c)]
-	c[0] += stages[0]
-	for k := 1; k < len(c); k++ {
-		if c[k-1] > c[k] {
-			c[k] = c[k-1]
+// stepFrom writes into dst the machine state src (src[k]: when machine
+// k falls idle) advanced by one job: C_k = max(C_{k-1}, C_k) + p_k,
+// left to right. dst may be src. Every evaluator in this file is this
+// one function, so a state computed here and one computed by MakespanM
+// are the same floats. The max keeps the machine's own time unless the
+// previous stage ends strictly later — the order that decides which
+// operand survives a NaN (TestScheduleMFrozen's "nan" classes).
+func stepFrom(dst, src, stages []float64) {
+	src, stages = src[:len(dst)], stages[:len(dst)]
+	prev := src[0] + stages[0]
+	dst[0] = prev
+	for k := 1; k < len(dst); k++ {
+		c := src[k]
+		if prev > c {
+			c = prev
 		}
-		c[k] += stages[k]
+		prev = c + stages[k]
+		dst[k] = prev
 	}
 }
+
+// step advances the machine state c by one job in place.
+func step(c, stages []float64) { stepFrom(c, c, stages) }
 
 // makespanInto is MakespanM on a caller-owned state row c (len m >= 1).
 func makespanInto(c []float64, seq []JobM) float64 {
@@ -116,9 +129,7 @@ func makespanInto(c []float64, seq []JobM) float64 {
 // from+1.. are recomputed.
 func fillHeads(e []float64, seq []JobM, m, from int) {
 	for p := from; p < len(seq); p++ {
-		row := e[(p+1)*m : (p+2)*m]
-		copy(row, e[p*m:(p+1)*m])
-		step(row, seq[p].Stages)
+		stepFrom(e[(p+1)*m:(p+2)*m], e[p*m:(p+1)*m], seq[p].Stages)
 	}
 }
 
@@ -223,12 +234,20 @@ func NEHM(jobs []JobM) []JobM {
 //
 // Taillard (1990): per inserted job compute once the heads e[i] of the
 // partial sequence of L jobs (machine state after its first i jobs —
-// MakespanM's own left-to-right recurrence) and the tails q[i]
-// (q[i][k]: from the start of job i's stage k to the end of the
-// schedule, the same recurrence run right to left). Inserting job j at
-// position pos then costs O(m): its stage-k completion is
-// c_k = max(c_{k-1}, e[pos][k]) + p[k], the makespan
-// max_k c_k + q[pos][k]. n insertions × O(L·m) = O(n²·m).
+// MakespanM's own left-to-right recurrence) and the tails (from the
+// start of a job's stage k to the end of the schedule, the same
+// recurrence run right to left). Inserting job j at position pos then
+// costs O(m): its stage-k completion is c_k = max(c_{k-1}, e[pos][k])
+// + p[k], the makespan max_k c_k + tail[k] over the tail of the jobs
+// after pos. n insertions × O(L·m) = O(n²·m).
+//
+// Neither table is rebuilt per insertion. Heads are indexed by prefix
+// length and tails by suffix length — q[s] is the tail of the last s
+// jobs, q[0] the empty tail — so an insertion at bestPos leaves heads
+// 0…bestPos and tails 0…L−bestPos valid, and the next insertion
+// extends each from there. Each surviving row is the same floats a
+// full rebuild computes: the same jobs, in the same order, through the
+// same recurrence.
 //
 // Exactness. In exact arithmetic this is the direct algorithm: on
 // integer-valued stage times it returns the same sequence
@@ -246,7 +265,12 @@ func NEHM(jobs []JobM) []JobM {
 // 1 500 with 1–4 job types (356 / 90 / 1 054; 0.993–1.034). Noise
 // breaks the ties in both forms: there is no epsilon and no reference
 // mode (TestScheduleMRatioVsReference, and
-// TestScheduleMMatchesReferenceOnChainTraffic in core).
+// TestScheduleMMatchesReferenceOnChainTraffic in core). NaN stages
+// take the comparisons as written: a max keeps its first-named operand
+// unless the other is strictly greater, a NaN span at position 0 keeps
+// the job there, and one elsewhere never wins. The surviving heads and
+// tails hold what a full rebuild computes, NaN included
+// (TestScheduleMFrozen's "nan" and "nankind" classes).
 func nehOrder(jobs []JobM, m int) []JobM {
 	n := len(jobs)
 	type keyed struct {
@@ -257,22 +281,22 @@ func nehOrder(jobs []JobM, m int) []JobM {
 	for i, j := range jobs {
 		order[i] = keyed{j, j.Total()}
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		if order[a].total != order[b].total {
-			return order[a].total > order[b].total
+	slices.SortStableFunc(order, func(a, b keyed) int {
+		if a.total != b.total {
+			return before(a.total > b.total)
 		}
-		return order[a].ID < order[b].ID
+		return cmp.Compare(a.ID, b.ID)
 	})
 
 	seq := make([]JobM, 0, n)
 	e := make([]float64, (n+1)*m)
-	q := make([]float64, (n+1)*m)
-	valid := 0 // heads e[0..valid] survive the previous insertion
+	q := make([]float64, (n+1)*m) // row 0 is never written: the empty tail
+	heads, tails := 0, 0          // e[0..heads] and q[0..tails] survive the previous insertion
 	for _, j := range order {
 		L := len(seq)
-		fillHeads(e, seq, m, valid)
-		for i := L - 1; i >= 0; i-- { // q's row L is never written: the empty tail
-			row, next, p := q[i*m:(i+1)*m], q[(i+1)*m:(i+2)*m], seq[i].Stages
+		fillHeads(e, seq, m, heads)
+		for sl := tails + 1; sl <= L; sl++ {
+			row, next, p := q[sl*m:(sl+1)*m], q[(sl-1)*m:sl*m], seq[L-sl].Stages
 			row[m-1] = next[m-1] + p[m-1]
 			for k := m - 2; k >= 0; k-- {
 				t := next[k]
@@ -285,7 +309,7 @@ func nehOrder(jobs []JobM, m int) []JobM {
 		p := j.Stages
 		bestPos, bestSpan := 0, -1.0
 		for pos := 0; pos <= L; pos++ {
-			head, tail := e[pos*m:(pos+1)*m], q[pos*m:(pos+1)*m]
+			head, tail := e[pos*m:(pos+1)*m], q[(L-pos)*m:(L-pos+1)*m]
 			c := head[0] + p[0]
 			span := c + tail[0]
 			for k := 1; k < m; k++ {
@@ -304,7 +328,7 @@ func nehOrder(jobs []JobM, m int) []JobM {
 		seq = seq[:L+1]
 		copy(seq[bestPos+1:], seq[bestPos:L])
 		seq[bestPos] = j.JobM
-		valid = bestPos
+		heads, tails = bestPos, L-bestPos
 	}
 	return seq
 }
@@ -362,20 +386,26 @@ func oneType(jobs []JobM) bool {
 //
 //  1. A trial is evaluated from cached state: the heads e of the
 //     current sequence give the state in front of position i, and
-//     consecutive trials of a row that put the same stage vector at
-//     position i share the walk from i to j-1 (h), extended rather
-//     than redone. Same left-to-right recurrence, same values: these
-//     are MakespanM's floats.
-//  2. Swapping two jobs whose Stages are element-wise == leaves the
-//     same sequence of stage vectors: the makespan is span exactly,
-//     the swap would be refused, so it is skipped.
+//     consecutive trials of a row that put the same kind at position
+//     i share the walk from i to j-1 (h), extended rather than redone.
+//     Same left-to-right recurrence, same values: these are MakespanM's
+//     floats.
+//  2. Swapping two jobs of one kind leaves the same sequence of stage
+//     vectors: the makespan is span exactly, the swap would be
+//     refused, so it is skipped.
 //  3. Past position j the trial and the current sequence run the same
 //     jobs, and float + and max are monotone: once the trial's state
 //     is component-wise >= the cached head its makespan is >= span,
 //     the swap would be refused, so it is abandoned there.
 //
+// A job's kind (kindsOf) is numbered once, before the first pass, and
+// travels with the job through every swap, so rules (1) and (2)
+// compare two ints where they would compare two stage vectors. Kinds
+// are equal exactly when slices.Equal is: a vector holding a NaN
+// equals none, so its job shares no walk and is skipped by no pair.
+//
 // On all-distinct jobs that leaves the walk from i to j: O(n³·m) per
-// pass, small constant. JPSChain's jobs come in at most two types:
+// pass, small constant. JPSChain's jobs come in at most two kinds:
 // half or more of the pairs fall to (2), the rest share one walk per
 // row and are refused a step or two past j — O(n²·m).
 func swapDescentM(seq []JobM) {
@@ -384,6 +414,7 @@ func swapDescentM(seq []JobM) {
 		return
 	}
 	m := len(seq[0].Stages)
+	kind := kindsOf(seq)
 	e := make([]float64, (n+1)*m)
 	f, h := make([]float64, m), make([]float64, m)
 	fillHeads(e, seq, m, 0)
@@ -392,37 +423,59 @@ func swapDescentM(seq []JobM) {
 		improved = false
 		for i := 0; i < n; i++ {
 			// h: state after position hp of the row's trials that put
-			// stage vector atI at position i (nil: none started).
-			var atI []float64
-			hp := 0
+			// a job of kind atKind at position i (-1: none started).
+			atKind, hp := -1, 0
 			for j := i + 1; j < n; j++ {
-				if slices.Equal(seq[i].Stages, seq[j].Stages) {
+				if kind[i] == kind[j] {
 					continue
 				}
-				if atI == nil || !slices.Equal(atI, seq[j].Stages) {
-					atI, hp = seq[j].Stages, i
-					copy(h, e[i*m:(i+1)*m])
-					step(h, atI)
+				if atKind != kind[j] {
+					atKind, hp = kind[j], i
+					stepFrom(h, e[i*m:(i+1)*m], seq[j].Stages)
 				}
 				for ; hp < j-1; hp++ {
 					step(h, seq[hp+1].Stages)
 				}
-				copy(f, h)
-				step(f, seq[i].Stages)
+				stepFrom(f, h, seq[i].Stages)
 				p := j + 1
 				for ; p < n && !dominates(f, e[p*m:(p+1)*m]); p++ {
 					step(f, seq[p].Stages)
 				}
 				if p == n && f[m-1] < span-1e-12 {
 					seq[i], seq[j] = seq[j], seq[i]
+					kind[i], kind[j] = kind[j], kind[i]
 					span = f[m-1]
 					fillHeads(e, seq, m, i)
 					improved = true
-					atI = nil
+					atKind = -1
 				}
 			}
 		}
 	}
+}
+
+// kindsOf numbers the stage vectors of seq in order of first
+// appearance: kind[i] == kind[j] exactly when
+// slices.Equal(seq[i].Stages, seq[j].Stages). == on floats is an
+// equivalence once NaN is set aside (±0 are one kind), and a vector
+// holding a NaN equals none, itself included, so it is a kind of its
+// own. O(n·kinds·m).
+func kindsOf(seq []JobM) []int {
+	kind := make([]int, len(seq))
+	var first []int // first[k]: the position kind k first appears at
+	for i, j := range seq {
+		kind[i] = len(first)
+		for k, at := range first {
+			if slices.Equal(seq[at].Stages, j.Stages) {
+				kind[i] = k
+				break
+			}
+		}
+		if kind[i] == len(first) {
+			first = append(first, i)
+		}
+	}
+	return kind
 }
 
 // dominates reports a[k] >= b[k] for every k.

@@ -31,7 +31,11 @@ type Device struct {
 }
 
 // LayerTimeMs returns the modeled execution time of node id on the
-// device.
+// device. It panics, naming the device, on a cost no device has: a
+// throughput for the layer's kind that is not above 0 (NaN included),
+// or a dispatch overhead that is not finite and non-negative. Either
+// would price the layer NaN, infinite or negative and still get a
+// plan.
 func (d Device) LayerTimeMs(g *dag.Graph, id int) float64 {
 	flops := g.NodeFLOPs(id)
 	if flops == 0 {
@@ -43,9 +47,12 @@ func (d Device) LayerTimeMs(g *dag.Graph, id int) float64 {
 	if v, ok := d.ThroughputFperMs[g.Node(id).Layer.Kind()]; ok {
 		tp = v
 	}
-	if tp <= 0 {
-		panic(fmt.Sprintf("profile: device %s has non-positive throughput for %v",
-			d.Name, g.Node(id).Layer.Kind()))
+	if !(tp > 0) {
+		panic(fmt.Sprintf("profile: device %s has unusable throughput %g FLOPs/ms for %v",
+			d.Name, tp, g.Node(id).Layer.Kind()))
+	}
+	if !(d.LayerOverheadMs >= 0) || math.IsInf(d.LayerOverheadMs, 1) {
+		panic(fmt.Sprintf("profile: device %s has unusable layer overhead %g ms", d.Name, d.LayerOverheadMs))
 	}
 	return d.LayerOverheadMs + flops/tp
 }
