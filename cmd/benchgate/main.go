@@ -92,9 +92,9 @@ var rules = []rule{
 	{num: "BenchmarkReadTensor/decode", den: "BenchmarkReadTensor/copy", unit: "ns/op", bound: 17},
 	// The m-machine sequencer on JPSChain's two-kind traffic, 4× the
 	// jobs: NEH and the swap descent are both O(n²·m) there, so ≈ 16×
-	// in theory, 13–15× measured. A step that goes cubic on that
-	// traffic — a walk redone per trial, tails rebuilt per insertion
-	// with a rescan — reads 40–53×.
+	// in theory, 12–15× measured. A sequencer that goes cubic on that
+	// traffic reads 40–54×: 54× with the descent re-walking every
+	// trial, 53× for the direct form BenchmarkScheduleM's comment cites.
 	{num: "BenchmarkScheduleM/n=400", den: "BenchmarkScheduleM/n=100", unit: "ns/op", bound: 24},
 }
 

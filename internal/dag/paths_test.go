@@ -136,9 +136,9 @@ func TestArticulationsLine(t *testing.T) {
 	}
 }
 
-// articulationsByRemoval is Articulations by its definition, the
-// O(V·(V+E)) form the sweep replaced: v lies on every source→sink path
-// iff removing v disconnects source from sink.
+// articulationsByRemoval is Articulations by its definition, in
+// O(V·(V+E)): v lies on every source→sink path iff removing v
+// disconnects source from sink.
 func (g *Graph) articulationsByRemoval() []int {
 	src, sink := g.Source(), g.Sink()
 	var arts []int

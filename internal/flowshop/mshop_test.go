@@ -454,31 +454,27 @@ func TestScheduleMOneTypeMatchesFullPath(t *testing.T) {
 	}
 }
 
-// (e) Scratch lives for one call and is a handful of flat matrices:
-// ScheduleM at the paper's n=100 on a 3-machine chain stays under 80
-// allocations (≈ 20 since each Johnson call inside CDS allocates once;
-// the direct form made ~16 000).
+// (e) Scratch lives for one call and is a handful of flat matrices.
+// ScheduleM at the paper's n=100 on a 3-machine chain allocates the
+// input's copy, the scratch matrices, one slice per Johnson call
+// inside CDS and the descent's kinds — nothing per row, per insertion
+// or per trial — so the counts are exact: a reintroduced per-row or
+// per-insertion allocation adds ~100. BenchmarkScheduleM's instance
+// made 50 while the sorts went through reflection and Johnson grew its
+// lists by append; the direct form made ~16 000.
 func TestScheduleMAllocs(t *testing.T) {
-	jobs := typedJobsM(rand.New(rand.NewSource(23)), 100, 3, 2)
-	if got := testing.AllocsPerRun(10, func() { ScheduleM(jobs) }); got > 80 {
-		t.Errorf("ScheduleM(n=100, m=3) = %.0f allocs/run, want <= 80", got)
-	}
-	distinct := randJobsM(rand.New(rand.NewSource(23)), 100, 3)
-	if got := testing.AllocsPerRun(10, func() { ScheduleM(distinct) }); got > 80 {
-		t.Errorf("ScheduleM(n=100, m=3, all distinct) = %.0f allocs/run, want <= 80", got)
-	}
-}
-
-// The exact count on BenchmarkScheduleM's n=100 instance (two kinds,
-// m=3): the input's copy, the scratch matrices, one slice per Johnson
-// call inside CDS and the descent's kinds — nothing per row, per
-// insertion or per trial (50 while the sorts went through reflection
-// and Johnson grew its lists by append). A reintroduced per-row or
-// per-insertion allocation adds ~100 here.
-func TestScheduleMBenchInstanceAllocs(t *testing.T) {
-	jobs := typedJobsM(rand.New(rand.NewSource(24)), 100, 3, 2)
-	if got := testing.AllocsPerRun(10, func() { ScheduleM(jobs) }); got > 19 {
-		t.Errorf("ScheduleM(BenchmarkScheduleM n=100) = %.0f allocs/run, want <= 19", got)
+	for _, c := range []struct {
+		name string
+		jobs []JobM
+		want float64
+	}{
+		{"two kinds", typedJobsM(rand.New(rand.NewSource(23)), 100, 3, 2), 19},
+		{"all distinct", randJobsM(rand.New(rand.NewSource(23)), 100, 3), 25},
+		{"BenchmarkScheduleM n=100", typedJobsM(rand.New(rand.NewSource(24)), 100, 3, 2), 19},
+	} {
+		if got := testing.AllocsPerRun(10, func() { ScheduleM(c.jobs) }); got > c.want {
+			t.Errorf("ScheduleM(n=100, m=3, %s) = %.0f allocs/run, want <= %.0f", c.name, got, c.want)
+		}
 	}
 }
 
