@@ -13,12 +13,15 @@ import (
 	"dnnjps/internal/tensor"
 )
 
-// Node is one layer instance inside a graph, with its inferred output
-// shape cached after Finalize.
+// Node is one layer instance inside a graph. Finalize sizes it once,
+// through its layer's Infer: the output shape, the FLOPs and the
+// parameter count never change after that.
 type Node struct {
 	ID       int
 	Layer    nn.Layer
 	OutShape tensor.Shape
+	FLOPs    float64
+	Params   int64
 }
 
 // Graph is a DNN computation graph under construction or finalized.
@@ -70,8 +73,8 @@ func (g *Graph) Add(layer nn.Layer, preds ...int) int {
 	return id
 }
 
-// Finalize validates the structure and infers every node's output
-// shape. It requires exactly one source (an nn.Input) and exactly one
+// Finalize validates the structure and sizes every node (output
+// shape, FLOPs, parameters). It requires exactly one source (an nn.Input) and exactly one
 // sink, and that every node is reachable from the source.
 func (g *Graph) Finalize() error {
 	if g.finalized {
@@ -104,17 +107,14 @@ func (g *Graph) Finalize() error {
 	for i := range g.topo {
 		g.topo[i] = i
 	}
-	// Shape inference in topological order.
+	// Sizing in topological order.
 	for _, id := range g.topo {
-		ins := make([]tensor.Shape, len(g.preds[id]))
-		for i, p := range g.preds[id] {
-			ins[i] = g.nodes[p].OutShape
-		}
-		out, err := g.nodes[id].Layer.OutputShape(ins)
+		s, err := g.nodes[id].Layer.Infer(g.inputShapes(id))
 		if err != nil {
 			return fmt.Errorf("dag %s: %w", g.name, err)
 		}
-		g.nodes[id].OutShape = out
+		n := g.nodes[id]
+		n.OutShape, n.FLOPs, n.Params = s.Out, s.FLOPs, s.Params
 	}
 	// Reachability from the source (catches disconnected islands that
 	// still happen to have preds/succs, which is impossible here, but
@@ -201,21 +201,15 @@ func (g *Graph) Sink() int {
 // the shapes the node consumes.
 func (g *Graph) InputShapes(id int) []tensor.Shape {
 	g.mustFinalized()
+	return g.inputShapes(id)
+}
+
+func (g *Graph) inputShapes(id int) []tensor.Shape {
 	ins := make([]tensor.Shape, len(g.preds[id]))
 	for i, p := range g.preds[id] {
 		ins[i] = g.nodes[p].OutShape
 	}
 	return ins
-}
-
-// NodeFLOPs returns the FLOPs of one node given its inferred inputs.
-func (g *Graph) NodeFLOPs(id int) float64 {
-	return g.nodes[id].Layer.FLOPs(g.InputShapes(id))
-}
-
-// NodeParams returns the parameter count of one node.
-func (g *Graph) NodeParams(id int) int64 {
-	return g.nodes[id].Layer.ParamCount(g.InputShapes(id))
 }
 
 // OutBytes returns the serialized size of a node's output tensor.
@@ -229,7 +223,7 @@ func (g *Graph) TotalFLOPs() float64 {
 	g.mustFinalized()
 	var sum float64
 	for _, id := range g.topo {
-		sum += g.NodeFLOPs(id)
+		sum += g.nodes[id].FLOPs
 	}
 	return sum
 }
@@ -239,7 +233,7 @@ func (g *Graph) TotalParams() int64 {
 	g.mustFinalized()
 	var sum int64
 	for _, id := range g.topo {
-		sum += g.NodeParams(id)
+		sum += g.nodes[id].Params
 	}
 	return sum
 }
@@ -308,7 +302,7 @@ func (g *Graph) MobileFLOPs(mobile map[int]bool) float64 {
 	g.mustFinalized()
 	var sum float64
 	for id := range mobile {
-		sum += g.NodeFLOPs(id)
+		sum += g.nodes[id].FLOPs
 	}
 	return sum
 }

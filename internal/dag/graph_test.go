@@ -163,10 +163,10 @@ func TestNodeCostQueries(t *testing.T) {
 	g := lineGraph(t)
 	conv, _ := g.NodeByName("conv")
 	wantFLOPs := 2.0 * 3 * 3 * 3 * 8 * 32 * 32
-	if got := g.NodeFLOPs(conv.ID); got != wantFLOPs {
+	if got := conv.FLOPs; got != wantFLOPs {
 		t.Errorf("conv FLOPs = %g, want %g", got, wantFLOPs)
 	}
-	if got := g.NodeParams(conv.ID); got != 8*3*3*3 {
+	if got := conv.Params; got != 8*3*3*3 {
 		t.Errorf("conv params = %d", got)
 	}
 	if got := g.OutBytes(conv.ID, tensor.Float32); got != 8*32*32*4 {
@@ -175,7 +175,7 @@ func TestNodeCostQueries(t *testing.T) {
 	if g.TotalFLOPs() <= wantFLOPs {
 		t.Error("total FLOPs should exceed conv FLOPs alone")
 	}
-	if g.TotalParams() <= g.NodeParams(conv.ID) {
+	if g.TotalParams() <= conv.Params {
 		t.Error("total params should exceed conv params alone")
 	}
 }
@@ -233,8 +233,8 @@ func TestMobileFLOPs(t *testing.T) {
 	g := lineGraph(t)
 	conv, _ := g.NodeByName("conv")
 	mobile := g.Ancestors(conv.ID)
-	if got := g.MobileFLOPs(mobile); got != g.NodeFLOPs(conv.ID) {
-		t.Errorf("MobileFLOPs = %g, want conv-only %g", got, g.NodeFLOPs(conv.ID))
+	if got := g.MobileFLOPs(mobile); got != conv.FLOPs {
+		t.Errorf("MobileFLOPs = %g, want conv-only %g", got, conv.FLOPs)
 	}
 }
 

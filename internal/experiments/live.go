@@ -122,7 +122,7 @@ func headJobs(m *engine.Model) (cut int, protos []*tensor.Tensor, err error) {
 	tailParams := int64(0)
 	for i := len(units) - 2; i >= 0; i-- {
 		for _, id := range units[i+1].Nodes {
-			tailParams += g.NodeParams(id)
+			tailParams += g.Node(id).Params
 		}
 		if tailParams > 0 {
 			cut = i

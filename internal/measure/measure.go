@@ -51,14 +51,14 @@ func ProfileLayers(m *engine.Model, input *tensor.Tensor, reps int) ([]Sample, e
 	}
 	samples := make([]Sample, 0, g.Len())
 	for _, id := range g.Topo() {
-		flops := g.NodeFLOPs(id)
-		if flops == 0 {
+		n := g.Node(id)
+		if n.FLOPs == 0 {
 			continue // free layers carry no signal
 		}
 		samples = append(samples, Sample{
-			Layer: g.Node(id).Layer.Name(),
-			Kind:  g.Node(id).Layer.Kind(),
-			FLOPs: flops,
+			Layer: n.Layer.Name(),
+			Kind:  n.Layer.Kind(),
+			FLOPs: n.FLOPs,
 			Ms:    best[id],
 		})
 	}

@@ -36,8 +36,8 @@ func TestNodeSizesFrozen(t *testing.T) {
 			for _, d := range n.OutShape {
 				u64(uint64(d))
 			}
-			u64(math.Float64bits(g.NodeFLOPs(id)))
-			u64(uint64(g.NodeParams(id)))
+			u64(math.Float64bits(n.FLOPs))
+			u64(uint64(n.Params))
 		}
 		got := fmt.Sprintf("%016x", h.Sum64())
 		if want := frozenNodeSizes[name]; got != want {

@@ -347,7 +347,7 @@ func TestZooSanity(t *testing.T) {
 			if n.OutShape.Bytes(tensor.Float32) > 64<<20 {
 				t.Errorf("%s/%s: implausibly large activation %v", name, n.Layer.Name(), n.OutShape)
 			}
-			if g.NodeFLOPs(id) < 0 {
+			if n.FLOPs < 0 {
 				t.Errorf("%s/%s: negative FLOPs", name, n.Layer.Name())
 			}
 		}

@@ -49,47 +49,30 @@ func resolvePad(override, base int) int {
 	}
 }
 
-func (l *Conv2D) OutputShape(inputs []tensor.Shape) (tensor.Shape, error) {
+func (l *Conv2D) Infer(inputs []tensor.Shape) (Size, error) {
 	in, err := chw(l.LayerName, inputs)
 	if err != nil {
-		return nil, err
+		return Size{}, err
 	}
 	g := l.groups()
 	if in.C()%g != 0 || l.OutC%g != 0 {
-		return nil, fmt.Errorf("nn: conv %q groups=%d does not divide inC=%d/outC=%d",
+		return Size{}, fmt.Errorf("nn: conv %q groups=%d does not divide inC=%d/outC=%d",
 			l.LayerName, g, in.C(), l.OutC)
 	}
 	oh := convOut(in.H(), l.KH, l.Stride, l.EffPadH())
 	ow := convOut(in.W(), l.KW, l.Stride, l.EffPadW())
 	if oh <= 0 || ow <= 0 {
-		return nil, fmt.Errorf("nn: conv %q produces empty output %dx%d from input %v",
+		return Size{}, fmt.Errorf("nn: conv %q produces empty output %dx%d from input %v",
 			l.LayerName, oh, ow, in)
 	}
-	return tensor.NewCHW(l.OutC, oh, ow), nil
-}
-
-func (l *Conv2D) FLOPs(inputs []tensor.Shape) float64 {
-	out, err := l.OutputShape(inputs)
-	if err != nil {
-		return 0
-	}
-	in := inputs[0]
+	out := tensor.NewCHW(l.OutC, oh, ow)
 	// 2 ops (mul+add) per kernel element per output element.
-	perOut := 2 * float64(l.KH) * float64(l.KW) * float64(in.C()) / float64(l.groups())
-	return perOut * float64(out.Elems())
-}
-
-func (l *Conv2D) ParamCount(inputs []tensor.Shape) int64 {
-	in, err := chw(l.LayerName, inputs)
-	if err != nil {
-		return 0
-	}
-	g := int64(l.groups())
-	p := int64(l.OutC) * int64(l.KH) * int64(l.KW) * int64(in.C()) / g
+	perOut := 2 * float64(l.KH) * float64(l.KW) * float64(in.C()) / float64(g)
+	p := int64(l.OutC) * int64(l.KH) * int64(l.KW) * int64(in.C()) / int64(g)
 	if l.Bias {
 		p += int64(l.OutC)
 	}
-	return p
+	return Size{out, perOut * float64(out.Elems()), p}, nil
 }
 
 // DepthwiseConv2D convolves each channel independently (groups = C),
@@ -105,36 +88,21 @@ type DepthwiseConv2D struct {
 func (l *DepthwiseConv2D) Name() string { return l.LayerName }
 func (l *DepthwiseConv2D) Kind() Kind   { return KindDepthwiseConv }
 
-func (l *DepthwiseConv2D) OutputShape(inputs []tensor.Shape) (tensor.Shape, error) {
+func (l *DepthwiseConv2D) Infer(inputs []tensor.Shape) (Size, error) {
 	in, err := chw(l.LayerName, inputs)
 	if err != nil {
-		return nil, err
+		return Size{}, err
 	}
 	oh := convOut(in.H(), l.KH, l.Stride, l.Pad)
 	ow := convOut(in.W(), l.KW, l.Stride, l.Pad)
 	if oh <= 0 || ow <= 0 {
-		return nil, fmt.Errorf("nn: dwconv %q produces empty output %dx%d from input %v",
+		return Size{}, fmt.Errorf("nn: dwconv %q produces empty output %dx%d from input %v",
 			l.LayerName, oh, ow, in)
 	}
-	return tensor.NewCHW(in.C(), oh, ow), nil
-}
-
-func (l *DepthwiseConv2D) FLOPs(inputs []tensor.Shape) float64 {
-	out, err := l.OutputShape(inputs)
-	if err != nil {
-		return 0
-	}
-	return 2 * float64(l.KH) * float64(l.KW) * float64(out.Elems())
-}
-
-func (l *DepthwiseConv2D) ParamCount(inputs []tensor.Shape) int64 {
-	in, err := chw(l.LayerName, inputs)
-	if err != nil {
-		return 0
-	}
+	out := tensor.NewCHW(in.C(), oh, ow)
 	p := int64(in.C()) * int64(l.KH) * int64(l.KW)
 	if l.Bias {
 		p += int64(in.C())
 	}
-	return p
+	return Size{out, 2 * float64(l.KH) * float64(l.KW) * float64(out.Elems()), p}, nil
 }

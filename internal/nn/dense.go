@@ -18,36 +18,22 @@ type Dense struct {
 func (l *Dense) Name() string { return l.LayerName }
 func (l *Dense) Kind() Kind   { return KindDense }
 
-func (l *Dense) OutputShape(inputs []tensor.Shape) (tensor.Shape, error) {
+func (l *Dense) Infer(inputs []tensor.Shape) (Size, error) {
 	in, err := one(l.LayerName, inputs)
 	if err != nil {
-		return nil, err
+		return Size{}, err
 	}
 	if in.Elems() == 0 {
-		return nil, fmt.Errorf("nn: dense %q has empty input %v", l.LayerName, in)
+		return Size{}, fmt.Errorf("nn: dense %q has empty input %v", l.LayerName, in)
 	}
 	if l.Out <= 0 {
-		return nil, fmt.Errorf("nn: dense %q has non-positive output size %d", l.LayerName, l.Out)
+		return Size{}, fmt.Errorf("nn: dense %q has non-positive output size %d", l.LayerName, l.Out)
 	}
-	return tensor.NewVec(l.Out), nil
-}
-
-func (l *Dense) FLOPs(inputs []tensor.Shape) float64 {
-	if _, err := l.OutputShape(inputs); err != nil {
-		return 0
-	}
-	return 2 * float64(inputs[0].Elems()) * float64(l.Out)
-}
-
-func (l *Dense) ParamCount(inputs []tensor.Shape) int64 {
-	if _, err := l.OutputShape(inputs); err != nil {
-		return 0
-	}
-	p := int64(inputs[0].Elems()) * int64(l.Out)
+	p := int64(in.Elems()) * int64(l.Out)
 	if l.Bias {
 		p += int64(l.Out)
 	}
-	return p
+	return Size{tensor.NewVec(l.Out), 2 * float64(in.Elems()) * float64(l.Out), p}, nil
 }
 
 // Flatten reshapes a CHW activation into a feature vector. It is a
@@ -60,13 +46,10 @@ type Flatten struct {
 func (l *Flatten) Name() string { return l.LayerName }
 func (l *Flatten) Kind() Kind   { return KindFlatten }
 
-func (l *Flatten) OutputShape(inputs []tensor.Shape) (tensor.Shape, error) {
+func (l *Flatten) Infer(inputs []tensor.Shape) (Size, error) {
 	in, err := one(l.LayerName, inputs)
 	if err != nil {
-		return nil, err
+		return Size{}, err
 	}
-	return tensor.NewVec(in.Elems()), nil
+	return Size{Out: tensor.NewVec(in.Elems())}, nil
 }
-
-func (l *Flatten) FLOPs([]tensor.Shape) float64    { return 0 }
-func (l *Flatten) ParamCount([]tensor.Shape) int64 { return 0 }

@@ -31,27 +31,23 @@ func (a ActFunc) String() string {
 	}
 }
 
-// elementwise is the shared shape logic of 1-input, shape-preserving
-// layers.
+// elementwise is the shared base of 1-input, shape-preserving layers:
+// it names, classifies and sizes them.
 type elementwise struct {
 	LayerName    string
+	kind         Kind
 	flopsPerElem float64
 }
 
-func (l *elementwise) outputShape(inputs []tensor.Shape) (tensor.Shape, error) {
+func (l *elementwise) Name() string { return l.LayerName }
+func (l *elementwise) Kind() Kind   { return l.kind }
+
+func (l *elementwise) Infer(inputs []tensor.Shape) (Size, error) {
 	in, err := one(l.LayerName, inputs)
 	if err != nil {
-		return nil, err
+		return Size{}, err
 	}
-	return in.Clone(), nil
-}
-
-func (l *elementwise) flops(inputs []tensor.Shape) float64 {
-	in, err := l.outputShape(inputs)
-	if err != nil {
-		return 0
-	}
-	return l.flopsPerElem * float64(in.Elems())
+	return Size{Out: in.Clone(), FLOPs: l.flopsPerElem * float64(in.Elems())}, nil
 }
 
 // Activation applies a pointwise nonlinearity.
@@ -66,16 +62,8 @@ func NewActivation(name string, fn ActFunc) *Activation {
 	if fn == Sigmoid || fn == Tanh {
 		per = 4 // exp evaluation is several ops
 	}
-	return &Activation{elementwise{LayerName: name, flopsPerElem: per}, fn}
+	return &Activation{elementwise{name, KindActivation, per}, fn}
 }
-
-func (l *Activation) Name() string { return l.LayerName }
-func (l *Activation) Kind() Kind   { return KindActivation }
-func (l *Activation) OutputShape(inputs []tensor.Shape) (tensor.Shape, error) {
-	return l.outputShape(inputs)
-}
-func (l *Activation) FLOPs(inputs []tensor.Shape) float64 { return l.flops(inputs) }
-func (l *Activation) ParamCount([]tensor.Shape) int64     { return 0 }
 
 // BatchNorm normalizes channels with learned scale and shift
 // (inference-mode: folded mean/var).
@@ -85,21 +73,16 @@ type BatchNorm struct {
 
 // NewBatchNorm builds a batch-normalization layer.
 func NewBatchNorm(name string) *BatchNorm {
-	return &BatchNorm{elementwise{LayerName: name, flopsPerElem: 2}}
+	return &BatchNorm{elementwise{name, KindBatchNorm, 2}}
 }
 
-func (l *BatchNorm) Name() string { return l.LayerName }
-func (l *BatchNorm) Kind() Kind   { return KindBatchNorm }
-func (l *BatchNorm) OutputShape(inputs []tensor.Shape) (tensor.Shape, error) {
-	return l.outputShape(inputs)
-}
-func (l *BatchNorm) FLOPs(inputs []tensor.Shape) float64 { return l.flops(inputs) }
-func (l *BatchNorm) ParamCount(inputs []tensor.Shape) int64 {
+// Infer accepts only a CHW input: scale and shift are per channel.
+func (l *BatchNorm) Infer(inputs []tensor.Shape) (Size, error) {
 	in, err := chw(l.LayerName, inputs)
 	if err != nil {
-		return 0
+		return Size{}, err
 	}
-	return 2 * int64(in.C()) // scale + shift per channel
+	return Size{in.Clone(), l.flopsPerElem * float64(in.Elems()), 2 * int64(in.C())}, nil
 }
 
 // LRN is AlexNet's local response normalization.
@@ -110,16 +93,8 @@ type LRN struct {
 
 // NewLRN builds a local response normalization layer.
 func NewLRN(name string, size int) *LRN {
-	return &LRN{elementwise{LayerName: name, flopsPerElem: 2 * float64(size)}, size}
+	return &LRN{elementwise{name, KindLRN, 2 * float64(size)}, size}
 }
-
-func (l *LRN) Name() string { return l.LayerName }
-func (l *LRN) Kind() Kind   { return KindLRN }
-func (l *LRN) OutputShape(inputs []tensor.Shape) (tensor.Shape, error) {
-	return l.outputShape(inputs)
-}
-func (l *LRN) FLOPs(inputs []tensor.Shape) float64 { return l.flops(inputs) }
-func (l *LRN) ParamCount([]tensor.Shape) int64     { return 0 }
 
 // Dropout is an inference-time no-op kept in graphs so layer indices
 // match published architectures.
@@ -130,16 +105,8 @@ type Dropout struct {
 
 // NewDropout builds a dropout layer (identity at inference).
 func NewDropout(name string, rate float64) *Dropout {
-	return &Dropout{elementwise{LayerName: name, flopsPerElem: 0}, rate}
+	return &Dropout{elementwise{name, KindDropout, 0}, rate}
 }
-
-func (l *Dropout) Name() string { return l.LayerName }
-func (l *Dropout) Kind() Kind   { return KindDropout }
-func (l *Dropout) OutputShape(inputs []tensor.Shape) (tensor.Shape, error) {
-	return l.outputShape(inputs)
-}
-func (l *Dropout) FLOPs(inputs []tensor.Shape) float64 { return l.flops(inputs) }
-func (l *Dropout) ParamCount([]tensor.Shape) int64     { return 0 }
 
 // Softmax normalizes a vector of logits into class probabilities.
 type Softmax struct {
@@ -148,13 +115,5 @@ type Softmax struct {
 
 // NewSoftmax builds a softmax layer.
 func NewSoftmax(name string) *Softmax {
-	return &Softmax{elementwise{LayerName: name, flopsPerElem: 5}}
+	return &Softmax{elementwise{name, KindSoftmax, 5}}
 }
-
-func (l *Softmax) Name() string { return l.LayerName }
-func (l *Softmax) Kind() Kind   { return KindSoftmax }
-func (l *Softmax) OutputShape(inputs []tensor.Shape) (tensor.Shape, error) {
-	return l.outputShape(inputs)
-}
-func (l *Softmax) FLOPs(inputs []tensor.Shape) float64 { return l.flops(inputs) }
-func (l *Softmax) ParamCount([]tensor.Shape) int64     { return 0 }

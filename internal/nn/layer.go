@@ -1,8 +1,10 @@
-// Package nn is the layer library underlying the model zoo. Each layer
-// knows how to infer its output shape from input shapes and how to
-// report its computational weight (FLOPs) and parameter count. The
-// profiler (internal/profile) turns those into per-device latencies;
-// the engine (internal/engine) executes a numeric forward pass for the
+// Package nn is the layer library underlying the model zoo. A layer
+// decides everything the planner needs from it in one method, Infer:
+// given its input shapes it returns its output shape, its FLOPs and
+// its parameter count, or refuses the inputs. dag.Graph.Finalize calls
+// it once per node and keeps the result; the profiler
+// (internal/profile) turns the FLOPs into per-device latencies and the
+// engine (internal/engine) executes a numeric forward pass for the
 // subset of layers the runtime needs.
 package nn
 
@@ -60,6 +62,16 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", int(k))
 }
 
+// Size is what a layer infers from its input shapes: the output
+// shape, the floating-point operations to compute it (a
+// multiply-accumulate counts as two) and the number of learned
+// parameters (convolution weights depend on the input channel count).
+type Size struct {
+	Out    tensor.Shape
+	FLOPs  float64
+	Params int64
+}
+
 // Layer is the common contract of all DNN layers. Inputs are the
 // shapes of all incoming tensors in graph order; most layers accept
 // exactly one input, Concat and Add accept several.
@@ -68,17 +80,9 @@ type Layer interface {
 	Name() string
 	// Kind classifies the layer for cost modeling.
 	Kind() Kind
-	// OutputShape infers the output tensor shape from the inputs or
-	// returns an error when the inputs are incompatible.
-	OutputShape(inputs []tensor.Shape) (tensor.Shape, error)
-	// FLOPs estimates the floating-point operations needed to compute
-	// the layer's output for the given inputs (multiply-accumulate
-	// counted as two operations). Returns 0 for incompatible inputs.
-	FLOPs(inputs []tensor.Shape) float64
-	// ParamCount is the number of learned parameters for the given
-	// inputs (convolution weights depend on the input channel count).
-	// Returns 0 for incompatible inputs.
-	ParamCount(inputs []tensor.Shape) int64
+	// Infer sizes the layer for the given inputs, or returns an error
+	// when they are incompatible.
+	Infer(inputs []tensor.Shape) (Size, error)
 }
 
 // one extracts the single input shape or errors.
@@ -110,14 +114,12 @@ type Input struct {
 
 func (l *Input) Name() string { return l.LayerName }
 func (l *Input) Kind() Kind   { return KindInput }
-func (l *Input) OutputShape(inputs []tensor.Shape) (tensor.Shape, error) {
+func (l *Input) Infer(inputs []tensor.Shape) (Size, error) {
 	if len(inputs) != 0 {
-		return nil, fmt.Errorf("nn: input layer %q takes no inputs, got %d", l.LayerName, len(inputs))
+		return Size{}, fmt.Errorf("nn: input layer %q takes no inputs, got %d", l.LayerName, len(inputs))
 	}
-	return l.Shape.Clone(), nil
+	return Size{Out: l.Shape.Clone()}, nil
 }
-func (l *Input) FLOPs([]tensor.Shape) float64    { return 0 }
-func (l *Input) ParamCount([]tensor.Shape) int64 { return 0 }
 
 // convOut computes one spatial output dimension.
 func convOut(in, kernel, stride, pad int) int {

@@ -15,37 +15,28 @@ type Concat struct {
 func (l *Concat) Name() string { return l.LayerName }
 func (l *Concat) Kind() Kind   { return KindConcat }
 
-func (l *Concat) OutputShape(inputs []tensor.Shape) (tensor.Shape, error) {
+func (l *Concat) Infer(inputs []tensor.Shape) (Size, error) {
 	if len(inputs) < 1 {
-		return nil, fmt.Errorf("nn: concat %q needs at least 1 input", l.LayerName)
+		return Size{}, fmt.Errorf("nn: concat %q needs at least 1 input", l.LayerName)
 	}
 	first := inputs[0]
 	if first.Rank() != 3 {
-		return nil, fmt.Errorf("nn: concat %q expects CHW inputs, got %v", l.LayerName, first)
+		return Size{}, fmt.Errorf("nn: concat %q expects CHW inputs, got %v", l.LayerName, first)
 	}
 	c := 0
 	for i, in := range inputs {
 		if in.Rank() != 3 {
-			return nil, fmt.Errorf("nn: concat %q input %d is not CHW: %v", l.LayerName, i, in)
+			return Size{}, fmt.Errorf("nn: concat %q input %d is not CHW: %v", l.LayerName, i, in)
 		}
 		if in.H() != first.H() || in.W() != first.W() {
-			return nil, fmt.Errorf("nn: concat %q input %d spatial %dx%d mismatches %dx%d",
+			return Size{}, fmt.Errorf("nn: concat %q input %d spatial %dx%d mismatches %dx%d",
 				l.LayerName, i, in.H(), in.W(), first.H(), first.W())
 		}
 		c += in.C()
 	}
-	return tensor.NewCHW(c, first.H(), first.W()), nil
+	out := tensor.NewCHW(c, first.H(), first.W())
+	return Size{Out: out, FLOPs: float64(out.Elems())}, nil // one copy per element
 }
-
-func (l *Concat) FLOPs(inputs []tensor.Shape) float64 {
-	out, err := l.OutputShape(inputs)
-	if err != nil {
-		return 0
-	}
-	return float64(out.Elems()) // one copy per element
-}
-
-func (l *Concat) ParamCount([]tensor.Shape) int64 { return 0 }
 
 // Add sums identically shaped inputs elementwise — the merge node of
 // residual blocks.
@@ -56,26 +47,16 @@ type Add struct {
 func (l *Add) Name() string { return l.LayerName }
 func (l *Add) Kind() Kind   { return KindAdd }
 
-func (l *Add) OutputShape(inputs []tensor.Shape) (tensor.Shape, error) {
+func (l *Add) Infer(inputs []tensor.Shape) (Size, error) {
 	if len(inputs) < 2 {
-		return nil, fmt.Errorf("nn: add %q needs at least 2 inputs, got %d", l.LayerName, len(inputs))
+		return Size{}, fmt.Errorf("nn: add %q needs at least 2 inputs, got %d", l.LayerName, len(inputs))
 	}
 	first := inputs[0]
 	for i, in := range inputs[1:] {
 		if !in.Equal(first) {
-			return nil, fmt.Errorf("nn: add %q input %d shape %v mismatches %v",
+			return Size{}, fmt.Errorf("nn: add %q input %d shape %v mismatches %v",
 				l.LayerName, i+1, in, first)
 		}
 	}
-	return first.Clone(), nil
+	return Size{Out: first.Clone(), FLOPs: float64(len(inputs)-1) * float64(first.Elems())}, nil
 }
-
-func (l *Add) FLOPs(inputs []tensor.Shape) float64 {
-	out, err := l.OutputShape(inputs)
-	if err != nil {
-		return 0
-	}
-	return float64(len(inputs)-1) * float64(out.Elems())
-}
-
-func (l *Add) ParamCount([]tensor.Shape) int64 { return 0 }

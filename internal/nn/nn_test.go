@@ -8,13 +8,18 @@ import (
 	"dnnjps/internal/tensor"
 )
 
+func sizeOf(t *testing.T, l Layer, ins ...tensor.Shape) Size {
+	t.Helper()
+	s, err := l.Infer(ins)
+	if err != nil {
+		t.Fatalf("%s.Infer(%v): %v", l.Name(), ins, err)
+	}
+	return s
+}
+
 func shapeOf(t *testing.T, l Layer, ins ...tensor.Shape) tensor.Shape {
 	t.Helper()
-	out, err := l.OutputShape(ins)
-	if err != nil {
-		t.Fatalf("%s.OutputShape(%v): %v", l.Name(), ins, err)
-	}
-	return out
+	return sizeOf(t, l, ins...).Out
 }
 
 func TestInputLayer(t *testing.T) {
@@ -23,10 +28,10 @@ func TestInputLayer(t *testing.T) {
 	if !out.Equal(tensor.NewCHW(3, 224, 224)) {
 		t.Errorf("output = %v", out)
 	}
-	if _, err := in.OutputShape([]tensor.Shape{tensor.NewVec(1)}); err == nil {
+	if _, err := in.Infer([]tensor.Shape{tensor.NewVec(1)}); err == nil {
 		t.Error("input layer must reject inputs")
 	}
-	if in.FLOPs(nil) != 0 || in.ParamCount(nil) != 0 {
+	if s := sizeOf(t, in); s.FLOPs != 0 || s.Params != 0 {
 		t.Error("input layer must be free")
 	}
 	if in.Kind() != KindInput {
@@ -56,7 +61,7 @@ func TestConv2DFLOPs(t *testing.T) {
 	conv := &Conv2D{LayerName: "c", OutC: 96, KH: 11, KW: 11, Stride: 4}
 	in := []tensor.Shape{tensor.NewCHW(3, 227, 227)}
 	want := 2.0 * 11 * 11 * 3 * 96 * 55 * 55
-	if got := conv.FLOPs(in); got != want {
+	if got := sizeOf(t, conv, in...).FLOPs; got != want {
 		t.Errorf("FLOPs = %g, want %g", got, want)
 	}
 }
@@ -65,8 +70,8 @@ func TestConv2DParams(t *testing.T) {
 	conv := &Conv2D{LayerName: "c", OutC: 96, KH: 11, KW: 11, Stride: 4, Bias: true}
 	in := []tensor.Shape{tensor.NewCHW(3, 227, 227)}
 	want := int64(96*11*11*3 + 96)
-	if got := conv.ParamCount(in); got != want {
-		t.Errorf("ParamCount = %d, want %d", got, want)
+	if got := sizeOf(t, conv, in...).Params; got != want {
+		t.Errorf("Params = %d, want %d", got, want)
 	}
 }
 
@@ -79,28 +84,28 @@ func TestConv2DGrouped(t *testing.T) {
 	}
 	// Grouped conv FLOPs are 1/groups of the dense equivalent.
 	dense := &Conv2D{LayerName: "d", OutC: 64, KH: 3, KW: 3, Stride: 1, Pad: 1}
-	if got, want := conv.FLOPs(in), dense.FLOPs(in)/4; got != want {
+	if got, want := sizeOf(t, conv, in...).FLOPs, sizeOf(t, dense, in...).FLOPs/4; got != want {
 		t.Errorf("grouped FLOPs = %g, want %g", got, want)
 	}
 }
 
 func TestConv2DErrors(t *testing.T) {
 	conv := &Conv2D{LayerName: "c", OutC: 64, KH: 3, KW: 3, Stride: 1, Groups: 5}
-	if _, err := conv.OutputShape([]tensor.Shape{tensor.NewCHW(32, 14, 14)}); err == nil {
+	if _, err := conv.Infer([]tensor.Shape{tensor.NewCHW(32, 14, 14)}); err == nil {
 		t.Error("groups not dividing channels must error")
 	}
 	big := &Conv2D{LayerName: "c", OutC: 8, KH: 9, KW: 9, Stride: 1}
-	if _, err := big.OutputShape([]tensor.Shape{tensor.NewCHW(3, 4, 4)}); err == nil {
+	if _, err := big.Infer([]tensor.Shape{tensor.NewCHW(3, 4, 4)}); err == nil {
 		t.Error("kernel larger than input must error")
 	}
-	if _, err := big.OutputShape([]tensor.Shape{tensor.NewVec(48)}); err == nil {
+	if _, err := big.Infer([]tensor.Shape{tensor.NewVec(48)}); err == nil {
 		t.Error("vector input must error")
 	}
-	if _, err := big.OutputShape(nil); err == nil {
+	if _, err := big.Infer(nil); err == nil {
 		t.Error("missing input must error")
 	}
-	if big.FLOPs(nil) != 0 || big.ParamCount(nil) != 0 {
-		t.Error("invalid inputs must cost 0")
+	if s, err := big.Infer([]tensor.Shape{tensor.NewCHW(3, 4, 4), tensor.NewCHW(3, 4, 4)}); err == nil {
+		t.Errorf("Infer must refuse two inputs, sized them %+v", s)
 	}
 }
 
@@ -112,11 +117,11 @@ func TestDepthwiseConv(t *testing.T) {
 		t.Errorf("output = %v, want [144x28x28]", out)
 	}
 	want := 2.0 * 3 * 3 * 144 * 28 * 28
-	if got := dw.FLOPs(in); got != want {
+	if got := sizeOf(t, dw, in...).FLOPs; got != want {
 		t.Errorf("FLOPs = %g, want %g", got, want)
 	}
-	if got := dw.ParamCount(in); got != int64(144*3*3) {
-		t.Errorf("ParamCount = %d", got)
+	if got := sizeOf(t, dw, in...).Params; got != int64(144*3*3) {
+		t.Errorf("Params = %d", got)
 	}
 }
 
@@ -129,8 +134,11 @@ func TestMaxPool(t *testing.T) {
 	if p.Kind() != KindMaxPool {
 		t.Errorf("kind = %v", p.Kind())
 	}
-	if p.ParamCount(nil) != 0 {
+	if sizeOf(t, p, tensor.NewCHW(96, 55, 55)).Params != 0 {
 		t.Error("pool has no params")
+	}
+	if _, err := p.Infer(nil); err == nil {
+		t.Error("missing input must error")
 	}
 }
 
@@ -145,14 +153,14 @@ func TestAvgPoolAndGlobalAvgPool(t *testing.T) {
 	if !out.Equal(tensor.NewVec(512)) {
 		t.Errorf("gap output = %v, want [512]", out)
 	}
-	if g.FLOPs([]tensor.Shape{tensor.NewCHW(512, 7, 7)}) != 512*7*7 {
+	if sizeOf(t, g, tensor.NewCHW(512, 7, 7)).FLOPs != 512*7*7 {
 		t.Error("gap FLOPs should equal input elems")
 	}
 }
 
 func TestPoolRejectsEmptyOutput(t *testing.T) {
 	p := NewMaxPool2D("p", 9, 1, 0)
-	if _, err := p.OutputShape([]tensor.Shape{tensor.NewCHW(3, 4, 4)}); err == nil {
+	if _, err := p.Infer([]tensor.Shape{tensor.NewCHW(3, 4, 4)}); err == nil {
 		t.Error("pool kernel larger than input must error")
 	}
 }
@@ -165,21 +173,21 @@ func TestDense(t *testing.T) {
 		t.Errorf("output = %v", out)
 	}
 	in := []tensor.Shape{tensor.NewCHW(256, 6, 6)}
-	if got, want := d.FLOPs(in), 2.0*256*6*6*4096; got != want {
+	if got, want := sizeOf(t, d, in...).FLOPs, 2.0*256*6*6*4096; got != want {
 		t.Errorf("FLOPs = %g, want %g", got, want)
 	}
-	if got, want := d.ParamCount(in), int64(256*6*6*4096+4096); got != want {
-		t.Errorf("ParamCount = %d, want %d", got, want)
+	if got, want := sizeOf(t, d, in...).Params, int64(256*6*6*4096+4096); got != want {
+		t.Errorf("Params = %d, want %d", got, want)
 	}
 }
 
 func TestDenseErrors(t *testing.T) {
 	d := &Dense{LayerName: "fc", Out: 0}
-	if _, err := d.OutputShape([]tensor.Shape{tensor.NewVec(10)}); err == nil {
+	if _, err := d.Infer([]tensor.Shape{tensor.NewVec(10)}); err == nil {
 		t.Error("zero output size must error")
 	}
 	d2 := &Dense{LayerName: "fc", Out: 10}
-	if _, err := d2.OutputShape([]tensor.Shape{{}}); err == nil {
+	if _, err := d2.Infer([]tensor.Shape{{}}); err == nil {
 		t.Error("empty input must error")
 	}
 }
@@ -190,7 +198,7 @@ func TestFlatten(t *testing.T) {
 	if !out.Equal(tensor.NewVec(256 * 6 * 6)) {
 		t.Errorf("output = %v", out)
 	}
-	if f.FLOPs(nil) != 0 {
+	if sizeOf(t, f, tensor.NewCHW(256, 6, 6)).FLOPs != 0 {
 		t.Error("flatten is free")
 	}
 }
@@ -199,7 +207,7 @@ func TestActivationVariants(t *testing.T) {
 	in := []tensor.Shape{tensor.NewCHW(8, 4, 4)}
 	relu := NewActivation("r", ReLU)
 	sig := NewActivation("s", Sigmoid)
-	if relu.FLOPs(in) >= sig.FLOPs(in) {
+	if sizeOf(t, relu, in...).FLOPs >= sizeOf(t, sig, in...).FLOPs {
 		t.Error("sigmoid should cost more than relu")
 	}
 	out := shapeOf(t, relu, in[0])
@@ -220,19 +228,22 @@ func TestBatchNorm(t *testing.T) {
 	if !out.Equal(in[0]) {
 		t.Error("bn must preserve shape")
 	}
-	if bn.ParamCount(in) != 128 {
-		t.Errorf("bn params = %d, want 128", bn.ParamCount(in))
+	if got := sizeOf(t, bn, in...).Params; got != 128 {
+		t.Errorf("bn params = %d, want 128", got)
+	}
+	if _, err := bn.Infer([]tensor.Shape{tensor.NewVec(64)}); err == nil {
+		t.Error("bn must refuse a non-CHW input: its parameters are per channel")
 	}
 }
 
 func TestLRNDropoutSoftmax(t *testing.T) {
 	lrn := NewLRN("lrn", 5)
 	in := []tensor.Shape{tensor.NewCHW(96, 27, 27)}
-	if got := lrn.FLOPs(in); got != 10.0*96*27*27 {
+	if got := sizeOf(t, lrn, in...).FLOPs; got != 10.0*96*27*27 {
 		t.Errorf("lrn FLOPs = %g", got)
 	}
 	do := NewDropout("do", 0.5)
-	if do.FLOPs(in) != 0 {
+	if sizeOf(t, do, in...).FLOPs != 0 {
 		t.Error("dropout is free at inference")
 	}
 	sm := NewSoftmax("sm")
@@ -250,13 +261,13 @@ func TestConcat(t *testing.T) {
 	if !out.Equal(tensor.NewCHW(224, 28, 28)) {
 		t.Errorf("output = %v, want [224x28x28]", out)
 	}
-	if _, err := c.OutputShape([]tensor.Shape{tensor.NewCHW(64, 28, 28), tensor.NewCHW(64, 14, 14)}); err == nil {
+	if _, err := c.Infer([]tensor.Shape{tensor.NewCHW(64, 28, 28), tensor.NewCHW(64, 14, 14)}); err == nil {
 		t.Error("mismatched spatial dims must error")
 	}
-	if _, err := c.OutputShape(nil); err == nil {
+	if _, err := c.Infer(nil); err == nil {
 		t.Error("no inputs must error")
 	}
-	if _, err := c.OutputShape([]tensor.Shape{tensor.NewVec(5)}); err == nil {
+	if _, err := c.Infer([]tensor.Shape{tensor.NewVec(5)}); err == nil {
 		t.Error("vector input must error")
 	}
 }
@@ -268,13 +279,13 @@ func TestAdd(t *testing.T) {
 	if !out.Equal(s) {
 		t.Errorf("output = %v", out)
 	}
-	if got := a.FLOPs([]tensor.Shape{s, s, s}); got != 2.0*float64(s.Elems()) {
+	if got := sizeOf(t, a, s, s, s).FLOPs; got != 2.0*float64(s.Elems()) {
 		t.Errorf("3-way add FLOPs = %g", got)
 	}
-	if _, err := a.OutputShape([]tensor.Shape{s}); err == nil {
+	if _, err := a.Infer([]tensor.Shape{s}); err == nil {
 		t.Error("single-input add must error")
 	}
-	if _, err := a.OutputShape([]tensor.Shape{s, tensor.NewCHW(64, 56, 28)}); err == nil {
+	if _, err := a.Infer([]tensor.Shape{s, tensor.NewCHW(64, 56, 28)}); err == nil {
 		t.Error("mismatched shapes must error")
 	}
 }
@@ -300,15 +311,16 @@ func TestConvShapeProperty(t *testing.T) {
 		in := tensor.NewCHW(3, 32, 32)
 		c1 := &Conv2D{LayerName: "a", OutC: 8, KH: k, KW: k, Stride: s, Pad: p}
 		c2 := &Conv2D{LayerName: "b", OutC: 16, KH: k, KW: k, Stride: s, Pad: p}
-		o, err := c1.OutputShape([]tensor.Shape{in})
+		s1, err := c1.Infer([]tensor.Shape{in})
 		if err != nil {
 			return true // geometrically invalid configs are fine to skip
 		}
 		wantH := (32+2*p-k)/s + 1
-		if o.H() != wantH || o.W() != wantH || o.C() != 8 {
+		if o := s1.Out; o.H() != wantH || o.W() != wantH || o.C() != 8 {
 			return false
 		}
-		return c2.FLOPs([]tensor.Shape{in}) == 2*c1.FLOPs([]tensor.Shape{in})
+		s2, err := c2.Infer([]tensor.Shape{in})
+		return err == nil && s2.FLOPs == 2*s1.FLOPs
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -322,10 +334,11 @@ func TestPoolShrinksProperty(t *testing.T) {
 		s := int(s8)%3 + 1
 		in := tensor.NewCHW(16, 30, 30)
 		p := NewMaxPool2D("p", k, s, 0)
-		o, err := p.OutputShape([]tensor.Shape{in})
+		sz, err := p.Infer([]tensor.Shape{in})
 		if err != nil {
 			return true
 		}
+		o := sz.Out
 		return o.C() == 16 && o.H() <= 30 && o.W() <= 30
 	}
 	if err := quick.Check(f, nil); err != nil {

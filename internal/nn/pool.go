@@ -6,35 +6,33 @@ import (
 	"dnnjps/internal/tensor"
 )
 
-// poolKind shares shape/FLOPs logic between max and average pooling.
+// pool is the shared base of max and average pooling: it names,
+// classifies and sizes them.
 type pool struct {
 	LayerName string
+	kind      Kind
 	K         int // square kernel
 	Stride    int
 	Pad       int
 }
 
-func (l *pool) outputShape(inputs []tensor.Shape) (tensor.Shape, error) {
+func (l *pool) Name() string { return l.LayerName }
+func (l *pool) Kind() Kind   { return l.kind }
+
+func (l *pool) Infer(inputs []tensor.Shape) (Size, error) {
 	in, err := chw(l.LayerName, inputs)
 	if err != nil {
-		return nil, err
+		return Size{}, err
 	}
 	oh := convOut(in.H(), l.K, l.Stride, l.Pad)
 	ow := convOut(in.W(), l.K, l.Stride, l.Pad)
 	if oh <= 0 || ow <= 0 {
-		return nil, fmt.Errorf("nn: pool %q produces empty output %dx%d from input %v",
+		return Size{}, fmt.Errorf("nn: pool %q produces empty output %dx%d from input %v",
 			l.LayerName, oh, ow, in)
 	}
-	return tensor.NewCHW(in.C(), oh, ow), nil
-}
-
-func (l *pool) flops(inputs []tensor.Shape) float64 {
-	out, err := l.outputShape(inputs)
-	if err != nil {
-		return 0
-	}
+	out := tensor.NewCHW(in.C(), oh, ow)
 	// One comparison/accumulation per kernel element per output element.
-	return float64(l.K) * float64(l.K) * float64(out.Elems())
+	return Size{Out: out, FLOPs: float64(l.K) * float64(l.K) * float64(out.Elems())}, nil
 }
 
 // MaxPool2D is a square max-pooling layer.
@@ -42,32 +40,16 @@ type MaxPool2D struct{ pool }
 
 // NewMaxPool2D builds a max pool with kernel k, stride s, padding p.
 func NewMaxPool2D(name string, k, s, p int) *MaxPool2D {
-	return &MaxPool2D{pool{LayerName: name, K: k, Stride: s, Pad: p}}
+	return &MaxPool2D{pool{name, KindMaxPool, k, s, p}}
 }
-
-func (l *MaxPool2D) Name() string { return l.LayerName }
-func (l *MaxPool2D) Kind() Kind   { return KindMaxPool }
-func (l *MaxPool2D) OutputShape(inputs []tensor.Shape) (tensor.Shape, error) {
-	return l.outputShape(inputs)
-}
-func (l *MaxPool2D) FLOPs(inputs []tensor.Shape) float64 { return l.flops(inputs) }
-func (l *MaxPool2D) ParamCount([]tensor.Shape) int64     { return 0 }
 
 // AvgPool2D is a square average-pooling layer.
 type AvgPool2D struct{ pool }
 
 // NewAvgPool2D builds an average pool with kernel k, stride s, padding p.
 func NewAvgPool2D(name string, k, s, p int) *AvgPool2D {
-	return &AvgPool2D{pool{LayerName: name, K: k, Stride: s, Pad: p}}
+	return &AvgPool2D{pool{name, KindAvgPool, k, s, p}}
 }
-
-func (l *AvgPool2D) Name() string { return l.LayerName }
-func (l *AvgPool2D) Kind() Kind   { return KindAvgPool }
-func (l *AvgPool2D) OutputShape(inputs []tensor.Shape) (tensor.Shape, error) {
-	return l.outputShape(inputs)
-}
-func (l *AvgPool2D) FLOPs(inputs []tensor.Shape) float64 { return l.flops(inputs) }
-func (l *AvgPool2D) ParamCount([]tensor.Shape) int64     { return 0 }
 
 // GlobalAvgPool2D reduces each channel to a single value, producing a
 // feature vector — the standard head of MobileNet/ResNet/GoogLeNet.
@@ -78,20 +60,10 @@ type GlobalAvgPool2D struct {
 func (l *GlobalAvgPool2D) Name() string { return l.LayerName }
 func (l *GlobalAvgPool2D) Kind() Kind   { return KindGlobalAvgPool }
 
-func (l *GlobalAvgPool2D) OutputShape(inputs []tensor.Shape) (tensor.Shape, error) {
+func (l *GlobalAvgPool2D) Infer(inputs []tensor.Shape) (Size, error) {
 	in, err := chw(l.LayerName, inputs)
 	if err != nil {
-		return nil, err
+		return Size{}, err
 	}
-	return tensor.NewVec(in.C()), nil
+	return Size{Out: tensor.NewVec(in.C()), FLOPs: float64(in.Elems())}, nil
 }
-
-func (l *GlobalAvgPool2D) FLOPs(inputs []tensor.Shape) float64 {
-	in, err := chw(l.LayerName, inputs)
-	if err != nil {
-		return 0
-	}
-	return float64(in.Elems())
-}
-
-func (l *GlobalAvgPool2D) ParamCount([]tensor.Shape) int64 { return 0 }

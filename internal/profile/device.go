@@ -37,24 +37,24 @@ type Device struct {
 // would price the layer NaN, infinite or negative and still get a
 // plan.
 func (d Device) LayerTimeMs(g *dag.Graph, id int) float64 {
-	flops := g.NodeFLOPs(id)
-	if flops == 0 {
+	n := g.Node(id)
+	if n.FLOPs == 0 {
 		// Free layers (input, flatten, dropout) do not pay dispatch
 		// overhead either: frameworks fold them away.
 		return 0
 	}
 	tp := d.DefaultFperMs
-	if v, ok := d.ThroughputFperMs[g.Node(id).Layer.Kind()]; ok {
+	if v, ok := d.ThroughputFperMs[n.Layer.Kind()]; ok {
 		tp = v
 	}
 	if !(tp > 0) {
 		panic(fmt.Sprintf("profile: device %s has unusable throughput %g FLOPs/ms for %v",
-			d.Name, tp, g.Node(id).Layer.Kind()))
+			d.Name, tp, n.Layer.Kind()))
 	}
 	if !(d.LayerOverheadMs >= 0) || math.IsInf(d.LayerOverheadMs, 1) {
 		panic(fmt.Sprintf("profile: device %s has unusable layer overhead %g ms", d.Name, d.LayerOverheadMs))
 	}
-	return d.LayerOverheadMs + flops/tp
+	return d.LayerOverheadMs + n.FLOPs/tp
 }
 
 // NodesTimeMs sums LayerTimeMs over a set of node IDs.

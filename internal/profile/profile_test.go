@@ -82,7 +82,7 @@ func TestDeviceLayerTime(t *testing.T) {
 	pi := RaspberryPi4()
 	conv1, _ := g.NodeByName("conv1/conv")
 	got := pi.LayerTimeMs(g, conv1.ID)
-	want := pi.LayerOverheadMs + g.NodeFLOPs(conv1.ID)/pi.ThroughputFperMs[nn.KindConv]
+	want := pi.LayerOverheadMs + conv1.FLOPs/pi.ThroughputFperMs[nn.KindConv]
 	if math.Abs(got-want) > 1e-9 {
 		t.Errorf("conv1 time = %g, want %g", got, want)
 	}
