@@ -150,7 +150,11 @@ func buildChainCurves(g *dag.Graph, ch Chain) *chainCurves {
 // transmits zero bytes, hence exactly 0 ms (TestChainDegenerateGrid
 // pins this).
 func (c *chainCurves) stagesFor(cuts []int) []float64 {
-	st := make([]float64, len(cuts)+1)
+	return c.stagesInto(make([]float64, len(cuts)+1), cuts)
+}
+
+// stagesInto is stagesFor into st, which has len(cuts)+1 entries.
+func (c *chainCurves) stagesInto(st []float64, cuts []int) []float64 {
 	st[0] = c.f[0][cuts[0]]
 	for l, cut := range cuts {
 		st[l+1] = c.linkMs[l][cut]
@@ -217,7 +221,7 @@ func JPSChain(g *dag.Graph, ch Chain, n int) (*ChainPlan, error) {
 		return chainPlanFromTwoTier("JPS-chain", p), nil
 	}
 	c := buildChainCurves(g, ch)
-	best, second := bestTwo(c.candidates(ch.Depth()))
+	best, second := c.bestTwo(ch.Depth())
 
 	// The splits repeat when n < 4, and with a single candidate — or two
 	// that price the same — every mix is the same instance; the strict <
@@ -279,7 +283,7 @@ type chainCand struct {
 }
 
 // candidates prices every non-decreasing k-tuple over the Pareto cuts,
-// in enumTuples order.
+// in enumTuples order (ChainBruteForce's tuple set).
 func (c *chainCurves) candidates(k int) []chainCand {
 	var cands []chainCand
 	enumTuples(c.pareto, k, func(cuts []int) {
@@ -289,23 +293,34 @@ func (c *chainCurves) candidates(k int) []chainCand {
 	return cands
 }
 
-// bestTwo returns the best and runner-up candidates by peak stage — the
-// pair JPSChain mixes. The tie-breaking here is part of the frozen
-// output (chain_golden_test.go pins it at k=2); of a single candidate
-// the runner-up is the best.
-func bestTwo(cands []chainCand) (best, second chainCand) {
-	bestIdx, secondIdx := 0, 0
-	for i, p := range cands {
-		if p.peak < cands[bestIdx].peak {
-			secondIdx = bestIdx
-			bestIdx = i
-		} else if p.peak < cands[secondIdx].peak || secondIdx == bestIdx {
-			if i != bestIdx {
-				secondIdx = i
-			}
+// bestTwo walks the non-decreasing k-tuples over the Pareto cuts in
+// enumTuples order and returns the best and runner-up by peak stage —
+// the pair JPSChain mixes. Every tuple is priced into one scratch
+// vector; only one that takes either place is cloned. The tie-breaking
+// is part of the frozen output (chain_golden_test.go pins it at k=2):
+// a later tuple displaces the best or the runner-up only with a
+// strictly smaller peak, except that the second tuple always fills the
+// runner-up place; of a single tuple the runner-up is the best.
+func (c *chainCurves) bestTwo(k int) (best, second chainCand) {
+	st := make([]float64, k+1)
+	i := 0
+	enumTuples(c.pareto, k, func(cuts []int) {
+		peak := slices.Max(c.stagesInto(st, cuts))
+		take := func() chainCand {
+			return chainCand{cuts: slices.Clone(cuts), stages: slices.Clone(st), peak: peak}
 		}
-	}
-	return cands[bestIdx], cands[secondIdx]
+		switch {
+		case i == 0:
+			best = take()
+			second = best
+		case peak < best.peak:
+			second, best = best, take()
+		case i == 1 || peak < second.peak:
+			second = take()
+		}
+		i++
+	})
+	return best, second
 }
 
 // tileCuts materialises a plan's per-job cut tuples in one backing

@@ -95,7 +95,7 @@ func TestScheduleMMatchesReferenceOnChainTraffic(t *testing.T) {
 		for _, access := range netsim.Presets() {
 			for _, depth := range []int{2, 3} {
 				c := buildChainCurves(g, trafficChain(access, depth))
-				best, second := bestTwo(c.candidates(depth))
+				best, second := c.bestTwo(depth)
 				for _, n := range []int{5, 20, 50} {
 					for mixAt := 0; mixAt <= n; mixAt++ {
 						jobs := make([]flowshop.JobM, n)
@@ -126,11 +126,13 @@ func TestScheduleMMatchesReferenceOnChainTraffic(t *testing.T) {
 }
 
 // (e) A k-way plan at the paper's n = 100 allocates what its line view,
-// curves, candidates, five sequenced mixes and result need, with no
-// per-node search in the line view and nothing per NEH row or descent
-// trial. mobilenetv2's 1 192 and AlexNet's 329 repeat run to run; the
-// ceilings leave a little headroom for the mixes' goroutines (-race
-// read 1 193 once), while a per-row allocation adds hundreds. The
+// curves, best two candidates, five sequenced mixes and result need,
+// with no per-node search or sizing in the line view, no clone per
+// priced tuple and nothing per NEH row or descent trial. mobilenetv2's
+// 218 and AlexNet's 153 repeat run to run; the ceilings leave a little
+// headroom for the mixes' goroutines (-race read 219 once), while a
+// per-row or per-tuple allocation adds hundreds. Sizing each node per
+// curve made them 1 192 and 329, a clone per tuple 283 and 200; the
 // old planner's per-job, per-mix and per-trial allocations made
 // mobilenetv2's 83 051; a search per node, reflection-based sorts and
 // Johnson lists grown by append made plan-grid's AlexNet cell 412.
@@ -146,8 +148,8 @@ func TestJPSChainAllocs(t *testing.T) {
 		ch    Chain
 		want  float64
 	}{
-		{"mobilenetv2", threeTierChain(), 1200},
-		{"alexnet", planGrid, 335},
+		{"mobilenetv2", threeTierChain(), 225},
+		{"alexnet", planGrid, 160},
 	} {
 		g := models.MustBuild(c.model)
 		got := testing.AllocsPerRun(5, func() {

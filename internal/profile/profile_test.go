@@ -379,3 +379,28 @@ func TestZooCurves(t *testing.T) {
 		}
 	}
 }
+
+// BuildCurve sizes nothing itself: every node's FLOPs were stored by
+// Finalize, so a curve allocates its line view, its price tables and
+// the Curve. The counts are exact and repeat run to run; sizing each
+// node per device per curve made them 133, 621, 720 and 326.
+func TestBuildCurveAllocs(t *testing.T) {
+	for _, c := range []struct {
+		model string
+		want  float64
+	}{
+		{"alexnet", 47},
+		{"googlenet", 55},
+		{"mobilenetv2", 114},
+		{"resnet18", 52},
+	} {
+		g := models.MustBuild(c.model)
+		pi, gpu := RaspberryPi4(), CloudGPU()
+		got := testing.AllocsPerRun(5, func() {
+			BuildCurve(g, pi, gpu, netsim.FourG, tensor.Float32)
+		})
+		if got != c.want {
+			t.Errorf("BuildCurve(%s, 4G) = %.0f allocs/run, want %.0f", c.model, got, c.want)
+		}
+	}
+}
