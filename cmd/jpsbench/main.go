@@ -5,8 +5,12 @@
 //
 //	jpsbench -all
 //	jpsbench -fig 12 -n 100
-//	jpsbench -fig 13 -model mobilenetv2 -csv out/
+//	jpsbench -fig 13 -csv out/
+//	jpsbench -fig 4 -model mobilenetv2
 //	jpsbench -fig batch -model mobilenetv2
+//
+// -model applies to figures 4, runtime, trace, faults, stream, batch,
+// fleet and robust; the others plot fixed models.
 package main
 
 import (
@@ -43,7 +47,7 @@ func main() {
 	var (
 		all        = flag.Bool("all", false, "run every experiment")
 		fig        = flag.String("fig", "", "experiment id: "+strings.Join(slices.Concat(modeledIDs, liveIDs), ", "))
-		model      = flag.String("model", "alexnet", "model for figure 4/13 (alexnet, mobilenetv2, ...)")
+		model      = flag.String("model", "alexnet", "model for figures 4, runtime, trace, faults, stream, batch, fleet and robust (alexnet, mobilenetv2, ...)")
 		n          = flag.Int("n", 100, "number of inference jobs")
 		csvDir     = flag.String("csv", "", "directory to also write tables as CSV")
 		traceOut   = flag.String("trace-out", "", "with -fig trace: also write the recorded spans as Chrome trace_event JSON to this file")

@@ -15,9 +15,13 @@ import (
 	"dnnjps/internal/report"
 )
 
+// The flags live at package scope so Example can run main more than once.
+var (
+	model = flag.String("model", "mobilenetv2", "model name: "+fmt.Sprint(models.Names()))
+	n     = flag.Int("n", 50, "jobs per batch")
+)
+
 func main() {
-	model := flag.String("model", "mobilenetv2", "model name: "+fmt.Sprint(models.Names()))
-	n := flag.Int("n", 50, "jobs per batch")
 	flag.Parse()
 
 	env := experiments.DefaultEnv()
