@@ -32,15 +32,13 @@ func (a ActFunc) String() string {
 }
 
 // elementwise is the shared base of 1-input, shape-preserving layers:
-// it names, classifies and sizes them.
+// it names and sizes them.
 type elementwise struct {
 	LayerName    string
-	kind         Kind
 	flopsPerElem float64
 }
 
 func (l *elementwise) Name() string { return l.LayerName }
-func (l *elementwise) Kind() Kind   { return l.kind }
 
 func (l *elementwise) Infer(inputs []tensor.Shape) (Size, error) {
 	in, err := one(l.LayerName, inputs)
@@ -62,8 +60,10 @@ func NewActivation(name string, fn ActFunc) *Activation {
 	if fn == Sigmoid || fn == Tanh {
 		per = 4 // exp evaluation is several ops
 	}
-	return &Activation{elementwise{name, KindActivation, per}, fn}
+	return &Activation{elementwise{name, per}, fn}
 }
+
+func (l *Activation) Kind() Kind { return KindActivation }
 
 // BatchNorm normalizes channels with learned scale and shift
 // (inference-mode: folded mean/var).
@@ -73,8 +73,10 @@ type BatchNorm struct {
 
 // NewBatchNorm builds a batch-normalization layer.
 func NewBatchNorm(name string) *BatchNorm {
-	return &BatchNorm{elementwise{name, KindBatchNorm, 2}}
+	return &BatchNorm{elementwise{name, 2}}
 }
+
+func (l *BatchNorm) Kind() Kind { return KindBatchNorm }
 
 // Infer accepts only a CHW input: scale and shift are per channel.
 func (l *BatchNorm) Infer(inputs []tensor.Shape) (Size, error) {
@@ -93,8 +95,10 @@ type LRN struct {
 
 // NewLRN builds a local response normalization layer.
 func NewLRN(name string, size int) *LRN {
-	return &LRN{elementwise{name, KindLRN, 2 * float64(size)}, size}
+	return &LRN{elementwise{name, 2 * float64(size)}, size}
 }
+
+func (l *LRN) Kind() Kind { return KindLRN }
 
 // Dropout is an inference-time no-op kept in graphs so layer indices
 // match published architectures.
@@ -105,8 +109,10 @@ type Dropout struct {
 
 // NewDropout builds a dropout layer (identity at inference).
 func NewDropout(name string, rate float64) *Dropout {
-	return &Dropout{elementwise{name, KindDropout, 0}, rate}
+	return &Dropout{elementwise{name, 0}, rate}
 }
+
+func (l *Dropout) Kind() Kind { return KindDropout }
 
 // Softmax normalizes a vector of logits into class probabilities.
 type Softmax struct {
@@ -115,5 +121,7 @@ type Softmax struct {
 
 // NewSoftmax builds a softmax layer.
 func NewSoftmax(name string) *Softmax {
-	return &Softmax{elementwise{name, KindSoftmax, 5}}
+	return &Softmax{elementwise{name, 5}}
 }
+
+func (l *Softmax) Kind() Kind { return KindSoftmax }

@@ -6,18 +6,16 @@ import (
 	"dnnjps/internal/tensor"
 )
 
-// pool is the shared base of max and average pooling: it names,
-// classifies and sizes them.
+// pool is the shared base of max and average pooling: it names and
+// sizes them.
 type pool struct {
 	LayerName string
-	kind      Kind
 	K         int // square kernel
 	Stride    int
 	Pad       int
 }
 
 func (l *pool) Name() string { return l.LayerName }
-func (l *pool) Kind() Kind   { return l.kind }
 
 func (l *pool) Infer(inputs []tensor.Shape) (Size, error) {
 	in, err := chw(l.LayerName, inputs)
@@ -40,16 +38,20 @@ type MaxPool2D struct{ pool }
 
 // NewMaxPool2D builds a max pool with kernel k, stride s, padding p.
 func NewMaxPool2D(name string, k, s, p int) *MaxPool2D {
-	return &MaxPool2D{pool{name, KindMaxPool, k, s, p}}
+	return &MaxPool2D{pool{name, k, s, p}}
 }
+
+func (l *MaxPool2D) Kind() Kind { return KindMaxPool }
 
 // AvgPool2D is a square average-pooling layer.
 type AvgPool2D struct{ pool }
 
 // NewAvgPool2D builds an average pool with kernel k, stride s, padding p.
 func NewAvgPool2D(name string, k, s, p int) *AvgPool2D {
-	return &AvgPool2D{pool{name, KindAvgPool, k, s, p}}
+	return &AvgPool2D{pool{name, k, s, p}}
 }
+
+func (l *AvgPool2D) Kind() Kind { return KindAvgPool }
 
 // GlobalAvgPool2D reduces each channel to a single value, producing a
 // feature vector — the standard head of MobileNet/ResNet/GoogLeNet.
