@@ -74,8 +74,9 @@ func (g *Graph) Add(layer nn.Layer, preds ...int) int {
 }
 
 // Finalize validates the structure and sizes every node (output
-// shape, FLOPs, parameters). It requires exactly one source (an nn.Input) and exactly one
-// sink, and that every node is reachable from the source.
+// shape, FLOPs, parameters). It requires exactly one source (an
+// nn.Input) and exactly one sink, and that every node is reachable
+// from the source.
 func (g *Graph) Finalize() error {
 	if g.finalized {
 		return nil
