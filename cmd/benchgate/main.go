@@ -32,13 +32,15 @@ import (
 // compute-bound engine legs repeat three times and parseBench keeps the
 // fastest; the runner legs are paced by simulated-link sleeps and read
 // within ±2 % of each other once. A wire decode takes microseconds, so
-// its legs run 2000 iterations, three times; a sequencer call at n=100
-// a fraction of a millisecond, so its legs run 100, three times.
+// its legs run 2000 iterations, three times; a sequencer call or a
+// chain plan at n=100 a fraction of a millisecond, so their legs run
+// 100, three times.
 var runs = []struct{ pkg, bench, benchtime, count string }{
 	{"./internal/engine/", "^Benchmark(SgemmCrossover|BatchedForward)$", "3x", "3"},
 	{"./internal/runtime/", "^BenchmarkRunnerAdaptive$", "3x", "1"},
 	{"./internal/runtime/", "^BenchmarkReadTensor$", "2000x", "3"},
 	{"./internal/flowshop/", "^BenchmarkScheduleM$", "100x", "3"},
+	{"./internal/core/", "^BenchmarkChainPlanning$", "100x", "3"},
 }
 
 // rule bounds one within-run ratio: num's unit column over den's. A "*"
@@ -96,6 +98,13 @@ var rules = []rule{
 	// traffic reads 40–54×: 54× with the descent re-walking every
 	// trial, 53× for the direct form BenchmarkScheduleM's comment cites.
 	{num: "BenchmarkScheduleM/n=400", den: "BenchmarkScheduleM/n=100", unit: "ns/op", bound: 24},
+	// A 3-device JPSChain plan at n=100 against one two-kind ScheduleM
+	// call of the same size: the plan's load bounds leave one of its
+	// three two-kind splits to sequence. Read in one sitting: 0.91–1.64
+	// in thirteen readings, 1.96–3.02 in four with every split
+	// sequenced one after another, 1.93–2.10 in five with the three
+	// sequenced on their own goroutines (2 procs).
+	{num: "BenchmarkChainPlanning/kway-n100", den: "BenchmarkScheduleM/n=100", unit: "ns/op", bound: 1.75},
 }
 
 // row is one benchmark result, named as go test prints it less the

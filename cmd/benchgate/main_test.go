@@ -12,7 +12,7 @@ import (
 	"time"
 )
 
-// today is `go test -bench` output as the gate's four runs print it on
+// today is `go test -bench` output as the gate's five runs print it on
 // the 2-proc reference host, which has AVX-512 (so the avx2 legs run),
 // cut down to the legs the rules read plus one ungated neighbour of
 // each family. asm/n=128, the ReadTensor and the ScheduleM legs keep
@@ -77,6 +77,14 @@ BenchmarkScheduleM/n=400-2         	     100	   2880806 ns/op	  193712 B/op	    
 BenchmarkScheduleM/n=400-2         	     100	   3102027 ns/op	  193712 B/op	      47 allocs/op
 PASS
 ok  	dnnjps/internal/flowshop	1.011s
+goos: linux
+goarch: amd64
+pkg: dnnjps/internal/core
+cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
+BenchmarkChainPlanning/kway-2         	     100	     21614 ns/op	   14008 B/op	      60 allocs/op
+BenchmarkChainPlanning/kway-n100-2    	     100	    156646 ns/op	   55704 B/op	      60 allocs/op
+PASS
+ok  	dnnjps/internal/core	0.071s
 `
 
 func TestParseBench(t *testing.T) {
@@ -136,47 +144,52 @@ func TestEvaluate(t *testing.T) {
 		ratios int
 		msg    string // a message that must be printed
 	}{
-		{"today's ratios", today, true, 11, "ok BenchmarkRunnerAdaptive/adaptive over BenchmarkRunnerAdaptive/static = 1.00x"},
+		{"today's ratios", today, true, 12, "ok BenchmarkRunnerAdaptive/adaptive over BenchmarkRunnerAdaptive/static = 1.00x"},
 		// 691620 is the fastest of three asm/n=128 repetitions; the gate
 		// reads it, not the 736066 printed first: 0.628, not 0.669.
-		{"repetitions collapse before the ratio", today, true, 11, "BenchmarkSgemmCrossover/asm/n=128 over BenchmarkSgemmCrossover/avx2/n=128 = 0.63x"},
+		{"repetitions collapse before the ratio", today, true, 12, "BenchmarkSgemmCrossover/asm/n=128 over BenchmarkSgemmCrossover/avx2/n=128 = 0.63x"},
 
 		// Each bound from both sides, one leg moved to just under and just
 		// over it: 0.9 twice, 0.6 twice, 0.16, 1.15, 17.
-		{"asm tile at 0.89x of the panel loop", swap("98485173 ns/op", "8142000 ns/op"), true, 11, "panel/n=1024 = 0.89x"},
-		{"asm tile at 0.91x", swap("98485173 ns/op", "7963000 ns/op"), false, 11, "FAIL BenchmarkSgemmCrossover/asm/n=1024 7246325 ns/op over BenchmarkSgemmCrossover/panel/n=1024"},
-		{"AVX-512 tile at 0.89x of the AVX2 tile", swap("13332165 ns/op", "8142000 ns/op"), true, 11, "avx2/n=1024 = 0.89x"},
-		{"AVX-512 tile at 0.91x: running narrow", swap("13332165 ns/op", "7963000 ns/op"), false, 11, "FAIL BenchmarkSgemmCrossover/asm/n=1024 7246325 ns/op over BenchmarkSgemmCrossover/avx2/n=1024"},
-		{"a width under 128 is not gated", swap("369808 ns/op", "6000000 ns/op"), true, 11, ""},
-		{"conv suffix at 0.59x of N=1", swap("9295156 ns/inference", "16000000 ns/inference"), true, 11, "convsuffix = 0.59x"},
-		{"conv suffix at 0.63x", swap("9295156 ns/inference", "17000000 ns/inference"), false, 11, "FAIL BenchmarkBatchedForward/N=32/convsuffix"},
-		{"dense head at 0.58x of N=1", swap("68779 ns/inference", "240000 ns/inference"), true, 11, "densehead = 0.58x"},
-		{"dense head at 0.63x", swap("68779 ns/inference", "260000 ns/inference"), false, 11, "FAIL BenchmarkBatchedForward/N=32/densehead"},
-		{"dense tail of eight at 0.15x of one job on the pure-Go route", swap("3231277 ns/inference", "3820000 ns/inference"), true, 11, "N=1/densetail/panel = 0.15x"},
-		{"dense tail of eight at 0.17x", swap("3231277 ns/inference", "4100000 ns/inference"), false, 11, "FAIL BenchmarkBatchedForward/N=8/densetail"},
-		{"the conv span is reported, not gated", swap("15265040 ns/inference", "99000000 ns/inference"), true, 11, ""},
-		{"estimator at 1.14x of the static runner", swap("231083170 ns/job", "263000000 ns/job"), true, 11, "static = 1.14x"},
-		{"estimator at 1.17x", swap("231083170 ns/job", "270000000 ns/job"), false, 11, "FAIL BenchmarkRunnerAdaptive/adaptive"},
+		{"asm tile at 0.89x of the panel loop", swap("98485173 ns/op", "8142000 ns/op"), true, 12, "panel/n=1024 = 0.89x"},
+		{"asm tile at 0.91x", swap("98485173 ns/op", "7963000 ns/op"), false, 12, "FAIL BenchmarkSgemmCrossover/asm/n=1024 7246325 ns/op over BenchmarkSgemmCrossover/panel/n=1024"},
+		{"AVX-512 tile at 0.89x of the AVX2 tile", swap("13332165 ns/op", "8142000 ns/op"), true, 12, "avx2/n=1024 = 0.89x"},
+		{"AVX-512 tile at 0.91x: running narrow", swap("13332165 ns/op", "7963000 ns/op"), false, 12, "FAIL BenchmarkSgemmCrossover/asm/n=1024 7246325 ns/op over BenchmarkSgemmCrossover/avx2/n=1024"},
+		{"a width under 128 is not gated", swap("369808 ns/op", "6000000 ns/op"), true, 12, ""},
+		{"conv suffix at 0.59x of N=1", swap("9295156 ns/inference", "16000000 ns/inference"), true, 12, "convsuffix = 0.59x"},
+		{"conv suffix at 0.63x", swap("9295156 ns/inference", "17000000 ns/inference"), false, 12, "FAIL BenchmarkBatchedForward/N=32/convsuffix"},
+		{"dense head at 0.58x of N=1", swap("68779 ns/inference", "240000 ns/inference"), true, 12, "densehead = 0.58x"},
+		{"dense head at 0.63x", swap("68779 ns/inference", "260000 ns/inference"), false, 12, "FAIL BenchmarkBatchedForward/N=32/densehead"},
+		{"dense tail of eight at 0.15x of one job on the pure-Go route", swap("3231277 ns/inference", "3820000 ns/inference"), true, 12, "N=1/densetail/panel = 0.15x"},
+		{"dense tail of eight at 0.17x", swap("3231277 ns/inference", "4100000 ns/inference"), false, 12, "FAIL BenchmarkBatchedForward/N=8/densetail"},
+		{"the conv span is reported, not gated", swap("15265040 ns/inference", "99000000 ns/inference"), true, 12, ""},
+		{"estimator at 1.14x of the static runner", swap("231083170 ns/job", "263000000 ns/job"), true, 12, "static = 1.14x"},
+		{"estimator at 1.17x", swap("231083170 ns/job", "270000000 ns/job"), false, 12, "FAIL BenchmarkRunnerAdaptive/adaptive"},
 		// The fastest decode (13259) over the fastest copy, which moves.
-		{"wire decode at 16.89x of the copy", swap("      1613 ns/op", "       785 ns/op"), true, 11, "BenchmarkReadTensor/copy = 16.89x"},
-		{"wire decode at 17.11x: the payload is converted again", swap("      1613 ns/op", "       775 ns/op"), false, 11, "FAIL BenchmarkReadTensor/decode 13259 ns/op over BenchmarkReadTensor/copy 775"},
+		{"wire decode at 16.89x of the copy", swap("      1613 ns/op", "       785 ns/op"), true, 12, "BenchmarkReadTensor/copy = 16.89x"},
+		{"wire decode at 17.11x: the payload is converted again", swap("      1613 ns/op", "       775 ns/op"), false, 12, "FAIL BenchmarkReadTensor/decode 13259 ns/op over BenchmarkReadTensor/copy 775"},
 
-		{"no asm legs: both asm rules skip", dropLines(today, "SgemmCrossover/asm/"), true, 7, "skip BenchmarkSgemmCrossover/asm/n=* over BenchmarkSgemmCrossover/panel/n=*"},
-		{"no avx2 legs (no AVX-512): that rule skips", dropLines(today, "SgemmCrossover/avx2/"), true, 9, "skip BenchmarkSgemmCrossover/asm/n=* over BenchmarkSgemmCrossover/avx2/n=*"},
-		{"asm legs, none at a gated width", dropLines(dropLines(today, "asm/n=128"), "asm/n=1024"), false, 7, "FAIL BenchmarkSgemmCrossover/asm/n=*"},
-		{"asm leg without its panel leg", dropLines(today, "panel/n=1024"), false, 10, "FAIL BenchmarkSgemmCrossover/asm/n=1024 over BenchmarkSgemmCrossover/panel/n=1024"},
-		{"asm leg without its avx2 leg", dropLines(today, "avx2/n=1024"), false, 10, "FAIL BenchmarkSgemmCrossover/asm/n=1024 over BenchmarkSgemmCrossover/avx2/n=1024"},
-		{"N=8/densetail missing", dropLines(today, "N=8/densetail"), false, 10, "FAIL BenchmarkBatchedForward/N=8/densetail"},
-		{"pure-Go dense tail missing", dropLines(today, "densetail/panel"), false, 10, "FAIL BenchmarkBatchedForward/N=8/densetail over BenchmarkBatchedForward/N=1/densetail/panel: the bench output lacks"},
-		{"RunnerAdaptive did not run", dropLines(today, "RunnerAdaptive"), false, 10, "FAIL BenchmarkRunnerAdaptive/adaptive"},
-		{"copy leg missing", dropLines(today, "ReadTensor/copy"), false, 10, "FAIL BenchmarkReadTensor/decode over BenchmarkReadTensor/copy: the bench output lacks"},
-		{"ReadTensor did not run", dropLines(today, "ReadTensor"), false, 10, "FAIL BenchmarkReadTensor/decode: 0 legs"},
-		{"N=32 legs missing", dropLines(today, "N=32/"), false, 8, "FAIL BenchmarkBatchedForward/N=32/*"},
+		{"no asm legs: both asm rules skip", dropLines(today, "SgemmCrossover/asm/"), true, 8, "skip BenchmarkSgemmCrossover/asm/n=* over BenchmarkSgemmCrossover/panel/n=*"},
+		{"no avx2 legs (no AVX-512): that rule skips", dropLines(today, "SgemmCrossover/avx2/"), true, 10, "skip BenchmarkSgemmCrossover/asm/n=* over BenchmarkSgemmCrossover/avx2/n=*"},
+		{"asm legs, none at a gated width", dropLines(dropLines(today, "asm/n=128"), "asm/n=1024"), false, 8, "FAIL BenchmarkSgemmCrossover/asm/n=*"},
+		{"asm leg without its panel leg", dropLines(today, "panel/n=1024"), false, 11, "FAIL BenchmarkSgemmCrossover/asm/n=1024 over BenchmarkSgemmCrossover/panel/n=1024"},
+		{"asm leg without its avx2 leg", dropLines(today, "avx2/n=1024"), false, 11, "FAIL BenchmarkSgemmCrossover/asm/n=1024 over BenchmarkSgemmCrossover/avx2/n=1024"},
+		{"N=8/densetail missing", dropLines(today, "N=8/densetail"), false, 11, "FAIL BenchmarkBatchedForward/N=8/densetail"},
+		{"pure-Go dense tail missing", dropLines(today, "densetail/panel"), false, 11, "FAIL BenchmarkBatchedForward/N=8/densetail over BenchmarkBatchedForward/N=1/densetail/panel: the bench output lacks"},
+		{"RunnerAdaptive did not run", dropLines(today, "RunnerAdaptive"), false, 11, "FAIL BenchmarkRunnerAdaptive/adaptive"},
+		{"copy leg missing", dropLines(today, "ReadTensor/copy"), false, 11, "FAIL BenchmarkReadTensor/decode over BenchmarkReadTensor/copy: the bench output lacks"},
+		{"ReadTensor did not run", dropLines(today, "ReadTensor"), false, 11, "FAIL BenchmarkReadTensor/decode: 0 legs"},
+		{"N=32 legs missing", dropLines(today, "N=32/"), false, 9, "FAIL BenchmarkBatchedForward/N=32/*"},
 		// The fastest n=400 (2880806) over the fastest n=100, which moves.
-		{"sequencer at 23.9x from n=100 to n=400", swap("190422 ns/op", "120500 ns/op"), true, 11, "BenchmarkScheduleM/n=400 over BenchmarkScheduleM/n=100 = 23.91x"},
-		{"sequencer at 24.1x: gone cubic on two kinds", swap("190422 ns/op", "119500 ns/op"), false, 11, "FAIL BenchmarkScheduleM/n=400 2880806 ns/op over BenchmarkScheduleM/n=100 119500"},
+		{"sequencer at 23.9x from n=100 to n=400", swap("190422 ns/op", "120500 ns/op"), true, 12, "BenchmarkScheduleM/n=400 over BenchmarkScheduleM/n=100 = 23.91x"},
+		{"sequencer at 24.1x: gone cubic on two kinds", swap("190422 ns/op", "119500 ns/op"), false, 12, "FAIL BenchmarkScheduleM/n=400 2880806 ns/op over BenchmarkScheduleM/n=100 119500"},
 		{"ScheduleM did not run", dropLines(today, "ScheduleM"), false, 10, "FAIL BenchmarkScheduleM/n=400: 0 legs"},
-		{"custom unit column missing", strings.ReplaceAll(today, "ns/job", "ns/request"), false, 10, "lacks ns/job"},
+		// The fastest n=100 plan (156646) over the fastest n=100 sequence
+		// (190422), the plan moved.
+		{"chain plan at 1.74x of one sequence", swap("156646 ns/op", "332000 ns/op"), true, 12, "BenchmarkChainPlanning/kway-n100 over BenchmarkScheduleM/n=100 = 1.74x"},
+		{"chain plan at 1.76x: sequencing splits that cannot win", swap("156646 ns/op", "335000 ns/op"), false, 12, "FAIL BenchmarkChainPlanning/kway-n100 335000 ns/op over BenchmarkScheduleM/n=100 190422"},
+		{"ChainPlanning did not run", dropLines(today, "ChainPlanning"), false, 11, "FAIL BenchmarkChainPlanning/kway-n100: 0 legs"},
+		{"custom unit column missing", strings.ReplaceAll(today, "ns/job", "ns/request"), false, 11, "lacks ns/job"},
 	}
 	for _, c := range cases {
 		_, rows := parseBench(c.out)

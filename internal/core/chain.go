@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 
 	"dnnjps/internal/dag"
 	"dnnjps/internal/flowshop"
@@ -199,12 +198,16 @@ func enumTuples(pareto []int, k int, visit func(cuts []int)) {
 // have no closed-form balance point, so the search is direct:
 // enumerate non-decreasing Pareto tuples, rank by peak stage (the
 // asymptotic average-makespan driver), and mix the best two candidates
-// across jobs at a few splits, each priced by the full
-// CDS-m/NEH-m/descent sequencer — concurrently, one goroutine per
-// distinct split, with the same plan as one after another. The two
-// end splits are one-type instances, which ScheduleM returns without
-// sequencing. O(C(p+k-1,k)) tuples over p Pareto cuts — model-sized p
-// keeps this in milliseconds even at depth 4.
+// across jobs at a few splits, in order, each priced by the full
+// CDS-m/NEH-m/descent sequencer unless its m-machine load bound
+// (flowshop.LowerBoundM) says it cannot beat the best split so far —
+// pruning that skips only splits that could not win, so the plan is
+// the one every split sequenced would give. The two end splits are
+// one-type instances, which ScheduleM returns without sequencing; of
+// the three two-kind splits, usually one is sequenced (one in each of
+// the 194 cells TestLowerBoundMSoundOnChainSplits walks).
+// O(C(p+k-1,k)) tuples over p Pareto cuts — model-sized p keeps this
+// in milliseconds even at depth 4.
 func JPSChain(g *dag.Graph, ch Chain, n int) (*ChainPlan, error) {
 	if err := ch.Validate(); err != nil {
 		return nil, err
@@ -226,52 +229,40 @@ func JPSChain(g *dag.Graph, ch Chain, n int) (*ChainPlan, error) {
 	// The splits repeat when n < 4, and with a single candidate — or two
 	// that price the same — every mix is the same instance; the strict <
 	// below keeps the first of equal makespans, so skipping repeats
-	// changes nothing. Distinct mixes are sequenced concurrently, each on
-	// its own job slice (entries share their candidate's stage vector;
-	// the sequencer copies) into its own slot, and reduced in mix order,
-	// so the plan does not depend on which finishes first.
+	// changes nothing. Nor does skipping a split whose load bound is >=
+	// the incumbent's makespan: the incumbent is an earlier split, and a
+	// later one must come in strictly shorter to displace it. One job
+	// slice serves every split (the sequencer copies), its first mix
+	// entries turned to the runner-up as the splits grow.
 	mixes := []int{0, n / 4, n / 2, 3 * n / 4, n}
 	if slices.Equal(best.stages, second.stages) {
 		mixes = mixes[:1]
 	}
 	mixes = slices.Compact(mixes)
-	seqs := make([][]flowshop.JobM, len(mixes))
-	spans := make([]float64, len(mixes))
-	sequence := func(i int) {
-		jobs := make([]flowshop.JobM, n)
-		for j := range jobs {
-			jobs[j] = flowshop.JobM{ID: j, Stages: best.stages}
-			if j < mixes[i] {
-				jobs[j].Stages = second.stages
-			}
-		}
-		seqs[i] = flowshop.ScheduleM(jobs)
-		spans[i] = flowshop.MakespanM(seqs[i])
+	kinds := [][]float64{second.stages, best.stages}
+	jobs := make([]flowshop.JobM, n)
+	for j := range jobs {
+		jobs[j] = flowshop.JobM{ID: j, Stages: best.stages}
 	}
-	if len(mixes) == 1 {
-		sequence(0)
-	} else {
-		var wg sync.WaitGroup
-		wg.Add(len(mixes))
-		for i := range mixes {
-			go func() {
-				defer wg.Done()
-				sequence(i)
-			}()
+	var seq []flowshop.JobM
+	span, at, turned := 0.0, 0, 0
+	for i, mix := range mixes {
+		if i > 0 && flowshop.LowerBoundM(kinds, []int{mix, n - mix}) >= span {
+			continue
 		}
-		wg.Wait()
-	}
-	w := 0
-	for i := 1; i < len(mixes); i++ {
-		if spans[i] < spans[w] {
-			w = i
+		for ; turned < mix; turned++ {
+			jobs[turned].Stages = second.stages
+		}
+		s := flowshop.ScheduleM(jobs)
+		if ms := flowshop.MakespanM(s); i == 0 || ms < span {
+			seq, span, at = s, ms, mix
 		}
 	}
 	return &ChainPlan{
 		Method:   "JPS-chain",
-		Cuts:     tileCuts(n, mixes[w], second.cuts, best.cuts),
-		Sequence: seqs[w],
-		Makespan: spans[w],
+		Cuts:     tileCuts(n, at, second.cuts, best.cuts),
+		Sequence: seq,
+		Makespan: span,
 	}, nil
 }
 

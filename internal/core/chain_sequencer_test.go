@@ -126,16 +126,17 @@ func TestScheduleMMatchesReferenceOnChainTraffic(t *testing.T) {
 }
 
 // (e) A k-way plan at the paper's n = 100 allocates what its line view,
-// curves, best two candidates, five sequenced mixes and result need,
-// with no per-node search or sizing in the line view, no clone per
-// priced tuple and nothing per NEH row or descent trial. mobilenetv2's
-// 218 and AlexNet's 153 repeat run to run; the ceilings leave a little
-// headroom for the mixes' goroutines (-race read 219 once), while a
-// per-row or per-tuple allocation adds hundreds. Sizing each node per
-// curve made them 1 192 and 329, a clone per tuple 283 and 200; the
-// old planner's per-job, per-mix and per-trial allocations made
-// mobilenetv2's 83 051; a search per node, reflection-based sorts and
-// Johnson lists grown by append made plan-grid's AlexNet cell 412.
+// curves, best two candidates, the one two-kind mix its load bounds
+// leave to sequence and result need, with no per-node search or sizing
+// in the line view, no clone per priced tuple and nothing per NEH row
+// or descent trial. The counts are exact and repeat run to run: the
+// splits run one after another. Three sequenced two-kind mixes, each on
+// its own goroutine, with a node slice per line-view unit made them 218
+// and 153; sizing each node per curve 1 192 and 329, a clone per tuple
+// 283 and 200; the old planner's per-job, per-mix and per-trial
+// allocations made mobilenetv2's 83 051; a search per node,
+// reflection-based sorts and Johnson lists grown by append made
+// plan-grid's AlexNet cell 412.
 func TestJPSChainAllocs(t *testing.T) {
 	pi, gpu := devices()
 	planGrid := Chain{ // plan-grid's chain at 4G: the edge→cloud hop at half the access rate
@@ -148,8 +149,8 @@ func TestJPSChainAllocs(t *testing.T) {
 		ch    Chain
 		want  float64
 	}{
-		{"mobilenetv2", threeTierChain(), 225},
-		{"alexnet", planGrid, 160},
+		{"mobilenetv2", threeTierChain(), 66},
+		{"alexnet", planGrid, 66},
 	} {
 		g := models.MustBuild(c.model)
 		got := testing.AllocsPerRun(5, func() {
@@ -157,16 +158,15 @@ func TestJPSChainAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if got > c.want {
-			t.Errorf("JPSChain(%s, 3 devices, n=100) = %.0f allocs/run, want <= %.0f", c.model, got, c.want)
+		if got != c.want {
+			t.Errorf("JPSChain(%s, 3 devices, n=100) = %.0f allocs/run, want %.0f", c.model, got, c.want)
 		}
 	}
 }
 
-// JPSChain sequences its distinct mixes concurrently and reduces them in
-// mix order, so the plan cannot depend on how many run at once: the
-// same makespan bits, cuts and sequence at GOMAXPROCS 1, 2 and 8, and
-// no goroutine left behind.
+// A plan cannot depend on how many threads the runtime runs: the same
+// makespan bits, cuts and sequence at GOMAXPROCS 1, 2 and 8, and no
+// goroutine left behind.
 func TestJPSChainSameAtAnyGOMAXPROCS(t *testing.T) {
 	prev := runtime.GOMAXPROCS(0)
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
@@ -224,4 +224,91 @@ func jobIDs(seq []flowshop.JobM) []int {
 		ids[i] = j.ID
 	}
 	return ids
+}
+
+// planGridChain is the benchmark's plan-grid chain on one access link:
+// mobile → quarter-speed edge → cloud over a half-rate 15 ms WAN, and at
+// depth 3 a half-speed regional box before the cloud on a second WAN.
+func planGridChain(access netsim.Channel, depth int) Chain {
+	pi, gpu := devices()
+	wan := netsim.Channel{Name: "wan-backhaul", UplinkMbps: access.UplinkMbps / 2, SetupMs: 15}
+	ch := Chain{
+		Devices: []profile.Device{pi, gpu.Scaled(0.25), gpu},
+		Links:   []netsim.Channel{access, wan},
+		DType:   tensor.Float32,
+	}
+	if depth == 3 {
+		ch.Devices = []profile.Device{pi, gpu.Scaled(0.25), gpu.Scaled(0.5), gpu}
+		ch.Links = append(ch.Links, wan)
+	}
+	return ch
+}
+
+// frozenGridSequenced is how many of the two-kind splits JPSChain
+// sequences on TestLowerBoundMSoundOnChainSplits' grid; every other
+// two-kind split is pruned by its load bound. Without the bound it is
+// frozenGridTwoKind, every one of them.
+const frozenGridSequenced, frozenGridTwoKind = 194, 582
+
+// flowshop.LowerBoundM is sound on JPSChain's own instances: for every
+// split of its pair — TestJPSChainFrozen's grid at n = 20 and 100, and
+// plan-grid's 16 chains — the bound is <= the makespan ScheduleM's
+// sequence evaluates to. The same walk counts the two-kind splits
+// JPSChain sequences: those whose bound is below every earlier split's
+// makespan.
+func TestLowerBoundMSoundOnChainSplits(t *testing.T) {
+	type cell struct {
+		model string
+		ch    Chain
+		name  string
+	}
+	var cells []cell
+	for _, model := range models.Names() {
+		for _, access := range netsim.Presets() {
+			for depth := 2; depth <= 4; depth++ {
+				cells = append(cells, cell{model, frozenChain(access, depth), fmt.Sprintf("frozen %s depth %d", access.Name, depth)})
+			}
+		}
+	}
+	for _, model := range []string{"alexnet", "mobilenetv2", "resnet18", "googlenet"} {
+		for _, access := range []netsim.Channel{netsim.FourG, netsim.WiFi} {
+			for depth := 2; depth <= 3; depth++ {
+				cells = append(cells, cell{model, planGridChain(access, depth), fmt.Sprintf("plan-grid %s depth %d", access.Name, depth)})
+			}
+		}
+	}
+	sequenced, twoKind := 0, 0
+	for _, c := range cells {
+		cc := buildChainCurves(models.MustBuild(c.model), c.ch)
+		best, second := cc.bestTwo(c.ch.Depth())
+		kinds := [][]float64{second.stages, best.stages}
+		for _, n := range []int{20, 100} {
+			incumbent := math.Inf(1)
+			for _, mix := range []int{0, n / 4, n / 2, 3 * n / 4, n} {
+				jobs := make([]flowshop.JobM, n)
+				for j := range jobs {
+					jobs[j] = flowshop.JobM{ID: j, Stages: best.stages}
+					if j < mix {
+						jobs[j].Stages = second.stages
+					}
+				}
+				span := flowshop.MakespanM(flowshop.ScheduleM(jobs))
+				lb := flowshop.LowerBoundM(kinds, []int{mix, n - mix})
+				if lb > span {
+					t.Errorf("%s %s n=%d split %d: bound %v > makespan %v", c.model, c.name, n, mix, lb, span)
+				}
+				if 0 < mix && mix < n && !slices.Equal(best.stages, second.stages) {
+					twoKind++
+					if lb < incumbent {
+						sequenced++
+					}
+				}
+				incumbent = min(incumbent, span)
+			}
+		}
+	}
+	t.Logf("%d of %d two-kind splits sequenced", sequenced, twoKind)
+	if sequenced != frozenGridSequenced || twoKind != frozenGridTwoKind {
+		t.Errorf("%d of %d two-kind splits sequenced, frozen %d of %d", sequenced, twoKind, frozenGridSequenced, frozenGridTwoKind)
+	}
 }

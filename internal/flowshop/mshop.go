@@ -3,6 +3,7 @@ package flowshop
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 )
 
@@ -31,10 +32,14 @@ import (
 // successor in one pass (stepFrom), never copied first. Scratch is a
 // few flat (n+1)·m matrices that live for one call: 19 allocations on
 // BenchmarkScheduleM's n=100, m=3 instance, one per Johnson call inside
-// CDS (TestScheduleMBenchInstanceAllocs). A one-type instance (every
-// job's stages ==) costs its deep copy and one O(n·m) comparison: all
-// three stages would return it in input order (see ScheduleM), so
-// none runs.
+// CDS (TestScheduleMAllocs). A one-type instance (every job's stages
+// ==) costs its deep copy and one O(n·m) comparison: all three stages
+// would return it in input order (see ScheduleM), so none runs. The
+// cheapest ScheduleM call is the one not made: LowerBoundM bounds every
+// order of a multiset in O(m²·kinds + n·m) with no allocation, and
+// JPSChain sequences a split only while that bound is below its best
+// makespan so far — on its traffic one two-kind call per plan where
+// there were three.
 
 // JobM is an m-stage job: Stages[i] runs on machine i. Every job in a
 // sequence must have the same number of stages (the sequencers panic
@@ -171,6 +176,105 @@ func SumStagesM(jobs []JobM) []float64 {
 		}
 	}
 	return sums
+}
+
+// LowerBoundM bounds from below the makespan of every sequence of the
+// multiset that holds counts[i] jobs with Stages kinds[i] (a kind with
+// no jobs is ignored): no order of those jobs evaluates, in MakespanM's
+// own floats, to less. It is the m-machine load bound, sound for the
+// recurrence's rounding rather than only for exact arithmetic.
+//
+// For machine k, every sequence's makespan is >= the path that runs
+// the first job through stages 0…k, every later job on machine k, and
+// the last job from stage k+1 on: float + and max are monotone, so
+// stepFrom's state is >= that path's float sum, taken in path order.
+//   - Where every kind shares stages 0…k (==), that sum depends on the
+//     order only through the last job's tail, so the least over kinds
+//     is the bound, computed exactly as the recurrence adds it. A
+//     sequence whose critical path runs there ties it.
+//   - Otherwise the least head before k, the load on k and the least
+//     tail after k are summed, and the sum shrunk by (n+m+4)·2⁻⁵²,
+//     more than the rounding of that sum and of the path's n+m-1 terms
+//     together can move either.
+//
+// The bound is the largest of the m. A NaN, infinite or negative stage
+// returns -Inf, which bounds nothing; no jobs, 0. Kinds with jobs must
+// all have the same number of stages (panics otherwise, as the
+// sequencers do). O(m²·kinds + n·m), no allocation.
+func LowerBoundM(kinds [][]float64, counts []int) float64 {
+	n, first := 0, -1
+	for i, st := range kinds {
+		if counts[i] <= 0 {
+			continue
+		}
+		if first < 0 {
+			first = i
+		}
+		if len(st) != len(kinds[first]) {
+			panic(fmt.Sprintf("flowshop: kind %d has %d stages, want %d", i, len(st), len(kinds[first])))
+		}
+		for _, p := range st {
+			if !(p >= 0) || math.IsInf(p, 1) {
+				return math.Inf(-1)
+			}
+		}
+		n += counts[i]
+	}
+	if n == 0 {
+		return 0
+	}
+	lead := kinds[first]
+	m, shared := len(lead), len(lead) // stages 0…shared-1 are == across kinds
+	for i, st := range kinds {
+		for k := 0; k < shared && counts[i] > 0; k++ {
+			if st[k] != lead[k] {
+				shared = k
+			}
+		}
+	}
+	shrink := 1 - float64(n+m+4)*0x1p-52
+	lb := 0.0
+	for k := 0; k < m; k++ {
+		var path float64
+		if k < shared {
+			for _, p := range lead[:k+1] {
+				path += p
+			}
+			for j := 1; j < n; j++ {
+				path += lead[k]
+			}
+			least := math.Inf(1)
+			for i, st := range kinds {
+				if counts[i] > 0 {
+					t := path
+					for _, p := range st[k+1:] {
+						t += p
+					}
+					least = min(least, t)
+				}
+			}
+			path = least
+		} else {
+			head, tail, load := math.Inf(1), math.Inf(1), 0.0
+			for i, st := range kinds {
+				if counts[i] <= 0 {
+					continue
+				}
+				var h, t float64
+				for _, p := range st[:k] {
+					h += p
+				}
+				for _, p := range st[k+1:] {
+					t += p
+				}
+				head, tail = min(head, h), min(tail, t)
+				load += float64(counts[i]) * st[k]
+			}
+			path = (head + load + tail) * shrink
+		}
+		lb = max(lb, path)
+	}
+	return lb
 }
 
 // CDSM orders jobs with the Campbell–Dudek–Smith heuristic generalized

@@ -526,3 +526,76 @@ func BenchmarkScheduleM(b *testing.B) {
 		})
 	}
 }
+
+// LowerBoundM is sound for MakespanM's floats: on random multisets of
+// one to three kinds, m 1–5, n <= 7, stages spread log-uniformly over
+// 1e-3…1e6, it never exceeds the exhaustive optimum. Half the instances
+// give every kind the same first stages, the bound's exact branch;
+// the rest draw them apart, its shrunk branch. An instance whose
+// optimum runs one machine back to back from the least head to the
+// least tail meets the bound in exact arithmetic, so the shrunk branch
+// is tested where a rounding that the shrink missed would show:
+// TestLowerBoundMSound counts those near-ties and wants some.
+func TestLowerBoundMSound(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	stage := func() float64 { return 1e-3 * math.Pow(10, 9*rng.Float64()) }
+	near := 0
+	for trial := 0; trial < 4000; trial++ {
+		m, nk, n := 1+rng.Intn(5), 1+rng.Intn(3), 1+rng.Intn(7)
+		shared := 0
+		if trial%2 == 0 {
+			shared = 1 + rng.Intn(m)
+		}
+		kinds, counts := make([][]float64, nk), make([]int, nk)
+		for i := range kinds {
+			kinds[i] = make([]float64, m)
+			for k := range kinds[i] {
+				kinds[i][k] = stage()
+				if i > 0 && k < shared {
+					kinds[i][k] = kinds[0][k]
+				}
+			}
+		}
+		jobs := make([]JobM, n)
+		for j := range jobs {
+			i := rng.Intn(nk)
+			counts[i]++
+			jobs[j] = JobM{ID: j, Stages: kinds[i]}
+		}
+		_, span, _ := BestPermutationM(jobs)
+		lb := LowerBoundM(kinds, counts)
+		if lb > span {
+			t.Fatalf("trial %d: kinds %v counts %v: bound %v > optimum %v", trial, kinds, counts, lb, span)
+		}
+		if lb >= span*(1-1e-12) {
+			near++
+		}
+	}
+	if near < 100 {
+		t.Errorf("%d of 4000 instances within 1e-12 of their bound, want >= 100", near)
+	}
+}
+
+// A stage LowerBoundM cannot bound from returns -Inf, which never
+// prunes; a kind with no jobs is not looked at.
+func TestLowerBoundMRefuses(t *testing.T) {
+	ok := []float64{1, 2, 3}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		st := []float64{1, bad, 3}
+		if got := LowerBoundM([][]float64{ok, st}, []int{2, 1}); !math.IsInf(got, -1) {
+			t.Errorf("stage %v: bound %v, want -Inf", bad, got)
+		}
+		if got := LowerBoundM([][]float64{ok, st}, []int{2, 0}); got != MakespanM([]JobM{{Stages: ok}, {Stages: ok}}) {
+			t.Errorf("stage %v in a kind with no jobs: bound %v, want the other kind's makespan", bad, got)
+		}
+	}
+	if got := LowerBoundM([][]float64{ok}, []int{0}); got != 0 {
+		t.Errorf("no jobs: bound %v, want 0", got)
+	}
+	defer func() {
+		if got, want := recover(), "flowshop: kind 1 has 2 stages, want 3"; got != want {
+			t.Errorf("ragged kinds: panic %v, want %q", got, want)
+		}
+	}()
+	LowerBoundM([][]float64{ok, {1, 2}}, []int{1, 1})
+}

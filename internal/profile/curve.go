@@ -2,6 +2,8 @@ package profile
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"dnnjps/internal/dag"
 	"dnnjps/internal/models"
@@ -37,29 +39,25 @@ type Unit struct {
 }
 
 // LineView collapses any single-source/single-sink DAG into a line of
-// units delimited by its articulation nodes.
+// units delimited by its articulation nodes. A unit's nodes are the
+// topological order's run up to its exit, so every unit's Nodes is a
+// capped window of one copy of that order.
 func LineView(g *dag.Graph) []Unit {
-	arts := g.Articulations()
-	inArts := make(map[int]bool, len(arts))
-	for _, a := range arts {
-		inArts[a] = true
-	}
-	var units []Unit
-	var pending []int
-	for _, id := range g.Topo() {
-		if inArts[id] {
-			nodes := append(append([]int(nil), pending...), id)
+	arts := g.Articulations() // in topological order
+	nodes := slices.Clone(g.Topo())
+	units := make([]Unit, 0, len(arts))
+	lo := 0
+	for i, id := range nodes {
+		if len(units) < len(arts) && id == arts[len(units)] {
 			units = append(units, Unit{
-				Nodes: nodes,
+				Nodes: nodes[lo : i+1 : i+1],
 				Exit:  id,
 				Label: models.BlockOf(g.Node(id).Layer.Name()),
 			})
-			pending = pending[:0]
-		} else {
-			pending = append(pending, id)
+			lo = i + 1
 		}
 	}
-	if len(pending) != 0 {
+	if lo != len(nodes) {
 		panic("profile: sink is not an articulation node")
 	}
 	return units
@@ -188,18 +186,22 @@ func (c *Curve) ParetoCuts() []int {
 // indices (typically ParetoCuts). Positions renumber contiguously;
 // RestrictedIndex maps back via the returned slice.
 func (c *Curve) Restrict(cuts []int) (*Curve, []int) {
-	out := &Curve{Model: c.Model, Channel: c.Channel}
-	idx := make([]int, 0, len(cuts))
-	for _, i := range cuts {
+	out := &Curve{
+		Model:   c.Model,
+		Channel: c.Channel,
+		F:       make([]float64, len(cuts)),
+		G:       make([]float64, len(cuts)),
+		CloudMs: make([]float64, len(cuts)),
+		Bytes:   make([]int, len(cuts)),
+		Labels:  make([]string, len(cuts)),
+	}
+	idx := make([]int, len(cuts))
+	for r, i := range cuts {
 		if i < 0 || i >= c.Len() {
 			panic(fmt.Sprintf("profile: restrict index %d out of range", i))
 		}
-		out.F = append(out.F, c.F[i])
-		out.G = append(out.G, c.G[i])
-		out.CloudMs = append(out.CloudMs, c.CloudMs[i])
-		out.Bytes = append(out.Bytes, c.Bytes[i])
-		out.Labels = append(out.Labels, c.Labels[i])
-		idx = append(idx, i)
+		out.F[r], out.G[r], out.CloudMs[r] = c.F[i], c.G[i], c.CloudMs[i]
+		out.Bytes[r], out.Labels[r], idx[r] = c.Bytes[i], c.Labels[i], i
 	}
 	return out, idx
 }
@@ -289,8 +291,9 @@ func (c *Curve) TotalMobileMs() float64 { return c.F[c.Len()-1] }
 func (c *Curve) CloudOnlyMs() float64 { return c.G[0] + c.CloudMs[0] }
 
 // Validate checks the structural invariants the planner relies on:
-// F strictly increasing over Pareto cuts, G non-negative with a zero
-// tail, and matching slice lengths.
+// matching slice lengths, every F, G and CloudMs value finite (a NaN or
+// ±Inf is named by its position), none negative, F non-decreasing, and
+// G zero at the last position.
 func (c *Curve) Validate() error {
 	n := c.Len()
 	if n < 2 {
@@ -298,6 +301,16 @@ func (c *Curve) Validate() error {
 	}
 	if len(c.G) != n || len(c.CloudMs) != n || len(c.Bytes) != n || len(c.Labels) != n {
 		return fmt.Errorf("profile: curve for %s has mismatched slice lengths", c.Model)
+	}
+	for _, s := range [...]struct {
+		name string
+		vs   []float64
+	}{{"F", c.F}, {"G", c.G}, {"CloudMs", c.CloudMs}} {
+		for i, v := range s.vs {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("profile: curve for %s has non-finite %s[%d] = %v", c.Model, s.name, i, v)
+			}
+		}
 	}
 	for i := 0; i < n; i++ {
 		if c.F[i] < 0 || c.G[i] < 0 || c.CloudMs[i] < 0 {

@@ -113,11 +113,6 @@ echo "== go test -race (engine, flowshop)"
 # whole GEMMs and forwards here as well (at workers 1 to 3).
 go test -race ./internal/engine/... ./internal/flowshop/...
 
-echo "== go test -race (chain planner)"
-# JPSChain sequences its distinct mixes on one goroutine each, every one
-# writing its own slot of a slice the caller then reads.
-go test -race -count=1 -run 'Chain' ./internal/core/
-
 echo "== go test -race -count=2 (runtime pipeline)"
 go test -race -count=2 ./internal/runtime/...
 
