@@ -28,19 +28,26 @@ import (
 	"dnnjps/internal/report"
 )
 
-// shedMark is the fleet figure's admission knob.
-var shedMark = flag.Int("shed-watermark", 48, "with -fig fleet: queue depth of the overload row's admission control (0 skips the row)")
+// shedMark is the queue depth at which the fleet figure's overload row
+// arms admission control.
+const shedMark = 48
 
-// The experiment ids, spelt here and in run's case labels only.
 // modeledIDs are pure functions of the planners — what -all runs and
 // the tests freeze; liveIDs run the real engine in real time.
-var (
-	modeledIDs = []string{"4", "11", "12", "12d", "table1", "13", "14", "ablations", "hetero", "stream", "dtypes", "quant", "3tier", "chain", "robust"}
-	liveIDs    = []string{"runtime", "faults", "trace", "batch", "fleet", "adapt"}
-)
+var modeledIDs, liveIDs = figureIDs(false), figureIDs(true)
+
+func figureIDs(live bool) []string {
+	var ids []string
+	for _, f := range figures {
+		if f.live == live {
+			ids = append(ids, f.id)
+		}
+	}
+	return ids
+}
 
 // nExplicit records whether -n was set on the command line; the batch
-// experiment sweeps its default job counts otherwise.
+// and fleet experiments sweep their default counts otherwise.
 var nExplicit bool
 
 func main() {
@@ -94,44 +101,71 @@ func main() {
 	}
 }
 
+// run makes one figure's tables.
 func run(env experiments.Env, id, model, traceOut, traceJSON, adaptTrace string) ([]*report.Table, error) {
 	// The experiments panic on a model they do not know; a -model typo
 	// is the user's to fix, so it is reported, not raised.
 	if _, err := models.Build(model); err != nil {
 		return nil, err
 	}
-	switch id {
-	case "4":
-		rows := experiments.Fig4(env, model, netsim.WiFi)
-		return []*report.Table{experiments.Fig4Table(model, netsim.WiFi, rows)}, nil
-	case "11":
-		rows, err := experiments.Fig11(env, netsim.FourG)
+	i := slices.IndexFunc(figures, func(f figure) bool { return f.id == id })
+	if i < 0 {
+		return nil, fmt.Errorf("unknown experiment %q (have %s)", id, strings.Join(slices.Concat(modeledIDs, liveIDs), ", "))
+	}
+	return figures[i].tables(req{env, model, traceOut, traceJSON, adaptTrace})
+}
+
+// req is what a figure reads from the command line.
+type req struct {
+	env                             experiments.Env
+	model                           string
+	traceOut, traceJSON, adaptTrace string
+}
+
+// figure names one experiment once: its -fig id, whether it runs live
+// (real engine compute in real time, so never part of -all) and how its
+// tables are made.
+type figure struct {
+	id     string
+	live   bool
+	tables func(r req) ([]*report.Table, error)
+}
+
+// one is the last step most figures share: their experiment's error,
+// or the one table its result renders to.
+func one[T any](table func(T) *report.Table) func(T, error) ([]*report.Table, error) {
+	return func(v T, err error) ([]*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		return []*report.Table{experiments.Fig11Table(rows)}, nil
-	case "12":
-		cells, err := experiments.Fig12(env)
-		if err != nil {
-			return nil, err
-		}
-		return []*report.Table{experiments.Fig12Table(cells)}, nil
-	case "12d":
-		rows, err := experiments.Fig12Overhead(env, netsim.FourG)
-		if err != nil {
-			return nil, err
-		}
-		return []*report.Table{experiments.Fig12OverheadTable(rows)}, nil
-	case "table1":
-		cells, err := experiments.Fig12(env)
-		if err != nil {
-			return nil, err
-		}
-		return []*report.Table{experiments.Table1Table(experiments.Table1(cells))}, nil
-	case "13":
+		return []*report.Table{table(v)}, nil
+	}
+}
+
+// figures is every experiment, the modeled ones first, in -all's order.
+var figures = []figure{
+	{id: "4", tables: func(r req) ([]*report.Table, error) {
+		rows := experiments.Fig4(r.env, r.model, netsim.WiFi)
+		return []*report.Table{experiments.Fig4Table(r.model, netsim.WiFi, rows)}, nil
+	}},
+	{id: "11", tables: func(r req) ([]*report.Table, error) {
+		return one(experiments.Fig11Table)(experiments.Fig11(r.env, netsim.FourG))
+	}},
+	{id: "12", tables: func(r req) ([]*report.Table, error) {
+		return one(experiments.Fig12Table)(experiments.Fig12(r.env))
+	}},
+	{id: "12d", tables: func(r req) ([]*report.Table, error) {
+		return one(experiments.Fig12OverheadTable)(experiments.Fig12Overhead(r.env, netsim.FourG))
+	}},
+	{id: "table1", tables: func(r req) ([]*report.Table, error) {
+		return one(func(cells []experiments.Fig12Cell) *report.Table {
+			return experiments.Table1Table(experiments.Table1(cells))
+		})(experiments.Fig12(r.env))
+	}},
+	{id: "13", tables: func(r req) ([]*report.Table, error) {
 		var tables []*report.Table
 		for _, m := range []string{"alexnet", "mobilenetv2"} {
-			rows, err := experiments.Fig13(env, m, experiments.DefaultBandwidths())
+			rows, err := experiments.Fig13(r.env, m, experiments.DefaultBandwidths())
 			if err != nil {
 				return nil, err
 			}
@@ -143,7 +177,8 @@ func run(env experiments.Env, id, model, traceOut, traceJSON, adaptTrace string)
 			tables = append(tables, t)
 		}
 		return tables, nil
-	case "14":
+	}},
+	{id: "14", tables: func(r req) ([]*report.Table, error) {
 		bands := []float64{9, 10, 11}
 		var tables []*report.Table
 		for _, cfg := range []struct {
@@ -153,23 +188,24 @@ func run(env experiments.Env, id, model, traceOut, traceJSON, adaptTrace string)
 			{"resnet18", []float64{2, 3, 4, 5, 6, 7, 8, 9}},
 			{"googlenet", []float64{0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0}},
 		} {
-			rows, err := experiments.Fig14(env, cfg.model, cfg.ratios, bands)
+			rows, err := experiments.Fig14(r.env, cfg.model, cfg.ratios, bands)
 			if err != nil {
 				return nil, err
 			}
 			tables = append(tables, experiments.Fig14Table(cfg.model, bands, rows))
 		}
 		return tables, nil
-	case "ablations":
-		sched, err := experiments.AblationScheduling(env, 7)
+	}},
+	{id: "ablations", tables: func(r req) ([]*report.Table, error) {
+		sched, err := experiments.AblationScheduling(r.env, 7)
 		if err != nil {
 			return nil, err
 		}
-		mix, err := experiments.AblationMixStrategies(env)
+		mix, err := experiments.AblationMixStrategies(r.env)
 		if err != nil {
 			return nil, err
 		}
-		vb, err := experiments.AblationVirtualBlocks(env)
+		vb, err := experiments.AblationVirtualBlocks(r.env)
 		if err != nil {
 			return nil, err
 		}
@@ -178,26 +214,79 @@ func run(env experiments.Env, id, model, traceOut, traceJSON, adaptTrace string)
 			experiments.AblationMixTable(mix),
 			experiments.AblationVirtualBlocksTable(vb),
 		}, nil
-	case "runtime":
-		// Live execution: real engine compute on this host plus the
-		// simulated Wi-Fi channel in real time, so a run takes a few
-		// seconds. Deliberately not part of -all.
-		// The second row is GoogLeNet's Algorithm 3 plan: cut-node sets,
-		// several boundary tensors per job, on the same pipelined client.
-		res, err := experiments.RuntimePipeline(env, model, netsim.WiFi, 8, 1.0)
+	}},
+	{id: "hetero", tables: func(r req) ([]*report.Table, error) {
+		return one(experiments.HeteroTable)(experiments.HeteroWorkload(r.env))
+	}},
+	{id: "stream", tables: func(r req) ([]*report.Table, error) {
+		return one(func(rows []experiments.StreamRow) *report.Table {
+			return experiments.StreamTable(r.model, netsim.FourG, rows)
+		})(experiments.Stream(r.env, r.model, netsim.FourG, []float64{0.5, 1, 2, 3, 4, 6, 8}, 120))
+	}},
+	{id: "dtypes", tables: func(r req) ([]*report.Table, error) {
+		return one(experiments.AblationDTypesTable)(experiments.AblationDTypes(r.env))
+	}},
+	{id: "quant", tables: func(r req) ([]*report.Table, error) {
+		return one(experiments.QuantTable)(experiments.Quant(r.env))
+	}},
+	{id: "3tier", tables: func(r req) ([]*report.Table, error) {
+		return one(experiments.ThreeTierTable)(experiments.ThreeTier(r.env))
+	}},
+	{id: "chain", tables: func(r req) ([]*report.Table, error) {
+		// k-way chains: the depth sweep uses -n jobs; the heuristic-gap
+		// leg fixes n=2 because the brute-force baseline enumerates
+		// multisets over the full cut-tuple space and is exponential in n.
+		rows, err := experiments.ChainDepth(r.env)
 		if err != nil {
 			return nil, err
 		}
-		gen, err := experiments.RuntimePipelineGeneral(env, "googlenet", netsim.WiFi, 8, 1.0)
+		gaps, err := experiments.ChainGap(r.env, 2)
+		if err != nil {
+			return nil, err
+		}
+		return []*report.Table{experiments.ChainDepthTable(rows), experiments.ChainGapTable(gaps)}, nil
+	}},
+	{id: "robust", tables: func(r req) ([]*report.Table, error) {
+		return one(func(rows []experiments.RobustnessRow) *report.Table {
+			return experiments.RobustnessTable(r.model, netsim.FourG, rows)
+		})(experiments.Robustness(r.env, r.model, netsim.FourG, []float64{-50, -25, -10, 0, 10, 25, 50, 100}))
+	}},
+	{id: "runtime", live: true, tables: func(r req) ([]*report.Table, error) {
+		// Real engine compute on this host plus the simulated Wi-Fi
+		// channel in real time, so a run takes a few seconds. The second
+		// row is GoogLeNet's Algorithm 3 plan: cut-node sets, several
+		// boundary tensors per job, on the same pipelined client.
+		res, err := experiments.RuntimePipeline(r.env, r.model, netsim.WiFi, 8, 1.0)
+		if err != nil {
+			return nil, err
+		}
+		gen, err := experiments.RuntimePipelineGeneral(r.env, "googlenet", netsim.WiFi, 8, 1.0)
 		if err != nil {
 			return nil, err
 		}
 		return []*report.Table{experiments.RuntimeTable([]*experiments.RuntimeResult{res, gen})}, nil
-	case "trace":
-		// Instrumented live execution: the run is recorded span by span,
-		// bridged into Gantt form, and plotted against the Prop. 4.1
-		// pipeline the plan was priced on. Real time, not part of -all.
-		res, err := experiments.RuntimeTrace(env, model, netsim.WiFi, 8, 1.0)
+	}},
+	{id: "faults", live: true, tables: func(r req) ([]*report.Table, error) {
+		// Injected uplink frame drops: the same plan runs through the
+		// fault-tolerant runner at each drop rate and is compared against
+		// the no-fault Prop. 4.1 closed form. The last row is GoogLeNet's
+		// Algorithm 3 plan at 5% drops.
+		rows, err := experiments.RuntimeFaults(r.env, r.model, netsim.WiFi, 12, 1.0,
+			[]float64{0, 1, 5, 20}, 1)
+		if err != nil {
+			return nil, err
+		}
+		gen, err := experiments.RuntimeFaultsGeneral(r.env, "googlenet", netsim.WiFi, 12, 1.0,
+			[]float64{5}, 1)
+		if err != nil {
+			return nil, err
+		}
+		return []*report.Table{experiments.RuntimeFaultsTable(append(rows, gen...))}, nil
+	}},
+	{id: "trace", live: true, tables: func(r req) ([]*report.Table, error) {
+		// The run is recorded span by span, bridged into Gantt form, and
+		// plotted against the Prop. 4.1 pipeline the plan was priced on.
+		res, err := experiments.RuntimeTrace(r.env, r.model, netsim.WiFi, 8, 1.0)
 		if err != nil {
 			return nil, err
 		}
@@ -205,126 +294,49 @@ func run(env experiments.Env, id, model, traceOut, traceJSON, adaptTrace string)
 			return nil, err
 		}
 		fmt.Println()
-		if err := writeFile(traceOut, "Chrome trace (open in chrome://tracing or Perfetto)", res.Tracer.WriteChromeTrace); err != nil {
+		if err := writeFile(r.traceOut, "Chrome trace (open in chrome://tracing or Perfetto)", res.Tracer.WriteChromeTrace); err != nil {
 			return nil, err
 		}
-		if err := writeFile(traceJSON, "span JSON", res.Tracer.WriteJSON); err != nil {
+		if err := writeFile(r.traceJSON, "span JSON", res.Tracer.WriteJSON); err != nil {
 			return nil, err
 		}
 		return []*report.Table{experiments.TraceTable(res)}, nil
-	case "faults":
-		// Live execution under injected uplink frame drops: the same
-		// plan runs through the fault-tolerant runner at each drop rate
-		// and is compared against the no-fault Prop. 4.1 closed form.
-		// Like "runtime", this runs in real time and is not part of -all.
-		// The last row is GoogLeNet's Algorithm 3 plan at 5% drops.
-		rows, err := experiments.RuntimeFaults(env, model, netsim.WiFi, 12, 1.0,
-			[]float64{0, 1, 5, 20}, 1)
-		if err != nil {
-			return nil, err
-		}
-		gen, err := experiments.RuntimeFaultsGeneral(env, "googlenet", netsim.WiFi, 12, 1.0,
-			[]float64{5}, 1)
-		if err != nil {
-			return nil, err
-		}
-		return []*report.Table{experiments.RuntimeFaultsTable(append(rows, gen...))}, nil
-	case "hetero":
-		rows, err := experiments.HeteroWorkload(env)
-		if err != nil {
-			return nil, err
-		}
-		return []*report.Table{experiments.HeteroTable(rows)}, nil
-	case "stream":
-		rows, err := experiments.Stream(env, model, netsim.FourG,
-			[]float64{0.5, 1, 2, 3, 4, 6, 8}, 120)
-		if err != nil {
-			return nil, err
-		}
-		return []*report.Table{experiments.StreamTable(model, netsim.FourG, rows)}, nil
-	case "dtypes":
-		rows, err := experiments.AblationDTypes(env)
-		if err != nil {
-			return nil, err
-		}
-		return []*report.Table{experiments.AblationDTypesTable(rows)}, nil
-	case "quant":
-		rows, err := experiments.Quant(env)
-		if err != nil {
-			return nil, err
-		}
-		return []*report.Table{experiments.QuantTable(rows)}, nil
-	case "3tier":
-		rows, err := experiments.ThreeTier(env)
-		if err != nil {
-			return nil, err
-		}
-		return []*report.Table{experiments.ThreeTierTable(rows)}, nil
-	case "chain":
-		// k-way chains: the depth sweep uses -n jobs; the heuristic-gap
-		// leg fixes n=2 because the brute-force baseline enumerates
-		// multisets over the full cut-tuple space and is exponential in n.
-		rows, err := experiments.ChainDepth(env)
-		if err != nil {
-			return nil, err
-		}
-		gaps, err := experiments.ChainGap(env, 2)
-		if err != nil {
-			return nil, err
-		}
-		return []*report.Table{experiments.ChainDepthTable(rows), experiments.ChainGapTable(gaps)}, nil
-	case "batch":
-		// Live execution of the server's tail groups: a cloud-only plan
-		// floods the server at each job count. Real engine compute in
-		// real time, not part of -all.
+	}},
+	{id: "batch", live: true, tables: func(r req) ([]*report.Table, error) {
+		// The server's tail groups: a cloud-only plan floods the server
+		// at each job count.
 		counts := []int{8, 32, 128}
 		if nExplicit {
-			counts = []int{env.NJobs}
+			counts = []int{r.env.NJobs}
 		}
-		rows, err := experiments.RuntimeBatch(env, model, netsim.WiFi, counts, 1e-3)
-		if err != nil {
-			return nil, err
-		}
-		return []*report.Table{experiments.RuntimeBatchTable(rows)}, nil
-	case "fleet":
+		return one(experiments.RuntimeBatchTable)(experiments.RuntimeBatch(r.env, r.model, netsim.WiFi, counts, 1e-3))
+	}},
+	{id: "fleet", live: true, tables: func(r req) ([]*report.Table, error) {
 		// Fleet-scale serving: N concurrent clients on independent TCP
 		// connections against one shared server, sweeping the client
-		// count, plus an overload row with admission control armed. Real
-		// engine compute in real time, not part of -all.
+		// count, plus an overload row with admission control armed.
 		counts := []int{1, 4, 8, 16, 32}
 		if nExplicit {
-			counts = []int{env.NJobs}
+			counts = []int{r.env.NJobs}
 		}
-		rows, err := experiments.RuntimeFleet(env, model, netsim.WiFi, counts, 8, *shedMark, 1e-3)
-		if err != nil {
-			return nil, err
-		}
-		return []*report.Table{experiments.RuntimeFleetTable(rows)}, nil
-	case "adapt":
+		return one(experiments.RuntimeFleetTable)(experiments.RuntimeFleet(r.env, r.model, netsim.WiFi, counts, 8, shedMark, 1e-3))
+	}},
+	{id: "adapt", live: true, tables: func(r req) ([]*report.Table, error) {
 		// Continuous adaptive replanning under a scripted mid-batch
 		// step-down: three policies (static plan, continuous estimator,
 		// perfect-foresight oracle) against the same degrading loopback
-		// link. Real engine compute in real time, not part of -all.
-		rows, trace, err := experiments.RuntimeAdapt(env, env.NJobs, 1.0, 1)
+		// link.
+		rows, trace, err := experiments.RuntimeAdapt(r.env, r.env.NJobs, 1.0, 1)
 		if err != nil {
 			return nil, err
 		}
 		if trace != nil {
-			if err := writeFile(adaptTrace, "estimator replay trace", trace.WriteJSON); err != nil {
+			if err := writeFile(r.adaptTrace, "estimator replay trace", trace.WriteJSON); err != nil {
 				return nil, err
 			}
 		}
 		return []*report.Table{experiments.RuntimeAdaptTable(rows)}, nil
-	case "robust":
-		rows, err := experiments.Robustness(env, model, netsim.FourG,
-			[]float64{-50, -25, -10, 0, 10, 25, 50, 100})
-		if err != nil {
-			return nil, err
-		}
-		return []*report.Table{experiments.RobustnessTable(model, netsim.FourG, rows)}, nil
-	default:
-		return nil, fmt.Errorf("unknown experiment %q (have %s)", id, strings.Join(slices.Concat(modeledIDs, liveIDs), ", "))
-	}
+	}},
 }
 
 // writeFile creates path ("", an unset flag, writes nothing), has write
@@ -367,6 +379,9 @@ func writeCSV(dir string, t *report.Table) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return t.WriteCSV(f)
+	werr := t.WriteCSV(f)
+	if cerr := f.Close(); werr == nil {
+		werr = cerr
+	}
+	return werr
 }

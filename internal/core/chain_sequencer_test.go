@@ -130,7 +130,8 @@ func TestScheduleMMatchesReferenceOnChainTraffic(t *testing.T) {
 // leave to sequence and result need, with no per-node search or sizing
 // in the line view, no clone per priced tuple and nothing per NEH row
 // or descent trial. The counts are exact and repeat run to run: the
-// splits run one after another. Three sequenced two-kind mixes, each on
+// splits run one after another. An articulation sweep per line view
+// made them 66 and 66; three sequenced two-kind mixes, each on
 // its own goroutine, with a node slice per line-view unit made them 218
 // and 153; sizing each node per curve 1 192 and 329, a clone per tuple
 // 283 and 200; the old planner's per-job, per-mix and per-trial
@@ -149,8 +150,8 @@ func TestJPSChainAllocs(t *testing.T) {
 		ch    Chain
 		want  float64
 	}{
-		{"mobilenetv2", threeTierChain(), 66},
-		{"alexnet", planGrid, 66},
+		{"mobilenetv2", threeTierChain(), 57},
+		{"alexnet", planGrid, 59},
 	} {
 		g := models.MustBuild(c.model)
 		got := testing.AllocsPerRun(5, func() {

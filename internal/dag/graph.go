@@ -34,6 +34,7 @@ type Graph struct {
 	succs     [][]int
 	byName    map[string]int
 	topo      []int
+	arts      []int
 	finalized bool
 }
 
@@ -138,6 +139,7 @@ func (g *Graph) Finalize() error {
 			return fmt.Errorf("dag %s: node %q unreachable from source", g.name, g.nodes[id].Layer.Name())
 		}
 	}
+	g.arts = g.articulations()
 	g.finalized = true
 	return nil
 }

@@ -3,9 +3,9 @@ package dag
 import "fmt"
 
 // ErrTooManyPaths is returned by AllPaths when the source→sink path
-// count exceeds the caller's limit; deep general-structure networks
-// (a chain of Inception modules has branch^modules paths) must use
-// Decompose instead.
+// count exceeds the caller's limit, and by Decompose when one region's
+// does; deep general-structure networks (a chain of Inception modules
+// has branch^modules paths) must use Decompose instead of AllPaths.
 var ErrTooManyPaths = fmt.Errorf("dag: path count exceeds limit")
 
 // AllPaths enumerates every source→sink path, the exact node
@@ -17,14 +17,20 @@ func (g *Graph) AllPaths(limit int) ([][]int, error) {
 	if limit <= 0 {
 		limit = 1024
 	}
-	sink := g.Sink()
+	return g.paths(g.Source(), g.Sink(), limit)
+}
+
+// paths enumerates, depth first in successor order, every path from
+// one node to another, both ends included. It stops with
+// ErrTooManyPaths when a path past the limit-th reaches the end.
+func (g *Graph) paths(from, to, limit int) ([][]int, error) {
 	var paths [][]int
 	var cur []int
 	var walk func(v int) error
 	walk = func(v int) error {
 		cur = append(cur, v)
 		defer func() { cur = cur[:len(cur)-1] }()
-		if v == sink {
+		if v == to {
 			if len(paths) >= limit {
 				return ErrTooManyPaths
 			}
@@ -38,7 +44,7 @@ func (g *Graph) AllPaths(limit int) ([][]int, error) {
 		}
 		return nil
 	}
-	if err := walk(g.Source()); err != nil {
+	if err := walk(from); err != nil {
 		return nil, err
 	}
 	return paths, nil
@@ -68,29 +74,29 @@ func (g *Graph) CountPaths() int {
 // every source→sink path (including the source and sink themselves).
 // These are the only single-node cut-points of a general DAG; the
 // regions between consecutive articulations are the parallel segments
-// Decompose splits into branches.
-//
-// Finalize guarantees one source, one sink and every node reachable
-// from the source, so every node lies on some source→sink path. Along
-// a path topological positions rise, so a path avoids v exactly when
-// one of its edges jumps over v's position: v is an articulation iff
-// no edge u→w has pos(u) < pos(v) < pos(w). One sweep in topological
-// order, carrying the farthest position any earlier node's edge
-// reaches, decides every node: O(V+E).
-func (g *Graph) Articulations() []int {
-	g.mustFinalized()
-	pos := make([]int, len(g.nodes))
-	for i, v := range g.topo {
-		pos[v] = i
-	}
+// Decompose splits into branches. Finalize computes the list once; do
+// not mutate it.
+func (g *Graph) Articulations() []int { g.mustFinalized(); return g.arts }
+
+// articulations is the one sweep behind Articulations. Finalize
+// guarantees one source, one sink and every node reachable from the
+// source, so every node lies on some source→sink path. Along a path
+// topological positions rise, so a path avoids v exactly when one of
+// its edges jumps over v's position: v is an articulation iff no edge
+// u→w has pos(u) < pos(v) < pos(w). One sweep in topological order,
+// carrying the farthest position any earlier node's edge reaches,
+// decides every node: O(V+E). A node's ID is its topological position
+// (Add takes only earlier predecessors), so the sweep reads IDs as
+// positions.
+func (g *Graph) articulations() []int {
 	var arts []int
-	reach := 0 // farthest position an edge from positions < i lands on
-	for i, v := range g.topo {
-		if reach <= i {
+	reach := 0 // farthest position an edge from positions < v lands on
+	for v := range g.nodes {
+		if reach <= v {
 			arts = append(arts, v)
 		}
 		for _, s := range g.succs[v] {
-			reach = max(reach, pos[s])
+			reach = max(reach, s)
 		}
 	}
 	return arts
@@ -133,47 +139,20 @@ func (g *Graph) Decompose(branchLimit int) ([]Segment, error) {
 			break
 		}
 		next := arts[i+1]
-		branches, err := g.regionBranches(a, next, branchLimit)
+		// A region's branches are the interiors of its entry→exit paths:
+		// a nested region's are its flattened independent paths, as in
+		// the paper's conversion.
+		branches, err := g.paths(a, next, branchLimit)
 		if err != nil {
 			return nil, err
 		}
-		if len(branches) == 1 && len(branches[0]) == 0 {
+		if len(branches) == 1 && len(branches[0]) == 2 {
 			continue // direct edge a→next, no region between
+		}
+		for j, p := range branches {
+			branches[j] = p[1 : len(p)-1]
 		}
 		segs = append(segs, Segment{Branches: branches, Entry: a, Exit: next})
 	}
 	return segs, nil
-}
-
-// regionBranches enumerates the interior of every path from entry to
-// exit. For a single-level parallel region (e.g. an Inception module)
-// these are its branches; for nested regions they are the flattened
-// independent paths, matching the paper's conversion semantics.
-func (g *Graph) regionBranches(entry, exit, limit int) ([][]int, error) {
-	var branches [][]int
-	var cur []int
-	var walk func(v int) error
-	walk = func(v int) error {
-		if v == exit {
-			if len(branches) >= limit {
-				return ErrTooManyPaths
-			}
-			branches = append(branches, append([]int(nil), cur...))
-			return nil
-		}
-		cur = append(cur, v)
-		defer func() { cur = cur[:len(cur)-1] }()
-		for _, s := range g.succs[v] {
-			if err := walk(s); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for _, s := range g.succs[entry] {
-		if err := walk(s); err != nil {
-			return nil, err
-		}
-	}
-	return branches, nil
 }

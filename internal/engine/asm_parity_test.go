@@ -423,6 +423,58 @@ func FuzzSgemmAsmVsScalar(f *testing.F) {
 	})
 }
 
+// FuzzQgemmAsmVsScalar holds the int8 assembly to the scalar kernels
+// exactly: qgemmAsm against qgemmRows, and qgemvAsmRows (rows split
+// across the workers) against qgemvRows, at any m, k, n and worker
+// count — odd k, partial 4×16 strips, k < 8 and k off a multiple of 32
+// included, which qgemmAcc's and qgemvAcc's dispatch never send to the
+// assembly. Integer sums are exact, so the results must be equal, not
+// close. Seeds spanning the packed panels (qasmKC, qasmNC, qasmMC) are
+// committed under testdata/fuzz.
+func FuzzQgemmAsmVsScalar(f *testing.F) {
+	f.Add(asmQMR, 8, asmQNR, 1, int64(1))
+	f.Add(asmQMR+1, 7, asmQNR+3, 2, int64(2))
+	f.Add(1, 1, 1, 1, int64(3))
+	f.Add(9, 33, 2*asmQNR+5, 3, int64(4))
+	f.Fuzz(func(t *testing.T, m, k, n, workers int, seed int64) {
+		if !asmQgemmOK {
+			t.Skip("int8 assembly off")
+		}
+		if m < 1 || k < 1 || n < 1 || workers < 1 || m > 200 || k > 1100 || n > 600 || workers > 8 {
+			t.Skip()
+		}
+		rng := rand.New(rand.NewSource(seed))
+		codes := func(size int) []int8 {
+			s := make([]int8, size)
+			for i := range s {
+				s[i] = int8(rng.Intn(256) - 128)
+			}
+			return s
+		}
+		a, b, x := codes(m*k), codes(k*n), codes(k)
+		want := make([]int32, m*n)
+		qgemmRows(0, m, k, n, a, b, want)
+		got := make([]int32, m*n)
+		for i := range got {
+			got[i] = -1 // qgemmAsm overwrites C
+		}
+		qgemmAsm(m, k, n, a, b, got, workers)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("qgemmAsm m%d k%d n%d workers=%d: c[%d] = %d, scalar %d", m, k, n, workers, i, got[i], want[i])
+			}
+		}
+		wantY, gotY := make([]int32, m), make([]int32, m)
+		qgemvRows(0, m, k, a, x, wantY)
+		parallelFor(workers, m, func(lo, hi int) { qgemvAsmRows(lo, hi, k, a, x, gotY) })
+		for i := range wantY {
+			if gotY[i] != wantY[i] {
+				t.Fatalf("qgemvAsmRows m%d k%d workers=%d: y[%d] = %d, scalar %d", m, k, workers, i, gotY[i], wantY[i])
+			}
+		}
+	})
+}
+
 // TestConvFusedIm2colParity drives the fused-im2col B packer against
 // the materialized patch matrix: for each conv geometry, pack strips
 // through bPacker in conv mode and through plain mode over the

@@ -74,11 +74,7 @@ func Robustness(env Env, model string, est netsim.Channel, errPcts []float64) ([
 // at the true channel) and re-sequences with Johnson — the device
 // would reorder its queue for free.
 func replay(p *core.Plan, actual *profile.Curve) float64 {
-	jobs := make([]flowshop.Job, len(p.Cuts))
-	for i, cut := range p.Cuts {
-		jobs[i] = flowshop.Job{ID: i, A: actual.F[cut], B: actual.G[cut]}
-	}
-	return flowshop.Makespan(flowshop.Johnson(jobs))
+	return flowshop.Makespan(flowshop.Johnson(core.JobsForCuts(actual, p.Cuts)))
 }
 
 func pctOver(actual, oracle float64) float64 {

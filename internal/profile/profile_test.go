@@ -412,20 +412,21 @@ func TestZooCurves(t *testing.T) {
 }
 
 // BuildCurve sizes nothing itself: every node's FLOPs were stored by
-// Finalize, so a curve allocates its line view, its price tables and
-// the Curve. The counts are exact and repeat run to run; sizing each
-// node per device per curve made them 133, 621, 720 and 326, and a line
-// view with a node slice per unit and a map of its articulations 47,
-// 55, 114 and 52.
+// Finalize, and so was the articulation list, so a curve allocates its
+// line view, its price tables and the Curve. The counts are exact and
+// repeat run to run; sizing each node per device per curve made them
+// 133, 621, 720 and 326, a line view with a node slice per unit and a
+// map of its articulations 47, 55, 114 and 52, and an articulation sweep
+// per line view 17, 17, 19 and 17.
 func TestBuildCurveAllocs(t *testing.T) {
 	for _, c := range []struct {
 		model string
 		want  float64
 	}{
-		{"alexnet", 17},
-		{"googlenet", 17},
-		{"mobilenetv2", 19},
-		{"resnet18", 17},
+		{"alexnet", 10},
+		{"googlenet", 10},
+		{"mobilenetv2", 10},
+		{"resnet18", 10},
 	} {
 		g := models.MustBuild(c.model)
 		pi, gpu := RaspberryPi4(), CloudGPU()

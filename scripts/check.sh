@@ -170,6 +170,7 @@ done
 fuzz_smoke FuzzInjector ./internal/netsim/
 fuzz_smoke FuzzEstimator ./internal/estimator/
 fuzz_smoke FuzzSgemmAsmVsScalar ./internal/engine/
+fuzz_smoke FuzzQgemmAsmVsScalar ./internal/engine/
 fuzz_smoke FuzzSoftmaxArgmax ./internal/engine/
 
 echo "== multi-client e2e smoke (jpsserve, 4 tenants, SIGTERM drain)"
