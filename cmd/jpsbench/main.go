@@ -9,8 +9,8 @@
 //	jpsbench -fig 4 -model mobilenetv2
 //	jpsbench -fig batch -model mobilenetv2
 //
-// -model applies to figures 4, runtime, trace, faults, stream, batch,
-// fleet and robust; the others plot fixed models.
+// -model names the model of the figures that run one; the others plot
+// fixed models.
 package main
 
 import (
@@ -54,7 +54,7 @@ func main() {
 	var (
 		all        = flag.Bool("all", false, "run every experiment")
 		fig        = flag.String("fig", "", "experiment id: "+strings.Join(slices.Concat(modeledIDs, liveIDs), ", "))
-		model      = flag.String("model", "alexnet", "model for figures 4, runtime, trace, faults, stream, batch, fleet and robust (alexnet, mobilenetv2, ...)")
+		model      = flag.String("model", "alexnet", "model for the figures that run one; the others plot fixed models (alexnet, mobilenetv2, ...)")
 		n          = flag.Int("n", 100, "number of inference jobs")
 		csvDir     = flag.String("csv", "", "directory to also write tables as CSV")
 		traceOut   = flag.String("trace-out", "", "with -fig trace: also write the recorded spans as Chrome trace_event JSON to this file")

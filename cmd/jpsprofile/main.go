@@ -156,8 +156,11 @@ func run(model string, mbps float64, out, dot string, quant bool) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	if err := tab.Save(f); err != nil {
+	err = tab.Save(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return err
 	}
 	fmt.Printf("\nwrote lookup table with %d entries to %s\n", len(tab.Keys()), out)

@@ -425,8 +425,11 @@ func flushObs(tr *obs.Tracer, reg *obs.Metrics, traceOut string) {
 			fmt.Fprintln(os.Stderr, "jpsserve: trace export:", err)
 			return
 		}
-		defer f.Close()
-		if err := tr.WriteChromeTrace(f); err != nil {
+		err = tr.WriteChromeTrace(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "jpsserve: trace export:", err)
 			return
 		}

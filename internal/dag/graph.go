@@ -76,8 +76,9 @@ func (g *Graph) Add(layer nn.Layer, preds ...int) int {
 
 // Finalize validates the structure and sizes every node (output
 // shape, FLOPs, parameters). It requires exactly one source (an
-// nn.Input) and exactly one sink, and that every node is reachable
-// from the source.
+// nn.Input) and exactly one sink. Every node is then reachable from the
+// source: each other node has a predecessor, and Add gives that one a
+// smaller ID.
 func (g *Graph) Finalize() error {
 	if g.finalized {
 		return nil
@@ -117,27 +118,6 @@ func (g *Graph) Finalize() error {
 		}
 		n := g.nodes[id]
 		n.OutShape, n.FLOPs, n.Params = s.Out, s.FLOPs, s.Params
-	}
-	// Reachability from the source (catches disconnected islands that
-	// still happen to have preds/succs, which is impossible here, but
-	// also guards future construction paths).
-	seen := make([]bool, len(g.nodes))
-	stack := []int{sources[0]}
-	seen[sources[0]] = true
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, s := range g.succs[v] {
-			if !seen[s] {
-				seen[s] = true
-				stack = append(stack, s)
-			}
-		}
-	}
-	for id, ok := range seen {
-		if !ok {
-			return fmt.Errorf("dag %s: node %q unreachable from source", g.name, g.nodes[id].Layer.Name())
-		}
 	}
 	g.arts = g.articulations()
 	g.finalized = true
@@ -189,15 +169,12 @@ func (g *Graph) Source() int {
 	return g.topo[0]
 }
 
-// Sink returns the single sink node ID.
+// Sink returns the single sink node ID: the last node, since every
+// successor has a larger ID and Finalize admits one node without
+// successors.
 func (g *Graph) Sink() int {
 	g.mustFinalized()
-	for _, id := range g.topo {
-		if len(g.succs[id]) == 0 {
-			return id
-		}
-	}
-	panic("dag: finalized graph has no sink")
+	return len(g.nodes) - 1
 }
 
 // InputShapes returns the output shapes of a node's predecessors, i.e.

@@ -34,9 +34,16 @@ var frozenPaths = map[string]string{
 	"vgg16":       "5fcfeac485f07ca4",
 }
 
+// TestPathWalkFrozen also holds Sink() to the one zoo node with no
+// successors.
 func TestPathWalkFrozen(t *testing.T) {
 	for _, name := range models.Names() {
 		g := models.MustBuild(name)
+		for id := 0; id < g.Len(); id++ {
+			if none := len(g.Succs(id)) == 0; none != (id == g.Sink()) {
+				t.Errorf("%s: node %d has %d successors and Sink() is %d", name, id, len(g.Succs(id)), g.Sink())
+			}
+		}
 		h := fnv.New64a()
 		u64 := func(v uint64) { _ = binary.Write(h, binary.LittleEndian, v) }
 		ints := func(vs []int) {

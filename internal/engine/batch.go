@@ -45,8 +45,7 @@ func batchShape(s tensor.Shape, n int) tensor.Shape {
 // layout. With one input the tensor is returned as-is (the layouts
 // coincide at n == 1).
 func PackBatch(ts []*tensor.Tensor) (*tensor.Tensor, error) {
-	n := len(ts)
-	if n == 0 {
+	if len(ts) == 0 {
 		return nil, fmt.Errorf("engine: empty batch")
 	}
 	s := ts[0].Shape
@@ -55,18 +54,7 @@ func PackBatch(ts []*tensor.Tensor) (*tensor.Tensor, error) {
 			return nil, fmt.Errorf("engine: batch shape mismatch: input 0 is %v, input %d is %v", s, i+1, t.Shape)
 		}
 	}
-	if n == 1 {
-		return ts[0], nil
-	}
-	out := tensor.New(batchShape(s, n))
-	c := s[0]
-	plane := s.Elems() / c
-	for ch := 0; ch < c; ch++ {
-		for b, t := range ts {
-			copy(out.Data[(ch*n+b)*plane:], t.Data[ch*plane:(ch+1)*plane])
-		}
-	}
-	return out, nil
+	return pack(nil, len(ts), func(b int) *tensor.Tensor { return ts[b] }), nil
 }
 
 // UnpackBatch splits a packed batch-n tensor back into n per-image
@@ -75,26 +63,98 @@ func UnpackBatch(t *tensor.Tensor, n int) ([]*tensor.Tensor, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("engine: batch size %d", n)
 	}
-	if n == 1 {
-		return []*tensor.Tensor{t}, nil
-	}
 	if t.Shape[0]%n != 0 {
 		return nil, fmt.Errorf("engine: shape %v does not hold a batch of %d", t.Shape, n)
 	}
-	s := t.Shape.Clone()
-	s[0] /= n
-	c := s[0]
-	plane := s.Elems() / c
 	out := make([]*tensor.Tensor, n)
 	for b := range out {
-		out[b] = tensor.New(s)
-	}
-	for ch := 0; ch < c; ch++ {
-		for b, o := range out {
-			copy(o.Data[ch*plane:], t.Data[(ch*n+b)*plane:(ch*n+b+1)*plane])
-		}
+		out[b] = unpack(nil, t, n, b)
 	}
 	return out, nil
+}
+
+// Pack lays n equally shaped tensors, member(0) … member(n-1), side by
+// side in the packed batch layout, in a buffer from the model's arena:
+// give it back with Recycle once the pass it seeds is done. A batch of
+// one is member(0) itself. The members' shapes are the caller's to
+// check. member is called, not a slice read, so a caller that holds
+// its tensors inside other values packs any group size with no
+// allocation.
+func (m *Model) Pack(n int, member func(b int) *tensor.Tensor) *tensor.Tensor {
+	return pack(m.arena, n, member)
+}
+
+// Unpack is Pack undone for member b of a packed batch of n: the
+// member's own tensor, in a buffer from the model's arena that whoever
+// finishes with the member gives back with Recycle. A batch of one is
+// packed itself.
+func (m *Model) Unpack(packed *tensor.Tensor, n, b int) *tensor.Tensor {
+	return unpack(m.arena, packed, n, b)
+}
+
+// pack is the one copy of the layout's pack loops, into a buffer from
+// arena (nil: a fresh one). A spatial member goes one copy per channel
+// plane. A vector one (plane == 1, such as mobilenetv2's head/gap,
+// [1280 1 1]) is a transpose, written element by element: a copy per
+// plane there would be one call per float, 40 960 of them for a group
+// of 32. Its members' slices are taken a chunk of len(srcs) at a time
+// into a stack array, and each chunk is written channel-outer — for a
+// group no wider than the chunk, dst front to back — so any group size
+// packs with no allocation.
+func pack(arena *tensor.Arena, n int, member func(b int) *tensor.Tensor) *tensor.Tensor {
+	first := member(0)
+	if n == 1 {
+		return first
+	}
+	out := arena.Get(batchShape(first.Shape, n))
+	dst, plane := out.Data, len(first.Data)/first.Shape[0]
+	if plane > 1 {
+		for b := 0; b < n; b++ {
+			src := member(b).Data
+			for ch := 0; ch*plane < len(src); ch++ {
+				copy(dst[(ch*n+b)*plane:], src[ch*plane:(ch+1)*plane])
+			}
+		}
+		return out
+	}
+	var srcs [32][]float32
+	for lo := 0; lo < n; lo += len(srcs) {
+		chunk := srcs[:min(len(srcs), n-lo)]
+		for i := range chunk {
+			chunk[i] = member(lo + i).Data
+		}
+		for ch := range chunk[0] {
+			row := dst[ch*n+lo:][:len(chunk)]
+			for i, src := range chunk {
+				row[i] = src[ch]
+			}
+		}
+	}
+	return out
+}
+
+// unpack is the one copy of the layout's unpack loops: member b of a
+// packed batch of n, in a buffer from arena (nil: a fresh one). A vector
+// member is a strided gather, one float per channel.
+func unpack(arena *tensor.Arena, packed *tensor.Tensor, n, b int) *tensor.Tensor {
+	if n == 1 {
+		return packed
+	}
+	var dims [4]int // the member's shape stays on the stack: Get copies it
+	shape := append(tensor.Shape(dims[:0]), packed.Shape...)
+	shape[0] /= n
+	out := arena.Get(shape)
+	plane := len(out.Data) / shape[0]
+	if plane == 1 {
+		for ch := range out.Data {
+			out.Data[ch] = packed.Data[ch*n+b]
+		}
+		return out
+	}
+	for ch := 0; ch*plane < len(out.Data); ch++ {
+		copy(out.Data[ch*plane:(ch+1)*plane], packed.Data[(ch*n+b)*plane:])
+	}
+	return out
 }
 
 // ArgmaxBatch returns the argmax of image b of a packed batch-n vector

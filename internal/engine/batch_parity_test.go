@@ -412,3 +412,74 @@ func TestPackBatchValidation(t *testing.T) {
 		t.Fatal("want non-divisible error")
 	}
 }
+
+// TestPackLayout holds Model.Pack and PackBatch to the layout's index
+// formula, element c·plane+p of member b at ((c·n+b)·plane)+p, and
+// Model.Unpack and UnpackBatch to its inverse: on a spatial member, on
+// vectors (one-float planes, which pack transposes in chunks of 32
+// members: 100 is three full chunks and a ragged one) and on [9 1 1]
+// one past a chunk. The second round packs into the buffers the first
+// gave back to the arena.
+func TestPackLayout(t *testing.T) {
+	m := Load(tinyCNN(t), 1)
+	for _, tc := range []struct {
+		shape tensor.Shape
+		ns    []int
+	}{
+		{tensor.NewCHW(4, 3, 2), []int{1, 2, 5}},
+		{tensor.NewVec(7), []int{1, 2, 5, 32, 100}},
+		{tensor.NewCHW(9, 1, 1), []int{2, 32, 33}},
+	} {
+		shape, c := tc.shape, tc.shape[0]
+		plane := shape.Elems() / c
+		for round := 0; round < 2; round++ {
+			for _, n := range tc.ns {
+				members := make([]*tensor.Tensor, n)
+				for b := range members {
+					members[b] = tensor.New(shape)
+					for i := range members[b].Data {
+						members[b].Data[i] = float32(100*b + i + round)
+					}
+				}
+				fromArena := m.Pack(n, func(b int) *tensor.Tensor { return members[b] })
+				fresh, err := PackBatch(members)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, packed := range []*tensor.Tensor{fromArena, fresh} {
+					if want := batchShape(shape, n); !packed.Shape.Equal(want) {
+						t.Fatalf("%v x %d: packed shape %v, want %v", shape, n, packed.Shape, want)
+					}
+					for b, mb := range members {
+						for ch := 0; ch < c; ch++ {
+							for p := 0; p < plane; p++ {
+								if got, want := packed.Data[(ch*n+b)*plane+p], mb.Data[ch*plane+p]; got != want {
+									t.Fatalf("%v x %d: member %d channel %d element %d packs to %v, want %v", shape, n, b, ch, p, got, want)
+								}
+							}
+						}
+					}
+				}
+				split, err := UnpackBatch(fresh, n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for b, mb := range members {
+					mine := m.Unpack(fromArena, n, b)
+					for _, got := range []*tensor.Tensor{mine, split[b]} {
+						if !got.Shape.Equal(shape) {
+							t.Fatalf("%v x %d: member %d unpacks to shape %v", shape, n, b, got.Shape)
+						}
+						assertSameBits(t, fmt.Sprintf("%v x %d: member %d unpacked", shape, n, b), got.Data, mb.Data)
+					}
+					if n > 1 {
+						mine.Recycle()
+					}
+				}
+				if n > 1 {
+					fromArena.Recycle()
+				}
+			}
+		}
+	}
+}

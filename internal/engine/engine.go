@@ -60,7 +60,7 @@ type Model struct {
 	arena   *tensor.Arena
 	quant   *quantState // int8 inference mode; nil = float32 (see quant.go)
 	states  sync.Pool   // recycled *execState bookkeeping (see executeN)
-	acts    sync.Pool   // recycled activation maps for Forward/ForwardBatch
+	acts    sync.Pool   // recycled activation maps (see Span)
 }
 
 // Load instantiates weights for every parametric layer of the graph.
@@ -140,28 +140,7 @@ func initSlice(seed int64, name string, n, fanIn int) []float32 {
 // Forward runs the whole model on one input tensor and returns the
 // sink's output.
 func (m *Model) Forward(input *tensor.Tensor) (*tensor.Tensor, error) {
-	acts := m.getActs()
-	defer m.putActs(acts)
-	if err := m.Execute(acts, input, m.g.Topo()); err != nil {
-		return nil, err
-	}
-	return acts[m.g.Sink()], nil
-}
-
-// getActs hands out a recycled activation map for whole-model runs.
-// The liveness tracker retires entries eagerly, so by the end of a
-// full-topo pass only the sink (which the caller keeps) is left and the
-// map's buckets can be reused as-is.
-func (m *Model) getActs() map[int]*tensor.Tensor {
-	if a, _ := m.acts.Get().(map[int]*tensor.Tensor); a != nil {
-		return a
-	}
-	return make(map[int]*tensor.Tensor, 8)
-}
-
-func (m *Model) putActs(acts map[int]*tensor.Tensor) {
-	clear(acts)
-	m.acts.Put(acts)
+	return m.Span(-1, input, 1, m.g.Topo(), m.g.Sink())
 }
 
 // ForwardBatch runs the whole model on a batch of equally shaped
@@ -174,12 +153,43 @@ func (m *Model) ForwardBatch(inputs []*tensor.Tensor) ([]*tensor.Tensor, error) 
 	if err != nil {
 		return nil, err
 	}
-	acts := m.getActs()
-	defer m.putActs(acts)
-	if err := m.ExecuteBatch(acts, len(inputs), packed, m.g.Topo()); err != nil {
+	out, err := m.Span(-1, packed, len(inputs), m.g.Topo(), m.g.Sink())
+	if err != nil {
 		return nil, err
 	}
-	return UnpackBatch(acts[m.g.Sink()], len(inputs))
+	return UnpackBatch(out, len(inputs))
+}
+
+// Span runs nodes, in topological order, from one seeded activation and
+// returns the activation of node exit: whole-model passes and every
+// stage's piece of a model are this call. seed is node from's
+// activation — the model input when from < 0 — as a packed batch of n,
+// which at n == 1 is the plain tensor. With no node to run, exit is
+// from and seed comes back.
+//
+// The activation map is the model's, recycled across calls: the
+// liveness tracker retires entries eagerly, so at the end of a span only
+// seed, exit and any cut boundary are left, and clearing it keeps its
+// buckets. seed stays the caller's, the arena never recycles it; exit's
+// activation survives the call because its consumers, if it has any,
+// are outside nodes.
+func (m *Model) Span(from int, seed *tensor.Tensor, n int, nodes []int, exit int) (*tensor.Tensor, error) {
+	acts, _ := m.acts.Get().(map[int]*tensor.Tensor)
+	if acts == nil {
+		acts = make(map[int]*tensor.Tensor, 8)
+	}
+	defer func() {
+		clear(acts)
+		m.acts.Put(acts)
+	}()
+	input := seed
+	if from >= 0 {
+		acts[from], input = seed, nil
+	}
+	if err := m.ExecuteBatch(acts, n, input, nodes); err != nil {
+		return nil, err
+	}
+	return acts[exit], nil
 }
 
 // execState tracks activation liveness for one Execute call so the

@@ -109,7 +109,6 @@ func RuntimeAdapt(env Env, n int, timeScale float64, seed int64) ([]*AdaptRow, *
 		{"static", basePlan, adaptRunOpts(runtime.RunOptions{})},
 		{"continuous", basePlan, adaptRunOpts(runtime.RunOptions{
 			AdaptiveReplan:    true,
-			EstimatorConfig:   estimator.Config{Record: true},
 			ReplanMinInterval: 5 * time.Millisecond,
 		})},
 		{"oracle", oracle, adaptRunOpts(runtime.RunOptions{})},

@@ -523,33 +523,13 @@ func (c *Client) RunCutSet(jobID int, cutNodes []int, input *tensor.Tensor) (*Jo
 	return c.runOne(jobID, setCut(cutNodes), input)
 }
 
+// runOne is runJobs on one job, its window one.
 func (c *Client) runOne(jobID int, cut jobCut, input *tensor.Tensor) (*JobResult, error) {
-	req, res, err := c.computePrefix(jobID, cut, input)
-	if err != nil {
+	jobs := []ftJob{{id: jobID, cut: cut, input: input}}
+	if _, err := c.runJobs(jobs, 1, 0, nil); err != nil {
 		return nil, err
 	}
-	if req == nil {
-		return res, nil // fully local
-	}
-	cl, err := c.enqueue(res, req)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.await(cl); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// computePrefix runs the mobile part. Returns a nil request when the
-// job completed locally.
-func (c *Client) computePrefix(jobID int, cut jobCut, input *tensor.Tensor) (*jobRequest, *JobResult, error) {
-	start := time.Now()
-	req, res, err := c.runPrefix(jobID, cut, input)
-	if err == nil {
-		c.obsv.span(TrackMobile, SpanLocalCompute, jobID, start, time.Now())
-	}
-	return req, res, err
+	return jobs[0].res, nil
 }
 
 // runPrefix executes the mobile side of one job on the engine and
@@ -760,9 +740,11 @@ func (c *Client) runJobs(jobs []ftJob, window int, timeout time.Duration, rec *r
 					return true, err // uplink or downlink already failed
 				}
 			}
-			if j.up, j.res, err = c.computePrefix(j.id, j.cut, j.input); err != nil {
+			start := time.Now()
+			if j.up, j.res, err = c.runPrefix(j.id, j.cut, j.input); err != nil {
 				return false, err
 			}
+			c.obsv.span(TrackMobile, SpanLocalCompute, j.id, start, time.Now())
 		}
 		if j.up == nil {
 			j.done = true // fully local cut, classified by runPrefix

@@ -613,11 +613,13 @@ func (fs *fleetScheduler) pass(jobs []pendingJob, grouped bool) {
 		// Each member leaves with its own slice of the pass, as a job cut
 		// at unit to: parked for the tail group of that cut, or handed to
 		// the next hop — and one the hop does not take is finished here,
-		// alone, by this same task.
+		// alone, by this same task. A member's slice is a buffer of the
+		// model's arena, which whoever finishes the member gives back: the
+		// relayed reply of the next hop (readLoop), or the pass that runs
+		// it to the sink here.
 		exit := s.units[to].Exit
-		shape := s.model.Graph().Node(exit).OutShape
 		for i, pj := range jobs {
-			pj.req.Cut, pj.req.Pairs[0] = to, boundary{Node: exit, T: s.unpack(out, shape, n, i)}
+			pj.req.Cut, pj.req.Pairs[0] = to, boundary{Node: exit, T: s.model.Unpack(out, n, i)}
 		}
 		if n > 1 {
 			out.Recycle()
@@ -639,9 +641,10 @@ func (fs *fleetScheduler) pass(jobs []pendingJob, grouped bool) {
 			fs.answer(pj, int32(engine.SoftmaxArgmaxBatch(out, n, i)), 0, end)
 		}
 		// The jobs are done with and out has been read: what the pass was
-		// fed and what it made go back to the arenas they came from — the
-		// model's, for a job whose conv span ran here; a boundary off the
-		// wire came from none. A span that ran no node (a job cut just
+		// fed and what it made go back to the model's arena — a packed
+		// group, a job whose conv span ran here or a member unpacked here
+		// came from it; a boundary off the wire came from none, and
+		// Recycle leaves it be. A span that ran no node (a job cut just
 		// before a sink that is a unit of its own) returned what it was
 		// fed, and that goes back once.
 		if out != seed {
@@ -664,84 +667,13 @@ type invalidJob struct {
 	err error
 }
 
-// pack lays a checked group's boundary tensors side by side as the
-// packed batch the engine runs (engine.PackBatch's layout: channel
-// major, batch minor), in a buffer s.packs lends and pass gives back —
-// a group forms per pickup, and a fresh n-wide buffer each time would
-// be most of what a member allocates. A batch of one is the tensor
-// itself. A spatial boundary goes one copy per channel plane; a vector
-// one (plane == 1, such as mobilenetv2's head/gap, [1280 1 1]) is a
-// transpose, which packVectors writes element by element, channel
-// outer: a copy per plane there is one call per float, 40 960 of them
-// for a group of 32.
+// pack gathers a checked group's boundary tensors for the engine to
+// lay side by side as the packed batch it runs (engine.Model.Pack), in
+// a buffer from the model's arena that pass gives back — a group forms
+// per pickup, and a fresh n-wide buffer each time would be most of what
+// a member allocates. A batch of one is the tensor itself.
 func (s *Server) pack(jobs []pendingJob) *tensor.Tensor {
-	first, n := jobs[0].req.Pairs[0].T, len(jobs)
-	if n == 1 {
-		return first
-	}
-	var dims [4]int // the packed shape stays on the stack: Get copies it
-	shape := append(tensor.Shape(dims[:0]), first.Shape...)
-	plane := len(first.Data) / shape[0]
-	shape[0] *= n
-	out := s.packs.Get(shape)
-	if plane == 1 {
-		packVectors(out.Data, jobs)
-		return out
-	}
-	for b, pj := range jobs {
-		src := pj.req.Pairs[0].T.Data
-		for ch := 0; ch*plane < len(src); ch++ {
-			copy(out.Data[(ch*n+b)*plane:], src[ch*plane:(ch+1)*plane])
-		}
-	}
-	return out
-}
-
-// packVectors is pack's transpose for one-float planes: element ch of
-// member b lands at dst[ch*n+b]. The members' slices are taken a chunk
-// of len(srcs) at a time into a stack array, and each chunk is written
-// channel-outer — for a group no wider than the chunk, dst front to
-// back — so any group size packs with no allocation and no call per
-// float.
-func packVectors(dst []float32, jobs []pendingJob) {
-	var srcs [32][]float32
-	n := len(jobs)
-	for lo := 0; lo < n; lo += len(srcs) {
-		chunk := srcs[:min(len(srcs), n-lo)]
-		for i := range chunk {
-			chunk[i] = jobs[lo+i].req.Pairs[0].T.Data
-		}
-		for ch := range chunk[0] {
-			row := dst[ch*n+lo:][:len(chunk)]
-			for i, src := range chunk {
-				row[i] = src[ch]
-			}
-		}
-	}
-}
-
-// unpack is pack undone for member b of a packed batch of n: the
-// member's own tensor of the given shape, in a buffer s.packs lends and
-// whoever finishes the member gives back — the relayed reply of the
-// next hop (readLoop), or the pass that runs it to the sink here. A
-// batch of one is the tensor itself; a vector member is a strided
-// gather, one float per channel.
-func (s *Server) unpack(packed *tensor.Tensor, shape tensor.Shape, n, b int) *tensor.Tensor {
-	if n == 1 {
-		return packed
-	}
-	out := s.packs.Get(shape)
-	plane := len(out.Data) / shape[0]
-	if plane == 1 {
-		for ch := range out.Data {
-			out.Data[ch] = packed.Data[ch*n+b]
-		}
-		return out
-	}
-	for ch := 0; ch*plane < len(out.Data); ch++ {
-		copy(out.Data[ch*plane:(ch+1)*plane], packed.Data[(ch*n+b)*plane:])
-	}
-	return out
+	return s.model.Pack(len(jobs), func(b int) *tensor.Tensor { return jobs[b].req.Pairs[0].T })
 }
 
 // handsOff reports whether this stage's pass on a job ends at the

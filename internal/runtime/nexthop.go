@@ -323,9 +323,9 @@ func (nh *nextHop) readLoop(fc *forwardConn) {
 		// Only the downstream's backpressure hint survives the relay.
 		nh.fs.answer(sl.pendingJob, down.Class, down.Flags&replyFlagBackpressure, end)
 		// The job is done with: its handoff tensor goes back to the arena
-		// it came from, the model's or the stage's packs, as a pass that
-		// ends at the sink gives back its own. A shed or orphaned job keeps
-		// its tensor above: its fallback runs from it.
+		// it came from, the model's, as a pass that ends at the sink gives
+		// back its own. A shed or orphaned job keeps its tensor above: its
+		// fallback runs from it.
 		sl.req.Pairs[0].T.Recycle()
 	}
 	nh.kill(fc)

@@ -50,9 +50,6 @@ type RunOptions struct {
 	// the link shifts, rate-limited by ReplanMinInterval. Requires
 	// Runner.WithCurve.
 	AdaptiveReplan bool
-	// EstimatorConfig tunes the online estimator; zero fields take
-	// estimator.DefaultConfig. Only read when AdaptiveReplan is set.
-	EstimatorConfig estimator.Config
 	// ReplanMinInterval is the minimum wall-clock time between
 	// consecutive replans of the same kind — the anti-thrash guard.
 	// Zero takes the default; tests that need back-to-back replans set
@@ -120,8 +117,8 @@ type FTReport struct {
 	ChangePoints  int
 	EstimatedMbps float64
 	// ReplaySamples is the estimator's recorded upload stream, in
-	// arrival order (nil unless EstimatorConfig.Record was set) — the
-	// raw material of a committed estimator.ReplayTrace.
+	// arrival order (nil unless AdaptiveReplan was enabled) — the raw
+	// material of a committed estimator.ReplayTrace.
 	ReplaySamples []estimator.ReplaySample
 }
 
@@ -243,7 +240,7 @@ func (r *Runner) run(jobs []ftJob, err error) (*FTReport, error) {
 	// rate-limit state carry across redials.
 	rec := &recovery{r: r, rs: replanState{planMbps: r.ch.UplinkMbps}, nominal: r.ch}
 	if r.opts.AdaptiveReplan {
-		rec.rs.est = estimator.New(r.opts.EstimatorConfig)
+		rec.rs.est = estimator.New(estimator.Config{Record: true})
 	}
 	ft := &rec.ft
 	rng := rand.New(rand.NewSource(r.opts.Seed))

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"dnnjps/internal/engine"
-	"dnnjps/internal/tensor"
 )
 
 // Server is the cloud side: it holds the same deterministic model as
@@ -46,8 +45,6 @@ type Server struct {
 	// next, when set by WithNextHop, turns this server into a middle
 	// pipeline stage (see nexthop.go).
 	next *nextHop
-	// packs lends the buffers groups are packed into (see pack).
-	packs *tensor.Arena
 
 	// schedMu guards lazy scheduler creation and Close.
 	schedMu     sync.Mutex
@@ -58,7 +55,7 @@ type Server struct {
 // NewServer builds a server for the model. The server-wide worker pool
 // defaults to the core count; tune it with WithWorkers.
 func NewServer(m *engine.Model) *Server {
-	return &Server{lineProgram: newLineProgram(m), workers: goruntime.GOMAXPROCS(0), hold: groupHold, obsv: new(Obs), packs: tensor.NewArena()}
+	return &Server{lineProgram: newLineProgram(m), workers: goruntime.GOMAXPROCS(0), hold: groupHold, obsv: new(Obs)}
 }
 
 // WithWorkers bounds the server-wide worker pool to n concurrent

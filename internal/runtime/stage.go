@@ -1,8 +1,6 @@
 package runtime
 
 import (
-	"sync"
-
 	"dnnjps/internal/dag"
 	"dnnjps/internal/engine"
 	"dnnjps/internal/nn"
@@ -33,22 +31,18 @@ type lineProgram struct {
 	off    []int
 	tail   int
 	logits int
-	// acts recycles the activation maps runSpan hands the engine: a job
-	// on a stage that parks is two spans, and a map each would be a
-	// third of what the second one allocates.
-	acts *sync.Pool
 }
 
 func newLineProgram(m *engine.Model) lineProgram {
 	g := m.Graph()
-	lp := lineProgram{model: m, units: profile.LineView(g), nodes: g.Topo(), acts: new(sync.Pool)}
+	lp := lineProgram{model: m, units: profile.LineView(g), nodes: g.Topo()}
 	lp.off = make([]int, len(lp.units)+1)
 	for k, u := range lp.units {
 		lp.off[k+1] = lp.off[k] + len(u.Nodes)
 	}
 	lp.tail = tailUnit(g, lp.units, m.IsQuantized())
 	lp.logits = -1
-	if sink := g.Sink(); len(g.Preds(sink)) == 1 && lp.nodes[len(lp.nodes)-1] == sink {
+	if sink := g.Sink(); len(g.Preds(sink)) == 1 {
 		if _, ok := g.Node(sink).Layer.(*nn.Softmax); ok {
 			lp.logits = g.Preds(sink)[0]
 		}
@@ -99,7 +93,7 @@ func tailUnit(g *dag.Graph, units []profile.Unit, quantized bool) int {
 // runSpan is the one stage executor: the device's prefix, a middle
 // stage's segment, the cloud's suffix and a local fallback are all this
 // call. It seeds seed — a packed batch of n, which at n = 1 is the plain
-// tensor (engine.PackBatch) — as the activation at unit from's exit,
+// tensor (engine.Model.Pack) — as the activation at unit from's exit,
 // runs units (from, to] and returns the activation at exit(to): unit
 // to's exit, except on a span that ends at the last unit of a model
 // with a softmax sink, which stops short of the sink and returns the
@@ -110,27 +104,15 @@ func tailUnit(g *dag.Graph, units []profile.Unit, quantized bool) int {
 // seed itself. from = -1 enters at the source, with seed as the model
 // input.
 //
-// Concurrent callers share the model: its arena is thread-safe and the
-// engine tracks liveness per call. seed stays the caller's, the arena
-// never recycles it; the exit activation survives the call because its
-// consumers, if it has any, are outside the span.
+// Concurrent callers share the model: its arena and its activation maps
+// are thread-safe and the engine tracks liveness per call (see
+// engine.Model.Span for what survives the call).
 func (lp *lineProgram) runSpan(from, to, n int, seed *tensor.Tensor) (*tensor.Tensor, error) {
-	acts, _ := lp.acts.Get().(map[int]*tensor.Tensor)
-	if acts == nil {
-		acts = map[int]*tensor.Tensor{}
-	}
-	defer func() {
-		clear(acts)
-		lp.acts.Put(acts)
-	}()
-	input := seed
+	entry := -1
 	if from >= 0 {
-		acts[lp.units[from].Exit], input = seed, nil
+		entry = lp.units[from].Exit
 	}
-	if err := lp.model.ExecuteBatch(acts, n, input, lp.nodes[lp.off[from+1]:lp.end(to)]); err != nil {
-		return nil, err
-	}
-	return acts[lp.exit(to)], nil
+	return lp.model.Span(entry, seed, n, lp.nodes[lp.off[from+1]:lp.end(to)], lp.exit(to))
 }
 
 // terminal reports whether a span ending at unit to stops at the
