@@ -89,7 +89,9 @@ func checkLink(ch netsim.Channel) error {
 type ChainPlan struct {
 	Method string
 	// Cuts[i] is job i's non-decreasing cut tuple (len = chain depth)
-	// on the line view.
+	// on the line view. Jobs with the same tuple share one slice, as
+	// jobs of one kind share their Sequence stages: read them, do not
+	// write them.
 	Cuts     [][]int
 	Sequence []flowshop.JobM
 	Makespan float64
@@ -198,14 +200,15 @@ func enumTuples(pareto []int, k int, visit func(cuts []int)) {
 // have no closed-form balance point, so the search is direct:
 // enumerate non-decreasing Pareto tuples, rank by peak stage (the
 // asymptotic average-makespan driver), and mix the best two candidates
-// across jobs at a few splits, in order, each priced by the full
+// across jobs at a few splits, in order, each priced by the
 // CDS-m/NEH-m/descent sequencer unless its m-machine load bound
 // (flowshop.LowerBoundM) says it cannot beat the best split so far —
 // pruning that skips only splits that could not win, so the plan is
 // the one every split sequenced would give. The two end splits are
 // one-type instances, which ScheduleM returns without sequencing; of
 // the three two-kind splits, usually one is sequenced (one in each of
-// the 194 cells TestLowerBoundMSoundOnChainSplits walks).
+// the 194 cells TestLowerBoundMSoundOnChainSplits walks), and there
+// CDS's order meets the load bound, so ScheduleM stops at CDS.
 // O(C(p+k-1,k)) tuples over p Pareto cuts — model-sized p keeps this
 // in milliseconds even at depth 4.
 func JPSChain(g *dag.Graph, ch Chain, n int) (*ChainPlan, error) {
@@ -314,18 +317,15 @@ func (c *chainCurves) bestTwo(k int) (best, second chainCand) {
 	return best, second
 }
 
-// tileCuts materialises a plan's per-job cut tuples in one backing
-// array: the first mixAt jobs get a copy of second, the rest of best.
+// tileCuts is a plan's per-job cut tuples: the first mixAt jobs share
+// second, the rest best, each row capped so an append cannot reach past
+// its tuple.
 func tileCuts(n, mixAt int, second, best []int) [][]int {
-	k := len(best)
-	flat := make([]int, n*k)
 	out := make([][]int, n)
 	for i := range out {
-		out[i] = flat[i*k : (i+1)*k : (i+1)*k]
+		out[i] = best[:len(best):len(best)]
 		if i < mixAt {
-			copy(out[i], second)
-		} else {
-			copy(out[i], best)
+			out[i] = second[:len(second):len(second)]
 		}
 	}
 	return out

@@ -128,10 +128,12 @@ func TestScheduleMMatchesReferenceOnChainTraffic(t *testing.T) {
 // (e) A k-way plan at the paper's n = 100 allocates what its line view,
 // curves, best two candidates, the one two-kind mix its load bounds
 // leave to sequence and result need, with no per-node search or sizing
-// in the line view, no clone per priced tuple and nothing per NEH row
-// or descent trial. The counts are exact and repeat run to run: the
-// splits run one after another. An articulation sweep per line view
-// made them 66 and 66; three sequenced two-kind mixes, each on
+// in the line view, no clone per priced tuple, no copy of the cut
+// rows (each points at its tuple) and, since that mix's CDS order meets
+// its load bound, no NEH or descent at all. The counts are exact and
+// repeat run to run: the splits run one after another. NEH and the
+// descent on that mix and one array of cut rows made them 57 and 59;
+// an articulation sweep per line view 66 and 66; three sequenced two-kind mixes, each on
 // its own goroutine, with a node slice per line-view unit made them 218
 // and 153; sizing each node per curve 1 192 and 329, a clone per tuple
 // 283 and 200; the old planner's per-job, per-mix and per-trial
@@ -150,8 +152,8 @@ func TestJPSChainAllocs(t *testing.T) {
 		ch    Chain
 		want  float64
 	}{
-		{"mobilenetv2", threeTierChain(), 57},
-		{"alexnet", planGrid, 59},
+		{"mobilenetv2", threeTierChain(), 46},
+		{"alexnet", planGrid, 48},
 	} {
 		g := models.MustBuild(c.model)
 		got := testing.AllocsPerRun(5, func() {
@@ -256,7 +258,8 @@ const frozenGridSequenced, frozenGridTwoKind = 194, 582
 // plan-grid's 16 chains — the bound is <= the makespan ScheduleM's
 // sequence evaluates to. The same walk counts the two-kind splits
 // JPSChain sequences: those whose bound is below every earlier split's
-// makespan.
+// makespan. On every one of those CDS's order meets the bound, so
+// ScheduleM stops at CDS: no NEH, no descent.
 func TestLowerBoundMSoundOnChainSplits(t *testing.T) {
 	type cell struct {
 		model string
@@ -302,6 +305,9 @@ func TestLowerBoundMSoundOnChainSplits(t *testing.T) {
 					twoKind++
 					if lb < incumbent {
 						sequenced++
+						if cds := flowshop.MakespanM(flowshop.CDSM(jobs)); cds != lb {
+							t.Errorf("%s %s n=%d split %d: CDS makespan %v, bound %v", c.model, c.name, n, mix, cds, lb)
+						}
 					}
 				}
 				incumbent = min(incumbent, span)

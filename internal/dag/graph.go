@@ -32,7 +32,7 @@ type Graph struct {
 	nodes     []*Node
 	preds     [][]int
 	succs     [][]int
-	byName    map[string]int
+	byName    map[string]int // layer name → ID, only until Finalize
 	topo      []int
 	arts      []int
 	finalized bool
@@ -120,6 +120,7 @@ func (g *Graph) Finalize() error {
 		n.OutShape, n.FLOPs, n.Params = s.Out, s.FLOPs, s.Params
 	}
 	g.arts = g.articulations()
+	g.byName = nil // Add refuses a finalized graph, so nothing reads it again
 	g.finalized = true
 	return nil
 }
@@ -145,13 +146,16 @@ func (g *Graph) Len() int { return len(g.nodes) }
 // Node returns the node with the given ID.
 func (g *Graph) Node(id int) *Node { return g.nodes[id] }
 
-// NodeByName returns the node with the given layer name.
+// NodeByName returns the node with the given layer name. It scans the
+// nodes: the name index lives only while the graph is built, to refuse
+// duplicates, and no planner or runtime path looks a node up by name.
 func (g *Graph) NodeByName(name string) (*Node, bool) {
-	id, ok := g.byName[name]
-	if !ok {
-		return nil, false
+	for _, n := range g.nodes {
+		if n.Layer.Name() == name {
+			return n, true
+		}
 	}
-	return g.nodes[id], true
+	return nil, false
 }
 
 // Preds returns the predecessor IDs of a node (do not mutate).

@@ -34,12 +34,15 @@ import (
 // BenchmarkScheduleM's n=100, m=3 instance, one per Johnson call inside
 // CDS (TestScheduleMAllocs). A one-type instance (every job's stages
 // ==) costs its deep copy and one O(n·m) comparison: all three stages
-// would return it in input order (see ScheduleM), so none runs. The
-// cheapest ScheduleM call is the one not made: LowerBoundM bounds every
-// order of a multiset in O(m²·kinds + n·m) with no allocation, and
-// JPSChain sequences a split only while that bound is below its best
-// makespan so far — on its traffic one two-kind call per plan where
-// there were three.
+// would return it in input order (see ScheduleM), so none runs. An
+// instance whose CDS order meets the load bound (LowerBoundM) costs the
+// copy, CDS and the bound: no order can beat it, so NEH and the
+// descent would return it unchanged, and neither runs — every two-kind
+// split JPSChain sequences on its frozen grid ends there. The cheapest ScheduleM call is the
+// one not made: LowerBoundM bounds every order of a multiset in
+// O(m²·kinds + n·m) with no allocation, and JPSChain sequences a split
+// only while that bound is below its best makespan so far — on its
+// traffic one two-kind call per plan where there were three.
 
 // JobM is an m-stage job: Stages[i] runs on machine i. Every job in a
 // sequence must have the same number of stages (the sequencers panic
@@ -59,40 +62,47 @@ func (j JobM) Total() float64 {
 	return t
 }
 
-// cloneJobsM deep-copies a job slice, Stages included (one backing
-// array, each slice capped so an append cannot reach its neighbour),
-// so scheduling never aliases — let alone mutates — caller memory: the
-// API-boundary copy discipline TestFlowshopInputsUnmutated pins.
-func cloneJobsM(jobs []JobM) []JobM {
-	total := 0
-	for _, j := range jobs {
-		total += len(j.Stages)
-	}
-	flat := make([]float64, 0, total)
-	out := make([]JobM, len(jobs))
-	for i, j := range jobs {
-		lo := len(flat)
-		flat = append(flat, j.Stages...)
-		out[i] = JobM{ID: j.ID, Stages: flat[lo:len(flat):len(flat)]}
-	}
-	return out
-}
-
 // ownJobsM is every sequencer's entry: a private deep copy of jobs and
-// their common stage count m. A ragged slice panics here, by name — a
-// short job would otherwise die on a bare index error deep in the
-// recurrence and a long one would write into the next scratch row.
+// their common stage count m, so scheduling never aliases — let alone
+// mutates — caller memory (TestFlowshopInputsUnmutated). The copies sit
+// in one backing array, each slice capped so an append cannot reach its
+// neighbour, and consecutive jobs whose Stages are the same slice share
+// one copy: JPSChain's n jobs are two such runs, so its plans keep two
+// stage vectors, not n. A ragged slice panics here, by name — a short
+// job would otherwise die on a bare index error deep in the recurrence
+// and a long one would write into the next scratch row.
 func ownJobsM(jobs []JobM) (own []JobM, m int) {
 	if len(jobs) == 0 {
 		return nil, 0
 	}
 	m = len(jobs[0].Stages)
+	copies := 0
 	for i, j := range jobs {
 		if len(j.Stages) != m {
 			panic(fmt.Sprintf("flowshop: job %d has %d stages, want %d", i, len(j.Stages), m))
 		}
+		if i == 0 || !sameSlice(j.Stages, jobs[i-1].Stages) {
+			copies++
+		}
 	}
-	return cloneJobsM(jobs), m
+	flat := make([]float64, 0, copies*m)
+	own = make([]JobM, len(jobs))
+	for i, j := range jobs {
+		if i > 0 && sameSlice(j.Stages, jobs[i-1].Stages) {
+			own[i] = JobM{ID: j.ID, Stages: own[i-1].Stages}
+			continue
+		}
+		lo := len(flat)
+		flat = append(flat, j.Stages...)
+		own[i] = JobM{ID: j.ID, Stages: flat[lo:len(flat):len(flat)]}
+	}
+	return own, m
+}
+
+// sameSlice reports whether a and b are the same memory: same length
+// and, if not empty, the same first element.
+func sameSlice(a, b []float64) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // stepFrom writes into dst the machine state src (src[k]: when machine
@@ -202,35 +212,75 @@ func SumStagesM(jobs []JobM) []float64 {
 // all have the same number of stages (panics otherwise, as the
 // sequencers do). O(m²·kinds + n·m), no allocation.
 func LowerBoundM(kinds [][]float64, counts []int) float64 {
-	n, first := 0, -1
-	for i, st := range kinds {
-		if counts[i] <= 0 {
-			continue
-		}
-		if first < 0 {
-			first = i
-		}
-		if len(st) != len(kinds[first]) {
-			panic(fmt.Sprintf("flowshop: kind %d has %d stages, want %d", i, len(st), len(kinds[first])))
-		}
-		for _, p := range st {
-			if !(p >= 0) || math.IsInf(p, 1) {
-				return math.Inf(-1)
+	return loadBound(multiset{kinds: kinds, counts: counts})
+}
+
+// multiset is an instance as loadBound reads it, group by group: kind
+// i with counts[i] jobs or, where jobs is set, each run of consecutive
+// jobs whose Stages are the same slice (ownJobsM gives a run one copy).
+// A kind may appear in several groups; the bound takes the multiset.
+type multiset struct {
+	kinds  [][]float64
+	counts []int
+	jobs   []JobM
+}
+
+func (s multiset) len() int {
+	if s.jobs != nil {
+		return len(s.jobs)
+	}
+	return len(s.kinds)
+}
+
+// group returns the stages and job count of the group that starts at
+// i, and where the next one starts.
+func (s multiset) group(i int) (stages []float64, count, next int) {
+	if s.jobs == nil {
+		return s.kinds[i], s.counts[i], i + 1
+	}
+	next = i + 1
+	for next < len(s.jobs) && sameSlice(s.jobs[next].Stages, s.jobs[i].Stages) {
+		next++
+	}
+	return s.jobs[i].Stages, next - i, next
+}
+
+// loadBound is LowerBoundM on either form of a multiset. On JPSChain's
+// jobs — mix runs of one kind, then the other — the groups are its
+// kinds and counts, so ScheduleM's bound is LowerBoundM's, bit for bit.
+func loadBound(s multiset) float64 {
+	n := 0
+	var lead []float64 // the first group with jobs: its stages
+	for i := 0; i < s.len(); {
+		st, count, next := s.group(i)
+		if count > 0 {
+			if n == 0 {
+				lead = st
 			}
+			if len(st) != len(lead) {
+				panic(fmt.Sprintf("flowshop: kind %d has %d stages, want %d", i, len(st), len(lead)))
+			}
+			for _, p := range st {
+				if !(p >= 0) || math.IsInf(p, 1) {
+					return math.Inf(-1)
+				}
+			}
+			n += count
 		}
-		n += counts[i]
+		i = next
 	}
 	if n == 0 {
 		return 0
 	}
-	lead := kinds[first]
 	m, shared := len(lead), len(lead) // stages 0…shared-1 are == across kinds
-	for i, st := range kinds {
-		for k := 0; k < shared && counts[i] > 0; k++ {
+	for i := 0; i < s.len(); {
+		st, count, next := s.group(i)
+		for k := 0; k < shared && count > 0; k++ {
 			if st[k] != lead[k] {
 				shared = k
 			}
 		}
+		i = next
 	}
 	shrink := 1 - float64(n+m+4)*0x1p-52
 	lb := 0.0
@@ -244,20 +294,24 @@ func LowerBoundM(kinds [][]float64, counts []int) float64 {
 				path += lead[k]
 			}
 			least := math.Inf(1)
-			for i, st := range kinds {
-				if counts[i] > 0 {
+			for i := 0; i < s.len(); {
+				st, count, next := s.group(i)
+				if count > 0 {
 					t := path
 					for _, p := range st[k+1:] {
 						t += p
 					}
 					least = min(least, t)
 				}
+				i = next
 			}
 			path = least
 		} else {
 			head, tail, load := math.Inf(1), math.Inf(1), 0.0
-			for i, st := range kinds {
-				if counts[i] <= 0 {
+			for i := 0; i < s.len(); {
+				st, count, next := s.group(i)
+				i = next
+				if count <= 0 {
 					continue
 				}
 				var h, t float64
@@ -268,7 +322,7 @@ func LowerBoundM(kinds [][]float64, counts []int) float64 {
 					t += p
 				}
 				head, tail = min(head, h), min(tail, t)
-				load += float64(counts[i]) * st[k]
+				load += float64(count) * st[k]
 			}
 			path = (head + load + tail) * shrink
 		}
@@ -444,22 +498,45 @@ func nehOrder(jobs []JobM, m int) []JobM {
 // tie-breaking is described at nehOrder. The input is not modified and
 // the result shares no memory with it.
 //
+// Two shortcuts return what that full path returns, IDs and stage bits
+// alike (TestScheduleMOneTypeMatchesFullPath, TestScheduleMStopsAtBound).
+//
 // A one-type instance — every job's Stages element-wise == the first
-// job's — comes back as that copy, in input order, in O(n·m): what the
-// full path returns, for three reasons. Johnson's rule breaks ties by
-// index, so every CDS surrogate keeps the input order and t = 1 wins;
-// NEH's sequence holds the same stage vectors, so it prices to the
-// same float and the strict < keeps CDS; and the descent skips every
-// pair by its rule (2). NaN stages are never ==, so they take the full
-// path (TestScheduleMOneTypeMatchesFullPath).
+// job's — comes back as that copy, in input order, in O(n·m), for
+// three reasons. Johnson's rule breaks ties by index, so every CDS
+// surrogate keeps the input order and t = 1 wins; NEH's sequence holds
+// the same stage vectors, so it prices to the same float and the
+// strict < keeps CDS; and the descent skips every pair by its rule (2).
+// NaN stages are never ==, so they take the full path.
+//
+// Otherwise, once CDS's makespan equals the instance's load bound
+// (LowerBoundM, sound for MakespanM's floats), CDS's order is returned
+// without NEH or the descent: NEH's makespan is >= the bound, so it
+// loses the strict <; every descent trial evaluates to >= the bound,
+// so none beats span − 1e-12. NaN, ±Inf or negative stages make the
+// bound −Inf, which no makespan is taken to meet. CDS meets the bound
+// on every two-kind split JPSChain sequences on its frozen grid
+// (TestLowerBoundMSoundOnChainSplits in core).
 func ScheduleM(jobs []JobM) []JobM {
 	own, m := ownJobsM(jobs)
 	if m == 0 || oneType(own) {
 		return own
 	}
-	seq, neh := cdsOrder(own, m), nehOrder(own, m)
+	return sequenceM(own, m, true)
+}
+
+// sequenceM is ScheduleM past its one-type shortcut, on jobs it owns
+// (m >= 1): CDS, then — unless atBound and CDS meets the load bound —
+// NEH against it and the descent. With atBound false it is the full
+// path both shortcuts are held to.
+func sequenceM(own []JobM, m int, atBound bool) []JobM {
+	seq := cdsOrder(own, m)
 	c := make([]float64, m)
-	if makespanInto(c, neh) < makespanInto(c, seq) {
+	span := makespanInto(c, seq)
+	if atBound && span == loadBound(multiset{jobs: own}) && !math.IsInf(span, -1) {
+		return seq
+	}
+	if neh := nehOrder(own, m); makespanInto(c, neh) < span {
 		seq = neh
 	}
 	swapDescentM(seq)

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -407,16 +408,6 @@ func TestScheduleMRatioVsReference(t *testing.T) {
 // stage bits. Covers shuffled IDs, m = 1 (no CDS surrogate) and one
 // type whose two copies differ only in the sign of their zero stages.
 func TestScheduleMOneTypeMatchesFullPath(t *testing.T) {
-	fullPath := func(jobs []JobM) []JobM {
-		own, m := ownJobsM(jobs)
-		seq, neh := cdsOrder(own, m), nehOrder(own, m)
-		c := make([]float64, m)
-		if makespanInto(c, neh) < makespanInto(c, seq) {
-			seq = neh
-		}
-		swapDescentM(seq)
-		return seq
-	}
 	rng := rand.New(rand.NewSource(25))
 	sameType := func(n int, stages ...[]float64) []JobM {
 		jobs := make([]JobM, n)
@@ -439,16 +430,121 @@ func TestScheduleMOneTypeMatchesFullPath(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	cases = append(cases, instance{"±0 stages", sameType(9, []float64{0, 2.5, negZero}, []float64{negZero, 2.5, 0})})
 	for _, c := range cases {
-		got, want := ScheduleM(c.jobs), fullPath(c.jobs)
-		if !reflect.DeepEqual(idsM(got), idsM(want)) {
-			t.Errorf("%s: IDs %v, full path %v", c.name, idsM(got), idsM(want))
-			continue
+		if err := sameBits(ScheduleM(c.jobs), fullPath(c.jobs)); err != nil {
+			t.Errorf("%s: %v", c.name, err)
 		}
-		for i := range want {
-			for k, v := range want[i].Stages {
-				if math.Float64bits(got[i].Stages[k]) != math.Float64bits(v) {
-					t.Errorf("%s: position %d stage %d = %v, full path %v", c.name, i, k, got[i].Stages[k], v)
+	}
+}
+
+// fullPath is ScheduleM with neither shortcut: CDS against NEH, then
+// the descent, whatever the instance.
+func fullPath(jobs []JobM) []JobM {
+	own, m := ownJobsM(jobs)
+	if m == 0 {
+		return own
+	}
+	return sequenceM(own, m, false)
+}
+
+// sameBits reports where got differs from want: an ID, a stage's bits
+// or the makespan's bits.
+func sameBits(got, want []JobM) error {
+	if !reflect.DeepEqual(idsM(got), idsM(want)) {
+		return fmt.Errorf("IDs %v, full path %v", idsM(got), idsM(want))
+	}
+	for i := range want {
+		for k, v := range want[i].Stages {
+			if math.Float64bits(got[i].Stages[k]) != math.Float64bits(v) {
+				return fmt.Errorf("position %d stage %d = %v, full path %v", i, k, got[i].Stages[k], v)
+			}
+		}
+	}
+	if g, w := MakespanM(got), MakespanM(want); math.Float64bits(g) != math.Float64bits(w) {
+		return fmt.Errorf("makespan %v, full path %v", g, w)
+	}
+	return nil
+}
+
+// ScheduleM stops at CDS once CDS meets the load bound, and returns
+// what the full path returns, bit for bit, on 2 400 seeded instances:
+// 1–4 kinds, m 2–5, n 1–120. Half of them give every kind the same
+// leading stages and hand the kinds in runs, JPSChain's shape: there
+// the bound is exact and CDS often meets it, and the test wants some
+// instances of two kinds or more (past the one-type shortcut) that do. The rest draw kinds apart and mix them, with a NaN, an
+// infinite or a negative stage now and then, where the bound is −Inf.
+func TestScheduleMStopsAtBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(51))
+	met := 0
+	const trials = 2400
+	for trial := 0; trial < trials; trial++ {
+		n, m, nk := 1+rng.Intn(120), 2+rng.Intn(4), 1+rng.Intn(4)
+		protos := randJobsM(rng, nk, m)
+		runs := trial%2 == 0
+		if runs {
+			shared := 1 + rng.Intn(m-1)
+			for _, p := range protos[1:] {
+				copy(p.Stages[:shared], protos[0].Stages[:shared])
+			}
+		} else if trial%10 == 1 {
+			protos[rng.Intn(nk)].Stages[rng.Intn(m)] = []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1}[rng.Intn(4)]
+		}
+		jobs := make([]JobM, n)
+		for i := range jobs {
+			k := rng.Intn(nk)
+			if runs {
+				k = i * nk / n
+			}
+			jobs[i] = JobM{ID: rng.Intn(1000), Stages: protos[k].Stages}
+		}
+		got := ScheduleM(jobs)
+		if err := sameBits(got, fullPath(jobs)); err != nil {
+			t.Fatalf("trial %d (n=%d m=%d kinds=%d): %v", trial, n, m, nk, err)
+		}
+		if own, _ := ownJobsM(jobs); !oneType(own) && MakespanM(CDSM(jobs)) == loadBound(multiset{jobs: own}) {
+			met++
+		}
+	}
+	t.Logf("CDS met the load bound on %d of %d instances with two kinds or more", met, trials)
+	if met < trials/10 {
+		t.Errorf("CDS met the load bound on %d of %d instances, want >= %d", met, trials, trials/10)
+	}
+}
+
+// LowerBoundM is sound at scale: at n = 20, 100 and 400, 1–4 kinds and
+// m 2–5, the bound is <= the makespan of CDS's, NEH's and the full
+// path's sequences and of 200 random permutations. Half the instances
+// share leading stages (the exact branch), half do not (the shrunk one).
+func TestLowerBoundMSoundAtScale(t *testing.T) {
+	rng := rand.New(rand.NewSource(52))
+	for _, n := range []int{20, 100, 400} {
+		for trial := 0; trial < 12; trial++ {
+			m, nk := 2+rng.Intn(4), 1+rng.Intn(4)
+			kinds, counts := make([][]float64, nk), make([]int, nk)
+			for i := range kinds {
+				kinds[i] = randJobsM(rng, 1, m)[0].Stages
+				if trial%2 == 0 {
+					kinds[i][0] = kinds[0][0]
 				}
+			}
+			jobs := make([]JobM, n)
+			for j := range jobs {
+				i := rng.Intn(nk)
+				counts[i]++
+				jobs[j] = JobM{ID: j, Stages: kinds[i]}
+			}
+			lb := LowerBoundM(kinds, counts)
+			check := func(name string, seq []JobM) {
+				if span := MakespanM(seq); lb > span {
+					t.Fatalf("n=%d trial %d: bound %v > %s makespan %v", n, trial, lb, name, span)
+				}
+			}
+			check("CDS", CDSM(jobs))
+			check("NEH", NEHM(jobs))
+			check("full path", fullPath(jobs))
+			perm := slices.Clone(jobs)
+			for p := 0; p < 200; p++ {
+				rng.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+				check("permuted", perm)
 			}
 		}
 	}
@@ -461,20 +557,39 @@ func TestScheduleMOneTypeMatchesFullPath(t *testing.T) {
 // or per trial — so the counts are exact: a reintroduced per-row or
 // per-insertion allocation adds ~100. BenchmarkScheduleM's instance
 // made 50 while the sorts went through reflection and Johnson grew its
-// lists by append; the direct form made ~16 000.
+// lists by append; the direct form made ~16 000. An instance whose CDS
+// order meets the load bound — JPSChain's shape: two kinds in two runs,
+// stage 0 shared — stops there, at the copy (2), CDS (4 and one per
+// Johnson call) and its makespan row: exactly 9.
 func TestScheduleMAllocs(t *testing.T) {
+	a, b := []float64{5, 1, 0.5}, []float64{5, 2, 0.1}
+	atBound := make([]JobM, 100)
+	for i := range atBound {
+		atBound[i] = JobM{ID: i, Stages: b}
+		if i < 50 {
+			atBound[i].Stages = a
+		}
+	}
 	for _, c := range []struct {
-		name string
-		jobs []JobM
-		want float64
+		name  string
+		jobs  []JobM
+		want  float64
+		exact bool
 	}{
-		{"two kinds", typedJobsM(rand.New(rand.NewSource(23)), 100, 3, 2), 19},
-		{"all distinct", randJobsM(rand.New(rand.NewSource(23)), 100, 3), 25},
-		{"BenchmarkScheduleM n=100", typedJobsM(rand.New(rand.NewSource(24)), 100, 3, 2), 19},
+		{"two kinds", typedJobsM(rand.New(rand.NewSource(23)), 100, 3, 2), 19, false},
+		{"all distinct", randJobsM(rand.New(rand.NewSource(23)), 100, 3), 25, false},
+		{"BenchmarkScheduleM n=100", typedJobsM(rand.New(rand.NewSource(24)), 100, 3, 2), 19, false},
+		{"CDS meets the load bound", atBound, 9, true},
 	} {
-		if got := testing.AllocsPerRun(10, func() { ScheduleM(c.jobs) }); got > c.want {
+		got := testing.AllocsPerRun(10, func() { ScheduleM(c.jobs) })
+		if c.exact && got != c.want {
+			t.Errorf("ScheduleM(n=100, m=3, %s) = %.0f allocs/run, want %.0f", c.name, got, c.want)
+		} else if got > c.want {
 			t.Errorf("ScheduleM(n=100, m=3, %s) = %.0f allocs/run, want <= %.0f", c.name, got, c.want)
 		}
+	}
+	if got, lb := MakespanM(CDSM(atBound)), LowerBoundM([][]float64{a, b}, []int{50, 50}); got != lb {
+		t.Errorf("the at-bound instance: CDS makespan %v, bound %v", got, lb)
 	}
 }
 
@@ -598,4 +713,23 @@ func TestLowerBoundMRefuses(t *testing.T) {
 		}
 	}()
 	LowerBoundM([][]float64{ok, {1, 2}}, []int{1, 1})
+}
+
+// cloneJobsM deep-copies a job slice, Stages included (one backing
+// array, each slice capped so an append cannot reach its neighbour):
+// every job gets a copy of its own, whatever its input shared, so a
+// fixture can mutate one job's stages without touching another's.
+func cloneJobsM(jobs []JobM) []JobM {
+	total := 0
+	for _, j := range jobs {
+		total += len(j.Stages)
+	}
+	flat := make([]float64, 0, total)
+	out := make([]JobM, len(jobs))
+	for i, j := range jobs {
+		lo := len(flat)
+		flat = append(flat, j.Stages...)
+		out[i] = JobM{ID: j.ID, Stages: flat[lo:len(flat):len(flat)]}
+	}
+	return out
 }

@@ -66,7 +66,9 @@ func LineView(g *dag.Graph) []Unit {
 // Curve holds the discrete per-cut latency functions of one model on
 // one device pair and channel. Index i means "cut after unit i":
 // index 0 is the input unit (cloud-only — upload the raw input),
-// index len-1 is the sink unit (local-only — nothing uploaded).
+// index len-1 is the sink unit (local-only — nothing uploaded). Its
+// columns are not written once it is built: Reprice and Synthetic
+// share every one but G with their source.
 type Curve struct {
 	Model   string
 	Channel netsim.Channel
@@ -206,27 +208,20 @@ func (c *Curve) Restrict(cuts []int) (*Curve, []int) {
 	return out, idx
 }
 
-// Reprice returns a copy of the curve with G recomputed from the cut
-// tensor volumes at a new channel — the bandwidth-update hook for
-// mid-run re-planning when the measured uplink diverges from the
-// profiled one. F, CloudMs and Bytes are device properties and carry
-// over unchanged.
+// Reprice returns the curve with G recomputed from the cut tensor
+// volumes at a new channel — the bandwidth-update hook for mid-run
+// re-planning when the measured uplink diverges from the profiled one.
+// F, CloudMs and Bytes are device properties and carry over unchanged.
 func (c *Curve) Reprice(ch netsim.Channel) *Curve {
 	return c.withG(c.Model, ch, priceCuts(ch, c.Bytes))
 }
 
-// withG copies the curve under a new model name and channel with G
-// replaced; F, CloudMs, Bytes and Labels carry over.
+// withG is the curve under a new model name and channel with G
+// replaced. F, CloudMs, Bytes and Labels are c's own slices, shared:
+// nothing writes a curve's columns once it is built, and a plan keeps
+// its curve, so a copy would be kept alive with every re-plan.
 func (c *Curve) withG(model string, ch netsim.Channel, g []float64) *Curve {
-	return &Curve{
-		Model:   model,
-		Channel: ch,
-		F:       append([]float64(nil), c.F...),
-		G:       g,
-		CloudMs: append([]float64(nil), c.CloudMs...),
-		Bytes:   append([]int(nil), c.Bytes...),
-		Labels:  append([]string(nil), c.Labels...),
-	}
+	return &Curve{Model: model, Channel: ch, F: c.F, G: g, CloudMs: c.CloudMs, Bytes: c.Bytes, Labels: c.Labels}
 }
 
 // FInterp returns a piecewise-linear continuous extension of F over

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -378,7 +379,11 @@ func BenchmarkWriteJob(b *testing.B) {
 // tensor's header, shape and data, three allocations, whatever the
 // payload size. copy is io.ReadFull of the same frame into a slice
 // allocated once, the floor for a decoder whose payload is read
-// straight into its tensor; the bench gate holds decode over copy.
+// straight into its tensor. The two are timed alternately in one body,
+// readTensorPairs pairs of equal runs, first one leg and then the other
+// leading, so both read whatever state the host is in; the bench gate
+// runs it at -cpu 1 and holds the median per-pair ratio, reported as
+// decode/copy. An op is one decode and one copy.
 func BenchmarkReadTensor(b *testing.B) {
 	var buf bytes.Buffer
 	if _, err := writeTensorSum(&buf, boundary{T: tensor.New(tensor.NewCHW(16, 32, 32))}, 0); err != nil {
@@ -386,24 +391,48 @@ func BenchmarkReadTensor(b *testing.B) {
 	}
 	frame := buf.Bytes()
 	dst := make([]byte, len(frame))
-	for _, leg := range []struct {
-		name string
-		read func(io.Reader) error
-	}{
-		{"decode", func(r io.Reader) error { _, _, err := readTensorSum(r, 0); return err }},
-		{"copy", func(r io.Reader) error { _, err := io.ReadFull(r, dst); return err }},
-	} {
-		b.Run(leg.name, func(b *testing.B) {
-			r := bytes.NewReader(frame)
-			b.SetBytes(int64(len(frame)))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+	r := bytes.NewReader(frame)
+	legs := [2]func() error{
+		func() error { _, _, err := readTensorSum(r, 0); return err },
+		func() error { _, err := io.ReadFull(r, dst); return err },
+	}
+	per := max(1, b.N/readTensorPairs)
+	var ns [2][readTensorPairs]float64 // mean ns of each leg in each pair
+	b.ReportAllocs()
+	b.ResetTimer()
+	for p := 0; p < readTensorPairs; p++ {
+		for k := 0; k < 2; k++ {
+			leg := (p + k) % 2
+			start := time.Now()
+			for i := 0; i < per; i++ {
 				r.Reset(frame)
-				if err := leg.read(r); err != nil {
+				if err := legs[leg](); err != nil {
 					b.Fatal(err)
 				}
 			}
-		})
+			ns[leg][p] = float64(time.Since(start).Nanoseconds()) / float64(per)
+		}
 	}
+	b.StopTimer()
+	var ratios [readTensorPairs]float64
+	for p := range ratios {
+		ratios[p] = ns[0][p] / ns[1][p]
+	}
+	b.ReportMetric(medianOf(ratios[:]), "decode/copy")
+	b.ReportMetric(medianOf(ns[0][:]), "ns/decode")
+	b.ReportMetric(medianOf(ns[1][:]), "ns/copy")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(per*readTensorPairs), "ns/op")
+}
+
+// readTensorPairs is how many decode/copy pairs BenchmarkReadTensor
+// times: enough that one disturbed pair cannot move the median.
+const readTensorPairs = 15
+
+// medianOf returns the median of xs, which it sorts.
+func medianOf(xs []float64) float64 {
+	slices.Sort(xs)
+	if n := len(xs); n%2 == 0 {
+		return (xs[n/2-1] + xs[n/2]) / 2
+	}
+	return xs[len(xs)/2]
 }
