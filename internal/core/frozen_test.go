@@ -101,3 +101,83 @@ func TestJPSChainFrozen(t *testing.T) {
 		}
 	}
 }
+
+// frozenLinePlans holds, per zoo model, an FNV-64a digest of every line
+// plan the two-stage planners make on its curve at {3G, 4G, Wi-Fi} for
+// frozenChainN jobs: JPS, JPSPaperRatio, JPSBestMix, JPSPlus,
+// TwoPointSearch over every raw position, PO, CO, LO, Replan at the next
+// preset and ReplanWithHint there with a 5 ms queue hint. Each plan
+// adds its cuts, the sequence's job IDs, the math.Float64bits of every
+// A and B, of the makespan and of CloudTailMs. The digests were
+// recorded while every candidate split was still built and sorted
+// before it was compared; pricing candidates in place must leave every
+// one of them unchanged. A diff here means some line plan moved by at
+// least one bit.
+var frozenLinePlans = map[string]string{
+	"alexnet":     "ad7a6c9916a2f51a",
+	"googlenet":   "4df2fd04aca448f7",
+	"inceptionv4": "5fa1db9b818e88b9",
+	"mobilenetv2": "f4352b55850c3e8e",
+	"nin":         "50735b056a1e4eba",
+	"resnet18":    "56c4a70af9d29299",
+	"squeezenet":  "15b7c6351c85beab",
+	"tinyyolov2":  "db4e2a29a31d28c9",
+	"vgg16":       "eeb36f4c9044f0d7",
+}
+
+func (h planHash) linePlan(p *Plan) {
+	h.ints(p.Cuts)
+	h.u64(uint64(len(p.Sequence)))
+	for _, j := range p.Sequence {
+		h.u64(uint64(j.ID))
+		h.u64(math.Float64bits(j.A))
+		h.u64(math.Float64bits(j.B))
+	}
+	h.u64(math.Float64bits(p.Makespan))
+	h.u64(math.Float64bits(p.CloudTailMs))
+}
+
+func TestLinePlansFrozen(t *testing.T) {
+	pi, gpu := devices()
+	presets := netsim.Presets()
+	for _, name := range models.Names() {
+		g := models.MustBuild(name)
+		h := planHash{fnv.New64a()}
+		for ci, ch := range presets {
+			c := profile.BuildCurve(g, pi, gpu, ch, tensor.Float32)
+			raw := make([]int, c.Len())
+			for i := range raw {
+				raw[i] = i
+			}
+			next := presets[(ci+1)%len(presets)]
+			planners := []struct {
+				name string
+				plan func(n int) (*Plan, error)
+			}{
+				{"JPS", func(n int) (*Plan, error) { return JPS(c, n) }},
+				{"JPSPaperRatio", func(n int) (*Plan, error) { return JPSPaperRatio(c, n) }},
+				{"JPSBestMix", func(n int) (*Plan, error) { return JPSBestMix(c, n) }},
+				{"JPSPlus", func(n int) (*Plan, error) { return JPSPlus(c, n) }},
+				{"TwoPointSearch/raw", func(n int) (*Plan, error) { return TwoPointSearch(c, n, raw) }},
+				{"PO", func(n int) (*Plan, error) { return PO(c, n) }},
+				{"CO", func(n int) (*Plan, error) { return CO(c, n) }},
+				{"LO", func(n int) (*Plan, error) { return LO(c, n) }},
+				{"Replan", func(n int) (*Plan, error) { return Replan(c, next, n) }},
+				{"ReplanWithHint", func(n int) (*Plan, error) { return ReplanWithHint(c, next, n, ServerHint{QueueMs: 5}) }},
+			}
+			for _, pl := range planners {
+				for _, n := range frozenChainN {
+					p, err := pl.plan(n)
+					if err != nil {
+						t.Fatalf("%s/%s %s n=%d: %v", name, ch.Name, pl.name, n, err)
+					}
+					h.linePlan(p)
+				}
+			}
+		}
+		got := fmt.Sprintf("%016x", h.Sum64())
+		if want := frozenLinePlans[name]; got != want {
+			t.Errorf("%s: line plans digest %s, frozen %q (a plan moved)", name, got, want)
+		}
+	}
+}
