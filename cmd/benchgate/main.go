@@ -35,13 +35,16 @@ import (
 // BenchmarkReadTensor runs 3000 decodes and 3000 copies, alternating in
 // 15 pairs, once, on one P (see its rule); a sequencer call or a chain
 // plan at n=100 a fraction of a millisecond, so their legs run 100,
-// three times. An empty cpu leaves -cpu unset: GOMAXPROCS procs.
+// three times; a line plan takes microseconds and a JPS+ plan half a
+// millisecond, so theirs run 300, three times. An empty cpu leaves -cpu
+// unset: GOMAXPROCS procs.
 var runs = []struct{ pkg, bench, benchtime, count, cpu string }{
 	{"./internal/engine/", "^Benchmark(SgemmCrossover|BatchedForward)$", "3x", "3", ""},
 	{"./internal/runtime/", "^BenchmarkRunnerAdaptive$", "3x", "1", ""},
 	{"./internal/runtime/", "^BenchmarkReadTensor$", "3000x", "1", "1"},
 	{"./internal/flowshop/", "^BenchmarkScheduleM$", "100x", "3", ""},
 	{"./internal/core/", "^BenchmarkChainPlanning$", "100x", "3", ""},
+	{"./internal/core/", "^BenchmarkLinePlanning$", "300x", "3", ""},
 }
 
 // rule bounds one within-run ratio: num's unit column over den's. A "*"
@@ -119,6 +122,14 @@ var rules = []rule{
 	// had no stop, 0.73–1.03 in the same sitting (0.91–1.64 when this
 	// rule came in at 1.75).
 	{num: "BenchmarkChainPlanning/kway-n100", den: "BenchmarkScheduleM/n=100", unit: "ns/op", bound: 0.5},
+	// JPS+ at n=100 against JPS on the same AlexNet curve: JPS+ prices
+	// every pair of Pareto cuts at every split, 2 086 candidates where
+	// JPS prices at most five, each in O(n) with no allocation, and
+	// builds one plan. Ten gate-length readings: 42.6–101.1 (JPS+
+	// 0.43–0.59 ms; JPS 4.8–12.1 µs, most of it allocation, so the
+	// spread is the denominator's). A planner that builds and sorts
+	// every candidate read 610–1 008 on the same host.
+	{num: "BenchmarkLinePlanning/jpsplus-n100", den: "BenchmarkLinePlanning/jps-n100", unit: "ns/op", bound: 200},
 }
 
 // row is one benchmark result, named as go test prints it less the

@@ -12,7 +12,7 @@ import (
 	"time"
 )
 
-// today is `go test -bench` output as the gate's five runs print it on
+// today is `go test -bench` output as the gate's six runs print it on
 // the 2-proc reference host, which has AVX-512 (so the avx2 legs run),
 // cut down to the legs the rules read plus one ungated neighbour of
 // each family. asm/n=128 and the ScheduleM legs keep their three
@@ -81,6 +81,15 @@ BenchmarkChainPlanning/kway-2         	     100	      9650 ns/op	   10192 B/op	 
 BenchmarkChainPlanning/kway-n100-2    	     100	     24793 ns/op	   31328 B/op	      42 allocs/op
 PASS
 ok  	dnnjps/internal/core	0.071s
+goos: linux
+goarch: amd64
+pkg: dnnjps/internal/core
+cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
+BenchmarkLinePlanning/jps-n100-2        	     300	      7036 ns/op	    7040 B/op	      12 allocs/op
+BenchmarkLinePlanning/replan-n100-2     	     300	      8111 ns/op	    7408 B/op	      14 allocs/op
+BenchmarkLinePlanning/jpsplus-n100-2    	     300	    487045 ns/op	    6432 B/op	       5 allocs/op
+PASS
+ok  	dnnjps/internal/core	0.480s
 `
 
 func TestParseBench(t *testing.T) {
@@ -140,52 +149,57 @@ func TestEvaluate(t *testing.T) {
 		ratios int
 		msg    string // a message that must be printed
 	}{
-		{"today's ratios", today, true, 12, "ok BenchmarkRunnerAdaptive/adaptive over BenchmarkRunnerAdaptive/static = 1.00x"},
+		{"today's ratios", today, true, 13, "ok BenchmarkRunnerAdaptive/adaptive over BenchmarkRunnerAdaptive/static = 1.00x"},
 		// 691620 is the fastest of three asm/n=128 repetitions; the gate
 		// reads it, not the 736066 printed first: 0.628, not 0.669.
-		{"repetitions collapse before the ratio", today, true, 12, "BenchmarkSgemmCrossover/asm/n=128 over BenchmarkSgemmCrossover/avx2/n=128 = 0.63x"},
+		{"repetitions collapse before the ratio", today, true, 13, "BenchmarkSgemmCrossover/asm/n=128 over BenchmarkSgemmCrossover/avx2/n=128 = 0.63x"},
 
 		// Each bound from both sides, one leg moved to just under and just
 		// over it: 0.9 twice, 0.6 twice, 0.16, 1.15, 17.
-		{"asm tile at 0.89x of the panel loop", swap("98485173 ns/op", "8142000 ns/op"), true, 12, "panel/n=1024 = 0.89x"},
-		{"asm tile at 0.91x", swap("98485173 ns/op", "7963000 ns/op"), false, 12, "FAIL BenchmarkSgemmCrossover/asm/n=1024 7246325 ns/op over BenchmarkSgemmCrossover/panel/n=1024"},
-		{"AVX-512 tile at 0.89x of the AVX2 tile", swap("13332165 ns/op", "8142000 ns/op"), true, 12, "avx2/n=1024 = 0.89x"},
-		{"AVX-512 tile at 0.91x: running narrow", swap("13332165 ns/op", "7963000 ns/op"), false, 12, "FAIL BenchmarkSgemmCrossover/asm/n=1024 7246325 ns/op over BenchmarkSgemmCrossover/avx2/n=1024"},
-		{"a width under 128 is not gated", swap("369808 ns/op", "6000000 ns/op"), true, 12, ""},
-		{"conv suffix at 0.59x of N=1", swap("9295156 ns/inference", "16000000 ns/inference"), true, 12, "convsuffix = 0.59x"},
-		{"conv suffix at 0.63x", swap("9295156 ns/inference", "17000000 ns/inference"), false, 12, "FAIL BenchmarkBatchedForward/N=32/convsuffix"},
-		{"dense head at 0.58x of N=1", swap("68779 ns/inference", "240000 ns/inference"), true, 12, "densehead = 0.58x"},
-		{"dense head at 0.63x", swap("68779 ns/inference", "260000 ns/inference"), false, 12, "FAIL BenchmarkBatchedForward/N=32/densehead"},
-		{"dense tail of eight at 0.15x of one job on the pure-Go route", swap("3231277 ns/inference", "3820000 ns/inference"), true, 12, "N=1/densetail/panel = 0.15x"},
-		{"dense tail of eight at 0.17x", swap("3231277 ns/inference", "4100000 ns/inference"), false, 12, "FAIL BenchmarkBatchedForward/N=8/densetail"},
-		{"the conv span is reported, not gated", swap("15265040 ns/inference", "99000000 ns/inference"), true, 12, ""},
-		{"estimator at 1.14x of the static runner", swap("231083170 ns/job", "263000000 ns/job"), true, 12, "static = 1.14x"},
-		{"estimator at 1.17x", swap("231083170 ns/job", "270000000 ns/job"), false, 12, "FAIL BenchmarkRunnerAdaptive/adaptive"},
+		{"asm tile at 0.89x of the panel loop", swap("98485173 ns/op", "8142000 ns/op"), true, 13, "panel/n=1024 = 0.89x"},
+		{"asm tile at 0.91x", swap("98485173 ns/op", "7963000 ns/op"), false, 13, "FAIL BenchmarkSgemmCrossover/asm/n=1024 7246325 ns/op over BenchmarkSgemmCrossover/panel/n=1024"},
+		{"AVX-512 tile at 0.89x of the AVX2 tile", swap("13332165 ns/op", "8142000 ns/op"), true, 13, "avx2/n=1024 = 0.89x"},
+		{"AVX-512 tile at 0.91x: running narrow", swap("13332165 ns/op", "7963000 ns/op"), false, 13, "FAIL BenchmarkSgemmCrossover/asm/n=1024 7246325 ns/op over BenchmarkSgemmCrossover/avx2/n=1024"},
+		{"a width under 128 is not gated", swap("369808 ns/op", "6000000 ns/op"), true, 13, ""},
+		{"conv suffix at 0.59x of N=1", swap("9295156 ns/inference", "16000000 ns/inference"), true, 13, "convsuffix = 0.59x"},
+		{"conv suffix at 0.63x", swap("9295156 ns/inference", "17000000 ns/inference"), false, 13, "FAIL BenchmarkBatchedForward/N=32/convsuffix"},
+		{"dense head at 0.58x of N=1", swap("68779 ns/inference", "240000 ns/inference"), true, 13, "densehead = 0.58x"},
+		{"dense head at 0.63x", swap("68779 ns/inference", "260000 ns/inference"), false, 13, "FAIL BenchmarkBatchedForward/N=32/densehead"},
+		{"dense tail of eight at 0.15x of one job on the pure-Go route", swap("3231277 ns/inference", "3820000 ns/inference"), true, 13, "N=1/densetail/panel = 0.15x"},
+		{"dense tail of eight at 0.17x", swap("3231277 ns/inference", "4100000 ns/inference"), false, 13, "FAIL BenchmarkBatchedForward/N=8/densetail"},
+		{"the conv span is reported, not gated", swap("15265040 ns/inference", "99000000 ns/inference"), true, 13, ""},
+		{"estimator at 1.14x of the static runner", swap("231083170 ns/job", "263000000 ns/job"), true, 13, "static = 1.14x"},
+		{"estimator at 1.17x", swap("231083170 ns/job", "270000000 ns/job"), false, 13, "FAIL BenchmarkRunnerAdaptive/adaptive"},
 		// The benchmark's own median pair ratio, no den leg.
-		{"wire decode at 16.99x of the copy", swap("12.31 decode/copy", "16.99 decode/copy"), true, 12, "ok BenchmarkReadTensor decode/copy = 16.99x (bound 17.00x)"},
-		{"wire decode at 17.01x: the payload is converted again", swap("12.31 decode/copy", "17.01 decode/copy"), false, 12, "FAIL BenchmarkReadTensor decode/copy = 17.01x > 17.00x"},
+		{"wire decode at 16.99x of the copy", swap("12.31 decode/copy", "16.99 decode/copy"), true, 13, "ok BenchmarkReadTensor decode/copy = 16.99x (bound 17.00x)"},
+		{"wire decode at 17.01x: the payload is converted again", swap("12.31 decode/copy", "17.01 decode/copy"), false, 13, "FAIL BenchmarkReadTensor decode/copy = 17.01x > 17.00x"},
 
-		{"no asm legs: both asm rules skip", dropLines(today, "SgemmCrossover/asm/"), true, 8, "skip BenchmarkSgemmCrossover/asm/n=* over BenchmarkSgemmCrossover/panel/n=*"},
-		{"no avx2 legs (no AVX-512): that rule skips", dropLines(today, "SgemmCrossover/avx2/"), true, 10, "skip BenchmarkSgemmCrossover/asm/n=* over BenchmarkSgemmCrossover/avx2/n=*"},
-		{"asm legs, none at a gated width", dropLines(dropLines(today, "asm/n=128"), "asm/n=1024"), false, 8, "FAIL BenchmarkSgemmCrossover/asm/n=*"},
-		{"asm leg without its panel leg", dropLines(today, "panel/n=1024"), false, 11, "FAIL BenchmarkSgemmCrossover/asm/n=1024 over BenchmarkSgemmCrossover/panel/n=1024"},
-		{"asm leg without its avx2 leg", dropLines(today, "avx2/n=1024"), false, 11, "FAIL BenchmarkSgemmCrossover/asm/n=1024 over BenchmarkSgemmCrossover/avx2/n=1024"},
-		{"N=8/densetail missing", dropLines(today, "N=8/densetail"), false, 11, "FAIL BenchmarkBatchedForward/N=8/densetail"},
-		{"pure-Go dense tail missing", dropLines(today, "densetail/panel"), false, 11, "FAIL BenchmarkBatchedForward/N=8/densetail over BenchmarkBatchedForward/N=1/densetail/panel: the bench output lacks"},
-		{"RunnerAdaptive did not run", dropLines(today, "RunnerAdaptive"), false, 11, "FAIL BenchmarkRunnerAdaptive/adaptive"},
-		{"decode/copy column missing", swap("decode/copy", "decode/cpy"), false, 11, "FAIL BenchmarkReadTensor: the bench output lacks decode/copy"},
-		{"ReadTensor did not run", dropLines(today, "ReadTensor"), false, 11, "FAIL BenchmarkReadTensor: 0 legs"},
-		{"N=32 legs missing", dropLines(today, "N=32/"), false, 9, "FAIL BenchmarkBatchedForward/N=32/*"},
+		{"no asm legs: both asm rules skip", dropLines(today, "SgemmCrossover/asm/"), true, 9, "skip BenchmarkSgemmCrossover/asm/n=* over BenchmarkSgemmCrossover/panel/n=*"},
+		{"no avx2 legs (no AVX-512): that rule skips", dropLines(today, "SgemmCrossover/avx2/"), true, 11, "skip BenchmarkSgemmCrossover/asm/n=* over BenchmarkSgemmCrossover/avx2/n=*"},
+		{"asm legs, none at a gated width", dropLines(dropLines(today, "asm/n=128"), "asm/n=1024"), false, 9, "FAIL BenchmarkSgemmCrossover/asm/n=*"},
+		{"asm leg without its panel leg", dropLines(today, "panel/n=1024"), false, 12, "FAIL BenchmarkSgemmCrossover/asm/n=1024 over BenchmarkSgemmCrossover/panel/n=1024"},
+		{"asm leg without its avx2 leg", dropLines(today, "avx2/n=1024"), false, 12, "FAIL BenchmarkSgemmCrossover/asm/n=1024 over BenchmarkSgemmCrossover/avx2/n=1024"},
+		{"N=8/densetail missing", dropLines(today, "N=8/densetail"), false, 12, "FAIL BenchmarkBatchedForward/N=8/densetail"},
+		{"pure-Go dense tail missing", dropLines(today, "densetail/panel"), false, 12, "FAIL BenchmarkBatchedForward/N=8/densetail over BenchmarkBatchedForward/N=1/densetail/panel: the bench output lacks"},
+		{"RunnerAdaptive did not run", dropLines(today, "RunnerAdaptive"), false, 12, "FAIL BenchmarkRunnerAdaptive/adaptive"},
+		{"decode/copy column missing", swap("decode/copy", "decode/cpy"), false, 12, "FAIL BenchmarkReadTensor: the bench output lacks decode/copy"},
+		{"ReadTensor did not run", dropLines(today, "ReadTensor"), false, 12, "FAIL BenchmarkReadTensor: 0 legs"},
+		{"N=32 legs missing", dropLines(today, "N=32/"), false, 10, "FAIL BenchmarkBatchedForward/N=32/*"},
 		// The fastest n=400 (2880806) over the fastest n=100, which moves.
-		{"sequencer at 23.9x from n=100 to n=400", swap("190422 ns/op", "120500 ns/op"), true, 12, "BenchmarkScheduleM/n=400 over BenchmarkScheduleM/n=100 = 23.91x"},
-		{"sequencer at 24.1x: gone cubic on two kinds", swap("190422 ns/op", "119500 ns/op"), false, 12, "FAIL BenchmarkScheduleM/n=400 2880806 ns/op over BenchmarkScheduleM/n=100 119500"},
-		{"ScheduleM did not run", dropLines(today, "ScheduleM"), false, 10, "FAIL BenchmarkScheduleM/n=400: 0 legs"},
+		{"sequencer at 23.9x from n=100 to n=400", swap("190422 ns/op", "120500 ns/op"), true, 13, "BenchmarkScheduleM/n=400 over BenchmarkScheduleM/n=100 = 23.91x"},
+		{"sequencer at 24.1x: gone cubic on two kinds", swap("190422 ns/op", "119500 ns/op"), false, 13, "FAIL BenchmarkScheduleM/n=400 2880806 ns/op over BenchmarkScheduleM/n=100 119500"},
+		{"ScheduleM did not run", dropLines(today, "ScheduleM"), false, 11, "FAIL BenchmarkScheduleM/n=400: 0 legs"},
 		// The n=100 plan (24793) over the fastest n=100 sequence (190422),
 		// the plan moved.
-		{"chain plan at 0.49x of one sequence", swap("24793 ns/op", "93000 ns/op"), true, 12, "BenchmarkChainPlanning/kway-n100 over BenchmarkScheduleM/n=100 = 0.49x"},
-		{"chain plan at 0.51x: its split falls back to NEH and the descent", swap("24793 ns/op", "97000 ns/op"), false, 12, "FAIL BenchmarkChainPlanning/kway-n100 97000 ns/op over BenchmarkScheduleM/n=100 190422"},
-		{"ChainPlanning did not run", dropLines(today, "ChainPlanning"), false, 11, "FAIL BenchmarkChainPlanning/kway-n100: 0 legs"},
-		{"custom unit column missing", strings.ReplaceAll(today, "ns/job", "ns/request"), false, 11, "lacks ns/job"},
+		{"chain plan at 0.49x of one sequence", swap("24793 ns/op", "93000 ns/op"), true, 13, "BenchmarkChainPlanning/kway-n100 over BenchmarkScheduleM/n=100 = 0.49x"},
+		{"chain plan at 0.51x: its split falls back to NEH and the descent", swap("24793 ns/op", "97000 ns/op"), false, 13, "FAIL BenchmarkChainPlanning/kway-n100 97000 ns/op over BenchmarkScheduleM/n=100 190422"},
+		{"ChainPlanning did not run", dropLines(today, "ChainPlanning"), false, 12, "FAIL BenchmarkChainPlanning/kway-n100: 0 legs"},
+		{"custom unit column missing", strings.ReplaceAll(today, "ns/job", "ns/request"), false, 12, "lacks ns/job"},
+		// JPS+ (487045) over JPS (moved) on the same curve.
+		{"JPS+ at 199.9x of JPS", swap("7036 ns/op", "2437 ns/op"), true, 13, "BenchmarkLinePlanning/jpsplus-n100 over BenchmarkLinePlanning/jps-n100 = 199.85x"},
+		{"JPS+ at 200.1x: candidates built and sorted again", swap("7036 ns/op", "2434 ns/op"), false, 13, "FAIL BenchmarkLinePlanning/jpsplus-n100 487045 ns/op over BenchmarkLinePlanning/jps-n100 2434"},
+		{"jps-n100 row missing", dropLines(today, "LinePlanning/jps-n100"), false, 12, "FAIL BenchmarkLinePlanning/jpsplus-n100 over BenchmarkLinePlanning/jps-n100: the bench output lacks ns/op"},
+		{"LinePlanning did not run", dropLines(today, "LinePlanning"), false, 12, "FAIL BenchmarkLinePlanning/jpsplus-n100: 0 legs"},
 	}
 	for _, c := range cases {
 		_, rows := parseBench(c.out)

@@ -68,7 +68,8 @@ func BruteForceTwoPoint(c *profile.Curve, n int) (*Plan, error) {
 
 // TwoPointSearch is BruteForceTwoPoint over an explicit candidate cut
 // set — the virtual-block ablation uses it to search the raw,
-// unclustered position set.
+// unclustered position set. Each candidate is priced in place
+// (mixSpan, O(n), no allocation); only the winner is built.
 func TwoPointSearch(c *profile.Curve, n int, candidates []int) (*Plan, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("core: TwoPointSearch needs n >= 1, got %d", n)
@@ -81,19 +82,23 @@ func TwoPointSearch(c *profile.Curve, n int, candidates []int) (*Plan, error) {
 			return nil, fmt.Errorf("core: TwoPointSearch candidate %d outside [0,%d)", cut, c.Len())
 		}
 	}
-	var best *Plan
-	consider := func(cuts []int) {
-		if p := planFromCuts("BF-2pt", c, cuts); best == nil || p.Makespan < best.Makespan {
-			best = p
+	// The winning split puts the first m of n jobs at a, the rest at b.
+	// It starts as the first candidate's homogeneous plan, which the
+	// walk prices again and, by the strict <, keeps.
+	m, a, b := n, candidates[0], candidates[0]
+	span := mixSpan(c, n, m, a, b)
+	consider := func(mi, ai, bi int) {
+		if s := mixSpan(c, n, mi, ai, bi); s < span {
+			m, a, b, span = mi, ai, bi, s
 		}
 	}
-	for i, a := range candidates {
-		consider(mixCuts(n, n, a, a)) // homogeneous plan at candidate i
-		for _, b := range candidates[i+1:] {
-			for m := 1; m < n; m++ {
-				consider(mixCuts(n, m, a, b))
+	for i, ai := range candidates {
+		consider(n, ai, ai) // homogeneous plan at candidate i
+		for _, bi := range candidates[i+1:] {
+			for mi := 1; mi < n; mi++ {
+				consider(mi, ai, bi)
 			}
 		}
 	}
-	return best, nil
+	return planFromCuts("BF-2pt", c, mixCuts(n, m, a, b)), nil
 }

@@ -130,9 +130,10 @@ func TestScheduleMMatchesReferenceOnChainTraffic(t *testing.T) {
 // leave to sequence and result need, with no per-node search or sizing
 // in the line view, no clone per priced tuple, no copy of the cut
 // rows (each points at its tuple) and, since that mix's CDS order meets
-// its load bound, no NEH or descent at all. The counts are exact and
-// repeat run to run: the splits run one after another. NEH and the
-// descent on that mix and one array of cut rows made them 57 and 59;
+// its load bound, no NEH or descent at all, and Pareto cut lists sized
+// once. The counts are exact and repeat run to run: the splits run one
+// after another. Pareto cut lists grown by append made them 46 and 48;
+// NEH and the descent on that mix and one array of cut rows 57 and 59;
 // an articulation sweep per line view 66 and 66; three sequenced two-kind mixes, each on
 // its own goroutine, with a node slice per line-view unit made them 218
 // and 153; sizing each node per curve 1 192 and 329, a clone per tuple
@@ -152,8 +153,8 @@ func TestJPSChainAllocs(t *testing.T) {
 		ch    Chain
 		want  float64
 	}{
-		{"mobilenetv2", threeTierChain(), 46},
-		{"alexnet", planGrid, 48},
+		{"mobilenetv2", threeTierChain(), 43},
+		{"alexnet", planGrid, 45},
 	} {
 		g := models.MustBuild(c.model)
 		got := testing.AllocsPerRun(5, func() {

@@ -506,3 +506,69 @@ func TestJPSConvergesToContinuousBound(t *testing.T) {
 		t.Fatalf("only %d curves had crossings; generator drifted", checked)
 	}
 }
+
+// JPS and Replan at plan-grid's n = 100 on its four models, both
+// channels: the Pareto cuts (1), the restricted curve and its index
+// map (7), and the one plan built, for the winning split alone — its
+// cuts, jobs, sequence and Plan (4); Replan adds the repriced curve and
+// its G column (2). The counts are exact. Every candidate split built
+// and sorted, with the Pareto cuts grown by append, made them 27–31 and
+// 29–33, by how many splits a cell has.
+func TestJPSAllocs(t *testing.T) {
+	pi, gpu := devices()
+	for _, model := range []string{"alexnet", "mobilenetv2", "resnet18", "googlenet"} {
+		g := models.MustBuild(model)
+		for _, ch := range []netsim.Channel{netsim.FourG, netsim.WiFi} {
+			c := profile.BuildCurve(g, pi, gpu, ch, tensor.Float32)
+			half := ch
+			half.UplinkMbps /= 2
+			for _, row := range []struct {
+				name string
+				plan func() (*Plan, error)
+				want float64
+			}{
+				{"JPS", func() (*Plan, error) { return JPS(c, 100) }, 12},
+				{"Replan", func() (*Plan, error) { return Replan(c, half, 100) }, 14},
+			} {
+				got := testing.AllocsPerRun(5, func() {
+					if _, err := row.plan(); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if got != row.want {
+					t.Errorf("%s(%s at %s, n=100) = %.0f allocs/run, want %.0f", row.name, model, ch.Name, got, row.want)
+				}
+			}
+		}
+	}
+}
+
+// Planning cost of the line planners at the paper's n = 100 on AlexNet
+// at 4G: JPS prices its up to five candidate splits, Replan reprices
+// the curve at half the bandwidth first, and JPS+ prices every pair of
+// Pareto cuts at every split, O(k²·n) candidates of O(n) each; each
+// builds only its winner. cmd/benchgate holds jpsplus-n100 ÷ jps-n100
+// to a bound.
+func BenchmarkLinePlanning(b *testing.B) {
+	pi, gpu := devices()
+	c := profile.BuildCurve(models.MustBuild("alexnet"), pi, gpu, netsim.FourG, tensor.Float32)
+	half := netsim.FourG
+	half.UplinkMbps /= 2
+	for _, leg := range []struct {
+		name string
+		plan func() (*Plan, error)
+	}{
+		{"jps-n100", func() (*Plan, error) { return JPS(c, 100) }},
+		{"replan-n100", func() (*Plan, error) { return Replan(c, half, 100) }},
+		{"jpsplus-n100", func() (*Plan, error) { return JPSPlus(c, 100) }},
+	} {
+		b.Run(leg.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := leg.plan(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -2,10 +2,13 @@ package core
 
 import (
 	"errors"
+	"math"
+	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
 
+	"dnnjps/internal/flowshop"
 	"dnnjps/internal/profile"
 )
 
@@ -141,6 +144,52 @@ func TestMixCuts(t *testing.T) {
 	} {
 		if got := mixCuts(tc.n, tc.m, 4, 9); !slices.Equal(got, tc.want) {
 			t.Errorf("mixCuts(%d, %d, 4, 9) = %v, want %v", tc.n, tc.m, got, tc.want)
+		}
+	}
+}
+
+// oddValue draws a curve entry from a pool that hits what Johnson's
+// comparisons and the makespan recurrence treat specially: NaN, ±Inf,
+// negatives, zero and small integers that tie, besides plain floats.
+func oddValue(rng *rand.Rand) float64 {
+	switch rng.Intn(10) {
+	case 0:
+		return math.NaN()
+	case 1:
+		return math.Inf(1 - 2*rng.Intn(2))
+	case 2:
+		return -rng.Float64() * 10
+	case 3, 4, 5:
+		return float64(rng.Intn(4))
+	default:
+		return rng.Float64() * 10
+	}
+}
+
+// mixSpan prices a split without building it; it must give the bits
+// the built plan's makespan has, on seeded random curves whose F need
+// not rise, for every (m, a, b) and n past 20, where the stable sort
+// merges runs instead of inserting.
+func TestMixSpanMatchesBuiltPlan(t *testing.T) {
+	rng := rand.New(rand.NewSource(52))
+	for trial := 0; trial < 600; trial++ {
+		k := 2 + rng.Intn(5)
+		c := &profile.Curve{Model: "random", F: make([]float64, k), G: make([]float64, k)}
+		for i := range k {
+			c.F[i], c.G[i] = oddValue(rng), oddValue(rng)
+		}
+		n := 1 + rng.Intn(60)
+		for a := range k {
+			for b := range k {
+				for m := 0; m <= n; m++ {
+					got := mixSpan(c, n, m, a, b)
+					want := flowshop.Makespan(flowshop.Johnson(JobsForCuts(c, mixCuts(n, m, a, b))))
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("trial %d: F %v G %v, %d of %d jobs at %d, the rest at %d: mixSpan %v, built %v",
+							trial, c.F, c.G, m, n, a, b, got, want)
+					}
+				}
+			}
 		}
 	}
 }

@@ -156,10 +156,18 @@ func (x crossing) pos(j, m int) int {
 	return x.search.LStar
 }
 
+// kinds returns the two raw cuts JPS mixes: a for the first m jobs
+// (l*-1 where two cuts mix) and b for the rest (l*); both l* where
+// nothing mixes.
+func (x crossing) kinds() (a, b int) {
+	return x.idx[x.pos(0, 1)], x.idx[x.search.LStar]
+}
+
 // cuts returns the n cuts on the raw curve for split m: the first m at
 // l*-1 where two cuts mix, all n at l* where not.
 func (x crossing) cuts(n, m int) []int {
-	return mixCuts(n, m, x.idx[x.pos(0, 1)], x.idx[x.search.LStar])
+	a, b := x.kinds()
+	return mixCuts(n, m, a, b)
 }
 
 // flank returns the two integer splits on either side of the exact
@@ -203,6 +211,14 @@ func mixCuts(n, m, a, b int) []int {
 		}
 	}
 	return cuts
+}
+
+// mixSpan is the makespan of the plan planFromCuts makes of
+// mixCuts(n, m, a, b), to the bit, priced without building it: the
+// plan's jobs are two kinds, (F, G) at a and at b, numbered a's first,
+// which flowshop.TwoKindMakespan sequences and runs as two blocks.
+func mixSpan(c *profile.Curve, n, m, a, b int) float64 {
+	return flowshop.TwoKindMakespan(flowshop.Job{A: c.F[a], B: c.G[a]}, m, flowshop.Job{A: c.F[b], B: c.G[b]}, n-m)
 }
 
 // eachMultiset visits every way to place n identical jobs on k >= 1

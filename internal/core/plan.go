@@ -74,16 +74,17 @@ func JPS(c *profile.Curve, n int) (*Plan, error) {
 	return x.bestPlan("JPS", c, n, s[:k]), nil
 }
 
-// bestPlan plans c's n jobs at each split in ms and keeps the first of
-// the smallest makespans.
+// bestPlan prices c's n jobs at each split in ms, keeps the first of
+// the smallest makespans and builds the plan for that split alone.
 func (x crossing) bestPlan(method string, c *profile.Curve, n int, ms []int) *Plan {
-	var best *Plan
-	for _, m := range ms {
-		if p := planFromCuts(method, c, x.cuts(n, m)); best == nil || p.Makespan < best.Makespan {
-			best = p
+	a, b := x.kinds()
+	best, span := ms[0], mixSpan(c, n, ms[0], a, b)
+	for _, m := range ms[1:] {
+		if s := mixSpan(c, n, m, a, b); s < span {
+			best, span = m, s
 		}
 	}
-	return best
+	return planFromCuts(method, c, x.cuts(n, best))
 }
 
 // JPSPlus globalizes Theorem 5.3: instead of mixing only the two

@@ -10,6 +10,7 @@ package flowshop
 
 import (
 	"cmp"
+	"math"
 	"slices"
 )
 
@@ -30,13 +31,18 @@ func (j Job) CommHeavy() bool { return j.A < j.B }
 // (Alg. 1): the communication-heavy set S1 sorted by ascending A,
 // followed by the computation-heavy set S2 sorted by descending B.
 // Ties break by ID so schedules are deterministic. The input is not
-// modified; the result is one allocation, S1 and S2 sorted in place.
+// modified; the result is one allocation, S1 and S2 sorted in place. A
+// set already in order is not sorted: one pass checks it, but only
+// when no stage is NaN — a NaN compares before nothing and nothing
+// before it, so the comparisons are no strict weak order, "in order"
+// is not defined, and the stable sort's merge may still move jobs.
 func Johnson(jobs []Job) []Job {
-	heavy := 0
+	heavy, nan := 0, false
 	for _, j := range jobs {
 		if j.CommHeavy() {
 			heavy++
 		}
+		nan = nan || math.IsNaN(j.A) || math.IsNaN(j.B)
 	}
 	out := make([]Job, len(jobs))
 	s1, s2 := out[:0:heavy], out[heavy:heavy]
@@ -47,22 +53,31 @@ func Johnson(jobs []Job) []Job {
 			s2 = append(s2, j)
 		}
 	}
-	// Stable sorts whose comparators are < 0 exactly where the rule's
-	// "before" holds: a NaN stage compares before nothing and nothing
-	// before it, which stability then resolves by input order.
-	slices.SortStableFunc(s1, func(a, b Job) int {
-		if a.A != b.A {
-			return before(a.A < b.A)
-		}
-		return cmp.Compare(a.ID, b.ID)
-	})
-	slices.SortStableFunc(s2, func(a, b Job) int {
-		if a.B != b.B {
-			return before(a.B > b.B)
-		}
-		return cmp.Compare(a.ID, b.ID)
-	})
+	if nan || !slices.IsSortedFunc(s1, byA) {
+		slices.SortStableFunc(s1, byA)
+	}
+	if nan || !slices.IsSortedFunc(s2, byB) {
+		slices.SortStableFunc(s2, byB)
+	}
 	return out
+}
+
+// byA and byB are S1's and S2's orders as stable-sort comparators, < 0
+// exactly where the rule's "before" holds: a NaN stage compares before
+// nothing and nothing before it, which stability then resolves by input
+// order.
+func byA(a, b Job) int {
+	if a.A != b.A {
+		return before(a.A < b.A)
+	}
+	return cmp.Compare(a.ID, b.ID)
+}
+
+func byB(a, b Job) int {
+	if a.B != b.B {
+		return before(a.B > b.B)
+	}
+	return cmp.Compare(a.ID, b.ID)
 }
 
 // before is a stable sort's comparison result for "a goes first":
@@ -82,13 +97,56 @@ func before(first bool) int {
 func Makespan(seq []Job) float64 {
 	var c1, c2 float64
 	for _, j := range seq {
-		c1 += j.A
-		if c1 > c2 {
-			c2 = c1
-		}
-		c2 += j.B
+		c1, c2 = advance(c1, c2, j)
 	}
 	return c2
+}
+
+// advance moves the recurrence's state past job j: the one copy of the
+// step that Makespan, Completions and TwoKindMakespan run.
+func advance(c1, c2 float64, j Job) (float64, float64) {
+	c1 += j.A
+	if c1 > c2 {
+		c2 = c1
+	}
+	return c1, c2 + j.B
+}
+
+// TwoKindMakespan is Makespan(Johnson(jobs)) for jobs holding nx copies
+// of x's stages followed by ny copies of y's, numbered in that order
+// (the IDs of x and y are not read) — without the list or the sort.
+// Every x precedes every y by ID, so Johnson's result is two blocks,
+// ordered by the rule applied to x as job 0 and y as job 1: the
+// communication-heavy kind first; when both are, y first only if its A
+// is smaller; when neither is, y first only if its B is larger. A NaN
+// compares false, so of two kinds in one set x stays first. The
+// recurrence then runs over the blocks in that order, as Makespan would
+// over the sequence.
+func TwoKindMakespan(x Job, nx int, y Job, ny int) float64 {
+	x.ID, y.ID = 0, 1
+	if nx > 0 && ny > 0 && johnsonBefore(y, x) {
+		x, nx, y, ny = y, ny, x, nx
+	}
+	var c1, c2 float64
+	for range nx {
+		c1, c2 = advance(c1, c2, x)
+	}
+	for range ny {
+		c1, c2 = advance(c1, c2, y)
+	}
+	return c2
+}
+
+// johnsonBefore reports whether Johnson's rule puts a before b.
+func johnsonBefore(a, b Job) bool {
+	switch {
+	case a.CommHeavy() != b.CommHeavy():
+		return a.CommHeavy()
+	case a.CommHeavy():
+		return byA(a, b) < 0
+	default:
+		return byB(a, b) < 0
+	}
 }
 
 // Completions returns each job's completion time (end of its B stage)
@@ -97,11 +155,7 @@ func Completions(seq []Job) []float64 {
 	out := make([]float64, len(seq))
 	var c1, c2 float64
 	for i, j := range seq {
-		c1 += j.A
-		if c1 > c2 {
-			c2 = c1
-		}
-		c2 += j.B
+		c1, c2 = advance(c1, c2, j)
 		out[i] = c2
 	}
 	return out
@@ -200,14 +254,4 @@ func BestPermutation(jobs []Job) ([]Job, float64) {
 func WorstPermutation(jobs []Job) ([]Job, float64) {
 	return extremePermutation(append([]Job(nil), jobs...), Makespan,
 		func(s, than float64) bool { return s > than })
-}
-
-// SumStages returns (ΣA, ΣB) — the two lower bounds whose maximum
-// drives the asymptotic average makespan of §4.2.
-func SumStages(jobs []Job) (sumA, sumB float64) {
-	for _, j := range jobs {
-		sumA += j.A
-		sumB += j.B
-	}
-	return sumA, sumB
 }

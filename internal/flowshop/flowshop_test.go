@@ -1,8 +1,10 @@
 package flowshop
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -262,5 +264,115 @@ func TestCompletionsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// SumStages returns (ΣA, ΣB) — the two lower bounds whose maximum
+// drives the asymptotic average makespan of §4.2.
+func SumStages(jobs []Job) (sumA, sumB float64) {
+	for _, j := range jobs {
+		sumA += j.A
+		sumB += j.B
+	}
+	return sumA, sumB
+}
+
+// refJohnson is Johnson as it was before it checked whether a set is
+// already in order: both sets always stable-sorted. Johnson must return
+// exactly what it returns, IDs, order and stage bits.
+func refJohnson(jobs []Job) []Job {
+	heavy := 0
+	for _, j := range jobs {
+		if j.CommHeavy() {
+			heavy++
+		}
+	}
+	out := make([]Job, len(jobs))
+	s1, s2 := out[:0:heavy], out[heavy:heavy]
+	for _, j := range jobs {
+		if j.CommHeavy() {
+			s1 = append(s1, j)
+		} else {
+			s2 = append(s2, j)
+		}
+	}
+	// Stable sorts whose comparators are < 0 exactly where the rule's
+	// "before" holds: a NaN stage compares before nothing and nothing
+	// before it, which stability then resolves by input order.
+	slices.SortStableFunc(s1, func(a, b Job) int {
+		if a.A != b.A {
+			return before(a.A < b.A)
+		}
+		return cmp.Compare(a.ID, b.ID)
+	})
+	slices.SortStableFunc(s2, func(a, b Job) int {
+		if a.B != b.B {
+			return before(a.B > b.B)
+		}
+		return cmp.Compare(a.ID, b.ID)
+	})
+	return out
+}
+
+// oddStage draws a stage length from a pool that hits what the
+// comparisons and the recurrence treat specially: NaN, ±Inf, negatives,
+// zero and a few small integers that tie, besides plain floats.
+func oddStage(rng *rand.Rand) float64 {
+	switch rng.Intn(10) {
+	case 0:
+		return math.NaN()
+	case 1:
+		return math.Inf(1 - 2*rng.Intn(2))
+	case 2:
+		return -rng.Float64() * 10
+	case 3, 4, 5:
+		return float64(rng.Intn(4))
+	default:
+		return rng.Float64() * 10
+	}
+}
+
+// sameJobs reports whether two sequences hold the same jobs in the same
+// order, stage bits included.
+func sameJobs(a, b []Job) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].ID != b[i].ID || math.Float64bits(a[i].A) != math.Float64bits(b[i].A) ||
+			math.Float64bits(a[i].B) != math.Float64bits(b[i].B) {
+			return false
+		}
+	}
+	return true
+}
+
+// Johnson skips the sort of a set already in order, and only when no
+// stage is NaN. Random lists past 20 jobs (where the stable sort merges
+// runs instead of inserting), fed as drawn, already in Johnson's order,
+// reversed, with few distinct (so tied) values, with repeated IDs, and
+// with NaN stages, must come out exactly as the always-sorting body
+// orders them.
+func TestJohnsonMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(52))
+	for trial := 0; trial < 4000; trial++ {
+		n := rng.Intn(70)
+		jobs := make([]Job, n)
+		for i := range jobs {
+			jobs[i] = Job{ID: i, A: oddStage(rng), B: oddStage(rng)}
+			if trial%7 == 0 {
+				jobs[i].ID = rng.Intn(4)
+			}
+		}
+		switch trial % 4 {
+		case 1:
+			jobs = refJohnson(jobs)
+		case 2:
+			jobs = refJohnson(jobs)
+			slices.Reverse(jobs)
+		}
+		if got, want := Johnson(jobs), refJohnson(jobs); !sameJobs(got, want) {
+			t.Fatalf("trial %d (n=%d): Johnson %v, reference %v", trial, n, got, want)
+		}
 	}
 }

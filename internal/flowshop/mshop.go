@@ -173,21 +173,6 @@ func CompletionsM(seq []JobM) []float64 {
 	return out
 }
 
-// SumStagesM returns the per-machine stage sums — the m lower bounds
-// whose maximum drives the asymptotic average makespan.
-func SumStagesM(jobs []JobM) []float64 {
-	if len(jobs) == 0 {
-		return nil
-	}
-	sums := make([]float64, len(jobs[0].Stages))
-	for _, j := range jobs {
-		for k, s := range j.Stages {
-			sums[k] += s
-		}
-	}
-	return sums
-}
-
 // LowerBoundM bounds from below the makespan of every sequence of the
 // multiset that holds counts[i] jobs with Stages kinds[i] (a kind with
 // no jobs is ignored): no order of those jobs evaluates, in MakespanM's
@@ -373,22 +358,11 @@ func cdsOrder(jobs []JobM, m int) []JobM {
 	return best
 }
 
-// NEHM orders jobs with the Nawaz–Enscore–Ham insertion heuristic on m
-// machines: jobs sorted by decreasing total processing time are
-// inserted one at a time at the position minimizing the partial
-// makespan (the lowest such position). O(n²·m) by Taillard's
-// acceleration, see nehOrder. The input is not modified and the result
-// shares no memory with it.
-func NEHM(jobs []JobM) []JobM {
-	own, m := ownJobsM(jobs)
-	if m == 0 {
-		return own
-	}
-	return nehOrder(own, m)
-}
-
-// nehOrder is NEHM on jobs the caller owns (m >= 1); the result's
-// Stages alias jobs'.
+// nehOrder orders jobs the caller owns (m >= 1) with the
+// Nawaz–Enscore–Ham insertion heuristic: jobs sorted by decreasing
+// total processing time are inserted one at a time at the position
+// minimizing the partial makespan (the lowest such position). The
+// result's Stages alias jobs'.
 //
 // Taillard (1990): per inserted job compute once the heads e[i] of the
 // partial sequence of L jobs (machine state after its first i jobs —
@@ -492,8 +466,8 @@ func nehOrder(jobs []JobM, m int) []JobM {
 }
 
 // ScheduleM is the production m-machine sequencer: the better of the
-// CDSM and NEHM sequences (compared by MakespanM, CDS on a tie),
-// polished by pairwise-swap descent. O(n²·m) plus the descent; one
+// CDSM and NEH (nehOrder) sequences (compared by MakespanM, CDS on a
+// tie), polished by pairwise-swap descent. O(n²·m) plus the descent; one
 // deep copy of the input serves all three stages. NEH's float
 // tie-breaking is described at nehOrder. The input is not modified and
 // the result shares no memory with it.

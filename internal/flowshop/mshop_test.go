@@ -733,3 +733,32 @@ func cloneJobsM(jobs []JobM) []JobM {
 	}
 	return out
 }
+
+// SumStagesM returns the per-machine stage sums — the m lower bounds
+// whose maximum drives the asymptotic average makespan.
+func SumStagesM(jobs []JobM) []float64 {
+	if len(jobs) == 0 {
+		return nil
+	}
+	sums := make([]float64, len(jobs[0].Stages))
+	for _, j := range jobs {
+		for k, s := range j.Stages {
+			sums[k] += s
+		}
+	}
+	return sums
+}
+
+// NEHM orders jobs with the Nawaz–Enscore–Ham insertion heuristic on m
+// machines: jobs sorted by decreasing total processing time are
+// inserted one at a time at the position minimizing the partial
+// makespan (the lowest such position). O(n²·m) by Taillard's
+// acceleration, see nehOrder. The input is not modified and the result
+// shares no memory with it.
+func NEHM(jobs []JobM) []JobM {
+	own, m := ownJobsM(jobs)
+	if m == 0 {
+		return own
+	}
+	return nehOrder(own, m)
+}

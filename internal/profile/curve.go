@@ -170,17 +170,22 @@ func priceCuts(ch netsim.Channel, bytes []int) []float64 {
 // strictly smaller than every earlier cut's, because a later cut with
 // equal-or-larger volume costs more compute AND more communication and
 // can never be optimal. The last index (local-only) is always kept.
+// The result is sized once: one walk counts the kept cuts, a second
+// fills them in.
 func (c *Curve) ParetoCuts() []int {
-	var cuts []int
-	best := int(^uint(0) >> 1)
-	for i := 0; i < c.Len(); i++ {
-		if i == c.Len()-1 || c.Bytes[i] < best {
-			cuts = append(cuts, i)
-			if c.Bytes[i] < best {
-				best = c.Bytes[i]
+	walk := func(keep func(i int)) {
+		best := int(^uint(0) >> 1)
+		for i := 0; i < c.Len(); i++ {
+			if i == c.Len()-1 || c.Bytes[i] < best {
+				keep(i)
+				best = min(best, c.Bytes[i])
 			}
 		}
 	}
+	k := 0
+	walk(func(int) { k++ })
+	cuts := make([]int, 0, k)
+	walk(func(i int) { cuts = append(cuts, i) })
 	return cuts
 }
 
