@@ -327,10 +327,12 @@ func TestForwardSteadyStateAllocs(t *testing.T) {
 
 // TestForwardSteadyStateAllocsMobilenet pins the alloc count on the
 // real depthwise-separable model: 153 layers of mixed kernels (GEMM
-// conv, depthwise split, batchnorm, residual adds) must still run at
-// O(1) steady-state allocations. Before the serialSpan guards and the
-// execState/acts pools this sat at ~69 allocs/op — one escaping
-// parallelFor closure per heavy kernel call plus per-call bookkeeping.
+// conv, depthwise, batchnorm, residual adds) must still run at O(1)
+// steady-state allocations, in float32 and in int8. Before the
+// serialSpan guards and the execState/acts pools this sat at ~69
+// allocs/op — one escaping parallelFor closure per heavy kernel call
+// plus per-call bookkeeping; an int8 depthwise layer that built its
+// closure before the guard reads 20.
 func TestForwardSteadyStateAllocsMobilenet(t *testing.T) {
 	if testing.Short() {
 		t.Skip("mobilenetv2 forwards are ~100ms each")
@@ -339,9 +341,21 @@ func TestForwardSteadyStateAllocsMobilenet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := Load(g, 1)
 	input := randInput(g.Node(g.Source()).OutShape, 3)
-	checkSteadyStateAllocs(t, m, input, 16<<10, 8)
+	t.Run("float32", func(t *testing.T) {
+		checkSteadyStateAllocs(t, Load(g, 1), input, 16<<10, 8)
+	})
+	t.Run("int8", func(t *testing.T) {
+		m := Load(g, 1)
+		cal, err := m.CalibrateSynthetic(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Quantize(cal); err != nil {
+			t.Fatal(err)
+		}
+		checkSteadyStateAllocs(t, m, input, 16<<10, 8)
+	})
 }
 
 // TestForwardSteadyStateAllocsPools pins the two pooling layers, which

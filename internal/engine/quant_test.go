@@ -275,3 +275,104 @@ func TestChooseQParamsProperties(t *testing.T) {
 		}
 	}
 }
+
+// qdwGeom is one depthwise geometry for the int8 reference test.
+type qdwGeom struct{ h, w, kh, kw, stride, pad int }
+
+// qdwReference is the int8 depthwise convolution written tap by tap:
+// a tap outside the input is skipped, every other tap adds k·(x−zx) in
+// int32, and each output is requantized as the kernel does it.
+func qdwReference(qin []int8, ql *qlayer, qp tensor.QParams, c int, g qdwGeom, outH, outW int) []float32 {
+	out := make([]float32, c*outH*outW)
+	for ch := 0; ch < c; ch++ {
+		for oh := 0; oh < outH; oh++ {
+			for ow := 0; ow < outW; ow++ {
+				var acc int32
+				for r := 0; r < g.kh; r++ {
+					ih := oh*g.stride - g.pad + r
+					if ih < 0 || ih >= g.h {
+						continue
+					}
+					for s := 0; s < g.kw; s++ {
+						iw := ow*g.stride - g.pad + s
+						if iw < 0 || iw >= g.w {
+							continue
+						}
+						k := int32(ql.qw[(ch*g.kh+r)*g.kw+s])
+						acc += k * (int32(qin[(ch*g.h+ih)*g.w+iw]) - qp.Zero)
+					}
+				}
+				out[(ch*outH+oh)*outW+ow] = float32(acc)*(qp.Scale*ql.ws[ch]) + ql.bias[ch]
+			}
+		}
+	}
+	return out
+}
+
+// TestQDWConvMatchesDirect holds the int8 depthwise kernel to
+// qdwReference bit for bit: kernels 1×1, 3×3, 5×5, 7×7 and an
+// asymmetric 5×3, strides 1–3, pads 0–3, planes smaller than the
+// kernel, and input zero points at both ends of the int8 range, where
+// a padded tap that did not cancel exactly would show. Every case runs
+// a one-layer quantized model at workers 1 to 3, so channel ranges
+// split across goroutines that draw scratch from the one arena.
+func TestQDWConvMatchesDirect(t *testing.T) {
+	const c = 3
+	var geoms []qdwGeom
+	for _, k := range [][2]int{{1, 1}, {3, 3}, {5, 5}, {7, 7}, {5, 3}} {
+		for stride := 1; stride <= 3; stride++ {
+			for pad := 0; pad <= 3; pad++ {
+				for _, hw := range [][2]int{{1, 2}, {4, 3}, {7, 7}, {9, 12}} {
+					// A window must fit the padded plane for the layer
+					// to be well formed.
+					if hw[0]+2*pad >= k[0] && hw[1]+2*pad >= k[1] {
+						geoms = append(geoms, qdwGeom{hw[0], hw[1], k[0], k[1], stride, pad})
+					}
+				}
+			}
+		}
+	}
+	cases := 0
+	for gi, geo := range geoms {
+		for _, zx := range []int32{-128, 0, 5, 127} {
+			g := dag.New("qdw")
+			src := g.Add(&nn.Input{LayerName: "in", Shape: tensor.NewCHW(c, geo.h, geo.w)})
+			dw := g.Add(&nn.DepthwiseConv2D{LayerName: "dw", KH: geo.kh, KW: geo.kw,
+				Stride: geo.stride, Pad: geo.pad, Bias: gi%2 == 0}, src)
+			if err := g.Finalize(); err != nil {
+				t.Fatal(err)
+			}
+			m := Load(g, int64(gi))
+			qp := tensor.QParams{Scale: 1.0 / 32, Zero: zx}
+			cal := &Calibration{Ranges: map[int]tensor.QParams{src: qp, dw: {Scale: 1, Zero: 0}}}
+			if _, err := m.Quantize(cal); err != nil {
+				t.Fatal(err)
+			}
+			// Every code from −128 to 127 is reachable: x = (q − zx)·scale
+			// is exact and quantizes back to q.
+			in := tensor.New(tensor.NewCHW(c, geo.h, geo.w))
+			for i := range in.Data {
+				q := int32((i*37+gi*11)%256 - 128)
+				in.Data[i] = float32(q-zx) * qp.Scale
+			}
+			qin := make([]int8, len(in.Data))
+			quantizeAct(qin, in.Data, qp, 1)
+			out := g.Node(dw).OutShape
+			want := qdwReference(qin, m.quant.layers[dw], qp, c, geo, out.H(), out.W())
+			for workers := 1; workers <= 3; workers++ {
+				got, err := m.Parallel(workers).Forward(in)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, v := range want {
+					if math.Float32bits(got.Data[i]) != math.Float32bits(v) {
+						t.Fatalf("%+v zx=%d workers=%d: element %d = %v, want %v",
+							geo, zx, workers, i, got.Data[i], v)
+					}
+				}
+			}
+			cases++
+		}
+	}
+	t.Logf("%d cases", cases)
+}
