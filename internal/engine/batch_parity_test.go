@@ -96,8 +96,8 @@ func TestBatchDWConvParity(t *testing.T) {
 		l             nn.DepthwiseConv2D
 	}{
 		{8, 16, 16, nn.DepthwiseConv2D{KH: 3, KW: 3, Stride: 1, Pad: 1, Bias: true}},
-		{3, 7, 7, nn.DepthwiseConv2D{KH: 7, KW: 7, Stride: 1, Pad: 3}}, // empty interior: all border
-		{5, 12, 12, nn.DepthwiseConv2D{KH: 3, KW: 3, Stride: 3}},       // no pad: all interior
+		{3, 7, 7, nn.DepthwiseConv2D{KH: 7, KW: 7, Stride: 1, Pad: 3}}, // 7×7 kernel over a 7×7 plane
+		{5, 12, 12, nn.DepthwiseConv2D{KH: 3, KW: 3, Stride: 3}},       // no pad: no window overhangs
 	}
 	for i, c := range cases {
 		c := c

@@ -8,10 +8,10 @@
 // VMULPS and VADDPS per tap (no FMA), so every output equals the scalar
 // kernels' to the bit (on the same footing as the span kernels: the
 // amd64 compiler does not contract `sum += src*w`; see the header of
-// span_avx2_amd64.s). The border is folded in by the caller: src is a
-// zero-padded copy of the input plane (see dwPlanes), so a tap the
-// scalar loop skips multiplies a +0 instead, and adding ±0 to a sum
-// that started at +0 or at a non-zero bias leaves it unchanged.
+// span_avx2_amd64.s). The border is folded in by the caller: src is
+// the zero-padded copy of the input plane that dwPlanes hands dwPlane
+// too, so a tap dwCell skips multiplies a +0 instead, and adding ±0 to
+// a sum that started at +0 or at a non-zero bias leaves it unchanged.
 
 // Tail store mask: loading eight words at dwMask + (8-lanes)*4 yields
 // `lanes` all-ones words followed by zeros.

@@ -55,35 +55,40 @@ import "sync"
 // keeps batched and single-image conv outputs bit-identical to each
 // other under asm, since batching only relocates an element's column.
 
-// asmPackBufsB is the free list of packed B blocks, one per in-flight
-// worker. No P owns it: a sync.Pool Put lands in the putting P's private
-// slot, where a forward that migrated to another P could not find it
-// and allocated a fresh 1 MiB block. It holds no more blocks than were
-// once in use at the same time. That can exceed GOMAXPROCS — a GEMM
-// preempted mid-call keeps its block — so it has no cap: capped there,
-// a loopback client and server re-allocated about 1 MiB per 8 jobs.
-var asmPackBufsB struct {
-	sync.Mutex
-	free [][]float32
+// packFree is a free list of pack blocks of one size, one block per
+// in-flight worker. No P owns it: a sync.Pool Put lands in the putting
+// P's private slot, where a forward that migrated to another P could
+// not find it and allocated a fresh block (1 MiB for asmPackBufsB,
+// 448 KiB for the int8 pair). It holds no more blocks than were once in
+// use at the same time. That can exceed GOMAXPROCS — a GEMM preempted
+// mid-call keeps its block — so it has no cap: capped there, a
+// loopback client and server re-allocated about 1 MiB per 8 jobs.
+type packFree[T any] struct {
+	mu   sync.Mutex
+	size int
+	free [][]T
 }
 
-func getPackB() (b []float32) {
-	asmPackBufsB.Lock()
-	if n := len(asmPackBufsB.free); n > 0 {
-		b, asmPackBufsB.free = asmPackBufsB.free[n-1], asmPackBufsB.free[:n-1]
+func (f *packFree[T]) get() (b []T) {
+	f.mu.Lock()
+	if n := len(f.free); n > 0 {
+		b, f.free = f.free[n-1], f.free[:n-1]
 	}
-	asmPackBufsB.Unlock()
+	f.mu.Unlock()
 	if b == nil {
-		b = make([]float32, asmKC*asmNC)
+		b = make([]T, f.size)
 	}
 	return b
 }
 
-func putPackB(b []float32) {
-	asmPackBufsB.Lock()
-	asmPackBufsB.free = append(asmPackBufsB.free, b)
-	asmPackBufsB.Unlock()
+func (f *packFree[T]) put(b []T) {
+	f.mu.Lock()
+	f.free = append(f.free, b)
+	f.mu.Unlock()
 }
+
+// asmPackBufsB holds the packed B blocks of the float32 GEMM.
+var asmPackBufsB = packFree[float32]{size: asmKC * asmNC}
 
 // asmEnabled reports whether the float32 assembly path can engage in
 // this process (build tags, architecture, CPUID probe and the
@@ -334,7 +339,7 @@ func sgemmAsmParallel(m, k, n, lda, ldc int, a []float32, pk bPacker, c []float3
 // depth changes no bits: each C element is one FMA chain in ascending k,
 // stored and reloaded exactly between panels.
 func sgemmAsmCols(m, k, nLo, nHi, lda, ldc int, a []float32, pk bPacker, c []float32) {
-	pB := getPackB()
+	pB := asmPackBufsB.get()
 	mr := asmTileRows()
 	mFull := m - m%mr
 	for jp := nLo; jp < nHi; jp += asmNC {
@@ -355,7 +360,7 @@ func sgemmAsmCols(m, k, nLo, nHi, lda, ldc int, a []float32, pk bPacker, c []flo
 			}
 		}
 	}
-	putPackB(pB)
+	asmPackBufsB.put(pB)
 }
 
 // asmSweepRagged runs the last m mod mr rows of A (rr of them, lda

@@ -109,8 +109,9 @@ func dwconv2dRange(in, out *tensor.Tensor, p params, kh, kw, stride, pad, inH, i
 }
 
 // dwCell computes one depthwise output element with bounds checks,
-// accumulating r-major then c — the order dwPlane's interior loop
-// keeps. inBase is the flat offset of the input plane being convolved.
+// accumulating r-major then c from the bias — the order dwPlane and the
+// vector kernel keep. inBase is the flat offset of the input plane
+// being convolved.
 func dwCell(src, w []float32, bias float32, inBase, ihBase, iwBase, wBase, kh, kw, inH, inW int) float32 {
 	sum := bias
 	for r := 0; r < kh; r++ {
@@ -132,13 +133,11 @@ func dwCell(src, w []float32, bias float32, inBase, ihBase, iwBase, wBase, kh, k
 }
 
 // dwconv2d is the fast depthwise convolution over the C·n planes of a
-// packed batch, channel c's kernel serving its n image planes. A 3×3
-// kernel at stride 1 or 2 runs the vector kernel where the CPU has one
-// (see dwPlanes); every other geometry splits each plane: output
-// positions whose kernel window lies fully inside the input run a tight
-// loop with no bounds checks; only the border ring pays for them. The
-// accumulation order per element is identical to dwconv2dDirect on
-// both, so outputs match bit for bit.
+// packed batch, channel c's kernel serving its n image planes. Every
+// plane is convolved from a zero-padded copy (see dwPlanes): a 3×3
+// kernel at stride 1 or 2 runs the vector kernel where the CPU has
+// one, every other geometry dwPlane. Both accumulate in dwCell's
+// order, so outputs match dwconv2dDirect bit for bit.
 func dwconv2d(arena *tensor.Arena, in *tensor.Tensor, outShape tensor.Shape, p params, kh, kw, stride, pad, workers, n int) *tensor.Tensor {
 	out := arena.Get(batchShape(outShape, n))
 	planes := outShape.C() * n
@@ -156,31 +155,27 @@ func dwconv2d(arena *tensor.Arena, in *tensor.Tensor, outShape tensor.Shape, p p
 // b = pl%n of channel c = pl/n, stepped rather than divided per plane:
 // MobileNet's late 7×7 planes are small enough for a 64-bit division
 // each to show.
+//
+// Each plane is copied into a zero-padded scratch plane, so the kernels
+// make no bounds checks: the border ring (24 of 49 cells at 7×7) costs
+// what the interior costs, and a tap dwCell skips adds a ±0 product,
+// which leaves a sum that started at +0 or at a non-zero bias
+// unchanged. Only the interior is rewritten per plane, so the ring is
+// zeroed once per call. The scratch reaches as far as the windows do —
+// past the bottom or right pad where a stride of 2 or more keeps a
+// window over a plane smaller than the kernel — and the slack past the
+// last row is what the vector kernel's final partial chunk over-reads.
 func dwPlanes(arena *tensor.Arena, pLo, pHi int, in, out *tensor.Tensor, p params, n, kh, kw, stride, pad int) {
 	inH, inW := in.Shape.H(), in.Shape.W()
 	outH, outW := out.Shape.H(), out.Shape.W()
 	src, dst := in.Data, out.Data
 	vec := asmVecOK && kh == 3 && kw == 3 && (stride == 1 || stride == 2)
 
-	// Scalar split — interior range: oh*stride-pad >= 0 and
-	// oh*stride-pad+kh-1 < inH (and likewise for width). Vector kernel —
-	// a zero-padded copy of the plane: the border ring (24 of 49 cells
-	// at 7×7) costs what the interior costs, and a tap the scalar loop
-	// skips adds a ±0 product, which leaves a sum that started at +0 or
-	// at a non-zero bias unchanged. Only the interior is rewritten per
-	// plane, so the ring is zeroed once per call; the slack past the
-	// last row is what the kernel's final partial chunk over-reads.
-	var ohLo, ohHi, owLo, owHi, pitch int
-	var padded []float32
-	if vec {
-		pitch = inW + 2*pad
-		padded = arena.GetSlice((inH+2*pad)*pitch + dwOverRead)
-		defer arena.PutSlice(padded)
-		clear(padded)
-	} else {
-		ohLo, ohHi = interiorRange(inH, kh, stride, pad, outH)
-		owLo, owHi = interiorRange(inW, kw, stride, pad, outW)
-	}
+	pitch := max(inW+2*pad, (outW-1)*stride+kw)
+	rows := max(inH+2*pad, (outH-1)*stride+kh)
+	padded := arena.GetSlice(rows*pitch + dwOverRead)
+	defer arena.PutSlice(padded)
+	clear(padded)
 
 	c, b := pLo/n, pLo%n
 	for pl := pLo; pl < pHi; pl++ {
@@ -188,17 +183,16 @@ func dwPlanes(arena *tensor.Arena, pLo, pHi int, in, out *tensor.Tensor, p param
 		if p.b != nil {
 			bias = p.b[c]
 		}
+		plane := src[pl*inH*inW : (pl+1)*inH*inW]
+		for r := 0; r < inH; r++ {
+			copy(padded[(r+pad)*pitch+pad:], plane[r*inW:(r+1)*inW])
+		}
+		// The slices are the bounds checks the assembly does not make.
+		o, w := dst[pl*outH*outW:(pl+1)*outH*outW], p.w[c*kh*kw:(c+1)*kh*kw]
 		if vec {
-			plane := src[pl*inH*inW : (pl+1)*inH*inW]
-			for r := 0; r < inH; r++ {
-				copy(padded[(r+pad)*pitch+pad:], plane[r*inW:(r+1)*inW])
-			}
-			// The slices are the bounds checks the assembly does not make.
-			o, w := dst[pl*outH*outW:(pl+1)*outH*outW], p.w[c*9:c*9+9]
 			dwconv3x3Asm(&o[0], &padded[0], &w[0], bias, outH, outW, pitch, stride)
 		} else {
-			dwPlane(src, dst, p.w, bias, pl*inH*inW, pl*outH*outW, c*kh*kw,
-				kh, kw, stride, pad, inH, inW, outH, outW, ohLo, ohHi, owLo, owHi)
+			dwPlane(o, padded, w, bias, outH, outW, pitch, kh, kw, stride)
 		}
 		if b++; b == n {
 			c, b = c+1, 0
@@ -211,67 +205,24 @@ func dwPlanes(arena *tensor.Arena, pLo, pHi int, in, out *tensor.Tensor, p param
 // window, at most 15 of them beyond the final padded row.
 const dwOverRead = 16
 
-// dwPlane runs the interior/border-split depthwise convolution of one
-// input plane (flat offset inBase) into one output plane (outBase)
-// with the kernel at wBase.
-func dwPlane(src, dst, w []float32, bias float32, inBase, outBase, wBase,
-	kh, kw, stride, pad, inH, inW, outH, outW, ohLo, ohHi, owLo, owHi int) {
-	borderRow := func(oh int) {
-		ihBase := oh*stride - pad
-		outRow := outBase + oh*outW
-		for ow := 0; ow < outW; ow++ {
-			dst[outRow+ow] = dwCell(src, w, bias,
-				inBase, ihBase, ow*stride-pad, wBase, kh, kw, inH, inW)
-		}
-	}
-	for oh := 0; oh < ohLo; oh++ {
-		borderRow(oh)
-	}
-	for oh := ohHi; oh < outH; oh++ {
-		borderRow(oh)
-	}
-	for oh := ohLo; oh < ohHi; oh++ {
-		ihBase := oh*stride - pad
-		outRow := outBase + oh*outW
-		for ow := 0; ow < owLo; ow++ {
-			dst[outRow+ow] = dwCell(src, w, bias,
-				inBase, ihBase, ow*stride-pad, wBase, kh, kw, inH, inW)
-		}
-		for ow := owHi; ow < outW; ow++ {
-			dst[outRow+ow] = dwCell(src, w, bias,
-				inBase, ihBase, ow*stride-pad, wBase, kh, kw, inH, inW)
-		}
-		for ow := owLo; ow < owHi; ow++ {
-			iwBase := ow*stride - pad
+// dwPlane convolves one zero-padded plane (row pitch pitch) into o with
+// the kh×kw kernel w, in dwCell's order: r-major then c, from the bias.
+func dwPlane(o, padded, w []float32, bias float32, outH, outW, pitch, kh, kw, stride int) {
+	for oh := 0; oh < outH; oh++ {
+		top := oh * stride * pitch
+		orow := o[oh*outW : (oh+1)*outW]
+		for ow := range orow {
 			sum := bias
 			for r := 0; r < kh; r++ {
-				base := inBase + (ihBase+r)*inW + iwBase
-				srow := src[base : base+kw : base+kw]
-				wRow := w[wBase+r*kw:][:kw]
-				for cc, wv := range wRow {
+				base := top + r*pitch + ow*stride
+				srow := padded[base : base+kw : base+kw]
+				for cc, wv := range w[r*kw : (r+1)*kw] {
 					sum += srow[cc] * wv
 				}
 			}
-			dst[outRow+ow] = sum
+			orow[ow] = sum
 		}
 	}
-}
-
-// interiorRange returns the [lo, hi) span of output positions whose
-// kernel window is fully in bounds along one axis.
-func interiorRange(inDim, k, stride, pad, outDim int) (lo, hi int) {
-	lo = (pad + stride - 1) / stride
-	hi = (inDim-k+pad)/stride + 1
-	if lo > outDim {
-		lo = outDim
-	}
-	if hi > outDim {
-		hi = outDim
-	}
-	if hi < lo {
-		hi = lo
-	}
-	return lo, hi
 }
 
 // planePool is the arithmetic of one pooling kind over one plane:

@@ -105,8 +105,8 @@ func TestDWConvDirectGEMMParity(t *testing.T) {
 		{8, 16, 16, nn.DepthwiseConv2D{KH: 3, KW: 3, Stride: 1, Pad: 1, Bias: true}},
 		{8, 15, 15, nn.DepthwiseConv2D{KH: 3, KW: 3, Stride: 2, Pad: 1}},
 		{4, 9, 9, nn.DepthwiseConv2D{KH: 5, KW: 5, Stride: 1, Pad: 2, Bias: true}},
-		{3, 7, 7, nn.DepthwiseConv2D{KH: 7, KW: 7, Stride: 1, Pad: 3}},               // empty interior: all border
-		{5, 12, 12, nn.DepthwiseConv2D{KH: 3, KW: 3, Stride: 3}},                     // no pad: all interior
+		{3, 7, 7, nn.DepthwiseConv2D{KH: 7, KW: 7, Stride: 1, Pad: 3}},               // 7×7 kernel over a 7×7 plane
+		{5, 12, 12, nn.DepthwiseConv2D{KH: 3, KW: 3, Stride: 3}},                     // no pad: no window overhangs
 		{3, 11, 10, nn.DepthwiseConv2D{KH: 5, KW: 3, Stride: 2, Pad: 1, Bias: true}}, // asymmetric kernel
 		{2, 5, 1, nn.DepthwiseConv2D{KH: 3, KW: 3, Stride: 1, Pad: 1}},               // plane narrower than the kernel
 		{3, 10, 13, nn.DepthwiseConv2D{KH: 3, KW: 3, Stride: 2, Pad: 2}},             // last window overhangs the input

@@ -24,19 +24,10 @@ const (
 	qasmMC = 192 // multiple of asmQMR
 )
 
+// The int8 GEMM's packed A and B blocks (see packFree).
 var (
-	asmPackBufsQA = sync.Pool{
-		New: func() any {
-			b := make([]int16, qasmMC*qasmKC)
-			return &b
-		},
-	}
-	asmPackBufsQB = sync.Pool{
-		New: func() any {
-			b := make([]int16, qasmKC*qasmNC)
-			return &b
-		},
-	}
+	asmPackBufsQA = packFree[int16]{size: qasmMC * qasmKC}
+	asmPackBufsQB = packFree[int16]{size: qasmKC * qasmNC}
 )
 
 // qgemmAsm computes C (int32, m×n) = A (int8, m×k) · B (int8, k×n),
@@ -67,9 +58,7 @@ func qgemmAsm(m, k, n int, a, b []int8, c []int32, workers int) {
 
 // qgemmAsmCols accumulates columns [nLo, nHi) of the int8 GEMM.
 func qgemmAsmCols(m, k, n, nLo, nHi int, a, b []int8, c []int32) {
-	bufA := asmPackBufsQA.Get().(*[]int16)
-	bufB := asmPackBufsQB.Get().(*[]int16)
-	pA, pB := *bufA, *bufB
+	pA, pB := asmPackBufsQA.get(), asmPackBufsQB.get()
 	var tmp [asmQMR * asmQNR]int32
 	for jp := nLo; jp < nHi; jp += qasmNC {
 		nc := min(qasmNC, nHi-jp)
@@ -103,8 +92,8 @@ func qgemmAsmCols(m, k, n, nLo, nHi int, a, b []int8, c []int32) {
 			}
 		}
 	}
-	asmPackBufsQA.Put(bufA)
-	asmPackBufsQB.Put(bufB)
+	asmPackBufsQA.put(pA)
+	asmPackBufsQB.put(pB)
 }
 
 // packQA packs an mc×kc block of A (row stride lda) into 4-row

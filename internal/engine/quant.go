@@ -284,8 +284,9 @@ func (m *Model) qconv2d(id int, l *nn.Conv2D, in *tensor.Tensor, pred int, outSh
 }
 
 // qdwconv2d is the quantized depthwise convolution: per-channel direct
-// loops with the zero-point subtracted per tap (border taps outside the
-// input contribute exactly zero, matching the float32 skip semantics).
+// loops over a plane padded with the zero-point code, so a tap outside
+// the input contributes exactly zero, matching the float32 skip
+// semantics.
 func (m *Model) qdwconv2d(id int, l *nn.DepthwiseConv2D, in *tensor.Tensor, pred int, outShape tensor.Shape) *tensor.Tensor {
 	q := m.quant
 	ql := q.layers[id]
@@ -300,13 +301,12 @@ func (m *Model) qdwconv2d(id int, l *nn.DepthwiseConv2D, in *tensor.Tensor, pred
 	quantizeAct(qin, in.Data, qp, m.workers)
 
 	kh, kw, stride, pad := l.KH, l.KW, l.Stride, l.Pad
-	zx := qp.Zero
 	if serialSpan(m.workers, outC) {
-		qdwChannels(0, outC, qin, out.Data, ql, qp, zx, kh, kw, stride, pad, inH, inW, outH, outW)
+		qdwChannels(m.arena, 0, outC, qin, out.Data, ql, qp, kh, kw, stride, pad, inH, inW, outH, outW)
 		return out
 	}
 	parallelFor(m.workers, outC, func(lo, hi int) {
-		qdwChannels(lo, hi, qin, out.Data, ql, qp, zx, kh, kw, stride, pad, inH, inW, outH, outW)
+		qdwChannels(m.arena, lo, hi, qin, out.Data, ql, qp, kh, kw, stride, pad, inH, inW, outH, outW)
 	})
 	return out
 }
@@ -314,25 +314,33 @@ func (m *Model) qdwconv2d(id int, l *nn.DepthwiseConv2D, in *tensor.Tensor, pred
 // qdwChannels convolves depthwise channels [lo, hi) of the quantized
 // input into dst, requantizing each element as it is produced.
 //
-// Interior positions — where every tap lands inside the input — run a
-// branch-free loop with the zero-point hoisted out: since all taps are
-// live there, Σ k·(x−zx) = Σ k·x − zx·Σk exactly in int32 (|acc| stays
-// far below overflow for int8 codes), so the inner loop is pure
-// multiply-adds and the correction folds into one subtract per output.
-// Border positions keep the per-tap skip loop, which is what defines
-// padding semantics. The 3x3 interior — every depthwise layer in
-// mobilenetv2 — is fully unrolled; this kernel dominates the quantized
-// forward of depthwise-separable models (it has no GEMM shape the
-// VPMADDWD tile could take over).
-func qdwChannels(lo, hi int, qin []int8, dst []float32, ql *qlayer, qp tensor.QParams, zx int32,
+// Each channel is copied into an arena scratch plane whose ring holds
+// the zero-point code zx (written once per call; only the interior is
+// rewritten per channel, and the plane reaches as far as the windows
+// do, as in dwPlanes). Every output then takes the hoisted form
+// Σ k·x − zx·Σk: a padded tap adds k·(zx−zx) = 0, exactly what a
+// skipped tap adds, and the int32 sums are exact (|acc| stays far
+// below overflow for int8 codes), so the inner loop is pure
+// multiply-adds and the correction one subtract per output. The 3×3
+// case — every depthwise layer in mobilenetv2 — is fully unrolled;
+// this kernel dominates the quantized forward of depthwise-separable
+// models (it has no GEMM shape the VPMADDWD tile could take over).
+func qdwChannels(arena *tensor.Arena, lo, hi int, qin []int8, dst []float32, ql *qlayer, qp tensor.QParams,
 	kh, kw, stride, pad, inH, inW, outH, outW int) {
-	// Interior output range: oh*stride-pad+r in [0, inH) for every r.
-	ohLo, ohHi := interiorRange(inH, kh, stride, pad, outH)
-	owLo, owHi := interiorRange(inW, kw, stride, pad, outW)
+	zx := qp.Zero
+	pitch := max(inW+2*pad, (outW-1)*stride+kw)
+	padded := arena.GetSliceI8(max(inH+2*pad, (outH-1)*stride+kh) * pitch)
+	defer arena.PutSliceI8(padded)
+	for i := range padded {
+		padded[i] = int8(zx)
+	}
 	for c := lo; c < hi; c++ {
-		src := qin[c*inH*inW:]
-		out := dst[c*outH*outW:]
-		krn := ql.qw[c*kh*kw : c*kh*kw+kh*kw]
+		plane := qin[c*inH*inW : (c+1)*inH*inW]
+		for r := 0; r < inH; r++ {
+			copy(padded[(r+pad)*pitch+pad:], plane[r*inW:(r+1)*inW])
+		}
+		out := dst[c*outH*outW : (c+1)*outH*outW]
+		krn := ql.qw[c*kh*kw : (c+1)*kh*kw]
 		mul := qp.Scale * ql.ws[c]
 		bias := ql.bias[c]
 		var ksum int32
@@ -340,76 +348,37 @@ func qdwChannels(lo, hi int, qin []int8, dst []float32, ql *qlayer, qp tensor.QP
 			ksum += int32(k)
 		}
 		zcorr := zx * ksum
-		for oh := ohLo; oh < ohHi; oh++ {
-			ihBase := oh*stride - pad
-			orow := out[oh*outW:]
+		for oh := 0; oh < outH; oh++ {
+			top := oh * stride * pitch
+			orow := out[oh*outW : (oh+1)*outW]
 			if kh == 3 && kw == 3 {
-				r0 := src[ihBase*inW:]
-				r1 := src[(ihBase+1)*inW:]
-				r2 := src[(ihBase+2)*inW:]
+				r0 := padded[top:]
+				r1 := padded[top+pitch:]
+				r2 := padded[top+2*pitch:]
 				k0, k1, k2 := int32(krn[0]), int32(krn[1]), int32(krn[2])
 				k3, k4, k5 := int32(krn[3]), int32(krn[4]), int32(krn[5])
 				k6, k7, k8 := int32(krn[6]), int32(krn[7]), int32(krn[8])
-				for ow := owLo; ow < owHi; ow++ {
-					iw := ow*stride - pad
+				for ow := range orow {
+					iw := ow * stride
 					acc := k0*int32(r0[iw]) + k1*int32(r0[iw+1]) + k2*int32(r0[iw+2]) +
 						k3*int32(r1[iw]) + k4*int32(r1[iw+1]) + k5*int32(r1[iw+2]) +
 						k6*int32(r2[iw]) + k7*int32(r2[iw+1]) + k8*int32(r2[iw+2])
 					orow[ow] = float32(acc-zcorr)*mul + bias
 				}
-			} else {
-				for ow := owLo; ow < owHi; ow++ {
-					iwBase := ow*stride - pad
-					var acc int32
-					for r := 0; r < kh; r++ {
-						row := src[(ihBase+r)*inW+iwBase:]
-						kr := krn[r*kw:]
-						for s := 0; s < kw; s++ {
-							acc += int32(kr[s]) * int32(row[s])
-						}
-					}
-					orow[ow] = float32(acc-zcorr)*mul + bias
-				}
-			}
-		}
-		// Border: original skip loop over everything outside the
-		// interior rectangle.
-		for oh := 0; oh < outH; oh++ {
-			owS, owE := 0, outW
-			if oh >= ohLo && oh < ohHi {
-				if owLo >= owHi {
-					owS, owE = 0, outW
-				} else {
-					qdwBorderRow(out, src, krn, mul, bias, zx, oh, 0, owLo, kh, kw, stride, pad, inH, inW, outW)
-					qdwBorderRow(out, src, krn, mul, bias, zx, oh, owHi, outW, kh, kw, stride, pad, inH, inW, outW)
-					continue
-				}
-			}
-			qdwBorderRow(out, src, krn, mul, bias, zx, oh, owS, owE, kh, kw, stride, pad, inH, inW, outW)
-		}
-	}
-}
-
-// qdwBorderRow computes output columns [owS, owE) of row oh with the
-// tap-skipping loop (out-of-bounds taps contribute exactly zero).
-func qdwBorderRow(out []float32, src []int8, krn []int8, mul, bias float32, zx int32,
-	oh, owS, owE, kh, kw, stride, pad, inH, inW, outW int) {
-	for ow := owS; ow < owE; ow++ {
-		var acc int32
-		for r := 0; r < kh; r++ {
-			ih := oh*stride - pad + r
-			if ih < 0 || ih >= inH {
 				continue
 			}
-			for s := 0; s < kw; s++ {
-				iw := ow*stride - pad + s
-				if iw < 0 || iw >= inW {
-					continue
+			for ow := range orow {
+				var acc int32
+				for r := 0; r < kh; r++ {
+					base := top + r*pitch + ow*stride
+					row := padded[base : base+kw : base+kw]
+					for s, k := range krn[r*kw : (r+1)*kw] {
+						acc += int32(k) * int32(row[s])
+					}
 				}
-				acc += int32(krn[r*kw+s]) * (int32(src[ih*inW+iw]) - zx)
+				orow[ow] = float32(acc-zcorr)*mul + bias
 			}
 		}
-		out[oh*outW+ow] = float32(acc)*mul + bias
 	}
 }
 

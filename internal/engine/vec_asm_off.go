@@ -5,7 +5,8 @@ package engine
 // The float32 vector kernels outside the GEMM — elementwise spans
 // (span_avx2_amd64.s) and 3x3 depthwise (dwconv_avx2_amd64.s) — exist
 // for amd64 only. Everywhere else asmVecOK is a false constant, the Go
-// loops in span.go and dwPlane are the implementation, and the stubs
+// loops in span.go and dwPlane (the scalar loop over the same padded
+// plane the vector kernel reads) are the implementation, and the stubs
 // below are unreachable.
 
 const asmVecOK = false

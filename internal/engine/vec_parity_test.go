@@ -205,8 +205,8 @@ func TestDepthwiseVecMatchesDirect(t *testing.T) {
 		}
 	}
 	cases = append(cases,
-		dwVecCase{3, 7, 7, 7, 1, 3, false},   // 7×7 kernel: all border, scalar split
-		dwVecCase{5, 12, 12, 3, 3, 0, false}, // stride 3, no pad: scalar split
+		dwVecCase{3, 7, 7, 7, 1, 3, false},   // 7×7 kernel over a 7×7 plane: scalar loop
+		dwVecCase{5, 12, 12, 3, 3, 0, false}, // stride 3, no pad: scalar loop
 		dwVecCase{4, 9, 9, 3, 1, 1, true},    // bias
 		dwVecCase{2, 9, 11, 3, 1, 0, true},   // 3×3 without padding
 		dwVecCase{2, 10, 13, 3, 2, 2, false}, // padding wider than the kernel needs
