@@ -24,14 +24,14 @@ func BruteForce(c *profile.Curve, n, maxCombos int) (*Plan, error) {
 	if maxCombos <= 0 {
 		maxCombos = 2_000_000
 	}
-	r, idx := c.Restrict(c.ParetoCuts())
-	k := r.Len()
+	idx := c.ParetoCuts() // Pareto position -> curve position
+	k := len(idx)
 	if multisetCount(n, k) > float64(maxCombos) {
 		return nil, fmt.Errorf("%w: C(%d+%d-1,%d) > %d", ErrSearchSpaceTooLarge, n, k, n, maxCombos)
 	}
 	var best *Plan
 	visited := 0
-	// counts[i] = jobs cut at restricted position i
+	// counts[i] = jobs cut at Pareto position i
 	err := eachMultiset(n, k, func(counts []int) error {
 		if visited++; visited > maxCombos {
 			return ErrSearchSpaceTooLarge

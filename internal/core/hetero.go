@@ -175,7 +175,7 @@ func BruteForceHetero(classes []JobClass, maxCombos int) (*HeteroPlan, error) {
 	idx := make([][]int, len(classes)) // per class: Pareto position -> curve position
 	total := 1.0
 	for i, c := range classes {
-		_, idx[i] = c.Curve.Restrict(c.Curve.ParetoCuts())
+		idx[i] = c.Curve.ParetoCuts()
 		total *= multisetCount(c.Count, len(idx[i]))
 		if total > float64(maxCombos) {
 			return nil, fmt.Errorf("%w: ~%.0f combinations", ErrSearchSpaceTooLarge, total)

@@ -147,16 +147,13 @@ func PO(c *profile.Curve, n int) (*Plan, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("core: PO needs n >= 1, got %d", n)
 	}
-	r, idx := c.Restrict(c.ParetoCuts())
 	best, bestLat := 0, math.Inf(1)
-	for i := 0; i < r.Len(); i++ {
-		lat := r.F[i] + r.G[i] + r.CloudMs[i]
-		if lat < bestLat {
-			bestLat = lat
-			best = i
+	for _, i := range c.ParetoCuts() {
+		if lat := c.F[i] + c.G[i] + c.CloudMs[i]; lat < bestLat {
+			best, bestLat = i, lat
 		}
 	}
-	return planFromCuts("PO", c, mixCuts(n, n, idx[best], 0)), nil
+	return planFromCuts("PO", c, mixCuts(n, n, best, 0)), nil
 }
 
 // CO is the cloud-only baseline: upload the raw input of every job.
