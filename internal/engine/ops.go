@@ -156,23 +156,20 @@ func dwconv2d(arena *tensor.Arena, in *tensor.Tensor, outShape tensor.Shape, p p
 // MobileNet's late 7×7 planes are small enough for a 64-bit division
 // each to show.
 //
-// Each plane is copied into a zero-padded scratch plane, so the kernels
-// make no bounds checks: the border ring (24 of 49 cells at 7×7) costs
-// what the interior costs, and a tap dwCell skips adds a ±0 product,
-// which leaves a sum that started at +0 or at a non-zero bias
-// unchanged. Only the interior is rewritten per plane, so the ring is
-// zeroed once per call. The scratch reaches as far as the windows do —
-// past the bottom or right pad where a stride of 2 or more keeps a
-// window over a plane smaller than the kernel — and the slack past the
-// last row is what the vector kernel's final partial chunk over-reads.
+// Each plane is copied into a zero-padded scratch plane (dwPadded), so
+// the kernels make no bounds checks: the border ring (24 of 49 cells
+// at 7×7) costs what the interior costs, and a tap dwCell skips adds a
+// ±0 product, which leaves a sum that started at +0 or at a non-zero
+// bias unchanged. Only the interior is rewritten per plane, so the
+// ring is zeroed once per call; the slack past the last row is what
+// the vector kernel's final partial chunk over-reads.
 func dwPlanes(arena *tensor.Arena, pLo, pHi int, in, out *tensor.Tensor, p params, n, kh, kw, stride, pad int) {
 	inH, inW := in.Shape.H(), in.Shape.W()
 	outH, outW := out.Shape.H(), out.Shape.W()
 	src, dst := in.Data, out.Data
 	vec := asmVecOK && kh == 3 && kw == 3 && (stride == 1 || stride == 2)
 
-	pitch := max(inW+2*pad, (outW-1)*stride+kw)
-	rows := max(inH+2*pad, (outH-1)*stride+kh)
+	rows, pitch := dwPadded(inH, inW, outH, outW, kh, kw, stride, pad)
 	padded := arena.GetSlice(rows*pitch + dwOverRead)
 	defer arena.PutSlice(padded)
 	clear(padded)
@@ -198,6 +195,15 @@ func dwPlanes(arena *tensor.Arena, pLo, pHi int, in, out *tensor.Tensor, p param
 			c, b = c+1, 0
 		}
 	}
+}
+
+// dwPadded returns the rows and row pitch of the padded plane both
+// depthwise kernels read: the input with pad on every side, or as far
+// as the windows reach where that is further. Only a plane smaller
+// than the kernel at stride 2 or more needs that: convOut truncates
+// toward zero, so it keeps one window there that overhangs the pad.
+func dwPadded(inH, inW, outH, outW, kh, kw, stride, pad int) (rows, pitch int) {
+	return max(inH+2*pad, (outH-1)*stride+kh), max(inW+2*pad, (outW-1)*stride+kw)
 }
 
 // dwOverRead is the slack, in floats, past the padded plane: the

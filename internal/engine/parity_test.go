@@ -110,6 +110,14 @@ func TestDWConvDirectGEMMParity(t *testing.T) {
 		{3, 11, 10, nn.DepthwiseConv2D{KH: 5, KW: 3, Stride: 2, Pad: 1, Bias: true}}, // asymmetric kernel
 		{2, 5, 1, nn.DepthwiseConv2D{KH: 3, KW: 3, Stride: 1, Pad: 1}},               // plane narrower than the kernel
 		{3, 10, 13, nn.DepthwiseConv2D{KH: 3, KW: 3, Stride: 2, Pad: 2}},             // last window overhangs the input
+		// Planes smaller than the kernel at stride ≥ 2: convOut truncates
+		// toward zero, so one window reaches past the bottom or right pad.
+		{3, 2, 2, nn.DepthwiseConv2D{KH: 3, KW: 3, Stride: 2}},
+		{3, 2, 20, nn.DepthwiseConv2D{KH: 3, KW: 3, Stride: 2}},
+		{3, 20, 2, nn.DepthwiseConv2D{KH: 3, KW: 3, Stride: 2}},
+		{3, 2, 2, nn.DepthwiseConv2D{KH: 5, KW: 5, Stride: 3, Pad: 1, Bias: true}},
+		{3, 2, 4, nn.DepthwiseConv2D{KH: 7, KW: 7, Stride: 2, Pad: 2}},
+		{3, 1, 9, nn.DepthwiseConv2D{KH: 5, KW: 3, Stride: 3, Pad: 1}},
 	}
 	for i, c := range cases {
 		c := c

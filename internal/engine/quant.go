@@ -314,13 +314,12 @@ func (m *Model) qdwconv2d(id int, l *nn.DepthwiseConv2D, in *tensor.Tensor, pred
 // qdwChannels convolves depthwise channels [lo, hi) of the quantized
 // input into dst, requantizing each element as it is produced.
 //
-// Each channel is copied into an arena scratch plane whose ring holds
-// the zero-point code zx (written once per call; only the interior is
-// rewritten per channel, and the plane reaches as far as the windows
-// do, as in dwPlanes). Every output then takes the hoisted form
-// Σ k·x − zx·Σk: a padded tap adds k·(zx−zx) = 0, exactly what a
-// skipped tap adds, and the int32 sums are exact (|acc| stays far
-// below overflow for int8 codes), so the inner loop is pure
+// Each channel is copied into an arena scratch plane (dwPadded) whose
+// ring holds the zero-point code zx, written once per call; only the
+// interior is rewritten per channel. Every output then takes the
+// hoisted form Σ k·x − zx·Σk: a padded tap adds k·(zx−zx) = 0, exactly
+// what a skipped tap adds, and the int32 sums are exact (|acc| stays
+// far below overflow for int8 codes), so the inner loop is pure
 // multiply-adds and the correction one subtract per output. The 3×3
 // case — every depthwise layer in mobilenetv2 — is fully unrolled;
 // this kernel dominates the quantized forward of depthwise-separable
@@ -328,8 +327,8 @@ func (m *Model) qdwconv2d(id int, l *nn.DepthwiseConv2D, in *tensor.Tensor, pred
 func qdwChannels(arena *tensor.Arena, lo, hi int, qin []int8, dst []float32, ql *qlayer, qp tensor.QParams,
 	kh, kw, stride, pad, inH, inW, outH, outW int) {
 	zx := qp.Zero
-	pitch := max(inW+2*pad, (outW-1)*stride+kw)
-	padded := arena.GetSliceI8(max(inH+2*pad, (outH-1)*stride+kh) * pitch)
+	rows, pitch := dwPadded(inH, inW, outH, outW, kh, kw, stride, pad)
+	padded := arena.GetSliceI8(rows * pitch)
 	defer arena.PutSliceI8(padded)
 	for i := range padded {
 		padded[i] = int8(zx)

@@ -82,9 +82,12 @@ echo "== DNNJPS_NOASM=1 go test (the runtime switch, same contract)"
 # The env gate is a different switch from the tag: the assembly is
 # compiled in and every asm*OK flag must keep it unreachable — the GEMM
 # tile, the int8 kernels, the elementwise spans and the 3x3 depthwise.
-# -count=1: the variable is read in an init(), before the test log that
-# keys go test's cache on environment reads is open, so without it this
-# leg can be answered "(cached)" from a run that had the assembly on.
+# On an AVX2 host this leg and the noasm one above are the only place
+# the scalar depthwise loop (dwPlane, over the same zero-padded plane
+# the vector kernel reads) runs MobileNet's 3x3 layers. -count=1: the
+# variable is read in an init(), before the test log that keys go
+# test's cache on environment reads is open, so without it this leg
+# can be answered "(cached)" from a run that had the assembly on.
 DNNJPS_NOASM=1 go test -count=1 ./internal/engine/
 
 echo "== go test"
@@ -96,7 +99,11 @@ echo "== steady-state allocs, MobileNet alone (3x, no other test first)"
 # to another P mid-window must still find the GEMM pack blocks it put
 # back. With those blocks in a sync.Pool (whose per-P slot no other P
 # can take) this run failed 5 times in 6 on a 2-vCPU host; the free
-# list in gemm_asm.go keeps it green.
+# list in gemm_asm.go keeps it green. The test pins the int8 forward
+# too (quantized MobileNet-v2 at workers 1): its GEMM pack blocks sit on
+# the same free list type, and its depthwise layers build their
+# parallelFor closure only past the serialSpan guard (20 allocs/op
+# otherwise).
 go test -count=3 -run 'TestForwardSteadyStateAllocsMobilenet$' ./internal/engine/
 
 echo "== benchmark module (vet + test; read-only)"
@@ -110,7 +117,9 @@ echo "== go test -race (engine, flowshop)"
 # On AVX2 hosts this leg drives the assembly kernels too: the parity
 # tests pin kernelAsm at workers>1, racing the packed-panel fan-out. On
 # AVX-512 hosts TestSgemmTilesBitIdentical flips the tile between
-# whole GEMMs and forwards here as well (at workers 1 to 3).
+# whole GEMMs and forwards here as well (at workers 1 to 3), and
+# TestQDWConvMatchesDirect runs its int8 depthwise layers at workers 1
+# to 3, whose channel ranges draw padded scratch from one arena at once.
 go test -race ./internal/engine/... ./internal/flowshop/...
 
 echo "== go test -race -count=2 (runtime pipeline)"
