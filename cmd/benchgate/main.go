@@ -116,11 +116,15 @@ var rules = []rule{
 	// A 3-device JPSChain plan at n=100 against one two-kind ScheduleM
 	// call of the same size: the plan's load bounds leave one of its
 	// three two-kind splits to sequence, and on that split CDS meets the
-	// bound, so ScheduleM stops there: 0.09–0.24 in ten gate runs. A
-	// plan whose split falls back to NEH and the descent read 1.17–1.21
-	// in a scratch copy with the stop removed, and the parent, which
-	// had no stop, 0.73–1.03 in the same sitting (0.91–1.64 when this
-	// rule came in at 1.75).
+	// bound, so flowshop.TwoKindScheduleM prices it from its two kinds
+	// and no ScheduleM call is made: 0.035–0.116 in ten readings of
+	// both legs, fastest of three each, against 0.097–0.188 in the same
+	// sitting for the plan that built the split and called ScheduleM,
+	// which stopped at CDS (0.09–0.24 in ten gate runs then). A plan
+	// whose split falls back to NEH and the descent read 1.17–1.21 in a
+	// scratch copy with that stop removed, and the plan before the stop
+	// 0.73–1.03 in one sitting (0.91–1.64 when this rule came in at
+	// 1.75).
 	{num: "BenchmarkChainPlanning/kway-n100", den: "BenchmarkScheduleM/n=100", unit: "ns/op", bound: 0.5},
 	// JPS+ at n=100 against JPS on the same AlexNet curve: JPS+ prices
 	// every pair of Pareto cuts at every split, 2 086 candidates where

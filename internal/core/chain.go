@@ -7,9 +7,10 @@ package core
 // cuts on the line view, so device 0 computes through cuts[0], link l
 // carries the tensor at cuts[l], and device d-1 finishes. The
 // scheduled pipeline is device-0 compute plus the k link
-// transmissions: a (k+1)-machine permutation flow shop priced by
-// flowshop.ScheduleM. Intermediate and terminal device compute is
-// validated, not scheduled — each hop has its own executor per job.
+// transmissions: a (k+1)-machine permutation flow shop, sequenced as
+// flowshop.ScheduleM sequences it. Intermediate and terminal device
+// compute is validated, not scheduled — each hop has its own executor
+// per job.
 //
 // Every multi-hop topology goes through this one planner. A 2-device
 // chain IS the paper's two-tier problem (JPSChain delegates to JPS,
@@ -163,18 +164,6 @@ func (c *chainCurves) stagesInto(st []float64, cuts []int) []float64 {
 	return st
 }
 
-// segmentComputeMs is the unscheduled compute of device d for a tuple:
-// the span (cuts[d-1], cuts[d]] evaluated on that device's curve
-// (cuts[depth] is implicitly the end). Used for validation only.
-func (c *chainCurves) segmentComputeMs(dev int, cuts []int) float64 {
-	lo := cuts[dev-1]
-	hi := c.n - 1
-	if dev < len(cuts) {
-		hi = cuts[dev]
-	}
-	return c.f[dev][hi] - c.f[dev][lo]
-}
-
 // enumTuples yields every non-decreasing k-tuple over the Pareto
 // candidates in lexicographic order (first cut outermost). The order
 // decides peak-stage ties in JPSChain, so the golden plans depend on it.
@@ -200,15 +189,14 @@ func enumTuples(pareto []int, k int, visit func(cuts []int)) {
 // have no closed-form balance point, so the search is direct:
 // enumerate non-decreasing Pareto tuples, rank by peak stage (the
 // asymptotic average-makespan driver), and mix the best two candidates
-// across jobs at a few splits, in order, each priced by the
-// CDS-m/NEH-m/descent sequencer unless its m-machine load bound
+// across jobs at a few splits, in order (chainCurves.plan), each
+// sequenced as flowshop.ScheduleM would unless its m-machine load bound
 // (flowshop.LowerBoundM) says it cannot beat the best split so far —
 // pruning that skips only splits that could not win, so the plan is
-// the one every split sequenced would give. The two end splits are
-// one-type instances, which ScheduleM returns without sequencing; of
-// the three two-kind splits, usually one is sequenced (one in each of
-// the 194 cells TestLowerBoundMSoundOnChainSplits walks), and there
-// CDS's order meets the load bound, so ScheduleM stops at CDS.
+// the one every split sequenced would give. A split is two kinds in two
+// runs, priced in place by flowshop.TwoKindScheduleM wherever CDS's
+// order meets that bound, where ScheduleM stops; every split on the
+// frozen grid does, so the winner's Sequence is the one job list built.
 // O(C(p+k-1,k)) tuples over p Pareto cuts — model-sized p keeps this
 // in milliseconds even at depth 4.
 func JPSChain(g *dag.Graph, ch Chain, n int) (*ChainPlan, error) {
@@ -226,47 +214,73 @@ func JPSChain(g *dag.Graph, ch Chain, n int) (*ChainPlan, error) {
 		}
 		return chainPlanFromTwoTier("JPS-chain", p), nil
 	}
-	c := buildChainCurves(g, ch)
-	best, second := c.bestTwo(ch.Depth())
+	return buildChainCurves(g, ch).plan(ch.Depth(), n), nil
+}
 
-	// The splits repeat when n < 4, and with a single candidate — or two
-	// that price the same — every mix is the same instance; the strict <
-	// below keeps the first of equal makespans, so skipping repeats
-	// changes nothing. Nor does skipping a split whose load bound is >=
-	// the incumbent's makespan: the incumbent is an earlier split, and a
-	// later one must come in strictly shorter to displace it. One job
-	// slice serves every split (the sequencer copies), its first mix
-	// entries turned to the runner-up as the splits grow.
+// plan is JPSChain's search at depth k >= 2 on c. The splits repeat
+// when n < 4, and with a single candidate — or two that price the same
+// — every mix is the same instance; the strict < below keeps the first
+// of equal makespans, so skipping repeats changes nothing. Nor does
+// skipping a split whose load bound is >= the incumbent's makespan: the
+// incumbent is an earlier split, and a later one must come in strictly
+// shorter to displace it. A split TwoKindScheduleM cannot price (CDS
+// misses its bound) is built and sequenced by ScheduleM.
+func (c *chainCurves) plan(k, n int) *ChainPlan {
+	best, second := c.bestTwo(k)
 	mixes := []int{0, n / 4, n / 2, 3 * n / 4, n}
 	if slices.Equal(best.stages, second.stages) {
 		mixes = mixes[:1]
 	}
 	mixes = slices.Compact(mixes)
 	kinds := [][]float64{second.stages, best.stages}
-	jobs := make([]flowshop.JobM, n)
-	for j := range jobs {
-		jobs[j] = flowshop.JobM{ID: j, Stages: best.stages}
-	}
-	var seq []flowshop.JobM
-	span, at, turned := 0.0, 0, 0
+	var seq []flowshop.JobM // the winner's, where ScheduleM sequenced it
+	span, at, secondFirst := 0.0, 0, true
 	for i, mix := range mixes {
-		if i > 0 && flowshop.LowerBoundM(kinds, []int{mix, n - mix}) >= span {
+		bound := flowshop.LowerBoundM(kinds, []int{mix, n - mix})
+		if i > 0 && bound >= span {
 			continue
 		}
-		for ; turned < mix; turned++ {
-			jobs[turned].Stages = second.stages
+		s, first, ok := flowshop.TwoKindScheduleM(second.stages, mix, best.stages, n-mix, bound)
+		var sequenced []flowshop.JobM
+		if !ok {
+			sequenced = flowshop.ScheduleM(twoKindSequence(n, mix, true, second.stages, best.stages))
+			s = flowshop.MakespanM(sequenced)
 		}
-		s := flowshop.ScheduleM(jobs)
-		if ms := flowshop.MakespanM(s); i == 0 || ms < span {
-			seq, span, at = s, ms, mix
+		if i == 0 || s < span {
+			seq, span, at, secondFirst = sequenced, s, mix, first
 		}
+	}
+	if seq == nil {
+		seq = twoKindSequence(n, at, secondFirst, second.stages, best.stages)
 	}
 	return &ChainPlan{
 		Method:   "JPS-chain",
 		Cuts:     tileCuts(n, at, second.cuts, best.cuts),
 		Sequence: seq,
 		Makespan: span,
-	}, nil
+	}
+}
+
+// twoKindSequence is n jobs, job i with x's stages for i < nx and y's
+// after, in two blocks: ID order where xFirst, y's block first where
+// not — the order ScheduleM returns where it stops at CDS. The stages
+// are one copy of each kind in one backing array, each capped so an
+// append cannot reach the other, as ScheduleM's own copy keeps them.
+func twoKindSequence(n, nx int, xFirst bool, x, y []float64) []flowshop.JobM {
+	flat := append(append(make([]float64, 0, len(x)+len(y)), x...), y...)
+	x, y = flat[:len(x):len(x)], flat[len(x):]
+	seq := make([]flowshop.JobM, n)
+	for i := range seq {
+		id := i
+		if !xFirst {
+			id = (i + nx) % n
+		}
+		seq[i] = flowshop.JobM{ID: id, Stages: y}
+		if id < nx {
+			seq[i].Stages = x
+		}
+	}
+	return seq
 }
 
 // chainCand is one cut tuple priced as a pipeline job.

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"slices"
@@ -126,21 +127,24 @@ func TestScheduleMMatchesReferenceOnChainTraffic(t *testing.T) {
 }
 
 // (e) A k-way plan at the paper's n = 100 allocates what its line view,
-// curves, best two candidates, the one two-kind mix its load bounds
-// leave to sequence and result need, with no per-node search or sizing
-// in the line view, no clone per priced tuple, no copy of the cut
-// rows (each points at its tuple) and, since that mix's CDS order meets
-// its load bound, no NEH or descent at all, and Pareto cut lists sized
+// curves, best two candidates, the pricing of the one two-kind mix its
+// load bounds leave to sequence (one state row) and result need, with
+// no per-node search or sizing in the line view, no clone per priced
+// tuple, no copy of the cut rows (each points at its tuple), no job
+// list, copy or Johnson sort for that mix — its CDS order meets its
+// load bound, so flowshop.TwoKindScheduleM prices it from its two kinds
+// and the winner's sequence is built once — and Pareto cut lists sized
 // once. The counts are exact and repeat run to run: the splits run one
-// after another. Pareto cut lists grown by append made them 46 and 48;
-// NEH and the descent on that mix and one array of cut rows 57 and 59;
-// an articulation sweep per line view 66 and 66; three sequenced two-kind mixes, each on
-// its own goroutine, with a node slice per line-view unit made them 218
-// and 153; sizing each node per curve 1 192 and 329, a clone per tuple
-// 283 and 200; the old planner's per-job, per-mix and per-trial
-// allocations made mobilenetv2's 83 051; a search per node,
-// reflection-based sorts and Johnson lists grown by append made
-// plan-grid's AlexNet cell 412.
+// after another. ScheduleM on that mix (its copy, CDS's lists and one
+// Johnson sort per surrogate) made them 43 and 45; Pareto cut lists
+// grown by append 46 and 48; NEH and the descent on that mix and one
+// array of cut rows 57 and 59; an articulation sweep per line view 66
+// and 66; three sequenced two-kind mixes, each on its own goroutine,
+// with a node slice per line-view unit made them 218 and 153; sizing
+// each node per curve 1 192 and 329, a clone per tuple 283 and 200; the
+// old planner's per-job, per-mix and per-trial allocations made
+// mobilenetv2's 83 051; a search per node, reflection-based sorts and
+// Johnson lists grown by append made plan-grid's AlexNet cell 412.
 func TestJPSChainAllocs(t *testing.T) {
 	pi, gpu := devices()
 	planGrid := Chain{ // plan-grid's chain at 4G: the edge→cloud hop at half the access rate
@@ -153,8 +157,8 @@ func TestJPSChainAllocs(t *testing.T) {
 		ch    Chain
 		want  float64
 	}{
-		{"mobilenetv2", threeTierChain(), 43},
-		{"alexnet", planGrid, 45},
+		{"mobilenetv2", threeTierChain(), 33},
+		{"alexnet", planGrid, 35},
 	} {
 		g := models.MustBuild(c.model)
 		got := testing.AllocsPerRun(5, func() {
@@ -318,5 +322,68 @@ func TestLowerBoundMSoundOnChainSplits(t *testing.T) {
 	t.Logf("%d of %d two-kind splits sequenced", sequenced, twoKind)
 	if sequenced != frozenGridSequenced || twoKind != frozenGridTwoKind {
 		t.Errorf("%d of %d two-kind splits sequenced, frozen %d of %d", sequenced, twoKind, frozenGridSequenced, frozenGridTwoKind)
+	}
+}
+
+// The split loop's fallback: on synthetic chain curves — random compute
+// and link columns at depth 2 and 3 — the two-kind splits often miss
+// their load bound under CDS, which no zoo chain does, so
+// chainCurves.plan sends them to ScheduleM. Its plan, fallback or not,
+// is the one ScheduleM on every split gives, to the bit: cuts, IDs,
+// stage bits and makespan.
+func TestChainPlanFallsBackToScheduleM(t *testing.T) {
+	rng := rand.New(rand.NewSource(54))
+	fellBack := 0
+	for trial := 0; trial < 1000; trial++ {
+		k, positions, n := 2+rng.Intn(2), 3+rng.Intn(6), 1+rng.Intn(40)
+		f := make([]float64, positions)
+		for i := 1; i < positions; i++ {
+			f[i] = f[i-1] + rng.Float64()*20
+		}
+		c := &chainCurves{f: [][]float64{f}, linkMs: make([][]float64, k), n: positions}
+		for l := range c.linkMs {
+			c.linkMs[l] = make([]float64, positions) // 0 at the last position
+			for i := 0; i < positions-1; i++ {
+				c.linkMs[l][i] = rng.Float64() * 30
+			}
+		}
+		for i := range positions {
+			c.pareto = append(c.pareto, i)
+		}
+
+		best, second := c.bestTwo(k)
+		kinds := [][]float64{second.stages, best.stages}
+		mixes := []int{0, n / 4, n / 2, 3 * n / 4, n}
+		if slices.Equal(best.stages, second.stages) {
+			mixes = mixes[:1]
+		}
+		var want *ChainPlan
+		for _, mix := range slices.Compact(mixes) {
+			jobs := make([]flowshop.JobM, n)
+			for j := range jobs {
+				jobs[j] = flowshop.JobM{ID: j, Stages: best.stages}
+				if j < mix {
+					jobs[j].Stages = second.stages
+				}
+			}
+			bound := flowshop.LowerBoundM(kinds, []int{mix, n - mix})
+			if want == nil || bound < want.Makespan { // plan sequences this split
+				if _, _, ok := flowshop.TwoKindScheduleM(second.stages, mix, best.stages, n-mix, bound); !ok {
+					fellBack++
+				}
+			}
+			seq := flowshop.ScheduleM(jobs)
+			if span := flowshop.MakespanM(seq); want == nil || span < want.Makespan {
+				want = &ChainPlan{Method: "JPS-chain", Cuts: tileCuts(n, mix, second.cuts, best.cuts), Sequence: seq, Makespan: span}
+			}
+		}
+		if got := c.plan(k, n); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d (depth %d, n=%d): plan (makespan %v, sequence %v) differs from ScheduleM on every split (makespan %v, sequence %v)",
+				trial, k, n, got.Makespan, got.Sequence, want.Makespan, want.Sequence)
+		}
+	}
+	t.Logf("%d splits fell back to ScheduleM", fellBack)
+	if fellBack < 50 {
+		t.Errorf("%d splits fell back to ScheduleM, want >= 50", fellBack)
 	}
 }

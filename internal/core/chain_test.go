@@ -277,6 +277,18 @@ func TestChainFourTier(t *testing.T) {
 	}
 }
 
+// segmentComputeMs is the unscheduled compute of device d for a tuple:
+// the span (cuts[d-1], cuts[d]] evaluated on that device's curve
+// (cuts[depth] is implicitly the end). Used for validation only.
+func (c *chainCurves) segmentComputeMs(dev int, cuts []int) float64 {
+	lo := cuts[dev-1]
+	hi := c.n - 1
+	if dev < len(cuts) {
+		hi = cuts[dev]
+	}
+	return c.f[dev][hi] - c.f[dev][lo]
+}
+
 // Planning cost of the k-way path at depth 2, at the golden tables'
 // n = 20 and the paper's n = 100. TestJPSChainAllocs pins the
 // allocations; the repo benchmark's core.jpschain2_ms times the same

@@ -508,12 +508,13 @@ func TestJPSConvergesToContinuousBound(t *testing.T) {
 }
 
 // JPS and Replan at plan-grid's n = 100 on its four models, both
-// channels: the Pareto cuts (1), the restricted curve and its index
-// map (7), and the one plan built, for the winning split alone — its
-// cuts, jobs, sequence and Plan (4); Replan adds the repriced curve and
-// its G column (2). The counts are exact. Every candidate split built
-// and sorted, with the Pareto cuts grown by append, made them 27–31 and
-// 29–33, by how many splits a cell has.
+// channels: the Pareto cuts (1), which Algorithm 2 searches in place,
+// and the one plan built, for the winning split alone — its cuts, jobs,
+// sequence and Plan (4); Replan adds the repriced curve and its G
+// column (2). The counts are exact. A restricted copy of the curve per
+// call (its struct, five columns and index map) made them 12 and 14;
+// every candidate split built and sorted as well, with the Pareto cuts
+// grown by append, 27–31 and 29–33, by how many splits a cell has.
 func TestJPSAllocs(t *testing.T) {
 	pi, gpu := devices()
 	for _, model := range []string{"alexnet", "mobilenetv2", "resnet18", "googlenet"} {
@@ -527,8 +528,8 @@ func TestJPSAllocs(t *testing.T) {
 				plan func() (*Plan, error)
 				want float64
 			}{
-				{"JPS", func() (*Plan, error) { return JPS(c, 100) }, 12},
-				{"Replan", func() (*Plan, error) { return Replan(c, half, 100) }, 14},
+				{"JPS", func() (*Plan, error) { return JPS(c, 100) }, 5},
+				{"Replan", func() (*Plan, error) { return Replan(c, half, 100) }, 7},
 			} {
 				got := testing.AllocsPerRun(5, func() {
 					if _, err := row.plan(); err != nil {

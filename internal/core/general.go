@@ -127,7 +127,7 @@ func PlanGeneral(g *dag.Graph, mobile, cloud profile.Device, ch netsim.Channel, 
 		return nil, err
 	}
 
-	// Per-path Algorithm 2 on the path's own Pareto-restricted curve.
+	// Per-path Algorithm 2 on the Pareto positions of the path's own curve.
 	plans := make([]crossing, len(paths))
 	for pi, path := range paths {
 		plans[pi], err = findCrossing(profile.PathCurve(g, path, mobile, cloud, ch, dt))
@@ -154,8 +154,8 @@ func PlanGeneral(g *dag.Graph, mobile, cloud profile.Device, ch netsim.Channel, 
 					Job:  j,
 					Path: pi,
 					Cut:  cutPathPos,
-					F:    pp.r.F[pos],
-					G:    pp.r.G[pos],
+					F:    pp.f(pos),
+					G:    pp.g(pos),
 				})
 			}
 		}

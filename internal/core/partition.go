@@ -36,38 +36,46 @@ type CutSearch struct {
 // g(0) is the raw input upload. The loop maintains the paper's
 // invariant f(l-1) < g(l-1) ∧ f(r) >= g(r).
 func BinarySearchCut(c *profile.Curve) (CutSearch, error) {
-	k := c.Len()
+	return crossing{c: c}.binarySearch()
+}
+
+// binarySearch is BinarySearchCut on x's positions.
+func (x crossing) binarySearch() (CutSearch, error) {
+	k := len(x.idx)
+	if x.idx == nil {
+		k = x.c.Len()
+	}
 	if k < 2 {
 		return CutSearch{}, fmt.Errorf("core: curve too short (%d positions)", k)
 	}
-	if c.F[0] >= c.G[0] {
+	if x.f(0) >= x.g(0) {
 		// Degenerate: offloading immediately is already compute-bound;
 		// l* = 0 means every job is cut at the first position.
-		return CutSearch{LStar: 0, Exact: c.F[0] == c.G[0]}, nil
+		return CutSearch{LStar: 0, Exact: x.f(0) == x.g(0)}, nil
 	}
 	l, r := 1, k-1
 	steps := 0
 	for l < r {
 		steps++
 		mid := (l + r) / 2
-		if c.F[mid] < c.G[mid] {
+		if x.f(mid) < x.g(mid) {
 			l = mid + 1
 		} else {
 			r = mid
 		}
 	}
 	res := CutSearch{LStar: l, Steps: steps}
-	if c.F[l] == c.G[l] {
+	if x.f(l) == x.g(l) {
 		res.Exact = true
 		return res, nil
 	}
-	den := c.G[l-1] - c.F[l-1]
+	den := x.g(l-1) - x.f(l-1)
 	if den <= 0 {
 		// Cannot happen when the invariant holds; guard against
 		// curves violating monotonicity assumptions.
 		return res, fmt.Errorf("core: invariant violated at l*=%d: g(l*-1)-f(l*-1)=%g", l, den)
 	}
-	res.Ratio = int(math.Floor((c.F[l] - c.G[l]) / den))
+	res.Ratio = int(math.Floor((x.f(l) - x.g(l)) / den))
 	return res, nil
 }
 
@@ -97,8 +105,13 @@ func MixCounts(n, ratio int) (atPrev, atLStar int) {
 // The caller evaluates both and keeps the better makespan — an O(1)
 // refinement of the paper's floored ratio.
 func BalancedSplit(c *profile.Curve, lstar, n int) (lo, hi int) {
-	surplusPrev := c.G[lstar-1] - c.F[lstar-1] // > 0 by the invariant
-	surplusCur := c.F[lstar] - c.G[lstar]      // >= 0 at l*
+	return crossing{c: c}.balancedSplit(lstar, n)
+}
+
+// balancedSplit is BalancedSplit on x's positions.
+func (x crossing) balancedSplit(lstar, n int) (lo, hi int) {
+	surplusPrev := x.g(lstar-1) - x.f(lstar-1) // > 0 by the invariant
+	surplusCur := x.f(lstar) - x.g(lstar)      // >= 0 at l*
 	den := surplusPrev + surplusCur
 	if den <= 0 {
 		return 0, 0
@@ -118,27 +131,41 @@ func BalancedSplit(c *profile.Curve, lstar, n int) (lo, hi int) {
 	return lo, hi
 }
 
-// crossing is Algorithm 2's result on a raw curve: the search runs on
-// the Pareto restriction r, and idx maps r's positions back to the raw
-// curve's. Every planner that mixes cuts — JPS and its two ablations,
-// PlanGeneral per path, JPSHetero per class, PlanStream per frame —
-// starts here and asks the value, not the CutSearch, what to cut where.
+// crossing is Algorithm 2's result on a raw curve c: the search runs
+// over c's Pareto positions idx, read in place (position p is c's
+// idx[p]; every position of c where idx is nil). Every planner that
+// mixes cuts — JPS and its two ablations, PlanGeneral per path,
+// JPSHetero per class, PlanStream per frame — starts here and asks the
+// value, not the CutSearch, what to cut where.
 type crossing struct {
-	r      *profile.Curve
+	c      *profile.Curve
 	idx    []int
 	search CutSearch
 }
 
 // findCrossing is the one place Algorithm 2 runs on a raw curve.
 func findCrossing(c *profile.Curve) (crossing, error) {
-	r, idx := c.Restrict(c.ParetoCuts())
-	search, err := BinarySearchCut(r)
-	return crossing{r: r, idx: idx, search: search}, err
+	x := crossing{c: c, idx: c.ParetoCuts()}
+	var err error
+	x.search, err = x.binarySearch()
+	return x, err
 }
+
+// at is position p's index on the raw curve.
+func (x crossing) at(p int) int {
+	if x.idx == nil {
+		return p
+	}
+	return x.idx[p]
+}
+
+// f and g are the curve's F and G at position p.
+func (x crossing) f(p int) float64 { return x.c.F[x.at(p)] }
+func (x crossing) g(p int) float64 { return x.c.G[x.at(p)] }
 
 // SearchCurve is Algorithm 2 on a raw curve for callers that report the
 // crossing rather than plan with it: the search on c's Pareto
-// restriction and the map from restricted positions back to c's.
+// positions, and those positions as indices into c.
 func SearchCurve(c *profile.Curve) (CutSearch, []int, error) {
 	x, err := findCrossing(c)
 	return x.search, x.idx, err
@@ -148,7 +175,7 @@ func SearchCurve(c *profile.Curve) (CutSearch, []int, error) {
 // f(l*) = g(l*) or l* = 0 every job is cut at l*.
 func (x crossing) mixes() bool { return !x.search.Exact && x.search.LStar > 0 }
 
-// pos is job j's position on r when the first m jobs sit at l*-1.
+// pos is job j's search position when the first m jobs sit at l*-1.
 func (x crossing) pos(j, m int) int {
 	if j < m && x.mixes() {
 		return x.search.LStar - 1
@@ -160,7 +187,7 @@ func (x crossing) pos(j, m int) int {
 // (l*-1 where two cuts mix) and b for the rest (l*); both l* where
 // nothing mixes.
 func (x crossing) kinds() (a, b int) {
-	return x.idx[x.pos(0, 1)], x.idx[x.search.LStar]
+	return x.at(x.pos(0, 1)), x.at(x.search.LStar)
 }
 
 // cuts returns the n cuts on the raw curve for split m: the first m at
@@ -176,7 +203,7 @@ func (x crossing) flank(n int) (lo, hi int) {
 	if !x.mixes() {
 		return 0, 0
 	}
-	return BalancedSplit(x.r, x.search.LStar, n)
+	return x.balancedSplit(x.search.LStar, n)
 }
 
 // splits lists the candidate splits s[:k] in the one order every

@@ -51,11 +51,11 @@ func PlanStream(c *profile.Curve, releases []float64) (*StreamPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	r, lstar := x.r, x.search.LStar
+	lstar := x.search.LStar
 	frac := 0.0
 	if x.mixes() {
-		surplusPrev := r.G[lstar-1] - r.F[lstar-1]
-		surplusCur := r.F[lstar] - r.G[lstar]
+		surplusPrev := x.g(lstar-1) - x.f(lstar-1)
+		surplusCur := x.f(lstar) - x.g(lstar)
 		if den := surplusPrev + surplusCur; den > 0 {
 			frac = surplusCur / den
 		}
@@ -74,16 +74,17 @@ func PlanStream(c *profile.Curve, releases []float64) (*StreamPlan, error) {
 			acc -= 1
 			pos = lstar - 1 // frac > 0 only where two cuts mix
 		}
+		cut := x.at(pos)
 		plan.Jobs = append(plan.Jobs, StreamJob{
 			ID:        i,
 			ReleaseMs: rel,
-			Cut:       x.idx[pos],
-			F:         r.F[pos],
-			G:         r.G[pos],
-			CloudMs:   r.CloudMs[pos],
+			Cut:       cut,
+			F:         c.F[cut],
+			G:         c.G[cut],
+			CloudMs:   c.CloudMs[cut],
 		})
-		fSum += r.F[pos]
-		gSum += r.G[pos]
+		fSum += c.F[cut]
+		gSum += c.G[cut]
 	}
 	n := float64(len(releases))
 	plan.SustainableMs = math.Max(fSum/n, gSum/n)

@@ -37,12 +37,14 @@ import (
 // would return it in input order (see ScheduleM), so none runs. An
 // instance whose CDS order meets the load bound (LowerBoundM) costs the
 // copy, CDS and the bound: no order can beat it, so NEH and the
-// descent would return it unchanged, and neither runs — every two-kind
-// split JPSChain sequences on its frozen grid ends there. The cheapest ScheduleM call is the
-// one not made: LowerBoundM bounds every order of a multiset in
-// O(m²·kinds + n·m) with no allocation, and JPSChain sequences a split
-// only while that bound is below its best makespan so far — on its
-// traffic one two-kind call per plan where there were three.
+// descent would return it unchanged, and neither runs. The cheapest
+// ScheduleM call is the one not made. LowerBoundM bounds every order of
+// a multiset in O(m²·kinds + n·m) with no allocation, and JPSChain
+// prices a split only while that bound is below its best makespan so
+// far. TwoKindScheduleM then gives, for two kinds in two runs, the
+// order ScheduleM stops at when CDS meets the bound, in O(m²·n) with
+// one m-vector and no list, so JPSChain calls ScheduleM only where CDS
+// misses — on its frozen grid, never.
 
 // JobM is an m-stage job: Stages[i] runs on machine i. Every job in a
 // sequence must have the same number of stages (the sequencers panic
@@ -339,14 +341,7 @@ func cdsOrder(jobs []JobM, m int) []JobM {
 	bestSpan := 0.0
 	for t := 1; t < m; t++ {
 		for i, j := range jobs {
-			var a, b float64
-			for k := 0; k < t; k++ {
-				a += j.Stages[k]
-			}
-			for k := t; k < m; k++ {
-				b += j.Stages[k]
-			}
-			two[i] = Job{ID: i, A: a, B: b}
+			two[i] = surrogate(j.Stages, t, i)
 		}
 		for i, o := range Johnson(two) {
 			trial[i] = jobs[o.ID]
@@ -356,6 +351,72 @@ func cdsOrder(jobs []JobM, m int) []JobM {
 		}
 	}
 	return best
+}
+
+// TwoKindScheduleM is ScheduleM on nx jobs with x's stages followed by
+// ny with y's, numbered 0…nx+ny−1 in that order, wherever ScheduleM
+// stops at CDS — with no list, no copy and no sort. bound is
+// LowerBoundM([][]float64{x, y}, []int{nx, ny}), which the caller has
+// in hand. ok reports that the makespan span meets it (and it is not
+// −Inf): no order is shorter, so ScheduleM returns CDS's order, two
+// blocks in ID order, x's first exactly when xFirst. Where !ok the
+// caller runs ScheduleM.
+//
+// One type (nx or ny 0, or x and y element-wise ==) keeps input order.
+// Otherwise every x precedes every y by ID, so each CDS surrogate's
+// Johnson order is the two blocks as johnsonBefore orders x (job 0) and
+// y (job 1) on cdsOrder's sums; the blocks run through step, giving
+// makespanInto's floats, and the strict < keeps the first surrogate.
+// One m-vector of scratch (TestTwoKindScheduleMMatchesScheduleM).
+func TwoKindScheduleM(x []float64, nx int, y []float64, ny int, bound float64) (span float64, xFirst, ok bool) {
+	m := len(x)
+	if nx == 0 {
+		m = len(y)
+	}
+	if m == 0 {
+		return 0, true, bound == 0
+	}
+	c := make([]float64, m)
+	blocks := func(xFirst bool) float64 {
+		a, na, b, nb := x, nx, y, ny
+		if !xFirst {
+			a, na, b, nb = y, ny, x, nx
+		}
+		clear(c)
+		for range na {
+			step(c, a)
+		}
+		for range nb {
+			step(c, b)
+		}
+		return c[m-1]
+	}
+	xFirst = true
+	single := nx == 0 || ny == 0 || slices.Equal(x, y)
+	if single || m == 1 {
+		span = blocks(true)
+	}
+	for t := 1; t < m && !single; t++ {
+		first := !johnsonBefore(surrogate(y, t, 1), surrogate(x, t, 0))
+		if s := blocks(first); t == 1 || s < span {
+			span, xFirst = s, first
+		}
+	}
+	return span, xFirst, span == bound && !math.IsInf(bound, -1)
+}
+
+// surrogate is CDS's two-machine job t for stages: A sums the first t
+// stages, B the rest, each left to right.
+func surrogate(stages []float64, t, id int) Job {
+	j := Job{ID: id}
+	for k, p := range stages {
+		if k < t {
+			j.A += p
+		} else {
+			j.B += p
+		}
+	}
+	return j
 }
 
 // nehOrder orders jobs the caller owns (m >= 1) with the
@@ -490,7 +551,8 @@ func nehOrder(jobs []JobM, m int) []JobM {
 // so none beats span − 1e-12. NaN, ±Inf or negative stages make the
 // bound −Inf, which no makespan is taken to meet. CDS meets the bound
 // on every two-kind split JPSChain sequences on its frozen grid
-// (TestLowerBoundMSoundOnChainSplits in core).
+// (TestLowerBoundMSoundOnChainSplits in core), so JPSChain prices those
+// splits with TwoKindScheduleM and comes here only where CDS misses.
 func ScheduleM(jobs []JobM) []JobM {
 	own, m := ownJobsM(jobs)
 	if m == 0 || oneType(own) {

@@ -510,6 +510,89 @@ func TestScheduleMStopsAtBound(t *testing.T) {
 	}
 }
 
+// TwoKindScheduleM is ScheduleM on two kinds in two runs wherever it
+// reports ok: the same IDs in the same order, the same stage bits and
+// the same makespan bits, on 20 000 seeded instances — m 2–5, nx and ny
+// 0–12. Stages are drawn from a few values, so surrogates tie, kinds
+// share leading stages or come out element-wise ==, and zeros of both
+// signs appear; every third instance gives each job its own copy of its
+// kind. One instance in eight puts a NaN, an infinite or a negative
+// stage into a kind with jobs, where the bound is −Inf and ok must be
+// false.
+func TestTwoKindScheduleMMatchesScheduleM(t *testing.T) {
+	rng := rand.New(rand.NewSource(54))
+	values := []float64{0, math.Copysign(0, -1), 0.1, 0.3, 1, 2, 2.5, 7}
+	draw := func(m int) []float64 {
+		st := make([]float64, m)
+		for k := range st {
+			st[k] = values[rng.Intn(len(values))]
+			if rng.Intn(3) == 0 {
+				st[k] = rng.Float64() * 10
+			}
+		}
+		return st
+	}
+	const trials = 20000
+	met, missed := 0, 0
+	for trial := 0; trial < trials; trial++ {
+		m, nx, ny := 2+rng.Intn(4), rng.Intn(13), rng.Intn(13)
+		x, y := draw(m), draw(m)
+		switch rng.Intn(4) {
+		case 0:
+			copy(y, x) // element-wise ==, not the same slice
+		case 1:
+			copy(y[:1+rng.Intn(m-1)], x) // shared leading stages
+		}
+		poisoned := trial%8 == 7 && nx+ny > 0
+		if poisoned {
+			kind := x
+			if nx == 0 || (ny > 0 && rng.Intn(2) == 0) {
+				kind = y
+			}
+			kind[rng.Intn(m)] = []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1}[rng.Intn(4)]
+		}
+		bound := LowerBoundM([][]float64{x, y}, []int{nx, ny})
+		span, xFirst, ok := TwoKindScheduleM(x, nx, y, ny, bound)
+		if poisoned {
+			if ok {
+				t.Fatalf("trial %d: x %v ×%d, y %v ×%d: ok with a non-finite or negative stage", trial, x, nx, y, ny)
+			}
+			continue
+		}
+		if !ok {
+			missed++
+			continue
+		}
+		met++
+		jobs := make([]JobM, 0, nx+ny)
+		for id := range nx + ny {
+			st := y
+			if id < nx {
+				st = x
+			}
+			if trial%3 == 0 {
+				st = slices.Clone(st)
+			}
+			jobs = append(jobs, JobM{ID: id, Stages: st})
+		}
+		blocks := append(slices.Clone(jobs[nx:]), jobs[:nx]...)
+		if xFirst {
+			blocks = slices.Clone(jobs)
+		}
+		want := ScheduleM(jobs)
+		if err := sameBits(blocks, want); err != nil {
+			t.Fatalf("trial %d: x %v ×%d, y %v ×%d, xFirst %v: %v", trial, x, nx, y, ny, xFirst, err)
+		}
+		if w := MakespanM(want); math.Float64bits(span) != math.Float64bits(w) {
+			t.Fatalf("trial %d: x %v ×%d, y %v ×%d: span %v, ScheduleM's %v", trial, x, nx, y, ny, span, w)
+		}
+	}
+	t.Logf("ok on %d finite instances, not on %d", met, missed)
+	if met < trials/5 || missed < trials/10 {
+		t.Errorf("ok on %d finite instances and not on %d; want >= %d and >= %d", met, missed, trials/5, trials/10)
+	}
+}
+
 // LowerBoundM is sound at scale: at n = 20, 100 and 400, 1–4 kinds and
 // m 2–5, the bound is <= the makespan of CDS's, NEH's and the full
 // path's sequences and of 200 random permutations. Half the instances
