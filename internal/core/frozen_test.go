@@ -8,6 +8,7 @@ import (
 	"math"
 	"testing"
 
+	"dnnjps/internal/dag"
 	"dnnjps/internal/models"
 	"dnnjps/internal/netsim"
 	"dnnjps/internal/profile"
@@ -178,6 +179,69 @@ func TestLinePlansFrozen(t *testing.T) {
 		got := fmt.Sprintf("%016x", h.Sum64())
 		if want := frozenLinePlans[name]; got != want {
 			t.Errorf("%s: line plans digest %s, frozen %q (a plan moved)", name, got, want)
+		}
+	}
+}
+
+// frozenGeneralPlans holds, per general-structure model, an FNV-64a
+// digest of its PlanGeneral and PlanGeneralBest plans on frozenGeneral's
+// channels for 1, 8 and 100 jobs: each plan's Makespan, its CutNodes,
+// every Sequence entry's job, path, cut and the math.Float64bits of its
+// F, G, ActualF and ActualG, and its JobSequence's IDs and A, B bits.
+// The digests were recorded while Alg. 3's replay still looked each
+// node's time and each cut tensor's size up itself; reading them from
+// the path's priced table must leave every one of them unchanged.
+var frozenGeneralPlans = map[string]string{
+	"googlenet":   "9a758eed970214eb",
+	"mobilenetv2": "20d16ab2c9a93b22",
+	"resnet18":    "a8280679e8fe6d28",
+	"squeezenet":  "56d5d1636c9ded5a",
+}
+
+// frozenGeneral is the three paper channels and 3G with a downlink as
+// slow as its uplink, where every path curve's G carries a reply leg.
+func frozenGeneral() []netsim.Channel {
+	return append(netsim.Presets(), netsim.ThreeG.WithDownlink(1.1))
+}
+
+func (h planHash) generalPlan(p *GeneralPlan) {
+	h.u64(math.Float64bits(p.Makespan))
+	h.u64(uint64(len(p.CutNodes)))
+	for _, c := range p.CutNodes {
+		h.ints(c)
+	}
+	h.u64(uint64(len(p.Sequence)))
+	for _, pj := range p.Sequence {
+		h.ints([]int{pj.Job, pj.Path, pj.Cut})
+		for _, v := range []float64{pj.F, pj.G, pj.ActualF, pj.ActualG} {
+			h.u64(math.Float64bits(v))
+		}
+	}
+	for _, j := range p.JobSequence() {
+		h.u64(uint64(j.ID))
+		h.u64(math.Float64bits(j.A))
+		h.u64(math.Float64bits(j.B))
+	}
+}
+
+func TestGeneralPlansFrozen(t *testing.T) {
+	pi, gpu := devices()
+	for name, want := range frozenGeneralPlans {
+		g := models.MustBuild(name)
+		h := planHash{fnv.New64a()}
+		for _, ch := range frozenGeneral() {
+			for _, n := range []int{1, 8, 100} {
+				for _, plan := range []func(*dag.Graph, profile.Device, profile.Device, netsim.Channel, tensor.DType, int, int) (*GeneralPlan, error){PlanGeneral, PlanGeneralBest} {
+					p, err := plan(g, pi, gpu, ch, tensor.Float32, n, 0)
+					if err != nil {
+						t.Fatalf("%s/%s n=%d: %v", name, ch.Name, n, err)
+					}
+					h.generalPlan(p)
+				}
+			}
+		}
+		if got := fmt.Sprintf("%016x", h.Sum64()); got != want {
+			t.Errorf("%s: general plans digest %s, frozen %q (a plan moved)", name, got, want)
 		}
 	}
 }
