@@ -106,15 +106,13 @@ func (p *ChainPlan) AvgMs() float64 {
 	return p.Makespan / float64(len(p.Cuts))
 }
 
-// chainCurves prices the model on every device and link from the one
-// walk every curve is built from, profile.PriceUnits over the line view.
-// Every transmission derives from its cut tensor volumes, so
-// linkMs[l][i] is the time for the tensor at position i to cross link
-// l, exactly 0 at the last position (zero-byte payload).
+// chainCurves is the chain's view of the model's priced table,
+// profile.PriceUnits over the line view on every device: linkMs[l][i]
+// is the time for the tensor at position i to cross link l, exactly 0
+// at the last position (zero-byte payload).
 type chainCurves struct {
-	// f[d][i]: cumulative compute ms through position i on device d —
-	// the walk's per-unit times summed left to right, as in
-	// profile.BuildCurve's F.
+	// f[d][i]: cumulative compute ms through position i on device d,
+	// as profile.BuildCurve's F.
 	f [][]float64
 	// linkMs[l][i]: transmission ms of the tensor at position i over
 	// link l (no reply leg — replies ride the last hop back and are
@@ -125,21 +123,10 @@ type chainCurves struct {
 }
 
 func buildChainCurves(g *dag.Graph, ch Chain) *chainCurves {
-	units := profile.LineView(g)
-	f, _, bytes := profile.PriceUnits(g, units, ch.Devices, ch.DType)
-	for _, fd := range f {
-		for i := 1; i < len(fd); i++ {
-			fd[i] += fd[i-1]
-		}
-	}
-	c := &chainCurves{f: f, linkMs: make([][]float64, len(ch.Links)), n: len(units)}
-	c.pareto = (&profile.Curve{F: c.f[0], Bytes: bytes}).ParetoCuts()
+	t := profile.PriceUnits(g, profile.LineView(g), ch.Devices, ch.DType)
+	c := &chainCurves{f: t.Cum(), linkMs: make([][]float64, len(ch.Links)), pareto: profile.ParetoCuts(t.Bytes), n: len(t.Units)}
 	for l, link := range ch.Links {
-		ms := make([]float64, c.n)
-		for i, b := range bytes {
-			ms[i] = link.TxMs(b)
-		}
-		c.linkMs[l] = ms
+		c.linkMs[l] = t.CutMs(link, false)
 	}
 	return c
 }

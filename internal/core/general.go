@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"dnnjps/internal/dag"
 	"dnnjps/internal/flowshop"
@@ -127,10 +128,17 @@ func PlanGeneral(g *dag.Graph, mobile, cloud profile.Device, ch netsim.Channel, 
 		return nil, err
 	}
 
-	// Per-path Algorithm 2 on the Pareto positions of the path's own curve.
+	// Per-path Algorithm 2 on the Pareto positions of the path's own
+	// curve. The replay reads the same priced table: nodeMs[p][i] is
+	// path p's i-th node on the mobile, upMs[p][i] the upload of its
+	// tensor, without the reply leg the curve's G carries per path.
 	plans := make([]crossing, len(paths))
+	nodeMs, upMs := make([][]float64, len(paths)), make([][]float64, len(paths))
 	for pi, path := range paths {
-		plans[pi], err = findCrossing(profile.PathCurve(g, path, mobile, cloud, ch, dt))
+		t := profile.PriceUnits(g, profile.PathUnits(g, path), []profile.Device{mobile, cloud}, dt)
+		// The curve runs the mobile row in place; the replay keeps it per node.
+		nodeMs[pi], upMs[pi] = slices.Clone(t.Ms[0]), t.CutMs(ch, false)
+		plans[pi], err = findCrossing(t.Curve(g.Name()+"/path", ch))
 		if err != nil {
 			return nil, fmt.Errorf("core: path %d: %w", pi, err)
 		}
@@ -184,17 +192,17 @@ func PlanGeneral(g *dag.Graph, mobile, cloud profile.Device, ch netsim.Channel, 
 			pj := jobs[fj.ID]
 			path := paths[pj.Path]
 			var a float64
-			for _, id := range path[:pj.Cut+1] {
+			for i, id := range path[:pj.Cut+1] {
 				if !executed[pj.Job][id] {
 					executed[pj.Job][id] = true
-					a += mobile.LayerTimeMs(g, id)
+					a += nodeMs[pj.Path][i]
 				}
 			}
 			var b float64
 			cutNode := path[pj.Cut]
 			if pj.Cut < len(path)-1 && !uploaded[pj.Job][cutNode] {
 				uploaded[pj.Job][cutNode] = true
-				b = ch.TxMs(g.OutBytes(cutNode, dt))
+				b = upMs[pj.Path][pj.Cut]
 			}
 			pj.ActualF, pj.ActualG = a, b
 			seq = append(seq, pj)
@@ -266,11 +274,10 @@ func PlanGeneralBest(g *dag.Graph, mobile, cloud profile.Device, ch netsim.Chann
 // generalFromLinePlan lifts a line-view plan into the GeneralPlan
 // shape so callers get a uniform result type.
 func generalFromLinePlan(g *dag.Graph, curve *profile.Curve, p *Plan, name string) *GeneralPlan {
-	units := profile.LineView(g)
-	n := len(p.Cuts)
-	cutNodes := make([][]int, n)
+	exits := slices.Clone(g.Articulations()) // the line view's unit exits
+	cutNodes := make([][]int, len(p.Cuts))
 	for j, cut := range p.Cuts {
-		cutNodes[j] = []int{units[cut].Exit}
+		cutNodes[j] = []int{exits[cut]}
 	}
 	seq := make([]PathJob, len(p.Sequence))
 	for i, fj := range p.Sequence {
@@ -281,18 +288,10 @@ func generalFromLinePlan(g *dag.Graph, curve *profile.Curve, p *Plan, name strin
 	}
 	return &GeneralPlan{
 		Method:   "JPS-general/" + name,
-		Paths:    [][]int{unitExits(units)},
+		Paths:    [][]int{exits},
 		Sequence: seq,
 		Makespan: p.Makespan,
 		CutNodes: cutNodes,
 		Channel:  curve.Channel,
 	}
-}
-
-func unitExits(units []profile.Unit) []int {
-	out := make([]int, len(units))
-	for i, u := range units {
-		out[i] = u.Exit
-	}
-	return out
 }

@@ -83,8 +83,9 @@ func (x crossing) binarySearch() (CutSearch, error) {
 // l*-1 and n-m at l*, with m : (n-m) = ratio : 1 (rounded down, then
 // clamped to [0, n]). This is the paper's literal integer-ratio rule;
 // it degrades badly when the true ratio is below 1 (the floor sends
-// every job to l*), so JPS uses BalancedSplit instead and this rule is
-// kept for the JPSPaperRatio ablation.
+// every job to l*), so JPS tries the two splits flanking the exact
+// balance point before it (crossing.splits); alone, it is the
+// JPSPaperRatio ablation.
 func MixCounts(n, ratio int) (atPrev, atLStar int) {
 	if n <= 0 {
 		return 0, 0
@@ -99,16 +100,11 @@ func MixCounts(n, ratio int) (atPrev, atLStar int) {
 	return m, n - m
 }
 
-// BalancedSplit solves the exact Theorem 5.3 balance condition
-// m·(g(l*-1) − f(l*-1)) = (n−m)·(f(l*) − g(l*)) for the real-valued m
-// and returns the two adjacent integer candidates (clamped to [0, n]).
-// The caller evaluates both and keeps the better makespan — an O(1)
-// refinement of the paper's floored ratio.
-func BalancedSplit(c *profile.Curve, lstar, n int) (lo, hi int) {
-	return crossing{c: c}.balancedSplit(lstar, n)
-}
-
-// balancedSplit is BalancedSplit on x's positions.
+// balancedSplit solves the exact Theorem 5.3 balance condition
+// m·(g(l*-1) − f(l*-1)) = (n−m)·(f(l*) − g(l*)) on x's positions for
+// the real-valued m and returns the two adjacent integer candidates
+// (clamped to [0, n]). The caller evaluates both and keeps the better
+// makespan — an O(1) refinement of the paper's floored ratio.
 func (x crossing) balancedSplit(lstar, n int) (lo, hi int) {
 	surplusPrev := x.g(lstar-1) - x.f(lstar-1) // > 0 by the invariant
 	surplusCur := x.f(lstar) - x.g(lstar)      // >= 0 at l*

@@ -17,38 +17,34 @@ type BlockStat struct {
 	Bytes    int
 }
 
-// BlockProfile groups the per-unit costs of a PriceUnits walk of the
-// line view by block label, reproducing the per-layer breakdown of
-// Fig. 4 (where each x-axis "layer" is a block of conv/pool/activation
-// operations).
+// BlockProfile groups the line view's priced table by block label,
+// reproducing the per-layer breakdown of Fig. 4 (where each x-axis
+// "layer" is a block of conv/pool/activation operations).
 func BlockProfile(g *dag.Graph, mobile, cloud Device, ch netsim.Channel, dt tensor.DType) []BlockStat {
-	units := LineView(g)
-	ms, _, bytes := PriceUnits(g, units, []Device{mobile, cloud}, dt)
-	comm := priceCuts(ch, bytes)
+	t := PriceUnits(g, LineView(g), []Device{mobile, cloud}, dt)
+	comm := t.CutMs(ch, true)
 	var stats []BlockStat
-	for i, u := range units {
+	for i, u := range t.Units {
 		if len(stats) == 0 || stats[len(stats)-1].Label != u.Label {
 			stats = append(stats, BlockStat{Label: u.Label})
 		}
 		// A block ships what its last unit ships: nothing for the sink's.
 		last := &stats[len(stats)-1]
-		last.MobileMs += ms[0][i]
-		last.CloudMs += ms[1][i]
+		last.MobileMs += t.Ms[0][i]
+		last.CloudMs += t.Ms[1][i]
 		last.CommMs = comm[i]
-		last.Bytes = bytes[i]
+		last.Bytes = t.Bytes[i]
 	}
 	return stats
 }
 
-// PathCurve profiles one independent path of a converted
-// general-structure DAG (Alg. 3): index i means "cut this path after
-// its i-th node". F cumulates the path's own nodes (the scheduler
-// deduplicates shared prefixes later, per the paper's modified
-// Alg. 1); G is the upload time of the i-th node's tensor.
-func PathCurve(g *dag.Graph, path []int, mobile, cloud Device, ch netsim.Channel, dt tensor.DType) *Curve {
+// PathUnits is one independent path of a converted general-structure
+// DAG (Alg. 3) as units of one node each: position i means "cut this
+// path after its i-th node".
+func PathUnits(g *dag.Graph, path []int) []Unit {
 	units := make([]Unit, len(path))
 	for i, id := range path {
 		units[i] = Unit{Nodes: path[i : i+1], Exit: id, Label: g.Node(id).Layer.Name()}
 	}
-	return curveOf(g.Name()+"/path", g, units, mobile, cloud, ch, dt)
+	return units
 }

@@ -90,95 +90,118 @@ type Curve struct {
 // Len returns the number of cut positions.
 func (c *Curve) Len() int { return len(c.F) }
 
-// PriceUnits is the one walk that prices units on devices, and the only
-// place a curve, block profile or chain looks a layer's time up: ms[d][i]
-// is unit i's compute on devs[d], total[d] the same nodes summed one by
-// one in run order (Device.TotalTimeMs over a LineView), and bytes[i]
-// the tensor leaving unit i, 0 for the last, whose result stays put.
-func PriceUnits(g *dag.Graph, units []Unit, devs []Device, dt tensor.DType) (ms [][]float64, total []float64, bytes []int) {
-	ms = make([][]float64, len(devs))
-	for d := range ms {
-		ms[d] = make([]float64, len(units))
-	}
-	total = make([]float64, len(devs))
-	bytes = make([]int, len(units))
-	for i, u := range units {
-		for d, dev := range devs {
+// Table is units priced on devices, the one place a layer's time or a
+// tensor's size is looked up: Ms[d][i] is unit i's compute on devs[d],
+// Total[d] the same nodes summed one by one in run order
+// (Device.TotalTimeMs over a LineView), and Bytes[i] the tensor leaving
+// unit i, 0 for the last, whose result stays put. A curve, a block
+// profile, a chain's columns and Alg. 3's replay are its views; a view
+// that runs a row left to right (Cum) does so in place.
+type Table struct {
+	Units []Unit
+	Ms    [][]float64
+	Total []float64
+	Bytes []int
+}
+
+// PriceUnits walks units on devs once into their Table.
+func PriceUnits(g *dag.Graph, units []Unit, devs []Device, dt tensor.DType) Table {
+	t := Table{Units: units, Ms: make([][]float64, len(devs)), Total: make([]float64, len(devs)), Bytes: make([]int, len(units))}
+	for d, dev := range devs {
+		t.Ms[d] = make([]float64, len(units))
+		for i, u := range units {
 			for _, id := range u.Nodes {
-				t := dev.LayerTimeMs(g, id)
-				ms[d][i] += t
-				total[d] += t
+				ms := dev.LayerTimeMs(g, id)
+				t.Ms[d][i] += ms
+				t.Total[d] += ms
 			}
 		}
-		if i < len(units)-1 {
-			bytes[i] = g.OutBytes(u.Exit, dt)
+	}
+	for i := 0; i < len(units)-1; i++ {
+		t.Bytes[i] = g.OutBytes(units[i].Exit, dt)
+	}
+	return t
+}
+
+// Cum runs every device's row left to right, in place, and returns the
+// rows: Ms[d][i] becomes the compute through unit i on devs[d].
+func (t Table) Cum() [][]float64 {
+	for _, row := range t.Ms {
+		for i := 1; i < len(row); i++ {
+			row[i] += row[i-1]
 		}
 	}
-	return ms, total, bytes
+	return t.Ms
 }
 
-// BuildCurve profiles a graph into its cut curve. The graph is viewed
-// as a line of units (see LineView); general-structure models are
-// thereby planned at virtual-block granularity, while Alg. 3 callers
-// use per-path curves built with PathCurve.
-func BuildCurve(g *dag.Graph, mobile, cloud Device, ch netsim.Channel, dt tensor.DType) *Curve {
-	return curveOf(g.Name(), g, LineView(g), mobile, cloud, ch, dt)
-}
+// CutMs prices every cut on ch by the one g rule, priceCuts, with or
+// without the reply leg.
+func (t Table) CutMs(ch netsim.Channel, reply bool) []float64 { return priceCuts(ch, t.Bytes, reply) }
 
-// curveOf assembles the cut curve of units from one PriceUnits walk on
-// mobile and cloud: F cumulates the mobile time unit by unit, CloudMs is
-// what the cloud has left to run after each unit, G prices each cut.
-func curveOf(model string, g *dag.Graph, units []Unit, mobile, cloud Device, ch netsim.Channel, dt tensor.DType) *Curve {
-	ms, total, bytes := PriceUnits(g, units, []Device{mobile, cloud}, dt)
+// Curve is the cut curve of a table priced on mobile then cloud, made
+// from its rows in place: F is the mobile compute through each unit,
+// CloudMs what the cloud has left to run after it, G each cut on ch
+// with the reply leg.
+func (t Table) Curve(model string, ch netsim.Channel) *Curve {
+	cum := t.Cum()
 	c := &Curve{
 		Model:   model,
 		Channel: ch,
-		F:       ms[0],
-		G:       priceCuts(ch, bytes),
-		CloudMs: ms[1],
-		Bytes:   bytes,
-		Labels:  make([]string, len(units)),
+		F:       cum[0],
+		G:       t.CutMs(ch, true),
+		CloudMs: cum[1],
+		Bytes:   t.Bytes,
+		Labels:  make([]string, len(t.Units)),
 	}
-	var cloudCum float64
-	for i, u := range units {
-		if i > 0 {
-			c.F[i] += c.F[i-1]
-		}
-		cloudCum += c.CloudMs[i]
+	for i, u := range t.Units {
 		// max with 0 absorbs float residue in the final positions.
-		c.CloudMs[i] = max(total[1]-cloudCum, 0)
+		c.CloudMs[i] = max(t.Total[1]-c.CloudMs[i], 0)
 		c.Labels[i] = u.Label
 	}
 	return c
 }
 
+// BuildCurve profiles a graph into its cut curve. The graph is viewed
+// as a line of units (see LineView); general-structure models are
+// thereby planned at virtual-block granularity, while Alg. 3 prices
+// each path's own units (PathUnits).
+func BuildCurve(g *dag.Graph, mobile, cloud Device, ch netsim.Channel, dt tensor.DType) *Curve {
+	return PriceUnits(g, LineView(g), []Device{mobile, cloud}, dt).Curve(g.Name(), ch)
+}
+
 // priceCuts is the one g rule: a cut costs the upload of the tensor
-// crossing it (w0 + bytes/bandwidth) plus, on channels that model the
-// downlink, the reply frame's transit; a cut that ships nothing costs 0.
-func priceCuts(ch netsim.Channel, bytes []int) []float64 {
+// crossing it (w0 + bytes/bandwidth) plus, with reply on a channel that
+// models the downlink, the reply frame's transit; a cut that ships
+// nothing costs 0.
+func priceCuts(ch netsim.Channel, bytes []int, reply bool) []float64 {
 	g := make([]float64, len(bytes))
 	for i, b := range bytes {
-		if b > 0 {
-			g[i] = ch.TxMs(b) + ch.RxMs(ReplyBytes)
+		g[i] = ch.TxMs(b)
+		if b > 0 && reply {
+			g[i] += ch.RxMs(ReplyBytes)
 		}
 	}
 	return g
 }
 
-// ParetoCuts returns the candidate cut indices after virtual-block
-// clustering (§3.2): a cut is kept only when its upload volume is
-// strictly smaller than every earlier cut's, because a later cut with
-// equal-or-larger volume costs more compute AND more communication and
-// can never be optimal. The last index (local-only) is always kept.
-// The result is sized once: one walk counts the kept cuts, a second
-// fills them in.
-func (c *Curve) ParetoCuts() []int {
+// ParetoCuts is the curve's candidate cut indices, read from its cut
+// volumes (see ParetoCuts).
+func (c *Curve) ParetoCuts() []int { return ParetoCuts(c.Bytes) }
+
+// ParetoCuts returns the candidate cut indices of the cut volumes bytes
+// after virtual-block clustering (§3.2): a cut is kept only when its
+// upload volume is strictly smaller than every earlier cut's, because a
+// later cut with equal-or-larger volume costs more compute AND more
+// communication and can never be optimal. The last index (local-only)
+// is always kept. The result is sized once: one walk counts the kept
+// cuts, a second fills them in.
+func ParetoCuts(bytes []int) []int {
 	walk := func(keep func(i int)) {
 		best := int(^uint(0) >> 1)
-		for i := 0; i < c.Len(); i++ {
-			if i == c.Len()-1 || c.Bytes[i] < best {
+		for i, b := range bytes {
+			if i == len(bytes)-1 || b < best {
 				keep(i)
-				best = min(best, c.Bytes[i])
+				best = min(best, b)
 			}
 		}
 	}
@@ -218,7 +241,7 @@ func (c *Curve) Restrict(cuts []int) (*Curve, []int) {
 // re-planning when the measured uplink diverges from the profiled one.
 // F, CloudMs and Bytes are device properties and carry over unchanged.
 func (c *Curve) Reprice(ch netsim.Channel) *Curve {
-	return c.withG(c.Model, ch, priceCuts(ch, c.Bytes))
+	return c.withG(c.Model, ch, priceCuts(ch, c.Bytes, true))
 }
 
 // withG is the curve under a new model name and channel with G

@@ -57,18 +57,14 @@ func (d Device) LayerTimeMs(g *dag.Graph, id int) float64 {
 	return d.LayerOverheadMs + n.FLOPs/tp
 }
 
-// NodesTimeMs sums LayerTimeMs over a set of node IDs.
-func (d Device) NodesTimeMs(g *dag.Graph, ids []int) float64 {
+// TotalTimeMs is the device time for the whole graph, its nodes summed
+// in topological order.
+func (d Device) TotalTimeMs(g *dag.Graph) float64 {
 	var sum float64
-	for _, id := range ids {
+	for _, id := range g.Topo() {
 		sum += d.LayerTimeMs(g, id)
 	}
 	return sum
-}
-
-// TotalTimeMs is the device time for the whole graph.
-func (d Device) TotalTimeMs(g *dag.Graph) float64 {
-	return d.NodesTimeMs(g, g.Topo())
 }
 
 // RaspberryPi4 models the paper's mobile device (quad-core Cortex-A72,

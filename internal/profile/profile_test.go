@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"dnnjps/internal/dag"
 	"dnnjps/internal/models"
 	"dnnjps/internal/netsim"
 	"dnnjps/internal/nn"
@@ -437,4 +438,12 @@ func TestBuildCurveAllocs(t *testing.T) {
 			t.Errorf("BuildCurve(%s, 4G) = %.0f allocs/run, want %.0f", c.model, got, c.want)
 		}
 	}
+}
+
+// PathCurve is one path's cut curve, as Alg. 3 prices it: F cumulates
+// the path's own nodes (the scheduler deduplicates shared prefixes
+// later, per the paper's modified Alg. 1); G is the upload time of the
+// i-th node's tensor.
+func PathCurve(g *dag.Graph, path []int, mobile, cloud Device, ch netsim.Channel, dt tensor.DType) *Curve {
+	return PriceUnits(g, PathUnits(g, path), []Device{mobile, cloud}, dt).Curve(g.Name()+"/path", ch)
 }
