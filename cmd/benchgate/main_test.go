@@ -13,11 +13,12 @@ import (
 )
 
 // today is `go test -bench` output as the gate's six runs print it on
-// the 2-proc reference host, which has AVX-512 (so the avx2 legs run),
-// cut down to the legs the rules read plus one ungated neighbour of
-// each family. asm/n=128 and the ScheduleM legs keep their three
-// -count repetitions; BenchmarkReadTensor runs once, at -cpu 1 (so no
-// -2 suffix), and reports its median decode/copy pair ratio itself.
+// the 2-proc reference host, which has AVX-512 (so the asm-avx2 legs
+// run), cut down to the legs the rules read plus one ungated neighbour
+// of each family. asm/n=128, asm-avx2/n=128 and the ScheduleM legs keep
+// their three -count repetitions; BenchmarkReadTensor runs once, at
+// -cpu 1 (so no -2 suffix). It and the asm-avx2 legs report their
+// median pair ratio themselves, with the least and the greatest.
 const today = `goos: linux
 goarch: amd64
 pkg: dnnjps/internal/engine
@@ -35,15 +36,16 @@ BenchmarkBatchedForward/N=1/convspan-2          	       3	  16591615 ns/op	  165
 BenchmarkBatchedForward/N=8/convspan-2          	       3	 122121071 ns/op	  15265040 ns/inference	  297416 B/op	      45 allocs/op
 BenchmarkSgemmCrossover/panel/n=64-2            	       3	   5870401 ns/op	         3.216 MAC/ns	       0 B/op	       0 allocs/op
 BenchmarkSgemmCrossover/asm/n=64-2              	       3	    369808 ns/op	        51.06 MAC/ns	       0 B/op	       0 allocs/op
-BenchmarkSgemmCrossover/avx2/n=64-2             	       3	    554825 ns/op	        34.05 MAC/ns	       0 B/op	       0 allocs/op
 BenchmarkSgemmCrossover/panel/n=128-2           	       3	  10670189 ns/op	         3.538 MAC/ns	       0 B/op	       0 allocs/op
 BenchmarkSgemmCrossover/asm/n=128-2             	       3	    736066 ns/op	        51.31 MAC/ns	       0 B/op	       0 allocs/op
 BenchmarkSgemmCrossover/asm/n=128-2             	       3	    691620 ns/op	        54.60 MAC/ns	       0 B/op	       0 allocs/op
 BenchmarkSgemmCrossover/asm/n=128-2             	       3	    762435 ns/op	        49.54 MAC/ns	       0 B/op	       0 allocs/op
-BenchmarkSgemmCrossover/avx2/n=128-2            	       3	   1100481 ns/op	        34.31 MAC/ns	       0 B/op	       0 allocs/op
+BenchmarkSgemmCrossover/asm-avx2/n=128-2        	       3	   2020365 ns/op	         0.6839 asm/avx2	         0.8528 max-asm/avx2	         0.5891 min-asm/avx2	       0 B/op	       0 allocs/op
+BenchmarkSgemmCrossover/asm-avx2/n=128-2        	       3	   1986290 ns/op	         0.7343 asm/avx2	         0.9114 max-asm/avx2	         0.6004 min-asm/avx2	       0 B/op	       0 allocs/op
+BenchmarkSgemmCrossover/asm-avx2/n=128-2        	       3	   2110737 ns/op	         0.7900 asm/avx2	         0.9423 max-asm/avx2	         0.6392 min-asm/avx2	       0 B/op	       0 allocs/op
 BenchmarkSgemmCrossover/panel/n=1024-2          	       3	  98485173 ns/op	         3.066 MAC/ns	       0 B/op	       0 allocs/op
 BenchmarkSgemmCrossover/asm/n=1024-2            	       3	   7246325 ns/op	        41.68 MAC/ns	       0 B/op	       0 allocs/op
-BenchmarkSgemmCrossover/avx2/n=1024-2           	       3	  13332165 ns/op	        22.65 MAC/ns	       0 B/op	       0 allocs/op
+BenchmarkSgemmCrossover/asm-avx2/n=1024-2       	       3	  19437110 ns/op	         0.7727 asm/avx2	         0.9328 max-asm/avx2	         0.6339 min-asm/avx2	       0 B/op	       0 allocs/op
 PASS
 ok  	dnnjps/internal/engine	9.928s
 goos: linux
@@ -58,7 +60,7 @@ goos: linux
 goarch: amd64
 pkg: dnnjps/internal/runtime
 cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
-BenchmarkReadTensor   	    3000	     14873 ns/op	        12.31 decode/copy	      1077 ns/copy	     13259 ns/decode	   65631 B/op	       3 allocs/op
+BenchmarkReadTensor   	    3000	     14873 ns/op	        12.31 decode/copy	        14.02 max-decode/copy	        10.87 min-decode/copy	      1077 ns/copy	     13259 ns/decode	   65631 B/op	       3 allocs/op
 PASS
 ok  	dnnjps/internal/runtime	0.101s
 goos: linux
@@ -151,15 +153,17 @@ func TestEvaluate(t *testing.T) {
 	}{
 		{"today's ratios", today, true, 13, "ok BenchmarkRunnerAdaptive/adaptive over BenchmarkRunnerAdaptive/static = 1.00x"},
 		// 691620 is the fastest of three asm/n=128 repetitions; the gate
-		// reads it, not the 736066 printed first: 0.628, not 0.669.
-		{"repetitions collapse before the ratio", today, true, 13, "BenchmarkSgemmCrossover/asm/n=128 over BenchmarkSgemmCrossover/avx2/n=128 = 0.63x"},
+		// reads it, not the 736066 printed first: 0.0648, not 0.0690. Of
+		// the paired repetitions it reads the fastest pairs' median.
+		{"repetitions collapse before the ratio", today, true, 13, "BenchmarkSgemmCrossover/asm/n=128 over BenchmarkSgemmCrossover/panel/n=128 = 0.06x"},
+		{"paired repetitions collapse to the fastest", today, true, 13, "ok BenchmarkSgemmCrossover/asm-avx2/n=128 asm/avx2 = 0.73x"},
 
 		// Each bound from both sides, one leg moved to just under and just
 		// over it: 0.9 twice, 0.6 twice, 0.16, 1.15, 17.
 		{"asm tile at 0.89x of the panel loop", swap("98485173 ns/op", "8142000 ns/op"), true, 13, "panel/n=1024 = 0.89x"},
 		{"asm tile at 0.91x", swap("98485173 ns/op", "7963000 ns/op"), false, 13, "FAIL BenchmarkSgemmCrossover/asm/n=1024 7246325 ns/op over BenchmarkSgemmCrossover/panel/n=1024"},
-		{"AVX-512 tile at 0.89x of the AVX2 tile", swap("13332165 ns/op", "8142000 ns/op"), true, 13, "avx2/n=1024 = 0.89x"},
-		{"AVX-512 tile at 0.91x: running narrow", swap("13332165 ns/op", "7963000 ns/op"), false, 13, "FAIL BenchmarkSgemmCrossover/asm/n=1024 7246325 ns/op over BenchmarkSgemmCrossover/avx2/n=1024"},
+		{"AVX-512 tile at 0.89x of the AVX2 tile", swap("0.7727 asm/avx2", "0.89 asm/avx2"), true, 13, "ok BenchmarkSgemmCrossover/asm-avx2/n=1024 asm/avx2 = 0.89x"},
+		{"AVX-512 tile at 0.91x: running narrow", swap("0.7727 asm/avx2", "0.91 asm/avx2"), false, 13, "FAIL BenchmarkSgemmCrossover/asm-avx2/n=1024 asm/avx2 = 0.91x > 0.90x"},
 		{"a width under 128 is not gated", swap("369808 ns/op", "6000000 ns/op"), true, 13, ""},
 		{"conv suffix at 0.59x of N=1", swap("9295156 ns/inference", "16000000 ns/inference"), true, 13, "convsuffix = 0.59x"},
 		{"conv suffix at 0.63x", swap("9295156 ns/inference", "17000000 ns/inference"), false, 13, "FAIL BenchmarkBatchedForward/N=32/convsuffix"},
@@ -174,11 +178,12 @@ func TestEvaluate(t *testing.T) {
 		{"wire decode at 16.99x of the copy", swap("12.31 decode/copy", "16.99 decode/copy"), true, 13, "ok BenchmarkReadTensor decode/copy = 16.99x (bound 17.00x)"},
 		{"wire decode at 17.01x: the payload is converted again", swap("12.31 decode/copy", "17.01 decode/copy"), false, 13, "FAIL BenchmarkReadTensor decode/copy = 17.01x > 17.00x"},
 
-		{"no asm legs: both asm rules skip", dropLines(today, "SgemmCrossover/asm/"), true, 9, "skip BenchmarkSgemmCrossover/asm/n=* over BenchmarkSgemmCrossover/panel/n=*"},
-		{"no avx2 legs (no AVX-512): that rule skips", dropLines(today, "SgemmCrossover/avx2/"), true, 11, "skip BenchmarkSgemmCrossover/asm/n=* over BenchmarkSgemmCrossover/avx2/n=*"},
-		{"asm legs, none at a gated width", dropLines(dropLines(today, "asm/n=128"), "asm/n=1024"), false, 9, "FAIL BenchmarkSgemmCrossover/asm/n=*"},
+		{"no asm legs: both asm rules skip", dropLines(today, "SgemmCrossover/asm"), true, 9, "skip BenchmarkSgemmCrossover/asm/n=* over BenchmarkSgemmCrossover/panel/n=*"},
+		{"no paired legs (no AVX-512): that rule skips", dropLines(today, "SgemmCrossover/asm-avx2/"), true, 11, "skip BenchmarkSgemmCrossover/asm-avx2/n=*"},
+		{"asm legs, none at a gated width", dropLines(dropLines(today, "asm/n=128"), "asm/n=1024"), false, 11, "FAIL BenchmarkSgemmCrossover/asm/n=*"},
+		{"paired legs, none at a gated width", strings.NewReplacer("asm-avx2/n=128", "asm-avx2/n=32", "asm-avx2/n=1024", "asm-avx2/n=64").Replace(today), false, 11, "FAIL BenchmarkSgemmCrossover/asm-avx2/n=*"},
 		{"asm leg without its panel leg", dropLines(today, "panel/n=1024"), false, 12, "FAIL BenchmarkSgemmCrossover/asm/n=1024 over BenchmarkSgemmCrossover/panel/n=1024"},
-		{"asm leg without its avx2 leg", dropLines(today, "avx2/n=1024"), false, 12, "FAIL BenchmarkSgemmCrossover/asm/n=1024 over BenchmarkSgemmCrossover/avx2/n=1024"},
+		{"asm/avx2 column missing", strings.ReplaceAll(today, " asm/avx2", " asm/avx"), false, 11, "FAIL BenchmarkSgemmCrossover/asm-avx2/n=1024: the bench output lacks asm/avx2"},
 		{"N=8/densetail missing", dropLines(today, "N=8/densetail"), false, 12, "FAIL BenchmarkBatchedForward/N=8/densetail"},
 		{"pure-Go dense tail missing", dropLines(today, "densetail/panel"), false, 12, "FAIL BenchmarkBatchedForward/N=8/densetail over BenchmarkBatchedForward/N=1/densetail/panel: the bench output lacks"},
 		{"RunnerAdaptive did not run", dropLines(today, "RunnerAdaptive"), false, 12, "FAIL BenchmarkRunnerAdaptive/adaptive"},
@@ -212,6 +217,27 @@ func TestEvaluate(t *testing.T) {
 		if !pass && !strings.Contains(all, "FAIL") {
 			t.Errorf("%s: failed without saying why:\n%s", c.name, all)
 		}
+	}
+
+	// A rule over paired legs records the pairs' spread beside their
+	// median; a rule over two legs has none to record.
+	_, rows := parseBench(today)
+	ratios, _, _ := evaluate(rules, rows)
+	want := map[string][3]float64{
+		"BenchmarkSgemmCrossover/asm-avx2/n=1024": {0.7727, 0.6339, 0.9328},
+		"BenchmarkReadTensor":                     {12.31, 10.87, 14.02},
+		"BenchmarkSgemmCrossover/asm/n=1024":      {7246325.0 / 98485173, 0, 0},
+	}
+	for _, q := range ratios {
+		if w, ok := want[q.Num]; ok {
+			if got := [3]float64{q.Ratio, q.Min, q.Max}; got != w {
+				t.Errorf("%s: ratio, min, max %v, want %v", q.Num, got, w)
+			}
+			delete(want, q.Num)
+		}
+	}
+	if len(want) > 0 {
+		t.Errorf("no ratio recorded for %v", want)
 	}
 }
 

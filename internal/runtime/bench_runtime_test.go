@@ -383,7 +383,8 @@ func BenchmarkWriteJob(b *testing.B) {
 // readTensorPairs pairs of equal runs, first one leg and then the other
 // leading, so both read whatever state the host is in; the bench gate
 // runs it at -cpu 1 and holds the median per-pair ratio, reported as
-// decode/copy. An op is one decode and one copy.
+// decode/copy (the least and greatest as min- and max-decode/copy). An
+// op is one decode and one copy.
 func BenchmarkReadTensor(b *testing.B) {
 	var buf bytes.Buffer
 	if _, err := writeTensorSum(&buf, boundary{T: tensor.New(tensor.NewCHW(16, 32, 32))}, 0); err != nil {
@@ -418,7 +419,9 @@ func BenchmarkReadTensor(b *testing.B) {
 	for p := range ratios {
 		ratios[p] = ns[0][p] / ns[1][p]
 	}
-	b.ReportMetric(medianOf(ratios[:]), "decode/copy")
+	b.ReportMetric(medianOf(ratios[:]), "decode/copy") // sorts ratios
+	b.ReportMetric(ratios[0], "min-decode/copy")
+	b.ReportMetric(ratios[readTensorPairs-1], "max-decode/copy")
 	b.ReportMetric(medianOf(ns[0][:]), "ns/decode")
 	b.ReportMetric(medianOf(ns[1][:]), "ns/copy")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(per*readTensorPairs), "ns/op")
