@@ -74,9 +74,10 @@ var rules = []rule{
 	// and fails. With the two tiles timed best of three in separate
 	// legs, one after the other, the rule failed 9 of the 32 gate runs
 	// recorded with it, on unchanged tiles (0.92–1.04 at one or two
-	// widths), and one binary read 0.52–1.06; paired, the medians read
-	// 0.68–0.83 in six runs of one binary, the pairs 0.39–1.17 around
-	// them.
+	// widths), and one binary read 0.52–1.06. Paired, 20 consecutive
+	// gate runs read medians of 0.66–0.80 (single pairs 0.20–3.16), and
+	// with the AVX-512 probe forced off in a scratch tree 10 of 10 runs
+	// failed it at every width (0.91–1.09).
 	{num: "BenchmarkSgemmCrossover/asm-avx2/n=*", unit: "asm/avx2", bound: 0.9, minStar: 128,
 		skip: "the paired legs run only with the asm path live and avx512f in /proc/cpuinfo"},
 	// Filling a batch must amortize packing across images, on the dense

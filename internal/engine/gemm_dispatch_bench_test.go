@@ -26,6 +26,7 @@ func BenchmarkSgemmCrossover(b *testing.B) {
 	for i := range a {
 		a[i] = float32(i%13) * 0.125
 	}
+	paired := asmEnabled() && slices.Contains(cpuInfoFlags(), "avx512f")
 	for _, n := range []int{16, 32, 64, 128, 256, 512, 1024} {
 		bb := make([]float32, k*n)
 		c := make([]float32, m*n)
@@ -48,7 +49,7 @@ func BenchmarkSgemmCrossover(b *testing.B) {
 		if asmEnabled() {
 			b.Run(fmt.Sprintf("asm/n=%d", n), asm)
 		}
-		if asmEnabled() && n >= 128 && slices.Contains(cpuInfoFlags(), "avx512f") {
+		if paired && n >= 128 {
 			b.Run(fmt.Sprintf("asm-avx2/n=%d", n), func(b *testing.B) {
 				gemm := func() { sgemmAsm(m, k, n, k, n, a, bPacker{b: bb, ldb: n}, c, 1) }
 				legs := [2]func(){gemm, func() { onAVX2Tile(gemm) }}
