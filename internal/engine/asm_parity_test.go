@@ -475,75 +475,6 @@ func FuzzQgemmAsmVsScalar(f *testing.F) {
 	})
 }
 
-// TestConvFusedIm2colParity drives the fused-im2col B packer against
-// the materialized patch matrix: for each conv geometry, pack strips
-// through bPacker in conv mode and through plain mode over the
-// im2colGroup output, and require identical bytes. This isolates the
-// packer from the tile so a window-splitting bug cannot hide behind
-// the FMA tolerance.
-func TestConvFusedIm2colParity(t *testing.T) {
-	cases := []struct {
-		inC, inH, inW                 int
-		kh, kw, stride, padH, padW, n int
-	}{
-		{3, 15, 15, 3, 3, 1, 1, 1, 1},
-		{4, 13, 13, 5, 5, 3, 2, 2, 1},
-		{2, 9, 9, 7, 7, 1, 3, 3, 1},
-		{4, 10, 12, 1, 3, 1, 0, 1, 1},
-		{3, 15, 15, 3, 3, 1, 1, 1, 4}, // batched: windows split at image seams
-		{2, 7, 9, 3, 1, 2, 1, 0, 3},
-	}
-	for ci, c := range cases {
-		t.Run(fmt.Sprintf("case%d", ci), func(t *testing.T) {
-			outH := (c.inH+2*c.padH-c.kh)/c.stride + 1
-			outW := (c.inW+2*c.padW-c.kw)/c.stride + 1
-			hw := outH * outW
-			kSize := c.inC * c.kh * c.kw
-			rng := rand.New(rand.NewSource(int64(ci + 5)))
-			src := make([]float32, c.inC*c.n*c.inH*c.inW)
-			for i := range src {
-				src[i] = float32(rng.NormFloat64())
-			}
-			// Reference patch matrix, one image at a time (the packed
-			// batch layout keeps each (channel, image) plane contiguous).
-			ref := make([]float32, kSize*hw*c.n)
-			for b := 0; b < c.n; b++ {
-				for kr := 0; kr < kSize; kr++ {
-					ch := kr / (c.kh * c.kw)
-					r := kr % (c.kh * c.kw) / c.kw
-					s := kr % c.kw
-					im2colRow(src, ref[kr*hw*c.n+b*hw:kr*hw*c.n+(b+1)*hw], 0,
-						(ch*c.n+b)*c.inH*c.inW, r, s, c.inH, c.inW, c.stride, c.padH, c.padW, outH, outW)
-				}
-			}
-			conv := bPacker{conv: true, src: src, inH: c.inH, inW: c.inW,
-				kh: c.kh, kw: c.kw, stride: c.stride, padH: c.padH, padW: c.padW,
-				outW: outW, cLo: 0, n: c.n, hw: hw}
-			plain := bPacker{b: ref, ldb: hw * c.n}
-			nTot := hw * c.n
-			for _, win := range []struct{ kp, kc, jp, nc int }{
-				{0, kSize, 0, nTot},
-				{kSize / 3, kSize - kSize/3, nTot / 3, nTot - nTot/3},
-				{1, min(5, kSize-1), 3, min(2*asmNR+5, nTot-3)},
-			} {
-				if win.kc < 1 || win.nc < 1 {
-					continue
-				}
-				strips := (win.nc + asmNR - 1) / asmNR * asmNR
-				got := make([]float32, strips*win.kc)
-				want := make([]float32, strips*win.kc)
-				conv.pack(win.kp, win.kc, win.jp, win.nc, got)
-				plain.pack(win.kp, win.kc, win.jp, win.nc, want)
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("window %+v: packed[%d] = %g, want %g", win, i, got[i], want[i])
-					}
-				}
-			}
-		})
-	}
-}
-
 // TestQuantizeSpanAsmParity: the AVX2 activation-quantization kernel
 // is byte-exact against the scalar math.Round loop — the lane math is
 // the same float64 arithmetic, and the trunc/bump decomposition of

@@ -35,7 +35,11 @@ import "sync"
 // plain row-major matrix or synthesizes patch-matrix windows straight
 // from a conv input tensor (fused im2col — the kSize x bt·hw column
 // buffer that conv2dGEMM materializes for the panel loop never exists
-// on this path; windows span the image boundaries of a packed batch).
+// on this path). Each patch row of a K panel is lowered across the
+// whole column block in one call of im2colRow, the lowering the
+// materialized path runs too, into a row in pack's frame, which is then
+// laid into the strips 16 floats at a time; the block's window may
+// start mid-image and span the image seams of a packed batch.
 // Second, the tile uses FMA: one rounding per multiply-add instead of
 // two. Accumulation still visits k in ascending order with a single
 // accumulator per C element, but float32 results differ from the
@@ -158,26 +162,25 @@ type bPacker struct {
 
 // pack fills dst with the asmNR-column strips covering columns
 // [jp, jp+nc) of rows [kp, kp+kc) of the (virtual) B matrix, padding
-// the last strip with zeros to full width.
+// the last strip with zeros to full width. nc is at most asmNC: one
+// column block of the driver.
 func (p bPacker) pack(kp, kc, jp, nc int, dst []float32) {
 	if !p.conv {
 		p.packPlain(kp, kc, jp, nc, dst)
 		return
 	}
 	// Row kp+kk of the patch matrix is kernel offset (r, s) of input
-	// channel ci; walk the decomposition incrementally.
+	// channel ci; walk the decomposition incrementally. Each row is
+	// lowered over all nc columns in one walk, then laid into the
+	// strips; buf past nc is never written, so it pads the last strip.
+	var buf [asmNC + asmNR]float32
 	khw := p.kh * p.kw
-	ci := kp / khw
-	rs := kp % khw
+	ci, rs := kp/khw, kp%khw
 	for kk := 0; kk < kc; kk++ {
-		r, s := rs/p.kw, rs%p.kw
+		im2colRow(p.src, buf[:nc], 0, (p.cLo+ci)*p.n*p.inH*p.inW, rs/p.kw, rs%p.kw,
+			p.inH, p.inW, p.stride, p.padH, p.padW, p.hw/p.outW, p.outW, jp)
 		for j0 := 0; j0 < nc; j0 += asmNR {
-			w := min(asmNR, nc-j0)
-			row := dst[j0*kc+kk*asmNR : j0*kc+kk*asmNR+asmNR]
-			p.fillWindow(row[:w], ci, r, s, jp+j0)
-			for i := w; i < asmNR; i++ {
-				row[i] = 0
-			}
+			copy(dst[j0*kc+kk*asmNR:j0*kc+kk*asmNR+asmNR], buf[j0:j0+asmNR])
 		}
 		if rs++; rs == khw {
 			rs, ci = 0, ci+1
@@ -207,82 +210,6 @@ func (p bPacker) packPlain(kp, kc, jp, nc int, dst []float32) {
 			}
 			si += p.ldb
 		}
-	}
-}
-
-// fillWindow writes len(dst) consecutive patch-matrix values of row
-// (ci, r, s) starting at global column col, splitting the window at
-// image boundaries of the packed batch.
-func (p bPacker) fillWindow(dst []float32, ci, r, s, col int) {
-	di := 0
-	for w := len(dst); w > 0; {
-		bi, pos := col/p.hw, col%p.hw
-		seg := min(w, p.hw-pos)
-		chanBase := ((p.cLo+ci)*p.n + bi) * p.inH * p.inW
-		im2colWindow(p.src, dst[di:di+seg], chanBase, r, s,
-			p.inH, p.inW, p.stride, p.padH, p.padW, p.outW, pos)
-		di += seg
-		col += seg
-		w -= seg
-	}
-}
-
-// im2colWindow writes len(dst) patch-matrix values of the row with
-// kernel offset (r, s) over the input plane at chanBase, for output
-// positions [pos, pos+len(dst)) — the windowed form of im2colRow, with
-// the same padding-is-zero semantics.
-func im2colWindow(src, dst []float32, chanBase, r, s, inH, inW, stride, padH, padW, outW, pos int) {
-	oh := pos / outW
-	ow := pos % outW
-	di := 0
-	for w := len(dst); w > 0; {
-		cnt := min(w, outW-ow)
-		ih := oh*stride - padH + r
-		if ih < 0 || ih >= inH {
-			for i := 0; i < cnt; i++ {
-				dst[di+i] = 0
-			}
-		} else if base := chanBase + ih*inW; stride == 1 {
-			// Valid ow span is contiguous: zero the edges, copy the
-			// middle. Clamp the span to the window from both sides —
-			// it may lie entirely outside it.
-			lo, hi := padW-s, inW+padW-s
-			if lo < ow {
-				lo = ow
-			}
-			if lo > ow+cnt {
-				lo = ow + cnt
-			}
-			if hi > ow+cnt {
-				hi = ow + cnt
-			}
-			if hi < lo {
-				hi = lo
-			}
-			for i := ow; i < lo; i++ {
-				dst[di+i-ow] = 0
-			}
-			if hi > lo {
-				copy(dst[di+lo-ow:di+hi-ow], src[base+lo-padW+s:])
-			}
-			for i := hi; i < ow+cnt; i++ {
-				dst[di+i-ow] = 0
-			}
-		} else {
-			iw := ow*stride - padW + s
-			for i := 0; i < cnt; i++ {
-				if iw >= 0 && iw < inW {
-					dst[di+i] = src[base+iw]
-				} else {
-					dst[di+i] = 0
-				}
-				iw += stride
-			}
-		}
-		di += cnt
-		w -= cnt
-		ow = 0
-		oh++
 	}
 }
 

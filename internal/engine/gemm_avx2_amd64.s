@@ -69,6 +69,10 @@ TEXT ·sgemmTile6x16(SB), NOSPLIT, $0-48
 	VMOVUPS (AX)(R8*2), Y14
 	VMOVUPS 32(AX)(R8*2), Y15
 
+	// Start the loop on a 64-byte boundary: where it lands otherwise
+	// moves with unrelated code, and so did the tile's speed.
+	PCALIGN $64
+
 tileLoop:
 	VMOVUPS (SI), Y0
 	VMOVUPS 32(SI), Y1

@@ -58,6 +58,10 @@ TEXT ·sgemmTile12x16(SB), NOSPLIT, $0-48
 	VMOVUPS (AX)(R8*1), Z14
 	VMOVUPS (AX)(R8*2), Z15
 
+	// Start the loop on a 64-byte boundary: where it lands otherwise
+	// moves with unrelated code, and so did the tile's speed.
+	PCALIGN $64
+
 tileLoop:
 	VMOVUPS (SI), Z0
 	VFMADD231PS.BCST (DI), Z0, Z4

@@ -36,70 +36,76 @@ func im2colTile[T float32 | int8](src, dst []T, pad T, cLo, icpg, inH, inW, kh, 
 
 // im2colTileRows fills patch-matrix rows [lo, hi) of one image tile.
 func im2colTileRows[T float32 | int8](lo, hi int, src, dst []T, pad T, cLo, inH, inW, kh, kw, stride, padH, padW, outH, outW, n, b0, bt int) {
-	hw := outH * outW
-	bhw := bt * hw
+	bhw := bt * outH * outW
 	for k := lo; k < hi; k++ {
 		c := k / (kh * kw)
 		r := k % (kh * kw) / kw
 		s := k % kw
-		for bi := 0; bi < bt; bi++ {
-			im2colRow(src, dst[k*bhw+bi*hw:k*bhw+(bi+1)*hw], pad, ((cLo+c)*n+b0+bi)*inH*inW,
-				r, s, inH, inW, stride, padH, padW, outH, outW)
+		im2colRow(src, dst[k*bhw:(k+1)*bhw], pad, (cLo+c)*n*inH*inW,
+			r, s, inH, inW, stride, padH, padW, outH, outW, b0*outH*outW)
+	}
+}
+
+// im2colRow fills row with one patch-matrix row — kernel offset (r, s)
+// of the input channel whose first image's plane starts at src[chan0] —
+// over the packed batch's columns [col, col+len(row)). Column
+// b·hw + oh·outW + ow is the element (oh·stride − padH + r,
+// ow·stride − padW + s) of image b's plane, or pad where that leaves
+// the plane. The window may start mid-image and mid-output-row and
+// cross image seams: the materialized lowering asks for whole images,
+// the fused packer for one column block. Which output rows and columns
+// land inside the plane is worked out once per call, so each output
+// row is a pad run, one copy (stride 1) or one strided gather with no
+// per-element branch, and a pad run.
+func im2colRow[T float32 | int8](src, row []T, pad T, chan0, r, s, inH, inW, stride, padH, padW, outH, outW, col int) {
+	ohLo, ohHi := validSpan(r-padH, stride, inH, outH)
+	owLo, owHi := validSpan(s-padW, stride, inW, outW)
+	plane, hw := inH*inW, outH*outW
+	base := chan0 + col/hw*plane
+	oh, ow := col%hw/outW, col%outW
+	for di := 0; di < len(row); {
+		d := row[di : di+min(len(row)-di, outW-ow)]
+		di += len(d)
+		lo, hi := 0, 0 // the in-plane span of d
+		if oh >= ohLo && oh < ohHi {
+			lo = min(max(owLo-ow, 0), len(d))
+			hi = max(min(owHi-ow, len(d)), lo)
+		}
+		for i := range d[:lo] {
+			d[i] = pad
+		}
+		if g := d[lo:hi]; len(g) > 0 {
+			si := base + (oh*stride-padH+r)*inW + (ow+lo)*stride - padW + s
+			if stride == 1 {
+				copy(g, src[si:])
+			} else {
+				for i := range g {
+					g[i] = src[si]
+					si += stride
+				}
+			}
+		}
+		for i := hi; i < len(d); i++ {
+			d[i] = pad
+		}
+		if ow = 0; oh+1 < outH {
+			oh++
+		} else {
+			oh, base = 0, base+plane
 		}
 	}
 }
 
-// im2colRow fills one patch-matrix row: kernel offset (r, s) of the
-// input plane at flat offset chanBase — plane (c·n+b) of the packed
-// tensor — one element per output position, pad where the window
-// leaves the plane.
-func im2colRow[T float32 | int8](src, row []T, pad T, chanBase, r, s, inH, inW, stride, padH, padW, outH, outW int) {
-	idx := 0
-	for oh := 0; oh < outH; oh++ {
-		ih := oh*stride - padH + r
-		if ih < 0 || ih >= inH {
-			for i := 0; i < outW; i++ {
-				row[idx] = pad
-				idx++
-			}
-			continue
-		}
-		base := chanBase + ih*inW
-		if stride == 1 {
-			// Valid ow range is a contiguous span: pad the
-			// left/right edges, copy the middle.
-			wLo, wHi := padW-s, inW+padW-s
-			if wLo < 0 {
-				wLo = 0
-			}
-			if wHi > outW {
-				wHi = outW
-			}
-			for i := 0; i < wLo; i++ {
-				row[idx] = pad
-				idx++
-			}
-			if wHi > wLo {
-				copy(row[idx:idx+wHi-wLo], src[base+wLo-padW+s:])
-				idx += wHi - wLo
-			}
-			for i := wHi; i < outW; i++ {
-				row[idx] = pad
-				idx++
-			}
-			continue
-		}
-		iw := s - padW
-		for ow := 0; ow < outW; ow++ {
-			if iw >= 0 && iw < inW {
-				row[idx] = src[base+iw]
-			} else {
-				row[idx] = pad
-			}
-			idx++
-			iw += stride
-		}
+// validSpan returns the output indices [lo, hi), within [0, out), whose
+// input index o·stride + off lies inside [0, in).
+func validSpan(off, stride, in, out int) (lo, hi int) {
+	if off < 0 {
+		lo = (stride - 1 - off) / stride
 	}
+	if last := in - 1 - off; last >= 0 {
+		hi = min(last/stride+1, out)
+	}
+	return min(lo, hi), hi
 }
 
 // seedBias fills row r of C (rows × width, contiguous) with bias[r] —
