@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -203,6 +204,98 @@ func TestAvgAndGlobalPoolNumeric(t *testing.T) {
 	out, _ := m.Forward(input)
 	if out.Data[0] != 5 {
 		t.Errorf("avg = %g, want 5", out.Data[0])
+	}
+}
+
+// poolByTaps is the pooling reference: each output element lists the
+// taps its window covers inside the plane, row by row, and folds them.
+// Max starts from -Inf and keeps a tap only if it is strictly greater,
+// so NaN never wins and the first of ±0 stays. The mean is the float32
+// sum in that order over the number of taps; a window that covers only
+// padding is 0.
+func poolByTaps(src []float32, planes, inH, inW, outH, outW, k, stride, pad int, isMax bool) []float32 {
+	out := make([]float32, 0, planes*outH*outW)
+	for pl := 0; pl < planes; pl++ {
+		plane := src[pl*inH*inW : (pl+1)*inH*inW]
+		for oh := 0; oh < outH; oh++ {
+			for ow := 0; ow < outW; ow++ {
+				var taps []float32
+				for r := 0; r < k; r++ {
+					for c := 0; c < k; c++ {
+						ih, iw := oh*stride-pad+r, ow*stride-pad+c
+						if ih >= 0 && ih < inH && iw >= 0 && iw < inW {
+							taps = append(taps, plane[ih*inW+iw])
+						}
+					}
+				}
+				best, sum := float32(math.Inf(-1)), float32(0)
+				for _, v := range taps {
+					if v > best {
+						best = v
+					}
+					sum += v
+				}
+				switch {
+				case isMax:
+					out = append(out, best)
+				case len(taps) == 0:
+					out = append(out, 0)
+				default:
+					out = append(out, sum/float32(len(taps)))
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestPoolMatchesWindowWalk pins max and average pooling, bit for bit,
+// to poolByTaps over k 1–3, stride 1–3 and pad 0–2: windows clipped by
+// the plane's edges, windows of padding alone (pad ≥ k), planes smaller
+// than the kernel, a packed batch of 1 and 3 and 1–3 workers. Max also
+// meets NaN, ±0 and ±Inf.
+func TestPoolMatchesWindowWalk(t *testing.T) {
+	negZero := float32(math.Copysign(0, -1))
+	special := []float32{float32(math.NaN()), 0, negZero, float32(math.Inf(1)), float32(math.Inf(-1))}
+	const c = 2
+	for _, hw := range [][2]int{{1, 1}, {2, 3}, {5, 5}, {7, 4}} {
+		inH, inW := hw[0], hw[1]
+		for _, n := range []int{1, 3} {
+			planes := c * n
+			finite := randInput(tensor.NewCHW(planes, inH, inW), int64(inH*10+inW+n)).Data
+			for i := 0; i < len(finite); i += 4 {
+				finite[i] = negZero
+			}
+			edgy := append([]float32(nil), finite...)
+			for i := range edgy {
+				if i%3 == 1 {
+					edgy[i] = special[(i/3)%len(special)]
+				}
+			}
+			for k := 1; k <= 3; k++ {
+				for stride := 1; stride <= 3; stride++ {
+					for pad := 0; pad <= 2; pad++ {
+						if inH+2*pad < k || inW+2*pad < k {
+							continue
+						}
+						outH, outW := (inH+2*pad-k)/stride+1, (inW+2*pad-k)/stride+1
+						for _, kind := range []struct {
+							name  string
+							plane planePool
+							src   []float32
+						}{{"max", maxpoolPlane, edgy}, {"avg", avgpoolPlane, finite}} {
+							in, _ := tensor.NewFrom(tensor.NewCHW(planes, inH, inW), kind.src)
+							want := poolByTaps(kind.src, planes, inH, inW, outH, outW, k, stride, pad, kind.name == "max")
+							for workers := 1; workers <= 3; workers++ {
+								got := pool2d(nil, in, tensor.NewCHW(c, outH, outW), k, stride, pad, workers, n, kind.plane)
+								assertSameBits(t, fmt.Sprintf("%s %dx%d n=%d k=%d stride=%d pad=%d workers=%d",
+									kind.name, inH, inW, n, k, stride, pad, workers), got.Data, want)
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }
 
