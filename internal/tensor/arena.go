@@ -39,23 +39,49 @@ func NewArena() *Arena {
 	}
 }
 
+// pop takes, under a's lock, the item of n elements last pushed onto
+// free, one of a's four free lists, if it holds one.
+func pop[T any](a *Arena, free map[int][]T, n int) (x T, ok bool) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	list := free[n]
+	if len(list) == 0 {
+		return x, false
+	}
+	x = list[len(list)-1]
+	list[len(list)-1] = *new(T) // the list no longer holds it
+	free[n] = list[:len(list)-1]
+	return x, true
+}
+
+// push keeps x, of n elements, on free under a's lock, unless free
+// holds maxFreePerSize items of that size already.
+func push[T any](a *Arena, free map[int][]T, n int, x T) {
+	a.mu.Lock()
+	if list := free[n]; len(list) < maxFreePerSize {
+		free[n] = append(list, x)
+	}
+	a.mu.Unlock()
+}
+
+// count is how many items free holds.
+func count[T any](free map[int][]T) (n int) {
+	for _, list := range free {
+		n += len(list)
+	}
+	return n
+}
+
 // Get returns a tensor of the given shape, reusing a free tensor of
 // the exact volume when one is available. Contents are undefined.
 func (a *Arena) Get(shape Shape) *Tensor {
 	if a == nil {
 		return New(shape)
 	}
-	n := shape.Elems()
-	a.mu.Lock()
-	if list := a.tensors[n]; len(list) > 0 {
-		t := list[len(list)-1]
-		list[len(list)-1] = nil
-		a.tensors[n] = list[:len(list)-1]
-		a.mu.Unlock()
+	if t, ok := pop(a, a.tensors, shape.Elems()); ok {
 		t.Shape = shapeInto(t.Shape, shape)
 		return t
 	}
-	a.mu.Unlock()
 	t := New(shape)
 	t.home = a
 	return t
@@ -75,14 +101,9 @@ func shapeInto(dst, src Shape) Shape {
 // Put recycles a whole tensor. The caller must not touch t — or any
 // view sharing its Data — afterwards.
 func (a *Arena) Put(t *Tensor) {
-	if a == nil || t == nil || len(t.Data) == 0 {
-		return
+	if a != nil && t != nil && len(t.Data) > 0 {
+		push(a, a.tensors, len(t.Data), t)
 	}
-	a.mu.Lock()
-	if list := a.tensors[len(t.Data)]; len(list) < maxFreePerSize {
-		a.tensors[len(t.Data)] = append(list, t)
-	}
-	a.mu.Unlock()
 }
 
 // Recycle is Put on the arena whose Get handed t out, for the holder of
@@ -98,92 +119,56 @@ func (t *Tensor) Recycle() {
 
 // GetSlice returns a raw buffer of length n with undefined contents.
 func (a *Arena) GetSlice(n int) []float32 {
-	if a == nil || n == 0 {
-		return make([]float32, n)
+	if a != nil && n > 0 {
+		if buf, ok := pop(a, a.bufs, n); ok {
+			return buf
+		}
 	}
-	a.mu.Lock()
-	if list := a.bufs[n]; len(list) > 0 {
-		buf := list[len(list)-1]
-		list[len(list)-1] = nil
-		a.bufs[n] = list[:len(list)-1]
-		a.mu.Unlock()
-		return buf
-	}
-	a.mu.Unlock()
 	return make([]float32, n)
 }
 
 // PutSlice recycles a raw buffer previously obtained from GetSlice (or
 // any float32 slice of the right size).
 func (a *Arena) PutSlice(buf []float32) {
-	if a == nil || len(buf) == 0 {
-		return
+	if a != nil && len(buf) > 0 {
+		push(a, a.bufs, len(buf), buf)
 	}
-	a.mu.Lock()
-	if list := a.bufs[len(buf)]; len(list) < maxFreePerSize {
-		a.bufs[len(buf)] = append(list, buf)
-	}
-	a.mu.Unlock()
 }
 
 // GetSliceI8 returns an int8 buffer of length n with undefined
 // contents — the quantized-inference counterpart of GetSlice.
 func (a *Arena) GetSliceI8(n int) []int8 {
-	if a == nil || n == 0 {
-		return make([]int8, n)
+	if a != nil && n > 0 {
+		if buf, ok := pop(a, a.bufsI8, n); ok {
+			return buf
+		}
 	}
-	a.mu.Lock()
-	if list := a.bufsI8[n]; len(list) > 0 {
-		buf := list[len(list)-1]
-		list[len(list)-1] = nil
-		a.bufsI8[n] = list[:len(list)-1]
-		a.mu.Unlock()
-		return buf
-	}
-	a.mu.Unlock()
 	return make([]int8, n)
 }
 
 // PutSliceI8 recycles an int8 buffer.
 func (a *Arena) PutSliceI8(buf []int8) {
-	if a == nil || len(buf) == 0 {
-		return
+	if a != nil && len(buf) > 0 {
+		push(a, a.bufsI8, len(buf), buf)
 	}
-	a.mu.Lock()
-	if list := a.bufsI8[len(buf)]; len(list) < maxFreePerSize {
-		a.bufsI8[len(buf)] = append(list, buf)
-	}
-	a.mu.Unlock()
 }
 
 // GetSliceI32 returns an int32 buffer of length n with undefined
 // contents — accumulator scratch for the quantized kernels.
 func (a *Arena) GetSliceI32(n int) []int32 {
-	if a == nil || n == 0 {
-		return make([]int32, n)
+	if a != nil && n > 0 {
+		if buf, ok := pop(a, a.bufsI32, n); ok {
+			return buf
+		}
 	}
-	a.mu.Lock()
-	if list := a.bufsI32[n]; len(list) > 0 {
-		buf := list[len(list)-1]
-		list[len(list)-1] = nil
-		a.bufsI32[n] = list[:len(list)-1]
-		a.mu.Unlock()
-		return buf
-	}
-	a.mu.Unlock()
 	return make([]int32, n)
 }
 
 // PutSliceI32 recycles an int32 buffer.
 func (a *Arena) PutSliceI32(buf []int32) {
-	if a == nil || len(buf) == 0 {
-		return
+	if a != nil && len(buf) > 0 {
+		push(a, a.bufsI32, len(buf), buf)
 	}
-	a.mu.Lock()
-	if list := a.bufsI32[len(buf)]; len(list) < maxFreePerSize {
-		a.bufsI32[len(buf)] = append(list, buf)
-	}
-	a.mu.Unlock()
 }
 
 // FreeBuffers reports how many tensors and buffers the arena currently
@@ -194,18 +179,5 @@ func (a *Arena) FreeBuffers() int {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	n := 0
-	for _, list := range a.tensors {
-		n += len(list)
-	}
-	for _, list := range a.bufs {
-		n += len(list)
-	}
-	for _, list := range a.bufsI8 {
-		n += len(list)
-	}
-	for _, list := range a.bufsI32 {
-		n += len(list)
-	}
-	return n
+	return count(a.tensors) + count(a.bufs) + count(a.bufsI8) + count(a.bufsI32)
 }
