@@ -13,8 +13,8 @@ import (
 
 // Parity contract for the assembly kernels (see gemm_asm.go):
 //
-//   - When the asm path is off (noasm tag, any GOARCH but amd64, an
-//     amd64 CPU without AVX2+FMA, or DNNJPS_NOASM) every driver is
+//   - When the asm path is off (noasm tag, any GOARCH but amd64, or an
+//     amd64 CPU without AVX2+FMA) every driver is
 //     pure Go and bit-identical — the tests in this package compare
 //     exactly.
 //   - When the f32 asm path is on, kernelAsm and the kernelGEMM
@@ -87,8 +87,8 @@ func TestPreferAsmTileGuard(t *testing.T) {
 		}
 		// Forcing the tile bypasses the guard (edge tiles run through
 		// the scratch patch) but never the CPU check.
-		if got := useAsm(kernelAsm, c.m, c.k); got != asmEnabled() {
-			t.Errorf("useAsm(kernelAsm,%d,%d) = %v, want %v", c.m, c.k, got, asmEnabled())
+		if got := useAsm(kernelAsm, c.m, c.k); got != asmOK {
+			t.Errorf("useAsm(kernelAsm,%d,%d) = %v, want %v", c.m, c.k, got, asmOK)
 		}
 	}
 	if !preferAsm(asmMR, 8) {
@@ -99,8 +99,8 @@ func TestPreferAsmTileGuard(t *testing.T) {
 	if !preferAsm(1000, 1280) {
 		t.Error("preferAsm keeps a single-column dense head off the tile")
 	}
-	if got := useAsm(kernelGEMM, 256, 1152); got != asmEnabled() {
-		t.Errorf("useAsm(kernelGEMM, 256,1152) = %v, want asmEnabled() = %v", got, asmEnabled())
+	if got := useAsm(kernelGEMM, 256, 1152); got != asmOK {
+		t.Errorf("useAsm(kernelGEMM, 256,1152) = %v, want asmOK = %v", got, asmOK)
 	}
 	for _, kern := range []kernelPath{kernelPanel, kernelDirect} {
 		if useAsm(kern, 256, 1152) {
@@ -188,7 +188,7 @@ func sgemmShapeParity(t *testing.T, m, k, n, lda int, seed int64) {
 	a, b := randOperands(m, k, n, seed)
 	ref := make([]float32, m*n)
 	sgemmAcc(kernelPanel, m, k, n, n, a, b, ref, 1)
-	strided := asmEnabled() && lda != k
+	strided := asmOK && lda != k
 	if strided {
 		a = stridedA(a, m, k, lda, func(n int) []float32 { return make([]float32, n) })
 	}
@@ -200,7 +200,7 @@ func sgemmShapeParity(t *testing.T, m, k, n, lda int, seed int64) {
 			sgemmAcc(kernelAsm, m, k, n, n, a, b, c, workers)
 		}
 		assertSliceParity(t, fmt.Sprintf("m%d k%d n%d lda%d workers=%d", m, k, n, lda, workers),
-			c, ref, !asmEnabled())
+			c, ref, !asmOK)
 	}
 }
 
@@ -221,7 +221,7 @@ func sgemmShapeParity(t *testing.T, m, k, n, lda int, seed int64) {
 // guard page. Where the AVX-512 tile is live, every shape also runs in
 // the AVX2 tile's 6-row strips.
 func TestSgemmAsmReadsAInBounds(t *testing.T) {
-	if !asmEnabled() {
+	if !asmOK {
 		t.Skip("asm path off: no code reads A through a raw pointer")
 	}
 	check := func(m, k, n, pad int) {
@@ -277,7 +277,7 @@ func TestSgemmAsmReadsAInBounds(t *testing.T) {
 // where the workers split the rows instead, in whole tile strips, at
 // 1 000 rows and at a ragged 1 001.
 func TestSgemmPanelDepthBitIdentical(t *testing.T) {
-	if !asmEnabled() {
+	if !asmOK {
 		t.Skip("asm path off: the panel loop has no K panels of this driver")
 	}
 	for _, sh := range []struct {
@@ -437,7 +437,7 @@ func FuzzQgemmAsmVsScalar(f *testing.F) {
 	f.Add(1, 1, 1, 1, int64(3))
 	f.Add(9, 33, 2*asmQNR+5, 3, int64(4))
 	f.Fuzz(func(t *testing.T, m, k, n, workers int, seed int64) {
-		if !asmQgemmOK {
+		if !asmOK {
 			t.Skip("int8 assembly off")
 		}
 		if m < 1 || k < 1 || n < 1 || workers < 1 || m > 200 || k > 1100 || n > 600 || workers > 8 {
@@ -483,7 +483,7 @@ func FuzzQgemmAsmVsScalar(f *testing.F) {
 // rounding difference would flip the code, and values beyond the
 // int8 clamp on both sides.
 func TestQuantizeSpanAsmParity(t *testing.T) {
-	if !asmQuantOK {
+	if !asmOK {
 		t.Skip("quantize kernel not available on this host")
 	}
 	quantScalarRef := func(dst []int8, src []float32, inv, zero float64) {

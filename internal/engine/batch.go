@@ -157,10 +157,10 @@ func unpack(arena *tensor.Arena, packed *tensor.Tensor, n, b int) *tensor.Tensor
 	return out
 }
 
-// ArgmaxBatch returns the argmax of image b of a packed batch-n vector
-// — the same ascending scan with strict > as Argmax. It returns one
-// class, not a slice of n, so reading a group's classes allocates
-// nothing.
+// ArgmaxBatch returns the argmax of image b of a packed batch-n vector:
+// an ascending scan with a strict >, so the first of equal maxima wins
+// and NaN never does. It returns one class, not a slice of n, so
+// reading a group's classes allocates nothing.
 func ArgmaxBatch(t *tensor.Tensor, n, b int) int {
 	best, bestV := 0, float32(math.Inf(-1))
 	for i := b; i < len(t.Data); i += n {

@@ -42,7 +42,7 @@ func benchBothKernels(b *testing.B, g *dag.Graph) {
 	workers := runtime.GOMAXPROCS(0)
 	b.Run("gemm", func(b *testing.B) { benchModel(b, g, kernelGEMM, workers) })
 	b.Run("panel", func(b *testing.B) { benchModel(b, g, kernelPanel, workers) })
-	if asmEnabled() {
+	if asmOK {
 		b.Run("asm", func(b *testing.B) { benchModel(b, g, kernelAsm, workers) })
 	}
 	b.Run("direct", func(b *testing.B) { benchModel(b, g, kernelDirect, workers) })

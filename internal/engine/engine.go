@@ -505,13 +505,5 @@ func (m *Model) fusedAct(id int, st *execState) spanAct {
 }
 
 // Argmax returns the index of the largest element — the predicted
-// class of a classifier head.
-func Argmax(t *tensor.Tensor) int {
-	best, bestV := 0, float32(math.Inf(-1))
-	for i, v := range t.Data {
-		if v > bestV {
-			best, bestV = i, v
-		}
-	}
-	return best
-}
+// class of a classifier head. It is ArgmaxBatch at n = 1.
+func Argmax(t *tensor.Tensor) int { return ArgmaxBatch(t, 1, 0) }

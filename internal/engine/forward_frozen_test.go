@@ -18,8 +18,7 @@ import (
 // packed batch of n = 3, and of int8 MobileNet-v2 at n = 1, on
 // whichever float32 GEMM path this process runs. "asm" is the assembly
 // driver, where the 12×16 and 6×16 tiles agree bit for bit; "panel" is
-// the pure-Go path (-tags noasm, DNNJPS_NOASM=1, or a host without
-// AVX2+FMA). The digests were recorded before the fused im2col packer
+// the pure-Go path (-tags noasm, or a host without AVX2+FMA). The digests were recorded before the fused im2col packer
 // lowered a patch row once per K row instead of once per 16-column
 // strip: packing is a pure copy, so a rewrite of it, or of the one row
 // lowering the int8 path shares, must leave every one of them as it is.
@@ -89,7 +88,7 @@ func TestForwardFrozen(t *testing.T) {
 		t.Skip("full forwards of four zoo models, some twice")
 	}
 	path := "panel"
-	if asmEnabled() {
+	if asmOK {
 		path = "asm"
 	}
 	check := func(tile string) {

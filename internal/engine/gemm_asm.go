@@ -94,15 +94,9 @@ func (f *packFree[T]) put(b []T) {
 // asmPackBufsB holds the packed B blocks of the float32 GEMM.
 var asmPackBufsB = packFree[float32]{size: asmKC * asmNC}
 
-// asmEnabled reports whether the float32 assembly path can engage in
-// this process (build tags, architecture, CPUID probe and the
-// DNNJPS_NOASM override all folded in). Tests key their parity mode
-// off this: bit-exact when false, tolerance-bounded when true.
-func asmEnabled() bool { return asmSgemmOK }
-
 // asmAVX512OK reports whether sgemmAsm runs the AVX-512 12x16 tile
 // rather than the AVX2 6x16 one (probed at init on amd64, beside
-// asmSgemmOK; false on every other build). The two are bit-identical;
+// asmOK; false on every other build). The two are bit-identical;
 // it is a variable so the tests can pin the AVX2 tile and compare.
 var asmAVX512OK bool
 
@@ -114,7 +108,7 @@ var asmAVX512OK bool
 // loop. The rule reads A's shape only: how many jobs share a pass never
 // changes a GEMM's driver.
 func useAsm(kern kernelPath, m, k int) bool {
-	return asmSgemmOK && (kern == kernelAsm || (kern == kernelGEMM && preferAsm(m, k)))
+	return asmOK && (kern == kernelAsm || (kern == kernelGEMM && preferAsm(m, k)))
 }
 
 // preferAsm is the tile guard: a full strip of rows and enough k steps

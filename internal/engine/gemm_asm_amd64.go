@@ -2,18 +2,16 @@
 
 package engine
 
-import "os"
-
 // AVX2+FMA assembly gating for amd64. The kernels in
 // gemm_avx2_amd64.s / qgemm_avx2_amd64.s need AVX2, FMA3 and an OS
 // that saves YMM state; all three are probed once at init via CPUID /
-// XGETBV. Without them (or under the noasm build tag, or with
-// DNNJPS_NOASM set) the engine behaves exactly as before this kernel
-// existed: every GEMM takes the streaming panel loop, bit-identical to
-// the pre-asm build. Where the CPU and OS also have AVX-512, the
-// float32 GEMM runs the 12x16 tile of gemm_avx512_amd64.s instead of
-// the 6x16 one: the same FMA sequence per C element, twice the vector
-// width, so outputs do not depend on which of the two ran.
+// XGETBV. Without them (or under the noasm build tag) the engine
+// behaves exactly as before this kernel existed: every GEMM takes the
+// streaming panel loop, bit-identical to the pre-asm build. Where the
+// CPU and OS also have AVX-512, the float32 GEMM runs the 12x16 tile of
+// gemm_avx512_amd64.s instead of the 6x16 one: the same FMA sequence
+// per C element, twice the vector width, so outputs do not depend on
+// which of the two ran.
 
 const (
 	// asmMR x asmNR is the largest register tile: 12 rows x 16 columns,
@@ -43,19 +41,14 @@ const (
 	asmQNR = 16
 )
 
-// asmSgemmOK / asmQgemmOK / asmQuantOK / asmVecOK report at runtime
-// whether the float32 GEMM, int8 GEMM, activation-quantization and
-// float32 vector (elementwise span, 3x3 depthwise) assembly kernels may
-// be used on this CPU.
-var asmSgemmOK, asmQgemmOK, asmQuantOK, asmVecOK bool
+// asmOK reports whether this CPU runs the assembly kernels: the
+// float32 and int8 GEMMs, activation quantization, the elementwise
+// spans and the 3x3 depthwise.
+var asmOK bool
 
 func init() {
-	if os.Getenv("DNNJPS_NOASM") != "" {
-		return
-	}
-	ok := cpuHasAVX2FMA()
-	asmSgemmOK, asmQgemmOK, asmQuantOK, asmVecOK = ok, ok, ok, ok
-	asmAVX512OK = ok && cpuHasAVX512()
+	asmOK = cpuHasAVX2FMA()
+	asmAVX512OK = asmOK && cpuHasAVX512()
 }
 
 // cpuHasAVX512 probes, on a host cpuHasAVX2FMA accepted (so leaf 7 and
@@ -110,9 +103,6 @@ func quantizeSpanAsm(dst *int8, src *float32, inv, zero float64, n int)
 
 //go:noescape
 func spanAffineAsm(dst, src *float32, n int, scale, shift float32, act int)
-
-//go:noescape
-func spanActAsm(dst, src *float32, n int, act int)
 
 //go:noescape
 func spanAddAsm(dst, src *float32, n int)

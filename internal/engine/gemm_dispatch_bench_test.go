@@ -26,7 +26,7 @@ func BenchmarkSgemmCrossover(b *testing.B) {
 	for i := range a {
 		a[i] = float32(i%13) * 0.125
 	}
-	paired := asmEnabled() && slices.Contains(cpuInfoFlags(), "avx512f")
+	paired := asmOK && slices.Contains(cpuInfoFlags(), "avx512f")
 	for _, n := range []int{16, 32, 64, 128, 256, 512, 1024} {
 		bb := make([]float32, k*n)
 		c := make([]float32, m*n)
@@ -46,7 +46,7 @@ func BenchmarkSgemmCrossover(b *testing.B) {
 			}
 			b.ReportMetric(macs*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "MAC/ns")
 		}
-		if asmEnabled() {
+		if asmOK {
 			b.Run(fmt.Sprintf("asm/n=%d", n), asm)
 		}
 		if paired && n >= 128 {
@@ -122,7 +122,7 @@ func BenchmarkQgemmCrossover(b *testing.B) {
 			}
 			b.ReportMetric(macs*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "MAC/ns")
 		})
-		if asmQgemmOK {
+		if asmOK {
 			b.Run(fmt.Sprintf("asm/n=%d", n), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					qgemmAsm(m, k, n, a, bb, c, 1)

@@ -167,7 +167,7 @@ func dwPlanes(arena *tensor.Arena, pLo, pHi int, in, out *tensor.Tensor, p param
 	inH, inW := in.Shape.H(), in.Shape.W()
 	outH, outW := out.Shape.H(), out.Shape.W()
 	src, dst := in.Data, out.Data
-	vec := asmVecOK && kh == 3 && kw == 3 && (stride == 1 || stride == 2)
+	vec := asmOK && kh == 3 && kw == 3 && (stride == 1 || stride == 2)
 
 	rows, pitch := dwPadded(inH, inW, outH, outW, kh, kw, stride, pad)
 	padded := arena.GetSlice(rows*pitch + dwOverRead)
@@ -348,7 +348,10 @@ func denseDirect(arena *tensor.Arena, in *tensor.Tensor, p params, outN int) *te
 // activate applies the function elementwise. With inPlace it mutates
 // the input buffer and returns a view of it — Execute grants that only
 // when the input is an arena tensor about to die with no other
-// references.
+// references. ReLU and ReLU6 are the affine span at scale 1, shift 0:
+// v*1 + 0 is v to the bit for every v but -0, which becomes +0 (both
+// clamps send it there anyway), and a signalling NaN, which comes out
+// quiet as from any arithmetic — no kernel of the engine makes one.
 func activate(arena *tensor.Arena, in *tensor.Tensor, fn nn.ActFunc, inPlace bool) *tensor.Tensor {
 	out := in
 	if !inPlace {
@@ -356,9 +359,9 @@ func activate(arena *tensor.Arena, in *tensor.Tensor, fn nn.ActFunc, inPlace boo
 	}
 	switch fn {
 	case nn.ReLU:
-		actSpan(out.Data, in.Data, spanReLU)
+		affineSpan(out.Data, in.Data, 1, 0, spanReLU)
 	case nn.ReLU6:
-		actSpan(out.Data, in.Data, spanReLU6)
+		affineSpan(out.Data, in.Data, 1, 0, spanReLU6)
 	case nn.Sigmoid:
 		for i, v := range in.Data {
 			out.Data[i] = float32(1 / (1 + math.Exp(-float64(v))))

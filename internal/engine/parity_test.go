@@ -49,7 +49,7 @@ func runBothKernels(t *testing.T, g *dag.Graph, seed int64) {
 		t.Fatalf("direct forward: %v", err)
 	}
 	for _, kern := range []kernelPath{kernelGEMM, kernelPanel, kernelAsm} {
-		exact := !asmEnabled() || kern == kernelPanel
+		exact := !asmOK || kern == kernelPanel
 		for _, workers := range []int{1, 3, 8} {
 			got, err := m.withKernel(kern).Parallel(workers).Forward(in.Clone())
 			if err != nil {

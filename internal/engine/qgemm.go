@@ -15,7 +15,7 @@ package engine
 // walks row pairs with k unrolled by four, the integer sibling of
 // sgemmPanel's hot loop.
 func qgemmAcc(m, k, n int, a, b []int8, c []int32, workers int) {
-	if asmQgemmOK && m >= asmQMR && n >= asmQNR && k >= 8 {
+	if asmOK && m >= asmQMR && n >= asmQNR && k >= 8 {
 		qgemmAsm(m, k, n, a, b, c, workers)
 		return
 	}
@@ -100,7 +100,7 @@ func qgemmRows(lo, hi, k, n int, a, b []int8, c []int32) {
 // otherwise four rows are interleaved to break the dependency chain on
 // the accumulators.
 func qgemvAcc(m, k int, a, x []int8, y []int32, workers int) {
-	if asmQgemmOK && k >= 32 {
+	if asmOK && k >= 32 {
 		if serialSpan(workers, m) {
 			qgemvAsmRows(0, m, k, a, x, y)
 			return

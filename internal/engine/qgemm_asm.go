@@ -3,7 +3,7 @@ package engine
 import "sync"
 
 // Packed driver for the int8 assembly kernels (amd64 only for now —
-// see asmQgemmOK). Operands are sign-extended to int16 at pack time
+// see asmOK). Operands are sign-extended to int16 at pack time
 // and laid out k-pair-interleaved so the tile's VPMADDWD consumes
 // (k, k+1) pairs directly:
 //

@@ -422,7 +422,7 @@ func quantizeAct(dst []int8, src []float32, p tensor.QParams, workers int) {
 // the scalar loop below, which always handles the tail — and, without
 // asm, the whole span.
 func quantizeSpan(dst []int8, src []float32, inv, zero float64, lo, hi int) {
-	if asmQuantOK && hi-lo >= 8 {
+	if asmOK && hi-lo >= 8 {
 		n := (hi - lo) &^ 7
 		quantizeSpanAsm(&dst[lo], &src[lo], inv, zero, n)
 		lo += n

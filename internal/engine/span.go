@@ -1,10 +1,11 @@
 package engine
 
 // Elementwise span kernels: the per-channel scale–shift of BatchNorm,
-// the ReLU/ReLU6 clamps and the residual add, each over one contiguous
-// run of floats. The loops below are the definition — and the whole
-// implementation under the noasm tag, DNNJPS_NOASM and every GOARCH
-// without a vector form. Where asmVecOK, the leading multiple of eight
+// with the ReLU/ReLU6 clamp fused or not (a standalone ReLU/ReLU6 is
+// the same kernel at scale 1, shift 0), and the residual add, each over
+// one contiguous run of floats. The loops below are the definition —
+// and the whole implementation under the noasm tag and every GOARCH
+// without a vector form. Where asmOK, the leading multiple of eight
 // elements goes through span_avx2_amd64.s, which computes the same
 // values to the bit (separate multiply and add, clamps that reproduce
 // these branches for -0 and NaN), so neither path is a tolerance case —
@@ -42,7 +43,7 @@ func relu6(v float32) float32 {
 
 // affineSpan computes dst[i] = act(src[i]*scale + shift).
 func affineSpan(dst, src []float32, scale, shift float32, act spanAct) {
-	if asmVecOK && len(src) >= 8 {
+	if asmOK && len(src) >= 8 {
 		n := len(src) &^ 7
 		spanAffineAsm(&dst[0], &src[0], n, scale, shift, int(act))
 		dst, src = dst[n:], src[n:]
@@ -64,28 +65,9 @@ func affineSpan(dst, src []float32, scale, shift float32, act spanAct) {
 	}
 }
 
-// actSpan computes dst[i] = act(src[i]) for spanReLU and spanReLU6.
-func actSpan(dst, src []float32, act spanAct) {
-	if asmVecOK && len(src) >= 8 {
-		n := len(src) &^ 7
-		spanActAsm(&dst[0], &src[0], n, int(act))
-		dst, src = dst[n:], src[n:]
-	}
-	dst = dst[:len(src)]
-	if act == spanReLU {
-		for i, v := range src {
-			dst[i] = relu(v)
-		}
-		return
-	}
-	for i, v := range src {
-		dst[i] = relu6(v)
-	}
-}
-
 // addSpan computes dst[i] += src[i].
 func addSpan(dst, src []float32) {
-	if asmVecOK && len(src) >= 8 {
+	if asmOK && len(src) >= 8 {
 		n := len(src) &^ 7
 		spanAddAsm(&dst[0], &src[0], n)
 		dst, src = dst[n:], src[n:]

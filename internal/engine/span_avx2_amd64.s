@@ -97,38 +97,6 @@ affineRelu6:
 	VZEROUPPER
 	RET
 
-// func spanActAsm(dst, src *float32, n int, act int)
-//
-// dst[i] = act(src[i]); act is spanReLU (1) or spanReLU6 (2).
-TEXT ·spanActAsm(SB), NOSPLIT, $0-32
-	MOVQ dst+0(FP), DI
-	MOVQ src+8(FP), SI
-	MOVQ n+16(FP), CX
-	MOVQ act+24(FP), AX
-	VXORPS Y14, Y14, Y14
-	VBROADCASTSS spanSix<>(SB), Y15
-	SHRQ $3, CX
-	CMPQ AX, $2
-	JEQ  actRelu6
-
-actRelu:
-	VMOVUPS (SI), Y0
-	RELU(Y0)
-	VMOVUPS Y0, (DI)
-	STEP
-	JNZ  actRelu
-	VZEROUPPER
-	RET
-
-actRelu6:
-	VMOVUPS (SI), Y0
-	RELU6(Y0, Y1)
-	VMOVUPS Y0, (DI)
-	STEP
-	JNZ  actRelu6
-	VZEROUPPER
-	RET
-
 // func spanAddAsm(dst, src *float32, n int)
 //
 // dst[i] += src[i].

@@ -15,8 +15,8 @@ import (
 // (span_avx2_amd64.s) and the 3×3 depthwise (dwconv_avx2_amd64.s) — are
 // not tolerance cases: they round exactly like the scalar loops, so
 // everything here compares bit patterns. With the kernels off (noasm,
-// DNNJPS_NOASM, or any GOARCH but amd64 — none has vector kernels) the
-// same tests pin the Go loops against their written-out definitions.
+// or any GOARCH but amd64 — none has vector kernels) the same tests
+// pin the Go loops against their written-out definitions.
 
 func sameBits(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }
 
@@ -125,7 +125,7 @@ func TestSpanKernelsMatchGoLoops(t *testing.T) {
 					for i, v := range src {
 						want[i] = fn(v)
 					}
-					check("actSpan "+ctx, run(func(dst, s []float32) { actSpan(dst, s, act) }), want)
+					check("clamp "+ctx, run(func(dst, s []float32) { affineSpan(dst, s, 1, 0, act) }), want)
 				}
 			}
 			// addSpan accumulates: dst is both operand and result.
