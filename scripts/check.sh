@@ -37,9 +37,9 @@ go build ./...
 
 echo "== go build/vet (cross-compile: arm64, riscv64; s390x must fail)"
 # The engine's assembly gating has two arms — amd64, and the off build
-# (gemm_asm_off.go and vec_asm_off.go: noasm, or any other GOARCH) — and
-# the host builds only the first. arm64 and riscv64 build the off arm
-# without the tag (the noasm legs below build it with the tag); vet
+# (gemm_asm_off.go: noasm, or any other GOARCH) — and the host builds
+# only the first. arm64 and riscv64 build the off arm without the tag
+# (the noasm leg below builds it with the tag); vet
 # type-checks the engine's tests in that build, noasm_test.go included,
 # and the runtime's wire codec, whose payload is the tensor's memory, on
 # a second little-endian GOARCH. None of it needs the hardware.
@@ -68,27 +68,18 @@ fi
 
 echo "== go build/vet/test -tags noasm (pure-Go fallback must not rot)"
 # The noasm build is the contract for non-AVX2 hosts and every GOARCH
-# but amd64: every GEMM on the panel loop, auto == asm == panel ==
-# direct bit for bit (see noasm_test.go). Engine tests carry the parity
-# suite; the full build catches tag skew anywhere else. Under this arm the materialized
-# lowering is the only conv path, so vet also guards the one generic
-# im2col (im2colTile[T]) at both its instantiations, float32 and int8,
-# and the tests that call them.
+# but amd64, and the one switch that turns the kernels off: every GEMM
+# on the panel loop, auto == asm == panel == direct bit for bit (see
+# noasm_test.go). Engine tests carry the parity suite; the full build
+# catches tag skew anywhere else. On an AVX2 host this leg is the only
+# place the scalar 3x3 depthwise loop (dwPlane, over the same
+# zero-padded plane the vector kernel reads) runs MobileNet's layers.
+# Under this arm the materialized lowering is the only conv path, so
+# vet also guards the one generic im2col (im2colTile[T]) at both its
+# instantiations, float32 and int8, and the tests that call them.
 go build -tags noasm ./...
 go vet -tags noasm ./internal/engine/
 go test -tags noasm ./internal/engine/
-
-echo "== DNNJPS_NOASM=1 go test (the runtime switch, same contract)"
-# The env gate is a different switch from the tag: the assembly is
-# compiled in and every asm*OK flag must keep it unreachable — the GEMM
-# tile, the int8 kernels, the elementwise spans and the 3x3 depthwise.
-# On an AVX2 host this leg and the noasm one above are the only place
-# the scalar depthwise loop (dwPlane, over the same zero-padded plane
-# the vector kernel reads) runs MobileNet's 3x3 layers. -count=1: the
-# variable is read in an init(), before the test log that keys go
-# test's cache on environment reads is open, so without it this leg
-# can be answered "(cached)" from a run that had the assembly on.
-DNNJPS_NOASM=1 go test -count=1 ./internal/engine/
 
 echo "== go test"
 go test ./...
