@@ -14,9 +14,8 @@ import (
 // Parity contract for the assembly kernels (see gemm_asm.go):
 //
 //   - When the asm path is off (noasm tag, any GOARCH but amd64, or an
-//     amd64 CPU without AVX2+FMA) every driver is
-//     pure Go and bit-identical — the tests in this package compare
-//     exactly.
+//     amd64 CPU without AVX2+FMA) every driver is pure Go and
+//     bit-identical — the tests in this package compare exactly.
 //   - When the f32 asm path is on, kernelAsm and the kernelGEMM
 //     routing past the tile guard use FMA: one rounding per
 //     multiply-add instead of two. Accumulation still walks k
