@@ -9,8 +9,8 @@ import "sync"
 // many same-shaped layers.
 const maxFreePerSize = 16
 
-// Arena is a free-list allocator for tensors and raw float32 buffers,
-// keyed by exact element count. The inference engine allocates one
+// Arena is a free-list allocator for tensors and raw float32, int8 and
+// int32 buffers, keyed by exact element count. The inference engine allocates one
 // activation per layer per forward pass; recycling turns a Forward
 // from O(layers) tensor allocations into O(1). An Arena is safe for
 // concurrent use — the runtime server executes jobs from several
