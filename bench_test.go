@@ -205,10 +205,9 @@ func BenchmarkJohnson_10kJobs(b *testing.B) {
 func BenchmarkBinarySearchCut(b *testing.B) {
 	g := models.MustBuild("alexnet")
 	curve := profile.BuildCurve(g, profile.RaspberryPi4(), profile.CloudGPU(), netsim.FourG, tensor.Float32)
-	r, _ := curve.Restrict(curve.ParetoCuts())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.BinarySearchCut(r); err != nil {
+		if _, _, err := core.SearchCurve(curve); err != nil {
 			b.Fatal(err)
 		}
 	}

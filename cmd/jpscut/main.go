@@ -70,7 +70,7 @@ func run(model string, mbps float64, n, width int) error {
 		search.LStar, idx[search.LStar], curve.Labels[idx[search.LStar]], search.Ratio, search.Exact, search.Steps)
 
 	if sol, err := core.SolveContinuous(curve); err == nil {
-		fmt.Printf("Theorem 5.2 relaxation: x* = %.3f, f(x*) = g(x*) = %.1f ms (avg makespan lower bound)\n",
+		fmt.Printf("Theorem 5.2 relaxation: x* = %.3f, f(x*) = g(x*) = %.1f ms (avg makespan at the crossing on the Pareto polyline, a lower bound only where it is convex)\n",
 			sol.XStar, sol.FAtXStar)
 	}
 

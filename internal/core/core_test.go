@@ -159,6 +159,35 @@ func TestMixCounts(t *testing.T) {
 	}
 }
 
+// A surplus below 1e-12 ms at l*-1 once gave a Ratio whose n*ratio
+// overflowed (G[1] = 1 + 1e-13: Ratio 50 039 995 859 672 176,
+// MixCounts(1000) = (-105, 1105), and JPSPaperRatio put every job at
+// l* for a 5.0e6 ms makespan) or that had no int at all (1 + 4e-16:
+// Ratio MinInt64). Either ratio puts n-1 jobs at l*-1.
+func TestMixCountsHugeRatio(t *testing.T) {
+	const n = 1000
+	for _, g1 := range []float64{1 + 1e-13, 1 + 4e-16} {
+		c := &profile.Curve{
+			Model: "huge-ratio", F: []float64{0, 1, 5000}, G: []float64{100, g1, 0},
+			CloudMs: make([]float64, 3), Bytes: []int{100, 50, 0}, Labels: make([]string, 3),
+		}
+		s, _, err := SearchCurve(c)
+		if err != nil || s.LStar != 2 || s.Ratio < n {
+			t.Fatalf("G[1] = %.17g: SearchCurve = %+v, %v; want l* = 2, Ratio >= %d", g1, s, err, n)
+		}
+		if prev, at := MixCounts(n, s.Ratio); prev != n-1 || at != 1 {
+			t.Errorf("G[1] = %.17g: MixCounts(%d, %d) = (%d, %d), want (%d, 1)", g1, n, s.Ratio, prev, at, n-1)
+		}
+		p, err := JPSPaperRatio(c, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := mixSpan(c, n, n-1, 1, 2); p.Makespan != want {
+			t.Errorf("G[1] = %.17g: JPSPaperRatio makespan %g, want %g (n-1 jobs at cut 1)", g1, p.Makespan, want)
+		}
+	}
+}
+
 func TestJPSReproducesFig2(t *testing.T) {
 	p, err := JPS(fig2Curve(), 2)
 	if err != nil {

@@ -31,7 +31,7 @@ type CutSearch struct {
 }
 
 // BinarySearchCut runs Algorithm 2 on a curve whose G is
-// non-increasing (restrict to ParetoCuts first for raw curves). It
+// non-increasing (for raw curves, call SearchCurve instead). It
 // requires f(0) < g(0), which holds for any real model: f(0) = 0 and
 // g(0) is the raw input upload. The loop maintains the paper's
 // invariant f(l-1) < g(l-1) ∧ f(r) >= g(r).
@@ -69,14 +69,23 @@ func (x crossing) binarySearch() (CutSearch, error) {
 		res.Exact = true
 		return res, nil
 	}
-	den := x.g(l-1) - x.f(l-1)
+	den, cur := x.surpluses(l)
 	if den <= 0 {
 		// Cannot happen when the invariant holds; guard against
 		// curves violating monotonicity assumptions.
 		return res, fmt.Errorf("core: invariant violated at l*=%d: g(l*-1)-f(l*-1)=%g", l, den)
 	}
-	res.Ratio = int(math.Floor((x.f(l) - x.g(l)) / den))
+	// Clamped in float so that int() is defined: a surplus ratio past
+	// 2^62 has no int, and MixCounts reads any ratio >= n as n.
+	res.Ratio = int(math.Floor(max(-1<<62, min(cur/den, 1<<62))))
 	return res, nil
+}
+
+// surpluses are the two sides of the Theorem 5.3 balance at position l:
+// g − f at l−1 (> 0 by Algorithm 2's invariant) and f − g at l (>= 0 at
+// l*).
+func (x crossing) surpluses(l int) (prev, cur float64) {
+	return x.g(l-1) - x.f(l-1), x.f(l) - x.g(l)
 }
 
 // MixCounts converts the Theorem 5.3 ratio into job counts: m jobs at
@@ -93,10 +102,10 @@ func MixCounts(n, ratio int) (atPrev, atLStar int) {
 	if ratio <= 0 {
 		return 0, n
 	}
+	// Every ratio >= n-1 floors to n-1 jobs at l*-1, so clamping to n
+	// changes no count and keeps n*ratio from overflowing.
+	ratio = min(ratio, n)
 	m := n * ratio / (ratio + 1)
-	if m > n {
-		m = n
-	}
 	return m, n - m
 }
 
@@ -106,13 +115,12 @@ func MixCounts(n, ratio int) (atPrev, atLStar int) {
 // (clamped to [0, n]). The caller evaluates both and keeps the better
 // makespan — an O(1) refinement of the paper's floored ratio.
 func (x crossing) balancedSplit(lstar, n int) (lo, hi int) {
-	surplusPrev := x.g(lstar-1) - x.f(lstar-1) // > 0 by the invariant
-	surplusCur := x.f(lstar) - x.g(lstar)      // >= 0 at l*
-	den := surplusPrev + surplusCur
+	prev, cur := x.surpluses(lstar)
+	den := prev + cur
 	if den <= 0 {
 		return 0, 0
 	}
-	m := float64(n) * surplusCur / den
+	m := float64(n) * cur / den
 	lo = int(math.Floor(m))
 	hi = int(math.Ceil(m))
 	if lo < 0 {

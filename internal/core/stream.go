@@ -54,10 +54,9 @@ func PlanStream(c *profile.Curve, releases []float64) (*StreamPlan, error) {
 	lstar := x.search.LStar
 	frac := 0.0
 	if x.mixes() {
-		surplusPrev := x.g(lstar-1) - x.f(lstar-1)
-		surplusCur := x.f(lstar) - x.g(lstar)
-		if den := surplusPrev + surplusCur; den > 0 {
-			frac = surplusCur / den
+		prev, cur := x.surpluses(lstar)
+		if den := prev + cur; den > 0 {
+			frac = cur / den
 		}
 	}
 

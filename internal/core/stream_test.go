@@ -28,8 +28,7 @@ func TestPlanStreamMixFraction(t *testing.T) {
 	}
 	// Count frames at the earlier cut; must track MixFraction within
 	// one job (error diffusion).
-	r, idx := c.Restrict(c.ParetoCuts())
-	search, _ := BinarySearchCut(r)
+	search, idx, _ := SearchCurve(c)
 	prevCut := idx[search.LStar-1]
 	count := 0
 	for _, j := range plan.Jobs {

@@ -212,30 +212,6 @@ func ParetoCuts(bytes []int) []int {
 	return cuts
 }
 
-// Restrict returns a copy of the curve containing only the given cut
-// indices (typically ParetoCuts). Positions renumber contiguously;
-// RestrictedIndex maps back via the returned slice.
-func (c *Curve) Restrict(cuts []int) (*Curve, []int) {
-	out := &Curve{
-		Model:   c.Model,
-		Channel: c.Channel,
-		F:       make([]float64, len(cuts)),
-		G:       make([]float64, len(cuts)),
-		CloudMs: make([]float64, len(cuts)),
-		Bytes:   make([]int, len(cuts)),
-		Labels:  make([]string, len(cuts)),
-	}
-	idx := make([]int, len(cuts))
-	for r, i := range cuts {
-		if i < 0 || i >= c.Len() {
-			panic(fmt.Sprintf("profile: restrict index %d out of range", i))
-		}
-		out.F[r], out.G[r], out.CloudMs[r] = c.F[i], c.G[i], c.CloudMs[i]
-		out.Bytes[r], out.Labels[r], idx[r] = c.Bytes[i], c.Labels[i], i
-	}
-	return out, idx
-}
-
 // Reprice returns the curve with G recomputed from the cut tensor
 // volumes at a new channel — the bandwidth-update hook for mid-run
 // re-planning when the measured uplink diverges from the profiled one.
@@ -250,29 +226,6 @@ func (c *Curve) Reprice(ch netsim.Channel) *Curve {
 // its curve, so a copy would be kept alive with every re-plan.
 func (c *Curve) withG(model string, ch netsim.Channel, g []float64) *Curve {
 	return &Curve{Model: model, Channel: ch, F: c.F, G: g, CloudMs: c.CloudMs, Bytes: c.Bytes, Labels: c.Labels}
-}
-
-// FInterp returns a piecewise-linear continuous extension of F over
-// cut positions, for the Theorem 5.2 continuous-relaxation solver.
-func (c *Curve) FInterp() *regression.Interpolator {
-	return mustInterp(c.F)
-}
-
-// GInterp returns a piecewise-linear continuous extension of G.
-func (c *Curve) GInterp() *regression.Interpolator {
-	return mustInterp(c.G)
-}
-
-func mustInterp(ys []float64) *regression.Interpolator {
-	xs := make([]float64, len(ys))
-	for i := range xs {
-		xs[i] = float64(i)
-	}
-	it, err := regression.NewInterpolator(xs, ys)
-	if err != nil {
-		panic(fmt.Sprintf("profile: curve too short to interpolate: %v", err))
-	}
-	return it
 }
 
 // FitG fits the decreasing-convex exponential model of §3.2 to the

@@ -2,6 +2,7 @@ package profile
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -206,6 +207,31 @@ func TestParetoCuts(t *testing.T) {
 	}
 }
 
+// Restrict returns a copy of the curve containing only the given cut
+// indices (typically ParetoCuts), renumbered contiguously, and the
+// indices themselves. No planner reads a copy: Algorithm 2 and the
+// Theorem 5.2 solver read the Pareto positions in place.
+func (c *Curve) Restrict(cuts []int) (*Curve, []int) {
+	out := &Curve{
+		Model:   c.Model,
+		Channel: c.Channel,
+		F:       make([]float64, len(cuts)),
+		G:       make([]float64, len(cuts)),
+		CloudMs: make([]float64, len(cuts)),
+		Bytes:   make([]int, len(cuts)),
+		Labels:  make([]string, len(cuts)),
+	}
+	idx := make([]int, len(cuts))
+	for r, i := range cuts {
+		if i < 0 || i >= c.Len() {
+			panic(fmt.Sprintf("profile: restrict index %d out of range", i))
+		}
+		out.F[r], out.G[r], out.CloudMs[r] = c.F[i], c.G[i], c.CloudMs[i]
+		out.Bytes[r], out.Labels[r], idx[r] = c.Bytes[i], c.Labels[i], i
+	}
+	return out, idx
+}
+
 func TestRestrict(t *testing.T) {
 	c := alexCurve(t, netsim.WiFi)
 	cuts := c.ParetoCuts()
@@ -259,6 +285,21 @@ func TestValidateRefusesNonFinite(t *testing.T) {
 	}
 }
 
+// FInterp and GInterp extend F and G piecewise-linearly over cut
+// positions.
+func (c *Curve) FInterp() polyline { return polyline(c.F) }
+func (c *Curve) GInterp() polyline { return polyline(c.G) }
+
+// polyline is the piecewise-linear function through (i, ys[i]),
+// extended past either end with the end segment's slope.
+type polyline []float64
+
+func (p polyline) Eval(x float64) float64 {
+	i := min(max(int(math.Ceil(x)), 1), len(p)-1)
+	t := x - float64(i-1)
+	return p[i-1] + t*(p[i]-p[i-1])
+}
+
 func TestInterpolators(t *testing.T) {
 	c := alexCurve(t, netsim.WiFi)
 	fi, gi := c.FInterp(), c.GInterp()
@@ -274,19 +315,18 @@ func TestInterpolators(t *testing.T) {
 
 func TestFitGAndSynthetic(t *testing.T) {
 	c := alexCurve(t, netsim.WiFi)
-	restricted, _ := c.Restrict(c.ParetoCuts())
-	fit, err := restricted.FitG()
+	fit, err := c.FitG()
 	if err != nil {
 		t.Fatalf("FitG: %v", err)
 	}
 	if fit.B >= 0 {
 		t.Errorf("fitted G must decay (B=%g)", fit.B)
 	}
-	syn, err := restricted.Synthetic()
+	syn, err := c.Synthetic()
 	if err != nil {
 		t.Fatalf("Synthetic: %v", err)
 	}
-	if syn.Model != restricted.Model+"'" {
+	if syn.Model != c.Model+"'" {
 		t.Errorf("synthetic model name = %q", syn.Model)
 	}
 	if syn.G[syn.Len()-1] != 0 {

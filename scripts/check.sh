@@ -104,6 +104,15 @@ echo "== benchmark module (vet + test; read-only)"
 # here, not in the pipeline's benchmark build.
 (cd benchmark && go vet ./... && go test ./...)
 
+echo "== reachability (every internal/ function reached by a binary or allowlisted)"
+# Builds the five cmd/ mains, the five examples and the benchmark driver
+# with the linker's dependency dump and fails on a non-test internal/
+# function none of them reaches that scripts/reach_test.go's allowlist
+# does not name, or on an allowlist entry that is reached or gone. The
+# reach tag keeps those eleven builds out of `go test ./...`.
+go vet -tags reach ./scripts/
+go test -tags reach -count=1 ./scripts/
+
 echo "== go test -race (engine, flowshop)"
 # On AVX2 hosts this leg drives the assembly kernels too: the parity
 # tests pin kernelAsm at workers>1, racing the packed-panel fan-out. On
