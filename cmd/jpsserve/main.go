@@ -14,11 +14,8 @@
 // and the fully connected tail of every request parked there within a
 // 2 ms hold runs as one pass of up to 16, so a burst streams those
 // weights once (float32 models with a dense head; see DESIGN.md
-// "Cross-job batching"). -downlink-mbps paces the server's replies at a
-// modeled downlink bandwidth, for end-to-end runs over symmetric
-// low-band channels:
-//
-//	jpsserve -model mobilenetv2 -downlink-mbps 8
+// "Cross-job batching"). Replies go out unshaped: a reply is one small
+// frame, and the planner prices it free, as the paper does.
 //
 // Multi-tenant fleets arbitrate the shared worker pool with weighted
 // fair queueing and bound overload with admission control (see
@@ -89,8 +86,6 @@ func main() {
 		seed  = flag.Int64("seed", 42, "weight seed (must match the client)")
 		conc  = flag.Int("conc", 0, "the server's one core budget: concurrent inferences server-wide (the one worker pool every connection shares), each pass GOMAXPROCS/conc goroutines wide (at least 1); 0 = GOMAXPROCS")
 
-		downMbps = flag.Float64("downlink-mbps", 0, "pace replies at this modeled downlink bandwidth (0 = unshaped)")
-
 		tenants  = flag.String("tenants", "", "comma-separated tenant:weight WFQ weights, e.g. gold:2,bronze:1 (unlisted tenants get weight 1)")
 		shedMark = flag.Int("shed-watermark", 0, "queue depth at which new infer jobs are shed with a Class -1 reply; backpressure hints start at half this (0 = disabled)")
 
@@ -123,7 +118,7 @@ func main() {
 	}
 	cfg := serveConfig{
 		model: *model, addr: *addr, seed: *seed, conc: *conc,
-		downMbps: *downMbps, tenants: weights, shedWatermark: *shedMark,
+		tenants: weights, shedWatermark: *shedMark,
 		nextHop: *nextHop, nextCut: *nextCut,
 		spec: spec, faultSeed: *faultSeed,
 		metricsAddr: *metricsAddr, traceOut: *traceOut,
@@ -156,8 +151,6 @@ func flagConflict(cfg serveConfig) error {
 		return fmt.Errorf("-conc %d: want 0 (GOMAXPROCS) or more", cfg.conc)
 	case cfg.shedWatermark < 0:
 		return fmt.Errorf("-shed-watermark %d: want 0 (disabled) or more", cfg.shedWatermark)
-	case !nonNeg(cfg.downMbps):
-		return fmt.Errorf("-downlink-mbps %g: want a finite rate, 0 or more", cfg.downMbps)
 	case !prob(sp.DropProb):
 		return fmt.Errorf("-fault-drop %g: want a probability in [0, 1]", sp.DropProb)
 	case !prob(sp.StallProb):
@@ -266,7 +259,6 @@ type serveConfig struct {
 	addr          string
 	seed          int64
 	conc          int
-	downMbps      float64
 	tenants       map[string]float64
 	shedWatermark int
 	nextHop       string
@@ -314,14 +306,6 @@ func run(cfg serveConfig) error {
 		}
 		fmt.Printf("chain stage: computing up to unit %d, forwarding to %s\n", cfg.nextCut, cfg.nextHop)
 	}
-	// The server's writes are the client's downlink: pacing them models
-	// reply bandwidth without the client's cooperation.
-	shapeDown := func(conn net.Conn) net.Conn { return conn }
-	if cfg.downMbps > 0 {
-		fmt.Printf("downlink shaped to %.2f Mb/s\n", cfg.downMbps)
-		dlCh := netsim.Channel{Name: "downlink", UplinkMbps: cfg.downMbps}
-		shapeDown = func(conn net.Conn) net.Conn { return netsim.Shape(conn, dlCh, 1) }
-	}
 	var (
 		tr  *obs.Tracer
 		reg *obs.Metrics
@@ -348,7 +332,7 @@ func run(cfg serveConfig) error {
 	// connections), the scheduler drains every admitted job to its
 	// reply, and the observability state is flushed before exit.
 	serveErr := make(chan error, 1)
-	go func() { serveErr <- acceptLoop(srv, lis, shapeDown, cfg) }()
+	go func() { serveErr <- acceptLoop(srv, lis, connWrap(cfg)) }()
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	defer signal.Stop(sig)
@@ -383,30 +367,28 @@ func (l perConn) Accept() (net.Conn, error) {
 }
 
 // acceptLoop serves lis until it closes, each accepted connection
-// wrapped as connWrap says.
-func acceptLoop(srv *runtime.Server, lis net.Listener, shapeDown func(net.Conn) net.Conn, cfg serveConfig) error {
-	return srv.Serve(perConn{lis, connWrap(shapeDown, cfg)})
+// handed through wrap (connWrap's, in run).
+func acceptLoop(srv *runtime.Server, lis net.Listener, wrap func(net.Conn) net.Conn) error {
+	return srv.Serve(perConn{lis, wrap})
 }
 
 // connWrap is what the flags make of an accepted connection: itself,
-// behind the downlink shaper, and/or inside the fault injector.
-func connWrap(shapeDown func(net.Conn) net.Conn, cfg serveConfig) func(net.Conn) net.Conn {
+// or the fault injector around it.
+func connWrap(cfg serveConfig) func(net.Conn) net.Conn {
 	if !(cfg.spec.DropProb > 0 || cfg.spec.StallProb > 0 ||
 		cfg.spec.DisconnectAfterBytes > 0 || len(cfg.spec.Degrade) > 0) {
-		return shapeDown
+		return func(conn net.Conn) net.Conn { return conn }
 	}
 	// Fault mode: the server side of the i-th accepted connection
 	// suffers the configured drops, stalls and disconnects, drawn from
 	// seed faultSeed+i. Serve accepts from one goroutine, so the count
-	// needs no lock. The injector is told the rate the shaper already
-	// paces writes at, so a -fault-degrade cap is the rate replies get,
-	// not the series rate of the two.
+	// needs no lock. Nothing shapes the server's writes, so a
+	// -fault-degrade cap is the rate replies get.
 	fmt.Printf("fault injection on: %+v (seed %d)\n", cfg.spec, cfg.faultSeed)
 	seed := cfg.faultSeed - 1
 	return func(conn net.Conn) net.Conn {
 		seed++
-		return netsim.Inject(shapeDown(conn), cfg.spec, cfg.spec, seed, 1).
-			WithNominal(netsim.Channel{UplinkMbps: cfg.downMbps})
+		return netsim.Inject(conn, cfg.spec, cfg.spec, seed, 1)
 	}
 }
 

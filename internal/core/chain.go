@@ -13,8 +13,9 @@ package core
 // per job.
 //
 // Every multi-hop topology goes through this one planner. A 2-device
-// chain IS the paper's two-tier problem (JPSChain delegates to JPS,
-// reply pricing included). A 3-device chain is the fog-computing
+// chain IS the paper's two-tier problem (JPSChain delegates to JPS).
+// No hop prices the reply: it is one small frame back, and it rides
+// free on every link, as in the paper. A 3-device chain is the fog-computing
 // mobile→edge→cloud extension the paper cites through Mohammed et al.
 // [15]; its plans are frozen bit-for-bit in chain_golden_test.go.
 
@@ -69,18 +70,15 @@ func (c Chain) Validate() error {
 }
 
 // checkLink rejects a channel the planner cannot price: an uplink that
-// is not a finite positive bandwidth, a setup latency that is not finite
-// and non-negative, or a NaN or infinite downlink would price uploads
-// +Inf, NaN or setup-only and still get a plan.
+// is not a finite positive bandwidth or a setup latency that is not
+// finite and non-negative would price uploads +Inf, NaN or setup-only
+// and still get a plan.
 func checkLink(ch netsim.Channel) error {
 	if !(ch.UplinkMbps > 0) || math.IsInf(ch.UplinkMbps, 1) {
 		return fmt.Errorf("(%s) has unusable uplink bandwidth %g Mb/s", ch.Name, ch.UplinkMbps)
 	}
 	if !(ch.SetupMs >= 0) || math.IsInf(ch.SetupMs, 1) {
 		return fmt.Errorf("(%s) has unusable setup latency %g ms", ch.Name, ch.SetupMs)
-	}
-	if math.IsNaN(ch.DownlinkMbps) || math.IsInf(ch.DownlinkMbps, 0) {
-		return fmt.Errorf("(%s) has unusable downlink bandwidth %g Mb/s", ch.Name, ch.DownlinkMbps)
 	}
 	return nil
 }
@@ -115,8 +113,7 @@ type chainCurves struct {
 	// as profile.BuildCurve's F.
 	f [][]float64
 	// linkMs[l][i]: transmission ms of the tensor at position i over
-	// link l (no reply leg — replies ride the last hop back and are
-	// priced only by the two-tier special case).
+	// link l.
 	linkMs [][]float64
 	pareto []int
 	n      int
@@ -126,7 +123,7 @@ func buildChainCurves(g *dag.Graph, ch Chain) *chainCurves {
 	t := profile.PriceUnits(g, profile.LineView(g), ch.Devices, ch.DType)
 	c := &chainCurves{f: t.Cum(), linkMs: make([][]float64, len(ch.Links)), pareto: profile.ParetoCuts(t.Bytes), n: len(t.Units)}
 	for l, link := range ch.Links {
-		c.linkMs[l] = t.CutMs(link, false)
+		c.linkMs[l] = t.CutMs(link)
 	}
 	return c
 }
@@ -172,7 +169,7 @@ func enumTuples(pareto []int, k int, visit func(cuts []int)) {
 
 // JPSChain jointly picks k cuts per job and an m-machine schedule for
 // a chain. Depth 1 is the paper's exact problem and delegates to JPS
-// (Alg. 2 + Thm 5.3 + Johnson, reply pricing included). Deeper chains
+// (Alg. 2 + Thm 5.3 + Johnson). Deeper chains
 // have no closed-form balance point, so the search is direct:
 // enumerate non-decreasing Pareto tuples, rank by peak stage (the
 // asymptotic average-makespan driver), and mix the best two candidates

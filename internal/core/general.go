@@ -130,14 +130,14 @@ func PlanGeneral(g *dag.Graph, mobile, cloud profile.Device, ch netsim.Channel, 
 
 	// Per-path Algorithm 2 on the Pareto positions of the path's own
 	// curve. The replay reads the same priced table: nodeMs[p][i] is
-	// path p's i-th node on the mobile, upMs[p][i] the upload of its
-	// tensor, without the reply leg the curve's G carries per path.
+	// path p's i-th node on the mobile, and the upload of its tensor is
+	// the curve's G, the reply riding free.
 	plans := make([]crossing, len(paths))
-	nodeMs, upMs := make([][]float64, len(paths)), make([][]float64, len(paths))
+	nodeMs := make([][]float64, len(paths))
 	for pi, path := range paths {
 		t := profile.PriceUnits(g, profile.PathUnits(g, path), []profile.Device{mobile, cloud}, dt)
 		// The curve runs the mobile row in place; the replay keeps it per node.
-		nodeMs[pi], upMs[pi] = slices.Clone(t.Ms[0]), t.CutMs(ch, false)
+		nodeMs[pi] = slices.Clone(t.Ms[0])
 		plans[pi], err = findCrossing(t.Curve(g.Name()+"/path", ch))
 		if err != nil {
 			return nil, fmt.Errorf("core: path %d: %w", pi, err)
@@ -202,7 +202,7 @@ func PlanGeneral(g *dag.Graph, mobile, cloud profile.Device, ch netsim.Channel, 
 			cutNode := path[pj.Cut]
 			if pj.Cut < len(path)-1 && !uploaded[pj.Job][cutNode] {
 				uploaded[pj.Job][cutNode] = true
-				b = upMs[pj.Path][pj.Cut]
+				b = plans[pj.Path].c.G[pj.Cut]
 			}
 			pj.ActualF, pj.ActualG = a, b
 			seq = append(seq, pj)

@@ -156,6 +156,39 @@ func TestPlanGeneralDedupSharedPrefix(t *testing.T) {
 	}
 }
 
+// TestPathJobsReplayScheduledUpload: Alg. 3 replays what Johnson's rule
+// scheduled. A path curve's G is the upload of its cut tensor and
+// nothing else, so every path job that uploads in the replay uploads
+// exactly the G it was sequenced on, to the bit.
+func TestPathJobsReplayScheduledUpload(t *testing.T) {
+	pi, gpu := devices()
+	for _, name := range []string{"googlenet", "resnet18", "squeezenet", "mobilenetv2"} {
+		g := models.MustBuild(name)
+		for _, ch := range netsim.Presets() {
+			for _, n := range []int{1, 8, 100} {
+				p, err := PlanGeneral(g, pi, gpu, ch, tensor.Float32, n, 0)
+				if err != nil {
+					t.Fatalf("%s/%s n=%d: %v", name, ch.Name, n, err)
+				}
+				uploads := 0
+				for _, pj := range p.Sequence {
+					if pj.ActualG == 0 {
+						continue
+					}
+					uploads++
+					if pj.ActualG != pj.G {
+						t.Errorf("%s/%s n=%d: job %d path %d cut %d replays upload %v ms, scheduled on G = %v",
+							name, ch.Name, n, pj.Job, pj.Path, pj.Cut, pj.ActualG, pj.G)
+					}
+				}
+				if uploads == 0 {
+					t.Errorf("%s/%s n=%d: no path job uploads, nothing checked", name, ch.Name, n)
+				}
+			}
+		}
+	}
+}
+
 func TestPlanGeneralBestBeatsNaiveBaselines(t *testing.T) {
 	g := models.MustBuild("googlenet")
 	pi, gpu := devices()

@@ -17,7 +17,7 @@ import (
 func TestCorePricesNothing(t *testing.T) {
 	primitives := map[string]bool{
 		"LayerTimeMs": true, "NodesTimeMs": true, "TotalTimeMs": true,
-		"TxMs": true, "RxMs": true, "OutBytes": true,
+		"TxMs": true, "OutBytes": true,
 	}
 	files, err := filepath.Glob("*.go")
 	if err != nil {

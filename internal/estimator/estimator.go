@@ -184,9 +184,6 @@ func (e *Estimator) AddUpload(bytes int, durMs float64) (ChangePoint, bool) {
 	w := 1 - math.Pow(0.5, durMs/e.cfg.HalfLifeMs)
 	e.est += w * (mbps - e.est)
 
-	if idx < e.cfg.Warmup {
-		return ChangePoint{}, false
-	}
 	e.sPos = math.Max(0, e.sPos+r-e.cfg.Drift)
 	e.sNeg = math.Max(0, e.sNeg-r-e.cfg.Drift)
 	var dir Direction

@@ -13,23 +13,13 @@ import (
 
 // Channel describes an uplink: name, sustained uplink bandwidth, and
 // the per-message setup latency w0 (connection establishment, radio
-// wake-up, protocol overhead). DownlinkMbps, when positive, models the
-// reply direction as well; zero leaves the downlink unshaped and
-// unpriced — the historical assumption that reply frames are free,
-// which holds for broadband but biases planning toward the cloud on
-// symmetric low-bandwidth channels (the Fig. 13 low-band region).
+// wake-up, protocol overhead). The reply direction is neither shaped
+// nor priced: as in the paper, the result that comes back (one small
+// frame) rides free.
 type Channel struct {
-	Name         string
-	UplinkMbps   float64
-	DownlinkMbps float64
-	SetupMs      float64
-}
-
-// WithDownlink returns a copy of the channel with the reply direction
-// modeled at the given bandwidth (<= 0 disables downlink modeling).
-func (c Channel) WithDownlink(mbps float64) Channel {
-	c.DownlinkMbps = mbps
-	return c
+	Name       string
+	UplinkMbps float64
+	SetupMs    float64
 }
 
 // The paper's three reference bandwidths (from Hu et al. [7]):
@@ -72,27 +62,8 @@ func (c Channel) TxMs(bytes int) float64 {
 	return c.SetupMs + float64(bytes)*8/(c.UplinkMbps*1e6)*1000
 }
 
-// RxMs returns the modeled time in milliseconds to download a reply of
-// the given size, 0 when the downlink is unmodeled or nothing crosses
-// it. No setup term: the reply rides the connection the request already
-// paid to establish.
-func (c Channel) RxMs(bytes int) float64 {
-	if bytes <= 0 || c.DownlinkMbps <= 0 {
-		return 0
-	}
-	return float64(bytes) * 8 / (c.DownlinkMbps * 1e6) * 1000
-}
-
 // BytesPerSec returns the channel's sustained uplink throughput.
 func (c Channel) BytesPerSec() float64 { return c.UplinkMbps * 1e6 / 8 }
-
-// DownBytesPerSec returns the downlink throughput, 0 when unmodeled.
-func (c Channel) DownBytesPerSec() float64 {
-	if c.DownlinkMbps <= 0 {
-		return 0
-	}
-	return c.DownlinkMbps * 1e6 / 8
-}
 
 func (c Channel) String() string {
 	return fmt.Sprintf("%s (%.2f Mb/s, setup %.0fms)", c.Name, c.UplinkMbps, c.SetupMs)

@@ -96,9 +96,9 @@ type FaultyConn struct {
 	start    time.Time
 	sleep    func(time.Duration)
 	now      func() time.Time
-	// Nominal shaper rates per direction (Mb/s, 0 = undeclared); see
+	// Nominal shaper rate of writes (Mb/s, 0 = undeclared); see
 	// WithNominal.
-	upNom, downNom float64
+	upNom float64
 
 	mu    sync.Mutex
 	rng   *rand.Rand
@@ -127,16 +127,16 @@ func Inject(conn net.Conn, up, down FaultSpec, seed int64, timeScale float64) *F
 }
 
 // WithNominal declares the bandwidth the surrounding shaper already
-// paces each direction at. An injected FaultyConn usually sits under a
-// ShapedConn, so every byte pays the nominal pacing before it reaches
-// the injector; without the declaration a Degrade cap's pacing stacks
-// on top and the wire delivers the series composition of the two rates
-// (1/(1/nominal + 1/cap)) instead of the cap. With it, the injector
-// charges only the difference, so the scripted Mbps is the effective
-// rate an estimator on the client measures.
+// paces writes at; a ShapedConn leaves reads unpaced, so a read cap is
+// charged in full. An injected FaultyConn usually sits under a
+// ShapedConn, so every written byte pays the nominal pacing before it
+// reaches the injector; without the declaration a Degrade cap's pacing
+// stacks on top and the wire delivers the series composition of the
+// two rates (1/(1/nominal + 1/cap)) instead of the cap. With it, the
+// injector charges only the difference, so the scripted Mbps is the
+// effective rate an estimator on the client measures.
 func (f *FaultyConn) WithNominal(ch Channel) *FaultyConn {
 	f.upNom = ch.UplinkMbps
-	f.downNom = ch.DownlinkMbps
 	return f
 }
 
@@ -227,7 +227,7 @@ func (f *FaultyConn) Read(p []byte) (int, error) {
 			return n, err
 		}
 		f.mu.Lock()
-		drop, ierr := f.inject(f.down, n, &f.stats.DownBytes, &f.stats.DroppedDown, f.downNom, "read")
+		drop, ierr := f.inject(f.down, n, &f.stats.DownBytes, &f.stats.DroppedDown, 0, "read")
 		f.mu.Unlock()
 		if ierr != nil {
 			return 0, ierr

@@ -12,7 +12,8 @@ import (
 // Pacing uses a virtual send clock with debt accounting so many small
 // writes cost the same as one large write. TimeScale compresses the
 // simulated time axis (0.001 = 1000× faster than real time) so
-// integration tests can exercise slow channels quickly.
+// integration tests can exercise slow channels quickly. Reads pass
+// straight through: the reply direction is not shaped.
 //
 // The pacing state is mutex-guarded, and the lock is held across the
 // pacing sleep: concurrent writers (or a writer racing a Delay call)
@@ -25,14 +26,6 @@ type ShapedConn struct {
 	sleep       func(time.Duration)
 	mu          sync.Mutex
 	debt        time.Duration // accumulated unsent pacing time
-
-	// Downlink pacing (reads). Zero downPerSec passes reads straight
-	// through — the historical uplink-only shaping. The read side has
-	// its own lock and debt so a paced reply never serializes behind a
-	// paced upload: the directions are separate physical resources.
-	downPerSec float64
-	downMu     sync.Mutex
-	downDebt   time.Duration
 
 	// Ground-truth byte accounting for the observability layer: every
 	// byte that actually reached the underlying conn, regardless of
@@ -49,7 +42,6 @@ func Shape(conn net.Conn, ch Channel, timeScale float64) *ShapedConn {
 	return &ShapedConn{
 		Conn:        conn,
 		bytesPerSec: ch.BytesPerSec(),
-		downPerSec:  ch.DownBytesPerSec(),
 		timeScale:   timeScale,
 		sleep:       time.Sleep,
 	}
@@ -73,26 +65,6 @@ func (s *ShapedConn) Write(p []byte) (int, error) {
 	n, err := s.Conn.Write(p)
 	if n > 0 {
 		s.nBytes.Add(int64(n))
-	}
-	return n, err
-}
-
-// Read forwards to the underlying conn, then paces the received bytes
-// at the downlink bandwidth. Pacing after the read (rather than before)
-// means the sleep charges exactly the bytes that actually arrived, with
-// the same debt accounting as the write side. With an unmodeled
-// downlink this is a passthrough.
-func (s *ShapedConn) Read(p []byte) (int, error) {
-	n, err := s.Conn.Read(p)
-	if n > 0 && s.downPerSec > 0 {
-		s.downMu.Lock()
-		s.downDebt += time.Duration(float64(n) / s.downPerSec * float64(time.Second) * s.timeScale)
-		if s.downDebt >= time.Millisecond {
-			slept := s.downDebt
-			s.downDebt = 0
-			s.sleep(slept)
-		}
-		s.downMu.Unlock()
 	}
 	return n, err
 }

@@ -22,7 +22,7 @@ type BlockStat struct {
 // "layer" is a block of conv/pool/activation operations).
 func BlockProfile(g *dag.Graph, mobile, cloud Device, ch netsim.Channel, dt tensor.DType) []BlockStat {
 	t := PriceUnits(g, LineView(g), []Device{mobile, cloud}, dt)
-	comm := t.CutMs(ch, true)
+	comm := t.CutMs(ch)
 	var stats []BlockStat
 	for i, u := range t.Units {
 		if len(stats) == 0 || stats[len(stats)-1].Label != u.Label {

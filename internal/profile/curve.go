@@ -12,15 +12,6 @@ import (
 	"dnnjps/internal/tensor"
 )
 
-// ReplyBytes is the on-the-wire size of the runtime's inference reply
-// frame (type byte + 25-byte body incl. the admission-control flags
-// byte + CRC). The profile layer cannot import internal/runtime
-// (runtime builds on profile), so the value is duplicated here and
-// pinned to runtime.ReplyWireBytes by a test in that package. It
-// prices the downlink leg of every offloaded cut on channels that
-// model reply bandwidth (Channel.DownlinkMbps > 0).
-const ReplyBytes = 30
-
 // Unit is one step of the line view of a graph: the articulation node
 // every path crosses (Exit) together with the parallel-region interior
 // nodes since the previous articulation. For a line DAG each unit is a
@@ -75,9 +66,8 @@ type Curve struct {
 	// F is the cumulative mobile computation time in ms.
 	F []float64
 	// G is the communication time in ms of the cut: the upload of the
-	// tensor crossing it (w0 + bytes/bandwidth) plus, on channels that
-	// model the downlink, the reply frame's transit; 0 at the last
-	// index.
+	// tensor crossing it (w0 + bytes/bandwidth); 0 at the last index.
+	// The reply, one small frame back, rides free, as in the paper.
 	G []float64
 	// CloudMs is the remaining cloud computation time in ms.
 	CloudMs []float64
@@ -134,21 +124,19 @@ func (t Table) Cum() [][]float64 {
 	return t.Ms
 }
 
-// CutMs prices every cut on ch by the one g rule, priceCuts, with or
-// without the reply leg.
-func (t Table) CutMs(ch netsim.Channel, reply bool) []float64 { return priceCuts(ch, t.Bytes, reply) }
+// CutMs prices every cut on ch by the one g rule, priceCuts.
+func (t Table) CutMs(ch netsim.Channel) []float64 { return priceCuts(ch, t.Bytes) }
 
 // Curve is the cut curve of a table priced on mobile then cloud, made
 // from its rows in place: F is the mobile compute through each unit,
-// CloudMs what the cloud has left to run after it, G each cut on ch
-// with the reply leg.
+// CloudMs what the cloud has left to run after it, G each cut on ch.
 func (t Table) Curve(model string, ch netsim.Channel) *Curve {
 	cum := t.Cum()
 	c := &Curve{
 		Model:   model,
 		Channel: ch,
 		F:       cum[0],
-		G:       t.CutMs(ch, true),
+		G:       t.CutMs(ch),
 		CloudMs: cum[1],
 		Bytes:   t.Bytes,
 		Labels:  make([]string, len(t.Units)),
@@ -170,16 +158,12 @@ func BuildCurve(g *dag.Graph, mobile, cloud Device, ch netsim.Channel, dt tensor
 }
 
 // priceCuts is the one g rule: a cut costs the upload of the tensor
-// crossing it (w0 + bytes/bandwidth) plus, with reply on a channel that
-// models the downlink, the reply frame's transit; a cut that ships
-// nothing costs 0.
-func priceCuts(ch netsim.Channel, bytes []int, reply bool) []float64 {
+// crossing it (netsim.Channel.TxMs: w0 + bytes/bandwidth, 0 when
+// nothing ships).
+func priceCuts(ch netsim.Channel, bytes []int) []float64 {
 	g := make([]float64, len(bytes))
 	for i, b := range bytes {
 		g[i] = ch.TxMs(b)
-		if b > 0 && reply {
-			g[i] += ch.RxMs(ReplyBytes)
-		}
 	}
 	return g
 }
@@ -217,7 +201,7 @@ func ParetoCuts(bytes []int) []int {
 // re-planning when the measured uplink diverges from the profiled one.
 // F, CloudMs and Bytes are device properties and carry over unchanged.
 func (c *Curve) Reprice(ch netsim.Channel) *Curve {
-	return c.withG(c.Model, ch, priceCuts(ch, c.Bytes, true))
+	return c.withG(c.Model, ch, priceCuts(ch, c.Bytes))
 }
 
 // withG is the curve under a new model name and channel with G

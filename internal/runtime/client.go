@@ -87,10 +87,10 @@ func NewClient(conn net.Conn, m *engine.Model, ch netsim.Channel, timeScale floa
 	shaped := netsim.Shape(conn, ch, timeScale)
 	return &Client{
 		lineProgram: newLineProgram(m),
-		// Reads go through the shaper too: with a modeled downlink the
-		// reply frames are paced; otherwise Read is a passthrough.
-		conn:       shaped,
-		r:          bufio.NewReaderSize(shaped, 1<<16),
+		conn:        shaped,
+		// Replies come back unpaced, riding free as the planner prices
+		// them, so the reader takes the bare conn.
+		r:          bufio.NewReaderSize(conn, 1<<16),
 		w:          bufio.NewWriterSize(shaped, 1<<16),
 		ch:         ch,
 		scale:      timeScale,
@@ -319,7 +319,7 @@ func (c *Client) deliver(rep inferReply) error {
 	}
 	c.obsv.span(TrackCloud, SpanReplyWait, int(rep.JobID), sentEnd, now)
 	c.obsv.JobsCompleted.Inc()
-	c.obsv.BytesDown.Add(replyWireBytes)
+	c.obsv.BytesDown.Add(ReplyWireBytes)
 	c.obsv.ReplyLatency.Observe(float64(total.Nanoseconds()) / 1e6)
 	cl.ok = true
 	close(cl.done)

@@ -192,8 +192,8 @@ func TestObsMetricsAndExports(t *testing.T) {
 	if got := o.BytesUp.Value(); got != n*reqBytes {
 		t.Errorf("uplink bytes = %d, want %d", got, n*reqBytes)
 	}
-	if got := o.BytesDown.Value(); got != n*replyWireBytes {
-		t.Errorf("downlink bytes = %d, want %d", got, int64(n*replyWireBytes))
+	if got := o.BytesDown.Value(); got != n*ReplyWireBytes {
+		t.Errorf("downlink bytes = %d, want %d", got, int64(n*ReplyWireBytes))
 	}
 	if got := o.ServerJobs.Value(); got != n {
 		t.Errorf("server jobs = %d, want %d", got, n)
@@ -201,8 +201,8 @@ func TestObsMetricsAndExports(t *testing.T) {
 	if got := o.ServerRxBytes.Value(); got != n*reqBytes {
 		t.Errorf("server rx bytes = %d, want %d", got, n*reqBytes)
 	}
-	if got := o.ServerTxBytes.Value(); got != n*replyWireBytes {
-		t.Errorf("server tx bytes = %d, want %d", got, int64(n*replyWireBytes))
+	if got := o.ServerTxBytes.Value(); got != n*ReplyWireBytes {
+		t.Errorf("server tx bytes = %d, want %d", got, int64(n*ReplyWireBytes))
 	}
 	if got := o.WorkersBusy.Value(); got != 0 {
 		t.Errorf("workers busy = %g after run, want 0", got)

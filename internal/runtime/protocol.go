@@ -138,12 +138,10 @@ type inferReply struct {
 
 // ReplyWireBytes is the full on-the-wire size of a reply frame: type
 // byte + 25-byte body (JobID, Class, CloudNs, QueueNs, Flags) +
-// CRC-32C trailer. Exported so the profile layer's duplicated copy
-// (profile.ReplyBytes, which prices the downlink leg of a cut) can be
-// pinned to it by test.
+// CRC-32C trailer. The planner prices the reply free, as the paper
+// does; the size is exported for callers that model a link carrying
+// replies, such as the benchmark's backhaul delay line.
 const ReplyWireBytes = 1 + 25 + 4
-
-const replyWireBytes = ReplyWireBytes
 
 // jobOnceBytes is what a job frame carries once whatever its boundary:
 // type byte, job ID, pair count and the CRC-32C trailer.
@@ -400,7 +398,7 @@ func writeInferReply(w io.Writer, rep *inferReply) error {
 	binary.LittleEndian.PutUint64(b[17:], uint64(rep.QueueNs))
 	b[25] = rep.Flags
 	binary.LittleEndian.PutUint32(b[26:], crc32.Checksum(b[1:26], wireCRC))
-	_, err := w.Write(b[:replyWireBytes])
+	_, err := w.Write(b[:ReplyWireBytes])
 	wireBufs.Put(bp)
 	return err
 }
@@ -412,7 +410,7 @@ func readInferReplyBody(r io.Reader) (inferReply, error) {
 	bp := wireBufs.Get().(*[]byte)
 	defer wireBufs.Put(bp)
 	b := *bp
-	if _, err := io.ReadFull(r, b[:replyWireBytes-1]); err != nil {
+	if _, err := io.ReadFull(r, b[:ReplyWireBytes-1]); err != nil {
 		return inferReply{}, err
 	}
 	if got, want := binary.LittleEndian.Uint32(b[25:]), crc32.Checksum(b[:25], wireCRC); got != want {

@@ -358,7 +358,7 @@ func (r *Runner) maybeReplan(cl *Client, rest []ftJob, rs *replanState, nominal 
 			r.obsv.event(TrackRunner, EventReplanTrigger, -1, now)
 			replanStart := time.Now()
 			// The channel model in force at the estimated uplink
-			// bandwidth: setup latency and the downlink model carry over.
+			// bandwidth: the setup latency carries over.
 			measured := *nominal
 			measured.Name += "-est"
 			measured.UplinkMbps = est

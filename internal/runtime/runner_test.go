@@ -348,14 +348,13 @@ func TestRunnerReplansOnDegradedLink(t *testing.T) {
 	}
 }
 
-// TestAdaptiveReplanKeepsDownlinkModel: a link replan adopts the
+// TestAdaptiveReplanKeepsSetupLatency: a link replan adopts the
 // estimated uplink bandwidth but must keep the channel's setup latency
-// and downlink model — dropping them reprices the curve with free
-// replies and leaves every later attempt of the run planning without a
-// reply leg.
-func TestAdaptiveReplanKeepsDownlinkModel(t *testing.T) {
+// — dropping it reprices every later attempt of the run with free
+// uploads of their per-message w0.
+func TestAdaptiveReplanKeepsSetupLatency(t *testing.T) {
 	m := pipeModel(t)
-	ch := netsim.Channel{Name: "pipe", UplinkMbps: 8, SetupMs: 2}.WithDownlink(3)
+	ch := netsim.Channel{Name: "pipe", UplinkMbps: 8, SetupMs: 2}
 	curve := profile.BuildCurve(m.Graph(), profile.RaspberryPi4(), profile.CloudGPU(), ch, tensor.Float32)
 	r := NewRunner(nil, m, ch, 1, RunOptions{AdaptiveReplan: true}).WithCurve(curve)
 
@@ -380,8 +379,7 @@ func TestAdaptiveReplanKeepsDownlinkModel(t *testing.T) {
 	if nominal.UplinkMbps < 3.9 || nominal.UplinkMbps > 4.1 {
 		t.Errorf("adopted uplink = %.2f Mb/s, want ~4 (half of 8)", nominal.UplinkMbps)
 	}
-	if nominal.DownlinkMbps != ch.DownlinkMbps || nominal.SetupMs != ch.SetupMs {
-		t.Errorf("adopted channel: downlink %g Mb/s setup %g ms, want the nominal %g Mb/s / %g ms",
-			nominal.DownlinkMbps, nominal.SetupMs, ch.DownlinkMbps, ch.SetupMs)
+	if nominal.SetupMs != ch.SetupMs {
+		t.Errorf("adopted channel: setup %g ms, want the nominal %g ms", nominal.SetupMs, ch.SetupMs)
 	}
 }

@@ -243,7 +243,7 @@ func (s *Server) HandleConn(conn io.ReadWriter) error {
 		}
 		s.obsv.span(TrackServer, SpanReplyWrite, int(rep.JobID), start, time.Now())
 		s.obsv.ServerJobs.Inc()
-		s.obsv.ServerTxBytes.Add(replyWireBytes)
+		s.obsv.ServerTxBytes.Add(ReplyWireBytes)
 		return nil
 	}
 

@@ -70,7 +70,6 @@ var allowlist = map[string]string{
 	"dag.Graph.NodeByName":          rest,
 	"dag.Graph.ValidCut":            rest,
 	"dag.Graph.MobileFLOPs":         rest,
-	"netsim.Channel.WithDownlink":   rest,
 	"engine.Model.ForwardBatch":     rest,
 	"engine.UnpackBatch":            rest,
 	"runtime.Client.Units":          rest,
