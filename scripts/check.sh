@@ -7,6 +7,10 @@ cd "$(dirname "$0")/.."
 
 echo "== go vet"
 go vet ./...
+# The smoke driver is //go:build ignore, so ./... skips it; vetting it
+# here fails an API change that breaks it in seconds, before the server
+# legs below have built.
+go vet scripts/e2e_client.go
 
 # Optional analyzers: run when installed, skip cleanly when not (the CI
 # image bakes in only the go toolchain; go vet above always runs).
@@ -129,7 +133,7 @@ echo "== go test -race (estimator)"
 go test -race ./internal/estimator/...
 
 echo "== go test -race (jpsserve)"
-# acceptLoop, perConn, the downlink shaper and the fault injector, on Server.Serve's goroutines.
+# acceptLoop, perConn and the fault injector, on Server.Serve's goroutines.
 go test -race ./cmd/jpsserve/
 
 echo "== go test -race (live figures' flood fan-out)"
