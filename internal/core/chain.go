@@ -13,11 +13,11 @@ package core
 // per job.
 //
 // Every multi-hop topology goes through this one planner. A 2-device
-// chain IS the paper's two-tier problem (JPSChain delegates to JPS).
-// No hop prices the reply: it is one small frame back, and it rides
-// free on every link, as in the paper. A 3-device chain is the fog-computing
-// mobile→edge→cloud extension the paper cites through Mohammed et al.
-// [15]; its plans are frozen bit-for-bit in chain_golden_test.go.
+// chain IS the paper's two-tier problem (JPSChain delegates to JPS);
+// no hop prices the reply, one small frame back, as in the paper. A
+// 3-device chain is the fog-computing mobile→edge→cloud extension the
+// paper cites through Mohammed et al. [15]; its plans are frozen
+// bit-for-bit in chain_golden_test.go.
 
 import (
 	"fmt"
